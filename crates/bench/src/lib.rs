@@ -6,6 +6,8 @@
 //! (wall-clock) cost of the underlying primitives and of whole simulated
 //! runs.
 
+#![forbid(unsafe_code)]
+
 pub mod andrew;
 pub mod experiments;
 pub mod report;

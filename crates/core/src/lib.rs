@@ -72,6 +72,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod demo;

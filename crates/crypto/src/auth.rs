@@ -8,7 +8,8 @@
 //! orders of magnitude cheaper than signatures.
 
 use crate::digest::Digest;
-use crate::keys::NodeKeys;
+use crate::hmac::verify_tag;
+use crate::keys::{NodeKeys, SessionKey};
 use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
 /// Length of a truncated MAC in bytes (PBFT used 8/10-byte UMAC tags).
@@ -20,15 +21,17 @@ pub struct Mac(pub [u8; MAC_LEN]);
 
 impl Mac {
     /// Computes the truncated MAC of `digest` under `key`.
-    fn compute(key: &crate::keys::SessionKey, digest: &Digest) -> Mac {
+    fn compute(key: &SessionKey, digest: &Digest) -> Mac {
         let full = key.mac(digest.as_bytes());
-        Mac::truncate(full)
-    }
-
-    fn truncate(full: [u8; 32]) -> Mac {
         let mut out = [0u8; MAC_LEN];
         out.copy_from_slice(&full[..MAC_LEN]);
         Mac(out)
+    }
+
+    /// Whether `received` is the MAC of `digest` under `key`, compared
+    /// branch-free like every other tag ([`verify_tag`]).
+    fn verify(key: &SessionKey, digest: &Digest, received: &Mac) -> bool {
+        verify_tag(&Mac::compute(key, digest).0, &received.0)
     }
 }
 
@@ -58,17 +61,8 @@ impl Authenticator {
     ///
     /// The sender's own slot is filled with a self-MAC so indices line up;
     /// it is never checked.
-    ///
-    /// Every entry MACs the *same* 32-byte digest — only the per-edge
-    /// session key differs — so the inner hash's final-block message
-    /// schedule is expanded once and shared across all `n` keys instead of
-    /// re-expanded per tag.
     pub fn generate(keys: &NodeKeys, n: usize, digest: &Digest) -> Self {
-        let schedule = crate::sha256::Sha256Schedule::for_block1_tail32(digest.as_bytes());
-        let macs = (0..n)
-            .map(|j| Mac::truncate(keys.key_to(j).mac32_scheduled(&schedule)))
-            .collect();
-        Self { macs }
+        Self { macs: keys.map_keys_to(n, |key| Mac::compute(key, digest)) }
     }
 
     /// Computes a single point-to-point MAC (used for replies to clients).
@@ -78,14 +72,14 @@ impl Authenticator {
 
     /// Checks a point-to-point MAC received from `from`.
     pub fn check_point(keys: &NodeKeys, from: usize, digest: &Digest, mac: &Mac) -> bool {
-        Mac::compute(&keys.key_from(from), digest) == *mac
+        Mac::verify(&keys.key_from(from), digest, mac)
     }
 
     /// Checks this receiver's entry, for a message received from `from`.
     pub fn check(&self, keys: &NodeKeys, from: usize, digest: &Digest) -> bool {
         let me = keys.id();
         match self.macs.get(me) {
-            Some(mac) => Mac::compute(&keys.key_from(from), digest) == *mac,
+            Some(mac) => Mac::verify(&keys.key_from(from), digest, mac),
             None => false,
         }
     }
@@ -178,9 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_schedule_matches_per_key_macs() {
-        // generate() (shared inner-block schedule) must produce exactly
-        // the tags the straight per-key MAC path produces.
+    fn generate_matches_per_key_macs() {
+        // generate() (every key in one visit to the directory) must
+        // produce exactly the tags the key-by-key path produces.
         let (a, _, _) = setup();
         for payload in [&b"msg"[..], b"", b"another multicast payload"] {
             let d = Digest::of(payload);

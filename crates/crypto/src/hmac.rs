@@ -1,6 +1,6 @@
 //! HMAC-SHA256 (RFC 2104), validated against the RFC 4231 test vectors.
 
-use crate::sha256::{Sha256, Sha256Midstate, Sha256Schedule};
+use crate::sha256::{Sha256, Sha256Midstate};
 
 const BLOCK_LEN: usize = 64;
 
@@ -40,23 +40,6 @@ impl HmacMidstate {
         let mut outer = Sha256::new();
         outer.update(&opad_key);
         Self { inner: inner.midstate(), outer: outer.midstate() }
-    }
-
-    /// MACs a 32-byte message through a pre-expanded inner-block schedule.
-    ///
-    /// For a 32-byte message the inner hash is exactly one compression
-    /// past the ipad midstate, of a block fully determined by the message
-    /// (`digest || 0x80 || zeros || len`). That block — and therefore its
-    /// schedule — is identical for every key MACing the same message, so a
-    /// multicast sender expands it once with
-    /// [`Sha256Schedule::for_block1_tail32`] and shares it across all
-    /// per-receiver keys. The outer hash cannot be shared (its input is
-    /// the per-key inner digest) and runs normally.
-    pub fn mac32_scheduled(&self, schedule: &Sha256Schedule) -> [u8; 32] {
-        let inner_digest = self.inner.finalize_scheduled(schedule);
-        let mut outer = Sha256::from_midstate(self.outer);
-        outer.update(&inner_digest);
-        outer.finalize()
     }
 }
 
@@ -133,50 +116,56 @@ pub fn verify_tag(expected: &[u8], actual: &[u8]) -> bool {
 mod tests {
     use super::*;
 
-    fn hex(d: &[u8]) -> String {
-        d.iter().map(|b| format!("{b:02x}")).collect()
-    }
+    use crate::sha256::tests::{hash_with, hex, paths, Compress};
 
-    // RFC 4231 test cases.
-
-    #[test]
-    fn rfc4231_case_1() {
-        let key = [0x0bu8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-    }
-
-    #[test]
-    fn rfc4231_case_2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+    /// RFC 2104 written out over `hash_with`, so that it runs on exactly
+    /// one compress path.
+    fn hmac_with(compress: Compress, key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..32].copy_from_slice(&hash_with(compress, key, 1));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let keyed = |pad: u8, tail: &[u8]| {
+            let mut m: Vec<u8> = k.iter().map(|b| b ^ pad).collect();
+            m.extend_from_slice(tail);
+            hash_with(compress, &m, 2)
+        };
+        keyed(0x5c, &keyed(0x36, msg))
     }
 
     #[test]
-    fn rfc4231_case_3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        let tag = hmac_sha256(&key, &data);
-        assert_eq!(
-            hex(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-    }
-
-    #[test]
-    fn rfc4231_case_6_long_key() {
-        let key = [0xaau8; 131];
-        let tag = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
-        assert_eq!(
-            hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn rfc4231_vectors_on_every_path() {
+        // RFC 4231 test cases 1, 2, 3 and 6 (key longer than a block).
+        let vectors: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, data, want) in vectors {
+            assert_eq!(hex(&hmac_sha256(key, data)), want, "dispatched");
+            for (name, compress) in paths() {
+                assert_eq!(hex(&hmac_with(compress, key, data)), want, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -217,23 +206,6 @@ mod tests {
         m.update(b"first");
         assert_eq!(m.finalize(), one);
         assert_eq!(one, hmac_sha256(b"key", b"first"));
-    }
-
-    #[test]
-    fn scheduled_mac32_matches_one_shot() {
-        for key_len in [0usize, 1, 20, 32, 64, 131] {
-            let key = vec![0x5du8; key_len];
-            let mid = HmacMidstate::new(&key);
-            for fill in [0x00u8, 0x7f, 0xee] {
-                let msg = [fill; 32];
-                let schedule = Sha256Schedule::for_block1_tail32(&msg);
-                assert_eq!(
-                    mid.mac32_scheduled(&schedule),
-                    hmac_sha256(&key, &msg),
-                    "key_len {key_len} fill {fill:02x}"
-                );
-            }
-        }
     }
 
     #[test]

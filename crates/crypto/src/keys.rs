@@ -69,14 +69,6 @@ impl SessionKey {
         mac.update(message);
         mac.finalize()
     }
-
-    /// MACs a 32-byte message whose inner-block schedule was pre-expanded
-    /// with [`crate::Sha256Schedule::for_block1_tail32`]. The schedule is
-    /// key-independent, so one multicast shares it across all receivers'
-    /// session keys (see [`crate::hmac::HmacMidstate::mac32_scheduled`]).
-    pub fn mac32_scheduled(&self, schedule: &crate::sha256::Sha256Schedule) -> [u8; 32] {
-        self.midstate.mac32_scheduled(schedule)
-    }
 }
 
 /// A node's handle onto the key infrastructure.
@@ -106,6 +98,12 @@ impl NodeKeys {
     /// Session key for authenticating messages this node *sends to* `to`.
     pub fn key_to(&self, to: usize) -> SessionKey {
         self.dir.session_key(self.id, to)
+    }
+
+    /// Calls `f` with `key_to(j)` for each `j` in `0..n`, in one visit to
+    /// the directory.
+    pub(crate) fn map_keys_to<T>(&self, n: usize, f: impl FnMut(&SessionKey) -> T) -> Vec<T> {
+        self.dir.map_keys_to(self.id, n, f)
     }
 
     /// Session key for verifying messages this node *receives from* `from`.

@@ -5,7 +5,8 @@
 //! crypto crates, so this crate implements the primitives from scratch:
 //!
 //! - [`sha256`]: FIPS 180-4 SHA-256 (one-shot and incremental), validated
-//!   against the official test vectors.
+//!   against the official test vectors. Compresses with the CPU's SHA
+//!   extensions where it has them.
 //! - [`hmac`]: HMAC-SHA256 (RFC 2104), validated against RFC 4231 vectors.
 //! - [`digest`]: the 32-byte [`Digest`] type used throughout the system.
 //! - [`auth`]: PBFT-style *authenticators* — vectors of pairwise MACs, one
@@ -29,6 +30,7 @@
 //! meaningful.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod auth;
 pub mod digest;
@@ -42,5 +44,5 @@ pub use auth::{Authenticator, Mac, MAC_LEN};
 pub use digest::{digest_of, Digest, DIGEST_LEN};
 pub use hmac::{hmac_sha256, HmacMidstate, HmacSha256};
 pub use keys::{KeyPair, NodeKeys, SessionKey, SECRET_LEN};
-pub use sha256::{Sha256, Sha256Midstate, Sha256Schedule};
+pub use sha256::{Sha256, Sha256Midstate};
 pub use sig::{KeyDirectory, Signature, SIG_LEN};

@@ -15,7 +15,7 @@
 //! for another node. Third-party verifiability holds because any handle can
 //! verify any signer.
 
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
 use crate::keys::{SessionKey, SECRET_LEN};
 use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 use std::collections::HashMap;
@@ -59,6 +59,10 @@ impl XdrDecode for Signature {
 struct Inner {
     /// Per-node root secrets, generated deterministically from a seed.
     secrets: Vec<[u8; SECRET_LEN]>,
+    /// Per-node HMAC key schedule of the signing key `secret ‖ "sig!"`,
+    /// precomputed like a session key's. It depends on the secret alone,
+    /// so a key refresh leaves it as it is.
+    sig_keys: Vec<HmacMidstate>,
     /// Per-node receive-key epochs, bumped by proactive recovery.
     epochs: Vec<u64>,
     /// Memoized session keys (with their precomputed HMAC midstates),
@@ -93,9 +97,14 @@ impl KeyDirectory {
             let tag = hmac_sha256(&seed.to_be_bytes(), format!("node-secret-{i}").as_bytes());
             secrets.push(tag);
         }
+        let sig_keys = secrets
+            .iter()
+            .map(|secret| HmacMidstate::new(&[&secret[..], b"sig!"].concat()))
+            .collect();
         Self {
             inner: Arc::new(RwLock::new(Inner {
                 secrets,
+                sig_keys,
                 epochs: vec![0; n],
                 session_cache: HashMap::new(),
             })),
@@ -138,6 +147,33 @@ impl KeyDirectory {
         key
     }
 
+    /// Calls `f` with the session key from `sender` to each receiver in
+    /// `0..n`, in order, holding the read lock across all of them (a
+    /// multicast authenticator needs every one of its sender's keys).
+    pub(crate) fn map_keys_to<T>(
+        &self,
+        sender: usize,
+        n: usize,
+        mut f: impl FnMut(&SessionKey) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(n);
+        let mut inner = self.inner.read().expect("key directory poisoned");
+        while out.len() < n {
+            let receiver = out.len();
+            match inner.session_cache.get(&(sender, receiver, inner.epochs[receiver])) {
+                Some(key) => out.push(f(key)),
+                None => {
+                    // First use under this epoch: derive and memoize it
+                    // under the write lock, then carry on reading.
+                    drop(inner);
+                    self.session_key(sender, receiver);
+                    inner = self.inner.read().expect("key directory poisoned");
+                }
+            }
+        }
+        out
+    }
+
     /// Bumps `node`'s receive-key epoch (proactive-recovery key refresh),
     /// dropping every cached session key for traffic to it.
     pub(crate) fn refresh(&self, node: usize) {
@@ -146,22 +182,23 @@ impl KeyDirectory {
         inner.session_cache.retain(|&(_, receiver, _), _| receiver != node);
     }
 
+    /// `node`'s signature over `message`, or `None` for an unknown node.
+    fn signature(&self, node: usize, message: &[u8]) -> Option<Signature> {
+        let inner = self.inner.read().expect("key directory poisoned");
+        let mut mac = HmacSha256::from_midstate(inner.sig_keys.get(node)?);
+        mac.update(message);
+        Some(Signature(mac.finalize()))
+    }
+
     /// Signs `message` as `node`.
     pub(crate) fn sign(&self, node: usize, message: &[u8]) -> Signature {
-        let inner = self.inner.read().expect("key directory poisoned");
-        let mut key = Vec::with_capacity(SECRET_LEN + 4);
-        key.extend_from_slice(&inner.secrets[node]);
-        key.extend_from_slice(b"sig!");
-        Signature(hmac_sha256(&key, message))
+        self.signature(node, message).expect("signer is a node of this directory")
     }
 
     /// Verifies that `sig` is `signer`'s signature over `message`.
     pub fn verify(&self, signer: usize, message: &[u8], sig: &Signature) -> bool {
-        if signer >= self.node_count() {
-            return false;
-        }
-        let expected = self.sign(signer, message);
-        verify_tag(&expected.0, &sig.0)
+        self.signature(signer, message)
+            .is_some_and(|expected| verify_tag(&expected.0, &sig.0))
     }
 }
 
@@ -195,6 +232,23 @@ mod tests {
         let verifier = NodeKeys::new(dir, 0);
         let sig = signer.sign(b"m");
         assert!(!verifier.verify(2, b"m2", &sig));
+    }
+
+    proptest::proptest! {
+        /// sign(i, m) is HMAC(secret_i ‖ "sig!", m), whatever is cached,
+        /// and a key refresh does not change it.
+        #[test]
+        fn cached_sign_key_matches_the_definition(m: Vec<u8>, node in 0usize..3, seed: u64) {
+            let dir = KeyDirectory::generate(3, seed);
+            let keys = NodeKeys::new(dir.clone(), node);
+            let mut key = dir.inner.read().unwrap().secrets[node].to_vec();
+            key.extend_from_slice(b"sig!");
+            let sig = keys.sign(&m);
+            proptest::prop_assert_eq!(sig.0, hmac_sha256(&key, &m));
+            keys.refresh();
+            proptest::prop_assert_eq!(keys.sign(&m), sig);
+            proptest::prop_assert!(NodeKeys::new(dir, (node + 1) % 3).verify(node, &m, &sig));
+        }
     }
 
     #[test]

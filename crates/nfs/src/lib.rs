@@ -33,6 +33,7 @@
 //!   the baseline.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod btree_fs;
 pub mod flat_fs;

@@ -16,6 +16,7 @@
 //! relocations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod oo7;

@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod byzantine;
 pub mod chaos;

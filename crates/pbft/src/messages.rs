@@ -316,18 +316,20 @@ impl PrePrepareMsg {
     /// Bytes covered by the primary's authentication: view, seq and batch
     /// digest.
     pub fn signed_bytes(&self) -> Vec<u8> {
-        header_bytes("pbft:pre-prepare", self.view, self.seq, &self.batch_digest())
+        header("pbft:pre-prepare", self.view, self.seq, &self.batch_digest()).finish()
     }
 }
 
-/// Canonical byte string for (tag, view, seq, digest) headers.
-fn header_bytes(tag: &str, view: u64, seq: u64, digest: &Digest) -> Vec<u8> {
-    let mut enc = XdrEncoder::new();
+/// Canonical encoding of a (tag, view, seq, digest) header, left open so
+/// that a message with more signed fields appends them in place.
+fn header(tag: &str, view: u64, seq: u64, digest: &Digest) -> XdrEncoder {
+    // Room for the longest tag, both counters, the digest and a replica id.
+    let mut enc = XdrEncoder::with_capacity(96);
     enc.put_string(tag);
     enc.put_u64(view);
     enc.put_u64(seq);
     digest.encode(&mut enc);
-    enc.finish()
+    enc
 }
 
 impl XdrEncode for PrePrepareMsg {
@@ -375,8 +377,7 @@ pub struct PrepareMsg {
 impl PrepareMsg {
     /// Bytes covered by authentication.
     pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        enc.put_raw(&header_bytes("pbft:prepare", self.view, self.seq, &self.digest));
+        let mut enc = header("pbft:prepare", self.view, self.seq, &self.digest);
         enc.put_u32(self.replica);
         enc.finish()
     }
@@ -424,8 +425,7 @@ pub struct CommitMsg {
 impl CommitMsg {
     /// Bytes covered by authentication.
     pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        enc.put_raw(&header_bytes("pbft:commit", self.view, self.seq, &self.digest));
+        let mut enc = header("pbft:commit", self.view, self.seq, &self.digest);
         enc.put_u32(self.replica);
         enc.finish()
     }

@@ -57,6 +57,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod actor;
 mod config;

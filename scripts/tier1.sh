@@ -11,6 +11,15 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# base-crypto's own suite, optimised: the bare `cargo test -q` above covers
+# only the root package, and this is where the hardware SHA-256 compress
+# function is held to the scalar one, block for block (see
+# crates/crypto/src/sha256.rs). The second line says which of the two this
+# machine's CPU selects, so a log shows what the run above exercised.
+cargo test -q --release -p base-crypto
+cargo test -q --release -p base-crypto --lib detected_compress_path -- --nocapture \
+  | grep "sha256 compress path"
+
 # Pipeline equivalence gate: pipelined agreement + conflict-grouped
 # execution must be observationally equivalent to the serial schedule
 # (see crates/bench/tests/pipeline_equivalence.rs). On divergence the

@@ -4,6 +4,8 @@
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use base;
 pub use base_crypto;
 pub use base_nfs;
