@@ -1,8 +1,9 @@
-//! Machine-readable perf lab: measures the repo's three hot paths — the
-//! E9 batching workload, a parallel chaos campaign, and a ddmin
-//! minimization — and emits the numbers as deterministic-schema JSON so
-//! `scripts/check_bench.sh` can gate regressions against a checked-in
-//! baseline.
+//! Machine-readable lab of deterministic counts: runs the repo's fixed
+//! workloads — the E9 batching cell, a parallel chaos campaign, a ddmin
+//! minimization, the checkpoint, transfer, pipeline and shard labs — and
+//! emits their simulated quantities as deterministic-schema JSON so
+//! `scripts/gate.sh bench` can gate drift against a checked-in baseline.
+//! Wall-clock cost is measured by `benchmark/`, not here.
 //!
 //! ```text
 //! # human-readable table
@@ -11,16 +12,13 @@
 //! # write BENCH_<stamp>.json (schema below) into --out (default ".")
 //! cargo run --release -p base-bench --bin bench -- --json --stamp 20260807
 //!
-//! # gate: re-measure and compare against a baseline (generous threshold
-//! # on wall-clock, exact on deterministic sim quantities)
+//! # gate: re-measure and compare against a baseline, exactly
 //! cargo run --release -p base-bench --bin bench -- --check \
 //!     crates/bench/tests/snapshots/bench_baseline.json
 //! ```
 //!
-//! Simulated quantities (ops, sim ops/s, latency quantiles, ddmin
-//! executions) are deterministic and must match the baseline exactly;
-//! wall-clock milliseconds vary by machine and only gate at a generous
-//! multiple (default 3x).
+//! Every reported quantity (ops, sim ops/s, latency quantiles, ddmin
+//! executions, …) is deterministic and must match the baseline exactly.
 
 use base::{BaseService, ModifyLog, Wrapper};
 use base_bench::experiments::shards::measure_shards;
@@ -42,7 +40,6 @@ use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// E9 cell measured by the lab.
 const E9_CLIENTS: usize = 8;
@@ -65,8 +62,6 @@ const DEFAULT_MAX_SHARDS: u32 = 4;
 /// Campaign shape: seeds and worker count.
 const CAMPAIGN_SEEDS: std::ops::Range<u64> = 6200..6212;
 const CAMPAIGN_WORKERS: usize = 4;
-/// Generous wall-clock regression multiple for `--check`.
-const DEFAULT_THRESHOLD: f64 = 3.0;
 
 /// Checkpoint-lab shape: a deep sparse tree so batching has headroom.
 const CKPT_OBJECTS: u64 = 4096;
@@ -86,8 +81,6 @@ struct Opts {
     out: PathBuf,
     stamp: Option<String>,
     check: Option<PathBuf>,
-    threshold: f64,
-    ddmin_workers: usize,
     digest_workers: usize,
     pipeline_depth: u64,
     exec_workers: usize,
@@ -96,9 +89,9 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench [--json] [--out DIR] [--stamp STAMP] [--ddmin-workers N] \
-         [--digest-workers N] [--pipeline-depth N] [--exec-workers N] [--shards N]\n\
-         \x20      bench --check BASELINE.json [--threshold X]\n\
+        "usage: bench [--json] [--out DIR] [--stamp STAMP] [--digest-workers N] \
+         [--pipeline-depth N] [--exec-workers N] [--shards N]\n\
+         \x20      bench --check BASELINE.json\n\
          \x20      bench --perfetto [--out DIR]   # export the E9 cell's span \
          graph as Chrome trace JSON"
     );
@@ -112,15 +105,7 @@ fn parse_args() -> Opts {
         out: PathBuf::from("."),
         stamp: None,
         check: None,
-        threshold: DEFAULT_THRESHOLD,
-        // Sequential by default: parallel ddmin trades speculative extra
-        // executions for concurrency, which only pays off with >1 CPU.
-        // Keeping the recorded search-effort counters machine-independent
-        // means the default must not probe the host's core count.
-        ddmin_workers: 1,
-        // Same reasoning: the checkpoint lab's deterministic counters are
-        // worker-count-invariant, but the default stays sequential so the
-        // recorded wall-clock is comparable across runs of one machine.
+        // The checkpoint lab's counters are worker-count-invariant.
         digest_workers: 1,
         // The pipelined side of the A/B cell. Depth changes the agreed
         // schedule (deterministically, per seed), so the default is part
@@ -142,12 +127,6 @@ fn parse_args() -> Opts {
             "--out" => opts.out = PathBuf::from(need(&mut i)),
             "--stamp" => opts.stamp = Some(need(&mut i)),
             "--check" => opts.check = Some(PathBuf::from(need(&mut i))),
-            "--threshold" => {
-                opts.threshold = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--ddmin-workers" => {
-                opts.ddmin_workers = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--digest-workers" => {
                 opts.digest_workers = need(&mut i).parse().unwrap_or_else(|_| usage())
             }
@@ -303,13 +282,11 @@ struct CheckpointOut {
     /// What the pre-batching per-leaf root-path rehash would have cost:
     /// every digested object re-hashed its full path of internal nodes.
     naive_node_hashes: u64,
-    wall_ms: u64,
 }
 
 /// Checkpoint lab: populate a 4096-object service, then run sparse
 /// clustered dirty epochs with a checkpoint each. Every counter is
-/// deterministic and worker-count-invariant; only wall-clock moves with
-/// `digest_workers`.
+/// deterministic and worker-count-invariant.
 fn measure_checkpoint(digest_workers: usize) -> CheckpointOut {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut svc = BaseService::new(ArrayWrapper {
@@ -330,7 +307,6 @@ fn measure_checkpoint(digest_workers: usize) -> CheckpointOut {
         svc.execute(&op, 1, &[], false, &mut env);
     }
 
-    let t0 = Instant::now();
     // Epoch 0: full population (the worst-case dense flush).
     for i in 0..CKPT_OBJECTS {
         write(&mut svc, &mut rng, i, 0x11);
@@ -351,14 +327,12 @@ fn measure_checkpoint(digest_workers: usize) -> CheckpointOut {
             svc.discard_checkpoints_below(e.saturating_sub(4) * 128);
         }
     }
-    let wall_ms = t0.elapsed().as_millis() as u64;
 
     CheckpointOut {
         checkpoints: svc.stats.checkpoints,
         objects_digested: svc.stats.objects_digested,
         node_hashes: svc.stats.node_hashes,
         naive_node_hashes: svc.stats.objects_digested * depth,
-        wall_ms,
     }
 }
 
@@ -368,7 +342,6 @@ struct TransferOut {
     meta_queries: u64,
     objects_fetched: u64,
     fetched_bytes: u64,
-    wall_ms: u64,
 }
 
 /// Serves one fetch query the way a correct replica would.
@@ -437,7 +410,8 @@ fn measure_transfer() -> TransferOut {
     }
 
     let run = |window: usize| -> (u64, base_pbft::transfer::FetchResult) {
-        let mut f = Fetcher::with_window(3, 4, 128, target, window);
+        // Pinned (`window == window_max`), so each run measures one window.
+        let mut f = Fetcher::new(3, 4, 128, target, window, window);
         let mut wire = f.begin();
         let mut rounds = 0u64;
         let mut result = None;
@@ -463,10 +437,8 @@ fn measure_transfer() -> TransferOut {
         (rounds, result.expect("transfer lab completes"))
     };
 
-    let t0 = Instant::now();
     let (rounds_serial, serial) = run(1);
     let (rounds_windowed, windowed) = run(DEFAULT_FETCH_WINDOW);
-    let wall_ms = t0.elapsed().as_millis() as u64;
 
     // Pipelining must change scheduling only, never what gets fetched.
     assert_eq!(serial.objects.len(), windowed.objects.len());
@@ -479,7 +451,6 @@ fn measure_transfer() -> TransferOut {
         meta_queries: windowed.meta_queries,
         objects_fetched: windowed.objects.len() as u64,
         fetched_bytes: windowed.fetched_bytes,
-        wall_ms,
     }
 }
 
@@ -491,7 +462,6 @@ struct PipelineOut {
     piped_exec_groups_milli: u64,
     piped_exec_serial_ns: u64,
     piped_exec_makespan_ns: u64,
-    wall_ms: u64,
 }
 
 /// Pipeline A/B: the E9 cell with `pipeline_depth = 1` versus the
@@ -499,7 +469,6 @@ struct PipelineOut {
 /// All sim quantities are deterministic; the mean group occupancy is
 /// recorded in milligroups to keep the JSON schema integral.
 fn measure_pipeline(depth: u64, workers: usize) -> PipelineOut {
-    let t0 = Instant::now();
     let serial = measure_throughput_with(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES, |cfg| {
         cfg.max_inflight = PIPE_MAX_INFLIGHT;
         cfg.pipeline_depth = 1;
@@ -509,7 +478,6 @@ fn measure_pipeline(depth: u64, workers: usize) -> PipelineOut {
         cfg.pipeline_depth = depth;
         cfg.exec_workers = workers;
     });
-    let wall_ms = t0.elapsed().as_millis() as u64;
     let rate = |s: &base_bench::experiments::throughput::ThroughputSample| {
         (s.ops as f64 / (s.elapsed_ns as f64 / 1e9)).round() as u64
     };
@@ -521,7 +489,6 @@ fn measure_pipeline(depth: u64, workers: usize) -> PipelineOut {
         piped_exec_groups_milli: (piped.exec_groups_mean * 1000.0).round() as u64,
         piped_exec_serial_ns: piped.exec_serial_ns,
         piped_exec_makespan_ns: piped.exec_makespan_ns,
-        wall_ms,
     }
 }
 
@@ -529,7 +496,6 @@ struct ShardsOut {
     /// `(shards, disjoint sim ops/s, mixed sim ops/s, mixed cross aborts)`
     /// per cell, at doubling shard counts up to the `--shards` knob.
     cells: Vec<(u32, u64, u64, u64)>,
-    wall_ms: u64,
 }
 
 /// Shard-scaling lab: the E14 cells at doubling shard counts. All sim
@@ -537,7 +503,6 @@ struct ShardsOut {
 /// out of the `--check` field list so `--shards` resizes freely without a
 /// baseline re-bless (the scaling gate itself lives in `ab_shards`).
 fn measure_shards_section(max_shards: u32) -> ShardsOut {
-    let t0 = Instant::now();
     let mut cells = Vec::new();
     let mut k = 1u32;
     while k <= max_shards {
@@ -546,7 +511,7 @@ fn measure_shards_section(max_shards: u32) -> ShardsOut {
         cells.push((k, disjoint.sim_ops_per_sec, mixed.sim_ops_per_sec, mixed.cross_aborts));
         k *= 2;
     }
-    ShardsOut { cells, wall_ms: t0.elapsed().as_millis() as u64 }
+    ShardsOut { cells }
 }
 
 impl ShardsOut {
@@ -558,7 +523,7 @@ impl ShardsOut {
                 "\"disjoint_{k}\":{disjoint},\"mixed_{k}\":{mixed},\"cross_aborts_{k}\":{aborts},"
             );
         }
-        let _ = write!(out, "\"speedup_milli\":{},\"wall_ms\":{}}}", self.speedup_milli(), self.wall_ms);
+        let _ = write!(out, "\"speedup_milli\":{}}}", self.speedup_milli());
         out
     }
 
@@ -579,16 +544,11 @@ struct BenchReport {
     e9_sim_ops_per_sec: u64,
     e9_p50_latency_ns: u64,
     e9_p99_latency_ns: u64,
-    e9_wall_ms: u64,
-    e9_wall_ops_per_sec: u64,
     campaign_runs: usize,
     campaign_failures: usize,
-    campaign_wall_ms: u64,
-    ddmin_workers: usize,
     ddmin_executions: u64,
     ddmin_subset_tests: u64,
     ddmin_minimal_len: usize,
-    ddmin_wall_ms: u64,
     ckpt_digest_workers: usize,
     ckpt: CheckpointOut,
     transfer: TransferOut,
@@ -597,23 +557,16 @@ struct BenchReport {
 }
 
 fn measure(
-    ddmin_workers: usize,
     digest_workers: usize,
     pipeline_depth: u64,
     exec_workers: usize,
     max_shards: u32,
 ) -> BenchReport {
-    // E9 batching throughput: sim ops/s is deterministic; wall-clock is
-    // what the zero-copy/memoization work moves.
-    let t0 = Instant::now();
+    // E9 batching throughput.
     let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
-    let e9_wall_ms = t0.elapsed().as_millis() as u64;
     let e9_sim_ops_per_sec = (e9.ops as f64 / (e9.elapsed_ns as f64 / 1e9)).round() as u64;
-    let e9_wall_ops_per_sec =
-        (e9.ops as f64 / (e9_wall_ms.max(1) as f64 / 1e3)).round() as u64;
 
     // Chaos campaign at a fixed worker count.
-    let t0 = Instant::now();
     let h = CounterChaosHarness::new(4);
     let cfg = h.gen_config(5, SimDuration::from_secs(6));
     let report = run_campaign_parallel(
@@ -623,7 +576,6 @@ fn measure(
         CAMPAIGN_SEEDS,
         CAMPAIGN_WORKERS,
     );
-    let campaign_wall_ms = t0.elapsed().as_millis() as u64;
 
     // ddmin over the fixed decoy schedule (known failing: three crashes
     // exceed the threshold of two).
@@ -631,19 +583,7 @@ fn measure(
     let mut h = ddmin_harness();
     let (outcome, verdict) = base_simnet::chaos::run_one(&mut h, 42, &schedule);
     assert!(verdict.is_err(), "ddmin bench schedule must fail its audit");
-    let t0 = Instant::now();
-    let dd = if ddmin_workers > 1 {
-        base_simnet::ddmin::ddmin_from_failure_parallel(
-            ddmin_harness,
-            42,
-            &schedule,
-            Some(&outcome),
-            ddmin_workers,
-        )
-    } else {
-        ddmin_from_failure(&mut h, 42, &schedule, Some(&outcome))
-    };
-    let ddmin_wall_ms = t0.elapsed().as_millis() as u64;
+    let dd = ddmin_from_failure(&mut h, 42, &schedule, Some(&outcome));
 
     let ckpt = measure_checkpoint(digest_workers);
     let transfer = measure_transfer();
@@ -655,16 +595,11 @@ fn measure(
         e9_sim_ops_per_sec,
         e9_p50_latency_ns: e9.p50_latency_ns,
         e9_p99_latency_ns: e9.p99_latency_ns,
-        e9_wall_ms,
-        e9_wall_ops_per_sec,
         campaign_runs: report.runs,
         campaign_failures: report.failures.len(),
-        campaign_wall_ms,
-        ddmin_workers,
         ddmin_executions: dd.metrics.counter("ddmin.executions"),
         ddmin_subset_tests: dd.metrics.counter("ddmin.subset_tests"),
         ddmin_minimal_len: dd.schedule.len(),
-        ddmin_wall_ms,
         ckpt_digest_workers: digest_workers,
         ckpt,
         transfer,
@@ -680,49 +615,38 @@ impl BenchReport {
             out,
             "{{\"stamp\":\"{stamp}\",\
              \"e9\":{{\"clients\":{},\"ops\":{},\"sim_ops_per_sec\":{},\
-             \"p50_latency_ns\":{},\"p99_latency_ns\":{},\"wall_ms\":{},\
-             \"wall_ops_per_sec\":{}}},\
-             \"campaign\":{{\"runs\":{},\"workers\":{},\"failures\":{},\"wall_ms\":{}}},\
-             \"ddmin\":{{\"workers\":{},\"executions\":{},\"subset_tests\":{},\
-             \"minimal_len\":{},\"wall_ms\":{}}},\
+             \"p50_latency_ns\":{},\"p99_latency_ns\":{}}},\
+             \"campaign\":{{\"runs\":{},\"workers\":{},\"failures\":{}}},\
+             \"ddmin\":{{\"executions\":{},\"subset_tests\":{},\"minimal_len\":{}}},\
              \"checkpoint\":{{\"digest_workers\":{},\"checkpoints\":{},\
-             \"objects_digested\":{},\"node_hashes\":{},\"naive_node_hashes\":{},\
-             \"wall_ms\":{}}},\
+             \"objects_digested\":{},\"node_hashes\":{},\"naive_node_hashes\":{}}},\
              \"transfer\":{{\"window\":{},\"rounds_serial\":{},\"rounds_windowed\":{},\
-             \"meta_queries\":{},\"objects_fetched\":{},\"fetched_bytes\":{},\
-             \"wall_ms\":{}}},\
+             \"meta_queries\":{},\"objects_fetched\":{},\"fetched_bytes\":{}}},\
              \"pipeline\":{{\"depth\":{},\"workers\":{},\"serial_sim_ops_per_sec\":{},\
              \"piped_sim_ops_per_sec\":{},\"exec_groups_milli\":{},\
-             \"exec_serial_ns\":{},\"exec_makespan_ns\":{},\"wall_ms\":{}}},{}}}",
+             \"exec_serial_ns\":{},\"exec_makespan_ns\":{}}},{}}}",
             E9_CLIENTS,
             self.e9_ops,
             self.e9_sim_ops_per_sec,
             self.e9_p50_latency_ns,
             self.e9_p99_latency_ns,
-            self.e9_wall_ms,
-            self.e9_wall_ops_per_sec,
             self.campaign_runs,
             CAMPAIGN_WORKERS,
             self.campaign_failures,
-            self.campaign_wall_ms,
-            self.ddmin_workers,
             self.ddmin_executions,
             self.ddmin_subset_tests,
             self.ddmin_minimal_len,
-            self.ddmin_wall_ms,
             self.ckpt_digest_workers,
             self.ckpt.checkpoints,
             self.ckpt.objects_digested,
             self.ckpt.node_hashes,
             self.ckpt.naive_node_hashes,
-            self.ckpt.wall_ms,
             DEFAULT_FETCH_WINDOW,
             self.transfer.rounds_serial,
             self.transfer.rounds_windowed,
             self.transfer.meta_queries,
             self.transfer.objects_fetched,
             self.transfer.fetched_bytes,
-            self.transfer.wall_ms,
             self.pipeline.depth,
             self.pipeline.workers,
             self.pipeline.serial_sim_ops_per_sec,
@@ -730,7 +654,6 @@ impl BenchReport {
             self.pipeline.piped_exec_groups_milli,
             self.pipeline.piped_exec_serial_ns,
             self.pipeline.piped_exec_makespan_ns,
-            self.pipeline.wall_ms,
             self.shards.to_json(),
         );
         out
@@ -739,59 +662,49 @@ impl BenchReport {
     fn print_table(&self) {
         println!("== bench lab ==");
         println!(
-            "e9:       clients={} ops={} sim_ops/s={} p50={}ms p99={}ms wall={}ms wall_ops/s={}",
+            "e9:       clients={} ops={} sim_ops/s={} p50={}ms p99={}ms",
             E9_CLIENTS,
             self.e9_ops,
             self.e9_sim_ops_per_sec,
             self.e9_p50_latency_ns as f64 / 1e6,
-            self.e9_p99_latency_ns as f64 / 1e6,
-            self.e9_wall_ms,
-            self.e9_wall_ops_per_sec
+            self.e9_p99_latency_ns as f64 / 1e6
         );
         println!(
-            "campaign: runs={} workers={} failures={} wall={}ms",
-            self.campaign_runs, CAMPAIGN_WORKERS, self.campaign_failures, self.campaign_wall_ms
+            "campaign: runs={} workers={} failures={}",
+            self.campaign_runs, CAMPAIGN_WORKERS, self.campaign_failures
         );
         println!(
-            "ddmin:    workers={} executions={} subset_tests={} minimal_len={} wall={}ms",
-            self.ddmin_workers,
-            self.ddmin_executions,
-            self.ddmin_subset_tests,
-            self.ddmin_minimal_len,
-            self.ddmin_wall_ms
+            "ddmin:    executions={} subset_tests={} minimal_len={}",
+            self.ddmin_executions, self.ddmin_subset_tests, self.ddmin_minimal_len
         );
         println!(
-            "ckpt:     workers={} checkpoints={} digested={} node_hashes={} \
-             naive={} wall={}ms",
+            "ckpt:     workers={} checkpoints={} digested={} node_hashes={} naive={}",
             self.ckpt_digest_workers,
             self.ckpt.checkpoints,
             self.ckpt.objects_digested,
             self.ckpt.node_hashes,
-            self.ckpt.naive_node_hashes,
-            self.ckpt.wall_ms
+            self.ckpt.naive_node_hashes
         );
         println!(
             "transfer: window={} rounds(serial)={} rounds(windowed)={} meta_queries={} \
-             objects={} bytes={} wall={}ms",
+             objects={} bytes={}",
             DEFAULT_FETCH_WINDOW,
             self.transfer.rounds_serial,
             self.transfer.rounds_windowed,
             self.transfer.meta_queries,
             self.transfer.objects_fetched,
-            self.transfer.fetched_bytes,
-            self.transfer.wall_ms
+            self.transfer.fetched_bytes
         );
         println!(
             "pipeline: depth={} workers={} serial_ops/s={} piped_ops/s={} \
-             groups/batch={:.2} exec_serial={}ms exec_makespan={}ms wall={}ms",
+             groups/batch={:.2} exec_serial={}ms exec_makespan={}ms",
             self.pipeline.depth,
             self.pipeline.workers,
             self.pipeline.serial_sim_ops_per_sec,
             self.pipeline.piped_sim_ops_per_sec,
             self.pipeline.piped_exec_groups_milli as f64 / 1000.0,
             self.pipeline.piped_exec_serial_ns / 1_000_000,
-            self.pipeline.piped_exec_makespan_ns / 1_000_000,
-            self.pipeline.wall_ms
+            self.pipeline.piped_exec_makespan_ns / 1_000_000
         );
         let cells: Vec<String> = self
             .shards
@@ -800,10 +713,9 @@ impl BenchReport {
             .map(|(k, d, m, _)| format!("{k}:{d}/{m}"))
             .collect();
         println!(
-            "shards:   ops/s(disjoint/mixed) [{}] speedup={:.2}x wall={}ms",
+            "shards:   ops/s(disjoint/mixed) [{}] speedup={:.2}x",
             cells.join(" "),
-            self.shards.speedup_milli() as f64 / 1000.0,
-            self.shards.wall_ms
+            self.shards.speedup_milli() as f64 / 1000.0
         );
     }
 }
@@ -827,8 +739,6 @@ fn field(json: &str, section: &str, key: &str) -> Option<f64> {
 
 fn check(
     baseline_path: &PathBuf,
-    threshold: f64,
-    ddmin_workers: usize,
     digest_workers: usize,
     pipeline_depth: u64,
     exec_workers: usize,
@@ -841,7 +751,7 @@ fn check(
             return ExitCode::from(2);
         }
     };
-    let fresh = measure(ddmin_workers, digest_workers, pipeline_depth, exec_workers, max_shards);
+    let fresh = measure(digest_workers, pipeline_depth, exec_workers, max_shards);
     let fresh_json = fresh.to_json("check");
     let mut failures = Vec::new();
 
@@ -878,28 +788,9 @@ fn check(
         }
     }
 
-    // Wall-clock: machine-dependent, gate only at a generous multiple.
-    for (section, actual) in [
-        ("e9", fresh.e9_wall_ms as f64),
-        ("campaign", fresh.campaign_wall_ms as f64),
-        ("ddmin", fresh.ddmin_wall_ms as f64),
-        ("checkpoint", fresh.ckpt.wall_ms as f64),
-        ("transfer", fresh.transfer.wall_ms as f64),
-        ("pipeline", fresh.pipeline.wall_ms as f64),
-    ] {
-        if let Some(expected) = field(&baseline, section, "wall_ms") {
-            if actual > (expected * threshold).max(50.0) {
-                failures.push(format!(
-                    "{section}.wall_ms: baseline {expected}ms, measured {actual}ms \
-                     (> {threshold}x regression)"
-                ));
-            }
-        }
-    }
-
     println!("measured: {fresh_json}");
     if failures.is_empty() {
-        println!("bench check: OK (threshold {threshold}x vs {})", baseline_path.display());
+        println!("bench check: OK (exact vs {})", baseline_path.display());
         ExitCode::SUCCESS
     } else {
         eprintln!("bench check: FAILED vs {}", baseline_path.display());
@@ -948,8 +839,6 @@ fn main() -> ExitCode {
     if let Some(baseline) = &opts.check {
         return check(
             baseline,
-            opts.threshold,
-            opts.ddmin_workers,
             opts.digest_workers,
             opts.pipeline_depth,
             opts.exec_workers,
@@ -960,7 +849,6 @@ fn main() -> ExitCode {
         return export_perfetto_artifacts(&opts.out);
     }
     let report = measure(
-        opts.ddmin_workers,
         opts.digest_workers,
         opts.pipeline_depth,
         opts.exec_workers,

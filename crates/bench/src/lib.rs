@@ -1,10 +1,8 @@
 //! Experiment harness: workload generators, simulation builders, and table
 //! formatting for every experiment in `DESIGN.md` §4 / `EXPERIMENTS.md`.
 //!
-//! Each `src/bin/*_table.rs` binary regenerates one table; `all_tables`
-//! runs everything. Criterion benches under `benches/` measure the real
-//! (wall-clock) cost of the underlying primitives and of whole simulated
-//! runs.
+//! The `all_tables` binary regenerates the tables, all or by name. Real
+//! (wall-clock) cost is measured by the separate `benchmark/` workspace.
 
 #![forbid(unsafe_code)]
 

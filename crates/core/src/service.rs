@@ -130,7 +130,7 @@ fn digest_one_chunked(
 /// Output slot `i` always holds the outcome for `values[i]` — workers claim
 /// items through an atomic cursor but write results by index, so the fold
 /// the caller performs over the returned vector is identical at any worker
-/// count (the same discipline as `run_campaign_parallel` / parallel ddmin).
+/// count (the same discipline as `run_campaign_parallel`).
 /// The chunk cache is only *read* here; the caller applies the returned
 /// snapshots in index order.
 fn digest_values(

@@ -68,9 +68,6 @@ pub struct CounterChaosHarness {
     /// a reply timeout) on every client, so tests can demonstrate the
     /// heal-to-progress auditor catching a stalled operation.
     pub inject_stall_bug: bool,
-    /// Whether the group runs with adaptive (RTT-driven) timeouts; turning
-    /// this off pins the static timeout/backoff paths for A/B comparisons.
-    pub adaptive: bool,
     /// Gap between a client's submissions, so the workload stretches
     /// across the fault schedule instead of finishing before the first
     /// event fires.
@@ -109,7 +106,6 @@ impl CounterChaosHarness {
             ops_per_client: 13,
             inject_client_bug: false,
             inject_stall_bug: false,
-            adaptive: true,
             pace: SimDuration::from_millis(250),
             settle: SimDuration::from_secs(30),
             latency_budget: None,
@@ -132,7 +128,6 @@ impl CounterChaosHarness {
         cfg.checkpoint_interval = 4;
         cfg.log_window = 32;
         cfg.reboot_time = SimDuration::from_millis(100);
-        cfg.adaptive_timeouts = self.adaptive;
         cfg.pipeline_depth = self.pipeline_depth;
         cfg.exec_workers = self.exec_workers;
         cfg.coded_transfer = self.coded_transfer;

@@ -1,7 +1,7 @@
 //! The PBFT client: `invoke` semantics, reply quorum matching,
 //! retransmission, and the read-only optimization.
 
-use crate::config::Config;
+use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
 use crate::cost::CostModel;
 use crate::messages::{Message, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, NodeKeys};
@@ -85,7 +85,7 @@ pub struct ClientCore {
     /// degradations).
     pub metrics: MetricsRegistry,
     /// Adaptive retransmission timeout, fed by completed-operation
-    /// latencies. Only consulted when `cfg.adaptive_timeouts` is set.
+    /// latencies.
     rtt: RttEstimator,
     /// Persistent RTO backoff exponent (RFC 6298 §5.5-5.7): Karn's
     /// algorithm discards retransmitted samples, so when *every* exchange
@@ -110,8 +110,8 @@ impl ClientCore {
         // de-synchronize without consuming simulator RNG.
         let rtt = RttEstimator::new(
             0x9e37_79b9_7f4a_7c15 ^ u64::from(id),
-            cfg.rto_floor.as_nanos(),
-            cfg.rto_ceiling.as_nanos(),
+            RTO_FLOOR.as_nanos(),
+            RTO_CEILING.as_nanos(),
             cfg.client_timeout.as_nanos(),
         );
         Self {
@@ -149,8 +149,8 @@ impl ClientCore {
         self.cost = cost;
     }
 
-    /// The current adaptive retransmission timeout (the static
-    /// `client_timeout` until the first completion seeds the estimator).
+    /// The current adaptive retransmission timeout (`client_timeout` until
+    /// the first completion seeds the estimator).
     pub fn current_rto(&self) -> SimDuration {
         SimDuration::from_nanos(self.rtt.rto())
     }
@@ -191,15 +191,11 @@ impl ClientCore {
             );
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
-        let timeout = if self.cfg.adaptive_timeouts {
-            // Jacobson/Karels RTO (equal to `client_timeout` until the
-            // first clean completion seeds the estimator), doubled once
-            // per unresolved timeout so a chronically underestimated RTO
-            // still adapts upward despite Karn discarding its samples.
-            SimDuration::from_nanos(self.rtt.backoff(self.rto_shift))
-        } else {
-            self.cfg.client_timeout
-        };
+        // Jacobson/Karels RTO (equal to `client_timeout` until the first
+        // clean completion seeds the estimator), doubled once per
+        // unresolved timeout so a chronically underestimated RTO still
+        // adapts upward despite Karn discarding its samples.
+        let timeout = SimDuration::from_nanos(self.rtt.backoff(self.rto_shift));
         let timer = ctx.set_timer(timeout, self.retrans_token);
         self.pending = Some(Pending {
             ts,
@@ -382,19 +378,10 @@ impl ClientCore {
         // backoff of extra delay, so the retry storms of many clients
         // recovering from one partition do not synchronize.
         let attempts = self.pending.as_ref().map(|p| p.attempts).unwrap_or(1);
-        let delay = if self.cfg.adaptive_timeouts {
-            self.rto_shift = (self.rto_shift + 1).min(6);
-            // RTO-based backoff with seeded jitter: deterministic, and no
-            // simulator RNG is consumed on the retry path.
-            SimDuration::from_nanos(self.rtt.jittered_backoff(attempts, ts))
-        } else {
-            let backoff = self.cfg.client_timeout.saturating_mul(1 << attempts.min(6));
-            let jitter = SimDuration::from_nanos(rand::Rng::gen_range(
-                ctx.rng(),
-                0..=backoff.as_nanos() / 4,
-            ));
-            backoff + jitter
-        };
+        self.rto_shift = (self.rto_shift + 1).min(6);
+        // RTO-based backoff with seeded jitter: deterministic, and no
+        // simulator RNG is consumed on the retry path.
+        let delay = SimDuration::from_nanos(self.rtt.jittered_backoff(attempts, ts));
         let timer = ctx.set_timer(delay, self.retrans_token);
         if let Some(p) = self.pending.as_mut() {
             p.timer = Some(timer);

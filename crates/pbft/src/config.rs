@@ -2,6 +2,13 @@
 
 use base_simnet::{NodeId, SimDuration};
 
+/// Lower clamp for retransmission timeouts (client retries and the
+/// replicas' agreement-latency estimator).
+pub const RTO_FLOOR: SimDuration = SimDuration::from_millis(150);
+
+/// Upper clamp for retransmission timeouts and their exponential backoff.
+pub const RTO_CEILING: SimDuration = SimDuration::from_secs(4);
+
 /// Static configuration shared by all replicas and clients of one group.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -21,27 +28,17 @@ pub struct Config {
     pub max_inflight: u64,
     /// Base view-change timeout; doubles for each consecutive failed view
     /// (clamped to [`view_change_timeout_cap`](Self::view_change_timeout_cap)).
-    /// With [`adaptive_timeouts`](Self::adaptive_timeouts) the base is
-    /// re-seeded from observed agreement latency once samples exist.
+    /// The base is re-seeded from observed agreement latency once samples
+    /// exist.
     pub view_change_timeout: SimDuration,
     /// Ceiling for the doubling view-change timeout: however many
     /// consecutive views fail, the timer never exceeds this.
     pub view_change_timeout_cap: SimDuration,
-    /// Client retransmission timeout. With adaptive timeouts this is only
-    /// the pre-sample initial RTO; afterwards the Jacobson/Karels estimator
-    /// drives the timer.
+    /// Client retransmission timeout: the pre-sample initial RTO. Once an
+    /// operation completes, the Jacobson/Karels estimator
+    /// (`base_simnet::RttEstimator`) drives the timer, clamped between
+    /// [`RTO_FLOOR`] and [`RTO_CEILING`].
     pub client_timeout: SimDuration,
-    /// When true (the default), retry timers derive from observed
-    /// round-trip latency (`base_simnet::RttEstimator`) and the
-    /// state-transfer fetch window adapts to reply latency and
-    /// retransmission rate. When false, every timer is the static
-    /// configured constant — the pre-adaptive behaviour, kept for A/B runs.
-    pub adaptive_timeouts: bool,
-    /// Lower clamp for adaptive retransmission timeouts.
-    pub rto_floor: SimDuration,
-    /// Upper clamp for adaptive retransmission timeouts (and their
-    /// exponential backoff).
-    pub rto_ceiling: SimDuration,
     /// Periodic retransmission/housekeeping tick at replicas.
     pub tick_interval: SimDuration,
     /// Proactive recovery: full rotation period (every replica recovers
@@ -49,16 +46,6 @@ pub struct Config {
     pub recovery_period: Option<SimDuration>,
     /// Simulated reboot time during proactive recovery.
     pub reboot_time: SimDuration,
-    /// Tolerance when backups validate the primary's proposed timestamp
-    /// non-determinism.
-    pub nondet_skew_tolerance: SimDuration,
-    /// State-transfer pipelining: maximum concurrently outstanding
-    /// meta/object fetch queries (1 = strictly serial tree walk). With
-    /// adaptive timeouts this is the *initial* window; it grows on timely
-    /// verified replies and halves on retransmission.
-    pub fetch_window: usize,
-    /// Upper bound for the adaptive fetch window.
-    pub fetch_window_max: usize,
     /// Agreement pipelining: maximum consensus instances past the highest
     /// contiguously *committed* sequence number the primary keeps open
     /// (proposing seq `n+1` while `n` is still gathering prepares).
@@ -126,15 +113,9 @@ impl Config {
             view_change_timeout: SimDuration::from_millis(500),
             view_change_timeout_cap: SimDuration::from_secs(8),
             client_timeout: SimDuration::from_millis(300),
-            adaptive_timeouts: true,
-            rto_floor: SimDuration::from_millis(150),
-            rto_ceiling: SimDuration::from_secs(4),
             tick_interval: SimDuration::from_millis(100),
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
-            nondet_skew_tolerance: SimDuration::from_secs(10),
-            fetch_window: crate::transfer::DEFAULT_FETCH_WINDOW,
-            fetch_window_max: 16,
             pipeline_depth: 16,
             exec_workers: 1,
             coded_transfer: false,
@@ -250,6 +231,16 @@ mod tests {
     #[should_panic(expected = "n >= 3f + 1")]
     fn too_few_replicas_panics() {
         Config::new(3);
+    }
+
+    /// Every virtual-time snapshot and baseline was taken at these values;
+    /// changing one drifts them all.
+    #[test]
+    fn timer_and_window_constants_keep_their_values() {
+        assert_eq!(RTO_FLOOR, SimDuration::from_millis(150));
+        assert_eq!(RTO_CEILING, SimDuration::from_secs(4));
+        assert_eq!(crate::transfer::DEFAULT_FETCH_WINDOW, 4);
+        assert_eq!(crate::transfer::FETCH_WINDOW_MAX, 16);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! simplifications.
 
 use crate::byzantine::ByzMode;
-use crate::config::Config;
+use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
 use crate::cost::CostModel;
 use crate::log::{CheckpointCollector, Log, ReplyCache, SlotStage, SlotTable};
 use crate::messages::{
@@ -18,7 +18,8 @@ use crate::messages::{
 };
 use crate::service::{ExecEnv, Service};
 use crate::transfer::{
-    checkpoint_digest, FetchResult, Fetcher, CHUNK_WHOLE, META_ROOT_LEVEL, REPLIES_INDEX,
+    checkpoint_digest, FetchResult, Fetcher, CHUNK_WHOLE, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX,
+    META_ROOT_LEVEL, REPLIES_INDEX,
 };
 use base_crypto::{fec, Authenticator, Digest, NodeKeys};
 use base_simnet::{
@@ -118,9 +119,9 @@ pub struct Replica<S: Service> {
     vc_timer: Option<TimerId>,
     vc_timeout: SimDuration,
     /// Observed pre-prepare-to-execution latency (the three-phase
-    /// agreement round); re-seeds the view-change base timeout when
-    /// adaptive timeouts are on, so a fast group chases a silent primary
-    /// sooner and a slow one stops churning views it cannot finish.
+    /// agreement round); re-seeds the view-change base timeout, so a fast
+    /// group chases a silent primary sooner and a slow one stops churning
+    /// views it cannot finish.
     agree_rtt: RttEstimator,
     /// When the current state-transfer fetch began (`transfer.fetch_ns`).
     fetch_started_at_ns: u64,
@@ -167,8 +168,8 @@ impl<S: Service> Replica<S> {
         let vc_timeout = cfg.view_change_timeout;
         let agree_rtt = RttEstimator::new(
             0x517c_a11e_0000_0000 ^ u64::from(id),
-            cfg.rto_floor.as_nanos(),
-            cfg.rto_ceiling.as_nanos(),
+            RTO_FLOOR.as_nanos(),
+            RTO_CEILING.as_nanos(),
             cfg.view_change_timeout.as_nanos(),
         );
         Self {
@@ -226,12 +227,12 @@ impl<S: Service> Replica<S> {
         self.vc_timeout
     }
 
-    /// Base view-change timeout for a freshly installed view: the static
-    /// configured value, or — once adaptive and seeded — the RTO of the
+    /// Base view-change timeout for a freshly installed view: the
+    /// configured value until the first batch executes, then the RTO of the
     /// observed agreement latency, so a fast group chases a silent primary
     /// sooner and a slow one stops churning views it cannot finish.
     fn base_vc_timeout(&self) -> SimDuration {
-        if self.cfg.adaptive_timeouts && self.agree_rtt.samples() > 0 {
+        if self.agree_rtt.samples() > 0 {
             SimDuration::from_nanos(self.agree_rtt.rto())
         } else {
             self.cfg.view_change_timeout
@@ -1051,18 +1052,14 @@ impl<S: Service> Replica<S> {
             let charged = env.charged();
             ctx.charge(charged);
         }
-        let mut fetcher = if self.cfg.adaptive_timeouts {
-            Fetcher::adaptive(
-                self.id,
-                self.cfg.n,
-                seq,
-                digest,
-                self.cfg.fetch_window,
-                self.cfg.fetch_window_max,
-            )
-        } else {
-            Fetcher::with_window(self.id, self.cfg.n, seq, digest, self.cfg.fetch_window)
-        };
+        let mut fetcher = Fetcher::new(
+            self.id,
+            self.cfg.n,
+            seq,
+            digest,
+            DEFAULT_FETCH_WINDOW,
+            FETCH_WINDOW_MAX,
+        );
         if self.cfg.coded_transfer {
             // Systematic Reed–Solomon over k = f+1 data + m = f parity
             // fragments: any f+1 of the 2f+1 correct sources suffice, and

@@ -14,13 +14,15 @@
 //! essential for state transfer.
 //!
 //! Queries are spread round-robin over the other replicas and pipelined:
-//! up to a configurable window of meta/object queries is outstanding at a
-//! time ([`DEFAULT_FETCH_WINDOW`]), with further discovered queries parked
-//! in FIFO order until a slot frees up. A query whose reply fails digest
-//! verification is re-targeted to the next source immediately; unanswered
-//! queries are retransmitted with per-query exponential backoff and
-//! deterministic jitter, so a slow or silent source delays only its own
-//! partitions and retries do not synchronize into bursts.
+//! up to a window of meta/object queries is outstanding at a time — it
+//! starts at [`DEFAULT_FETCH_WINDOW`], grows to [`FETCH_WINDOW_MAX`] on
+//! timely verified replies and halves on retransmission — with further
+//! discovered queries parked in FIFO order until a slot frees up. A query
+//! whose reply fails digest verification is re-targeted to the next source
+//! immediately; unanswered queries are retransmitted with per-query
+//! exponential backoff from the observed reply latency plus deterministic
+//! jitter, so a slow or silent source delays only its own partitions and
+//! retries do not synchronize into bursts.
 //!
 //! The checkpoint identity covers both the service state and the client
 //! reply cache (which PBFT replicates as part of the state):
@@ -35,7 +37,7 @@ use base_crypto::{fec, Digest};
 use base_simnet::RttEstimator;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Default window of concurrently outstanding fetch queries.
+/// Initial window of concurrently outstanding fetch queries.
 ///
 /// The fetcher pipelines its tree walk: up to this many meta/object
 /// queries are in flight at once, and each reply both advances the walk
@@ -45,6 +47,9 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// request/reply rounds a transfer needs, while still bounding how hard a
 /// recovering replica hammers its sources.
 pub const DEFAULT_FETCH_WINDOW: usize = 4;
+
+/// Upper bound a replica's fetch window grows to.
+pub const FETCH_WINDOW_MAX: usize = 16;
 
 /// Pseudo-level used to fetch the checkpoint's top-level metadata
 /// (`[service_root, replies_digest]`).
@@ -82,8 +87,7 @@ pub struct FetchResult {
     pub corrupt_replies: u64,
     /// Queries retransmitted (timeouts plus corrupt replies).
     pub retransmissions: u64,
-    /// Largest pipelining window the fetch reached (equals the configured
-    /// window for non-adaptive fetchers).
+    /// Largest pipelining window the fetch reached.
     pub peak_window: usize,
     /// Coded transfer: chunk-digest-list queries issued.
     pub chunk_queries: u64,
@@ -188,17 +192,15 @@ pub struct Fetcher {
     /// Discovered queries parked until a window slot frees up (FIFO, so
     /// the walk order matches discovery order at any window size).
     pending: VecDeque<(FetchKey, Digest)>,
-    /// Maximum number of concurrently outstanding queries.
+    /// Maximum number of concurrently outstanding queries. AIMD: grows on
+    /// timely verified replies, halves on retransmission.
     window: usize,
-    /// AIMD adaptation: grow the window on timely verified replies, halve
-    /// it on retransmission. Off for the pinned-window constructors.
-    adaptive: bool,
-    /// Upper bound for adaptive window growth.
+    /// Upper bound for window growth.
     window_max: usize,
     /// Largest window reached over the fetch's lifetime.
     peak_window: usize,
-    /// Reply latency in ticks; its RTO is the adaptive retry backoff base
-    /// and the timeliness threshold for window growth.
+    /// Reply latency in ticks; its RTO is the retry backoff base and the
+    /// timeliness threshold for window growth.
     rtt: RttEstimator,
     /// Objects collected so far.
     objects: Vec<(u64, Option<Vec<u8>>)>,
@@ -227,14 +229,22 @@ pub struct Fetcher {
 impl Fetcher {
     /// Creates a fetcher targeting checkpoint (`seq`, `target`), where
     /// `target` is the composite digest proven by a checkpoint certificate.
-    /// Uses the default pipelining window ([`DEFAULT_FETCH_WINDOW`]).
-    pub fn new(me: u32, n: usize, seq: u64, target: Digest) -> Self {
-        Self::with_window(me, n, seq, target, DEFAULT_FETCH_WINDOW)
-    }
-
-    /// Creates a fetcher with an explicit pipelining window (clamped to a
-    /// minimum of 1). `window = 1` walks the tree strictly serially.
-    pub fn with_window(me: u32, n: usize, seq: u64, target: Digest, window: usize) -> Self {
+    ///
+    /// The pipelining window starts at `window` (clamped to a minimum of 1;
+    /// `1` walks the tree strictly serially) and adapts up to `window_max`:
+    /// additive increase on timely verified replies, halving on
+    /// retransmission. `window == window_max` pins the ceiling, so the
+    /// window never exceeds it. Per-query retry backoff derives from the
+    /// observed reply latency. Scheduling-only: absent loss, the set of
+    /// fetched objects and issued queries is the same at any window.
+    pub fn new(
+        me: u32,
+        n: usize,
+        seq: u64,
+        target: Digest,
+        window: usize,
+        window_max: usize,
+    ) -> Self {
         let window = window.max(1);
         Self {
             me,
@@ -247,8 +257,7 @@ impl Fetcher {
             outstanding: HashMap::new(),
             pending: VecDeque::new(),
             window,
-            adaptive: false,
-            window_max: window,
+            window_max: window_max.max(window),
             peak_window: window,
             rtt: RttEstimator::new(seq ^ u64::from(me), 1, MAX_BACKOFF_TICKS, 1),
             objects: Vec::new(),
@@ -279,26 +288,6 @@ impl Fetcher {
     pub fn enable_coded(&mut self, k: usize, m: usize, chunk_size: usize) {
         assert!(k >= 1, "coded transfer needs k >= 1 data fragments");
         self.coded = Some(CodedCfg { k, m, chunk_size });
-    }
-
-    /// Creates a fetcher whose window adapts between `window` and
-    /// `window_max` — additive increase on timely verified replies,
-    /// halving on retransmission — and whose per-query retry backoff
-    /// derives from the observed reply latency instead of a fixed
-    /// schedule. Scheduling-only: the set of fetched objects and issued
-    /// queries is identical to a pinned-window fetch absent loss.
-    pub fn adaptive(
-        me: u32,
-        n: usize,
-        seq: u64,
-        target: Digest,
-        window: usize,
-        window_max: usize,
-    ) -> Self {
-        let mut f = Self::with_window(me, n, seq, target, window);
-        f.adaptive = true;
-        f.window_max = window_max.max(f.window);
-        f
     }
 
     /// The current pipelining window.
@@ -396,15 +385,11 @@ impl Fetcher {
         if max == 0 { 0 } else { x % (max + 1) }
     }
 
-    /// Exponential backoff (in ticks) for the next retry of `key`, plus
-    /// jitter of up to half the backoff. Adaptive fetchers scale from the
-    /// observed reply-latency RTO instead of a fixed one-tick base.
+    /// Exponential backoff (in ticks) for the next retry of `key`, scaled
+    /// from the observed reply-latency RTO, plus jitter of up to half the
+    /// backoff.
     fn backoff_ticks(&self, key: FetchKey, attempts: u32) -> u64 {
-        let base = if self.adaptive {
-            self.rtt.backoff(attempts)
-        } else {
-            (1u64 << attempts.min(5)).min(MAX_BACKOFF_TICKS)
-        };
+        let base = self.rtt.backoff(attempts);
         base + self.jitter(key, attempts, base / 2)
     }
 
@@ -413,13 +398,11 @@ impl Fetcher {
     /// Returns false when the query was not outstanding (stale reply).
     fn consume(&mut self, key: FetchKey) -> bool {
         let Some(o) = self.outstanding.remove(&key) else { return false };
-        if self.adaptive {
-            let lat = self.ticks.saturating_sub(o.sent_at);
-            self.rtt.observe(lat);
-            if lat <= self.rtt.rto() && self.window < self.window_max {
-                self.window += 1;
-                self.peak_window = self.peak_window.max(self.window);
-            }
+        let lat = self.ticks.saturating_sub(o.sent_at);
+        self.rtt.observe(lat);
+        if lat <= self.rtt.rto() && self.window < self.window_max {
+            self.window += 1;
+            self.peak_window = self.peak_window.max(self.window);
         }
         true
     }
@@ -494,11 +477,9 @@ impl Fetcher {
             o.sent_at = self.ticks;
         }
         self.retransmissions += 1;
-        if self.adaptive {
-            // Multiplicative decrease: a lost or corrupt reply means the
-            // sources (or the path) are struggling — back the window off.
-            self.window = (self.window / 2).max(1);
-        }
+        // Multiplicative decrease: a lost or corrupt reply means the
+        // sources (or the path) are struggling — back the window off.
+        self.window = (self.window / 2).max(1);
         Some((self.next_source(), self.request_for(key)))
     }
 

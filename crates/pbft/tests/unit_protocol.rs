@@ -9,7 +9,10 @@ use base_pbft::messages::{
     RequestMsg, ViewChangeMsg,
 };
 use base_pbft::replica::{compute_o, validate_cert};
-use base_pbft::transfer::{checkpoint_digest, Fetcher, META_ROOT_LEVEL, REPLIES_INDEX};
+use base_pbft::transfer::{
+    checkpoint_digest, Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX, META_ROOT_LEVEL,
+    REPLIES_INDEX,
+};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::Config;
 
@@ -35,8 +38,22 @@ impl RemoteState {
         Self { tree, objects, replies_blob: b"reply-cache-blob".to_vec() }
     }
 
+    /// 48 live objects in a 64-leaf tree: enough work to fill any window.
+    fn with_48_values() -> Self {
+        let values: Vec<(u64, Vec<u8>)> =
+            (0..48u64).map(|i| (i, format!("value-{i}").into_bytes())).collect();
+        let value_refs: Vec<(u64, &[u8])> =
+            values.iter().map(|(i, v)| (*i, v.as_slice())).collect();
+        Self::new(64, &value_refs)
+    }
+
     fn composite(&self) -> Digest {
         checkpoint_digest(&self.tree.root_digest(), &Digest::of(&self.replies_blob))
+    }
+
+    /// A fetcher for this checkpoint, windowed the way a replica's is.
+    fn fetcher(&self) -> Fetcher {
+        Fetcher::new(3, 4, 128, self.composite(), DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX)
     }
 
     /// Answers one fetch message the way a correct replica would.
@@ -106,7 +123,7 @@ fn fetcher_pulls_exactly_the_differing_objects() {
     local.set_leaf(1, leaf_digest(1, b"one"));
     local.set_leaf(5, leaf_digest(5, b"stale"));
 
-    let mut f = Fetcher::new(3, 4, 128, remote.composite());
+    let mut f = remote.fetcher();
     let result = drive(&mut f, &remote, &local).expect("fetch completes");
     assert_eq!(result.seq, 128);
     assert_eq!(result.replies_blob, remote.replies_blob);
@@ -128,7 +145,7 @@ fn fetcher_records_deletions_without_fetching() {
     local.set_leaf(2, leaf_digest(2, b"keep"));
     local.set_leaf(9, leaf_digest(9, b"doomed")); // Absent in the target.
 
-    let mut f = Fetcher::new(3, 4, 128, remote.composite());
+    let mut f = remote.fetcher();
     let result = drive(&mut f, &remote, &local).expect("fetch completes");
     assert_eq!(result.objects, vec![(9, None)]);
 }
@@ -137,7 +154,7 @@ fn fetcher_records_deletions_without_fetching() {
 fn fetcher_rejects_corrupt_meta_and_objects() {
     let remote = RemoteState::new(16, &[(3, b"real")]);
     let local = PartitionTree::new(16, 4);
-    let mut f = Fetcher::new(3, 4, 128, remote.composite());
+    let mut f = remote.fetcher();
     let msgs = f.begin();
 
     // A Byzantine top-level reply with a forged root must not be accepted;
@@ -174,7 +191,7 @@ fn fetcher_rejects_corrupt_meta_and_objects() {
 fn fetcher_ignores_replies_for_other_checkpoints() {
     let remote = RemoteState::new(16, &[(3, b"x")]);
     let local = PartitionTree::new(16, 4);
-    let mut f = Fetcher::new(3, 4, 128, remote.composite());
+    let mut f = remote.fetcher();
     f.begin();
     let stale = MetaReplyMsg {
         seq: 64, // Wrong checkpoint.
@@ -218,24 +235,20 @@ fn drive_counting(
 
 #[test]
 fn fetch_window_bounds_outstanding_queries() {
-    let values: Vec<(u64, Vec<u8>)> =
-        (0..48u64).map(|i| (i, format!("value-{i}").into_bytes())).collect();
-    let value_refs: Vec<(u64, &[u8])> =
-        values.iter().map(|(i, v)| (*i, v.as_slice())).collect();
-    let remote = RemoteState::new(64, &value_refs);
+    let remote = RemoteState::with_48_values();
     let local = PartitionTree::new(64, 4);
 
     // Window 1: strictly serial — never more than one unanswered query.
-    let mut serial = Fetcher::with_window(3, 4, 128, remote.composite(), 1);
+    let mut serial = Fetcher::new(3, 4, 128, remote.composite(), 1, 1);
     let (result, max_inflight) = drive_counting(&mut serial, &remote, &local);
     let serial_result = result.expect("serial fetch completes");
     assert_eq!(max_inflight, 1, "window 1 keeps exactly one query in flight");
 
-    // Window 4 (default): pipelined, but never beyond the window.
-    let mut windowed = Fetcher::new(3, 4, 128, remote.composite());
+    // Window 4, pinned: pipelined, but never beyond the window.
+    let mut windowed = Fetcher::new(3, 4, 128, remote.composite(), 4, 4);
     let (result, max_inflight) = drive_counting(&mut windowed, &remote, &local);
     let windowed_result = result.expect("windowed fetch completes");
-    assert!(max_inflight > 1, "default window actually pipelines");
+    assert!(max_inflight > 1, "window 4 actually pipelines");
     assert!(max_inflight <= 4, "window caps concurrency, saw {max_inflight}");
 
     // Pipelining changes scheduling only: both windows fetch the same
@@ -251,9 +264,54 @@ fn fetch_window_bounds_outstanding_queries() {
 }
 
 #[test]
+fn pinned_fetch_window_never_grows_but_still_halves() {
+    let remote = RemoteState::with_48_values();
+    let local = PartitionTree::new(64, 4);
+
+    let mut f = Fetcher::new(3, 4, 128, remote.composite(), 4, 4);
+    let mut queue: std::collections::VecDeque<(u32, Message)> = f.begin().into();
+    // Answers the oldest unanswered query.
+    let serve_next = |f: &mut Fetcher, queue: &mut std::collections::VecDeque<(u32, Message)>| {
+        let (_, msg) = queue.pop_front().expect("fetch still has work");
+        let (more, done) = match remote.serve(&msg).expect("query is answerable") {
+            Message::MetaReply(m) => f.on_meta_reply(&m, &local),
+            Message::ObjectReply(m) => f.on_object_reply(&m, &local),
+            _ => unreachable!(),
+        };
+        queue.extend(more);
+        done
+    };
+
+    // `window == window_max`: every reply here is timely, and none may
+    // push the window past its pin.
+    for reply in 1..=8 {
+        assert!(serve_next(&mut f, &mut queue).is_none());
+        assert_eq!(f.window(), 4, "pinned window moved after reply {reply}");
+        assert!(queue.len() <= 4, "{} queries in flight", queue.len());
+    }
+
+    // A retransmission still halves it, once per resent query...
+    let resent = f.tick();
+    assert!(!resent.is_empty(), "unanswered queries are retransmitted");
+    assert_eq!(f.window(), (4usize >> resent.len()).max(1));
+    queue.extend(resent);
+
+    // ...and timely replies grow it back to the pin, never beyond.
+    let result = loop {
+        let done = serve_next(&mut f, &mut queue);
+        assert!(f.window() <= 4);
+        if let Some(result) = done {
+            break result;
+        }
+    };
+    assert_eq!(f.window(), 4, "window recovers to the pin");
+    assert_eq!(result.objects.len(), 48);
+}
+
+#[test]
 fn fetcher_tick_retransmits_outstanding_queries() {
     let remote = RemoteState::new(16, &[(3, b"x")]);
-    let mut f = Fetcher::new(3, 4, 128, remote.composite());
+    let mut f = remote.fetcher();
     let first = f.begin();
     assert_eq!(first.len(), 1);
     let resent = f.tick();

@@ -361,23 +361,13 @@ fn units_to_prob(u: u64) -> f64 {
 fn shrink_parameters<H: ChaosHarness>(
     harness: &mut H,
     seed: u64,
-    current: &mut Vec<TimedEvent>,
+    current: &mut [TimedEvent],
     cache: &mut TestCache,
 ) {
-    shrink_parameters_with(current, &mut |events, idx, hi, rebuild| {
-        shrink_value(harness, seed, events, idx, hi, rebuild, cache)
-    });
-}
-
-/// The shrink *plan* shared by the sequential and parallel passes: which
-/// parameters each event exposes, in which order, and how a probed value
-/// rebuilds the event. `shrink` searches `[0, hi]` for the smallest
-/// still-failing value of one parameter (binary search sequentially,
-/// k-way partition search in parallel) and returns it.
-fn shrink_parameters_with(
-    current: &mut Vec<TimedEvent>,
-    shrink: &mut dyn FnMut(&[TimedEvent], usize, u64, &dyn Fn(u64) -> TimedEvent) -> u64,
-) {
+    let mut shrink =
+        |events: &[TimedEvent], idx: usize, hi: u64, rebuild: &dyn Fn(u64) -> TimedEvent| {
+            shrink_value(harness, seed, events, idx, hi, rebuild, cache)
+        };
     for idx in 0..current.len() {
         let ev = current[idx].clone();
         match ev.event {
@@ -509,324 +499,6 @@ fn removal_sweep<H: ChaosHarness>(
             idx = 0;
         } else {
             idx += 1;
-        }
-    }
-}
-
-/// Parallel [`ddmin_from_failure`]: fans the independent candidate probes
-/// of each ddmin granularity level across a pool of `workers` threads,
-/// each with its own harness from `factory` (the same pattern as
-/// [`crate::chaos::run_campaign_parallel`]).
-///
-/// Determinism: within a batch, candidates are deduplicated by
-/// [`schedule_digest`] *before* dispatch and verdicts are folded back in
-/// canonical candidate order, so the counters (`ddmin.executions`,
-/// `ddmin.cache_hits`, `ddmin.subset_tests`, …), the minimized schedule
-/// and its recorded outcome are byte-identical at any worker count —
-/// including `workers == 1`.
-///
-/// Note the search shape differs slightly from the sequential
-/// [`ddmin_from_failure`]: a level's candidates are probed as one batch
-/// (no early exit at the first failing subset), parameter shrinking
-/// partitions each search interval into [`SHRINK_FANOUT`] + 1 segments and
-/// probes all interior points at once instead of bisecting, and the removal
-/// sweep probes every single-event removal of the current schedule as one
-/// batch. All three trade a few speculative executions for wall-clock
-/// parallelism; the fanout is a fixed constant, so the outcome never
-/// depends on `workers`.
-pub fn ddmin_from_failure_parallel<H, F>(
-    factory: F,
-    seed: u64,
-    schedule: &FaultSchedule,
-    full_outcome: Option<&RunOutcome>,
-    workers: usize,
-) -> DdminOutcome
-where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    let mut cache = TestCache::new();
-    cache.insert_known_failure(schedule, full_outcome);
-    let mut harness = factory();
-
-    // Common-mode fast path, identical to the sequential entry.
-    let mut current: Vec<TimedEvent> = if !schedule.is_empty()
-        && cache.fails(&mut harness, seed, &FaultSchedule::new())
-    {
-        Vec::new()
-    } else {
-        subset_reduce_parallel(&factory, seed, schedule.events.clone(), &mut cache, workers)
-    };
-
-    shrink_parameters_parallel(&factory, seed, &mut current, &mut cache, workers);
-    removal_sweep_parallel(&factory, seed, &mut current, &mut cache, workers);
-
-    let minimal = FaultSchedule { events: current };
-    let outcome = match cache.take_outcome_for(&minimal) {
-        Some(o) => o,
-        None => {
-            cache.metrics.inc("ddmin.executions");
-            run_one(&mut harness, seed, &minimal).0
-        }
-    };
-    DdminOutcome { schedule: minimal, outcome, metrics: cache.metrics }
-}
-
-/// Probes a batch of candidate schedules, executing the uncached ones on a
-/// worker pool, and returns each candidate's verdict in order.
-///
-/// Counter bookkeeping happens in canonical candidate order during the
-/// fold, never from worker threads, so the metrics are independent of
-/// scheduling: each candidate charges one `counter` tick, duplicates and
-/// known schedules charge `ddmin.cache_hits`, and each *unique uncached*
-/// candidate charges one `ddmin.executions`. The cache's `last_failing`
-/// outcome is overwritten in canonical order (the batch's last executed
-/// failing candidate wins), mirroring the sequential cache's
-/// "most-recent failing run" semantics deterministically.
-fn batch_probe<H, F>(
-    factory: &F,
-    seed: u64,
-    candidates: &[FaultSchedule],
-    cache: &mut TestCache,
-    counter: &'static str,
-    workers: usize,
-) -> Vec<bool>
-where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    // Canonical pass: decide, in candidate order, which digests need a
-    // real execution. Duplicates within the batch execute once.
-    let mut to_run: Vec<(usize, u64)> = Vec::new(); // (candidate idx, digest)
-    let mut claimed: HashMap<u64, ()> = HashMap::new();
-    for (i, cand) in candidates.iter().enumerate() {
-        cache.metrics.inc(counter);
-        let digest = schedule_digest(cand);
-        if cache.verdicts.contains_key(&digest) || claimed.contains_key(&digest) {
-            cache.metrics.inc("ddmin.cache_hits");
-        } else {
-            claimed.insert(digest, ());
-            cache.metrics.inc("ddmin.executions");
-            to_run.push((i, digest));
-        }
-    }
-
-    // Execute the unique uncached candidates on the pool; results land in
-    // per-candidate slots (same shape as `run_campaign_parallel`).
-    let slots: std::sync::Mutex<Vec<Option<(bool, Option<RunOutcome>)>>> =
-        std::sync::Mutex::new(vec![None; to_run.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let pool = workers.max(1).min(to_run.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..pool {
-            scope.spawn(|| {
-                let mut harness = factory();
-                loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= to_run.len() {
-                        break;
-                    }
-                    let (cand_idx, _) = to_run[idx];
-                    let (outcome, verdict) = run_one(&mut harness, seed, &candidates[cand_idx]);
-                    let fails = verdict.is_err();
-                    slots.lock().expect("ddmin worker panicked")[idx] =
-                        Some((fails, fails.then_some(outcome)));
-                }
-            });
-        }
-    });
-
-    // Fold in canonical order: verdicts into the cache, the last executed
-    // failing outcome into `last_failing`.
-    let results = slots.into_inner().expect("ddmin worker panicked");
-    for ((_, digest), slot) in to_run.iter().zip(results) {
-        let (fails, outcome) = slot.expect("every candidate probed");
-        cache.verdicts.insert(*digest, fails);
-        if let Some(o) = outcome {
-            cache.last_failing = Some((*digest, o));
-        }
-    }
-    candidates
-        .iter()
-        .map(|c| *cache.verdicts.get(&schedule_digest(c)).expect("verdict recorded"))
-        .collect()
-}
-
-/// Subset reduction with level-parallel probing: all subsets of one
-/// granularity level are tested as one batch, then (when none fails) all
-/// complements as a second batch.
-fn subset_reduce_parallel<H, F>(
-    factory: &F,
-    seed: u64,
-    mut current: Vec<TimedEvent>,
-    cache: &mut TestCache,
-    workers: usize,
-) -> Vec<TimedEvent>
-where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    let mut n = 2usize;
-    while current.len() >= 2 {
-        let chunks = split(&current, n);
-        let mut reduced = false;
-
-        let subsets: Vec<FaultSchedule> =
-            chunks.iter().map(|c| FaultSchedule { events: c.clone() }).collect();
-        let verdicts =
-            batch_probe(factory, seed, &subsets, cache, "ddmin.subset_tests", workers);
-        if let Some(i) = verdicts.iter().position(|&f| f) {
-            current = chunks[i].clone();
-            n = 2;
-            reduced = true;
-        }
-
-        if !reduced && n > 2 {
-            let complements: Vec<FaultSchedule> = (0..chunks.len())
-                .map(|i| {
-                    let mut events = Vec::with_capacity(current.len());
-                    for (j, chunk) in chunks.iter().enumerate() {
-                        if j != i {
-                            events.extend(chunk.iter().cloned());
-                        }
-                    }
-                    FaultSchedule { events }
-                })
-                .collect();
-            let verdicts =
-                batch_probe(factory, seed, &complements, cache, "ddmin.subset_tests", workers);
-            if let Some(i) = verdicts.iter().position(|&f| f) {
-                current = complements[i].events.clone();
-                n = (n - 1).max(2);
-                reduced = true;
-            }
-        }
-
-        if !reduced {
-            if n >= current.len() {
-                break;
-            }
-            n = (n * 2).min(current.len());
-        }
-    }
-    current
-}
-
-/// How many interior points the parallel parameter shrink probes per
-/// round. A fixed constant — NOT tied to `workers` — so the search path,
-/// counters and result are identical at any worker count. Each round
-/// narrows the interval by a factor of `SHRINK_FANOUT + 1` for one batch
-/// of wall-clock, versus the sequential bisection's factor of 2 per
-/// execution.
-const SHRINK_FANOUT: u64 = 4;
-
-/// Parallel counterpart of [`shrink_value`]: k-way partition search for
-/// the smallest still-failing value in `[0, hi]`. The interval's interior
-/// probe points are tested as one [`batch_probe`] batch; the fold keeps
-/// the smallest failing probe as the new upper bound and advances the
-/// lower bound past the largest passing probe below it. Like the
-/// sequential search, the returned value always failed a real test (or is
-/// the untouched original `hi`).
-#[allow(clippy::too_many_arguments)]
-fn shrink_value_parallel<H, F>(
-    factory: &F,
-    seed: u64,
-    events: &[TimedEvent],
-    idx: usize,
-    hi: u64,
-    rebuild: &dyn Fn(u64) -> TimedEvent,
-    cache: &mut TestCache,
-    workers: usize,
-) -> u64
-where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    let mut lo = 0u64;
-    let mut hi = hi;
-    while lo < hi {
-        let span = hi - lo;
-        let fanout = SHRINK_FANOUT.min(span);
-        let mut points: Vec<u64> = (1..=fanout).map(|j| lo + span * j / (fanout + 1)).collect();
-        points.dedup();
-        let candidates: Vec<FaultSchedule> = points
-            .iter()
-            .map(|&v| {
-                let mut c = events.to_vec();
-                c[idx] = rebuild(v);
-                FaultSchedule { events: c }
-            })
-            .collect();
-        let verdicts =
-            batch_probe(factory, seed, &candidates, cache, "ddmin.shrink_tests", workers);
-        match points.iter().zip(&verdicts).find(|(_, &fails)| fails) {
-            Some((&p, _)) => {
-                // Smallest failing probe bounds the answer above; the
-                // largest passing probe below it bounds it below.
-                let mut new_lo = lo;
-                for (&q, &fails) in points.iter().zip(&verdicts) {
-                    if q < p && !fails {
-                        new_lo = new_lo.max(q + 1);
-                    }
-                }
-                hi = p;
-                lo = new_lo;
-            }
-            None => lo = points.last().expect("span >= 1 yields a probe") + 1,
-        }
-    }
-    hi
-}
-
-/// Parallel pass 2: the same shrink plan as [`shrink_parameters`], with
-/// each parameter searched by [`shrink_value_parallel`]. Parameters are
-/// still shrunk one at a time (each depends on the values already fixed);
-/// the parallelism is within each search round.
-fn shrink_parameters_parallel<H, F>(
-    factory: &F,
-    seed: u64,
-    current: &mut Vec<TimedEvent>,
-    cache: &mut TestCache,
-    workers: usize,
-) where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    shrink_parameters_with(current, &mut |events, idx, hi, rebuild| {
-        shrink_value_parallel(factory, seed, events, idx, hi, rebuild, cache, workers)
-    });
-}
-
-/// Parallel pass 3: every single-event removal of the current schedule is
-/// probed as one batch; the first (canonical-order) failing candidate is
-/// adopted and the sweep restarts, exactly like the sequential sweep's
-/// `idx = 0` reset. Terminates when no removal fails.
-fn removal_sweep_parallel<H, F>(
-    factory: &F,
-    seed: u64,
-    current: &mut Vec<TimedEvent>,
-    cache: &mut TestCache,
-    workers: usize,
-) where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    // The entry state is known-failing; record it so the sweep never
-    // re-executes it.
-    cache.verdicts.insert(schedule_digest(&FaultSchedule { events: current.clone() }), true);
-    while !current.is_empty() {
-        let candidates: Vec<FaultSchedule> = (0..current.len())
-            .map(|i| {
-                let mut events = current.clone();
-                events.remove(i);
-                FaultSchedule { events }
-            })
-            .collect();
-        let verdicts =
-            batch_probe(factory, seed, &candidates, cache, "ddmin.sweep_tests", workers);
-        match verdicts.iter().position(|&fails| fails) {
-            Some(i) => *current = candidates[i].events.clone(),
-            None => break,
         }
     }
 }
@@ -1044,75 +716,6 @@ mod tests {
             let (_, v) = run_one(&mut hd, 7, &dd.schedule);
             assert!(v.is_err());
         }
-    }
-
-    #[test]
-    fn parallel_ddmin_identical_across_worker_counts() {
-        let schedule = decoy_schedule();
-        let runs: Vec<DdminOutcome> = [1usize, 2, 8]
-            .iter()
-            .map(|&w| {
-                ddmin_from_failure_parallel(
-                    || CrashThreshold { threshold: 2 },
-                    13,
-                    &schedule,
-                    None,
-                    w,
-                )
-            })
-            .collect();
-        for pair in runs.windows(2) {
-            assert_eq!(pair[0].schedule, pair[1].schedule);
-            assert_eq!(pair[0].schedule.describe(), pair[1].schedule.describe());
-            assert_eq!(pair[0].metrics.to_json(), pair[1].metrics.to_json());
-            assert_eq!(pair[0].outcome.trace, pair[1].outcome.trace);
-        }
-        // The result is still a valid, failing, threshold-sized repro.
-        let mut h = CrashThreshold { threshold: 2 };
-        let (_, verdict) = run_one(&mut h, 13, &runs[0].schedule);
-        assert!(verdict.is_err());
-        assert_eq!(runs[0].schedule.len(), 2, "{}", runs[0].schedule.describe());
-    }
-
-    #[test]
-    fn parallel_ddmin_never_exceeds_sequential_size() {
-        for threshold in [1usize, 2, 3] {
-            let schedule = decoy_schedule();
-            let mut hs = CrashThreshold { threshold };
-            let sequential = ddmin_from_failure(&mut hs, 7, &schedule, None);
-            let parallel = ddmin_from_failure_parallel(
-                || CrashThreshold { threshold },
-                7,
-                &schedule,
-                None,
-                4,
-            );
-            assert_eq!(
-                parallel.schedule.len(),
-                sequential.schedule.len(),
-                "threshold {threshold}: parallel {} vs sequential {}",
-                parallel.schedule.describe(),
-                sequential.schedule.describe()
-            );
-            let mut h = CrashThreshold { threshold };
-            let (_, v) = run_one(&mut h, 7, &parallel.schedule);
-            assert!(v.is_err());
-        }
-    }
-
-    #[test]
-    fn parallel_ddmin_empty_failing_schedule_costs_one_execution() {
-        // The common-mode fast path is preserved by the parallel entry.
-        let schedule = decoy_schedule();
-        let dd = ddmin_from_failure_parallel(
-            || CrashThreshold { threshold: 0 },
-            5,
-            &schedule,
-            None,
-            4,
-        );
-        assert!(dd.schedule.is_empty());
-        assert_eq!(dd.metrics.counter("ddmin.executions"), 1);
     }
 
     #[test]

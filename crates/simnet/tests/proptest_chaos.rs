@@ -399,87 +399,3 @@ proptest! {
         );
     }
 }
-
-/// Harness whose audit fails iff at least two crash events were applied —
-/// pure in the schedule, so every generated schedule with the two seeded
-/// crashes below is a known failure and ddmin behaviour is predictable.
-struct CrashPair;
-
-impl ChaosHarness for CrashPair {
-    fn build(&mut self, seed: u64) -> Simulation {
-        let mut sim = Simulation::new(seed);
-        for _ in 0..4 {
-            sim.add_node(Box::new(Idle));
-        }
-        sim
-    }
-
-    fn apply_app(
-        &mut self,
-        _sim: &mut Simulation,
-        _node: NodeId,
-        _tag: u32,
-        _arg: u64,
-        _trace: &mut Vec<String>,
-    ) {
-    }
-
-    fn settle(&self) -> SimDuration {
-        SimDuration::from_millis(1)
-    }
-
-    fn audit(&mut self, _sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        let crashes = trace.iter().filter(|l| l.contains("crash node")).count();
-        if crashes >= 2 {
-            Err(format!("saw {crashes} crashes (threshold 2)"))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Parallel ddmin is worker-count invariant over *generated* schedules,
-    /// not just the hand-written unit-test fixture: for any schedule the
-    /// generator produces (salted with two crashes so the audit is a
-    /// guaranteed failure), workers 1, 2 and 8 minimize to byte-identical
-    /// schedules, search metrics and replay traces, and the minimum still
-    /// fails when replayed.
-    #[test]
-    fn parallel_ddmin_is_worker_invariant_on_generated_schedules(
-        seed in 0u64..500,
-        events in 2usize..6,
-        horizon_ms in 500u64..1500,
-    ) {
-        let cfg = gen_cfg(4, events, horizon_ms, 1);
-        let mut schedule = generate_schedule(&cfg, seed);
-        schedule
-            .crash(SimTime::from_millis(1), NodeId(0), SimDuration::from_millis(5))
-            .crash(SimTime::from_millis(2), NodeId(1), SimDuration::from_millis(5));
-
-        let runs: Vec<_> = [1usize, 2, 8]
-            .iter()
-            .map(|&w| {
-                base_simnet::ddmin::ddmin_from_failure_parallel(
-                    || CrashPair,
-                    seed,
-                    &schedule,
-                    None,
-                    w,
-                )
-            })
-            .collect();
-        for pair in runs.windows(2) {
-            prop_assert_eq!(&pair[0].schedule, &pair[1].schedule);
-            prop_assert_eq!(pair[0].schedule.describe(), pair[1].schedule.describe());
-            prop_assert_eq!(pair[0].metrics.to_json(), pair[1].metrics.to_json());
-            prop_assert_eq!(&pair[0].outcome.trace, &pair[1].outcome.trace);
-        }
-
-        let mut h = CrashPair;
-        let (_, verdict) = run_one(&mut h, seed, &runs[0].schedule);
-        prop_assert!(verdict.is_err(), "minimized schedule must still fail");
-    }
-}
