@@ -81,7 +81,6 @@ struct Opts {
     out: PathBuf,
     stamp: Option<String>,
     check: Option<PathBuf>,
-    digest_workers: usize,
     pipeline_depth: u64,
     exec_workers: usize,
     max_shards: u32,
@@ -89,7 +88,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench [--json] [--out DIR] [--stamp STAMP] [--digest-workers N] \
+        "usage: bench [--json] [--out DIR] [--stamp STAMP] \
          [--pipeline-depth N] [--exec-workers N] [--shards N]\n\
          \x20      bench --check BASELINE.json\n\
          \x20      bench --perfetto [--out DIR]   # export the E9 cell's span \
@@ -105,8 +104,6 @@ fn parse_args() -> Opts {
         out: PathBuf::from("."),
         stamp: None,
         check: None,
-        // The checkpoint lab's counters are worker-count-invariant.
-        digest_workers: 1,
         // The pipelined side of the A/B cell. Depth changes the agreed
         // schedule (deterministically, per seed), so the default is part
         // of the recorded baseline; exec workers are charge-neutral.
@@ -127,9 +124,6 @@ fn parse_args() -> Opts {
             "--out" => opts.out = PathBuf::from(need(&mut i)),
             "--stamp" => opts.stamp = Some(need(&mut i)),
             "--check" => opts.check = Some(PathBuf::from(need(&mut i))),
-            "--digest-workers" => {
-                opts.digest_workers = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--pipeline-depth" => {
                 opts.pipeline_depth = need(&mut i).parse().unwrap_or_else(|_| usage())
             }
@@ -286,13 +280,12 @@ struct CheckpointOut {
 
 /// Checkpoint lab: populate a 4096-object service, then run sparse
 /// clustered dirty epochs with a checkpoint each. Every counter is
-/// deterministic and worker-count-invariant.
-fn measure_checkpoint(digest_workers: usize) -> CheckpointOut {
+/// deterministic.
+fn measure_checkpoint() -> CheckpointOut {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut svc = BaseService::new(ArrayWrapper {
         vals: vec![None; CKPT_OBJECTS as usize],
     });
-    svc.set_digest_workers(digest_workers);
     let depth = u64::from(svc.current_tree().depth());
 
     fn write(
@@ -549,19 +542,13 @@ struct BenchReport {
     ddmin_executions: u64,
     ddmin_subset_tests: u64,
     ddmin_minimal_len: usize,
-    ckpt_digest_workers: usize,
     ckpt: CheckpointOut,
     transfer: TransferOut,
     pipeline: PipelineOut,
     shards: ShardsOut,
 }
 
-fn measure(
-    digest_workers: usize,
-    pipeline_depth: u64,
-    exec_workers: usize,
-    max_shards: u32,
-) -> BenchReport {
+fn measure(pipeline_depth: u64, exec_workers: usize, max_shards: u32) -> BenchReport {
     // E9 batching throughput.
     let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
     let e9_sim_ops_per_sec = (e9.ops as f64 / (e9.elapsed_ns as f64 / 1e9)).round() as u64;
@@ -585,7 +572,7 @@ fn measure(
     assert!(verdict.is_err(), "ddmin bench schedule must fail its audit");
     let dd = ddmin_from_failure(&mut h, 42, &schedule, Some(&outcome));
 
-    let ckpt = measure_checkpoint(digest_workers);
+    let ckpt = measure_checkpoint();
     let transfer = measure_transfer();
     let pipeline = measure_pipeline(pipeline_depth, exec_workers);
     let shards = measure_shards_section(max_shards);
@@ -600,7 +587,6 @@ fn measure(
         ddmin_executions: dd.metrics.counter("ddmin.executions"),
         ddmin_subset_tests: dd.metrics.counter("ddmin.subset_tests"),
         ddmin_minimal_len: dd.schedule.len(),
-        ckpt_digest_workers: digest_workers,
         ckpt,
         transfer,
         pipeline,
@@ -618,7 +604,7 @@ impl BenchReport {
              \"p50_latency_ns\":{},\"p99_latency_ns\":{}}},\
              \"campaign\":{{\"runs\":{},\"workers\":{},\"failures\":{}}},\
              \"ddmin\":{{\"executions\":{},\"subset_tests\":{},\"minimal_len\":{}}},\
-             \"checkpoint\":{{\"digest_workers\":{},\"checkpoints\":{},\
+             \"checkpoint\":{{\"checkpoints\":{},\
              \"objects_digested\":{},\"node_hashes\":{},\"naive_node_hashes\":{}}},\
              \"transfer\":{{\"window\":{},\"rounds_serial\":{},\"rounds_windowed\":{},\
              \"meta_queries\":{},\"objects_fetched\":{},\"fetched_bytes\":{}}},\
@@ -636,7 +622,6 @@ impl BenchReport {
             self.ddmin_executions,
             self.ddmin_subset_tests,
             self.ddmin_minimal_len,
-            self.ckpt_digest_workers,
             self.ckpt.checkpoints,
             self.ckpt.objects_digested,
             self.ckpt.node_hashes,
@@ -678,8 +663,7 @@ impl BenchReport {
             self.ddmin_executions, self.ddmin_subset_tests, self.ddmin_minimal_len
         );
         println!(
-            "ckpt:     workers={} checkpoints={} digested={} node_hashes={} naive={}",
-            self.ckpt_digest_workers,
+            "ckpt:     checkpoints={} digested={} node_hashes={} naive={}",
             self.ckpt.checkpoints,
             self.ckpt.objects_digested,
             self.ckpt.node_hashes,
@@ -739,7 +723,6 @@ fn field(json: &str, section: &str, key: &str) -> Option<f64> {
 
 fn check(
     baseline_path: &PathBuf,
-    digest_workers: usize,
     pipeline_depth: u64,
     exec_workers: usize,
     max_shards: u32,
@@ -751,7 +734,7 @@ fn check(
             return ExitCode::from(2);
         }
     };
-    let fresh = measure(digest_workers, pipeline_depth, exec_workers, max_shards);
+    let fresh = measure(pipeline_depth, exec_workers, max_shards);
     let fresh_json = fresh.to_json("check");
     let mut failures = Vec::new();
 
@@ -837,23 +820,12 @@ fn export_perfetto_artifacts(out: &std::path::Path) -> ExitCode {
 fn main() -> ExitCode {
     let opts = parse_args();
     if let Some(baseline) = &opts.check {
-        return check(
-            baseline,
-            opts.digest_workers,
-            opts.pipeline_depth,
-            opts.exec_workers,
-            opts.max_shards,
-        );
+        return check(baseline, opts.pipeline_depth, opts.exec_workers, opts.max_shards);
     }
     if opts.perfetto {
         return export_perfetto_artifacts(&opts.out);
     }
-    let report = measure(
-        opts.digest_workers,
-        opts.pipeline_depth,
-        opts.exec_workers,
-        opts.max_shards,
-    );
+    let report = measure(opts.pipeline_depth, opts.exec_workers, opts.max_shards);
     if opts.json {
         let stamp = opts.stamp.clone().unwrap_or_else(|| {
             let secs = std::time::SystemTime::now()

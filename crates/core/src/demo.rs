@@ -23,7 +23,7 @@ use crate::wrapper::{Footprint, ModifyLog, Wrapper};
 use base_pbft::ExecEnv;
 use base_xdr::{XdrDecoder, XdrEncoder};
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Number of abstract objects (hash slots) in the KV specification.
 pub const N_SLOTS: u64 = 64;
@@ -178,8 +178,11 @@ impl TinyKv {
 /// `del <key>`. Replies: `ok`, the value bytes, or `missing`.
 pub struct KvWrapper {
     kv: TinyKv,
-    /// Conformance rep: the *abstract* (agreed) timestamp per key.
-    abs_mtimes: HashMap<String, u64>,
+    /// Conformance rep: the *abstract* (agreed) timestamp per key, ordered
+    /// by `(slot_of(key), key)`. One slot's keys are a contiguous range
+    /// already in the key order the abstract encoding needs, so the
+    /// abstraction function costs O(slot), not O(store).
+    abs_mtimes: BTreeMap<(u64, String), u64>,
     /// Simulated CPU cost charged per operation (0 by default; experiments
     /// calibrate it).
     pub op_cost: base_simnet::SimDuration,
@@ -188,11 +191,13 @@ pub struct KvWrapper {
 }
 
 impl KvWrapper {
-    /// Wraps a `TinyKv` instance.
+    /// Wraps a `TinyKv` instance. Keys it already holds enter the abstract
+    /// state with mtime 0 (no agreed timestamp ever covered them).
     pub fn new(kv: TinyKv) -> Self {
+        let abs_mtimes = kv.keys().map(|k| ((slot_of(k), k.to_owned()), 0)).collect();
         Self {
             kv,
-            abs_mtimes: HashMap::new(),
+            abs_mtimes,
             op_cost: base_simnet::SimDuration::ZERO,
             last_nondet: 0,
         }
@@ -208,22 +213,33 @@ impl KvWrapper {
         &mut self.kv
     }
 
+    /// The rep's `(key, agreed mtime)` entries of `slot`, in key order.
+    fn slot_entries(&self, slot: u64) -> impl Iterator<Item = (&str, u64)> {
+        self.abs_mtimes
+            .range((slot, String::new())..)
+            .take_while(move |((s, _), _)| *s == slot)
+            .map(|((_, k), mt)| (k.as_str(), *mt))
+    }
+
     fn encode_slot(&self, slot: u64) -> Option<Vec<u8>> {
-        let mut items: Vec<(&str, &[u8], u64)> = self
-            .kv
-            .index
-            .keys()
-            .filter(|k| slot_of(k) == slot)
-            .map(|k| {
-                let v = self.kv.get(k).expect("indexed key present");
-                (k.as_str(), v, self.abs_mtimes.get(k).copied().unwrap_or(0))
-            })
-            .collect();
+        // A key the rep lists but the store no longer has is a fault in the
+        // concrete state (injected through `kv_mut`): it is absent from the
+        // abstract value, which is how the damage becomes a digest mismatch.
+        let items =
+            self.slot_entries(slot).filter_map(|(k, mt)| Some((k, self.kv.get(k)?, mt))).collect();
+        Self::encode_items(items)
+    }
+
+    /// XDR-encodes one slot's key-sorted `(key, value, mtime)` triples;
+    /// an empty slot is an absent object.
+    fn encode_items(items: Vec<(&str, &[u8], u64)>) -> Option<Vec<u8>> {
         if items.is_empty() {
             return None;
         }
-        items.sort_by(|a, b| a.0.cmp(b.0));
-        let mut enc = XdrEncoder::new();
+        // Count word, then per item two length words, the mtime and up to
+        // three bytes of padding on each of key and value.
+        let size = 4 + items.iter().map(|(k, v, _)| k.len() + v.len() + 22).sum::<usize>();
+        let mut enc = XdrEncoder::with_capacity(size);
         enc.put_u32(items.len() as u32);
         for (k, v, mt) in items {
             enc.put_string(k);
@@ -231,6 +247,23 @@ impl KvWrapper {
             enc.put_u64(mt);
         }
         Some(enc.finish())
+    }
+
+    /// The abstraction function as a scan over the whole store: the
+    /// reference the slot-indexed [`Self::encode_slot`] is held to.
+    #[cfg(test)]
+    fn encode_slot_by_scan(&self, slot: u64) -> Option<Vec<u8>> {
+        let mut items: Vec<(&str, &[u8], u64)> = self
+            .kv
+            .keys()
+            .filter(|k| slot_of(k) == slot)
+            .map(|k| {
+                let mt = self.abs_mtimes.get(&(slot, k.to_owned())).copied().unwrap_or(0);
+                (k, self.kv.get(k).expect("indexed key present"), mt)
+            })
+            .collect();
+        items.sort_by(|a, b| a.0.cmp(b.0));
+        Self::encode_items(items)
     }
 
     fn decode_slot(data: &[u8]) -> Option<Vec<(String, Vec<u8>, u64)>> {
@@ -275,14 +308,14 @@ impl Wrapper for KvWrapper {
                 let slot = slot_of(key);
                 mods.modify(slot, || self.encode_slot(slot));
                 self.kv.put(key, value, env.local_clock_ns, env.rng);
-                self.abs_mtimes.insert(key.to_owned(), agreed_ts);
+                self.abs_mtimes.insert((slot, key.to_owned()), agreed_ts);
                 b"ok".to_vec()
             }
             "get" => match self.kv.get(key) {
                 Some(v) => v.to_vec(),
                 None => b"missing".to_vec(),
             },
-            "mtime" => match self.abs_mtimes.get(key) {
+            "mtime" => match self.abs_mtimes.get(&(slot_of(key), key.to_owned())) {
                 Some(mt) => mt.to_string().into_bytes(),
                 None => b"missing".to_vec(),
             },
@@ -290,7 +323,7 @@ impl Wrapper for KvWrapper {
                 let slot = slot_of(key);
                 mods.modify(slot, || self.encode_slot(slot));
                 let existed = self.kv.delete(key);
-                self.abs_mtimes.remove(key);
+                self.abs_mtimes.remove(&(slot, key.to_owned()));
                 if existed {
                     b"ok".to_vec()
                 } else {
@@ -316,24 +349,20 @@ impl Wrapper for KvWrapper {
                 None => Vec::new(),
             };
             // Remove keys in this slot that the checkpoint does not have.
-            let current: Vec<String> = self
-                .kv
-                .index
-                .keys()
-                .filter(|k| slot_of(k) == *slot)
-                .cloned()
+            let stale: Vec<String> = self
+                .slot_entries(*slot)
+                .filter(|(k, _)| !desired.iter().any(|(dk, _, _)| dk == k))
+                .map(|(k, _)| k.to_owned())
                 .collect();
-            for k in current {
-                if !desired.iter().any(|(dk, _, _)| *dk == k) {
-                    self.kv.delete(&k);
-                    self.abs_mtimes.remove(&k);
-                }
+            for k in stale {
+                self.kv.delete(&k);
+                self.abs_mtimes.remove(&(*slot, k));
             }
             // Upsert the checkpoint's entries. Concrete timestamps and ids
             // remain non-deterministic; the abstract mtime goes in the rep.
             for (k, v, mt) in desired {
                 self.kv.put(&k, v, env.local_clock_ns, env.rng);
-                self.abs_mtimes.insert(k, mt);
+                self.abs_mtimes.insert((slot_of(&k), k), mt);
             }
         }
     }
@@ -493,5 +522,142 @@ mod tests {
         w.execute(b"put k v", 1, &ts(42), false, &mut mods, &mut env(&mut rng, 123_456_789));
         let r = w.execute(b"mtime k", 1, &[], true, &mut mods, &mut env(&mut rng, 0));
         assert_eq!(r, b"42");
+    }
+
+    #[test]
+    fn key_lost_from_the_store_is_skipped_not_a_panic() {
+        // Two keys in one slot; a fault behind the wrapper's back removes
+        // one from the concrete store while the rep still lists it.
+        let (a, b) = two_keys_in_one_slot();
+        let slot = slot_of(&a);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut w = KvWrapper::new(TinyKv::default());
+        let mut mods = ModifyLog::new();
+        for k in [&a, &b] {
+            let op = format!("put {k} v");
+            w.execute(op.as_bytes(), 1, &ts(3), false, &mut mods, &mut env(&mut rng, 0));
+        }
+        let both = w.get_obj(slot);
+        assert!(w.kv_mut().delete(&a));
+        let one = w.get_obj(slot).expect("the surviving key still encodes");
+        assert_ne!(Some(&one), both.as_ref(), "the loss must be visible to the abstraction fn");
+        assert_eq!(Some(one), w.encode_slot_by_scan(slot));
+        assert_eq!(KvWrapper::decode_slot(&w.get_obj(slot).unwrap()).unwrap().len(), 1);
+        // Losing the last key too makes the object absent.
+        assert!(w.kv_mut().delete(&b));
+        assert_eq!(w.get_obj(slot), None);
+        // put_objs repairs the slot from the agreed value, as recovery would.
+        w.put_objs(&[(slot, both.clone())], &mut env(&mut rng, 0));
+        assert_eq!(w.get_obj(slot), both);
+    }
+
+    #[test]
+    fn new_seeds_the_rep_from_a_populated_store() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut kv = TinyKv::default();
+        kv.put("old", b"data".to_vec(), 55, &mut rng);
+        let mut w = KvWrapper::new(kv);
+        let slot = slot_of("old");
+        let items = KvWrapper::decode_slot(&w.get_obj(slot).expect("pre-existing key is abstract state"))
+            .unwrap();
+        assert_eq!(items, vec![("old".to_owned(), b"data".to_vec(), 0)]);
+        assert_eq!(w.get_obj(slot), w.encode_slot_by_scan(slot));
+        let mut mods = ModifyLog::new();
+        let r = w.execute(b"mtime old", 1, &[], true, &mut mods, &mut env(&mut rng, 0));
+        assert_eq!(r, b"0");
+    }
+
+    fn two_keys_in_one_slot() -> (String, String) {
+        let first = "key0".to_owned();
+        let second = (1..)
+            .map(|i| format!("key{i}"))
+            .find(|k| slot_of(k) == slot_of(&first))
+            .expect("64 slots collide quickly");
+        (first, second)
+    }
+
+    /// One step of the oracle proptest, applied to one of two wrappers.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Put(bool, u16, u8),
+        Del(bool, u16),
+        /// `put_objs` of the other wrapper's value for every slot in the mask.
+        Transfer(bool, u64),
+        Reset(bool),
+        Corrupt(bool, u64),
+    }
+
+    fn step_strategy() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            6 => (any::<bool>(), 0u16..300, any::<u8>()).prop_map(|(w, k, v)| Step::Put(w, k, v)),
+            3 => (any::<bool>(), 0u16..300).prop_map(|(w, k)| Step::Del(w, k)),
+            1 => (any::<bool>(), any::<u64>()).prop_map(|(w, m)| Step::Transfer(w, m)),
+            1 => any::<bool>().prop_map(Step::Reset),
+            1 => (any::<bool>(), any::<u64>()).prop_map(|(w, s)| Step::Corrupt(w, s)),
+        ]
+    }
+
+    fn assert_matches_scan(w: &KvWrapper) {
+        for slot in 0..N_SLOTS {
+            assert_eq!(w.get_obj(slot), w.encode_slot_by_scan(slot), "slot {slot}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The slot-indexed abstraction function equals the whole-store
+        /// scan after every step of an arbitrary history, and `put_objs`
+        /// of its output reproduces it on a differently seeded instance.
+        #[test]
+        fn indexed_get_obj_equals_whole_store_scan(
+            steps in proptest::collection::vec(step_strategy(), 1..80),
+        ) {
+            let mut rngs =
+                [rand::rngs::StdRng::seed_from_u64(1), rand::rngs::StdRng::seed_from_u64(2)];
+            let mut ws = [KvWrapper::new(TinyKv::default()), KvWrapper::new(TinyKv::default())];
+            let mut mods = ModifyLog::new();
+            for (i, step) in steps.iter().enumerate() {
+                let nd = ts(100 + i as u64);
+                match *step {
+                    Step::Put(w, k, v) => {
+                        let (w, op) = (usize::from(w), format!("put key{k} {}", "x".repeat(usize::from(v % 7))));
+                        ws[w].execute(op.as_bytes(), 1, &nd, false, &mut mods, &mut env(&mut rngs[w], i as u64));
+                    }
+                    Step::Del(w, k) => {
+                        let (w, op) = (usize::from(w), format!("del key{k}"));
+                        ws[w].execute(op.as_bytes(), 1, &nd, false, &mut mods, &mut env(&mut rngs[w], i as u64));
+                    }
+                    Step::Transfer(w, mask) => {
+                        let (to, from) = (usize::from(w), usize::from(!w));
+                        let objs: Vec<(u64, Option<Vec<u8>>)> = (0..N_SLOTS)
+                            .filter(|s| mask >> s & 1 == 1)
+                            .map(|s| (s, ws[from].get_obj(s)))
+                            .collect();
+                        ws[to].put_objs(&objs, &mut env(&mut rngs[to], i as u64));
+                        for (s, v) in &objs {
+                            proptest::prop_assert_eq!(&ws[to].get_obj(*s), v);
+                        }
+                    }
+                    Step::Reset(w) => {
+                        let w = usize::from(w);
+                        ws[w].reset(&mut env(&mut rngs[w], i as u64));
+                    }
+                    Step::Corrupt(w, seed) => ws[usize::from(w)].corrupt_state(seed),
+                }
+                assert_matches_scan(&ws[0]);
+                assert_matches_scan(&ws[1]);
+            }
+            // Whole-state transfer onto an instance with its own ids,
+            // clock and leftover content.
+            let all: Vec<(u64, Option<Vec<u8>>)> =
+                (0..N_SLOTS).map(|s| (s, ws[0].get_obj(s))).collect();
+            ws[1].put_objs(&all, &mut env(&mut rngs[1], 999));
+            assert_matches_scan(&ws[1]);
+            for (s, v) in &all {
+                proptest::prop_assert_eq!(&ws[1].get_obj(*s), v);
+            }
+        }
     }
 }

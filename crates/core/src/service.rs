@@ -124,99 +124,12 @@ fn digest_one_chunked(
     DigestOutcome { digest, snapshot, hashed_bytes, chunks_reused: reused, chunks_rehashed: rehashed }
 }
 
-/// Computes the leaf digest of every `(index, value)` pair, fanning the
-/// hashing over `workers` scoped threads when it pays.
-///
-/// Output slot `i` always holds the outcome for `values[i]` — workers claim
-/// items through an atomic cursor but write results by index, so the fold
-/// the caller performs over the returned vector is identical at any worker
-/// count (the same discipline as `run_campaign_parallel`).
-/// The chunk cache is only *read* here; the caller applies the returned
-/// snapshots in index order.
-fn digest_values(
-    values: &[(u64, Option<Vec<u8>>)],
-    chunk_size: usize,
-    cache: &HashMap<u64, ChunkSnapshot>,
-    workers: usize,
-) -> Vec<DigestOutcome> {
-    let digest_one = |&(idx, ref value): &(u64, Option<Vec<u8>>)| {
-        digest_one_chunked(idx, value, chunk_size, cache)
-    };
-    if workers <= 1 || values.len() < 2 {
-        return values.iter().map(digest_one).collect();
-    }
-    let workers = workers.min(values.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<DigestOutcome>>> = std::sync::Mutex::new(
-        std::iter::repeat_with(|| None).take(values.len()).collect(),
-    );
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= values.len() {
-                    break;
-                }
-                let d = digest_one(&values[idx]);
-                slots.lock().expect("digest worker panicked")[idx] = Some(d);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("digest worker panicked")
-        .into_iter()
-        .map(|d| d.expect("every value digested"))
-        .collect()
-}
-
-/// Collects the abstract value of every index in `indices`, fanning the
-/// (pure, `&self`) abstraction function over `workers` scoped threads.
-///
-/// Same atomic-cursor / index-slot discipline as [`digest_values`]: output
-/// slot `i` always holds `(indices[i], get_obj(indices[i]))`, so the result
-/// is byte-identical at any worker count.
-fn collect_values<W: Wrapper>(
-    wrapper: &W,
-    indices: &[u64],
-    workers: usize,
-) -> Vec<(u64, Option<Vec<u8>>)> {
-    if workers <= 1 || indices.len() < 2 {
-        return indices.iter().map(|&idx| (idx, wrapper.get_obj(idx))).collect();
-    }
-    let workers = workers.min(indices.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<(u64, Option<Vec<u8>>)>>> = std::sync::Mutex::new(
-        std::iter::repeat_with(|| None).take(indices.len()).collect(),
-    );
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= indices.len() {
-                    break;
-                }
-                let idx = indices[i];
-                let v = (idx, wrapper.get_obj(idx));
-                slots.lock().expect("collect worker panicked")[i] = Some(v);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("collect worker panicked")
-        .into_iter()
-        .map(|v| v.expect("every index collected"))
-        .collect()
-}
-
 /// Computes the footprint of every operation in a batch, fanning the
 /// (pure, `&self`) analysis over `workers` scoped threads when it pays.
 ///
 /// Output slot `i` always holds the footprint of `ops[i]` — workers claim
-/// items through an atomic cursor but write results by index, the same
-/// discipline as [`digest_values`], so the partition the caller derives is
-/// identical at any worker count.
+/// items through an atomic cursor but write results by index, so the
+/// partition the caller derives is identical at any worker count.
 fn compute_footprints<W: Wrapper>(
     wrapper: &W,
     ops: &[(&[u8], u32)],
@@ -329,10 +242,6 @@ pub struct BaseService<W: Wrapper> {
     /// Previous value + chunk digests per multi-chunk object, as of the
     /// last digest pass (the reuse cache chunked digesting diffs against).
     chunk_cache: HashMap<u64, ChunkSnapshot>,
-    /// Worker threads used to digest abstract objects at checkpoint flushes
-    /// and warm-reboot rescans (1 = sequential; results are byte-identical
-    /// at any count).
-    digest_workers: usize,
     /// Worker lanes of the conflict-partitioned execution stage: fans the
     /// footprint analysis across scoped threads and sets the lane count of
     /// the modelled parallel makespan. Charge-neutral — results, charges
@@ -348,14 +257,8 @@ pub struct BaseService<W: Wrapper> {
 
 impl<W: Wrapper> BaseService<W> {
     /// Wraps `wrapper` into a replicable service.
-    ///
-    /// The digest worker pool defaults to the host's available parallelism
-    /// (results are byte-identical at any count, so this is purely a
-    /// wall-clock choice); [`BaseService::set_digest_workers`] overrides.
     pub fn new(wrapper: W) -> Self {
         let n = wrapper.n_objects();
-        let digest_workers =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
         Self {
             wrapper,
             tree: PartitionTree::new(n, BRANCHING),
@@ -366,7 +269,6 @@ impl<W: Wrapper> BaseService<W> {
             last_ckpt: None,
             chunk_size: 0,
             chunk_cache: HashMap::new(),
-            digest_workers,
             exec_workers: 1,
             cost: CostModel::default(),
             stats: BaseStats::default(),
@@ -389,19 +291,13 @@ impl<W: Wrapper> BaseService<W> {
         self.mods.dirty_count()
     }
 
-    /// Sets the number of worker threads used to digest abstract state at
-    /// checkpoint flushes and warm-reboot rescans. Roots, stats and metrics
-    /// are byte-identical at any count; only wall-clock changes.
-    pub fn set_digest_workers(&mut self, workers: usize) {
-        self.digest_workers = workers.max(1);
-    }
-
-    /// Runs one digest pass over `values` (in parallel across
-    /// `digest_workers`), applying the chunk-cache updates and chunk-reuse
-    /// stats in ascending slot order — a deterministic function of the
-    /// values alone, independent of the worker count.
+    /// Runs one digest pass over `values` on the calling thread, applying
+    /// the chunk-cache updates and chunk-reuse stats in the order given.
     fn digest_pass(&mut self, values: &[(u64, Option<Vec<u8>>)]) -> Vec<DigestOutcome> {
-        let outcomes = digest_values(values, self.chunk_size, &self.chunk_cache, self.digest_workers);
+        let outcomes: Vec<DigestOutcome> = values
+            .iter()
+            .map(|(idx, value)| digest_one_chunked(*idx, value, self.chunk_size, &self.chunk_cache))
+            .collect();
         if self.chunk_size > 0 {
             let (mut reused, mut rehashed) = (0u64, 0u64);
             for ((idx, _), outcome) in values.iter().zip(&outcomes) {
@@ -425,17 +321,19 @@ impl<W: Wrapper> BaseService<W> {
         outcomes
     }
 
-    /// Digests `values` (in parallel across `digest_workers`) and applies
-    /// them to the tree as one batch. Charges and stats fold in ascending
-    /// index order, independent of the worker count. `count_digested`
-    /// selects whether the pass counts toward `stats.objects_digested`
-    /// (checkpoint flushes do; warm-reboot rescans historically have not).
+    /// Reads the abstract value of every object in `indices` (one `get_obj`
+    /// each, on the calling thread), digests them and applies them to the
+    /// tree as one batch. `count_digested` selects whether the pass counts
+    /// toward `stats.objects_digested` (checkpoint flushes do; warm-reboot
+    /// rescans historically have not).
     fn digest_into_tree(
         &mut self,
-        values: Vec<(u64, Option<Vec<u8>>)>,
+        indices: impl Iterator<Item = u64>,
         count_digested: bool,
         env: &mut ExecEnv<'_>,
     ) {
+        let values: Vec<(u64, Option<Vec<u8>>)> =
+            indices.map(|idx| (idx, self.wrapper.get_obj(idx))).collect();
         let outcomes = self.digest_pass(&values);
         let mut updates = Vec::with_capacity(values.len());
         for ((idx, value), outcome) in values.iter().zip(&outcomes) {
@@ -464,13 +362,10 @@ impl<W: Wrapper> BaseService<W> {
     /// Refreshes the digest-tree leaves of all dirty objects so `tree`
     /// reflects the true current abstract state. One batched tree update:
     /// each internal node above the dirty set is rehashed exactly once.
-    /// Value collection fans the (pure, `&self`) abstraction function over
-    /// the digest worker pool.
     fn flush_tree(&mut self, env: &mut ExecEnv<'_>) {
         let mut dirty: Vec<u64> = self.mods.dirty_indices().collect();
         dirty.sort_unstable();
-        let values = collect_values(&self.wrapper, &dirty, self.digest_workers);
-        self.digest_into_tree(values, true, env);
+        self.digest_into_tree(dirty.into_iter(), true, env);
     }
 }
 
@@ -678,15 +573,12 @@ impl<W: Wrapper> Service for BaseService<W> {
             // Warm reboot (§3.4): the concrete state survived; rebuild the
             // conformance rep and recompute the abstraction function over
             // every object so corrupt or stale objects show up as digest
-            // mismatches and get repaired by the fetch. The full rescan is
-            // the heaviest digest pass in the system, so it fans across the
-            // digest workers and lands as a single batched tree update.
+            // mismatches and get repaired by the fetch. The full rescan
+            // lands as a single batched tree update.
             self.wrapper.rebuild_rep(env);
             self.stats.rebuild_scans += 1;
             self.metrics.inc("base.rebuild_scans");
-            let indices: Vec<u64> = (0..self.wrapper.n_objects()).collect();
-            let values = collect_values(&self.wrapper, &indices, self.digest_workers);
-            self.digest_into_tree(values, false, env);
+            self.digest_into_tree(0..self.wrapper.n_objects(), false, env);
         }
     }
 

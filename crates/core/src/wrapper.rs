@@ -145,10 +145,18 @@ pub trait Wrapper: Sync + 'static {
     /// object's abstract value from the concrete state. `None` = absent.
     ///
     /// Takes `&self`: the abstraction function is a pure *reading* of the
-    /// concrete state (it must not perturb what it abstracts), which lets
-    /// the checkpoint machinery fan value collection over the digest worker
-    /// pool. Implementations needing bookkeeping (statistics) must use
-    /// interior mutability with thread-safe primitives.
+    /// concrete state (it must not perturb what it abstracts).
+    /// Implementations needing bookkeeping (statistics) must use interior
+    /// mutability.
+    ///
+    /// Cost contract: the library calls this once per dirty object per
+    /// checkpoint, and wrappers call it once per object's first touch per
+    /// checkpoint epoch (the [`ModifyLog::modify`] pre-image), always on
+    /// the thread that called into the service. That is what makes a
+    /// checkpoint cost what changed (paper §2.2) — but only if this is
+    /// O(object), not O(state): keep the conformance rep indexed by
+    /// abstract object so one object's value never requires a walk over
+    /// the whole concrete state.
     fn get_obj(&self, index: u64) -> Option<Vec<u8>>;
 
     /// One inverse of the abstraction function: updates the concrete state

@@ -16,11 +16,13 @@ const N: u64 = 16;
 #[derive(Default)]
 struct VecWrapper {
     vals: Vec<Option<Vec<u8>>>,
+    /// The thread of every `get_obj` call, in call order.
+    get_obj_threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
 }
 
 impl VecWrapper {
     fn new() -> Self {
-        Self { vals: vec![None; N as usize] }
+        Self { vals: vec![None; N as usize], ..Self::default() }
     }
 }
 
@@ -59,6 +61,7 @@ impl Wrapper for VecWrapper {
     }
 
     fn get_obj(&self, index: u64) -> Option<Vec<u8>> {
+        self.get_obj_threads.lock().unwrap().push(std::thread::current().id());
         self.vals[index as usize].clone()
     }
 
@@ -251,38 +254,27 @@ fn preimage_copy_counted_once_per_epoch() {
 }
 
 #[test]
-fn parallel_digesting_is_worker_count_invariant() {
-    // Same workload at 1, 2 and 8 digest workers: roots, stats, charged
-    // simulated CPU and the metrics JSON must be byte-identical — the
-    // worker pool only changes wall-clock.
-    let run = |workers: usize| {
-        let mut r = Rig::new();
-        r.svc.set_digest_workers(workers);
-        for i in 0..N {
-            r.set(i, &format!("v{i}"));
-        }
-        let c8 = r.ckpt(8);
-        for i in (0..N).step_by(3) {
-            r.set(i, &format!("w{i}"));
-        }
-        let c16 = r.ckpt(16);
-        // Warm reboot: full abstraction-function rescan through the pool.
-        let mut env = ExecEnv::new(1, &mut r.rng);
-        r.svc.reboot(false, &mut env);
-        let charged = env.charged();
-        (
-            c8,
-            c16,
-            r.svc.current_tree().root_digest(),
-            r.svc.stats.objects_digested,
-            r.svc.stats.node_hashes,
-            charged,
-            r.svc.metrics.to_json(),
-        )
-    };
-    let base = run(1);
-    assert_eq!(run(2), base, "2 workers must match sequential");
-    assert_eq!(run(8), base, "8 workers must match sequential");
+fn abstraction_function_runs_on_the_calling_thread() {
+    // A checkpoint is a few small objects; handing them to other threads
+    // costs more than digesting them. Every library-driven `get_obj` —
+    // checkpoint flush, pre-transfer flush, warm-reboot rescan — must run
+    // on the thread that called into the service.
+    let mut r = Rig::new();
+    for i in 0..N {
+        r.set(i, "a");
+    }
+    let _ = r.ckpt(8); // one get_obj per dirty object
+    for i in 0..N {
+        r.set(i, "b");
+    }
+    let mut env = ExecEnv::new(1, &mut r.rng);
+    r.svc.prepare_for_transfer(&mut env); // again one per dirty object
+    r.svc.reboot(false, &mut env); // full rescan
+
+    let me = std::thread::current().id();
+    let threads = r.svc.wrapper().get_obj_threads.lock().unwrap();
+    assert_eq!(threads.len() as u64, 3 * N, "one get_obj per dirty/rescanned object");
+    assert!(threads.iter().all(|t| *t == me), "get_obj left the caller's thread");
 }
 
 #[test]
@@ -315,40 +307,6 @@ fn chunked_incremental_digests_match_from_scratch() {
         }
     }
     assert_eq!(c16, b.ckpt(16), "incremental pass must equal from-scratch");
-}
-
-#[test]
-fn chunked_digesting_is_worker_count_invariant() {
-    // The chunk cache and per-chunk hashing must stay byte-identical at
-    // any worker count, exactly like the legacy scheme.
-    let run = |workers: usize| {
-        let mut r = Rig::new();
-        r.svc.set_chunk_size(4);
-        r.svc.set_digest_workers(workers);
-        for i in 0..N {
-            r.set(i, &format!("obj-{i}-{}", "y".repeat(20)));
-        }
-        let c8 = r.ckpt(8);
-        for i in (0..N).step_by(3) {
-            r.set(i, &format!("obj-{i}-{}", "z".repeat(20)));
-        }
-        let c16 = r.ckpt(16);
-        let mut env = ExecEnv::new(1, &mut r.rng);
-        r.svc.reboot(false, &mut env);
-        let charged = env.charged();
-        (
-            c8,
-            c16,
-            r.svc.current_tree().root_digest(),
-            r.svc.stats.chunks_reused,
-            r.svc.stats.chunks_rehashed,
-            charged,
-            r.svc.metrics.to_json(),
-        )
-    };
-    let base = run(1);
-    assert_eq!(run(2), base, "2 workers must match sequential");
-    assert_eq!(run(8), base, "8 workers must match sequential");
 }
 
 #[test]

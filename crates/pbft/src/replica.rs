@@ -710,24 +710,25 @@ impl<S: Service> Replica<S> {
                 return; // Duplicate.
             }
         }
-        entry.pre_prepare = Some(pp.clone());
-        self.slots.observe_proposed(pp.seq);
-        self.slot_arrival.insert(pp.seq, ctx.now().as_nanos());
+        let (view, seq) = (pp.view, pp.seq);
+        entry.pre_prepare = Some(pp);
+        self.slots.observe_proposed(seq);
+        self.slot_arrival.insert(seq, ctx.now().as_nanos());
         ctx.emit(
-            pp.view,
-            pp.seq,
+            view,
+            seq,
             ProtocolEvent::PrePrepareLogged { queue_ns: ctx.sched_lag().as_nanos() },
         );
         if !endorse {
             // Logged but not endorsed: wait for a quorum's commits.
-            self.maybe_committed(pp.seq, ctx);
+            self.maybe_committed(seq, ctx);
             return;
         }
 
         // Multicast our prepare.
         let mut prepare = PrepareMsg {
             view: self.view,
-            seq: pp.seq,
+            seq,
             digest,
             replica: self.id,
             auth: Authenticator::default(),
@@ -736,11 +737,11 @@ impl<S: Service> Replica<S> {
         ctx.charge(self.cost.authenticator(self.cfg.n) + self.cost.signature);
         prepare.sig = self.keys.sign(&prepare.signed_bytes());
         prepare.auth = Authenticator::generate(&self.keys, self.cfg.n, &prepare_digest(&prepare));
-        let entry = self.log.entry_mut(pp.seq);
+        let entry = self.log.entry_mut(seq);
         entry.prepares.insert(self.id, prepare.clone());
         entry.prepare_sent = true;
         self.multicast(ctx, &Message::Prepare(prepare));
-        self.maybe_prepared(pp.seq, ctx);
+        self.maybe_prepared(seq, ctx);
     }
 
     fn handle_prepare(&mut self, p: PrepareMsg, ctx: &mut Context<'_>) {
@@ -852,13 +853,17 @@ impl<S: Service> Replica<S> {
             if !ready {
                 break;
             }
+            // The batch is lent out of its log entry while it executes
+            // (nothing on the execution path reads the log) and put back.
             let pp = self
                 .log
-                .entry(next)
-                .and_then(|e| e.pre_prepare.clone())
+                .entry_mut(next)
+                .pre_prepare
+                .take()
                 .expect("committed implies pre-prepare");
             self.execute_batch(&pp, ctx);
             let entry = self.log.entry_mut(next);
+            entry.pre_prepare = Some(pp);
             entry.executed = true;
             self.slots.mark_executed(next);
             self.last_exec = next;

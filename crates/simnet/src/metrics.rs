@@ -137,13 +137,19 @@ impl MetricsRegistry {
     }
 
     /// Adds 1 to counter `name`.
-    pub fn inc(&mut self, name: impl Into<String>) {
+    pub fn inc(&mut self, name: impl Into<String> + AsRef<str>) {
         self.add(name, 1);
     }
 
-    /// Adds `n` to counter `name`.
-    pub fn add(&mut self, name: impl Into<String>, n: u64) {
-        *self.counters.entry(name.into()).or_default() += n;
+    /// Adds `n` to counter `name`. Looks the name up borrowed: only the
+    /// first touch of a name allocates its key.
+    pub fn add(&mut self, name: impl Into<String> + AsRef<str>, n: u64) {
+        match self.counters.get_mut(name.as_ref()) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.into(), n);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 when never touched).
@@ -151,13 +157,17 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a sample into histogram `name`.
-    pub fn observe(&mut self, name: impl Into<String>, value: u64) {
-        self.histograms.entry(name.into()).or_default().observe(value);
+    /// Records a sample into histogram `name` (allocation as in
+    /// [`MetricsRegistry::add`]).
+    pub fn observe(&mut self, name: impl Into<String> + AsRef<str>, value: u64) {
+        match self.histograms.get_mut(name.as_ref()) {
+            Some(h) => h.observe(value),
+            None => self.histograms.entry(name.into()).or_default().observe(value),
+        }
     }
 
     /// Records a sim-duration sample (in nanoseconds) into `name`.
-    pub fn observe_duration(&mut self, name: impl Into<String>, d: SimDuration) {
+    pub fn observe_duration(&mut self, name: impl Into<String> + AsRef<str>, d: SimDuration) {
         self.observe(name, d.as_nanos());
     }
 
