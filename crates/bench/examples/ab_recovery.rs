@@ -28,10 +28,7 @@
 //!
 //! Usage: `cargo run --release -q -p base-bench --example ab_recovery`.
 
-use base_bench::setup::{
-    build_replicated_nfs_with, replica_metrics, replica_root, replica_stats,
-    run_relay_to_completion, FsMix,
-};
+use base_bench::setup::{build_replicated_nfs_with, run_relay_to_completion, FsMix};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
@@ -132,27 +129,28 @@ fn run_cell(name: &'static str, coded: bool, chunk_size: usize) -> Cell {
     }
     assert!(done_a(&sim), "phase A did not finish ({name})");
 
-    let stats_before = replica_stats(&sim, &bed, 3);
-    let metrics_before = replica_metrics(&sim, &bed, 3);
-    sim.crash(bed.replicas[3], SimDuration::from_secs(10));
+    let sleeper = bed.replicas[3];
+    let stats_before = sleeper.get(&sim).stats().clone();
+    let metrics_before = sleeper.get(&sim).metrics().clone();
+    sim.crash(sleeper.node, SimDuration::from_secs(10));
     assert!(
         run_relay_to_completion::<ScriptDriver>(&mut sim, bed.client, SimDuration::from_secs(60)),
         "phase B did not finish ({name})"
     );
     sim.run_for(SimDuration::from_secs(40));
 
-    let stats = replica_stats(&sim, &bed, 3);
+    let stats = sleeper.get(&sim).stats();
     assert!(
         stats.state_transfers > stats_before.state_transfers,
         "no catch-up transfer in cell {name}"
     );
-    let r3 = replica_root(&sim, &bed, 3);
+    let r3 = sleeper.get(&sim).state_root();
     assert_eq!(
         r3,
-        replica_root(&sim, &bed, 0),
+        bed.replicas[0].get(&sim).state_root(),
         "replica 3 did not converge in cell {name}"
     );
-    let metrics = replica_metrics(&sim, &bed, 3);
+    let metrics = sleeper.get(&sim).metrics();
     let counter =
         |k: &str| metrics.counter(k).saturating_sub(metrics_before.counter(k));
     Cell {

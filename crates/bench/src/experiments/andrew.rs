@@ -4,8 +4,8 @@
 use crate::andrew::{AndrewDriver, AndrewScale, PHASES};
 use crate::report::{pct, secs, Table};
 use crate::setup::{
-    build_direct_nfs, build_replicated_nfs, replica_root, run_direct_to_completion,
-    run_relay_to_completion, FsMix,
+    build_direct_nfs, build_replicated_nfs, run_direct_to_completion, run_relay_to_completion,
+    FsMix,
 };
 use base_nfs::relay::{DirectActor, RelayActor, RunStats};
 use base_simnet::{SimDuration, Simulation};
@@ -46,9 +46,9 @@ pub fn run_andrew(scale: AndrewScale, mix: FsMix) -> AndrewResult {
         sim.actor_as::<RelayActor<AndrewDriver>>(bed.client).unwrap().stats.clone();
     assert_eq!(rep_stats.errors, 0, "replicated run had NFS errors");
     let rep_phases = probe.phase_times(&rep_stats.completed_at_ns);
-    let r0 = replica_root(&sim, &bed, 0);
-    for i in 1..4 {
-        assert_eq!(replica_root(&sim, &bed, i), r0, "replica {i} diverged");
+    let r0 = bed.replicas[0].get(&sim).state_root();
+    for (i, r) in bed.replicas.iter().enumerate() {
+        assert_eq!(r.get(&sim).state_root(), r0, "replica {i} diverged");
     }
     let rep_msgs = sim.stats().messages_delivered;
     let rep_bytes = sim.stats().bytes_delivered;

@@ -17,17 +17,13 @@
 //! hits a single replica and is masked.
 
 use crate::report::Table;
-use crate::setup::{
-    arm_inode_latent_bug, build_replicated_nfs_with, corrupt_replica_state, set_recovery_clean_all,
-    set_relay_pace, trigger_replica_recovery, FsMix, NfsTestbed,
-};
+use crate::setup::{arm_inode_latent_bug, build_replicated_nfs_with, set_relay_pace, FsMix};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
-use base_pbft::chaos::{APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
-use base_simnet::chaos::{
-    run_campaign, AppFaultSpec, ChaosHarness, HealSpec, LivenessBounds, ScheduleGenConfig,
-};
+use base_pbft::chaos::{campaign_config, campaign_gen_config, Group, CAMPAIGN_BOUNDS};
+use base_pbft::Config;
+use base_simnet::chaos::{run_campaign, ChaosHarness, LivenessBounds, ScheduleGenConfig};
 use base_simnet::{NodeId, SimDuration, Simulation};
 
 const FILES: u32 = 8;
@@ -60,7 +56,8 @@ fn script(with_trigger: bool) -> Vec<NfsOp> {
 }
 
 /// Campaign harness for the replicated NFS testbed: a paced create/write/
-/// read-back workload audited from the client's view.
+/// read-back workload audited from the client's view, over a [`Group`] whose
+/// replicas may each run a different file system.
 pub struct NfsChaosHarness {
     /// Which implementations the replicas run.
     pub mix: FsMix,
@@ -69,12 +66,12 @@ pub struct NfsChaosHarness {
     pub with_latent_bug: bool,
     /// Gap between relay submissions.
     pub pace: SimDuration,
-    /// Consensus pipeline depth the group runs with
-    /// ([`Config::pipeline_depth`]).
-    pub pipeline_depth: u64,
-    /// Execution worker count ([`Config::exec_workers`]).
-    pub exec_workers: usize,
-    bed: Option<NfsTestbed>,
+    /// The group configuration a run is built with, seeded by
+    /// [`campaign_config`] for four replicas.
+    pub cfg: Config,
+    // Per-run state, reset by `build`.
+    client: NodeId,
+    group: Group,
 }
 
 impl NfsChaosHarness {
@@ -84,35 +81,15 @@ impl NfsChaosHarness {
             mix,
             with_latent_bug: false,
             pace: SimDuration::from_millis(300),
-            pipeline_depth: 16,
-            exec_workers: 1,
-            bed: None,
+            cfg: campaign_config(4),
+            client: NodeId(0),
+            group: Group::default(),
         }
     }
 
     /// The schedule-generation config matching this harness.
     pub fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
-        ScheduleGenConfig {
-            nodes: (0..4).map(NodeId).collect(),
-            max_impaired: 1,
-            horizon,
-            events,
-            app_faults: vec![
-                AppFaultSpec {
-                    tag: APP_BYZ,
-                    arg_max: 7,
-                    impairs: true,
-                    heal: Some(HealSpec { tag: APP_BYZ, after: SimDuration::from_secs(2) }),
-                },
-                AppFaultSpec {
-                    tag: APP_CORRUPT_STATE,
-                    arg_max: 1 << 32,
-                    impairs: true,
-                    heal: Some(HealSpec { tag: APP_RECOVER, after: SimDuration::from_secs(2) }),
-                },
-            ],
-            net_faults: true,
-        }
+        campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
     }
 }
 
@@ -122,25 +99,21 @@ impl ChaosHarness for NfsChaosHarness {
         let bed = build_replicated_nfs_with(
             &mut sim,
             seed,
-            4,
+            self.cfg.n,
             self.mix,
             ScriptDriver::new(script(self.with_latent_bug)),
-            |cfg| {
-                // Frequent checkpoints and fast reboots so state transfer
-                // and triggered recoveries complete within a run.
-                cfg.checkpoint_interval = 4;
-                cfg.log_window = 32;
-                cfg.reboot_time = SimDuration::from_millis(100);
-                cfg.pipeline_depth = self.pipeline_depth;
-                cfg.exec_workers = self.exec_workers;
-            },
+            |cfg| *cfg = self.cfg.clone(),
         );
-        set_recovery_clean_all(&mut sim, &bed, false);
         set_relay_pace::<ScriptDriver>(&mut sim, bed.client, self.pace);
+        self.group = Group::new(&mut sim, bed.replicas.clone());
         if self.with_latent_bug {
-            arm_inode_latent_bug(&mut sim, &bed);
+            // An armed replica corrupts the triggering write by itself: it
+            // is faulty from the start, whatever the schedule does.
+            for node in arm_inode_latent_bug(&mut sim, &bed) {
+                self.group.taint(node);
+            }
         }
-        self.bed = Some(bed);
+        self.client = bed.client;
         sim
     }
 
@@ -152,29 +125,8 @@ impl ChaosHarness for NfsChaosHarness {
         arg: u64,
         trace: &mut Vec<String>,
     ) {
-        let bed = self.bed.as_ref().expect("run built");
-        let Some(i) = bed.replicas.iter().position(|&r| r == node) else {
-            trace.push(format!("app fault at node {} ignored (not a replica)", node.0));
-            return;
-        };
-        // The testbed moves `bed` around by value; clone the handle list we
-        // need so the helpers can borrow `sim` mutably.
-        let bed = bed.clone();
-        match tag {
-            APP_BYZ => {
-                let mode = base::ByzMode::from_code(arg);
-                crate::setup::set_byzantine(sim, &bed, i, mode);
-                trace.push(format!("replica {i} byzantine mode -> {mode:?}"));
-            }
-            APP_CORRUPT_STATE => {
-                corrupt_replica_state(sim, &bed, i, arg);
-                trace.push(format!("replica {i} concrete fs state corrupted"));
-            }
-            APP_RECOVER => {
-                trigger_replica_recovery(sim, &bed, i);
-                trace.push(format!("replica {i} proactive recovery triggered"));
-            }
-            _ => trace.push(format!("unknown app fault tag {tag} at replica {i}")),
+        if !self.group.apply_fault(sim, node, tag, arg, trace) {
+            trace.push(format!("app fault tag {tag} at node {} ignored", node.0));
         }
     }
 
@@ -183,19 +135,12 @@ impl ChaosHarness for NfsChaosHarness {
     }
 
     fn liveness_bounds(&self) -> LivenessBounds {
-        // Inside the settle window; roomy enough for a capped view-change
-        // chase plus a hierarchical state transfer of the file store.
-        LivenessBounds {
-            heal_to_progress: Some(SimDuration::from_secs(25)),
-            view_convergence: Some(SimDuration::from_secs(25)),
-            recovery_duration: Some(SimDuration::from_secs(25)),
-        }
+        CAMPAIGN_BOUNDS
     }
 
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        let bed = self.bed.as_ref().expect("run built");
         let relay = sim
-            .actor_as::<RelayActor<ScriptDriver>>(bed.client)
+            .actor_as::<RelayActor<ScriptDriver>>(self.client)
             .ok_or_else(|| "relay actor missing".to_string())?;
         if !relay.done() {
             return Err(format!(
@@ -223,7 +168,11 @@ impl ChaosHarness for NfsChaosHarness {
                 }
             }
         }
-        trace.push("audit ok: workload finished, all reads match writes".into());
+        let all = self.group.members(sim);
+        self.group.audit_view_agreement(&all)?;
+        self.group.audit_stable_digests(&all)?;
+        self.group.audit_retained_checkpoints(&all)?;
+        trace.push("audit ok: workload finished, all reads match writes, replicas agree".into());
         Ok(())
     }
 }

@@ -15,10 +15,7 @@ use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
 use base_simnet::{SimDuration, Simulation};
 
-use crate::setup::{
-    build_replicated_nfs, replica_metrics, replica_root, replica_stats, run_relay_to_completion,
-    FsMix,
-};
+use crate::setup::{build_replicated_nfs, run_relay_to_completion, FsMix};
 
 const LIVE_FILES: u32 = 256;
 const FILE_BYTES: usize = 8192;
@@ -79,28 +76,29 @@ fn run_once(k: u32) -> Out {
     assert!(done_a(&sim), "phase A did not finish");
 
     // Replica 3 sleeps through phase B.
-    let stats_before = replica_stats(&sim, &bed, 3);
-    let metrics_before = replica_metrics(&sim, &bed, 3);
-    sim.crash(bed.replicas[3], SimDuration::from_secs(10));
+    let sleeper = bed.replicas[3];
+    let stats_before = sleeper.get(&sim).stats().clone();
+    let retx_before = sleeper.get(&sim).metrics().counter("transfer.retransmissions");
+    sim.crash(sleeper.node, SimDuration::from_secs(10));
     assert!(
         run_relay_to_completion::<ScriptDriver>(&mut sim, bed.client, SimDuration::from_secs(60)),
         "phase B did not finish"
     );
     sim.run_for(SimDuration::from_secs(40));
 
-    let stats = replica_stats(&sim, &bed, 3);
+    let stats = sleeper.get(&sim).stats();
     assert!(
         stats.state_transfers > stats_before.state_transfers,
         "no catch-up transfer for K={k}"
     );
     assert_eq!(
-        replica_root(&sim, &bed, 3),
-        replica_root(&sim, &bed, 0),
+        sleeper.get(&sim).state_root(),
+        bed.replicas[0].get(&sim).state_root(),
         "replica 3 did not converge"
     );
     // A flat transfer would move every live object.
     let full_bytes = u64::from(LIVE_FILES) * (FILE_BYTES as u64 + 96) + 2 * 96;
-    let metrics = replica_metrics(&sim, &bed, 3);
+    let metrics = sleeper.get(&sim).metrics();
     Out {
         fetched_objects: stats.state_transfer_objects - stats_before.state_transfer_objects,
         fetched_bytes: stats.state_transfer_bytes - stats_before.state_transfer_bytes,
@@ -108,8 +106,7 @@ fn run_once(k: u32) -> Out {
         full_bytes,
         fetch_ms: metrics.histogram("transfer.fetch_ns").map(|h| h.max()).unwrap_or(0)
             / 1_000_000,
-        fetch_retx: metrics.counter("transfer.retransmissions")
-            - metrics_before.counter("transfer.retransmissions"),
+        fetch_retx: metrics.counter("transfer.retransmissions") - retx_before,
     }
 }
 

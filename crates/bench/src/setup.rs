@@ -1,10 +1,11 @@
 //! Simulation builders for the experiment testbeds.
 
 use base::{BaseReplica, BaseService};
+use base_crypto::NodeKeys;
 use base_nfs::relay::{DirectActor, DirectServerActor, NfsDriver, RelayActor};
-use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::{Config, ReplicaStats};
-use base_simnet::{LatencyModel, MetricsRegistry, NodeId, SimDuration, Simulation};
+use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_pbft::{Config, ReplicaRef};
+use base_simnet::{LatencyModel, NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,12 +39,12 @@ pub fn lan_config(sim: &mut Simulation) {
 pub struct NfsTestbed {
     /// Group configuration.
     pub cfg: Config,
-    /// Replica nodes (`0..n`).
-    pub replicas: Vec<NodeId>,
+    /// The replicas (nodes `0..n`), whichever file system each runs:
+    /// `bed.replicas[i].get(sim)` is replica `i`'s stats, metrics, state
+    /// root and fault-injection switches.
+    pub replicas: Vec<ReplicaRef>,
     /// The relay/client node.
     pub client: NodeId,
-    /// Which mix was built.
-    pub mix: FsMix,
 }
 
 /// The implementation family a replica runs (determined by mix + index).
@@ -54,10 +55,18 @@ fn impl_of(mix: FsMix, i: usize) -> usize {
     }
 }
 
-type InodeReplica = BaseReplica<NfsWrapper<InodeFs>>;
-type FlatReplica = BaseReplica<NfsWrapper<FlatFs>>;
-type LogReplica = BaseReplica<NfsWrapper<LogFs>>;
-type BtreeReplica = BaseReplica<NfsWrapper<BtreeFs>>;
+/// Installs a replica serving `fs` behind the era-calibrated wrapper.
+fn add_replica<F: NfsServer>(
+    sim: &mut Simulation,
+    cfg: &Config,
+    keys: NodeKeys,
+    fs: F,
+) -> ReplicaRef {
+    let mut w = NfsWrapper::with_capacity(fs, CAPACITY);
+    (w.op_cost_base, w.op_cost_per_byte_ns) = era_costs();
+    let replica = BaseReplica::new(cfg.clone(), keys, BaseService::new(w));
+    ReplicaRef::of::<BaseService<NfsWrapper<F>>>(sim.add_node(Box::new(replica)))
+}
 
 /// Builds a 4-replica BASE NFS service plus a relay driving `driver`.
 pub fn build_replicated_nfs<D: NfsDriver>(
@@ -99,47 +108,23 @@ pub fn build_replicated_nfs_with<D: NfsDriver>(
     tweak(&mut cfg);
     let dir = base_crypto::KeyDirectory::generate(n + 1, seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let (base_cost, per_byte) = era_costs();
     let mut replicas = Vec::new();
 
     for i in 0..n {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        let node = match impl_of(mix, i) {
-            0 => {
-                let mut w =
-                    NfsWrapper::with_capacity(InodeFs::new(0x10 + i as u64, &mut rng), CAPACITY);
-                w.op_cost_base = base_cost;
-                w.op_cost_per_byte_ns = per_byte;
-                sim.add_node(Box::new(InodeReplica::new(cfg.clone(), keys, BaseService::new(w))))
-            }
-            1 => {
-                let mut w =
-                    NfsWrapper::with_capacity(FlatFs::new(0x40 + i as u64, &mut rng), CAPACITY);
-                w.op_cost_base = base_cost;
-                w.op_cost_per_byte_ns = per_byte;
-                sim.add_node(Box::new(FlatReplica::new(cfg.clone(), keys, BaseService::new(w))))
-            }
-            2 => {
-                let mut w =
-                    NfsWrapper::with_capacity(LogFs::new(0x20 + i as u64, &mut rng), CAPACITY);
-                w.op_cost_base = base_cost;
-                w.op_cost_per_byte_ns = per_byte;
-                sim.add_node(Box::new(LogReplica::new(cfg.clone(), keys, BaseService::new(w))))
-            }
-            _ => {
-                let mut w =
-                    NfsWrapper::with_capacity(BtreeFs::new(0x30 + i as u64, &mut rng), CAPACITY);
-                w.op_cost_base = base_cost;
-                w.op_cost_per_byte_ns = per_byte;
-                sim.add_node(Box::new(BtreeReplica::new(cfg.clone(), keys, BaseService::new(w))))
-            }
+        let keys = NodeKeys::new(dir.clone(), i);
+        let id = i as u64;
+        let replica = match impl_of(mix, i) {
+            0 => add_replica(sim, &cfg, keys, InodeFs::new(0x10 + id, &mut rng)),
+            1 => add_replica(sim, &cfg, keys, FlatFs::new(0x40 + id, &mut rng)),
+            2 => add_replica(sim, &cfg, keys, LogFs::new(0x20 + id, &mut rng)),
+            _ => add_replica(sim, &cfg, keys, BtreeFs::new(0x30 + id, &mut rng)),
         };
-        sim.config_mut().set_clock_skew(node, SimDuration::from_millis(13 * i as u64));
-        replicas.push(node);
+        sim.config_mut().set_clock_skew(replica.node, SimDuration::from_millis(13 * i as u64));
+        replicas.push(replica);
     }
-    let keys = base_crypto::NodeKeys::new(dir, n);
+    let keys = NodeKeys::new(dir, n);
     let client = sim.add_node(Box::new(RelayActor::new(cfg.clone(), keys, driver)));
-    NfsTestbed { cfg, replicas, client, mix }
+    NfsTestbed { cfg, replicas, client }
 }
 
 /// Builds the unreplicated baseline: one InodeFs server + a direct client.
@@ -160,191 +145,17 @@ pub fn build_direct_nfs<D: NfsDriver>(
     (server, client)
 }
 
-/// Fetches the protocol stats of replica `i`, handling the mixed actor
-/// types.
-pub fn replica_stats(sim: &Simulation, bed: &NfsTestbed, i: usize) -> ReplicaStats {
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => sim.actor_as::<InodeReplica>(node).expect("inode replica").stats.clone(),
-        1 => sim.actor_as::<FlatReplica>(node).expect("flat replica").stats.clone(),
-        2 => sim.actor_as::<LogReplica>(node).expect("log replica").stats.clone(),
-        _ => sim.actor_as::<BtreeReplica>(node).expect("btree replica").stats.clone(),
-    }
-}
-
-/// Snapshot of replica `i`'s metrics registry (`transfer.fetch_ns`,
-/// `transfer.retransmissions`, `replica.agreement_latency_ns`, ...), the
-/// source the benchmark tables draw their liveness columns from.
-pub fn replica_metrics(sim: &Simulation, bed: &NfsTestbed, i: usize) -> MetricsRegistry {
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => sim.actor_as::<InodeReplica>(node).expect("inode replica").metrics().clone(),
-        1 => sim.actor_as::<FlatReplica>(node).expect("flat replica").metrics().clone(),
-        2 => sim.actor_as::<LogReplica>(node).expect("log replica").metrics().clone(),
-        _ => sim.actor_as::<BtreeReplica>(node).expect("btree replica").metrics().clone(),
-    }
-}
-
-/// Root digest of replica `i`'s current abstract state.
-pub fn replica_root(sim: &Simulation, bed: &NfsTestbed, i: usize) -> base_crypto::Digest {
-    use base_pbft::Service as _;
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => sim
-            .actor_as::<InodeReplica>(node)
-            .expect("inode replica")
-            .service()
-            .current_tree()
-            .root_digest(),
-        1 => sim
-            .actor_as::<FlatReplica>(node)
-            .expect("flat replica")
-            .service()
-            .current_tree()
-            .root_digest(),
-        2 => sim
-            .actor_as::<LogReplica>(node)
-            .expect("log replica")
-            .service()
-            .current_tree()
-            .root_digest(),
-        _ => sim
-            .actor_as::<BtreeReplica>(node)
-            .expect("btree replica")
-            .service()
-            .current_tree()
-            .root_digest(),
-    }
-}
-
-/// Injects concrete-state corruption into the file at abstract `index` on
-/// replica `i`. Returns true if the injection succeeded.
-pub fn corrupt_replica_object(
-    sim: &mut Simulation,
-    bed: &NfsTestbed,
-    i: usize,
-    index: u32,
-) -> bool {
-    use base_nfs::NfsServer as _;
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => {
-            let r = sim.actor_as_mut::<InodeReplica>(node).expect("inode replica");
-            let w = r.service_mut().wrapper_mut();
-            match w.server_fh_of(index) {
-                Some(fh) => w.server_mut().inject_corruption(&fh),
-                None => false,
-            }
-        }
-        1 => {
-            let r = sim.actor_as_mut::<FlatReplica>(node).expect("flat replica");
-            let w = r.service_mut().wrapper_mut();
-            match w.server_fh_of(index) {
-                Some(fh) => w.server_mut().inject_corruption(&fh),
-                None => false,
-            }
-        }
-        2 => {
-            let r = sim.actor_as_mut::<LogReplica>(node).expect("log replica");
-            let w = r.service_mut().wrapper_mut();
-            match w.server_fh_of(index) {
-                Some(fh) => w.server_mut().inject_corruption(&fh),
-                None => false,
-            }
-        }
-        _ => {
-            let r = sim.actor_as_mut::<BtreeReplica>(node).expect("btree replica");
-            let w = r.service_mut().wrapper_mut();
-            match w.server_fh_of(index) {
-                Some(fh) => w.server_mut().inject_corruption(&fh),
-                None => false,
-            }
+/// Arms the seeded latent bug on every replica running InodeFs and returns
+/// their nodes.
+pub fn arm_inode_latent_bug(sim: &mut Simulation, bed: &NfsTestbed) -> Vec<NodeId> {
+    let mut armed = Vec::new();
+    for r in &bed.replicas {
+        if let Some(replica) = sim.actor_as_mut::<BaseReplica<NfsWrapper<InodeFs>>>(r.node) {
+            replica.service_mut().wrapper_mut().server_mut().latent_bug = true;
+            armed.push(r.node);
         }
     }
-}
-
-/// Arms the seeded latent bug on every replica running InodeFs.
-pub fn arm_inode_latent_bug(sim: &mut Simulation, bed: &NfsTestbed) {
-    for i in 0..bed.replicas.len() {
-        if impl_of(bed.mix, i) == 0 {
-            let r = sim.actor_as_mut::<InodeReplica>(bed.replicas[i]).expect("inode replica");
-            r.service_mut().wrapper_mut().server_mut().latent_bug = true;
-        }
-    }
-}
-
-/// Sets a Byzantine mode on replica `i`, handling the mixed actor types.
-pub fn set_byzantine(sim: &mut Simulation, bed: &NfsTestbed, i: usize, mode: base::ByzMode) {
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => sim.actor_as_mut::<InodeReplica>(node).expect("inode replica").set_byzantine(mode),
-        1 => sim.actor_as_mut::<FlatReplica>(node).expect("flat replica").set_byzantine(mode),
-        2 => sim.actor_as_mut::<LogReplica>(node).expect("log replica").set_byzantine(mode),
-        _ => sim.actor_as_mut::<BtreeReplica>(node).expect("btree replica").set_byzantine(mode),
-    }
-}
-
-/// Current Byzantine mode of replica `i`.
-pub fn byzantine_of(sim: &Simulation, bed: &NfsTestbed, i: usize) -> base::ByzMode {
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => sim.actor_as::<InodeReplica>(node).expect("inode replica").byzantine(),
-        1 => sim.actor_as::<FlatReplica>(node).expect("flat replica").byzantine(),
-        2 => sim.actor_as::<LogReplica>(node).expect("log replica").byzantine(),
-        _ => sim.actor_as::<BtreeReplica>(node).expect("btree replica").byzantine(),
-    }
-}
-
-/// Injects latent concrete-state corruption on replica `i` (the
-/// `Service::corrupt_state` hook), handling the mixed actor types.
-pub fn corrupt_replica_state(sim: &mut Simulation, bed: &NfsTestbed, i: usize, seed: u64) {
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => {
-            sim.actor_as_mut::<InodeReplica>(node).expect("inode replica").corrupt_service_state(seed)
-        }
-        1 => {
-            sim.actor_as_mut::<FlatReplica>(node).expect("flat replica").corrupt_service_state(seed)
-        }
-        2 => sim.actor_as_mut::<LogReplica>(node).expect("log replica").corrupt_service_state(seed),
-        _ => {
-            sim.actor_as_mut::<BtreeReplica>(node).expect("btree replica").corrupt_service_state(seed)
-        }
-    }
-}
-
-/// Triggers an immediate proactive recovery on replica `i`.
-pub fn trigger_replica_recovery(sim: &mut Simulation, bed: &NfsTestbed, i: usize) {
-    let node = bed.replicas[i];
-    match impl_of(bed.mix, i) {
-        0 => sim.actor_as_mut::<InodeReplica>(node).expect("inode replica").trigger_recovery(),
-        1 => sim.actor_as_mut::<FlatReplica>(node).expect("flat replica").trigger_recovery(),
-        2 => sim.actor_as_mut::<LogReplica>(node).expect("log replica").trigger_recovery(),
-        _ => sim.actor_as_mut::<BtreeReplica>(node).expect("btree replica").trigger_recovery(),
-    }
-}
-
-/// Selects clean vs warm (state-repairing) recovery reboots on every
-/// replica.
-pub fn set_recovery_clean_all(sim: &mut Simulation, bed: &NfsTestbed, clean: bool) {
-    for i in 0..bed.replicas.len() {
-        let node = bed.replicas[i];
-        match impl_of(bed.mix, i) {
-            0 => sim
-                .actor_as_mut::<InodeReplica>(node)
-                .expect("inode replica")
-                .set_recovery_clean(clean),
-            1 => sim
-                .actor_as_mut::<FlatReplica>(node)
-                .expect("flat replica")
-                .set_recovery_clean(clean),
-            2 => sim.actor_as_mut::<LogReplica>(node).expect("log replica").set_recovery_clean(clean),
-            _ => sim
-                .actor_as_mut::<BtreeReplica>(node)
-                .expect("btree replica")
-                .set_recovery_clean(clean),
-        }
-    }
+    armed
 }
 
 /// Sets a paced submission gap on the relay at `client`.

@@ -37,11 +37,7 @@ fn nfs_campaign_passes_auditor() {
         "nfs campaign forced no view changes:\n{}",
         report.coverage
     );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/chaos-coverage");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join("nfs_mixed.json"), report.coverage_json());
-    }
+    report.write_coverage("nfs_mixed").unwrap();
 }
 
 #[test]

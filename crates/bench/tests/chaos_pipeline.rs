@@ -14,8 +14,8 @@ use base_simnet::SimDuration;
 
 fn pipelined_counter() -> CounterChaosHarness {
     let mut h = CounterChaosHarness::new(4);
-    h.pipeline_depth = 4;
-    h.exec_workers = 2;
+    h.cfg.pipeline_depth = 4;
+    h.cfg.exec_workers = 2;
     h
 }
 
@@ -41,8 +41,8 @@ fn counter_campaign_with_pipelining_passes_auditor() {
 #[test]
 fn nfs_campaign_with_pipelining_passes_auditor() {
     let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-    h.pipeline_depth = 4;
-    h.exec_workers = 2;
+    h.cfg.pipeline_depth = 4;
+    h.cfg.exec_workers = 2;
     let cfg = h.gen_config(5, SimDuration::from_secs(6));
     let report = run_campaign(&mut h, &cfg, 8300..8310);
     assert_eq!(report.runs, 10);

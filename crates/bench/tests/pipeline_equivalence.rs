@@ -30,7 +30,7 @@
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_bench::experiments::faultinj::NfsChaosHarness;
-use base_bench::setup::{build_replicated_nfs_with, replica_root, set_relay_pace, FsMix};
+use base_bench::setup::{build_replicated_nfs_with, set_relay_pace, FsMix};
 use base_crypto::{KeyDirectory, NodeKeys};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
@@ -121,9 +121,9 @@ fn run_counter(depth: u64, workers: usize) -> Fingerprint {
             if j % 4 == 3 {
                 // Read back a register this client already wrote; the
                 // client serializes its ops, so the value is fixed.
-                client.enqueue(op_get(base + (j - 1) % 6), true);
+                client.invoke(op_get(base + (j - 1) % 6), true);
             } else {
-                client.enqueue(op_add(base + j % 6, j + 1), false);
+                client.invoke(op_add(base + j % 6, j + 1), false);
             }
         }
     }
@@ -307,7 +307,7 @@ fn run_nfs(depth: u64, workers: usize) -> Fingerprint {
         fp.core.push(format!("op {i} -> {r:?}"));
     }
     fp.core.push(format!("ops={} errors={}", relay.stats.ops, relay.stats.errors));
-    let roots: Vec<_> = (0..4).map(|i| replica_root(&sim, &bed, i)).collect();
+    let roots: Vec<_> = bed.replicas.iter().map(|r| r.get(&sim).state_root()).collect();
     assert!(
         roots.iter().all(|r| *r == roots[0]),
         "nfs replicas disagree at depth={depth} workers={workers}: {roots:?}"
@@ -468,14 +468,14 @@ fn chaos_fp(trace: &[String], stats: &base_simnet::NetStats) -> Vec<String> {
 fn chaos_counter_run_identical_across_workers() {
     let schedule = {
         let mut h = CounterChaosHarness::new(4);
-        h.pipeline_depth = 4;
+        h.cfg.pipeline_depth = 4;
         generate_schedule(&h.gen_config(6, SimDuration::from_secs(8)), 0xC0FFEE)
     };
     let mut base: Option<Vec<String>> = None;
     for workers in WORKERS {
         let mut h = CounterChaosHarness::new(4);
-        h.pipeline_depth = 4;
-        h.exec_workers = workers;
+        h.cfg.pipeline_depth = 4;
+        h.cfg.exec_workers = workers;
         let (outcome, verdict) = run_one(&mut h, 4141, &schedule);
         if let Err(e) = verdict {
             panic!("chaos counter run failed at workers={workers}:\n{e}");
@@ -492,14 +492,14 @@ fn chaos_counter_run_identical_across_workers() {
 fn chaos_nfs_run_identical_across_workers() {
     let schedule = {
         let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-        h.pipeline_depth = 4;
+        h.cfg.pipeline_depth = 4;
         generate_schedule(&h.gen_config(5, SimDuration::from_secs(6)), 0xBEEF)
     };
     let mut base: Option<Vec<String>> = None;
     for workers in WORKERS {
         let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-        h.pipeline_depth = 4;
-        h.exec_workers = workers;
+        h.cfg.pipeline_depth = 4;
+        h.cfg.exec_workers = workers;
         let (outcome, verdict) = run_one(&mut h, 9090, &schedule);
         if let Err(e) = verdict {
             panic!("chaos nfs run failed at workers={workers}:\n{e}");

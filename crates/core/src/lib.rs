@@ -74,7 +74,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod client;
 pub mod demo;
 pub mod service;
 pub mod shard;
@@ -82,7 +81,6 @@ pub mod shard_chaos;
 pub mod wrapper;
 
 pub use base_pbft::{ByzMode, Config, CostModel, PartitionTree};
-pub use client::BaseClient;
 pub use service::BaseService;
 pub use shard::{build_sharded_group, ShardLockService, ShardMap, ShardedClient, ShardedGroup};
 pub use shard_chaos::{ShardedChaosHarness, APP_XBUSY};
@@ -90,3 +88,8 @@ pub use wrapper::{Footprint, ModifyLog, Wrapper};
 
 /// A BASE replica: the PBFT replica driving a [`BaseService`].
 pub type BaseReplica<W> = base_pbft::Replica<BaseService<W>>;
+
+/// A client of a BASE-replicated service: the `invoke` entry point of the
+/// paper's Figure 1. The client side of the protocol does not depend on the
+/// abstraction layer, so this is the PBFT client actor itself.
+pub type BaseClient = base_pbft::ClientActor;

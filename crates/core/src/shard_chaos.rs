@@ -6,16 +6,17 @@
 //! and the clients are [`ShardedClient`] routers driving both single-shard
 //! operations and cross-shard transactions.
 //!
-//! On top of the replica-level fault vocabulary shared with
-//! [`base_pbft::chaos::CounterChaosHarness`] (Byzantine mode flips, latent
-//! state corruption, proactive recovery), the harness adds a sharding-
-//! specific fault: [`APP_XBUSY`] arms injected cross-shard lock refusals on
-//! the shard owning the targeted node, forcing the routers down the
-//! abort/release/back-off/retry path of the ordered commit protocol. The
-//! injection is carried by the agreed `xchaos` operation, so it is
-//! deterministic, consistent across the shard's replicas, and — like every
-//! other fault here — flows through [`generate_schedule`] and shrinks
-//! through `minimize`/ddmin.
+//! Each shard is one [`base_pbft::chaos::Group`], which owns the
+//! replica-level fault vocabulary (Byzantine mode flips, latent state
+//! corruption, proactive recovery) and the per-group auditors. The harness
+//! keeps what is about sharding: the router workload, the torn-commit and
+//! lock-leak audits, and a sharding-specific fault: [`APP_XBUSY`] arms
+//! injected cross-shard lock refusals on the shard owning the targeted
+//! node, forcing the routers down the abort/release/back-off/retry path of
+//! the ordered commit protocol. The injection is carried by the agreed
+//! `xchaos` operation, so it is deterministic, consistent across the
+//! shard's replicas, and — like every other fault here — flows through
+//! [`generate_schedule`] and shrinks through `minimize`/ddmin.
 //!
 //! ## What the audits can and cannot compare
 //!
@@ -38,14 +39,15 @@
 //! final register values (the union of every delta ever added) and empty
 //! lock tables on every replica of every shard.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use base_pbft::chaos::{APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
-use base_pbft::testing::{op_add, op_get, CounterService, COUNTER_REGS};
-use base_pbft::{ByzMode, Config, Replica};
-use base_simnet::chaos::{
-    AppFaultSpec, ChaosHarness, HealSpec, LivenessBounds, ScheduleGenConfig,
+use base_pbft::chaos::{
+    audit_subset_chain, campaign_config, campaign_gen_config, fresh_delta, ChainOp, Group,
+    CAMPAIGN_BOUNDS,
 };
+use base_pbft::testing::{op_add, op_get, CounterService, COUNTER_REGS};
+use base_pbft::Replica;
+use base_simnet::chaos::{AppFaultSpec, ChaosHarness, LivenessBounds, ScheduleGenConfig};
 use base_simnet::{NodeId, SimDuration, Simulation};
 
 use crate::shard::{
@@ -100,27 +102,15 @@ pub struct ShardedChaosHarness {
     /// Extra settle time after the last event.
     pub settle: SimDuration,
     // Per-run state, reset by `build`.
-    group: Option<ShardedGroup>,
+    deployment: Option<ShardedGroup>,
+    /// One [`Group`] per shard, in shard order.
+    groups: Vec<Group>,
     /// `(router index, job id)` → expected operation kind.
     expected: HashMap<(usize, u64), XKind>,
     /// Jobs issued per router (router `i`'s completions must reach this).
     jobs: Vec<u64>,
     /// Per-register union of every delta bit any write added.
     reg_deltas: HashMap<u64, u64>,
-}
-
-/// Allocates the next distinct delta bit for `reg`.
-fn fresh_bit(
-    next_bit: &mut HashMap<u64, u32>,
-    reg_deltas: &mut HashMap<u64, u64>,
-    reg: u64,
-) -> u64 {
-    let bit = next_bit.entry(reg).or_insert(0);
-    assert!(*bit < 64, "workload too large for distinct delta bits on reg {reg}");
-    let delta = 1u64 << *bit;
-    *bit += 1;
-    *reg_deltas.entry(reg).or_insert(0) |= delta;
-    delta
 }
 
 impl ShardedChaosHarness {
@@ -137,22 +127,12 @@ impl ShardedChaosHarness {
             inject_router_bug: false,
             pace: SimDuration::from_millis(250),
             settle: SimDuration::from_secs(30),
-            group: None,
+            deployment: None,
+            groups: Vec::new(),
             expected: HashMap::new(),
             jobs: Vec::new(),
             reg_deltas: HashMap::new(),
         }
-    }
-
-    /// The per-shard group configuration: frequent checkpoints so
-    /// campaigns exercise garbage collection and state transfer, and a
-    /// short reboot so triggered recoveries finish within the run.
-    pub fn config(&self) -> Config {
-        let mut cfg = Config::new(self.n);
-        cfg.checkpoint_interval = 4;
-        cfg.log_window = 32;
-        cfg.reboot_time = SimDuration::from_millis(100);
-        cfg
     }
 
     /// A schedule-generation config matching this harness: faults target
@@ -161,37 +141,18 @@ impl ShardedChaosHarness {
     /// exceeds its own `f`), and the app-fault vocabulary adds injected
     /// cross-shard lock refusals to the Byzantine/corruption faults.
     pub fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
-        let cfg = self.config();
-        ScheduleGenConfig {
-            nodes: (0..self.shards as usize * self.n).map(NodeId).collect(),
-            max_impaired: cfg.f(),
-            horizon,
-            events,
-            app_faults: vec![
-                AppFaultSpec {
-                    tag: APP_BYZ,
-                    arg_max: 7,
-                    impairs: true,
-                    heal: Some(HealSpec { tag: APP_BYZ, after: SimDuration::from_secs(2) }),
-                },
-                AppFaultSpec {
-                    tag: APP_CORRUPT_STATE,
-                    arg_max: 1 << 32,
-                    impairs: true,
-                    heal: Some(HealSpec { tag: APP_RECOVER, after: SimDuration::from_secs(2) }),
-                },
-                AppFaultSpec {
-                    // Injected refusals only delay the routers' commit
-                    // rounds; the shard keeps serving, so the fault does
-                    // not count against the impairment budget.
-                    tag: APP_XBUSY,
-                    arg_max: 3,
-                    impairs: false,
-                    heal: None,
-                },
-            ],
-            net_faults: true,
-        }
+        let nodes = self.shards as usize * self.n;
+        let mut cfg = campaign_gen_config(nodes, campaign_config(self.n).f(), events, horizon);
+        cfg.app_faults.push(AppFaultSpec {
+            // Injected refusals only delay the routers' commit rounds; the
+            // shard keeps serving, so the fault does not count against the
+            // impairment budget.
+            tag: APP_XBUSY,
+            arg_max: 3,
+            impairs: false,
+            heal: None,
+        });
+        cfg
     }
 
     /// The designated register of each shard (the first index it owns);
@@ -204,18 +165,8 @@ impl ShardedChaosHarness {
         sim.actor_as::<ShardReplica>(node).expect("replica actor")
     }
 
-    /// Replicas of shard `s` that are honest *now*.
-    fn honest_in_shard(&self, sim: &Simulation, s: usize) -> Vec<NodeId> {
-        let group = self.group.as_ref().expect("run built");
-        group.replicas[s]
-            .iter()
-            .copied()
-            .filter(|&r| self.replica(sim, r).byzantine() == ByzMode::Honest)
-            .collect()
-    }
-
     fn audit_liveness(&self, sim: &Simulation) -> Result<(), String> {
-        let group = self.group.as_ref().expect("run built");
+        let group = self.deployment.as_ref().expect("run built");
         for (i, &c) in group.clients.iter().enumerate() {
             let router = sim.actor_as::<ShardedClient>(c).expect("router actor");
             if router.completed.len() as u64 != self.jobs[i] {
@@ -229,36 +180,16 @@ impl ShardedChaosHarness {
         Ok(())
     }
 
-    fn parse_value(&self, who: &str, reg: u64, result: &[u8]) -> Result<u64, String> {
-        let value: u64 = std::str::from_utf8(result)
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| {
-                format!(
-                    "linearizability: {who} accepted a corrupt reply {:?} for reg {reg}",
-                    String::from_utf8_lossy(result)
-                )
-            })?;
-        let known = self.reg_deltas.get(&reg).copied().unwrap_or(0);
-        if value & !known != 0 {
-            return Err(format!(
-                "linearizability: {who} result {value:#x} for reg {reg} contains bits \
-                 no write ever added"
-            ));
-        }
-        Ok(value)
-    }
-
-    /// Per-register linearizability: every write returns the register
-    /// value after it executed and contributes a distinct bit, so the
-    /// results on each register must form a strict subset chain; reads
-    /// must observe a state on that chain. Cross-shard replies are torn
-    /// apart into their per-shard pieces first — a merged reply missing a
-    /// piece, or a piece missing its own delta, is a torn commit.
+    /// Per-register linearizability ([`audit_subset_chain`]) of everything
+    /// the routers completed. Cross-shard replies are torn apart into their
+    /// per-shard pieces first — a merged reply missing a piece is a torn
+    /// commit, and so is a piece missing its own delta.
     fn audit_linearizability(&self, sim: &Simulation) -> Result<(), String> {
-        let group = self.group.as_ref().expect("run built");
-        let mut adds: HashMap<u64, Vec<u64>> = HashMap::new();
-        let mut gets: Vec<(String, u64, u64)> = Vec::new();
+        let group = self.deployment.as_ref().expect("run built");
+        let mut by_reg: BTreeMap<u64, Vec<ChainOp<'_>>> = BTreeMap::new();
+        let mut push = |reg: u64, who: String, delta: Option<u64>, result| {
+            by_reg.entry(reg).or_default().push(ChainOp { who, delta, result });
+        };
 
         for (i, &c) in group.clients.iter().enumerate() {
             let router = sim.actor_as::<ShardedClient>(c).expect("router actor");
@@ -278,19 +209,9 @@ impl ShardedChaosHarness {
                         }
                     }
                     XKind::Add { reg, delta } => {
-                        let value = self.parse_value(&who, *reg, result)?;
-                        if value & delta == 0 {
-                            return Err(format!(
-                                "linearizability: {who} add result {value:#x} is missing \
-                                 its own delta {delta:#x}"
-                            ));
-                        }
-                        adds.entry(*reg).or_default().push(value);
+                        push(*reg, format!("{who} on reg {reg}"), Some(*delta), result);
                     }
-                    XKind::Get { reg } => {
-                        let value = self.parse_value(&who, *reg, result)?;
-                        gets.push((who, *reg, value));
-                    }
+                    XKind::Get { reg } => push(*reg, format!("{who} on reg {reg}"), None, result),
                     XKind::Cross { parts } => {
                         let pieces: Vec<&[u8]> = result.split(|&b| b == b';').collect();
                         if pieces.len() != parts.len() {
@@ -302,110 +223,45 @@ impl ShardedChaosHarness {
                             ));
                         }
                         for ((reg, delta), piece) in parts.iter().zip(pieces) {
-                            let value = self.parse_value(&who, *reg, piece)?;
-                            if value & delta == 0 {
-                                return Err(format!(
-                                    "torn commit: {who} committed on reg {reg} but the \
-                                     reply {value:#x} is missing its delta {delta:#x}"
-                                ));
-                            }
-                            adds.entry(*reg).or_default().push(value);
+                            let who = format!("{who} (cross-shard commit) on reg {reg}");
+                            push(*reg, who, Some(*delta), piece);
                         }
                     }
                 }
             }
         }
-
-        for (reg, results) in &mut adds {
-            results.sort_by_key(|v| (v.count_ones(), *v));
-            for pair in results.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                if a & !b != 0 || a == b {
-                    return Err(format!(
-                        "linearizability: reg {reg} write results {a:#x} and {b:#x} are \
-                         not a subset chain — no sequential execution produces both"
-                    ));
-                }
-            }
-        }
-        for (who, reg, value) in gets {
-            if value != 0 && !adds.get(&reg).is_some_and(|chain| chain.contains(&value)) {
-                return Err(format!(
-                    "linearizability: {who} read {value:#x} from reg {reg}, a state no \
-                     sequential execution passes through"
-                ));
-            }
+        for (reg, ops) in &by_reg {
+            audit_subset_chain(self.reg_deltas.get(reg).copied().unwrap_or(0), ops)?;
         }
         Ok(())
     }
 
     /// Per-shard convergence: after the settle window each shard's honest
-    /// replicas agree on one view, and certificate-backed stable digests
-    /// at equal stable sequence numbers are identical (a certificate
-    /// cannot be assembled for a minority digest).
-    fn audit_per_shard_agreement(&self, sim: &Simulation) -> Result<(), String> {
-        let group = self.group.as_ref().expect("run built");
-        for s in 0..group.replicas.len() {
-            let honest = self.honest_in_shard(sim, s);
-            let mut views: Vec<(NodeId, u64)> =
-                honest.iter().map(|&r| (r, self.replica(sim, r).view())).collect();
-            views.sort_by_key(|&(_, v)| v);
-            if let (Some(&(lo_node, lo)), Some(&(hi_node, hi))) = (views.first(), views.last())
-            {
-                if lo != hi {
-                    return Err(format!(
-                        "view agreement: shard {s} replicas settled in different views \
-                         (replica {} in view {lo}, replica {} in view {hi})",
-                        lo_node.0, hi_node.0
-                    ));
+    /// replicas agree on one view and on certificate-backed stable digests.
+    /// Retained (uncertified) digests are held to agreement on fault-free
+    /// runs only — see the module docs.
+    fn audit_per_shard_agreement(&self, sim: &Simulation, fault_free: bool) -> Result<(), String> {
+        for (s, shard) in self.groups.iter().enumerate() {
+            let all = shard.members(sim);
+            let agreement = || {
+                shard.audit_view_agreement(&all)?;
+                shard.audit_stable_digests(&all)?;
+                if fault_free {
+                    shard.audit_retained_checkpoints(&all)?;
                 }
-            }
-            for (i, &a) in honest.iter().enumerate() {
-                let ra = self.replica(sim, a);
-                for &b in honest.iter().skip(i + 1) {
-                    let rb = self.replica(sim, b);
-                    if ra.stable_seq() == rb.stable_seq() && ra.stable_seq() > 0 {
-                        if let (Some(da), Some(db)) = (ra.stable_digest(), rb.stable_digest())
-                        {
-                            if da != db {
-                                return Err(format!(
-                                    "checkpoint fork: shard {s} stable digests diverge \
-                                     at seq {} between replicas {} and {}",
-                                    ra.stable_seq(),
-                                    a.0,
-                                    b.0
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
+                Ok(())
+            };
+            agreement().map_err(|e: String| format!("shard {s}: {e}"))?;
         }
         Ok(())
     }
 
-    /// Fault-free runs only (see the module docs): exact pairwise retained
-    /// checkpoint agreement, all-deltas final register values, and no
-    /// leaked locks anywhere.
+    /// Fault-free runs only (see the module docs): all-deltas final
+    /// register values and no leaked locks anywhere.
     fn audit_quiescent_exact(&self, sim: &Simulation) -> Result<(), String> {
-        let group = self.group.as_ref().expect("run built");
+        let group = self.deployment.as_ref().expect("run built");
         let regs = Self::designated_regs(&group.map);
         for (s, nodes) in group.replicas.iter().enumerate() {
-            for (i, &a) in nodes.iter().enumerate() {
-                let da: HashMap<u64, _> =
-                    self.replica(sim, a).checkpoint_digests().into_iter().collect();
-                for &b in nodes.iter().skip(i + 1) {
-                    for (seq, db) in self.replica(sim, b).checkpoint_digests() {
-                        if da.get(&seq).is_some_and(|daq| *daq != db) {
-                            return Err(format!(
-                                "checkpoint fork: shard {s} replicas {} and {} disagree \
-                                 at seq {seq} on a fault-free run",
-                                a.0, b.0
-                            ));
-                        }
-                    }
-                }
-            }
             let reg = regs[s];
             let want = self.reg_deltas.get(&reg).copied().unwrap_or(0);
             for &r in nodes {
@@ -437,28 +293,23 @@ impl ChaosHarness for ShardedChaosHarness {
         self.expected.clear();
         self.jobs = vec![0; self.routers];
         self.reg_deltas.clear();
-        let mut next_bit: HashMap<u64, u32> = HashMap::new();
 
         let mut sim = Simulation::new(seed);
         let map = ShardMap::new(COUNTER_REGS, self.shards);
         let group = build_sharded_group(
             &mut sim,
-            self.config(),
+            campaign_config(self.n),
             map,
             self.routers,
             seed,
             counter_footprint,
             |_, _| ShardLockService::new(CounterService::default(), counter_footprint),
         );
-        for nodes in &group.replicas {
-            for &r in nodes {
-                // Warm reboots: recovery repairs state instead of
-                // rebuilding it, which is what surfaces latent corruption.
-                sim.actor_as_mut::<ShardReplica>(r)
-                    .expect("replica actor")
-                    .set_recovery_clean(false);
-            }
-        }
+        self.groups = group
+            .replicas
+            .iter()
+            .map(|nodes| Group::of::<LockedCounter>(&mut sim, nodes))
+            .collect();
 
         let regs = Self::designated_regs(&group.map);
         for (i, &c) in group.clients.iter().enumerate() {
@@ -481,7 +332,7 @@ impl ChaosHarness for ShardedChaosHarness {
                     let mut ops = Vec::with_capacity(regs.len());
                     let mut parts = Vec::with_capacity(regs.len());
                     for &reg in &regs {
-                        let delta = fresh_bit(&mut next_bit, &mut self.reg_deltas, reg);
+                        let delta = fresh_delta(self.reg_deltas.entry(reg).or_default());
                         parts.push((reg, delta));
                         ops.push(op_add(reg, delta));
                     }
@@ -494,7 +345,7 @@ impl ChaosHarness for ShardedChaosHarness {
                         router.invoke(op_get(reg), true);
                         self.expected.insert((i, job), XKind::Get { reg });
                     } else {
-                        let delta = fresh_bit(&mut next_bit, &mut self.reg_deltas, reg);
+                        let delta = fresh_delta(self.reg_deltas.entry(reg).or_default());
                         router.invoke(op_add(reg, delta), false);
                         self.expected.insert((i, job), XKind::Add { reg, delta });
                     }
@@ -502,7 +353,7 @@ impl ChaosHarness for ShardedChaosHarness {
             }
             self.jobs[i] = job;
         }
-        self.group = Some(group);
+        self.deployment = Some(group);
         sim
     }
 
@@ -515,7 +366,7 @@ impl ChaosHarness for ShardedChaosHarness {
         trace: &mut Vec<String>,
     ) {
         if tag == APP_XBUSY {
-            let group = self.group.as_ref().expect("run built");
+            let group = self.deployment.as_ref().expect("run built");
             let shard = node.0 / self.n;
             if shard >= group.replicas.len() {
                 trace.push(format!("xbusy fault at node {} ignored (not a replica)", node.0));
@@ -534,25 +385,8 @@ impl ChaosHarness for ShardedChaosHarness {
             ));
             return;
         }
-        let Some(replica) = sim.actor_as_mut::<ShardReplica>(node) else {
-            trace.push(format!("app fault at node {} ignored (not a replica)", node.0));
-            return;
-        };
-        match tag {
-            APP_BYZ => {
-                let mode = ByzMode::from_code(arg);
-                replica.set_byzantine(mode);
-                trace.push(format!("node {} byzantine mode -> {mode:?}", node.0));
-            }
-            APP_CORRUPT_STATE => {
-                replica.corrupt_service_state(arg);
-                trace.push(format!("node {} concrete state corrupted (seed {arg})", node.0));
-            }
-            APP_RECOVER => {
-                replica.trigger_recovery();
-                trace.push(format!("node {} proactive recovery triggered", node.0));
-            }
-            _ => trace.push(format!("unknown app fault tag {tag} at node {}", node.0)),
+        if !self.groups.iter_mut().any(|g| g.apply_fault(sim, node, tag, arg, trace)) {
+            trace.push(format!("app fault tag {tag} at node {} ignored", node.0));
         }
     }
 
@@ -561,14 +395,9 @@ impl ChaosHarness for ShardedChaosHarness {
     }
 
     fn liveness_bounds(&self) -> LivenessBounds {
-        // Mirrors the single-group harness: well inside the settle window
-        // but generous enough for a capped view-change chase plus a state
-        // transfer — cross-shard retries add at most a bounded backoff.
-        LivenessBounds {
-            heal_to_progress: Some(SimDuration::from_secs(25)),
-            view_convergence: Some(SimDuration::from_secs(25)),
-            recovery_duration: Some(SimDuration::from_secs(25)),
-        }
+        // The single-group bounds hold here too: cross-shard retries add
+        // at most a bounded backoff.
+        CAMPAIGN_BOUNDS
     }
 
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
@@ -578,11 +407,11 @@ impl ChaosHarness for ShardedChaosHarness {
         let fault_free = trace.is_empty();
         self.audit_liveness(sim)?;
         self.audit_linearizability(sim)?;
-        self.audit_per_shard_agreement(sim)?;
+        self.audit_per_shard_agreement(sim, fault_free)?;
         if fault_free {
             self.audit_quiescent_exact(sim)?;
         }
-        let group = self.group.as_ref().expect("run built");
+        let group = self.deployment.as_ref().expect("run built");
         let (mut aborts, mut busy_retries) = (0u64, 0u64);
         for &c in &group.clients {
             let router = sim.actor_as::<ShardedClient>(c).expect("router actor");
@@ -608,6 +437,8 @@ impl ChaosHarness for ShardedChaosHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use base_pbft::chaos::APP_BYZ;
+    use base_pbft::ByzMode;
     use base_simnet::chaos::{generate_schedule, minimize, run_one, FaultSchedule, NetFault};
     use base_simnet::SimTime;
 

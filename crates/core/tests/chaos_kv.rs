@@ -5,11 +5,16 @@
 //! recovery repairs corrupted concrete state through the abstraction.
 
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, ByzMode, Config};
-use base_pbft::chaos::{APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
-use base_simnet::chaos::{run_campaign, run_one, ChaosHarness, FaultSchedule, ScheduleGenConfig};
+use base::{BaseClient, BaseReplica, BaseService, ByzMode};
+use base_pbft::chaos::{
+    campaign_config, campaign_gen_config, completed_ops, Group, APP_CORRUPT_STATE, APP_RECOVER,
+    CAMPAIGN_BOUNDS,
+};
+use base_simnet::chaos::{
+    run_campaign, run_one, ChaosHarness, FaultSchedule, LivenessBounds, ScheduleGenConfig,
+};
 use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 type Replica = BaseReplica<KvWrapper>;
 
@@ -23,12 +28,11 @@ struct KvChaosHarness {
     ops_per_client: usize,
     pace: SimDuration,
     client_nodes: Vec<NodeId>,
-    replica_nodes: Vec<NodeId>,
+    group: Group,
     /// (client index, ts) → expected result bytes.
     expected: HashMap<(usize, u64), Vec<u8>>,
     /// key → final value the converged store must hold.
     final_kv: HashMap<String, Vec<u8>>,
-    tainted: HashSet<NodeId>,
 }
 
 impl KvChaosHarness {
@@ -39,53 +43,14 @@ impl KvChaosHarness {
             ops_per_client: 12,
             pace: SimDuration::from_millis(250),
             client_nodes: Vec::new(),
-            replica_nodes: Vec::new(),
+            group: Group::default(),
             expected: HashMap::new(),
             final_kv: HashMap::new(),
-            tainted: HashSet::new(),
         }
-    }
-
-    fn config(&self) -> Config {
-        let mut cfg = Config::new(self.n);
-        cfg.checkpoint_interval = 4;
-        cfg.log_window = 32;
-        cfg.reboot_time = SimDuration::from_millis(100);
-        cfg
     }
 
     fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
-        use base_simnet::chaos::{AppFaultSpec, HealSpec};
-        ScheduleGenConfig {
-            nodes: (0..self.n).map(NodeId).collect(),
-            max_impaired: self.config().f(),
-            horizon,
-            events,
-            app_faults: vec![
-                AppFaultSpec {
-                    tag: APP_BYZ,
-                    arg_max: 7,
-                    impairs: true,
-                    heal: Some(HealSpec { tag: APP_BYZ, after: SimDuration::from_secs(2) }),
-                },
-                AppFaultSpec {
-                    tag: APP_CORRUPT_STATE,
-                    arg_max: 1 << 32,
-                    impairs: true,
-                    heal: Some(HealSpec { tag: APP_RECOVER, after: SimDuration::from_secs(2) }),
-                },
-            ],
-            net_faults: true,
-        }
-    }
-
-    fn clean_replicas<'a>(&self, sim: &'a Simulation) -> Vec<&'a Replica> {
-        self.replica_nodes
-            .iter()
-            .filter(|r| !self.tainted.contains(r))
-            .filter_map(|&r| sim.actor_as::<Replica>(r))
-            .filter(|r| r.byzantine() == ByzMode::Honest)
-            .collect()
+        campaign_gen_config(self.n, campaign_config(self.n).f(), events, horizon)
     }
 }
 
@@ -93,20 +58,18 @@ impl ChaosHarness for KvChaosHarness {
     fn build(&mut self, seed: u64) -> Simulation {
         self.expected.clear();
         self.final_kv.clear();
-        self.tainted.clear();
 
-        let cfg = self.config();
+        let cfg = campaign_config(self.n);
         let mut sim = Simulation::new(seed);
         let dir = base_crypto::KeyDirectory::generate(self.n + self.clients, seed);
-        self.replica_nodes = (0..self.n)
+        let replicas: Vec<NodeId> = (0..self.n)
             .map(|i| {
                 let keys = base_crypto::NodeKeys::new(dir.clone(), i);
                 let service = BaseService::new(KvWrapper::new(TinyKv::default()));
-                let node = sim.add_node(Box::new(Replica::new(cfg.clone(), keys, service)));
-                sim.actor_as_mut::<Replica>(node).expect("replica").set_recovery_clean(false);
-                node
+                sim.add_node(Box::new(Replica::new(cfg.clone(), keys, service)))
             })
             .collect();
+        self.group = Group::of::<BaseService<KvWrapper>>(&mut sim, &replicas);
 
         self.client_nodes = (0..self.clients)
             .map(|i| {
@@ -148,29 +111,8 @@ impl ChaosHarness for KvChaosHarness {
         arg: u64,
         trace: &mut Vec<String>,
     ) {
-        let Some(replica) = sim.actor_as_mut::<Replica>(node) else {
-            trace.push(format!("app fault at node {} ignored (not a replica)", node.0));
-            return;
-        };
-        match tag {
-            APP_BYZ => {
-                let mode = ByzMode::from_code(arg);
-                replica.set_byzantine(mode);
-                if mode.is_faulty() {
-                    self.tainted.insert(node);
-                }
-                trace.push(format!("node {} byzantine mode -> {mode:?}", node.0));
-            }
-            APP_CORRUPT_STATE => {
-                replica.corrupt_service_state(arg);
-                self.tainted.insert(node);
-                trace.push(format!("node {} concrete kv state corrupted", node.0));
-            }
-            APP_RECOVER => {
-                replica.trigger_recovery();
-                trace.push(format!("node {} proactive recovery triggered", node.0));
-            }
-            _ => trace.push(format!("unknown app fault tag {tag} at node {}", node.0)),
+        if !self.group.apply_fault(sim, node, tag, arg, trace) {
+            trace.push(format!("app fault tag {tag} at node {} ignored", node.0));
         }
     }
 
@@ -178,19 +120,15 @@ impl ChaosHarness for KvChaosHarness {
         SimDuration::from_secs(30)
     }
 
+    fn liveness_bounds(&self) -> LivenessBounds {
+        CAMPAIGN_BOUNDS
+    }
+
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
         // Liveness + exact result check (single writer per key, reads
         // submitted after their write completed).
         for (i, &c) in self.client_nodes.iter().enumerate() {
-            let client = sim.actor_as::<BaseClient>(c).expect("client");
-            if client.completed.len() != self.ops_per_client {
-                return Err(format!(
-                    "liveness: client {i} completed {}/{} ops",
-                    client.completed.len(),
-                    self.ops_per_client
-                ));
-            }
-            for (ts, result) in &client.completed {
+            for (ts, result) in completed_ops(sim, i, c, self.ops_per_client)? {
                 let want = &self.expected[&(i, *ts)];
                 if result != want {
                     return Err(format!(
@@ -202,27 +140,24 @@ impl ChaosHarness for KvChaosHarness {
             }
         }
 
+        let all = self.group.members(sim);
+        self.group.audit_view_agreement(&all)?;
+        self.group.audit_stable_digests(&all)?;
+        self.group.audit_retained_checkpoints(&all)?;
+
         // Replica agreement: every clean replica that reached the final
         // stable checkpoint must hold exactly the expected store contents
         // (the abstract state fully determines them).
-        let clean = self.clean_replicas(sim);
-        if clean.is_empty() {
-            return Err("no clean replicas left to audit".into());
-        }
-        let max_stable = clean.iter().map(|r| r.stable_seq()).max().unwrap_or(0);
-        let mut converged = 0usize;
-        for r in &clean {
-            if r.stable_seq() != max_stable {
-                continue;
-            }
-            converged += 1;
-            let kv = r.service().wrapper();
+        let converged = self.group.converged_clean(&all)?;
+        for (node, _) in &converged {
+            let kv = sim.actor_as::<Replica>(*node).expect("replica").service().wrapper();
             for (key, want) in &self.final_kv {
                 match kv.kv().get(key) {
                     Some(v) if v == want.as_slice() => {}
                     other => {
                         return Err(format!(
-                            "state divergence: clean replica holds {:?} for {key}, want {:?}",
+                            "state divergence: clean replica {} holds {:?} for {key}, want {:?}",
+                            node.0,
                             other.map(String::from_utf8_lossy),
                             String::from_utf8_lossy(want)
                         ));
@@ -230,10 +165,7 @@ impl ChaosHarness for KvChaosHarness {
                 }
             }
         }
-        if converged == 0 {
-            return Err("no clean replica reached the final stable checkpoint".into());
-        }
-        trace.push(format!("audit ok: {converged}/{} clean replicas converged", clean.len()));
+        trace.push(format!("audit ok: {} clean replicas converged", converged.len()));
         Ok(())
     }
 }
@@ -257,11 +189,7 @@ fn kv_campaign_passes_auditor() {
         "kv campaign completed no proactive recoveries:\n{}",
         report.coverage
     );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/chaos-coverage");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join("kv_mixed.json"), report.coverage_json());
-    }
+    report.write_coverage("kv_mixed").unwrap();
 }
 
 #[test]

@@ -8,22 +8,12 @@
 use base::shard_chaos::{ShardedChaosHarness, APP_XBUSY};
 use base_pbft::chaos::APP_BYZ;
 use base_simnet::chaos::{
-    generate_schedule, run_campaign, run_campaign_mode, run_one, CampaignMode, CampaignReport,
-    ChaosEvent, NetFault,
+    generate_schedule, run_campaign, run_campaign_mode, run_one, CampaignMode, ChaosEvent,
+    NetFault,
 };
 use base_simnet::{NodeId, SimDuration};
 
 const SEEDS: std::ops::Range<u64> = 0..10;
-
-/// Writes the campaign's coverage JSON under `target/chaos-coverage/` so CI
-/// can upload it as an artifact next to the single-group campaigns'.
-fn write_coverage_artifact(name: &str, report: &CampaignReport) {
-    let dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-coverage");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{name}.json")), report.coverage_json());
-    }
-}
 
 #[test]
 fn sharded_campaign_composes_faults_and_passes_auditor() {
@@ -79,7 +69,7 @@ fn sharded_campaign_composes_faults_and_passes_auditor() {
         panic!("sharded campaign failed:\n{f}");
     }
     println!("{}", report.summary());
-    write_coverage_artifact("shard_mixed", &report);
+    report.write_coverage("shard_mixed").unwrap();
     assert_eq!(report.seed_coverage.len(), report.runs);
     assert!(
         report.coverage.view_changes_started > 0,
@@ -108,7 +98,7 @@ fn storm_on_shard_zero_leaves_shard_one_serving() {
         panic!("shard-0 storm campaign failed:\n{f}");
     }
     println!("{}", report.summary());
-    write_coverage_artifact("shard_storm", &report);
+    report.write_coverage("shard_storm").unwrap();
     assert!(
         report.coverage.view_changes_started > 0,
         "storm must force view changes in shard 0:\n{}",

@@ -7,7 +7,7 @@ use base_nfs::ops::{NfsOp, NfsReply};
 use base_nfs::relay::{run_to_completion, RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
 use base_nfs::{BtreeFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::{Config, Service};
+use base_pbft::{Config, ReplicaRef};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,22 +57,11 @@ fn build(sim: &mut Simulation, script: Vec<NfsOp>, seed: u64) -> (Vec<NodeId>, N
 }
 
 fn roots_agree(sim: &Simulation, nodes: &[NodeId]) {
-    let r0 = sim
-        .actor_as::<InodeReplica>(nodes[0])
-        .unwrap()
-        .service()
-        .current_tree()
-        .root_digest();
-    let r1 = sim
-        .actor_as::<InodeReplica>(nodes[1])
-        .unwrap()
-        .service()
-        .current_tree()
-        .root_digest();
-    let r2 =
-        sim.actor_as::<LogReplica>(nodes[2]).unwrap().service().current_tree().root_digest();
-    let r3 =
-        sim.actor_as::<BtreeReplica>(nodes[3]).unwrap().service().current_tree().root_digest();
+    let root = |r: ReplicaRef| r.get(sim).state_root();
+    let r0 = root(ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(nodes[0]));
+    let r1 = root(ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(nodes[1]));
+    let r2 = root(ReplicaRef::of::<BaseService<NfsWrapper<LogFs>>>(nodes[2]));
+    let r3 = root(ReplicaRef::of::<BaseService<NfsWrapper<BtreeFs>>>(nodes[3]));
     assert_eq!(r0, r1, "homogeneous pair diverged");
     assert_eq!(r0, r2, "log-fs replica diverged");
     assert_eq!(r0, r3, "btree-fs replica diverged");

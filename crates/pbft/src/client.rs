@@ -390,8 +390,12 @@ impl ClientCore {
     }
 }
 
-/// A standalone client actor for tests and examples: enqueue operations,
-/// run the simulation, then read `completed`.
+/// A standalone client actor: `invoke` operations, run the simulation, then
+/// read `completed`. The core carries out the client side of the
+/// replication protocol and the result is recorded once enough replicas
+/// have responded (f+1 matching replies; 2f+1 for read-only operations).
+/// For request/reply pipelines embedded in other actors (like the NFS
+/// relay), use [`ClientCore`] directly.
 pub struct ClientActor {
     core: ClientCore,
     pace: SimDuration,
@@ -400,7 +404,7 @@ pub struct ClientActor {
 }
 
 impl ClientActor {
-    /// Creates a client actor.
+    /// Creates a client. Its node id (from `keys`) must be `>= n`.
     pub fn new(cfg: Config, keys: NodeKeys) -> Self {
         Self {
             core: ClientCore::new(cfg, keys),
@@ -417,8 +421,10 @@ impl ClientActor {
         self.core.auto_pump = false;
     }
 
-    /// Queues an operation; it is picked up by the pump timer.
-    pub fn enqueue(&mut self, op: Vec<u8>, read_only: bool) {
+    /// Invokes an operation on the replicated service (paper Figure 1:
+    /// `invoke(req, rep, read_only)`). Returns immediately; the result
+    /// appears in [`ClientActor::completed`] once the reply quorum arrives.
+    pub fn invoke(&mut self, op: Vec<u8>, read_only: bool) {
         self.core.submit(op, read_only);
     }
 

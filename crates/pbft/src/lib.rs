@@ -47,7 +47,7 @@
 //! let keys = base_crypto::NodeKeys::new(dir, 4);
 //! let client = sim.add_node(Box::new(ClientActor::new(config, keys)));
 //!
-//! sim.actor_as_mut::<ClientActor>(client).unwrap().enqueue(b"add 0 5".to_vec(), false);
+//! sim.actor_as_mut::<ClientActor>(client).unwrap().invoke(b"add 0 5".to_vec(), false);
 //! sim.run_for(SimDuration::from_millis(200));
 //! let done = &sim.actor_as::<ClientActor>(client).unwrap().completed;
 //! assert_eq!(done[0].1, b"5".to_vec());
@@ -60,6 +60,7 @@ pub mod byzantine;
 pub mod chaos;
 pub mod client;
 pub mod config;
+pub mod control;
 pub mod cost;
 pub mod log;
 pub mod messages;
@@ -72,6 +73,7 @@ pub mod tree;
 pub use byzantine::ByzMode;
 pub use client::{ClientActor, ClientCore, ClientEvent};
 pub use config::Config;
+pub use control::{ReplicaControl, ReplicaRef};
 pub use cost::CostModel;
 pub use messages::Message;
 pub use replica::{Replica, ReplicaStats};

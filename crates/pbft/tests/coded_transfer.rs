@@ -15,7 +15,7 @@ fn small_config() -> Config {
 }
 
 fn enqueue(sim: &mut Simulation, client: NodeId, op: Vec<u8>, ro: bool) {
-    sim.actor_as_mut::<ClientActor>(client).unwrap().enqueue(op, ro);
+    sim.actor_as_mut::<ClientActor>(client).unwrap().invoke(op, ro);
 }
 
 fn completed(sim: &Simulation, client: NodeId) -> usize {

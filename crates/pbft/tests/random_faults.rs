@@ -34,7 +34,7 @@ fn run_crash_schedule(seed: u64) {
     {
         let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
         for _ in 0..OPS {
-            c.enqueue(op_add(0, 1), false);
+            c.invoke(op_add(0, 1), false);
         }
     }
 
@@ -82,7 +82,7 @@ fn run_byzantine_schedule(seed: u64) {
     {
         let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
         for _ in 0..OPS {
-            c.enqueue(op_add(0, 1), false);
+            c.invoke(op_add(0, 1), false);
         }
     }
     sim.run_for(SimDuration::from_secs(60));
@@ -115,7 +115,7 @@ fn replacement_under_active_byzantine_fault() {
     {
         let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
         for _ in 0..10 {
-            c.enqueue(op_add(0, 1), false);
+            c.invoke(op_add(0, 1), false);
         }
     }
     sim.run_for(SimDuration::from_secs(5));
@@ -134,7 +134,7 @@ fn replacement_under_active_byzantine_fault() {
     {
         let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
         for _ in 0..10 {
-            c.enqueue(op_add(0, 1), false);
+            c.invoke(op_add(0, 1), false);
         }
     }
     sim.run_for(SimDuration::from_secs(60));

@@ -123,7 +123,7 @@ fn completes_on_reply_quorum() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"ping".to_vec(), false);
+        .invoke(b"ping".to_vec(), false);
     r.sim.run_for(SimDuration::from_millis(50));
     let done = completed(&r);
     assert_eq!(done.len(), 1);
@@ -146,7 +146,7 @@ fn read_only_broadcasts_and_needs_larger_quorum() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"get".to_vec(), true);
+        .invoke(b"get".to_vec(), true);
     r.sim.run_for(SimDuration::from_millis(20));
     // Broadcast: every replica saw the read-only request.
     for i in 0..4 {
@@ -179,7 +179,7 @@ fn wrong_result_votes_do_not_merge() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"val".to_vec(), true);
+        .invoke(b"val".to_vec(), true);
     r.sim.run_for(SimDuration::from_millis(200));
     let done = completed(&r);
     assert_eq!(done.len(), 1);
@@ -195,7 +195,7 @@ fn bad_macs_are_rejected() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"x".to_vec(), true);
+        .invoke(b"x".to_vec(), true);
     r.sim.run_for(SimDuration::from_millis(100));
     assert!(completed(&r).is_empty(), "forged MACs must not form a quorum");
 }
@@ -212,7 +212,7 @@ fn full_replier_rotates_across_retransmissions() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"body".to_vec(), false);
+        .invoke(b"body".to_vec(), false);
     r.sim.run_for(SimDuration::from_secs(10));
     let done = completed(&r);
     assert_eq!(done.len(), 1, "rotation must eventually deliver the full body");
@@ -236,7 +236,7 @@ fn operations_are_serialized_one_at_a_time() {
     {
         let c = r.sim.actor_as_mut::<ClientActor>(r.client).unwrap();
         for i in 0..5 {
-            c.enqueue(format!("op{i}").into_bytes(), false);
+            c.invoke(format!("op{i}").into_bytes(), false);
         }
         assert_eq!(c.core().queued(), 5);
     }
@@ -267,7 +267,7 @@ fn stale_timestamp_replies_are_ignored() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"first".to_vec(), false);
+        .invoke(b"first".to_vec(), false);
     r.sim.run_for(SimDuration::from_millis(50));
     assert_eq!(completed(&r).len(), 1);
 
@@ -278,7 +278,7 @@ fn stale_timestamp_replies_are_ignored() {
     r.sim
         .actor_as_mut::<ClientActor>(r.client)
         .unwrap()
-        .enqueue(b"second".to_vec(), false);
+        .invoke(b"second".to_vec(), false);
     r.sim.run_for(SimDuration::from_millis(5));
     let dir = KeyDirectory::generate(5, 404);
     for i in 0..4u32 {

@@ -224,7 +224,7 @@ fn pipelined_group_matches_serial_oracle() {
         {
             let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
             for i in 0..30u64 {
-                c.enqueue(op_add(i % 4, i + 1), false);
+                c.invoke(op_add(i % 4, i + 1), false);
             }
         }
         sim.run_for(SimDuration::from_secs(5));

@@ -1165,6 +1165,20 @@ impl CampaignReport {
         out.push_str("]}");
         out
     }
+
+    /// Writes [`coverage_json`](Self::coverage_json) to
+    /// `target/chaos-coverage/<name>.json` under the workspace root, where
+    /// `scripts/gate.sh coverage` and CI look for it. The gate requires each
+    /// acceptance campaign's artifact by name, so a write that fails is an
+    /// error naming the path, not something to swallow.
+    pub fn write_coverage(&self, name: &str) -> Result<(), String> {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-coverage");
+        let path = dir.join(format!("{name}.json"));
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, self.coverage_json()))
+            .map_err(|e| format!("cannot write coverage artifact {}: {e}", path.display()))
+    }
 }
 
 /// How a campaign derives each seed's schedule.

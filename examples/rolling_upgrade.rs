@@ -19,7 +19,7 @@ use base::{BaseClient, BaseReplica, BaseService};
 use base_nfs::ops::{NfsOp, NfsReply};
 use base_nfs::spec::Oid;
 use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::Config;
+use base_pbft::{Config, ReplicaRef};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::SeedableRng;
 
@@ -43,26 +43,15 @@ fn completed(sim: &Simulation, client: NodeId) -> usize {
     sim.actor_as::<BaseClient>(client).unwrap().completed.len()
 }
 
-/// The abstract encoding of object `index` at each replica, read through
-/// the four concrete types.
-fn abstract_obj(sim: &mut Simulation, index: u64) -> Vec<Option<Vec<u8>>> {
-    let mut out = Vec::new();
-    for i in 0..4usize {
-        let node = NodeId(i);
-        let obj = if let Some(r) = sim.actor_as_mut::<InodeReplica>(node) {
-            base::Wrapper::get_obj(r.service_mut().wrapper_mut(), index)
-        } else if let Some(r) = sim.actor_as_mut::<FlatReplica>(node) {
-            base::Wrapper::get_obj(r.service_mut().wrapper_mut(), index)
-        } else if let Some(r) = sim.actor_as_mut::<LogReplica>(node) {
-            base::Wrapper::get_obj(r.service_mut().wrapper_mut(), index)
-        } else if let Some(r) = sim.actor_as_mut::<BtreeReplica>(node) {
-            base::Wrapper::get_obj(r.service_mut().wrapper_mut(), index)
-        } else {
-            panic!("unknown replica type at node {i}");
-        };
-        out.push(obj);
-    }
-    out
+/// The upgraded group as service-independent handles: one per machine,
+/// typed by the file system installed there now.
+fn upgraded_group() -> [ReplicaRef; 4] {
+    [
+        ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(NodeId(0)),
+        ReplicaRef::of::<BaseService<NfsWrapper<FlatFs>>>(NodeId(1)),
+        ReplicaRef::of::<BaseService<NfsWrapper<LogFs>>>(NodeId(2)),
+        ReplicaRef::of::<BaseService<NfsWrapper<BtreeFs>>>(NodeId(3)),
+    ]
 }
 
 fn main() {
@@ -151,9 +140,8 @@ fn main() {
 
     // All four replicas now expose identical abstract state from four
     // different concrete representations.
-    let objs = abstract_obj(&mut sim, q1.index as u64);
-    assert!(objs[0].is_some(), "q1.txt must exist");
-    assert!(objs.iter().all(|o| o == &objs[0]), "abstract states diverged");
+    let roots = upgraded_group().map(|r| r.get(&sim).state_root());
+    assert!(roots.iter().all(|r| *r == roots[0]), "abstract states diverged: {roots:?}");
     println!("\nall 4 implementations expose byte-identical abstract state");
     println!("  (inode table / path table / log / BTree underneath)");
 

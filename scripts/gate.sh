@@ -6,9 +6,10 @@
 # fresh artifact and its diff under target/<gate>/ (CI uploads them).
 #
 #   coverage  campaign coverage JSON under target/chaos-coverage/ (written by
-#             the chaos suites of `cargo test`): every campaign forces view
-#             changes, completes all its client ops, reports zero liveness
-#             violations and drops no trace events. Nothing to bless.
+#             the chaos suites of `cargo test`): each of the seven acceptance
+#             campaigns left its artifact, forces view changes, completes all
+#             its client ops, reports zero liveness violations and drops no
+#             trace events. Nothing to bless.
 #   metrics   merged metrics registries of the E9 run and the fixed NFS and
 #             OODB campaigns ({e9,nfs,oodb}_metrics.json).
 #   traces    protocol event traces of the counter, NFS and OODB acceptance
@@ -59,18 +60,19 @@ diff_json() {
 }
 
 gate_coverage() {
-  local dir=target/chaos-coverage f
-  shopt -s nullglob
-  local files=("$dir"/*.json)
-  shopt -u nullglob
-  if [ ${#files[@]} -eq 0 ]; then
-    echo "coverage gate: no artifacts in $dir (did the campaign tests run?)" >&2
-    status=1
-    return
-  fi
+  local dir=target/chaos-coverage name f
   # count <file> <field>: the campaign-level counter, first match.
   count() { grep -o "\"$2\":[0-9]*" "$1" | head -n1 | cut -d: -f2; }
-  for f in "${files[@]}"; do
+  # One artifact per acceptance campaign, by the name it passes to
+  # CampaignReport::write_coverage: a campaign that stops writing its own
+  # fails here, whatever the others left in the directory.
+  for name in counter_mixed counter_storm shard_mixed shard_storm kv_mixed nfs_mixed oodb_mixed; do
+    f=$dir/$name.json
+    if [ ! -s "$f" ]; then
+      echo "error: coverage gate: no $f (did the campaign tests run?)" >&2
+      status=1
+      continue
+    fi
     local vc submitted completed violations dropped
     vc=$(count "$f" view_changes_started)
     submitted=$(count "$f" client_ops_submitted)

@@ -8,8 +8,9 @@ use base::{BaseReplica, BaseService};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{run_to_completion, RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
-use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::{Config, Service as _};
+use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_pbft::chaos::Group;
+use base_pbft::{ByzMode, Config, ReplicaRef, Service as _};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::SeedableRng;
 
@@ -80,13 +81,19 @@ fn workload(files: u32) -> Vec<NfsOp> {
     script
 }
 
-fn roots(sim: &Simulation, nodes: &[NodeId]) -> Vec<base_crypto::Digest> {
-    vec![
-        sim.actor_as::<R0>(nodes[0]).unwrap().service().current_tree().root_digest(),
-        sim.actor_as::<R1>(nodes[1]).unwrap().service().current_tree().root_digest(),
-        sim.actor_as::<R2>(nodes[2]).unwrap().service().current_tree().root_digest(),
-        sim.actor_as::<R3>(nodes[3]).unwrap().service().current_tree().root_digest(),
+/// The four replicas behind the one interface that does not name their
+/// file systems.
+fn handles(nodes: &[NodeId]) -> [ReplicaRef; 4] {
+    [
+        ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(nodes[0]),
+        ReplicaRef::of::<BaseService<NfsWrapper<FlatFs>>>(nodes[1]),
+        ReplicaRef::of::<BaseService<NfsWrapper<LogFs>>>(nodes[2]),
+        ReplicaRef::of::<BaseService<NfsWrapper<BtreeFs>>>(nodes[3]),
     ]
+}
+
+fn roots(sim: &Simulation, nodes: &[NodeId]) -> Vec<base_crypto::Digest> {
+    handles(nodes).iter().map(|r| r.get(sim).state_root()).collect()
 }
 
 #[test]
@@ -174,10 +181,7 @@ fn proactive_recovery_with_heterogeneous_implementations() {
     // A full rotation: every implementation is rebuilt from the abstract
     // state through its own inverse abstraction function.
     sim.run_for(SimDuration::from_secs(15));
-    let recoveries = sim.actor_as::<R0>(nodes[0]).unwrap().stats.recoveries
-        + sim.actor_as::<R1>(nodes[1]).unwrap().stats.recoveries
-        + sim.actor_as::<R2>(nodes[2]).unwrap().stats.recoveries
-        + sim.actor_as::<R3>(nodes[3]).unwrap().stats.recoveries;
+    let recoveries: u64 = handles(&nodes).iter().map(|r| r.get(&sim).stats().recoveries).sum();
     assert!(recoveries >= 4, "every replica should have recovered, saw {recoveries}");
     let r = roots(&sim, &nodes);
     assert!(r.iter().all(|d| *d == r[0]), "post-recovery divergence: {r:?}");
@@ -199,4 +203,101 @@ fn deterministic_end_to_end() {
         (roots(&sim, &nodes), sim.stats().messages_delivered, sim.stats().bytes_delivered)
     };
     assert_eq!(run(4242), run(4242), "same seed must give identical histories");
+}
+
+/// Everything [`base_pbft::ReplicaControl`] reads, as owned values.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    view: u64,
+    byzantine: ByzMode,
+    stable_seq: u64,
+    stable_digest: Option<base_crypto::Digest>,
+    checkpoint_digests: Vec<(u64, base_crypto::Digest)>,
+    /// The relay's cached reply at every timestamp it used.
+    cached_replies: Vec<Option<Vec<u8>>>,
+    state_root: base_crypto::Digest,
+    stats: String,
+    metrics: base_simnet::MetricsRegistry,
+}
+
+const RELAY_ID: u32 = 4;
+
+fn typed_snapshot<F: NfsServer>(sim: &Simulation, node: NodeId, ops: u64) -> Snapshot {
+    let r = sim.actor_as::<BaseReplica<NfsWrapper<F>>>(node).unwrap();
+    Snapshot {
+        view: r.view(),
+        byzantine: r.byzantine(),
+        stable_seq: r.stable_seq(),
+        stable_digest: r.stable_digest(),
+        checkpoint_digests: r.checkpoint_digests(),
+        cached_replies: (1..=ops)
+            .map(|ts| r.cached_reply(RELAY_ID, ts).map(<[u8]>::to_vec))
+            .collect(),
+        state_root: r.service().current_tree().root_digest(),
+        stats: format!("{:?}", r.stats),
+        metrics: r.metrics.clone(),
+    }
+}
+
+/// A `Group` over four replicas of four different types answers every
+/// accessor with what the typed downcast answers, and its switches reach
+/// the replica they name.
+#[test]
+fn group_handles_agree_with_typed_downcasts() {
+    let script = workload(16);
+    let ops = script.len() as u64;
+    let mut cfg = small_cfg();
+    cfg.reboot_time = SimDuration::from_millis(200);
+    let mut sim = Simulation::new(85);
+    let (nodes, relay) = build(&mut sim, script, 85, cfg);
+    let group = Group::new(&mut sim, handles(&nodes).to_vec());
+    let ok = run_to_completion(
+        &mut sim,
+        |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
+        SimDuration::from_secs(60),
+    );
+    assert!(ok);
+
+    let typed = [
+        typed_snapshot::<InodeFs>(&sim, nodes[0], ops),
+        typed_snapshot::<FlatFs>(&sim, nodes[1], ops),
+        typed_snapshot::<LogFs>(&sim, nodes[2], ops),
+        typed_snapshot::<BtreeFs>(&sim, nodes[3], ops),
+    ];
+    for ((node, r), typed) in group.members(&sim).into_iter().zip(&typed) {
+        let through_handle = Snapshot {
+            view: r.view(),
+            byzantine: r.byzantine(),
+            stable_seq: r.stable_seq(),
+            stable_digest: r.stable_digest(),
+            checkpoint_digests: r.checkpoint_digests(),
+            cached_replies: (1..=ops)
+                .map(|ts| r.cached_reply(RELAY_ID, ts).map(<[u8]>::to_vec))
+                .collect(),
+            state_root: r.state_root(),
+            stats: format!("{:?}", r.stats()),
+            metrics: r.metrics().clone(),
+        };
+        assert_eq!(&through_handle, typed, "replica {}", node.0);
+        // The comparison is not between two empty snapshots.
+        assert!(typed.stable_seq > 0 && typed.stable_digest.is_some());
+        assert!(!typed.checkpoint_digests.is_empty());
+        assert!(typed.cached_replies.iter().any(Option::is_some));
+    }
+
+    // The mutators, observed through the concrete types.
+    group.replicas[1].get_mut(&mut sim).set_byzantine(ByzMode::Mute);
+    assert_eq!(sim.actor_as::<R1>(nodes[1]).unwrap().byzantine(), ByzMode::Mute);
+    group.replicas[1].get_mut(&mut sim).set_byzantine(ByzMode::Honest);
+    group.replicas[2].get_mut(&mut sim).corrupt_service_state(7);
+    assert_eq!(sim.actor_as::<R2>(nodes[2]).unwrap().byzantine(), ByzMode::CorruptState);
+    group.replicas[2].get_mut(&mut sim).trigger_recovery();
+    sim.run_for(SimDuration::from_secs(10));
+    let repaired = sim.actor_as::<R2>(nodes[2]).unwrap();
+    assert_eq!(repaired.stats.recoveries, 1, "the triggered recovery ran");
+    // The recovery's state transfer replaced the corrupted objects, which
+    // clears the mark.
+    assert_eq!(repaired.byzantine(), ByzMode::Honest);
+    let r = roots(&sim, &nodes);
+    assert!(r.iter().all(|d| *d == r[0]), "post-repair divergence: {r:?}");
 }
