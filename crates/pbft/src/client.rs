@@ -6,8 +6,7 @@ use crate::cost::CostModel;
 use crate::messages::{Message, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, NodeKeys};
 use base_simnet::{
-    Actor, Context, MetricsRegistry, NodeId, Payload, ProtocolEvent, RttEstimator, SimDuration,
-    TimerId,
+    Actor, Context, MetricsRegistry, NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -185,10 +184,7 @@ impl ClientCore {
             self.broadcast(&req, ctx);
         } else {
             let primary = self.cfg.primary_of(self.view_guess);
-            ctx.send(
-                self.cfg.replica_node(primary),
-                Message::Request(req).to_wire_tagged(self.cfg.shard),
-            );
+            ctx.send(self.cfg.replica_node(primary), req.to_payload(self.cfg.shard));
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
         // Jacobson/Karels RTO (equal to `client_timeout` until the first
@@ -209,6 +205,8 @@ impl ClientCore {
         });
     }
 
+    /// Builds the authenticated request, already wrapped in the envelope
+    /// it is sent in: no caller keeps the bare request afterwards.
     fn build_request(
         &mut self,
         ts: u64,
@@ -216,19 +214,19 @@ impl ClientCore {
         read_only: bool,
         attempts: u32,
         ctx: &mut Context<'_>,
-    ) -> RequestMsg {
+    ) -> Message {
         // Rotate the designated full-replier across retransmissions so
         // a faulty designee cannot starve us of the full result.
         let full_replier = ((ts + u64::from(attempts)) % self.cfg.n as u64) as u32;
         let mut req = RequestMsg::new(self.id, ts, read_only, full_replier, op);
         ctx.charge(self.cost.digest(req.op().len()) + self.cost.authenticator(self.cfg.n));
         req.auth = Authenticator::generate(&self.keys, self.cfg.n, &req.digest());
-        req
+        Message::Request(req)
     }
 
-    fn broadcast(&self, req: &RequestMsg, ctx: &mut Context<'_>) {
+    fn broadcast(&self, req: &Message, ctx: &mut Context<'_>) {
         // Encode once; every replica shares the same allocation.
-        let wire = Payload::from(Message::Request(req.clone()).to_wire_tagged(self.cfg.shard));
+        let wire = req.to_payload(self.cfg.shard);
         for i in 0..self.cfg.n {
             ctx.send(self.cfg.replica_node(i), wire.clone());
         }

@@ -8,11 +8,76 @@
 //! another.
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
+use base_simnet::Payload;
 use base_xdr::{
-    decode_vec, encode_vec, from_bytes, to_bytes, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder,
-    XdrError,
+    decode_vec, encode_vec, from_bytes, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError,
 };
+use std::cell::Cell;
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Idle encode buffers of this thread, one per nesting depth it has
+    /// reached (see [`with_scratch`]).
+    static SCRATCH: Cell<Vec<Vec<u8>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Lends `f` an empty encoder over a reused buffer, so that encoding a
+/// message to send it, hash it or check its signature allocates nothing
+/// once the buffer has grown to the largest message seen.
+///
+/// Re-entrant by construction: the buffer is *taken* out of the idle list
+/// for as long as it is lent and put back afterwards, so a signed portion
+/// that computes a not-yet-memoized digest while it is being encoded (a
+/// view change hashing its prepared batches, a batch hashing its requests)
+/// gets the next idle buffer, or a fresh one, never the bytes of its
+/// caller. The list is per thread; a campaign worker thread grows its own.
+fn with_scratch<R>(f: impl FnOnce(&mut XdrEncoder) -> R) -> R {
+    let mut idle = SCRATCH.take();
+    let buf = idle.pop().unwrap_or_default();
+    SCRATCH.set(idle);
+    let mut enc = XdrEncoder::reusing(buf);
+    let out = f(&mut enc);
+    let mut idle = SCRATCH.take();
+    idle.push(enc.finish());
+    SCRATCH.set(idle);
+    out
+}
+
+/// Gives each signed message type the two views of its *signed portion*:
+/// the bytes its private `encode_signed` writes, which is the one place
+/// the field order of that portion is spelled out.
+macro_rules! signed_portion {
+    ($($ty:ident),+ $(,)?) => {$(
+        impl $ty {
+            /// Lends `f` the bytes covered by authentication, encoded into
+            /// the per-thread scratch buffer (no allocation). A caller
+            /// that needs both a digest and a signature check over them
+            /// does both inside one `f`.
+            pub fn with_signed_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+                with_scratch(|enc| {
+                    self.encode_signed(enc);
+                    f(enc.as_bytes())
+                })
+            }
+
+            /// Bytes covered by authentication, as an owned copy.
+            pub fn signed_bytes(&self) -> Vec<u8> {
+                self.with_signed_bytes(<[u8]>::to_vec)
+            }
+        }
+    )+};
+}
+
+signed_portion!(
+    RequestMsg,
+    ReplyMsg,
+    PrePrepareMsg,
+    PrepareMsg,
+    CommitMsg,
+    CheckpointMsg,
+    ViewChangeMsg,
+    NewViewMsg,
+);
 
 /// Lazily computed digest, carried alongside the fields it covers.
 ///
@@ -120,15 +185,12 @@ impl RequestMsg {
         &self.op
     }
 
-    /// Bytes covered by authentication.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
         enc.put_string("pbft:request");
         enc.put_u32(self.client);
         enc.put_u64(self.timestamp);
         enc.put_bool(self.read_only);
         enc.put_opaque(&self.op);
-        enc.finish()
         // `full_replier` is deliberately NOT covered: it is a liveness
         // hint the client may rotate between retransmissions without
         // changing the request's identity.
@@ -136,7 +198,7 @@ impl RequestMsg {
 
     /// Digest identifying this request (computed once, then memoized).
     pub fn digest(&self) -> Digest {
-        self.digest_cache.get_or_init(|| Digest::of(&self.signed_bytes()))
+        self.digest_cache.get_or_init(|| self.with_signed_bytes(Digest::of))
     }
 }
 
@@ -193,9 +255,7 @@ pub struct ReplyMsg {
 }
 
 impl ReplyMsg {
-    /// Bytes covered by the MAC.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
         enc.put_string("pbft:reply");
         enc.put_u64(self.view);
         enc.put_u64(self.timestamp);
@@ -204,12 +264,11 @@ impl ReplyMsg {
         enc.put_bool(self.digest_only);
         enc.put_bool(self.tentative);
         enc.put_opaque(&self.result);
-        enc.finish()
     }
 
-    /// Digest of the signed portion.
+    /// Digest of the signed portion (what the point MAC covers).
     pub fn digest(&self) -> Digest {
-        Digest::of(&self.signed_bytes())
+        self.with_signed_bytes(Digest::of)
     }
 }
 
@@ -297,14 +356,15 @@ impl PrePrepareMsg {
     /// Deliberately excludes view and sequence number: after a view change
     /// the new primary re-proposes the same batch digest under a new view.
     pub fn batch_digest_of(requests: &[RequestMsg], nondet: &[u8]) -> Digest {
-        let mut enc = XdrEncoder::new();
-        enc.put_string("pbft:batch");
-        enc.put_opaque(nondet);
-        enc.put_u32(requests.len() as u32);
-        for r in requests {
-            r.digest().encode(&mut enc);
-        }
-        Digest::of(enc.as_bytes())
+        with_scratch(|enc| {
+            enc.put_string("pbft:batch");
+            enc.put_opaque(nondet);
+            enc.put_u32(requests.len() as u32);
+            for r in requests {
+                r.digest().encode(enc);
+            }
+            Digest::of(enc.as_bytes())
+        })
     }
 
     /// Digest of the carried batch (computed once, then memoized).
@@ -313,23 +373,19 @@ impl PrePrepareMsg {
             .get_or_init(|| Self::batch_digest_of(&self.requests, &self.nondet))
     }
 
-    /// Bytes covered by the primary's authentication: view, seq and batch
-    /// digest.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        header("pbft:pre-prepare", self.view, self.seq, &self.batch_digest()).finish()
+    /// The primary's authentication covers view, seq and batch digest.
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
+        put_header(enc, "pbft:pre-prepare", self.view, self.seq, &self.batch_digest());
     }
 }
 
-/// Canonical encoding of a (tag, view, seq, digest) header, left open so
-/// that a message with more signed fields appends them in place.
-fn header(tag: &str, view: u64, seq: u64, digest: &Digest) -> XdrEncoder {
-    // Room for the longest tag, both counters, the digest and a replica id.
-    let mut enc = XdrEncoder::with_capacity(96);
+/// Appends the canonical (tag, view, seq, digest) header the three
+/// agreement messages sign.
+fn put_header(enc: &mut XdrEncoder, tag: &str, view: u64, seq: u64, digest: &Digest) {
     enc.put_string(tag);
     enc.put_u64(view);
     enc.put_u64(seq);
-    digest.encode(&mut enc);
-    enc
+    digest.encode(enc);
 }
 
 impl XdrEncode for PrePrepareMsg {
@@ -375,11 +431,9 @@ pub struct PrepareMsg {
 }
 
 impl PrepareMsg {
-    /// Bytes covered by authentication.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = header("pbft:prepare", self.view, self.seq, &self.digest);
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
+        put_header(enc, "pbft:prepare", self.view, self.seq, &self.digest);
         enc.put_u32(self.replica);
-        enc.finish()
     }
 }
 
@@ -423,11 +477,9 @@ pub struct CommitMsg {
 }
 
 impl CommitMsg {
-    /// Bytes covered by authentication.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = header("pbft:commit", self.view, self.seq, &self.digest);
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
+        put_header(enc, "pbft:commit", self.view, self.seq, &self.digest);
         enc.put_u32(self.replica);
-        enc.finish()
     }
 }
 
@@ -467,14 +519,11 @@ pub struct CheckpointMsg {
 }
 
 impl CheckpointMsg {
-    /// Bytes covered by the signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
         enc.put_string("pbft:checkpoint");
         enc.put_u64(self.seq);
-        self.digest.encode(&mut enc);
+        self.digest.encode(enc);
         enc.put_u32(self.replica);
-        enc.finish()
     }
 }
 
@@ -543,27 +592,24 @@ pub struct ViewChangeMsg {
 }
 
 impl ViewChangeMsg {
-    /// Bytes covered by the signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
         enc.put_string("pbft:view-change");
         enc.put_u64(self.new_view);
         enc.put_u64(self.stable_seq);
-        self.stable_digest.encode(&mut enc);
+        self.stable_digest.encode(enc);
         // Bind the P-set by content: (seq, view, batch digest) triples.
         enc.put_u32(self.prepared.len() as u32);
         for p in &self.prepared {
             enc.put_u64(p.pre_prepare.seq);
             enc.put_u64(p.pre_prepare.view);
-            p.pre_prepare.batch_digest().encode(&mut enc);
+            p.pre_prepare.batch_digest().encode(enc);
         }
         enc.put_u32(self.replica);
-        enc.finish()
     }
 
     /// Digest identifying this view-change message.
     pub fn digest(&self) -> Digest {
-        Digest::of(&self.signed_bytes())
+        self.with_signed_bytes(Digest::of)
     }
 }
 
@@ -614,22 +660,19 @@ pub struct NewViewMsg {
 }
 
 impl NewViewMsg {
-    /// Bytes covered by the signature.
-    pub fn signed_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
+    fn encode_signed(&self, enc: &mut XdrEncoder) {
         enc.put_string("pbft:new-view");
         enc.put_u64(self.view);
         enc.put_u32(self.view_changes.len() as u32);
         for vc in &self.view_changes {
-            vc.digest().encode(&mut enc);
+            vc.digest().encode(enc);
         }
         enc.put_u32(self.pre_prepares.len() as u32);
         for pp in &self.pre_prepares {
             enc.put_u64(pp.seq);
-            pp.batch_digest().encode(&mut enc);
+            pp.batch_digest().encode(enc);
         }
         enc.put_u32(self.replica);
-        enc.finish()
     }
 }
 
@@ -1070,9 +1113,33 @@ pub enum Message {
 pub const SHARD_ENVELOPE_TAG: u32 = 19;
 
 impl Message {
+    /// Lends `f` the wire encoding of this message as sent from `shard`,
+    /// built in the per-thread scratch buffer. The one place the shard
+    /// envelope is written: shard 0 emits the plain unsharded encoding, so
+    /// single-group deployments never pay for (or reveal) the envelope;
+    /// other shards prefix `[SHARD_ENVELOPE_TAG, shard]`.
+    fn with_wire<R>(&self, shard: u32, f: impl FnOnce(&[u8]) -> R) -> R {
+        with_scratch(|enc| {
+            if shard != 0 {
+                enc.put_u32(SHARD_ENVELOPE_TAG);
+                enc.put_u32(shard);
+            }
+            self.encode(enc);
+            f(enc.as_bytes())
+        })
+    }
+
+    /// Encodes to the [`Payload`] the message travels in: one allocation,
+    /// the `Arc<[u8]>` itself, shared by every recipient it is sent to.
+    /// This is what the senders use; [`Message::to_wire_tagged`] is the
+    /// same bytes by value.
+    pub fn to_payload(&self, shard: u32) -> Payload {
+        self.with_wire(shard, |wire| Payload::from(wire))
+    }
+
     /// Encodes to wire bytes.
     pub fn to_wire(&self) -> Vec<u8> {
-        to_bytes(self)
+        self.to_wire_tagged(0)
     }
 
     /// Decodes from wire bytes; `None` on any malformed input (Byzantine
@@ -1081,20 +1148,10 @@ impl Message {
         from_bytes(bytes).ok()
     }
 
-    /// Encodes to wire bytes carrying the sender's shard identity. Shard 0
-    /// emits the plain unsharded encoding — byte-identical to
-    /// [`Message::to_wire`] — so single-group deployments never pay for (or
-    /// reveal) the envelope; other shards prefix
-    /// `[SHARD_ENVELOPE_TAG, shard]` ahead of the plain encoding.
+    /// Encodes to wire bytes carrying the sender's shard identity; at
+    /// shard 0 byte-identical to [`Message::to_wire`].
     pub fn to_wire_tagged(&self, shard: u32) -> Vec<u8> {
-        if shard == 0 {
-            return self.to_wire();
-        }
-        let mut enc = XdrEncoder::new();
-        enc.put_u32(SHARD_ENVELOPE_TAG);
-        enc.put_u32(shard);
-        self.encode(&mut enc);
-        enc.finish()
+        self.with_wire(shard, <[u8]>::to_vec)
     }
 
     /// Decodes wire bytes that may carry a shard envelope, returning the

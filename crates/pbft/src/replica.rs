@@ -23,9 +23,9 @@ use crate::transfer::{
 };
 use base_crypto::{fec, Authenticator, Digest, NodeKeys};
 use base_simnet::{
-    Actor, Context, MetricsRegistry, NodeId, Payload, ProtocolEvent, RttEstimator, SimDuration,
-    TimerId,
+    Actor, Context, MetricsRegistry, NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Timer tokens.
@@ -363,7 +363,7 @@ impl<S: Service> Replica<S> {
         if matches!(self.byz, ByzMode::Mute) {
             return;
         }
-        ctx.send(to, msg.to_wire_tagged(self.cfg.shard));
+        ctx.send(to, msg.to_payload(self.cfg.shard));
     }
 
     fn multicast(&self, ctx: &mut Context<'_>, msg: &Message) {
@@ -371,7 +371,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         // Encode once; every recipient shares the same allocation.
-        let wire = Payload::from(msg.to_wire_tagged(self.cfg.shard));
+        let wire = msg.to_payload(self.cfg.shard);
         for i in 0..self.cfg.n {
             if i != self.id as usize {
                 ctx.send(self.cfg.replica_node(i), wire.clone());
@@ -400,8 +400,7 @@ impl<S: Service> Replica<S> {
         // Retransmission of the last executed request: resend the reply.
         if let Some(result) = self.reply_cache.cached_result(req.client(), req.timestamp()) {
             let full = self.is_full_replier(&req);
-            let reply =
-                self.make_reply(req.client(), req.timestamp(), result.to_vec(), full, false, ctx);
+            let reply = self.make_reply(req.client(), req.timestamp(), result, full, false, ctx);
             self.send(ctx, self.cfg.client_node(req.client()), &Message::Reply(reply));
             return;
         }
@@ -469,7 +468,7 @@ impl<S: Service> Replica<S> {
         let full = self.is_full_replier(req);
         // Read-only replies bypass agreement: mark them tentative so the
         // client knows this result reflects executed state only.
-        let reply = self.make_reply(req.client(), req.timestamp(), result, full, true, ctx);
+        let reply = self.make_reply(req.client(), req.timestamp(), &result, full, true, ctx);
         self.send(ctx, self.cfg.client_node(req.client()), &Message::Reply(reply));
     }
 
@@ -506,29 +505,34 @@ impl<S: Service> Replica<S> {
         self.slots.rebuild(stages);
     }
 
+    /// Builds the authenticated reply for `result`, which is only
+    /// borrowed: the caller's copy (usually the reply cache's) is the one
+    /// that lives on, and of the replicas only the full replier copies it.
     fn make_reply(
-        &mut self,
+        &self,
         client: u32,
         timestamp: u64,
-        mut result: Vec<u8>,
+        result: &[u8],
         full: bool,
         tentative: bool,
         ctx: &mut Context<'_>,
     ) -> ReplyMsg {
-        if matches!(self.byz, ByzMode::CorruptReplies) {
-            // Consistently wrong: flip the result, then MAC the corrupted
-            // bytes so the client sees a well-formed but incorrect reply.
-            for b in &mut result {
-                *b ^= 0xa5;
+        let result = if matches!(self.byz, ByzMode::CorruptReplies) {
+            // Consistently wrong: flip a copy of the result (never the
+            // cached bytes), then MAC the corrupted bytes so the client
+            // sees a well-formed but incorrect reply.
+            let mut flipped: Vec<u8> = result.iter().map(|b| b ^ 0xa5).collect();
+            if flipped.is_empty() {
+                flipped.push(0xa5);
             }
-            if result.is_empty() {
-                result.push(0xa5);
-            }
-        }
+            Cow::Owned(flipped)
+        } else {
+            Cow::Borrowed(result)
+        };
         // The reply optimization: only the designated replica sends the
         // full result; the others send its digest.
         let (digest_only, payload) = if full {
-            (false, result)
+            (false, result.into_owned())
         } else {
             ctx.charge(self.cost.digest(result.len()));
             (true, Digest::of(&result).0.to_vec())
@@ -599,7 +603,7 @@ impl<S: Service> Replica<S> {
 
             let mut pp = PrePrepareMsg::new(self.view, seq, batch, nondet);
             ctx.charge(self.cost.authenticator(self.cfg.n) + self.cost.signature);
-            pp.sig = self.keys.sign(&pp.signed_bytes());
+            pp.sig = pp.with_signed_bytes(|signed| self.keys.sign(signed));
             pp.auth = Authenticator::generate(&self.keys, self.cfg.n, &pp.batch_digest());
 
             if ctx.trace_enabled() {
@@ -619,11 +623,16 @@ impl<S: Service> Replica<S> {
                     );
                 }
             }
-            if matches!(self.byz, ByzMode::EquivocatePrimary) {
+            let pp = if matches!(self.byz, ByzMode::EquivocatePrimary) {
                 self.equivocate(&pp, ctx);
+                pp
             } else {
-                self.multicast(ctx, &Message::PrePrepare(pp.clone()));
-            }
+                // Sent by reference, then moved (not cloned) into the log.
+                let msg = Message::PrePrepare(pp);
+                self.multicast(ctx, &msg);
+                let Message::PrePrepare(pp) = msg else { unreachable!("built above") };
+                pp
+            };
             self.log.entry_mut(seq).pre_prepare = Some(pp);
             self.slots.observe_proposed(seq);
             self.slot_arrival.insert(seq, ctx.now().as_nanos());
@@ -639,7 +648,7 @@ impl<S: Service> Replica<S> {
         let mut nd = pp.nondet().to_vec();
         nd.push(0xff);
         let mut alt = PrePrepareMsg::new(pp.view, pp.seq, pp.requests().to_vec(), nd);
-        alt.sig = self.keys.sign(&alt.signed_bytes());
+        alt.sig = alt.with_signed_bytes(|signed| self.keys.sign(signed));
         alt.auth = Authenticator::generate(&self.keys, self.cfg.n, &alt.batch_digest());
         for i in 0..self.cfg.n {
             if i == self.id as usize {
@@ -667,7 +676,7 @@ impl<S: Service> Replica<S> {
             self.stats.rejected_messages += 1;
             return;
         }
-        if !self.keys.verify(primary, &pp.signed_bytes(), &pp.sig) {
+        if !pp.with_signed_bytes(|signed| self.keys.verify(primary, signed, &pp.sig)) {
             self.stats.rejected_messages += 1;
             return;
         }
@@ -726,7 +735,7 @@ impl<S: Service> Replica<S> {
         }
 
         // Multicast our prepare.
-        let mut prepare = PrepareMsg {
+        let prepare = PrepareMsg {
             view: self.view,
             seq,
             digest,
@@ -735,13 +744,25 @@ impl<S: Service> Replica<S> {
             sig: base_crypto::Signature([0; 32]),
         };
         ctx.charge(self.cost.authenticator(self.cfg.n) + self.cost.signature);
-        prepare.sig = self.keys.sign(&prepare.signed_bytes());
-        prepare.auth = Authenticator::generate(&self.keys, self.cfg.n, &prepare_digest(&prepare));
-        let entry = self.log.entry_mut(seq);
-        entry.prepares.insert(self.id, prepare.clone());
-        entry.prepare_sent = true;
-        self.multicast(ctx, &Message::Prepare(prepare));
+        self.send_own_prepare(prepare, ctx);
         self.maybe_prepared(seq, ctx);
+    }
+
+    /// Signs and authenticates this replica's own `prepare`, multicasts it
+    /// and logs it: the message is sent by reference and then moved (not
+    /// cloned) into the log. The caller charges the CPU cost.
+    fn send_own_prepare(&mut self, mut prepare: PrepareMsg, ctx: &mut Context<'_>) {
+        let (sig, digest) =
+            prepare.with_signed_bytes(|signed| (self.keys.sign(signed), Digest::of(signed)));
+        prepare.sig = sig;
+        prepare.auth = Authenticator::generate(&self.keys, self.cfg.n, &digest);
+        let seq = prepare.seq;
+        let msg = Message::Prepare(prepare);
+        self.multicast(ctx, &msg);
+        let Message::Prepare(prepare) = msg else { unreachable!("built above") };
+        let entry = self.log.entry_mut(seq);
+        entry.prepares.insert(self.id, prepare);
+        entry.prepare_sent = true;
     }
 
     fn handle_prepare(&mut self, p: PrepareMsg, ctx: &mut Context<'_>) {
@@ -758,11 +779,14 @@ impl<S: Service> Replica<S> {
             return;
         }
         ctx.charge(self.cost.mac + self.cost.signature);
-        if !p.auth.check(&self.keys, p.replica as usize, &prepare_digest(&p)) {
-            self.stats.rejected_messages += 1;
-            return;
-        }
-        if !self.keys.verify(p.replica as usize, &p.signed_bytes(), &p.sig) {
+        // One encoding serves both the authenticator digest and the
+        // signature check.
+        let from = p.replica as usize;
+        let authentic = p.with_signed_bytes(|signed| {
+            p.auth.check(&self.keys, from, &Digest::of(signed))
+                && self.keys.verify(from, signed, &p.sig)
+        });
+        if !authentic {
             self.stats.rejected_messages += 1;
             return;
         }
@@ -795,8 +819,11 @@ impl<S: Service> Replica<S> {
         };
         ctx.charge(self.cost.authenticator(self.cfg.n));
         commit.auth = Authenticator::generate(&self.keys, self.cfg.n, &commit_digest(&commit));
-        self.log.entry_mut(seq).commits.insert(self.id, commit.clone());
-        self.multicast(ctx, &Message::Commit(commit));
+        // Sent by reference, then moved (not cloned) into the log.
+        let msg = Message::Commit(commit);
+        self.multicast(ctx, &msg);
+        let Message::Commit(commit) = msg else { unreachable!("built above") };
+        self.log.entry_mut(seq).commits.insert(self.id, commit);
         self.maybe_committed(seq, ctx);
     }
 
@@ -922,14 +949,8 @@ impl<S: Service> Replica<S> {
                 // resend the cached reply if this was the last request.
                 if let Some(result) = self.reply_cache.cached_result(req.client(), req.timestamp()) {
                     let full = self.is_full_replier(req);
-                    let reply = self.make_reply(
-                        req.client(),
-                        req.timestamp(),
-                        result.to_vec(),
-                        full,
-                        false,
-                        ctx,
-                    );
+                    let reply =
+                        self.make_reply(req.client(), req.timestamp(), result, full, false, ctx);
                     self.send(ctx, self.cfg.client_node(req.client()), &Message::Reply(reply));
                 }
                 continue;
@@ -949,10 +970,10 @@ impl<S: Service> Replica<S> {
         ctx.charge(charged);
         debug_assert_eq!(results.len(), fresh.len());
         for (req, result) in fresh.into_iter().zip(results) {
-            self.reply_cache.record(req.client(), req.timestamp(), result.clone());
             self.stats.executed_requests += 1;
             let full = self.is_full_replier(req);
-            let reply = self.make_reply(req.client(), req.timestamp(), result, full, false, ctx);
+            let reply = self.make_reply(req.client(), req.timestamp(), &result, full, false, ctx);
+            self.reply_cache.record(req.client(), req.timestamp(), result);
             self.send(ctx, self.cfg.client_node(req.client()), &Message::Reply(reply));
             self.awaiting.remove(&(req.client(), req.timestamp()));
         }
@@ -985,7 +1006,7 @@ impl<S: Service> Replica<S> {
             replica: self.id,
             sig: base_crypto::Signature([0; 32]),
         };
-        msg.sig = self.keys.sign(&msg.signed_bytes());
+        msg.sig = msg.with_signed_bytes(|signed| self.keys.sign(signed));
         if let Some(cert) = self.ckpt_collector.add(msg.clone(), self.cfg.quorum()) {
             self.make_stable(seq, composite, cert, ctx);
         }
@@ -1000,7 +1021,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         ctx.charge(self.cost.signature);
-        if !self.keys.verify(c.replica as usize, &c.signed_bytes(), &c.sig) {
+        if !c.with_signed_bytes(|signed| self.keys.verify(c.replica as usize, signed, &c.sig)) {
             self.stats.rejected_messages += 1;
             return;
         }
@@ -1447,7 +1468,7 @@ impl<S: Service> Replica<S> {
             sig: base_crypto::Signature([0; 32]),
         };
         ctx.charge(self.cost.signature);
-        vc.sig = self.keys.sign(&vc.signed_bytes());
+        vc.sig = vc.with_signed_bytes(|signed| self.keys.sign(signed));
         self.own_vc = Some(vc.clone());
         self.vc_collect.entry(target).or_default().insert(self.id, vc.clone());
         self.multicast(ctx, &Message::ViewChange(vc));
@@ -1497,7 +1518,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn verify_view_change(&self, vc: &ViewChangeMsg) -> bool {
-        if !self.keys.verify(vc.replica as usize, &vc.signed_bytes(), &vc.sig) {
+        if !vc.with_signed_bytes(|signed| self.keys.verify(vc.replica as usize, signed, &vc.sig)) {
             return false;
         }
         // Stable checkpoint proof.
@@ -1525,7 +1546,7 @@ impl<S: Service> Replica<S> {
             return false;
         }
         let primary = self.cfg.primary_of(pp.view);
-        if !self.keys.verify(primary, &pp.signed_bytes(), &pp.sig) {
+        if !pp.with_signed_bytes(|signed| self.keys.verify(primary, signed, &pp.sig)) {
             return false;
         }
         let digest = pp.batch_digest();
@@ -1537,7 +1558,8 @@ impl<S: Service> Replica<S> {
             if prep.replica as usize == primary || prep.replica as usize >= self.cfg.n {
                 continue;
             }
-            if !self.keys.verify(prep.replica as usize, &prep.signed_bytes(), &prep.sig) {
+            let signer = prep.replica as usize;
+            if !prep.with_signed_bytes(|signed| self.keys.verify(signer, signed, &prep.sig)) {
                 continue;
             }
             senders.insert(prep.replica);
@@ -1569,7 +1591,7 @@ impl<S: Service> Replica<S> {
         let mut signed = Vec::with_capacity(pre_prepares.len());
         for mut pp in pre_prepares {
             ctx.charge(self.cost.signature);
-            pp.sig = self.keys.sign(&pp.signed_bytes());
+            pp.sig = pp.with_signed_bytes(|signed| self.keys.sign(signed));
             pp.auth = Authenticator::generate(&self.keys, self.cfg.n, &pp.batch_digest());
             signed.push(pp);
         }
@@ -1581,7 +1603,7 @@ impl<S: Service> Replica<S> {
             sig: base_crypto::Signature([0; 32]),
         };
         ctx.charge(self.cost.signature);
-        nv.sig = self.keys.sign(&nv.signed_bytes());
+        nv.sig = nv.with_signed_bytes(|signed| self.keys.sign(signed));
         self.multicast(ctx, &Message::NewView(nv.clone()));
         self.install_new_view(nv, min_s, ctx);
     }
@@ -1594,7 +1616,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         ctx.charge(self.cost.signature.saturating_mul((1 + nv.view_changes.len()) as u64));
-        if !self.keys.verify(nv.replica as usize, &nv.signed_bytes(), &nv.sig) {
+        if !nv.with_signed_bytes(|signed| self.keys.verify(nv.replica as usize, signed, &nv.sig)) {
             self.stats.rejected_messages += 1;
             return;
         }
@@ -1621,7 +1643,9 @@ impl<S: Service> Replica<S> {
             if got.view != nv.view
                 || got.seq != exp.seq
                 || got.batch_digest() != exp.batch_digest()
-                || !self.keys.verify(nv.replica as usize, &got.signed_bytes(), &got.sig)
+                || !got.with_signed_bytes(|signed| {
+                    self.keys.verify(nv.replica as usize, signed, &got.sig)
+                })
             {
                 self.stats.rejected_messages += 1;
                 return;
@@ -1697,7 +1721,7 @@ impl<S: Service> Replica<S> {
                     .entry(seq)
                     .and_then(|e| e.accepted_digest())
                     .expect("just installed");
-                let mut prepare = PrepareMsg {
+                let prepare = PrepareMsg {
                     view: nv.view,
                     seq,
                     digest,
@@ -1706,13 +1730,7 @@ impl<S: Service> Replica<S> {
                     sig: base_crypto::Signature([0; 32]),
                 };
                 ctx.charge(self.cost.authenticator(self.cfg.n) + self.cost.signature);
-                prepare.sig = self.keys.sign(&prepare.signed_bytes());
-                prepare.auth =
-                    Authenticator::generate(&self.keys, self.cfg.n, &prepare_digest(&prepare));
-                let entry = self.log.entry_mut(seq);
-                entry.prepares.insert(self.id, prepare.clone());
-                entry.prepare_sent = true;
-                self.multicast(ctx, &Message::Prepare(prepare));
+                self.send_own_prepare(prepare, ctx);
             }
             let seqs: Vec<u64> = self.log.iter().map(|(s, _)| *s).collect();
             for seq in seqs {
@@ -1778,7 +1796,7 @@ impl<S: Service> Replica<S> {
                         replica: self.id,
                         sig: base_crypto::Signature([0; 32]),
                     };
-                    msg.sig = self.keys.sign(&msg.signed_bytes());
+                    msg.sig = msg.with_signed_bytes(|signed| self.keys.sign(signed));
                     self.multicast(ctx, &Message::Checkpoint(msg));
                 }
             }
@@ -1931,14 +1949,9 @@ impl<S: Service> Replica<S> {
     }
 }
 
-/// Digest used for prepare authenticators.
-fn prepare_digest(p: &PrepareMsg) -> Digest {
-    Digest::of(&p.signed_bytes())
-}
-
 /// Digest used for commit authenticators.
 fn commit_digest(c: &CommitMsg) -> Digest {
-    Digest::of(&c.signed_bytes())
+    c.with_signed_bytes(Digest::of)
 }
 
 /// Validates a checkpoint certificate: at least 2f+1 messages from distinct
@@ -1956,7 +1969,7 @@ pub fn validate_cert(
         if m.seq != seq || m.digest != digest || m.replica as usize >= cfg.n {
             continue;
         }
-        if !keys.verify(m.replica as usize, &m.signed_bytes(), &m.sig) {
+        if !m.with_signed_bytes(|signed| keys.verify(m.replica as usize, signed, &m.sig)) {
             continue;
         }
         senders.insert(m.replica);

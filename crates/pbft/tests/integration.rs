@@ -110,6 +110,10 @@ fn masks_one_byzantine_reply_corruptor() {
     let done = completed(&sim, client);
     assert_eq!(done.len(), 10);
     assert_eq!(done[9].1, b"55", "corrupted replies must never win the quorum");
+    // The liar corrupts a copy of each result it sends; its reply cache,
+    // which the checkpoint digest covers, holds the true one.
+    let liar = sim.actor_as::<Replica<CounterService>>(g.replicas[1]).unwrap();
+    assert_eq!(liar.cached_reply(client.0 as u32, 10), Some(&b"55"[..]));
 }
 
 #[test]

@@ -5,9 +5,10 @@
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_pbft::messages::{
-    CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg, FetchFragMsg,
-    FetchMetaMsg, FetchObjectMsg, FragReplyMsg, PrePrepareMsg, PrepareMsg, PreparedProof,
-    ReplyMsg, RequestMsg, StatusMsg, ViewChangeMsg,
+    CertReplyMsg, CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg,
+    FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg, MetaReplyMsg, NewViewMsg,
+    ObjectReplyMsg, PrePrepareMsg, PrepareMsg, PreparedProof, ReplyMsg, RequestMsg, StatusMsg,
+    ViewChangeMsg,
 };
 use base_pbft::Message;
 use proptest::prelude::*;
@@ -140,6 +141,24 @@ fn arb_view_change() -> impl Strategy<Value = ViewChangeMsg> {
         )
 }
 
+fn arb_new_view() -> impl Strategy<Value = NewViewMsg> {
+    (
+        any::<u64>(),
+        proptest::collection::vec(arb_view_change(), 0..3),
+        proptest::collection::vec(arb_pre_prepare(), 0..3),
+        0u32..N as u32,
+        arb_sig(),
+    )
+        .prop_map(|(view, view_changes, pre_prepares, replica, sig)| NewViewMsg {
+            view,
+            view_changes,
+            pre_prepares,
+            replica,
+            sig,
+        })
+}
+
+/// All 19 message kinds.
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         arb_request().prop_map(Message::Request),
@@ -157,6 +176,28 @@ fn arb_message() -> impl Strategy<Value = Message> {
         ),
         arb_checkpoint().prop_map(Message::Checkpoint),
         arb_view_change().prop_map(Message::ViewChange),
+        arb_new_view().prop_map(Message::NewView),
+        (
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>(),
+            proptest::collection::vec(arb_digest(), 0..8),
+            0u32..N as u32,
+        )
+            .prop_map(|(seq, level, index, digests, replica)| {
+                Message::MetaReply(MetaReplyMsg { seq, level, index, digests, replica })
+            }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..128),
+            0u32..N as u32,
+        )
+            .prop_map(|(seq, index, data, replica)| {
+                Message::ObjectReply(ObjectReplyMsg { seq, index, data, replica })
+            }),
+        (proptest::collection::vec(arb_checkpoint(), 0..4), 0u32..N as u32)
+            .prop_map(|(msgs, replica)| Message::CertReply(CertReplyMsg { msgs, replica })),
         (any::<u64>(), any::<u64>(), any::<u64>(), 0u32..N as u32).prop_map(
             |(view, last_exec, stable_seq, replica)| Message::Status(StatusMsg {
                 view,
@@ -214,8 +255,91 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Applies `$body` to the inner message of every kind that carries a signed
+/// portion; `None` for the kinds that do not.
+macro_rules! on_signed {
+    ($msg:expr, |$m:ident| $body:expr) => {
+        match $msg {
+            Message::Request($m) => Some($body),
+            Message::Reply($m) => Some($body),
+            Message::PrePrepare($m) => Some($body),
+            Message::Prepare($m) => Some($body),
+            Message::Commit($m) => Some($body),
+            Message::Checkpoint($m) => Some($body),
+            Message::ViewChange($m) => Some($body),
+            Message::NewView($m) => Some($body),
+            _ => None,
+        }
+    };
+}
+
+/// Memoizes every digest a message's signed portion reads, innermost first,
+/// so that encoding that portion afterwards finds nothing left to compute.
+fn memoize_digests(msg: &Message) {
+    let batch = |pp: &PrePrepareMsg| {
+        for r in pp.requests() {
+            r.digest();
+        }
+        pp.batch_digest();
+    };
+    let view_change = |vc: &ViewChangeMsg| vc.prepared.iter().for_each(|p| batch(&p.pre_prepare));
+    match msg {
+        Message::Request(r) => {
+            r.digest();
+        }
+        Message::PrePrepare(pp) => batch(pp),
+        Message::ViewChange(vc) => view_change(vc),
+        Message::NewView(nv) => {
+            nv.view_changes.iter().for_each(view_change);
+            nv.pre_prepares.iter().for_each(batch);
+        }
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The payload a sender puts on the wire is byte for byte the by-value
+    /// encoding, with and without the shard envelope, and decodes back to
+    /// the message and the shard it was sent from.
+    #[test]
+    fn payload_is_the_tagged_wire(msg in arb_message(), shard in 1u32..64) {
+        for shard in [0, shard] {
+            let payload = msg.to_payload(shard);
+            prop_assert_eq!(&payload[..], &msg.to_wire_tagged(shard)[..]);
+            prop_assert_eq!(Message::from_wire_tagged(&payload), Some((shard, msg.clone())));
+        }
+        prop_assert_eq!(&msg.to_payload(0)[..], &msg.to_wire()[..]);
+    }
+
+    /// The signed portion lent from the scratch buffer is the signed
+    /// portion, also when digests have to be computed *while* it is lent.
+    /// The sender's copy has every nested digest memoized beforehand, so
+    /// its encoding never re-enters the scratch; the freshly decoded copy
+    /// has none, so a view change hashes its prepared batches, and those
+    /// their requests, in the middle of the outer encoding. Neither may
+    /// panic, and the nested use must not clobber the outer bytes.
+    #[test]
+    fn lent_signed_bytes_survive_nested_digests(msg in arb_message()) {
+        memoize_digests(&msg);
+        let at_sender = on_signed!(&msg, |m| m.signed_bytes());
+        let fresh = Message::from_wire(&msg.to_wire()).expect("round trip");
+        let lent = on_signed!(&fresh, |m| m.with_signed_bytes(<[u8]>::to_vec));
+        prop_assert_eq!(&lent, &at_sender);
+        // A second, now memoized, pass over the decoded copy agrees, and
+        // the bytes stay put while the borrower itself encodes something.
+        let held = on_signed!(&fresh, |m| m.with_signed_bytes(|outer| {
+            let before = outer.to_vec();
+            let _ = msg.to_wire();
+            let _ = on_signed!(&msg, |inner| inner.signed_bytes());
+            (before, outer.to_vec())
+        }));
+        if let Some((before, after)) = held {
+            prop_assert_eq!(&before, &after);
+            prop_assert_eq!(Some(after), at_sender);
+        }
+    }
 
     /// Every message survives an encode/decode round trip bit-exactly.
     #[test]

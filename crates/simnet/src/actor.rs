@@ -27,8 +27,12 @@ pub struct TimerId(pub(crate) u64);
 /// delivery, network duplicate and fan-out recipient then shares the same
 /// allocation — cloning bumps a refcount instead of copying bytes. All
 /// send-side APIs take `impl Into<Payload>`, so call sites can keep
-/// passing `Vec<u8>` (one conversion, no copy) or pre-convert once and
-/// clone the handle per recipient.
+/// passing `Vec<u8>` or pre-convert once and clone the handle per
+/// recipient. Every conversion, from a `Vec<u8>` as much as from a slice,
+/// allocates the `Arc<[u8]>` block and copies the bytes into it (the
+/// refcounts sit in front of the bytes, so a `Vec`'s block cannot be
+/// adopted): a sender that can lend its encoding as a slice converts from
+/// the slice and skips the `Vec`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Payload(Arc<[u8]>);
 
@@ -120,7 +124,7 @@ pub struct Context<'a> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
     pub(crate) clock_skew: SimDuration,
-    pub(crate) effects: Vec<Effect>,
+    pub(crate) effects: &'a mut Vec<Effect>,
     pub(crate) charged: SimDuration,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) rng: &'a mut StdRng,
@@ -154,7 +158,8 @@ impl<'a> Context<'a> {
     /// The message leaves this node once the handler returns (after any
     /// charged CPU time) and arrives after the configured link latency.
     /// Passing an already-converted [`Payload`] (or a clone of one) is
-    /// free; passing a `Vec<u8>` converts without copying.
+    /// free; passing a `Vec<u8>` or a slice allocates the shared block and
+    /// copies the bytes into it once.
     pub fn send(&mut self, to: NodeId, payload: impl Into<Payload>) {
         self.effects.push(Effect::Send { to, payload: payload.into() });
     }

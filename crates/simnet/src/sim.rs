@@ -45,6 +45,10 @@ pub struct Simulation {
     started: bool,
     next_timer_id: u64,
     seed: u64,
+    /// The one effects buffer every handler invocation writes into: lent to
+    /// the [`Context`], drained when the handler returns, so it is empty
+    /// between invocations and only its capacity is carried over.
+    effects: Vec<Effect>,
 }
 
 impl Simulation {
@@ -62,6 +66,7 @@ impl Simulation {
             started: false,
             next_timer_id: 0,
             seed,
+            effects: Vec::new(),
         }
     }
 
@@ -347,11 +352,17 @@ impl Simulation {
         let skew = self.config.skew(node);
         let slot = &mut self.nodes[node.0];
         let trace_enabled = self.trace.enabled();
+        // Taken, not borrowed: applying the effects below needs `self`.
+        // Handlers never nest (effects are applied after the handler
+        // returns, and applying one only queues events), so the buffer is
+        // always at home, and empty, here.
+        let mut effects = std::mem::take(&mut self.effects);
+        debug_assert!(effects.is_empty(), "effects of an earlier invocation were not drained");
         let mut ctx = Context {
             now: self.now,
             self_id: node,
             clock_skew: skew,
-            effects: Vec::new(),
+            effects: &mut effects,
             charged: SimDuration::ZERO,
             next_timer_id: &mut self.next_timer_id,
             rng: &mut slot.rng,
@@ -363,14 +374,13 @@ impl Simulation {
         f(slot.actor.as_mut(), &mut ctx);
 
         let charged = ctx.charged;
-        let effects = ctx.effects;
         let done_at = self.now + charged;
         slot.busy_until = done_at;
         if charged > SimDuration::ZERO {
             self.stats.record_cpu(node, charged);
         }
 
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, payload } => {
                     self.route_message(node, to, payload, done_at);
@@ -384,6 +394,7 @@ impl Simulation {
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// Applies the network model and fault filter to one message and
@@ -524,6 +535,60 @@ mod tests {
         assert!(starter.got_pong);
         assert!(!starter.cancelled_fired, "cancelled timer must not fire");
         assert_eq!(sim.actor_as::<Counter>(a).unwrap().received.len(), 1);
+    }
+
+    #[test]
+    fn one_invocations_effects_never_reach_the_next() {
+        // Every handler writes into the one buffer the simulation owns; it
+        // must come back drained, or the next handler's (empty) effect
+        // list would replay the previous one's sends and timers.
+        struct Burst {
+            peer: NodeId,
+            cancelled_fired: bool,
+        }
+        impl Actor for Burst {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for i in 0..3u8 {
+                    ctx.send(self.peer, vec![i]);
+                }
+                let id = ctx.set_timer(SimDuration::from_millis(1), 9);
+                ctx.cancel_timer(id);
+            }
+            fn on_message(&mut self, _f: NodeId, _p: &[u8], _ctx: &mut Context<'_>) {}
+            fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_>) {
+                self.cancelled_fired = true;
+            }
+        }
+        /// Handles every delivery by doing nothing.
+        #[derive(Default)]
+        struct Idle {
+            handled: usize,
+        }
+        impl Actor for Idle {
+            fn on_message(&mut self, _f: NodeId, _p: &[u8], _ctx: &mut Context<'_>) {
+                self.handled += 1;
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let idle = sim.add_node(Box::<Idle>::default());
+        let burst = sim.add_node(Box::new(Burst { peer: idle, cancelled_fired: false }));
+        // One step: `on_start` of both nodes (five effects applied), then
+        // the first delivery, whose handler issues nothing and so must
+        // apply nothing: of the three deliveries and one timer queued, one
+        // delivery is consumed and no event is added.
+        assert!(sim.step());
+        assert_eq!(sim.actor_as::<Idle>(idle).unwrap().handled, 1);
+        assert_eq!(sim.stats().messages_sent, 3);
+        assert_eq!(sim.pending_events(), 3);
+        assert!(sim.effects.is_empty());
+        assert!(sim.effects.capacity() >= 5, "the allocation is what is carried over");
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(sim.actor_as::<Idle>(idle).unwrap().handled, 3);
+        assert_eq!(sim.stats().messages_sent, 3, "an idle handler re-applied stale sends");
+        assert_eq!(sim.stats().messages_delivered, 3);
+        assert!(!sim.actor_as::<Burst>(burst).unwrap().cancelled_fired);
+        assert_eq!(sim.pending_events(), 0);
+        assert!(sim.effects.is_empty());
     }
 
     #[test]

@@ -30,6 +30,15 @@ impl XdrEncoder {
         Self { buf: Vec::with_capacity(cap) }
     }
 
+    /// Creates an empty encoder that writes into `buf`'s allocation:
+    /// `buf` is cleared, its capacity kept. Passing the `Vec` a previous
+    /// encoder's [`XdrEncoder::finish`] returned encodes message after
+    /// message without allocating.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// Number of bytes encoded so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -150,6 +159,20 @@ mod tests {
         let mut enc = XdrEncoder::new();
         enc.put_string("hi");
         assert_eq!(enc.finish(), vec![0, 0, 0, 2, b'h', b'i', 0, 0]);
+    }
+
+    #[test]
+    fn reusing_clears_the_bytes_and_keeps_the_allocation() {
+        let mut first = XdrEncoder::with_capacity(64);
+        first.put_u64(7);
+        let buf = first.finish();
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let mut second = XdrEncoder::reusing(buf);
+        assert!(second.is_empty());
+        second.put_u32(9);
+        let buf = second.finish();
+        assert_eq!(buf, vec![0, 0, 0, 9]);
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
     }
 
     #[test]
