@@ -11,6 +11,10 @@
 //! ten per cent. `cargo test --release -p base --test alloc_budget --
 //! --nocapture` prints the per-operation census.
 //!
+//! It also holds the decoder's reservation in place: a counted array
+//! reserves no more memory than there are bytes left to decode, whatever
+//! count a hostile frame claims (decode runs before any MAC is looked at).
+//!
 //! The only test in its binary, because the counter is process-wide.
 
 use base::demo::{KvWrapper, TinyKv};
@@ -24,6 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Allocator calls so far, `realloc` included.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Largest single request since it was last reset to zero.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -33,6 +39,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        LARGEST.fetch_max(layout.size() as u64, Relaxed);
         // SAFETY: same contract as our caller's.
         unsafe { System.alloc(layout) }
     }
@@ -42,6 +49,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        LARGEST.fetch_max(new_size as u64, Relaxed);
         // SAFETY: same contract as our caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,11 +67,20 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> u64 {
     after - before
 }
 
+/// Bytes of the largest single allocation made while `f` runs.
+fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
+    LARGEST.store(0, Relaxed);
+    drop(f());
+    LARGEST.load(Relaxed)
+}
+
 /// Ceilings per operation, end to end: measured 157.11 and 44.67.
 const WRITE_CEILING: f64 = 173.0;
 const READ_CEILING: f64 = 49.0;
 const OPS: usize = 256;
 const SEED: u64 = 18;
+/// Length of the hostile frame.
+const FRAME_LEN: usize = 64 << 10;
 
 struct Group {
     sim: Simulation,
@@ -200,6 +217,20 @@ fn census() -> Vec<Row> {
     ]
 }
 
+/// A 64 KiB frame of zeros that claims to be a `NewView` carrying 16 380
+/// view changes — the most four wire bytes an element lets the rest of the
+/// frame hold, and 2.2 MB of `ViewChangeMsg` in memory. `stable_proof` is
+/// the count the first view change claims for its own first array (0 leaves
+/// the frame all zeros).
+fn hostile_new_view(stable_proof: u32) -> Vec<u8> {
+    let mut frame = vec![0u8; FRAME_LEN];
+    frame[..4].copy_from_slice(&7u32.to_be_bytes()); // the `NewView` tag; `view` follows
+    frame[12..16].copy_from_slice(&16_380u32.to_be_bytes());
+    // new_view, stable_seq and stable_digest of the first element, then:
+    frame[64..68].copy_from_slice(&stable_proof.to_be_bytes());
+    frame
+}
+
 #[test]
 fn a_write_and_a_read_stay_within_their_allocation_budget() {
     let mut group = Group::new();
@@ -219,6 +250,20 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
         let counts: Vec<String> = counts.iter().map(u64::to_string).collect();
         println!("| {what} | {} |", counts.join(" / "));
     }
+    // No element of the first frame decodes, so what it measures is the
+    // reservation alone. The second is all zeros, which *is* 712 well-formed
+    // empty view changes before the frame runs out: memory that arrives,
+    // a constant factor of the frame (136 bytes an element in memory for
+    // 92 on the wire, times `Vec`'s doubling), printed and not pinned.
+    let largest_rejecting = |stable_proof| {
+        let frame = hostile_new_view(stable_proof);
+        largest_alloc_in(|| assert!(Message::from_wire(&frame).is_none()))
+    };
+    let (reserved, arrived) = (largest_rejecting(u32::MAX), largest_rejecting(0));
+    println!(
+        "| largest single allocation rejecting a {FRAME_LEN} B `NewView` frame that claims \
+         16 380 view changes: none decodes / 712 empty ones do | {reserved} B / {arrived} B |"
+    );
     println!("| one write, end to end (4 replicas, client, simulator) | {per_write:.2} |");
     println!("| one read-only get, end to end | {per_read:.2} |");
 
@@ -227,6 +272,10 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
             assert!(counts.iter().all(|c| c == want), "{what}: {counts:?}, pinned at {want}");
         }
     }
+    assert!(
+        reserved <= FRAME_LEN as u64,
+        "decode reserved {reserved} bytes on the word of a {FRAME_LEN}-byte frame"
+    );
     assert!(per_write <= WRITE_CEILING, "a write made {per_write:.2} allocations");
     assert!(per_read <= READ_CEILING, "a read-only get made {per_read:.2} allocations");
 }

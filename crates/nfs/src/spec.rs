@@ -10,22 +10,24 @@
 //! are replaced by the oid, and all timestamps are the *abstract* (agreed)
 //! ones. Every entry is XDR-encoded.
 
-use base_xdr::{decode_vec, encode_vec, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
+use base_xdr::{from_bytes, xdr_struct, xdr_union, XdrEncode, XdrEncoder, XdrError};
 
 /// Default capacity of the abstract object array.
 pub const DEFAULT_CAPACITY: u64 = 1 << 16;
 
-/// An abstract object identifier: array index + generation number.
-///
-/// Clients use oids as NFS file handles; the generation number makes
-/// handles of reallocated entries stale, exactly like NFS generation
-/// numbers — but chosen *deterministically* so all replicas agree.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct Oid {
-    /// Index into the abstract object array.
-    pub index: u32,
-    /// Generation number of the entry.
-    pub gen: u32,
+xdr_struct! {
+    /// An abstract object identifier: array index + generation number.
+    ///
+    /// Clients use oids as NFS file handles; the generation number makes
+    /// handles of reallocated entries stale, exactly like NFS generation
+    /// numbers — but chosen *deterministically* so all replicas agree.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+    pub struct Oid {
+        /// Index into the abstract object array.
+        pub index: u32,
+        /// Generation number of the entry.
+        pub gen: u32,
+    }
 }
 
 impl Oid {
@@ -49,73 +51,43 @@ impl std::fmt::Display for Oid {
     }
 }
 
-impl XdrEncode for Oid {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.index);
-        enc.put_u32(self.gen);
+xdr_union! {
+    /// Object kinds.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum ObjKind {
+        /// Regular file.
+        0 => File,
+        /// Directory.
+        1 => Dir,
+        /// Symbolic link.
+        2 => Symlink,
     }
 }
 
-impl XdrDecode for Oid {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Oid { index: dec.get_u32()?, gen: dec.get_u32()? })
+xdr_struct! {
+    /// Abstract file attributes (the NFS `fattr` with implementation-specific
+    /// fields removed; timestamps are abstract nanoseconds).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct Fattr {
+        /// Object kind.
+        pub kind: ObjKind,
+        /// Permission bits.
+        pub mode: u32,
+        /// Hard-link count.
+        pub nlink: u32,
+        /// Owner.
+        pub uid: u32,
+        /// Group.
+        pub gid: u32,
+        /// Size in bytes (file data length / directory entry count).
+        pub size: u64,
+        /// Abstract access time (ns).
+        pub atime_ns: u64,
+        /// Abstract modification time (ns).
+        pub mtime_ns: u64,
+        /// Abstract attribute-change time (ns).
+        pub ctime_ns: u64,
     }
-}
-
-/// Object kinds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ObjKind {
-    /// Regular file.
-    File,
-    /// Directory.
-    Dir,
-    /// Symbolic link.
-    Symlink,
-}
-
-impl XdrEncode for ObjKind {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(match self {
-            ObjKind::File => 0,
-            ObjKind::Dir => 1,
-            ObjKind::Symlink => 2,
-        });
-    }
-}
-
-impl XdrDecode for ObjKind {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        match dec.get_u32()? {
-            0 => Ok(ObjKind::File),
-            1 => Ok(ObjKind::Dir),
-            2 => Ok(ObjKind::Symlink),
-            v => Err(XdrError::InvalidDiscriminant { type_name: "ObjKind", value: v }),
-        }
-    }
-}
-
-/// Abstract file attributes (the NFS `fattr` with implementation-specific
-/// fields removed; timestamps are abstract nanoseconds).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Fattr {
-    /// Object kind.
-    pub kind: ObjKind,
-    /// Permission bits.
-    pub mode: u32,
-    /// Hard-link count.
-    pub nlink: u32,
-    /// Owner.
-    pub uid: u32,
-    /// Group.
-    pub gid: u32,
-    /// Size in bytes (file data length / directory entry count).
-    pub size: u64,
-    /// Abstract access time (ns).
-    pub atime_ns: u64,
-    /// Abstract modification time (ns).
-    pub mtime_ns: u64,
-    /// Abstract attribute-change time (ns).
-    pub ctime_ns: u64,
 }
 
 impl Fattr {
@@ -135,60 +107,32 @@ impl Fattr {
     }
 }
 
-impl XdrEncode for Fattr {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.kind.encode(enc);
-        enc.put_u32(self.mode);
-        enc.put_u32(self.nlink);
-        enc.put_u32(self.uid);
-        enc.put_u32(self.gid);
-        enc.put_u64(self.size);
-        enc.put_u64(self.atime_ns);
-        enc.put_u64(self.mtime_ns);
-        enc.put_u64(self.ctime_ns);
+xdr_union! {
+    /// A non-null abstract object.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum AbstractObject {
+        /// A regular file: metadata + contents.
+        0 => File {
+            /// Attributes.
+            attr: Fattr,
+            /// File contents.
+            data: Vec<u8>,
+        },
+        /// A directory: metadata + entries sorted lexicographically by name.
+        1 => Dir {
+            /// Attributes.
+            attr: Fattr,
+            /// `(name, oid)` pairs, strictly sorted by name.
+            entries: Vec<(String, Oid)>,
+        },
+        /// A symbolic link: metadata + target path.
+        2 => Symlink {
+            /// Attributes.
+            attr: Fattr,
+            /// Link target.
+            target: String,
+        },
     }
-}
-
-impl XdrDecode for Fattr {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Fattr {
-            kind: ObjKind::decode(dec)?,
-            mode: dec.get_u32()?,
-            nlink: dec.get_u32()?,
-            uid: dec.get_u32()?,
-            gid: dec.get_u32()?,
-            size: dec.get_u64()?,
-            atime_ns: dec.get_u64()?,
-            mtime_ns: dec.get_u64()?,
-            ctime_ns: dec.get_u64()?,
-        })
-    }
-}
-
-/// A non-null abstract object.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum AbstractObject {
-    /// A regular file: metadata + contents.
-    File {
-        /// Attributes.
-        attr: Fattr,
-        /// File contents.
-        data: Vec<u8>,
-    },
-    /// A directory: metadata + entries sorted lexicographically by name.
-    Dir {
-        /// Attributes.
-        attr: Fattr,
-        /// `(name, oid)` pairs, strictly sorted by name.
-        entries: Vec<(String, Oid)>,
-    },
-    /// A symbolic link: metadata + target path.
-    Symlink {
-        /// Attributes.
-        attr: Fattr,
-        /// Link target.
-        target: String,
-    },
 }
 
 impl AbstractObject {
@@ -226,130 +170,50 @@ impl AbstractObject {
 
     /// Decodes an abstract array entry.
     pub fn decode_entry(bytes: &[u8]) -> Result<(u32, AbstractObject), XdrError> {
-        let mut dec = XdrDecoder::new(bytes);
-        let gen = dec.get_u32()?;
-        let obj = AbstractObject::decode(&mut dec)?;
-        dec.finish()?;
-        Ok((gen, obj))
+        from_bytes(bytes)
     }
 }
 
-impl XdrEncode for AbstractObject {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        match self {
-            AbstractObject::File { attr, data } => {
-                enc.put_u32(0);
-                attr.encode(enc);
-                enc.put_opaque(data);
-            }
-            AbstractObject::Dir { attr, entries } => {
-                enc.put_u32(1);
-                attr.encode(enc);
-                encode_vec(entries, enc);
-            }
-            AbstractObject::Symlink { attr, target } => {
-                enc.put_u32(2);
-                attr.encode(enc);
-                enc.put_string(target);
-            }
-        }
+xdr_union! {
+    /// NFS-style status codes for the abstract operations, tagged with
+    /// NFS's own `nfsstat` numbers (the Unix `errno`s).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum NfsStatus {
+        /// No such file or directory.
+        2 => NoEnt,
+        /// Generic I/O error.
+        5 => Io,
+        /// Name already exists.
+        17 => Exist,
+        /// Not a directory.
+        20 => NotDir,
+        /// Is a directory.
+        21 => IsDir,
+        /// Invalid argument.
+        22 => Inval,
+        /// No space (abstract array exhausted).
+        28 => NoSpace,
+        /// Name too long.
+        63 => NameTooLong,
+        /// Directory not empty.
+        66 => NotEmpty,
+        /// Stale file handle (generation mismatch).
+        70 => Stale,
     }
 }
 
-impl XdrDecode for AbstractObject {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        match dec.get_u32()? {
-            0 => Ok(AbstractObject::File {
-                attr: Fattr::decode(dec)?,
-                data: dec.get_opaque()?,
-            }),
-            1 => Ok(AbstractObject::Dir {
-                attr: Fattr::decode(dec)?,
-                entries: decode_vec(dec)?,
-            }),
-            2 => Ok(AbstractObject::Symlink {
-                attr: Fattr::decode(dec)?,
-                target: dec.get_string()?,
-            }),
-            v => Err(XdrError::InvalidDiscriminant { type_name: "AbstractObject", value: v }),
-        }
-    }
-}
-
-/// NFS-style status codes for the abstract operations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NfsStatus {
-    /// No such file or directory.
-    NoEnt,
-    /// Name already exists.
-    Exist,
-    /// Not a directory.
-    NotDir,
-    /// Is a directory.
-    IsDir,
-    /// Directory not empty.
-    NotEmpty,
-    /// Stale file handle (generation mismatch).
-    Stale,
-    /// Invalid argument.
-    Inval,
-    /// Name too long.
-    NameTooLong,
-    /// No space (abstract array exhausted).
-    NoSpace,
-    /// Generic I/O error.
-    Io,
-}
-
-impl NfsStatus {
-    fn code(&self) -> u32 {
-        match self {
-            NfsStatus::NoEnt => 2,
-            NfsStatus::Io => 5,
-            NfsStatus::Exist => 17,
-            NfsStatus::NotDir => 20,
-            NfsStatus::IsDir => 21,
-            NfsStatus::Inval => 22,
-            NfsStatus::NoSpace => 28,
-            NfsStatus::NameTooLong => 63,
-            NfsStatus::NotEmpty => 66,
-            NfsStatus::Stale => 70,
-        }
-    }
-
-    fn from_code(v: u32) -> Result<Self, XdrError> {
-        Ok(match v {
-            2 => NfsStatus::NoEnt,
-            5 => NfsStatus::Io,
-            17 => NfsStatus::Exist,
-            20 => NfsStatus::NotDir,
-            21 => NfsStatus::IsDir,
-            22 => NfsStatus::Inval,
-            28 => NfsStatus::NoSpace,
-            63 => NfsStatus::NameTooLong,
-            66 => NfsStatus::NotEmpty,
-            70 => NfsStatus::Stale,
-            _ => return Err(XdrError::InvalidDiscriminant { type_name: "NfsStatus", value: v }),
-        })
-    }
-}
-
-impl XdrEncode for NfsStatus {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.code());
-    }
-}
-
-impl XdrDecode for NfsStatus {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        NfsStatus::from_code(dec.get_u32()?)
-    }
+/// A golden wire vector: fails naming the sample whose bytes moved, with
+/// the row to paste if the move was intended.
+#[cfg(test)]
+pub(crate) fn assert_golden(what: &dyn std::fmt::Debug, bytes: &[u8], len: usize, sha: &str) {
+    let actual = (bytes.len(), base_crypto::Digest::of(bytes).to_string());
+    assert_eq!(actual, (len, sha.to_owned()), "the wire bytes of {what:?} moved");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use base_xdr::{from_bytes, to_bytes};
+    use base_xdr::to_bytes;
 
     fn attr() -> Fattr {
         Fattr::new(ObjKind::File, 0o644, 10, 20, 1_000)
@@ -364,25 +228,39 @@ mod tests {
 
     #[test]
     fn objects_round_trip() {
+        // Each entry with the length and SHA-256 of its bytes.
         let objs = vec![
-            AbstractObject::File { attr: attr(), data: vec![1, 2, 3] },
-            AbstractObject::Dir {
-                attr: Fattr::new(ObjKind::Dir, 0o755, 0, 0, 5),
-                entries: vec![
-                    ("a".to_owned(), Oid { index: 1, gen: 1 }),
-                    ("b".to_owned(), Oid { index: 2, gen: 4 }),
-                ],
-            },
-            AbstractObject::Symlink {
-                attr: Fattr::new(ObjKind::Symlink, 0o777, 0, 0, 5),
-                target: "/somewhere/else".to_owned(),
-            },
+            (
+                AbstractObject::File { attr: attr(), data: vec![1, 2, 3] },
+                68,
+                "aff28a95f01c0776074cc80da6ebb223b0b7275f83fbbe62cb65170a464e1cc6",
+            ),
+            (
+                AbstractObject::Dir {
+                    attr: Fattr::new(ObjKind::Dir, 0o755, 0, 0, 5),
+                    entries: vec![
+                        ("a".to_owned(), Oid { index: 1, gen: 1 }),
+                        ("b".to_owned(), Oid { index: 2, gen: 4 }),
+                    ],
+                },
+                96,
+                "d21f4814603280a34a79b04569a22fa467cf70dce788e1a0ea895189d343e9ab",
+            ),
+            (
+                AbstractObject::Symlink {
+                    attr: Fattr::new(ObjKind::Symlink, 0o777, 0, 0, 5),
+                    target: "/somewhere/else".to_owned(),
+                },
+                80,
+                "8917b831c2e668d8b6284892d505ca9c9d204fed97eaddf7ee2e9a8c799cbd7c",
+            ),
         ];
-        for obj in objs {
+        for (obj, len, sha) in objs {
             let bytes = obj.encode_entry(9);
             let (gen, decoded) = AbstractObject::decode_entry(&bytes).unwrap();
             assert_eq!(gen, 9);
             assert_eq!(decoded, obj);
+            assert_golden(&obj.kind(), &bytes, len, sha);
         }
     }
 

@@ -1,10 +1,15 @@
 //! Property test: arbitrary operation schedules keep the three wrapped
 //! implementations in perfect abstract agreement, and `put_objs` transfers
-//! arbitrary reachable states between implementations.
+//! arbitrary reachable states between implementations. Also: the op bytes
+//! a Byzantine client controls, the reply bytes a Byzantine replica does,
+//! and abstract entries from a state transfer are decoded strictly.
+
+#[path = "../../xdr/tests/support/hostile.rs"]
+mod support;
 
 use base::{ModifyLog, Wrapper};
 use base_nfs::ops::{NfsOp, NfsReply, SetAttrs};
-use base_nfs::spec::Oid;
+use base_nfs::spec::{AbstractObject, Fattr, NfsStatus, ObjKind, Oid};
 use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
 use base_pbft::ExecEnv;
 use proptest::prelude::*;
@@ -244,5 +249,113 @@ proptest! {
         for (i, expected) in full {
             prop_assert_eq!(fresh.w.get_obj(i), expected, "transfer mismatch at {}", i);
         }
+    }
+}
+
+fn arb_oid() -> impl Strategy<Value = Oid> {
+    any::<(u32, u32)>().prop_map(|(index, gen)| Oid { index, gen })
+}
+
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..40)
+}
+
+fn arb_op() -> impl Strategy<Value = NfsOp> {
+    use proptest::option::of;
+    let attrs = (of(any::<u32>()), of(any::<u32>()), of(any::<u32>()), of(any::<u64>()))
+        .prop_map(|(mode, uid, gid, size)| SetAttrs { mode, uid, gid, size });
+    (0u8..15, arb_oid(), arb_oid(), "\\PC{0,12}", "\\PC{0,12}", any::<(u64, u32)>(), arb_bytes(), attrs)
+        .prop_map(|(kind, fh, dir, name, other, (offset, word), data, attrs)| match kind {
+            0 => NfsOp::Getattr { fh },
+            1 => NfsOp::Setattr { fh, attrs },
+            2 => NfsOp::Lookup { dir, name },
+            3 => NfsOp::Read { fh, offset, count: word },
+            4 => NfsOp::Write { fh, offset, data },
+            5 => NfsOp::Create { dir, name, mode: word },
+            6 => NfsOp::Remove { dir, name },
+            7 => NfsOp::Rename { from_dir: dir, from_name: name, to_dir: fh, to_name: other },
+            8 => NfsOp::Link { fh, dir, name },
+            9 => NfsOp::Symlink { dir, name, target: other },
+            10 => NfsOp::Readlink { fh },
+            11 => NfsOp::Mkdir { dir, name, mode: word },
+            12 => NfsOp::Rmdir { dir, name },
+            13 => NfsOp::Readdir { dir },
+            _ => NfsOp::Statfs,
+        })
+}
+
+fn arb_attr() -> impl Strategy<Value = Fattr> {
+    (0u8..3, any::<(u32, u32, u32, u32)>(), any::<(u64, u64, u64, u64)>()).prop_map(
+        |(kind, (mode, nlink, uid, gid), (size, atime_ns, mtime_ns, ctime_ns))| Fattr {
+            kind: [ObjKind::File, ObjKind::Dir, ObjKind::Symlink][kind as usize],
+            mode,
+            nlink,
+            uid,
+            gid,
+            size,
+            atime_ns,
+            mtime_ns,
+            ctime_ns,
+        },
+    )
+}
+
+fn arb_entries() -> impl Strategy<Value = Vec<(String, Oid)>> {
+    proptest::collection::vec(("\\PC{0,12}", arb_oid()), 0..6)
+}
+
+fn arb_reply() -> impl Strategy<Value = NfsReply> {
+    use NfsStatus::*;
+    const STATUSES: [NfsStatus; 10] =
+        [NoEnt, Io, Exist, NotDir, IsDir, Inval, NoSpace, NameTooLong, NotEmpty, Stale];
+    (0u8..8, 0usize..10, arb_attr(), arb_oid(), arb_bytes(), "\\PC{0,12}", arb_entries(), any::<(u64, u64)>())
+        .prop_map(|(kind, status, attr, fh, data, target, entries, (capacity, in_use))| match kind {
+            0 => NfsReply::Error(STATUSES[status]),
+            1 => NfsReply::Attr(attr),
+            2 => NfsReply::Handle { fh, attr },
+            3 => NfsReply::Data(data),
+            4 => NfsReply::Target(target),
+            5 => NfsReply::Entries(entries),
+            6 => NfsReply::Stats(capacity, in_use),
+            _ => NfsReply::Ok,
+        })
+}
+
+fn arb_entry() -> impl Strategy<Value = (u32, AbstractObject)> {
+    (0u8..3, any::<u32>(), arb_attr(), arb_bytes(), arb_entries(), "\\PC{0,12}").prop_map(
+        |(kind, gen, attr, data, entries, target)| {
+            let obj = match kind {
+                0 => AbstractObject::File { attr, data },
+                1 => AbstractObject::Dir { attr, entries },
+                _ => AbstractObject::Symlink { attr, target },
+            };
+            (gen, obj)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_op_bytes(op in arb_op(), noise in arb_bytes()) {
+        support::hostile(&op, &noise, "NfsOp", 0);
+        prop_assert_eq!(NfsOp::from_bytes(&op.to_bytes()), Some(op));
+    }
+
+    #[test]
+    fn hostile_reply_bytes(reply in arb_reply(), noise in arb_bytes()) {
+        support::hostile(&reply, &noise, "NfsReply", 0);
+        prop_assert_eq!(NfsReply::from_bytes(&reply.to_bytes()), Some(reply));
+    }
+
+    /// An abstract array entry is `(generation, object)`: the tag of the
+    /// object is the second word.
+    #[test]
+    fn hostile_entry_bytes(entry in arb_entry(), noise in arb_bytes()) {
+        support::hostile(&entry, &noise, "AbstractObject", 4);
+        let bytes = entry.1.encode_entry(entry.0);
+        prop_assert_eq!(&bytes, &base_xdr::to_bytes(&entry));
+        prop_assert_eq!(AbstractObject::decode_entry(&bytes), Ok(entry));
     }
 }

@@ -11,88 +11,94 @@
 use crate::store::{ObjStore, FIELDS, REF_SLOTS};
 use base::{ModifyLog, Wrapper};
 use base_pbft::ExecEnv;
-use base_xdr::{XdrDecoder, XdrEncoder};
+use base_xdr::{from_bytes, to_bytes, xdr_struct, xdr_union, XdrDecoder, XdrEncoder};
 use std::collections::{BTreeSet, HashMap};
 
 /// Capacity of the abstract object array.
 pub const N_OBJECTS: u64 = 4096;
 
-/// An abstract oid: index + generation packed like the NFS example.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct Oid {
-    /// Array index.
-    pub index: u32,
-    /// Generation.
-    pub gen: u32,
+xdr_struct! {
+    /// An abstract oid: index + generation packed like the NFS example.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+    pub struct Oid {
+        /// Array index.
+        pub index: u32,
+        /// Generation.
+        pub gen: u32,
+    }
 }
 
-/// Operations on the replicated OODB.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum OodbOp {
-    /// Allocates a new object; replies `Handle`.
-    New,
-    /// Writes a scalar field.
-    Put {
-        /// Target object.
-        oid: Oid,
-        /// Field index (`< FIELDS`).
-        field: u32,
-        /// New contents.
-        data: Vec<u8>,
-    },
-    /// Reads a scalar field; replies `Data`.
-    Get {
-        /// Target object.
-        oid: Oid,
-        /// Field index.
-        field: u32,
-    },
-    /// Sets a reference slot (increments/decrements abstract refcounts).
-    SetRef {
-        /// Source object.
-        from: Oid,
-        /// Slot index (`< REF_SLOTS`).
-        slot: u32,
-        /// New target (`None` clears).
-        to: Option<Oid>,
-    },
-    /// Reads a reference slot; replies `Ref`.
-    GetRef {
-        /// Source object.
-        from: Oid,
-        /// Slot index.
-        slot: u32,
-    },
-    /// Deletes an unreferenced object.
-    Delete {
-        /// Target object.
-        oid: Oid,
-    },
-    /// Depth-bounded traversal from `root`; replies `Count` with the
-    /// number of distinct objects visited (read-only, deterministic).
-    Traverse {
-        /// Start object.
-        root: Oid,
-        /// Maximum depth.
-        depth: u32,
-    },
+xdr_union! {
+    /// Operations on the replicated OODB.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum OodbOp {
+        /// Allocates a new object; replies `Handle`.
+        0 => New,
+        /// Writes a scalar field.
+        1 => Put {
+            /// Target object.
+            oid: Oid,
+            /// Field index (`< FIELDS`).
+            field: u32,
+            /// New contents.
+            data: Vec<u8>,
+        },
+        /// Reads a scalar field; replies `Data`.
+        2 => Get {
+            /// Target object.
+            oid: Oid,
+            /// Field index.
+            field: u32,
+        },
+        /// Sets a reference slot (increments/decrements abstract refcounts).
+        3 => SetRef {
+            /// Source object.
+            from: Oid,
+            /// Slot index (`< REF_SLOTS`).
+            slot: u32,
+            /// New target (`None` clears).
+            to: Option<Oid>,
+        },
+        /// Reads a reference slot; replies `Ref`.
+        4 => GetRef {
+            /// Source object.
+            from: Oid,
+            /// Slot index.
+            slot: u32,
+        },
+        /// Deletes an unreferenced object.
+        5 => Delete {
+            /// Target object.
+            oid: Oid,
+        },
+        /// Depth-bounded traversal from `root`; replies `Count` with the
+        /// number of distinct objects visited (read-only, deterministic).
+        6 => Traverse {
+            /// Start object.
+            root: Oid,
+            /// Maximum depth.
+            depth: u32,
+        },
+    }
 }
 
-/// Replies.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum OodbReply {
-    /// A new object's oid.
-    Handle(Oid),
-    /// Field contents.
-    Data(Vec<u8>),
-    /// A reference slot's target.
-    Ref(Option<Oid>),
-    /// Traversal result.
-    Count(u64),
-    /// Success.
-    Ok,
-    /// Failure: stale oid, bad index, still referenced, out of space.
-    Err(u32),
+xdr_union! {
+    /// Replies.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum OodbReply {
+        /// A new object's oid.
+        0 => Handle(oid: Oid),
+        /// Field contents.
+        1 => Data(data: Vec<u8>),
+        /// A reference slot's target.
+        2 => Ref(target: Option<Oid>),
+        /// Traversal result.
+        3 => Count(visited: u64),
+        /// Success.
+        4 => Ok,
+        /// Failure: stale oid, bad index, still referenced, out of space.
+        5 => Err(code: u32),
+    }
 }
 
 /// Error codes for [`OodbReply::Err`].
@@ -112,80 +118,12 @@ pub mod err {
 impl OodbOp {
     /// Encodes to op bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        let put_oid = |enc: &mut XdrEncoder, o: &Oid| {
-            enc.put_u32(o.index);
-            enc.put_u32(o.gen);
-        };
-        match self {
-            OodbOp::New => enc.put_u32(0),
-            OodbOp::Put { oid, field, data } => {
-                enc.put_u32(1);
-                put_oid(&mut enc, oid);
-                enc.put_u32(*field);
-                enc.put_opaque(data);
-            }
-            OodbOp::Get { oid, field } => {
-                enc.put_u32(2);
-                put_oid(&mut enc, oid);
-                enc.put_u32(*field);
-            }
-            OodbOp::SetRef { from, slot, to } => {
-                enc.put_u32(3);
-                put_oid(&mut enc, from);
-                enc.put_u32(*slot);
-                match to {
-                    Some(t) => {
-                        enc.put_bool(true);
-                        put_oid(&mut enc, t);
-                    }
-                    None => enc.put_bool(false),
-                }
-            }
-            OodbOp::GetRef { from, slot } => {
-                enc.put_u32(4);
-                put_oid(&mut enc, from);
-                enc.put_u32(*slot);
-            }
-            OodbOp::Delete { oid } => {
-                enc.put_u32(5);
-                put_oid(&mut enc, oid);
-            }
-            OodbOp::Traverse { root, depth } => {
-                enc.put_u32(6);
-                put_oid(&mut enc, root);
-                enc.put_u32(*depth);
-            }
-        }
-        enc.finish()
+        to_bytes(self)
     }
 
     /// Decodes from op bytes.
     pub fn from_bytes(bytes: &[u8]) -> Option<OodbOp> {
-        let mut dec = XdrDecoder::new(bytes);
-        let get_oid = |dec: &mut XdrDecoder<'_>| -> Option<Oid> {
-            Some(Oid { index: dec.get_u32().ok()?, gen: dec.get_u32().ok()? })
-        };
-        let op = match dec.get_u32().ok()? {
-            0 => OodbOp::New,
-            1 => OodbOp::Put {
-                oid: get_oid(&mut dec)?,
-                field: dec.get_u32().ok()?,
-                data: dec.get_opaque().ok()?,
-            },
-            2 => OodbOp::Get { oid: get_oid(&mut dec)?, field: dec.get_u32().ok()? },
-            3 => OodbOp::SetRef {
-                from: get_oid(&mut dec)?,
-                slot: dec.get_u32().ok()?,
-                to: if dec.get_bool().ok()? { Some(get_oid(&mut dec)?) } else { None },
-            },
-            4 => OodbOp::GetRef { from: get_oid(&mut dec)?, slot: dec.get_u32().ok()? },
-            5 => OodbOp::Delete { oid: get_oid(&mut dec)? },
-            6 => OodbOp::Traverse { root: get_oid(&mut dec)?, depth: dec.get_u32().ok()? },
-            _ => return None,
-        };
-        dec.finish().ok()?;
-        Some(op)
+        from_bytes(bytes).ok()
     }
 
     /// True for operations eligible for the read-only optimization.
@@ -197,63 +135,12 @@ impl OodbOp {
 impl OodbReply {
     /// Encodes to reply bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        match self {
-            OodbReply::Handle(o) => {
-                enc.put_u32(0);
-                enc.put_u32(o.index);
-                enc.put_u32(o.gen);
-            }
-            OodbReply::Data(d) => {
-                enc.put_u32(1);
-                enc.put_opaque(d);
-            }
-            OodbReply::Ref(Some(o)) => {
-                enc.put_u32(2);
-                enc.put_bool(true);
-                enc.put_u32(o.index);
-                enc.put_u32(o.gen);
-            }
-            OodbReply::Ref(None) => {
-                enc.put_u32(2);
-                enc.put_bool(false);
-            }
-            OodbReply::Count(n) => {
-                enc.put_u32(3);
-                enc.put_u64(*n);
-            }
-            OodbReply::Ok => enc.put_u32(4),
-            OodbReply::Err(code) => {
-                enc.put_u32(5);
-                enc.put_u32(*code);
-            }
-        }
-        enc.finish()
+        to_bytes(self)
     }
 
     /// Decodes from reply bytes.
     pub fn from_bytes(bytes: &[u8]) -> Option<OodbReply> {
-        let mut dec = XdrDecoder::new(bytes);
-        let r = match dec.get_u32().ok()? {
-            0 => OodbReply::Handle(Oid { index: dec.get_u32().ok()?, gen: dec.get_u32().ok()? }),
-            1 => OodbReply::Data(dec.get_opaque().ok()?),
-            2 => {
-                if dec.get_bool().ok()? {
-                    OodbReply::Ref(Some(Oid {
-                        index: dec.get_u32().ok()?,
-                        gen: dec.get_u32().ok()?,
-                    }))
-                } else {
-                    OodbReply::Ref(None)
-                }
-            }
-            3 => OodbReply::Count(dec.get_u64().ok()?),
-            4 => OodbReply::Ok,
-            5 => OodbReply::Err(dec.get_u32().ok()?),
-            _ => return None,
-        };
-        dec.finish().ok()?;
-        Some(r)
+        from_bytes(bytes).ok()
     }
 }
 

@@ -1,7 +1,12 @@
 //! Property tests: the OODB wrapper produces identical abstract behaviour
 //! across differently-seeded (and therefore concretely divergent) stores,
 //! for arbitrary operation schedules — including schedules that trigger
-//! the relocating collector at different moments on each instance.
+//! the relocating collector at different moments on each instance. Also:
+//! the op bytes a Byzantine client controls and the reply bytes a Byzantine
+//! replica does are decoded strictly.
+
+#[path = "../../xdr/tests/support/hostile.rs"]
+mod support;
 
 use base::{ModifyLog, Wrapper};
 use base_oodb::wrapper::{err, Oid, OodbOp, OodbReply};
@@ -144,5 +149,56 @@ proptest! {
             }
         }
         let _ = err::STALE;
+    }
+}
+
+fn arb_oid() -> impl Strategy<Value = Oid> {
+    any::<(u32, u32)>().prop_map(|(index, gen)| Oid { index, gen })
+}
+
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..40)
+}
+
+fn arb_op() -> impl Strategy<Value = OodbOp> {
+    (0u8..7, arb_oid(), any::<u32>(), arb_bytes(), proptest::option::of(arb_oid())).prop_map(
+        |(kind, oid, word, data, to)| match kind {
+            0 => OodbOp::New,
+            1 => OodbOp::Put { oid, field: word, data },
+            2 => OodbOp::Get { oid, field: word },
+            3 => OodbOp::SetRef { from: oid, slot: word, to },
+            4 => OodbOp::GetRef { from: oid, slot: word },
+            5 => OodbOp::Delete { oid },
+            _ => OodbOp::Traverse { root: oid, depth: word },
+        },
+    )
+}
+
+fn arb_reply() -> impl Strategy<Value = OodbReply> {
+    (0u8..6, proptest::option::of(arb_oid()), arb_oid(), arb_bytes(), any::<(u64, u32)>()).prop_map(
+        |(kind, target, oid, data, (visited, code))| match kind {
+            0 => OodbReply::Handle(oid),
+            1 => OodbReply::Data(data),
+            2 => OodbReply::Ref(target),
+            3 => OodbReply::Count(visited),
+            4 => OodbReply::Ok,
+            _ => OodbReply::Err(code),
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_op_bytes(op in arb_op(), noise in arb_bytes()) {
+        support::hostile(&op, &noise, "OodbOp", 0);
+        prop_assert_eq!(OodbOp::from_bytes(&op.to_bytes()), Some(op));
+    }
+
+    #[test]
+    fn hostile_reply_bytes(reply in arb_reply(), noise in arb_bytes()) {
+        support::hostile(&reply, &noise, "OodbReply", 0);
+        prop_assert_eq!(OodbReply::from_bytes(&reply.to_bytes()), Some(reply));
     }
 }

@@ -4,6 +4,7 @@
 
 use base::{ModifyLog, Wrapper};
 use base_oodb::{err, Oid, OodbOp, OodbReply, OodbWrapper};
+use base_crypto::Digest;
 use base_pbft::ExecEnv;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -184,33 +185,97 @@ fn malformed_op_bytes_reply_inval() {
     assert_eq!(OodbReply::from_bytes(&bytes), Some(OodbReply::Err(err::INVAL)));
 }
 
+/// A golden wire vector: fails naming the sample whose bytes moved, with
+/// the row to paste if the move was intended.
+fn assert_golden(what: &dyn std::fmt::Debug, bytes: &[u8], len: usize, sha: &str) {
+    let actual = (bytes.len(), Digest::of(bytes).to_string());
+    assert_eq!(actual, (len, sha.to_owned()), "the wire bytes of {what:?} moved");
+}
+
 #[test]
 fn op_and_reply_wire_roundtrip() {
     let oid = Oid { index: 7, gen: 3 };
+    // Each sample with the length and SHA-256 of its bytes.
     let ops = [
-        OodbOp::New,
-        OodbOp::Put { oid, field: 2, data: b"payload".to_vec() },
-        OodbOp::Get { oid, field: 0 },
-        OodbOp::SetRef { from: oid, slot: 1, to: Some(Oid { index: 9, gen: 1 }) },
-        OodbOp::SetRef { from: oid, slot: 1, to: None },
-        OodbOp::GetRef { from: oid, slot: 3 },
-        OodbOp::Delete { oid },
-        OodbOp::Traverse { root: oid, depth: 5 },
+        (OodbOp::New, 4, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+        (
+            OodbOp::Put { oid, field: 2, data: b"payload".to_vec() },
+            28,
+            "967c8fa0c43a23fb4ef55587692834c2b7dc2ba0b220cd770fc826ece3bf7cb1",
+        ),
+        (
+            OodbOp::Get { oid, field: 0 },
+            16,
+            "95c5c955b6556c3542b163e67faff5d7370ac1272e0b0bcce27c057bff368c48",
+        ),
+        (
+            OodbOp::SetRef { from: oid, slot: 1, to: Some(Oid { index: 9, gen: 1 }) },
+            28,
+            "cd6bd1ca0b0b6ca61ae0be61ce295721cbe2be87b0fac4eab253c31d09092d16",
+        ),
+        (
+            OodbOp::SetRef { from: oid, slot: 1, to: None },
+            20,
+            "01b7ed0d1fb39cbcf2af0166ec60548fe82198d82ecd1bea09b18b27edf9dad8",
+        ),
+        (
+            OodbOp::GetRef { from: oid, slot: 3 },
+            16,
+            "8feab16ca9b56f50bf8926db6ea0f35464f85cb0ebf7e2e7f15cbfb529ce63b6",
+        ),
+        (
+            OodbOp::Delete { oid },
+            12,
+            "7a35e19f653152dcde6efcc985d83e013fdba63beebd7dba82ff8bad42ab7616",
+        ),
+        (
+            OodbOp::Traverse { root: oid, depth: 5 },
+            16,
+            "22cb43386fd2051debcfec57a7b68afb3541a15fb054951df14af144dbc1b946",
+        ),
     ];
-    for op in ops {
-        assert_eq!(OodbOp::from_bytes(&op.to_bytes()), Some(op.clone()), "{op:?}");
+    for (op, len, sha) in ops {
+        let bytes = op.to_bytes();
+        assert_eq!(OodbOp::from_bytes(&bytes), Some(op.clone()), "{op:?}");
+        assert_golden(&op, &bytes, len, sha);
     }
     let replies = [
-        OodbReply::Handle(oid),
-        OodbReply::Data(b"abc".to_vec()),
-        OodbReply::Ref(Some(oid)),
-        OodbReply::Ref(None),
-        OodbReply::Count(42),
-        OodbReply::Ok,
-        OodbReply::Err(err::STALE),
+        (
+            OodbReply::Handle(oid),
+            12,
+            "c24a18f790f4a62930aab8e587ca836659aa8b3cefe1d630dfcf9aaf9544ceea",
+        ),
+        (
+            OodbReply::Data(b"abc".to_vec()),
+            12,
+            "c7d50610c3f971626a67441c68089c9a84a188c6ee196dc9021b7998bfac31e0",
+        ),
+        (
+            OodbReply::Ref(Some(oid)),
+            16,
+            "ca7da146b56c3ae8a7e985dede76354386450d8250d9cfd7fbfe7c59a24b47a2",
+        ),
+        (
+            OodbReply::Ref(None),
+            8,
+            "9ee50aea7e52f17dc807488bbd631e368da3a3ad3d5a31ad4b0f049581366c4d",
+        ),
+        (
+            OodbReply::Count(42),
+            12,
+            "6960eb0eb8f802eeab28d351296275db295e49245bb4cc31883df52ea1cc7f49",
+        ),
+        (OodbReply::Ok, 4, "1bc5d0e3df0ea12c4d0078668d14924f95106bbe173e196de50fe13a900b0937"),
+        (
+            OodbReply::Err(err::STALE),
+            8,
+            "4a181c72fece92f9908a6b8ad31911578f3827302b963e8008955b097a51e884",
+        ),
     ];
-    for r in replies {
-        assert_eq!(OodbReply::from_bytes(&r.to_bytes()), Some(r.clone()), "{r:?}");
+    for (r, len, sha) in replies {
+        let bytes = r.to_bytes();
+        assert_eq!(OodbReply::from_bytes(&bytes), Some(r.clone()), "{r:?}");
+        assert_golden(&r, &bytes, len, sha);
     }
     // Garbage never decodes to Some.
     assert_eq!(OodbOp::from_bytes(b""), None);

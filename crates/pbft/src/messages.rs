@@ -6,11 +6,17 @@
 //! except the authentication itself — prefixed with a per-type domain-
 //! separation tag so a digest of one message type can never validate as
 //! another.
+//!
+//! The wire layout of a message is its declaration: every type here is an
+//! [`xdr_struct!`] (fields in declaration order) and [`Message`] an
+//! [`xdr_union!`] (explicit tag, then the variant). What stays written out
+//! is each `encode_signed`: a signed portion is a cryptographic commitment
+//! with its own tag, field subset and order, not the wire layout.
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_simnet::Payload;
 use base_xdr::{
-    decode_vec, encode_vec, from_bytes, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError,
+    from_bytes, xdr_struct, xdr_union, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError,
 };
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -86,9 +92,20 @@ signed_portion!(
 /// valid for the message's lifetime. The cache is pure memoization: it is
 /// never encoded on the wire, compares equal regardless of fill state,
 /// and cloning carries the computed value along with the (immutable)
-/// fields it was derived from.
+/// fields it was derived from. On the wire it has zero width (encodes
+/// nothing, decodes empty), so a message declares it like any other field.
 #[derive(Default)]
 struct DigestCache(OnceLock<Digest>);
+
+impl XdrEncode for DigestCache {
+    fn encode(&self, _enc: &mut XdrEncoder) {}
+}
+
+impl XdrDecode for DigestCache {
+    fn decode(_dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
+        Ok(Self::default())
+    }
+}
 
 impl DigestCache {
     fn get_or_init(&self, compute: impl FnOnce() -> Digest) -> Digest {
@@ -126,29 +143,31 @@ pub fn null_batch_digest() -> Digest {
     PrePrepareMsg::batch_digest_of(&[], &[])
 }
 
-/// A client request.
-///
-/// The digest-covered fields (`client`, `timestamp`, `read_only`, `op`)
-/// are private and set only at construction, which makes the memoized
-/// [`RequestMsg::digest`] sound: nothing can change under the cache.
-/// `full_replier` and `auth` stay public — neither is digest-covered.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RequestMsg {
-    /// Client node id.
-    client: u32,
-    /// Per-client monotone request number.
-    timestamp: u64,
-    /// True for the read-only optimization path.
-    read_only: bool,
-    /// Replica designated to send the *full* result; the others reply
-    /// with a digest (the BFT library's reply optimization).
-    pub full_replier: u32,
-    /// Opaque operation bytes, interpreted by the service.
-    op: Vec<u8>,
-    /// MAC vector over the request digest, one entry per replica.
-    pub auth: Authenticator,
-    /// Memoized digest of the signed portion.
-    digest_cache: DigestCache,
+xdr_struct! {
+    /// A client request.
+    ///
+    /// The digest-covered fields (`client`, `timestamp`, `read_only`, `op`)
+    /// are private and set only at construction, which makes the memoized
+    /// [`RequestMsg::digest`] sound: nothing can change under the cache.
+    /// `full_replier` and `auth` stay public — neither is digest-covered.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RequestMsg {
+        /// Client node id.
+        client: u32,
+        /// Per-client monotone request number.
+        timestamp: u64,
+        /// True for the read-only optimization path.
+        read_only: bool,
+        /// Replica designated to send the *full* result; the others reply
+        /// with a digest (the BFT library's reply optimization).
+        pub full_replier: u32,
+        /// Opaque operation bytes, interpreted by the service.
+        op: Vec<u8>,
+        /// MAC vector over the request digest, one entry per replica.
+        pub auth: Authenticator,
+        /// Memoized digest of the signed portion.
+        digest_cache: DigestCache,
+    }
 }
 
 impl RequestMsg {
@@ -202,56 +221,33 @@ impl RequestMsg {
     }
 }
 
-impl XdrEncode for RequestMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.client);
-        enc.put_u64(self.timestamp);
-        enc.put_bool(self.read_only);
-        enc.put_u32(self.full_replier);
-        enc.put_opaque(&self.op);
-        self.auth.encode(enc);
+xdr_struct! {
+    /// A reply from one replica to a client.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ReplyMsg {
+        /// View in which the request executed (tells the client the primary).
+        pub view: u64,
+        /// Echo of the request timestamp.
+        pub timestamp: u64,
+        /// Client node id.
+        pub client: u32,
+        /// Replying replica.
+        pub replica: u32,
+        /// True if `result` holds only the 32-byte digest of the result (the
+        /// reply optimization: one designated replica sends the full result).
+        pub digest_only: bool,
+        /// True for a read-only reply executed against the last *executed*
+        /// state outside agreement; false for a reply to an operation ordered
+        /// and committed by the protocol. With the execution stage decoupled
+        /// from agreement, committed-but-unexecuted slots may be queued — a
+        /// tentative reply tells the client (and the auditors) exactly which
+        /// state it reflects.
+        pub tentative: bool,
+        /// Execution result, or its digest when `digest_only`.
+        pub result: Vec<u8>,
+        /// Point MAC to the client.
+        pub mac: Mac,
     }
-}
-
-impl XdrDecode for RequestMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            client: dec.get_u32()?,
-            timestamp: dec.get_u64()?,
-            read_only: dec.get_bool()?,
-            full_replier: dec.get_u32()?,
-            op: dec.get_opaque()?,
-            auth: Authenticator::decode(dec)?,
-            digest_cache: DigestCache::default(),
-        })
-    }
-}
-
-/// A reply from one replica to a client.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplyMsg {
-    /// View in which the request executed (tells the client the primary).
-    pub view: u64,
-    /// Echo of the request timestamp.
-    pub timestamp: u64,
-    /// Client node id.
-    pub client: u32,
-    /// Replying replica.
-    pub replica: u32,
-    /// True if `result` holds only the 32-byte digest of the result (the
-    /// reply optimization: one designated replica sends the full result).
-    pub digest_only: bool,
-    /// True for a read-only reply executed against the last *executed*
-    /// state outside agreement; false for a reply to an operation ordered
-    /// and committed by the protocol. With the execution stage decoupled
-    /// from agreement, committed-but-unexecuted slots may be queued — a
-    /// tentative reply tells the client (and the auditors) exactly which
-    /// state it reflects.
-    pub tentative: bool,
-    /// Execution result, or its digest when `digest_only`.
-    pub result: Vec<u8>,
-    /// Point MAC to the client.
-    pub mac: Mac,
 }
 
 impl ReplyMsg {
@@ -272,58 +268,32 @@ impl ReplyMsg {
     }
 }
 
-impl XdrEncode for ReplyMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.view);
-        enc.put_u64(self.timestamp);
-        enc.put_u32(self.client);
-        enc.put_u32(self.replica);
-        enc.put_bool(self.digest_only);
-        enc.put_bool(self.tentative);
-        enc.put_opaque(&self.result);
-        self.mac.encode(enc);
+xdr_struct! {
+    /// The primary's ordering proposal for one batch of requests.
+    ///
+    /// The batch-digest-covered fields (`requests`, `nondet`) are private and
+    /// set only at construction, which makes the memoized
+    /// [`PrePrepareMsg::batch_digest`] sound. `view`/`seq` stay public: they
+    /// are covered by [`PrePrepareMsg::signed_bytes`] (recomputed on demand)
+    /// but deliberately not by the batch digest.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PrePrepareMsg {
+        /// View this proposal belongs to.
+        pub view: u64,
+        /// Sequence number assigned to the batch.
+        pub seq: u64,
+        /// The batched requests (piggybacked on the pre-prepare).
+        requests: Vec<RequestMsg>,
+        /// Non-deterministic values chosen by the primary for this batch
+        /// (e.g. the agreed timestamp for NFS mtimes).
+        nondet: Vec<u8>,
+        /// MAC vector from the primary.
+        pub auth: Authenticator,
+        /// Primary signature over the header, kept for view-change proofs.
+        pub sig: Signature,
+        /// Memoized batch digest.
+        batch_cache: DigestCache,
     }
-}
-
-impl XdrDecode for ReplyMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            view: dec.get_u64()?,
-            timestamp: dec.get_u64()?,
-            client: dec.get_u32()?,
-            replica: dec.get_u32()?,
-            digest_only: dec.get_bool()?,
-            tentative: dec.get_bool()?,
-            result: dec.get_opaque()?,
-            mac: Mac::decode(dec)?,
-        })
-    }
-}
-
-/// The primary's ordering proposal for one batch of requests.
-///
-/// The batch-digest-covered fields (`requests`, `nondet`) are private and
-/// set only at construction, which makes the memoized
-/// [`PrePrepareMsg::batch_digest`] sound. `view`/`seq` stay public: they
-/// are covered by [`PrePrepareMsg::signed_bytes`] (recomputed on demand)
-/// but deliberately not by the batch digest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PrePrepareMsg {
-    /// View this proposal belongs to.
-    pub view: u64,
-    /// Sequence number assigned to the batch.
-    pub seq: u64,
-    /// The batched requests (piggybacked on the pre-prepare).
-    requests: Vec<RequestMsg>,
-    /// Non-deterministic values chosen by the primary for this batch
-    /// (e.g. the agreed timestamp for NFS mtimes).
-    nondet: Vec<u8>,
-    /// MAC vector from the primary.
-    pub auth: Authenticator,
-    /// Primary signature over the header, kept for view-change proofs.
-    pub sig: Signature,
-    /// Memoized batch digest.
-    batch_cache: DigestCache,
 }
 
 impl PrePrepareMsg {
@@ -388,46 +358,23 @@ fn put_header(enc: &mut XdrEncoder, tag: &str, view: u64, seq: u64, digest: &Dig
     digest.encode(enc);
 }
 
-impl XdrEncode for PrePrepareMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.view);
-        enc.put_u64(self.seq);
-        encode_vec(&self.requests, enc);
-        enc.put_opaque(&self.nondet);
-        self.auth.encode(enc);
-        self.sig.encode(enc);
+xdr_struct! {
+    /// A backup's agreement to the primary's proposal.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PrepareMsg {
+        /// View of the proposal.
+        pub view: u64,
+        /// Sequence number of the proposal.
+        pub seq: u64,
+        /// Batch digest being prepared.
+        pub digest: Digest,
+        /// Sending replica.
+        pub replica: u32,
+        /// MAC vector.
+        pub auth: Authenticator,
+        /// Signature, kept for view-change proofs.
+        pub sig: Signature,
     }
-}
-
-impl XdrDecode for PrePrepareMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            view: dec.get_u64()?,
-            seq: dec.get_u64()?,
-            requests: decode_vec(dec)?,
-            nondet: dec.get_opaque()?,
-            auth: Authenticator::decode(dec)?,
-            sig: Signature::decode(dec)?,
-            batch_cache: DigestCache::default(),
-        })
-    }
-}
-
-/// A backup's agreement to the primary's proposal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PrepareMsg {
-    /// View of the proposal.
-    pub view: u64,
-    /// Sequence number of the proposal.
-    pub seq: u64,
-    /// Batch digest being prepared.
-    pub digest: Digest,
-    /// Sending replica.
-    pub replica: u32,
-    /// MAC vector.
-    pub auth: Authenticator,
-    /// Signature, kept for view-change proofs.
-    pub sig: Signature,
 }
 
 impl PrepareMsg {
@@ -437,43 +384,21 @@ impl PrepareMsg {
     }
 }
 
-impl XdrEncode for PrepareMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.view);
-        enc.put_u64(self.seq);
-        self.digest.encode(enc);
-        enc.put_u32(self.replica);
-        self.auth.encode(enc);
-        self.sig.encode(enc);
+xdr_struct! {
+    /// A replica's commitment to a prepared proposal.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CommitMsg {
+        /// View of the proposal.
+        pub view: u64,
+        /// Sequence number of the proposal.
+        pub seq: u64,
+        /// Batch digest being committed.
+        pub digest: Digest,
+        /// Sending replica.
+        pub replica: u32,
+        /// MAC vector.
+        pub auth: Authenticator,
     }
-}
-
-impl XdrDecode for PrepareMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            view: dec.get_u64()?,
-            seq: dec.get_u64()?,
-            digest: Digest::decode(dec)?,
-            replica: dec.get_u32()?,
-            auth: Authenticator::decode(dec)?,
-            sig: Signature::decode(dec)?,
-        })
-    }
-}
-
-/// A replica's commitment to a prepared proposal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitMsg {
-    /// View of the proposal.
-    pub view: u64,
-    /// Sequence number of the proposal.
-    pub seq: u64,
-    /// Batch digest being committed.
-    pub digest: Digest,
-    /// Sending replica.
-    pub replica: u32,
-    /// MAC vector.
-    pub auth: Authenticator,
 }
 
 impl CommitMsg {
@@ -483,39 +408,19 @@ impl CommitMsg {
     }
 }
 
-impl XdrEncode for CommitMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.view);
-        enc.put_u64(self.seq);
-        self.digest.encode(enc);
-        enc.put_u32(self.replica);
-        self.auth.encode(enc);
+xdr_struct! {
+    /// A replica's announcement that it took a checkpoint.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CheckpointMsg {
+        /// Sequence number of the checkpoint.
+        pub seq: u64,
+        /// Root digest of the (abstract) state at `seq`.
+        pub digest: Digest,
+        /// Sending replica.
+        pub replica: u32,
+        /// Signature (checkpoint certificates must be transferable).
+        pub sig: Signature,
     }
-}
-
-impl XdrDecode for CommitMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            view: dec.get_u64()?,
-            seq: dec.get_u64()?,
-            digest: Digest::decode(dec)?,
-            replica: dec.get_u32()?,
-            auth: Authenticator::decode(dec)?,
-        })
-    }
-}
-
-/// A replica's announcement that it took a checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointMsg {
-    /// Sequence number of the checkpoint.
-    pub seq: u64,
-    /// Root digest of the (abstract) state at `seq`.
-    pub digest: Digest,
-    /// Sending replica.
-    pub replica: u32,
-    /// Signature (checkpoint certificates must be transferable).
-    pub sig: Signature,
 }
 
 impl CheckpointMsg {
@@ -527,68 +432,39 @@ impl CheckpointMsg {
     }
 }
 
-impl XdrEncode for CheckpointMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        self.digest.encode(enc);
-        enc.put_u32(self.replica);
-        self.sig.encode(enc);
+xdr_struct! {
+    /// Proof that a request prepared at the sender: the pre-prepare plus `2f`
+    /// signed prepares from distinct backups.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PreparedProof {
+        /// The pre-prepare (carries the request bodies, so a new primary can
+        /// re-propose them).
+        pub pre_prepare: PrePrepareMsg,
+        /// Matching prepares.
+        pub prepares: Vec<PrepareMsg>,
     }
 }
 
-impl XdrDecode for CheckpointMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            digest: Digest::decode(dec)?,
-            replica: dec.get_u32()?,
-            sig: Signature::decode(dec)?,
-        })
+xdr_struct! {
+    /// A replica's vote to move to a new view.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ViewChangeMsg {
+        /// The view being proposed.
+        pub new_view: u64,
+        /// The sender's last stable checkpoint.
+        pub stable_seq: u64,
+        /// Digest of the stable checkpoint.
+        pub stable_digest: Digest,
+        /// 2f+1 signed checkpoint messages proving the stable checkpoint.
+        /// Empty when `stable_seq` is 0 (the genesis state needs no proof).
+        pub stable_proof: Vec<CheckpointMsg>,
+        /// Prepared certificates for requests above `stable_seq`.
+        pub prepared: Vec<PreparedProof>,
+        /// Sending replica.
+        pub replica: u32,
+        /// Signature.
+        pub sig: Signature,
     }
-}
-
-/// Proof that a request prepared at the sender: the pre-prepare plus `2f`
-/// signed prepares from distinct backups.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PreparedProof {
-    /// The pre-prepare (carries the request bodies, so a new primary can
-    /// re-propose them).
-    pub pre_prepare: PrePrepareMsg,
-    /// Matching prepares.
-    pub prepares: Vec<PrepareMsg>,
-}
-
-impl XdrEncode for PreparedProof {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.pre_prepare.encode(enc);
-        encode_vec(&self.prepares, enc);
-    }
-}
-
-impl XdrDecode for PreparedProof {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self { pre_prepare: PrePrepareMsg::decode(dec)?, prepares: decode_vec(dec)? })
-    }
-}
-
-/// A replica's vote to move to a new view.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ViewChangeMsg {
-    /// The view being proposed.
-    pub new_view: u64,
-    /// The sender's last stable checkpoint.
-    pub stable_seq: u64,
-    /// Digest of the stable checkpoint.
-    pub stable_digest: Digest,
-    /// 2f+1 signed checkpoint messages proving the stable checkpoint.
-    /// Empty when `stable_seq` is 0 (the genesis state needs no proof).
-    pub stable_proof: Vec<CheckpointMsg>,
-    /// Prepared certificates for requests above `stable_seq`.
-    pub prepared: Vec<PreparedProof>,
-    /// Sending replica.
-    pub replica: u32,
-    /// Signature.
-    pub sig: Signature,
 }
 
 impl ViewChangeMsg {
@@ -613,50 +489,26 @@ impl ViewChangeMsg {
     }
 }
 
-impl XdrEncode for ViewChangeMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.new_view);
-        enc.put_u64(self.stable_seq);
-        self.stable_digest.encode(enc);
-        encode_vec(&self.stable_proof, enc);
-        encode_vec(&self.prepared, enc);
-        enc.put_u32(self.replica);
-        self.sig.encode(enc);
+xdr_struct! {
+    /// The new primary's announcement of a view, carrying the 2f+1 view-change
+    /// messages from which every replica deterministically recomputes the
+    /// re-proposed pre-prepares.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct NewViewMsg {
+        /// The view being started.
+        pub view: u64,
+        /// 2f+1 valid view-change messages.
+        pub view_changes: Vec<ViewChangeMsg>,
+        /// The re-proposed pre-prepares (the set `O`). Every replica recomputes
+        /// `O` from `view_changes` and verifies this list matches; carrying the
+        /// signed pre-prepares lets them serve in later prepared-certificate
+        /// proofs.
+        pub pre_prepares: Vec<PrePrepareMsg>,
+        /// Sending replica (the new primary).
+        pub replica: u32,
+        /// Signature.
+        pub sig: Signature,
     }
-}
-
-impl XdrDecode for ViewChangeMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            new_view: dec.get_u64()?,
-            stable_seq: dec.get_u64()?,
-            stable_digest: Digest::decode(dec)?,
-            stable_proof: decode_vec(dec)?,
-            prepared: decode_vec(dec)?,
-            replica: dec.get_u32()?,
-            sig: Signature::decode(dec)?,
-        })
-    }
-}
-
-/// The new primary's announcement of a view, carrying the 2f+1 view-change
-/// messages from which every replica deterministically recomputes the
-/// re-proposed pre-prepares.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NewViewMsg {
-    /// The view being started.
-    pub view: u64,
-    /// 2f+1 valid view-change messages.
-    pub view_changes: Vec<ViewChangeMsg>,
-    /// The re-proposed pre-prepares (the set `O`). Every replica recomputes
-    /// `O` from `view_changes` and verifies this list matches; carrying the
-    /// signed pre-prepares lets them serve in later prepared-certificate
-    /// proofs.
-    pub pre_prepares: Vec<PrePrepareMsg>,
-    /// Sending replica (the new primary).
-    pub replica: u32,
-    /// Signature.
-    pub sig: Signature,
 }
 
 impl NewViewMsg {
@@ -676,435 +528,232 @@ impl NewViewMsg {
     }
 }
 
-impl XdrEncode for NewViewMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.view);
-        encode_vec(&self.view_changes, enc);
-        encode_vec(&self.pre_prepares, enc);
-        enc.put_u32(self.replica);
-        self.sig.encode(enc);
+xdr_struct! {
+    /// State-transfer request for the children digests of one partition-tree
+    /// node of a checkpoint.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FetchMetaMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Tree level (root = tree depth, leaves = 0).
+        pub level: u32,
+        /// Node index within the level.
+        pub index: u64,
+        /// Requesting replica.
+        pub replica: u32,
     }
 }
 
-impl XdrDecode for NewViewMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            view: dec.get_u64()?,
-            view_changes: decode_vec(dec)?,
-            pre_prepares: decode_vec(dec)?,
-            replica: dec.get_u32()?,
-            sig: Signature::decode(dec)?,
-        })
+xdr_struct! {
+    /// Reply to [`FetchMetaMsg`]: digests of the node's children. Verified by
+    /// hashing, so it needs no authentication.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct MetaReplyMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Tree level of the parent node.
+        pub level: u32,
+        /// Parent node index.
+        pub index: u64,
+        /// Child digests, in child order.
+        pub digests: Vec<Digest>,
+        /// Replying replica.
+        pub replica: u32,
     }
 }
 
-/// State-transfer request for the children digests of one partition-tree
-/// node of a checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchMetaMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Tree level (root = tree depth, leaves = 0).
-    pub level: u32,
-    /// Node index within the level.
-    pub index: u64,
-    /// Requesting replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for FetchMetaMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u32(self.level);
-        enc.put_u64(self.index);
-        enc.put_u32(self.replica);
+xdr_struct! {
+    /// State-transfer request for the value of one abstract object.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FetchObjectMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Object (leaf) index.
+        pub index: u64,
+        /// Requesting replica.
+        pub replica: u32,
     }
 }
 
-impl XdrDecode for FetchMetaMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            level: dec.get_u32()?,
-            index: dec.get_u64()?,
-            replica: dec.get_u32()?,
-        })
+xdr_struct! {
+    /// Reply to [`FetchObjectMsg`]: the object value, verified by hashing.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ObjectReplyMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Object (leaf) index.
+        pub index: u64,
+        /// Object value.
+        pub data: Vec<u8>,
+        /// Replying replica.
+        pub replica: u32,
     }
 }
 
-/// Reply to [`FetchMetaMsg`]: digests of the node's children. Verified by
-/// hashing, so it needs no authentication.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetaReplyMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Tree level of the parent node.
-    pub level: u32,
-    /// Parent node index.
-    pub index: u64,
-    /// Child digests, in child order.
-    pub digests: Vec<Digest>,
-    /// Replying replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for MetaReplyMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u32(self.level);
-        enc.put_u64(self.index);
-        encode_vec(&self.digests, enc);
-        enc.put_u32(self.replica);
+xdr_struct! {
+    /// Coded state transfer: request for the chunk-digest list of one object
+    /// in a checkpoint. The reply verifies against the object's (chunked) leaf
+    /// digest, after which individual chunks can be fetched as erasure-coded
+    /// fragments and verified one by one.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FetchChunksMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Object (leaf) index.
+        pub index: u64,
+        /// Requesting replica.
+        pub replica: u32,
     }
 }
 
-impl XdrDecode for MetaReplyMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            level: dec.get_u32()?,
-            index: dec.get_u64()?,
-            digests: decode_vec(dec)?,
-            replica: dec.get_u32()?,
-        })
+xdr_struct! {
+    /// Reply to [`FetchChunksMsg`]: the object's length and per-chunk digests.
+    /// Verified by folding into the chunked leaf digest, so it needs no
+    /// authentication; `len` is thereby as trustworthy as the digests.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ChunksReplyMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Object (leaf) index.
+        pub index: u64,
+        /// Object length in bytes.
+        pub len: u64,
+        /// Per-chunk digests, in chunk order.
+        pub digests: Vec<Digest>,
+        /// Replying replica.
+        pub replica: u32,
     }
 }
 
-/// State-transfer request for the value of one abstract object.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchObjectMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Object (leaf) index.
-    pub index: u64,
-    /// Requesting replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for FetchObjectMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.index);
-        enc.put_u32(self.replica);
+xdr_struct! {
+    /// Coded state transfer: request for one Reed–Solomon fragment of a chunk
+    /// (or of a whole object when `chunk` is [`CHUNK_WHOLE`](crate::transfer::CHUNK_WHOLE)).
+    /// Fragment ids `0..k` are systematic data fragments; `k..k+m` are parity.
+    /// `k = f + 1` and `m = f` are derived from the group configuration, not
+    /// carried on the wire.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FetchFragMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Object (leaf) index.
+        pub index: u64,
+        /// Chunk number within the object, or `u32::MAX` for the whole object.
+        pub chunk: u32,
+        /// Fragment id (`0..k` data, `k..k+m` parity).
+        pub frag: u32,
+        /// Requesting replica.
+        pub replica: u32,
     }
 }
 
-impl XdrDecode for FetchObjectMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self { seq: dec.get_u64()?, index: dec.get_u64()?, replica: dec.get_u32()? })
+xdr_struct! {
+    /// Reply to [`FetchFragMsg`]: one fragment of the (chunk's) bytes. `len` is
+    /// the *unfragmented* length, which fixes the fragment geometry; it is
+    /// validated against the verified chunk list (chunked mode) or treated as a
+    /// candidate to be confirmed by digest check after reassembly (whole-object
+    /// mode).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FragReplyMsg {
+        /// Checkpoint sequence number.
+        pub seq: u64,
+        /// Object (leaf) index.
+        pub index: u64,
+        /// Chunk number within the object, or `u32::MAX` for the whole object.
+        pub chunk: u32,
+        /// Fragment id.
+        pub frag: u32,
+        /// Length in bytes of the unfragmented chunk/object.
+        pub len: u64,
+        /// Fragment bytes (`fragment_len(len, k)` of them).
+        pub data: Vec<u8>,
+        /// Replying replica.
+        pub replica: u32,
     }
 }
 
-/// Reply to [`FetchObjectMsg`]: the object value, verified by hashing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ObjectReplyMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Object (leaf) index.
-    pub index: u64,
-    /// Object value.
-    pub data: Vec<u8>,
-    /// Replying replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for ObjectReplyMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.index);
-        enc.put_opaque(&self.data);
-        enc.put_u32(self.replica);
+xdr_struct! {
+    /// Periodic status report (PBFT's status messages, simplified): lets peers
+    /// detect that this replica is missing messages and retransmit them.
+    /// Unauthenticated by design — a forged status can only trigger bounded
+    /// retransmission of messages that are themselves authenticated.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct StatusMsg {
+        /// Sender's current view.
+        pub view: u64,
+        /// Sender's last executed sequence number.
+        pub last_exec: u64,
+        /// Sender's last stable checkpoint.
+        pub stable_seq: u64,
+        /// Sending replica.
+        pub replica: u32,
     }
 }
 
-impl XdrDecode for ObjectReplyMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            index: dec.get_u64()?,
-            data: dec.get_opaque()?,
-            replica: dec.get_u32()?,
-        })
+xdr_struct! {
+    /// Request for the latest stable checkpoint certificate (sent by lagging
+    /// or recovering replicas).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FetchCertMsg {
+        /// Requesting replica.
+        pub replica: u32,
     }
 }
 
-/// Coded state transfer: request for the chunk-digest list of one object
-/// in a checkpoint. The reply verifies against the object's (chunked) leaf
-/// digest, after which individual chunks can be fetched as erasure-coded
-/// fragments and verified one by one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchChunksMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Object (leaf) index.
-    pub index: u64,
-    /// Requesting replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for FetchChunksMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.index);
-        enc.put_u32(self.replica);
+xdr_struct! {
+    /// Reply to [`FetchCertMsg`]: 2f+1 signed checkpoint messages for the
+    /// sender's latest stable checkpoint.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CertReplyMsg {
+        /// The checkpoint certificate.
+        pub msgs: Vec<CheckpointMsg>,
+        /// Replying replica.
+        pub replica: u32,
     }
 }
 
-impl XdrDecode for FetchChunksMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self { seq: dec.get_u64()?, index: dec.get_u64()?, replica: dec.get_u32()? })
+xdr_union! {
+    /// Top-level message envelope.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Message {
+        /// Client request.
+        0 => Request(m: RequestMsg),
+        /// Replica reply to a client.
+        1 => Reply(m: ReplyMsg),
+        /// Primary ordering proposal.
+        2 => PrePrepare(m: PrePrepareMsg),
+        /// Backup agreement.
+        3 => Prepare(m: PrepareMsg),
+        /// Commit vote.
+        4 => Commit(m: CommitMsg),
+        /// Checkpoint announcement.
+        5 => Checkpoint(m: CheckpointMsg),
+        /// View-change vote.
+        6 => ViewChange(m: ViewChangeMsg),
+        /// New-view announcement.
+        7 => NewView(m: NewViewMsg),
+        /// State transfer: fetch partition metadata.
+        8 => FetchMeta(m: FetchMetaMsg),
+        /// State transfer: partition metadata reply.
+        9 => MetaReply(m: MetaReplyMsg),
+        /// State transfer: fetch object value.
+        10 => FetchObject(m: FetchObjectMsg),
+        /// State transfer: object value reply.
+        11 => ObjectReply(m: ObjectReplyMsg),
+        /// Fetch latest stable checkpoint certificate.
+        12 => FetchCert(m: FetchCertMsg),
+        /// Checkpoint certificate reply.
+        13 => CertReply(m: CertReplyMsg),
+        /// Periodic status report.
+        14 => Status(m: StatusMsg),
+        /// Coded state transfer: fetch an object's chunk-digest list.
+        15 => FetchChunks(m: FetchChunksMsg),
+        /// Coded state transfer: chunk-digest list reply.
+        16 => ChunksReply(m: ChunksReplyMsg),
+        /// Coded state transfer: fetch one erasure-coded fragment.
+        17 => FetchFrag(m: FetchFragMsg),
+        /// Coded state transfer: fragment reply.
+        18 => FragReply(m: FragReplyMsg),
     }
-}
-
-/// Reply to [`FetchChunksMsg`]: the object's length and per-chunk digests.
-/// Verified by folding into the chunked leaf digest, so it needs no
-/// authentication; `len` is thereby as trustworthy as the digests.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunksReplyMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Object (leaf) index.
-    pub index: u64,
-    /// Object length in bytes.
-    pub len: u64,
-    /// Per-chunk digests, in chunk order.
-    pub digests: Vec<Digest>,
-    /// Replying replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for ChunksReplyMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.index);
-        enc.put_u64(self.len);
-        encode_vec(&self.digests, enc);
-        enc.put_u32(self.replica);
-    }
-}
-
-impl XdrDecode for ChunksReplyMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            index: dec.get_u64()?,
-            len: dec.get_u64()?,
-            digests: decode_vec(dec)?,
-            replica: dec.get_u32()?,
-        })
-    }
-}
-
-/// Coded state transfer: request for one Reed–Solomon fragment of a chunk
-/// (or of a whole object when `chunk` is [`CHUNK_WHOLE`](crate::transfer::CHUNK_WHOLE)).
-/// Fragment ids `0..k` are systematic data fragments; `k..k+m` are parity.
-/// `k = f + 1` and `m = f` are derived from the group configuration, not
-/// carried on the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchFragMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Object (leaf) index.
-    pub index: u64,
-    /// Chunk number within the object, or `u32::MAX` for the whole object.
-    pub chunk: u32,
-    /// Fragment id (`0..k` data, `k..k+m` parity).
-    pub frag: u32,
-    /// Requesting replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for FetchFragMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.index);
-        enc.put_u32(self.chunk);
-        enc.put_u32(self.frag);
-        enc.put_u32(self.replica);
-    }
-}
-
-impl XdrDecode for FetchFragMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            index: dec.get_u64()?,
-            chunk: dec.get_u32()?,
-            frag: dec.get_u32()?,
-            replica: dec.get_u32()?,
-        })
-    }
-}
-
-/// Reply to [`FetchFragMsg`]: one fragment of the (chunk's) bytes. `len` is
-/// the *unfragmented* length, which fixes the fragment geometry; it is
-/// validated against the verified chunk list (chunked mode) or treated as a
-/// candidate to be confirmed by digest check after reassembly (whole-object
-/// mode).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FragReplyMsg {
-    /// Checkpoint sequence number.
-    pub seq: u64,
-    /// Object (leaf) index.
-    pub index: u64,
-    /// Chunk number within the object, or `u32::MAX` for the whole object.
-    pub chunk: u32,
-    /// Fragment id.
-    pub frag: u32,
-    /// Length in bytes of the unfragmented chunk/object.
-    pub len: u64,
-    /// Fragment bytes (`fragment_len(len, k)` of them).
-    pub data: Vec<u8>,
-    /// Replying replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for FragReplyMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.index);
-        enc.put_u32(self.chunk);
-        enc.put_u32(self.frag);
-        enc.put_u64(self.len);
-        enc.put_opaque(&self.data);
-        enc.put_u32(self.replica);
-    }
-}
-
-impl XdrDecode for FragReplyMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            seq: dec.get_u64()?,
-            index: dec.get_u64()?,
-            chunk: dec.get_u32()?,
-            frag: dec.get_u32()?,
-            len: dec.get_u64()?,
-            data: dec.get_opaque()?,
-            replica: dec.get_u32()?,
-        })
-    }
-}
-
-/// Periodic status report (PBFT's status messages, simplified): lets peers
-/// detect that this replica is missing messages and retransmit them.
-/// Unauthenticated by design — a forged status can only trigger bounded
-/// retransmission of messages that are themselves authenticated.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatusMsg {
-    /// Sender's current view.
-    pub view: u64,
-    /// Sender's last executed sequence number.
-    pub last_exec: u64,
-    /// Sender's last stable checkpoint.
-    pub stable_seq: u64,
-    /// Sending replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for StatusMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.view);
-        enc.put_u64(self.last_exec);
-        enc.put_u64(self.stable_seq);
-        enc.put_u32(self.replica);
-    }
-}
-
-impl XdrDecode for StatusMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            view: dec.get_u64()?,
-            last_exec: dec.get_u64()?,
-            stable_seq: dec.get_u64()?,
-            replica: dec.get_u32()?,
-        })
-    }
-}
-
-/// Request for the latest stable checkpoint certificate (sent by lagging
-/// or recovering replicas).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchCertMsg {
-    /// Requesting replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for FetchCertMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.replica);
-    }
-}
-
-impl XdrDecode for FetchCertMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self { replica: dec.get_u32()? })
-    }
-}
-
-/// Reply to [`FetchCertMsg`]: 2f+1 signed checkpoint messages for the
-/// sender's latest stable checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CertReplyMsg {
-    /// The checkpoint certificate.
-    pub msgs: Vec<CheckpointMsg>,
-    /// Replying replica.
-    pub replica: u32,
-}
-
-impl XdrEncode for CertReplyMsg {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        encode_vec(&self.msgs, enc);
-        enc.put_u32(self.replica);
-    }
-}
-
-impl XdrDecode for CertReplyMsg {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self { msgs: decode_vec(dec)?, replica: dec.get_u32()? })
-    }
-}
-
-/// Top-level message envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Message {
-    /// Client request.
-    Request(RequestMsg),
-    /// Replica reply to a client.
-    Reply(ReplyMsg),
-    /// Primary ordering proposal.
-    PrePrepare(PrePrepareMsg),
-    /// Backup agreement.
-    Prepare(PrepareMsg),
-    /// Commit vote.
-    Commit(CommitMsg),
-    /// Checkpoint announcement.
-    Checkpoint(CheckpointMsg),
-    /// View-change vote.
-    ViewChange(ViewChangeMsg),
-    /// New-view announcement.
-    NewView(NewViewMsg),
-    /// State transfer: fetch partition metadata.
-    FetchMeta(FetchMetaMsg),
-    /// State transfer: partition metadata reply.
-    MetaReply(MetaReplyMsg),
-    /// State transfer: fetch object value.
-    FetchObject(FetchObjectMsg),
-    /// State transfer: object value reply.
-    ObjectReply(ObjectReplyMsg),
-    /// Fetch latest stable checkpoint certificate.
-    FetchCert(FetchCertMsg),
-    /// Checkpoint certificate reply.
-    CertReply(CertReplyMsg),
-    /// Periodic status report.
-    Status(StatusMsg),
-    /// Coded state transfer: fetch an object's chunk-digest list.
-    FetchChunks(FetchChunksMsg),
-    /// Coded state transfer: chunk-digest list reply.
-    ChunksReply(ChunksReplyMsg),
-    /// Coded state transfer: fetch one erasure-coded fragment.
-    FetchFrag(FetchFragMsg),
-    /// Coded state transfer: fragment reply.
-    FragReply(FragReplyMsg),
 }
 
 /// Envelope discriminant for shard-tagged messages. Chosen just past the
@@ -1199,119 +848,6 @@ impl Message {
     }
 }
 
-impl XdrEncode for Message {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        match self {
-            Message::Request(m) => {
-                enc.put_u32(0);
-                m.encode(enc);
-            }
-            Message::Reply(m) => {
-                enc.put_u32(1);
-                m.encode(enc);
-            }
-            Message::PrePrepare(m) => {
-                enc.put_u32(2);
-                m.encode(enc);
-            }
-            Message::Prepare(m) => {
-                enc.put_u32(3);
-                m.encode(enc);
-            }
-            Message::Commit(m) => {
-                enc.put_u32(4);
-                m.encode(enc);
-            }
-            Message::Checkpoint(m) => {
-                enc.put_u32(5);
-                m.encode(enc);
-            }
-            Message::ViewChange(m) => {
-                enc.put_u32(6);
-                m.encode(enc);
-            }
-            Message::NewView(m) => {
-                enc.put_u32(7);
-                m.encode(enc);
-            }
-            Message::FetchMeta(m) => {
-                enc.put_u32(8);
-                m.encode(enc);
-            }
-            Message::MetaReply(m) => {
-                enc.put_u32(9);
-                m.encode(enc);
-            }
-            Message::FetchObject(m) => {
-                enc.put_u32(10);
-                m.encode(enc);
-            }
-            Message::ObjectReply(m) => {
-                enc.put_u32(11);
-                m.encode(enc);
-            }
-            Message::FetchCert(m) => {
-                enc.put_u32(12);
-                m.encode(enc);
-            }
-            Message::CertReply(m) => {
-                enc.put_u32(13);
-                m.encode(enc);
-            }
-            Message::Status(m) => {
-                enc.put_u32(14);
-                m.encode(enc);
-            }
-            Message::FetchChunks(m) => {
-                enc.put_u32(15);
-                m.encode(enc);
-            }
-            Message::ChunksReply(m) => {
-                enc.put_u32(16);
-                m.encode(enc);
-            }
-            Message::FetchFrag(m) => {
-                enc.put_u32(17);
-                m.encode(enc);
-            }
-            Message::FragReply(m) => {
-                enc.put_u32(18);
-                m.encode(enc);
-            }
-        }
-    }
-}
-
-impl XdrDecode for Message {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        let tag = dec.get_u32()?;
-        Ok(match tag {
-            0 => Message::Request(RequestMsg::decode(dec)?),
-            1 => Message::Reply(ReplyMsg::decode(dec)?),
-            2 => Message::PrePrepare(PrePrepareMsg::decode(dec)?),
-            3 => Message::Prepare(PrepareMsg::decode(dec)?),
-            4 => Message::Commit(CommitMsg::decode(dec)?),
-            5 => Message::Checkpoint(CheckpointMsg::decode(dec)?),
-            6 => Message::ViewChange(ViewChangeMsg::decode(dec)?),
-            7 => Message::NewView(NewViewMsg::decode(dec)?),
-            8 => Message::FetchMeta(FetchMetaMsg::decode(dec)?),
-            9 => Message::MetaReply(MetaReplyMsg::decode(dec)?),
-            10 => Message::FetchObject(FetchObjectMsg::decode(dec)?),
-            11 => Message::ObjectReply(ObjectReplyMsg::decode(dec)?),
-            12 => Message::FetchCert(FetchCertMsg::decode(dec)?),
-            13 => Message::CertReply(CertReplyMsg::decode(dec)?),
-            14 => Message::Status(StatusMsg::decode(dec)?),
-            15 => Message::FetchChunks(FetchChunksMsg::decode(dec)?),
-            16 => Message::ChunksReply(ChunksReplyMsg::decode(dec)?),
-            17 => Message::FetchFrag(FetchFragMsg::decode(dec)?),
-            18 => Message::FragReply(FragReplyMsg::decode(dec)?),
-            v => {
-                return Err(XdrError::InvalidDiscriminant { type_name: "Message", value: v })
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1325,6 +861,13 @@ mod tests {
         let mut r = RequestMsg::new(4, 9, false, 0, b"op-bytes".to_vec());
         r.auth = Authenticator::generate(k, 4, &r.digest());
         r
+    }
+
+    /// A golden wire vector: fails naming the kind whose bytes moved, with
+    /// the row to paste if the move was intended.
+    fn assert_golden(kind: &str, wire: &[u8], len: usize, sha: &str) {
+        let actual = (wire.len(), Digest::of(wire).to_string());
+        assert_eq!(actual, (len, sha.to_owned()), "the wire bytes of `{kind}` moved");
     }
 
     #[test]
@@ -1435,58 +978,140 @@ mod tests {
             sig: k.sign(b"nv"),
         };
 
+        // Each kind with the length and SHA-256 of its wire bytes: the one
+        // check on the bytes of the rarely-sent kinds, which no trace gate
+        // reaches.
         let msgs = vec![
-            Message::Request(r),
-            Message::Reply(ReplyMsg {
-                view: 1,
-                timestamp: 9,
-                client: 4,
-                replica: 0,
-                digest_only: false,
-                tentative: true,
-                result: b"res".to_vec(),
-                mac: Authenticator::point(&k, 4, &Digest::of(b"r")),
-            }),
-            Message::PrePrepare(pp),
-            Message::Prepare(prepare),
-            Message::Commit(commit),
-            Message::Checkpoint(ckpt.clone()),
-            Message::ViewChange(vc),
-            Message::NewView(nv),
-            Message::FetchMeta(FetchMetaMsg { seq: 128, level: 2, index: 3, replica: 1 }),
-            Message::MetaReply(MetaReplyMsg {
-                seq: 128,
-                level: 2,
-                index: 3,
-                digests: vec![Digest::of(b"a"), Digest::of(b"b")],
-                replica: 1,
-            }),
-            Message::FetchObject(FetchObjectMsg { seq: 128, index: 7, replica: 1 }),
-            Message::ObjectReply(ObjectReplyMsg { seq: 128, index: 7, data: vec![9; 100], replica: 1 }),
-            Message::FetchCert(FetchCertMsg { replica: 3 }),
-            Message::CertReply(CertReplyMsg { msgs: vec![ckpt], replica: 3 }),
-            Message::FetchChunks(FetchChunksMsg { seq: 128, index: 7, replica: 1 }),
-            Message::ChunksReply(ChunksReplyMsg {
-                seq: 128,
-                index: 7,
-                len: 5000,
-                digests: vec![Digest::of(b"c0"), Digest::of(b"c1")],
-                replica: 1,
-            }),
-            Message::FetchFrag(FetchFragMsg { seq: 128, index: 7, chunk: 1, frag: 2, replica: 1 }),
-            Message::FragReply(FragReplyMsg {
-                seq: 128,
-                index: 7,
-                chunk: u32::MAX,
-                frag: 0,
-                len: 300,
-                data: vec![5; 100],
-                replica: 1,
-            }),
+            (
+                Message::Request(r),
+                72,
+                "c2c676e777a220ce4eaac2caf5547857004cac9c7beb2fb1ddcea105772ac7d5",
+            ),
+            (
+                Message::Reply(ReplyMsg {
+                    view: 1,
+                    timestamp: 9,
+                    client: 4,
+                    replica: 0,
+                    digest_only: false,
+                    tentative: true,
+                    result: b"res".to_vec(),
+                    mac: Authenticator::point(&k, 4, &Digest::of(b"r")),
+                }),
+                52,
+                "6fe306b2d7021f76662cba36b20f88937600ddeb6e367d93f23cfbf0756cc5ef",
+            ),
+            (
+                Message::PrePrepare(pp),
+                168,
+                "8047eee51165fdd5e7fcf45248180837e8c0ab2f2bf60982775759aea88ffa4b",
+            ),
+            (
+                Message::Prepare(prepare),
+                124,
+                "c8244cf0cc969fc9af0a451644bfe98ad43ee40d914866cfac8349cfa37506ca",
+            ),
+            (
+                Message::Commit(commit),
+                92,
+                "d37ff08a12ab2a96370a0428711d596428354295e03a8b3cdd8186ff89a8b5f6",
+            ),
+            (
+                Message::Checkpoint(ckpt.clone()),
+                80,
+                "bc261f1b355d42c9fcabda4f7033b7d7642954972abe679477b7fe5e91db3f61",
+            ),
+            (
+                Message::ViewChange(vc),
+                460,
+                "1c1a696c1af776451ff09fe816e4b0858fc64c3f552a2d398a98bd887cb7d645",
+            ),
+            (
+                Message::NewView(nv),
+                676,
+                "d7421fc5109e7e24056de98fc75f80a58c89e020bd1847d45defd2289a6ab5c1",
+            ),
+            (
+                Message::FetchMeta(FetchMetaMsg { seq: 128, level: 2, index: 3, replica: 1 }),
+                28,
+                "d284f9c34108ba775dbaeb203002b8404e47986d18f2f9d08a0d275aa4d89247",
+            ),
+            (
+                Message::MetaReply(MetaReplyMsg {
+                    seq: 128,
+                    level: 2,
+                    index: 3,
+                    digests: vec![Digest::of(b"a"), Digest::of(b"b")],
+                    replica: 1,
+                }),
+                96,
+                "d92788279528a5bf52670a1f06c5e2e1ca1a6ca863e6d6e3e7dd9529e4ca8f81",
+            ),
+            (
+                Message::FetchObject(FetchObjectMsg { seq: 128, index: 7, replica: 1 }),
+                24,
+                "6b90ce604ba76f3c9dc3ad861dcf73006eda91a043d0b45c8cc0bdbe744b598f",
+            ),
+            (
+                Message::ObjectReply(ObjectReplyMsg { seq: 128, index: 7, data: vec![9; 100], replica: 1 }),
+                128,
+                "7fd157e0e2cfa79073e909022a4abd7342197d327adc3e793f9a03a2b449decd",
+            ),
+            (
+                Message::FetchCert(FetchCertMsg { replica: 3 }),
+                8,
+                "ff818b86ef0823bec7f8bda0b8be513ab3c464988825df54a5842c9ba77bbef9",
+            ),
+            (
+                Message::CertReply(CertReplyMsg { msgs: vec![ckpt], replica: 3 }),
+                88,
+                "3df6b5eeae7111cecaae40d9d2ae80e8be6acd5f084de5f3e56ecd118ff1bc07",
+            ),
+            (
+                Message::Status(StatusMsg { view: 2, last_exec: 130, stable_seq: 128, replica: 3 }),
+                32,
+                "45ffa5ade14cb9b191960448f3a2bfd7d5682f3ee6f47c78bc8100b102e0b0d7",
+            ),
+            (
+                Message::FetchChunks(FetchChunksMsg { seq: 128, index: 7, replica: 1 }),
+                24,
+                "8a0f00f3e6004a97116bac081e30ed452cdc29ae5a36b72dff6224a943dbe21a",
+            ),
+            (
+                Message::ChunksReply(ChunksReplyMsg {
+                    seq: 128,
+                    index: 7,
+                    len: 5000,
+                    digests: vec![Digest::of(b"c0"), Digest::of(b"c1")],
+                    replica: 1,
+                }),
+                100,
+                "ff30079ef0057e7cbf7c505293d6369d8835eb82351809b7a349815962ffa756",
+            ),
+            (
+                Message::FetchFrag(FetchFragMsg { seq: 128, index: 7, chunk: 1, frag: 2, replica: 1 }),
+                32,
+                "5e361297981e48d2395dae90315f4e2a732330c068c47c91aa87b6e5d468a7b4",
+            ),
+            (
+                Message::FragReply(FragReplyMsg {
+                    seq: 128,
+                    index: 7,
+                    chunk: u32::MAX,
+                    frag: 0,
+                    len: 300,
+                    data: vec![5; 100],
+                    replica: 1,
+                }),
+                144,
+                "0189df7df6b2e4ecec48bff2c31c3c5f6d5649c9e74f98aa2ac1c516d7e432bf",
+            ),
         ];
-        for m in msgs {
-            let decoded = Message::from_wire(&m.to_wire()).unwrap_or_else(|| panic!("{}", m.kind()));
+        for (m, len, sha) in msgs {
+            let wire = m.to_wire();
+            let decoded = Message::from_wire(&wire).unwrap_or_else(|| panic!("{}", m.kind()));
             assert_eq!(decoded, m, "{}", m.kind());
+            assert_golden(m.kind(), &wire, len, sha);
         }
     }
 

@@ -29,6 +29,72 @@
 //! assert_eq!(dec.get_opaque().unwrap(), vec![1, 2, 3]);
 //! dec.finish().unwrap();
 //! ```
+//!
+//! # Declaring a wire type
+//!
+//! RFC 1014 is a data *description* language, and a wire type here is
+//! declared the same way rather than programmed: [`xdr_struct!`] and
+//! [`xdr_union!`] emit the Rust type as written plus its
+//! [`XdrEncode`]/[`XdrDecode`] pair, which visits the fields in declaration
+//! order. An `.x` specification such as
+//!
+//! ```text
+//! struct handle { unsigned int index; unsigned int gen; };
+//!
+//! union reply switch (unsigned int kind) {
+//!     case 0: handle  created;
+//!     case 1: opaque  data<>;
+//!     case 2: struct { unsigned hyper capacity; handle entries<>; } listing;
+//!     case 7: void;
+//! };
+//! ```
+//!
+//! is spelled
+//!
+//! ```
+//! use base_xdr::{from_bytes, to_bytes, xdr_struct, xdr_union, XdrError};
+//!
+//! xdr_struct! {
+//!     /// A file handle.
+//!     #[derive(Clone, Copy, Debug, PartialEq)]
+//!     pub struct Handle {
+//!         /// Array index.
+//!         pub index: u32,
+//!         /// Generation number.
+//!         pub gen: u32,
+//!     }
+//! }
+//!
+//! xdr_union! {
+//!     /// A reply: the explicit tag, then the variant's fields.
+//!     #[derive(Clone, Debug, PartialEq)]
+//!     pub enum Reply {
+//!         /// A tuple variant; `handle` only names the position.
+//!         0 => Created(handle: Handle),
+//!         /// `Vec<u8>` is XDR opaque.
+//!         1 => Data(bytes: Vec<u8>),
+//!         /// Any other `Vec<T>` is a counted array.
+//!         2 => Listing {
+//!             /// Capacity.
+//!             capacity: u64,
+//!             /// Entries.
+//!             entries: Vec<Handle>,
+//!         },
+//!         /// Tags need not be contiguous; a unit variant is four bytes.
+//!         7 => Done,
+//!     }
+//! }
+//!
+//! let reply = Reply::Listing { capacity: 9, entries: vec![Handle { index: 1, gen: 2 }] };
+//! let bytes = to_bytes(&reply);
+//! assert_eq!(bytes, [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2]);
+//! assert_eq!(from_bytes::<Reply>(&bytes).unwrap(), reply);
+//! assert_eq!(to_bytes(&Reply::Done), [0, 0, 0, 7]);
+//! assert_eq!(
+//!     from_bytes::<Reply>(&[0, 0, 0, 3]),
+//!     Err(XdrError::InvalidDiscriminant { type_name: "Reply", value: 3 })
+//! );
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,6 +102,7 @@
 mod decode;
 mod encode;
 mod error;
+mod spec;
 mod traits;
 
 pub use decode::XdrDecoder;

@@ -126,11 +126,29 @@ pub fn encode_vec<T: XdrEncode>(items: &[T], enc: &mut XdrEncoder) {
 /// Decodes a counted XDR array of values.
 pub fn decode_vec<T: XdrDecode>(dec: &mut XdrDecoder<'_>) -> Result<Vec<T>, XdrError> {
     let n = dec.get_count(4)?;
-    let mut out = Vec::with_capacity(n);
+    // `get_count` bounds `n` by four *wire* bytes an element; an element in
+    // memory can be far larger, so reserve no more than there are bytes
+    // left to decode. The vector still grows to `n` if the elements arrive.
+    let mut out = Vec::with_capacity(n.min(dec.remaining() / std::mem::size_of::<T>().max(1)));
     for _ in 0..n {
         out.push(T::decode(dec)?);
     }
     Ok(out)
+}
+
+// A `Vec` of anything with a codec is a counted array. `Vec<u8>` stays the
+// opaque above, and the two impls cannot overlap: `u8` does not implement
+// the traits, and no other crate can make it (the traits live here).
+impl<T: XdrEncode> XdrEncode for Vec<T> {
+    fn encode(&self, enc: &mut XdrEncoder) {
+        encode_vec(self, enc);
+    }
+}
+
+impl<T: XdrDecode> XdrDecode for Vec<T> {
+    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
+        decode_vec(dec)
+    }
 }
 
 impl<T: XdrEncode> XdrEncode for Option<T> {

@@ -1,8 +1,21 @@
 //! Property tests: XDR round-trips for arbitrary values, and decoder
 //! robustness on arbitrary byte soup.
 
-use base_xdr::{from_bytes, to_bytes, XdrDecoder, XdrEncoder};
+#[path = "support/hostile.rs"]
+mod support;
+
+use base_xdr::{from_bytes, to_bytes, xdr_union, XdrDecoder, XdrEncoder};
 use proptest::prelude::*;
+
+xdr_union! {
+    /// A declared union over every field shape the codec has.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Declared {
+        1 => Record { flag: bool, word: Option<u64>, name: String },
+        2 => Arrays(opaque: Vec<u8>, counted: Vec<(u32, String)>, fixed: [u8; 5]),
+        9 => Nothing,
+    }
+}
 
 proptest! {
     #[test]
@@ -68,5 +81,21 @@ proptest! {
         prop_assert_eq!(dec.get_opaque().unwrap(), data);
         prop_assert_eq!(dec.get_string().unwrap(), s);
         dec.finish().unwrap();
+    }
+
+    /// A type declared with the macros decodes hostile bytes strictly.
+    #[test]
+    fn declared_union_is_strict(
+        kind in 0u8..3,
+        (flag, word, name) in any::<(bool, Option<u64>, String)>(),
+        (opaque, counted, fixed) in any::<(Vec<u8>, Vec<(u32, String)>, [u8; 5])>(),
+        noise: Vec<u8>,
+    ) {
+        let sample = match kind {
+            0 => Declared::Record { flag, word, name },
+            1 => Declared::Arrays(opaque, counted, fixed),
+            _ => Declared::Nothing,
+        };
+        support::hostile(&sample, &noise, "Declared", 0);
     }
 }
