@@ -66,21 +66,24 @@ impl Authenticator {
     }
 
     /// Computes a single point-to-point MAC (used for replies to clients).
+    /// A `to` that is not a node of the directory shares no key with
+    /// anyone: it gets the all-zero tag, which verifies nowhere.
     pub fn point(keys: &NodeKeys, to: usize, digest: &Digest) -> Mac {
-        Mac::compute(&keys.key_to(to), digest)
+        keys.key_to(to).map_or(Mac([0; MAC_LEN]), |key| Mac::compute(&key, digest))
     }
 
-    /// Checks a point-to-point MAC received from `from`.
+    /// Checks a point-to-point MAC received from `from`. `from` is
+    /// whatever the frame claims: an id outside the directory fails here.
     pub fn check_point(keys: &NodeKeys, from: usize, digest: &Digest, mac: &Mac) -> bool {
-        Mac::verify(&keys.key_from(from), digest, mac)
+        keys.key_from(from).is_some_and(|key| Mac::verify(&key, digest, mac))
     }
 
-    /// Checks this receiver's entry, for a message received from `from`.
+    /// Checks this receiver's entry, for a message received from `from`
+    /// (as claimed by the frame; an id outside the directory fails).
     pub fn check(&self, keys: &NodeKeys, from: usize, digest: &Digest) -> bool {
-        let me = keys.id();
-        match self.macs.get(me) {
-            Some(mac) => Mac::verify(&keys.key_from(from), digest, mac),
-            None => false,
+        match (self.macs.get(keys.id()), keys.key_from(from)) {
+            (Some(mac), Some(key)) => Mac::verify(&key, digest, mac),
+            _ => false,
         }
     }
 
@@ -180,7 +183,7 @@ mod tests {
             let d = Digest::of(payload);
             let auth = Authenticator::generate(&a, 4, &d);
             for j in 0..4 {
-                assert_eq!(auth.macs[j], Mac::compute(&a.key_to(j), &d), "entry {j}");
+                assert_eq!(auth.macs[j], Mac::compute(&a.key_to(j).unwrap(), &d), "entry {j}");
             }
         }
     }

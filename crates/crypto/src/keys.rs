@@ -95,8 +95,9 @@ impl NodeKeys {
         self.id
     }
 
-    /// Session key for authenticating messages this node *sends to* `to`.
-    pub fn key_to(&self, to: usize) -> SessionKey {
+    /// Session key for authenticating messages this node *sends to* `to`;
+    /// `None` if `to` is not a node of the directory.
+    pub fn key_to(&self, to: usize) -> Option<SessionKey> {
         self.dir.session_key(self.id, to)
     }
 
@@ -106,8 +107,10 @@ impl NodeKeys {
         self.dir.map_keys_to(self.id, n, f)
     }
 
-    /// Session key for verifying messages this node *receives from* `from`.
-    pub fn key_from(&self, from: usize) -> SessionKey {
+    /// Session key for verifying messages this node *receives from* `from`;
+    /// `None` if `from` — typically an id read from the frame being
+    /// verified — is not a node of the directory.
+    pub fn key_from(&self, from: usize) -> Option<SessionKey> {
         self.dir.session_key(from, self.id)
     }
 

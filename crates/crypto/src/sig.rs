@@ -18,7 +18,6 @@
 use crate::hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
 use crate::keys::{SessionKey, SECRET_LEN};
 use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// Length of a signature in bytes.
@@ -65,11 +64,20 @@ struct Inner {
     sig_keys: Vec<HmacMidstate>,
     /// Per-node receive-key epochs, bumped by proactive recovery.
     epochs: Vec<u64>,
-    /// Memoized session keys (with their precomputed HMAC midstates),
-    /// keyed by `(sender, receiver, receiver-epoch)`. Entries for a
-    /// node's old epochs are pruned when it refreshes, so MACs under
-    /// stale keys cannot be produced from the cache.
-    session_cache: HashMap<(usize, usize, u64), SessionKey>,
+    /// Memoized session keys (with their precomputed HMAC midstates): an
+    /// `n × n` table, row = sender, column = receiver, filled on first use.
+    /// A refresh empties the receiver's column, so every entry is under its
+    /// receiver's current epoch. Only ids below `n` index it: an id off a
+    /// frame that names no node has no key, and asking allocates nothing.
+    session: Vec<Option<SessionKey>>,
+}
+
+impl Inner {
+    /// Index of the `sender → receiver` key, if both are nodes.
+    fn slot(&self, sender: usize, receiver: usize) -> Option<usize> {
+        let n = self.secrets.len();
+        (sender < n && receiver < n).then(|| sender * n + receiver)
+    }
 }
 
 /// The shared key infrastructure for one simulated system.
@@ -106,7 +114,7 @@ impl KeyDirectory {
                 secrets,
                 sig_keys,
                 epochs: vec![0; n],
-                session_cache: HashMap::new(),
+                session: vec![None; n * n],
             })),
         }
     }
@@ -122,34 +130,35 @@ impl KeyDirectory {
     }
 
     /// Derives the session key authenticating traffic from `sender` to
-    /// `receiver` (chosen by the receiver; depends on the receiver's epoch).
-    ///
-    /// Keys are memoized per `(sender, receiver, epoch)` together with
-    /// their HMAC midstates, so repeated authenticator generation under a
-    /// stable epoch pays the key derivation and key-schedule compressions
-    /// only once.
-    pub(crate) fn session_key(&self, sender: usize, receiver: usize) -> SessionKey {
-        {
+    /// `receiver` (chosen by the receiver; depends on the receiver's epoch);
+    /// `None` if either is not a node of this directory. Memoized with its
+    /// HMAC midstates, so under a stable epoch the derivation and
+    /// key-schedule compressions are paid once per pair.
+    pub(crate) fn session_key(&self, sender: usize, receiver: usize) -> Option<SessionKey> {
+        let slot = {
             let inner = self.inner.read().expect("key directory poisoned");
-            let epoch = inner.epochs[receiver];
-            if let Some(key) = inner.session_cache.get(&(sender, receiver, epoch)) {
-                return key.clone();
+            let slot = inner.slot(sender, receiver)?;
+            if let Some(key) = &inner.session[slot] {
+                return Some(key.clone());
             }
-        }
+            slot
+        };
         let mut inner = self.inner.write().expect("key directory poisoned");
-        let epoch = inner.epochs[receiver];
-        let mut msg = Vec::with_capacity(24);
-        msg.extend_from_slice(b"sess");
-        msg.extend_from_slice(&(sender as u64).to_be_bytes());
-        msg.extend_from_slice(&epoch.to_be_bytes());
+        let mut msg = [0u8; 20];
+        msg[..4].copy_from_slice(b"sess");
+        msg[4..12].copy_from_slice(&(sender as u64).to_be_bytes());
+        msg[12..].copy_from_slice(&inner.epochs[receiver].to_be_bytes());
         let key = SessionKey::new(hmac_sha256(&inner.secrets[receiver], &msg));
-        inner.session_cache.insert((sender, receiver, epoch), key.clone());
-        key
+        inner.session[slot] = Some(key.clone());
+        Some(key)
     }
 
     /// Calls `f` with the session key from `sender` to each receiver in
     /// `0..n`, in order, holding the read lock across all of them (a
     /// multicast authenticator needs every one of its sender's keys).
+    ///
+    /// Panics if `sender` or a receiver is not a node of this directory
+    /// (both come from the caller's configuration, not from a frame).
     pub(crate) fn map_keys_to<T>(
         &self,
         sender: usize,
@@ -160,7 +169,8 @@ impl KeyDirectory {
         let mut inner = self.inner.read().expect("key directory poisoned");
         while out.len() < n {
             let receiver = out.len();
-            match inner.session_cache.get(&(sender, receiver, inner.epochs[receiver])) {
+            let slot = inner.slot(sender, receiver).expect("receivers are nodes");
+            match &inner.session[slot] {
                 Some(key) => out.push(f(key)),
                 None => {
                     // First use under this epoch: derive and memoize it
@@ -179,7 +189,10 @@ impl KeyDirectory {
     pub(crate) fn refresh(&self, node: usize) {
         let mut inner = self.inner.write().expect("key directory poisoned");
         inner.epochs[node] += 1;
-        inner.session_cache.retain(|&(_, receiver, _), _| receiver != node);
+        let n = inner.secrets.len();
+        for sender in 0..n {
+            inner.session[sender * n + node] = None;
+        }
     }
 
     /// `node`'s signature over `message`, or `None` for an unknown node.
@@ -256,6 +269,32 @@ mod tests {
         let dir = KeyDirectory::generate(4, 1);
         let sig = Signature([0; SIG_LEN]);
         assert!(!dir.verify(99, b"m", &sig));
+    }
+
+    #[test]
+    fn an_id_off_the_frame_has_no_key_and_grows_nothing() {
+        use crate::{Authenticator, Digest};
+        let dir = KeyDirectory::generate(4, 1);
+        let (sender, receiver) = (NodeKeys::new(dir.clone(), 0), NodeKeys::new(dir.clone(), 1));
+        let d = Digest::of(b"request");
+        let auth = Authenticator::generate(&sender, 4, &d);
+        assert!(auth.check(&receiver, 0, &d));
+        let cached = |dir: &KeyDirectory| {
+            let inner = dir.inner.read().unwrap();
+            (inner.session.len(), inner.session.iter().flatten().count())
+        };
+        let before = cached(&dir);
+        assert_eq!(before.0, 16);
+        // A frame may claim any sender: one past the directory, the id a
+        // 32-bit field saturates at, or one whose row offset would wrap.
+        for claimed in [4, 0xFFFF_FFFF, usize::MAX] {
+            assert!(!auth.check(&receiver, claimed, &d), "sender {claimed}");
+            let mac = Authenticator::point(&sender, 1, &d);
+            assert!(!Authenticator::check_point(&receiver, claimed, &d, &mac), "sender {claimed}");
+            assert!(receiver.key_from(claimed).is_none() && receiver.key_to(claimed).is_none());
+            assert!(!receiver.verify(claimed, b"m", &Signature([0; SIG_LEN])));
+        }
+        assert_eq!(cached(&dir), before, "no key was derived or cached for a stranger");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use base_crypto::{Authenticator, NodeKeys};
 use base_simnet::{
     Actor, Context, MetricsRegistry, NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Timer token used by the embedded client core (high bit set so embedding
 /// actors can use low token values freely).
@@ -28,16 +28,69 @@ pub enum ClientEvent {
     },
 }
 
+/// One result the replies for the pending operation vouch for.
+#[derive(Debug)]
+struct Vouched {
+    /// The result's digest as replies carry it. A digest reply's is whatever
+    /// bytes it holds: not 32 of them, it matches no body and only ever
+    /// counts as a conflict.
+    digest: Vec<u8>,
+    /// Bit `r`: replica `r`'s latest reply carries `digest`.
+    voters: u64,
+    /// The result itself, once a full reply has supplied it.
+    body: Option<Vec<u8>>,
+}
+
+/// Replies gathered for the pending operation (digest and full replies both
+/// vote by result digest; a full reply also supplies the body).
+///
+/// A replica's vote is its latest reply: a new digest withdraws it from the
+/// old one, and a result nobody vouches for any more is forgotten, body and
+/// all. So there are at most `n` entries however many answers a faulty
+/// replica sends, and a replica only ever moves its own bit. While no
+/// replica changes its answer — correct ones do not, for anything that went
+/// through agreement — this counts what a set of voters per digest counts.
+#[derive(Debug, Default)]
+struct ReplyTally {
+    entries: Vec<Vouched>,
+}
+
+impl ReplyTally {
+    /// Counts `replica`'s reply; returns the entry it now vouches for.
+    fn record(&mut self, replica: u32, digest_only: bool, result: Vec<u8>) -> usize {
+        let sha;
+        let digest: &[u8] = if digest_only {
+            &result
+        } else {
+            sha = base_crypto::Digest::of(&result);
+            &sha.0
+        };
+        let bit = 1u64 << replica;
+        self.entries.retain_mut(|e| {
+            e.digest == digest || {
+                e.voters &= !bit;
+                e.voters != 0
+            }
+        });
+        let at = self.entries.iter().position(|e| e.digest == digest).unwrap_or_else(|| {
+            self.entries.push(Vouched { digest: digest.to_vec(), voters: 0, body: None });
+            self.entries.len() - 1
+        });
+        let entry = &mut self.entries[at];
+        entry.voters |= bit;
+        if !digest_only && entry.body.is_none() {
+            entry.body = Some(result);
+        }
+        at
+    }
+}
+
 #[derive(Debug)]
 struct Pending {
     ts: u64,
     op: Vec<u8>,
     read_only: bool,
-    /// result digest → replicas that vouched for it (digest replies and
-    /// full replies both vote by digest).
-    votes: HashMap<Vec<u8>, HashSet<u32>>,
-    /// Full result bodies received, keyed by their digest.
-    full: HashMap<Vec<u8>, Vec<u8>>,
+    replies: ReplyTally,
     attempts: u32,
     timer: Option<TimerId>,
     submitted_at_ns: u64,
@@ -197,8 +250,7 @@ impl ClientCore {
             ts,
             op,
             read_only,
-            votes: HashMap::new(),
-            full: HashMap::new(),
+            replies: ReplyTally::default(),
             attempts: 0,
             timer: Some(timer),
             submitted_at_ns: ctx.now().as_nanos(),
@@ -276,30 +328,19 @@ impl ClientCore {
             }
         };
         let pending = self.pending.as_mut()?;
-        // Digest and full replies both vote by result digest; a full reply
-        // additionally supplies the body.
-        let digest = if reply.digest_only {
-            reply.result.clone()
-        } else {
-            let d = base_crypto::Digest::of(&reply.result).0.to_vec();
-            pending.full.insert(d.clone(), reply.result.clone());
-            d
-        };
-        pending.votes.entry(digest.clone()).or_default().insert(reply.replica);
+        let at = pending.replies.record(reply.replica, reply.digest_only, reply.result);
+        let vouched = &pending.replies.entries[at];
         let enough_votes =
-            pending.votes[&digest].len() >= needed || self.bug_accept_first_reply;
-        let Some(result) = pending.full.get(&digest).cloned() else {
-            // Votes may be complete, but we still need the full body from
-            // the designated replica (retransmission rotates it if the
-            // designee is faulty).
-            return None;
-        };
-        if !enough_votes {
+            vouched.voters.count_ones() as usize >= needed || self.bug_accept_first_reply;
+        // Votes may be complete while the body is still to come from the
+        // designated replica (retransmission rotates a faulty designee).
+        if vouched.body.is_none() || !enough_votes {
             return None;
         }
 
         // Quorum reached with a matching full result: complete.
-        let done = self.pending.take().expect("checked above");
+        let mut done = self.pending.take().expect("checked above");
+        let result = done.replies.entries.swap_remove(at).body.expect("checked above");
         if let Some(t) = done.timer {
             ctx.cancel_timer(t);
         }
@@ -357,12 +398,11 @@ impl ClientCore {
         // and waiting out another fast-path round trip cannot help.
         let (ts, op, read_only, attempts) =
             (pending.ts, pending.op.clone(), pending.read_only, pending.attempts);
-        let conflicted = pending.votes.len() > 1;
+        let conflicted = pending.replies.entries.len() > 1;
         let effective_ro = read_only && attempts < 2 && !conflicted;
         if read_only && !effective_ro {
             pending.read_only = false;
-            pending.votes.clear();
-            pending.full.clear();
+            pending.replies.entries.clear();
             self.ro_degradations += 1;
             self.metrics.inc("client.ro_degradations");
             ctx.emit(self.view_guess, ts, ProtocolEvent::ReplyQuorumDegraded);
@@ -463,5 +503,156 @@ impl Actor for ClientActor {
             return;
         }
         self.core.on_timer(token, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use base_crypto::Digest;
+    use proptest::prelude::*;
+    use std::collections::{BTreeSet, HashMap};
+
+    const N: u32 = 7;
+
+    /// The tally as it was: a set of voters per digest, bodies in a
+    /// second map keyed by the same digest, both growing with every new
+    /// digest any replica sends.
+    #[derive(Default)]
+    struct MapModel {
+        votes: HashMap<Vec<u8>, BTreeSet<u32>>,
+        full: HashMap<Vec<u8>, Vec<u8>>,
+    }
+
+    /// What `on_reply` and `on_timer` read off the tally after a reply:
+    /// votes for the reply's digest, the body if one is known, and how
+    /// many distinct digests have votes (more than one is the conflict that
+    /// degrades a read-only operation).
+    type Reading = (usize, Option<Vec<u8>>, usize);
+
+    impl MapModel {
+        fn record(&mut self, replica: u32, digest_only: bool, result: Vec<u8>) -> Reading {
+            let digest = if digest_only {
+                result
+            } else {
+                let d = Digest::of(&result).0.to_vec();
+                self.full.insert(d.clone(), result);
+                d
+            };
+            self.votes.entry(digest.clone()).or_default().insert(replica);
+            (self.votes[&digest].len(), self.full.get(&digest).cloned(), self.votes.len())
+        }
+    }
+
+    fn read(tally: &mut ReplyTally, replica: u32, digest_only: bool, result: Vec<u8>) -> Reading {
+        let at = tally.record(replica, digest_only, result);
+        let e = &tally.entries[at];
+        (e.voters.count_ones() as usize, e.body.clone(), tally.entries.len())
+    }
+
+    /// One of a few results a replica may answer with: a body, or digest
+    /// bytes of a length no SHA-256 output has.
+    #[derive(Debug, Clone)]
+    enum Answer {
+        Body(u8),
+        Malformed(Vec<u8>),
+    }
+
+    impl Answer {
+        /// The reply carrying this answer, as `(digest_only, result)`.
+        fn reply(&self, full: bool) -> (bool, Vec<u8>) {
+            match self {
+                Answer::Body(k) => {
+                    let body = vec![*k; 3 + usize::from(*k)];
+                    if full {
+                        (false, body)
+                    } else {
+                        (true, Digest::of(&body).0.to_vec())
+                    }
+                }
+                Answer::Malformed(bytes) => (true, bytes.clone()),
+            }
+        }
+    }
+
+    fn answer() -> impl Strategy<Value = Answer> {
+        prop_oneof![
+            4 => (0u8..3).prop_map(Answer::Body),
+            1 => proptest::collection::vec(any::<u8>(), 0..40)
+                .prop_map(|mut b| {
+                    if b.len() == 32 {
+                        b.push(0);
+                    }
+                    Answer::Malformed(b)
+                }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// While every replica stands by one answer — sent as a digest or
+        /// in full, once or many times, bodies before votes or after — the
+        /// tally reads exactly as the maps did, reply for reply.
+        #[test]
+        fn steady_replicas_tally_as_the_maps_did(
+            answers in proptest::collection::vec(answer(), N as usize),
+            replies in proptest::collection::vec((0..N, any::<bool>()), 1..60),
+        ) {
+            let (mut tally, mut model) = (ReplyTally::default(), MapModel::default());
+            for (replica, full) in replies {
+                let (digest_only, result) = answers[replica as usize].reply(full);
+                let expected = model.record(replica, digest_only, result.clone());
+                prop_assert_eq!(read(&mut tally, replica, digest_only, result), expected);
+            }
+        }
+
+        /// Whatever the replicas send, changes of mind included: never
+        /// more entries than replicas, each replica counted once, under its
+        /// latest answer; and the tally never reads more votes, another
+        /// body, or fewer conflicts' worth of agreement than the maps did,
+        /// so it completes nothing the maps would not have completed.
+        #[test]
+        fn fickle_replicas_are_counted_once_and_never_overcounted(
+            replies in proptest::collection::vec((0..N, any::<bool>(), answer()), 1..80),
+        ) {
+            let (mut tally, mut model) = (ReplyTally::default(), MapModel::default());
+            let mut latest: HashMap<u32, Vec<u8>> = HashMap::new();
+            for (replica, full, answer) in replies {
+                let (digest_only, result) = answer.reply(full);
+                let (was_votes, was_body, was_distinct) =
+                    model.record(replica, digest_only, result.clone());
+                let (votes, body, distinct) = read(&mut tally, replica, digest_only, result.clone());
+                let digest = if digest_only { result } else { Digest::of(&result).0.to_vec() };
+                latest.insert(replica, digest);
+                prop_assert!(votes <= was_votes && distinct <= was_distinct);
+                prop_assert!(body.is_none() || body == was_body);
+                prop_assert!(tally.entries.len() <= N as usize);
+                for r in 0..N {
+                    let standing: Vec<&Vec<u8>> = tally
+                        .entries
+                        .iter()
+                        .filter(|e| e.voters >> r & 1 == 1)
+                        .map(|e| &e.digest)
+                        .collect();
+                    prop_assert_eq!(standing, latest.get(&r).into_iter().collect::<Vec<_>>());
+                }
+                prop_assert!(tally.entries.iter().all(|e| e.voters != 0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_digest_conflicts_but_never_completes() {
+        let mut tally = ReplyTally::default();
+        let body = b"value".to_vec();
+        read(&mut tally, 0, false, body.clone());
+        // Replica 1 answers with 31 bytes: not a digest of anything, yet a
+        // second answer, which is what degrades a read-only operation.
+        let (votes, found, distinct) = read(&mut tally, 1, true, vec![0xab; 31]);
+        assert_eq!((votes, found, distinct), (1, None, 2));
+        // It then sends the real digest: its vote moves, the junk is gone.
+        let (votes, found, distinct) = read(&mut tally, 1, true, Digest::of(&body).0.to_vec());
+        assert_eq!((votes, found, distinct), (2, Some(body), 1));
     }
 }

@@ -101,9 +101,11 @@ impl Config {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 4` (at least one fault must be tolerable).
+    /// Panics if `n < 4` (at least one fault must be tolerable) or `n > 64`
+    /// (quorums are tallied in one machine word, a bit per replica).
     pub fn new(n: usize) -> Self {
         assert!(n >= 4, "PBFT needs n >= 3f + 1 >= 4 replicas");
+        assert!(n <= 64, "quorum tallies keep one bit per replica");
         Self {
             n,
             checkpoint_interval: 128,
@@ -231,6 +233,12 @@ mod tests {
     #[should_panic(expected = "n >= 3f + 1")]
     fn too_few_replicas_panics() {
         Config::new(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "one bit per replica")]
+    fn more_replicas_than_tally_bits_panics() {
+        Config::new(65);
     }
 
     /// Every virtual-time snapshot and baseline was taken at these values;

@@ -9,7 +9,7 @@
 use crate::byzantine::ByzMode;
 use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
 use crate::cost::CostModel;
-use crate::log::{CheckpointCollector, Log, ReplyCache, SlotStage, SlotTable};
+use crate::log::{CheckpointCollector, Log, ReplyCache, SlotStage};
 use crate::messages::{
     CertReplyMsg, CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg,
     FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg, Message, MetaReplyMsg, NewViewMsg,
@@ -85,6 +85,10 @@ pub struct Replica<S: Service> {
     /// Next sequence number this replica assigns when primary.
     seq_next: u64,
     last_exec: u64,
+    /// Messages, agreement stage and arrival time of every sequence number
+    /// in the window. The stages let agreement run ahead of execution: the
+    /// pipeline gate ([`Replica::try_propose`]) and the read-only staleness
+    /// guard ([`Replica::exec_backlog`]) read them.
     log: Log,
     ckpt_collector: CheckpointCollector,
     reply_cache: ReplyCache,
@@ -99,17 +103,6 @@ pub struct Replica<S: Service> {
     pending_digests: HashSet<Digest>,
     /// Backup: forwarded requests awaiting execution (liveness timer).
     awaiting: HashSet<(u32, u64)>,
-    /// When each logged sequence number's pre-prepare was first accepted
-    /// (ns): execution removes the entry and feeds the agreement-latency
-    /// estimator with the full three-phase round duration.
-    slot_arrival: HashMap<u64, u64>,
-    /// Per-slot agreement stage index. This is what lets agreement run
-    /// ahead of execution: the pipeline gate in [`Replica::try_propose`]
-    /// reads the contiguously committed floor from here, and the
-    /// read-only staleness guard ([`Replica::exec_backlog`]) asks it
-    /// whether committed-but-unexecuted slots exist. Also owns the
-    /// `CommitQuorum` trace dedup.
-    slots: SlotTable,
     /// Read-only requests deferred while committed-but-unexecuted slots
     /// (or an active state transfer) would make a reply stale; drained
     /// after execution catches up.
@@ -166,6 +159,7 @@ impl<S: Service> Replica<S> {
         let id = keys.id() as u32;
         assert!((id as usize) < cfg.n, "replica id must be < n");
         let vc_timeout = cfg.view_change_timeout;
+        let log = Log::new(cfg.log_window);
         let agree_rtt = RttEstimator::new(
             0x517c_a11e_0000_0000 ^ u64::from(id),
             RTO_FLOOR.as_nanos(),
@@ -183,7 +177,7 @@ impl<S: Service> Replica<S> {
             in_view_change: false,
             seq_next: 1,
             last_exec: 0,
-            log: Log::default(),
+            log,
             ckpt_collector: CheckpointCollector::default(),
             reply_cache: ReplyCache::default(),
             ckpt_meta: BTreeMap::new(),
@@ -192,8 +186,6 @@ impl<S: Service> Replica<S> {
             pending: VecDeque::new(),
             pending_digests: HashSet::new(),
             awaiting: HashSet::new(),
-            slot_arrival: HashMap::new(),
-            slots: SlotTable::default(),
             ro_deferred: VecDeque::new(),
             vc_collect: BTreeMap::new(),
             vc_timer: None,
@@ -476,33 +468,7 @@ impl<S: Service> Replica<S> {
     /// makes the last executed state stale relative to what the group has
     /// already agreed on.
     fn exec_backlog(&self) -> bool {
-        self.fetcher.is_some() || self.slots.has_backlog(self.last_exec)
-    }
-
-    /// Recomputes the slot table from the log after an event that changed
-    /// its shape wholesale (new-view installation, state transfer, clean
-    /// recovery). Trace-dedup flags of surviving slots are preserved.
-    fn rebuild_slots(&mut self) {
-        let view = self.view;
-        let f = self.f();
-        let stages: Vec<(u64, SlotStage)> = self
-            .log
-            .iter()
-            .filter(|(_, e)| e.pre_prepare.is_some())
-            .map(|(s, e)| {
-                let stage = if e.executed {
-                    SlotStage::Executed
-                } else if e.committed(view, f) {
-                    SlotStage::Committed
-                } else if e.prepared(view, f) {
-                    SlotStage::Prepared
-                } else {
-                    SlotStage::Proposed
-                };
-                (*s, stage)
-            })
-            .collect();
-        self.slots.rebuild(stages);
+        self.fetcher.is_some() || self.log.has_backlog(self.last_exec)
     }
 
     /// Builds the authenticated reply for `result`, which is only
@@ -571,7 +537,7 @@ impl<S: Service> Replica<S> {
             && self.seq_next.saturating_sub(self.last_exec + 1) < self.cfg.max_inflight
             && self
                 .seq_next
-                .saturating_sub(self.slots.committed_floor(self.last_exec) + 1)
+                .saturating_sub(self.log.committed_floor(self.last_exec) + 1)
                 < self.cfg.pipeline_depth
             && !self.in_view_change
         {
@@ -633,9 +599,13 @@ impl<S: Service> Replica<S> {
                 let Message::PrePrepare(pp) = msg else { unreachable!("built above") };
                 pp
             };
-            self.log.entry_mut(seq).pre_prepare = Some(pp);
-            self.slots.observe_proposed(seq);
-            self.slot_arrival.insert(seq, ctx.now().as_nanos());
+            // A primary that caught up by state transfer numbers from where
+            // it stood: at or below the low watermark nobody logs `seq`.
+            if let Some(entry) = self.log.entry_mut(seq) {
+                entry.pre_prepare = Some(pp);
+                entry.observe(SlotStage::Proposed);
+                entry.arrival = Some(ctx.now().as_nanos());
+            }
             self.maybe_prepared(seq, ctx);
         }
     }
@@ -707,7 +677,7 @@ impl<S: Service> Replica<S> {
         }
 
         let digest = pp.batch_digest();
-        let entry = self.log.entry_mut(pp.seq);
+        let Some(entry) = self.log.entry_mut(pp.seq) else { return };
         if let Some(existing) = &entry.pre_prepare {
             if existing.view == pp.view && existing.batch_digest() != digest {
                 // Conflicting proposal from the primary — evidence of a
@@ -721,8 +691,8 @@ impl<S: Service> Replica<S> {
         }
         let (view, seq) = (pp.view, pp.seq);
         entry.pre_prepare = Some(pp);
-        self.slots.observe_proposed(seq);
-        self.slot_arrival.insert(seq, ctx.now().as_nanos());
+        entry.observe(SlotStage::Proposed);
+        entry.arrival = Some(ctx.now().as_nanos());
         ctx.emit(
             view,
             seq,
@@ -760,9 +730,8 @@ impl<S: Service> Replica<S> {
         let msg = Message::Prepare(prepare);
         self.multicast(ctx, &msg);
         let Message::Prepare(prepare) = msg else { unreachable!("built above") };
-        let entry = self.log.entry_mut(seq);
-        entry.prepares.insert(self.id, prepare);
-        entry.prepare_sent = true;
+        let Some(entry) = self.log.entry_mut(seq) else { return };
+        entry.add_prepare(prepare);
     }
 
     fn handle_prepare(&mut self, p: PrepareMsg, ctx: &mut Context<'_>) {
@@ -791,19 +760,20 @@ impl<S: Service> Replica<S> {
             return;
         }
         let seq = p.seq;
-        self.log.entry_mut(seq).prepares.entry(p.replica).or_insert(p);
+        let Some(entry) = self.log.entry_mut(seq) else { return };
+        entry.add_prepare(p);
         self.maybe_prepared(seq, ctx);
     }
 
     fn maybe_prepared(&mut self, seq: u64, ctx: &mut Context<'_>) {
         let view = self.view;
         let f = self.f();
-        let entry = self.log.entry_mut(seq);
+        let Some(entry) = self.log.entry_mut(seq) else { return };
         if !entry.prepared(view, f) || entry.commit_sent {
             return;
         }
         entry.commit_sent = true;
-        self.slots.observe_prepared(seq);
+        entry.observe(SlotStage::Prepared);
         let digest = entry.accepted_digest().expect("prepared implies pre-prepare");
         // `commit_sent` is one-shot per slot, so this traces exactly once.
         ctx.emit(view, seq, ProtocolEvent::PrepareQuorum);
@@ -823,7 +793,9 @@ impl<S: Service> Replica<S> {
         let msg = Message::Commit(commit);
         self.multicast(ctx, &msg);
         let Message::Commit(commit) = msg else { unreachable!("built above") };
-        self.log.entry_mut(seq).commits.insert(self.id, commit);
+        if let Some(entry) = self.log.entry_mut(seq) {
+            entry.add_commit(commit);
+        }
         self.maybe_committed(seq, ctx);
     }
 
@@ -843,18 +815,20 @@ impl<S: Service> Replica<S> {
             return;
         }
         let seq = c.seq;
-        self.log.entry_mut(seq).commits.entry(c.replica).or_insert(c);
+        let Some(entry) = self.log.entry_mut(seq) else { return };
+        entry.add_commit(c);
         self.maybe_committed(seq, ctx);
     }
 
     fn maybe_committed(&mut self, seq: u64, ctx: &mut Context<'_>) {
         let view = self.view;
         let f = self.f();
-        if !self.log.entry_mut(seq).committed(view, f) {
+        let Some(entry) = self.log.entry_mut(seq) else { return };
+        if !entry.committed(view, f) {
             return;
         }
-        self.slots.mark_committed(seq);
-        if ctx.trace_enabled() && self.slots.first_quorum_trace(seq) {
+        entry.observe(SlotStage::Committed);
+        if ctx.trace_enabled() && entry.first_quorum_trace() {
             ctx.emit(view, seq, ProtocolEvent::CommitQuorum);
         }
         self.execute_ready(ctx);
@@ -882,17 +856,14 @@ impl<S: Service> Replica<S> {
             }
             // The batch is lent out of its log entry while it executes
             // (nothing on the execution path reads the log) and put back.
-            let pp = self
-                .log
-                .entry_mut(next)
-                .pre_prepare
-                .take()
-                .expect("committed implies pre-prepare");
-            self.execute_batch(&pp, ctx);
-            let entry = self.log.entry_mut(next);
+            let entry = self.log.entry_mut(next).expect("found ready above");
+            let pp = entry.pre_prepare.take().expect("committed implies pre-prepare");
+            let arrived = entry.arrival.take();
+            self.execute_batch(&pp, arrived, ctx);
+            let entry = self.log.entry_mut(next).expect("execution does not move the window");
             entry.pre_prepare = Some(pp);
             entry.executed = true;
-            self.slots.mark_executed(next);
+            entry.observe(SlotStage::Executed);
             self.last_exec = next;
             self.stats.executed_batches += 1;
 
@@ -927,12 +898,14 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    fn execute_batch(&mut self, pp: &PrePrepareMsg, ctx: &mut Context<'_>) {
+    /// `arrived`: when this replica accepted `pp` (`None` for a slot
+    /// carried across a view change or executed before).
+    fn execute_batch(&mut self, pp: &PrePrepareMsg, arrived: Option<u64>, ctx: &mut Context<'_>) {
         ctx.emit(pp.view, pp.seq, ProtocolEvent::RequestExecuted { batch: pp.requests().len() as u64 });
-        if let Some(arrived) = self.slot_arrival.remove(&pp.seq) {
+        if let Some(arrived) = arrived {
             // Pre-prepare-to-execution: the three-phase agreement round as
             // this replica saw it. Slots re-proposed across a view change
-            // were dropped from the map (Karn: ambiguous samples).
+            // lost their arrival time (Karn: ambiguous samples).
             let lat = ctx.now().as_nanos().saturating_sub(arrived);
             self.agree_rtt.observe(lat);
             self.metrics.observe("replica.agreement_latency_ns", lat);
@@ -1048,8 +1021,6 @@ impl<S: Service> Replica<S> {
         self.metrics.inc("replica.stable_checkpoints");
         ctx.emit(self.view, seq, ProtocolEvent::CheckpointStable);
         self.log.gc_up_to(seq);
-        self.slot_arrival.retain(|s, _| *s > seq);
-        self.slots.gc_up_to(seq);
         self.ckpt_collector.gc_up_to(seq);
         // Keep the stable checkpoint itself; discard older ones.
         self.ckpt_meta = self.ckpt_meta.split_off(&seq);
@@ -1166,13 +1137,9 @@ impl<S: Service> Replica<S> {
         // roll back and re-execute the committed suffix from the log on the
         // repaired state.
         self.last_exec = result.seq;
-        let stale: Vec<u64> =
-            self.log.iter().filter(|(s, e)| **s > result.seq && e.executed).map(|(s, _)| *s).collect();
-        for seq in stale {
-            self.log.entry_mut(seq).executed = false;
-        }
+        self.log.iter_mut().filter(|(s, _)| *s > result.seq).for_each(|(_, e)| e.executed = false);
         self.fetcher = None;
-        self.rebuild_slots();
+        self.log.restage(self.view, self.f());
 
         if self.recovering {
             self.recovering = false;
@@ -1405,8 +1372,6 @@ impl<S: Service> Replica<S> {
             self.stable_seq = seq;
             self.stable_cert = m.msgs;
             self.log.gc_up_to(seq);
-            self.slot_arrival.retain(|s, _| *s > seq);
-            self.slots.gc_up_to(seq);
             self.service.discard_checkpoints_below(seq);
         }
         if seq > self.last_exec || (self.recovering && seq > 0) {
@@ -1444,7 +1409,7 @@ impl<S: Service> Replica<S> {
         let mut prepared = Vec::new();
         for (seq, entry) in self.log.iter() {
             if let Some(pp) = &entry.pre_prepare {
-                if *seq > self.stable_seq && entry.prepared(pp.view, self.f()) {
+                if seq > self.stable_seq && entry.prepared(pp.view, self.f()) {
                     prepared.push(PreparedProof {
                         pre_prepare: pp.clone(),
                         prepares: entry.prepare_proof(pp.view),
@@ -1663,9 +1628,6 @@ impl<S: Service> Replica<S> {
         ctx.emit(nv.view, self.stable_seq, ProtocolEvent::ViewChangeCompleted);
         self.own_vc = None;
         self.last_nv_msg = Some(nv.clone());
-        // Slots carried across the view change would sample the view
-        // change itself, not an agreement round: drop them (Karn).
-        self.slot_arrival.clear();
         self.vc_timeout = self.base_vc_timeout();
         if let Some(t) = self.vc_timer.take() {
             ctx.cancel_timer(t);
@@ -1695,19 +1657,16 @@ impl<S: Service> Replica<S> {
             if pp.seq <= self.stable_seq {
                 continue;
             }
-            let entry = self.log.entry_mut(pp.seq);
-            entry.pre_prepare = Some(pp.clone());
-            entry.prepares.clear();
-            entry.commits.clear();
-            entry.commit_sent = false;
-            entry.prepare_sent = false;
+            // `O` comes off the wire; a slot past the window is not logged
+            // (and, below, not prepared).
+            if let Some(entry) = self.log.entry_mut(pp.seq) {
+                entry.restart_agreement(pp.clone());
+            }
         }
-        // The log just changed shape under the slot table: recompute every
-        // slot's stage from the log itself. A slot re-agreed in the new
-        // view is a fresh agreement instance and traces its own commit
-        // quorum, so the trace dedup is re-armed too.
-        self.rebuild_slots();
-        self.slots.reset_traced();
+        // The log just changed shape: recompute every slot's stage from it.
+        // A slot re-agreed in the new view is a fresh agreement instance.
+        self.log.restage(self.view, self.f());
+        self.log.restart_instances();
         if self.cfg.primary_of(nv.view) == self.id as usize {
             self.seq_next = max_seq + 1;
             self.try_propose(ctx);
@@ -1716,11 +1675,9 @@ impl<S: Service> Replica<S> {
             let seqs: Vec<u64> =
                 nv.pre_prepares.iter().map(|p| p.seq).filter(|s| *s > self.stable_seq).collect();
             for seq in seqs {
-                let digest = self
-                    .log
-                    .entry(seq)
-                    .and_then(|e| e.accepted_digest())
-                    .expect("just installed");
+                let Some(digest) = self.log.entry(seq).and_then(|e| e.accepted_digest()) else {
+                    continue; // Past the window: not installed above.
+                };
                 let prepare = PrepareMsg {
                     view: nv.view,
                     seq,
@@ -1732,7 +1689,7 @@ impl<S: Service> Replica<S> {
                 ctx.charge(self.cost.authenticator(self.cfg.n) + self.cost.signature);
                 self.send_own_prepare(prepare, ctx);
             }
-            let seqs: Vec<u64> = self.log.iter().map(|(s, _)| *s).collect();
+            let seqs: Vec<u64> = self.log.iter().map(|(s, _)| s).collect();
             for seq in seqs {
                 self.maybe_prepared(seq, ctx);
             }
@@ -1776,10 +1733,10 @@ impl<S: Service> Replica<S> {
                     if self.is_primary() && pp.view == view {
                         to_send.push(Message::PrePrepare(pp.clone()));
                     }
-                    if let Some(p) = entry.prepares.get(&self.id) {
+                    if let Some(p) = entry.prepares().iter().find(|p| p.replica == self.id) {
                         to_send.push(Message::Prepare(p.clone()));
                     }
-                    if let Some(c) = entry.commits.get(&self.id) {
+                    if let Some(c) = entry.commits().iter().find(|c| c.replica == self.id) {
                         to_send.push(Message::Commit(c.clone()));
                     }
                 }
@@ -1825,7 +1782,7 @@ impl<S: Service> Replica<S> {
             let group_ahead = self
                 .log
                 .iter()
-                .any(|(s, e)| *s > next && (e.pre_prepare.is_some() || !e.commits.is_empty()));
+                .any(|(s, e)| s > next && (e.pre_prepare.is_some() || !e.commits().is_empty()));
             self.idle_ticks += 1;
             if (missing_next && group_ahead) || self.idle_ticks.is_multiple_of(10) {
                 self.multicast(ctx, &Message::FetchCert(FetchCertMsg { replica: self.id }));
@@ -1879,10 +1836,10 @@ impl<S: Service> Replica<S> {
                     // so the peer can verify them, and the original senders
                     // may be gone (reinstalled or crashed) — the log is the
                     // only place their endorsements survive.
-                    for p in e.prepares.values() {
+                    for p in e.prepares() {
                         self.send(ctx, to, &Message::Prepare(p.clone()));
                     }
-                    for c in e.commits.values() {
+                    for c in e.commits() {
                         self.send(ctx, to, &Message::Commit(c.clone()));
                     }
                 }
@@ -1914,11 +1871,8 @@ impl<S: Service> Replica<S> {
             self.last_exec = 0;
             self.reply_cache = ReplyCache::default();
             self.ckpt_meta.clear();
-            let seqs: Vec<u64> = self.log.iter().map(|(s, _)| *s).collect();
-            for seq in seqs {
-                self.log.entry_mut(seq).executed = false;
-            }
-            self.rebuild_slots();
+            self.log.iter_mut().for_each(|(_, e)| e.executed = false);
+            self.log.restage(self.view, self.f());
             self.ro_deferred.clear();
         }
         // Learn the group's latest stable checkpoint and repair against it
@@ -2073,5 +2027,153 @@ impl<S: Service> Actor for Replica<S> {
             TOKEN_WATCHDOG => self.on_watchdog(ctx, true),
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::{build_counter_group, CounterService, TestGroup};
+    use base_simnet::Simulation;
+
+    type TestReplica = Replica<CounterService>;
+
+    fn group(sim: &mut Simulation) -> TestGroup {
+        build_counter_group(sim, Config::new(4), 1, 9)
+    }
+
+    fn replica<'a>(sim: &'a Simulation, g: &TestGroup, i: usize) -> &'a TestReplica {
+        sim.actor_as::<TestReplica>(g.replicas[i]).unwrap()
+    }
+
+    fn deliver(sim: &mut Simulation, to: NodeId, msg: Message) {
+        sim.inject(NodeId(4), to, msg.to_payload(0));
+        sim.run_for(SimDuration::from_millis(1));
+    }
+
+    /// A request as the real client (node 4) would authenticate it, but
+    /// naming `client` as its sender.
+    fn request_from(g: &TestGroup, client: u32, read_only: bool) -> RequestMsg {
+        let keys = NodeKeys::new(g.dir.clone(), 4);
+        let mut req = RequestMsg::new(client, 1, read_only, 0, b"add 0 1".to_vec());
+        req.auth = Authenticator::generate(&keys, 4, &req.digest());
+        req
+    }
+
+    /// A pre-prepare for `seq` in view 0, signed and authenticated by that
+    /// view's primary.
+    fn pre_prepare(g: &TestGroup, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
+        let primary = NodeKeys::new(g.dir.clone(), 0);
+        let mut pp = PrePrepareMsg::new(0, seq, batch, Vec::new());
+        pp.sig = pp.with_signed_bytes(|signed| primary.sign(signed));
+        pp.auth = Authenticator::generate(&primary, 4, &pp.batch_digest());
+        pp
+    }
+
+    #[test]
+    fn a_client_id_off_the_frame_is_rejected_before_any_key_lookup() {
+        let mut sim = Simulation::new(9);
+        let g = group(&mut sim);
+        // The id a 32-bit field saturates at, and the first id past the
+        // directory (4 replicas + 1 client): read-write to the primary,
+        // read-only (which would execute and reply at once), and
+        // piggybacked in a pre-prepare the primary itself vouches for.
+        for (k, client) in [0xFFFF_FFFF, 5].into_iter().enumerate() {
+            let k = k as u64;
+            deliver(&mut sim, g.replicas[0], Message::Request(request_from(&g, client, false)));
+            deliver(&mut sim, g.replicas[0], Message::Request(request_from(&g, client, true)));
+            let pp = pre_prepare(&g, 1, vec![request_from(&g, client, false)]);
+            deliver(&mut sim, g.replicas[1], Message::PrePrepare(pp));
+            let (primary, backup) = (replica(&sim, &g, 0), replica(&sim, &g, 1));
+            assert_eq!(primary.stats.rejected_messages, 2 * (k + 1), "client {client:#x}");
+            assert_eq!(backup.stats.rejected_messages, k + 1, "client {client:#x}");
+            assert!(primary.pending.is_empty() && primary.log.is_empty() && backup.log.is_empty());
+            assert_eq!(primary.stats.executed_requests, 0);
+        }
+        // Nothing was sent in response: no reply, no forward, no prepare.
+        assert_eq!(sim.stats().messages_sent, 6);
+        // The same frames naming the client that made them are accepted.
+        deliver(&mut sim, g.replicas[0], Message::Request(request_from(&g, 4, false)));
+        assert_eq!(replica(&sim, &g, 0).log.len(), 1);
+        assert_eq!(replica(&sim, &g, 0).stats.rejected_messages, 4);
+    }
+
+    #[test]
+    fn a_valid_pre_prepare_past_the_window_logs_nothing() {
+        let mut sim = Simulation::new(9);
+        let g = group(&mut sim);
+        let window = g.cfg.log_window;
+        for seq in [window + 1, u64::MAX] {
+            deliver(&mut sim, g.replicas[1], Message::PrePrepare(pre_prepare(&g, seq, Vec::new())));
+            let backup = replica(&sim, &g, 1);
+            assert!(backup.log.is_empty() && backup.log.entry(seq).is_none(), "seq {seq}");
+            assert_eq!(backup.stats.rejected_messages, 0, "dropped by the watermarks, not as a forgery");
+        }
+        assert_eq!(sim.stats().messages_sent, 2, "nothing was prepared");
+        // The frames were good: the last in-window sequence number is
+        // logged and prepared.
+        deliver(&mut sim, g.replicas[1], Message::PrePrepare(pre_prepare(&g, window, Vec::new())));
+        assert_eq!(replica(&sim, &g, 1).log.len(), 1);
+        assert_eq!(sim.stats().messages_sent, 3 + 3, "one prepare to each peer");
+    }
+
+    /// Replica 2 behind a door: `b"install"` makes it install `nv` as
+    /// [`Replica::handle_new_view`] does once a NEW-VIEW has passed every
+    /// check — the step at which `O`'s sequence numbers, which came off the
+    /// wire, reach the log.
+    struct Installs {
+        replica: TestReplica,
+        nv: Option<NewViewMsg>,
+    }
+
+    impl Actor for Installs {
+        fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+            if payload == b"install" {
+                self.replica.install_new_view(self.nv.take().expect("installed once"), 0, ctx);
+            } else {
+                self.replica.on_message(from, payload, ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_view_entry_past_the_window_is_neither_logged_nor_prepared() {
+        let cfg = Config::new(4);
+        let window = cfg.log_window;
+        let dir = base_crypto::KeyDirectory::generate(4, 9);
+        let new_primary = NodeKeys::new(dir.clone(), 1);
+        let pre_prepares = [3, window + 1, u64::MAX]
+            .map(|seq| {
+                let mut pp = PrePrepareMsg::new(1, seq, Vec::new(), Vec::new());
+                pp.sig = pp.with_signed_bytes(|signed| new_primary.sign(signed));
+                pp.auth = Authenticator::generate(&new_primary, 4, &pp.batch_digest());
+                pp
+            })
+            .to_vec();
+        let nv = NewViewMsg {
+            view: 1,
+            view_changes: Vec::new(),
+            pre_prepares,
+            replica: 1,
+            sig: base_crypto::Signature([0; 32]),
+        };
+        let mut sim = Simulation::new(9);
+        for i in 0..4 {
+            let replica = Replica::new(cfg.clone(), NodeKeys::new(dir.clone(), i), CounterService::default());
+            if i == 2 {
+                sim.add_node(Box::new(Installs { replica, nv: Some(nv.clone()) }));
+            } else {
+                sim.add_node(Box::new(replica));
+            }
+        }
+        sim.inject(NodeId(1), NodeId(2), b"install");
+        sim.run_for(SimDuration::from_millis(1));
+        let installed = &sim.actor_as::<Installs>(NodeId(2)).unwrap().replica;
+        assert_eq!(installed.view(), 1);
+        assert_eq!(installed.log.iter().map(|(seq, _)| seq).collect::<Vec<_>>(), vec![3]);
+        assert!(installed.log.entry(window + 1).is_none() && installed.log.entry(u64::MAX).is_none());
+        assert_eq!(installed.log.entry(3).unwrap().prepares()[0].replica, 2);
+        // The door knock plus one prepare to each of three peers.
+        assert_eq!(sim.stats().messages_sent, 1 + 3);
     }
 }

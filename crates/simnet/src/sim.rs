@@ -1,6 +1,6 @@
 //! The simulation driver.
 
-use crate::actor::{Actor, Context, Effect, NodeId, Payload, TimerId};
+use crate::actor::{Actor, Context, Effect, NodeId, Payload};
 use crate::config::NetConfig;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FilterAction, NetFilter};
@@ -10,7 +10,6 @@ use crate::trace::{NullSink, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::collections::HashSet;
 
 struct NodeSlot {
     actor: Box<dyn Actor>,
@@ -20,8 +19,6 @@ struct NodeSlot {
     busy_until: SimTime,
     /// If set, the node is down and loses all events until this instant.
     crashed_until: Option<SimTime>,
-    /// Timers cancelled before firing.
-    cancelled_timers: HashSet<u64>,
     /// Per-node deterministic RNG handed to the actor.
     rng: StdRng,
     /// Message deliveries currently queued for this node (incremented when
@@ -84,7 +81,6 @@ impl Simulation {
             actor,
             busy_until: SimTime::ZERO,
             crashed_until: None,
-            cancelled_timers: HashSet::new(),
             rng,
             inbox_depth: 0,
         });
@@ -192,7 +188,6 @@ impl Simulation {
         self.queue.drop_timers_for(node);
         let slot = &mut self.nodes[node.0];
         slot.actor = actor;
-        slot.cancelled_timers.clear();
         slot.busy_until = self.now;
         slot.crashed_until = None;
         if self.started {
@@ -234,8 +229,8 @@ impl Simulation {
         self.run_until(target);
     }
 
-    /// Runs until the event queue is empty or `limit` is reached. Returns
-    /// true if the queue drained.
+    /// Runs until the event queue is empty (true; the clock then stands at
+    /// the last live event handled) or `limit` is reached (false).
     pub fn run_until_idle(&mut self, limit: SimTime) -> bool {
         self.ensure_started();
         while let Some(et) = self.queue.peek_time() {
@@ -258,7 +253,8 @@ impl Simulation {
         true
     }
 
-    /// Number of pending events.
+    /// Number of pending events. A cancelled timer is not pending: it left
+    /// the queue when it was cancelled.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -307,9 +303,6 @@ impl Simulation {
             }
             EventKind::Timer { node, token, id, due } => {
                 let slot = &mut self.nodes[node.0];
-                if slot.cancelled_timers.remove(&id.0) {
-                    return;
-                }
                 if let Some(t) = slot.crashed_until {
                     if self.now < t {
                         // Timers are deferred while the node is down and
@@ -389,9 +382,7 @@ impl Simulation {
                     let due = done_at + delay;
                     self.queue.push(due, EventKind::Timer { node, token, id, due });
                 }
-                Effect::CancelTimer(TimerId(id)) => {
-                    self.nodes[node.0].cancelled_timers.insert(id);
-                }
+                Effect::CancelTimer(id) => self.queue.cancel(node, id),
             }
         }
         self.effects = effects;
@@ -574,12 +565,13 @@ mod tests {
         let burst = sim.add_node(Box::new(Burst { peer: idle, cancelled_fired: false }));
         // One step: `on_start` of both nodes (five effects applied), then
         // the first delivery, whose handler issues nothing and so must
-        // apply nothing: of the three deliveries and one timer queued, one
-        // delivery is consumed and no event is added.
+        // apply nothing: of the three deliveries queued, one is consumed
+        // and no event is added. The timer is not among them: it was
+        // cancelled in the handler that set it and left the queue there.
         assert!(sim.step());
         assert_eq!(sim.actor_as::<Idle>(idle).unwrap().handled, 1);
         assert_eq!(sim.stats().messages_sent, 3);
-        assert_eq!(sim.pending_events(), 3);
+        assert_eq!(sim.pending_events(), 2);
         assert!(sim.effects.is_empty());
         assert!(sim.effects.capacity() >= 5, "the allocation is what is carried over");
         sim.run_for(SimDuration::from_millis(10));
