@@ -1,7 +1,7 @@
 //! Machine-readable lab of deterministic counts: runs the repo's fixed
 //! workloads — the E9 batching cell, a parallel chaos campaign, a ddmin
-//! minimization, the checkpoint, transfer, pipeline and shard labs — and
-//! emits their simulated quantities as deterministic-schema JSON so
+//! minimization, the checkpoint, transfer, pipeline, recovery and shard
+//! labs — and emits their simulated quantities as deterministic-schema JSON so
 //! `scripts/gate.sh bench` can gate drift against a checked-in baseline.
 //! Wall-clock cost is measured by `benchmark/`, not here.
 //!
@@ -23,6 +23,7 @@
 use base::{BaseService, ModifyLog, Wrapper};
 use base_bench::experiments::shards::measure_shards;
 use base_bench::experiments::throughput::{measure_throughput, measure_throughput_with};
+use base_bench::experiments::transfer::{measure_catch_up, CatchUp};
 use base_crypto::Digest;
 use base_pbft::chaos::{CounterChaosHarness, APP_BYZ};
 use base_pbft::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
@@ -48,17 +49,22 @@ const E9_OPS_PER_CLIENT: usize = 150;
 /// blocks; KiB-sized values are what exercise the wire-copy and digest
 /// paths the fabric optimizes.
 const E9_VALUE_BYTES: usize = 1024;
-/// Pipeline A/B cell: the E9 workload with agreement/execution decoupled.
+/// Pipeline cell pair: the E9 workload with agreement/execution decoupled.
 /// The serial side pins `pipeline_depth = 1`; both sides share the raised
 /// inflight window so the gate under test is the pipeline depth alone.
 const PIPE_MAX_INFLIGHT: u64 = 4;
-const DEFAULT_PIPELINE_DEPTH: u64 = 4;
-const DEFAULT_EXEC_WORKERS: usize = 2;
-/// Largest cell of the shard-scaling sweep (cells 1, 2, … up to this,
-/// doubling). The section is informational: sim quantities are
-/// deterministic but deliberately absent from the `--check` field list, so
-/// resizing the sweep never forces a baseline re-bless.
-const DEFAULT_MAX_SHARDS: u32 = 4;
+const PIPE_DEPTH: u64 = 4;
+/// Cells of the shard-scaling sweep (E14).
+const SHARD_CELLS: [u32; 3] = [1, 2, 4];
+/// Recovery cell pair (E4b): replica 3 sleeps through a burst that edits
+/// `RECOVERY_EDIT_BYTES` at the front of `RECOVERY_STALE` of
+/// `RECOVERY_LIVE` 8 KiB files, then catches up with whole-object leaves
+/// or with `RECOVERY_CHUNK`-byte chunked leaves.
+const RECOVERY_SEED: u64 = 8200;
+const RECOVERY_LIVE: u32 = 128;
+const RECOVERY_STALE: u32 = 24;
+const RECOVERY_EDIT_BYTES: usize = 256;
+const RECOVERY_CHUNK: usize = 1024;
 /// Campaign shape: seeds and worker count.
 const CAMPAIGN_SEEDS: std::ops::Range<u64> = 6200..6212;
 const CAMPAIGN_WORKERS: usize = 4;
@@ -81,15 +87,11 @@ struct Opts {
     out: PathBuf,
     stamp: Option<String>,
     check: Option<PathBuf>,
-    pipeline_depth: u64,
-    exec_workers: usize,
-    max_shards: u32,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench [--json] [--out DIR] [--stamp STAMP] \
-         [--pipeline-depth N] [--exec-workers N] [--shards N]\n\
+        "usage: bench [--json] [--out DIR] [--stamp STAMP]\n\
          \x20      bench --check BASELINE.json\n\
          \x20      bench --perfetto [--out DIR]   # export the E9 cell's span \
          graph as Chrome trace JSON"
@@ -104,12 +106,6 @@ fn parse_args() -> Opts {
         out: PathBuf::from("."),
         stamp: None,
         check: None,
-        // The pipelined side of the A/B cell. Depth changes the agreed
-        // schedule (deterministically, per seed), so the default is part
-        // of the recorded baseline; exec workers are charge-neutral.
-        pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-        exec_workers: DEFAULT_EXEC_WORKERS,
-        max_shards: DEFAULT_MAX_SHARDS,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -124,18 +120,6 @@ fn parse_args() -> Opts {
             "--out" => opts.out = PathBuf::from(need(&mut i)),
             "--stamp" => opts.stamp = Some(need(&mut i)),
             "--check" => opts.check = Some(PathBuf::from(need(&mut i))),
-            "--pipeline-depth" => {
-                opts.pipeline_depth = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--exec-workers" => {
-                opts.exec_workers = need(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--shards" => {
-                opts.max_shards = need(&mut i).parse().unwrap_or_else(|_| usage());
-                if opts.max_shards == 0 {
-                    usage();
-                }
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -448,62 +432,96 @@ fn measure_transfer() -> TransferOut {
 }
 
 struct PipelineOut {
-    depth: u64,
-    workers: usize,
     serial_sim_ops_per_sec: u64,
     piped_sim_ops_per_sec: u64,
     piped_exec_groups_milli: u64,
     piped_exec_serial_ns: u64,
-    piped_exec_makespan_ns: u64,
 }
 
-/// Pipeline A/B: the E9 cell with `pipeline_depth = 1` versus the
-/// configured depth/worker pair, both at the same raised inflight window.
-/// All sim quantities are deterministic; the mean group occupancy is
-/// recorded in milligroups to keep the JSON schema integral.
-fn measure_pipeline(depth: u64, workers: usize) -> PipelineOut {
+/// Pipeline pair: the E9 cell with `pipeline_depth = 1` versus
+/// [`PIPE_DEPTH`], both at the same raised inflight window. All sim
+/// quantities are deterministic; the mean group occupancy is recorded in
+/// milligroups to keep the JSON schema integral.
+fn measure_pipeline() -> PipelineOut {
     let serial = measure_throughput_with(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES, |cfg| {
         cfg.max_inflight = PIPE_MAX_INFLIGHT;
         cfg.pipeline_depth = 1;
     });
     let piped = measure_throughput_with(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES, |cfg| {
         cfg.max_inflight = PIPE_MAX_INFLIGHT;
-        cfg.pipeline_depth = depth;
-        cfg.exec_workers = workers;
+        cfg.pipeline_depth = PIPE_DEPTH;
     });
     let rate = |s: &base_bench::experiments::throughput::ThroughputSample| {
         (s.ops as f64 / (s.elapsed_ns as f64 / 1e9)).round() as u64
     };
     PipelineOut {
-        depth,
-        workers,
         serial_sim_ops_per_sec: rate(&serial),
         piped_sim_ops_per_sec: rate(&piped),
         piped_exec_groups_milli: (piped.exec_groups_mean * 1000.0).round() as u64,
         piped_exec_serial_ns: piped.exec_serial_ns,
-        piped_exec_makespan_ns: piped.exec_makespan_ns,
+    }
+}
+
+struct RecoveryOut {
+    whole: CatchUp,
+    chunked: CatchUp,
+}
+
+/// Recovery pair: the same sleeper-catches-up run with whole-object leaves
+/// and with chunked leaves, where a small edit to a big file moves only the
+/// chunks it touched.
+fn measure_recovery() -> RecoveryOut {
+    let cell = |chunk_size| {
+        let edit = |i: u32| vec![0xE0 | (i as u8 & 0x0F); RECOVERY_EDIT_BYTES];
+        measure_catch_up(RECOVERY_SEED, RECOVERY_LIVE, RECOVERY_STALE, edit, chunk_size)
+    };
+    RecoveryOut { whole: cell(0), chunked: cell(RECOVERY_CHUNK) }
+}
+
+impl RecoveryOut {
+    fn to_json(&self) -> String {
+        let cell = |c: &CatchUp| {
+            format!(
+                "{{\"fetched_objects\":{},\"fetched_bytes\":{},\"meta_queries\":{},\
+                 \"chunk_queries\":{},\"chunks_reused\":{},\"retransmissions\":{},\
+                 \"corrupt_replies\":{},\"fetch_ms\":{},\"root\":\"{}\"}}",
+                c.fetched_objects,
+                c.fetched_bytes,
+                c.meta_queries,
+                c.chunk_queries,
+                c.chunks_reused,
+                c.retransmissions,
+                c.corrupt_replies,
+                c.fetch_ms,
+                c.root,
+            )
+        };
+        format!(
+            "\"recovery\":{{\"live_files\":{RECOVERY_LIVE},\"stale_files\":{RECOVERY_STALE},\
+             \"edit_bytes\":{RECOVERY_EDIT_BYTES},\"chunk_size\":{RECOVERY_CHUNK},\
+             \"whole\":{},\"chunked\":{}}}",
+            cell(&self.whole),
+            cell(&self.chunked),
+        )
     }
 }
 
 struct ShardsOut {
     /// `(shards, disjoint sim ops/s, mixed sim ops/s, mixed cross aborts)`
-    /// per cell, at doubling shard counts up to the `--shards` knob.
+    /// per cell of [`SHARD_CELLS`].
     cells: Vec<(u32, u64, u64, u64)>,
 }
 
-/// Shard-scaling lab: the E14 cells at doubling shard counts. All sim
-/// quantities are deterministic, but the section is informational — kept
-/// out of the `--check` field list so `--shards` resizes freely without a
-/// baseline re-bless (the scaling gate itself lives in `ab_shards`).
-fn measure_shards_section(max_shards: u32) -> ShardsOut {
-    let mut cells = Vec::new();
-    let mut k = 1u32;
-    while k <= max_shards {
-        let disjoint = measure_shards(k, false);
-        let mixed = measure_shards(k, true);
-        cells.push((k, disjoint.sim_ops_per_sec, mixed.sim_ops_per_sec, mixed.cross_aborts));
-        k *= 2;
-    }
+/// Shard-scaling lab: the E14 cells.
+fn measure_shards_section() -> ShardsOut {
+    let cells = SHARD_CELLS
+        .iter()
+        .map(|&k| {
+            let disjoint = measure_shards(k, false);
+            let mixed = measure_shards(k, true);
+            (k, disjoint.sim_ops_per_sec, mixed.sim_ops_per_sec, mixed.cross_aborts)
+        })
+        .collect();
     ShardsOut { cells }
 }
 
@@ -516,19 +534,17 @@ impl ShardsOut {
                 "\"disjoint_{k}\":{disjoint},\"mixed_{k}\":{mixed},\"cross_aborts_{k}\":{aborts},"
             );
         }
-        let _ = write!(out, "\"speedup_milli\":{}}}", self.speedup_milli());
+        let speedups: Vec<String> = self.cells[1..]
+            .iter()
+            .map(|c| format!("\"speedup_milli_{}\":{}", c.0, self.speedup_milli(c)))
+            .collect();
+        let _ = write!(out, "{}}}", speedups.join(","));
         out
     }
 
-    /// Disjoint-workload speedup of the largest cell over one shard, in
-    /// thousandths.
-    fn speedup_milli(&self) -> u64 {
-        let base = self.cells.first().map(|c| c.1).unwrap_or(0);
-        let top = self.cells.last().map(|c| c.1).unwrap_or(0);
-        if base == 0 {
-            return 0;
-        }
-        (top as f64 / base as f64 * 1000.0).round() as u64
+    /// Disjoint-workload speedup of `cell` over one shard, in thousandths.
+    fn speedup_milli(&self, cell: &(u32, u64, u64, u64)) -> u64 {
+        (cell.1 as f64 / self.cells[0].1 as f64 * 1000.0).round() as u64
     }
 }
 
@@ -545,10 +561,11 @@ struct BenchReport {
     ckpt: CheckpointOut,
     transfer: TransferOut,
     pipeline: PipelineOut,
+    recovery: RecoveryOut,
     shards: ShardsOut,
 }
 
-fn measure(pipeline_depth: u64, exec_workers: usize, max_shards: u32) -> BenchReport {
+fn measure() -> BenchReport {
     // E9 batching throughput.
     let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
     let e9_sim_ops_per_sec = (e9.ops as f64 / (e9.elapsed_ns as f64 / 1e9)).round() as u64;
@@ -574,8 +591,9 @@ fn measure(pipeline_depth: u64, exec_workers: usize, max_shards: u32) -> BenchRe
 
     let ckpt = measure_checkpoint();
     let transfer = measure_transfer();
-    let pipeline = measure_pipeline(pipeline_depth, exec_workers);
-    let shards = measure_shards_section(max_shards);
+    let pipeline = measure_pipeline();
+    let recovery = measure_recovery();
+    let shards = measure_shards_section();
 
     BenchReport {
         e9_ops: e9.ops,
@@ -590,6 +608,7 @@ fn measure(pipeline_depth: u64, exec_workers: usize, max_shards: u32) -> BenchRe
         ckpt,
         transfer,
         pipeline,
+        recovery,
         shards,
     }
 }
@@ -608,9 +627,9 @@ impl BenchReport {
              \"objects_digested\":{},\"node_hashes\":{},\"naive_node_hashes\":{}}},\
              \"transfer\":{{\"window\":{},\"rounds_serial\":{},\"rounds_windowed\":{},\
              \"meta_queries\":{},\"objects_fetched\":{},\"fetched_bytes\":{}}},\
-             \"pipeline\":{{\"depth\":{},\"workers\":{},\"serial_sim_ops_per_sec\":{},\
+             \"pipeline\":{{\"depth\":{},\"serial_sim_ops_per_sec\":{},\
              \"piped_sim_ops_per_sec\":{},\"exec_groups_milli\":{},\
-             \"exec_serial_ns\":{},\"exec_makespan_ns\":{}}},{}}}",
+             \"exec_serial_ns\":{}}},{},{}}}",
             E9_CLIENTS,
             self.e9_ops,
             self.e9_sim_ops_per_sec,
@@ -632,13 +651,12 @@ impl BenchReport {
             self.transfer.meta_queries,
             self.transfer.objects_fetched,
             self.transfer.fetched_bytes,
-            self.pipeline.depth,
-            self.pipeline.workers,
+            PIPE_DEPTH,
             self.pipeline.serial_sim_ops_per_sec,
             self.pipeline.piped_sim_ops_per_sec,
             self.pipeline.piped_exec_groups_milli,
             self.pipeline.piped_exec_serial_ns,
-            self.pipeline.piped_exec_makespan_ns,
+            self.recovery.to_json(),
             self.shards.to_json(),
         );
         out
@@ -680,94 +698,126 @@ impl BenchReport {
             self.transfer.fetched_bytes
         );
         println!(
-            "pipeline: depth={} workers={} serial_ops/s={} piped_ops/s={} \
-             groups/batch={:.2} exec_serial={}ms exec_makespan={}ms",
-            self.pipeline.depth,
-            self.pipeline.workers,
+            "pipeline: depth={} serial_ops/s={} piped_ops/s={} groups/batch={:.2} \
+             exec_serial={}ms",
+            PIPE_DEPTH,
             self.pipeline.serial_sim_ops_per_sec,
             self.pipeline.piped_sim_ops_per_sec,
             self.pipeline.piped_exec_groups_milli as f64 / 1000.0,
-            self.pipeline.piped_exec_serial_ns / 1_000_000,
-            self.pipeline.piped_exec_makespan_ns / 1_000_000
+            self.pipeline.piped_exec_serial_ns / 1_000_000
         );
+        for (name, c) in [("whole", &self.recovery.whole), ("chunked", &self.recovery.chunked)] {
+            println!(
+                "recovery: {name:<7} objects={} bytes={} meta_queries={} chunk_queries={} \
+                 chunks_reused={} fetch={}ms root={:.8}",
+                c.fetched_objects,
+                c.fetched_bytes,
+                c.meta_queries,
+                c.chunk_queries,
+                c.chunks_reused,
+                c.fetch_ms,
+                c.root
+            );
+        }
         let cells: Vec<String> = self
             .shards
             .cells
             .iter()
             .map(|(k, d, m, _)| format!("{k}:{d}/{m}"))
             .collect();
+        let top = self.shards.cells.last().expect("SHARD_CELLS is not empty");
         println!(
             "shards:   ops/s(disjoint/mixed) [{}] speedup={:.2}x",
             cells.join(" "),
-            self.shards.speedup_milli() as f64 / 1000.0
+            self.shards.speedup_milli(top) as f64 / 1000.0
         );
     }
 }
 
-/// Extracts `"key":<number>` from the named top-level section of the lab's
-/// own JSON (flat schema, no nesting beyond one object level).
-fn field(json: &str, section: &str, key: &str) -> Option<f64> {
-    // Tolerate pretty-printed baselines: no quoted value in a bench report
-    // contains whitespace, so stripping it wholesale is lossless here.
-    let json: String = json.split_whitespace().collect();
-    let json = json.as_str();
-    let sec = json.find(&format!("\"{section}\":{{"))?;
-    let rest = &json[sec..];
-    let end = rest.find('}')?;
-    let body = &rest[..end];
-    let k = body.find(&format!("\"{key}\":"))?;
-    let val = &body[k + key.len() + 3..];
-    let val = val.split(|c: char| c == ',' || c == '}').next()?;
-    val.trim().parse().ok()
+/// Extracts the text of `"key":<value>` from the named section of the
+/// lab's own JSON. `section` is a dotted path of object names
+/// (`"recovery.whole"`); the innermost object must be flat.
+fn field<'a>(json: &'a str, section: &str, key: &str) -> Option<&'a str> {
+    let mut rest = json;
+    for name in section.split('.') {
+        let open = format!("\"{name}\":{{");
+        rest = &rest[rest.find(&open)? + open.len()..];
+    }
+    let body = &rest[..rest.find('}')?];
+    let open = format!("\"{key}\":");
+    let val = &body[body.find(&open)? + open.len()..];
+    val.split(',').next()
 }
 
-fn check(
-    baseline_path: &PathBuf,
-    pipeline_depth: u64,
-    exec_workers: usize,
-    max_shards: u32,
-) -> ExitCode {
+/// The fields `--check` compares. Every one is a deterministic sim
+/// quantity: exact match or the protocol changed.
+const CHECKED: &[(&str, &[&str])] = &[
+    ("e9", &["ops", "sim_ops_per_sec", "p50_latency_ns", "p99_latency_ns"]),
+    ("campaign", &["failures"]),
+    ("ddmin", &["executions", "minimal_len"]),
+    ("checkpoint", &["checkpoints", "objects_digested", "node_hashes", "naive_node_hashes"]),
+    (
+        "transfer",
+        &["rounds_serial", "rounds_windowed", "meta_queries", "objects_fetched", "fetched_bytes"],
+    ),
+    (
+        "pipeline",
+        &["serial_sim_ops_per_sec", "piped_sim_ops_per_sec", "exec_groups_milli", "exec_serial_ns"],
+    ),
+    ("recovery.whole", RECOVERY_FIELDS),
+    ("recovery.chunked", RECOVERY_FIELDS),
+    (
+        "shards",
+        &[
+            "disjoint_1",
+            "disjoint_2",
+            "disjoint_4",
+            "mixed_1",
+            "mixed_2",
+            "mixed_4",
+            "cross_aborts_1",
+            "cross_aborts_2",
+            "cross_aborts_4",
+            "speedup_milli_2",
+            "speedup_milli_4",
+        ],
+    ),
+];
+
+const RECOVERY_FIELDS: &[&str] = &[
+    "fetched_objects",
+    "fetched_bytes",
+    "meta_queries",
+    "chunk_queries",
+    "chunks_reused",
+    "retransmissions",
+    "corrupt_replies",
+    "fetch_ms",
+    "root",
+];
+
+fn check(baseline_path: &PathBuf) -> ExitCode {
     let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
+        // Tolerate pretty-printed baselines: no quoted value in a bench
+        // report contains whitespace, so stripping it wholesale is lossless.
+        Ok(s) => s.split_whitespace().collect::<String>(),
         Err(e) => {
             eprintln!("error: cannot read baseline {}: {e}", baseline_path.display());
             return ExitCode::from(2);
         }
     };
-    let fresh = measure(pipeline_depth, exec_workers, max_shards);
-    let fresh_json = fresh.to_json("check");
+    let fresh_json = measure().to_json("check");
     let mut failures = Vec::new();
-
-    // Deterministic sim quantities: exact match or the protocol changed.
-    for (section, key, actual) in [
-        ("e9", "ops", fresh.e9_ops as f64),
-        ("e9", "sim_ops_per_sec", fresh.e9_sim_ops_per_sec as f64),
-        ("e9", "p50_latency_ns", fresh.e9_p50_latency_ns as f64),
-        ("e9", "p99_latency_ns", fresh.e9_p99_latency_ns as f64),
-        ("campaign", "failures", fresh.campaign_failures as f64),
-        ("ddmin", "executions", fresh.ddmin_executions as f64),
-        ("ddmin", "minimal_len", fresh.ddmin_minimal_len as f64),
-        ("checkpoint", "checkpoints", fresh.ckpt.checkpoints as f64),
-        ("checkpoint", "objects_digested", fresh.ckpt.objects_digested as f64),
-        ("checkpoint", "node_hashes", fresh.ckpt.node_hashes as f64),
-        ("checkpoint", "naive_node_hashes", fresh.ckpt.naive_node_hashes as f64),
-        ("transfer", "rounds_serial", fresh.transfer.rounds_serial as f64),
-        ("transfer", "rounds_windowed", fresh.transfer.rounds_windowed as f64),
-        ("transfer", "meta_queries", fresh.transfer.meta_queries as f64),
-        ("transfer", "objects_fetched", fresh.transfer.objects_fetched as f64),
-        ("transfer", "fetched_bytes", fresh.transfer.fetched_bytes as f64),
-        ("pipeline", "serial_sim_ops_per_sec", fresh.pipeline.serial_sim_ops_per_sec as f64),
-        ("pipeline", "piped_sim_ops_per_sec", fresh.pipeline.piped_sim_ops_per_sec as f64),
-        ("pipeline", "exec_groups_milli", fresh.pipeline.piped_exec_groups_milli as f64),
-        ("pipeline", "exec_serial_ns", fresh.pipeline.piped_exec_serial_ns as f64),
-        ("pipeline", "exec_makespan_ns", fresh.pipeline.piped_exec_makespan_ns as f64),
-    ] {
-        match field(&baseline, section, key) {
-            Some(expected) if (expected - actual).abs() < 0.5 => {}
-            Some(expected) => failures.push(format!(
-                "{section}.{key}: baseline {expected}, measured {actual} (deterministic drift)"
-            )),
-            None => failures.push(format!("{section}.{key}: missing from baseline")),
+    for (section, keys) in CHECKED {
+        for key in *keys {
+            let actual = field(&fresh_json, section, key).expect("the lab emits what it checks");
+            match field(&baseline, section, key) {
+                Some(expected) if expected == actual => {}
+                Some(expected) => failures.push(format!(
+                    "{section}.{key}: baseline {expected}, measured {actual} (deterministic drift)"
+                )),
+                None => failures.push(format!("{section}.{key}: missing from baseline")),
+            }
         }
     }
 
@@ -820,12 +870,12 @@ fn export_perfetto_artifacts(out: &std::path::Path) -> ExitCode {
 fn main() -> ExitCode {
     let opts = parse_args();
     if let Some(baseline) = &opts.check {
-        return check(baseline, opts.pipeline_depth, opts.exec_workers, opts.max_shards);
+        return check(baseline);
     }
     if opts.perfetto {
         return export_perfetto_artifacts(&opts.out);
     }
-    let report = measure(opts.pipeline_depth, opts.exec_workers, opts.max_shards);
+    let report = measure();
     if opts.json {
         let stamp = opts.stamp.clone().unwrap_or_else(|| {
             let secs = std::time::SystemTime::now()

@@ -38,9 +38,6 @@ pub struct ThroughputSample {
     /// Summed serialized execution cost across the primary's batches
     /// (`base.exec_serial_ns`).
     pub exec_serial_ns: u64,
-    /// Summed grouped-makespan cost at the configured worker count
-    /// (`base.exec_makespan_ns`); equals `exec_serial_ns` at one worker.
-    pub exec_makespan_ns: u64,
 }
 
 /// Runs one E9 cell and returns its measurements.
@@ -58,8 +55,7 @@ pub fn measure_throughput(
 }
 
 /// [`measure_throughput`] with a config hook, so the perf lab and the E9
-/// pipeline rows can vary `pipeline_depth` / `exec_workers` /
-/// `max_inflight` while measuring the identical workload.
+/// pipeline rows can vary `pipeline_depth` / `max_inflight` while measuring the identical workload.
 pub fn measure_throughput_with(
     clients: usize,
     ops_per_client: usize,
@@ -133,8 +129,6 @@ pub fn measure_throughput_with(
     let exec_groups_mean =
         svc_metrics.histogram("base.exec_groups").map_or(0.0, |h| h.mean());
     let exec_serial_ns = svc_metrics.histogram("base.exec_serial_ns").map_or(0, |h| h.sum());
-    let exec_makespan_ns =
-        svc_metrics.histogram("base.exec_makespan_ns").map_or(0, |h| h.sum());
     let trace = sim.trace_snapshot();
     let phases = PhaseBreakdown::from_spans(&build_spans(&trace));
     assert_eq!(phases.ops, total_ops, "every completed op must reconstruct a span");
@@ -149,7 +143,6 @@ pub fn measure_throughput_with(
         trace,
         exec_groups_mean,
         exec_serial_ns,
-        exec_makespan_ns,
     }
 }
 
@@ -234,35 +227,29 @@ pub fn run_throughput() {
     println!();
 
     // Pipeline rows: the same 8-client cell with agreement decoupled from
-    // execution. Depth is what moves agreed throughput; workers only split
-    // the grouped-execution makespan lanes (charge-neutral by design).
+    // execution: depth is what moves agreed throughput.
     let mut p = Table::new(
         "E9 pipeline: agreement/execution decoupling at 8 clients",
         &[
             "depth",
-            "workers",
             "makespan (s)",
             "throughput (ops/s)",
             "groups per batch",
             "exec serial (ms)",
-            "exec makespan (ms)",
         ],
     );
-    for (depth, workers) in [(1u64, 1usize), (4, 1), (4, 2), (4, 8)] {
+    for depth in [1u64, 4] {
         let o = measure_throughput_with(8, ops_per_client, 0, |cfg| {
             cfg.max_inflight = 4;
             cfg.pipeline_depth = depth;
-            cfg.exec_workers = workers;
         });
         let secs = o.elapsed_ns as f64 / 1e9;
         p.row(&[
             depth.to_string(),
-            workers.to_string(),
             format!("{secs:.3}"),
             format!("{:.0}", o.ops as f64 / secs),
             format!("{:.2}", o.exec_groups_mean),
             format!("{:.2}", o.exec_serial_ns as f64 / 1e6),
-            format!("{:.2}", o.exec_makespan_ns as f64 / 1e6),
         ]);
     }
     p.print();
@@ -271,8 +258,6 @@ pub fn run_throughput() {
          concurrent requests into shared pre-prepares (ops/batch grows with load), \
          amortizing the protocol's per-batch cost — the BFT library behaviour the paper \
          inherits. The pipeline rows decouple agreement from execution: depth > 1 lets \
-         consecutive consensus instances overlap (higher agreed throughput), while \
-         workers > 1 only shrinks the grouped-execution makespan lane — replies, state \
-         and timing stay byte-identical at any worker count."
+         consecutive consensus instances overlap (higher agreed throughput)."
     );
 }

@@ -15,51 +15,77 @@ use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
 use base_simnet::{SimDuration, Simulation};
 
-use crate::setup::{build_replicated_nfs, run_relay_to_completion, FsMix};
+use crate::setup::{build_replicated_nfs_with, run_relay_to_completion, FsMix};
 
 const LIVE_FILES: u32 = 256;
 const FILE_BYTES: usize = 8192;
 
-struct Out {
-    fetched_objects: u64,
-    fetched_bytes: u64,
-    meta_queries: u64,
-    full_bytes: u64,
+/// What replica 3 did to catch up after sleeping through an update burst.
+/// Every field is virtual-time deterministic.
+pub struct CatchUp {
+    /// Objects installed by the catch-up transfers.
+    pub fetched_objects: u64,
+    /// Bytes the fetcher accepted (values, chunks, chunk-digest lists).
+    pub fetched_bytes: u64,
+    /// Partition-tree queries issued.
+    pub meta_queries: u64,
+    /// Chunk-digest-list queries issued (`chunk_size > 0` only).
+    pub chunk_queries: u64,
+    /// Chunks taken from the sleeper's stale local copy instead of the wire.
+    pub chunks_reused: u64,
+    /// Queries the fetcher had to reissue (`transfer.retransmissions`).
+    pub retransmissions: u64,
+    /// Replies the fetcher rejected (`transfer.corrupt_replies`).
+    pub corrupt_replies: u64,
     /// Wall-clock of the catch-up fetch (`transfer.fetch_ns` max), the
     /// replica-side heal-to-progress latency.
-    fetch_ms: u64,
-    /// Queries the fetcher had to reissue (`transfer.retransmissions`).
-    fetch_retx: u64,
+    pub fetch_ms: u64,
+    /// The abstract-state root the sleeper converged to (equal to replica
+    /// 0's, asserted).
+    pub root: String,
 }
 
-fn run_once(k: u32) -> Out {
+/// Fully replicates `live_files` files of [`FILE_BYTES`] over the
+/// heterogeneous NFS group, then has replica 3 sleep through a burst that
+/// writes `edit(i)` at offset 0 of files `0..stale_files` (plus pad writes
+/// that push the group past a checkpoint), wake, and catch up by state
+/// transfer at leaf-digest chunk size `chunk_size`.
+pub fn measure_catch_up(
+    seed: u64,
+    live_files: u32,
+    stale_files: u32,
+    edit: impl Fn(u32) -> Vec<u8>,
+    chunk_size: usize,
+) -> CatchUp {
     let root = Oid::ROOT;
     let dir = Oid { index: 1, gen: 1 };
     let file = |i: u32| Oid { index: 2 + i, gen: 1 };
 
-    // Phase A: populate 256 files (everyone up), crossing a checkpoint.
+    // Phase A: populate the live files (everyone up), crossing a checkpoint.
     let mut script = vec![NfsOp::Mkdir { dir: root, name: "d".into(), mode: 0o755 }];
-    for i in 0..LIVE_FILES {
+    for i in 0..live_files {
         script.push(NfsOp::Create { dir, name: format!("f{i}"), mode: 0o644 });
         script.push(NfsOp::Write { fh: file(i), offset: 0, data: vec![i as u8; FILE_BYTES] });
     }
     let phase_a_ops = script.len();
 
-    // Phase B (replica 3 asleep): rewrite only K files, then pad writes so
-    // the burst crosses the next checkpoint boundary (k = 128).
-    for i in 0..k {
-        script.push(NfsOp::Write { fh: file(i), offset: 0, data: vec![0xEE; FILE_BYTES] });
+    // Phase B (replica 3 asleep): edit only the stale files, then pad
+    // writes so the burst crosses the next checkpoint boundary (k = 128).
+    for i in 0..stale_files {
+        script.push(NfsOp::Write { fh: file(i), offset: 0, data: edit(i) });
     }
     for _ in 0..140 {
         script.push(NfsOp::Write { fh: file(0), offset: 0, data: vec![0xEE; FILE_BYTES] });
     }
 
-    let mut sim = Simulation::new(4100 + u64::from(k));
-    let bed = build_replicated_nfs(
+    let mut sim = Simulation::new(seed);
+    let bed = build_replicated_nfs_with(
         &mut sim,
-        4100 + u64::from(k),
+        seed,
+        4,
         FsMix::Heterogeneous,
         ScriptDriver::new(script),
+        |cfg| cfg.chunk_size = chunk_size,
     );
 
     // Run phase A with everyone up.
@@ -78,7 +104,7 @@ fn run_once(k: u32) -> Out {
     // Replica 3 sleeps through phase B.
     let sleeper = bed.replicas[3];
     let stats_before = sleeper.get(&sim).stats().clone();
-    let retx_before = sleeper.get(&sim).metrics().counter("transfer.retransmissions");
+    let metrics_before = sleeper.get(&sim).metrics().clone();
     sim.crash(sleeper.node, SimDuration::from_secs(10));
     assert!(
         run_relay_to_completion::<ScriptDriver>(&mut sim, bed.client, SimDuration::from_secs(60)),
@@ -89,24 +115,23 @@ fn run_once(k: u32) -> Out {
     let stats = sleeper.get(&sim).stats();
     assert!(
         stats.state_transfers > stats_before.state_transfers,
-        "no catch-up transfer for K={k}"
+        "no catch-up transfer for {stale_files} stale files at chunk size {chunk_size}"
     );
-    assert_eq!(
-        sleeper.get(&sim).state_root(),
-        bed.replicas[0].get(&sim).state_root(),
-        "replica 3 did not converge"
-    );
-    // A flat transfer would move every live object.
-    let full_bytes = u64::from(LIVE_FILES) * (FILE_BYTES as u64 + 96) + 2 * 96;
+    let root = sleeper.get(&sim).state_root();
+    assert_eq!(root, bed.replicas[0].get(&sim).state_root(), "replica 3 did not converge");
     let metrics = sleeper.get(&sim).metrics();
-    Out {
+    let counter = |k: &str| metrics.counter(k) - metrics_before.counter(k);
+    CatchUp {
         fetched_objects: stats.state_transfer_objects - stats_before.state_transfer_objects,
         fetched_bytes: stats.state_transfer_bytes - stats_before.state_transfer_bytes,
         meta_queries: stats.state_transfer_meta_queries - stats_before.state_transfer_meta_queries,
-        full_bytes,
+        chunk_queries: counter("transfer.chunk_queries"),
+        chunks_reused: counter("transfer.chunks_reused"),
+        retransmissions: counter("transfer.retransmissions"),
+        corrupt_replies: counter("transfer.corrupt_replies"),
         fetch_ms: metrics.histogram("transfer.fetch_ns").map(|h| h.max()).unwrap_or(0)
             / 1_000_000,
-        fetch_retx: metrics.counter("transfer.retransmissions") - retx_before,
+        root: root.to_string(),
     }
 }
 
@@ -125,17 +150,19 @@ pub fn run_transfer() {
             "fetch retransmissions",
         ],
     );
+    // A flat transfer would move every live object.
+    let full_bytes = u64::from(LIVE_FILES) * (FILE_BYTES as u64 + 96) + 2 * 96;
     for k in [2u32, 8, 32, 128] {
-        let o = run_once(k);
+        let o = measure_catch_up(4100 + u64::from(k), LIVE_FILES, k, |_| vec![0xEE; FILE_BYTES], 0);
         t.row(&[
             k.to_string(),
             o.fetched_objects.to_string(),
             o.fetched_bytes.to_string(),
             o.meta_queries.to_string(),
-            o.full_bytes.to_string(),
-            pct(1.0 - o.fetched_bytes as f64 / o.full_bytes as f64),
+            full_bytes.to_string(),
+            pct(1.0 - o.fetched_bytes as f64 / full_bytes as f64),
             o.fetch_ms.to_string(),
-            o.fetch_retx.to_string(),
+            o.retransmissions.to_string(),
         ]);
     }
     t.print();

@@ -1,10 +1,10 @@
 //! Chaos regression for the agreement/execution pipeline: the counter and
-//! NFS campaigns rerun with `pipeline_depth = 4` and two execution
-//! workers, so view-change storms, healing partitions, Byzantine flips and
-//! latent corruption all land while slots `n..n+depth` are in flight —
-//! committed-but-unexecuted backlogs, re-proposal of pipelined slots
-//! across view changes, and state transfer over a gapped slot table. The
-//! auditors must report zero safety or liveness violations.
+//! NFS campaigns rerun with `pipeline_depth = 4`, so view-change storms,
+//! healing partitions, Byzantine flips and latent corruption all land
+//! while slots `n..n+depth` are in flight — committed-but-unexecuted
+//! backlogs, re-proposal of pipelined slots across view changes, and state
+//! transfer over a gapped slot table. The auditors must report zero safety
+//! or liveness violations.
 
 use base_bench::experiments::faultinj::NfsChaosHarness;
 use base_bench::FsMix;
@@ -15,7 +15,6 @@ use base_simnet::SimDuration;
 fn pipelined_counter() -> CounterChaosHarness {
     let mut h = CounterChaosHarness::new(4);
     h.cfg.pipeline_depth = 4;
-    h.cfg.exec_workers = 2;
     h
 }
 
@@ -42,7 +41,6 @@ fn counter_campaign_with_pipelining_passes_auditor() {
 fn nfs_campaign_with_pipelining_passes_auditor() {
     let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
     h.cfg.pipeline_depth = 4;
-    h.cfg.exec_workers = 2;
     let cfg = h.gen_config(5, SimDuration::from_secs(6));
     let report = run_campaign(&mut h, &cfg, 8300..8310);
     assert_eq!(report.runs, 10);

@@ -1,15 +1,10 @@
 //! Equivalence suite for the agreement/execution pipeline: every service
-//! (counter, KV, NFS, OODB) runs the same seeded workload over the grid
-//! `pipeline_depth ∈ {1, 4} × exec_workers ∈ {1, 2, 8}` and the results
-//! are compared against the serial oracle (`depth = 1, workers = 1`).
+//! (counter, KV, NFS, OODB) runs the same seeded workload at
+//! `pipeline_depth ∈ {1, 4}` and the results are compared against the
+//! serial oracle (`depth = 1`).
 //!
 //! What is asserted where:
 //!
-//! - **Workers are charge-neutral everywhere.** At any fixed depth, every
-//!   worker count produces a byte-identical run — replies, abstract-state
-//!   roots, *and* timing (client latencies, `last_exec`, `stable_seq`).
-//!   The partitioner always executes conflict groups in the same
-//!   deterministic order; workers only change the makespan metric lanes.
 //! - **Cross-depth byte-identity holds for the counter.** Its workload is
 //!   order-insensitive (per-client disjoint registers, no agreed
 //!   nondeterminism folded into state), so deeper pipelining may reorder
@@ -19,9 +14,17 @@
 //!   depth, so cross-depth runs assert the semantic invariants instead:
 //!   liveness (every op completes), cross-replica root agreement, and
 //!   rerun determinism of each cell.
-//! - **Chaos cells:** one generated fault schedule replayed at depth 4
-//!   across all worker counts must yield identical run traces and a
-//!   passing audit — fault handling may not observe the worker count.
+//! - **Chaos cells:** one generated fault schedule replayed twice at
+//!   depth 4 must yield identical run traces and a passing audit.
+//!
+//! Deleted with the worker pool (`Config` no longer has a worker count,
+//! the executor is one loop on the calling thread): every assertion of the
+//! form "worker count ∈ {2, 8} produces the run that worker count 1
+//! produces" — the `-w{2,8}-vs-oracle` and `-w{2,8}-timing` counter cells,
+//! the `-w{2,8}` cells of KV, NFS and OODB at each depth, and the
+//! `chaos-{counter,nfs}-w{2,8}` cells. Each compared two runs that are now
+//! the same call with the same arguments, which the `-rerun` cells already
+//! compare; no behaviour is left that they alone checked.
 //!
 //! On divergence both fingerprints are written under
 //! `target/tmp/equivalence/` (CI uploads the directory as an artifact)
@@ -45,16 +48,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const DEPTHS: [u64; 2] = [1, 4];
-const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// A run's observable outcome, split by what may legitimately vary.
 struct Fingerprint {
     /// Timing-independent: client replies in completion order and
     /// per-replica abstract-state roots.
     core: Vec<String>,
-    /// Timing-sensitive: latencies, execution/checkpoint progress. Equal
-    /// across worker counts at fixed depth; batching-dependent across
-    /// depths.
+    /// Timing-sensitive: latencies, execution/checkpoint progress.
+    /// Batching-dependent across depths.
     timing: Vec<String>,
 }
 
@@ -93,12 +94,11 @@ fn assert_fp_eq(cell: &str, want: &[String], got: &[String]) {
     );
 }
 
-fn grid_config(n: usize, depth: u64, workers: usize) -> Config {
+fn grid_config(n: usize, depth: u64) -> Config {
     let mut cfg = Config::new(n);
     cfg.checkpoint_interval = 4;
     cfg.log_window = 32;
     cfg.pipeline_depth = depth;
-    cfg.exec_workers = workers;
     cfg
 }
 
@@ -106,11 +106,11 @@ fn grid_config(n: usize, depth: u64, workers: usize) -> Config {
 // Counter: order-insensitive workload, full cross-depth identity.
 // ---------------------------------------------------------------------------
 
-fn run_counter(depth: u64, workers: usize) -> Fingerprint {
+fn run_counter(depth: u64) -> Fingerprint {
     const SEED: u64 = 4242;
     const OPS: usize = 12;
     let mut sim = Simulation::new(SEED);
-    let g = build_counter_group(&mut sim, grid_config(4, depth, workers), 2, SEED);
+    let g = build_counter_group(&mut sim, grid_config(4, depth), 2, SEED);
     for (i, &c) in g.clients.iter().enumerate() {
         let client = sim.actor_as_mut::<ClientActor>(c).expect("client");
         // Client i owns registers 8i..8i+6: no register is shared, so the
@@ -135,7 +135,7 @@ fn run_counter(depth: u64, workers: usize) -> Fingerprint {
         assert_eq!(
             client.completed.len(),
             OPS,
-            "liveness: counter client {i} stalled at depth={depth} workers={workers}"
+            "liveness: counter client {i} stalled at depth={depth}"
         );
         for (ts, result) in &client.completed {
             fp.core.push(format!("client {i} ts={ts} -> {}", String::from_utf8_lossy(result)));
@@ -153,34 +153,28 @@ fn run_counter(depth: u64, workers: usize) -> Fingerprint {
 
 #[test]
 fn counter_grid_matches_serial_oracle() {
-    let oracle = run_counter(1, 1);
-    let rerun = run_counter(1, 1);
+    let oracle = run_counter(1);
+    let rerun = run_counter(1);
     assert_fp_eq("counter-rerun", &oracle.full(), &rerun.full());
     for depth in DEPTHS {
-        let base = run_counter(depth, 1);
         // Cross-depth: replies and roots must match the serial oracle
         // byte for byte.
-        assert_fp_eq(&format!("counter-d{depth}-vs-oracle"), &oracle.core, &base.core);
-        for workers in [WORKERS[1], WORKERS[2]] {
-            let cell = run_counter(depth, workers);
-            assert_fp_eq(&format!("counter-d{depth}-w{workers}-vs-oracle"), &oracle.core, &cell.core);
-            // Workers-invariance includes timing: charge-neutral workers.
-            assert_fp_eq(&format!("counter-d{depth}-w{workers}-timing"), &base.full(), &cell.full());
-        }
+        let cell = run_counter(depth);
+        assert_fp_eq(&format!("counter-d{depth}-vs-oracle"), &oracle.core, &cell.core);
     }
 }
 
 // ---------------------------------------------------------------------------
 // KV: agreed timestamps land in `mtime`, so depth changes the abstract
-// history; workers never may.
+// history.
 // ---------------------------------------------------------------------------
 
 type KvReplica = BaseReplica<KvWrapper>;
 
-fn run_kv(depth: u64, workers: usize) -> Fingerprint {
+fn run_kv(depth: u64) -> Fingerprint {
     const SEED: u64 = 909;
     const OPS: usize = 10;
-    let cfg = grid_config(4, depth, workers);
+    let cfg = grid_config(4, depth);
     let mut sim = Simulation::new(SEED);
     let dir = KeyDirectory::generate(4 + 2, SEED);
     let replicas: Vec<NodeId> = (0..4)
@@ -215,7 +209,7 @@ fn run_kv(depth: u64, workers: usize) -> Fingerprint {
         assert_eq!(
             client.completed.len(),
             OPS,
-            "liveness: kv client {i} stalled at depth={depth} workers={workers}"
+            "liveness: kv client {i} stalled at depth={depth}"
         );
         for (ts, result) in &client.completed {
             fp.core.push(format!("client {i} ts={ts} -> {}", String::from_utf8_lossy(result)));
@@ -229,7 +223,7 @@ fn run_kv(depth: u64, workers: usize) -> Fingerprint {
         .collect();
     assert!(
         roots.iter().all(|r| *r == roots[0]),
-        "kv replicas disagree at depth={depth} workers={workers}: {roots:?}"
+        "kv replicas disagree at depth={depth}: {roots:?}"
     );
     fp.core.push(format!("root={}", roots[0]));
     for (i, &r) in replicas.iter().enumerate() {
@@ -241,15 +235,11 @@ fn run_kv(depth: u64, workers: usize) -> Fingerprint {
 }
 
 #[test]
-fn kv_grid_workers_invariant_and_agreed() {
+fn kv_grid_replays_and_agrees() {
     for depth in DEPTHS {
-        let base = run_kv(depth, 1);
-        let rerun = run_kv(depth, 1);
+        let base = run_kv(depth);
+        let rerun = run_kv(depth);
         assert_fp_eq(&format!("kv-d{depth}-rerun"), &base.full(), &rerun.full());
-        for workers in [WORKERS[1], WORKERS[2]] {
-            let cell = run_kv(depth, workers);
-            assert_fp_eq(&format!("kv-d{depth}-w{workers}"), &base.full(), &cell.full());
-        }
     }
 }
 
@@ -277,7 +267,7 @@ fn nfs_script() -> Vec<NfsOp> {
     s
 }
 
-fn run_nfs(depth: u64, workers: usize) -> Fingerprint {
+fn run_nfs(depth: u64) -> Fingerprint {
     const SEED: u64 = 777;
     let mut sim = Simulation::new(SEED);
     let bed = build_replicated_nfs_with(
@@ -290,7 +280,6 @@ fn run_nfs(depth: u64, workers: usize) -> Fingerprint {
             cfg.checkpoint_interval = 4;
             cfg.log_window = 32;
             cfg.pipeline_depth = depth;
-            cfg.exec_workers = workers;
         },
     );
     set_relay_pace::<ScriptDriver>(&mut sim, bed.client, SimDuration::from_millis(20));
@@ -299,7 +288,7 @@ fn run_nfs(depth: u64, workers: usize) -> Fingerprint {
     let relay = sim.actor_as::<RelayActor<ScriptDriver>>(bed.client).expect("relay");
     assert!(
         relay.done(),
-        "liveness: nfs workload stalled after {} ops at depth={depth} workers={workers}",
+        "liveness: nfs workload stalled after {} ops at depth={depth}",
         relay.stats.ops
     );
     let mut fp = Fingerprint { core: Vec::new(), timing: Vec::new() };
@@ -310,7 +299,7 @@ fn run_nfs(depth: u64, workers: usize) -> Fingerprint {
     let roots: Vec<_> = bed.replicas.iter().map(|r| r.get(&sim).state_root()).collect();
     assert!(
         roots.iter().all(|r| *r == roots[0]),
-        "nfs replicas disagree at depth={depth} workers={workers}: {roots:?}"
+        "nfs replicas disagree at depth={depth}: {roots:?}"
     );
     fp.core.push(format!("root={}", roots[0]));
     fp.timing.push(format!("latencies={:?}", relay.stats.latencies_ns));
@@ -318,15 +307,11 @@ fn run_nfs(depth: u64, workers: usize) -> Fingerprint {
 }
 
 #[test]
-fn nfs_grid_workers_invariant_and_agreed() {
+fn nfs_grid_replays_and_agrees() {
     for depth in DEPTHS {
-        let base = run_nfs(depth, 1);
-        let rerun = run_nfs(depth, 1);
+        let base = run_nfs(depth);
+        let rerun = run_nfs(depth);
         assert_fp_eq(&format!("nfs-d{depth}-rerun"), &base.full(), &rerun.full());
-        for workers in [WORKERS[1], WORKERS[2]] {
-            let cell = run_nfs(depth, workers);
-            assert_fp_eq(&format!("nfs-d{depth}-w{workers}"), &base.full(), &cell.full());
-        }
     }
 }
 
@@ -345,9 +330,9 @@ fn oodb_oid(index: u32) -> Oid {
     Oid { index, gen: 1 }
 }
 
-fn run_oodb(depth: u64, workers: usize) -> Fingerprint {
+fn run_oodb(depth: u64) -> Fingerprint {
     const SEED: u64 = 515;
-    let cfg = grid_config(4, depth, workers);
+    let cfg = grid_config(4, depth);
     let mut sim = Simulation::new(SEED);
     let dir = KeyDirectory::generate(5, SEED);
     let replicas: Vec<NodeId> = (0..4)
@@ -397,7 +382,7 @@ fn run_oodb(depth: u64, workers: usize) -> Fingerprint {
     assert_eq!(
         client.completed.len(),
         total,
-        "liveness: oodb mutator stalled at depth={depth} workers={workers}"
+        "liveness: oodb mutator stalled at depth={depth}"
     );
     for (ts, result) in &client.completed {
         let reply = OodbReply::from_bytes(result);
@@ -411,7 +396,7 @@ fn run_oodb(depth: u64, workers: usize) -> Fingerprint {
         .collect();
     assert!(
         roots.iter().all(|r| *r == roots[0]),
-        "oodb replicas disagree at depth={depth} workers={workers}: {roots:?}"
+        "oodb replicas disagree at depth={depth}: {roots:?}"
     );
     fp.core.push(format!("root={}", roots[0]));
     for (i, &r) in replicas.iter().enumerate() {
@@ -423,20 +408,16 @@ fn run_oodb(depth: u64, workers: usize) -> Fingerprint {
 }
 
 #[test]
-fn oodb_grid_workers_invariant_and_agreed() {
+fn oodb_grid_replays_and_agrees() {
     for depth in DEPTHS {
-        let base = run_oodb(depth, 1);
-        let rerun = run_oodb(depth, 1);
+        let base = run_oodb(depth);
+        let rerun = run_oodb(depth);
         assert_fp_eq(&format!("oodb-d{depth}-rerun"), &base.full(), &rerun.full());
-        for workers in [WORKERS[1], WORKERS[2]] {
-            let cell = run_oodb(depth, workers);
-            assert_fp_eq(&format!("oodb-d{depth}-w{workers}"), &base.full(), &cell.full());
-        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Chaos cells: one generated schedule replayed across worker counts.
+// Chaos cells: one generated schedule replayed twice at depth 4.
 // ---------------------------------------------------------------------------
 
 /// The sanctioned replies/traces of one audited chaos run. Per-node stats
@@ -464,50 +445,42 @@ fn chaos_fp(trace: &[String], stats: &base_simnet::NetStats) -> Vec<String> {
     fp
 }
 
-#[test]
-fn chaos_counter_run_identical_across_workers() {
-    let schedule = {
-        let mut h = CounterChaosHarness::new(4);
-        h.cfg.pipeline_depth = 4;
-        generate_schedule(&h.gen_config(6, SimDuration::from_secs(8)), 0xC0FFEE)
-    };
-    let mut base: Option<Vec<String>> = None;
-    for workers in WORKERS {
-        let mut h = CounterChaosHarness::new(4);
-        h.cfg.pipeline_depth = 4;
-        h.cfg.exec_workers = workers;
-        let (outcome, verdict) = run_one(&mut h, 4141, &schedule);
+/// Replays `schedule` twice on fresh depth-4 harnesses from `harness`:
+/// both runs must pass their audit and leave identical fingerprints.
+fn assert_chaos_cell_replays<H: base_simnet::chaos::ChaosHarness>(
+    cell: &str,
+    harness: impl Fn() -> H,
+    seed: u64,
+    schedule: &base_simnet::chaos::FaultSchedule,
+) {
+    let run = || {
+        let (outcome, verdict) = run_one(&mut harness(), seed, schedule);
         if let Err(e) = verdict {
-            panic!("chaos counter run failed at workers={workers}:\n{e}");
+            panic!("chaos cell `{cell}` failed its audit:\n{e}");
         }
-        let fp = chaos_fp(&outcome.trace, &outcome.stats);
-        match &base {
-            None => base = Some(fp),
-            Some(b) => assert_fp_eq(&format!("chaos-counter-w{workers}"), b, &fp),
-        }
-    }
+        chaos_fp(&outcome.trace, &outcome.stats)
+    };
+    assert_fp_eq(cell, &run(), &run());
 }
 
 #[test]
-fn chaos_nfs_run_identical_across_workers() {
-    let schedule = {
-        let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
+fn chaos_counter_run_at_depth_4_replays_and_audits() {
+    let harness = || {
+        let mut h = CounterChaosHarness::new(4);
         h.cfg.pipeline_depth = 4;
-        generate_schedule(&h.gen_config(5, SimDuration::from_secs(6)), 0xBEEF)
+        h
     };
-    let mut base: Option<Vec<String>> = None;
-    for workers in WORKERS {
+    let schedule = generate_schedule(&harness().gen_config(6, SimDuration::from_secs(8)), 0xC0FFEE);
+    assert_chaos_cell_replays("chaos-counter-rerun", harness, 4141, &schedule);
+}
+
+#[test]
+fn chaos_nfs_run_at_depth_4_replays_and_audits() {
+    let harness = || {
         let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
         h.cfg.pipeline_depth = 4;
-        h.cfg.exec_workers = workers;
-        let (outcome, verdict) = run_one(&mut h, 9090, &schedule);
-        if let Err(e) = verdict {
-            panic!("chaos nfs run failed at workers={workers}:\n{e}");
-        }
-        let fp = chaos_fp(&outcome.trace, &outcome.stats);
-        match &base {
-            None => base = Some(fp),
-            Some(b) => assert_fp_eq(&format!("chaos-nfs-w{workers}"), b, &fp),
-        }
-    }
+        h
+    };
+    let schedule = generate_schedule(&harness().gen_config(5, SimDuration::from_secs(6)), 0xBEEF);
+    assert_chaos_cell_replays("chaos-nfs-rerun", harness, 9090, &schedule);
 }

@@ -5,7 +5,7 @@ use crate::wrapper::{Footprint, ModifyLog, Wrapper};
 use base_crypto::Digest;
 use base_pbft::tree::{chunk_digest, chunked_leaf_from_digests, leaf_digest};
 use base_pbft::{CostModel, ExecEnv, PartitionTree, Service};
-use base_simnet::{lane_makespan, MetricsRegistry};
+use base_simnet::MetricsRegistry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Branching factor of the abstract-state partition tree.
@@ -124,44 +124,6 @@ fn digest_one_chunked(
     DigestOutcome { digest, snapshot, hashed_bytes, chunks_reused: reused, chunks_rehashed: rehashed }
 }
 
-/// Computes the footprint of every operation in a batch, fanning the
-/// (pure, `&self`) analysis over `workers` scoped threads when it pays.
-///
-/// Output slot `i` always holds the footprint of `ops[i]` — workers claim
-/// items through an atomic cursor but write results by index, so the
-/// partition the caller derives is identical at any worker count.
-fn compute_footprints<W: Wrapper>(
-    wrapper: &W,
-    ops: &[(&[u8], u32)],
-    workers: usize,
-) -> Vec<Option<Footprint>> {
-    if workers <= 1 || ops.len() < 2 {
-        return ops.iter().map(|(op, _)| wrapper.footprint(op)).collect();
-    }
-    let workers = workers.min(ops.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<Option<Footprint>>>> =
-        std::sync::Mutex::new(vec![None; ops.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= ops.len() {
-                    break;
-                }
-                let fp = wrapper.footprint(ops[idx].0);
-                slots.lock().expect("footprint worker panicked")[idx] = Some(fp);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("footprint worker panicked")
-        .into_iter()
-        .map(|fp| fp.expect("every op analyzed"))
-        .collect()
-}
-
 /// Partitions a batch into conflict groups from per-operation footprints.
 ///
 /// Two operations land in the same group when they (transitively) conflict:
@@ -242,11 +204,6 @@ pub struct BaseService<W: Wrapper> {
     /// Previous value + chunk digests per multi-chunk object, as of the
     /// last digest pass (the reuse cache chunked digesting diffs against).
     chunk_cache: HashMap<u64, ChunkSnapshot>,
-    /// Worker lanes of the conflict-partitioned execution stage: fans the
-    /// footprint analysis across scoped threads and sets the lane count of
-    /// the modelled parallel makespan. Charge-neutral — results, charges
-    /// and tree roots are byte-identical at any count.
-    exec_workers: usize,
     cost: CostModel,
     /// Experiment counters.
     pub stats: BaseStats,
@@ -269,7 +226,6 @@ impl<W: Wrapper> BaseService<W> {
             last_ckpt: None,
             chunk_size: 0,
             chunk_cache: HashMap::new(),
-            exec_workers: 1,
             cost: CostModel::default(),
             stats: BaseStats::default(),
             metrics: MetricsRegistry::new(),
@@ -395,35 +351,25 @@ impl<W: Wrapper> Service for BaseService<W> {
         if ops.is_empty() {
             return Vec::new();
         }
-        // Pure parallel pass: per-op abstract footprints, then the conflict
-        // partition. Both are deterministic functions of the batch, so all
-        // replicas derive the same schedule.
-        let fps = compute_footprints(&self.wrapper, ops, self.exec_workers);
+        // Per-op abstract footprints, then the conflict partition. Both
+        // are deterministic functions of the batch, so all replicas derive
+        // the same schedule.
+        let fps: Vec<Option<Footprint>> =
+            ops.iter().map(|(op, _)| self.wrapper.footprint(op)).collect();
         let groups = conflict_groups(&fps);
-        // Mutation stays on this thread: groups run in deterministic order
-        // (smallest member first), results merge back by batch index.
+        // Groups run in deterministic order (smallest member first),
+        // results merge back by batch index.
         let mut results: Vec<Option<Vec<u8>>> = vec![None; ops.len()];
-        let mut costs: Vec<u64> = Vec::with_capacity(groups.len());
+        let before = env.charged().as_nanos();
         for group in &groups {
-            let before = env.charged().as_nanos();
             for &i in group {
                 let (op, client) = ops[i];
                 results[i] = Some(self.execute(op, client, nondet, false, env));
             }
-            costs.push(env.charged().as_nanos() - before);
         }
-        // Charge-neutral parallelism model: the makespan of scheduling the
-        // group costs onto `exec_workers` lanes is reported for the bench
-        // tables, but the simulator keeps the serial charge — worker count
-        // must never move simulated time.
         self.metrics.observe("base.exec_groups", groups.len() as u64);
-        self.metrics.observe("base.exec_serial_ns", lane_makespan(&costs, 1));
-        self.metrics.observe("base.exec_makespan_ns", lane_makespan(&costs, self.exec_workers));
+        self.metrics.observe("base.exec_serial_ns", env.charged().as_nanos() - before);
         results.into_iter().map(|r| r.expect("every group member executed")).collect()
-    }
-
-    fn set_exec_workers(&mut self, workers: usize) {
-        self.exec_workers = workers.max(1);
     }
 
     fn set_chunk_size(&mut self, chunk_size: usize) {

@@ -316,13 +316,8 @@ impl<S: Service> Service for ShardLockService<S> {
 
     // `execute_batch` deliberately uses the trait default (sequential
     // through `execute`): every operation must pass the lock check. The
-    // inner service's conflict-group parallel executor is bypassed, which
-    // is charge-neutral — exec parallelism is reported through metrics,
-    // never booked into simulated time.
-
-    fn set_exec_workers(&mut self, workers: usize) {
-        self.inner.set_exec_workers(workers);
-    }
+    // inner service's conflict grouping is bypassed, which changes no
+    // reply and no charge — grouping only reorders independent operations.
 
     fn set_chunk_size(&mut self, chunk_size: usize) {
         self.inner.set_chunk_size(chunk_size);

@@ -119,11 +119,7 @@ impl Footprint {
 /// Implementations may be non-deterministic internally (clocks, RNGs,
 /// allocation order): determinism is only required of the *abstract*
 /// behaviour given the same operations and `nondet` values.
-///
-/// Wrappers are `Sync` so the execution stage's worker pool can share a
-/// reference across threads for pure passes (footprint analysis); all
-/// mutation still happens behind `&mut self` on one thread.
-pub trait Wrapper: Sync + 'static {
+pub trait Wrapper: 'static {
     /// Executes one operation against the wrapped implementation,
     /// translating between abstract identifiers in the request/reply and
     /// whatever the implementation uses internally.

@@ -1,8 +1,8 @@
-//! Property tests for the conflict-footprint partitioner that feeds the
-//! parallel execution stage: grouped execution must be indistinguishable
-//! from sequential execution (same replies, same abstract state), groups
-//! must never share a declared object, and the grouping itself must be
-//! deterministic — the scheduler can never become a nondeterminism source.
+//! Property tests for the conflict-footprint partitioner of the execution
+//! stage: grouped execution must be indistinguishable from sequential
+//! execution (same replies, same abstract state), groups must never share
+//! a declared object, and the grouping itself must be deterministic — the
+//! scheduler can never become a nondeterminism source.
 
 use base::demo::{KvWrapper, TinyKv};
 use base::service::conflict_groups;
@@ -45,11 +45,10 @@ fn arb_batch() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(arb_op(), 1..24)
 }
 
-/// Runs `ops` as one batch through [`Service::execute_batch`] with the
-/// given worker count; returns (replies, checkpoint root).
-fn run_batched(ops: &[Op], nondet: &[u8], workers: usize) -> (Vec<Vec<u8>>, base_crypto::Digest) {
+/// Runs `ops` as one batch through [`Service::execute_batch`]; returns
+/// (replies, checkpoint root).
+fn run_batched(ops: &[Op], nondet: &[u8]) -> (Vec<Vec<u8>>, base_crypto::Digest) {
     let mut svc = BaseService::new(KvWrapper::new(TinyKv::default()));
-    svc.set_exec_workers(workers);
     let rendered: Vec<Vec<u8>> = ops.iter().map(Op::render).collect();
     let batch: Vec<(&[u8], u32)> = rendered.iter().map(|o| (o.as_slice(), 7u32)).collect();
     let mut rng = StdRng::seed_from_u64(42);
@@ -79,17 +78,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Conflict-grouped batch execution produces exactly the replies and
-    /// abstract state of sequential in-order execution, at every worker
-    /// count.
+    /// abstract state of sequential in-order execution.
     #[test]
     fn grouped_execution_matches_sequential(ops in arb_batch()) {
         let nondet = 5_000u64.to_be_bytes();
         let (seq_replies, seq_root) = run_sequential(&ops, &nondet);
-        for workers in [1usize, 2, 8] {
-            let (replies, root) = run_batched(&ops, &nondet, workers);
-            prop_assert_eq!(&replies, &seq_replies, "replies diverged at workers={}", workers);
-            prop_assert_eq!(root, seq_root, "abstract state diverged at workers={}", workers);
-        }
+        let (replies, root) = run_batched(&ops, &nondet);
+        prop_assert_eq!(replies, seq_replies, "replies diverged");
+        prop_assert_eq!(root, seq_root, "abstract state diverged");
     }
 
     /// Two operations placed in different groups never share a declared

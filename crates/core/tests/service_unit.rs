@@ -410,3 +410,91 @@ fn checkpoint_object_pins_values_across_epochs_and_discards() {
     assert_eq!(r.svc.checkpoint_object(32, 5), Some(b"e4".to_vec()));
     assert_eq!(r.svc.checkpoint_object(40, 5), Some(b"open".to_vec()));
 }
+
+/// Absorbs everything (stands in for the other replicas).
+struct Sink;
+impl base_simnet::Actor for Sink {
+    fn on_message(
+        &mut self,
+        _from: base_simnet::NodeId,
+        _payload: &[u8],
+        _ctx: &mut base_simnet::Context<'_>,
+    ) {
+    }
+}
+
+#[test]
+fn unsolicited_chunks_reply_never_reaches_the_abstraction_function() {
+    // Replica 3 (the only real one) is walked by hand into a chunked fetch
+    // of a donor's checkpoint; the abstraction function may then run only
+    // for the one chunk list the fetcher is actually waiting for.
+    use base_crypto::{KeyDirectory, NodeKeys, Signature};
+    use base_pbft::messages::{CheckpointMsg, ChunksReplyMsg, Message, MetaReplyMsg};
+    use base_pbft::transfer::{checkpoint_digest, META_ROOT_LEVEL};
+    use base_simnet::{NodeId, SimDuration, Simulation};
+
+    const CS: usize = 4;
+    let mut donor = Rig::new();
+    donor.svc.set_chunk_size(CS);
+    donor.set(1, "agreed-value");
+    let service_root = donor.ckpt(8);
+    let replies_digest = Digest::of(&[]);
+
+    let mut cfg = base::Config::new(4);
+    cfg.checkpoint_interval = 8;
+    cfg.chunk_size = CS;
+    let dir = KeyDirectory::generate(4, 5);
+    let mut sim = Simulation::new(5);
+    for _ in 0..3 {
+        sim.add_node(Box::new(Sink));
+    }
+    let replica = sim.add_node(Box::new(base::BaseReplica::new(
+        cfg,
+        NodeKeys::new(dir.clone(), 3),
+        BaseService::new(VecWrapper::new()),
+    )));
+    let deliver = |sim: &mut Simulation, msg: Message| -> usize {
+        let calls = |sim: &Simulation| {
+            let r = sim.actor_as::<base::BaseReplica<VecWrapper>>(replica).expect("replica 3");
+            let n = r.service().wrapper().get_obj_threads.lock().unwrap().len();
+            n
+        };
+        let before = calls(sim);
+        sim.inject(NodeId(0), replica, msg.to_wire());
+        sim.run_for(SimDuration::from_millis(5));
+        calls(sim) - before
+    };
+
+    // A checkpoint certificate ahead of replica 3 starts the fetch, the
+    // root metadata and the one tree level below it lead to object 1.
+    for i in 0..3u32 {
+        let mut m = CheckpointMsg {
+            seq: 8,
+            digest: checkpoint_digest(&service_root, &replies_digest),
+            replica: i,
+            sig: Signature([0; 32]),
+        };
+        m.sig = NodeKeys::new(dir.clone(), i as usize).sign(&m.signed_bytes());
+        deliver(&mut sim, Message::Checkpoint(m));
+    }
+    let meta = |level, digests| {
+        Message::MetaReply(MetaReplyMsg { seq: 8, level, index: 0, digests, replica: 0 })
+    };
+    deliver(&mut sim, meta(META_ROOT_LEVEL, vec![service_root, replies_digest]));
+    let leaves = donor.svc.checkpoint_meta(8, 1, 0).expect("the donor kept checkpoint 8");
+    deliver(&mut sim, meta(1, leaves));
+
+    let value = donor.svc.checkpoint_object(8, 1).expect("object 1 is live");
+    let chunks = |index: u64| {
+        Message::ChunksReply(ChunksReplyMsg {
+            seq: 8,
+            index,
+            len: value.len() as u64,
+            digests: base_pbft::tree::chunk_digests(index, &value, CS),
+            replica: 0,
+        })
+    };
+    assert_eq!(deliver(&mut sim, chunks(7)), 0, "index 7 was never asked for");
+    assert_eq!(deliver(&mut sim, chunks(1)), 1, "the genuine reply reads the local value once");
+    assert_eq!(deliver(&mut sim, chunks(1)), 0, "a duplicate of a consumed reply is stale");
+}

@@ -1,10 +1,14 @@
 //! Systematic Reed–Solomon erasure coding over GF(2⁸), from scratch.
 //!
-//! Checkpoint state transfer codes each object (or chunk) into `k` data
-//! fragments plus `m` parity fragments, so a recovering replica can pull
-//! fragments from `k = f+1` sources *in parallel* and rebuild the object
-//! from any `k` of them — fragment loss and corruption are absorbed by the
-//! `m = f` parity fragments instead of a whole-object refetch.
+//! **Nothing in `crates/` calls this module.** State transfer fetches
+//! plain chunks from one source and checks each against a certified digest
+//! (DESIGN.md §16 records why the `k`-of-`n` fragment path lost to that).
+//! [`encode`] and [`reconstruct`] stay only because `benchmark/src/kernels.rs`
+//! times them; the module goes when those two kernel rows do (ROADMAP
+//! item 2).
+//!
+//! An object is coded into `k` data fragments plus `m` parity fragments
+//! and rebuilt from any `k` of them.
 //!
 //! The code is *systematic*: fragments `0..k` are contiguous stripes of
 //! the input, so in the common all-sources-honest case reassembly is a
@@ -13,10 +17,8 @@
 //! submatrix is invertible, the standard Reed–Solomon construction.
 //!
 //! Everything is pure and deterministic: the same `(data, k, m)` always
-//! yields byte-identical fragments on every replica, which is what lets a
-//! fetching replica request fragment `r` from *any* source holding the
-//! object and what makes coded transfer replayable in the simulator. The
-//! field tables are built at compile time; no dependencies.
+//! yields byte-identical fragments. The field tables are built at compile
+//! time; no dependencies.
 
 /// The field's maximum fragment count (GF(2⁸) has 255 nonzero points).
 pub const MAX_FRAGMENTS: usize = 255;
@@ -85,7 +87,7 @@ fn gf_pow(base: u8, exp: u32) -> u8 {
 }
 
 /// Byte length of each fragment for a `len`-byte input striped `k` ways.
-pub fn fragment_len(len: usize, k: usize) -> usize {
+fn fragment_len(len: usize, k: usize) -> usize {
     len.div_ceil(k.max(1))
 }
 
@@ -147,9 +149,8 @@ fn stripe(data: &[u8], c: usize, flen: usize) -> Vec<u8> {
 /// Encodes fragment `id` of `data` under a `(k, m)` code.
 ///
 /// Fragments `0..k` are the data stripes themselves (systematic);
-/// `k..k+m` are parity rows. Serving replicas call this per requested
-/// fragment so they never materialize the full fragment set.
-pub fn fragment(data: &[u8], k: usize, m: usize, id: usize) -> Vec<u8> {
+/// `k..k+m` are parity rows.
+fn fragment(data: &[u8], k: usize, m: usize, id: usize) -> Vec<u8> {
     assert!(id < k + m, "fragment id {id} out of range for ({k},{m})");
     let flen = fragment_len(data.len(), k);
     if id < k {
@@ -259,62 +260,6 @@ pub fn reconstruct(
     Some(out)
 }
 
-/// Reconstructs in the face of *corrupted* (not just missing) fragments:
-/// tries `k`-subsets of the supplied fragments in deterministic
-/// lexicographic order until `check` accepts the rebuilt bytes.
-///
-/// With at most `m` of the supplied fragments corrupted, some subset of
-/// `k` intact ones exists and is found. The subset walk is exponential in
-/// the worst case, but `k + m = n` is the replica group size (tiny), and
-/// the common case — no corruption — accepts the first subset.
-pub fn reconstruct_verified(
-    frags: &[(usize, Vec<u8>)],
-    k: usize,
-    m: usize,
-    len: usize,
-    check: impl Fn(&[u8]) -> bool,
-) -> Option<Vec<u8>> {
-    // Deduplicate ids (first occurrence wins) and fix the candidate order.
-    let mut uniq: Vec<(usize, &[u8])> = Vec::new();
-    for (id, bytes) in frags {
-        if !uniq.iter().any(|(p, _)| p == id) {
-            uniq.push((*id, bytes.as_slice()));
-        }
-    }
-    if uniq.len() < k {
-        return None;
-    }
-    let mut picks = vec![0usize; k];
-    // Lexicographically first combination: 0,1,..,k-1.
-    for (i, p) in picks.iter_mut().enumerate() {
-        *p = i;
-    }
-    loop {
-        let subset: Vec<(usize, &[u8])> = picks.iter().map(|&i| uniq[i]).collect();
-        if let Some(data) = reconstruct(&subset, k, m, len) {
-            if check(&data) {
-                return Some(data);
-            }
-        }
-        // Advance to the next k-combination of 0..uniq.len().
-        let n = uniq.len();
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return None;
-            }
-            i -= 1;
-            if picks[i] + 1 <= n - (k - i) {
-                picks[i] += 1;
-                for j in i + 1..k {
-                    picks[j] = picks[j - 1] + 1;
-                }
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,31 +340,5 @@ mod tests {
         let subset: Vec<(usize, &[u8])> =
             vec![(0, frags[0].as_slice()), (4, frags[4].as_slice())];
         assert_eq!(reconstruct(&subset, 3, 2, 50), None);
-    }
-
-    #[test]
-    fn verified_reconstruction_survives_corruption() {
-        let data = sample(96);
-        let (k, m) = (2, 2);
-        let mut frags: Vec<(usize, Vec<u8>)> =
-            encode(&data, k, m).into_iter().enumerate().collect();
-        // Corrupt up to m fragments; the verified decode must still find
-        // an intact subset.
-        frags[0].1[3] ^= 0xff;
-        frags[2].1[0] ^= 0x01;
-        let got = reconstruct_verified(&frags, k, m, 96, |d| d == &data[..]);
-        assert_eq!(got.as_deref(), Some(&data[..]));
-    }
-
-    #[test]
-    fn verified_reconstruction_rejects_unrecoverable() {
-        let data = sample(40);
-        let (k, m) = (2, 1);
-        let mut frags: Vec<(usize, Vec<u8>)> =
-            encode(&data, k, m).into_iter().enumerate().collect();
-        // Corrupt two of three: no intact k-subset remains.
-        frags[0].1[0] ^= 1;
-        frags[1].1[0] ^= 1;
-        assert_eq!(reconstruct_verified(&frags, k, m, 40, |d| d == &data[..]), None);
     }
 }

@@ -14,8 +14,8 @@
 //!   authentication.
 //! - [`keys`]: per-node key material, pairwise session-key derivation, and
 //!   the key-refresh used by proactive recovery.
-//! - [`fec`]: systematic Reed–Solomon erasure coding over GF(2⁸), the
-//!   fragment codec behind coded checkpoint state transfer.
+//! - [`fec`]: systematic Reed–Solomon erasure coding over GF(2⁸); called
+//!   by nothing in `crates/`, kept for two `benchmark/` kernels.
 //! - [`sig`]: transferable signatures for view-change and checkpoint
 //!   certificates. These are *simulated*: signing is HMAC under the
 //!   signer's private key, and verification goes through a

@@ -93,41 +93,6 @@ proptest! {
         prop_assert_eq!(got.as_deref(), Some(&data[..]));
     }
 
-    /// Verified reconstruction tolerates up to m corrupted fragments: the
-    /// digest-checked subset walk finds an intact k-subset whenever one
-    /// exists.
-    #[test]
-    fn fec_verified_survives_m_corruptions(
-        data in proptest::collection::vec(any::<u8>(), 1..400),
-        k in 1usize..4,
-        m in 1usize..4,
-        corrupt_seed: u64,
-    ) {
-        let mut frags: Vec<(usize, Vec<u8>)> =
-            base_crypto::fec::encode(&data, k, m).into_iter().enumerate().collect();
-        // Corrupt exactly m distinct fragments.
-        let mut ids: Vec<usize> = (0..k + m).collect();
-        let mut s = corrupt_seed;
-        for i in (1..ids.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ids.swap(i, (s >> 33) as usize % (i + 1));
-        }
-        for &i in &ids[..m] {
-            if let Some(b) = frags[i].1.first_mut() {
-                *b ^= 0x5a;
-            } else {
-                // Zero-length fragments cannot be corrupted in place;
-                // replace with a wrong-length one instead.
-                frags[i].1 = vec![0x5a];
-            }
-        }
-        let expect = Digest::of(&data);
-        let got = base_crypto::fec::reconstruct_verified(
-            &frags, k, m, data.len(), |d| Digest::of(d) == expect,
-        );
-        prop_assert_eq!(got.as_deref(), Some(&data[..]));
-    }
-
     /// Signatures verify for all parties and bind signer + message.
     #[test]
     fn signature_sound_and_complete(n in 2usize..6, signer_raw: usize, msg: Vec<u8>, seed: u64) {

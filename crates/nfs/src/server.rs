@@ -89,7 +89,7 @@ pub type SrvResult<T> = Result<T, SrvError>;
 /// paper calls out. Correct implementations must provide standard NFS
 /// semantics for everything a client can observe *through this interface*,
 /// but are free to choose handles, ids, internal layout and listing order.
-pub trait NfsServer: Sync + 'static {
+pub trait NfsServer: 'static {
     /// Identifies the implementation (used in reports and code-size
     /// accounting).
     fn name(&self) -> &'static str;

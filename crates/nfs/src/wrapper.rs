@@ -45,7 +45,7 @@ pub struct WrapperStats {
     /// Operations executed.
     pub ops: u64,
     /// Objects materialized by the abstraction function. Atomic because
-    /// the abstraction function runs off `&self` and wrappers are `Sync`.
+    /// the abstraction function runs off `&self`.
     pub get_objs: std::sync::atomic::AtomicU64,
     /// Objects written back by the inverse abstraction function.
     pub put_objs: u64,

@@ -55,27 +55,14 @@ pub struct Config {
     /// unexecuted proposals: a slot can be committed but not yet executed
     /// while the execution stage drains its backlog.
     pub pipeline_depth: u64,
-    /// Worker threads for the conflict-partitioned execution stage
-    /// ([`Service::set_exec_workers`](crate::Service::set_exec_workers)).
-    /// Charge-neutral by construction: the executor reports the modelled
-    /// parallel makespan through metrics but never rebooks simulated CPU
-    /// charges, so results and timing are byte-identical at any worker
-    /// count.
-    pub exec_workers: usize,
-    /// Erasure-coded state transfer: when true, a recovering replica
-    /// fetches checkpoint data as systematic Reed–Solomon fragments
-    /// (`k = f + 1` data + `m = f` parity) spread across `f + 1` distinct
-    /// sources in parallel, instead of whole objects from one source at a
-    /// time. Parity fragments are fetched only when a data fragment is
-    /// missing or corrupt. Off by default — the legacy whole-object path.
-    pub coded_transfer: bool,
     /// Leaf-digest chunk size in bytes
     /// ([`Service::set_chunk_size`](crate::Service::set_chunk_size)).
     /// `0` (the default) keeps legacy whole-object leaf digests. Non-zero
     /// switches every leaf digest to the chunked fold, so small writes to
-    /// big objects re-hash only touched chunks and coded transfer can both
-    /// verify and skip chunks the fetcher already holds. Consensus-critical:
-    /// all replicas must configure the same value.
+    /// big objects re-hash only touched chunks and state transfer fetches
+    /// an out-of-date object chunk by chunk, skipping chunks the fetcher
+    /// already holds. Consensus-critical: all replicas must configure the
+    /// same value.
     pub chunk_size: usize,
     /// Shard (replica-group) identity. `0` — the default — is the classic
     /// single-group deployment and keeps every message byte-identical to
@@ -119,8 +106,6 @@ impl Config {
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
             pipeline_depth: 16,
-            exec_workers: 1,
-            coded_transfer: false,
             chunk_size: 0,
             shard: 0,
             node_base: 0,

@@ -591,10 +591,10 @@ xdr_struct! {
 }
 
 xdr_struct! {
-    /// Coded state transfer: request for the chunk-digest list of one object
+    /// Chunked state transfer: request for the chunk-digest list of one object
     /// in a checkpoint. The reply verifies against the object's (chunked) leaf
-    /// digest, after which individual chunks can be fetched as erasure-coded
-    /// fragments and verified one by one.
+    /// digest, after which the chunks that differ locally are fetched and
+    /// verified one by one.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct FetchChunksMsg {
         /// Checkpoint sequence number.
@@ -626,45 +626,35 @@ xdr_struct! {
 }
 
 xdr_struct! {
-    /// Coded state transfer: request for one Reed–Solomon fragment of a chunk
-    /// (or of a whole object when `chunk` is [`CHUNK_WHOLE`](crate::transfer::CHUNK_WHOLE)).
-    /// Fragment ids `0..k` are systematic data fragments; `k..k+m` are parity.
-    /// `k = f + 1` and `m = f` are derived from the group configuration, not
-    /// carried on the wire.
+    /// Chunked state transfer: request for the bytes of one chunk of an
+    /// object in a checkpoint, sent after the object's chunk-digest list
+    /// has been verified.
     #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct FetchFragMsg {
+    pub struct FetchChunkDataMsg {
         /// Checkpoint sequence number.
         pub seq: u64,
         /// Object (leaf) index.
         pub index: u64,
-        /// Chunk number within the object, or `u32::MAX` for the whole object.
+        /// Chunk number within the object.
         pub chunk: u32,
-        /// Fragment id (`0..k` data, `k..k+m` parity).
-        pub frag: u32,
         /// Requesting replica.
         pub replica: u32,
     }
 }
 
 xdr_struct! {
-    /// Reply to [`FetchFragMsg`]: one fragment of the (chunk's) bytes. `len` is
-    /// the *unfragmented* length, which fixes the fragment geometry; it is
-    /// validated against the verified chunk list (chunked mode) or treated as a
-    /// candidate to be confirmed by digest check after reassembly (whole-object
-    /// mode).
+    /// Reply to [`FetchChunkDataMsg`]: the chunk's bytes. Verified by
+    /// hashing against the chunk's digest from the verified chunk list, so
+    /// it needs no authentication.
     #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct FragReplyMsg {
+    pub struct ChunkDataMsg {
         /// Checkpoint sequence number.
         pub seq: u64,
         /// Object (leaf) index.
         pub index: u64,
-        /// Chunk number within the object, or `u32::MAX` for the whole object.
+        /// Chunk number within the object.
         pub chunk: u32,
-        /// Fragment id.
-        pub frag: u32,
-        /// Length in bytes of the unfragmented chunk/object.
-        pub len: u64,
-        /// Fragment bytes (`fragment_len(len, k)` of them).
+        /// Chunk bytes.
         pub data: Vec<u8>,
         /// Replying replica.
         pub replica: u32,
@@ -745,14 +735,14 @@ xdr_union! {
         13 => CertReply(m: CertReplyMsg),
         /// Periodic status report.
         14 => Status(m: StatusMsg),
-        /// Coded state transfer: fetch an object's chunk-digest list.
+        /// Chunked state transfer: fetch an object's chunk-digest list.
         15 => FetchChunks(m: FetchChunksMsg),
-        /// Coded state transfer: chunk-digest list reply.
+        /// Chunked state transfer: chunk-digest list reply.
         16 => ChunksReply(m: ChunksReplyMsg),
-        /// Coded state transfer: fetch one erasure-coded fragment.
-        17 => FetchFrag(m: FetchFragMsg),
-        /// Coded state transfer: fragment reply.
-        18 => FragReply(m: FragReplyMsg),
+        /// Chunked state transfer: fetch the bytes of one chunk.
+        17 => FetchChunkData(m: FetchChunkDataMsg),
+        /// Chunked state transfer: chunk bytes reply.
+        18 => ChunkData(m: ChunkDataMsg),
     }
 }
 
@@ -842,8 +832,8 @@ impl Message {
             Message::Status(_) => "status",
             Message::FetchChunks(_) => "fetch-chunks",
             Message::ChunksReply(_) => "chunks-reply",
-            Message::FetchFrag(_) => "fetch-frag",
-            Message::FragReply(_) => "frag-reply",
+            Message::FetchChunkData(_) => "fetch-chunk-data",
+            Message::ChunkData(_) => "chunk-data",
         }
     }
 }
@@ -1089,22 +1079,20 @@ mod tests {
                 "ff30079ef0057e7cbf7c505293d6369d8835eb82351809b7a349815962ffa756",
             ),
             (
-                Message::FetchFrag(FetchFragMsg { seq: 128, index: 7, chunk: 1, frag: 2, replica: 1 }),
-                32,
-                "5e361297981e48d2395dae90315f4e2a732330c068c47c91aa87b6e5d468a7b4",
+                Message::FetchChunkData(FetchChunkDataMsg { seq: 128, index: 7, chunk: 1, replica: 1 }),
+                28,
+                "75cacec788741f3f7ec73fb79241f4210ee346ccd6560101d2b94b7cdeee27ae",
             ),
             (
-                Message::FragReply(FragReplyMsg {
+                Message::ChunkData(ChunkDataMsg {
                     seq: 128,
                     index: 7,
-                    chunk: u32::MAX,
-                    frag: 0,
-                    len: 300,
+                    chunk: 1,
                     data: vec![5; 100],
                     replica: 1,
                 }),
-                144,
-                "0189df7df6b2e4ecec48bff2c31c3c5f6d5649c9e74f98aa2ac1c516d7e432bf",
+                132,
+                "9e9e27c17e0c9d3675159fb030530acbfa32ec1767527f7b3d49dd052908a51f",
             ),
         ];
         for (m, len, sha) in msgs {

@@ -11,17 +11,17 @@ use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
 use crate::cost::CostModel;
 use crate::log::{CheckpointCollector, Log, ReplyCache, SlotStage};
 use crate::messages::{
-    CertReplyMsg, CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg,
-    FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg, Message, MetaReplyMsg, NewViewMsg,
-    ObjectReplyMsg, PrePrepareMsg, PreparedProof, PrepareMsg, ReplyMsg, RequestMsg, StatusMsg,
-    ViewChangeMsg,
+    CertReplyMsg, CheckpointMsg, ChunkDataMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg,
+    FetchChunkDataMsg, FetchChunksMsg, FetchMetaMsg, FetchObjectMsg, Message, MetaReplyMsg,
+    NewViewMsg, ObjectReplyMsg, PrePrepareMsg, PreparedProof, PrepareMsg, ReplyMsg, RequestMsg,
+    StatusMsg, ViewChangeMsg,
 };
 use crate::service::{ExecEnv, Service};
 use crate::transfer::{
-    checkpoint_digest, FetchResult, Fetcher, CHUNK_WHOLE, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX,
+    checkpoint_digest, FetchResult, Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX,
     META_ROOT_LEVEL, REPLIES_INDEX,
 };
-use base_crypto::{fec, Authenticator, Digest, NodeKeys};
+use base_crypto::{Authenticator, Digest, NodeKeys};
 use base_simnet::{
     Actor, Context, MetricsRegistry, NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId,
 };
@@ -154,7 +154,6 @@ impl<S: Service> Replica<S> {
     /// simulator node it is installed on.
     pub fn new(cfg: Config, keys: NodeKeys, service: S) -> Self {
         let mut service = service;
-        service.set_exec_workers(cfg.exec_workers);
         service.set_chunk_size(cfg.chunk_size);
         let id = keys.id() as u32;
         assert!((id as usize) < cfg.n, "replica id must be < n");
@@ -1056,14 +1055,8 @@ impl<S: Service> Replica<S> {
             digest,
             DEFAULT_FETCH_WINDOW,
             FETCH_WINDOW_MAX,
-        );
-        if self.cfg.coded_transfer {
-            // Systematic Reed–Solomon over k = f+1 data + m = f parity
-            // fragments: any f+1 of the 2f+1 correct sources suffice, and
-            // the parity budget absorbs up to f corrupt fragments.
-            let f = self.cfg.f();
-            fetcher.enable_coded(f + 1, f, self.cfg.chunk_size);
-        }
+        )
+        .with_chunk_size(self.cfg.chunk_size);
         for (to, msg) in fetcher.begin() {
             self.send(ctx, self.cfg.replica_node(to as usize), &msg);
         }
@@ -1090,9 +1083,8 @@ impl<S: Service> Replica<S> {
         self.metrics.add("transfer.corrupt_replies", result.corrupt_replies);
         self.metrics.add("transfer.retransmissions", result.retransmissions);
         self.metrics.observe("transfer.peak_window", result.peak_window as u64);
-        if self.cfg.coded_transfer {
+        if self.cfg.chunk_size > 0 {
             self.metrics.add("transfer.chunk_queries", result.chunk_queries);
-            self.metrics.add("transfer.frag_queries", result.frag_queries);
             self.metrics.add("transfer.chunks_reused", result.chunks_reused);
         }
         // Wall-clock from fetch start to installation: the transfer's
@@ -1268,45 +1260,30 @@ impl<S: Service> Replica<S> {
         self.send(ctx, self.cfg.replica_node(m.replica as usize), &Message::ChunksReply(reply));
     }
 
-    fn handle_fetch_frag(&mut self, m: FetchFragMsg, ctx: &mut Context<'_>) {
-        let f = self.cfg.f();
-        let (k, pm) = (f + 1, f);
-        if m.replica as usize >= self.cfg.n || (m.frag as usize) >= k + pm {
+    fn handle_fetch_chunk_data(&mut self, m: FetchChunkDataMsg, ctx: &mut Context<'_>) {
+        let cs = self.cfg.chunk_size;
+        if m.replica as usize >= self.cfg.n || cs == 0 {
             return;
         }
         let Some(data) = self.service.checkpoint_object(m.seq, m.index) else { return };
-        let bytes: &[u8] = if m.chunk == CHUNK_WHOLE {
-            &data
-        } else {
-            let cs = self.cfg.chunk_size;
-            let start = m.chunk as usize * cs;
-            let end = ((m.chunk as usize + 1) * cs).min(data.len());
-            if cs == 0 || start >= end {
-                return;
-            }
-            &data[start..end]
-        };
-        // Serving one fragment streams 1/k of the bytes; parity fragments
-        // additionally pay one pass of GF(2^8) arithmetic, charged as a
-        // digest pass over the source bytes.
-        let frag = fec::fragment(bytes, k, pm, m.frag as usize);
-        let charged = if (m.frag as usize) < k { frag.len() } else { bytes.len() };
-        ctx.charge(self.cost.digest(charged));
-        let reply = FragReplyMsg {
+        let Some(chunk) = data.chunks(cs).nth(m.chunk as usize) else { return };
+        ctx.charge(self.cost.digest(chunk.len()));
+        let reply = ChunkDataMsg {
             seq: m.seq,
             index: m.index,
             chunk: m.chunk,
-            frag: m.frag,
-            len: bytes.len() as u64,
-            data: frag,
+            data: chunk.to_vec(),
             replica: self.id,
         };
-        self.send(ctx, self.cfg.replica_node(m.replica as usize), &Message::FragReply(reply));
+        self.send(ctx, self.cfg.replica_node(m.replica as usize), &Message::ChunkData(reply));
     }
 
     fn handle_chunks_reply(&mut self, m: ChunksReplyMsg, ctx: &mut Context<'_>) {
         ctx.charge(self.cost.digest(m.digests.len() * 32));
-        if self.fetcher.is_none() {
+        // Only a reply to an outstanding query is worth the abstraction
+        // function: `transfer_object` is a full `get_obj`, and `m.index` is
+        // chosen by whoever sent this.
+        if !self.fetcher.as_ref().is_some_and(|f| f.awaits_chunks(m.index)) {
             return;
         }
         // Local chunk reuse diffs against the *current* value of the
@@ -1330,10 +1307,10 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    fn handle_frag_reply(&mut self, m: FragReplyMsg, ctx: &mut Context<'_>) {
+    fn handle_chunk_data(&mut self, m: ChunkDataMsg, ctx: &mut Context<'_>) {
         ctx.charge(self.cost.digest(m.data.len()));
         let (out, done) = match &mut self.fetcher {
-            Some(f) => f.on_frag_reply(&m),
+            Some(f) => f.on_chunk_data(&m),
             None => return,
         };
         ctx.emit(
@@ -2007,8 +1984,8 @@ impl<S: Service> Actor for Replica<S> {
             Message::ObjectReply(m) => self.handle_object_reply(m, ctx),
             Message::FetchChunks(m) => self.handle_fetch_chunks(m, ctx),
             Message::ChunksReply(m) => self.handle_chunks_reply(m, ctx),
-            Message::FetchFrag(m) => self.handle_fetch_frag(m, ctx),
-            Message::FragReply(m) => self.handle_frag_reply(m, ctx),
+            Message::FetchChunkData(m) => self.handle_fetch_chunk_data(m, ctx),
+            Message::ChunkData(m) => self.handle_chunk_data(m, ctx),
             Message::FetchCert(m) => self.handle_fetch_cert(m, ctx),
             Message::CertReply(m) => self.handle_cert_reply(m, ctx),
             Message::Status(m) => self.handle_status(m, ctx),

@@ -80,10 +80,10 @@ pub trait Service: 'static {
         ops.iter().map(|(op, client)| self.execute(op, *client, nondet, false, env)).collect()
     }
 
-    /// Sets the worker-pool width for the execution stage. Worker count
-    /// must never change results or simulated timing — parallelism is
-    /// reported through metrics (modelled makespan), not rebooked into
-    /// charges. The default ignores the hint (sequential services).
+    /// Does nothing and is called by nothing in `crates/`: the execution
+    /// stage has one executor. It exists only because
+    /// `benchmark/src/trace.rs:456` overrides it to forward to the wrapped
+    /// service, and goes when that override does (ROADMAP item 2).
     fn set_exec_workers(&mut self, workers: usize) {
         let _ = workers;
     }
@@ -92,7 +92,7 @@ pub trait Service: 'static {
     /// digest scheme. `0` = legacy whole-object leaf digests. When
     /// non-zero, every present object's leaf digest must be the chunked
     /// fold (`tree::chunked_leaf_digest`), so per-chunk digest lists served
-    /// during coded state transfer verify against the partition tree. All
+    /// during state transfer verify against the partition tree. All
     /// replicas must agree on the value — it changes every leaf digest and
     /// hence the checkpoint roots. The default ignores the hint (services
     /// that keep whole-object digests only).

@@ -18,24 +18,32 @@
 //! starts at [`DEFAULT_FETCH_WINDOW`], grows to [`FETCH_WINDOW_MAX`] on
 //! timely verified replies and halves on retransmission — with further
 //! discovered queries parked in FIFO order until a slot frees up. A query
-//! whose reply fails digest verification is re-targeted to the next source
-//! immediately; unanswered queries are retransmitted with per-query
+//! whose reply fails digest verification is re-targeted to a different
+//! source immediately; unanswered queries are retransmitted with per-query
 //! exponential backoff from the observed reply latency plus deterministic
 //! jitter, so a slow or silent source delays only its own partitions and
 //! retries do not synchronize into bursts.
+//!
+//! When leaves are chunked (`chunk_size > 0`, so every leaf digest is the
+//! fold of [`crate::tree::chunked_leaf_digest`]) an out-of-date object is
+//! fetched in two steps: its chunk-digest list, verified against the leaf
+//! digest, and then the plain bytes of each chunk whose local bytes do not
+//! already hash to the listed digest — one query per chunk to one source,
+//! verified against that chunk's digest exactly like an object reply.
+//! Otherwise the object is fetched whole.
 //!
 //! The checkpoint identity covers both the service state and the client
 //! reply cache (which PBFT replicates as part of the state):
 //! `D = H("ckpt" || service_root || H(replies_blob))`.
 
 use crate::messages::{
-    ChunksReplyMsg, FetchChunksMsg, FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg,
-    Message, MetaReplyMsg, ObjectReplyMsg,
+    ChunkDataMsg, ChunksReplyMsg, FetchChunkDataMsg, FetchChunksMsg, FetchMetaMsg,
+    FetchObjectMsg, Message, MetaReplyMsg, ObjectReplyMsg,
 };
 use crate::tree::PartitionTree;
-use base_crypto::{fec, Digest};
+use base_crypto::Digest;
 use base_simnet::RttEstimator;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Initial window of concurrently outstanding fetch queries.
 ///
@@ -57,10 +65,6 @@ pub const META_ROOT_LEVEL: u32 = u32::MAX;
 
 /// Pseudo-object index used to fetch the serialized reply cache.
 pub const REPLIES_INDEX: u64 = u64::MAX;
-
-/// Chunk number in fragment messages meaning "the whole object" — coded
-/// transfer without chunked leaf digests fragments entire objects.
-pub const CHUNK_WHOLE: u32 = u32::MAX;
 
 /// Composite checkpoint digest over service state and reply cache.
 pub fn checkpoint_digest(service_root: &Digest, replies_digest: &Digest) -> Digest {
@@ -89,11 +93,9 @@ pub struct FetchResult {
     pub retransmissions: u64,
     /// Largest pipelining window the fetch reached.
     pub peak_window: usize,
-    /// Coded transfer: chunk-digest-list queries issued.
+    /// Chunked leaves: chunk-digest-list queries issued.
     pub chunk_queries: u64,
-    /// Coded transfer: fragment queries issued.
-    pub frag_queries: u64,
-    /// Coded transfer: chunks satisfied from the local value (matched the
+    /// Chunked leaves: chunks satisfied from the local value (matched the
     /// remote checkpoint's verified chunk digest, so no bytes moved).
     pub chunks_reused: u64,
 }
@@ -104,11 +106,10 @@ enum FetchKey {
     Replies,
     Meta { level: u32, index: u64 },
     Object { index: u64 },
-    /// Coded transfer: an object's chunk-digest list.
+    /// An object's chunk-digest list.
     Chunks { index: u64 },
-    /// Coded transfer: one erasure-coded fragment of a chunk (or of the
-    /// whole object when `chunk == CHUNK_WHOLE`).
-    Frag { index: u64, chunk: u32, frag: u32 },
+    /// The bytes of one chunk of an object.
+    Chunk { index: u64, chunk: u32 },
 }
 
 #[derive(Debug)]
@@ -121,60 +122,22 @@ struct Outstanding {
     /// Tick count at which the query was last put on the wire; verified
     /// replies feed `ticks - sent_at` to the reply-latency estimator.
     sent_at: u64,
+    /// The source the query was last sent to.
+    source: u32,
 }
 
 /// Retransmission backoff cap, in ticks.
 const MAX_BACKOFF_TICKS: u64 = 32;
 
-/// Erasure-coding parameters for a coded fetch.
-#[derive(Debug, Clone, Copy)]
-struct CodedCfg {
-    /// Data fragments needed to reconstruct (`f + 1`).
-    k: usize,
-    /// Parity fragments available beyond the data ones (`f`).
-    m: usize,
-    /// Leaf-digest chunk size; `0` fragments whole objects.
-    chunk_size: usize,
-}
-
-/// Reassembly state for one coded unit — a chunk, or a whole object when
-/// `chunk == CHUNK_WHOLE`.
-#[derive(Debug)]
-struct CodedUnit {
-    /// Digest the reassembled bytes must hash to (chunk digest, or leaf
-    /// digest for whole-object units).
-    expected: Digest,
-    /// Unfragmented length when known a priori (chunked mode learns it
-    /// from the verified chunk list); whole-object units learn candidate
-    /// lengths from fragment replies.
-    len: Option<u64>,
-    /// Distinct candidate lengths claimed by fragment replies (whole-object
-    /// units only; the digest check arbitrates).
-    lens_seen: Vec<u64>,
-    /// Verified-length fragments received so far, by fragment id.
-    frags: BTreeMap<u32, Vec<u8>>,
-    /// Fragment queries issued for this unit (k, then k+m once escalated).
-    issued: u32,
-    /// Parity fragments have been requested (a data fragment arrived
-    /// corrupt, or lengths disagree).
-    escalated: bool,
-}
-
-impl CodedUnit {
-    fn new(expected: Digest, len: Option<u64>) -> Self {
-        Self { expected, len, lens_seen: Vec::new(), frags: BTreeMap::new(), issued: 0, escalated: false }
-    }
-}
-
-/// Per-object assembly state for chunked coded fetches: the verified chunk
-/// list plus reused or reconstructed chunk bytes.
+/// Per-object assembly state for chunked fetches: the verified chunk list's
+/// geometry plus the reused or fetched bytes of each chunk.
 #[derive(Debug)]
 struct ChunkedObject {
     /// Object length from the verified chunk list.
-    len: u64,
+    len: usize,
     /// Chunks still missing.
     remaining: usize,
-    /// Chunk bytes, filled in as they are reused or reconstructed.
+    /// Chunk bytes, filled in as they are reused or fetched.
     chunks: Vec<Option<Vec<u8>>>,
 }
 
@@ -214,14 +177,11 @@ pub struct Fetcher {
     retransmissions: u64,
     fetched_bytes: u64,
     meta_queries: u64,
-    /// Erasure-coded fetch mode; `None` = legacy whole-object fetches.
-    coded: Option<CodedCfg>,
-    /// In-flight coded units, keyed by `(object index, chunk)`.
-    units: HashMap<(u64, u32), CodedUnit>,
+    /// Leaf-digest chunk size; `0` = whole-object leaves, fetched whole.
+    chunk_size: usize,
     /// In-flight chunked objects, keyed by object index.
     chunked: HashMap<u64, ChunkedObject>,
     chunk_queries: u64,
-    frag_queries: u64,
     chunks_reused: u64,
     done: bool,
 }
@@ -267,27 +227,21 @@ impl Fetcher {
             retransmissions: 0,
             fetched_bytes: 0,
             meta_queries: 0,
-            coded: None,
-            units: HashMap::new(),
+            chunk_size: 0,
             chunked: HashMap::new(),
             chunk_queries: 0,
-            frag_queries: 0,
             chunks_reused: 0,
             done: false,
         }
     }
 
-    /// Switches the fetcher to erasure-coded object transfer: out-of-date
-    /// objects are fetched as `(k, m)` Reed–Solomon fragments spread over
-    /// the sources instead of whole values from one source. With
-    /// `chunk_size > 0` the leaf digests must be chunked folds
-    /// ([`crate::tree::chunked_leaf_digest`]); the fetcher first retrieves
-    /// an object's chunk-digest list, reuses local chunks that already
-    /// match, and fragments only the missing chunks. Parity fragments are
-    /// requested only when a data fragment is lost to corruption.
-    pub fn enable_coded(&mut self, k: usize, m: usize, chunk_size: usize) {
-        assert!(k >= 1, "coded transfer needs k >= 1 data fragments");
-        self.coded = Some(CodedCfg { k, m, chunk_size });
+    /// Tells the fetcher the group's leaf-digest chunk size
+    /// ([`Config::chunk_size`](crate::Config::chunk_size)). When non-zero
+    /// the leaf digests are chunked folds, so an out-of-date object is
+    /// fetched as its chunk-digest list plus the chunks that differ locally.
+    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
+        self.chunk_size = chunk_size;
+        self
     }
 
     /// The current pipelining window.
@@ -354,11 +308,10 @@ impl Fetcher {
                 index,
                 replica: self.me,
             }),
-            FetchKey::Frag { index, chunk, frag } => Message::FetchFrag(FetchFragMsg {
+            FetchKey::Chunk { index, chunk } => Message::FetchChunkData(FetchChunkDataMsg {
                 seq: self.seq,
                 index,
                 chunk,
-                frag,
                 replica: self.me,
             }),
         }
@@ -374,9 +327,7 @@ impl Fetcher {
             FetchKey::Meta { level, index } => 3 ^ ((level as u64) << 32) ^ index,
             FetchKey::Object { index } => 5 ^ index,
             FetchKey::Chunks { index } => 7 ^ index,
-            FetchKey::Frag { index, chunk, frag } => {
-                11 ^ index ^ ((chunk as u64) << 20) ^ ((frag as u64) << 52)
-            }
+            FetchKey::Chunk { index, chunk } => 11 ^ index ^ ((chunk as u64) << 20),
         };
         let mut x = self.seq ^ code ^ (u64::from(attempts) << 48) ^ 0x9e37_79b9_7f4a_7c15;
         x ^= x >> 30;
@@ -422,65 +373,63 @@ impl Fetcher {
             match key {
                 FetchKey::Meta { .. } | FetchKey::Root => self.meta_queries += 1,
                 FetchKey::Chunks { .. } => self.chunk_queries += 1,
-                FetchKey::Frag { .. } => self.frag_queries += 1,
                 _ => {}
             }
             let msg = self.request_for(key);
             let next_retry = self.ticks + self.backoff_ticks(key, 0);
-            self.outstanding
-                .insert(key, Outstanding { expected, attempts: 0, next_retry, sent_at: self.ticks });
-            let src = self.next_source();
-            out.push((src, msg));
+            let source = self.next_source();
+            self.outstanding.insert(
+                key,
+                Outstanding { expected, attempts: 0, next_retry, sent_at: self.ticks, source },
+            );
+            out.push((source, msg));
         }
     }
 
-    /// Drops a query that is no longer needed (its coded unit completed
-    /// from other fragments), whether parked or on the wire, and lets a
-    /// parked query take the freed slot.
-    fn cancel(&mut self, key: FetchKey, out: &mut Vec<(u32, Message)>) {
-        self.outstanding.remove(&key);
-        self.pending.retain(|(k, _)| *k != key);
-        self.pump(out);
-    }
-
-    /// Issues the fetch for one out-of-date object, routed by mode: legacy
-    /// whole-object query, chunk-digest list (chunked coded), or `k` data
-    /// fragment queries (whole-object coded).
+    /// Issues the fetch for one out-of-date object: its chunk-digest list
+    /// when leaves are chunked, the whole value otherwise.
     fn issue_object(&mut self, index: u64, expected: Digest, out: &mut Vec<(u32, Message)>) {
-        match self.coded {
-            None => self.issue(FetchKey::Object { index }, expected, out),
-            Some(c) if c.chunk_size > 0 => self.issue(FetchKey::Chunks { index }, expected, out),
-            Some(c) => {
-                let unit = self
-                    .units
-                    .entry((index, CHUNK_WHOLE))
-                    .or_insert_with(|| CodedUnit::new(expected, None));
-                unit.issued = c.k as u32;
-                for frag in 0..c.k as u32 {
-                    self.issue(FetchKey::Frag { index, chunk: CHUNK_WHOLE, frag }, expected, out);
-                }
-            }
-        }
+        let key = if self.chunk_size > 0 {
+            FetchKey::Chunks { index }
+        } else {
+            FetchKey::Object { index }
+        };
+        self.issue(key, expected, out);
     }
 
-    /// Re-issues an already outstanding query to the next source, bumping
-    /// its attempt count and pushing back its retry deadline.
-    fn reissue(&mut self, key: FetchKey) -> Option<(u32, Message)> {
-        let attempts = {
+    /// Re-issues an already outstanding query to the next source in
+    /// rotation (`change_source`: skipping the one it was last sent to),
+    /// bumping its attempt count and pushing back its retry deadline.
+    fn reissue(&mut self, key: FetchKey, change_source: bool) -> Option<(u32, Message)> {
+        let (attempts, last) = {
             let o = self.outstanding.get_mut(&key)?;
             o.attempts += 1;
-            o.attempts
+            (o.attempts, o.source)
         };
         let next_retry = self.ticks + self.backoff_ticks(key, attempts);
+        let mut source = self.next_source();
+        if change_source && source == last {
+            source = self.next_source();
+        }
         if let Some(o) = self.outstanding.get_mut(&key) {
             o.next_retry = next_retry;
             o.sent_at = self.ticks;
+            o.source = source;
         }
         self.retransmissions += 1;
         // Multiplicative decrease: a lost or corrupt reply means the
         // sources (or the path) are struggling — back the window off.
         self.window = (self.window / 2).max(1);
-        Some((self.next_source(), self.request_for(key)))
+        Some((source, self.request_for(key)))
+    }
+
+    /// A reply to `key` failed verification (corrupt, or stale): counts it
+    /// and re-targets the query right away, instead of waiting out the
+    /// backoff, to a source other than the one just asked. No-op if `key`
+    /// is no longer outstanding.
+    fn reject(&mut self, key: FetchKey) -> (Vec<(u32, Message)>, Option<FetchResult>) {
+        self.corrupt_replies += 1;
+        (self.reissue(key, true).into_iter().collect(), None)
     }
 
     /// Starts the fetch: issues the top-level metadata query.
@@ -510,11 +459,9 @@ impl Fetcher {
             FetchKey::Meta { level, index } => (2, level as u64, index),
             FetchKey::Object { index } => (3, 0, index),
             FetchKey::Chunks { index } => (4, 0, index),
-            FetchKey::Frag { index, chunk, frag } => {
-                (5, index, (u64::from(chunk) << 32) | u64::from(frag))
-            }
+            FetchKey::Chunk { index, chunk } => (5, index, u64::from(chunk)),
         });
-        due.into_iter().filter_map(|key| self.reissue(key)).collect()
+        due.into_iter().filter_map(|key| self.reissue(key, false)).collect()
     }
 
     /// Handles a metadata reply. Returns follow-up queries and, if the
@@ -535,11 +482,7 @@ impl Fetcher {
             if m.digests.len() != 2
                 || checkpoint_digest(&m.digests[0], &m.digests[1]) != self.target
             {
-                // Corrupt root metadata: re-target the query right away
-                // (no-op if the root query is no longer outstanding).
-                self.corrupt_replies += 1;
-                let out = self.reissue(FetchKey::Root).into_iter().collect();
-                return (out, None);
+                return self.reject(FetchKey::Root);
             }
             if !self.consume(FetchKey::Root) {
                 return (Vec::new(), None);
@@ -577,11 +520,7 @@ impl Fetcher {
             None => return (Vec::new(), None),
         };
         if !local.verify_children(m.level, &m.digests, &expected) {
-            // Corrupt or stale reply: re-target the query to the next
-            // source immediately instead of waiting out the backoff.
-            self.corrupt_replies += 1;
-            let out = self.reissue(key).into_iter().collect();
-            return (out, None);
+            return self.reject(key);
         }
         self.consume(key);
 
@@ -634,9 +573,7 @@ impl Fetcher {
                 None => return (Vec::new(), None),
             };
             if Digest::of(&m.data) != expected {
-                self.corrupt_replies += 1;
-                let out = self.reissue(FetchKey::Replies).into_iter().collect();
-                return (out, None);
+                return self.reject(FetchKey::Replies);
             }
             if self.consume(FetchKey::Replies) {
                 self.fetched_bytes += m.data.len() as u64;
@@ -653,9 +590,7 @@ impl Fetcher {
             None => return (Vec::new(), None),
         };
         if crate::tree::leaf_digest(m.index, &m.data) != expected {
-            self.corrupt_replies += 1;
-            let out = self.reissue(key).into_iter().collect();
-            return (out, None);
+            return self.reject(key);
         }
         self.consume(key);
         self.fetched_bytes += m.data.len() as u64;
@@ -665,11 +600,19 @@ impl Fetcher {
         (out, self.maybe_complete())
     }
 
+    /// True while a chunk-digest-list query for object `index` is
+    /// outstanding — lets the caller skip computing the local value
+    /// ([`Self::on_chunks_reply`]'s second argument) for a reply nobody
+    /// asked for.
+    pub fn awaits_chunks(&self, index: u64) -> bool {
+        !self.done && self.outstanding.contains_key(&FetchKey::Chunks { index })
+    }
+
     /// Handles a chunk-digest-list reply. `local_value` is this replica's
     /// *current* value of the object (from
     /// [`Service::transfer_object`](crate::Service::transfer_object)):
     /// chunks whose local bytes already hash to the verified remote chunk
-    /// digest are reused without moving bytes.
+    /// digest are reused without moving bytes; the rest are fetched.
     pub fn on_chunks_reply(
         &mut self,
         m: &ChunksReplyMsg,
@@ -678,7 +621,6 @@ impl Fetcher {
         if self.done || m.seq != self.seq {
             return (Vec::new(), None);
         }
-        let Some(c) = self.coded else { return (Vec::new(), None) };
         let key = FetchKey::Chunks { index: m.index };
         let expected = match self.outstanding.get(&key) {
             Some(o) => o.expected,
@@ -686,196 +628,79 @@ impl Fetcher {
         };
         // The fold binds both the length and every chunk digest to the
         // (certified) leaf digest, so `len` is as trustworthy as the data.
-        let len = m.len as usize;
-        if c.chunk_size == 0
-            || m.digests.len() != len.div_ceil(c.chunk_size)
-            || crate::tree::chunked_leaf_from_digests(m.index, m.len, &m.digests) != expected
-        {
-            self.corrupt_replies += 1;
-            let out = self.reissue(key).into_iter().collect();
-            return (out, None);
-        }
+        // The count check comes first: it bounds `len` by the size of the
+        // message before anything is allocated from it.
+        let cs = self.chunk_size;
+        let verified = |len: &usize| {
+            m.digests.len() == len.div_ceil(cs)
+                && crate::tree::chunked_leaf_from_digests(m.index, m.len, &m.digests) == expected
+        };
+        let Some(len) = usize::try_from(m.len).ok().filter(verified) else {
+            return self.reject(key);
+        };
         self.consume(key);
         self.fetched_bytes += (m.digests.len() * 32) as u64;
 
         let mut out = Vec::new();
-        let mut chunks: Vec<Option<Vec<u8>>> = vec![None; m.digests.len()];
-        let mut remaining = 0usize;
+        let mut obj = ChunkedObject { len, remaining: 0, chunks: vec![None; m.digests.len()] };
         for (ci, d) in m.digests.iter().enumerate() {
-            let start = ci * c.chunk_size;
-            let end = ((ci + 1) * c.chunk_size).min(len);
             // Reuse the local bytes at this chunk's position when they hash
             // to the verified remote digest — correct whatever the local
             // object has drifted to, because equality is checked against
             // the remote checkpoint's digest, not local metadata.
             let reused = local_value
-                .and_then(|v| v.get(start..end))
+                .and_then(|v| v.get(ci * cs..((ci + 1) * cs).min(len)))
                 .filter(|cand| crate::tree::chunk_digest(m.index, ci as u32, cand) == *d);
             if let Some(cand) = reused {
-                chunks[ci] = Some(cand.to_vec());
+                obj.chunks[ci] = Some(cand.to_vec());
                 self.chunks_reused += 1;
-                continue;
-            }
-            remaining += 1;
-            let unit = self
-                .units
-                .entry((m.index, ci as u32))
-                .or_insert_with(|| CodedUnit::new(*d, Some((end - start) as u64)));
-            unit.issued = c.k as u32;
-            for frag in 0..c.k as u32 {
-                self.issue(FetchKey::Frag { index: m.index, chunk: ci as u32, frag }, *d, &mut out);
+            } else {
+                obj.remaining += 1;
+                self.issue(FetchKey::Chunk { index: m.index, chunk: ci as u32 }, *d, &mut out);
             }
         }
-        if remaining == 0 {
-            // Everything reused (or a zero-length object): assemble now.
-            let mut value = Vec::with_capacity(len);
-            for ch in chunks {
-                value.extend_from_slice(&ch.expect("no chunk outstanding"));
-            }
-            self.objects.push((m.index, Some(value)));
-        } else {
-            self.chunked.insert(m.index, ChunkedObject { len: m.len, remaining, chunks });
-        }
+        self.chunked.insert(m.index, obj);
+        self.assemble_if_whole(m.index);
         self.pump(&mut out);
         (out, self.maybe_complete())
     }
 
-    /// Handles a fragment reply: validates its geometry, banks it in the
-    /// unit, and attempts reconstruction once `k` fragments are in.
-    pub fn on_frag_reply(&mut self, m: &FragReplyMsg) -> (Vec<(u32, Message)>, Option<FetchResult>) {
+    /// Handles a chunk-bytes reply: the bytes must hash to the digest the
+    /// verified chunk list gave for that chunk, exactly as an object reply
+    /// must hash to its leaf digest.
+    pub fn on_chunk_data(&mut self, m: &ChunkDataMsg) -> (Vec<(u32, Message)>, Option<FetchResult>) {
         if self.done || m.seq != self.seq {
             return (Vec::new(), None);
         }
-        let Some(c) = self.coded else { return (Vec::new(), None) };
-        let key = FetchKey::Frag { index: m.index, chunk: m.chunk, frag: m.frag };
-        if !self.outstanding.contains_key(&key) {
-            return (Vec::new(), None);
-        }
-        let Some(unit) = self.units.get_mut(&(m.index, m.chunk)) else {
-            return (Vec::new(), None);
+        let key = FetchKey::Chunk { index: m.index, chunk: m.chunk };
+        let expected = match self.outstanding.get(&key) {
+            Some(o) => o.expected,
+            None => return (Vec::new(), None),
         };
-        // Geometry check. With a verified length (chunked mode) the reply
-        // must match it exactly; whole-object units treat the claimed
-        // length as a candidate to be arbitrated by the digest check.
-        let geometry_ok = (m.frag as usize) < c.k + c.m
-            && match unit.len {
-                Some(l) => m.len == l && m.data.len() == fec::fragment_len(l as usize, c.k),
-                None => m.data.len() == fec::fragment_len(m.len as usize, c.k),
-            };
-        if !geometry_ok {
-            self.corrupt_replies += 1;
-            let out = self.reissue(key).into_iter().collect();
-            return (out, None);
+        if crate::tree::chunk_digest(m.index, m.chunk, &m.data) != expected {
+            return self.reject(key);
         }
-        if unit.len.is_none() && !unit.lens_seen.contains(&m.len) {
-            unit.lens_seen.push(m.len);
-            unit.lens_seen.sort_unstable();
-        }
-        unit.frags.entry(m.frag).or_insert_with(|| m.data.clone());
         self.consume(key);
         self.fetched_bytes += m.data.len() as u64;
+        let obj = self.chunked.get_mut(&m.index).expect("a chunk query belongs to a chunked object");
+        obj.chunks[m.chunk as usize] = Some(m.data.clone());
+        obj.remaining -= 1;
+        self.assemble_if_whole(m.index);
         let mut out = Vec::new();
-        self.try_unit(m.index, m.chunk, &mut out);
         self.pump(&mut out);
         (out, self.maybe_complete())
     }
 
-    /// Attempts to reconstruct one coded unit from its banked fragments;
-    /// on digest failure with every issued fragment in, escalates to
-    /// parity fragments and then to a fresh fetch round (rotated sources).
-    fn try_unit(&mut self, index: u64, chunk: u32, out: &mut Vec<(u32, Message)>) {
-        let Some(c) = self.coded else { return };
-        let Some(unit) = self.units.get(&(index, chunk)) else { return };
-        if unit.frags.len() < c.k {
-            return;
-        }
-        let expected = unit.expected;
-        let check = |data: &[u8]| {
-            if chunk == CHUNK_WHOLE {
-                crate::tree::leaf_digest(index, data) == expected
-            } else {
-                crate::tree::chunk_digest(index, chunk, data) == expected
-            }
-        };
-        let candidates: Vec<u64> = match unit.len {
-            Some(l) => vec![l],
-            None => unit.lens_seen.clone(),
-        };
-        let frag_vec: Vec<(usize, Vec<u8>)> =
-            unit.frags.iter().map(|(id, d)| (*id as usize, d.clone())).collect();
-        for &len in &candidates {
-            let flen = fec::fragment_len(len as usize, c.k);
-            let fit: Vec<(usize, Vec<u8>)> =
-                frag_vec.iter().filter(|(_, d)| d.len() == flen).cloned().collect();
-            if fit.len() < c.k {
-                continue;
-            }
-            if let Some(data) = fec::reconstruct_verified(&fit, c.k, c.m, len as usize, check) {
-                self.complete_unit(index, chunk, data, out);
-                return;
-            }
-        }
-        // >= k fragments and no verifiable reconstruction: wait for the
-        // stragglers; once every issued fragment has answered, at least one
-        // banked fragment is corrupt.
-        let (received, issued, escalated) = {
-            let u = &self.units[&(index, chunk)];
-            (u.frags.len() as u32, u.issued, u.escalated)
-        };
-        if received < issued {
-            return;
-        }
-        self.corrupt_replies += 1;
-        if !escalated && c.m > 0 {
-            // Escalate: pull parity fragments so `reconstruct_verified` can
-            // vote the corrupt fragment out.
-            let u = self.units.get_mut(&(index, chunk)).expect("unit exists");
-            u.escalated = true;
-            u.issued = (c.k + c.m) as u32;
-            for frag in c.k as u32..(c.k + c.m) as u32 {
-                self.issue(FetchKey::Frag { index, chunk, frag }, expected, out);
-            }
-        } else {
-            // Even the full fragment set cannot be verified (more corrupt
-            // fragments than parity). Start the unit over — the round-robin
-            // cursor has moved on, so the retry lands on different sources.
-            let u = self.units.get_mut(&(index, chunk)).expect("unit exists");
-            u.frags.clear();
-            u.lens_seen.clear();
-            u.escalated = false;
-            u.issued = c.k as u32;
-            self.retransmissions += 1;
-            for frag in 0..c.k as u32 {
-                self.issue(FetchKey::Frag { index, chunk, frag }, expected, out);
-            }
-        }
-    }
-
-    /// Banks a verified reconstruction: cancels the unit's remaining
-    /// fragment queries and, for chunked objects, assembles the value once
-    /// the last chunk lands.
-    fn complete_unit(&mut self, index: u64, chunk: u32, data: Vec<u8>, out: &mut Vec<(u32, Message)>) {
-        let unit = self.units.remove(&(index, chunk)).expect("unit exists");
-        for frag in 0..unit.issued {
-            self.cancel(FetchKey::Frag { index, chunk, frag }, out);
-        }
-        if chunk == CHUNK_WHOLE {
-            self.objects.push((index, Some(data)));
-            return;
-        }
-        let obj = self.chunked.get_mut(&index).expect("chunked object exists");
-        let ci = chunk as usize;
-        if obj.chunks[ci].is_none() {
-            obj.chunks[ci] = Some(data);
-            obj.remaining -= 1;
-        }
-        if obj.remaining == 0 {
+    /// Moves a chunked object whose last chunk has landed (or that needed
+    /// none: everything reused, or zero length) to the install list.
+    fn assemble_if_whole(&mut self, index: u64) {
+        if self.chunked.get(&index).is_some_and(|obj| obj.remaining == 0) {
             let obj = self.chunked.remove(&index).expect("just seen");
-            let mut value = Vec::with_capacity(obj.len as usize);
+            let mut value = Vec::with_capacity(obj.len);
             for ch in obj.chunks {
                 value.extend_from_slice(&ch.expect("remaining == 0"));
             }
-            debug_assert_eq!(value.len() as u64, obj.len);
+            debug_assert_eq!(value.len(), obj.len);
             self.objects.push((index, Some(value)));
         }
     }
@@ -884,7 +709,6 @@ impl Fetcher {
         if self.done
             || !self.outstanding.is_empty()
             || !self.pending.is_empty()
-            || !self.units.is_empty()
             || !self.chunked.is_empty()
             || self.service_root.is_none()
             || self.replies_blob.is_none()
@@ -903,7 +727,6 @@ impl Fetcher {
             retransmissions: self.retransmissions,
             peak_window: self.peak_window,
             chunk_queries: self.chunk_queries,
-            frag_queries: self.frag_queries,
             chunks_reused: self.chunks_reused,
         })
     }

@@ -232,15 +232,14 @@ fn ddmin_strips_decoys_and_localizes_divergence() {
     );
 }
 
-/// Fragment drops and corruption on the coded-transfer wire (FragReply is
-/// tag 18, ChunksReply tag 16) layered over a crash that forces state
-/// transfer: every campaign invariant must still hold — corrupt fragments
-/// are shed by the per-chunk digest check and parity reconstruction, and
+/// Drops and corruption of the chunk replies (ChunkData is tag 18,
+/// ChunksReply tag 16) layered over a crash that forces state transfer:
+/// every campaign invariant must still hold — a corrupt chunk or chunk list
+/// is shed by its digest check and re-fetched from the next source, and
 /// drops are absorbed by the fetch window's retransmission.
 #[test]
-fn coded_campaign_survives_fragment_faults() {
+fn chunked_campaign_survives_chunk_reply_faults() {
     let mut h = CounterChaosHarness::new(4);
-    h.cfg.coded_transfer = true;
     h.cfg.chunk_size = 4;
     let mut schedule = FaultSchedule::new();
     schedule
@@ -267,21 +266,21 @@ fn coded_campaign_survives_fragment_faults() {
         assert_eq!(
             verdict,
             Ok(()),
-            "coded run under fragment faults failed (seed {seed}):\n{}",
+            "chunked run under chunk-reply faults failed (seed {seed}):\n{}",
             outcome.trace.join("\n")
         );
         transfers += outcome.coverage.state_transfers_completed;
     }
-    assert!(transfers > 0, "the crash window must force at least one coded state transfer");
+    assert!(transfers > 0, "the crash window must force at least one chunked state transfer");
 }
 
-/// The injected client bug's trigger buried among the new tagged fragment
+/// The injected client bug's trigger buried among tagged chunk-reply
 /// faults: ddmin must treat them as first-class schedule events — digest
 /// them, strip them as decoys and keep only the Byzantine replier.
 #[test]
-fn ddmin_strips_fragment_fault_decoys() {
+fn ddmin_strips_chunk_reply_fault_decoys() {
     let mut h = CounterChaosHarness::new(4);
-    h.cfg.coded_transfer = true;
+    h.cfg.chunk_size = 4;
     h.inject_client_bug = true;
     let mut schedule = FaultSchedule::new();
     schedule

@@ -5,8 +5,8 @@
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_pbft::messages::{
-    CertReplyMsg, CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg,
-    FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg, MetaReplyMsg, NewViewMsg,
+    CertReplyMsg, CheckpointMsg, ChunkDataMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg,
+    FetchChunkDataMsg, FetchChunksMsg, FetchMetaMsg, FetchObjectMsg, MetaReplyMsg, NewViewMsg,
     ObjectReplyMsg, PrePrepareMsg, PrepareMsg, PreparedProof, ReplyMsg, RequestMsg, StatusMsg,
     ViewChangeMsg,
 };
@@ -231,12 +231,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_map(|(seq, index, len, digests, replica)| {
                 Message::ChunksReply(ChunksReplyMsg { seq, index, len, digests, replica })
             }),
-        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), 0u32..N as u32).prop_map(
-            |(seq, index, chunk, frag, replica)| Message::FetchFrag(FetchFragMsg {
+        (any::<u64>(), any::<u64>(), any::<u32>(), 0u32..N as u32).prop_map(
+            |(seq, index, chunk, replica)| Message::FetchChunkData(FetchChunkDataMsg {
                 seq,
                 index,
                 chunk,
-                frag,
                 replica,
             })
         ),
@@ -244,13 +243,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<u64>(),
             any::<u64>(),
             any::<u32>(),
-            any::<u32>(),
-            any::<u64>(),
             proptest::collection::vec(any::<u8>(), 0..128),
             0u32..N as u32,
         )
-            .prop_map(|(seq, index, chunk, frag, len, data, replica)| {
-                Message::FragReply(FragReplyMsg { seq, index, chunk, frag, len, data, replica })
+            .prop_map(|(seq, index, chunk, data, replica)| {
+                Message::ChunkData(ChunkDataMsg { seq, index, chunk, data, replica })
             }),
     ]
 }

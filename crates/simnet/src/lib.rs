@@ -64,7 +64,6 @@ mod config;
 mod event;
 pub mod chaos;
 pub mod ddmin;
-pub mod exec;
 pub mod faults;
 pub mod metrics;
 pub mod rtt;
@@ -77,7 +76,6 @@ pub mod tracediff;
 
 pub use actor::{Actor, Context, NodeId, Payload, TimerId};
 pub use config::{LatencyModel, NetConfig};
-pub use exec::lane_makespan;
 pub use faults::{FilterAction, NetFilter};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rtt::RttEstimator;

@@ -18,7 +18,14 @@
 #   spans     the counter scenario's causal span graph: per-op span lines with
 #             the phase breakdown, and the Chrome-trace export (spans/*).
 #   bench     the bench lab's deterministic counts (bench_baseline.json),
-#             compared exactly by `bench --check`.
+#             compared exactly by `bench --check`: the E9 cell, campaign,
+#             ddmin, checkpoint, transfer and pipeline (depth 1 vs 4)
+#             sections, plus `recovery` (E4b: replica 3's catch-up with
+#             whole-object and with 1 KiB chunked leaves — bytes, queries,
+#             chunks reused, the root it certified) and `shards` (E14: sim
+#             ops/s of the disjoint and mixed workloads at 1, 2 and 4 groups,
+#             cross-shard aborts, disjoint speedups). No other file or script
+#             pins these counts.
 #
 # Usage:
 #   scripts/gate.sh                  # every gate
