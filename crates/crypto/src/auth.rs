@@ -6,26 +6,30 @@
 //! key shared between the sender and replica `j`. Each receiver checks only
 //! its own entry. This is PBFT's key performance optimization — MACs are
 //! orders of magnitude cheaper than signatures.
+//!
+//! A tag is SipHash-2-4 of the message's SHA-256 digest under the 128-bit
+//! session key: the role UMAC32 plays in the BFT library, a 64-bit tag
+//! from a function built to produce one. The digest binds the tag to the
+//! message; the forgery bound is the tag's, 2⁻⁶⁴ an attempt (`DESIGN.md`
+//! §11.5).
 
 use crate::digest::Digest;
-use crate::hmac::verify_tag;
 use crate::keys::{NodeKeys, SessionKey};
+use crate::siphash::siphash24;
+use crate::verify_tag;
 use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
 /// Length of a truncated MAC in bytes (PBFT used 8/10-byte UMAC tags).
 pub const MAC_LEN: usize = 8;
 
-/// A truncated HMAC-SHA256 tag.
+/// A SipHash-2-4 tag over a message digest.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mac(pub [u8; MAC_LEN]);
 
 impl Mac {
-    /// Computes the truncated MAC of `digest` under `key`.
+    /// Computes the MAC of `digest` under `key`.
     fn compute(key: &SessionKey, digest: &Digest) -> Mac {
-        let full = key.mac(digest.as_bytes());
-        let mut out = [0u8; MAC_LEN];
-        out.copy_from_slice(&full[..MAC_LEN]);
-        Mac(out)
+        Mac(siphash24(&key.0, digest.as_bytes()).to_le_bytes())
     }
 
     /// Whether `received` is the MAC of `digest` under `key`, compared

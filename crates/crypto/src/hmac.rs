@@ -1,4 +1,8 @@
 //! HMAC-SHA256 (RFC 2104), validated against the RFC 4231 test vectors.
+//!
+//! Used where a 32-byte output is wanted: deriving node secrets and
+//! session keys, and the simulated signatures of [`crate::sig`]. The
+//! 8-byte tags of an authenticator are not HMACs ([`crate::auth`]).
 
 use crate::sha256::{Sha256, Sha256Midstate};
 
@@ -9,8 +13,8 @@ const BLOCK_LEN: usize = 64;
 ///
 /// Deriving this once per key and instantiating MACs from it skips the two
 /// key-block compression rounds that otherwise dominate short-message
-/// MACs (PBFT authenticators MAC a 32-byte digest, so the savings are two
-/// of the four compressions per tag).
+/// MACs. The key directory keeps one per node for its signing key, so a
+/// signature over a short message costs three compressions instead of five.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HmacMidstate {
     inner: Sha256Midstate,

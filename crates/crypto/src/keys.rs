@@ -7,11 +7,12 @@
 //!
 //! In this reproduction the key-exchange handshake is replaced by
 //! deterministic derivation through the [`crate::KeyDirectory`]: the session
-//! key is `HMAC(secret_j, "sess" || i || epoch_j)`. Refreshing a node's
-//! epoch invalidates every key other nodes used to authenticate traffic to
-//! it, exactly the property proactive recovery needs.
+//! key is the first 16 bytes of `HMAC(secret_j, "sess" || i || epoch_j)`.
+//! Refreshing a node's epoch invalidates every key other nodes used to
+//! authenticate traffic to it, exactly the property proactive recovery
+//! needs. HMAC derives the key; the tags under it are SipHash-2-4
+//! ([`crate::auth`]).
 
-use crate::hmac::{HmacMidstate, HmacSha256};
 use crate::sig::KeyDirectory;
 
 /// Length of a node's root secret in bytes.
@@ -37,37 +38,15 @@ impl KeyPair {
     }
 }
 
-/// A pairwise symmetric session key.
-///
-/// Carries the precomputed HMAC ipad/opad compression states for its key
-/// bytes, so each [`SessionKey::mac`] skips the two key-block compression
-/// rounds — for the 32-byte digests PBFT authenticators MAC, that halves
-/// the hashing work per tag. The midstate is a pure function of the key
-/// bytes, so the derived equality over both fields matches key equality.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SessionKey {
-    pub(crate) key: [u8; 32],
-    /// Precomputed ipad/opad states for HMAC under `key`.
-    midstate: HmacMidstate,
-}
+/// A pairwise symmetric session key: the 128-bit key of the SipHash-2-4
+/// tags in an authenticator. Sixteen bytes and `Copy`, so a lookup in the
+/// directory hands one out by value.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SessionKey(pub(crate) [u8; 16]);
 
 impl std::fmt::Debug for SessionKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SessionKey(…)")
-    }
-}
-
-impl SessionKey {
-    /// Wraps raw key bytes, precomputing the HMAC key schedule.
-    pub(crate) fn new(key: [u8; 32]) -> Self {
-        Self { midstate: HmacMidstate::new(&key), key }
-    }
-
-    /// Computes the MAC of `message` under this key.
-    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::from_midstate(&self.midstate);
-        mac.update(message);
-        mac.finalize()
     }
 }
 
@@ -144,6 +123,12 @@ mod tests {
 
     fn dir() -> KeyDirectory {
         KeyDirectory::generate(4, 42)
+    }
+
+    #[test]
+    fn a_session_key_is_sixteen_bytes() {
+        // A SipHash key and nothing beside it: no cached key schedule.
+        assert_eq!(std::mem::size_of::<SessionKey>(), 16);
     }
 
     #[test]

