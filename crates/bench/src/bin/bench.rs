@@ -434,14 +434,11 @@ fn measure_transfer() -> TransferOut {
 struct PipelineOut {
     serial_sim_ops_per_sec: u64,
     piped_sim_ops_per_sec: u64,
-    piped_exec_groups_milli: u64,
-    piped_exec_serial_ns: u64,
 }
 
 /// Pipeline pair: the E9 cell with `pipeline_depth = 1` versus
 /// [`PIPE_DEPTH`], both at the same raised inflight window. All sim
-/// quantities are deterministic; the mean group occupancy is recorded in
-/// milligroups to keep the JSON schema integral.
+/// quantities are deterministic.
 fn measure_pipeline() -> PipelineOut {
     let serial = measure_throughput_with(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES, |cfg| {
         cfg.max_inflight = PIPE_MAX_INFLIGHT;
@@ -457,8 +454,6 @@ fn measure_pipeline() -> PipelineOut {
     PipelineOut {
         serial_sim_ops_per_sec: rate(&serial),
         piped_sim_ops_per_sec: rate(&piped),
-        piped_exec_groups_milli: (piped.exec_groups_mean * 1000.0).round() as u64,
-        piped_exec_serial_ns: piped.exec_serial_ns,
     }
 }
 
@@ -628,8 +623,7 @@ impl BenchReport {
              \"transfer\":{{\"window\":{},\"rounds_serial\":{},\"rounds_windowed\":{},\
              \"meta_queries\":{},\"objects_fetched\":{},\"fetched_bytes\":{}}},\
              \"pipeline\":{{\"depth\":{},\"serial_sim_ops_per_sec\":{},\
-             \"piped_sim_ops_per_sec\":{},\"exec_groups_milli\":{},\
-             \"exec_serial_ns\":{}}},{},{}}}",
+             \"piped_sim_ops_per_sec\":{}}},{},{}}}",
             E9_CLIENTS,
             self.e9_ops,
             self.e9_sim_ops_per_sec,
@@ -654,8 +648,6 @@ impl BenchReport {
             PIPE_DEPTH,
             self.pipeline.serial_sim_ops_per_sec,
             self.pipeline.piped_sim_ops_per_sec,
-            self.pipeline.piped_exec_groups_milli,
-            self.pipeline.piped_exec_serial_ns,
             self.recovery.to_json(),
             self.shards.to_json(),
         );
@@ -698,13 +690,10 @@ impl BenchReport {
             self.transfer.fetched_bytes
         );
         println!(
-            "pipeline: depth={} serial_ops/s={} piped_ops/s={} groups/batch={:.2} \
-             exec_serial={}ms",
+            "pipeline: depth={} serial_ops/s={} piped_ops/s={}",
             PIPE_DEPTH,
             self.pipeline.serial_sim_ops_per_sec,
-            self.pipeline.piped_sim_ops_per_sec,
-            self.pipeline.piped_exec_groups_milli as f64 / 1000.0,
-            self.pipeline.piped_exec_serial_ns / 1_000_000
+            self.pipeline.piped_sim_ops_per_sec
         );
         for (name, c) in [("whole", &self.recovery.whole), ("chunked", &self.recovery.chunked)] {
             println!(
@@ -760,10 +749,7 @@ const CHECKED: &[(&str, &[&str])] = &[
         "transfer",
         &["rounds_serial", "rounds_windowed", "meta_queries", "objects_fetched", "fetched_bytes"],
     ),
-    (
-        "pipeline",
-        &["serial_sim_ops_per_sec", "piped_sim_ops_per_sec", "exec_groups_milli", "exec_serial_ns"],
-    ),
+    ("pipeline", &["serial_sim_ops_per_sec", "piped_sim_ops_per_sec"]),
     ("recovery.whole", RECOVERY_FIELDS),
     ("recovery.chunked", RECOVERY_FIELDS),
     (

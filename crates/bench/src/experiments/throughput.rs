@@ -32,12 +32,6 @@ pub struct ThroughputSample {
     /// The raw causal trace the phases were derived from, for the span
     /// snapshot gate and the Perfetto exporter.
     pub trace: Vec<base_simnet::TraceEvent>,
-    /// Mean conflict groups per executed batch at the primary
-    /// (`base.exec_groups`).
-    pub exec_groups_mean: f64,
-    /// Summed serialized execution cost across the primary's batches
-    /// (`base.exec_serial_ns`).
-    pub exec_serial_ns: u64,
 }
 
 /// Runs one E9 cell and returns its measurements.
@@ -125,10 +119,6 @@ pub fn measure_throughput_with(
         }
     }
     assert!(occupancy.count() > 0, "replica recorded no executed batches");
-    let svc_metrics = &sim.actor_as::<KvReplica>(replicas[0]).unwrap().service().metrics;
-    let exec_groups_mean =
-        svc_metrics.histogram("base.exec_groups").map_or(0.0, |h| h.mean());
-    let exec_serial_ns = svc_metrics.histogram("base.exec_serial_ns").map_or(0, |h| h.sum());
     let trace = sim.trace_snapshot();
     let phases = PhaseBreakdown::from_spans(&build_spans(&trace));
     assert_eq!(phases.ops, total_ops, "every completed op must reconstruct a span");
@@ -141,8 +131,6 @@ pub fn measure_throughput_with(
         p999_latency_ns: latency.quantile(0.999),
         phases,
         trace,
-        exec_groups_mean,
-        exec_serial_ns,
     }
 }
 
@@ -230,13 +218,7 @@ pub fn run_throughput() {
     // execution: depth is what moves agreed throughput.
     let mut p = Table::new(
         "E9 pipeline: agreement/execution decoupling at 8 clients",
-        &[
-            "depth",
-            "makespan (s)",
-            "throughput (ops/s)",
-            "groups per batch",
-            "exec serial (ms)",
-        ],
+        &["depth", "makespan (s)", "throughput (ops/s)"],
     );
     for depth in [1u64, 4] {
         let o = measure_throughput_with(8, ops_per_client, 0, |cfg| {
@@ -248,8 +230,6 @@ pub fn run_throughput() {
             depth.to_string(),
             format!("{secs:.3}"),
             format!("{:.0}", o.ops as f64 / secs),
-            format!("{:.2}", o.exec_groups_mean),
-            format!("{:.2}", o.exec_serial_ns as f64 / 1e6),
         ]);
     }
     p.print();

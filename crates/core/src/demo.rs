@@ -46,7 +46,7 @@ fn slot_of(key: &str) -> u64 {
 /// would answer with `err` (unknown verb, missing key) gets a conservative
 /// `None` — whole-state conflict — rather than a guess.
 pub fn kv_footprint(op: &[u8]) -> Option<Footprint> {
-    let text = String::from_utf8_lossy(op).into_owned();
+    let text = String::from_utf8_lossy(op);
     let mut parts = text.splitn(3, ' ');
     let verb = parts.next().unwrap_or("");
     let key = parts.next().unwrap_or("");
@@ -292,7 +292,7 @@ impl Wrapper for KvWrapper {
         env: &mut ExecEnv<'_>,
     ) -> Vec<u8> {
         env.charge(self.op_cost);
-        let text = String::from_utf8_lossy(op).into_owned();
+        let text = String::from_utf8_lossy(op);
         let mut parts = text.splitn(3, ' ');
         let verb = parts.next().unwrap_or("");
         let key = parts.next().unwrap_or("");
@@ -332,10 +332,6 @@ impl Wrapper for KvWrapper {
             }
             _ => b"err".to_vec(),
         }
-    }
-
-    fn footprint(&self, op: &[u8]) -> Option<Footprint> {
-        kv_footprint(op)
     }
 
     fn get_obj(&self, index: u64) -> Option<Vec<u8>> {

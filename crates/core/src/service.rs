@@ -1,7 +1,7 @@
 //! [`BaseService`]: the abstraction layer between the replication protocol
 //! and a conformance wrapper.
 
-use crate::wrapper::{Footprint, ModifyLog, Wrapper};
+use crate::wrapper::{ModifyLog, Wrapper};
 use base_crypto::Digest;
 use base_pbft::tree::{chunk_digest, chunked_leaf_from_digests, leaf_digest};
 use base_pbft::{CostModel, ExecEnv, PartitionTree, Service};
@@ -122,53 +122,6 @@ fn digest_one_chunked(
         Some(None)
     };
     DigestOutcome { digest, snapshot, hashed_bytes, chunks_reused: reused, chunks_rehashed: rehashed }
-}
-
-/// Partitions a batch into conflict groups from per-operation footprints.
-///
-/// Two operations land in the same group when they (transitively) conflict:
-/// either's writes intersect the other's reads or writes, or either has no
-/// declared footprint (`None` conflicts with everything, so a batch of
-/// footprint-less operations degenerates to one group — sequential
-/// batch-order execution, the pre-pipelining behaviour).
-///
-/// The result is a deterministic function of the footprints alone: groups
-/// are ordered by their smallest member index and each group lists its
-/// members in ascending batch order. Non-conflicting groups touch disjoint
-/// abstract objects by construction, so executing them in any interleaving
-/// yields the same abstract state and replies as sequential batch order —
-/// which is exactly what the conflict-partition proptests assert.
-pub fn conflict_groups(footprints: &[Option<Footprint>]) -> Vec<Vec<usize>> {
-    let n = footprints.len();
-    // Union-find with the invariant that a root is its set's minimum index,
-    // so group identity (and thus order) never depends on union order.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for i in 0..n {
-        for j in 0..i {
-            let conflict = match (&footprints[i], &footprints[j]) {
-                (Some(a), Some(b)) => a.conflicts_with(b),
-                _ => true,
-            };
-            if conflict {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri.max(rj)] = ri.min(rj);
-                }
-            }
-        }
-    }
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..n {
-        groups.entry(find(&mut parent, i)).or_default().push(i);
-    }
-    groups.into_values().collect()
 }
 
 /// Implements the replication library's [`Service`] interface on top of a
@@ -340,36 +293,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         self.stats.preimage_copies += copies;
         self.metrics.add("base.preimage_copies", copies);
         result
-    }
-
-    fn execute_batch(
-        &mut self,
-        ops: &[(&[u8], u32)],
-        nondet: &[u8],
-        env: &mut ExecEnv<'_>,
-    ) -> Vec<Vec<u8>> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        // Per-op abstract footprints, then the conflict partition. Both
-        // are deterministic functions of the batch, so all replicas derive
-        // the same schedule.
-        let fps: Vec<Option<Footprint>> =
-            ops.iter().map(|(op, _)| self.wrapper.footprint(op)).collect();
-        let groups = conflict_groups(&fps);
-        // Groups run in deterministic order (smallest member first),
-        // results merge back by batch index.
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; ops.len()];
-        let before = env.charged().as_nanos();
-        for group in &groups {
-            for &i in group {
-                let (op, client) = ops[i];
-                results[i] = Some(self.execute(op, client, nondet, false, env));
-            }
-        }
-        self.metrics.observe("base.exec_groups", groups.len() as u64);
-        self.metrics.observe("base.exec_serial_ns", env.charged().as_nanos() - before);
-        results.into_iter().map(|r| r.expect("every group member executed")).collect()
     }
 
     fn set_chunk_size(&mut self, chunk_size: usize) {

@@ -314,10 +314,8 @@ impl<S: Service> Service for ShardLockService<S> {
         self.inner.execute(op, client, nondet, read_only, env)
     }
 
-    // `execute_batch` deliberately uses the trait default (sequential
-    // through `execute`): every operation must pass the lock check. The
-    // inner service's conflict grouping is bypassed, which changes no
-    // reply and no charge — grouping only reorders independent operations.
+    // `execute_batch` is the trait default, sequential through `execute`:
+    // every operation must pass the lock check.
 
     fn set_chunk_size(&mut self, chunk_size: usize) {
         self.inner.set_chunk_size(chunk_size);

@@ -73,12 +73,13 @@ impl ModifyLog {
 }
 
 /// The abstract-object read/write footprint of one operation, used by the
-/// execution stage to partition a committed batch into conflict groups.
+/// shard router to route it and by [`crate::ShardLockService`] to decide
+/// whether it collides with a held cross-shard lock.
 ///
 /// Two operations *conflict* when either writes an object the other reads
 /// or writes. Non-conflicting operations commute on the abstract state and
-/// produce order-independent replies, so the executor may group them
-/// freely; conflicting operations always stay in batch order.
+/// produce order-independent replies (`proptest_conflicts.rs` holds the
+/// KV footprint to that).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// Abstract object indices the operation may read.
@@ -187,17 +188,11 @@ pub trait Wrapper: 'static {
         ts.abs_diff(clock) <= NONDET_SKEW_TOLERANCE_NS
     }
 
-    /// The abstract-object footprint of `op`, or `None` when it cannot be
-    /// determined without executing (the conservative default): a `None`
-    /// footprint conflicts with everything, so the batch degenerates to
-    /// sequential batch-order execution and existing wrappers stay correct
-    /// unchanged.
-    ///
-    /// Must be a pure function of `op` and the wrapper's current state
-    /// (`&self`), and must *over*-approximate: every object `execute` might
-    /// read must appear in `reads` or `writes`, every object it might
-    /// change in `writes`. Under-approximation breaks the equivalence to
-    /// sequential execution that the differential suite checks.
+    /// Does nothing and is called by nothing in `crates/`: footprints are
+    /// plain functions (`demo::kv_footprint`, `shard::counter_footprint`)
+    /// handed to the shard router and the lock service. It exists only
+    /// because `benchmark/src/trace.rs:574` overrides it to forward to the
+    /// wrapper it times, and goes when that override does (ROADMAP item 2).
     fn footprint(&self, op: &[u8]) -> Option<Footprint> {
         let _ = op;
         None

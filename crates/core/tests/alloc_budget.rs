@@ -2,7 +2,9 @@
 //!
 //! A message is encoded once and hashed where it lies (DESIGN.md §11): the
 //! normal-case path allocates once per message sent and nothing per digest
-//! or signature check. This test holds that in place with a counting
+//! or signature check, and an authenticator of a four-replica group lives
+//! in place, so building one and decoding a prepare or commit allocate
+//! nothing (§11.6). This test holds that in place with a counting
 //! allocator: it drives a four-replica `KvWrapper` group and one client
 //! through 256 writes and 256 read-only gets and asserts a ceiling on the
 //! allocations each costs, end to end (the four replicas, the client and
@@ -13,7 +15,9 @@
 //!
 //! It also holds the decoder's reservation in place: a counted array
 //! reserves no more memory than there are bytes left to decode, whatever
-//! count a hostile frame claims (decode runs before any MAC is looked at).
+//! count a hostile frame claims (decode runs before any MAC is looked at),
+//! and an authenticator whose tag count outruns its frame is refused
+//! before any storage is made for it.
 //!
 //! The only test in its binary, because the counter is process-wide.
 
@@ -74,15 +78,12 @@ fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
     LARGEST.load(Relaxed)
 }
 
-/// Ceilings per operation, end to end: measured 145.73 and 33.00 (157.11
-/// and 44.67 before the per-message containers went dense, DESIGN.md
-/// §11.4). That change was about what a message costs to *index* — a hash,
-/// a tree descent, a heap sift past dead timers — and the dozen
-/// allocations it saved per operation (tree nodes, a hash set per reply
-/// digest, the cloned reply body) are a by-product: the rows above it in
-/// the census did not move.
-const WRITE_CEILING: f64 = 160.0;
-const READ_CEILING: f64 = 36.0;
+/// Ceilings per operation, end to end: measured 68.73 and 24.00 (141.73
+/// and 33.00 before authenticators went inline and the conflict partition
+/// left the execute path, DESIGN.md §11.6; 157.11 and 44.67 before the
+/// per-message containers went dense, §11.4).
+const WRITE_CEILING: f64 = 76.0;
+const READ_CEILING: f64 = 27.0;
 const OPS: usize = 256;
 const SEED: u64 = 18;
 /// Length of the hostile frame.
@@ -146,7 +147,9 @@ type Row = (&'static str, Vec<u64>, Option<u64>);
 /// Per-message operations, counted one call at a time on messages shaped
 /// like the ones a 16-byte `put` produces. Pinned is what this budget
 /// exists to keep: one allocation per message sent (the `Arc<[u8]>` it
-/// travels in) and none per digest or signature check.
+/// travels in), none per digest or signature check, and none to build an
+/// authenticator or to decode the two messages that carry nothing else
+/// of variable size.
 fn census() -> Vec<Row> {
     let dir = KeyDirectory::generate(5, SEED);
     let client = NodeKeys::new(dir.clone(), 4);
@@ -211,14 +214,19 @@ fn census() -> Vec<Row> {
             Some(0),
         ),
         (
-            "decode: request / reply / prepare / commit / pre-prepare(1 request)",
-            (0..wires.len()).map(|i| allocs_in(|| fresh(i))).collect(),
+            "decode: request / reply / pre-prepare(1 request)",
+            [0, 1, 4].into_iter().map(|i| allocs_in(|| fresh(i))).collect(),
             None,
+        ),
+        (
+            "decode: prepare / commit",
+            [2, 3].into_iter().map(|i| allocs_in(|| fresh(i))).collect(),
+            Some(0),
         ),
         (
             "`Authenticator::generate`, n = 4",
             vec![allocs_in(|| Authenticator::generate(&replica, 4, &digest))],
-            None,
+            Some(0),
         ),
     ]
 }
@@ -266,9 +274,24 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
         largest_alloc_in(|| assert!(Message::from_wire(&frame).is_none()))
     };
     let (reserved, arrived) = (largest_rejecting(u32::MAX), largest_rejecting(0));
+    // An authenticator frame claiming `u32::MAX` tags, and one claiming a
+    // tag more than the bytes behind its count hold.
+    let over = (FRAME_LEN as u32 - 4) / 8 + 1;
+    let auth_reserved = [u32::MAX, over].map(|count| {
+        let mut frame = vec![0u8; FRAME_LEN];
+        frame[..4].copy_from_slice(&count.to_be_bytes());
+        largest_alloc_in(|| assert!(base_xdr::from_bytes::<Authenticator>(&frame).is_err()))
+    });
     println!(
         "| largest single allocation rejecting a {FRAME_LEN} B `NewView` frame that claims \
          16 380 view changes: none decodes / 712 empty ones do | {reserved} B / {arrived} B |"
+    );
+    println!(
+        "| largest single allocation rejecting a {FRAME_LEN} B authenticator that claims \
+         {} / {over} tags | {} B / {} B |",
+        u32::MAX,
+        auth_reserved[0],
+        auth_reserved[1]
     );
     println!("| one write, end to end (4 replicas, client, simulator) | {per_write:.2} |");
     println!("| one read-only get, end to end | {per_read:.2} |");
@@ -281,6 +304,10 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
     assert!(
         reserved <= FRAME_LEN as u64,
         "decode reserved {reserved} bytes on the word of a {FRAME_LEN}-byte frame"
+    );
+    assert!(
+        auth_reserved.iter().all(|&r| r <= FRAME_LEN as u64),
+        "refusing a hostile authenticator reserved {auth_reserved:?} bytes"
     );
     assert!(per_write <= WRITE_CEILING, "a write made {per_write:.2} allocations");
     assert!(per_read <= READ_CEILING, "a read-only get made {per_read:.2} allocations");

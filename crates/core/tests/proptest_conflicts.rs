@@ -1,12 +1,17 @@
-//! Property tests for the conflict-footprint partitioner of the execution
-//! stage: grouped execution must be indistinguishable from sequential
-//! execution (same replies, same abstract state), groups must never share
-//! a declared object, and the grouping itself must be deterministic — the
-//! scheduler can never become a nondeterminism source.
+//! The footprint contract: two KV operations whose `kv_footprint`s do not
+//! conflict commute. The shard router routes by footprint and
+//! `ShardLockService` answers `xbusy` only to an operation whose footprint
+//! meets a held lock, so both rely on an operation never touching — in its
+//! reply or in the abstract state — anything its footprint leaves out.
+//!
+//! Property: any order of a batch that keeps every conflicting pair in
+//! batch order (an operation without a footprint conflicts with
+//! everything) gives the per-operation replies and the checkpoint root of
+//! batch order.
 
-use base::demo::{KvWrapper, TinyKv};
-use base::service::conflict_groups;
-use base::{BaseService, Footprint, Wrapper};
+use base::demo::{kv_footprint, KvWrapper, TinyKv};
+use base::BaseService;
+use base_crypto::Digest;
 use base_pbft::{ExecEnv, Service};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,6 +24,8 @@ enum Op {
     Get(u8),
     Del(u8),
     Mtime(u8),
+    /// A verb the wrapper answers `err` to: no footprint.
+    Junk(u8),
 }
 
 impl Op {
@@ -28,114 +35,90 @@ impl Op {
             Op::Get(k) => format!("get k{k}").into_bytes(),
             Op::Del(k) => format!("del k{k}").into_bytes(),
             Op::Mtime(k) => format!("mtime k{k}").into_bytes(),
+            Op::Junk(k) => format!("frob k{k}").into_bytes(),
         }
     }
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..12, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
-        (0u8..12).prop_map(Op::Get),
-        (0u8..12).prop_map(Op::Del),
-        (0u8..12).prop_map(Op::Mtime),
+        4 => (0u8..12, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
+        3 => (0u8..12).prop_map(Op::Get),
+        2 => (0u8..12).prop_map(Op::Del),
+        2 => (0u8..12).prop_map(Op::Mtime),
+        1 => (0u8..12).prop_map(Op::Junk),
     ]
 }
 
-fn arb_batch() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(arb_op(), 1..24)
+/// Whether `a` and `b` may not be reordered.
+fn conflict(a: &[u8], b: &[u8]) -> bool {
+    match (kv_footprint(a), kv_footprint(b)) {
+        (Some(fa), Some(fb)) => fa.conflicts_with(&fb),
+        _ => true,
+    }
 }
 
-/// Runs `ops` as one batch through [`Service::execute_batch`]; returns
-/// (replies, checkpoint root).
-fn run_batched(ops: &[Op], nondet: &[u8]) -> (Vec<Vec<u8>>, base_crypto::Digest) {
-    let mut svc = BaseService::new(KvWrapper::new(TinyKv::default()));
-    let rendered: Vec<Vec<u8>> = ops.iter().map(Op::render).collect();
-    let batch: Vec<(&[u8], u32)> = rendered.iter().map(|o| (o.as_slice(), 7u32)).collect();
+/// A schedule of `ops` that keeps every conflicting pair in batch order:
+/// at each step `picks` chooses among the operations whose conflicting
+/// predecessors have all run.
+fn conflict_respecting_order(ops: &[Vec<u8>], picks: &[usize]) -> Vec<usize> {
+    let mut done = vec![false; ops.len()];
+    let mut order = Vec::with_capacity(ops.len());
+    for step in 0..ops.len() {
+        let ready: Vec<usize> = (0..ops.len())
+            .filter(|&i| !done[i] && (0..i).all(|j| done[j] || !conflict(&ops[j], &ops[i])))
+            .collect();
+        let next = ready[picks[step % picks.len()] % ready.len()];
+        done[next] = true;
+        order.push(next);
+    }
+    order
+}
+
+fn service() -> BaseService<KvWrapper> {
+    BaseService::new(KvWrapper::new(TinyKv::default()))
+}
+
+const NONDET: [u8; 8] = 5_000u64.to_be_bytes();
+
+/// Runs the batch through [`Service::execute_batch`]: (replies, root).
+fn run_in_batch_order(ops: &[Vec<u8>]) -> (Vec<Vec<u8>>, Digest) {
+    let mut svc = service();
+    let batch: Vec<(&[u8], u32)> = ops.iter().map(|o| (o.as_slice(), 7u32)).collect();
     let mut rng = StdRng::seed_from_u64(42);
     let mut env = ExecEnv::new(1_000, &mut rng);
-    let replies = svc.execute_batch(&batch, nondet, &mut env);
+    let replies = svc.execute_batch(&batch, &NONDET, &mut env);
     let root = svc.take_checkpoint(8, &mut env);
     (replies, root)
 }
 
-/// Runs `ops` one at a time in order (the sequential baseline).
-fn run_sequential(ops: &[Op], nondet: &[u8]) -> (Vec<Vec<u8>>, base_crypto::Digest) {
-    let mut svc = BaseService::new(KvWrapper::new(TinyKv::default()));
+/// Runs the operations one at a time in `order`: replies by batch
+/// position, and the root.
+fn run_in(ops: &[Vec<u8>], order: &[usize]) -> (Vec<Vec<u8>>, Digest) {
+    let mut svc = service();
     let mut rng = StdRng::seed_from_u64(42);
     let mut env = ExecEnv::new(1_000, &mut rng);
-    let replies: Vec<Vec<u8>> =
-        ops.iter().map(|op| svc.execute(&op.render(), 7, nondet, false, &mut env)).collect();
+    let mut replies = vec![Vec::new(); ops.len()];
+    for &i in order {
+        replies[i] = svc.execute(&ops[i], 7, &NONDET, false, &mut env);
+    }
     let root = svc.take_checkpoint(8, &mut env);
     (replies, root)
-}
-
-fn footprints_of(ops: &[Op]) -> Vec<Option<Footprint>> {
-    let w = KvWrapper::new(TinyKv::default());
-    ops.iter().map(|op| w.footprint(&op.render())).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Conflict-grouped batch execution produces exactly the replies and
-    /// abstract state of sequential in-order execution.
     #[test]
-    fn grouped_execution_matches_sequential(ops in arb_batch()) {
-        let nondet = 5_000u64.to_be_bytes();
-        let (seq_replies, seq_root) = run_sequential(&ops, &nondet);
-        let (replies, root) = run_batched(&ops, &nondet);
-        prop_assert_eq!(replies, seq_replies, "replies diverged");
-        prop_assert_eq!(root, seq_root, "abstract state diverged");
-    }
-
-    /// Two operations placed in different groups never share a declared
-    /// object with a write on either side — and an op with no declared
-    /// footprint (the conservative default) is never separated from
-    /// anything.
-    #[test]
-    fn groups_never_share_objects(ops in arb_batch()) {
-        let fps = footprints_of(&ops);
-        let groups = conflict_groups(&fps);
-        // Every index appears exactly once.
-        let mut seen: Vec<usize> = groups.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..ops.len()).collect::<Vec<_>>());
-        for (gi, ga) in groups.iter().enumerate() {
-            for gb in groups.iter().skip(gi + 1) {
-                for &i in ga {
-                    for &j in gb {
-                        match (&fps[i], &fps[j]) {
-                            (Some(a), Some(b)) => prop_assert!(
-                                !a.conflicts_with(b),
-                                "ops {} and {} conflict but were separated",
-                                i,
-                                j
-                            ),
-                            _ => prop_assert!(
-                                false,
-                                "op without a footprint must conflict with everything"
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The grouping is a pure function of the footprints: recomputing it
-    /// (and recomputing the footprints themselves) yields the identical
-    /// partition, and members stay in batch order.
-    #[test]
-    fn grouping_is_deterministic(ops in arb_batch()) {
-        let fps = footprints_of(&ops);
-        let a = conflict_groups(&fps);
-        let b = conflict_groups(&footprints_of(&ops));
-        prop_assert_eq!(&a, &b);
-        for group in &a {
-            prop_assert!(group.windows(2).all(|w| w[0] < w[1]), "batch order inside a group");
-        }
-        // Groups are ordered by their smallest member.
-        let heads: Vec<usize> = a.iter().map(|g| g[0]).collect();
-        prop_assert!(heads.windows(2).all(|w| w[0] < w[1]), "groups ordered by first member");
+    fn conflict_respecting_orders_match_batch_order(
+        ops in proptest::collection::vec(arb_op(), 1..24),
+        picks in proptest::collection::vec(any::<usize>(), 1..24),
+    ) {
+        let ops: Vec<Vec<u8>> = ops.iter().map(Op::render).collect();
+        let order = conflict_respecting_order(&ops, &picks);
+        let (want_replies, want_root) = run_in_batch_order(&ops);
+        let (replies, root) = run_in(&ops, &order);
+        prop_assert_eq!(replies, want_replies, "order {:?}", order);
+        prop_assert_eq!(root, want_root, "order {:?}", order);
     }
 }

@@ -54,19 +54,61 @@ impl XdrDecode for Mac {
     }
 }
 
+/// Tags an authenticator keeps in place: one f = 1 group (n = 3f + 1).
+const INLINE: usize = 4;
+
+/// An authenticator's tags. Which variant holds them follows from their
+/// count alone — [`INLINE`] or fewer in place, more in one heap block — so
+/// a group of four allocates nothing to build, decode or log one.
+#[derive(Clone, Debug)]
+enum Tags {
+    Inline { len: u8, macs: [Mac; INLINE] },
+    Heap(Vec<Mac>),
+}
+
 /// An authenticator: one MAC per receiver, indexed by node id.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Authenticator {
-    macs: Vec<Mac>,
+    tags: Tags,
 }
 
 impl Authenticator {
+    /// `n` all-zero tags, in the storage `n` calls for.
+    fn zeroed(n: usize) -> Self {
+        let zero = Mac([0; MAC_LEN]);
+        let tags = if n <= INLINE {
+            Tags::Inline { len: n as u8, macs: [zero; INLINE] }
+        } else {
+            Tags::Heap(vec![zero; n])
+        };
+        Self { tags }
+    }
+
+    fn macs(&self) -> &[Mac] {
+        match &self.tags {
+            Tags::Inline { len, macs } => &macs[..usize::from(*len)],
+            Tags::Heap(macs) => macs,
+        }
+    }
+
+    fn macs_mut(&mut self) -> &mut [Mac] {
+        match &mut self.tags {
+            Tags::Inline { len, macs } => &mut macs[..usize::from(*len)],
+            Tags::Heap(macs) => macs,
+        }
+    }
+
     /// Generates an authenticator over `digest` for receivers `0..n`.
     ///
     /// The sender's own slot is filled with a self-MAC so indices line up;
     /// it is never checked.
     pub fn generate(keys: &NodeKeys, n: usize, digest: &Digest) -> Self {
-        Self { macs: keys.map_keys_to(n, |key| Mac::compute(key, digest)) }
+        let mut auth = Self::zeroed(n);
+        let mut slots = auth.macs_mut().iter_mut();
+        keys.for_each_key_to(n, |key| {
+            *slots.next().expect("one slot per receiver") = Mac::compute(key, digest);
+        });
+        auth
     }
 
     /// Computes a single point-to-point MAC (used for replies to clients).
@@ -85,7 +127,7 @@ impl Authenticator {
     /// Checks this receiver's entry, for a message received from `from`
     /// (as claimed by the frame; an id outside the directory fails).
     pub fn check(&self, keys: &NodeKeys, from: usize, digest: &Digest) -> bool {
-        match (self.macs.get(keys.id()), keys.key_from(from)) {
+        match (self.macs().get(keys.id()), keys.key_from(from)) {
             (Some(mac), Some(key)) => Mac::verify(&key, digest, mac),
             _ => false,
         }
@@ -93,31 +135,54 @@ impl Authenticator {
 
     /// Number of MAC entries.
     pub fn len(&self) -> usize {
-        self.macs.len()
+        self.macs().len()
     }
 
     /// Returns true if the authenticator carries no entries.
     pub fn is_empty(&self) -> bool {
-        self.macs.is_empty()
+        self.macs().is_empty()
     }
 
     /// Corrupts every entry (test/fault-injection helper).
     pub fn corrupt(&mut self) {
-        for mac in &mut self.macs {
+        for mac in self.macs_mut() {
             mac.0[0] ^= 0xff;
         }
     }
 }
 
+impl Default for Authenticator {
+    fn default() -> Self {
+        Self::zeroed(0)
+    }
+}
+
+impl PartialEq for Authenticator {
+    fn eq(&self, other: &Self) -> bool {
+        self.macs() == other.macs()
+    }
+}
+
+impl Eq for Authenticator {}
+
+/// On the wire an authenticator is a counted array of tags, whichever
+/// storage holds them.
 impl XdrEncode for Authenticator {
     fn encode(&self, enc: &mut XdrEncoder) {
-        base_xdr::encode_vec(&self.macs, enc);
+        base_xdr::encode_vec(self.macs(), enc);
     }
 }
 
 impl XdrDecode for Authenticator {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Self { macs: base_xdr::decode_vec(dec)? })
+        // A count the rest of the frame cannot hold is refused before
+        // anything is reserved, so the heap block is never larger than
+        // the frame.
+        let mut auth = Self::zeroed(dec.get_count(MAC_LEN)?);
+        for mac in auth.macs_mut() {
+            *mac = Mac::decode(dec)?;
+        }
+        Ok(auth)
     }
 }
 
@@ -187,7 +252,7 @@ mod tests {
             let d = Digest::of(payload);
             let auth = Authenticator::generate(&a, 4, &d);
             for j in 0..4 {
-                assert_eq!(auth.macs[j], Mac::compute(&a.key_to(j).unwrap(), &d), "entry {j}");
+                assert_eq!(auth.macs()[j], Mac::compute(&a.key_to(j).unwrap(), &d), "entry {j}");
             }
         }
     }
@@ -199,6 +264,20 @@ mod tests {
         let mac = Authenticator::point(&a, 1, &d);
         assert!(Authenticator::check_point(&b, 0, &d, &mac));
         assert!(!Authenticator::check_point(&b, 2, &d, &mac));
+    }
+
+    #[test]
+    fn storage_follows_the_count() {
+        let (a, _, _) = setup();
+        let d = Digest::of(b"m");
+        for n in [0, 1, INLINE] {
+            let auth = Authenticator::generate(&a, n, &d);
+            assert!(matches!(auth.tags, Tags::Inline { .. }), "n = {n}");
+        }
+        // Only nodes of the directory have keys, so the spill case needs
+        // a larger one.
+        let big = NodeKeys::new(KeyDirectory::generate(INLINE + 1, 3), 0);
+        assert!(matches!(Authenticator::generate(&big, INLINE + 1, &d).tags, Tags::Heap(_)));
     }
 
     #[test]

@@ -80,10 +80,10 @@ impl NodeKeys {
         self.dir.session_key(self.id, to)
     }
 
-    /// Calls `f` with `key_to(j)` for each `j` in `0..n`, in one visit to
-    /// the directory.
-    pub(crate) fn map_keys_to<T>(&self, n: usize, f: impl FnMut(&SessionKey) -> T) -> Vec<T> {
-        self.dir.map_keys_to(self.id, n, f)
+    /// Calls `f` with `key_to(j)` for each `j` in `0..n`, in order, in one
+    /// visit to the directory.
+    pub(crate) fn for_each_key_to(&self, n: usize, f: impl FnMut(&SessionKey)) {
+        self.dir.for_each_key_to(self.id, n, f);
     }
 
     /// Session key for verifying messages this node *receives from* `from`;

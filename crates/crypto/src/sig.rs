@@ -159,19 +159,16 @@ impl KeyDirectory {
     ///
     /// Panics if `sender` or a receiver is not a node of this directory
     /// (both come from the caller's configuration, not from a frame).
-    pub(crate) fn map_keys_to<T>(
-        &self,
-        sender: usize,
-        n: usize,
-        mut f: impl FnMut(&SessionKey) -> T,
-    ) -> Vec<T> {
-        let mut out = Vec::with_capacity(n);
+    pub(crate) fn for_each_key_to(&self, sender: usize, n: usize, mut f: impl FnMut(&SessionKey)) {
         let mut inner = self.inner.read().expect("key directory poisoned");
-        while out.len() < n {
-            let receiver = out.len();
+        let mut receiver = 0;
+        while receiver < n {
             let slot = inner.slot(sender, receiver).expect("receivers are nodes");
             match &inner.session[slot] {
-                Some(key) => out.push(f(key)),
+                Some(key) => {
+                    f(key);
+                    receiver += 1;
+                }
                 None => {
                     // First use under this epoch: derive and memoize it
                     // under the write lock, then carry on reading.
@@ -181,7 +178,6 @@ impl KeyDirectory {
                 }
             }
         }
-        out
     }
 
     /// Bumps `node`'s receive-key epoch (proactive-recovery key refresh),

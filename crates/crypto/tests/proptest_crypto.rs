@@ -1,7 +1,29 @@
 //! Property tests for the crypto substrate.
 
-use base_crypto::{hmac_sha256, Authenticator, Digest, KeyDirectory, NodeKeys, Sha256};
+use base_crypto::{hmac_sha256, Authenticator, Digest, KeyDirectory, Mac, NodeKeys, Sha256};
+use base_xdr::XdrError;
 use proptest::prelude::*;
+
+/// An authenticator of four tags or fewer lives in place, a larger one in
+/// one heap block; either is no bigger than this.
+#[test]
+fn an_authenticator_is_at_most_forty_bytes() {
+    assert!(std::mem::size_of::<Authenticator>() <= 40);
+}
+
+/// A count of tags the frame cannot hold is refused before any storage is
+/// made for it: `u32::MAX`, and one tag more than the bytes behind the
+/// count. (`alloc_budget` pins that refusing allocates no more than the
+/// frame.)
+#[test]
+fn hostile_tag_counts_are_rejected() {
+    for (count, tags) in [(u32::MAX, 4usize), (5, 4), (1, 0), (1_000, 999)] {
+        let mut frame = count.to_be_bytes().to_vec();
+        frame.resize(4 + tags * base_crypto::MAC_LEN, 0xa5);
+        let got = base_xdr::from_bytes::<Authenticator>(&frame);
+        assert!(matches!(got, Err(XdrError::UnexpectedEof { .. })), "count {count}: {got:?}");
+    }
+}
 
 proptest! {
     /// Incremental hashing with arbitrary chunk boundaries matches one-shot.
@@ -65,6 +87,40 @@ proptest! {
                     prop_assert!(!auth.check(k, sender, &Digest::of(&other_msg)));
                 }
             }
+        }
+    }
+
+    /// The authenticator's layout on both sides of the inline boundary
+    /// (four tags): for every group size its wire bytes are the counted
+    /// array of its tags, they decode back to it, and every receiver —
+    /// the sender's own slot included — accepts its entry and rejects it
+    /// with any one bit flipped.
+    #[test]
+    fn authenticator_layout_is_invisible(
+        n in 1usize..=10,
+        sender_raw: usize,
+        raw: [u8; 32],
+        bit in 0usize..64,
+        seed: u64,
+    ) {
+        let sender = sender_raw % n;
+        let dir = KeyDirectory::generate(n, seed);
+        let keys: Vec<NodeKeys> = (0..n).map(|i| NodeKeys::new(dir.clone(), i)).collect();
+        let d = Digest(raw);
+        let auth = Authenticator::generate(&keys[sender], n, &d);
+        prop_assert_eq!(auth.len(), n);
+
+        let tags: Vec<Mac> = (0..n).map(|j| Authenticator::point(&keys[sender], j, &d)).collect();
+        let wire = base_xdr::to_bytes(&auth);
+        prop_assert_eq!(&wire, &base_xdr::to_bytes(&tags));
+        prop_assert_eq!(&base_xdr::from_bytes::<Authenticator>(&wire).unwrap(), &auth);
+
+        for (i, k) in keys.iter().enumerate() {
+            prop_assert!(auth.check(k, sender, &d), "receiver {}", i);
+            let mut flipped = wire.clone();
+            flipped[4 + i * base_crypto::MAC_LEN + bit / 8] ^= 1 << (bit % 8);
+            let forged = base_xdr::from_bytes::<Authenticator>(&flipped).unwrap();
+            prop_assert!(!forged.check(k, sender, &d), "receiver {} bit {}", i, bit);
         }
     }
 

@@ -107,6 +107,9 @@ pub struct Replica<S: Service> {
     /// (or an active state transfer) would make a reply stale; drained
     /// after execution catches up.
     ro_deferred: VecDeque<RequestMsg>,
+    /// Positions of the fresh requests in the batch being executed; kept
+    /// across batches so it does not allocate per batch.
+    fresh: Vec<usize>,
 
     vc_collect: BTreeMap<u64, HashMap<u32, ViewChangeMsg>>,
     vc_timer: Option<TimerId>,
@@ -186,6 +189,7 @@ impl<S: Service> Replica<S> {
             pending_digests: HashSet::new(),
             awaiting: HashSet::new(),
             ro_deferred: VecDeque::new(),
+            fresh: Vec::new(),
             vc_collect: BTreeMap::new(),
             vc_timer: None,
             vc_timeout,
@@ -911,11 +915,11 @@ impl<S: Service> Replica<S> {
         }
         self.metrics.observe("replica.batch_occupancy", pp.requests().len() as u64);
         // Split cached resends from fresh work so the fresh operations go
-        // through the service as one batch: the service partitions them by
-        // conflict footprint and executes non-conflicting groups in
-        // parallel, merging results back in batch order.
-        let mut fresh: Vec<&RequestMsg> = Vec::new();
-        for req in pp.requests() {
+        // through the service as one batch.
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        let mut ops: Vec<(&[u8], u32)> = Vec::with_capacity(pp.requests().len());
+        for (i, req) in pp.requests().iter().enumerate() {
             if !self.reply_cache.is_new(req.client(), req.timestamp()) {
                 // Already executed (e.g. re-proposed across a view change);
                 // resend the cached reply if this was the last request.
@@ -927,28 +931,30 @@ impl<S: Service> Replica<S> {
                 }
                 continue;
             }
-            fresh.push(req);
+            fresh.push(i);
+            ops.push((req.op(), req.client()));
         }
-        if fresh.is_empty() {
-            return;
+        if !ops.is_empty() {
+            let clock = ctx.local_clock().as_nanos();
+            let (results, charged) = {
+                let mut env = ExecEnv::new(clock, ctx.rng());
+                let results = self.service.execute_batch(&ops, pp.nondet(), &mut env);
+                (results, env.charged())
+            };
+            ctx.charge(charged);
+            debug_assert_eq!(results.len(), fresh.len());
+            for (&i, result) in fresh.iter().zip(results) {
+                let req = &pp.requests()[i];
+                self.stats.executed_requests += 1;
+                let full = self.is_full_replier(req);
+                let reply =
+                    self.make_reply(req.client(), req.timestamp(), &result, full, false, ctx);
+                self.reply_cache.record(req.client(), req.timestamp(), result);
+                self.send(ctx, self.cfg.client_node(req.client()), &Message::Reply(reply));
+                self.awaiting.remove(&(req.client(), req.timestamp()));
+            }
         }
-        let ops: Vec<(&[u8], u32)> = fresh.iter().map(|r| (r.op(), r.client())).collect();
-        let clock = ctx.local_clock().as_nanos();
-        let (results, charged) = {
-            let mut env = ExecEnv::new(clock, ctx.rng());
-            let results = self.service.execute_batch(&ops, pp.nondet(), &mut env);
-            (results, env.charged())
-        };
-        ctx.charge(charged);
-        debug_assert_eq!(results.len(), fresh.len());
-        for (req, result) in fresh.into_iter().zip(results) {
-            self.stats.executed_requests += 1;
-            let full = self.is_full_replier(req);
-            let reply = self.make_reply(req.client(), req.timestamp(), &result, full, false, ctx);
-            self.reply_cache.record(req.client(), req.timestamp(), result);
-            self.send(ctx, self.cfg.client_node(req.client()), &Message::Reply(reply));
-            self.awaiting.remove(&(req.client(), req.timestamp()));
-        }
+        self.fresh = fresh;
     }
 
     fn take_checkpoint(&mut self, seq: u64, ctx: &mut Context<'_>) {

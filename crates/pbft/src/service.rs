@@ -63,14 +63,10 @@ pub trait Service: 'static {
     /// Executes a committed batch and returns one reply per operation, in
     /// batch order. `ops` pairs each operation's bytes with its client id.
     ///
-    /// The default runs the batch sequentially through
-    /// [`Service::execute`]. Services that can prove operations
-    /// independent (the BASE layer partitions a batch by abstract-object
-    /// read/write footprints) may reorder *non-conflicting* operations
-    /// internally, as long as replies and the resulting abstract state are
-    /// identical to sequential batch-order execution and the schedule is a
-    /// deterministic function of the batch alone — every replica must take
-    /// the same path.
+    /// Runs the batch in order through [`Service::execute`]. No service in
+    /// `crates/` overrides it; `benchmark/src/trace.rs` does, to time the
+    /// batch as one span. An override must give the replies and state of
+    /// exactly this.
     fn execute_batch(
         &mut self,
         ops: &[(&[u8], u32)],
