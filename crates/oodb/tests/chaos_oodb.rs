@@ -7,6 +7,7 @@ use base::BaseService;
 use base_oodb::chaos::OodbChaosHarness;
 use base_oodb::wrapper::OodbWrapper;
 use base_pbft::chaos::{Group, APP_CORRUPT_STATE, APP_RECOVER, CAMPAIGN_BOUNDS};
+use base_pbft::ReplicaRef;
 use base_simnet::chaos::{
     run_campaign, run_one, ChaosHarness, FaultSchedule, LivenessBounds, NetFault,
 };
@@ -123,6 +124,11 @@ impl ChaosHarness for WithViewChecks {
         let nodes: Vec<NodeId> = (0..self.0.cfg.n).map(NodeId).collect();
         let group = Group::of::<BaseService<OodbWrapper>>(sim, &nodes);
         group.audit_view_agreement(&group.members(sim))
+    }
+
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        let replica = |i| ReplicaRef::of::<BaseService<OodbWrapper>>(NodeId(i)).get(sim).status();
+        (0..self.0.cfg.n).map(replica).collect()
     }
 }
 

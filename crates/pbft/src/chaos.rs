@@ -700,6 +700,9 @@ mod tests {
         }
         fn trigger_recovery(&mut self) {}
         fn set_recovery_clean(&mut self, _clean: bool) {}
+        fn status(&self) -> String {
+            format!("{{\"view\":{}}}", self.view)
+        }
     }
 
     fn d(tag: &[u8]) -> Digest {

@@ -45,6 +45,8 @@ pub trait ReplicaControl {
     fn trigger_recovery(&mut self);
     /// Selects clean or warm proactive-recovery reboots.
     fn set_recovery_clean(&mut self, clean: bool);
+    /// Where the replica stands, as one deterministic JSON line.
+    fn status(&self) -> String;
 }
 
 impl<S: Service> ReplicaControl for Replica<S> {
@@ -86,6 +88,9 @@ impl<S: Service> ReplicaControl for Replica<S> {
     }
     fn set_recovery_clean(&mut self, clean: bool) {
         Replica::set_recovery_clean(self, clean);
+    }
+    fn status(&self) -> String {
+        Replica::status(self)
     }
 }
 

@@ -27,6 +27,12 @@
 //!   abstraction-aware recovery on top);
 //! - canned Byzantine replica behaviours for fault-injection experiments.
 //!
+//! A [`Replica`] is a router over six parts — agreement, execution,
+//! checkpoints, state transfer, view change and recovery — each a plain
+//! struct whose state no other part can read (`replica/`, DESIGN.md §3.1).
+//! [`ReplicaControl::status`] prints where a replica stands, part by part,
+//! as one deterministic JSON line.
+//!
 //! Replicas occupy simulator nodes `0..n`; clients occupy nodes `>= n`.
 //! All messages are XDR-encoded [`messages::Message`] values.
 //!

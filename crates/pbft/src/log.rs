@@ -278,6 +278,14 @@ impl Log {
         }
     }
 
+    /// The state was rolled back to checkpoint `seq` (a state install, or
+    /// `0` for a clean reboot): every slot past it is unexecuted again, and
+    /// every stage is recomputed, so the committed suffix runs again.
+    pub fn rewind(&mut self, seq: u64, view: u64, f: usize) {
+        self.iter_mut().filter(|(s, _)| *s > seq).for_each(|(_, e)| e.executed = false);
+        self.restage(view, f);
+    }
+
     /// A new view: every slot is a fresh agreement instance, which traces
     /// its own `CommitQuorum` and whose carried-over arrival time would
     /// sample the view change, not an agreement round (Karn).

@@ -6,14 +6,15 @@
 //! caught by the auditor and shrunk to a minimal replayable schedule.
 
 use base_pbft::chaos::{CounterChaosHarness, APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
-use base_pbft::ByzMode;
+use base_pbft::testing::CounterService;
+use base_pbft::{ByzMode, ReplicaRef};
 use base_simnet::chaos::{
     generate_schedule, minimize, run_campaign, run_campaign_parallel, run_one, CampaignMode,
-    ChaosEvent, FaultSchedule, NetFault,
+    ChaosEvent, ChaosHarness, FaultSchedule, LivenessBounds, NetFault,
 };
 use base_simnet::ddmin::{ddmin_from_failure, CountingHarness};
 use base_simnet::tracediff::divergence_report;
-use base_simnet::{NodeId, SimDuration, SimTime};
+use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
 
 const SEEDS: std::ops::Range<u64> = 0..20;
 
@@ -425,6 +426,44 @@ fn stall_bug_is_caught_by_heal_to_progress_and_minimized() {
     assert_eq!(Err(ra), vb);
 }
 
+/// [`CounterChaosHarness`] whose failed runs end their trace with every
+/// replica's status line.
+struct WithStatus(CounterChaosHarness);
+
+impl ChaosHarness for WithStatus {
+    fn build(&mut self, seed: u64) -> Simulation {
+        self.0.build(seed)
+    }
+
+    fn apply_app(
+        &mut self,
+        sim: &mut Simulation,
+        node: NodeId,
+        tag: u32,
+        arg: u64,
+        trace: &mut Vec<String>,
+    ) {
+        self.0.apply_app(sim, node, tag, arg, trace);
+    }
+
+    fn settle(&self) -> SimDuration {
+        self.0.settle()
+    }
+
+    fn liveness_bounds(&self) -> LivenessBounds {
+        self.0.liveness_bounds()
+    }
+
+    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+        self.0.audit(sim, trace)
+    }
+
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        let replica = |i| ReplicaRef::of::<CounterService>(NodeId(i)).get(sim).status();
+        (0..self.0.cfg.n).map(replica).collect()
+    }
+}
+
 /// A proactive recovery that begins while its replica is still partitioned
 /// must finish once the partition heals. Today it never does: node 3 starts
 /// recovering 1.6 ms before its partition ends, and 30 s later the recovery
@@ -443,7 +482,7 @@ fn recovery_started_while_partitioned_completes() {
             SimDuration::from_nanos(1_082_937_678),
         )
         .app(SimTime::from_nanos(3_498_380_757), NodeId(3), APP_RECOVER, 0);
-    let (outcome, verdict) = run_one(&mut CounterChaosHarness::new(4), 216, &schedule);
+    let (outcome, verdict) = run_one(&mut WithStatus(CounterChaosHarness::new(4)), 216, &schedule);
     assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
     assert_eq!(outcome.coverage.recoveries_completed, 1, "{}", outcome.coverage);
 }

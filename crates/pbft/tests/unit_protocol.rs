@@ -354,14 +354,13 @@ fn view_change(new_view: u64, stable_seq: u64, prepared: Vec<PreparedProof>, rep
 
 #[test]
 fn compute_o_fills_gaps_with_null_requests() {
-    let cfg = Config::new(4);
     // One replica prepared seq 3 and 5; nothing for 4.
     let vcs = vec![
         view_change(1, 2, vec![prepared_proof(0, 3, b"op3"), prepared_proof(0, 5, b"op5")], 0),
         view_change(1, 2, vec![], 1),
         view_change(1, 2, vec![], 2),
     ];
-    let (min_s, o) = compute_o(&cfg, 1, &vcs);
+    let (min_s, o) = compute_o(1, &vcs);
     assert_eq!(min_s, 2);
     let seqs: Vec<u64> = o.iter().map(|p| p.seq).collect();
     assert_eq!(seqs, vec![3, 4, 5]);
@@ -373,26 +372,24 @@ fn compute_o_fills_gaps_with_null_requests() {
 
 #[test]
 fn compute_o_prefers_the_highest_view_certificate() {
-    let cfg = Config::new(4);
     let vcs = vec![
         view_change(2, 0, vec![prepared_proof(0, 1, b"old")], 0),
         view_change(2, 0, vec![prepared_proof(1, 1, b"newer")], 1),
         view_change(2, 0, vec![], 2),
     ];
-    let (_, o) = compute_o(&cfg, 2, &vcs);
+    let (_, o) = compute_o(2, &vcs);
     assert_eq!(o.len(), 1);
     assert_eq!(o[0].requests()[0].op(), b"newer", "view-1 certificate wins over view-0");
 }
 
 #[test]
 fn compute_o_min_s_is_the_highest_stable_checkpoint() {
-    let cfg = Config::new(4);
     let vcs = vec![
         view_change(1, 128, vec![], 0),
         view_change(1, 0, vec![prepared_proof(0, 5, b"below-min-s")], 1),
         view_change(1, 64, vec![], 2),
     ];
-    let (min_s, o) = compute_o(&cfg, 1, &vcs);
+    let (min_s, o) = compute_o(1, &vcs);
     assert_eq!(min_s, 128);
     assert!(o.is_empty(), "prepared entries at or below min_s are not re-proposed");
 }

@@ -285,6 +285,13 @@ pub trait ChaosHarness {
     fn latency_budget(&self) -> Option<SimDuration> {
         None
     }
+
+    /// Lines describing the end state of a run that failed, appended to its
+    /// trace after the verdict. The default adds none.
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        let _ = sim;
+        Vec::new()
+    }
 }
 
 /// Deadlines for the engine's liveness auditors, all measured from the
@@ -764,6 +771,9 @@ pub fn run_one<H: ChaosHarness>(
         }
         None => harness.audit(&mut sim, &mut trace),
     };
+    if verdict.is_err() {
+        trace.extend(harness.describe(&sim));
+    }
     let mut coverage = Coverage::from_trace(&events, schedule);
     coverage.liveness_violations = violations.len() as u64;
     coverage.latency_budget_violations = budget_violations.len() as u64;
