@@ -1,13 +1,13 @@
-//! Regenerates the experiment tables (E1–E7, E9–E14). Name the experiments
-//! to run — `all_tables throughput roopt` — or none to run them all in
-//! order. `--scale tiny|small|medium` and `--homogeneous` configure
-//! `andrew`.
+//! Regenerates the experiment tables (E1–E7, E9–E14) and the bench lab's
+//! deterministic counts (`lab`). Name the experiments to run —
+//! `all_tables throughput roopt` — or none to run them all in order.
+//! `--scale tiny|small|medium` and `--homogeneous` configure `andrew`.
 
 use base_bench::experiments::{
     run_andrew, run_bandwidth, run_checkpoint, run_codesize, run_degree, run_faultinj, run_oodb,
     run_recovery, run_roopt, run_shards, run_sigmac, run_throughput, run_transfer,
 };
-use base_bench::{AndrewScale, FsMix};
+use base_bench::{lab, AndrewScale, FsMix};
 
 type Run = fn(AndrewScale, FsMix);
 
@@ -25,6 +25,7 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
     ("sigmac", "E12: MACs vs signatures", |_, _| run_sigmac()),
     ("bandwidth", "E13: network bandwidth", |_, _| run_bandwidth()),
     ("shards", "E14: shard scaling", |_, _| { run_shards(); }),
+    ("lab", "bench lab: deterministic counts", |_, _| lab::measure().print_table()),
 ];
 
 fn usage() -> ! {

@@ -1,6 +1,6 @@
 //! Repro lab CLI: run a seeded chaos campaign, ddmin-minimize every
 //! failure, and write schedule + divergence + trace artifacts — or diff two
-//! exported JSONL traces offline.
+//! JSONL traces offline.
 //!
 //! ```text
 //! # run a campaign and drop artifacts for every failure
@@ -8,10 +8,6 @@
 //!
 //! # localize where two exported runs diverge
 //! cargo run -p base-bench --bin repro -- --diff left.jsonl right.jsonl --window 5
-//!
-//! # export the canonical acceptance-scenario trace (the cross-version gate
-//! # diffs this against the blessed copy under crates/bench/tests/snapshots)
-//! cargo run -p base-bench --bin repro -- --export counter --out target/traces
 //! ```
 //!
 //! Campaigns: `counter` (pbft counter testbed), `counter-buggy` (same, with
@@ -24,7 +20,7 @@ use base_bench::repro::{write_campaign_artifacts, DEFAULT_ARTIFACT_DIR};
 use base_bench::FsMix;
 use base_oodb::chaos::OodbChaosHarness;
 use base_pbft::chaos::CounterChaosHarness;
-use base_simnet::chaos::run_campaign;
+use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::tracediff::{divergence_report, parse_jsonl};
 use base_simnet::SimDuration;
 use std::path::PathBuf;
@@ -39,16 +35,13 @@ struct Opts {
     out: PathBuf,
     window: usize,
     diff: Option<(PathBuf, PathBuf)>,
-    export: Option<String>,
-    perfetto: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro --campaign counter|counter-buggy|nfs|nfs-buggy|oodb \
          [--seed N] [--runs N] [--events N] [--horizon-ms N] [--out DIR]\n\
-         \x20      repro --diff LEFT.jsonl RIGHT.jsonl [--window N]\n\
-         \x20      repro --export counter|nfs|oodb [--out DIR] [--perfetto]"
+         \x20      repro --diff LEFT.jsonl RIGHT.jsonl [--window N]"
     );
     std::process::exit(2);
 }
@@ -63,8 +56,6 @@ fn parse_args() -> Opts {
         out: PathBuf::from(DEFAULT_ARTIFACT_DIR),
         window: 3,
         diff: None,
-        export: None,
-        perfetto: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -86,8 +77,6 @@ fn parse_args() -> Opts {
                 let right = PathBuf::from(need(&mut i));
                 opts.diff = Some((left, right));
             }
-            "--export" => opts.export = Some(need(&mut i)),
-            "--perfetto" => opts.perfetto = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -159,116 +148,42 @@ fn report_and_write(
     ExitCode::from(1)
 }
 
-/// Runs one canonical acceptance scenario — a fixed seed, a fixed
-/// generated fault schedule, a passing audit — and writes its protocol
-/// event trace as `<scenario>.jsonl` under `out`. The blessed copies under
-/// `crates/bench/tests/snapshots/traces/` pin these byte-for-byte; CI
-/// diffs a fresh export against them (`scripts/check_traces.sh`) so any
-/// cross-version drift in protocol behaviour is localized by `--diff`
-/// instead of discovered downstream.
-fn run_export(scenario: &str, out: &PathBuf, perfetto: bool) -> ExitCode {
-    let trace = |outcome: base_simnet::chaos::RunOutcome,
-                 verdict: Result<(), String>|
-     -> Vec<base_simnet::TraceEvent> {
-        if let Err(e) = verdict {
-            eprintln!("error: scenario `{scenario}` failed its audit: {e}");
-            std::process::exit(2);
-        }
-        outcome.events
-    };
-    let events = match scenario {
-        "counter" => {
-            let mut h = CounterChaosHarness::new(4);
-            let cfg = h.gen_config(4, SimDuration::from_secs(4));
-            let schedule = base_simnet::chaos::generate_schedule(&cfg, 4100);
-            let (o, v) = base_simnet::chaos::run_one(&mut h, 4100, &schedule);
-            trace(o, v)
-        }
-        "nfs" => {
-            let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-            let cfg = h.gen_config(4, SimDuration::from_secs(4));
-            let schedule = base_simnet::chaos::generate_schedule(&cfg, 6200);
-            let (o, v) = base_simnet::chaos::run_one(&mut h, 6200, &schedule);
-            trace(o, v)
-        }
-        "oodb" => {
-            let mut h = OodbChaosHarness::new(4);
-            let cfg = h.gen_config(4, SimDuration::from_secs(6));
-            let schedule = base_simnet::chaos::generate_schedule(&cfg, 200);
-            let (o, v) = base_simnet::chaos::run_one(&mut h, 200, &schedule);
-            trace(o, v)
-        }
-        other => {
-            eprintln!("unknown export scenario: {other}");
-            usage();
-        }
-    };
-    if let Err(e) = std::fs::create_dir_all(out) {
-        eprintln!("error: cannot create {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    let path = out.join(format!("{scenario}.jsonl"));
-    if let Err(e) = std::fs::write(&path, base_simnet::trace::export_jsonl(&events)) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        return ExitCode::from(2);
-    }
-    println!("exported {} events to {}", events.len(), path.display());
-    if perfetto {
-        // Span-graph companions: the same scenario as Chrome trace JSON
-        // plus the per-op span lines and phase table, all deterministic.
-        let spans = base_simnet::build_spans(&events);
-        let breakdown = base_simnet::PhaseBreakdown::from_spans(&spans);
-        let perfetto_path = out.join(format!("{scenario}.perfetto.json"));
-        if let Err(e) =
-            std::fs::write(&perfetto_path, base_simnet::export_perfetto(&events, &spans))
-        {
-            eprintln!("error: cannot write {}: {e}", perfetto_path.display());
-            return ExitCode::from(2);
-        }
-        println!("exported span graph to {}", perfetto_path.display());
-        let spans_path = out.join(format!("{scenario}.spans.txt"));
-        let text = format!("{}\n{}", breakdown.table(), base_simnet::render_spans(&spans));
-        if let Err(e) = std::fs::write(&spans_path, text) {
-            eprintln!("error: cannot write {}: {e}", spans_path.display());
-            return ExitCode::from(2);
-        }
-        println!("exported span lines to {}", spans_path.display());
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
     if let Some((left, right)) = &opts.diff {
         return run_diff(left, right, opts.window);
-    }
-    if let Some(scenario) = &opts.export {
-        return run_export(scenario, &opts.out, opts.perfetto);
     }
     if opts.campaign.is_empty() {
         usage();
     }
     let seeds = opts.seed..opts.seed + opts.runs;
     let horizon = SimDuration::from_millis(opts.horizon_ms);
+    let mode = CampaignMode::Mixed;
     match opts.campaign.as_str() {
         "counter" | "counter-buggy" => {
-            let mut h = CounterChaosHarness::new(4);
-            h.inject_client_bug = opts.campaign == "counter-buggy";
-            let cfg = h.gen_config(opts.events, horizon);
-            report_and_write(run_campaign(&mut h, &cfg, seeds), &opts)
+            let harness = || {
+                let mut h = CounterChaosHarness::new(4);
+                h.inject_client_bug = opts.campaign == "counter-buggy";
+                h
+            };
+            let cfg = harness().gen_config(opts.events, horizon);
+            report_and_write(run_campaign(harness, mode, &cfg, seeds, 1), &opts)
         }
         "nfs" | "nfs-buggy" => {
             let buggy = opts.campaign == "nfs-buggy";
             let mix = if buggy { FsMix::HomogeneousInode } else { FsMix::Heterogeneous };
-            let mut h = NfsChaosHarness::new(mix);
-            h.with_latent_bug = buggy;
-            let cfg = h.gen_config(opts.events, horizon);
-            report_and_write(run_campaign(&mut h, &cfg, seeds), &opts)
+            let harness = || {
+                let mut h = NfsChaosHarness::new(mix);
+                h.with_latent_bug = buggy;
+                h
+            };
+            let cfg = harness().gen_config(opts.events, horizon);
+            report_and_write(run_campaign(harness, mode, &cfg, seeds, 1), &opts)
         }
         "oodb" => {
-            let mut h = OodbChaosHarness::new(4);
-            let cfg = h.gen_config(opts.events, horizon);
-            report_and_write(run_campaign(&mut h, &cfg, seeds), &opts)
+            let harness = || OodbChaosHarness::new(4);
+            let cfg = harness().gen_config(opts.events, horizon);
+            report_and_write(run_campaign(harness, mode, &cfg, seeds, 1), &opts)
         }
         other => {
             eprintln!("unknown campaign: {other}");

@@ -23,7 +23,9 @@ use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
 use base_pbft::chaos::{campaign_config, campaign_gen_config, Group, CAMPAIGN_BOUNDS};
 use base_pbft::Config;
-use base_simnet::chaos::{run_campaign, ChaosHarness, LivenessBounds, ScheduleGenConfig};
+use base_simnet::chaos::{
+    run_campaign, CampaignMode, ChaosHarness, LivenessBounds, ScheduleGenConfig,
+};
 use base_simnet::{NodeId, SimDuration, Simulation};
 
 const FILES: u32 = 8;
@@ -192,10 +194,13 @@ pub fn run_faultinj() {
     let mut bug_failure = None;
     let mut total_coverage = base_simnet::chaos::Coverage::default();
     for (mix, bug, mixname) in cells {
-        let mut h = NfsChaosHarness::new(mix);
-        h.with_latent_bug = bug;
-        let cfg = h.gen_config(5, SimDuration::from_secs(6));
-        let report = run_campaign(&mut h, &cfg, 6200..6206);
+        let harness = || {
+            let mut h = NfsChaosHarness::new(mix);
+            h.with_latent_bug = bug;
+            h
+        };
+        let cfg = harness().gen_config(5, SimDuration::from_secs(6));
+        let report = run_campaign(harness, CampaignMode::Mixed, &cfg, 6200..6206, 1);
         total_coverage.merge(&report.coverage);
         let verdict = if report.passed() {
             "masked".to_string()

@@ -1,29 +1,15 @@
-//! Machine-readable lab of deterministic counts: runs the repo's fixed
-//! workloads — the E9 batching cell, a parallel chaos campaign, a ddmin
-//! minimization, the checkpoint, transfer, pipeline, recovery and shard
-//! labs — and emits their simulated quantities as deterministic-schema JSON so
-//! `scripts/gate.sh bench` can gate drift against a checked-in baseline.
-//! Wall-clock cost is measured by `benchmark/`, not here.
-//!
-//! ```text
-//! # human-readable table
-//! cargo run --release -p base-bench --bin bench
-//!
-//! # write BENCH_<stamp>.json (schema below) into --out (default ".")
-//! cargo run --release -p base-bench --bin bench -- --json --stamp 20260807
-//!
-//! # gate: re-measure and compare against a baseline, exactly
-//! cargo run --release -p base-bench --bin bench -- --check \
-//!     crates/bench/tests/snapshots/bench_baseline.json
-//! ```
-//!
-//! Every reported quantity (ops, sim ops/s, latency quantiles, ddmin
-//! executions, …) is deterministic and must match the baseline exactly.
+//! The bench lab of deterministic counts: the repo's fixed workloads — the
+//! E9 batching cell, a parallel chaos campaign, a ddmin minimization, the
+//! checkpoint, transfer, pipeline, recovery and shard labs — reported as
+//! simulated quantities in a fixed-schema JSON that
+//! `tests/snapshots/bench_baseline.json` pins byte for byte. `all_tables lab`
+//! prints the same report as a table. Wall-clock cost is measured by
+//! `benchmark/`, not here.
 
+use crate::experiments::shards::measure_shards;
+use crate::experiments::throughput::{measure_throughput, measure_throughput_with};
+use crate::experiments::transfer::{measure_catch_up, CatchUp};
 use base::{BaseService, ModifyLog, Wrapper};
-use base_bench::experiments::shards::measure_shards;
-use base_bench::experiments::throughput::{measure_throughput, measure_throughput_with};
-use base_bench::experiments::transfer::{measure_catch_up, CatchUp};
 use base_crypto::Digest;
 use base_pbft::chaos::{CounterChaosHarness, APP_BYZ};
 use base_pbft::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
@@ -32,15 +18,11 @@ use base_pbft::transfer::{
 };
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::{ExecEnv, Service};
-use base_simnet::chaos::{
-    run_campaign_parallel, CampaignMode, ChaosHarness, FaultSchedule, NetFault,
-};
+use base_simnet::chaos::{run_campaign, CampaignMode, ChaosHarness, FaultSchedule, NetFault};
 use base_simnet::ddmin::ddmin_from_failure;
 use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::process::ExitCode;
 
 /// E9 cell measured by the lab.
 const E9_CLIENTS: usize = 8;
@@ -80,56 +62,6 @@ const CKPT_DIRTY_PER_EPOCH: u64 = 64;
 const TRANSFER_LIVE: u64 = 256;
 const TRANSFER_STALE: u64 = 192;
 const TRANSFER_VALUE_BYTES: usize = 1024;
-
-struct Opts {
-    json: bool,
-    perfetto: bool,
-    out: PathBuf,
-    stamp: Option<String>,
-    check: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench [--json] [--out DIR] [--stamp STAMP]\n\
-         \x20      bench --check BASELINE.json\n\
-         \x20      bench --perfetto [--out DIR]   # export the E9 cell's span \
-         graph as Chrome trace JSON"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Opts {
-    let mut opts = Opts {
-        json: false,
-        perfetto: false,
-        out: PathBuf::from("."),
-        stamp: None,
-        check: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let need = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => opts.json = true,
-            "--perfetto" => opts.perfetto = true,
-            "--out" => opts.out = PathBuf::from(need(&mut i)),
-            "--stamp" => opts.stamp = Some(need(&mut i)),
-            "--check" => opts.check = Some(PathBuf::from(need(&mut i))),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    opts
-}
 
 /// Wraps the counter harness with a schedule-dependent audit: fail iff at
 /// least `threshold` crash events were applied. Every probe still builds
@@ -279,7 +211,7 @@ fn measure_checkpoint() -> CheckpointOut {
         fill: u8,
     ) {
         let mut op = idx.to_be_bytes().to_vec();
-        op.extend(std::iter::repeat(fill).take(CKPT_VALUE_BYTES));
+        op.extend(std::iter::repeat_n(fill, CKPT_VALUE_BYTES));
         let mut env = ExecEnv::new(1, rng);
         svc.execute(&op, 1, &[], false, &mut env);
     }
@@ -448,7 +380,7 @@ fn measure_pipeline() -> PipelineOut {
         cfg.max_inflight = PIPE_MAX_INFLIGHT;
         cfg.pipeline_depth = PIPE_DEPTH;
     });
-    let rate = |s: &base_bench::experiments::throughput::ThroughputSample| {
+    let rate = |s: &crate::experiments::throughput::ThroughputSample| {
         (s.ops as f64 / (s.elapsed_ns as f64 / 1e9)).round() as u64
     };
     PipelineOut {
@@ -543,7 +475,8 @@ impl ShardsOut {
     }
 }
 
-struct BenchReport {
+/// Everything the lab measured; every field is a deterministic count.
+pub struct BenchReport {
     e9_ops: u64,
     e9_sim_ops_per_sec: u64,
     e9_p50_latency_ns: u64,
@@ -560,7 +493,8 @@ struct BenchReport {
     shards: ShardsOut,
 }
 
-fn measure() -> BenchReport {
+/// Runs every section of the lab.
+pub fn measure() -> BenchReport {
     // E9 batching throughput.
     let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
     let e9_sim_ops_per_sec = (e9.ops as f64 / (e9.elapsed_ns as f64 / 1e9)).round() as u64;
@@ -568,7 +502,7 @@ fn measure() -> BenchReport {
     // Chaos campaign at a fixed worker count.
     let h = CounterChaosHarness::new(4);
     let cfg = h.gen_config(5, SimDuration::from_secs(6));
-    let report = run_campaign_parallel(
+    let report = run_campaign(
         || CounterChaosHarness::new(4),
         CampaignMode::Mixed,
         &cfg,
@@ -609,11 +543,13 @@ fn measure() -> BenchReport {
 }
 
 impl BenchReport {
-    fn to_json(&self, stamp: &str) -> String {
+    /// The report as one line of JSON, sections in a fixed order, stamped
+    /// `baseline` like the snapshot that pins it.
+    pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"stamp\":\"{stamp}\",\
+            "{{\"stamp\":\"baseline\",\
              \"e9\":{{\"clients\":{},\"ops\":{},\"sim_ops_per_sec\":{},\
              \"p50_latency_ns\":{},\"p99_latency_ns\":{}}},\
              \"campaign\":{{\"runs\":{},\"workers\":{},\"failures\":{}}},\
@@ -654,7 +590,8 @@ impl BenchReport {
         out
     }
 
-    fn print_table(&self) {
+    /// Prints the report as a table, one line per section.
+    pub fn print_table(&self) {
         println!("== bench lab ==");
         println!(
             "e9:       clients={} ops={} sim_ops/s={} p50={}ms p99={}ms",
@@ -721,169 +658,4 @@ impl BenchReport {
             self.shards.speedup_milli(top) as f64 / 1000.0
         );
     }
-}
-
-/// Extracts the text of `"key":<value>` from the named section of the
-/// lab's own JSON. `section` is a dotted path of object names
-/// (`"recovery.whole"`); the innermost object must be flat.
-fn field<'a>(json: &'a str, section: &str, key: &str) -> Option<&'a str> {
-    let mut rest = json;
-    for name in section.split('.') {
-        let open = format!("\"{name}\":{{");
-        rest = &rest[rest.find(&open)? + open.len()..];
-    }
-    let body = &rest[..rest.find('}')?];
-    let open = format!("\"{key}\":");
-    let val = &body[body.find(&open)? + open.len()..];
-    val.split(',').next()
-}
-
-/// The fields `--check` compares. Every one is a deterministic sim
-/// quantity: exact match or the protocol changed.
-const CHECKED: &[(&str, &[&str])] = &[
-    ("e9", &["ops", "sim_ops_per_sec", "p50_latency_ns", "p99_latency_ns"]),
-    ("campaign", &["failures"]),
-    ("ddmin", &["executions", "minimal_len"]),
-    ("checkpoint", &["checkpoints", "objects_digested", "node_hashes", "naive_node_hashes"]),
-    (
-        "transfer",
-        &["rounds_serial", "rounds_windowed", "meta_queries", "objects_fetched", "fetched_bytes"],
-    ),
-    ("pipeline", &["serial_sim_ops_per_sec", "piped_sim_ops_per_sec"]),
-    ("recovery.whole", RECOVERY_FIELDS),
-    ("recovery.chunked", RECOVERY_FIELDS),
-    (
-        "shards",
-        &[
-            "disjoint_1",
-            "disjoint_2",
-            "disjoint_4",
-            "mixed_1",
-            "mixed_2",
-            "mixed_4",
-            "cross_aborts_1",
-            "cross_aborts_2",
-            "cross_aborts_4",
-            "speedup_milli_2",
-            "speedup_milli_4",
-        ],
-    ),
-];
-
-const RECOVERY_FIELDS: &[&str] = &[
-    "fetched_objects",
-    "fetched_bytes",
-    "meta_queries",
-    "chunk_queries",
-    "chunks_reused",
-    "retransmissions",
-    "corrupt_replies",
-    "fetch_ms",
-    "root",
-];
-
-fn check(baseline_path: &PathBuf) -> ExitCode {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        // Tolerate pretty-printed baselines: no quoted value in a bench
-        // report contains whitespace, so stripping it wholesale is lossless.
-        Ok(s) => s.split_whitespace().collect::<String>(),
-        Err(e) => {
-            eprintln!("error: cannot read baseline {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let fresh_json = measure().to_json("check");
-    let mut failures = Vec::new();
-    for (section, keys) in CHECKED {
-        for key in *keys {
-            let actual = field(&fresh_json, section, key).expect("the lab emits what it checks");
-            match field(&baseline, section, key) {
-                Some(expected) if expected == actual => {}
-                Some(expected) => failures.push(format!(
-                    "{section}.{key}: baseline {expected}, measured {actual} (deterministic drift)"
-                )),
-                None => failures.push(format!("{section}.{key}: missing from baseline")),
-            }
-        }
-    }
-
-    println!("measured: {fresh_json}");
-    if failures.is_empty() {
-        println!("bench check: OK (exact vs {})", baseline_path.display());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("bench check: FAILED vs {}", baseline_path.display());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        ExitCode::from(1)
-    }
-}
-
-/// Runs the E9 cell once and writes its causal span artifacts into `out`:
-/// `e9.perfetto.json` (Chrome trace format, loadable in Perfetto) and
-/// `e9.spans.txt` (per-op span lines plus the phase breakdown table). Both
-/// are deterministic at the fixed E9 seed.
-fn export_perfetto_artifacts(out: &std::path::Path) -> ExitCode {
-    let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
-    let spans = base_simnet::build_spans(&e9.trace);
-    if let Err(e) = std::fs::create_dir_all(out) {
-        eprintln!("error creating {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    let perfetto_path = out.join("e9.perfetto.json");
-    let spans_path = out.join("e9.spans.txt");
-    let text = format!(
-        "{}\n{}",
-        e9.phases.table(),
-        base_simnet::render_spans(&spans)
-    );
-    for (path, body) in [
-        (&perfetto_path, base_simnet::export_perfetto(&e9.trace, &spans)),
-        (&spans_path, text),
-    ] {
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    print!("{}", e9.phases.table());
-    println!("wrote {}", perfetto_path.display());
-    println!("wrote {}", spans_path.display());
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let opts = parse_args();
-    if let Some(baseline) = &opts.check {
-        return check(baseline);
-    }
-    if opts.perfetto {
-        return export_perfetto_artifacts(&opts.out);
-    }
-    let report = measure();
-    if opts.json {
-        let stamp = opts.stamp.clone().unwrap_or_else(|| {
-            let secs = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            secs.to_string()
-        });
-        let path = opts.out.join(format!("BENCH_{stamp}.json"));
-        let json = report.to_json(&stamp);
-        if let Err(e) = std::fs::create_dir_all(&opts.out) {
-            eprintln!("error creating {}: {e}", opts.out.display());
-            return ExitCode::from(2);
-        }
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("{json}");
-        println!("wrote {}", path.display());
-    } else {
-        report.print_table();
-    }
-    ExitCode::SUCCESS
 }

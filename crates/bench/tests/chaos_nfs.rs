@@ -8,15 +8,15 @@
 use base_bench::experiments::faultinj::NfsChaosHarness;
 use base_bench::repro::write_campaign_artifacts;
 use base_bench::FsMix;
-use base_simnet::chaos::{minimize, run_campaign, run_one, FaultSchedule, NetFault};
+use base_simnet::chaos::{minimize, run_campaign, run_one, CampaignMode, FaultSchedule, NetFault};
 use base_simnet::ddmin::CountingHarness;
 use base_simnet::{NodeId, SimDuration, SimTime};
 
 #[test]
 fn nfs_campaign_passes_auditor() {
-    let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-    let cfg = h.gen_config(5, SimDuration::from_secs(6));
-    let report = run_campaign(&mut h, &cfg, 6200..6220);
+    let harness = || NfsChaosHarness::new(FsMix::Heterogeneous);
+    let cfg = harness().gen_config(5, SimDuration::from_secs(6));
+    let report = run_campaign(harness, CampaignMode::Mixed, &cfg, 6200..6220, 1);
     assert_eq!(report.runs, 20);
     assert!(report.events_executed > 0);
     if let Some(f) = report.failures.first() {
@@ -73,12 +73,13 @@ fn common_mode_bug_fails_homogeneous_and_minimizes_to_empty() {
 /// both outputs are byte-identical across two runs with the same seed.
 #[test]
 fn repro_lab_acceptance_buggy_campaign() {
-    let run = || {
+    let buggy = || {
         let mut h = NfsChaosHarness::new(FsMix::HomogeneousInode);
         h.with_latent_bug = true;
-        let cfg = h.gen_config(3, SimDuration::from_secs(4));
-        run_campaign(&mut h, &cfg, 7000..7020)
+        h
     };
+    let cfg = buggy().gen_config(3, SimDuration::from_secs(4));
+    let run = || run_campaign(buggy, CampaignMode::Mixed, &cfg, 7000..7020, 1);
     let report = run();
     assert_eq!(report.runs, 20);
     assert!(!report.passed(), "latent bug must violate the auditor");
@@ -110,11 +111,7 @@ fn repro_lab_acceptance_buggy_campaign() {
         let executions = f.ddmin_metrics.counter("ddmin.executions");
         assert_eq!(executions, 1, "seed {}: {}", f.seed, f.ddmin_metrics.to_json());
 
-        let mut greedy_h = CountingHarness::new({
-            let mut h = NfsChaosHarness::new(FsMix::HomogeneousInode);
-            h.with_latent_bug = true;
-            h
-        });
+        let mut greedy_h = CountingHarness::new(buggy());
         let greedy = minimize(&mut greedy_h, f.seed, &f.schedule);
         assert!(f.minimal.len() <= greedy.len());
         assert!(

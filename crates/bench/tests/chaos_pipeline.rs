@@ -9,7 +9,7 @@
 use base_bench::experiments::faultinj::NfsChaosHarness;
 use base_bench::FsMix;
 use base_pbft::chaos::CounterChaosHarness;
-use base_simnet::chaos::run_campaign;
+use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::SimDuration;
 
 fn pipelined_counter() -> CounterChaosHarness {
@@ -20,9 +20,8 @@ fn pipelined_counter() -> CounterChaosHarness {
 
 #[test]
 fn counter_campaign_with_pipelining_passes_auditor() {
-    let mut h = pipelined_counter();
-    let cfg = h.gen_config(6, SimDuration::from_secs(8));
-    let report = run_campaign(&mut h, &cfg, 7400..7412);
+    let cfg = pipelined_counter().gen_config(6, SimDuration::from_secs(8));
+    let report = run_campaign(pipelined_counter, CampaignMode::Mixed, &cfg, 7400..7412, 1);
     assert_eq!(report.runs, 12);
     assert!(report.events_executed > 0, "campaign generated no events");
     if let Some(f) = report.failures.first() {
@@ -39,10 +38,13 @@ fn counter_campaign_with_pipelining_passes_auditor() {
 
 #[test]
 fn nfs_campaign_with_pipelining_passes_auditor() {
-    let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-    h.cfg.pipeline_depth = 4;
-    let cfg = h.gen_config(5, SimDuration::from_secs(6));
-    let report = run_campaign(&mut h, &cfg, 8300..8310);
+    let pipelined_nfs = || {
+        let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
+        h.cfg.pipeline_depth = 4;
+        h
+    };
+    let cfg = pipelined_nfs().gen_config(5, SimDuration::from_secs(6));
+    let report = run_campaign(pipelined_nfs, CampaignMode::Mixed, &cfg, 8300..8310, 1);
     assert_eq!(report.runs, 10);
     assert!(report.events_executed > 0);
     if let Some(f) = report.failures.first() {

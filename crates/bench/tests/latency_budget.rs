@@ -5,7 +5,7 @@
 
 use base_bench::repro::write_campaign_artifacts;
 use base_pbft::chaos::CounterChaosHarness;
-use base_simnet::chaos::run_campaign;
+use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::SimDuration;
 
 #[test]
@@ -13,10 +13,13 @@ fn budget_violation_minimizes_to_a_perfetto_repro_artifact() {
     // A budget no real three-phase commit can meet: every post-heal op
     // violates, so the campaign fails deterministically and the minimizer
     // strips the (irrelevant) injected faults.
-    let mut h = CounterChaosHarness::new(4);
-    h.latency_budget = Some(SimDuration::from_micros(10));
-    let cfg = h.gen_config(2, SimDuration::from_secs(2));
-    let report = run_campaign(&mut h, &cfg, 9300..9301);
+    let budgeted = || {
+        let mut h = CounterChaosHarness::new(4);
+        h.latency_budget = Some(SimDuration::from_micros(10));
+        h
+    };
+    let cfg = budgeted().gen_config(2, SimDuration::from_secs(2));
+    let report = run_campaign(budgeted, CampaignMode::Mixed, &cfg, 9300..9301, 1);
 
     assert_eq!(report.failures.len(), 1, "the budgeted run must fail");
     let f = &report.failures[0];

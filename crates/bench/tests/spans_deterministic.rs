@@ -7,7 +7,7 @@
 
 use base_bench::experiments::throughput::measure_throughput;
 use base_pbft::chaos::CounterChaosHarness;
-use base_simnet::chaos::{run_campaign_parallel, CampaignMode};
+use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::{build_spans, export_perfetto, render_spans, SimDuration};
 
 /// A small E9 cell: 4 clients x 40 ops, 256-byte values.
@@ -59,13 +59,7 @@ fn span_artifacts_are_byte_identical_across_runs() {
 fn campaign_coverage_is_worker_invariant() {
     let run = |workers: usize| {
         let cfg = CounterChaosHarness::new(4).gen_config(4, SimDuration::from_secs(4));
-        run_campaign_parallel(
-            || CounterChaosHarness::new(4),
-            CampaignMode::Mixed,
-            &cfg,
-            4300..4306,
-            workers,
-        )
+        run_campaign(|| CounterChaosHarness::new(4), CampaignMode::Mixed, &cfg, 4300..4306, workers)
     };
     let one = run(1);
     let two = run(2);

@@ -11,7 +11,8 @@ use base_pbft::chaos::{
     CAMPAIGN_BOUNDS,
 };
 use base_simnet::chaos::{
-    run_campaign, run_one, ChaosHarness, FaultSchedule, LivenessBounds, ScheduleGenConfig,
+    run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds,
+    ScheduleGenConfig,
 };
 use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
 use std::collections::HashMap;
@@ -172,9 +173,8 @@ impl ChaosHarness for KvChaosHarness {
 
 #[test]
 fn kv_campaign_passes_auditor() {
-    let mut h = KvChaosHarness::new(4);
-    let cfg = h.gen_config(5, SimDuration::from_secs(8));
-    let report = run_campaign(&mut h, &cfg, 100..120);
+    let cfg = KvChaosHarness::new(4).gen_config(5, SimDuration::from_secs(8));
+    let report = run_campaign(|| KvChaosHarness::new(4), CampaignMode::Mixed, &cfg, 100..120, 1);
     assert_eq!(report.runs, 20);
     assert!(report.events_executed > 0);
     if let Some(f) = report.failures.first() {

@@ -8,8 +8,7 @@
 use base::shard_chaos::{ShardedChaosHarness, APP_XBUSY};
 use base_pbft::chaos::APP_BYZ;
 use base_simnet::chaos::{
-    generate_schedule, run_campaign, run_campaign_mode, run_one, CampaignMode, ChaosEvent,
-    NetFault,
+    generate_schedule, run_campaign, run_one, CampaignMode, ChaosEvent, NetFault,
 };
 use base_simnet::{NodeId, SimDuration};
 
@@ -17,13 +16,17 @@ const SEEDS: std::ops::Range<u64> = 0..10;
 
 #[test]
 fn sharded_campaign_composes_faults_and_passes_auditor() {
-    let mut h = ShardedChaosHarness::new(4, 2);
-    // Stretch the workload across the fault horizon: faults that land on
-    // an idle deployment (no outstanding requests) can never force a view
-    // change, and the coverage gate requires the campaign to exercise one.
-    h.singles_per_router = 18;
-    h.cross_per_router = 6;
-    let cfg = h.gen_config(6, SimDuration::from_secs(8));
+    let harness = || {
+        let mut h = ShardedChaosHarness::new(4, 2);
+        // Stretch the workload across the fault horizon: faults that land
+        // on an idle deployment (no outstanding requests) can never force a
+        // view change, and `write_coverage` requires the campaign to
+        // exercise one.
+        h.singles_per_router = 18;
+        h.cross_per_router = 6;
+        h
+    };
+    let cfg = harness().gen_config(6, SimDuration::from_secs(8));
 
     // The generated schedules must collectively exercise the sharding
     // vocabulary: injected lock refusals alongside the generic faults,
@@ -62,7 +65,7 @@ fn sharded_campaign_composes_faults_and_passes_auditor() {
          (xbusy={xbusy} byz={byz} shard0={shard0} shard1={shard1})"
     );
 
-    let report = run_campaign(&mut h, &cfg, SEEDS);
+    let report = run_campaign(harness, CampaignMode::Mixed, &cfg, SEEDS, 1);
     assert_eq!(report.runs, SEEDS.end as usize);
     assert!(report.events_executed > 0, "campaign generated no events");
     if let Some(f) = report.failures.first() {
@@ -90,10 +93,10 @@ fn sharded_campaign_composes_faults_and_passes_auditor() {
 /// converges.
 #[test]
 fn storm_on_shard_zero_leaves_shard_one_serving() {
-    let mut h = ShardedChaosHarness::new(4, 2);
-    let mut cfg = h.gen_config(5, SimDuration::from_secs(8));
+    let harness = || ShardedChaosHarness::new(4, 2);
+    let mut cfg = harness().gen_config(5, SimDuration::from_secs(8));
     cfg.nodes = (0..4).map(NodeId).collect();
-    let report = run_campaign_mode(&mut h, CampaignMode::Storm, &cfg, 0..6u64);
+    let report = run_campaign(harness, CampaignMode::Storm, &cfg, 0..6u64, 1);
     if let Some(f) = report.failures.first() {
         panic!("shard-0 storm campaign failed:\n{f}");
     }

@@ -9,7 +9,7 @@ use base_oodb::wrapper::OodbWrapper;
 use base_pbft::chaos::{Group, APP_CORRUPT_STATE, APP_RECOVER, CAMPAIGN_BOUNDS};
 use base_pbft::ReplicaRef;
 use base_simnet::chaos::{
-    run_campaign, run_one, ChaosHarness, FaultSchedule, LivenessBounds, NetFault,
+    run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds, NetFault,
 };
 use base_simnet::tracediff::{divergence_report, first_divergence};
 use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
@@ -68,9 +68,9 @@ fn corrupted_heap_is_repaired_through_abstraction() {
 
 #[test]
 fn oodb_campaign_passes_audit_with_coverage() {
-    let mut h = OodbChaosHarness::new(4);
-    let cfg = h.gen_config(6, SimDuration::from_secs(8));
-    let report = run_campaign(&mut h, &cfg, 200..214);
+    let cfg = OodbChaosHarness::new(4).gen_config(6, SimDuration::from_secs(8));
+    let report =
+        run_campaign(|| OodbChaosHarness::new(4), CampaignMode::Mixed, &cfg, 200..214, 1);
     if let Some(f) = report.failures.first() {
         panic!("oodb campaign failed:\n{f}");
     }

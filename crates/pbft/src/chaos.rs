@@ -591,6 +591,7 @@ mod tests {
     use crate::replica::ReplicaStats;
     use base_crypto::Digest;
     use base_simnet::chaos::{run_one, FaultSchedule};
+    use base_simnet::ddmin::CountingHarness;
     use base_simnet::{MetricsRegistry, SimTime};
 
     #[test]
@@ -632,6 +633,19 @@ mod tests {
         let (outcome, verdict) = run_one(&mut h, 7, &FaultSchedule::new());
         assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
         assert_eq!(outcome.coverage.latency_budget_violations, 0);
+    }
+
+    /// ddmin probes through a counting wrapper; it must keep the budget
+    /// auditor, or every probe of a budget failure would pass.
+    #[test]
+    fn counting_harness_keeps_the_latency_budget() {
+        let mut inner = CounterChaosHarness::new(4);
+        inner.latency_budget = Some(SimDuration::from_micros(10));
+        let mut h = CountingHarness::new(inner);
+        let (_, verdict) = run_one(&mut h, 7, &FaultSchedule::new());
+        let err = verdict.expect_err("a counted harness must blow a 10us budget too");
+        assert!(err.contains("latency-budget"), "{err}");
+        assert_eq!(h.builds, 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use base_pbft::chaos::{CounterChaosHarness, APP_BYZ, APP_CORRUPT_STATE, APP_RECO
 use base_pbft::testing::CounterService;
 use base_pbft::{ByzMode, ReplicaRef};
 use base_simnet::chaos::{
-    generate_schedule, minimize, run_campaign, run_campaign_parallel, run_one, CampaignMode,
-    ChaosEvent, ChaosHarness, FaultSchedule, LivenessBounds, NetFault,
+    generate_schedule, minimize, run_campaign, run_one, CampaignMode, ChaosEvent, ChaosHarness,
+    FaultSchedule, LivenessBounds, NetFault,
 };
 use base_simnet::ddmin::{ddmin_from_failure, CountingHarness};
 use base_simnet::tracediff::divergence_report;
@@ -20,8 +20,7 @@ const SEEDS: std::ops::Range<u64> = 0..20;
 
 #[test]
 fn campaign_composes_faults_and_passes_auditor() {
-    let mut h = CounterChaosHarness::new(4);
-    let cfg = h.gen_config(6, SimDuration::from_secs(8));
+    let cfg = CounterChaosHarness::new(4).gen_config(6, SimDuration::from_secs(8));
 
     // The generated schedules must collectively exercise every fault
     // category the campaign claims to compose.
@@ -43,7 +42,7 @@ fn campaign_composes_faults_and_passes_auditor() {
          (crashes={crashes} partitions={partitions} byz={byz} corrupt={corrupt})"
     );
 
-    let report = run_campaign(&mut h, &cfg, SEEDS);
+    let report = run_campaign(|| CounterChaosHarness::new(4), CampaignMode::Mixed, &cfg, SEEDS, 1);
     assert_eq!(report.runs, SEEDS.end as usize);
     assert!(report.events_executed > 0, "campaign generated no events");
     if let Some(f) = report.failures.first() {
@@ -67,13 +66,10 @@ fn campaign_composes_faults_and_passes_auditor() {
 fn storm_campaign_forces_view_changes_and_converges() {
     let h = CounterChaosHarness::new(4);
     let cfg = h.gen_config(5, SimDuration::from_secs(8));
-    let report = run_campaign_parallel(
-        || CounterChaosHarness::new(4),
-        CampaignMode::Storm,
-        &cfg,
-        0..8u64,
-        4,
-    );
+    let storm = |workers| {
+        run_campaign(|| CounterChaosHarness::new(4), CampaignMode::Storm, &cfg, 0..8u64, workers)
+    };
+    let report = storm(4);
     if let Some(f) = report.failures.first() {
         panic!("storm campaign failed:\n{f}");
     }
@@ -93,13 +89,7 @@ fn storm_campaign_forces_view_changes_and_converges() {
 
     // The parallel runner is a determinism-preserving optimization: the
     // merged report must be byte-identical to the sequential one.
-    let sequential = run_campaign_parallel(
-        || CounterChaosHarness::new(4),
-        CampaignMode::Storm,
-        &cfg,
-        0..8u64,
-        1,
-    );
+    let sequential = storm(1);
     assert_eq!(report.summary(), sequential.summary());
     assert_eq!(report.coverage_json(), sequential.coverage_json());
 }

@@ -1178,16 +1178,43 @@ impl CampaignReport {
 
     /// Writes [`coverage_json`](Self::coverage_json) to
     /// `target/chaos-coverage/<name>.json` under the workspace root, where
-    /// `scripts/gate.sh coverage` and CI look for it. The gate requires each
-    /// acceptance campaign's artifact by name, so a write that fails is an
-    /// error naming the path, not something to swallow.
+    /// CI picks it up, then holds the acceptance campaign `name` to what its
+    /// coverage must show. Each of these is an error naming the campaign and
+    /// the field:
+    /// - a write that fails;
+    /// - no forced view change: a campaign that never unseats a primary is
+    ///   not exercising the paper's recovery machinery, whatever its pass
+    ///   rate says;
+    /// - a liveness violation: a passing campaign with one means auditor
+    ///   verdicts are dropped;
+    /// - a dropped trace event: evictions undercount coverage and truncate
+    ///   span graphs;
+    /// - a submitted client op that never completed, or none completed.
     pub fn write_coverage(&self, name: &str) -> Result<(), String> {
         let dir =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-coverage");
         let path = dir.join(format!("{name}.json"));
         std::fs::create_dir_all(&dir)
             .and_then(|()| std::fs::write(&path, self.coverage_json()))
-            .map_err(|e| format!("cannot write coverage artifact {}: {e}", path.display()))
+            .map_err(|e| format!("cannot write coverage artifact {}: {e}", path.display()))?;
+        let c = &self.coverage;
+        let fail = |field: &str, what: String| Err(format!("campaign {name}: {field} {what}"));
+        if c.view_changes_started == 0 {
+            return fail("view_changes_started", "is 0: it forced no view change".into());
+        }
+        if c.liveness_violations > 0 {
+            return fail("liveness_violations", format!("is {}", c.liveness_violations));
+        }
+        if c.trace_events_dropped > 0 {
+            return fail("trace_events_dropped", format!("is {}", c.trace_events_dropped));
+        }
+        if c.client_ops_completed == 0 || c.client_ops_completed != c.client_ops_submitted {
+            return fail(
+                "client_ops_completed",
+                format!("is {} of {} submitted", c.client_ops_completed, c.client_ops_submitted),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -1248,39 +1275,15 @@ fn run_seed<H: ChaosHarness>(
     (schedule.len(), outcome.coverage, failure)
 }
 
-/// Drives one audited, seeded run per seed in `seeds`, generating each
-/// run's schedule from the seed, and minimizes every failing schedule.
-pub fn run_campaign<H: ChaosHarness>(
-    harness: &mut H,
-    cfg: &ScheduleGenConfig,
-    seeds: impl IntoIterator<Item = u64>,
-) -> CampaignReport {
-    run_campaign_mode(harness, CampaignMode::Mixed, cfg, seeds)
-}
-
-/// [`run_campaign`] with an explicit schedule-generation mode.
-pub fn run_campaign_mode<H: ChaosHarness>(
-    harness: &mut H,
-    mode: CampaignMode,
-    cfg: &ScheduleGenConfig,
-    seeds: impl IntoIterator<Item = u64>,
-) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    for seed in seeds {
-        let (len, coverage, failure) = run_seed(harness, mode, cfg, seed);
-        report.absorb(seed, len, coverage);
-        report.failures.extend(failure);
-    }
-    report
-}
-
-/// Parallel [`run_campaign_mode`]: a pool of `workers` std threads, each
-/// with its own harness (from `factory`) and therefore its own
-/// `Simulation` per run. Seeds are claimed from a shared queue; results
-/// land in per-seed slots and are folded **in seed order**, so the report
-/// — coverage, seed table, failures — is byte-identical to the sequential
-/// runner's no matter how many workers execute it.
-pub fn run_campaign_parallel<H, F>(
+/// Drives one audited, seeded run per seed in `seeds`, deriving each run's
+/// schedule from the seed by `mode`, and minimizes every failing schedule.
+///
+/// Runs on a pool of `workers` std threads, each with its own harness (from
+/// `factory`) and therefore its own `Simulation` per run. Seeds are claimed
+/// from a shared queue; results land in per-seed slots and are folded **in
+/// seed order**, so the report — coverage, seed table, failures — is
+/// byte-identical no matter how many workers execute it.
+pub fn run_campaign<H, F>(
     factory: F,
     mode: CampaignMode,
     cfg: &ScheduleGenConfig,
@@ -1418,10 +1421,13 @@ mod tests {
         }
     }
 
+    fn ping_campaign(seeds: std::ops::Range<u64>, workers: usize) -> CampaignReport {
+        run_campaign(|| PingHarness { n: 4 }, CampaignMode::Mixed, &gen_cfg(), seeds, workers)
+    }
+
     #[test]
     fn healed_faults_preserve_liveness() {
-        let mut h = PingHarness { n: 4 };
-        let report = run_campaign(&mut h, &gen_cfg(), 0..10);
+        let report = ping_campaign(0..10, 1);
         assert_eq!(report.runs, 10);
         assert!(report.events_executed > 0, "campaign generated no events");
         for f in &report.failures {
@@ -1477,18 +1483,14 @@ mod tests {
         }
     }
 
+    /// One worker runs the seeds in order on one harness, as a sequential
+    /// loop would; any other worker count must report the same bytes.
     #[test]
     fn parallel_campaign_matches_sequential() {
-        let mut h = PingHarness { n: 4 };
-        let seq = run_campaign(&mut h, &gen_cfg(), 0..8);
-        for workers in [1, 3, 8] {
-            let par = run_campaign_parallel(
-                || PingHarness { n: 4 },
-                CampaignMode::Mixed,
-                &gen_cfg(),
-                0..8,
-                workers,
-            );
+        let seq = ping_campaign(0..8, 1);
+        assert!(seq.passed());
+        for workers in [3, 8] {
+            let par = ping_campaign(0..8, workers);
             assert_eq!(par.runs, seq.runs);
             assert_eq!(par.events_executed, seq.events_executed);
             assert_eq!(par.seed_coverage, seq.seed_coverage);
@@ -1497,6 +1499,31 @@ mod tests {
             assert_eq!(par.summary(), seq.summary());
             assert!(par.passed());
         }
+    }
+
+    #[test]
+    fn write_coverage_holds_the_acceptance_conditions() {
+        let name = "write_coverage_unit_test";
+        let good = Coverage {
+            view_changes_started: 2,
+            client_ops_submitted: 5,
+            client_ops_completed: 5,
+            ..Coverage::default()
+        };
+        let report = |coverage| CampaignReport { runs: 1, coverage, ..CampaignReport::default() };
+        assert_eq!(report(good).write_coverage(name), Ok(()));
+        for (field, bad) in [
+            ("view_changes_started", Coverage { view_changes_started: 0, ..good }),
+            ("liveness_violations", Coverage { liveness_violations: 1, ..good }),
+            ("trace_events_dropped", Coverage { trace_events_dropped: 1, ..good }),
+            ("client_ops_completed", Coverage { client_ops_completed: 4, ..good }),
+        ] {
+            let err = report(bad).write_coverage(name).expect_err(field);
+            assert!(err.contains(name) && err.contains(field), "{field}: {err}");
+        }
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("../../target/chaos-coverage/{name}.json"));
+        std::fs::remove_file(path).expect("write_coverage wrote its artifact");
     }
 
     #[test]

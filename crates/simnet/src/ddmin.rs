@@ -548,6 +548,14 @@ impl<H: ChaosHarness> ChaosHarness for CountingHarness<H> {
     fn liveness_bounds(&self) -> crate::chaos::LivenessBounds {
         self.inner.liveness_bounds()
     }
+
+    fn latency_budget(&self) -> Option<SimDuration> {
+        self.inner.latency_budget()
+    }
+
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        self.inner.describe(sim)
+    }
 }
 
 #[cfg(test)]
