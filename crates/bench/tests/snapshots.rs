@@ -13,6 +13,9 @@
 //! - `bench_baseline.json`: the bench lab's deterministic counts
 //!   ([`base_bench::lab`]).
 //!
+//! The metrics and campaign runs are also rebuilt twice and compared, so a
+//! nondeterminism shows up as such rather than as snapshot drift.
+//!
 //! Every run writes its fresh artifacts under `target/snapshots/`, which CI
 //! uploads on failure. To accept an intentional change:
 //!
@@ -147,6 +150,11 @@ fn e9_metrics_match_snapshot() {
     check("e9_metrics.json", &e9_metrics().to_json());
 }
 
+#[test]
+fn e9_metrics_are_deterministic() {
+    assert_eq!(e9_metrics().to_json(), e9_metrics().to_json());
+}
+
 /// A fixed six-seed campaign that must pass; returns its coverage JSON.
 fn campaign_coverage<H: ChaosHarness>(
     harness: impl Fn() -> H + Sync,
@@ -160,20 +168,34 @@ fn campaign_coverage<H: ChaosHarness>(
 }
 
 /// The heterogeneous NFS testbed, 4 generated fault events over 4 s.
-#[test]
-fn nfs_campaign_metrics_match_snapshot() {
+fn nfs_coverage() -> String {
     let harness = || NfsChaosHarness::new(FsMix::Heterogeneous);
     let cfg = harness().gen_config(4, SimDuration::from_secs(4));
-    check("nfs_metrics.json", &campaign_coverage(harness, &cfg, 6200..6206));
+    campaign_coverage(harness, &cfg, 6200..6206)
 }
 
 /// Four OODB replicas, 4 generated fault events over 6 s (the OODB
 /// workload paces slower than NFS).
-#[test]
-fn oodb_campaign_metrics_match_snapshot() {
+fn oodb_coverage() -> String {
     let harness = || OodbChaosHarness::new(4);
     let cfg = harness().gen_config(4, SimDuration::from_secs(6));
-    check("oodb_metrics.json", &campaign_coverage(harness, &cfg, 200..206));
+    campaign_coverage(harness, &cfg, 200..206)
+}
+
+#[test]
+fn nfs_campaign_metrics_match_snapshot() {
+    check("nfs_metrics.json", &nfs_coverage());
+}
+
+#[test]
+fn oodb_campaign_metrics_match_snapshot() {
+    check("oodb_metrics.json", &oodb_coverage());
+}
+
+#[test]
+fn campaign_metrics_are_deterministic() {
+    assert_eq!(nfs_coverage(), nfs_coverage());
+    assert_eq!(oodb_coverage(), oodb_coverage());
 }
 
 /// One acceptance scenario — a fixed seed, a fixed generated fault
