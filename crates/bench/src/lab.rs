@@ -18,9 +18,9 @@ use base_pbft::transfer::{
 };
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::{ExecEnv, Service};
-use base_simnet::chaos::{run_campaign, CampaignMode, ChaosHarness, FaultSchedule, NetFault};
+use base_simnet::chaos::{run_campaign, CampaignMode, ChaosHarness, FaultSchedule};
 use base_simnet::ddmin::ddmin_from_failure;
-use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 use rand::SeedableRng;
 use std::fmt::Write as _;
 

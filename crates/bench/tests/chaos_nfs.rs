@@ -8,7 +8,8 @@
 use base_bench::experiments::faultinj::NfsChaosHarness;
 use base_bench::repro::write_campaign_artifacts;
 use base_bench::FsMix;
-use base_simnet::chaos::{minimize, run_campaign, run_one, CampaignMode, FaultSchedule, NetFault};
+use base_simnet::chaos::{minimize, run_campaign, run_one, CampaignMode, FaultSchedule};
+use base_simnet::NetFault;
 use base_simnet::ddmin::CountingHarness;
 use base_simnet::{NodeId, SimDuration, SimTime};
 

@@ -439,8 +439,8 @@ mod tests {
     use super::*;
     use base_pbft::chaos::APP_BYZ;
     use base_pbft::ByzMode;
-    use base_simnet::chaos::{generate_schedule, minimize, run_one, FaultSchedule, NetFault};
-    use base_simnet::SimTime;
+    use base_simnet::chaos::{generate_schedule, minimize, run_one, FaultSchedule};
+    use base_simnet::{NetFault, SimTime};
 
     /// Pulls a `name=value` counter out of the audit summary line.
     fn summary_counter(trace: &[String], name: &str) -> u64 {

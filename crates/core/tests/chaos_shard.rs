@@ -7,10 +7,8 @@
 
 use base::shard_chaos::{ShardedChaosHarness, APP_XBUSY};
 use base_pbft::chaos::APP_BYZ;
-use base_simnet::chaos::{
-    generate_schedule, run_campaign, run_one, CampaignMode, ChaosEvent, NetFault,
-};
-use base_simnet::{NodeId, SimDuration};
+use base_simnet::chaos::{generate_schedule, run_campaign, run_one, CampaignMode, ChaosEvent};
+use base_simnet::{NetFault, NodeId, SimDuration};
 
 const SEEDS: std::ops::Range<u64> = 0..10;
 

@@ -9,8 +9,9 @@ use base_oodb::wrapper::OodbWrapper;
 use base_pbft::chaos::{Group, APP_CORRUPT_STATE, APP_RECOVER, CAMPAIGN_BOUNDS};
 use base_pbft::ReplicaRef;
 use base_simnet::chaos::{
-    run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds, NetFault,
+    run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds,
 };
+use base_simnet::NetFault;
 use base_simnet::tracediff::{divergence_report, first_divergence};
 use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
 

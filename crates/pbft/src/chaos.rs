@@ -88,7 +88,6 @@ pub fn campaign_gen_config(
         horizon,
         events,
         app_faults: fault_vocabulary(),
-        net_faults: true,
     }
 }
 

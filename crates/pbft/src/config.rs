@@ -9,6 +9,12 @@ pub const RTO_FLOOR: SimDuration = SimDuration::from_millis(150);
 /// Upper clamp for retransmission timeouts and their exponential backoff.
 pub const RTO_CEILING: SimDuration = SimDuration::from_secs(4);
 
+/// Maximum requests batched into one pre-prepare.
+pub const BATCH_MAX: usize = 16;
+
+/// Period of the replicas' retransmission/housekeeping tick.
+pub const TICK_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
 /// Static configuration shared by all replicas and clients of one group.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -20,8 +26,6 @@ pub struct Config {
     /// Log window size: the primary may propose sequence numbers in
     /// `(h, h + log_window]` where `h` is the last stable checkpoint.
     pub log_window: u64,
-    /// Maximum requests batched into one pre-prepare.
-    pub batch_max: usize,
     /// Maximum unexecuted proposals the primary keeps in flight; arrivals
     /// beyond it accumulate and get batched (the BFT library's behaviour:
     /// batch whatever arrives while earlier batches are in the pipeline).
@@ -39,8 +43,6 @@ pub struct Config {
     /// (`base_simnet::RttEstimator`) drives the timer, clamped between
     /// [`RTO_FLOOR`] and [`RTO_CEILING`].
     pub client_timeout: SimDuration,
-    /// Periodic retransmission/housekeeping tick at replicas.
-    pub tick_interval: SimDuration,
     /// Proactive recovery: full rotation period (every replica recovers
     /// once per period, staggered). `None` disables proactive recovery.
     pub recovery_period: Option<SimDuration>,
@@ -97,12 +99,10 @@ impl Config {
             n,
             checkpoint_interval: 128,
             log_window: 256,
-            batch_max: 16,
             max_inflight: 16,
             view_change_timeout: SimDuration::from_millis(500),
             view_change_timeout_cap: SimDuration::from_secs(8),
             client_timeout: SimDuration::from_millis(300),
-            tick_interval: SimDuration::from_millis(100),
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
             pipeline_depth: 16,
@@ -232,6 +232,8 @@ mod tests {
     fn timer_and_window_constants_keep_their_values() {
         assert_eq!(RTO_FLOOR, SimDuration::from_millis(150));
         assert_eq!(RTO_CEILING, SimDuration::from_secs(4));
+        assert_eq!(BATCH_MAX, 16);
+        assert_eq!(TICK_INTERVAL, SimDuration::from_millis(100));
         assert_eq!(crate::transfer::DEFAULT_FETCH_WINDOW, 4);
         assert_eq!(crate::transfer::FETCH_WINDOW_MAX, 16);
     }

@@ -5,7 +5,7 @@
 
 use super::io::Io;
 use crate::byzantine::ByzMode;
-use crate::config::Config;
+use crate::config::{Config, BATCH_MAX};
 use crate::log::{Log, SlotStage};
 use crate::messages::{CommitMsg, Message, PrePrepareMsg, PrepareMsg, RequestMsg};
 use base_crypto::{Authenticator, Digest};
@@ -57,7 +57,7 @@ impl Agreement {
     /// logs it. Returns its sequence number.
     pub(super) fn propose(&mut self, io: &mut Io<'_, '_>, view: u64) -> u64 {
         let mut batch = Vec::new();
-        while batch.len() < io.cfg.batch_max {
+        while batch.len() < BATCH_MAX {
             let Some(r) = self.pending.pop_front() else { break };
             self.pending_digests.remove(&r.digest());
             batch.push(r);

@@ -6,6 +6,7 @@ use super::io::io;
 use super::recovery::{Recovery, TOKEN_WATCHDOG};
 use super::view_change::TOKEN_VIEW_CHANGE;
 use super::Replica;
+use crate::config::TICK_INTERVAL;
 use crate::log::SlotStage;
 use crate::messages::{CertReplyMsg, FetchCertMsg, Message, NewViewMsg, RequestMsg, StatusMsg};
 use crate::service::Service;
@@ -263,7 +264,7 @@ impl<S: Service> Replica<S> {
         if !progressed && !self.fetch.active() {
             self.rec.probe(&mut io, view, last_exec, self.ckpt.stable_seq());
         }
-        io.ctx.set_timer(io.cfg.tick_interval, TOKEN_TICK);
+        io.ctx.set_timer(TICK_INTERVAL, TOKEN_TICK);
     }
 
     /// Responds to a peer's status report by retransmitting whatever it is
@@ -320,7 +321,7 @@ impl<S: Service> Replica<S> {
 
 impl<S: Service> Actor for Replica<S> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(self.cfg.tick_interval, TOKEN_TICK);
+        ctx.set_timer(TICK_INTERVAL, TOKEN_TICK);
         Recovery::arm(&mut io!(self, ctx), true);
     }
 

@@ -10,11 +10,11 @@ use base_pbft::testing::CounterService;
 use base_pbft::{ByzMode, ReplicaRef};
 use base_simnet::chaos::{
     generate_schedule, minimize, run_campaign, run_one, CampaignMode, ChaosEvent, ChaosHarness,
-    FaultSchedule, LivenessBounds, NetFault,
+    FaultSchedule, LivenessBounds,
 };
 use base_simnet::ddmin::{ddmin_from_failure, CountingHarness};
 use base_simnet::tracediff::divergence_report;
-use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 
 const SEEDS: std::ops::Range<u64> = 0..20;
 

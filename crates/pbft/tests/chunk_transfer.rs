@@ -5,7 +5,7 @@
 
 use base_pbft::testing::{build_counter_group, op_add, CounterService, TestGroup};
 use base_pbft::{ClientActor, Config, Replica, Service};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 
 fn small_config() -> Config {
     let mut cfg = Config::new(4);
@@ -151,14 +151,14 @@ fn warm_lagging_replica_reuses_untouched_chunks() {
 
 #[test]
 fn chunked_recovery_survives_dropped_chunk_replies() {
-    // A lossy filter drops 30% of chunk-bytes replies (wire tag 18): the
+    // A fault drops 30% of chunk-bytes replies (wire tag 18): the
     // fetch window retransmits and recovery still completes.
     let mut cfg = small_config();
     cfg.chunk_size = 4;
     let mut sim = Simulation::new(31);
     let g = build_counter_group(&mut sim, cfg, 1, 31);
     let client = g.clients[0];
-    sim.set_filter(Box::new(base_simnet::faults::TaggedDropper { tag: 18, prob: 0.3 }));
+    sim.add_fault(NetFault::DropTagged { tag: 18, prob: 0.3 }, SimTime::ZERO, SimTime(u64::MAX));
 
     sim.crash(g.replicas[3], SimDuration::from_secs(5));
     for _ in 0..30 {
@@ -187,7 +187,7 @@ fn chunked_recovery_survives_corrupted_chunk_replies() {
     let mut sim = Simulation::new(37);
     let g = build_counter_group(&mut sim, cfg, 1, 37);
     let client = g.clients[0];
-    sim.set_filter(Box::new(base_simnet::faults::TaggedFlipper { tag: 18, prob: 0.5 }));
+    sim.add_fault(NetFault::CorruptTagged { tag: 18, prob: 0.5 }, SimTime::ZERO, SimTime(u64::MAX));
 
     sim.crash(g.replicas[3], SimDuration::from_secs(5));
     for _ in 0..30 {
@@ -206,7 +206,7 @@ fn chunked_recovery_survives_corrupted_chunk_replies() {
     assert!(
         r3.metrics().counter("transfer.corrupt_replies") >= 1
             || r3.metrics().counter("transfer.retransmissions") >= 1,
-        "the flipper must have forced at least one rejected reply or retry"
+        "the corruption must have forced at least one rejected reply or retry"
     );
 }
 

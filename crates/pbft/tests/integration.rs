@@ -4,7 +4,7 @@
 
 use base_pbft::testing::{build_counter_group, op_add, op_get, CounterService, TestGroup};
 use base_pbft::{ByzMode, ClientActor, Config, Replica};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 
 fn small_config() -> Config {
     let mut cfg = Config::new(4);
@@ -265,7 +265,7 @@ fn survives_lossy_network() {
     let mut sim = Simulation::new(11);
     let g = build_counter_group(&mut sim, small_config(), 1, 11);
     let client = g.clients[0];
-    sim.config_mut().drop_prob = 0.05;
+    sim.add_fault(NetFault::Drop { prob: 0.05 }, SimTime::ZERO, SimTime(u64::MAX));
     for _ in 0..15 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -350,15 +350,12 @@ fn late_replacement_accepts_agreed_but_stale_timestamps() {
 
 #[test]
 fn survives_duplicated_messages() {
-    // A Duplicator filter re-delivers a third of all messages: every
-    // protocol step must be idempotent.
+    // A third of all messages are delivered twice: every protocol step
+    // must be idempotent.
     let mut sim = Simulation::new(17);
     let g = build_counter_group(&mut sim, small_config(), 1, 17);
     let client = g.clients[0];
-    sim.set_filter(Box::new(base_simnet::faults::Duplicator {
-        prob: 0.33,
-        dup_delay: SimDuration::from_micros(700),
-    }));
+    sim.add_fault(NetFault::Duplicate { prob: 0.33 }, SimTime::ZERO, SimTime(u64::MAX));
     for i in 1..=15u64 {
         enqueue(&mut sim, client, op_add(0, i), false);
     }
@@ -377,11 +374,9 @@ fn survives_slow_asymmetric_link() {
     let mut sim = Simulation::new(18);
     let g = build_counter_group(&mut sim, small_config(), 1, 18);
     let client = g.clients[0];
-    sim.set_filter(Box::new(base_simnet::faults::SlowLink {
-        from: g.replicas[0],
-        to: g.replicas[2],
-        extra: SimDuration::from_millis(40),
-    }));
+    let extra = SimDuration::from_millis(40);
+    let slow = NetFault::Slow { from: g.replicas[0], to: g.replicas[2], extra };
+    sim.add_fault(slow, SimTime::ZERO, SimTime(u64::MAX));
     for _ in 0..10 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }

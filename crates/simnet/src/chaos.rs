@@ -2,9 +2,10 @@
 //! simulation runs, with greedy schedule minimization for failing runs.
 //!
 //! A [`FaultSchedule`] is a list of timed events — crash/restore windows,
-//! healing network faults (partitions, corruption, slow links, duplication)
-//! and application-defined faults (Byzantine-mode flips, state corruption,
-//! proactive-recovery triggers) dispatched through a [`ChaosHarness`] hook
+//! healing network faults ([`NetFault`]s, each added to the simulation as a
+//! window) and application-defined faults (Byzantine-mode flips, state
+//! corruption, proactive-recovery triggers) dispatched through a
+//! [`ChaosHarness`] hook
 //! so this crate stays protocol-agnostic. [`run_one`] executes a schedule
 //! against a freshly built simulation and returns the deterministic event
 //! trace; [`run_campaign`] drives N seeded runs, generating a
@@ -15,10 +16,7 @@
 //! Everything is deterministic: the same seed and schedule produce the same
 //! trace and the same [`NetStats`], which the determinism tests assert.
 
-use crate::faults::{
-    ActiveWindow, BitFlipper, Duplicator, FilterChain, Isolate, SlowLink, TaggedDropper,
-    TaggedFlipper,
-};
+use crate::faults::NetFault;
 use crate::trace::{ProtocolEvent, RingBufferSink, TraceEvent};
 use crate::{NetStats, NodeId, SimDuration, SimTime, Simulation};
 use rand::rngs::StdRng;
@@ -27,55 +25,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Mutex;
-
-/// A network-level fault, active for the duration attached to its event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NetFault {
-    /// Cut `nodes` off from everyone else (heals when the window ends).
-    Partition {
-        /// The isolated side of the partition.
-        nodes: Vec<NodeId>,
-    },
-    /// Corrupt a fraction of `from`'s outbound messages.
-    Corrupt {
-        /// The node whose outbound traffic is mangled.
-        from: NodeId,
-        /// Per-message corruption probability.
-        prob: f64,
-    },
-    /// Add `extra` one-way delay on one direction of one link.
-    Slow {
-        /// Link source.
-        from: NodeId,
-        /// Link destination.
-        to: NodeId,
-        /// Added one-way delay.
-        extra: SimDuration,
-    },
-    /// Duplicate a fraction of all traffic.
-    Duplicate {
-        /// Per-message duplication probability.
-        prob: f64,
-    },
-    /// Drop a fraction of one protocol message kind, selected by its
-    /// leading 4-byte wire discriminant (targeted starvation, e.g. of
-    /// erasure-coded fragment replies).
-    DropTagged {
-        /// Wire discriminant of the targeted message kind.
-        tag: u32,
-        /// Per-message drop probability.
-        prob: f64,
-    },
-    /// Corrupt the body (never the discriminant) of a fraction of one
-    /// protocol message kind: the message still parses as its kind but
-    /// fails content verification downstream.
-    CorruptTagged {
-        /// Wire discriminant of the targeted message kind.
-        tag: u32,
-        /// Per-message corruption probability.
-        prob: f64,
-    },
-}
 
 /// One scheduled fault event.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +65,55 @@ pub struct TimedEvent {
     pub event: ChaosEvent,
 }
 
+impl ChaosEvent {
+    /// The canonical encoding a schedule digest folds: a kind number, then
+    /// every field ([`NetFault::words`] for a network fault).
+    pub(crate) fn words(&self) -> Vec<u64> {
+        match self {
+            ChaosEvent::Crash { node, down } => vec![1, node.0 as u64, down.as_nanos()],
+            ChaosEvent::Net { fault, dur } => {
+                let mut w = vec![2, dur.as_nanos()];
+                w.extend(fault.words());
+                w
+            }
+            ChaosEvent::App { node, tag, arg } => vec![3, node.0 as u64, u64::from(*tag), *arg],
+        }
+    }
+
+    /// The magnitudes the shrinker may lower, in the order it visits them:
+    /// a crash's downtime; a network fault's window, then its own
+    /// [`NetFault::knobs`]; an application fault's argument.
+    pub(crate) fn knobs(&self) -> Vec<u64> {
+        match self {
+            ChaosEvent::Crash { down, .. } => vec![down.as_nanos()],
+            ChaosEvent::Net { fault, dur } => {
+                let mut k = vec![dur.as_nanos()];
+                k.extend(fault.knobs());
+                k
+            }
+            ChaosEvent::App { arg, .. } => vec![*arg],
+        }
+    }
+
+    /// This event with knob `k` (an index into [`knobs`](Self::knobs)) set
+    /// to `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event has no knob `k`.
+    pub(crate) fn with_knob(&self, k: usize, v: u64) -> ChaosEvent {
+        let mut event = self.clone();
+        match (&mut event, k) {
+            (ChaosEvent::Crash { down, .. }, 0) => *down = SimDuration::from_nanos(v),
+            (ChaosEvent::Net { dur, .. }, 0) => *dur = SimDuration::from_nanos(v),
+            (ChaosEvent::Net { fault, .. }, k) => *fault = fault.with_knob(k - 1, v),
+            (ChaosEvent::App { arg, .. }, 0) => *arg = v,
+            _ => panic!("{self:?} has no knob {k}"),
+        }
+        event
+    }
+}
+
 impl fmt::Display for TimedEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={}ms ", self.at.as_nanos() / 1_000_000)?;
@@ -124,33 +122,7 @@ impl fmt::Display for TimedEvent {
                 write!(f, "crash node {} for {}ms", node.0, down.as_nanos() / 1_000_000)
             }
             ChaosEvent::Net { fault, dur } => {
-                let ms = dur.as_nanos() / 1_000_000;
-                match fault {
-                    NetFault::Partition { nodes } => {
-                        let ids: Vec<String> = nodes.iter().map(|n| n.0.to_string()).collect();
-                        write!(f, "partition {{{}}} for {}ms", ids.join(","), ms)
-                    }
-                    NetFault::Corrupt { from, prob } => {
-                        write!(f, "corrupt from node {} p={:.2} for {}ms", from.0, prob, ms)
-                    }
-                    NetFault::Slow { from, to, extra } => write!(
-                        f,
-                        "slow link {}->{} +{}ms for {}ms",
-                        from.0,
-                        to.0,
-                        extra.as_nanos() / 1_000_000,
-                        ms
-                    ),
-                    NetFault::Duplicate { prob } => {
-                        write!(f, "duplicate p={prob:.2} for {ms}ms")
-                    }
-                    NetFault::DropTagged { tag, prob } => {
-                        write!(f, "drop tag {tag} p={prob:.2} for {ms}ms")
-                    }
-                    NetFault::CorruptTagged { tag, prob } => {
-                        write!(f, "corrupt tag {tag} p={prob:.2} for {ms}ms")
-                    }
-                }
+                write!(f, "{fault} for {}ms", dur.as_nanos() / 1_000_000)
             }
             ChaosEvent::App { node, tag, arg } => {
                 write!(f, "app fault tag={} arg={} at node {}", tag, arg, node.0)
@@ -695,7 +667,7 @@ const RUN_TRACE_CAP: usize = 1 << 16;
 /// recording protocol events into a [`RingBufferSink`] and deriving the
 /// run's [`Coverage`] from them.
 ///
-/// Network faults are installed up front as [`ActiveWindow`]-gated filters
+/// Network faults are added up front as [`Simulation::add_fault`] windows
 /// (so they activate and heal purely by sim time); crash and app events are
 /// applied at their scheduled instants. After the last event the run
 /// continues for [`ChaosHarness::settle`] before the audit.
@@ -708,35 +680,10 @@ pub fn run_one<H: ChaosHarness>(
     sim.set_trace_sink(Box::new(RingBufferSink::new(RUN_TRACE_CAP)));
     let mut trace = Vec::new();
 
-    let mut chain = FilterChain::new();
-    let mut any_net = false;
     for ev in &schedule.events {
         if let ChaosEvent::Net { fault, dur } = &ev.event {
-            let until = ev.at + *dur;
-            let boxed: Box<dyn crate::NetFilter> = match fault {
-                NetFault::Partition { nodes } => Box::new(Isolate::new(nodes.clone())),
-                NetFault::Corrupt { from, prob } => {
-                    Box::new(BitFlipper { from: *from, prob: *prob })
-                }
-                NetFault::Slow { from, to, extra } => {
-                    Box::new(SlowLink { from: *from, to: *to, extra: *extra })
-                }
-                NetFault::Duplicate { prob } => {
-                    Box::new(Duplicator { prob: *prob, dup_delay: SimDuration::from_millis(2) })
-                }
-                NetFault::DropTagged { tag, prob } => {
-                    Box::new(TaggedDropper { tag: *tag, prob: *prob })
-                }
-                NetFault::CorruptTagged { tag, prob } => {
-                    Box::new(TaggedFlipper { tag: *tag, prob: *prob })
-                }
-            };
-            chain.push(Box::new(ActiveWindow::new(boxed, ev.at, until)));
-            any_net = true;
+            sim.add_fault(fault.clone(), ev.at, ev.at + *dur);
         }
-    }
-    if any_net {
-        sim.set_filter(Box::new(chain));
     }
 
     for ev in schedule.sorted() {
@@ -744,7 +691,7 @@ pub fn run_one<H: ChaosHarness>(
         trace.push(ev.to_string());
         match &ev.event {
             ChaosEvent::Crash { node, down } => sim.crash(*node, *down),
-            ChaosEvent::Net { .. } => {} // installed above; activates by window
+            ChaosEvent::Net { .. } => {} // added above; activates by window
             ChaosEvent::App { node, tag, arg } => {
                 harness.apply_app(&mut sim, *node, *tag, *arg, &mut trace);
             }
@@ -858,9 +805,6 @@ pub struct ScheduleGenConfig {
     pub events: usize,
     /// Application fault vocabulary; may be empty.
     pub app_faults: Vec<AppFaultSpec>,
-    /// Include network-level faults (partitions, corruption, slow links,
-    /// duplication).
-    pub net_faults: bool,
 }
 
 /// Inclusive-start/exclusive-end impairment interval on one node.
@@ -908,12 +852,11 @@ pub fn generate_schedule(cfg: &ScheduleGenConfig, seed: u64) -> FaultSchedule {
     let mut impairments: Vec<Impairment> = Vec::new();
     let horizon = cfg.horizon.as_nanos();
 
-    let kinds: usize = 2 + usize::from(cfg.net_faults) * 3;
     for _ in 0..cfg.events {
         let at = SimTime::from_nanos(rng.gen_range(0..horizon));
         let node = cfg.nodes[rng.gen_range(0..cfg.nodes.len())];
         let dur = SimDuration::from_nanos(rng.gen_range(horizon / 20..horizon / 4));
-        let kind = rng.gen_range(0..kinds);
+        let kind = rng.gen_range(0..5usize);
         match kind {
             // Crash window.
             0 => {
@@ -1417,7 +1360,6 @@ mod tests {
             horizon: SimDuration::from_secs(4),
             events: 6,
             app_faults: vec![AppFaultSpec { tag: 7, arg_max: 3, impairs: false, heal: None }],
-            net_faults: true,
         }
     }
 
@@ -1443,6 +1385,51 @@ mod tests {
         let (b, vb) = run_one(&mut h, 42, &schedule);
         assert_eq!(a, b);
         assert_eq!(va, vb);
+    }
+
+    /// A partition of two nodes cuts them off from the rest, not from each
+    /// other.
+    #[test]
+    fn a_group_partition_keeps_its_members_connected() {
+        /// Pings among three nodes; the audit records who heard from whom.
+        struct Reach(PingHarness);
+        impl ChaosHarness for Reach {
+            fn build(&mut self, seed: u64) -> Simulation {
+                self.0.build(seed)
+            }
+            fn apply_app(
+                &mut self,
+                _: &mut Simulation,
+                _: NodeId,
+                _: u32,
+                _: u64,
+                _: &mut Vec<String>,
+            ) {
+            }
+            // The run ends as the partition heals, so every pong counted
+            // crossed the network while it was in force.
+            fn settle(&self) -> SimDuration {
+                SimDuration::ZERO
+            }
+            fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+                for id in 0..self.0.n {
+                    let p = sim.actor_as::<Pinger>(NodeId(id)).expect("pinger");
+                    let heard: Vec<usize> = (0..self.0.n).filter(|&i| p.pongs[i] > 0).collect();
+                    trace.push(format!("node {id} heard from {heard:?}"));
+                }
+                Ok(())
+            }
+        }
+        let mut schedule = FaultSchedule::new();
+        schedule.net(
+            SimTime::ZERO,
+            NetFault::Partition { nodes: vec![NodeId(0), NodeId(1)] },
+            SimDuration::from_millis(500),
+        );
+        let (outcome, _) = run_one(&mut Reach(PingHarness { n: 3 }), 1, &schedule);
+        for line in ["node 0 heard from [1]", "node 1 heard from [0]", "node 2 heard from []"] {
+            assert!(outcome.trace.iter().any(|l| l == line), "no {line:?} in {:#?}", outcome.trace);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Network configuration: latency, loss, bandwidth, partitions, skew.
+//! The network model: latency, bandwidth and clock skew. Faults (loss,
+//! partitions, slow links, …) are [`crate::faults::NetFault`] windows.
 
 use crate::actor::NodeId;
 use crate::time::SimDuration;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Link latency model: a base delay plus uniform jitter.
 #[derive(Clone, Copy, Debug)]
@@ -31,20 +32,14 @@ impl LatencyModel {
     }
 }
 
-/// Full network configuration.
+/// The network model.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Default latency model for all links.
+    /// Latency model of every link.
     pub latency: LatencyModel,
-    /// Per-link latency overrides.
-    pub link_latency: HashMap<(NodeId, NodeId), LatencyModel>,
-    /// Probability that any given message is silently dropped.
-    pub drop_prob: f64,
     /// Network bandwidth in bytes/second (0 = infinite). Adds a
     /// size-proportional serialization delay to each message.
     pub bandwidth_bytes_per_sec: u64,
-    /// Pairs of nodes that cannot currently communicate (unordered).
-    cut_links: HashSet<(NodeId, NodeId)>,
     /// Per-node local clock skew.
     pub clock_skew: HashMap<NodeId, SimDuration>,
 }
@@ -53,50 +48,13 @@ impl Default for NetConfig {
     fn default() -> Self {
         Self {
             latency: LatencyModel::lan(),
-            link_latency: HashMap::new(),
-            drop_prob: 0.0,
             bandwidth_bytes_per_sec: 0,
-            cut_links: HashSet::new(),
             clock_skew: HashMap::new(),
         }
     }
 }
 
 impl NetConfig {
-    /// Latency model for the link `from → to`.
-    pub fn link_model(&self, from: NodeId, to: NodeId) -> LatencyModel {
-        self.link_latency.get(&(from, to)).copied().unwrap_or(self.latency)
-    }
-
-    /// Cuts the (bidirectional) link between `a` and `b`.
-    pub fn cut_link(&mut self, a: NodeId, b: NodeId) {
-        self.cut_links.insert(Self::norm(a, b));
-    }
-
-    /// Restores the link between `a` and `b`.
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId) {
-        self.cut_links.remove(&Self::norm(a, b));
-    }
-
-    /// Partitions the nodes into two groups that cannot reach each other.
-    pub fn partition(&mut self, group_a: &[NodeId], group_b: &[NodeId]) {
-        for &a in group_a {
-            for &b in group_b {
-                self.cut_link(a, b);
-            }
-        }
-    }
-
-    /// Heals every cut link.
-    pub fn heal_all(&mut self) {
-        self.cut_links.clear();
-    }
-
-    /// True if `a` and `b` can currently communicate.
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        !self.cut_links.contains(&Self::norm(a, b))
-    }
-
     /// Sets the local clock skew of `node`.
     pub fn set_clock_skew(&mut self, node: NodeId, skew: SimDuration) {
         self.clock_skew.insert(node, skew);
@@ -106,52 +64,42 @@ impl NetConfig {
     pub fn skew(&self, node: NodeId) -> SimDuration {
         self.clock_skew.get(&node).copied().unwrap_or(SimDuration::ZERO)
     }
-
-    fn norm(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a.0 <= b.0 {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Actor, Context};
+    use crate::faults::NetFault;
+    use crate::time::SimTime;
+    use crate::Simulation;
 
-    #[test]
-    fn cut_and_heal_are_symmetric() {
-        let mut cfg = NetConfig::default();
-        let (a, b) = (NodeId(0), NodeId(1));
-        assert!(cfg.connected(a, b));
-        cfg.cut_link(b, a);
-        assert!(!cfg.connected(a, b));
-        assert!(!cfg.connected(b, a));
-        cfg.heal_link(a, b);
-        assert!(cfg.connected(b, a));
+    /// Records when each message arrives.
+    #[derive(Default)]
+    struct Arrivals(Vec<SimTime>);
+
+    impl Actor for Arrivals {
+        fn on_message(&mut self, _from: NodeId, _payload: &[u8], ctx: &mut Context<'_>) {
+            self.0.push(ctx.now());
+        }
     }
 
-    #[test]
-    fn partition_cuts_cross_links_only() {
-        let mut cfg = NetConfig::default();
-        let n: Vec<NodeId> = (0..4).map(NodeId).collect();
-        cfg.partition(&n[..2], &n[2..]);
-        assert!(cfg.connected(n[0], n[1]));
-        assert!(cfg.connected(n[2], n[3]));
-        assert!(!cfg.connected(n[0], n[2]));
-        assert!(!cfg.connected(n[1], n[3]));
-        cfg.heal_all();
-        assert!(cfg.connected(n[0], n[2]));
-    }
-
+    /// A one-direction slow link is a `NetFault::Slow` window: it delays
+    /// its own link beyond the model's latency and leaves the reverse
+    /// direction on the model.
     #[test]
     fn per_link_override_wins() {
-        let mut cfg = NetConfig::default();
-        let (a, b) = (NodeId(0), NodeId(1));
-        cfg.link_latency.insert((a, b), LatencyModel::wan());
-        assert_eq!(cfg.link_model(a, b).base, LatencyModel::wan().base);
-        // The reverse direction still uses the default.
-        assert_eq!(cfg.link_model(b, a).base, LatencyModel::lan().base);
+        let mut sim = Simulation::new(1);
+        sim.config_mut().latency = LatencyModel::instant();
+        let a = sim.add_node(Box::<Arrivals>::default());
+        let b = sim.add_node(Box::<Arrivals>::default());
+        let extra = LatencyModel::wan().base;
+        sim.add_fault(NetFault::Slow { from: a, to: b, extra }, SimTime::ZERO, SimTime(u64::MAX));
+        sim.inject(a, b, b"x".to_vec());
+        sim.inject(b, a, b"x".to_vec());
+        sim.run_for(SimDuration::from_millis(50));
+        assert_eq!(sim.actor_as::<Arrivals>(b).unwrap().0, vec![SimTime::ZERO + extra]);
+        // The reverse direction still uses the model.
+        assert_eq!(sim.actor_as::<Arrivals>(a).unwrap().0, vec![SimTime::ZERO]);
     }
 }

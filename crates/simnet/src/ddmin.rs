@@ -9,10 +9,10 @@
 //! single-event removal, exactly like the greedy minimizer's.
 //!
 //! On top of subset reduction this module runs a second, parameter-level
-//! pass: event durations and magnitudes (crash downtime, partition and
-//! fault windows, slow-link delay, corruption/duplication probability,
-//! application-fault arguments such as corrupt-object counts) are shrunk
-//! toward the smallest still-failing values by deterministic binary search.
+//! pass: one loop over each event's knobs (`ChaosEvent::knobs`: crash
+//! downtime, fault windows, slow-link delay, fault probabilities,
+//! application-fault arguments such as corrupt-object counts), each shrunk
+//! toward the smallest still-failing value by deterministic binary search.
 //!
 //! Every candidate verdict is cached in a [`TestCache`] keyed by a stable
 //! digest of the schedule ([`schedule_digest`]), so no schedule — including
@@ -26,14 +26,13 @@
 //! seed and schedule, the minimized schedule — and its rendering — is
 //! byte-identical across runs.
 
-use crate::chaos::{
-    run_one, ChaosEvent, ChaosHarness, FaultSchedule, NetFault, RunOutcome, TimedEvent,
-};
+use crate::chaos::{run_one, ChaosHarness, FaultSchedule, RunOutcome, TimedEvent};
 use crate::metrics::MetricsRegistry;
 use crate::{SimDuration, Simulation};
 use std::collections::HashMap;
 
-/// Stable 64-bit digest of a schedule (FNV-1a over a canonical encoding).
+/// Stable 64-bit digest of a schedule (FNV-1a over each event's time and
+/// its canonical words, `ChaosEvent::words`).
 /// Identical schedules digest identically across processes and runs; the
 /// test cache and artifact names key on it.
 pub fn schedule_digest(schedule: &FaultSchedule) -> u64 {
@@ -48,56 +47,8 @@ pub fn schedule_digest(schedule: &FaultSchedule) -> u64 {
     };
     for ev in &schedule.events {
         mix(ev.at.as_nanos());
-        match &ev.event {
-            ChaosEvent::Crash { node, down } => {
-                mix(1);
-                mix(node.0 as u64);
-                mix(down.as_nanos());
-            }
-            ChaosEvent::Net { fault, dur } => {
-                mix(2);
-                mix(dur.as_nanos());
-                match fault {
-                    NetFault::Partition { nodes } => {
-                        mix(1);
-                        mix(nodes.len() as u64);
-                        for n in nodes {
-                            mix(n.0 as u64);
-                        }
-                    }
-                    NetFault::Corrupt { from, prob } => {
-                        mix(2);
-                        mix(from.0 as u64);
-                        mix(prob.to_bits());
-                    }
-                    NetFault::Slow { from, to, extra } => {
-                        mix(3);
-                        mix(from.0 as u64);
-                        mix(to.0 as u64);
-                        mix(extra.as_nanos());
-                    }
-                    NetFault::Duplicate { prob } => {
-                        mix(4);
-                        mix(prob.to_bits());
-                    }
-                    NetFault::DropTagged { tag, prob } => {
-                        mix(5);
-                        mix(u64::from(*tag));
-                        mix(prob.to_bits());
-                    }
-                    NetFault::CorruptTagged { tag, prob } => {
-                        mix(6);
-                        mix(u64::from(*tag));
-                        mix(prob.to_bits());
-                    }
-                }
-            }
-            ChaosEvent::App { node, tag, arg } => {
-                mix(3);
-                mix(node.0 as u64);
-                mix(u64::from(*tag));
-                mix(*arg);
-            }
+        for w in ev.event.words() {
+            mix(w);
         }
     }
     h
@@ -315,26 +266,24 @@ fn subset_reduce<H: ChaosHarness>(
     current
 }
 
-/// Binary-searches the smallest still-failing value in `[0, hi]`, where
-/// `hi` (the current value) is known to fail. Monotone failure is assumed
-/// along the probed path; the returned value always failed a real test (or
-/// is the untouched original).
-fn shrink_value<H: ChaosHarness, F: Fn(u64) -> TimedEvent>(
+/// Binary-searches the smallest still-failing value of knob `k` of event
+/// `idx` in `[0, hi]`, where `hi` (its current value) is known to fail.
+/// Monotone failure is assumed along the probed path; the returned value
+/// always failed a real test (or is the untouched original).
+fn shrink_value<H: ChaosHarness>(
     harness: &mut H,
     seed: u64,
     events: &[TimedEvent],
-    idx: usize,
-    hi: u64,
-    rebuild: F,
+    (idx, k): (usize, usize),
     cache: &mut TestCache,
 ) -> u64 {
     let mut lo = 0u64;
-    let mut hi = hi;
+    let mut hi = events[idx].event.knobs()[k];
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         cache.metrics.inc("ddmin.shrink_tests");
         let mut candidate = events.to_vec();
-        candidate[idx] = rebuild(mid);
+        candidate[idx].event = candidate[idx].event.with_knob(k, mid);
         if cache.fails(harness, seed, &FaultSchedule { events: candidate }) {
             hi = mid;
         } else {
@@ -344,136 +293,19 @@ fn shrink_value<H: ChaosHarness, F: Fn(u64) -> TimedEvent>(
     hi
 }
 
-/// Probabilities are shrunk on a fixed micro-unit grid so the search stays
-/// integral and the result renders identically everywhere.
-const PROB_UNITS: f64 = 1e6;
-
-fn prob_to_units(p: f64) -> u64 {
-    (p * PROB_UNITS).round() as u64
-}
-
-fn units_to_prob(u: u64) -> f64 {
-    u as f64 / PROB_UNITS
-}
-
-/// Pass 2: shrink every event's durations and parameters toward the
-/// smallest values that still fail.
+/// Pass 2: shrink every event's knobs ([`crate::chaos::ChaosEvent::knobs`])
+/// in order toward the smallest values that still fail. Each result is
+/// written back even when unshrunk, so a probability lands on its grid.
 fn shrink_parameters<H: ChaosHarness>(
     harness: &mut H,
     seed: u64,
     current: &mut [TimedEvent],
     cache: &mut TestCache,
 ) {
-    let mut shrink =
-        |events: &[TimedEvent], idx: usize, hi: u64, rebuild: &dyn Fn(u64) -> TimedEvent| {
-            shrink_value(harness, seed, events, idx, hi, rebuild, cache)
-        };
     for idx in 0..current.len() {
-        let ev = current[idx].clone();
-        match ev.event {
-            ChaosEvent::Crash { node, down } => {
-                let best = shrink(current, idx, down.as_nanos(), &|v| TimedEvent {
-                    at: ev.at,
-                    event: ChaosEvent::Crash { node, down: SimDuration::from_nanos(v) },
-                });
-                current[idx].event = ChaosEvent::Crash { node, down: SimDuration::from_nanos(best) };
-            }
-            ChaosEvent::Net { ref fault, dur } => {
-                // Shrink the fault window first…
-                let fault_for_dur = fault.clone();
-                let best_dur = shrink(current, idx, dur.as_nanos(), &|v| TimedEvent {
-                    at: ev.at,
-                    event: ChaosEvent::Net {
-                        fault: fault_for_dur.clone(),
-                        dur: SimDuration::from_nanos(v),
-                    },
-                });
-                let dur = SimDuration::from_nanos(best_dur);
-                current[idx].event = ChaosEvent::Net { fault: fault.clone(), dur };
-
-                // …then the fault's own magnitude.
-                match fault.clone() {
-                    NetFault::Slow { from, to, extra } => {
-                        let best = shrink(current, idx, extra.as_nanos(), &|v| TimedEvent {
-                            at: ev.at,
-                            event: ChaosEvent::Net {
-                                fault: NetFault::Slow {
-                                    from,
-                                    to,
-                                    extra: SimDuration::from_nanos(v),
-                                },
-                                dur,
-                            },
-                        });
-                        current[idx].event = ChaosEvent::Net {
-                            fault: NetFault::Slow { from, to, extra: SimDuration::from_nanos(best) },
-                            dur,
-                        };
-                    }
-                    NetFault::Corrupt { from, prob } => {
-                        let best = shrink(current, idx, prob_to_units(prob), &|v| TimedEvent {
-                            at: ev.at,
-                            event: ChaosEvent::Net {
-                                fault: NetFault::Corrupt { from, prob: units_to_prob(v) },
-                                dur,
-                            },
-                        });
-                        current[idx].event = ChaosEvent::Net {
-                            fault: NetFault::Corrupt { from, prob: units_to_prob(best) },
-                            dur,
-                        };
-                    }
-                    NetFault::Duplicate { prob } => {
-                        let best = shrink(current, idx, prob_to_units(prob), &|v| TimedEvent {
-                            at: ev.at,
-                            event: ChaosEvent::Net {
-                                fault: NetFault::Duplicate { prob: units_to_prob(v) },
-                                dur,
-                            },
-                        });
-                        current[idx].event = ChaosEvent::Net {
-                            fault: NetFault::Duplicate { prob: units_to_prob(best) },
-                            dur,
-                        };
-                    }
-                    NetFault::DropTagged { tag, prob } => {
-                        let best = shrink(current, idx, prob_to_units(prob), &|v| TimedEvent {
-                            at: ev.at,
-                            event: ChaosEvent::Net {
-                                fault: NetFault::DropTagged { tag, prob: units_to_prob(v) },
-                                dur,
-                            },
-                        });
-                        current[idx].event = ChaosEvent::Net {
-                            fault: NetFault::DropTagged { tag, prob: units_to_prob(best) },
-                            dur,
-                        };
-                    }
-                    NetFault::CorruptTagged { tag, prob } => {
-                        let best = shrink(current, idx, prob_to_units(prob), &|v| TimedEvent {
-                            at: ev.at,
-                            event: ChaosEvent::Net {
-                                fault: NetFault::CorruptTagged { tag, prob: units_to_prob(v) },
-                                dur,
-                            },
-                        });
-                        current[idx].event = ChaosEvent::Net {
-                            fault: NetFault::CorruptTagged { tag, prob: units_to_prob(best) },
-                            dur,
-                        };
-                    }
-                    NetFault::Partition { .. } => {}
-                }
-            }
-            ChaosEvent::App { node, tag, arg } => {
-                // Application argument: e.g. corrupt-object count or
-                // corruption seed magnitude.
-                let best = shrink(current, idx, arg, &|v| TimedEvent {
-                    at: ev.at,
-                    event: ChaosEvent::App { node, tag, arg: v },
-                });
-                current[idx].event = ChaosEvent::App { node, tag, arg: best };
-            }
+        for k in 0..current[idx].event.knobs().len() {
+            let best = shrink_value(harness, seed, current, (idx, k), cache);
+            current[idx].event = current[idx].event.with_knob(k, best);
         }
     }
 }
@@ -561,8 +393,8 @@ impl<H: ChaosHarness> ChaosHarness for CountingHarness<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::minimize;
-    use crate::{NodeId, SimTime};
+    use crate::chaos::{minimize, ChaosEvent};
+    use crate::{NetFault, NodeId, SimTime};
 
     /// Harness whose audit fails iff at least `threshold` crash events were
     /// applied (visible as "crash node" lines in the run trace). Pure in

@@ -1,19 +1,82 @@
-//! Message-level fault injection.
+//! Network faults: one value per fault, and everything derived from it.
 //!
-//! A [`NetFilter`] sees every message after the latency model and before
-//! delivery, and can pass, drop, delay, duplicate or corrupt it. Filters
-//! model an adversarial network (or an attacker-controlled switch); *node*
-//! faults (crashed or Byzantine replicas) are modelled by crash windows in
-//! the simulator and by adversarial [`crate::Actor`] implementations.
+//! A [`NetFault`] is the only description of a network fault. This file
+//! holds, per variant, what the fault does to a message (`act`), how it
+//! renders, the canonical words a schedule digest folds (`words`) and the
+//! numeric knobs the schedule shrinker walks (`knobs`, `with_knob`). The simulator keeps an
+//! ordered list of `(fault, from, until)` windows
+//! ([`crate::Simulation::add_fault`]) and routes every message through the
+//! ones in force. *Node* faults (crashed or Byzantine replicas) are
+//! modelled by crash windows in the simulator and by adversarial
+//! [`crate::Actor`] implementations.
 
 use crate::actor::NodeId;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt;
 
-/// What to do with an intercepted message.
+/// A network-level fault, in force for a window of virtual time.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NetFault {
+    /// Cut `nodes` off from everyone else (heals when the window ends):
+    /// a message is dropped iff exactly one of its endpoints is listed, so
+    /// the listed nodes still reach each other.
+    Partition {
+        /// The isolated side of the partition.
+        nodes: Vec<NodeId>,
+    },
+    /// Corrupt a fraction of `from`'s outbound messages.
+    Corrupt {
+        /// The node whose outbound traffic is mangled.
+        from: NodeId,
+        /// Per-message corruption probability.
+        prob: f64,
+    },
+    /// Add `extra` one-way delay on one direction of one link.
+    Slow {
+        /// Link source.
+        from: NodeId,
+        /// Link destination.
+        to: NodeId,
+        /// Added one-way delay.
+        extra: SimDuration,
+    },
+    /// Duplicate a fraction of all traffic; the copy arrives a fixed 2 ms
+    /// after the original.
+    Duplicate {
+        /// Per-message duplication probability.
+        prob: f64,
+    },
+    /// Drop a fraction of one protocol message kind, selected by its
+    /// leading 4-byte big-endian wire discriminant (the protocol's XDR
+    /// envelope puts the variant tag first, so no protocol dependency is
+    /// needed): targeted starvation, e.g. of chunk replies.
+    DropTagged {
+        /// Wire discriminant of the targeted message kind.
+        tag: u32,
+        /// Per-message drop probability.
+        prob: f64,
+    },
+    /// Corrupt the body (never the discriminant) of a fraction of one
+    /// protocol message kind: the message still parses as its kind but
+    /// fails content verification downstream.
+    CorruptTagged {
+        /// Wire discriminant of the targeted message kind.
+        tag: u32,
+        /// Per-message corruption probability.
+        prob: f64,
+    },
+    /// Drop a fraction of all traffic (a lossy network).
+    Drop {
+        /// Per-message drop probability.
+        prob: f64,
+    },
+}
+
+/// What the network does with one intercepted message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FilterAction {
+pub(crate) enum FilterAction {
     /// Deliver unchanged.
     Pass,
     /// Silently drop.
@@ -26,91 +89,19 @@ pub enum FilterAction {
     Duplicate(SimDuration),
 }
 
-/// Inspects and perturbs in-flight messages.
-pub trait NetFilter {
-    /// Decides the fate of one message.
-    fn filter(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: &[u8],
-        now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction;
+/// How long after the original a [`NetFault::Duplicate`] copy arrives.
+pub(crate) const DUPLICATE_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// Probabilities are shrunk on a fixed micro-unit grid so the search stays
+/// integral and the result renders identically everywhere.
+const PROB_UNITS: f64 = 1e6;
+
+fn prob_to_units(p: f64) -> u64 {
+    (p * PROB_UNITS).round() as u64
 }
 
-/// Drops every message to or from a set of nodes (a "mute" fault).
-#[derive(Debug, Clone)]
-pub struct Isolate {
-    nodes: Vec<NodeId>,
-}
-
-impl Isolate {
-    /// Isolates `nodes` from the rest of the network.
-    pub fn new(nodes: Vec<NodeId>) -> Self {
-        Self { nodes }
-    }
-}
-
-impl NetFilter for Isolate {
-    fn filter(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        _payload: &[u8],
-        _now: SimTime,
-        _rng: &mut StdRng,
-    ) -> FilterAction {
-        if self.nodes.contains(&from) || self.nodes.contains(&to) {
-            FilterAction::Drop
-        } else {
-            FilterAction::Pass
-        }
-    }
-}
-
-/// Flips bits in a random fraction of messages from a given node,
-/// simulating a faulty sender NIC or an in-path attacker.
-#[derive(Debug, Clone)]
-pub struct BitFlipper {
-    /// Node whose outbound traffic is corrupted.
-    pub from: NodeId,
-    /// Probability that any given message is corrupted.
-    pub prob: f64,
-}
-
-impl NetFilter for BitFlipper {
-    fn filter(
-        &mut self,
-        from: NodeId,
-        _to: NodeId,
-        payload: &[u8],
-        _now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction {
-        if from == self.from && !payload.is_empty() && rng.gen_bool(self.prob) {
-            let mut corrupted = payload.to_vec();
-            let idx = rng.gen_range(0..corrupted.len());
-            corrupted[idx] ^= 0xff;
-            FilterAction::Rewrite(corrupted)
-        } else {
-            FilterAction::Pass
-        }
-    }
-}
-
-/// Drops a random fraction of the messages whose leading 4-byte big-endian
-/// discriminant equals `tag` — targeted loss of one protocol message kind
-/// (the protocol's XDR envelope puts the variant tag first, so the filter
-/// needs no protocol dependency). Used by the chaos campaigns to starve
-/// specific exchanges, e.g. erasure-coded fragment replies during state
-/// transfer.
-#[derive(Debug, Clone)]
-pub struct TaggedDropper {
-    /// Wire discriminant of the targeted message kind.
-    pub tag: u32,
-    /// Probability that a matching message is dropped.
-    pub prob: f64,
+fn units_to_prob(u: u64) -> f64 {
+    u as f64 / PROB_UNITS
 }
 
 /// True when `payload` starts with the 4-byte big-endian `tag`.
@@ -118,356 +109,348 @@ fn has_tag(payload: &[u8], tag: u32) -> bool {
     payload.len() >= 4 && payload[..4] == tag.to_be_bytes()
 }
 
-impl NetFilter for TaggedDropper {
-    fn filter(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        payload: &[u8],
-        _now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction {
-        if has_tag(payload, self.tag) && rng.gen_bool(self.prob) {
-            FilterAction::Drop
-        } else {
-            FilterAction::Pass
-        }
-    }
+/// `payload` with the byte at a random index in `from..len` inverted.
+fn flip_byte(payload: &[u8], from: usize, rng: &mut StdRng) -> FilterAction {
+    let mut corrupted = payload.to_vec();
+    let idx = rng.gen_range(from..corrupted.len());
+    corrupted[idx] ^= 0xff;
+    FilterAction::Rewrite(corrupted)
 }
 
-/// Corrupts a random byte *past the discriminant* in a fraction of the
-/// messages of one kind, so the message still parses as its kind but its
-/// content is damaged — the interesting case for digest-verified exchanges
-/// (a reply that fails its hash check, not one that fails to decode).
-#[derive(Debug, Clone)]
-pub struct TaggedFlipper {
-    /// Wire discriminant of the targeted message kind.
-    pub tag: u32,
-    /// Probability that a matching message is corrupted.
-    pub prob: f64,
-}
-
-impl NetFilter for TaggedFlipper {
-    fn filter(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        payload: &[u8],
-        _now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction {
-        if has_tag(payload, self.tag) && payload.len() > 4 && rng.gen_bool(self.prob) {
-            let mut corrupted = payload.to_vec();
-            let idx = rng.gen_range(4..corrupted.len());
-            corrupted[idx] ^= 0xff;
-            FilterAction::Rewrite(corrupted)
-        } else {
-            FilterAction::Pass
-        }
-    }
-}
-
-/// Delays all traffic on one direction of one link, simulating congestion.
-#[derive(Debug, Clone)]
-pub struct SlowLink {
-    /// Source of the slow link.
-    pub from: NodeId,
-    /// Destination of the slow link.
-    pub to: NodeId,
-    /// Extra one-way delay.
-    pub extra: SimDuration,
-}
-
-impl NetFilter for SlowLink {
-    fn filter(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        _payload: &[u8],
-        _now: SimTime,
-        _rng: &mut StdRng,
-    ) -> FilterAction {
-        if from == self.from && to == self.to {
-            FilterAction::Delay(self.extra)
-        } else {
-            FilterAction::Pass
-        }
-    }
-}
-
-/// Duplicates a fraction of all messages (retransmission storms; the
-/// protocol must be idempotent under duplication).
-#[derive(Debug, Clone)]
-pub struct Duplicator {
-    /// Probability that any given message is duplicated.
-    pub prob: f64,
-    /// Delay before the duplicate arrives.
-    pub dup_delay: SimDuration,
-}
-
-impl NetFilter for Duplicator {
-    fn filter(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        _payload: &[u8],
-        _now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction {
-        if rng.gen_bool(self.prob) {
-            FilterAction::Duplicate(self.dup_delay)
-        } else {
-            FilterAction::Pass
-        }
-    }
-}
-
-impl<F: NetFilter + ?Sized> NetFilter for Box<F> {
-    fn filter(
-        &mut self,
+impl NetFault {
+    /// What this fault does to one message `from → to`. A probabilistic
+    /// fault draws from `rng` only for the messages it could touch.
+    pub(crate) fn act(
+        &self,
         from: NodeId,
         to: NodeId,
         payload: &[u8],
-        now: SimTime,
         rng: &mut StdRng,
     ) -> FilterAction {
-        (**self).filter(from, to, payload, now, rng)
-    }
-}
-
-/// Restricts another filter to a simulated-time window `[from, until)`.
-///
-/// Outside the window every message passes untouched, so a fault *heals*
-/// on schedule without tearing down the whole chain via
-/// [`crate::Simulation::clear_filter`]. This is what lets a declarative
-/// fault schedule express "partition nodes 1,2 from t=3s to t=8s" as a
-/// single filter installed up front.
-#[derive(Debug, Clone)]
-pub struct ActiveWindow<F> {
-    inner: F,
-    from: SimTime,
-    until: SimTime,
-}
-
-impl<F> ActiveWindow<F> {
-    /// Wraps `inner` so it only acts between `from` (inclusive) and
-    /// `until` (exclusive).
-    pub fn new(inner: F, from: SimTime, until: SimTime) -> Self {
-        Self { inner, from, until }
-    }
-
-    /// Wraps `inner` so it acts from the start of the run until `until`.
-    pub fn until(inner: F, until: SimTime) -> Self {
-        Self::new(inner, SimTime::ZERO, until)
-    }
-
-    /// The wrapped filter.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-}
-
-impl<F: NetFilter> NetFilter for ActiveWindow<F> {
-    fn filter(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: &[u8],
-        now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction {
-        if now < self.from || now >= self.until {
-            FilterAction::Pass
-        } else {
-            self.inner.filter(from, to, payload, now, rng)
-        }
-    }
-}
-
-/// Chains several filters; the first non-`Pass` action wins.
-#[derive(Default)]
-pub struct FilterChain {
-    filters: Vec<Box<dyn NetFilter>>,
-}
-
-impl FilterChain {
-    /// Creates an empty chain (which passes everything).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a filter to the chain.
-    pub fn push(&mut self, f: Box<dyn NetFilter>) {
-        self.filters.push(f);
-    }
-}
-
-impl NetFilter for FilterChain {
-    fn filter(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: &[u8],
-        now: SimTime,
-        rng: &mut StdRng,
-    ) -> FilterAction {
-        for f in &mut self.filters {
-            let action = f.filter(from, to, payload, now, rng);
-            if action != FilterAction::Pass {
-                return action;
+        match *self {
+            NetFault::Partition { ref nodes } => {
+                if nodes.contains(&from) != nodes.contains(&to) {
+                    return FilterAction::Drop;
+                }
+            }
+            NetFault::Corrupt { from: src, prob } => {
+                if from == src && !payload.is_empty() && rng.gen_bool(prob) {
+                    return flip_byte(payload, 0, rng);
+                }
+            }
+            NetFault::Slow { from: src, to: dst, extra } => {
+                if from == src && to == dst {
+                    return FilterAction::Delay(extra);
+                }
+            }
+            NetFault::Duplicate { prob } => {
+                if rng.gen_bool(prob) {
+                    return FilterAction::Duplicate(DUPLICATE_DELAY);
+                }
+            }
+            NetFault::DropTagged { tag, prob } => {
+                if has_tag(payload, tag) && rng.gen_bool(prob) {
+                    return FilterAction::Drop;
+                }
+            }
+            NetFault::CorruptTagged { tag, prob } => {
+                if has_tag(payload, tag) && payload.len() > 4 && rng.gen_bool(prob) {
+                    return flip_byte(payload, 4, rng);
+                }
+            }
+            NetFault::Drop { prob } => {
+                if rng.gen_bool(prob) {
+                    return FilterAction::Drop;
+                }
             }
         }
         FilterAction::Pass
     }
+
+    /// The canonical encoding a schedule digest folds: a variant number,
+    /// then every field (probabilities by their bit pattern).
+    pub(crate) fn words(&self) -> Vec<u64> {
+        match self {
+            NetFault::Partition { nodes } => {
+                let mut w = vec![1, nodes.len() as u64];
+                w.extend(nodes.iter().map(|n| n.0 as u64));
+                w
+            }
+            NetFault::Corrupt { from, prob } => vec![2, from.0 as u64, prob.to_bits()],
+            NetFault::Slow { from, to, extra } => {
+                vec![3, from.0 as u64, to.0 as u64, extra.as_nanos()]
+            }
+            NetFault::Duplicate { prob } => vec![4, prob.to_bits()],
+            NetFault::DropTagged { tag, prob } => vec![5, u64::from(*tag), prob.to_bits()],
+            NetFault::CorruptTagged { tag, prob } => vec![6, u64::from(*tag), prob.to_bits()],
+            NetFault::Drop { prob } => vec![7, prob.to_bits()],
+        }
+    }
+
+    /// The magnitudes the shrinker may lower: `Slow`'s delay in
+    /// nanoseconds, or a probability on the 10⁻⁶ grid. A partition has
+    /// none.
+    pub(crate) fn knobs(&self) -> Vec<u64> {
+        match self {
+            NetFault::Partition { .. } => Vec::new(),
+            NetFault::Slow { extra, .. } => vec![extra.as_nanos()],
+            NetFault::Corrupt { prob, .. }
+            | NetFault::Duplicate { prob }
+            | NetFault::DropTagged { prob, .. }
+            | NetFault::CorruptTagged { prob, .. }
+            | NetFault::Drop { prob } => vec![prob_to_units(*prob)],
+        }
+    }
+
+    /// This fault with knob `k` (an index into [`knobs`](Self::knobs)) set
+    /// to `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault has no knob `k`.
+    pub(crate) fn with_knob(&self, k: usize, v: u64) -> NetFault {
+        let mut fault = self.clone();
+        match (&mut fault, k) {
+            (NetFault::Slow { extra, .. }, 0) => *extra = SimDuration::from_nanos(v),
+            (
+                NetFault::Corrupt { prob, .. }
+                | NetFault::Duplicate { prob }
+                | NetFault::DropTagged { prob, .. }
+                | NetFault::CorruptTagged { prob, .. }
+                | NetFault::Drop { prob },
+                0,
+            ) => *prob = units_to_prob(v),
+            _ => panic!("{self} has no knob {k}"),
+        }
+        fault
+    }
+}
+
+impl fmt::Display for NetFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetFault::Partition { nodes } => {
+                let ids: Vec<String> = nodes.iter().map(|n| n.0.to_string()).collect();
+                write!(f, "partition {{{}}}", ids.join(","))
+            }
+            NetFault::Corrupt { from, prob } => {
+                write!(f, "corrupt from node {} p={prob:.2}", from.0)
+            }
+            NetFault::Slow { from, to, extra } => {
+                write!(f, "slow link {}->{} +{}ms", from.0, to.0, extra.as_nanos() / 1_000_000)
+            }
+            NetFault::Duplicate { prob } => write!(f, "duplicate p={prob:.2}"),
+            NetFault::DropTagged { tag, prob } => write!(f, "drop tag {tag} p={prob:.2}"),
+            NetFault::CorruptTagged { tag, prob } => write!(f, "corrupt tag {tag} p={prob:.2}"),
+            NetFault::Drop { prob } => write!(f, "drop p={prob:.2}"),
+        }
+    }
+}
+
+/// A fault in force over `[from, until)` of virtual time.
+pub(crate) type Window = (NetFault, SimTime, SimTime);
+
+/// The faults of `windows` in force at `now`, in the order they were added.
+pub(crate) fn in_force(windows: &[Window], now: SimTime) -> impl Iterator<Item = &NetFault> {
+    windows.iter().filter(move |(_, from, until)| *from <= now && now < *until).map(|(f, ..)| f)
+}
+
+/// What the network does to a message `from → to` routed at `now`: the
+/// first action of a fault in force that is not a pass, trying the windows
+/// in insertion order. Loopback is never touched.
+pub(crate) fn route(
+    windows: &[Window],
+    from: NodeId,
+    to: NodeId,
+    payload: &[u8],
+    now: SimTime,
+    rng: &mut StdRng,
+) -> FilterAction {
+    if from == to {
+        return FilterAction::Pass;
+    }
+    in_force(windows, now)
+        .map(|fault| fault.act(from, to, payload, rng))
+        .find(|action| *action != FilterAction::Pass)
+        .unwrap_or(FilterAction::Pass)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use FilterAction::{Delay, Drop, Duplicate, Pass};
+    use NetFault as F;
+    use Want::{Is, Rewrite};
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0)
+    /// What must happen to a message. Rewrites are checked by shape,
+    /// everything else by equality.
+    #[derive(Debug)]
+    enum Want {
+        Is(FilterAction),
+        /// A rewrite that keeps the first `keep` bytes and changes one.
+        Rewrite { keep: usize },
     }
 
+    /// One check: name, windows, from, to, payload, routing millisecond,
+    /// outcome.
+    type Row<'a> = (&'a str, Vec<Window>, usize, usize, &'a [u8], u64, Want);
+
+    const X: &[u8] = b"x";
+    /// A message of wire kind 18 and one of kind 11.
+    const FRAG: &[u8] = &[0, 0, 0, 18, 1, 2, 3];
+    const OTHER: &[u8] = &[0, 0, 0, 11, 1, 2, 3];
+
+    fn n(i: usize) -> NodeId {
+        NodeId(i)
+    }
+
+    fn ms(t: u64) -> SimTime {
+        SimTime::from_millis(t)
+    }
+
+    /// `fault` in force for all time.
+    fn always(fault: NetFault) -> Vec<Window> {
+        vec![(fault, SimTime::ZERO, SimTime(u64::MAX))]
+    }
+
+    /// Routes each row's message through its windows and checks the outcome.
+    fn check(rows: Vec<Row>) {
+        let mut rng = StdRng::seed_from_u64(0);
+        for (name, windows, from, to, payload, now, want) in rows {
+            let got = route(&windows, n(from), n(to), payload, ms(now), &mut rng);
+            match (&want, &got) {
+                (Is(w), g) => assert_eq!(g, w, "{name}"),
+                (Rewrite { keep }, FilterAction::Rewrite(p)) => {
+                    assert_eq!(p.len(), payload.len(), "{name}");
+                    assert_eq!(p[..*keep], payload[..*keep], "{name}: kept bytes moved");
+                    let changed = p.iter().zip(payload).filter(|(a, b)| a != b).count();
+                    assert_eq!(changed, 1, "{name}: one byte is corrupted");
+                }
+                _ => panic!("{name}: want {want:?}, got {got:?}"),
+            }
+        }
+    }
+
+    /// A group partition cuts its members off from the rest only.
     #[test]
     fn isolate_drops_both_directions() {
-        let mut f = Isolate::new(vec![NodeId(1)]);
-        let mut r = rng();
-        assert_eq!(
-            f.filter(NodeId(1), NodeId(0), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Drop
-        );
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(1), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Drop
-        );
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(2), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Pass
-        );
+        let pair = || always(F::Partition { nodes: vec![n(1), n(2)] });
+        check(vec![
+            ("member to outsider", pair(), 1, 3, X, 0, Is(Drop)),
+            ("outsider to member", pair(), 3, 2, X, 0, Is(Drop)),
+            ("member to member", pair(), 1, 2, X, 0, Is(Pass)),
+            ("outsiders", pair(), 0, 3, X, 0, Is(Pass)),
+        ]);
     }
 
     #[test]
     fn bit_flipper_changes_payload() {
-        let mut f = BitFlipper { from: NodeId(0), prob: 1.0 };
-        let mut r = rng();
-        match f.filter(NodeId(0), NodeId(1), b"abcd", SimTime::ZERO, &mut r) {
-            FilterAction::Rewrite(p) => assert_ne!(p, b"abcd"),
-            other => panic!("expected rewrite, got {other:?}"),
-        }
-        // Traffic from other nodes is untouched.
-        assert_eq!(
-            f.filter(NodeId(2), NodeId(1), b"abcd", SimTime::ZERO, &mut r),
-            FilterAction::Pass
-        );
+        let corrupt = || always(F::Corrupt { from: n(0), prob: 1.0 });
+        check(vec![
+            ("its sender", corrupt(), 0, 1, b"abcd", 0, Rewrite { keep: 0 }),
+            ("another sender", corrupt(), 2, 1, b"abcd", 0, Is(Pass)),
+            ("empty payload", corrupt(), 0, 1, b"", 0, Is(Pass)),
+        ]);
     }
 
     #[test]
     fn tagged_dropper_matches_discriminant_only() {
-        let mut f = TaggedDropper { tag: 18, prob: 1.0 };
-        let mut r = rng();
-        let frag_reply = [0u8, 0, 0, 18, 1, 2, 3];
-        let other = [0u8, 0, 0, 11, 1, 2, 3];
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(1), &frag_reply, SimTime::ZERO, &mut r),
-            FilterAction::Drop
-        );
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(1), &other, SimTime::ZERO, &mut r),
-            FilterAction::Pass
-        );
-        // Too short to carry a tag: passes.
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(1), &[0, 0], SimTime::ZERO, &mut r),
-            FilterAction::Pass
-        );
+        let dtag = || always(F::DropTagged { tag: 18, prob: 1.0 });
+        check(vec![
+            ("its kind", dtag(), 0, 1, FRAG, 0, Is(Drop)),
+            ("another kind", dtag(), 0, 1, OTHER, 0, Is(Pass)),
+            ("no room for a tag", dtag(), 0, 1, &[0, 0], 0, Is(Pass)),
+        ]);
     }
 
     #[test]
     fn tagged_flipper_preserves_discriminant() {
-        let mut f = TaggedFlipper { tag: 18, prob: 1.0 };
-        let mut r = rng();
-        let frag_reply = [0u8, 0, 0, 18, 1, 2, 3];
-        match f.filter(NodeId(0), NodeId(1), &frag_reply, SimTime::ZERO, &mut r) {
-            FilterAction::Rewrite(p) => {
-                assert_eq!(&p[..4], &frag_reply[..4], "tag bytes untouched");
-                assert_ne!(&p[4..], &frag_reply[4..], "body corrupted");
-            }
-            other => panic!("expected rewrite, got {other:?}"),
-        }
-        // A tag-only message has no body to corrupt: passes.
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(1), &[0, 0, 0, 18], SimTime::ZERO, &mut r),
-            FilterAction::Pass
-        );
+        let ctag = || always(F::CorruptTagged { tag: 18, prob: 1.0 });
+        check(vec![
+            ("its kind", ctag(), 0, 1, FRAG, 0, Rewrite { keep: 4 }),
+            ("another kind", ctag(), 0, 1, OTHER, 0, Is(Pass)),
+            ("no body", ctag(), 0, 1, &FRAG[..4], 0, Is(Pass)),
+        ]);
     }
 
     #[test]
+    fn slow_duplicate_and_drop_act_as_declared() {
+        let d5 = SimDuration::from_millis(5);
+        let slow = || always(F::Slow { from: n(0), to: n(1), extra: d5 });
+        let dup = always(F::Duplicate { prob: 1.0 });
+        check(vec![
+            ("slow, its link", slow(), 0, 1, X, 0, Is(Delay(d5))),
+            ("slow, reverse direction", slow(), 1, 0, X, 0, Is(Pass)),
+            ("duplicate", dup, 0, 1, X, 0, Is(Duplicate(DUPLICATE_DELAY))),
+            ("drop", always(F::Drop { prob: 1.0 }), 0, 1, X, 0, Is(Drop)),
+        ]);
+    }
+
+    /// A window is in force over `[from, until)` of the routing instant.
+    #[test]
     fn active_window_gates_inner_filter() {
-        let mut f = ActiveWindow::new(
-            Isolate::new(vec![NodeId(1)]),
-            SimTime::from_millis(10),
-            SimTime::from_millis(20),
-        );
-        let mut r = rng();
-        // Before the window: the partition is not yet in force.
-        assert_eq!(
-            f.filter(NodeId(1), NodeId(0), b"x", SimTime::from_millis(9), &mut r),
-            FilterAction::Pass
-        );
-        // Inside the window (inclusive start): dropped.
-        assert_eq!(
-            f.filter(NodeId(1), NodeId(0), b"x", SimTime::from_millis(10), &mut r),
-            FilterAction::Drop
-        );
-        assert_eq!(
-            f.filter(NodeId(0), NodeId(1), b"x", SimTime::from_millis(19), &mut r),
-            FilterAction::Drop
-        );
-        // At the exclusive end the partition has healed.
-        assert_eq!(
-            f.filter(NodeId(1), NodeId(0), b"x", SimTime::from_millis(20), &mut r),
-            FilterAction::Pass
-        );
+        let win = || vec![(F::Partition { nodes: vec![n(1)] }, ms(10), ms(20))];
+        check(vec![
+            ("before the window", win(), 1, 0, X, 9, Is(Pass)),
+            ("window start is inclusive", win(), 1, 0, X, 10, Is(Drop)),
+            ("inside the window", win(), 0, 1, X, 19, Is(Drop)),
+            ("window end is exclusive", win(), 1, 0, X, 20, Is(Pass)),
+        ]);
     }
 
     #[test]
     fn until_window_is_active_from_start() {
-        let mut f =
-            ActiveWindow::until(Isolate::new(vec![NodeId(2)]), SimTime::from_millis(5));
-        let mut r = rng();
-        assert_eq!(
-            f.filter(NodeId(2), NodeId(0), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Drop
-        );
-        assert_eq!(
-            f.filter(NodeId(2), NodeId(0), b"x", SimTime::from_millis(5), &mut r),
-            FilterAction::Pass
-        );
+        let win = || vec![(F::Partition { nodes: vec![n(2)] }, SimTime::ZERO, ms(5))];
+        check(vec![
+            ("at the start", win(), 2, 0, X, 0, Is(Drop)),
+            ("at the end", win(), 2, 0, X, 5, Is(Pass)),
+        ]);
+    }
+
+    /// Windows are tried in insertion order; the first non-pass wins.
+    #[test]
+    fn chain_applies_first_match() {
+        let d5 = SimDuration::from_millis(5);
+        let ordered = || -> Vec<Window> {
+            [
+                F::Partition { nodes: vec![n(9)] },
+                F::Slow { from: n(0), to: n(1), extra: d5 },
+                F::Drop { prob: 1.0 },
+            ]
+            .into_iter()
+            .map(|fault| (fault, SimTime::ZERO, ms(100)))
+            .collect()
+        };
+        check(vec![
+            ("first non-pass wins", ordered(), 9, 1, X, 0, Is(Drop)),
+            ("a pass falls through", ordered(), 0, 1, X, 0, Is(Delay(d5))),
+            ("down to the last window", ordered(), 1, 0, X, 0, Is(Drop)),
+        ]);
+    }
+
+    /// Loopback is never touched, whatever is in force.
+    #[test]
+    fn loopback_is_never_touched() {
+        check(vec![
+            ("partition", always(F::Partition { nodes: vec![n(1), n(2)] }), 1, 1, X, 0, Is(Pass)),
+            ("corrupt", always(F::Corrupt { from: n(0), prob: 1.0 }), 0, 0, X, 0, Is(Pass)),
+            ("duplicate", always(F::Duplicate { prob: 1.0 }), 0, 0, X, 0, Is(Pass)),
+            ("drop", always(F::Drop { prob: 1.0 }), 0, 0, X, 0, Is(Pass)),
+        ]);
     }
 
     #[test]
-    fn chain_applies_first_match() {
-        let mut chain = FilterChain::new();
-        chain.push(Box::new(Isolate::new(vec![NodeId(9)])));
-        chain.push(Box::new(SlowLink {
-            from: NodeId(0),
-            to: NodeId(1),
-            extra: SimDuration::from_millis(5),
-        }));
-        let mut r = rng();
-        assert_eq!(
-            chain.filter(NodeId(9), NodeId(1), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Drop
-        );
-        assert_eq!(
-            chain.filter(NodeId(0), NodeId(1), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Delay(SimDuration::from_millis(5))
-        );
-        assert_eq!(
-            chain.filter(NodeId(1), NodeId(0), b"x", SimTime::ZERO, &mut r),
-            FilterAction::Pass
-        );
+    fn knobs_write_back_onto_the_grid() {
+        let extra = SimDuration::from_millis(5);
+        let slow = NetFault::Slow { from: NodeId(0), to: NodeId(1), extra };
+        assert_eq!(slow.knobs(), vec![5_000_000]);
+        let shrunk = NetFault::Slow { from: NodeId(0), to: NodeId(1), extra: SimDuration(7) };
+        assert_eq!(slow.with_knob(0, 7), shrunk);
+        assert!(NetFault::Partition { nodes: vec![NodeId(1)] }.knobs().is_empty());
+        // An unshrunk probability written back lands on the 10⁻⁶ grid.
+        let dup = NetFault::Duplicate { prob: 0.123_456_78 };
+        assert_eq!(dup.knobs(), vec![123_457]);
+        assert_eq!(dup.with_knob(0, 123_457), NetFault::Duplicate { prob: 0.123_457 });
     }
 }

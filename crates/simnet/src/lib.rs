@@ -3,10 +3,10 @@
 //! This crate is the substrate that replaces the BASE authors' LAN testbed
 //! (see `DESIGN.md` §5). A [`Simulation`] owns a set of [`Actor`] nodes and
 //! an event queue ordered by virtual time. Actors exchange opaque byte
-//! messages; the simulator applies a configurable latency model, drop
-//! probability, partitions, per-node crash windows and per-node clock skew,
-//! and routes every message through an optional Byzantine
-//! [`faults::NetFilter`].
+//! messages; the simulator applies a configurable latency model, bandwidth
+//! and per-node clock skew, per-node crash windows, and routes every message
+//! through the network faults in force ([`NetFault`] windows: partitions,
+//! loss, corruption, slow links, duplication).
 //!
 //! Three properties matter for the reproduction:
 //!
@@ -19,9 +19,9 @@
 //!    operations (crypto, state conversion); a node processes events
 //!    serially, so charged time delays its subsequent work exactly like a
 //!    busy server. Wire and CPU statistics feed the benchmark tables.
-//! 3. **Fault injection** — crash windows, message filters, and per-actor
-//!    Byzantine behaviour make the paper's "future work" fault-injection
-//!    study (experiment E6) runnable.
+//! 3. **Fault injection** — crash windows, [`NetFault`] windows and
+//!    per-actor Byzantine behaviour make the paper's "future work"
+//!    fault-injection study (experiment E6) runnable.
 //!
 //! # Examples
 //!
@@ -76,7 +76,7 @@ pub mod tracediff;
 
 pub use actor::{Actor, Context, NodeId, Payload, TimerId};
 pub use config::{LatencyModel, NetConfig};
-pub use faults::{FilterAction, NetFilter};
+pub use faults::NetFault;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rtt::RttEstimator;
 pub use sim::Simulation;

@@ -3,7 +3,7 @@
 use crate::actor::{Actor, Context, Effect, NodeId, Payload};
 use crate::config::NetConfig;
 use crate::event::{EventKind, EventQueue};
-use crate::faults::{FilterAction, NetFilter};
+use crate::faults::{self, FilterAction, NetFault};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
@@ -37,7 +37,9 @@ pub struct Simulation {
     config: NetConfig,
     net_rng: StdRng,
     stats: NetStats,
-    filter: Option<Box<dyn NetFilter>>,
+    /// Network faults with the window `[from, until)` each is in force
+    /// for, in the order they were added.
+    faults: Vec<faults::Window>,
     trace: Box<dyn TraceSink>,
     started: bool,
     next_timer_id: u64,
@@ -58,7 +60,7 @@ impl Simulation {
             config: NetConfig::default(),
             net_rng: StdRng::seed_from_u64(seed ^ 0x006e_6574_5f72_6e67),
             stats: NetStats::default(),
-            filter: None,
+            faults: Vec::new(),
             trace: Box::new(NullSink),
             started: false,
             next_timer_id: 0,
@@ -113,20 +115,16 @@ impl Simulation {
         &mut self.config
     }
 
-    /// Read access to the network configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
+    /// Puts `fault` in force for messages routed in `[from, until)` of
+    /// virtual time. Faults act in the order they were added: the first
+    /// one in force that does not pass a message decides its fate.
+    pub fn add_fault(&mut self, fault: NetFault, from: SimTime, until: SimTime) {
+        self.faults.push((fault, from, until));
     }
 
-    /// Installs a message filter (fault injection). Replaces any previous
-    /// filter.
-    pub fn set_filter(&mut self, filter: Box<dyn NetFilter>) {
-        self.filter = Some(filter);
-    }
-
-    /// Removes the message filter.
-    pub fn clear_filter(&mut self) {
-        self.filter = None;
+    /// The faults in force at `t`, in the order they were added.
+    pub fn faults_at(&self, t: SimTime) -> impl Iterator<Item = &NetFault> {
+        faults::in_force(&self.faults, t)
     }
 
     /// Installs a trace sink for protocol events emitted through
@@ -388,7 +386,7 @@ impl Simulation {
         self.effects = effects;
     }
 
-    /// Applies the network model and fault filter to one message and
+    /// Applies the network model and the faults in force to one message and
     /// schedules its delivery. The payload is shared, not copied: a
     /// duplicate (and every fan-out sibling queued by the sender) bumps a
     /// refcount on the same allocation; only a `Rewrite` allocates.
@@ -399,22 +397,13 @@ impl Simulation {
             self.stats.record_drop();
             return;
         }
-        if from != to && !self.config.connected(from, to) {
-            self.stats.record_drop();
-            return;
-        }
-        if from != to && self.config.drop_prob > 0.0 && self.net_rng.gen_bool(self.config.drop_prob)
-        {
-            self.stats.record_drop();
-            return;
-        }
 
         // Latency: zero for loopback, otherwise base + uniform jitter plus
         // a bandwidth-proportional serialization delay.
         let latency = if from == to {
             SimDuration::ZERO
         } else {
-            let model = self.config.link_model(from, to);
+            let model = self.config.latency;
             let jitter = if model.jitter.as_nanos() == 0 {
                 0
             } else {
@@ -429,31 +418,26 @@ impl Simulation {
         };
         let mut arrival = departure + latency;
 
-        // Fault filter.
         let mut deliver_payload = payload;
-        if from != to {
-            if let Some(filter) = self.filter.as_mut() {
-                match filter.filter(from, to, &deliver_payload, self.now, &mut self.net_rng) {
-                    FilterAction::Pass => {}
-                    FilterAction::Drop => {
-                        self.stats.record_drop();
-                        return;
-                    }
-                    FilterAction::Delay(d) => arrival += d,
-                    FilterAction::Rewrite(p) => deliver_payload = p.into(),
-                    FilterAction::Duplicate(d) => {
-                        self.nodes[to.0].inbox_depth += 1;
-                        self.queue.push(
-                            arrival + d,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                payload: deliver_payload.clone(),
-                                arrived: arrival + d,
-                            },
-                        );
-                    }
-                }
+        match faults::route(&self.faults, from, to, &deliver_payload, self.now, &mut self.net_rng) {
+            FilterAction::Pass => {}
+            FilterAction::Drop => {
+                self.stats.record_drop();
+                return;
+            }
+            FilterAction::Delay(d) => arrival += d,
+            FilterAction::Rewrite(p) => deliver_payload = p.into(),
+            FilterAction::Duplicate(d) => {
+                self.nodes[to.0].inbox_depth += 1;
+                self.queue.push(
+                    arrival + d,
+                    EventKind::Deliver {
+                        from,
+                        to,
+                        payload: deliver_payload.clone(),
+                        arrived: arrival + d,
+                    },
+                );
             }
         }
 
@@ -652,10 +636,17 @@ mod tests {
         let mut sim = Simulation::new(1);
         let a = sim.add_node(Box::<Counter>::default());
         let b = sim.add_node(Box::<Counter>::default());
-        sim.config_mut().cut_link(a, b);
+        let healed = SimTime::from_millis(5);
+        sim.add_fault(NetFault::Partition { nodes: vec![a] }, SimTime::ZERO, healed);
         sim.inject(a, b, b"x".to_vec());
+        assert_eq!(sim.faults_at(SimTime::ZERO).count(), 1);
         sim.run_for(SimDuration::from_millis(10));
         assert!(sim.actor_as::<Counter>(b).unwrap().received.is_empty());
+        // The partition heals with its window.
+        assert_eq!(sim.faults_at(sim.now()).count(), 0);
+        sim.inject(a, b, b"y".to_vec());
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(sim.actor_as::<Counter>(b).unwrap().received.len(), 1);
     }
 
     /// A handler that charges CPU time; used to check busy deferral.
@@ -691,7 +682,7 @@ mod tests {
         let mut sim = Simulation::new(3);
         let a = sim.add_node(Box::<Counter>::default());
         let b = sim.add_node(Box::<Counter>::default());
-        sim.config_mut().drop_prob = 0.5;
+        sim.add_fault(NetFault::Drop { prob: 0.5 }, SimTime::ZERO, SimTime(u64::MAX));
         for _ in 0..200 {
             sim.inject(a, b, b"x".to_vec());
         }
@@ -788,34 +779,13 @@ mod tests {
 
     #[test]
     fn duplicate_shares_the_original_allocation() {
-        use crate::faults::{Duplicator, FilterAction, NetFilter};
-        // Sanity: the Duplicator fault produces two deliveries...
+        // The Duplicate fault produces two deliveries, and the queued
+        // duplicate is a refcount bump, observable on an injected Payload
+        // handle we retain.
         let mut sim = Simulation::new(1);
         let a = sim.add_node(Box::<Counter>::default());
         let b = sim.add_node(Box::<Counter>::default());
-        sim.set_filter(Box::new(Duplicator { prob: 1.0, dup_delay: SimDuration::from_millis(1) }));
-        sim.inject(a, b, b"dup".to_vec());
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(sim.actor_as::<Counter>(b).unwrap().received.len(), 2);
-        // ...and the queued duplicate is a refcount bump, observable on an
-        // injected Payload handle we retain.
-        let mut sim = Simulation::new(1);
-        let a = sim.add_node(Box::<Counter>::default());
-        let b = sim.add_node(Box::<Counter>::default());
-        struct AlwaysDup;
-        impl NetFilter for AlwaysDup {
-            fn filter(
-                &mut self,
-                _f: NodeId,
-                _t: NodeId,
-                _p: &[u8],
-                _now: SimTime,
-                _r: &mut rand::rngs::StdRng,
-            ) -> FilterAction {
-                FilterAction::Duplicate(SimDuration::from_millis(1))
-            }
-        }
-        sim.set_filter(Box::new(AlwaysDup));
+        sim.add_fault(NetFault::Duplicate { prob: 1.0 }, SimTime::ZERO, SimTime(u64::MAX));
         let handle = Payload::from(b"dup".as_slice());
         sim.inject(a, b, handle.clone());
         // Original + duplicate sit in the queue sharing our allocation.

@@ -5,11 +5,13 @@
 
 use base_simnet::chaos::{
     generate_schedule, generate_storm_schedule, minimize, run_one, AppFaultSpec, ChaosEvent,
-    ChaosHarness, FaultSchedule, HealSpec, NetFault, ScheduleGenConfig,
+    ChaosHarness, FaultSchedule, HealSpec, ScheduleGenConfig,
 };
 use base_simnet::ddmin::{ddmin, schedule_digest};
 use base_simnet::trace::export_jsonl;
-use base_simnet::{Actor, Context, NodeId, ProtocolEvent, SimDuration, SimTime, Simulation};
+use base_simnet::{
+    Actor, Context, NetFault, NodeId, ProtocolEvent, SimDuration, SimTime, Simulation,
+};
 use proptest::prelude::*;
 
 /// Toy system-under-test: every node pings all peers each 10ms and counts
@@ -106,8 +108,38 @@ fn gen_cfg(n: usize, events: usize, horizon_ms: u64, max_impaired: usize) -> Sch
             impairs: true,
             heal: Some(HealSpec { tag: 2, after: SimDuration::from_millis(300) }),
         }],
-        net_faults: true,
     }
+}
+
+/// One schedule holding every network fault variant, each in force for
+/// part of the first second. The tagged faults match the pingers' 4-byte
+/// messages by their bytes.
+fn all_variants_schedule() -> FaultSchedule {
+    let ms = SimTime::from_millis;
+    let dur = SimDuration::from_millis(300);
+    let (ping, pong) = (u32::from_be_bytes(*b"ping"), u32::from_be_bytes(*b"pong"));
+    let mut s = FaultSchedule::new();
+    s.net(ms(0), NetFault::Partition { nodes: vec![NodeId(0), NodeId(1)] }, dur)
+        .net(ms(100), NetFault::Corrupt { from: NodeId(2), prob: 0.3 }, dur)
+        .net(
+            ms(200),
+            NetFault::Slow { from: NodeId(3), to: NodeId(0), extra: SimDuration::from_millis(25) },
+            dur,
+        )
+        .net(ms(300), NetFault::Duplicate { prob: 0.2 }, dur)
+        .net(ms(400), NetFault::DropTagged { tag: ping, prob: 0.4 }, dur)
+        .net(ms(500), NetFault::CorruptTagged { tag: pong, prob: 0.4 }, dur)
+        .net(ms(600), NetFault::Drop { prob: 0.1 }, dur);
+    s
+}
+
+/// True for the variants only hand-written schedules use.
+fn is_hand_written_only(event: &ChaosEvent) -> bool {
+    use NetFault::{CorruptTagged, Drop, DropTagged};
+    matches!(
+        event,
+        ChaosEvent::Net { fault: DropTagged { .. } | CorruptTagged { .. } | Drop { .. }, .. }
+    )
 }
 
 /// Rebuilds the impairment intervals of a generated schedule and verifies
@@ -170,7 +202,9 @@ proptest! {
         horizon_ms in 500u64..5000,
     ) {
         let cfg = gen_cfg(4, events, horizon_ms, 1);
-        prop_assert_eq!(generate_schedule(&cfg, seed), generate_schedule(&cfg, seed));
+        let schedule = generate_schedule(&cfg, seed);
+        prop_assert_eq!(&schedule, &generate_schedule(&cfg, seed));
+        prop_assert!(!schedule.events.iter().any(|e| is_hand_written_only(&e.event)));
     }
 
     /// Generated schedules never impair more distinct nodes at once than
@@ -185,8 +219,9 @@ proptest! {
         assert_budget(&generate_schedule(&cfg, seed), max_impaired);
     }
 
-    /// Replaying any generated schedule with the same seed reproduces the
-    /// identical event trace and the identical network statistics.
+    /// Replaying any generated schedule, or the one holding every network
+    /// fault variant, with the same seed reproduces the identical outcome:
+    /// event trace, network statistics, protocol events and coverage.
     #[test]
     fn replay_is_deterministic(
         seed: u64,
@@ -194,13 +229,13 @@ proptest! {
         horizon_ms in 500u64..3000,
     ) {
         let cfg = gen_cfg(4, events, horizon_ms, 1);
-        let schedule = generate_schedule(&cfg, seed);
-        let mut h = PingHarness { n: 4 };
-        let (a, va) = run_one(&mut h, seed, &schedule);
-        let (b, vb) = run_one(&mut h, seed, &schedule);
-        prop_assert_eq!(a.trace, b.trace);
-        prop_assert_eq!(a.stats, b.stats);
-        prop_assert_eq!(va, vb);
+        for schedule in [generate_schedule(&cfg, seed), all_variants_schedule()] {
+            let mut h = PingHarness { n: 4 };
+            let (a, va) = run_one(&mut h, seed, &schedule);
+            let (b, vb) = run_one(&mut h, seed, &schedule);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(va, vb);
+        }
     }
 
     /// Two runs of the same seeded schedule export byte-identical JSONL

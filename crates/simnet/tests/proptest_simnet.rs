@@ -2,7 +2,7 @@
 //! identical seeds under arbitrary configurations) and basic delivery
 //! invariants under random loss/partition settings.
 
-use base_simnet::{Actor, Context, NodeId, SimDuration, Simulation};
+use base_simnet::{Actor, Context, NetFault, NodeId, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 
 /// An actor that gossips: on start and on every message it forwards a
@@ -46,10 +46,13 @@ fn run(seed: u64, nodes: usize, drop_milli: u16, cut: Option<(usize, usize)>, ms
     for _ in 0..nodes {
         sim.add_node(Box::new(Gossip { peers: nodes, sent: 0, received: 0 }));
     }
-    sim.config_mut().drop_prob = f64::from(drop_milli % 500) / 1000.0;
+    let forever = SimTime(u64::MAX);
     if let Some((a, b)) = cut {
-        sim.config_mut().cut_link(NodeId(a % nodes), NodeId(b % nodes));
+        let side = vec![NodeId(a % nodes), NodeId(b % nodes)];
+        sim.add_fault(NetFault::Partition { nodes: side }, SimTime::ZERO, forever);
     }
+    let prob = f64::from(drop_milli % 500) / 1000.0;
+    sim.add_fault(NetFault::Drop { prob }, SimTime::ZERO, forever);
     sim.run_for(SimDuration::from_millis(ms));
     let mut sent = 0;
     let mut received = 0;

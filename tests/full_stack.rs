@@ -11,7 +11,7 @@ use base_nfs::spec::Oid;
 use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
 use base_pbft::chaos::Group;
 use base_pbft::{ByzMode, Config, ReplicaRef, Service as _};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 use rand::SeedableRng;
 
 const CAP: u64 = 1024;
@@ -123,17 +123,18 @@ fn view_change_during_file_workload() {
 
 #[test]
 fn lossy_network_full_stack() {
+    // 3% of all messages are lost for the first two minutes.
+    let lossy_until = SimTime::from_secs(120);
     let mut sim = Simulation::new(82);
-    sim.config_mut().drop_prob = 0.03;
+    sim.add_fault(NetFault::Drop { prob: 0.03 }, SimTime::ZERO, lossy_until);
     let (nodes, relay) = build(&mut sim, workload(12), 82, small_cfg());
     let ok = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
-        SimDuration::from_secs(120),
+        lossy_until - SimTime::ZERO,
     );
     assert!(ok, "workload must complete despite 3% message loss");
-    sim.config_mut().drop_prob = 0.0;
-    sim.run_for(SimDuration::from_secs(30));
+    sim.run_until(lossy_until + SimDuration::from_secs(30));
     let r = roots(&sim, &nodes);
     assert!(r.iter().all(|d| *d == r[0]), "replicas diverged: {r:?}");
 }
@@ -143,19 +144,20 @@ fn partition_heals_and_group_catches_up() {
     let mut sim = Simulation::new(83);
     let (nodes, relay) = build(&mut sim, workload(20), 83, small_cfg());
 
-    // Partition one backup away mid-run; the other three keep going.
-    sim.run_for(SimDuration::from_millis(20));
-    sim.config_mut().partition(&nodes[..3], &nodes[3..]);
+    // Partition one backup away mid-run for a minute; the other three
+    // keep going.
+    let (cut, healed) = (SimTime::from_millis(20), SimTime::from_secs(60));
+    sim.add_fault(NetFault::Partition { nodes: vec![nodes[3]] }, cut, healed);
+    sim.run_until(cut);
     let ok = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
-        SimDuration::from_secs(60),
+        healed - cut,
     );
     assert!(ok, "three connected replicas suffice");
 
     // Heal: the isolated replica must catch up via state transfer.
-    sim.config_mut().heal_all();
-    sim.run_for(SimDuration::from_secs(30));
+    sim.run_until(healed + SimDuration::from_secs(30));
     let r = roots(&sim, &nodes);
     assert!(r.iter().all(|d| *d == r[0]), "healed replica diverged: {r:?}");
     assert!(
