@@ -1,13 +1,38 @@
-//! Regenerates the experiment tables (E1–E7, E9–E14) and the bench lab's
-//! deterministic counts (`lab`). Name the experiments to run —
-//! `all_tables throughput roopt` — or none to run them all in order.
-//! `--scale tiny|small|medium` and `--homogeneous` configure `andrew`.
+//! The experiment CLI. Without a subcommand it regenerates the experiment
+//! tables (E1–E7, E9–E14) and the bench lab's deterministic counts (`lab`):
+//! name the experiments to run — `all_tables throughput roopt` — or none to
+//! run them all in order. `--scale tiny|small|medium` and `--homogeneous`
+//! configure `andrew`. Two subcommands are the repro lab:
+//!
+//! ```text
+//! # run a seeded chaos campaign, ddmin-minimize every failure and write its
+//! # schedule, divergence and trace artifacts (exit 1 if a run failed)
+//! cargo run -p base-bench --bin all_tables -- campaign nfs-buggy --seed 6200 --runs 20
+//!
+//! # localize where two exported runs diverge (exit 1 if they do)
+//! cargo run -p base-bench --bin all_tables -- diff left.jsonl right.jsonl --window 5
+//! ```
+//!
+//! Campaigns: `counter` (pbft counter testbed), `counter-buggy` (same, with
+//! the deliberate client quorum bug), `nfs` (heterogeneous replicated NFS),
+//! `nfs-buggy` (homogeneous inode-fs with the armed latent bug — the
+//! paper's common-mode failure), `oodb` (replicated object database).
 
+use base_bench::experiments::faultinj::NfsChaosHarness;
 use base_bench::experiments::{
     run_andrew, run_bandwidth, run_checkpoint, run_codesize, run_degree, run_faultinj, run_oodb,
     run_recovery, run_roopt, run_shards, run_sigmac, run_throughput, run_transfer,
 };
+use base_bench::repro::{write_campaign_artifacts, DEFAULT_ARTIFACT_DIR};
 use base_bench::{lab, AndrewScale, FsMix};
+use base_oodb::chaos::OodbChaosHarness;
+use base_pbft::chaos::CounterChaosHarness;
+use base_simnet::chaos::{run_campaign, CampaignMode};
+use base_simnet::tracediff::{divergence_report, first_divergence, parse_jsonl};
+use base_simnet::SimDuration;
+use std::path::PathBuf;
+use std::process::ExitCode;
+use std::str::FromStr;
 
 type Run = fn(AndrewScale, FsMix);
 
@@ -32,24 +57,43 @@ fn usage() -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
     eprintln!(
         "usage: all_tables [--scale tiny|small|medium] [--homogeneous] [EXPERIMENT...]\n\
+         \x20      all_tables campaign counter|counter-buggy|nfs|nfs-buggy|oodb \
+         [--seed N] [--runs N] [--events N] [--horizon-ms N] [--out DIR]\n\
+         \x20      all_tables diff LEFT.jsonl RIGHT.jsonl [--window N]\n\
          experiments: {}",
         names.join(" ")
     );
     std::process::exit(2);
 }
 
-fn main() {
+/// The value after the flag at `args[*i]`, parsed; usage if it is missing
+/// or malformed.
+fn value<T: FromStr>(args: &[String], i: &mut usize) -> T {
+    *i += 1;
+    args.get(*i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("campaign") => campaign(&args[1..]),
+        Some("diff") => diff(&args[1..]),
+        _ => tables(&args),
+    }
+}
+
+fn tables(args: &[String]) -> ExitCode {
     let mut scale = AndrewScale::small();
     let mut mix = FsMix::Heterogeneous;
     let mut chosen = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => AndrewScale::tiny(),
-                    Some("small") => AndrewScale::small(),
-                    Some("medium") => AndrewScale::medium(),
+                scale = match value::<String>(args, &mut i).as_str() {
+                    "tiny" => AndrewScale::tiny(),
+                    "small" => AndrewScale::small(),
+                    "medium" => AndrewScale::medium(),
                     _ => usage(),
                 }
             }
@@ -59,6 +103,7 @@ fn main() {
                 None => usage(),
             },
         }
+        i += 1;
     }
     if chosen.is_empty() {
         chosen.extend(EXPERIMENTS);
@@ -66,5 +111,109 @@ fn main() {
     for (_, title, run) in chosen {
         println!("\n################ {title} ################");
         run(scale, mix);
+    }
+    ExitCode::SUCCESS
+}
+
+/// Runs a seeded chaos campaign and writes artifacts for every failure.
+fn campaign(args: &[String]) -> ExitCode {
+    let name = args.first().cloned().unwrap_or_else(|| usage());
+    let (mut seed, mut runs, mut events, mut horizon_ms) = (6200u64, 6u64, 5usize, 6000u64);
+    let mut out = PathBuf::from(DEFAULT_ARTIFACT_DIR);
+    let mut i = 1;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--seed" => seed = value(args, &mut i),
+            "--runs" => runs = value(args, &mut i),
+            "--events" => events = value(args, &mut i),
+            "--horizon-ms" => horizon_ms = value(args, &mut i),
+            "--out" => out = value(args, &mut i),
+            _ => usage(),
+        }
+        i += 1;
+    }
+    let seeds = seed..seed + runs;
+    let horizon = SimDuration::from_millis(horizon_ms);
+    let mode = CampaignMode::Mixed;
+    let report = match name.as_str() {
+        "counter" | "counter-buggy" => {
+            let harness = || {
+                let mut h = CounterChaosHarness::new(4);
+                h.inject_client_bug = name == "counter-buggy";
+                h
+            };
+            run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
+        }
+        "nfs" | "nfs-buggy" => {
+            let buggy = name == "nfs-buggy";
+            let mix = if buggy { FsMix::HomogeneousInode } else { FsMix::Heterogeneous };
+            let harness = || {
+                let mut h = NfsChaosHarness::new(mix);
+                h.with_latent_bug = buggy;
+                h
+            };
+            run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
+        }
+        "oodb" => {
+            let harness = || OodbChaosHarness::new(4);
+            run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
+        }
+        _ => usage(),
+    };
+    println!(
+        "campaign `{name}`: {} runs, {} fault events, {} failure(s)",
+        report.runs,
+        report.events_executed,
+        report.failures.len()
+    );
+    println!("coverage: {}", report.coverage);
+    if report.passed() {
+        println!("verdict: PASSED (all audits clean)");
+        return ExitCode::SUCCESS;
+    }
+    for f in &report.failures {
+        println!("\n{f}");
+    }
+    match write_campaign_artifacts(&out, &report) {
+        Ok(paths) => {
+            println!("\nartifacts ({}):", out.display());
+            for p in paths {
+                println!("  {}", p.display());
+            }
+        }
+        Err(e) => eprintln!("error writing artifacts to {}: {e}", out.display()),
+    }
+    ExitCode::from(1)
+}
+
+/// Reports where two JSONL traces diverge; diverging traces exit nonzero so
+/// scripts can gate on it.
+fn diff(args: &[String]) -> ExitCode {
+    let [left, right, rest @ ..] = args else { usage() };
+    let mut window = 3;
+    let mut i = 0;
+    while i < rest.len() {
+        match rest[i].as_str() {
+            "--window" => window = value(rest, &mut i),
+            _ => usage(),
+        }
+        i += 1;
+    }
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("error: cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        parse_jsonl(&text).unwrap_or_else(|e| {
+            eprintln!("error: {path}: {e}");
+            std::process::exit(2);
+        })
+    };
+    let (l, r) = (read(left), read(right));
+    println!("{}", divergence_report(&l, &r, window, left, right));
+    if first_divergence(&l, &r).is_some() {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -37,13 +37,13 @@ pub fn run_andrew(scale: AndrewScale, mix: FsMix) -> AndrewResult {
     let mut sim = Simulation::new(1001);
     let driver = AndrewDriver::new(scale);
     let probe = AndrewDriver::new(scale);
-    let bed = build_replicated_nfs(&mut sim, 1001, mix, driver);
+    let bed = build_replicated_nfs(&mut sim, 1001, 4, mix, driver, |_| {});
     assert!(
-        run_relay_to_completion::<AndrewDriver>(&mut sim, bed.client, limit),
+        run_relay_to_completion::<AndrewDriver>(&mut sim, bed.clients[0], limit),
         "replicated run did not finish"
     );
     let rep_stats: RunStats =
-        sim.actor_as::<RelayActor<AndrewDriver>>(bed.client).unwrap().stats.clone();
+        sim.actor_as::<RelayActor<AndrewDriver>>(bed.clients[0]).unwrap().stats.clone();
     assert_eq!(rep_stats.errors, 0, "replicated run had NFS errors");
     let rep_phases = probe.phase_times(&rep_stats.completed_at_ns);
     let r0 = bed.replicas[0].get(&sim).state_root();

@@ -23,14 +23,15 @@ fn run_pair(bandwidth: u64) -> (u64, u64, u64) {
 
     let mut sim = Simulation::new(13_000 + bandwidth % 1000);
     sim.config_mut().bandwidth_bytes_per_sec = bandwidth;
-    let bed = build_replicated_nfs(&mut sim, 1301, FsMix::Heterogeneous, AndrewDriver::new(scale));
+    let driver = AndrewDriver::new(scale);
+    let bed = build_replicated_nfs(&mut sim, 1301, 4, FsMix::Heterogeneous, driver, |_| {});
     // `build_replicated_nfs` resets the latency profile, not the bandwidth.
     sim.config_mut().bandwidth_bytes_per_sec = bandwidth;
     assert!(
-        crate::setup::run_relay_to_completion::<AndrewDriver>(&mut sim, bed.client, limit),
+        crate::setup::run_relay_to_completion::<AndrewDriver>(&mut sim, bed.clients[0], limit),
         "replicated run did not finish at {bandwidth} B/s"
     );
-    let rep = sim.actor_as::<RelayActor<AndrewDriver>>(bed.client).unwrap().stats.clone();
+    let rep = sim.actor_as::<RelayActor<AndrewDriver>>(bed.clients[0]).unwrap().stats.clone();
     assert_eq!(rep.errors, 0);
     let bytes = sim.stats().bytes_delivered;
 

@@ -10,6 +10,7 @@
 use crate::report::{secs, Table};
 use base::demo::{KvWrapper, TinyKv, N_SLOTS};
 use base::{BaseClient, BaseReplica, BaseService, Config};
+use base_pbft::Deployment;
 use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
@@ -26,15 +27,10 @@ fn run_once(k: u64, ops: usize) -> RunOut {
     cfg.checkpoint_interval = k;
     cfg.log_window = 2 * k.max(64);
     let mut sim = Simulation::new(7000 + k);
-    let dir = base_crypto::KeyDirectory::generate(5, 7000 + k);
-    let mut replicas = Vec::new();
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        let svc = BaseService::new(KvWrapper::new(TinyKv::default()));
-        replicas.push(sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, svc))));
-    }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+    let d = Deployment::build(&mut sim, cfg, 1, 7000 + k, |_| {
+        BaseService::new(KvWrapper::new(TinyKv::default()))
+    });
+    let client = d.clients[0];
     for i in 0..ops {
         sim.actor_as_mut::<BaseClient>(client)
             .unwrap()
@@ -52,7 +48,7 @@ fn run_once(k: u64, ops: usize) -> RunOut {
         .iter()
         .sum::<u64>();
     let _ = (start, finish);
-    let svc = sim.actor_as::<KvReplica>(replicas[0]).unwrap().service();
+    let svc = sim.actor_as::<KvReplica>(d.replicas[0].node).unwrap().service();
     RunOut {
         total_ns: sim
             .actor_as::<BaseClient>(client)

@@ -7,7 +7,7 @@
 use crate::andrew::{AndrewDriver, AndrewScale};
 use crate::report::{pct, secs, Table};
 use crate::setup::{
-    build_direct_nfs, build_replicated_nfs_n, run_direct_to_completion, run_relay_to_completion,
+    build_direct_nfs, build_replicated_nfs, run_direct_to_completion, run_relay_to_completion,
     FsMix,
 };
 use base_nfs::relay::{DirectActor, RelayActor};
@@ -45,15 +45,16 @@ pub fn run_degree() {
     ]);
     for n in [4usize, 7] {
         let mut sim = Simulation::new(9100 + n as u64);
-        let bed = build_replicated_nfs_n(
+        let bed = build_replicated_nfs(
             &mut sim,
             9100 + n as u64,
             n,
             FsMix::Heterogeneous,
             AndrewDriver::new(scale),
+            |_| {},
         );
-        assert!(run_relay_to_completion::<AndrewDriver>(&mut sim, bed.client, limit));
-        let stats = &sim.actor_as::<RelayActor<AndrewDriver>>(bed.client).unwrap().stats;
+        assert!(run_relay_to_completion::<AndrewDriver>(&mut sim, bed.clients[0], limit));
+        let stats = &sim.actor_as::<RelayActor<AndrewDriver>>(bed.clients[0]).unwrap().stats;
         assert_eq!(stats.errors, 0);
         let ns = stats.completed_at_ns.last().copied().unwrap_or(0);
         t.row(&[

@@ -17,7 +17,7 @@
 //! hits a single replica and is masked.
 
 use crate::report::Table;
-use crate::setup::{arm_inode_latent_bug, build_replicated_nfs_with, set_relay_pace, FsMix};
+use crate::setup::{arm_inode_latent_bug, build_replicated_nfs, set_relay_pace, FsMix};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
@@ -98,7 +98,7 @@ impl NfsChaosHarness {
 impl ChaosHarness for NfsChaosHarness {
     fn build(&mut self, seed: u64) -> Simulation {
         let mut sim = Simulation::new(seed);
-        let bed = build_replicated_nfs_with(
+        let bed = build_replicated_nfs(
             &mut sim,
             seed,
             self.cfg.n,
@@ -106,7 +106,7 @@ impl ChaosHarness for NfsChaosHarness {
             ScriptDriver::new(script(self.with_latent_bug)),
             |cfg| *cfg = self.cfg.clone(),
         );
-        set_relay_pace::<ScriptDriver>(&mut sim, bed.client, self.pace);
+        set_relay_pace::<ScriptDriver>(&mut sim, bed.clients[0], self.pace);
         self.group = Group::new(&mut sim, bed.replicas.clone());
         if self.with_latent_bug {
             // An armed replica corrupts the triggering write by itself: it
@@ -115,7 +115,7 @@ impl ChaosHarness for NfsChaosHarness {
                 self.group.taint(node);
             }
         }
-        self.client = bed.client;
+        self.client = bed.clients[0];
         sim
     }
 

@@ -11,7 +11,7 @@
 use crate::report::{pct, secs, Table};
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_oodb::{ObjStore, Oo7Workload, OodbWrapper};
-use base_pbft::Service as _;
+use base_pbft::Deployment;
 use base_simnet::{LatencyModel, NodeId, SimDuration, Simulation};
 use rand::SeedableRng;
 
@@ -95,21 +95,17 @@ pub fn run_oodb() {
     sim.config_mut().latency = LatencyModel::lan();
     let mut cfg = Config::new(4);
     cfg.checkpoint_interval = 64;
-    let dir = base_crypto::KeyDirectory::generate(5, 7700);
-    let mut replicas = Vec::new();
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let d = Deployment::build(&mut sim, cfg, 1, 7700, |i| {
         let mut seed_rng = rand::rngs::StdRng::seed_from_u64(900 + i as u64);
         let mut w = OodbWrapper::new(ObjStore::new(&mut seed_rng));
         w.op_cost_base = SimDuration::from_micros(120);
         w.visit_cost = SimDuration::from_micros(5);
-        let svc = BaseService::new(w);
-        replicas.push(sim.add_node(Box::new(DbReplica::new(cfg.clone(), keys, svc))));
-        sim.config_mut()
-            .set_clock_skew(NodeId(i), SimDuration::from_millis(7 * i as u64));
+        BaseService::new(w)
+    });
+    for (i, r) in d.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(7 * i as u64));
     }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+    let client = d.clients[0];
     {
         let c = sim.actor_as_mut::<BaseClient>(client).unwrap();
         for (op, ro) in &ops {
@@ -128,16 +124,12 @@ pub fn run_oodb() {
     let rep_ns: u64 = c.core().latencies_ns.iter().sum();
 
     // Cross-replica checks.
-    let roots: Vec<_> = replicas
+    let roots: Vec<_> = d.replicas.iter().map(|r| r.get(&sim).state_root()).collect();
+    assert!(roots.iter().all(|root| *root == roots[0]), "replicas diverged");
+    let collections: Vec<u64> = d
+        .replicas
         .iter()
-        .map(|&r| {
-            sim.actor_as::<DbReplica>(r).unwrap().service().current_tree().root_digest()
-        })
-        .collect();
-    assert!(roots.iter().all(|d| *d == roots[0]), "replicas diverged");
-    let collections: Vec<u64> = replicas
-        .iter()
-        .map(|&r| sim.actor_as::<DbReplica>(r).unwrap().service().wrapper().store().collections)
+        .map(|r| sim.actor_as::<DbReplica>(r.node).unwrap().service().wrapper().store().collections)
         .collect();
 
     // Direct (unreplicated) run.

@@ -10,7 +10,8 @@
 use crate::report::Table;
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_simnet::{build_spans, NodeId, PhaseBreakdown, SimDuration, Simulation, VecSink};
+use base_pbft::Deployment;
+use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, VecSink};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
@@ -40,24 +41,19 @@ fn run_once(mode: Option<bool>) -> Out {
     }
     let mut sim = Simulation::new(5100);
     sim.set_trace_sink(Box::new(VecSink::new()));
-    let dir = base_crypto::KeyDirectory::generate(5, 5100);
-    let mut replicas: Vec<NodeId> = Vec::new();
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let d = Deployment::build(&mut sim, cfg, 1, 5100, |_| {
         let mut kv = TinyKv::default();
         kv.leaky = true; // The aging bug rejuvenation repairs.
         let mut w = KvWrapper::new(kv);
         w.op_cost = SimDuration::from_millis(2); // Era-scale op cost.
-        let svc = BaseService::new(w);
-        replicas.push(sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, svc))));
-    }
+        BaseService::new(w)
+    });
     if let Some(clean) = mode {
-        for &r in &replicas {
-            sim.actor_as_mut::<KvReplica>(r).unwrap().set_recovery_clean(clean);
+        for r in &d.replicas {
+            r.get_mut(&mut sim).set_recovery_clean(clean);
         }
     }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+    let client = d.clients[0];
 
     // Churny workload: put + delete pairs leak at every replica.
     let ops = 1200usize;
@@ -88,8 +84,8 @@ fn run_once(mode: Option<bool>) -> Out {
     let mut recoveries = 0u64;
     let mut rec_ns = Vec::new();
     let mut leaked = 0usize;
-    for &r in &replicas {
-        let rep = sim.actor_as::<KvReplica>(r).unwrap();
+    for r in &d.replicas {
+        let rep = sim.actor_as::<KvReplica>(r.node).unwrap();
         recoveries += rep.stats.recoveries;
         if rep.last_recovery_ns > 0 {
             rec_ns.push(rep.last_recovery_ns);

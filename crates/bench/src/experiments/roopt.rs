@@ -10,10 +10,9 @@
 
 use crate::report::Table;
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, Config};
+use base::{BaseClient, BaseService, Config};
+use base_pbft::Deployment;
 use base_simnet::{SimDuration, Simulation};
-
-type KvReplica = BaseReplica<KvWrapper>;
 
 const WRITES: usize = 32;
 const READS: usize = 256;
@@ -33,15 +32,12 @@ fn run_once(ro_opt: bool) -> Out {
     cfg.log_window = 256;
     let seed = 9900 + u64::from(ro_opt);
     let mut sim = Simulation::new(seed);
-    let dir = base_crypto::KeyDirectory::generate(5, seed);
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let client = Deployment::build(&mut sim, cfg, 1, seed, |_| {
         let mut w = KvWrapper::new(TinyKv::default());
         w.op_cost = SimDuration::from_micros(100);
-        sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, BaseService::new(w))));
-    }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+        BaseService::new(w)
+    })
+    .clients[0];
     {
         let cl = sim.actor_as_mut::<BaseClient>(client).unwrap();
         for i in 0..WRITES {

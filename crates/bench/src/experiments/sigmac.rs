@@ -12,7 +12,7 @@
 use crate::report::Table;
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_pbft::CostModel;
+use base_pbft::{CostModel, Deployment};
 use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
@@ -36,19 +36,17 @@ fn run_once(signatures: bool) -> Out {
     cfg.view_change_timeout = SimDuration::from_millis(1600);
     let seed = 12_000 + u64::from(signatures);
     let mut sim = Simulation::new(seed);
-    let dir = base_crypto::KeyDirectory::generate(5, seed);
     let cost = if signatures { CostModel::signatures_only() } else { CostModel::default() };
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        let w = KvWrapper::new(TinyKv::default());
-        let mut replica = KvReplica::new(cfg.clone(), keys, BaseService::new(w));
-        replica.set_cost_model(cost);
-        sim.add_node(Box::new(replica));
+    let mut d = Deployment::new(cfg, 1, seed);
+    for _ in 0..4 {
+        let r = d.replica(&mut sim, BaseService::new(KvWrapper::new(TinyKv::default())));
+        sim.actor_as_mut::<KvReplica>(r.node).unwrap().set_cost_model(cost);
     }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let mut client = BaseClient::new(cfg, keys);
-    client.core_mut().set_cost_model(cost);
-    let client = sim.add_node(Box::new(client));
+    let client = d.client(&mut sim, |cfg, keys| {
+        let mut client = BaseClient::new(cfg, keys);
+        client.core_mut().set_cost_model(cost);
+        client
+    });
     {
         let cl = sim.actor_as_mut::<BaseClient>(client).unwrap();
         for i in 0..OPS {

@@ -6,10 +6,9 @@
 
 use crate::report::Table;
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, Config};
+use base::{BaseClient, BaseService, Config};
+use base_pbft::Deployment;
 use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, VecSink};
-
-type KvReplica = BaseReplica<KvWrapper>;
 
 /// One measured E9 cell, exposed so the `bench` perf lab can sample the
 /// same workload the table prints.
@@ -64,20 +63,12 @@ pub fn measure_throughput_with(
     tweak(&mut cfg);
     let mut sim = Simulation::new(8800 + clients as u64);
     sim.set_trace_sink(Box::new(VecSink::new()));
-    let dir = base_crypto::KeyDirectory::generate(4 + clients, 8800 + clients as u64);
-    let mut replicas = Vec::new();
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let d = Deployment::build(&mut sim, cfg, clients, 8800 + clients as u64, |_| {
         let mut w = KvWrapper::new(TinyKv::default());
         w.op_cost = SimDuration::from_micros(100);
-        replicas.push(sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, BaseService::new(w)))));
-    }
-    let mut client_nodes = Vec::new();
-    for c in 0..clients {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), 4 + c);
-        let node = sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)));
-        client_nodes.push(node);
-    }
+        BaseService::new(w)
+    });
+    let client_nodes = d.clients;
     for (c, &node) in client_nodes.iter().enumerate() {
         let cl = sim.actor_as_mut::<BaseClient>(node).unwrap();
         for i in 0..ops_per_client {
@@ -98,9 +89,8 @@ pub fn measure_throughput_with(
     // Batch statistics come from the replica's metrics registry: the
     // `replica.batch_occupancy` histogram records one sample per executed
     // pre-prepare, valued at the batch's request count.
-    let occupancy = sim
-        .actor_as::<KvReplica>(replicas[0])
-        .unwrap()
+    let occupancy = d.replicas[0]
+        .get(&sim)
         .metrics()
         .histogram("replica.batch_occupancy")
         .cloned()

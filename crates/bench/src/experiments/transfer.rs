@@ -15,7 +15,7 @@ use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
 use base_simnet::{SimDuration, Simulation};
 
-use crate::setup::{build_replicated_nfs_with, run_relay_to_completion, FsMix};
+use crate::setup::{build_replicated_nfs, run_relay_to_completion, FsMix};
 
 const LIVE_FILES: u32 = 256;
 const FILE_BYTES: usize = 8192;
@@ -79,7 +79,7 @@ pub fn measure_catch_up(
     }
 
     let mut sim = Simulation::new(seed);
-    let bed = build_replicated_nfs_with(
+    let bed = build_replicated_nfs(
         &mut sim,
         seed,
         4,
@@ -87,10 +87,11 @@ pub fn measure_catch_up(
         ScriptDriver::new(script),
         |cfg| cfg.chunk_size = chunk_size,
     );
+    let relay = bed.clients[0];
 
     // Run phase A with everyone up.
     let done_a = |s: &Simulation| {
-        s.actor_as::<RelayActor<ScriptDriver>>(bed.client)
+        s.actor_as::<RelayActor<ScriptDriver>>(relay)
             .map(|r| r.stats.ops >= phase_a_ops as u64)
             .unwrap_or(false)
     };
@@ -107,7 +108,7 @@ pub fn measure_catch_up(
     let metrics_before = sleeper.get(&sim).metrics().clone();
     sim.crash(sleeper.node, SimDuration::from_secs(10));
     assert!(
-        run_relay_to_completion::<ScriptDriver>(&mut sim, bed.client, SimDuration::from_secs(60)),
+        run_relay_to_completion::<ScriptDriver>(&mut sim, relay, SimDuration::from_secs(60)),
         "phase B did not finish"
     );
     sim.run_for(SimDuration::from_secs(40));

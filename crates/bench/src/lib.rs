@@ -2,7 +2,8 @@
 //! formatting for every experiment in `DESIGN.md` §4 / `EXPERIMENTS.md`.
 //!
 //! The `all_tables` binary regenerates the tables, all or by name, and
-//! prints the lab of deterministic counts ([`lab`]). Real (wall-clock) cost
+//! prints the lab of deterministic counts ([`lab`]); its `campaign` and
+//! `diff` subcommands run the repro lab ([`repro`]). Real (wall-clock) cost
 //! is measured by the separate `benchmark/` workspace.
 
 #![forbid(unsafe_code)]
@@ -16,6 +17,4 @@ pub mod setup;
 
 pub use andrew::{AndrewDriver, AndrewScale, PHASES};
 pub use report::Table;
-pub use setup::{
-    build_direct_nfs, build_replicated_nfs, era_costs, lan_config, FsMix, NfsTestbed,
-};
+pub use setup::{build_direct_nfs, build_replicated_nfs, era_costs, lan_config, FsMix};

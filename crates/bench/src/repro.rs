@@ -2,9 +2,9 @@
 //! human (or CI) can pick up — the minimized fault schedule, the ddmin
 //! search counters, the divergence report between the full and minimal
 //! runs, and the minimal run's protocol trace as JSONL for offline
-//! `tracediff` (`repro --diff`).
+//! `tracediff` (`all_tables diff`).
 //!
-//! Used by the `repro` binary, by the acceptance tests, and by CI (which
+//! Used by `all_tables campaign`, by the acceptance tests, and by CI (which
 //! uploads `target/repro/` on chaos-campaign failure).
 
 use base_simnet::chaos::{CampaignReport, FailureReport};

@@ -1,10 +1,9 @@
 //! Simulation builders for the experiment testbeds.
 
 use base::{BaseReplica, BaseService};
-use base_crypto::NodeKeys;
 use base_nfs::relay::{DirectActor, DirectServerActor, NfsDriver, RelayActor};
 use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
-use base_pbft::{Config, ReplicaRef};
+use base_pbft::{Config, Deployment};
 use base_simnet::{LatencyModel, NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,19 +33,6 @@ pub fn lan_config(sim: &mut Simulation) {
     sim.config_mut().latency = LatencyModel::lan();
 }
 
-/// A built replicated-NFS testbed.
-#[derive(Clone)]
-pub struct NfsTestbed {
-    /// Group configuration.
-    pub cfg: Config,
-    /// The replicas (nodes `0..n`), whichever file system each runs:
-    /// `bed.replicas[i].get(sim)` is replica `i`'s stats, metrics, state
-    /// root and fault-injection switches.
-    pub replicas: Vec<ReplicaRef>,
-    /// The relay/client node.
-    pub client: NodeId,
-}
-
 /// The implementation family a replica runs (determined by mix + index).
 fn impl_of(mix: FsMix, i: usize) -> usize {
     match mix {
@@ -55,76 +41,46 @@ fn impl_of(mix: FsMix, i: usize) -> usize {
     }
 }
 
-/// Installs a replica serving `fs` behind the era-calibrated wrapper.
-fn add_replica<F: NfsServer>(
-    sim: &mut Simulation,
-    cfg: &Config,
-    keys: NodeKeys,
-    fs: F,
-) -> ReplicaRef {
+/// `fs` behind the era-calibrated wrapper.
+fn era_service<F: NfsServer>(fs: F) -> BaseService<NfsWrapper<F>> {
     let mut w = NfsWrapper::with_capacity(fs, CAPACITY);
     (w.op_cost_base, w.op_cost_per_byte_ns) = era_costs();
-    let replica = BaseReplica::new(cfg.clone(), keys, BaseService::new(w));
-    ReplicaRef::of::<BaseService<NfsWrapper<F>>>(sim.add_node(Box::new(replica)))
+    BaseService::new(w)
 }
 
-/// Builds a 4-replica BASE NFS service plus a relay driving `driver`.
+/// Builds an `n`-replica BASE NFS service (n ≥ 4) plus a relay driving
+/// `driver`, which is `clients[0]` of the returned deployment. In the
+/// heterogeneous mix the four implementation families rotate across the
+/// replicas. `tweak` adjusts the group configuration (chaos campaigns
+/// shorten the checkpoint interval and the reboot time so recoveries
+/// complete within a run).
 pub fn build_replicated_nfs<D: NfsDriver>(
-    sim: &mut Simulation,
-    seed: u64,
-    mix: FsMix,
-    driver: D,
-) -> NfsTestbed {
-    build_replicated_nfs_n(sim, seed, 4, mix, driver)
-}
-
-/// Builds an `n`-replica BASE NFS service (n ≥ 4); in the heterogeneous
-/// mix the four implementation families rotate across the replicas.
-pub fn build_replicated_nfs_n<D: NfsDriver>(
-    sim: &mut Simulation,
-    seed: u64,
-    n: usize,
-    mix: FsMix,
-    driver: D,
-) -> NfsTestbed {
-    build_replicated_nfs_with(sim, seed, n, mix, driver, |_| {})
-}
-
-/// Like [`build_replicated_nfs_n`] but lets the caller adjust the group
-/// configuration (chaos campaigns shorten the checkpoint interval and the
-/// reboot time so recoveries complete within a run).
-pub fn build_replicated_nfs_with<D: NfsDriver>(
     sim: &mut Simulation,
     seed: u64,
     n: usize,
     mix: FsMix,
     driver: D,
     tweak: impl FnOnce(&mut Config),
-) -> NfsTestbed {
+) -> Deployment {
     lan_config(sim);
     let mut cfg = Config::new(n);
     cfg.checkpoint_interval = 128; // The paper's k.
     cfg.log_window = 256;
     tweak(&mut cfg);
-    let dir = base_crypto::KeyDirectory::generate(n + 1, seed);
+    let mut d = Deployment::new(cfg, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut replicas = Vec::new();
-
     for i in 0..n {
-        let keys = NodeKeys::new(dir.clone(), i);
         let id = i as u64;
         let replica = match impl_of(mix, i) {
-            0 => add_replica(sim, &cfg, keys, InodeFs::new(0x10 + id, &mut rng)),
-            1 => add_replica(sim, &cfg, keys, FlatFs::new(0x40 + id, &mut rng)),
-            2 => add_replica(sim, &cfg, keys, LogFs::new(0x20 + id, &mut rng)),
-            _ => add_replica(sim, &cfg, keys, BtreeFs::new(0x30 + id, &mut rng)),
+            0 => d.replica(sim, era_service(InodeFs::new(0x10 + id, &mut rng))),
+            1 => d.replica(sim, era_service(FlatFs::new(0x40 + id, &mut rng))),
+            2 => d.replica(sim, era_service(LogFs::new(0x20 + id, &mut rng))),
+            _ => d.replica(sim, era_service(BtreeFs::new(0x30 + id, &mut rng))),
         };
-        sim.config_mut().set_clock_skew(replica.node, SimDuration::from_millis(13 * i as u64));
-        replicas.push(replica);
+        sim.config_mut().set_clock_skew(replica.node, SimDuration::from_millis(13 * id));
     }
-    let keys = NodeKeys::new(dir, n);
-    let client = sim.add_node(Box::new(RelayActor::new(cfg.clone(), keys, driver)));
-    NfsTestbed { cfg, replicas, client }
+    d.client(sim, |cfg, keys| RelayActor::new(cfg, keys, driver));
+    d
 }
 
 /// Builds the unreplicated baseline: one InodeFs server + a direct client.
@@ -147,7 +103,7 @@ pub fn build_direct_nfs<D: NfsDriver>(
 
 /// Arms the seeded latent bug on every replica running InodeFs and returns
 /// their nodes.
-pub fn arm_inode_latent_bug(sim: &mut Simulation, bed: &NfsTestbed) -> Vec<NodeId> {
+pub fn arm_inode_latent_bug(sim: &mut Simulation, bed: &Deployment) -> Vec<NodeId> {
     let mut armed = Vec::new();
     for r in &bed.replicas {
         if let Some(replica) = sim.actor_as_mut::<BaseReplica<NfsWrapper<InodeFs>>>(r.node) {

@@ -33,17 +33,16 @@
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_bench::experiments::faultinj::NfsChaosHarness;
-use base_bench::setup::{build_replicated_nfs_with, set_relay_pace, FsMix};
-use base_crypto::{KeyDirectory, NodeKeys};
+use base_bench::setup::{build_replicated_nfs, set_relay_pace, FsMix};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid as NfsOid;
 use base_oodb::{ObjStore, Oid, OodbOp, OodbReply, OodbWrapper};
 use base_pbft::chaos::CounterChaosHarness;
-use base_pbft::testing::{build_counter_group, op_add, op_get, CounterService};
-use base_pbft::{ClientActor, Replica, Service as _};
+use base_pbft::testing::{op_add, op_get, CounterService};
+use base_pbft::{ClientActor, Deployment, Replica, Service as _};
 use base_simnet::chaos::{generate_schedule, run_one};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_simnet::{SimDuration, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,7 +109,8 @@ fn run_counter(depth: u64) -> Fingerprint {
     const SEED: u64 = 4242;
     const OPS: usize = 12;
     let mut sim = Simulation::new(SEED);
-    let g = build_counter_group(&mut sim, grid_config(4, depth), 2, SEED);
+    let cfg = grid_config(4, depth);
+    let g = Deployment::build(&mut sim, cfg, 2, SEED, |_| CounterService::default());
     for (i, &c) in g.clients.iter().enumerate() {
         let client = sim.actor_as_mut::<ClientActor>(c).expect("client");
         // Client i owns registers 8i..8i+6: no register is shared, so the
@@ -142,8 +142,8 @@ fn run_counter(depth: u64) -> Fingerprint {
         }
         fp.timing.push(format!("client {i} latencies={:?}", client.core().latencies_ns));
     }
-    for (i, &r) in g.replicas.iter().enumerate() {
-        let rep = sim.actor_as::<Replica<CounterService>>(r).expect("replica");
+    for (i, r) in g.replicas.iter().enumerate() {
+        let rep = sim.actor_as::<Replica<CounterService>>(r.node).expect("replica");
         fp.core.push(format!("replica {i} root={}", rep.service().current_tree().root_digest()));
         fp.timing
             .push(format!("replica {i} last_exec={} stable={}", rep.last_exec(), rep.stable_seq()));
@@ -176,21 +176,10 @@ fn run_kv(depth: u64) -> Fingerprint {
     const OPS: usize = 10;
     let cfg = grid_config(4, depth);
     let mut sim = Simulation::new(SEED);
-    let dir = KeyDirectory::generate(4 + 2, SEED);
-    let replicas: Vec<NodeId> = (0..4)
-        .map(|i| {
-            let keys = NodeKeys::new(dir.clone(), i);
-            let service = BaseService::new(KvWrapper::new(TinyKv::default()));
-            sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, service)))
-        })
-        .collect();
-    let clients: Vec<NodeId> = (0..2)
-        .map(|i| {
-            let keys = NodeKeys::new(dir.clone(), 4 + i);
-            sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)))
-        })
-        .collect();
-    for (i, &c) in clients.iter().enumerate() {
+    let d = Deployment::build(&mut sim, cfg, 2, SEED, |_| {
+        BaseService::new(KvWrapper::new(TinyKv::default()))
+    });
+    for (i, &c) in d.clients.iter().enumerate() {
         let client = sim.actor_as_mut::<BaseClient>(c).expect("client");
         // Disjoint key spaces; each key written once before it is read.
         for j in 0..OPS {
@@ -204,7 +193,7 @@ fn run_kv(depth: u64) -> Fingerprint {
     sim.run_for(SimDuration::from_secs(20));
 
     let mut fp = Fingerprint { core: Vec::new(), timing: Vec::new() };
-    for (i, &c) in clients.iter().enumerate() {
+    for (i, &c) in d.clients.iter().enumerate() {
         let client = sim.actor_as::<BaseClient>(c).expect("client");
         assert_eq!(
             client.completed.len(),
@@ -215,19 +204,14 @@ fn run_kv(depth: u64) -> Fingerprint {
             fp.core.push(format!("client {i} ts={ts} -> {}", String::from_utf8_lossy(result)));
         }
     }
-    let roots: Vec<_> = replicas
-        .iter()
-        .map(|&r| {
-            sim.actor_as::<KvReplica>(r).expect("replica").service().current_tree().root_digest()
-        })
-        .collect();
+    let roots: Vec<_> = d.replicas.iter().map(|r| r.get(&sim).state_root()).collect();
     assert!(
         roots.iter().all(|r| *r == roots[0]),
         "kv replicas disagree at depth={depth}: {roots:?}"
     );
     fp.core.push(format!("root={}", roots[0]));
-    for (i, &r) in replicas.iter().enumerate() {
-        let rep = sim.actor_as::<KvReplica>(r).expect("replica");
+    for (i, r) in d.replicas.iter().enumerate() {
+        let rep = sim.actor_as::<KvReplica>(r.node).expect("replica");
         fp.timing
             .push(format!("replica {i} last_exec={} stable={}", rep.last_exec(), rep.stable_seq()));
     }
@@ -270,7 +254,7 @@ fn nfs_script() -> Vec<NfsOp> {
 fn run_nfs(depth: u64) -> Fingerprint {
     const SEED: u64 = 777;
     let mut sim = Simulation::new(SEED);
-    let bed = build_replicated_nfs_with(
+    let bed = build_replicated_nfs(
         &mut sim,
         SEED,
         4,
@@ -282,10 +266,10 @@ fn run_nfs(depth: u64) -> Fingerprint {
             cfg.pipeline_depth = depth;
         },
     );
-    set_relay_pace::<ScriptDriver>(&mut sim, bed.client, SimDuration::from_millis(20));
+    set_relay_pace::<ScriptDriver>(&mut sim, bed.clients[0], SimDuration::from_millis(20));
     sim.run_for(SimDuration::from_secs(20));
 
-    let relay = sim.actor_as::<RelayActor<ScriptDriver>>(bed.client).expect("relay");
+    let relay = sim.actor_as::<RelayActor<ScriptDriver>>(bed.clients[0]).expect("relay");
     assert!(
         relay.done(),
         "liveness: nfs workload stalled after {} ops at depth={depth}",
@@ -334,21 +318,13 @@ fn run_oodb(depth: u64) -> Fingerprint {
     const SEED: u64 = 515;
     let cfg = grid_config(4, depth);
     let mut sim = Simulation::new(SEED);
-    let dir = KeyDirectory::generate(5, SEED);
-    let replicas: Vec<NodeId> = (0..4)
-        .map(|i| {
-            let keys = NodeKeys::new(dir.clone(), i);
-            // Per-replica store RNGs differ on purpose: concrete heaps
-            // diverge while the abstract state stays identical.
-            let mut rng = StdRng::seed_from_u64(SEED ^ (0xb0de ^ i as u64).rotate_left(17));
-            let service = BaseService::new(OodbWrapper::new(ObjStore::new(&mut rng)));
-            sim.add_node(Box::new(OodbReplica::new(cfg.clone(), keys, service)))
-        })
-        .collect();
-    let client_node = {
-        let keys = NodeKeys::new(dir.clone(), 4);
-        sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)))
-    };
+    let d = Deployment::build(&mut sim, cfg, 1, SEED, |i| {
+        // Per-replica store RNGs differ on purpose: concrete heaps diverge
+        // while the abstract state stays identical.
+        let mut rng = StdRng::seed_from_u64(SEED ^ (0xb0de ^ i as u64).rotate_left(17));
+        BaseService::new(OodbWrapper::new(ObjStore::new(&mut rng)))
+    });
+    let client_node = d.clients[0];
     {
         // A single serialized mutator: allocate a chain, write each
         // object's first field, link them, then read everything back.
@@ -388,19 +364,14 @@ fn run_oodb(depth: u64) -> Fingerprint {
         let reply = OodbReply::from_bytes(result);
         fp.core.push(format!("ts={ts} -> {reply:?}"));
     }
-    let roots: Vec<_> = replicas
-        .iter()
-        .map(|&r| {
-            sim.actor_as::<OodbReplica>(r).expect("replica").service().current_tree().root_digest()
-        })
-        .collect();
+    let roots: Vec<_> = d.replicas.iter().map(|r| r.get(&sim).state_root()).collect();
     assert!(
         roots.iter().all(|r| *r == roots[0]),
         "oodb replicas disagree at depth={depth}: {roots:?}"
     );
     fp.core.push(format!("root={}", roots[0]));
-    for (i, &r) in replicas.iter().enumerate() {
-        let rep = sim.actor_as::<OodbReplica>(r).expect("replica");
+    for (i, r) in d.replicas.iter().enumerate() {
+        let rep = sim.actor_as::<OodbReplica>(r.node).expect("replica");
         fp.timing
             .push(format!("replica {i} last_exec={} stable={}", rep.last_exec(), rep.stable_seq()));
     }

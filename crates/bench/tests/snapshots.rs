@@ -25,11 +25,12 @@
 //! ```
 
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, Config};
+use base::{BaseClient, BaseService, Config};
 use base_bench::experiments::faultinj::NfsChaosHarness;
 use base_bench::FsMix;
 use base_oodb::chaos::OodbChaosHarness;
 use base_pbft::chaos::CounterChaosHarness;
+use base_pbft::Deployment;
 use base_simnet::chaos::{generate_schedule, run_campaign, run_one, CampaignMode, ChaosHarness};
 use base_simnet::trace::export_jsonl;
 use base_simnet::tracediff::{divergence_report, parse_jsonl};
@@ -100,8 +101,6 @@ fn e9_metrics() -> MetricsRegistry {
     const CLIENTS: usize = 2;
     const OPS_PER_CLIENT: usize = 25;
     const SEED: u64 = 8802;
-    type KvReplica = BaseReplica<KvWrapper>;
-
     let mut cfg = Config::new(4);
     // Short checkpoint interval so the run exercises the checkpoint
     // counters as well as the latency/batching histograms.
@@ -109,20 +108,12 @@ fn e9_metrics() -> MetricsRegistry {
     cfg.log_window = 256;
     cfg.max_inflight = 2;
     let mut sim = Simulation::new(SEED);
-    let dir = base_crypto::KeyDirectory::generate(4 + CLIENTS, SEED);
-    let mut replicas = Vec::new();
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let d = Deployment::build(&mut sim, cfg, CLIENTS, SEED, |_| {
         let mut w = KvWrapper::new(TinyKv::default());
         w.op_cost = SimDuration::from_micros(100);
-        replicas.push(sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, BaseService::new(w)))));
-    }
-    let mut clients = Vec::new();
-    for c in 0..CLIENTS {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), 4 + c);
-        clients.push(sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys))));
-    }
-    for (c, &node) in clients.iter().enumerate() {
+        BaseService::new(w)
+    });
+    for (c, &node) in d.clients.iter().enumerate() {
         let cl = sim.actor_as_mut::<BaseClient>(node).unwrap();
         for i in 0..OPS_PER_CLIENT {
             cl.invoke(format!("put c{c}k{} v{i}", i % 16).into_bytes(), false);
@@ -130,16 +121,16 @@ fn e9_metrics() -> MetricsRegistry {
     }
     sim.run_for(SimDuration::from_secs(60));
 
-    for &node in &clients {
+    for &node in &d.clients {
         let done = sim.actor_as::<BaseClient>(node).unwrap().completed.len();
         assert_eq!(done, OPS_PER_CLIENT, "client on node {} must finish", node.0);
     }
 
     let mut merged = MetricsRegistry::new();
-    for &r in &replicas {
-        merged.merge(sim.actor_as::<KvReplica>(r).unwrap().metrics());
+    for r in &d.replicas {
+        merged.merge(r.get(&sim).metrics());
     }
-    for &c in &clients {
+    for &c in &d.clients {
         merged.merge(&sim.actor_as::<BaseClient>(c).unwrap().core().metrics);
     }
     merged

@@ -50,19 +50,15 @@
 //!
 //! ```
 //! use base::demo::{KvWrapper, TinyKv};
-//! use base::{BaseClient, BaseReplica, Config};
+//! use base::{BaseClient, BaseService, Config};
+//! use base_pbft::Deployment;
 //! use base_simnet::{SimDuration, Simulation};
 //!
-//! let cfg = Config::new(4);
 //! let mut sim = Simulation::new(1);
-//! let dir = base_crypto::KeyDirectory::generate(5, 1);
-//! for i in 0..4 {
-//!     let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-//!     let service = base::BaseService::new(KvWrapper::new(TinyKv::default()));
-//!     sim.add_node(Box::new(BaseReplica::new(cfg.clone(), keys, service)));
-//! }
-//! let keys = base_crypto::NodeKeys::new(dir, 4);
-//! let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+//! let group = Deployment::build(&mut sim, Config::new(4), 1, 1, |_| {
+//!     BaseService::new(KvWrapper::new(TinyKv::default()))
+//! });
+//! let client = group.clients[0];
 //!
 //! sim.actor_as_mut::<BaseClient>(client).unwrap().invoke(b"put lang rust".to_vec(), false);
 //! sim.actor_as_mut::<BaseClient>(client).unwrap().invoke(b"get lang".to_vec(), true);

@@ -42,7 +42,9 @@ use crate::wrapper::Footprint;
 use base_crypto::{KeyDirectory, NodeKeys};
 use base_pbft::client::TOKEN_CLIENT_RETRANS;
 use base_pbft::testing::COUNTER_REGS;
-use base_pbft::{ClientCore, ClientEvent, Config, ExecEnv, PartitionTree, Replica, Service};
+use base_pbft::{
+    ClientCore, ClientEvent, Config, Deployment, ExecEnv, PartitionTree, Replica, Service,
+};
 use base_simnet::{Actor, Context, MetricsRegistry, NodeId, SimDuration, Simulation};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -816,11 +818,13 @@ impl ShardedGroup {
 /// Builds `map.shards()` independent replica groups of `cfg.n` replicas
 /// each, plus `c` router clients, on one deterministic simulation.
 ///
-/// Layout: shard `s`'s replicas occupy node ids `s*n .. s*n+n` (in shard
-/// order), routers follow at `K*n ..`. Shard `s` gets its own key
-/// directory seeded from `seed` (shard 0 uses `seed` itself, so a
-/// one-shard build is byte-identical to [`base_pbft::testing::build_group`]
-/// with the same seed); router `j` has local id `n+j` in every directory.
+/// Each shard is a [`Deployment`] (the layout rule is in `deploy.rs`) whose
+/// configuration places its replicas at `s*n .. s*n+n`, in shard order, and
+/// its clients at `K*n ..`, after every shard's replicas. Router `j` is
+/// client `j` of every shard at once: one node holding key id `n+j` of each
+/// shard's directory. Shard `s`'s directory is seeded from
+/// `seed + s·0x9e3779b97f4a7c15`, so a one-shard build is byte-identical to
+/// [`Deployment::build`] with the same seed.
 pub fn build_sharded_group<S: Service>(
     sim: &mut Simulation,
     cfg: Config,
@@ -830,35 +834,32 @@ pub fn build_sharded_group<S: Service>(
     footprint_of: fn(&[u8]) -> Option<Footprint>,
     mut service: impl FnMut(u32, usize) -> S,
 ) -> ShardedGroup {
-    let n = cfg.n;
-    let shards = map.shards();
-    let mut cfgs = Vec::with_capacity(shards as usize);
-    let mut dirs = Vec::with_capacity(shards as usize);
-    let mut replicas = Vec::with_capacity(shards as usize);
-    for s in 0..shards {
-        let scfg = cfg
-            .clone()
-            .with_shard(s, s as usize * n, shards as usize * n);
-        let dir = KeyDirectory::generate(
-            n + c,
-            seed.wrapping_add(u64::from(s).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        let mut ids = Vec::with_capacity(n);
-        for i in 0..n {
-            let keys = NodeKeys::new(dir.clone(), i);
-            ids.push(sim.add_node(Box::new(Replica::new(scfg.clone(), keys, service(s, i)))));
-        }
-        cfgs.push(scfg);
-        dirs.push(dir);
-        replicas.push(ids);
+    let (n, shards) = (cfg.n, map.shards());
+    let mut groups: Vec<Deployment> = (0..shards)
+        .map(|s| {
+            let scfg = cfg.clone().with_shard(s, s as usize * n, shards as usize * n);
+            let sseed = seed.wrapping_add(u64::from(s).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut d = Deployment::new(scfg, c, sseed);
+            for i in 0..n {
+                d.replica(sim, service(s, i));
+            }
+            d
+        })
+        .collect();
+    let clients = (0..c)
+        .map(|_| {
+            Deployment::shared_client(sim, &mut groups, |cfgs, keys| {
+                ShardedClient::new(cfgs, keys, map.clone(), footprint_of)
+            })
+        })
+        .collect();
+    ShardedGroup {
+        cfgs: groups.iter().map(|d| d.cfg.clone()).collect(),
+        dirs: groups.iter().map(|d| d.dir.clone()).collect(),
+        replicas: groups.iter().map(|d| d.replicas.iter().map(|r| r.node).collect()).collect(),
+        clients,
+        map,
     }
-    let mut clients = Vec::with_capacity(c);
-    for j in 0..c {
-        let keys: Vec<NodeKeys> = dirs.iter().map(|d| NodeKeys::new(d.clone(), n + j)).collect();
-        let router = ShardedClient::new(cfgs.clone(), keys, map.clone(), footprint_of);
-        clients.push(sim.add_node(Box::new(router)));
-    }
-    ShardedGroup { cfgs, dirs, replicas, clients, map }
 }
 
 #[cfg(test)]

@@ -22,10 +22,10 @@
 //! The only test in its binary, because the counter is process-wide.
 
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, Config};
+use base::{BaseClient, BaseService, Config};
 use base_crypto::{Authenticator, Digest, KeyDirectory, Mac, NodeKeys, Signature};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
-use base_pbft::Message;
+use base_pbft::{Deployment, Message};
 use base_simnet::{NodeId, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -96,16 +96,11 @@ struct Group {
 
 impl Group {
     fn new() -> Self {
-        let cfg = Config::new(4);
         let mut sim = Simulation::new(SEED);
-        let dir = KeyDirectory::generate(cfg.n + 1, SEED);
-        for i in 0..cfg.n {
-            let keys = NodeKeys::new(dir.clone(), i);
-            let service = BaseService::new(KvWrapper::new(TinyKv::default()));
-            sim.add_node(Box::new(BaseReplica::new(cfg.clone(), keys, service)));
-        }
-        let keys = NodeKeys::new(dir, cfg.n);
-        let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+        let client = Deployment::build(&mut sim, Config::new(4), 1, SEED, |_| {
+            BaseService::new(KvWrapper::new(TinyKv::default()))
+        })
+        .clients[0];
         Self { sim, client }
     }
 

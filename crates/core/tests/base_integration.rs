@@ -5,52 +5,40 @@
 
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_pbft::Service as _;
+use base_pbft::{Deployment, Service as _};
 use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
-struct Group {
-    replicas: Vec<base_simnet::NodeId>,
-    client: base_simnet::NodeId,
-}
-
-fn build(sim: &mut Simulation, mut cfg: Config, seed: u64, leaky: bool) -> Group {
+fn build(sim: &mut Simulation, mut cfg: Config, seed: u64, leaky: bool) -> Deployment {
     cfg.checkpoint_interval = 8;
     cfg.log_window = 32;
-    let dir = base_crypto::KeyDirectory::generate(cfg.n + 1, seed);
-    let mut replicas = Vec::new();
-    for i in 0..cfg.n {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let d = Deployment::build(sim, cfg, 1, seed, |_| {
         let mut kv = TinyKv::default();
         kv.leaky = leaky;
-        let service = BaseService::new(KvWrapper::new(kv));
-        replicas.push(sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, service))));
-        // Give each replica a different local clock skew: their concrete
-        // timestamps diverge, and the abstraction must mask it.
-        sim.config_mut().set_clock_skew(
-            base_simnet::NodeId(i),
-            SimDuration::from_millis(17 * i as u64),
-        );
+        BaseService::new(KvWrapper::new(kv))
+    });
+    // Give each replica a different local clock skew: their concrete
+    // timestamps diverge, and the abstraction must mask it.
+    for (i, r) in d.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(17 * i as u64));
     }
-    let keys = base_crypto::NodeKeys::new(dir, cfg.n);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)));
-    Group { replicas, client }
+    d
 }
 
-fn invoke(sim: &mut Simulation, g: &Group, op: &[u8], ro: bool) {
-    sim.actor_as_mut::<BaseClient>(g.client).unwrap().invoke(op.to_vec(), ro);
+fn invoke(sim: &mut Simulation, g: &Deployment, op: &[u8], ro: bool) {
+    sim.actor_as_mut::<BaseClient>(g.clients[0]).unwrap().invoke(op.to_vec(), ro);
 }
 
-fn results(sim: &Simulation, g: &Group) -> Vec<Vec<u8>> {
-    sim.actor_as::<BaseClient>(g.client).unwrap().completed.iter().map(|(_, r)| r.clone()).collect()
+fn results(sim: &Simulation, g: &Deployment) -> Vec<Vec<u8>> {
+    sim.actor_as::<BaseClient>(g.clients[0]).unwrap().completed.iter().map(|(_, r)| r.clone()).collect()
 }
 
-fn abstract_state_of(sim: &Simulation, g: &Group, i: usize) -> Vec<Option<Vec<u8>>> {
+fn abstract_state_of(sim: &Simulation, g: &Deployment, i: usize) -> Vec<Option<Vec<u8>>> {
     // get_obj needs &mut; clone via actor_as_mut is not available on &sim,
     // so compare through a read-only reconstruction: encode via the
     // wrapper's kv directly is concrete. Instead use the digest tree.
-    let r = sim.actor_as::<KvReplica>(g.replicas[i]).unwrap();
+    let r = sim.actor_as::<KvReplica>(g.replicas[i].node).unwrap();
     let tree = r.service().current_tree();
     (0..base::demo::N_SLOTS).map(|s| Some(tree.leaf_digest_at(s).0.to_vec())).collect()
 }
@@ -94,7 +82,7 @@ fn abstract_trees_converge_after_checkpoint() {
         assert_eq!(abstract_state_of(&sim, &g, i), a, "replica {i} diverged");
     }
     for i in 0..4 {
-        let r = sim.actor_as::<KvReplica>(g.replicas[i]).unwrap();
+        let r = sim.actor_as::<KvReplica>(g.replicas[i].node).unwrap();
         assert!(r.service().stats.checkpoints >= 1);
     }
 }
@@ -104,7 +92,7 @@ fn lagging_replica_repairs_through_abstract_state() {
     let mut sim = Simulation::new(23);
     let g = build(&mut sim, Config::new(4), 23, false);
 
-    sim.crash(g.replicas[3], SimDuration::from_secs(4));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(4));
     for i in 0..24 {
         invoke(&mut sim, &g, format!("put k{i} v{i}").as_bytes(), false);
     }
@@ -115,7 +103,7 @@ fn lagging_replica_repairs_through_abstract_state() {
     sim.run_for(SimDuration::from_secs(10));
 
     assert_eq!(results(&sim, &g).len(), 30);
-    let r3 = sim.actor_as::<KvReplica>(g.replicas[3]).unwrap();
+    let r3 = sim.actor_as::<KvReplica>(g.replicas[3].node).unwrap();
     assert!(r3.stats.state_transfers >= 1);
     // Its concrete implementation now holds every key, installed through
     // put_objs (the inverse abstraction function).
@@ -142,14 +130,14 @@ fn software_rejuvenation_reclaims_leaks() {
 
     // Before recovery: footprints exceed live entries (the leak).
     let leaked_before: usize = (0..4)
-        .map(|i| sim.actor_as::<KvReplica>(g.replicas[i]).unwrap().service().wrapper().kv().leaked())
+        .map(|i| sim.actor_as::<KvReplica>(g.replicas[i].node).unwrap().service().wrapper().kv().leaked())
         .sum();
     assert!(leaked_before >= 4 * 12, "expected leaks, found {leaked_before}");
 
     // A full proactive-recovery rotation rejuvenates every replica.
     sim.run_for(SimDuration::from_secs(45));
     for i in 0..4 {
-        let r = sim.actor_as::<KvReplica>(g.replicas[i]).unwrap();
+        let r = sim.actor_as::<KvReplica>(g.replicas[i].node).unwrap();
         assert!(r.stats.recoveries >= 1, "replica {i} never recovered");
         assert_eq!(r.service().wrapper().kv().leaked(), 0, "replica {i} still leaks");
         // The live state survived rejuvenation via the abstract state.
@@ -171,7 +159,7 @@ fn corrupt_concrete_state_is_repaired_by_warm_recovery() {
     // Use warm reboots: concrete state survives, corruption must be found
     // by recomputing the abstraction function and repaired by fetching.
     for i in 0..4 {
-        sim.actor_as_mut::<KvReplica>(g.replicas[i]).unwrap().set_recovery_clean(false);
+        sim.actor_as_mut::<KvReplica>(g.replicas[i].node).unwrap().set_recovery_clean(false);
     }
 
     for i in 0..12 {
@@ -183,7 +171,7 @@ fn corrupt_concrete_state_is_repaired_by_warm_recovery() {
     // state. The replicated service keeps answering correctly (f=1 masks
     // it), and replica 2's next proactive recovery repairs it.
     assert!(sim
-        .actor_as_mut::<KvReplica>(g.replicas[2])
+        .actor_as_mut::<KvReplica>(g.replicas[2].node)
         .unwrap()
         .service_mut()
         .wrapper_mut()
@@ -196,7 +184,7 @@ fn corrupt_concrete_state_is_repaired_by_warm_recovery() {
 
     // Run past replica 2's watchdog (staggered at 3/4 * 30s ≈ 22.5s).
     sim.run_for(SimDuration::from_secs(40));
-    let r2 = sim.actor_as::<KvReplica>(g.replicas[2]).unwrap();
+    let r2 = sim.actor_as::<KvReplica>(g.replicas[2].node).unwrap();
     assert!(r2.stats.recoveries >= 1, "replica 2 never recovered");
     assert_eq!(
         r2.service().wrapper().kv().get("k3"),
@@ -209,7 +197,7 @@ fn corrupt_concrete_state_is_repaired_by_warm_recovery() {
 fn byzantine_replica_with_divergent_impl_is_masked() {
     let mut sim = Simulation::new(26);
     let g = build(&mut sim, Config::new(4), 26, false);
-    sim.actor_as_mut::<KvReplica>(g.replicas[1]).unwrap().set_byzantine(base::ByzMode::CorruptReplies);
+    sim.actor_as_mut::<KvReplica>(g.replicas[1].node).unwrap().set_byzantine(base::ByzMode::CorruptReplies);
     for i in 0..10 {
         invoke(&mut sim, &g, format!("put k{i} v{i}").as_bytes(), false);
     }
@@ -226,7 +214,7 @@ fn byzantine_timestamps_are_rejected_and_primary_deposed() {
     let g = build(&mut sim, Config::new(4), 28, false);
     // The view-0 primary proposes timestamps a century off; honest backups
     // must refuse the pre-prepares, time out, and elect a new primary.
-    sim.actor_as_mut::<KvReplica>(g.replicas[0]).unwrap().set_byzantine(base::ByzMode::BadTimestamps);
+    sim.actor_as_mut::<KvReplica>(g.replicas[0].node).unwrap().set_byzantine(base::ByzMode::BadTimestamps);
     for i in 0..6 {
         invoke(&mut sim, &g, format!("put k{i} v{i}").as_bytes(), false);
     }
@@ -234,7 +222,7 @@ fn byzantine_timestamps_are_rejected_and_primary_deposed() {
     let rs = results(&sim, &g);
     assert_eq!(rs.len(), 6, "service must make progress under a new primary");
     for i in 1..4 {
-        let r = sim.actor_as::<KvReplica>(g.replicas[i]).unwrap();
+        let r = sim.actor_as::<KvReplica>(g.replicas[i].node).unwrap();
         assert!(r.view() >= 1, "replica {i} never left view 0");
         // No wild timestamp made it into the abstract state.
         assert_eq!(r.service().wrapper().kv().get("k0"), Some(&b"v0"[..]));
@@ -254,8 +242,8 @@ fn seven_replica_group_masks_two_faults() {
     let mut cfg = Config::new(7);
     cfg.checkpoint_interval = 8;
     let g = build(&mut sim, cfg, 27, false);
-    sim.crash_forever(g.replicas[5]);
-    sim.actor_as_mut::<KvReplica>(g.replicas[6]).unwrap().set_byzantine(base::ByzMode::CorruptReplies);
+    sim.crash_forever(g.replicas[5].node);
+    sim.actor_as_mut::<KvReplica>(g.replicas[6].node).unwrap().set_byzantine(base::ByzMode::CorruptReplies);
     for i in 0..10 {
         invoke(&mut sim, &g, format!("put k{i} v{i}").as_bytes(), false);
     }

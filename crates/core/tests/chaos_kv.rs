@@ -10,6 +10,7 @@ use base_pbft::chaos::{
     campaign_config, campaign_gen_config, completed_ops, Group, APP_CORRUPT_STATE, APP_RECOVER,
     CAMPAIGN_BOUNDS,
 };
+use base_pbft::Deployment;
 use base_simnet::chaos::{
     run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds,
     ScheduleGenConfig,
@@ -62,22 +63,11 @@ impl ChaosHarness for KvChaosHarness {
 
         let cfg = campaign_config(self.n);
         let mut sim = Simulation::new(seed);
-        let dir = base_crypto::KeyDirectory::generate(self.n + self.clients, seed);
-        let replicas: Vec<NodeId> = (0..self.n)
-            .map(|i| {
-                let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-                let service = BaseService::new(KvWrapper::new(TinyKv::default()));
-                sim.add_node(Box::new(Replica::new(cfg.clone(), keys, service)))
-            })
-            .collect();
-        self.group = Group::of::<BaseService<KvWrapper>>(&mut sim, &replicas);
-
-        self.client_nodes = (0..self.clients)
-            .map(|i| {
-                let keys = base_crypto::NodeKeys::new(dir.clone(), self.n + i);
-                sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)))
-            })
-            .collect();
+        let d = Deployment::build(&mut sim, cfg, self.clients, seed, |_| {
+            BaseService::new(KvWrapper::new(TinyKv::default()))
+        });
+        self.group = Group::new(&mut sim, d.replicas);
+        self.client_nodes = d.clients;
 
         for (i, &c) in self.client_nodes.clone().iter().enumerate() {
             let client = sim.actor_as_mut::<BaseClient>(c).expect("client");

@@ -14,11 +14,11 @@
 //! before the assertion fires.
 
 use base::demo::{kv_footprint, KvWrapper, TinyKv};
-use base::shard::{build_sharded_group, ShardLockService, ShardMap, ShardedClient};
+use base::shard::{build_sharded_group, ShardLockService, ShardMap, ShardedClient, ShardedGroup};
 use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_crypto::{KeyDirectory, NodeKeys};
-use base_pbft::{Replica, Service as _};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_crypto::{Authenticator, Digest, NodeKeys};
+use base_pbft::{Deployment, Replica, Service as _};
+use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
 type ShardedKvService = ShardLockService<BaseService<KvWrapper>>;
@@ -77,24 +77,13 @@ fn workload(client: usize) -> Vec<(Vec<u8>, bool)> {
         .collect()
 }
 
-fn run_unsharded() -> Vec<String> {
+fn run_unsharded() -> (Vec<String>, Deployment) {
     let cfg = gate_config();
     let mut sim = Simulation::new(SEED);
-    let dir = KeyDirectory::generate(N + CLIENTS, SEED);
-    let replicas: Vec<NodeId> = (0..N)
-        .map(|i| {
-            let keys = NodeKeys::new(dir.clone(), i);
-            let service = BaseService::new(KvWrapper::new(TinyKv::default()));
-            sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, service)))
-        })
-        .collect();
-    let clients: Vec<NodeId> = (0..CLIENTS)
-        .map(|i| {
-            let keys = NodeKeys::new(dir.clone(), N + i);
-            sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)))
-        })
-        .collect();
-    for (i, &c) in clients.iter().enumerate() {
+    let d = Deployment::build(&mut sim, cfg, CLIENTS, SEED, |_| {
+        BaseService::new(KvWrapper::new(TinyKv::default()))
+    });
+    for (i, &c) in d.clients.iter().enumerate() {
         let client = sim.actor_as_mut::<BaseClient>(c).expect("client");
         for (op, ro) in workload(i) {
             client.invoke(op, ro);
@@ -103,7 +92,7 @@ fn run_unsharded() -> Vec<String> {
     sim.run_for(SimDuration::from_secs(20));
 
     let mut fp = Vec::new();
-    for (i, &c) in clients.iter().enumerate() {
+    for (i, &c) in d.clients.iter().enumerate() {
         let client = sim.actor_as::<BaseClient>(c).expect("client");
         assert_eq!(client.completed.len(), OPS, "liveness: unsharded client {i}");
         for (ts, result) in &client.completed {
@@ -111,15 +100,15 @@ fn run_unsharded() -> Vec<String> {
         }
         fp.push(format!("client {i} latencies={:?}", client.core().latencies_ns));
     }
-    for (i, &r) in replicas.iter().enumerate() {
-        let rep = sim.actor_as::<KvReplica>(r).expect("replica");
+    for (i, r) in d.replicas.iter().enumerate() {
+        let rep = sim.actor_as::<KvReplica>(r.node).expect("replica");
         fp.push(format!("replica {i} root={}", rep.service().current_tree().root_digest()));
         fp.push(format!("replica {i} last_exec={} stable={}", rep.last_exec(), rep.stable_seq()));
     }
-    fp
+    (fp, d)
 }
 
-fn run_sharded_single() -> Vec<String> {
+fn run_sharded_single() -> (Vec<String>, ShardedGroup) {
     let mut sim = Simulation::new(SEED);
     let map = ShardMap::new(base::demo::N_SLOTS, 1);
     let group = build_sharded_group(
@@ -153,16 +142,30 @@ fn run_sharded_single() -> Vec<String> {
         fp.push(format!("replica {i} root={}", rep.service().current_tree().root_digest()));
         fp.push(format!("replica {i} last_exec={} stable={}", rep.last_exec(), rep.stable_seq()));
     }
-    fp
+    (fp, group)
 }
 
 /// The gate itself: `shards = 1` is the unsharded deployment, byte for
 /// byte — replies, latencies, roots and protocol progress all identical.
+/// The two also lay out the same nodes and mint the same keys: every key
+/// id of the two directories gives the same authenticator over a fixed
+/// digest.
 #[test]
 fn one_shard_is_byte_identical_to_unsharded() {
-    let oracle = run_unsharded();
-    let sharded = run_sharded_single();
+    let (oracle, d) = run_unsharded();
+    let (sharded, group) = run_sharded_single();
     assert_fp_eq("shard1-vs-unsharded", &oracle, &sharded);
+
+    let nodes: Vec<_> = d.replicas.iter().map(|r| r.node).collect();
+    assert_eq!(group.replicas, [nodes]);
+    assert_eq!(group.clients, d.clients);
+    let digest = Digest::of(b"one layout rule");
+    let ids = d.dir.node_count();
+    assert_eq!(group.dirs[0].node_count(), ids);
+    for id in 0..ids {
+        let tags = |dir| Authenticator::generate(&NodeKeys::new(dir, id), ids, &digest);
+        assert_eq!(tags(group.dirs[0].clone()), tags(d.dir.clone()), "key id {id}");
+    }
 }
 
 /// Rerun determinism of the sharded deployment at `shards = 2`: the whole

@@ -2,12 +2,12 @@
 //! program runs against the heterogeneous BASE-NFS service and against the
 //! unreplicated baseline, and must produce identical path-level results.
 
-use base::{BaseReplica, BaseService};
+use base::BaseService;
 use base_nfs::posix::{FsCall, FsOut, PosixDriver};
 use base_nfs::relay::{run_to_completion, DirectActor, DirectServerActor, RelayActor};
-use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::Config;
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_pbft::{Config, Deployment};
+use base_simnet::{SimDuration, Simulation};
 use rand::SeedableRng;
 
 const CAP: u64 = 1024;
@@ -30,39 +30,25 @@ fn program() -> Vec<FsCall> {
     ]
 }
 
+fn service<F: NfsServer>(fs: F) -> BaseService<NfsWrapper<F>> {
+    BaseService::new(NfsWrapper::with_capacity(fs, CAP))
+}
+
 fn run_replicated() -> Vec<(FsCall, FsOut)> {
     let mut cfg = Config::new(4);
     cfg.checkpoint_interval = 32;
     let mut sim = Simulation::new(91);
-    let dir = base_crypto::KeyDirectory::generate(5, 91);
     let mut rng = rand::rngs::StdRng::seed_from_u64(91);
-    let keys = |i| base_crypto::NodeKeys::new(dir.clone(), i);
-    sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(0),
-        BaseService::new(NfsWrapper::with_capacity(InodeFs::new(1, &mut rng), CAP)),
-    )));
-    sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(1),
-        BaseService::new(NfsWrapper::with_capacity(FlatFs::new(2, &mut rng), CAP)),
-    )));
-    sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(2),
-        BaseService::new(NfsWrapper::with_capacity(LogFs::new(3, &mut rng), CAP)),
-    )));
-    sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(3),
-        BaseService::new(NfsWrapper::with_capacity(BtreeFs::new(4, &mut rng), CAP)),
-    )));
-    for i in 0..4 {
-        sim.config_mut().set_clock_skew(NodeId(i), SimDuration::from_millis(9 * i as u64));
+    let mut d = Deployment::new(cfg, 1, 91);
+    d.replica(&mut sim, service(InodeFs::new(1, &mut rng)));
+    d.replica(&mut sim, service(FlatFs::new(2, &mut rng)));
+    d.replica(&mut sim, service(LogFs::new(3, &mut rng)));
+    d.replica(&mut sim, service(BtreeFs::new(4, &mut rng)));
+    for (i, r) in d.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(9 * i as u64));
     }
-    let relay_keys = base_crypto::NodeKeys::new(dir, 4);
-    let relay = sim
-        .add_node(Box::new(RelayActor::new(cfg, relay_keys, PosixDriver::new(program()))));
+    let driver = PosixDriver::new(program());
+    let relay = d.client(&mut sim, |cfg, keys| RelayActor::new(cfg, keys, driver));
     let ok = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<PosixDriver>>(relay).unwrap().done(),

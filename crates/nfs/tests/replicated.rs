@@ -6,62 +6,44 @@ use base::{BaseReplica, BaseService};
 use base_nfs::ops::{NfsOp, NfsReply};
 use base_nfs::relay::{run_to_completion, RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
-use base_nfs::{BtreeFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::{Config, ReplicaRef};
+use base_nfs::{BtreeFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_pbft::{Config, Deployment, ReplicaRef};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const CAP: u64 = 1024;
 
-type InodeReplica = BaseReplica<NfsWrapper<InodeFs>>;
 type LogReplica = BaseReplica<NfsWrapper<LogFs>>;
 type BtreeReplica = BaseReplica<NfsWrapper<BtreeFs>>;
 
+fn service<F: NfsServer>(fs: F) -> BaseService<NfsWrapper<F>> {
+    BaseService::new(NfsWrapper::with_capacity(fs, CAP))
+}
+
 /// Builds a heterogeneous 4-replica NFS service plus one relay client.
 /// Replicas 0–1 run InodeFs, replica 2 LogFs, replica 3 BtreeFs.
-fn build(sim: &mut Simulation, script: Vec<NfsOp>, seed: u64) -> (Vec<NodeId>, NodeId) {
+fn build(sim: &mut Simulation, script: Vec<NfsOp>, seed: u64) -> (Vec<ReplicaRef>, NodeId) {
     let mut cfg = Config::new(4);
     cfg.checkpoint_interval = 8;
     cfg.log_window = 64;
-    let dir = base_crypto::KeyDirectory::generate(5, seed);
+    let mut d = Deployment::new(cfg, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut nodes = Vec::new();
-
-    for i in 0..4usize {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        let node = match i {
-            0 | 1 => sim.add_node(Box::new(InodeReplica::new(
-                cfg.clone(),
-                keys,
-                BaseService::new(NfsWrapper::with_capacity(InodeFs::new(0x10 + i as u64, &mut rng), CAP)),
-            ))),
-            2 => sim.add_node(Box::new(LogReplica::new(
-                cfg.clone(),
-                keys,
-                BaseService::new(NfsWrapper::with_capacity(LogFs::new(0x22, &mut rng), CAP)),
-            ))),
-            _ => sim.add_node(Box::new(BtreeReplica::new(
-                cfg.clone(),
-                keys,
-                BaseService::new(NfsWrapper::with_capacity(BtreeFs::new(0x33, &mut rng), CAP)),
-            ))),
+    for i in 0..4u64 {
+        let replica = match i {
+            0 | 1 => d.replica(sim, service(InodeFs::new(0x10 + i, &mut rng))),
+            2 => d.replica(sim, service(LogFs::new(0x22, &mut rng))),
+            _ => d.replica(sim, service(BtreeFs::new(0x33, &mut rng))),
         };
         // Divergent local clocks.
-        sim.config_mut().set_clock_skew(node, SimDuration::from_millis(31 * i as u64));
-        nodes.push(node);
+        sim.config_mut().set_clock_skew(replica.node, SimDuration::from_millis(31 * i));
     }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let relay = sim.add_node(Box::new(RelayActor::new(cfg, keys, ScriptDriver::new(script))));
-    (nodes, relay)
+    let relay = d.client(sim, |cfg, keys| RelayActor::new(cfg, keys, ScriptDriver::new(script)));
+    (d.replicas, relay)
 }
 
-fn roots_agree(sim: &Simulation, nodes: &[NodeId]) {
-    let root = |r: ReplicaRef| r.get(sim).state_root();
-    let r0 = root(ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(nodes[0]));
-    let r1 = root(ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(nodes[1]));
-    let r2 = root(ReplicaRef::of::<BaseService<NfsWrapper<LogFs>>>(nodes[2]));
-    let r3 = root(ReplicaRef::of::<BaseService<NfsWrapper<BtreeFs>>>(nodes[3]));
+fn roots_agree(sim: &Simulation, replicas: &[ReplicaRef]) {
+    let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|i| replicas[i].get(sim).state_root());
     assert_eq!(r0, r1, "homogeneous pair diverged");
     assert_eq!(r0, r2, "log-fs replica diverged");
     assert_eq!(r0, r3, "btree-fs replica diverged");
@@ -96,7 +78,7 @@ fn heterogeneous_replicas_serve_a_file_workload() {
     let n_ops = script.len() as u64;
 
     let mut sim = Simulation::new(31);
-    let (nodes, relay) = build(&mut sim, script, 31);
+    let (replicas, relay) = build(&mut sim, script, 31);
     let finished = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
@@ -119,7 +101,7 @@ fn heterogeneous_replicas_serve_a_file_workload() {
         other => panic!("unexpected {other:?}"),
     }
 
-    roots_agree(&sim, &nodes);
+    roots_agree(&sim, &replicas);
 }
 
 #[test]
@@ -133,9 +115,9 @@ fn heterogeneous_replicas_mask_a_byzantine_member() {
         NfsOp::Getattr { fh: file },
     ];
     let mut sim = Simulation::new(32);
-    let (nodes, relay) = build(&mut sim, script, 32);
+    let (replicas, relay) = build(&mut sim, script, 32);
     // The BtreeFs replica turns Byzantine.
-    sim.actor_as_mut::<BtreeReplica>(nodes[3])
+    sim.actor_as_mut::<BtreeReplica>(replicas[3].node)
         .unwrap()
         .set_byzantine(base::ByzMode::CorruptReplies);
 
@@ -164,10 +146,10 @@ fn lagging_heterogeneous_replica_repairs_itself() {
         });
     }
     let mut sim = Simulation::new(33);
-    let (nodes, relay) = build(&mut sim, script, 33);
+    let (replicas, relay) = build(&mut sim, script, 33);
 
     // The LogFs replica misses the start of the workload.
-    sim.crash(nodes[2], SimDuration::from_secs(3));
+    sim.crash(replicas[2].node, SimDuration::from_secs(3));
     let finished = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
@@ -177,12 +159,12 @@ fn lagging_heterogeneous_replica_repairs_itself() {
     // Let the recovery traffic settle.
     sim.run_for(SimDuration::from_secs(20));
 
-    let r2 = sim.actor_as::<LogReplica>(nodes[2]).unwrap();
+    let r2 = sim.actor_as::<LogReplica>(replicas[2].node).unwrap();
     assert!(r2.stats.state_transfers >= 1, "log-fs replica must have state-transferred");
-    roots_agree(&sim, &nodes);
+    roots_agree(&sim, &replicas);
     // The fetched abstract objects were installed through LogFs's own
     // inverse abstraction function: the concrete file exists and reads
     // back correctly.
-    let w = sim.actor_as::<LogReplica>(nodes[2]).unwrap().service().wrapper();
+    let w = sim.actor_as::<LogReplica>(replicas[2].node).unwrap().service().wrapper();
     assert!(w.allocated() >= 25, "objects installed: {}", w.allocated());
 }

@@ -27,6 +27,7 @@ use base::{BaseClient, BaseReplica, BaseService, Config, Wrapper as _};
 use base_pbft::chaos::{
     campaign_config, campaign_gen_config, completed_ops, Group, CAMPAIGN_BOUNDS,
 };
+use base_pbft::Deployment;
 use base_simnet::chaos::{ChaosHarness, LivenessBounds, ScheduleGenConfig};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
@@ -98,6 +99,11 @@ impl OodbChaosHarness {
         campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
     }
 
+    /// The replica group of the run last built.
+    pub fn group(&self) -> &Group {
+        &self.group
+    }
+
     fn check_reply(
         &self,
         client: usize,
@@ -155,28 +161,17 @@ impl ChaosHarness for OodbChaosHarness {
     fn build(&mut self, seed: u64) -> Simulation {
         self.expected.clear();
 
-        let cfg = self.cfg.clone();
-        let clients = 2usize;
         let mut sim = Simulation::new(seed);
-        let dir = base_crypto::KeyDirectory::generate(cfg.n + clients, seed);
-        let replicas: Vec<NodeId> = (0..cfg.n)
-            .map(|i| {
-                let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-                // Per-replica store RNGs differ on purpose: the concrete
-                // heaps (addresses, GC moments) must diverge while the
-                // abstract state stays identical.
-                let mut rng = StdRng::seed_from_u64(seed ^ (0xb0de ^ i as u64).rotate_left(17));
-                let service = BaseService::new(OodbWrapper::new(ObjStore::new(&mut rng)));
-                sim.add_node(Box::new(Replica::new(cfg.clone(), keys, service)))
-            })
-            .collect();
-        self.group = Group::of::<BaseService<OodbWrapper>>(&mut sim, &replicas);
-        self.client_nodes = (0..clients)
-            .map(|i| {
-                let keys = base_crypto::NodeKeys::new(dir.clone(), cfg.n + i);
-                sim.add_node(Box::new(BaseClient::new(cfg.clone(), keys)))
-            })
-            .collect();
+        // Two clients: the mutator and the prober.
+        let d = Deployment::build(&mut sim, self.cfg.clone(), 2, seed, |i| {
+            // Per-replica store RNGs differ on purpose: the concrete heaps
+            // (addresses, GC moments) must diverge while the abstract state
+            // stays identical.
+            let mut rng = StdRng::seed_from_u64(seed ^ (0xb0de ^ i as u64).rotate_left(17));
+            BaseService::new(OodbWrapper::new(ObjStore::new(&mut rng)))
+        });
+        self.group = Group::new(&mut sim, d.replicas);
+        self.client_nodes = d.clients;
 
         // Client 0, the mutator: allocate a chain of objects, write each
         // one's first field, link them, then read its own work back. It is

@@ -3,11 +3,8 @@
 //! auditor holding the abstract state to byte-identical agreement while
 //! crashes, partitions, Byzantine flips and latent corruption compose.
 
-use base::BaseService;
 use base_oodb::chaos::OodbChaosHarness;
-use base_oodb::wrapper::OodbWrapper;
-use base_pbft::chaos::{Group, APP_CORRUPT_STATE, APP_RECOVER, CAMPAIGN_BOUNDS};
-use base_pbft::ReplicaRef;
+use base_pbft::chaos::{APP_CORRUPT_STATE, APP_RECOVER, CAMPAIGN_BOUNDS};
 use base_simnet::chaos::{
     run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds,
 };
@@ -122,14 +119,12 @@ impl ChaosHarness for WithViewChecks {
 
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
         self.0.audit(sim, trace)?;
-        let nodes: Vec<NodeId> = (0..self.0.cfg.n).map(NodeId).collect();
-        let group = Group::of::<BaseService<OodbWrapper>>(sim, &nodes);
+        let group = self.0.group();
         group.audit_view_agreement(&group.members(sim))
     }
 
     fn describe(&self, sim: &Simulation) -> Vec<String> {
-        let replica = |i| ReplicaRef::of::<BaseService<OodbWrapper>>(NodeId(i)).get(sim).status();
-        (0..self.0.cfg.n).map(replica).collect()
+        self.0.group().members(sim).iter().map(|(_, r)| r.status()).collect()
     }
 }
 

@@ -31,8 +31,9 @@
 use crate::byzantine::ByzMode;
 use crate::config::Config;
 use crate::control::{ReplicaControl, ReplicaRef};
+use crate::deploy::Deployment;
 use crate::service::Service;
-use crate::testing::{build_counter_group, op_add, op_get, CounterService};
+use crate::testing::{op_add, op_get, CounterService};
 use crate::ClientActor;
 use base_simnet::chaos::{AppFaultSpec, ChaosHarness, HealSpec, LivenessBounds, ScheduleGenConfig};
 use base_simnet::{NodeId, SimDuration, Simulation};
@@ -489,6 +490,11 @@ impl CounterChaosHarness {
     pub fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
         campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
     }
+
+    /// The replica group of the run last built.
+    pub fn group(&self) -> &Group {
+        &self.group
+    }
 }
 
 impl ChaosHarness for CounterChaosHarness {
@@ -497,10 +503,12 @@ impl ChaosHarness for CounterChaosHarness {
         self.all_deltas = 0;
 
         let mut sim = Simulation::new(seed);
-        let group = build_counter_group(&mut sim, self.cfg.clone(), self.clients, seed);
-        self.group = Group::of::<CounterService>(&mut sim, &group.replicas);
+        let d = Deployment::build(&mut sim, self.cfg.clone(), self.clients, seed, |_| {
+            CounterService::default()
+        });
+        self.group = Group::new(&mut sim, d.replicas);
 
-        for (i, &c) in group.clients.iter().enumerate() {
+        for (i, &c) in d.clients.iter().enumerate() {
             let client_id = (self.cfg.n + i) as u32;
             let actor = sim.actor_as_mut::<ClientActor>(c).expect("client actor");
             actor.core_mut().bug_accept_first_reply = self.inject_client_bug;
@@ -519,7 +527,7 @@ impl ChaosHarness for CounterChaosHarness {
                 }
             }
         }
-        self.client_nodes = group.clients;
+        self.client_nodes = d.clients;
         sim
     }
 

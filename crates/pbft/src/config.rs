@@ -9,6 +9,10 @@ pub const RTO_FLOOR: SimDuration = SimDuration::from_millis(150);
 /// Upper clamp for retransmission timeouts and their exponential backoff.
 pub const RTO_CEILING: SimDuration = SimDuration::from_secs(4);
 
+/// Ceiling for the doubling view-change timeout: however many consecutive
+/// views fail, the timer never exceeds this.
+pub const VIEW_CHANGE_TIMEOUT_CAP: SimDuration = SimDuration::from_secs(8);
+
 /// Maximum requests batched into one pre-prepare.
 pub const BATCH_MAX: usize = 16;
 
@@ -31,13 +35,9 @@ pub struct Config {
     /// batch whatever arrives while earlier batches are in the pipeline).
     pub max_inflight: u64,
     /// Base view-change timeout; doubles for each consecutive failed view
-    /// (clamped to [`view_change_timeout_cap`](Self::view_change_timeout_cap)).
-    /// The base is re-seeded from observed agreement latency once samples
-    /// exist.
+    /// (clamped to [`VIEW_CHANGE_TIMEOUT_CAP`]). The base is re-seeded from
+    /// observed agreement latency once samples exist.
     pub view_change_timeout: SimDuration,
-    /// Ceiling for the doubling view-change timeout: however many
-    /// consecutive views fail, the timer never exceeds this.
-    pub view_change_timeout_cap: SimDuration,
     /// Client retransmission timeout: the pre-sample initial RTO. Once an
     /// operation completes, the Jacobson/Karels estimator
     /// (`base_simnet::RttEstimator`) drives the timer, clamped between
@@ -101,7 +101,6 @@ impl Config {
             log_window: 256,
             max_inflight: 16,
             view_change_timeout: SimDuration::from_millis(500),
-            view_change_timeout_cap: SimDuration::from_secs(8),
             client_timeout: SimDuration::from_millis(300),
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
@@ -160,9 +159,11 @@ impl Config {
     }
 
     /// Simulator node of the client with protocol id `client` (client ids
-    /// within a group's key directory start at `n`).
-    pub fn client_node(&self, client: u32) -> NodeId {
-        NodeId(self.client_base + (client as usize).saturating_sub(self.n))
+    /// within a group's key directory start at `n`); `None` for a replica
+    /// id, which names no client.
+    pub fn client_node(&self, client: u32) -> Option<NodeId> {
+        let j = (client as usize).checked_sub(self.n)?;
+        Some(NodeId(self.client_base + j))
     }
 
     /// Highest sequence number the group accepts given stable checkpoint
@@ -173,14 +174,14 @@ impl Config {
 
     /// Next view-change timeout during an escalating chase: double the
     /// current value with saturating arithmetic, clamp to
-    /// [`view_change_timeout_cap`](Self::view_change_timeout_cap), and
-    /// never fall below [`view_change_timeout`](Self::view_change_timeout).
+    /// [`VIEW_CHANGE_TIMEOUT_CAP`], and never fall below
+    /// [`view_change_timeout`](Self::view_change_timeout).
     /// A long primary-chasing storm must neither overflow the timer nor
     /// push it so far out the group effectively stops trying new views.
     pub fn escalated_vc_timeout(&self, current: SimDuration) -> SimDuration {
         current
             .saturating_mul(2)
-            .min(self.view_change_timeout_cap)
+            .min(VIEW_CHANGE_TIMEOUT_CAP)
             .max(self.view_change_timeout)
     }
 }
@@ -232,6 +233,7 @@ mod tests {
     fn timer_and_window_constants_keep_their_values() {
         assert_eq!(RTO_FLOOR, SimDuration::from_millis(150));
         assert_eq!(RTO_CEILING, SimDuration::from_secs(4));
+        assert_eq!(VIEW_CHANGE_TIMEOUT_CAP, SimDuration::from_secs(8));
         assert_eq!(BATCH_MAX, 16);
         assert_eq!(TICK_INTERVAL, SimDuration::from_millis(100));
         assert_eq!(crate::transfer::DEFAULT_FETCH_WINDOW, 4);
@@ -243,8 +245,9 @@ mod tests {
         let c = Config::new(4);
         assert_eq!(c.shard, 0);
         assert_eq!(c.replica_node(2), NodeId(2));
-        assert_eq!(c.client_node(4), NodeId(4));
-        assert_eq!(c.client_node(6), NodeId(6));
+        assert_eq!(c.client_node(4), Some(NodeId(4)));
+        assert_eq!(c.client_node(6), Some(NodeId(6)));
+        assert_eq!(c.client_node(2), None, "a replica id names no client");
         assert!(c.is_replica(NodeId(3)));
         assert!(!c.is_replica(NodeId(4)));
     }
@@ -262,15 +265,15 @@ mod tests {
         assert!(!c.is_replica(NodeId(8)));
         // Client protocol id 4 (first client of the group's directory)
         // lives at the first router node; id 6 at the third.
-        assert_eq!(c.client_node(4), NodeId(8));
-        assert_eq!(c.client_node(6), NodeId(10));
+        assert_eq!(c.client_node(4), Some(NodeId(8)));
+        assert_eq!(c.client_node(6), Some(NodeId(10)));
+        assert_eq!(c.client_node(3), None);
     }
 
     #[test]
     fn vc_escalation_doubles_saturates_and_caps() {
         let mut cfg = Config::new(4);
         cfg.view_change_timeout = SimDuration::from_millis(500);
-        cfg.view_change_timeout_cap = SimDuration::from_secs(8);
 
         // Normal doubling from the base.
         let mut t = cfg.view_change_timeout;
@@ -281,17 +284,18 @@ mod tests {
         // Pinned at the cap, however long the storm runs.
         for _ in 0..100 {
             t = cfg.escalated_vc_timeout(t);
-            assert_eq!(t, cfg.view_change_timeout_cap);
+            assert_eq!(t, VIEW_CHANGE_TIMEOUT_CAP);
         }
 
         // An adaptive base below the configured floor is pulled back up.
         let fast = cfg.escalated_vc_timeout(SimDuration::from_millis(100));
         assert_eq!(fast, cfg.view_change_timeout);
 
-        // Saturating arithmetic: near-overflow current values clamp to the
-        // cap instead of wrapping around to a tiny timeout.
-        cfg.view_change_timeout_cap = SimDuration::from_nanos(u64::MAX);
-        let huge = cfg.escalated_vc_timeout(SimDuration::from_nanos(u64::MAX - 1));
-        assert_eq!(huge, SimDuration::from_nanos(u64::MAX));
+        // Saturating arithmetic: a current value whose doubling overflows
+        // clamps to the cap. Wrapping would give 0, which the floor would
+        // pull up to the base.
+        let huge = cfg.escalated_vc_timeout(SimDuration::from_nanos(u64::MAX / 2 + 1));
+        assert_eq!(huge, VIEW_CHANGE_TIMEOUT_CAP);
+        assert_ne!(huge, cfg.view_change_timeout);
     }
 }

@@ -33,25 +33,21 @@
 //! [`ReplicaControl::status`] prints where a replica stands, part by part,
 //! as one deterministic JSON line.
 //!
-//! Replicas occupy simulator nodes `0..n`; clients occupy nodes `>= n`.
-//! All messages are XDR-encoded [`messages::Message`] values.
+//! A [`Deployment`] lays a group out on the simulator and mints its keys:
+//! replicas occupy nodes `0..n`, clients nodes `>= n` (the layout rule is
+//! in `deploy.rs`). All messages are XDR-encoded [`messages::Message`]
+//! values.
 //!
 //! # Examples
 //!
 //! ```
 //! use base_pbft::testing::CounterService;
-//! use base_pbft::{ClientActor, Config, Replica};
-//! use base_simnet::{NodeId, SimDuration, Simulation};
+//! use base_pbft::{ClientActor, Config, Deployment};
+//! use base_simnet::{SimDuration, Simulation};
 //!
-//! let config = Config::new(4);
 //! let mut sim = Simulation::new(1);
-//! let dir = base_crypto::KeyDirectory::generate(5, 1);
-//! for i in 0..4 {
-//!     let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-//!     sim.add_node(Box::new(Replica::new(config.clone(), keys, CounterService::default())));
-//! }
-//! let keys = base_crypto::NodeKeys::new(dir, 4);
-//! let client = sim.add_node(Box::new(ClientActor::new(config, keys)));
+//! let group = Deployment::build(&mut sim, Config::new(4), 1, 1, |_| CounterService::default());
+//! let client = group.clients[0];
 //!
 //! sim.actor_as_mut::<ClientActor>(client).unwrap().invoke(b"add 0 5".to_vec(), false);
 //! sim.run_for(SimDuration::from_millis(200));
@@ -68,6 +64,7 @@ pub mod client;
 pub mod config;
 pub mod control;
 pub mod cost;
+pub mod deploy;
 pub mod log;
 pub mod messages;
 pub mod replica;
@@ -81,6 +78,7 @@ pub use client::{ClientActor, ClientCore, ClientEvent};
 pub use config::Config;
 pub use control::{ReplicaControl, ReplicaRef};
 pub use cost::CostModel;
+pub use deploy::Deployment;
 pub use messages::Message;
 pub use replica::{Replica, ReplicaStats};
 pub use service::{ExecEnv, Service};

@@ -130,8 +130,14 @@ fn equivocate(io: &mut Io<'_, '_>, pp: &PrePrepareMsg) {
 }
 
 /// Charges for and checks a request's authenticator: it must verify for
-/// this replica under the claimed client's key.
+/// this replica under the claimed client's key. A request naming a replica
+/// id is refused first: replicas hold keys too, and a replica's own would
+/// pass the check.
 pub(super) fn request_ok(io: &mut Io<'_, '_>, r: &RequestMsg) -> bool {
+    if (r.client() as usize) < io.cfg.n {
+        io.reject();
+        return false;
+    }
     io.ctx.charge(io.cost.mac + io.cost.digest(r.op().len()));
     let ok = r.auth.check(io.keys, r.client() as usize, &r.digest());
     if !ok {

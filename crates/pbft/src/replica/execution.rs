@@ -167,6 +167,7 @@ impl Execution {
 /// replier copies `result`; the caller's copy is the one that lives on.
 fn send_reply(io: &mut Io<'_, '_>, view: u64, req: &RequestMsg, result: &[u8], tentative: bool) {
     let (client, timestamp) = (req.client(), req.timestamp());
+    let Some(to) = io.cfg.client_node(client) else { return };
     let result = if io.is(ByzMode::CorruptReplies) {
         // Consistently wrong: flip a copy of the result (never the cached
         // bytes), then MAC the corrupted bytes so the client sees a
@@ -193,5 +194,5 @@ fn send_reply(io: &mut Io<'_, '_>, view: u64, req: &RequestMsg, result: &[u8], t
     io.ctx.charge(io.cost.mac + io.cost.digest(reply.result.len()));
     reply.mac = Authenticator::point(io.keys, client as usize, &reply.digest());
     io.ctx.emit(view, 0, ProtocolEvent::ReplySent { client: u64::from(client), ts: timestamp });
-    io.send(io.cfg.client_node(client), &Message::Reply(reply));
+    io.send(to, &Message::Reply(reply));
 }

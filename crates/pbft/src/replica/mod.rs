@@ -279,20 +279,21 @@ impl<S: Service> Replica<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::Deployment;
     use crate::messages::{Message, NewViewMsg, PrePrepareMsg, RequestMsg};
-    use crate::testing::{build_counter_group, op_add, CounterService, TestGroup};
+    use crate::testing::{op_add, CounterService};
     use crate::ClientActor;
     use base_crypto::Authenticator;
     use base_simnet::{Actor, Context, NodeId, Simulation};
 
     type TestReplica = Replica<CounterService>;
 
-    fn group(sim: &mut Simulation) -> TestGroup {
-        build_counter_group(sim, Config::new(4), 1, 9)
+    fn group(sim: &mut Simulation) -> Deployment {
+        Deployment::build(sim, Config::new(4), 1, 9, |_| CounterService::default())
     }
 
-    fn replica<'a>(sim: &'a Simulation, g: &TestGroup, i: usize) -> &'a TestReplica {
-        sim.actor_as::<TestReplica>(g.replicas[i]).unwrap()
+    fn replica<'a>(sim: &'a Simulation, g: &Deployment, i: usize) -> &'a TestReplica {
+        sim.actor_as::<TestReplica>(g.replicas[i].node).unwrap()
     }
 
     fn deliver(sim: &mut Simulation, to: NodeId, msg: Message) {
@@ -300,10 +301,10 @@ mod tests {
         sim.run_for(SimDuration::from_millis(1));
     }
 
-    /// A request as the real client (node 4) would authenticate it, but
-    /// naming `client` as its sender.
-    fn request_from(g: &TestGroup, client: u32, read_only: bool) -> RequestMsg {
-        let keys = NodeKeys::new(g.dir.clone(), 4);
+    /// A request authenticated under key id `signer`'s keys, naming
+    /// `client` as its sender.
+    fn request_from(g: &Deployment, signer: usize, client: u32, read_only: bool) -> RequestMsg {
+        let keys = NodeKeys::new(g.dir.clone(), signer);
         let mut req = RequestMsg::new(client, 1, read_only, 0, b"add 0 1".to_vec());
         req.auth = Authenticator::generate(&keys, 4, &req.digest());
         req
@@ -311,7 +312,7 @@ mod tests {
 
     /// A pre-prepare for `seq` in view 0, signed and authenticated by that
     /// view's primary.
-    fn pre_prepare(g: &TestGroup, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
+    fn pre_prepare(g: &Deployment, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
         let primary = NodeKeys::new(g.dir.clone(), 0);
         let mut pp = PrePrepareMsg::new(0, seq, batch, Vec::new());
         pp.sig = pp.with_signed_bytes(|signed| primary.sign(signed));
@@ -342,6 +343,15 @@ mod tests {
         }
     }
 
+    /// Sends `make(read_only)` to the primary read-write and read-only,
+    /// and piggybacked in a pre-prepare to backup 1.
+    fn send_three_ways(sim: &mut Simulation, g: &Deployment, make: impl Fn(bool) -> RequestMsg) {
+        let (primary, backup) = (g.replicas[0].node, g.replicas[1].node);
+        deliver(sim, primary, Message::Request(make(false)));
+        deliver(sim, primary, Message::Request(make(true)));
+        deliver(sim, backup, Message::PrePrepare(pre_prepare(g, 1, vec![make(false)])));
+    }
+
     #[test]
     fn a_client_id_off_the_frame_is_rejected_before_any_key_lookup() {
         let mut sim = Simulation::new(9);
@@ -352,10 +362,7 @@ mod tests {
         // piggybacked in a pre-prepare the primary itself vouches for.
         for (k, client) in [0xFFFF_FFFF, 5].into_iter().enumerate() {
             let k = k as u64;
-            deliver(&mut sim, g.replicas[0], Message::Request(request_from(&g, client, false)));
-            deliver(&mut sim, g.replicas[0], Message::Request(request_from(&g, client, true)));
-            let pp = pre_prepare(&g, 1, vec![request_from(&g, client, false)]);
-            deliver(&mut sim, g.replicas[1], Message::PrePrepare(pp));
+            send_three_ways(&mut sim, &g, |ro| request_from(&g, 4, client, ro));
             let (primary, backup) = (replica(&sim, &g, 0), replica(&sim, &g, 1));
             assert_eq!(primary.stats.rejected_messages, 2 * (k + 1), "client {client:#x}");
             assert_eq!(backup.stats.rejected_messages, k + 1, "client {client:#x}");
@@ -366,9 +373,29 @@ mod tests {
         // Nothing was sent in response: no reply, no forward, no prepare.
         assert_eq!(sim.stats().messages_sent, 6);
         // The same frames naming the client that made them are accepted.
-        deliver(&mut sim, g.replicas[0], Message::Request(request_from(&g, 4, false)));
+        deliver(&mut sim, g.replicas[0].node, Message::Request(request_from(&g, 4, 4, false)));
         assert_eq!(replica(&sim, &g, 0).log.len(), 1);
         assert_eq!(replica(&sim, &g, 0).stats.rejected_messages, 4);
+    }
+
+    /// A replica holds keys too: a request it authenticates with its own,
+    /// naming its own id as the client, passes the MAC check. It is
+    /// refused before that check, so nothing is logged, executed or
+    /// answered.
+    #[test]
+    fn a_request_naming_a_replica_as_its_client_is_refused() {
+        let mut sim = Simulation::new(9);
+        let g = group(&mut sim);
+        send_three_ways(&mut sim, &g, |ro| request_from(&g, 2, 2, ro));
+        let (primary, backup) = (replica(&sim, &g, 0), replica(&sim, &g, 1));
+        assert_eq!(primary.stats.rejected_messages, 2);
+        assert_eq!(backup.stats.rejected_messages, 1);
+        for i in 0..4 {
+            let r = replica(&sim, &g, i);
+            assert!(r.log.is_empty(), "replica {i} logged it");
+            assert_eq!(r.stats.executed_requests, 0, "replica {i} executed it");
+        }
+        assert_eq!(sim.stats().messages_sent, 3, "nothing was proposed, prepared or answered");
     }
 
     #[test]
@@ -377,7 +404,8 @@ mod tests {
         let g = group(&mut sim);
         let window = g.cfg.log_window;
         for seq in [window + 1, u64::MAX] {
-            deliver(&mut sim, g.replicas[1], Message::PrePrepare(pre_prepare(&g, seq, Vec::new())));
+            let pp = pre_prepare(&g, seq, Vec::new());
+            deliver(&mut sim, g.replicas[1].node, Message::PrePrepare(pp));
             let backup = replica(&sim, &g, 1);
             assert!(backup.log.is_empty() && backup.log.entry(seq).is_none(), "seq {seq}");
             assert_eq!(
@@ -388,7 +416,8 @@ mod tests {
         assert_eq!(sim.stats().messages_sent, 2, "nothing was prepared");
         // The frames were good: the last in-window sequence number is
         // logged and prepared.
-        deliver(&mut sim, g.replicas[1], Message::PrePrepare(pre_prepare(&g, window, Vec::new())));
+        let pp = pre_prepare(&g, window, Vec::new());
+        deliver(&mut sim, g.replicas[1].node, Message::PrePrepare(pp));
         assert_eq!(replica(&sim, &g, 1).log.len(), 1);
         assert_eq!(sim.stats().messages_sent, 3 + 3, "one prepare to each peer");
     }

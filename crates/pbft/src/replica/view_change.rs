@@ -380,6 +380,7 @@ pub fn compute_o(view: u64, vcs: &[ViewChangeMsg]) -> (u64, Vec<PrePrepareMsg>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VIEW_CHANGE_TIMEOUT_CAP;
 
     fn record_vote(vc: &mut ViewChange, view: u64, replica: u32) {
         let msg = ViewChangeMsg {
@@ -421,10 +422,10 @@ mod tests {
         let mut want = cfg.view_change_timeout;
         for target in 1..=6 {
             assert!(vc.begin(&cfg, target));
-            want = want.saturating_mul(2).min(cfg.view_change_timeout_cap);
+            want = want.saturating_mul(2).min(VIEW_CHANGE_TIMEOUT_CAP);
             assert_eq!(vc.timeout(), want, "view {target}");
         }
-        assert_eq!(vc.timeout(), cfg.view_change_timeout_cap);
+        assert_eq!(vc.timeout(), VIEW_CHANGE_TIMEOUT_CAP);
         assert!(!vc.begin(&cfg, 6), "not a higher view");
         assert_eq!((vc.view(), vc.active()), (6, None));
     }

@@ -1,13 +1,10 @@
-//! Test services and group-building helpers shared by unit tests,
-//! integration tests and benchmarks.
+//! The counter service and its operations, shared by unit tests,
+//! integration tests and benchmarks. A group of them is built with
+//! [`crate::deploy::Deployment::build`].
 
-use crate::config::Config;
-use crate::replica::Replica;
 use crate::service::{ExecEnv, Service};
 use crate::tree::{chunked_leaf_digest, PartitionTree};
-use crate::ClientActor;
-use base_crypto::{Digest, KeyDirectory, NodeKeys};
-use base_simnet::{NodeId, Simulation};
+use base_crypto::Digest;
 use std::collections::BTreeMap;
 
 /// Number of registers in [`CounterService`].
@@ -216,49 +213,6 @@ impl Service for CounterService {
         let reg = (seed % COUNTER_REGS) as usize;
         self.corrupt_register(reg, seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     }
-}
-
-/// A freshly built replicated group on a simulation.
-pub struct TestGroup {
-    /// The group configuration.
-    pub cfg: Config,
-    /// The key directory (replicas and clients share it).
-    pub dir: KeyDirectory,
-    /// Replica node ids (`0..n`).
-    pub replicas: Vec<NodeId>,
-    /// Client node ids (`n..n+c`).
-    pub clients: Vec<NodeId>,
-}
-
-/// Builds a group of `n` [`CounterService`] replicas plus `c` clients on
-/// `sim`, with keys seeded from `seed`.
-pub fn build_counter_group(sim: &mut Simulation, cfg: Config, c: usize, seed: u64) -> TestGroup {
-    build_group(sim, cfg, c, seed, |_| CounterService::default())
-}
-
-/// Builds a group with a custom per-replica service factory.
-pub fn build_group<S: Service>(
-    sim: &mut Simulation,
-    cfg: Config,
-    c: usize,
-    seed: u64,
-    mut service: impl FnMut(usize) -> S,
-) -> TestGroup {
-    let n = cfg.n;
-    let dir = KeyDirectory::generate(n + c, seed);
-    let mut replicas = Vec::with_capacity(n);
-    for i in 0..n {
-        let keys = NodeKeys::new(dir.clone(), i);
-        let id = sim.add_node(Box::new(Replica::new(cfg.clone(), keys, service(i))));
-        replicas.push(id);
-    }
-    let mut clients = Vec::with_capacity(c);
-    for i in 0..c {
-        let keys = NodeKeys::new(dir.clone(), n + i);
-        let id = sim.add_node(Box::new(ClientActor::new(cfg.clone(), keys)));
-        clients.push(id);
-    }
-    TestGroup { cfg, dir, replicas, clients }
 }
 
 #[cfg(test)]

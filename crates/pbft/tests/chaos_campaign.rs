@@ -6,8 +6,7 @@
 //! caught by the auditor and shrunk to a minimal replayable schedule.
 
 use base_pbft::chaos::{CounterChaosHarness, APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
-use base_pbft::testing::CounterService;
-use base_pbft::{ByzMode, ReplicaRef};
+use base_pbft::ByzMode;
 use base_simnet::chaos::{
     generate_schedule, minimize, run_campaign, run_one, CampaignMode, ChaosEvent, ChaosHarness,
     FaultSchedule, LivenessBounds,
@@ -449,8 +448,7 @@ impl ChaosHarness for WithStatus {
     }
 
     fn describe(&self, sim: &Simulation) -> Vec<String> {
-        let replica = |i| ReplicaRef::of::<CounterService>(NodeId(i)).get(sim).status();
-        (0..self.0.cfg.n).map(replica).collect()
+        self.0.group().members(sim).iter().map(|(_, r)| r.status()).collect()
     }
 }
 

@@ -3,8 +3,8 @@
 //! whole-object leaves, reuse local chunks that already match, and converge
 //! when chunk replies are dropped or corrupted in flight.
 
-use base_pbft::testing::{build_counter_group, op_add, CounterService, TestGroup};
-use base_pbft::{ClientActor, Config, Replica, Service};
+use base_pbft::testing::{op_add, CounterService};
+use base_pbft::{ClientActor, Config, Deployment, Replica, Service};
 use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 
 fn small_config() -> Config {
@@ -22,8 +22,8 @@ fn completed(sim: &Simulation, client: NodeId) -> usize {
     sim.actor_as::<ClientActor>(client).unwrap().completed.len()
 }
 
-fn replica<'a>(sim: &'a Simulation, g: &TestGroup, i: usize) -> &'a Replica<CounterService> {
-    sim.actor_as::<Replica<CounterService>>(g.replicas[i]).unwrap()
+fn replica<'a>(sim: &'a Simulation, g: &Deployment, i: usize) -> &'a Replica<CounterService> {
+    sim.actor_as::<Replica<CounterService>>(g.replicas[i].node).unwrap()
 }
 
 /// Outcome of one cold-recovery run (replica 3 down from genesis).
@@ -42,10 +42,10 @@ struct RunOutcome {
 /// and returns replica 3's converged state and transfer counters.
 fn run_cold_recovery(cfg: Config, seed: u64) -> RunOutcome {
     let mut sim = Simulation::new(seed);
-    let g = build_counter_group(&mut sim, cfg, 1, seed);
+    let g = Deployment::build(&mut sim, cfg, 1, seed, |_| CounterService::default());
     let client = g.clients[0];
 
-    sim.crash(g.replicas[3], SimDuration::from_secs(5));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(5));
     for _ in 0..30 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -116,7 +116,7 @@ fn warm_lagging_replica_reuses_untouched_chunks() {
     let mut cfg = small_config();
     cfg.chunk_size = 4;
     let mut sim = Simulation::new(23);
-    let g = build_counter_group(&mut sim, cfg, 1, 23);
+    let g = Deployment::build(&mut sim, cfg, 1, 23, |_| CounterService::default());
     let client = g.clients[0];
 
     for _ in 0..30 {
@@ -126,7 +126,7 @@ fn warm_lagging_replica_reuses_untouched_chunks() {
     assert_eq!(completed(&sim, client), 30);
     assert_eq!(replica(&sim, &g, 3).service().value(0), 30);
 
-    sim.crash(g.replicas[3], SimDuration::from_secs(5));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(5));
     for _ in 0..20 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -156,11 +156,11 @@ fn chunked_recovery_survives_dropped_chunk_replies() {
     let mut cfg = small_config();
     cfg.chunk_size = 4;
     let mut sim = Simulation::new(31);
-    let g = build_counter_group(&mut sim, cfg, 1, 31);
+    let g = Deployment::build(&mut sim, cfg, 1, 31, |_| CounterService::default());
     let client = g.clients[0];
     sim.add_fault(NetFault::DropTagged { tag: 18, prob: 0.3 }, SimTime::ZERO, SimTime(u64::MAX));
 
-    sim.crash(g.replicas[3], SimDuration::from_secs(5));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(5));
     for _ in 0..30 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -185,11 +185,11 @@ fn chunked_recovery_survives_corrupted_chunk_replies() {
     let mut cfg = small_config();
     cfg.chunk_size = 4;
     let mut sim = Simulation::new(37);
-    let g = build_counter_group(&mut sim, cfg, 1, 37);
+    let g = Deployment::build(&mut sim, cfg, 1, 37, |_| CounterService::default());
     let client = g.clients[0];
     sim.add_fault(NetFault::CorruptTagged { tag: 18, prob: 0.5 }, SimTime::ZERO, SimTime(u64::MAX));
 
-    sim.crash(g.replicas[3], SimDuration::from_secs(5));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(5));
     for _ in 0..30 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }

@@ -2,8 +2,9 @@
 //! checkpointing, crash and Byzantine faults, view changes, state transfer,
 //! lossy networks, and proactive recovery.
 
-use base_pbft::testing::{build_counter_group, op_add, op_get, CounterService, TestGroup};
-use base_pbft::{ByzMode, ClientActor, Config, Replica};
+use base_pbft::config::VIEW_CHANGE_TIMEOUT_CAP;
+use base_pbft::testing::{op_add, op_get, CounterService};
+use base_pbft::{ByzMode, ClientActor, Config, Deployment, Replica};
 use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 
 fn small_config() -> Config {
@@ -22,14 +23,14 @@ fn completed(sim: &Simulation, client: NodeId) -> &[(u64, Vec<u8>)] {
     &sim.actor_as::<ClientActor>(client).unwrap().completed
 }
 
-fn replica<'a>(sim: &'a Simulation, g: &TestGroup, i: usize) -> &'a Replica<CounterService> {
-    sim.actor_as::<Replica<CounterService>>(g.replicas[i]).unwrap()
+fn replica<'a>(sim: &'a Simulation, g: &Deployment, i: usize) -> &'a Replica<CounterService> {
+    sim.actor_as::<Replica<CounterService>>(g.replicas[i].node).unwrap()
 }
 
 #[test]
 fn normal_case_sequence_of_writes() {
     let mut sim = Simulation::new(1);
-    let g = build_counter_group(&mut sim, small_config(), 1, 1);
+    let g = Deployment::build(&mut sim, small_config(), 1, 1, |_| CounterService::default());
     let client = g.clients[0];
     for i in 1..=20u64 {
         enqueue(&mut sim, client, op_add(0, i), false);
@@ -53,7 +54,7 @@ fn normal_case_sequence_of_writes() {
 #[test]
 fn checkpoints_become_stable_and_log_is_gced() {
     let mut sim = Simulation::new(2);
-    let g = build_counter_group(&mut sim, small_config(), 1, 2);
+    let g = Deployment::build(&mut sim, small_config(), 1, 2, |_| CounterService::default());
     let client = g.clients[0];
     for _ in 0..30 {
         enqueue(&mut sim, client, op_add(1, 1), false);
@@ -70,7 +71,7 @@ fn checkpoints_become_stable_and_log_is_gced() {
 #[test]
 fn read_only_optimization() {
     let mut sim = Simulation::new(3);
-    let g = build_counter_group(&mut sim, small_config(), 1, 3);
+    let g = Deployment::build(&mut sim, small_config(), 1, 3, |_| CounterService::default());
     let client = g.clients[0];
     enqueue(&mut sim, client, op_add(2, 42), false);
     enqueue(&mut sim, client, op_get(2), true);
@@ -85,9 +86,9 @@ fn read_only_optimization() {
 #[test]
 fn tolerates_one_crashed_backup() {
     let mut sim = Simulation::new(4);
-    let g = build_counter_group(&mut sim, small_config(), 1, 4);
+    let g = Deployment::build(&mut sim, small_config(), 1, 4, |_| CounterService::default());
     let client = g.clients[0];
-    sim.crash_forever(g.replicas[2]); // A backup.
+    sim.crash_forever(g.replicas[2].node); // A backup.
     for _ in 0..10 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -98,9 +99,9 @@ fn tolerates_one_crashed_backup() {
 #[test]
 fn masks_one_byzantine_reply_corruptor() {
     let mut sim = Simulation::new(5);
-    let g = build_counter_group(&mut sim, small_config(), 1, 5);
+    let g = Deployment::build(&mut sim, small_config(), 1, 5, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1].node)
         .unwrap()
         .set_byzantine(ByzMode::CorruptReplies);
     for i in 1..=10u64 {
@@ -112,16 +113,16 @@ fn masks_one_byzantine_reply_corruptor() {
     assert_eq!(done[9].1, b"55", "corrupted replies must never win the quorum");
     // The liar corrupts a copy of each result it sends; its reply cache,
     // which the checkpoint digest covers, holds the true one.
-    let liar = sim.actor_as::<Replica<CounterService>>(g.replicas[1]).unwrap();
+    let liar = sim.actor_as::<Replica<CounterService>>(g.replicas[1].node).unwrap();
     assert_eq!(liar.cached_reply(client.0 as u32, 10), Some(&b"55"[..]));
 }
 
 #[test]
 fn masks_one_mute_replica() {
     let mut sim = Simulation::new(6);
-    let g = build_counter_group(&mut sim, small_config(), 1, 6);
+    let g = Deployment::build(&mut sim, small_config(), 1, 6, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[3])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[3].node)
         .unwrap()
         .set_byzantine(ByzMode::Mute);
     for _ in 0..10 {
@@ -134,9 +135,9 @@ fn masks_one_mute_replica() {
 #[test]
 fn masks_a_commit_withholder() {
     let mut sim = Simulation::new(15);
-    let g = build_counter_group(&mut sim, small_config(), 1, 15);
+    let g = Deployment::build(&mut sim, small_config(), 1, 15, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[2])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[2].node)
         .unwrap()
         .set_byzantine(ByzMode::WithholdCommits);
     for _ in 0..10 {
@@ -153,9 +154,9 @@ fn byzantine_designated_replier_cannot_block_completion() {
     // quorum never matches its body; retransmission rotates the designee
     // and the operation still completes with the correct result.
     let mut sim = Simulation::new(16);
-    let g = build_counter_group(&mut sim, small_config(), 1, 16);
+    let g = Deployment::build(&mut sim, small_config(), 1, 16, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1].node)
         .unwrap()
         .set_byzantine(ByzMode::CorruptReplies);
     // Timestamps start at 1; ops whose (ts % 4) == 1 designate replica 1.
@@ -173,9 +174,9 @@ fn byzantine_designated_replier_cannot_block_completion() {
 #[test]
 fn view_change_on_crashed_primary() {
     let mut sim = Simulation::new(7);
-    let g = build_counter_group(&mut sim, small_config(), 1, 7);
+    let g = Deployment::build(&mut sim, small_config(), 1, 7, |_| CounterService::default());
     let client = g.clients[0];
-    sim.crash_forever(g.replicas[0]); // The view-0 primary.
+    sim.crash_forever(g.replicas[0].node); // The view-0 primary.
     for _ in 0..5 {
         enqueue(&mut sim, client, op_add(0, 3), false);
     }
@@ -192,7 +193,7 @@ fn view_change_on_crashed_primary() {
 #[test]
 fn view_change_on_mute_primary_mid_stream() {
     let mut sim = Simulation::new(8);
-    let g = build_counter_group(&mut sim, small_config(), 1, 8);
+    let g = Deployment::build(&mut sim, small_config(), 1, 8, |_| CounterService::default());
     let client = g.clients[0];
     for _ in 0..6 {
         enqueue(&mut sim, client, op_add(0, 1), false);
@@ -201,7 +202,7 @@ fn view_change_on_mute_primary_mid_stream() {
     assert_eq!(completed(&sim, client).len(), 6);
 
     // Now the primary goes mute; remaining ops need a view change.
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[0])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[0].node)
         .unwrap()
         .set_byzantine(ByzMode::Mute);
     for _ in 0..6 {
@@ -217,9 +218,9 @@ fn view_change_on_mute_primary_mid_stream() {
 #[test]
 fn equivocating_primary_is_replaced_or_harmless() {
     let mut sim = Simulation::new(9);
-    let g = build_counter_group(&mut sim, small_config(), 1, 9);
+    let g = Deployment::build(&mut sim, small_config(), 1, 9, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[0])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[0].node)
         .unwrap()
         .set_byzantine(ByzMode::EquivocatePrimary);
     for _ in 0..8 {
@@ -237,11 +238,11 @@ fn equivocating_primary_is_replaced_or_harmless() {
 #[test]
 fn lagging_replica_catches_up_via_state_transfer() {
     let mut sim = Simulation::new(10);
-    let g = build_counter_group(&mut sim, small_config(), 1, 10);
+    let g = Deployment::build(&mut sim, small_config(), 1, 10, |_| CounterService::default());
     let client = g.clients[0];
 
     // Take replica 3 down while the group executes past a checkpoint.
-    sim.crash(g.replicas[3], SimDuration::from_secs(5));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(5));
     for _ in 0..30 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -263,7 +264,7 @@ fn lagging_replica_catches_up_via_state_transfer() {
 #[test]
 fn survives_lossy_network() {
     let mut sim = Simulation::new(11);
-    let g = build_counter_group(&mut sim, small_config(), 1, 11);
+    let g = Deployment::build(&mut sim, small_config(), 1, 11, |_| CounterService::default());
     let client = g.clients[0];
     sim.add_fault(NetFault::Drop { prob: 0.05 }, SimTime::ZERO, SimTime(u64::MAX));
     for _ in 0..15 {
@@ -281,7 +282,7 @@ fn replaced_replica_rejoins_and_catches_up() {
     // genesis state, learns the group's stable checkpoint through its
     // probes, state-transfers, and converges.
     let mut sim = Simulation::new(19);
-    let g = build_counter_group(&mut sim, small_config(), 1, 19);
+    let mut g = Deployment::build(&mut sim, small_config(), 1, 19, |_| CounterService::default());
     let client = g.clients[0];
     for i in 1..=20u64 {
         enqueue(&mut sim, client, op_add(0, i), false);
@@ -290,11 +291,7 @@ fn replaced_replica_rejoins_and_catches_up() {
     assert_eq!(completed(&sim, client).len(), 20);
 
     // Reinstall replica 2 with fresh software (same node identity/keys).
-    let keys = base_crypto::NodeKeys::new(g.dir.clone(), 2);
-    sim.replace_node(
-        g.replicas[2],
-        Box::new(Replica::new(g.cfg.clone(), keys, CounterService::default())),
-    );
+    g.replace(&mut sim, 2, CounterService::default());
     assert_eq!(replica(&sim, &g, 2).service().value(0), 0, "fresh instance starts empty");
 
     // More traffic; the newcomer must catch up (state transfer + replay).
@@ -308,7 +305,7 @@ fn replaced_replica_rejoins_and_catches_up() {
 
     // And it is a full participant again: crash a different replica and
     // the group (now depending on the newcomer) still makes progress.
-    sim.crash(g.replicas[3], SimDuration::from_secs(60));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(60));
     enqueue(&mut sim, client, op_add(0, 5), false);
     sim.run_for(SimDuration::from_secs(10));
     assert_eq!(completed(&sim, client).len(), 31);
@@ -324,7 +321,7 @@ fn late_replacement_accepts_agreed_but_stale_timestamps() {
     // replica that is down longer than the skew tolerance could never
     // rejoin without a stable checkpoint to transfer.
     let mut sim = Simulation::new(21);
-    let g = build_counter_group(&mut sim, small_config(), 1, 21);
+    let mut g = Deployment::build(&mut sim, small_config(), 1, 21, |_| CounterService::default());
     let client = g.clients[0];
     // Too few ops to ever reach a stable checkpoint (interval 8 needs 8).
     for i in 1..=5u64 {
@@ -335,11 +332,7 @@ fn late_replacement_accepts_agreed_but_stale_timestamps() {
 
     // Let far more than the 10 s non-determinism skew tolerance pass.
     sim.run_for(SimDuration::from_secs(60));
-    let keys = base_crypto::NodeKeys::new(g.dir.clone(), 3);
-    sim.replace_node(
-        g.replicas[3],
-        Box::new(Replica::new(g.cfg.clone(), keys, CounterService::default())),
-    );
+    g.replace(&mut sim, 3, CounterService::default());
     sim.run_for(SimDuration::from_secs(20));
     assert_eq!(
         replica(&sim, &g, 3).service().value(0),
@@ -353,7 +346,7 @@ fn survives_duplicated_messages() {
     // A third of all messages are delivered twice: every protocol step
     // must be idempotent.
     let mut sim = Simulation::new(17);
-    let g = build_counter_group(&mut sim, small_config(), 1, 17);
+    let g = Deployment::build(&mut sim, small_config(), 1, 17, |_| CounterService::default());
     let client = g.clients[0];
     sim.add_fault(NetFault::Duplicate { prob: 0.33 }, SimTime::ZERO, SimTime(u64::MAX));
     for i in 1..=15u64 {
@@ -372,10 +365,10 @@ fn survives_duplicated_messages() {
 fn survives_slow_asymmetric_link() {
     // One direction of one link is congested; the protocol masks it.
     let mut sim = Simulation::new(18);
-    let g = build_counter_group(&mut sim, small_config(), 1, 18);
+    let g = Deployment::build(&mut sim, small_config(), 1, 18, |_| CounterService::default());
     let client = g.clients[0];
     let extra = SimDuration::from_millis(40);
-    let slow = NetFault::Slow { from: g.replicas[0], to: g.replicas[2], extra };
+    let slow = NetFault::Slow { from: g.replicas[0].node, to: g.replicas[2].node, extra };
     sim.add_fault(slow, SimTime::ZERO, SimTime(u64::MAX));
     for _ in 0..10 {
         enqueue(&mut sim, client, op_add(0, 1), false);
@@ -387,7 +380,7 @@ fn survives_slow_asymmetric_link() {
 #[test]
 fn multiple_clients_interleave() {
     let mut sim = Simulation::new(12);
-    let g = build_counter_group(&mut sim, small_config(), 3, 12);
+    let g = Deployment::build(&mut sim, small_config(), 3, 12, |_| CounterService::default());
     for (i, &c) in g.clients.iter().enumerate() {
         for _ in 0..8 {
             enqueue(&mut sim, c, op_add(i as u64, 1), false);
@@ -410,7 +403,7 @@ fn proactive_recovery_keeps_service_available() {
     let mut cfg = small_config();
     cfg.recovery_period = Some(SimDuration::from_secs(20));
     cfg.reboot_time = SimDuration::from_millis(500);
-    let g = build_counter_group(&mut sim, cfg, 1, 13);
+    let g = Deployment::build(&mut sim, cfg, 1, 13, |_| CounterService::default());
     let client = g.clients[0];
 
     // Feed a steady stream across a full recovery rotation.
@@ -434,7 +427,7 @@ fn proactive_recovery_keeps_service_available() {
 fn deterministic_runs_with_same_seed() {
     let run = |seed: u64| {
         let mut sim = Simulation::new(seed);
-        let g = build_counter_group(&mut sim, small_config(), 1, seed);
+        let g = Deployment::build(&mut sim, small_config(), 1, seed, |_| CounterService::default());
         let client = g.clients[0];
         for i in 0..12u64 {
             enqueue(&mut sim, client, op_add(i % 4, i), false);
@@ -452,13 +445,13 @@ fn deterministic_runs_with_same_seed() {
 #[test]
 fn byzantine_checkpoint_liar_cannot_poison_state_transfer() {
     let mut sim = Simulation::new(14);
-    let g = build_counter_group(&mut sim, small_config(), 1, 14);
+    let g = Deployment::build(&mut sim, small_config(), 1, 14, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1].node)
         .unwrap()
         .set_byzantine(ByzMode::CorruptCheckpoints);
 
-    sim.crash(g.replicas[3], SimDuration::from_secs(4));
+    sim.crash(g.replicas[3].node, SimDuration::from_secs(4));
     for _ in 0..30 {
         enqueue(&mut sim, client, op_add(0, 1), false);
     }
@@ -479,28 +472,28 @@ fn view_change_storm_timeout_is_capped() {
     // Mute everyone except backup 1: its view-change chase can never
     // install a new view (no f+1 joins, no quorum), so the escalation
     // timer doubles on every expiry. The doubling must stop exactly at
-    // the configured cap instead of growing without bound.
+    // the cap instead of growing without bound: from a 200 ms base the
+    // sixth escalation reaches it, 12.6 s into the chase.
     let mut cfg = small_config();
     cfg.view_change_timeout = SimDuration::from_millis(200);
-    cfg.view_change_timeout_cap = SimDuration::from_secs(1);
     let mut sim = Simulation::new(77);
-    let g = build_counter_group(&mut sim, cfg.clone(), 1, 77);
+    let g = Deployment::build(&mut sim, cfg, 1, 77, |_| CounterService::default());
     for &i in &[0usize, 2, 3] {
-        sim.actor_as_mut::<Replica<CounterService>>(g.replicas[i])
+        sim.actor_as_mut::<Replica<CounterService>>(g.replicas[i].node)
             .unwrap()
             .set_byzantine(ByzMode::Mute);
     }
     enqueue(&mut sim, g.clients[0], op_add(0, 1), false);
-    sim.run_for(SimDuration::from_secs(12));
+    sim.run_for(SimDuration::from_secs(14));
 
     let chaser = replica(&sim, &g, 1);
     assert_eq!(
         chaser.vc_timeout(),
-        cfg.view_change_timeout_cap,
+        VIEW_CHANGE_TIMEOUT_CAP,
         "escalating chase must pin the timeout at the cap"
     );
     // The chase actually escalated through several views.
-    assert!(chaser.view() >= 4, "expected a long chase, got view {}", chaser.view());
+    assert!(chaser.view() >= 6, "expected a long chase, got view {}", chaser.view());
 }
 
 #[test]
@@ -516,11 +509,10 @@ fn primary_elect_holds_requests_instead_of_self_forwarding() {
     // fixed-behaviour count yet ~1000x below the runaway one.
     let mut cfg = small_config();
     cfg.view_change_timeout = SimDuration::from_millis(200);
-    cfg.view_change_timeout_cap = SimDuration::from_millis(400);
     let mut sim = Simulation::new(78);
-    let g = build_counter_group(&mut sim, cfg, 1, 78);
+    let g = Deployment::build(&mut sim, cfg, 1, 78, |_| CounterService::default());
     for &i in &[0usize, 2, 3] {
-        sim.actor_as_mut::<Replica<CounterService>>(g.replicas[i])
+        sim.actor_as_mut::<Replica<CounterService>>(g.replicas[i].node)
             .unwrap()
             .set_byzantine(ByzMode::Mute);
     }

@@ -9,8 +9,8 @@
 //! that depth. The peak printed
 //! here is the regression number: CI shows it beside the allocation census.
 
-use base_pbft::testing::{build_counter_group, op_add};
-use base_pbft::{ClientActor, Config};
+use base_pbft::testing::{op_add, CounterService};
+use base_pbft::{ClientActor, Config, Deployment};
 use base_simnet::Simulation;
 
 /// Live events at any instant are bounded by the deployment, not by the
@@ -25,7 +25,7 @@ fn pending_events_track_live_work_not_dead_timers() {
     const CLIENTS: usize = 8;
     const OPS_PER_CLIENT: u64 = 250;
     let mut sim = Simulation::new(21);
-    let g = build_counter_group(&mut sim, Config::new(4), CLIENTS, 21);
+    let g = Deployment::build(&mut sim, Config::new(4), CLIENTS, 21, |_| CounterService::default());
     for (c, &client) in g.clients.iter().enumerate() {
         let actor = sim.actor_as_mut::<ClientActor>(client).unwrap();
         for i in 0..OPS_PER_CLIENT {

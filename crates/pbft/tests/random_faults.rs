@@ -5,8 +5,8 @@
 //!
 //! These are deterministic per seed — a failure reproduces exactly.
 
-use base_pbft::testing::{build_counter_group, op_add, CounterService, TestGroup};
-use base_pbft::{ByzMode, ClientActor, Config, Replica};
+use base_pbft::testing::{op_add, CounterService};
+use base_pbft::{ByzMode, ClientActor, Config, Deployment, Replica};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,8 +20,8 @@ fn cfg() -> Config {
     cfg
 }
 
-fn final_value(sim: &Simulation, g: &TestGroup, i: usize) -> u64 {
-    sim.actor_as::<Replica<CounterService>>(g.replicas[i]).unwrap().service().value(0)
+fn final_value(sim: &Simulation, g: &Deployment, i: usize) -> u64 {
+    sim.actor_as::<Replica<CounterService>>(g.replicas[i].node).unwrap().service().value(0)
 }
 
 /// Runs one seeded schedule: random crash windows (one replica down at a
@@ -29,7 +29,7 @@ fn final_value(sim: &Simulation, g: &TestGroup, i: usize) -> u64 {
 fn run_crash_schedule(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sim = Simulation::new(seed);
-    let g = build_counter_group(&mut sim, cfg(), 1, seed);
+    let g = Deployment::build(&mut sim, cfg(), 1, seed, |_| CounterService::default());
     let client = g.clients[0];
     {
         let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
@@ -66,7 +66,7 @@ fn run_crash_schedule(seed: u64) {
 fn run_byzantine_schedule(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xbad);
     let mut sim = Simulation::new(seed);
-    let g = build_counter_group(&mut sim, cfg(), 1, seed);
+    let g = Deployment::build(&mut sim, cfg(), 1, seed, |_| CounterService::default());
     let client = g.clients[0];
     let villain = rng.gen_range(0..4usize);
     let mode = match rng.gen_range(0..5) {
@@ -76,7 +76,7 @@ fn run_byzantine_schedule(seed: u64) {
         3 => ByzMode::CorruptCheckpoints,
         _ => ByzMode::EquivocatePrimary,
     };
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[villain])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[villain].node)
         .unwrap()
         .set_byzantine(mode);
     {
@@ -107,9 +107,9 @@ fn replacement_under_active_byzantine_fault() {
     // members, one of which starts from genesis: progress must stall no
     // longer than the newcomer's catch-up, and every operation completes.
     let mut sim = Simulation::new(77);
-    let g = build_counter_group(&mut sim, cfg(), 1, 77);
+    let mut g = Deployment::build(&mut sim, cfg(), 1, 77, |_| CounterService::default());
     let client = g.clients[0];
-    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1])
+    sim.actor_as_mut::<Replica<CounterService>>(g.replicas[1].node)
         .unwrap()
         .set_byzantine(ByzMode::Mute);
     {
@@ -126,11 +126,7 @@ fn replacement_under_active_byzantine_fault() {
     );
 
     // Reinstall replica 3 (a quorum member) with a fresh instance.
-    let keys = base_crypto::NodeKeys::new(g.dir.clone(), 3);
-    sim.replace_node(
-        g.replicas[3],
-        Box::new(Replica::new(g.cfg.clone(), keys, CounterService::default())),
-    );
+    g.replace(&mut sim, 3, CounterService::default());
     {
         let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
         for _ in 0..10 {

@@ -10,8 +10,8 @@
 
 use base_crypto::{Authenticator, Digest, KeyDirectory, NodeKeys};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
-use base_pbft::testing::{build_counter_group, op_add, op_get, CounterService};
-use base_pbft::{ClientActor, Config, Message, Replica};
+use base_pbft::testing::{op_add, op_get, CounterService};
+use base_pbft::{ClientActor, Config, Deployment, Message, Replica};
 use base_simnet::{Actor, Context, NodeId, SimDuration, Simulation};
 
 const N: usize = 4;
@@ -218,7 +218,7 @@ fn pipelined_group_matches_serial_oracle() {
         cfg.max_inflight = 16;
         cfg.pipeline_depth = depth;
         let mut sim = Simulation::new(9);
-        let g = build_counter_group(&mut sim, cfg, 1, 9);
+        let g = Deployment::build(&mut sim, cfg, 1, 9, |_| CounterService::default());
         let client = g.clients[0];
         {
             let c = sim.actor_as_mut::<ClientActor>(client).unwrap();
@@ -235,10 +235,10 @@ fn pipelined_group_matches_serial_oracle() {
             .map(|(_, body)| body.clone())
             .collect();
         let value = sim
-            .actor_as::<Replica<CounterService>>(g.replicas[0])
+            .actor_as::<Replica<CounterService>>(g.replicas[0].node)
             .unwrap()
             .service()
-            .value(0) as u64;
+            .value(0);
         (results, value)
     };
 

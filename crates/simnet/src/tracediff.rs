@@ -13,7 +13,8 @@
 //! number and payload (checkpoint stability, transfer sizes, recovery
 //! repairs). [`parse_jsonl`] reads traces back from the
 //! [`crate::trace::export_jsonl`] format, so two exported runs can be
-//! diffed offline (the `repro` bench binary's `--diff` mode).
+//! diffed offline (`all_tables diff`, the bench CLI's trace-diff
+//! subcommand).
 //!
 //! Everything is deterministic: identical inputs render identical reports,
 //! which the golden-file tests pin byte for byte.

@@ -8,7 +8,8 @@
 
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, ByzMode, Config};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_pbft::Deployment;
+use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
@@ -19,17 +20,11 @@ fn main() {
     cfg.reboot_time = SimDuration::from_millis(200);
 
     let mut sim = Simulation::new(555);
-    let dir = base_crypto::KeyDirectory::generate(5, 555);
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        sim.add_node(Box::new(KvReplica::new(
-            cfg.clone(),
-            keys,
-            BaseService::new(KvWrapper::new(TinyKv::default())),
-        )));
-    }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+    let group = Deployment::build(&mut sim, cfg, 1, 555, |_| {
+        BaseService::new(KvWrapper::new(TinyKv::default()))
+    });
+    let client = group.clients[0];
+    let node = |i: usize| group.replicas[i].node;
 
     // Store some data.
     {
@@ -41,13 +36,13 @@ fn main() {
     sim.run_for(SimDuration::from_secs(2));
 
     // Fault 1: replica 1 turns Byzantine and corrupts every reply.
-    sim.actor_as_mut::<KvReplica>(NodeId(1)).unwrap().set_byzantine(ByzMode::CorruptReplies);
+    sim.actor_as_mut::<KvReplica>(node(1)).unwrap().set_byzantine(ByzMode::CorruptReplies);
     println!("replica 1 is now Byzantine (corrupts all replies)");
 
     // Fault 2: a software error silently corrupts account3's value inside
     // replica 2's concrete state.
     let corrupted = sim
-        .actor_as_mut::<KvReplica>(NodeId(2))
+        .actor_as_mut::<KvReplica>(node(2))
         .unwrap()
         .service_mut()
         .wrapper_mut()
@@ -73,7 +68,7 @@ fn main() {
     // a clean state and reinstalls the abstract state fetched from the
     // group — the corruption disappears without anyone diagnosing it.
     sim.run_for(SimDuration::from_secs(10));
-    let healed = sim.actor_as::<KvReplica>(NodeId(2)).unwrap();
+    let healed = sim.actor_as::<KvReplica>(node(2)).unwrap();
     assert!(healed.stats.recoveries >= 1);
     assert_eq!(
         healed.service().wrapper().kv().get("account3"),

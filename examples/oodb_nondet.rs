@@ -8,8 +8,8 @@
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_oodb::{ObjStore, Oo7Workload, OodbWrapper};
 use base_oodb::wrapper::OodbReply;
-use base_pbft::Service as _;
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_pbft::Deployment;
+use base_simnet::{SimDuration, Simulation};
 use rand::SeedableRng;
 
 type DbReplica = BaseReplica<OodbWrapper>;
@@ -18,17 +18,13 @@ fn main() {
     let mut cfg = Config::new(4);
     cfg.checkpoint_interval = 32;
     let mut sim = Simulation::new(1234);
-    let dir = base_crypto::KeyDirectory::generate(5, 1234);
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let group = Deployment::build(&mut sim, cfg, 1, 1234, |i| {
         // Same implementation, different seed: different addresses,
         // different GC schedule.
         let mut seed_rng = rand::rngs::StdRng::seed_from_u64(500 + i as u64);
-        let svc = BaseService::new(OodbWrapper::new(ObjStore::new(&mut seed_rng)));
-        sim.add_node(Box::new(DbReplica::new(cfg.clone(), keys, svc)));
-    }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+        BaseService::new(OodbWrapper::new(ObjStore::new(&mut seed_rng)))
+    });
+    let client = group.clients[0];
 
     // Build an OO7-style module hierarchy and traverse it.
     let wl = Oo7Workload::small();
@@ -63,24 +59,16 @@ fn main() {
     assert_eq!(last_traversal, u64::from(wl.total_objects()));
 
     // The replicas' collectors ran on their own schedules...
-    let collections: Vec<u64> = (0..4)
-        .map(|i| {
-            sim.actor_as::<DbReplica>(NodeId(i)).unwrap().service().wrapper().store().collections
-        })
+    let collections: Vec<u64> = group
+        .replicas
+        .iter()
+        .map(|r| sim.actor_as::<DbReplica>(r.node).unwrap().service().wrapper().store().collections)
         .collect();
     println!("per-replica GC collections: {collections:?} (independent schedules)");
 
     // ...so their concrete heaps diverge, yet the abstract states agree.
-    let roots: Vec<String> = (0..4)
-        .map(|i| {
-            sim.actor_as::<DbReplica>(NodeId(i))
-                .unwrap()
-                .service()
-                .current_tree()
-                .root_digest()
-                .short_hex()
-        })
-        .collect();
+    let roots: Vec<String> =
+        group.replicas.iter().map(|r| r.get(&sim).state_root().short_hex()).collect();
     println!("abstract state roots: {roots:?}");
     assert!(roots.iter().all(|r| *r == roots[0]));
     println!("same non-deterministic implementation, consistent replication ✓");

@@ -7,14 +7,16 @@
 
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_pbft::{Deployment, ReplicaRef};
+use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
-fn footprints(sim: &Simulation) -> Vec<(usize, usize)> {
-    (0..4)
-        .map(|i| {
-            let kv = sim.actor_as::<KvReplica>(NodeId(i)).unwrap().service().wrapper().kv();
+fn footprints(sim: &Simulation, replicas: &[ReplicaRef]) -> Vec<(usize, usize)> {
+    replicas
+        .iter()
+        .map(|r| {
+            let kv = sim.actor_as::<KvReplica>(r.node).unwrap().service().wrapper().kv();
             (kv.len(), kv.leaked())
         })
         .collect()
@@ -29,15 +31,12 @@ fn main() {
     cfg.reboot_time = SimDuration::from_millis(300);
 
     let mut sim = Simulation::new(99);
-    let dir = base_crypto::KeyDirectory::generate(5, 99);
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
+    let group = Deployment::build(&mut sim, cfg, 1, 99, |_| {
         let mut kv = TinyKv::default();
         kv.leaky = true; // Deletions leak storage — the "aging" bug.
-        sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, BaseService::new(KvWrapper::new(kv)))));
-    }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+        BaseService::new(KvWrapper::new(kv))
+    });
+    let client = group.clients[0];
 
     // Churn: create and delete temporary keys (leaking on every delete),
     // while keeping a couple of long-lived keys.
@@ -52,15 +51,15 @@ fn main() {
     }
     sim.run_for(SimDuration::from_secs(3));
     println!("after the churn, before any recovery:");
-    for (i, (live, leaked)) in footprints(&sim).iter().enumerate() {
+    for (i, (live, leaked)) in footprints(&sim, &group.replicas).iter().enumerate() {
         println!("  replica {i}: {live} live entries, {leaked} leaked");
     }
 
     // One full rotation of staggered recoveries.
     sim.run_for(SimDuration::from_secs(12));
     println!("\nafter one proactive-recovery rotation (staggered clean reboots):");
-    for (i, (live, leaked)) in footprints(&sim).iter().enumerate() {
-        let r = sim.actor_as::<KvReplica>(NodeId(i)).unwrap();
+    for (i, (live, leaked)) in footprints(&sim, &group.replicas).iter().enumerate() {
+        let r = sim.actor_as::<KvReplica>(group.replicas[i].node).unwrap();
         println!(
             "  replica {i}: {live} live entries, {leaked} leaked, {} recoveries, last took {} ms",
             r.stats.recoveries,

@@ -7,11 +7,9 @@
 //! Run with: `cargo run --example quickstart`
 
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_pbft::Service as _;
-use base_simnet::{NodeId, SimDuration, Simulation};
-
-type KvReplica = BaseReplica<KvWrapper>;
+use base::{BaseClient, BaseService, Config};
+use base_pbft::Deployment;
+use base_simnet::{SimDuration, Simulation};
 
 fn main() {
     // A 4-replica group tolerates f = 1 Byzantine fault.
@@ -19,21 +17,19 @@ fn main() {
     cfg.checkpoint_interval = 8;
 
     let mut sim = Simulation::new(2026);
-    let dir = base_crypto::KeyDirectory::generate(5, 2026);
 
     // Each replica wraps its own TinyKv instance. TinyKv is deliberately
     // non-deterministic (random internal ids, local-clock timestamps), so
     // classic BFT could not replicate it — the conformance wrapper hides
     // the divergence behind the common abstract specification.
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        let service = BaseService::new(KvWrapper::new(TinyKv::default()));
-        sim.add_node(Box::new(KvReplica::new(cfg.clone(), keys, service)));
-        // Give every replica a different local clock.
-        sim.config_mut().set_clock_skew(NodeId(i), SimDuration::from_millis(11 * i as u64));
+    let group = Deployment::build(&mut sim, cfg, 1, 2026, |_| {
+        BaseService::new(KvWrapper::new(TinyKv::default()))
+    });
+    // Give every replica a different local clock.
+    for (i, r) in group.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(11 * i as u64));
     }
-    let keys = base_crypto::NodeKeys::new(dir, 4);
-    let client = sim.add_node(Box::new(BaseClient::new(cfg, keys)));
+    let client = group.clients[0];
 
     // invoke() — Figure 1's client entry point. Writes run through the
     // full three-phase protocol; the final read takes the read-only path
@@ -59,16 +55,8 @@ fn main() {
 
     // Every replica's *concrete* state diverged (different ids/clocks),
     // but the *abstract* states are identical — compare the digest trees.
-    let roots: Vec<String> = (0..4)
-        .map(|i| {
-            sim.actor_as::<KvReplica>(NodeId(i))
-                .unwrap()
-                .service()
-                .current_tree()
-                .root_digest()
-                .short_hex()
-        })
-        .collect();
+    let roots: Vec<String> =
+        group.replicas.iter().map(|r| r.get(&sim).state_root().short_hex()).collect();
     println!("abstract state roots: {roots:?}");
     assert!(roots.iter().all(|r| *r == roots[0]));
     println!("all replicas agree on the abstract state ✓");

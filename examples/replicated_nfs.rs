@@ -9,16 +9,20 @@
 //!
 //! Run with: `cargo run --example replicated_nfs`
 
-use base::{BaseReplica, BaseService};
+use base::BaseService;
 use base_nfs::ops::{NfsOp, NfsReply};
 use base_nfs::relay::{run_to_completion, RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
-use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::{Config, Service as _};
+use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_pbft::{Config, Deployment};
 use base_simnet::{SimDuration, Simulation};
 use rand::SeedableRng;
 
 const CAP: u64 = 1024;
+
+fn service<F: NfsServer>(fs: F) -> BaseService<NfsWrapper<F>> {
+    BaseService::new(NfsWrapper::with_capacity(fs, CAP))
+}
 
 fn main() {
     println!("architecture (paper Figure 2):");
@@ -32,33 +36,18 @@ fn main() {
     let mut cfg = Config::new(4);
     cfg.checkpoint_interval = 32;
     let mut sim = Simulation::new(7);
-    let dir = base_crypto::KeyDirectory::generate(5, 7);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 
-    let keys = |i| base_crypto::NodeKeys::new(dir.clone(), i);
-    let n0 = sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(0),
-        BaseService::new(NfsWrapper::with_capacity(InodeFs::new(0x11, &mut rng), CAP)),
-    )));
-    let n1 = sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(1),
-        BaseService::new(NfsWrapper::with_capacity(FlatFs::new(0x44, &mut rng), CAP)),
-    )));
-    let n2 = sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(2),
-        BaseService::new(NfsWrapper::with_capacity(LogFs::new(0x22, &mut rng), CAP)),
-    )));
-    let n3 = sim.add_node(Box::new(BaseReplica::new(
-        cfg.clone(),
-        keys(3),
-        BaseService::new(NfsWrapper::with_capacity(BtreeFs::new(0x33, &mut rng), CAP)),
-    )));
+    // One deployment, four replica types: each call installs the next
+    // replica with whatever file system it is given.
+    let mut group = Deployment::new(cfg, 1, 7);
+    group.replica(&mut sim, service(InodeFs::new(0x11, &mut rng)));
+    group.replica(&mut sim, service(FlatFs::new(0x44, &mut rng)));
+    group.replica(&mut sim, service(LogFs::new(0x22, &mut rng)));
+    group.replica(&mut sim, service(BtreeFs::new(0x33, &mut rng)));
     // Divergent local clocks, like machines in a real machine room.
-    for (i, n) in [n0, n1, n2, n3].into_iter().enumerate() {
-        sim.config_mut().set_clock_skew(n, SimDuration::from_millis(17 * i as u64));
+    for (i, r) in group.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(17 * i as u64));
     }
 
     // A small project tree: oids are assigned deterministically, so the
@@ -85,8 +74,8 @@ fn main() {
         },
         NfsOp::Readdir { dir: root },
     ];
-    let relay_keys = base_crypto::NodeKeys::new(dir, 4);
-    let relay = sim.add_node(Box::new(RelayActor::new(cfg, relay_keys, ScriptDriver::new(script))));
+    let driver = ScriptDriver::new(script);
+    let relay = group.client(&mut sim, |cfg, keys| RelayActor::new(cfg, keys, driver));
 
     let ok = run_to_completion(
         &mut sim,
@@ -111,30 +100,7 @@ fn main() {
     }
 
     // Four different file systems, one abstract state.
-    let r0 = sim
-        .actor_as::<BaseReplica<NfsWrapper<InodeFs>>>(n0)
-        .unwrap()
-        .service()
-        .current_tree()
-        .root_digest();
-    let r1 = sim
-        .actor_as::<BaseReplica<NfsWrapper<FlatFs>>>(n1)
-        .unwrap()
-        .service()
-        .current_tree()
-        .root_digest();
-    let r2 = sim
-        .actor_as::<BaseReplica<NfsWrapper<LogFs>>>(n2)
-        .unwrap()
-        .service()
-        .current_tree()
-        .root_digest();
-    let r3 = sim
-        .actor_as::<BaseReplica<NfsWrapper<BtreeFs>>>(n3)
-        .unwrap()
-        .service()
-        .current_tree()
-        .root_digest();
+    let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|i| group.replicas[i].get(&sim).state_root());
     assert_eq!(r0, r1);
     assert_eq!(r0, r2);
     assert_eq!(r0, r3);

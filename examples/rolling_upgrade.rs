@@ -18,17 +18,18 @@
 use base::{BaseClient, BaseReplica, BaseService};
 use base_nfs::ops::{NfsOp, NfsReply};
 use base_nfs::spec::Oid;
-use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsWrapper};
-use base_pbft::{Config, ReplicaRef};
+use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_pbft::{Config, Deployment};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::SeedableRng;
 
 const CAP: u64 = 1024;
 
 type InodeReplica = BaseReplica<NfsWrapper<InodeFs>>;
-type FlatReplica = BaseReplica<NfsWrapper<FlatFs>>;
-type LogReplica = BaseReplica<NfsWrapper<LogFs>>;
-type BtreeReplica = BaseReplica<NfsWrapper<BtreeFs>>;
+
+fn service<F: NfsServer>(fs: F) -> BaseService<NfsWrapper<F>> {
+    BaseService::new(NfsWrapper::with_capacity(fs, CAP))
+}
 
 fn invoke(sim: &mut Simulation, client: NodeId, op: NfsOp) {
     sim.actor_as_mut::<BaseClient>(client).unwrap().invoke(op.to_bytes(), false);
@@ -43,38 +44,18 @@ fn completed(sim: &Simulation, client: NodeId) -> usize {
     sim.actor_as::<BaseClient>(client).unwrap().completed.len()
 }
 
-/// The upgraded group as service-independent handles: one per machine,
-/// typed by the file system installed there now.
-fn upgraded_group() -> [ReplicaRef; 4] {
-    [
-        ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(NodeId(0)),
-        ReplicaRef::of::<BaseService<NfsWrapper<FlatFs>>>(NodeId(1)),
-        ReplicaRef::of::<BaseService<NfsWrapper<LogFs>>>(NodeId(2)),
-        ReplicaRef::of::<BaseService<NfsWrapper<BtreeFs>>>(NodeId(3)),
-    ]
-}
-
 fn main() {
     let mut cfg = Config::new(4);
     cfg.checkpoint_interval = 16;
     let mut sim = Simulation::new(2026);
-    let dir = base_crypto::KeyDirectory::generate(5, 2026);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
 
     // Day 0: a homogeneous deployment — all four machines run the same
     // vendor release (with a latent bug nobody knows about yet).
-    for i in 0..4 {
-        let keys = base_crypto::NodeKeys::new(dir.clone(), i);
-        sim.add_node(Box::new(InodeReplica::new(
-            cfg.clone(),
-            keys,
-            BaseService::new(NfsWrapper::with_capacity(InodeFs::new(0x50 + i as u64, &mut rng), CAP)),
-        )));
-    }
-    let client = sim.add_node(Box::new(BaseClient::new(
-        cfg.clone(),
-        base_crypto::NodeKeys::new(dir.clone(), 4),
-    )));
+    let mut group = Deployment::build(&mut sim, cfg, 1, 2026, |i| {
+        service(InodeFs::new(0x50 + i as u64, &mut rng))
+    });
+    let client = group.clients[0];
     println!("day 0: homogeneous group — 4x inode-fs (same vendor, same latent bug)\n");
 
     // Build up some state.
@@ -98,26 +79,12 @@ fn main() {
         [(1, "flat-fs (path-table)"), (2, "log-fs (log-structured)"), (3, "btree-fs (BTree)")];
     for (step, (node, label)) in upgrades.into_iter().enumerate() {
         println!("\nupgrade {}: reinstalling machine {node} with {label}", step + 1);
-        let keys = base_crypto::NodeKeys::new(dir.clone(), node);
         let seed = 0x70 + node as u64;
-        let actor: Box<dyn base_simnet::Actor> = match node {
-            1 => Box::new(FlatReplica::new(
-                cfg.clone(),
-                keys,
-                BaseService::new(NfsWrapper::with_capacity(FlatFs::new(seed, &mut rng), CAP)),
-            )),
-            2 => Box::new(LogReplica::new(
-                cfg.clone(),
-                keys,
-                BaseService::new(NfsWrapper::with_capacity(LogFs::new(seed, &mut rng), CAP)),
-            )),
-            _ => Box::new(BtreeReplica::new(
-                cfg.clone(),
-                keys,
-                BaseService::new(NfsWrapper::with_capacity(BtreeFs::new(seed, &mut rng), CAP)),
-            )),
+        match node {
+            1 => group.replace(&mut sim, node, service(FlatFs::new(seed, &mut rng))),
+            2 => group.replace(&mut sim, node, service(LogFs::new(seed, &mut rng))),
+            _ => group.replace(&mut sim, node, service(BtreeFs::new(seed, &mut rng))),
         };
-        sim.replace_node(NodeId(node), actor);
 
         // Traffic continues while the newcomer state-transfers: the
         // abstract objects it fetches are installed through *its own*
@@ -140,14 +107,14 @@ fn main() {
 
     // All four replicas now expose identical abstract state from four
     // different concrete representations.
-    let roots = upgraded_group().map(|r| r.get(&sim).state_root());
+    let roots: Vec<_> = group.replicas.iter().map(|r| r.get(&sim).state_root()).collect();
     assert!(roots.iter().all(|r| *r == roots[0]), "abstract states diverged: {roots:?}");
     println!("\nall 4 implementations expose byte-identical abstract state");
     println!("  (inode table / path table / log / BTree underneath)");
 
     // The latent bug finally fires on the one remaining original machine —
     // but it is now a minority of one, and the group masks it.
-    sim.actor_as_mut::<InodeReplica>(NodeId(0))
+    sim.actor_as_mut::<InodeReplica>(group.replicas[0].node)
         .unwrap()
         .service_mut()
         .wrapper_mut()

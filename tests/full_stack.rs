@@ -10,50 +10,39 @@ use base_nfs::relay::{run_to_completion, RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
 use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
 use base_pbft::chaos::Group;
-use base_pbft::{ByzMode, Config, ReplicaRef, Service as _};
+use base_pbft::{ByzMode, Config, Deployment, ReplicaRef, Service as _};
 use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 use rand::SeedableRng;
 
 const CAP: u64 = 1024;
 
-type R0 = BaseReplica<NfsWrapper<InodeFs>>;
 type R1 = BaseReplica<NfsWrapper<FlatFs>>;
 type R2 = BaseReplica<NfsWrapper<LogFs>>;
 type R3 = BaseReplica<NfsWrapper<BtreeFs>>;
 
-fn build(sim: &mut Simulation, script: Vec<NfsOp>, seed: u64, cfg: Config) -> (Vec<NodeId>, NodeId) {
-    let dir = base_crypto::KeyDirectory::generate(5, seed);
+fn service<F: NfsServer>(fs: F) -> BaseService<NfsWrapper<F>> {
+    BaseService::new(NfsWrapper::with_capacity(fs, CAP))
+}
+
+/// Four replicas, each behind the one interface that does not name its
+/// file system, and the relay.
+fn build(
+    sim: &mut Simulation,
+    script: Vec<NfsOp>,
+    seed: u64,
+    cfg: Config,
+) -> (Vec<ReplicaRef>, NodeId) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let keys = |i| base_crypto::NodeKeys::new(dir.clone(), i);
-    let nodes = vec![
-        sim.add_node(Box::new(R0::new(
-            cfg.clone(),
-            keys(0),
-            BaseService::new(NfsWrapper::with_capacity(InodeFs::new(1, &mut rng), CAP)),
-        ))),
-        sim.add_node(Box::new(R1::new(
-            cfg.clone(),
-            keys(1),
-            BaseService::new(NfsWrapper::with_capacity(FlatFs::new(2, &mut rng), CAP)),
-        ))),
-        sim.add_node(Box::new(R2::new(
-            cfg.clone(),
-            keys(2),
-            BaseService::new(NfsWrapper::with_capacity(LogFs::new(3, &mut rng), CAP)),
-        ))),
-        sim.add_node(Box::new(R3::new(
-            cfg.clone(),
-            keys(3),
-            BaseService::new(NfsWrapper::with_capacity(BtreeFs::new(4, &mut rng), CAP)),
-        ))),
-    ];
-    for (i, n) in nodes.iter().enumerate() {
-        sim.config_mut().set_clock_skew(*n, SimDuration::from_millis(23 * i as u64));
+    let mut d = Deployment::new(cfg, 1, seed);
+    d.replica(sim, service(InodeFs::new(1, &mut rng)));
+    d.replica(sim, service(FlatFs::new(2, &mut rng)));
+    d.replica(sim, service(LogFs::new(3, &mut rng)));
+    d.replica(sim, service(BtreeFs::new(4, &mut rng)));
+    for (i, r) in d.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(23 * i as u64));
     }
-    let relay_keys = base_crypto::NodeKeys::new(dir, 4);
-    let relay =
-        sim.add_node(Box::new(RelayActor::new(cfg, relay_keys, ScriptDriver::new(script))));
-    (nodes, relay)
+    let relay = d.client(sim, |cfg, keys| RelayActor::new(cfg, keys, ScriptDriver::new(script)));
+    (d.replicas, relay)
 }
 
 fn small_cfg() -> Config {
@@ -81,30 +70,19 @@ fn workload(files: u32) -> Vec<NfsOp> {
     script
 }
 
-/// The four replicas behind the one interface that does not name their
-/// file systems.
-fn handles(nodes: &[NodeId]) -> [ReplicaRef; 4] {
-    [
-        ReplicaRef::of::<BaseService<NfsWrapper<InodeFs>>>(nodes[0]),
-        ReplicaRef::of::<BaseService<NfsWrapper<FlatFs>>>(nodes[1]),
-        ReplicaRef::of::<BaseService<NfsWrapper<LogFs>>>(nodes[2]),
-        ReplicaRef::of::<BaseService<NfsWrapper<BtreeFs>>>(nodes[3]),
-    ]
-}
-
-fn roots(sim: &Simulation, nodes: &[NodeId]) -> Vec<base_crypto::Digest> {
-    handles(nodes).iter().map(|r| r.get(sim).state_root()).collect()
+fn roots(sim: &Simulation, replicas: &[ReplicaRef]) -> Vec<base_crypto::Digest> {
+    replicas.iter().map(|r| r.get(sim).state_root()).collect()
 }
 
 #[test]
 fn view_change_during_file_workload() {
     let mut sim = Simulation::new(81);
-    let (nodes, relay) = build(&mut sim, workload(16), 81, small_cfg());
+    let (replicas, relay) = build(&mut sim, workload(16), 81, small_cfg());
 
     // Kill the primary shortly after the workload starts: the view change
     // must happen mid-stream and the workload must still complete.
     sim.run_for(SimDuration::from_millis(5));
-    sim.crash_forever(nodes[0]);
+    sim.crash_forever(replicas[0].node);
 
     let ok = run_to_completion(
         &mut sim,
@@ -115,10 +93,10 @@ fn view_change_during_file_workload() {
     let actor = sim.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap();
     assert_eq!(actor.stats.errors, 0);
     // The three survivors agree.
-    let r = roots(&sim, &nodes);
+    let r = roots(&sim, &replicas);
     assert_eq!(r[1], r[2]);
     assert_eq!(r[1], r[3]);
-    assert!(sim.actor_as::<R1>(nodes[1]).unwrap().view() >= 1, "view must have changed");
+    assert!(sim.actor_as::<R1>(replicas[1].node).unwrap().view() >= 1, "view must have changed");
 }
 
 #[test]
@@ -127,7 +105,7 @@ fn lossy_network_full_stack() {
     let lossy_until = SimTime::from_secs(120);
     let mut sim = Simulation::new(82);
     sim.add_fault(NetFault::Drop { prob: 0.03 }, SimTime::ZERO, lossy_until);
-    let (nodes, relay) = build(&mut sim, workload(12), 82, small_cfg());
+    let (replicas, relay) = build(&mut sim, workload(12), 82, small_cfg());
     let ok = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
@@ -135,19 +113,19 @@ fn lossy_network_full_stack() {
     );
     assert!(ok, "workload must complete despite 3% message loss");
     sim.run_until(lossy_until + SimDuration::from_secs(30));
-    let r = roots(&sim, &nodes);
+    let r = roots(&sim, &replicas);
     assert!(r.iter().all(|d| *d == r[0]), "replicas diverged: {r:?}");
 }
 
 #[test]
 fn partition_heals_and_group_catches_up() {
     let mut sim = Simulation::new(83);
-    let (nodes, relay) = build(&mut sim, workload(20), 83, small_cfg());
+    let (replicas, relay) = build(&mut sim, workload(20), 83, small_cfg());
 
     // Partition one backup away mid-run for a minute; the other three
     // keep going.
     let (cut, healed) = (SimTime::from_millis(20), SimTime::from_secs(60));
-    sim.add_fault(NetFault::Partition { nodes: vec![nodes[3]] }, cut, healed);
+    sim.add_fault(NetFault::Partition { nodes: vec![replicas[3].node] }, cut, healed);
     sim.run_until(cut);
     let ok = run_to_completion(
         &mut sim,
@@ -158,10 +136,10 @@ fn partition_heals_and_group_catches_up() {
 
     // Heal: the isolated replica must catch up via state transfer.
     sim.run_until(healed + SimDuration::from_secs(30));
-    let r = roots(&sim, &nodes);
+    let r = roots(&sim, &replicas);
     assert!(r.iter().all(|d| *d == r[0]), "healed replica diverged: {r:?}");
     assert!(
-        sim.actor_as::<R3>(nodes[3]).unwrap().stats.state_transfers >= 1,
+        sim.actor_as::<R3>(replicas[3].node).unwrap().stats.state_transfers >= 1,
         "the partitioned replica must have state-transferred"
     );
 }
@@ -172,7 +150,7 @@ fn proactive_recovery_with_heterogeneous_implementations() {
     cfg.recovery_period = Some(SimDuration::from_secs(10));
     cfg.reboot_time = SimDuration::from_millis(200);
     let mut sim = Simulation::new(84);
-    let (nodes, relay) = build(&mut sim, workload(16), 84, cfg);
+    let (replicas, relay) = build(&mut sim, workload(16), 84, cfg);
 
     let ok = run_to_completion(
         &mut sim,
@@ -183,12 +161,12 @@ fn proactive_recovery_with_heterogeneous_implementations() {
     // A full rotation: every implementation is rebuilt from the abstract
     // state through its own inverse abstraction function.
     sim.run_for(SimDuration::from_secs(15));
-    let recoveries: u64 = handles(&nodes).iter().map(|r| r.get(&sim).stats().recoveries).sum();
+    let recoveries: u64 = replicas.iter().map(|r| r.get(&sim).stats().recoveries).sum();
     assert!(recoveries >= 4, "every replica should have recovered, saw {recoveries}");
-    let r = roots(&sim, &nodes);
+    let r = roots(&sim, &replicas);
     assert!(r.iter().all(|d| *d == r[0]), "post-recovery divergence: {r:?}");
     // The rebuilt concrete states answer reads correctly.
-    let w = sim.actor_as::<R2>(nodes[2]).unwrap().service().wrapper();
+    let w = sim.actor_as::<R2>(replicas[2].node).unwrap().service().wrapper();
     assert!(w.allocated() >= 17, "objects restored: {}", w.allocated());
 }
 
@@ -196,13 +174,13 @@ fn proactive_recovery_with_heterogeneous_implementations() {
 fn deterministic_end_to_end() {
     let run = |seed: u64| {
         let mut sim = Simulation::new(seed);
-        let (nodes, relay) = build(&mut sim, workload(10), seed, small_cfg());
+        let (replicas, relay) = build(&mut sim, workload(10), seed, small_cfg());
         run_to_completion(
             &mut sim,
             |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
             SimDuration::from_secs(60),
         );
-        (roots(&sim, &nodes), sim.stats().messages_delivered, sim.stats().bytes_delivered)
+        (roots(&sim, &replicas), sim.stats().messages_delivered, sim.stats().bytes_delivered)
     };
     assert_eq!(run(4242), run(4242), "same seed must give identical histories");
 }
@@ -251,8 +229,8 @@ fn group_handles_agree_with_typed_downcasts() {
     let mut cfg = small_cfg();
     cfg.reboot_time = SimDuration::from_millis(200);
     let mut sim = Simulation::new(85);
-    let (nodes, relay) = build(&mut sim, script, 85, cfg);
-    let group = Group::new(&mut sim, handles(&nodes).to_vec());
+    let (replicas, relay) = build(&mut sim, script, 85, cfg);
+    let group = Group::new(&mut sim, replicas.clone());
     let ok = run_to_completion(
         &mut sim,
         |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
@@ -261,10 +239,10 @@ fn group_handles_agree_with_typed_downcasts() {
     assert!(ok);
 
     let typed = [
-        typed_snapshot::<InodeFs>(&sim, nodes[0], ops),
-        typed_snapshot::<FlatFs>(&sim, nodes[1], ops),
-        typed_snapshot::<LogFs>(&sim, nodes[2], ops),
-        typed_snapshot::<BtreeFs>(&sim, nodes[3], ops),
+        typed_snapshot::<InodeFs>(&sim, replicas[0].node, ops),
+        typed_snapshot::<FlatFs>(&sim, replicas[1].node, ops),
+        typed_snapshot::<LogFs>(&sim, replicas[2].node, ops),
+        typed_snapshot::<BtreeFs>(&sim, replicas[3].node, ops),
     ];
     for ((node, r), typed) in group.members(&sim).into_iter().zip(&typed) {
         let through_handle = Snapshot {
@@ -289,17 +267,17 @@ fn group_handles_agree_with_typed_downcasts() {
 
     // The mutators, observed through the concrete types.
     group.replicas[1].get_mut(&mut sim).set_byzantine(ByzMode::Mute);
-    assert_eq!(sim.actor_as::<R1>(nodes[1]).unwrap().byzantine(), ByzMode::Mute);
+    assert_eq!(sim.actor_as::<R1>(replicas[1].node).unwrap().byzantine(), ByzMode::Mute);
     group.replicas[1].get_mut(&mut sim).set_byzantine(ByzMode::Honest);
     group.replicas[2].get_mut(&mut sim).corrupt_service_state(7);
-    assert_eq!(sim.actor_as::<R2>(nodes[2]).unwrap().byzantine(), ByzMode::CorruptState);
+    assert_eq!(sim.actor_as::<R2>(replicas[2].node).unwrap().byzantine(), ByzMode::CorruptState);
     group.replicas[2].get_mut(&mut sim).trigger_recovery();
     sim.run_for(SimDuration::from_secs(10));
-    let repaired = sim.actor_as::<R2>(nodes[2]).unwrap();
+    let repaired = sim.actor_as::<R2>(replicas[2].node).unwrap();
     assert_eq!(repaired.stats.recoveries, 1, "the triggered recovery ran");
     // The recovery's state transfer replaced the corrupted objects, which
     // clears the mark.
     assert_eq!(repaired.byzantine(), ByzMode::Honest);
-    let r = roots(&sim, &nodes);
+    let r = roots(&sim, &replicas);
     assert!(r.iter().all(|d| *d == r[0]), "post-repair divergence: {r:?}");
 }
