@@ -13,7 +13,7 @@ use crate::report::{pct, Table};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
-use base_simnet::{SimDuration, Simulation};
+use base_simnet::{SimDuration, SimTime, Simulation};
 
 use crate::setup::{build_replicated_nfs, run_relay_to_completion, FsMix};
 
@@ -89,18 +89,17 @@ pub fn measure_catch_up(
     );
     let relay = bed.clients[0];
 
-    // Run phase A with everyone up.
+    // Run phase A with everyone up, and stop the moment it completes: the
+    // sleeper then misses every write of phase B, whatever the pace.
     let done_a = |s: &Simulation| {
         s.actor_as::<RelayActor<ScriptDriver>>(relay)
             .map(|r| r.stats.ops >= phase_a_ops as u64)
             .unwrap_or(false)
     };
-    let mut guard = 0;
-    while !done_a(&sim) && guard < 20_000 {
-        sim.run_for(SimDuration::from_millis(20));
-        guard += 1;
+    while !done_a(&sim) {
+        let live = sim.step() && sim.now() < SimTime::from_secs(400);
+        assert!(live, "phase A did not finish");
     }
-    assert!(done_a(&sim), "phase A did not finish");
 
     // Replica 3 sleeps through phase B.
     let sleeper = bed.replicas[3];

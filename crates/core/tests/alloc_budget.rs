@@ -1,8 +1,8 @@
 //! Allocation budget of one replicated operation.
 //!
 //! A message is encoded once and hashed where it lies (DESIGN.md §11): the
-//! normal-case path allocates once per message sent and nothing per digest
-//! or signature check, and an authenticator of a four-replica group lives
+//! normal-case path allocates once per message sent and nothing per
+//! digest, and an authenticator of a four-replica group lives
 //! in place, so building one and decoding a prepare or commit allocate
 //! nothing (§11.6). This test holds that in place with a counting
 //! allocator: it drives a four-replica `KvWrapper` group and one client
@@ -23,7 +23,7 @@
 
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseService, Config};
-use base_crypto::{Authenticator, Digest, KeyDirectory, Mac, NodeKeys, Signature};
+use base_crypto::{Authenticator, Digest, KeyDirectory, Mac, NodeKeys};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
 use base_pbft::{Deployment, Message};
 use base_simnet::{NodeId, Simulation};
@@ -142,9 +142,8 @@ type Row = (&'static str, Vec<u64>, Option<u64>);
 /// Per-message operations, counted one call at a time on messages shaped
 /// like the ones a 16-byte `put` produces. Pinned is what this budget
 /// exists to keep: one allocation per message sent (the `Arc<[u8]>` it
-/// travels in), none per digest or signature check, and none to build an
-/// authenticator or to decode the two messages that carry nothing else
-/// of variable size.
+/// travels in), none per digest, and none to build an authenticator or to
+/// decode the two messages that carry nothing else of variable size.
 fn census() -> Vec<Row> {
     let dir = KeyDirectory::generate(5, SEED);
     let client = NodeKeys::new(dir.clone(), 4);
@@ -162,11 +161,10 @@ fn census() -> Vec<Row> {
         mac: Mac([0; 8]),
     };
     let mut pp = PrePrepareMsg::new(0, 1, vec![request.clone()], 7u64.to_be_bytes().to_vec());
-    pp.auth = Authenticator::generate(&replica, 4, &pp.batch_digest());
+    pp.auth = Authenticator::generate(&replica, 4, &pp.digest());
     let auth = pp.auth.clone();
     let (view, seq, digest) = (0, 1, pp.batch_digest());
-    let prepare =
-        PrepareMsg { view, seq, digest, replica: 1, auth: auth.clone(), sig: Signature([0; 32]) };
+    let prepare = PrepareMsg { view, seq, digest, replica: 1, auth: auth.clone() };
     let commit = CommitMsg { view, seq, digest, replica: 1, auth };
     let msgs = [
         Message::Request(request.clone()),
@@ -199,11 +197,10 @@ fn census() -> Vec<Row> {
             Some(0),
         ),
         (
-            "`PrepareMsg` / `CommitMsg::with_signed_bytes`: digest and signature check",
+            "`PrePrepareMsg::digest()` / `PrepareMsg` / `CommitMsg::with_signed_bytes`: the digest an authenticator covers",
             vec![
-                allocs_in(|| {
-                    prepare.with_signed_bytes(|b| (Digest::of(b), replica.verify(1, b, &prepare.sig)))
-                }),
+                allocs_in(|| warm_pp.digest()),
+                allocs_in(|| prepare.with_signed_bytes(Digest::of)),
                 allocs_in(|| commit.with_signed_bytes(Digest::of)),
             ],
             Some(0),
@@ -235,8 +232,9 @@ fn hostile_new_view(stable_proof: u32) -> Vec<u8> {
     let mut frame = vec![0u8; FRAME_LEN];
     frame[..4].copy_from_slice(&7u32.to_be_bytes()); // the `NewView` tag; `view` follows
     frame[12..16].copy_from_slice(&16_380u32.to_be_bytes());
-    // new_view, stable_seq and stable_digest of the first element, then:
-    frame[64..68].copy_from_slice(&stable_proof.to_be_bytes());
+    // new_view, firm, stable_seq and stable_digest of the first element,
+    // then:
+    frame[68..72].copy_from_slice(&stable_proof.to_be_bytes());
     frame
 }
 
@@ -260,10 +258,10 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
         println!("| {what} | {} |", counts.join(" / "));
     }
     // No element of the first frame decodes, so what it measures is the
-    // reservation alone. The second is all zeros, which *is* 712 well-formed
+    // reservation alone. The second is all zeros, which *is* 655 well-formed
     // empty view changes before the frame runs out: memory that arrives,
-    // a constant factor of the frame (136 bytes an element in memory for
-    // 92 on the wire, times `Vec`'s doubling), printed and not pinned.
+    // a constant factor of the frame (160 bytes an element in memory for
+    // 100 on the wire, times `Vec`'s doubling), printed and not pinned.
     let largest_rejecting = |stable_proof| {
         let frame = hostile_new_view(stable_proof);
         largest_alloc_in(|| assert!(Message::from_wire(&frame).is_none()))
@@ -279,7 +277,7 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
     });
     println!(
         "| largest single allocation rejecting a {FRAME_LEN} B `NewView` frame that claims \
-         16 380 view changes: none decodes / 712 empty ones do | {reserved} B / {arrived} B |"
+         16 380 view changes: none decodes / 655 empty ones do | {reserved} B / {arrived} B |"
     );
     println!(
         "| largest single allocation rejecting a {FRAME_LEN} B authenticator that claims \

@@ -2,10 +2,16 @@
 //!
 //! Normal-case protocol messages are multicast to all replicas. Instead of
 //! a signature, the sender appends an *authenticator*: a vector with one
-//! truncated MAC per replica, where entry `j` is computed under the session
-//! key shared between the sender and replica `j`. Each receiver checks only
-//! its own entry. This is PBFT's key performance optimization — MACs are
-//! orders of magnitude cheaper than signatures.
+//! truncated MAC per replica, where the entry for `j` is computed under the
+//! session key shared between the sender and replica `j`. Each receiver
+//! checks only its own entry. This is PBFT's key performance optimization —
+//! MACs are orders of magnitude cheaper than signatures.
+//!
+//! A sender that is one of the receivers (a replica multicasting to its
+//! group) keeps no entry for itself: the vector holds the other `n - 1` in
+//! id order, so a receiver after the sender finds its entry one place
+//! earlier. A sender outside them (a client) has an entry for each of the
+//! `n`, at its receiver's id.
 //!
 //! A tag is SipHash-2-4 of the message's SHA-256 digest under the 128-bit
 //! session key: the role UMAC32 plays in the BFT library, a 64-bit tag
@@ -13,6 +19,7 @@
 //! message; the forgery bound is the tag's, 2⁻⁶⁴ an attempt (`DESIGN.md`
 //! §11.5).
 
+use crate::census::count;
 use crate::digest::Digest;
 use crate::keys::{NodeKeys, SessionKey};
 use crate::siphash::siphash24;
@@ -98,16 +105,17 @@ impl Authenticator {
         }
     }
 
-    /// Generates an authenticator over `digest` for receivers `0..n`.
-    ///
-    /// The sender's own slot is filled with a self-MAC so indices line up;
-    /// it is never checked.
+    /// Generates an authenticator over `digest` for receivers `0..n`,
+    /// less the sender if it is one of them.
     pub fn generate(keys: &NodeKeys, n: usize, digest: &Digest) -> Self {
-        let mut auth = Self::zeroed(n);
+        let member = keys.id() < n;
+        let mut auth = Self::zeroed(n - usize::from(member));
         let mut slots = auth.macs_mut().iter_mut();
         keys.for_each_key_to(n, |key| {
             *slots.next().expect("one slot per receiver") = Mac::compute(key, digest);
         });
+        let tags = auth.len() as u64;
+        count(|c| if member { c.member_tags += tags } else { c.outside_tags += tags });
         auth
     }
 
@@ -115,20 +123,26 @@ impl Authenticator {
     /// A `to` that is not a node of the directory shares no key with
     /// anyone: it gets the all-zero tag, which verifies nowhere.
     pub fn point(keys: &NodeKeys, to: usize, digest: &Digest) -> Mac {
+        count(|c| c.point_tags += 1);
         keys.key_to(to).map_or(Mac([0; MAC_LEN]), |key| Mac::compute(&key, digest))
     }
 
     /// Checks a point-to-point MAC received from `from`. `from` is
     /// whatever the frame claims: an id outside the directory fails here.
     pub fn check_point(keys: &NodeKeys, from: usize, digest: &Digest, mac: &Mac) -> bool {
+        count(|c| c.tag_checks += 1);
         keys.key_from(from).is_some_and(|key| Mac::verify(&key, digest, mac))
     }
 
     /// Checks this receiver's entry, for a message received from `from`
-    /// (as claimed by the frame; an id outside the directory fails).
+    /// (as claimed by the frame; an id outside the directory fails, and so
+    /// does the receiver's own id, which has no entry).
     pub fn check(&self, keys: &NodeKeys, from: usize, digest: &Digest) -> bool {
-        match (self.macs().get(keys.id()), keys.key_from(from)) {
-            (Some(mac), Some(key)) => Mac::verify(&key, digest, mac),
+        count(|c| c.tag_checks += 1);
+        let me = keys.id();
+        let slot = if from < me { me - 1 } else { me };
+        match (self.macs().get(slot), keys.key_from(from)) {
+            (Some(mac), Some(key)) if from != me => Mac::verify(&key, digest, mac),
             _ => false,
         }
     }
@@ -246,15 +260,36 @@ mod tests {
     #[test]
     fn generate_matches_per_key_macs() {
         // generate() (every key in one visit to the directory) must
-        // produce exactly the tags the key-by-key path produces.
-        let (a, _, _) = setup();
+        // produce exactly the tags the key-by-key path produces, for the
+        // other receivers in id order: node 1's own slot is left out.
+        let (_, b, _) = setup();
         for payload in [&b"msg"[..], b"", b"another multicast payload"] {
             let d = Digest::of(payload);
-            let auth = Authenticator::generate(&a, 4, &d);
-            for j in 0..4 {
-                assert_eq!(auth.macs()[j], Mac::compute(&a.key_to(j).unwrap(), &d), "entry {j}");
+            let auth = Authenticator::generate(&b, 4, &d);
+            assert_eq!(auth.len(), 3);
+            for (slot, j) in [0, 2, 3].into_iter().enumerate() {
+                let want = Mac::compute(&b.key_to(j).unwrap(), &d);
+                assert_eq!(auth.macs()[slot], want, "entry for {j}");
             }
         }
+    }
+
+    #[test]
+    fn a_sender_outside_the_receivers_keeps_every_slot() {
+        let dir = KeyDirectory::generate(5, 3);
+        let (client, replica) = (NodeKeys::new(dir.clone(), 4), NodeKeys::new(dir, 2));
+        let d = Digest::of(b"request");
+        let auth = Authenticator::generate(&client, 4, &d);
+        assert_eq!(auth.len(), 4);
+        assert_eq!(auth.macs()[2], Mac::compute(&client.key_to(2).unwrap(), &d));
+        assert!(auth.check(&replica, 4, &d));
+    }
+
+    #[test]
+    fn the_sender_has_no_entry_of_its_own() {
+        let (a, _, _) = setup();
+        let d = Digest::of(b"msg");
+        assert!(!Authenticator::generate(&a, 4, &d).check(&a, 0, &d));
     }
 
     #[test]
@@ -275,9 +310,10 @@ mod tests {
             assert!(matches!(auth.tags, Tags::Inline { .. }), "n = {n}");
         }
         // Only nodes of the directory have keys, so the spill case needs
-        // a larger one.
-        let big = NodeKeys::new(KeyDirectory::generate(INLINE + 1, 3), 0);
-        assert!(matches!(Authenticator::generate(&big, INLINE + 1, &d).tags, Tags::Heap(_)));
+        // a larger one; a member sender keeps one tag fewer than receivers.
+        let big = NodeKeys::new(KeyDirectory::generate(INLINE + 2, 3), 0);
+        assert!(matches!(Authenticator::generate(&big, INLINE + 1, &d).tags, Tags::Inline { .. }));
+        assert!(matches!(Authenticator::generate(&big, INLINE + 2, &d).tags, Tags::Heap(_)));
     }
 
     #[test]

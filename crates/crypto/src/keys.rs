@@ -80,8 +80,8 @@ impl NodeKeys {
         self.dir.session_key(self.id, to)
     }
 
-    /// Calls `f` with `key_to(j)` for each `j` in `0..n`, in order, in one
-    /// visit to the directory.
+    /// Calls `f` with `key_to(j)` for each `j` in `0..n` but this node's
+    /// own id, in order, in one visit to the directory.
     pub(crate) fn for_each_key_to(&self, n: usize, f: impl FnMut(&SessionKey)) {
         self.dir.for_each_key_to(self.id, n, f);
     }

@@ -14,8 +14,10 @@
 //!   validated against the SipHash paper's vector and `std`'s SipHasher.
 //! - [`digest`]: the 32-byte [`Digest`] type used throughout the system.
 //! - [`auth`]: PBFT-style *authenticators* — vectors of pairwise 8-byte
-//!   MACs, one per replica — used for normal-case point-to-point and
+//!   MACs, one per receiver — used for normal-case point-to-point and
 //!   multicast authentication.
+//! - [`census`]: per-thread counts of the signatures and tags made and
+//!   checked, which tier-1 pins for one replicated write.
 //! - [`keys`]: per-node key material, pairwise session-key derivation, and
 //!   the key-refresh used by proactive recovery.
 //! - [`fec`]: systematic Reed–Solomon erasure coding over GF(2⁸); called
@@ -37,6 +39,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod auth;
+pub mod census;
 pub mod digest;
 pub mod fec;
 pub mod hmac;
@@ -46,6 +49,7 @@ pub mod sig;
 mod siphash;
 
 pub use auth::{Authenticator, Mac, MAC_LEN};
+pub use census::{census, Census};
 pub use digest::{digest_of, Digest, DIGEST_LEN};
 pub use hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
 pub use keys::{KeyPair, NodeKeys, SessionKey, SECRET_LEN};

@@ -15,6 +15,7 @@
 //! for another node. Third-party verifiability holds because any handle can
 //! verify any signer.
 
+use crate::census::count;
 use crate::hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
 use crate::keys::{SessionKey, SECRET_LEN};
 use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
@@ -154,8 +155,9 @@ impl KeyDirectory {
     }
 
     /// Calls `f` with the session key from `sender` to each receiver in
-    /// `0..n`, in order, holding the read lock across all of them (a
-    /// multicast authenticator needs every one of its sender's keys).
+    /// `0..n` other than `sender` itself, in order, holding the read lock
+    /// across all of them (a multicast authenticator needs every one of
+    /// its sender's keys).
     ///
     /// Panics if `sender` or a receiver is not a node of this directory
     /// (both come from the caller's configuration, not from a frame).
@@ -163,6 +165,10 @@ impl KeyDirectory {
         let mut inner = self.inner.read().expect("key directory poisoned");
         let mut receiver = 0;
         while receiver < n {
+            if receiver == sender {
+                receiver += 1;
+                continue;
+            }
             let slot = inner.slot(sender, receiver).expect("receivers are nodes");
             match &inner.session[slot] {
                 Some(key) => {
@@ -201,11 +207,13 @@ impl KeyDirectory {
 
     /// Signs `message` as `node`.
     pub(crate) fn sign(&self, node: usize, message: &[u8]) -> Signature {
+        count(|c| c.signs += 1);
         self.signature(node, message).expect("signer is a node of this directory")
     }
 
     /// Verifies that `sig` is `signer`'s signature over `message`.
     pub fn verify(&self, signer: usize, message: &[u8], sig: &Signature) -> bool {
+        count(|c| c.sig_checks += 1);
         self.signature(signer, message)
             .is_some_and(|expected| verify_tag(&expected.0, &sig.0))
     }

@@ -91,10 +91,12 @@ proptest! {
     }
 
     /// The authenticator's layout on both sides of the inline boundary
-    /// (four tags): for every group size its wire bytes are the counted
-    /// array of its tags, they decode back to it, and every receiver —
-    /// the sender's own slot included — accepts its entry and rejects it
-    /// with any one bit flipped.
+    /// (four tags), for every group size and a sender inside the group
+    /// (which keeps no slot for itself) or outside it (a client, with a
+    /// slot for every receiver): its wire bytes are the counted array of
+    /// its tags for the other receivers in id order, they decode back to
+    /// it, and every receiver accepts its entry and rejects it with any
+    /// one bit flipped.
     #[test]
     fn authenticator_layout_is_invisible(
         n in 1usize..=10,
@@ -103,24 +105,27 @@ proptest! {
         bit in 0usize..64,
         seed: u64,
     ) {
-        let sender = sender_raw % n;
-        let dir = KeyDirectory::generate(n, seed);
-        let keys: Vec<NodeKeys> = (0..n).map(|i| NodeKeys::new(dir.clone(), i)).collect();
+        // Node `n` is outside the group of receivers `0..n`.
+        let sender = sender_raw % (n + 1);
+        let dir = KeyDirectory::generate(n + 1, seed);
+        let keys: Vec<NodeKeys> = (0..=n).map(|i| NodeKeys::new(dir.clone(), i)).collect();
         let d = Digest(raw);
         let auth = Authenticator::generate(&keys[sender], n, &d);
-        prop_assert_eq!(auth.len(), n);
+        let receivers: Vec<usize> = (0..n).filter(|j| *j != sender).collect();
+        prop_assert_eq!(auth.len(), receivers.len());
 
-        let tags: Vec<Mac> = (0..n).map(|j| Authenticator::point(&keys[sender], j, &d)).collect();
+        let tags: Vec<Mac> =
+            receivers.iter().map(|&j| Authenticator::point(&keys[sender], j, &d)).collect();
         let wire = base_xdr::to_bytes(&auth);
         prop_assert_eq!(&wire, &base_xdr::to_bytes(&tags));
         prop_assert_eq!(&base_xdr::from_bytes::<Authenticator>(&wire).unwrap(), &auth);
 
-        for (i, k) in keys.iter().enumerate() {
-            prop_assert!(auth.check(k, sender, &d), "receiver {}", i);
+        for (slot, &i) in receivers.iter().enumerate() {
+            prop_assert!(auth.check(&keys[i], sender, &d), "receiver {}", i);
             let mut flipped = wire.clone();
-            flipped[4 + i * base_crypto::MAC_LEN + bit / 8] ^= 1 << (bit % 8);
+            flipped[4 + slot * base_crypto::MAC_LEN + bit / 8] ^= 1 << (bit % 8);
             let forged = base_xdr::from_bytes::<Authenticator>(&flipped).unwrap();
-            prop_assert!(!forged.check(k, sender, &d), "receiver {} bit {}", i, bit);
+            prop_assert!(!forged.check(&keys[i], sender, &d), "receiver {} bit {}", i, bit);
         }
     }
 

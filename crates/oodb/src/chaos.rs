@@ -99,11 +99,6 @@ impl OodbChaosHarness {
         campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
     }
 
-    /// The replica group of the run last built.
-    pub fn group(&self) -> &Group {
-        &self.group
-    }
-
     fn check_reply(
         &self,
         client: usize,
@@ -257,12 +252,11 @@ impl ChaosHarness for OodbChaosHarness {
     }
 
     fn liveness_bounds(&self) -> LivenessBounds {
-        // No view-convergence bound, and no view-agreement audit below: a
-        // replica that starts a view change alone escalates through views by
-        // itself and never rejoins (seed 201 of the blessed metrics
-        // campaign). Recorded as `lone_view_changer_rejoins` in
-        // `tests/chaos_oodb.rs`; both checks go in when that test passes.
-        LivenessBounds { view_convergence: None, ..CAMPAIGN_BOUNDS }
+        CAMPAIGN_BOUNDS
+    }
+
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        self.group.members(sim).iter().map(|(_, r)| r.status()).collect()
     }
 
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
@@ -281,6 +275,7 @@ impl ChaosHarness for OodbChaosHarness {
         }
 
         let all = self.group.members(sim);
+        self.group.audit_view_agreement(&all)?;
         self.group.audit_stable_digests(&all)?;
         self.group.audit_retained_checkpoints(&all)?;
 

@@ -4,13 +4,11 @@
 //! crashes, partitions, Byzantine flips and latent corruption compose.
 
 use base_oodb::chaos::OodbChaosHarness;
-use base_pbft::chaos::{APP_CORRUPT_STATE, APP_RECOVER, CAMPAIGN_BOUNDS};
-use base_simnet::chaos::{
-    run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds,
-};
+use base_pbft::chaos::{APP_CORRUPT_STATE, APP_RECOVER};
+use base_simnet::chaos::{run_campaign, run_one, CampaignMode, FaultSchedule};
 use base_simnet::NetFault;
 use base_simnet::tracediff::{divergence_report, first_divergence};
-use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
+use base_simnet::{NodeId, SimDuration, SimTime};
 
 /// The trace-diff lab on the OODB testbed: a clean run and a same-seed run
 /// with an injected corruption+recovery produce protocol traces whose
@@ -87,62 +85,16 @@ fn oodb_campaign_passes_audit_with_coverage() {
     report.write_coverage("oodb_mixed").unwrap();
 }
 
-/// The OODB harness held to the two view checks every other harness runs
-/// and it leaves out: the engine's view-convergence bound and the group's
-/// view-agreement audit. Goes away, with the opt-out in
-/// `OodbChaosHarness::liveness_bounds`, when the test below passes.
-struct WithViewChecks(OodbChaosHarness);
-
-impl ChaosHarness for WithViewChecks {
-    fn build(&mut self, seed: u64) -> Simulation {
-        self.0.build(seed)
-    }
-
-    fn apply_app(
-        &mut self,
-        sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        self.0.apply_app(sim, node, tag, arg, trace);
-    }
-
-    fn settle(&self) -> SimDuration {
-        self.0.settle()
-    }
-
-    fn liveness_bounds(&self) -> LivenessBounds {
-        CAMPAIGN_BOUNDS
-    }
-
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        self.0.audit(sim, trace)?;
-        let group = self.0.group();
-        group.audit_view_agreement(&group.members(sim))
-    }
-
-    fn describe(&self, sim: &Simulation) -> Vec<String> {
-        self.0.group().members(sim).iter().map(|(_, r)| r.status()).collect()
-    }
-}
-
-/// A replica that starts a view change alone must end up back in the view
-/// its peers never left. Today it runs away: replica 2, back from a crash
-/// with its outbound traffic still bit-flipped, starts a view change by
-/// itself at 3.55 s; its peers stay in view 0, finish the workload and go
-/// idle; replica 2 escalates on its own doubling timer — v2 at 4.05 s, v3
-/// 5.05, v4 7.05, v5 11.05, v6 19.05, v7 27.05 (`vc=7/0`) — and the group
-/// settles in two views (`view agreement: … replica 0 in view 0, replica 2
-/// in view 7`). This is seed 201 of the blessed metrics campaign
+/// A replica that suspects the primary alone must end up in the view its
+/// peers never left. Replica 2, back from a crash with its outbound traffic
+/// still bit-flipped, times out by itself at 3.55 s. A timeout is a
+/// suspicion, and a replica leaves its view only once 2f+1 replicas have
+/// voted for the next, so replica 2 stays in view 0; a replica that left
+/// alone would escalate v2…v7 on its own timer and the group would settle
+/// in two views. This is seed 201 of the blessed metrics campaign
 /// (`gen_config(4, 6 s)`) under the full bounds, minimized by ddmin; the
-/// parameters are `FailureReport::minimal`'s, to the nanosecond. On the
-/// unminimized four-event schedule the lone changer is replica 1 and the
-/// other check fires first: `view-convergence: node 1 started a view change
-/// (v8) 28865ms after the last fault healed`.
+/// parameters are `FailureReport::minimal`'s, to the nanosecond.
 #[test]
-#[ignore = "ROADMAP item 1: a lone view changer escalates by itself and never rejoins"]
 fn lone_view_changer_rejoins() {
     let mut schedule = FaultSchedule::new();
     schedule
@@ -152,7 +104,7 @@ fn lone_view_changer_rejoins() {
             SimDuration::from_nanos(1_065_315_247),
         )
         .crash(SimTime::from_nanos(2_694_575_492), NodeId(2), SimDuration::from_nanos(155_818_132));
-    let mut h = WithViewChecks(OodbChaosHarness::new(4));
+    let mut h = OodbChaosHarness::new(4);
     let (outcome, verdict) = run_one(&mut h, 201, &schedule);
     assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
 }

@@ -9,13 +9,16 @@
 //!
 //! - three-phase normal case (pre-prepare / prepare / commit) with request
 //!   batching and watermark windows;
-//! - MAC [`base_crypto::Authenticator`]s on normal-case messages plus
-//!   signatures where certificates must be transferable;
+//! - MAC [`base_crypto::Authenticator`]s alone on normal-case messages,
+//!   signatures on the view-change, new-view and checkpoint messages whose
+//!   certificates must be transferable;
 //! - periodic checkpoints every `k`-th sequence number, checkpoint
 //!   certificates (2f+1 signed checkpoint messages), and log garbage
 //!   collection at the stable checkpoint;
-//! - view changes with prepared-certificate proofs and deterministic
-//!   recomputation of the new-view pre-prepare set;
+//! - two-step view changes (a suspicion, then a firm vote at 2f+1 votes)
+//!   whose VIEW-CHANGEs carry TOCS 2002's P and Q sets, and deterministic
+//!   recomputation of the new-view pre-prepare set by its decision
+//!   procedure;
 //! - hierarchical (Merkle partition tree) state transfer that fetches only
 //!   out-of-date partitions and objects, verified against a checkpoint
 //!   certificate;

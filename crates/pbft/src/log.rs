@@ -121,12 +121,6 @@ impl SeqEntry {
         self.prepared(view, f) && self.matching_commits(view) > 2 * f
     }
 
-    /// The matching prepare messages (for view-change proofs).
-    pub fn prepare_proof(&self, view: u64) -> Vec<PrepareMsg> {
-        let Some(digest) = self.accepted_digest() else { return Vec::new() };
-        self.prepares.iter().filter(|p| p.view == view && p.digest == digest).cloned().collect()
-    }
-
     /// Raises the stage to at least `stage` (never downgrades).
     pub fn observe(&mut self, stage: SlotStage) {
         self.stage = self.stage.max(Some(stage));
@@ -423,7 +417,7 @@ mod tests {
 
 
     fn prep(view: u64, seq: u64, digest: Digest, replica: u32) -> PrepareMsg {
-        PrepareMsg { view, seq, digest, replica, auth: Authenticator::default(), sig: Signature([0; 32]) }
+        PrepareMsg { view, seq, digest, replica, auth: Authenticator::default() }
     }
 
     fn com(view: u64, seq: u64, digest: Digest, replica: u32) -> CommitMsg {

@@ -1,11 +1,13 @@
 //! Protocol messages and their XDR wire format.
 //!
-//! Every message type carries its authentication inline (a MAC
-//! [`Authenticator`], a point [`Mac`], and/or a [`Signature`]). Digests and
-//! signatures are computed over the message's *signed portion* — all fields
-//! except the authentication itself — prefixed with a per-type domain-
-//! separation tag so a digest of one message type can never validate as
-//! another.
+//! Every message type carries its authentication inline: a MAC
+//! [`Authenticator`] on the normal-case messages (request, pre-prepare,
+//! prepare, commit), a point [`Mac`] on a reply, a [`Signature`] on the
+//! three that must convince a third party (checkpoint, view change, new
+//! view). Digests and signatures are computed over the message's *signed
+//! portion* — all fields except the authentication itself — prefixed with
+//! a per-type domain-separation tag so a digest of one message type can
+//! never validate as another.
 //!
 //! The wire layout of a message is its declaration: every type here is an
 //! [`xdr_struct!`] (fields in declaration order) and [`Message`] an
@@ -279,8 +281,8 @@ xdr_struct! {
     /// The batch-digest-covered fields (`requests`, `nondet`) are private and
     /// set only at construction, which makes the memoized
     /// [`PrePrepareMsg::batch_digest`] sound. `view`/`seq` stay public: they
-    /// are covered by [`PrePrepareMsg::signed_bytes`] (recomputed on demand)
-    /// but deliberately not by the batch digest.
+    /// are covered by [`PrePrepareMsg::digest`] (recomputed on demand), which
+    /// the authenticator covers, but deliberately not by the batch digest.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct PrePrepareMsg {
         /// View this proposal belongs to.
@@ -292,18 +294,15 @@ xdr_struct! {
         /// Non-deterministic values chosen by the primary for this batch
         /// (e.g. the agreed timestamp for NFS mtimes).
         nondet: Vec<u8>,
-        /// MAC vector from the primary.
+        /// MAC vector from the primary over [`PrePrepareMsg::digest`].
         pub auth: Authenticator,
-        /// Primary signature over the header, kept for view-change proofs.
-        pub sig: Signature,
         /// Memoized batch digest.
         batch_cache: DigestCache,
     }
 }
 
 impl PrePrepareMsg {
-    /// Builds a proposal with empty authentication (fill `auth`/`sig`
-    /// after).
+    /// Builds a proposal with an empty authenticator (fill `auth` after).
     pub fn new(view: u64, seq: u64, requests: Vec<RequestMsg>, nondet: Vec<u8>) -> Self {
         Self {
             view,
@@ -311,7 +310,6 @@ impl PrePrepareMsg {
             requests,
             nondet,
             auth: Authenticator::default(),
-            sig: Signature::default(),
             batch_cache: DigestCache::default(),
         }
     }
@@ -352,10 +350,16 @@ impl PrePrepareMsg {
     fn encode_signed(&self, enc: &mut XdrEncoder) {
         put_header(enc, "pbft:pre-prepare", self.view, self.seq, &self.batch_digest());
     }
+
+    /// Digest of the header the primary's authenticator covers: view,
+    /// sequence number and batch digest.
+    pub fn digest(&self) -> Digest {
+        self.with_signed_bytes(Digest::of)
+    }
 }
 
 /// Appends the canonical (tag, view, seq, digest) header the three
-/// agreement messages sign.
+/// agreement messages authenticate.
 fn put_header(enc: &mut XdrEncoder, tag: &str, view: u64, seq: u64, digest: &Digest) {
     enc.put_string(tag);
     enc.put_u64(view);
@@ -375,10 +379,8 @@ xdr_struct! {
         pub digest: Digest,
         /// Sending replica.
         pub replica: u32,
-        /// MAC vector.
+        /// MAC vector over the signed portion.
         pub auth: Authenticator,
-        /// Signature, kept for view-change proofs.
-        pub sig: Signature,
     }
 }
 
@@ -401,7 +403,7 @@ xdr_struct! {
         pub digest: Digest,
         /// Sending replica.
         pub replica: u32,
-        /// MAC vector.
+        /// MAC vector over the signed portion.
         pub auth: Authenticator,
     }
 }
@@ -438,24 +440,83 @@ impl CheckpointMsg {
 }
 
 xdr_struct! {
-    /// Proof that a request prepared at the sender: the pre-prepare plus `2f`
-    /// signed prepares from distinct backups.
+    /// A P entry of a VIEW-CHANGE (TOCS 2002 §4.4): the batch that
+    /// prepared at the sender at `seq`, in the latest view in which any
+    /// batch prepared there. It carries the batch, not only its digest, so
+    /// the new primary can re-propose it without fetching it.
+    ///
+    /// The batch fields are private and set only at construction, which
+    /// makes the memoized [`PEntry::digest`] sound.
     #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct PreparedProof {
-        /// The pre-prepare (carries the request bodies, so a new primary can
-        /// re-propose them).
-        pub pre_prepare: PrePrepareMsg,
-        /// Matching prepares.
-        pub prepares: Vec<PrepareMsg>,
+    pub struct PEntry {
+        /// Sequence number.
+        pub seq: u64,
+        /// View in which the batch prepared.
+        pub view: u64,
+        /// The prepared batch's requests.
+        requests: Vec<RequestMsg>,
+        /// The prepared batch's non-deterministic values.
+        nondet: Vec<u8>,
+        /// Memoized batch digest.
+        batch_cache: DigestCache,
+    }
+}
+
+impl PEntry {
+    /// The batch `requests` + `nondet` prepared at `seq` in `view`.
+    pub fn new(seq: u64, view: u64, requests: Vec<RequestMsg>, nondet: Vec<u8>) -> Self {
+        Self { seq, view, requests, nondet, batch_cache: DigestCache::default() }
+    }
+
+    /// The prepared batch's requests.
+    pub fn requests(&self) -> &[RequestMsg] {
+        &self.requests
+    }
+
+    /// The prepared batch's non-deterministic values.
+    pub fn nondet(&self) -> &[u8] {
+        &self.nondet
+    }
+
+    /// The batch digest (computed once, then memoized).
+    pub fn digest(&self) -> Digest {
+        let (requests, nondet) = (&self.requests, &self.nondet);
+        self.batch_cache.get_or_init(|| PrePrepareMsg::batch_digest_of(requests, nondet))
+    }
+}
+
+xdr_struct! {
+    /// A Q entry of a VIEW-CHANGE (TOCS 2002 §4.4): a batch digest that
+    /// pre-prepared at the sender at `seq`, with the latest view in which
+    /// it did. One entry per (sequence number, digest).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct QEntry {
+        /// Sequence number.
+        pub seq: u64,
+        /// Latest view in which the batch pre-prepared.
+        pub view: u64,
+        /// The batch digest.
+        pub digest: Digest,
     }
 }
 
 xdr_struct! {
     /// A replica's vote to move to a new view.
+    ///
+    /// A *firm* vote says the sender has stopped taking part in every view
+    /// before `new_view`, so its stable checkpoint and P and Q sets are its
+    /// last word on them; a NEW-VIEW is built from firm votes only. A vote
+    /// that is not firm is a *suspicion* of the current primary: it carries
+    /// no state, and the sender keeps working in its view. Both kinds count
+    /// toward the f+1 votes that make a replica join a view change and the
+    /// 2f+1 that make it leave its view (BFT-SMaRt's STOP and STOPDATA, the
+    /// split the febft README in SNIPPETS.md descends from).
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct ViewChangeMsg {
         /// The view being proposed.
         pub new_view: u64,
+        /// A firm vote, not a suspicion.
+        pub firm: bool,
         /// The sender's last stable checkpoint.
         pub stable_seq: u64,
         /// Digest of the stable checkpoint.
@@ -463,8 +524,13 @@ xdr_struct! {
         /// 2f+1 signed checkpoint messages proving the stable checkpoint.
         /// Empty when `stable_seq` is 0 (the genesis state needs no proof).
         pub stable_proof: Vec<CheckpointMsg>,
-        /// Prepared certificates for requests above `stable_seq`.
-        pub prepared: Vec<PreparedProof>,
+        /// The P set: for each sequence number above `stable_seq` where a
+        /// batch prepared at the sender, that batch, in increasing order.
+        pub p: Vec<PEntry>,
+        /// The Q set: for each sequence number above `stable_seq`, every
+        /// batch digest that pre-prepared at the sender, ordered by number
+        /// and then digest.
+        pub q: Vec<QEntry>,
         /// Sending replica.
         pub replica: u32,
         /// Signature.
@@ -476,15 +542,17 @@ impl ViewChangeMsg {
     fn encode_signed(&self, enc: &mut XdrEncoder) {
         enc.put_string("pbft:view-change");
         enc.put_u64(self.new_view);
+        enc.put_bool(self.firm);
         enc.put_u64(self.stable_seq);
         self.stable_digest.encode(enc);
-        // Bind the P-set by content: (seq, view, batch digest) triples.
-        enc.put_u32(self.prepared.len() as u32);
-        for p in &self.prepared {
-            enc.put_u64(p.pre_prepare.seq);
-            enc.put_u64(p.pre_prepare.view);
-            p.pre_prepare.batch_digest().encode(enc);
+        // Bind both sets by content: (seq, view, batch digest) triples.
+        enc.put_u32(self.p.len() as u32);
+        for p in &self.p {
+            enc.put_u64(p.seq);
+            enc.put_u64(p.view);
+            p.digest().encode(enc);
         }
+        self.q.encode(enc);
         enc.put_u32(self.replica);
     }
 
@@ -495,19 +563,19 @@ impl ViewChangeMsg {
 }
 
 xdr_struct! {
-    /// The new primary's announcement of a view, carrying the 2f+1 view-change
-    /// messages from which every replica deterministically recomputes the
-    /// re-proposed pre-prepares.
+    /// The new primary's announcement of a view, carrying the view-change
+    /// messages (2f+1 or more) from which every replica deterministically
+    /// recomputes the re-proposed pre-prepares.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct NewViewMsg {
         /// The view being started.
         pub view: u64,
-        /// 2f+1 valid view-change messages.
+        /// At least 2f+1 valid view-change messages from distinct senders.
         pub view_changes: Vec<ViewChangeMsg>,
         /// The re-proposed pre-prepares (the set `O`). Every replica recomputes
-        /// `O` from `view_changes` and verifies this list matches; carrying the
-        /// signed pre-prepares lets them serve in later prepared-certificate
-        /// proofs.
+        /// `O` from `view_changes` and verifies this list matches; each
+        /// carries the new primary's authenticator, so a replica can relay
+        /// it like any other pre-prepare.
         pub pre_prepares: Vec<PrePrepareMsg>,
         /// Sending replica (the new primary).
         pub replica: u32,
@@ -848,13 +916,16 @@ mod tests {
     use super::*;
     use base_crypto::{KeyDirectory, NodeKeys};
 
+    /// Replica 0's keys in a directory of four replicas and client 4.
     fn keys() -> NodeKeys {
         NodeKeys::new(KeyDirectory::generate(5, 1), 0)
     }
 
+    /// A request from client 4, authenticated with its keys.
     fn sample_request(k: &NodeKeys) -> RequestMsg {
+        let client = NodeKeys::new(KeyDirectory::generate(k.node_count(), 1), 4);
         let mut r = RequestMsg::new(4, 9, false, 0, b"op-bytes".to_vec());
-        r.auth = Authenticator::generate(k, 4, &r.digest());
+        r.auth = Authenticator::generate(&client, 4, &r.digest());
         r
     }
 
@@ -937,7 +1008,6 @@ mod tests {
         let pp = {
             let mut pp = PrePrepareMsg::new(1, 2, vec![r.clone()], vec![1, 2]);
             pp.auth = Authenticator::generate(&k, 4, &Digest::of(b"x"));
-            pp.sig = k.sign(b"pp");
             pp
         };
         let prepare = PrepareMsg {
@@ -946,7 +1016,6 @@ mod tests {
             digest: pp.batch_digest(),
             replica: 1,
             auth: Authenticator::generate(&k, 4, &Digest::of(b"y")),
-            sig: k.sign(b"p"),
         };
         let commit = CommitMsg {
             view: 1,
@@ -958,10 +1027,15 @@ mod tests {
         let ckpt = CheckpointMsg { seq: 128, digest: Digest::of(b"s"), replica: 2, sig: k.sign(b"c") };
         let vc = ViewChangeMsg {
             new_view: 2,
+            firm: true,
             stable_seq: 128,
             stable_digest: Digest::of(b"s"),
             stable_proof: vec![ckpt.clone()],
-            prepared: vec![PreparedProof { pre_prepare: pp.clone(), prepares: vec![prepare.clone()] }],
+            p: vec![PEntry::new(2, 1, pp.requests().to_vec(), pp.nondet().to_vec())],
+            q: vec![
+                QEntry { seq: 2, view: 0, digest: Digest::of(b"q") },
+                QEntry { seq: 2, view: 1, digest: pp.batch_digest() },
+            ],
             replica: 0,
             sig: k.sign(b"vc"),
         };
@@ -980,7 +1054,7 @@ mod tests {
             (
                 Message::Request(r),
                 72,
-                "a26d0985e0ead23c40ab20b17f063943031ab1e3c7c86555e7026cd3553979b5",
+                "19d991d3ae6addbb9acc67652aa5ff6ce2c7b87ead3f36f03deae31e7863b30f",
             ),
             (
                 Message::Reply(ReplyMsg {
@@ -998,18 +1072,18 @@ mod tests {
             ),
             (
                 Message::PrePrepare(pp),
-                168,
-                "fa760e8b9a9fb57ee74521344615090332416b8e170e33084aa1aed7af5adfc6",
+                128,
+                "685184ddfce0e6bc64b30f87088da915b03f3d67eec3f54ee15db51ac96fbd28",
             ),
             (
                 Message::Prepare(prepare),
-                124,
-                "b274c69b0fb305af7306e5ebc6475a9ee79f35c6f971da3fd87b1446d29efe56",
+                84,
+                "e6ef01198b36f91c960859b4c8ad5b1a079a85cc76dafea7910ffce3c38b3bec",
             ),
             (
                 Message::Commit(commit),
-                92,
-                "5e06ecb2021896185d8e3a8d997c1fb8806b0cd3900f83ecbc42092a00c1b826",
+                84,
+                "dae8ef6518aceec3e99a61becd2b72a3740ff1e19c3e7a9253803e5b71d8d068",
             ),
             (
                 Message::Checkpoint(ckpt.clone()),
@@ -1018,13 +1092,13 @@ mod tests {
             ),
             (
                 Message::ViewChange(vc),
-                460,
-                "b664d2a252442b6ec155b61b8b9ee4814e4a11066e76963f6a0a87e5d0e57f99",
+                372,
+                "c6a809bacb082bd39887d08ce16b6eb06459c27d2081265c36406d52e3fc6cb3",
             ),
             (
                 Message::NewView(nv),
-                676,
-                "07d4abfa85c329d7da6101ac3111b29eff4deeeb26117e9aafafd116d868ea4a",
+                548,
+                "9c11a927ca9085a905f792b0774d6ae6426e1f569543631b10d83f0d785e7cf3",
             ),
             (
                 Message::FetchMeta(FetchMetaMsg { seq: 128, level: 2, index: 3, replica: 1 }),
@@ -1121,18 +1195,29 @@ mod tests {
     fn view_change_digest_binds_pset() {
         let k = keys();
         let r = sample_request(&k);
-        let pp = PrePrepareMsg::new(0, 2, vec![r], vec![]);
         let mut vc = ViewChangeMsg {
             new_view: 1,
+            firm: false,
             stable_seq: 0,
             stable_digest: Digest::ZERO,
             stable_proof: vec![],
-            prepared: vec![],
+            p: vec![],
+            q: vec![],
             replica: 0,
             sig: Signature([0; 32]),
         };
+        let suspicion = vc.digest();
+        vc.firm = true;
         let d_empty = vc.digest();
-        vc.prepared.push(PreparedProof { pre_prepare: pp, prepares: vec![] });
-        assert_ne!(vc.digest(), d_empty);
+        assert_ne!(d_empty, suspicion, "a suspicion cannot pass for a firm vote");
+        vc.p.push(PEntry::new(2, 0, vec![r], vec![]));
+        let d_p = vc.digest();
+        assert_ne!(d_p, d_empty);
+        // The Q set is bound too, and so is the view of an entry.
+        vc.q.push(QEntry { seq: 2, view: 0, digest: vc.p[0].digest() });
+        let d_q = vc.digest();
+        assert_ne!(d_q, d_p);
+        vc.q[0].view = 1;
+        assert_ne!(vc.digest(), d_q);
     }
 }

@@ -44,26 +44,34 @@ impl Agreement {
         self.seq_next = seq;
     }
 
+    /// The sequence number the next proposal takes: `seq_next`, but never
+    /// at or below the low watermark `low`, which a primary reinstalled and
+    /// caught up by state transfer has passed.
+    fn next_seq(&self, low: u64) -> u64 {
+        self.seq_next.max(low + 1)
+    }
+
     /// Requests are queued, and the next sequence number fits under the
     /// high watermark of `low`, the in-flight bound and the pipeline depth.
     pub(super) fn can_propose(&self, cfg: &Config, log: &Log, last_exec: u64, low: u64) -> bool {
+        let next = self.next_seq(low);
         !self.pending.is_empty()
-            && self.seq_next <= cfg.high_watermark(low)
-            && self.seq_next.saturating_sub(last_exec + 1) < cfg.max_inflight
-            && self.seq_next.saturating_sub(log.committed_floor(last_exec) + 1) < cfg.pipeline_depth
+            && next <= cfg.high_watermark(low)
+            && next.saturating_sub(last_exec + 1) < cfg.max_inflight
+            && next.saturating_sub(log.committed_floor(last_exec) + 1) < cfg.pipeline_depth
     }
 
-    /// Proposes the next batch in `view`, multicasts its PRE-PREPARE and
-    /// logs it. Returns its sequence number.
-    pub(super) fn propose(&mut self, io: &mut Io<'_, '_>, view: u64) -> u64 {
+    /// Proposes the next batch in `view` above the low watermark `low`,
+    /// multicasts its PRE-PREPARE and logs it. Returns its sequence number.
+    pub(super) fn propose(&mut self, io: &mut Io<'_, '_>, view: u64, low: u64) -> u64 {
         let mut batch = Vec::new();
         while batch.len() < BATCH_MAX {
             let Some(r) = self.pending.pop_front() else { break };
             self.pending_digests.remove(&r.digest());
             batch.push(r);
         }
-        let seq = self.seq_next;
-        self.seq_next += 1;
+        let seq = self.next_seq(low);
+        self.seq_next = seq + 1;
 
         let (mut nondet, clock) = io.exec(|svc, env| (svc.propose_nondet(env), env.local_clock_ns));
         if io.is(ByzMode::BadTimestamps) && nondet.len() == 8 {
@@ -73,9 +81,7 @@ impl Agreement {
         }
 
         let mut pp = PrePrepareMsg::new(view, seq, batch, nondet);
-        io.ctx.charge(io.cost.authenticator(io.cfg.n) + io.cost.signature);
-        pp.sig = pp.with_signed_bytes(|signed| io.keys.sign(signed));
-        pp.auth = Authenticator::generate(io.keys, io.cfg.n, &pp.batch_digest());
+        pp.auth = io.authenticator(&pp.digest());
 
         if io.ctx.trace_enabled() {
             // Causal edge for the span layer: which client ops landed in
@@ -97,8 +103,7 @@ impl Agreement {
             let Message::PrePrepare(pp) = msg else { unreachable!("built above") };
             pp
         };
-        // A primary that caught up by state transfer numbers from where it
-        // stood: at or below the low watermark nobody logs `seq`.
+        // `next_seq` and `can_propose` keep `seq` inside the window.
         if let Some(entry) = io.log.entry_mut(seq) {
             entry.pre_prepare = Some(pp);
             entry.observe(SlotStage::Proposed);
@@ -120,8 +125,7 @@ fn equivocate(io: &mut Io<'_, '_>, pp: &PrePrepareMsg) {
     let mut nd = pp.nondet().to_vec();
     nd.push(0xff);
     let mut alt = PrePrepareMsg::new(pp.view, pp.seq, pp.requests().to_vec(), nd);
-    alt.sig = alt.with_signed_bytes(|signed| io.keys.sign(signed));
-    alt.auth = Authenticator::generate(io.keys, io.cfg.n, &alt.batch_digest());
+    alt.auth = Authenticator::generate(io.keys, io.cfg.n, &alt.digest());
     let me = io.id as usize;
     for i in (0..io.cfg.n).filter(|i| *i != me) {
         let msg = Message::PrePrepare(if i % 2 == 0 { pp.clone() } else { alt.clone() });
@@ -152,10 +156,8 @@ pub(super) fn on_pre_prepare(io: &mut Io<'_, '_>, pp: PrePrepareMsg) -> Option<N
     if primary == io.id as usize {
         return None;
     }
-    io.ctx.charge(io.cost.mac + io.cost.digest(64) + io.cost.signature);
-    if !pp.auth.check(io.keys, primary, &pp.batch_digest())
-        || !pp.with_signed_bytes(|signed| io.keys.verify(primary, signed, &pp.sig))
-    {
+    io.ctx.charge(io.cost.mac + io.cost.digest(64));
+    if !pp.auth.check(io.keys, primary, &pp.digest()) {
         io.reject();
         return None;
     }
@@ -202,13 +204,9 @@ pub(super) fn on_pre_prepare(io: &mut Io<'_, '_>, pp: PrePrepareMsg) -> Option<N
 
 /// Multicasts this replica's PREPARE, then moves it into the log.
 pub(super) fn send_prepare(io: &mut Io<'_, '_>, view: u64, seq: u64, digest: Digest) {
-    io.ctx.charge(io.cost.authenticator(io.cfg.n) + io.cost.signature);
-    let (auth, sig) = (Authenticator::default(), base_crypto::Signature([0; 32]));
-    let mut prepare = PrepareMsg { view, seq, digest, replica: io.id, auth, sig };
-    let (sig, digest) =
-        prepare.with_signed_bytes(|signed| (io.keys.sign(signed), Digest::of(signed)));
-    prepare.sig = sig;
-    prepare.auth = Authenticator::generate(io.keys, io.cfg.n, &digest);
+    let auth = Authenticator::default();
+    let mut prepare = PrepareMsg { view, seq, digest, replica: io.id, auth };
+    prepare.auth = io.authenticator(&prepare.with_signed_bytes(Digest::of));
     let msg = Message::Prepare(prepare);
     io.multicast(&msg);
     let Message::Prepare(prepare) = msg else { unreachable!("built above") };
@@ -222,13 +220,8 @@ pub(super) fn on_prepare(io: &mut Io<'_, '_>, p: PrepareMsg) -> Option<Next> {
     if from >= io.cfg.n || from == io.cfg.primary_of(p.view) || p.replica == io.id {
         return None;
     }
-    io.ctx.charge(io.cost.mac + io.cost.signature);
-    // One encoding serves both the authenticator digest and the signature
-    // check.
-    let authentic = p.with_signed_bytes(|signed| {
-        p.auth.check(io.keys, from, &Digest::of(signed)) && io.keys.verify(from, signed, &p.sig)
-    });
-    if !authentic {
+    io.ctx.charge(io.cost.mac);
+    if !p.auth.check(io.keys, from, &p.with_signed_bytes(Digest::of)) {
         io.reject();
         return None;
     }
@@ -242,7 +235,7 @@ pub(super) fn on_commit(io: &mut Io<'_, '_>, c: CommitMsg) -> Option<Next> {
         return None;
     }
     io.ctx.charge(io.cost.mac);
-    if !c.auth.check(io.keys, c.replica as usize, &commit_digest(&c)) {
+    if !c.auth.check(io.keys, c.replica as usize, &c.with_signed_bytes(Digest::of)) {
         io.reject();
         return None;
     }
@@ -267,8 +260,7 @@ pub(super) fn commit_if_prepared(io: &mut Io<'_, '_>, view: u64, seq: u64) -> bo
     }
     let mut commit =
         CommitMsg { view, seq, digest, replica: io.id, auth: Authenticator::default() };
-    io.ctx.charge(io.cost.authenticator(io.cfg.n));
-    commit.auth = Authenticator::generate(io.keys, io.cfg.n, &commit_digest(&commit));
+    commit.auth = io.authenticator(&commit.with_signed_bytes(Digest::of));
     // Sent by reference, then moved (not cloned) into the log.
     let msg = Message::Commit(commit);
     io.multicast(&msg);
@@ -327,9 +319,10 @@ pub(super) fn resend(io: &mut Io<'_, '_>, to: NodeId, from: u64, upto: u64) {
     for seq in from..=upto {
         let Some(e) = io.log.entry(seq) else { continue };
         // Relay every logged prepare/commit, not only our own: they carry
-        // full authenticator vectors and signatures, so the peer can verify
-        // them, and the original senders may be gone (reinstalled or
-        // crashed) — the log is the only place their endorsements survive.
+        // their senders' authenticators, which hold an entry for every
+        // replica, so the peer can verify them, and the original senders
+        // may be gone (reinstalled or crashed) — the log is the only place
+        // their endorsements survive.
         let prepares = e.prepares().iter().cloned().map(Message::Prepare);
         let commits = e.commits().iter().cloned().map(Message::Commit);
         let pp = e.pre_prepare.clone().map(Message::PrePrepare);
@@ -338,9 +331,4 @@ pub(super) fn resend(io: &mut Io<'_, '_>, to: NodeId, from: u64, upto: u64) {
             io.send(to, m);
         }
     }
-}
-
-/// Digest used for commit authenticators.
-fn commit_digest(c: &CommitMsg) -> Digest {
-    c.with_signed_bytes(Digest::of)
 }

@@ -55,10 +55,12 @@ impl Checkpoints {
         self.stored.iter().map(|(seq, s)| (*seq, s.composite)).collect()
     }
 
-    /// The stable checkpoint as a VIEW-CHANGE states it: seq, digest, proof.
+    /// The stable checkpoint as a VIEW-CHANGE states it: seq, the digest
+    /// its certificate proves, and the certificate. A stored checkpoint
+    /// whose digest differs (this replica's state diverged) does not make
+    /// the vote one that every peer rejects.
     pub(super) fn proof(&self) -> (u64, Digest, Vec<CheckpointMsg>) {
-        let digest =
-            self.digest(self.stable_seq).or_else(|| self.stable_digest()).unwrap_or(Digest::ZERO);
+        let digest = self.stable_digest().unwrap_or(Digest::ZERO);
         (self.stable_seq, digest, self.stable_cert.clone())
     }
 
@@ -333,6 +335,19 @@ mod tests {
         assert!(ckpts.adopt(&mut log, &mut service, 8, cert.clone(), own_quorum));
         assert!(!ckpts.adopt(&mut log, &mut service, 8, cert, own_quorum), "not newer");
         (ckpts, log)
+    }
+
+    /// A VIEW-CHANGE states the digest its certificate proves, also when
+    /// the replica's own checkpoint at that number differs from it (its
+    /// state diverged): with the stored digest, the vote would fail every
+    /// peer's certificate check, and a new primary's NEW-VIEW carrying it
+    /// every backup's.
+    #[test]
+    fn a_view_change_states_the_certified_digest() {
+        let (mut ckpts, _) = adopt_8(true);
+        ckpts.record(8, Digest::of(b"diverged"), Vec::new());
+        assert_ne!(ckpts.digest(8), Some(checkpoint(8, 1).digest));
+        assert_eq!(ckpts.proof().1, checkpoint(8, 1).digest);
     }
 
     /// The three adoption paths as they stand: the own-quorum one

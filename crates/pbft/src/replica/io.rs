@@ -7,7 +7,7 @@ use crate::cost::CostModel;
 use crate::log::Log;
 use crate::messages::Message;
 use crate::service::{ExecEnv, Service};
-use base_crypto::NodeKeys;
+use base_crypto::{Authenticator, Digest, NodeKeys};
 use base_simnet::{Context, MetricsRegistry, NodeId};
 
 /// The replica's shared context, borrowed for one step: the simulator
@@ -85,6 +85,12 @@ impl Io<'_, '_> {
         for i in (0..self.cfg.n).filter(|i| *i != self.id as usize) {
             self.ctx.send(self.cfg.replica_node(i), wire.clone());
         }
+    }
+
+    /// Authenticates `digest` to the other replicas, charging a MAC each.
+    pub(super) fn authenticator(&mut self, digest: &Digest) -> Authenticator {
+        self.ctx.charge(self.cost.authenticator(self.cfg.n - 1));
+        Authenticator::generate(self.keys, self.cfg.n, digest)
     }
 
     /// Runs a service upcall and charges the CPU time it reports.

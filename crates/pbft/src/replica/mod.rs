@@ -20,6 +20,7 @@ mod checkpoint;
 mod execution;
 mod fetch;
 mod io;
+mod pq;
 mod recovery;
 mod router;
 mod view_change;
@@ -39,7 +40,7 @@ use base_crypto::{Digest, NodeKeys};
 use base_simnet::{MetricsRegistry, SimDuration};
 
 pub use self::checkpoint::validate_cert;
-pub use self::view_change::compute_o;
+pub use self::pq::compute_o;
 
 /// Counters exposed for tests and experiment harnesses.
 #[derive(Debug, Default, Clone)]
@@ -310,13 +311,12 @@ mod tests {
         req
     }
 
-    /// A pre-prepare for `seq` in view 0, signed and authenticated by that
-    /// view's primary.
+    /// A pre-prepare for `seq` in view 0, authenticated by that view's
+    /// primary.
     fn pre_prepare(g: &Deployment, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
         let primary = NodeKeys::new(g.dir.clone(), 0);
         let mut pp = PrePrepareMsg::new(0, seq, batch, Vec::new());
-        pp.sig = pp.with_signed_bytes(|signed| primary.sign(signed));
-        pp.auth = Authenticator::generate(&primary, 4, &pp.batch_digest());
+        pp.auth = Authenticator::generate(&primary, 4, &pp.digest());
         pp
     }
 
@@ -422,6 +422,38 @@ mod tests {
         assert_eq!(sim.stats().messages_sent, 3 + 3, "one prepare to each peer");
     }
 
+    /// A primary reinstalled with a fresh state numbers its proposals from
+    /// 1, but catches up by state transfer to the group's stable checkpoint.
+    /// A proposal at or below that low watermark is logged by no replica,
+    /// so its request would wait for a retransmission or a view change.
+    /// Numbered above it, the request commits at once, in view 0.
+    #[test]
+    fn a_reinstalled_primary_proposes_above_what_it_caught_up_to() {
+        let mut cfg = Config::new(4);
+        cfg.checkpoint_interval = 4;
+        let mut sim = Simulation::new(9);
+        let mut g = Deployment::build(&mut sim, cfg, 1, 9, |_| CounterService::default());
+        let client = g.clients[0];
+        let write = |sim: &mut Simulation, count| {
+            let client = sim.actor_as_mut::<ClientActor>(client).unwrap();
+            (0..count).for_each(|_| client.invoke(op_add(0, 1), false));
+        };
+        write(&mut sim, 8);
+        sim.run_for(SimDuration::from_secs(1));
+        g.replace(&mut sim, 0, CounterService::default());
+        sim.run_for(SimDuration::from_secs(1));
+        let fresh = replica(&sim, &g, 0);
+        assert_eq!((fresh.stable_seq(), fresh.last_exec()), (8, 8), "{}", fresh.status());
+
+        write(&mut sim, 1);
+        sim.run_for(SimDuration::from_millis(20));
+        for i in 0..4 {
+            let r = replica(&sim, &g, i);
+            assert_eq!((r.view(), r.last_exec()), (0, 9), "replica {i}: {}", r.status());
+        }
+        assert_eq!(sim.actor_as::<ClientActor>(client).unwrap().completed.len(), 9);
+    }
+
     /// Replica 2 behind a door: `b"install"` makes it install `nv` as
     /// [`Replica::handle_new_view`] does once a NEW-VIEW has passed every
     /// check — the step at which `O`'s sequence numbers, which came off the
@@ -450,8 +482,7 @@ mod tests {
         let pre_prepares = [3, window + 1, u64::MAX]
             .map(|seq| {
                 let mut pp = PrePrepareMsg::new(1, seq, Vec::new(), Vec::new());
-                pp.sig = pp.with_signed_bytes(|signed| new_primary.sign(signed));
-                pp.auth = Authenticator::generate(&new_primary, 4, &pp.batch_digest());
+                pp.auth = Authenticator::generate(&new_primary, 4, &pp.digest());
                 pp
             })
             .to_vec();

@@ -4,7 +4,7 @@
 use super::agreement::{self, Next};
 use super::io::io;
 use super::recovery::{Recovery, TOKEN_WATCHDOG};
-use super::view_change::TOKEN_VIEW_CHANGE;
+use super::view_change::{Move, TOKEN_VIEW_CHANGE};
 use super::Replica;
 use crate::config::TICK_INTERVAL;
 use crate::log::SlotStage;
@@ -65,7 +65,7 @@ impl<S: Service> Replica<S> {
             if !self.agree.can_propose(&self.cfg, &self.log, last_exec, low) {
                 break;
             }
-            let seq = self.agree.propose(&mut io!(self, ctx), view);
+            let seq = self.agree.propose(&mut io!(self, ctx), view, low);
             self.maybe_prepared(seq, ctx);
         }
     }
@@ -195,12 +195,24 @@ impl<S: Service> Replica<S> {
         self.execute_ready(ctx);
     }
 
+    /// Leaves the current view for `target` with a firm vote.
     fn move_to_view(&mut self, target: u64, ctx: &mut Context<'_>) {
         if self.vc.begin(&self.cfg, target) {
             let (h, digest, proof) = self.ckpt.proof();
             self.vc.vote(&mut io!(self, ctx), h, digest, proof);
-            self.maybe_new_view(ctx);
         }
+    }
+
+    /// Suspects or enters the views the VIEW-CHANGE votes held call for,
+    /// then builds the NEW-VIEW if this replica is the new primary and can.
+    fn follow_votes(&mut self, ctx: &mut Context<'_>) {
+        while let Some(step) = self.vc.next_move(self.cfg.f()) {
+            match step {
+                Move::Suspect(target) => self.vc.suspect(&mut io!(self, ctx), target),
+                Move::Enter(target) => self.move_to_view(target, ctx),
+            }
+        }
+        self.maybe_new_view(ctx);
     }
 
     fn maybe_new_view(&mut self, ctx: &mut Context<'_>) {
@@ -362,10 +374,7 @@ impl<S: Service> Actor for Replica<S> {
             }
             Message::ViewChange(vc) => {
                 if self.vc.on_view_change(&mut io!(self, ctx), vc) {
-                    if let Some(target) = self.vc.view_to_join(self.cfg.f()) {
-                        self.move_to_view(target, ctx);
-                    }
-                    self.maybe_new_view(ctx);
+                    self.follow_votes(ctx);
                 }
             }
             Message::NewView(nv) => {
@@ -404,7 +413,12 @@ impl<S: Service> Actor for Replica<S> {
             TOKEN_TICK => self.on_tick(ctx),
             TOKEN_VIEW_CHANGE => {
                 let target = self.vc.expired();
-                self.move_to_view(target, ctx);
+                if self.vc.active().is_some() {
+                    self.vc.suspect(&mut io!(self, ctx), target);
+                } else {
+                    self.move_to_view(target, ctx);
+                }
+                self.follow_votes(ctx);
             }
             TOKEN_WATCHDOG => self.on_watchdog(true, ctx),
             _ => {}

@@ -1,28 +1,51 @@
-//! Views: VIEW-CHANGE and NEW-VIEW, the new-view set `O`, and the
-//! view-change timer.
+//! Views: VIEW-CHANGE and NEW-VIEW, and the view-change timer. The P and Q
+//! sets a firm VIEW-CHANGE carries, and the decision procedure a new
+//! primary runs over them, are `pq.rs`.
+//!
+//! A view change has two steps. A replica whose timer expires multicasts a
+//! *suspicion* (a VIEW-CHANGE that is not firm) and keeps working in its
+//! view. It leaves the view — suspends agreement and multicasts a *firm*
+//! VIEW-CHANGE with its P and Q sets — once 2f+1 replicas have voted for
+//! the next view, and only then starts the timer that moves it on if no
+//! NEW-VIEW comes (TOCS 2002 §4.5.2). So a replica that times out alone
+//! never leaves the group it is still part of.
 
 use super::checkpoint::validate_cert;
 use super::io::Io;
 use super::json_opt;
+use super::pq::{compute_o, well_formed, PqSets};
 use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
-use crate::messages::{
-    CheckpointMsg, Message, NewViewMsg, PrePrepareMsg, PreparedProof, ViewChangeMsg,
-};
-use base_crypto::{Authenticator, Digest, NodeKeys};
+use crate::messages::{CheckpointMsg, Message, NewViewMsg, ViewChangeMsg};
+use base_crypto::{Digest, NodeKeys};
 use base_simnet::{NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Timer token of the view-change timer. Only this file arms or cancels it.
 pub(super) const TOKEN_VIEW_CHANGE: u64 = 2;
 
-/// The replica's view, the VIEW-CHANGE votes it holds, and the timer that
-/// moves it on when the view makes no progress.
+/// What the VIEW-CHANGE votes a replica holds call for.
+pub(super) enum Move {
+    /// Suspect the primary too, for this view.
+    Suspect(u64),
+    /// Leave the current view for this one with a firm vote.
+    Enter(u64),
+}
+
+/// The replica's view, the VIEW-CHANGE votes it holds, what it carries from
+/// one view to the next, and the timer that moves it on when the view
+/// makes no progress.
 pub(super) struct ViewChange {
+    /// This replica's id.
+    me: u32,
     view: u64,
     /// A view change to `view` is under way: agreement is suspended.
     changing: bool,
-    /// Verified VIEW-CHANGE messages by target view and sender.
+    /// Verified VIEW-CHANGE messages by target view and sender: a firm vote
+    /// where the sender sent one, else its suspicion.
     votes: BTreeMap<u64, HashMap<u32, ViewChangeMsg>>,
+    /// 2f+1: the votes for a view that make a replica enter it, and start
+    /// the timer of a replica already in it.
+    quorum: usize,
     timer: Option<TimerId>,
     timeout: SimDuration,
     /// Observed pre-prepare-to-execution latency (the three-phase agreement
@@ -35,6 +58,9 @@ pub(super) struct ViewChange {
     /// Last new-view message installed (resent to peers stuck in an older
     /// view).
     last_nv: Option<NewViewMsg>,
+    /// What prepared and pre-prepared here, folded out of the log whenever
+    /// this replica leaves a view.
+    carried: PqSets,
 }
 
 impl ViewChange {
@@ -42,15 +68,18 @@ impl ViewChange {
         let (floor, ceiling) = (RTO_FLOOR.as_nanos(), RTO_CEILING.as_nanos());
         let seed = 0x517c_a11e_0000_0000 ^ u64::from(id);
         Self {
+            me: id,
             view: 0,
             changing: false,
             votes: BTreeMap::new(),
+            quorum: cfg.quorum(),
             timer: None,
             timeout: cfg.view_change_timeout,
             agree_rtt: RttEstimator::new(seed, floor, ceiling, cfg.view_change_timeout.as_nanos()),
             last_new_view: 0,
             own_vc: None,
             last_nv: None,
+            carried: PqSets::default(),
         }
     }
 
@@ -87,8 +116,10 @@ impl ViewChange {
         }
     }
 
-    // The timer has one owner and three moves: restart from the adaptive
-    // base, escalate (`begin` doubles the timeout, `vote` re-arms), stop.
+    // The timer has one owner and four moves: restart from the adaptive
+    // base, re-arm at double the timeout after a suspicion, escalate
+    // (`begin` doubles the timeout, a quorum of votes for the new view arms
+    // it), stop.
 
     pub(super) fn restart(&mut self, io: &mut Io<'_, '_>) {
         self.timeout = self.base(io.cfg);
@@ -113,10 +144,30 @@ impl ViewChange {
         }
     }
 
-    /// The timer fired: the view to move to.
+    /// Whether 2f+1 VIEW-CHANGEs for the view being changed to are held.
+    fn quorum_for_target(&self) -> bool {
+        self.changing && self.votes.get(&self.view).is_some_and(|s| s.len() >= self.quorum)
+    }
+
+    /// Starts the escalation timer once 2f+1 VIEW-CHANGEs for the target
+    /// view are held (TOCS 2002 §4.5.2), so a replica whose timeout no one
+    /// else shares waits in that view instead of moving on alone.
+    fn arm_at_quorum(&mut self, io: &mut Io<'_, '_>) {
+        if self.timer.is_none() && self.quorum_for_target() {
+            self.arm(io);
+        }
+    }
+
+    /// The timer fired: the view to suspect the primary for, or, in a view
+    /// change, the view to escalate to — the one being changed to, still,
+    /// while it lacks a quorum of VIEW-CHANGEs.
     pub(super) fn expired(&mut self) -> u64 {
         self.timer = None;
-        self.view + 1
+        if self.changing && !self.quorum_for_target() {
+            self.view
+        } else {
+            self.view + 1
+        }
     }
 
     /// Moves to a higher view `target`, suspending agreement, and doubles
@@ -130,8 +181,60 @@ impl ViewChange {
         true
     }
 
-    /// Votes for the view [`ViewChange::begin`] moved to with the prepared
-    /// certificates above stable checkpoint `h`, and escalates the timer.
+    /// Keeps `vc` as its sender's vote, unless that would replace a firm
+    /// vote with a suspicion (a suspicion resent before the firm vote can
+    /// arrive after it).
+    fn record(&mut self, vc: ViewChangeMsg) {
+        let held = self.votes.entry(vc.new_view).or_default();
+        if vc.firm || !held.get(&vc.replica).is_some_and(|v| v.firm) {
+            held.insert(vc.replica, vc);
+        }
+    }
+
+    /// What the votes held call for: entering the smallest view above ours
+    /// that 2f+1 replicas voted for; else, once f+1 replicas voted for
+    /// views above ours, joining the smallest of those — with a suspicion
+    /// while agreement runs, a firm vote once it is suspended.
+    pub(super) fn next_move(&self, f: usize) -> Option<Move> {
+        let mut above = self.votes.range((self.view + 1)..);
+        if let Some((&view, _)) = above.find(|(_, held)| held.len() >= self.quorum) {
+            return Some(Move::Enter(view));
+        }
+        let join = self.view_to_join(f)?;
+        if self.changing {
+            Some(Move::Enter(join))
+        } else {
+            let voted = self.votes.get(&join).is_some_and(|held| held.contains_key(&self.me));
+            (!voted).then_some(Move::Suspect(join))
+        }
+    }
+
+    /// Multicasts a suspicion of the primary for `target` and records it.
+    /// Agreement carries on; the timer re-arms at double the timeout, so a
+    /// replica that stays stuck repeats its suspicion ever more slowly.
+    pub(super) fn suspect(&mut self, io: &mut Io<'_, '_>, target: u64) {
+        io.metrics.inc("replica.suspicions");
+        let mut vc = ViewChangeMsg {
+            new_view: target,
+            firm: false,
+            stable_seq: 0,
+            stable_digest: Digest::ZERO,
+            stable_proof: Vec::new(),
+            p: Vec::new(),
+            q: Vec::new(),
+            replica: io.id,
+            sig: base_crypto::Signature([0; 32]),
+        };
+        io.ctx.charge(io.cost.signature);
+        vc.sig = vc.with_signed_bytes(|signed| io.keys.sign(signed));
+        self.record(vc.clone());
+        io.multicast(&Message::ViewChange(vc));
+        self.timeout = io.cfg.escalated_vc_timeout(self.timeout);
+        self.arm(io);
+    }
+
+    /// Votes firmly for the view [`ViewChange::begin`] moved to with the P
+    /// and Q sets above stable checkpoint `h`; the timer waits for a quorum.
     pub(super) fn vote(
         &mut self,
         io: &mut Io<'_, '_>,
@@ -142,32 +245,26 @@ impl ViewChange {
         io.stats.view_changes_started += 1;
         io.metrics.inc("replica.view_changes_started");
         io.ctx.emit(self.view, h, ProtocolEvent::ViewChangeStarted);
-        let f = io.cfg.f();
-        let prepared = io
-            .log
-            .iter()
-            .filter_map(|(seq, entry)| {
-                let pp = entry.pre_prepare.as_ref()?;
-                let prepares = || entry.prepare_proof(pp.view);
-                (seq > h && entry.prepared(pp.view, f))
-                    .then(|| PreparedProof { pre_prepare: pp.clone(), prepares: prepares() })
-            })
-            .collect();
+        self.carried.fold(io.log, h, io.cfg.f());
+        let (p, q) = self.carried.sets();
         let mut vc = ViewChangeMsg {
             new_view: self.view,
+            firm: true,
             stable_seq: h,
             stable_digest: digest,
             stable_proof: proof,
-            prepared,
+            p,
+            q,
             replica: io.id,
             sig: base_crypto::Signature([0; 32]),
         };
         io.ctx.charge(io.cost.signature);
         vc.sig = vc.with_signed_bytes(|signed| io.keys.sign(signed));
         self.own_vc = Some(vc.clone());
-        self.votes.entry(self.view).or_default().insert(io.id, vc.clone());
+        self.record(vc.clone());
         io.multicast(&Message::ViewChange(vc));
-        self.arm(io);
+        self.stop(io);
+        self.arm_at_quorum(io);
     }
 
     pub(super) fn resend_own(&self, io: &mut Io<'_, '_>) {
@@ -196,14 +293,15 @@ impl ViewChange {
             io.reject();
             return false;
         }
-        self.votes.entry(vc.new_view).or_default().insert(vc.replica, vc);
+        self.record(vc);
+        self.arm_at_quorum(io);
         true
     }
 
     /// Liveness rule: once f+1 distinct replicas vote for views greater
     /// than ours, join the smallest such view, even if our own timer has
     /// not expired.
-    pub(super) fn view_to_join(&self, f: usize) -> Option<u64> {
+    fn view_to_join(&self, f: usize) -> Option<u64> {
         let mut voters: HashSet<u32> = HashSet::new();
         let mut smallest = None;
         for (v, senders) in self.votes.range((self.view + 1)..) {
@@ -213,26 +311,26 @@ impl ViewChange {
         smallest.filter(|_| voters.len() > f)
     }
 
-    /// The new primary, with a quorum of VIEW-CHANGEs, multicasts the
-    /// NEW-VIEW and returns it with its `min_s`, to install.
+    /// The new primary, once 2f+1 firm VIEW-CHANGEs or more decide every
+    /// sequence number, multicasts the NEW-VIEW and returns it with its
+    /// `min_s`, to install. It uses every firm vote it holds, in replica
+    /// order: a number that 2f+1 of them leave undecided, more may decide.
     pub(super) fn new_view(&mut self, io: &mut Io<'_, '_>) -> Option<(NewViewMsg, u64)> {
         let target = self.view;
         if !self.changing || !io.is_primary(target) || self.last_new_view >= target {
             return None;
         }
-        let senders = self.votes.get(&target).filter(|s| s.len() >= io.cfg.quorum())?;
-        // Deterministic selection: the quorum with the lowest replica ids.
-        let mut ids: Vec<u32> = senders.keys().copied().collect();
-        ids.sort_unstable();
-        ids.truncate(io.cfg.quorum());
-        let vcs: Vec<ViewChangeMsg> = ids.iter().map(|i| senders[i].clone()).collect();
-        let (min_s, pre_prepares) = compute_o(target, &vcs);
+        let mut vcs: Vec<ViewChangeMsg> =
+            self.votes.get(&target)?.values().filter(|vc| vc.firm).cloned().collect();
+        if vcs.len() < io.cfg.quorum() {
+            return None;
+        }
+        vcs.sort_unstable_by_key(|vc| vc.replica);
+        let (min_s, pre_prepares) = compute_o(target, io.cfg.f(), &vcs)?;
         let pre_prepares = pre_prepares
             .into_iter()
             .map(|mut pp| {
-                io.ctx.charge(io.cost.signature);
-                pp.sig = pp.with_signed_bytes(|signed| io.keys.sign(signed));
-                pp.auth = Authenticator::generate(io.keys, io.cfg.n, &pp.batch_digest());
+                pp.auth = io.authenticator(&pp.digest());
                 pp
             })
             .collect();
@@ -268,8 +366,11 @@ impl ViewChange {
         self.votes = self.votes.split_off(&(nv.view + 1));
     }
 
-    /// Installs `nv` (`h`: the stable checkpoint) and stops the timer.
+    /// Installs `nv` (`h`: the stable checkpoint) and stops the timer. The
+    /// log still holds the view being left, which is folded into the P and
+    /// Q sets before `nv`'s re-proposals replace it.
     pub(super) fn install(&mut self, io: &mut Io<'_, '_>, nv: &NewViewMsg, h: u64) {
+        self.carried.fold(io.log, h, io.cfg.f());
         self.enter(io.cfg, nv);
         io.stats.new_views_installed += 1;
         io.metrics.inc("replica.new_views_installed");
@@ -292,89 +393,43 @@ impl ViewChange {
     }
 }
 
-/// A NEW-VIEW's signature, its quorum of valid VIEW-CHANGEs for its view
-/// from distinct senders, and its re-proposals, which must be the `O` those
-/// determine. Returns `min_s` if all hold.
+/// A NEW-VIEW's signature, its 2f+1 or more valid firm VIEW-CHANGEs for its
+/// view from distinct senders, and its re-proposals, which must be the `O`
+/// those decide. Returns `min_s` if all hold.
 fn valid_new_view(cfg: &Config, keys: &NodeKeys, nv: &NewViewMsg) -> Option<u64> {
     if !nv.with_signed_bytes(|signed| keys.verify(nv.replica as usize, signed, &nv.sig)) {
         return None;
     }
     let mut senders = HashSet::new();
     for vc in &nv.view_changes {
-        if vc.new_view != nv.view || !verify_view_change(cfg, keys, vc) {
+        // A sender counted twice would count twice in the decision.
+        let counted = vc.firm && vc.new_view == nv.view && senders.insert(vc.replica);
+        if !counted || !verify_view_change(cfg, keys, vc) {
             return None;
         }
-        senders.insert(vc.replica);
     }
-    let (min_s, expected) = compute_o(nv.view, &nv.view_changes);
-    let matches = senders.len() >= cfg.quorum()
-        && expected.len() == nv.pre_prepares.len()
+    if senders.len() < cfg.quorum() {
+        return None;
+    }
+    let (min_s, expected) = compute_o(nv.view, cfg.f(), &nv.view_changes)?;
+    let matches = expected.len() == nv.pre_prepares.len()
         && expected.iter().zip(&nv.pre_prepares).all(|(exp, got)| {
-            got.view == nv.view
-                && got.seq == exp.seq
-                && got.batch_digest() == exp.batch_digest()
-                && got
-                    .with_signed_bytes(|signed| keys.verify(nv.replica as usize, signed, &got.sig))
+            got.view == nv.view && got.seq == exp.seq && got.batch_digest() == exp.batch_digest()
         });
     matches.then_some(min_s)
 }
 
+/// A VIEW-CHANGE's signature, stable-checkpoint proof and P and Q sets.
 fn verify_view_change(cfg: &Config, keys: &NodeKeys, vc: &ViewChangeMsg) -> bool {
     if !vc.with_signed_bytes(|signed| keys.verify(vc.replica as usize, signed, &vc.sig)) {
         return false;
     }
-    // Stable checkpoint proof.
     if vc.stable_seq > 0
         && validate_cert(cfg, keys, &vc.stable_proof) != Some((vc.stable_seq, vc.stable_digest))
     {
         return false;
     }
-    // Prepared certificates.
-    vc.prepared.iter().all(|p| verify_prepared_proof(cfg, keys, p, vc.stable_seq))
-}
-
-fn verify_prepared_proof(
-    cfg: &Config,
-    keys: &NodeKeys,
-    p: &PreparedProof,
-    stable_seq: u64,
-) -> bool {
-    let pp = &p.pre_prepare;
-    let primary = cfg.primary_of(pp.view);
-    if pp.seq <= stable_seq || !pp.with_signed_bytes(|signed| keys.verify(primary, signed, &pp.sig))
-    {
-        return false;
-    }
-    let digest = pp.batch_digest();
-    let senders: HashSet<u32> = p
-        .prepares
-        .iter()
-        .filter(|prep| prep.view == pp.view && prep.seq == pp.seq && prep.digest == digest)
-        .filter(|prep| prep.replica as usize != primary && (prep.replica as usize) < cfg.n)
-        .filter(|prep| prep.with_signed_bytes(|s| keys.verify(prep.replica as usize, s, &prep.sig)))
-        .map(|prep| prep.replica)
-        .collect();
-    senders.len() >= 2 * cfg.f()
-}
-
-/// Deterministically computes the new-view pre-prepare set `O` from a set
-/// of view-change messages. Returns `(min_s, pre_prepares)` where the
-/// pre-prepares carry empty authentication (the caller signs them).
-pub fn compute_o(view: u64, vcs: &[ViewChangeMsg]) -> (u64, Vec<PrePrepareMsg>) {
-    let min_s = vcs.iter().map(|vc| vc.stable_seq).max().unwrap_or(0);
-    let proofs = || vcs.iter().flat_map(|vc| vc.prepared.iter());
-    let max_s = proofs().map(|p| p.pre_prepare.seq).max().unwrap_or(min_s);
-    let o = ((min_s + 1)..=max_s).map(|seq| {
-        // The prepared certificate with the highest view for `seq`, or a
-        // null request.
-        let best = proofs().filter(|p| p.pre_prepare.seq == seq).max_by_key(|p| p.pre_prepare.view);
-        let (requests, nondet) = match best {
-            Some(p) => (p.pre_prepare.requests().to_vec(), p.pre_prepare.nondet().to_vec()),
-            None => (Vec::new(), Vec::new()),
-        };
-        PrePrepareMsg::new(view, seq, requests, nondet)
-    });
-    (min_s, o.collect())
+    well_formed(cfg, vc)
 }
 
 #[cfg(test)]
@@ -385,10 +440,12 @@ mod tests {
     fn record_vote(vc: &mut ViewChange, view: u64, replica: u32) {
         let msg = ViewChangeMsg {
             new_view: view,
+            firm: true,
             stable_seq: 0,
             stable_digest: Digest::ZERO,
             stable_proof: Vec::new(),
-            prepared: Vec::new(),
+            p: Vec::new(),
+            q: Vec::new(),
             replica,
             sig: base_crypto::Signature([0; 32]),
         };
@@ -455,7 +512,6 @@ mod tests {
     /// VIEW-CHANGEs for v+1 are in, so a replica holding just its own must
     /// wait in v+1 when its timer expires, not move on to v+2.
     #[test]
-    #[ignore = "ROADMAP item 1"]
     fn a_lone_timeout_waits_in_v_plus_one() {
         let cfg = Config::new(4);
         let mut vc = ViewChange::new(&cfg, 2);

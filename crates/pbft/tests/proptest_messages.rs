@@ -7,7 +7,7 @@ use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_pbft::messages::{
     CertReplyMsg, CheckpointMsg, ChunkDataMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg,
     FetchChunkDataMsg, FetchChunksMsg, FetchMetaMsg, FetchObjectMsg, MetaReplyMsg, NewViewMsg,
-    ObjectReplyMsg, PrePrepareMsg, PrepareMsg, PreparedProof, ReplyMsg, RequestMsg, StatusMsg,
+    ObjectReplyMsg, PEntry, PrePrepareMsg, PrepareMsg, QEntry, ReplyMsg, RequestMsg, StatusMsg,
     ViewChangeMsg,
 };
 use base_pbft::Message;
@@ -84,27 +84,36 @@ fn arb_pre_prepare() -> impl Strategy<Value = PrePrepareMsg> {
         proptest::collection::vec(arb_request(), 0..4),
         proptest::collection::vec(any::<u8>(), 0..16),
         arb_auth(),
-        arb_sig(),
     )
-        .prop_map(|(view, seq, requests, nondet, auth, sig)| {
+        .prop_map(|(view, seq, requests, nondet, auth)| {
             let mut pp = PrePrepareMsg::new(view, seq, requests, nondet);
             pp.auth = auth;
-            pp.sig = sig;
             pp
         })
 }
 
 fn arb_prepare() -> impl Strategy<Value = PrepareMsg> {
-    (any::<u64>(), any::<u64>(), arb_digest(), 0u32..N as u32, arb_auth(), arb_sig()).prop_map(
-        |(view, seq, digest, replica, auth, sig)| PrepareMsg {
-            view,
-            seq,
-            digest,
-            replica,
-            auth,
-            sig,
-        },
+    (any::<u64>(), any::<u64>(), arb_digest(), 0u32..N as u32, arb_auth()).prop_map(
+        |(view, seq, digest, replica, auth)| PrepareMsg { view, seq, digest, replica, auth },
     )
+}
+
+fn arb_p_entry() -> impl Strategy<Value = PEntry> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(arb_request(), 0..3),
+        proptest::collection::vec(any::<u8>(), 0..16),
+    )
+        .prop_map(|(seq, view, requests, nondet)| PEntry::new(seq, view, requests, nondet))
+}
+
+fn arb_q_entry() -> impl Strategy<Value = QEntry> {
+    (any::<u64>(), any::<u64>(), arb_digest()).prop_map(|(seq, view, digest)| QEntry {
+        seq,
+        view,
+        digest,
+    })
 }
 
 fn arb_checkpoint() -> impl Strategy<Value = CheckpointMsg> {
@@ -114,26 +123,25 @@ fn arb_checkpoint() -> impl Strategy<Value = CheckpointMsg> {
 
 fn arb_view_change() -> impl Strategy<Value = ViewChangeMsg> {
     (
-        any::<u64>(),
+        (any::<u64>(), any::<bool>()),
         any::<u64>(),
         arb_digest(),
         proptest::collection::vec(arb_checkpoint(), 0..3),
-        proptest::collection::vec(
-            (arb_pre_prepare(), proptest::collection::vec(arb_prepare(), 0..3))
-                .prop_map(|(pre_prepare, prepares)| PreparedProof { pre_prepare, prepares }),
-            0..2,
-        ),
+        proptest::collection::vec(arb_p_entry(), 0..2),
+        proptest::collection::vec(arb_q_entry(), 0..3),
         0u32..N as u32,
         arb_sig(),
     )
         .prop_map(
-            |(new_view, stable_seq, stable_digest, stable_proof, prepared, replica, sig)| {
+            |((new_view, firm), stable_seq, stable_digest, stable_proof, p, q, replica, sig)| {
                 ViewChangeMsg {
                     new_view,
+                    firm,
                     stable_seq,
                     stable_digest,
                     stable_proof,
-                    prepared,
+                    p,
+                    q,
                     replica,
                     sig,
                 }
@@ -279,7 +287,14 @@ fn memoize_digests(msg: &Message) {
         }
         pp.batch_digest();
     };
-    let view_change = |vc: &ViewChangeMsg| vc.prepared.iter().for_each(|p| batch(&p.pre_prepare));
+    let view_change = |vc: &ViewChangeMsg| {
+        for p in &vc.p {
+            p.requests().iter().for_each(|r| {
+                r.digest();
+            });
+            p.digest();
+        }
+    };
     match msg {
         Message::Request(r) => {
             r.digest();

@@ -81,22 +81,13 @@ impl Rig {
     fn pre_prepare(&self, seq: u64, requests: Vec<RequestMsg>) -> PrePrepareMsg {
         let primary = self.keys(0);
         let mut pp = PrePrepareMsg::new(0, seq, requests, Vec::new());
-        pp.sig = primary.sign(&pp.signed_bytes());
-        pp.auth = Authenticator::generate(&primary, N, &pp.batch_digest());
+        pp.auth = Authenticator::generate(&primary, N, &pp.digest());
         pp
     }
 
     fn prepare(&self, seq: u64, digest: Digest, from: u32) -> PrepareMsg {
         let keys = self.keys(from as usize);
-        let mut p = PrepareMsg {
-            view: 0,
-            seq,
-            digest,
-            replica: from,
-            auth: Authenticator::default(),
-            sig: base_crypto::Signature([0; 32]),
-        };
-        p.sig = keys.sign(&p.signed_bytes());
+        let mut p = PrepareMsg { view: 0, seq, digest, replica: from, auth: Authenticator::default() };
         p.auth = Authenticator::generate(&keys, N, &Digest::of(&p.signed_bytes()));
         p
     }

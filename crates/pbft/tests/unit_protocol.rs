@@ -5,8 +5,8 @@
 
 use base_crypto::{Digest, KeyDirectory, NodeKeys, Signature};
 use base_pbft::messages::{
-    CheckpointMsg, Message, MetaReplyMsg, ObjectReplyMsg, PrePrepareMsg, PreparedProof,
-    RequestMsg, ViewChangeMsg,
+    CheckpointMsg, Message, MetaReplyMsg, ObjectReplyMsg, PEntry, QEntry, RequestMsg,
+    ViewChangeMsg,
 };
 use base_pbft::replica::{compute_o, validate_cert};
 use base_pbft::transfer::{
@@ -333,34 +333,43 @@ fn request(op: &[u8]) -> RequestMsg {
     RequestMsg::new(4, 1, false, 0, op.to_vec())
 }
 
-fn prepared_proof(view: u64, seq: u64, op: &[u8]) -> PreparedProof {
-    PreparedProof {
-        pre_prepare: PrePrepareMsg::new(view, seq, vec![request(op)], Vec::new()),
-        prepares: Vec::new(),
-    }
+/// A P entry: `op`'s batch prepared at `seq` in `view`.
+fn prepared(view: u64, seq: u64, op: &[u8]) -> PEntry {
+    PEntry::new(seq, view, vec![request(op)], Vec::new())
 }
 
-fn view_change(new_view: u64, stable_seq: u64, prepared: Vec<PreparedProof>, replica: u32) -> ViewChangeMsg {
-    ViewChangeMsg {
-        new_view,
-        stable_seq,
-        stable_digest: Digest::ZERO,
-        stable_proof: Vec::new(),
-        prepared,
-        replica,
-        sig: Signature([0; 32]),
-    }
+/// The Q entry vouching that `p`'s batch pre-prepared in its view.
+fn vouch(p: &PEntry) -> QEntry {
+    QEntry { seq: p.seq, view: p.view, digest: p.digest() }
 }
+
+fn view_change(
+    new_view: u64,
+    stable_seq: u64,
+    p: Vec<PEntry>,
+    q: Vec<QEntry>,
+    replica: u32,
+) -> ViewChangeMsg {
+    let (stable_digest, stable_proof, sig) = (Digest::ZERO, Vec::new(), Signature([0; 32]));
+    let firm = true;
+    ViewChangeMsg { new_view, firm, stable_seq, stable_digest, stable_proof, p, q, replica, sig }
+}
+
+/// f = 1: a group of four.
+const F: usize = 1;
 
 #[test]
 fn compute_o_fills_gaps_with_null_requests() {
-    // One replica prepared seq 3 and 5; nothing for 4.
+    // Replica 0 prepared seq 3 and 5, and replica 1 pre-prepared both;
+    // nothing for 4.
+    let (p3, p5) = (prepared(0, 3, b"op3"), prepared(0, 5, b"op5"));
+    let q = vec![vouch(&p3), vouch(&p5)];
     let vcs = vec![
-        view_change(1, 2, vec![prepared_proof(0, 3, b"op3"), prepared_proof(0, 5, b"op5")], 0),
-        view_change(1, 2, vec![], 1),
-        view_change(1, 2, vec![], 2),
+        view_change(1, 2, vec![p3, p5], q.clone(), 0),
+        view_change(1, 2, vec![], q, 1),
+        view_change(1, 2, vec![], vec![], 2),
     ];
-    let (min_s, o) = compute_o(1, &vcs);
+    let (min_s, o) = compute_o(1, F, &vcs).expect("every number decided");
     assert_eq!(min_s, 2);
     let seqs: Vec<u64> = o.iter().map(|p| p.seq).collect();
     assert_eq!(seqs, vec![3, 4, 5]);
@@ -372,26 +381,53 @@ fn compute_o_fills_gaps_with_null_requests() {
 
 #[test]
 fn compute_o_prefers_the_highest_view_certificate() {
+    let (old, newer) = (prepared(0, 1, b"old"), prepared(1, 1, b"newer"));
     let vcs = vec![
-        view_change(2, 0, vec![prepared_proof(0, 1, b"old")], 0),
-        view_change(2, 0, vec![prepared_proof(1, 1, b"newer")], 1),
-        view_change(2, 0, vec![], 2),
+        view_change(2, 0, vec![old.clone()], vec![vouch(&old)], 0),
+        view_change(2, 0, vec![newer.clone()], vec![vouch(&old), vouch(&newer)], 1),
+        view_change(2, 0, vec![], vec![vouch(&newer)], 2),
     ];
-    let (_, o) = compute_o(2, &vcs);
+    let (_, o) = compute_o(2, F, &vcs).expect("decided");
     assert_eq!(o.len(), 1);
     assert_eq!(o[0].requests()[0].op(), b"newer", "view-1 certificate wins over view-0");
 }
 
 #[test]
 fn compute_o_min_s_is_the_highest_stable_checkpoint() {
+    let below = prepared(0, 5, b"below-min-s");
     let vcs = vec![
-        view_change(1, 128, vec![], 0),
-        view_change(1, 0, vec![prepared_proof(0, 5, b"below-min-s")], 1),
-        view_change(1, 64, vec![], 2),
+        view_change(1, 128, vec![], vec![], 0),
+        view_change(1, 0, vec![below.clone()], vec![vouch(&below)], 1),
+        view_change(1, 64, vec![], vec![], 2),
     ];
-    let (min_s, o) = compute_o(1, &vcs);
+    let (min_s, o) = compute_o(1, F, &vcs).expect("decided");
     assert_eq!(min_s, 128);
     assert!(o.is_empty(), "prepared entries at or below min_s are not re-proposed");
+}
+
+/// A claim only its claimant vouches for is neither chosen nor ruled out
+/// by three messages, two of which have no P entry: the new primary waits.
+/// A fourth message decides the number either way — for the claim if it
+/// vouches for it, for the null batch if it has nothing at that number.
+#[test]
+fn compute_o_waits_until_more_view_changes_decide() {
+    let x = prepared(0, 1, b"x");
+    let three = vec![
+        view_change(1, 0, vec![x.clone()], vec![vouch(&x)], 0),
+        view_change(1, 0, vec![], vec![], 2),
+        view_change(1, 0, vec![], vec![], 3),
+    ];
+    assert!(compute_o(1, F, &three).is_none(), "one voucher is not f + 1, two blanks not 2f + 1");
+
+    let mut vouched = three.clone();
+    vouched.insert(1, view_change(1, 0, vec![], vec![vouch(&x)], 1));
+    let (_, o) = compute_o(1, F, &vouched).expect("decided");
+    assert_eq!(o[0].requests()[0].op(), b"x");
+
+    let mut blank = three;
+    blank.insert(1, view_change(1, 0, vec![], vec![], 1));
+    let (_, o) = compute_o(1, F, &blank).expect("decided");
+    assert!(o[0].requests().is_empty(), "three messages without a P entry choose null");
 }
 
 #[test]
