@@ -18,15 +18,15 @@
 //! `nfs-buggy` (homogeneous inode-fs with the armed latent bug — the
 //! paper's common-mode failure), `oodb` (replicated object database).
 
-use base_bench::experiments::faultinj::NfsChaosHarness;
+use base_bench::experiments::faultinj::NfsWorkload;
 use base_bench::experiments::{
     run_andrew, run_bandwidth, run_checkpoint, run_codesize, run_degree, run_faultinj, run_oodb,
     run_recovery, run_roopt, run_shards, run_sigmac, run_throughput, run_transfer,
 };
 use base_bench::repro::{write_campaign_artifacts, DEFAULT_ARTIFACT_DIR};
 use base_bench::{lab, AndrewScale, FsMix};
-use base_oodb::chaos::OodbChaosHarness;
-use base_pbft::chaos::CounterChaosHarness;
+use base_oodb::chaos::OodbWorkload;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::tracediff::{divergence_report, first_divergence, parse_jsonl};
 use base_simnet::SimDuration;
@@ -138,24 +138,20 @@ fn campaign(args: &[String]) -> ExitCode {
     let report = match name.as_str() {
         "counter" | "counter-buggy" => {
             let harness = || {
-                let mut h = CounterChaosHarness::new(4);
-                h.inject_client_bug = name == "counter-buggy";
-                h
+                let mut workload = CounterWorkload::default();
+                workload.inject_client_bug = name == "counter-buggy";
+                ServiceCampaign::new(4, workload)
             };
             run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
         }
         "nfs" | "nfs-buggy" => {
             let buggy = name == "nfs-buggy";
             let mix = if buggy { FsMix::HomogeneousInode } else { FsMix::Heterogeneous };
-            let harness = || {
-                let mut h = NfsChaosHarness::new(mix);
-                h.with_latent_bug = buggy;
-                h
-            };
+            let harness = || ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug: buggy });
             run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
         }
         "oodb" => {
-            let harness = || OodbChaosHarness::new(4);
+            let harness = || ServiceCampaign::new(4, OodbWorkload::default());
             run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
         }
         _ => usage(),

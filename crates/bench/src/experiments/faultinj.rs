@@ -21,14 +21,16 @@ use crate::setup::{arm_inode_latent_bug, build_replicated_nfs, set_relay_pace, F
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid;
-use base_pbft::chaos::{campaign_config, campaign_gen_config, Group, CAMPAIGN_BOUNDS};
-use base_pbft::Config;
-use base_simnet::chaos::{
-    run_campaign, CampaignMode, ChaosHarness, LivenessBounds, ScheduleGenConfig,
-};
+use base_pbft::chaos::{ServiceCampaign, Workload};
+use base_pbft::{Config, Deployment};
+use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::{NodeId, SimDuration, Simulation};
 
 const FILES: u32 = 8;
+/// Gap between relay submissions. The NFS campaigns keep their own pace
+/// rather than [`base_pbft::chaos::CAMPAIGN_PACE`]: the blessed NFS trace
+/// and coverage snapshots were recorded at it.
+const PACE: SimDuration = SimDuration::from_millis(300);
 
 fn payload(i: u32, with_trigger: bool) -> Vec<u8> {
     if i == 0 && with_trigger {
@@ -57,92 +59,36 @@ fn script(with_trigger: bool) -> Vec<NfsOp> {
     s
 }
 
-/// Campaign harness for the replicated NFS testbed: a paced create/write/
-/// read-back workload audited from the client's view, over a [`Group`] whose
-/// replicas may each run a different file system.
-pub struct NfsChaosHarness {
+/// The replicated NFS testbed under a paced create/write/read-back script,
+/// checked from the client's view, over replicas that may each run a
+/// different file system.
+pub struct NfsWorkload {
     /// Which implementations the replicas run.
     pub mix: FsMix,
     /// Arms the input-triggered latent bug in every `InodeFs` replica and
     /// includes the triggering payload in the workload.
     pub with_latent_bug: bool,
-    /// Gap between relay submissions.
-    pub pace: SimDuration,
-    /// The group configuration a run is built with, seeded by
-    /// [`campaign_config`] for four replicas.
-    pub cfg: Config,
-    // Per-run state, reset by `build`.
-    client: NodeId,
-    group: Group,
 }
 
-impl NfsChaosHarness {
-    /// Creates a harness for `mix`.
-    pub fn new(mix: FsMix) -> Self {
-        Self {
-            mix,
-            with_latent_bug: false,
-            pace: SimDuration::from_millis(300),
-            cfg: campaign_config(4),
-            client: NodeId(0),
-            group: Group::default(),
-        }
-    }
-
-    /// The schedule-generation config matching this harness.
-    pub fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
-        campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
-    }
-}
-
-impl ChaosHarness for NfsChaosHarness {
-    fn build(&mut self, seed: u64) -> Simulation {
-        let mut sim = Simulation::new(seed);
-        let bed = build_replicated_nfs(
-            &mut sim,
-            seed,
-            self.cfg.n,
-            self.mix,
-            ScriptDriver::new(script(self.with_latent_bug)),
-            |cfg| *cfg = self.cfg.clone(),
-        );
-        set_relay_pace::<ScriptDriver>(&mut sim, bed.clients[0], self.pace);
-        self.group = Group::new(&mut sim, bed.replicas.clone());
-        if self.with_latent_bug {
-            // An armed replica corrupts the triggering write by itself: it
-            // is faulty from the start, whatever the schedule does.
-            for node in arm_inode_latent_bug(&mut sim, &bed) {
-                self.group.taint(node);
-            }
-        }
-        self.client = bed.clients[0];
-        sim
-    }
-
-    fn apply_app(
+impl Workload for NfsWorkload {
+    fn deploy(
         &mut self,
         sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        if !self.group.apply_fault(sim, node, tag, arg, trace) {
-            trace.push(format!("app fault tag {tag} at node {} ignored", node.0));
-        }
+        cfg: Config,
+        seed: u64,
+    ) -> (Deployment, Vec<NodeId>) {
+        let script = ScriptDriver::new(script(self.with_latent_bug));
+        let bed = build_replicated_nfs(sim, seed, cfg.n, self.mix, script, |c| *c = cfg);
+        set_relay_pace::<ScriptDriver>(sim, bed.clients[0], PACE);
+        // An armed replica corrupts the triggering write by itself: it is
+        // faulty from the start, whatever the schedule does.
+        let armed = if self.with_latent_bug { arm_inode_latent_bug(sim, &bed) } else { Vec::new() };
+        (bed, armed)
     }
 
-    fn settle(&self) -> SimDuration {
-        SimDuration::from_secs(30)
-    }
-
-    fn liveness_bounds(&self) -> LivenessBounds {
-        CAMPAIGN_BOUNDS
-    }
-
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+    fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String> {
         let relay = sim
-            .actor_as::<RelayActor<ScriptDriver>>(self.client)
+            .actor_as::<RelayActor<ScriptDriver>>(clients[0])
             .ok_or_else(|| "relay actor missing".to_string())?;
         if !relay.done() {
             return Err(format!(
@@ -170,11 +116,6 @@ impl ChaosHarness for NfsChaosHarness {
                 }
             }
         }
-        let all = self.group.members(sim);
-        self.group.audit_view_agreement(&all)?;
-        self.group.audit_stable_digests(&all)?;
-        self.group.audit_retained_checkpoints(&all)?;
-        trace.push("audit ok: workload finished, all reads match writes, replicas agree".into());
         Ok(())
     }
 }
@@ -194,11 +135,7 @@ pub fn run_faultinj() {
     let mut bug_failure = None;
     let mut total_coverage = base_simnet::chaos::Coverage::default();
     for (mix, bug, mixname) in cells {
-        let harness = || {
-            let mut h = NfsChaosHarness::new(mix);
-            h.with_latent_bug = bug;
-            h
-        };
+        let harness = || ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug: bug });
         let cfg = harness().gen_config(5, SimDuration::from_secs(6));
         let report = run_campaign(harness, CampaignMode::Mixed, &cfg, 6200..6206, 1);
         total_coverage.merge(&report.coverage);

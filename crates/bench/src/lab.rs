@@ -11,7 +11,7 @@ use crate::experiments::throughput::{measure_throughput, measure_throughput_with
 use crate::experiments::transfer::{measure_catch_up, CatchUp};
 use base::{BaseService, ModifyLog, Wrapper};
 use base_crypto::Digest;
-use base_pbft::chaos::{CounterChaosHarness, APP_BYZ};
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign, APP_BYZ};
 use base_pbft::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
 use base_pbft::transfer::{
     checkpoint_digest, Fetcher, DEFAULT_FETCH_WINDOW, META_ROOT_LEVEL, REPLIES_INDEX,
@@ -69,7 +69,7 @@ const TRANSFER_VALUE_BYTES: usize = 1024;
 /// realistic one — but which subsets fail is exactly predictable, keeping
 /// the measured search shape (and `ddmin.executions`) deterministic.
 struct CrashCounting {
-    inner: CounterChaosHarness,
+    inner: ServiceCampaign<CounterWorkload>,
     threshold: usize,
 }
 
@@ -104,7 +104,7 @@ impl ChaosHarness for CrashCounting {
 }
 
 fn ddmin_harness() -> CrashCounting {
-    CrashCounting { inner: CounterChaosHarness::new(4), threshold: 2 }
+    CrashCounting { inner: ServiceCampaign::new(4, CounterWorkload::default()), threshold: 2 }
 }
 
 /// A fixed 10-event schedule with decoys around the two crashes ddmin must
@@ -500,10 +500,10 @@ pub fn measure() -> BenchReport {
     let e9_sim_ops_per_sec = (e9.ops as f64 / (e9.elapsed_ns as f64 / 1e9)).round() as u64;
 
     // Chaos campaign at a fixed worker count.
-    let h = CounterChaosHarness::new(4);
-    let cfg = h.gen_config(5, SimDuration::from_secs(6));
+    let counter = || ServiceCampaign::new(4, CounterWorkload::default());
+    let cfg = counter().gen_config(5, SimDuration::from_secs(6));
     let report = run_campaign(
-        || CounterChaosHarness::new(4),
+        counter,
         CampaignMode::Mixed,
         &cfg,
         CAMPAIGN_SEEDS,

@@ -5,17 +5,23 @@
 //! deterministic common-mode bug must be caught on the homogeneous testbed
 //! and shrink to an *empty* schedule (no injected fault needed).
 
-use base_bench::experiments::faultinj::NfsChaosHarness;
+use base_bench::experiments::faultinj::NfsWorkload;
 use base_bench::repro::write_campaign_artifacts;
 use base_bench::FsMix;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign, APP_BYZ};
+use base_pbft::ByzMode;
 use base_simnet::chaos::{minimize, run_campaign, run_one, CampaignMode, FaultSchedule};
 use base_simnet::NetFault;
 use base_simnet::ddmin::CountingHarness;
 use base_simnet::{NodeId, SimDuration, SimTime};
 
+fn nfs(mix: FsMix, with_latent_bug: bool) -> ServiceCampaign<NfsWorkload> {
+    ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug })
+}
+
 #[test]
 fn nfs_campaign_passes_auditor() {
-    let harness = || NfsChaosHarness::new(FsMix::Heterogeneous);
+    let harness = || nfs(FsMix::Heterogeneous, false);
     let cfg = harness().gen_config(5, SimDuration::from_secs(6));
     let report = run_campaign(harness, CampaignMode::Mixed, &cfg, 6200..6220, 1);
     assert_eq!(report.runs, 20);
@@ -43,8 +49,7 @@ fn nfs_campaign_passes_auditor() {
 
 #[test]
 fn common_mode_bug_fails_homogeneous_and_minimizes_to_empty() {
-    let mut h = NfsChaosHarness::new(FsMix::HomogeneousInode);
-    h.with_latent_bug = true;
+    let mut h = nfs(FsMix::HomogeneousInode, true);
     let schedule = FaultSchedule::new();
     let (outcome, verdict) = run_one(&mut h, 1, &schedule);
     assert!(
@@ -74,11 +79,7 @@ fn common_mode_bug_fails_homogeneous_and_minimizes_to_empty() {
 /// both outputs are byte-identical across two runs with the same seed.
 #[test]
 fn repro_lab_acceptance_buggy_campaign() {
-    let buggy = || {
-        let mut h = NfsChaosHarness::new(FsMix::HomogeneousInode);
-        h.with_latent_bug = true;
-        h
-    };
+    let buggy = || nfs(FsMix::HomogeneousInode, true);
     let cfg = buggy().gen_config(3, SimDuration::from_secs(4));
     let run = || run_campaign(buggy, CampaignMode::Mixed, &cfg, 7000..7020, 1);
     let report = run();
@@ -141,8 +142,7 @@ fn repro_lab_acceptance_buggy_campaign() {
 
 #[test]
 fn heterogeneous_masks_the_deterministic_bug() {
-    let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-    h.with_latent_bug = true;
+    let mut h = nfs(FsMix::Heterogeneous, true);
     let (outcome, verdict) = run_one(&mut h, 1, &FaultSchedule::new());
     assert_eq!(
         verdict,
@@ -165,8 +165,7 @@ fn nfs_partition_heal_liveness_is_bounded_and_deterministic() {
     );
 
     let run = |seed: u64| {
-        let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
-        run_one(&mut h, seed, &schedule)
+        run_one(&mut nfs(FsMix::Heterogeneous, false), seed, &schedule)
     };
     for seed in [11u64, 12] {
         let (outcome, verdict) = run(seed);
@@ -188,5 +187,34 @@ fn nfs_partition_heal_liveness_is_bounded_and_deterministic() {
         let (again, verdict2) = run(seed);
         assert_eq!(outcome, again);
         assert_eq!(verdict.is_ok(), verdict2.is_ok());
+    }
+}
+
+/// A failed run ends its trace with every replica's status line, then the
+/// coverage line: here a counter run whose quorum-skipping clients accept a
+/// Byzantine replier's fabricated result, and the homogeneous NFS group
+/// that serves the latent bug's corrupted data.
+#[test]
+fn failing_runs_end_with_every_replica_status() {
+    let mut buggy_counter = CounterWorkload::default();
+    buggy_counter.inject_client_bug = true;
+    let mut byzantine_replier = FaultSchedule::new();
+    let corrupt_replies = ByzMode::CorruptReplies.code();
+    byzantine_replier.app(SimTime::from_millis(10), NodeId(1), APP_BYZ, corrupt_replies);
+    let runs = [
+        run_one(&mut ServiceCampaign::new(4, buggy_counter), 3, &byzantine_replier),
+        run_one(&mut nfs(FsMix::HomogeneousInode, true), 1, &FaultSchedule::new()),
+    ];
+    for (outcome, verdict) in runs {
+        let trace = outcome.trace.join("\n");
+        assert!(verdict.is_err(), "the run must fail:\n{trace}");
+        let (coverage, rest) = outcome.trace.split_last().expect("a run traces its coverage");
+        assert!(coverage.starts_with("coverage: "), "{trace}");
+        // Exactly one status line per replica, replica 0 first.
+        let (before, statuses) = rest.split_at(rest.len() - 4);
+        for (i, line) in statuses.iter().enumerate() {
+            assert!(line.starts_with(&format!("{{\"replica\":{i},")), "{trace}");
+        }
+        assert!(before.last().is_none_or(|line| !line.starts_with('{')), "{trace}");
     }
 }

@@ -6,14 +6,14 @@
 //! transfer over a gapped slot table. The auditors must report zero safety
 //! or liveness violations.
 
-use base_bench::experiments::faultinj::NfsChaosHarness;
+use base_bench::experiments::faultinj::NfsWorkload;
 use base_bench::FsMix;
-use base_pbft::chaos::CounterChaosHarness;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::SimDuration;
 
-fn pipelined_counter() -> CounterChaosHarness {
-    let mut h = CounterChaosHarness::new(4);
+fn pipelined_counter() -> ServiceCampaign<CounterWorkload> {
+    let mut h = ServiceCampaign::new(4, CounterWorkload::default());
     h.cfg.pipeline_depth = 4;
     h
 }
@@ -39,7 +39,8 @@ fn counter_campaign_with_pipelining_passes_auditor() {
 #[test]
 fn nfs_campaign_with_pipelining_passes_auditor() {
     let pipelined_nfs = || {
-        let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
+        let workload = NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false };
+        let mut h = ServiceCampaign::new(4, workload);
         h.cfg.pipeline_depth = 4;
         h
     };

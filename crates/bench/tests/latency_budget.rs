@@ -4,7 +4,7 @@
 //! including the span graph as Perfetto-loadable Chrome trace JSON.
 
 use base_bench::repro::write_campaign_artifacts;
-use base_pbft::chaos::CounterChaosHarness;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::SimDuration;
 
@@ -14,7 +14,7 @@ fn budget_violation_minimizes_to_a_perfetto_repro_artifact() {
     // violates, so the campaign fails deterministically and the minimizer
     // strips the (irrelevant) injected faults.
     let budgeted = || {
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = ServiceCampaign::new(4, CounterWorkload::default());
         h.latency_budget = Some(SimDuration::from_micros(10));
         h
     };

@@ -32,13 +32,13 @@
 
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
-use base_bench::experiments::faultinj::NfsChaosHarness;
+use base_bench::experiments::faultinj::NfsWorkload;
 use base_bench::setup::{build_replicated_nfs, set_relay_pace, FsMix};
 use base_nfs::ops::NfsOp;
 use base_nfs::relay::{RelayActor, ScriptDriver};
 use base_nfs::spec::Oid as NfsOid;
 use base_oodb::{ObjStore, Oid, OodbOp, OodbReply, OodbWrapper};
-use base_pbft::chaos::CounterChaosHarness;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_pbft::testing::{op_add, op_get, CounterService};
 use base_pbft::{ClientActor, Deployment, Replica, Service as _};
 use base_simnet::chaos::{generate_schedule, run_one};
@@ -437,7 +437,7 @@ fn assert_chaos_cell_replays<H: base_simnet::chaos::ChaosHarness>(
 #[test]
 fn chaos_counter_run_at_depth_4_replays_and_audits() {
     let harness = || {
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = ServiceCampaign::new(4, CounterWorkload::default());
         h.cfg.pipeline_depth = 4;
         h
     };
@@ -448,7 +448,8 @@ fn chaos_counter_run_at_depth_4_replays_and_audits() {
 #[test]
 fn chaos_nfs_run_at_depth_4_replays_and_audits() {
     let harness = || {
-        let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
+        let workload = NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false };
+        let mut h = ServiceCampaign::new(4, workload);
         h.cfg.pipeline_depth = 4;
         h
     };

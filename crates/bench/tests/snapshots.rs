@@ -26,10 +26,10 @@
 
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseService, Config};
-use base_bench::experiments::faultinj::NfsChaosHarness;
+use base_bench::experiments::faultinj::NfsWorkload;
 use base_bench::FsMix;
-use base_oodb::chaos::OodbChaosHarness;
-use base_pbft::chaos::CounterChaosHarness;
+use base_oodb::chaos::OodbWorkload;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_pbft::Deployment;
 use base_simnet::chaos::{generate_schedule, run_campaign, run_one, CampaignMode, ChaosHarness};
 use base_simnet::trace::export_jsonl;
@@ -158,19 +158,25 @@ fn campaign_coverage<H: ChaosHarness>(
     report.coverage_json()
 }
 
+fn nfs() -> ServiceCampaign<NfsWorkload> {
+    ServiceCampaign::new(4, NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false })
+}
+
+fn oodb() -> ServiceCampaign<OodbWorkload> {
+    ServiceCampaign::new(4, OodbWorkload::default())
+}
+
 /// The heterogeneous NFS testbed, 4 generated fault events over 4 s.
 fn nfs_coverage() -> String {
-    let harness = || NfsChaosHarness::new(FsMix::Heterogeneous);
-    let cfg = harness().gen_config(4, SimDuration::from_secs(4));
-    campaign_coverage(harness, &cfg, 6200..6206)
+    let cfg = nfs().gen_config(4, SimDuration::from_secs(4));
+    campaign_coverage(nfs, &cfg, 6200..6206)
 }
 
 /// Four OODB replicas, 4 generated fault events over 6 s (the OODB
 /// workload paces slower than NFS).
 fn oodb_coverage() -> String {
-    let harness = || OodbChaosHarness::new(4);
-    let cfg = harness().gen_config(4, SimDuration::from_secs(6));
-    campaign_coverage(harness, &cfg, 200..206)
+    let cfg = oodb().gen_config(4, SimDuration::from_secs(6));
+    campaign_coverage(oodb, &cfg, 200..206)
 }
 
 #[test]
@@ -194,17 +200,17 @@ fn campaign_metrics_are_deterministic() {
 fn scenario(name: &str) -> Vec<TraceEvent> {
     let (outcome, verdict) = match name {
         "counter" => {
-            let mut h = CounterChaosHarness::new(4);
+            let mut h = ServiceCampaign::new(4, CounterWorkload::default());
             let cfg = h.gen_config(4, SimDuration::from_secs(4));
             run_one(&mut h, 4100, &generate_schedule(&cfg, 4100))
         }
         "nfs" => {
-            let mut h = NfsChaosHarness::new(FsMix::Heterogeneous);
+            let mut h = nfs();
             let cfg = h.gen_config(4, SimDuration::from_secs(4));
             run_one(&mut h, 6200, &generate_schedule(&cfg, 6200))
         }
         "oodb" => {
-            let mut h = OodbChaosHarness::new(4);
+            let mut h = oodb();
             let cfg = h.gen_config(4, SimDuration::from_secs(6));
             run_one(&mut h, 200, &generate_schedule(&cfg, 200))
         }

@@ -6,7 +6,7 @@
 //! be byte-identical regardless of how many workers executed the runs.
 
 use base_bench::experiments::throughput::measure_throughput;
-use base_pbft::chaos::CounterChaosHarness;
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::{build_spans, export_perfetto, render_spans, SimDuration};
 
@@ -58,8 +58,9 @@ fn span_artifacts_are_byte_identical_across_runs() {
 #[test]
 fn campaign_coverage_is_worker_invariant() {
     let run = |workers: usize| {
-        let cfg = CounterChaosHarness::new(4).gen_config(4, SimDuration::from_secs(4));
-        run_campaign(|| CounterChaosHarness::new(4), CampaignMode::Mixed, &cfg, 4300..4306, workers)
+        let counter = || ServiceCampaign::new(4, CounterWorkload::default());
+        let cfg = counter().gen_config(4, SimDuration::from_secs(4));
+        run_campaign(counter, CampaignMode::Mixed, &cfg, 4300..4306, workers)
     };
     let one = run(1);
     let two = run(2);

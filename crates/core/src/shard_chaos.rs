@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use base_pbft::chaos::{
     audit_subset_chain, campaign_config, campaign_gen_config, fresh_delta, ChainOp, Group,
-    CAMPAIGN_BOUNDS,
+    CAMPAIGN_BOUNDS, CAMPAIGN_PACE, CAMPAIGN_SETTLE,
 };
 use base_pbft::testing::{op_add, op_get, CounterService, COUNTER_REGS};
 use base_pbft::Replica;
@@ -61,6 +61,9 @@ use crate::shard::{
 /// refusals land at one sequence number on every replica of the shard and
 /// the subsequent abort/retry rounds are deterministic.
 pub const APP_XBUSY: u32 = 10;
+
+/// Router clients, each talking to every shard.
+const ROUTERS: usize = 2;
 
 type LockedCounter = ShardLockService<CounterService>;
 type ShardReplica = Replica<LockedCounter>;
@@ -85,8 +88,6 @@ pub struct ShardedChaosHarness {
     pub n: usize,
     /// Number of independent replica groups.
     pub shards: u32,
-    /// Number of router clients (each talks to every shard).
-    pub routers: usize,
     /// Single-shard operations per router, spread round-robin over the
     /// shards' designated registers (every third one a read).
     pub singles_per_router: usize,
@@ -96,11 +97,6 @@ pub struct ShardedChaosHarness {
     /// without a quorum) on every router core, so tests can demonstrate
     /// the auditor catching it through the sharded path.
     pub inject_router_bug: bool,
-    /// Gap between a router's pump ticks, stretching the workload across
-    /// the fault schedule.
-    pub pace: SimDuration,
-    /// Extra settle time after the last event.
-    pub settle: SimDuration,
     // Per-run state, reset by `build`.
     deployment: Option<ShardedGroup>,
     /// One [`Group`] per shard, in shard order.
@@ -121,12 +117,9 @@ impl ShardedChaosHarness {
         Self {
             n,
             shards,
-            routers: 2,
             singles_per_router: 6,
             cross_per_router: 2,
             inject_router_bug: false,
-            pace: SimDuration::from_millis(250),
-            settle: SimDuration::from_secs(30),
             deployment: None,
             groups: Vec::new(),
             expected: HashMap::new(),
@@ -238,20 +231,18 @@ impl ShardedChaosHarness {
 
     /// Per-shard convergence: after the settle window each shard's honest
     /// replicas agree on one view and on certificate-backed stable digests.
-    /// Retained (uncertified) digests are held to agreement on fault-free
-    /// runs only — see the module docs.
+    /// The other group auditors read uncertified per-replica state, so a
+    /// shard is held to all of them ([`Group::audit`]) on fault-free runs
+    /// only — see the module docs.
     fn audit_per_shard_agreement(&self, sim: &Simulation, fault_free: bool) -> Result<(), String> {
         for (s, shard) in self.groups.iter().enumerate() {
             let all = shard.members(sim);
-            let agreement = || {
-                shard.audit_view_agreement(&all)?;
-                shard.audit_stable_digests(&all)?;
-                if fault_free {
-                    shard.audit_retained_checkpoints(&all)?;
-                }
-                Ok(())
+            let agreement = if fault_free {
+                shard.audit(&all)
+            } else {
+                shard.audit_view_agreement(&all).and_then(|()| shard.audit_stable_digests(&all))
             };
-            agreement().map_err(|e: String| format!("shard {s}: {e}"))?;
+            agreement.map_err(|e| format!("shard {s}: {e}"))?;
         }
         Ok(())
     }
@@ -291,7 +282,7 @@ impl ShardedChaosHarness {
 impl ChaosHarness for ShardedChaosHarness {
     fn build(&mut self, seed: u64) -> Simulation {
         self.expected.clear();
-        self.jobs = vec![0; self.routers];
+        self.jobs = vec![0; ROUTERS];
         self.reg_deltas.clear();
 
         let mut sim = Simulation::new(seed);
@@ -300,7 +291,7 @@ impl ChaosHarness for ShardedChaosHarness {
             &mut sim,
             campaign_config(self.n),
             map,
-            self.routers,
+            ROUTERS,
             seed,
             counter_footprint,
             |_, _| ShardLockService::new(CounterService::default(), counter_footprint),
@@ -317,7 +308,7 @@ impl ChaosHarness for ShardedChaosHarness {
             for s in 0..self.shards {
                 router.core_mut(s).bug_accept_first_reply = self.inject_router_bug;
             }
-            router.set_pace(self.pace);
+            router.set_pace(CAMPAIGN_PACE);
             let mut job = 0u64;
             let mut singles = 0usize;
             let mut crosses = 0usize;
@@ -373,7 +364,7 @@ impl ChaosHarness for ShardedChaosHarness {
                 return;
             }
             let reg = group.map.range_of(shard as u32).start;
-            let r = node.0 % self.routers;
+            let r = node.0 % ROUTERS;
             let count = 1 + arg;
             let router_node = group.clients[r];
             let router = sim.actor_as_mut::<ShardedClient>(router_node).expect("router actor");
@@ -391,13 +382,18 @@ impl ChaosHarness for ShardedChaosHarness {
     }
 
     fn settle(&self) -> SimDuration {
-        self.settle
+        CAMPAIGN_SETTLE
     }
 
     fn liveness_bounds(&self) -> LivenessBounds {
         // The single-group bounds hold here too: cross-shard retries add
         // at most a bounded backoff.
         CAMPAIGN_BOUNDS
+    }
+
+    /// Every replica's status line, shard by shard.
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        self.groups.iter().flat_map(|g| g.members(sim)).map(|(_, r)| r.status()).collect()
     }
 
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {

@@ -5,74 +5,53 @@
 //! recovery repairs corrupted concrete state through the abstraction.
 
 use base::demo::{KvWrapper, TinyKv};
-use base::{BaseClient, BaseReplica, BaseService, ByzMode};
+use base::{BaseClient, BaseReplica, BaseService, ByzMode, Config};
 use base_pbft::chaos::{
-    campaign_config, campaign_gen_config, completed_ops, Group, APP_CORRUPT_STATE, APP_RECOVER,
-    CAMPAIGN_BOUNDS,
+    completed_ops, Group, ServiceCampaign, Workload, APP_CORRUPT_STATE, APP_RECOVER,
+    CAMPAIGN_PACE,
 };
 use base_pbft::Deployment;
-use base_simnet::chaos::{
-    run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule, LivenessBounds,
-    ScheduleGenConfig,
-};
+use base_simnet::chaos::{run_campaign, run_one, CampaignMode, ChaosHarness, FaultSchedule};
 use base_simnet::{NodeId, SimDuration, SimTime, Simulation};
 use std::collections::HashMap;
 
 type Replica = BaseReplica<KvWrapper>;
 
-/// Campaign harness for the replicated KV service. Each client owns a
-/// disjoint key space and writes each of its keys exactly once, then reads
-/// some back, so the expected final store contents and every read result
-/// are known exactly.
-struct KvChaosHarness {
-    n: usize,
-    clients: usize,
-    ops_per_client: usize,
-    pace: SimDuration,
-    client_nodes: Vec<NodeId>,
-    group: Group,
+const CLIENTS: usize = 2;
+const OPS_PER_CLIENT: usize = 12;
+
+/// The replicated KV service under two clients. Each client owns a disjoint
+/// key space and writes each of its keys exactly once, then reads some
+/// back, so the expected final store contents and every read result are
+/// known exactly.
+#[derive(Default)]
+struct KvWorkload {
     /// (client index, ts) → expected result bytes.
     expected: HashMap<(usize, u64), Vec<u8>>,
     /// key → final value the converged store must hold.
     final_kv: HashMap<String, Vec<u8>>,
 }
 
-impl KvChaosHarness {
-    fn new(n: usize) -> Self {
-        Self {
-            n,
-            clients: 2,
-            ops_per_client: 12,
-            pace: SimDuration::from_millis(250),
-            client_nodes: Vec::new(),
-            group: Group::default(),
-            expected: HashMap::new(),
-            final_kv: HashMap::new(),
-        }
-    }
-
-    fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
-        campaign_gen_config(self.n, campaign_config(self.n).f(), events, horizon)
-    }
+fn kv() -> ServiceCampaign<KvWorkload> {
+    ServiceCampaign::new(4, KvWorkload::default())
 }
 
-impl ChaosHarness for KvChaosHarness {
-    fn build(&mut self, seed: u64) -> Simulation {
+impl Workload for KvWorkload {
+    fn deploy(
+        &mut self,
+        sim: &mut Simulation,
+        cfg: Config,
+        seed: u64,
+    ) -> (Deployment, Vec<NodeId>) {
         self.expected.clear();
         self.final_kv.clear();
-
-        let cfg = campaign_config(self.n);
-        let mut sim = Simulation::new(seed);
-        let d = Deployment::build(&mut sim, cfg, self.clients, seed, |_| {
+        let d = Deployment::build(sim, cfg, CLIENTS, seed, |_| {
             BaseService::new(KvWrapper::new(TinyKv::default()))
         });
-        self.group = Group::new(&mut sim, d.replicas);
-        self.client_nodes = d.clients;
-
-        for (i, &c) in self.client_nodes.clone().iter().enumerate() {
+        for (i, &c) in d.clients.iter().enumerate() {
             let client = sim.actor_as_mut::<BaseClient>(c).expect("client");
-            client.set_pace(self.pace);
-            for j in 0..self.ops_per_client {
+            client.set_pace(CAMPAIGN_PACE);
+            for j in 0..OPS_PER_CLIENT {
                 let ts = (j + 1) as u64;
                 if j % 4 == 3 {
                     // Read back a key this client wrote two ops ago; the
@@ -91,35 +70,14 @@ impl ChaosHarness for KvChaosHarness {
                 }
             }
         }
-        sim
+        (d, Vec::new())
     }
 
-    fn apply_app(
-        &mut self,
-        sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        if !self.group.apply_fault(sim, node, tag, arg, trace) {
-            trace.push(format!("app fault tag {tag} at node {} ignored", node.0));
-        }
-    }
-
-    fn settle(&self) -> SimDuration {
-        SimDuration::from_secs(30)
-    }
-
-    fn liveness_bounds(&self) -> LivenessBounds {
-        CAMPAIGN_BOUNDS
-    }
-
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        // Liveness + exact result check (single writer per key, reads
-        // submitted after their write completed).
-        for (i, &c) in self.client_nodes.iter().enumerate() {
-            for (ts, result) in completed_ops(sim, i, c, self.ops_per_client)? {
+    /// Exact results: a single writer per key, and reads submitted after
+    /// their write completed.
+    fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String> {
+        for (i, &c) in clients.iter().enumerate() {
+            for (ts, result) in completed_ops(sim, i, c, OPS_PER_CLIENT)? {
                 let want = &self.expected[&(i, *ts)];
                 if result != want {
                     return Err(format!(
@@ -130,18 +88,15 @@ impl ChaosHarness for KvChaosHarness {
                 }
             }
         }
+        Ok(())
+    }
 
-        let all = self.group.members(sim);
-        self.group.audit_view_agreement(&all)?;
-        self.group.audit_stable_digests(&all)?;
-        self.group.audit_retained_checkpoints(&all)?;
-
-        // Replica agreement: every clean replica that reached the final
-        // stable checkpoint must hold exactly the expected store contents
-        // (the abstract state fully determines them).
-        let converged = self.group.converged_clean(&all)?;
-        for (node, _) in &converged {
-            let kv = sim.actor_as::<Replica>(*node).expect("replica").service().wrapper();
+    /// Every clean replica that reached the final stable checkpoint holds
+    /// exactly the expected store contents (the abstract state fully
+    /// determines them).
+    fn check_state(&self, sim: &mut Simulation, group: &Group, _: &[NodeId]) -> Result<(), String> {
+        for (node, _) in group.converged_clean(&group.members(sim))? {
+            let kv = sim.actor_as::<Replica>(node).expect("replica").service().wrapper();
             for (key, want) in &self.final_kv {
                 match kv.kv().get(key) {
                     Some(v) if v == want.as_slice() => {}
@@ -156,15 +111,14 @@ impl ChaosHarness for KvChaosHarness {
                 }
             }
         }
-        trace.push(format!("audit ok: {} clean replicas converged", converged.len()));
         Ok(())
     }
 }
 
 #[test]
 fn kv_campaign_passes_auditor() {
-    let cfg = KvChaosHarness::new(4).gen_config(5, SimDuration::from_secs(8));
-    let report = run_campaign(|| KvChaosHarness::new(4), CampaignMode::Mixed, &cfg, 100..120, 1);
+    let cfg = kv().gen_config(5, SimDuration::from_secs(8));
+    let report = run_campaign(kv, CampaignMode::Mixed, &cfg, 100..120, 1);
     assert_eq!(report.runs, 20);
     assert!(report.events_executed > 0);
     if let Some(f) = report.failures.first() {
@@ -184,7 +138,7 @@ fn kv_campaign_passes_auditor() {
 
 #[test]
 fn recovery_repairs_corrupted_kv_through_abstraction() {
-    let mut h = KvChaosHarness::new(4);
+    let mut h = kv();
     let mut schedule = FaultSchedule::new();
     schedule
         .app(SimTime::from_millis(1500), NodeId(2), APP_CORRUPT_STATE, 3)
@@ -204,7 +158,7 @@ fn recovery_repairs_corrupted_kv_through_abstraction() {
     let replica = sim.actor_as::<Replica>(NodeId(2)).unwrap();
     assert_eq!(replica.byzantine(), ByzMode::Honest, "repair must clear CorruptState");
     let kv = replica.service().wrapper();
-    for (key, want) in &h.final_kv {
+    for (key, want) in &h.workload().final_kv {
         assert_eq!(
             kv.kv().get(key),
             Some(want.as_slice()),

@@ -1,4 +1,4 @@
-//! Chaos-campaign harness and auditor for the replicated OODB.
+//! The chaos-campaign workload and checks of the replicated OODB.
 //!
 //! The OODB is the paper's sharpest demonstration of abstraction: every
 //! replica runs the *same* non-deterministic implementation ([`ObjStore`]
@@ -14,7 +14,8 @@
 //! 3. **Plausible results** for the prober client: its read-only probes
 //!    race the mutator, so each reply must be one of the states a
 //!    sequential interleaving passes through.
-//! 4. **No checkpoint fork** — the shared [`Group`] auditors: stable
+//! 4. **No checkpoint fork** — the shared [`Group`] auditors that every
+//!    [`ServiceCampaign`](base_pbft::chaos::ServiceCampaign) runs: stable
 //!    digests agree among honest replicas, retained digests among clean
 //!    ones.
 //! 5. **Abstract-state agreement** — clean replicas that reached the final
@@ -24,12 +25,9 @@
 use crate::store::ObjStore;
 use crate::wrapper::{err, Oid, OodbOp, OodbReply, OodbWrapper};
 use base::{BaseClient, BaseReplica, BaseService, Config, Wrapper as _};
-use base_pbft::chaos::{
-    campaign_config, campaign_gen_config, completed_ops, Group, CAMPAIGN_BOUNDS,
-};
+use base_pbft::chaos::{completed_ops, Group, Workload, CAMPAIGN_PACE};
 use base_pbft::Deployment;
-use base_simnet::chaos::{ChaosHarness, LivenessBounds, ScheduleGenConfig};
-use base_simnet::{NodeId, SimDuration, Simulation};
+use base_simnet::{NodeId, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,42 +61,15 @@ enum Expect {
     ProbeTraverse,
 }
 
-/// A campaign harness replicating the OODB behind the BASE abstraction.
-pub struct OodbChaosHarness {
-    /// The group configuration a run is built with, seeded by
-    /// [`campaign_config`].
-    pub cfg: Config,
-    /// Gap between a client's submissions (stretches the workload across
-    /// the fault schedule).
-    pub pace: SimDuration,
-    /// Extra settle time after the last scheduled event.
-    pub settle: SimDuration,
-    // Per-run state, reset by `build`.
-    client_nodes: Vec<NodeId>,
-    group: Group,
+/// The OODB behind the BASE abstraction under two clients, a mutator and
+/// a prober; run it as `ServiceCampaign::new(4, OodbWorkload::default())`.
+#[derive(Default)]
+pub struct OodbWorkload {
+    // Per-run state, reset by `deploy`: each client's expected replies.
     expected: Vec<Vec<(u64, Expect)>>,
 }
 
-impl OodbChaosHarness {
-    /// Creates a harness with `n` replicas, a mutator client and a prober
-    /// client.
-    pub fn new(n: usize) -> Self {
-        Self {
-            cfg: campaign_config(n),
-            pace: SimDuration::from_millis(250),
-            settle: SimDuration::from_secs(30),
-            client_nodes: Vec::new(),
-            group: Group::default(),
-            expected: Vec::new(),
-        }
-    }
-
-    /// Schedule-generation config: replica-targeted faults, at most `f`
-    /// impaired at once, Byzantine flips and latent corruption both healed.
-    pub fn gen_config(&self, events: usize, horizon: SimDuration) -> ScheduleGenConfig {
-        campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
-    }
-
+impl OodbWorkload {
     fn check_reply(
         &self,
         client: usize,
@@ -152,29 +123,29 @@ impl OodbChaosHarness {
     }
 }
 
-impl ChaosHarness for OodbChaosHarness {
-    fn build(&mut self, seed: u64) -> Simulation {
-        self.expected.clear();
-
-        let mut sim = Simulation::new(seed);
+impl Workload for OodbWorkload {
+    fn deploy(
+        &mut self,
+        sim: &mut Simulation,
+        cfg: Config,
+        seed: u64,
+    ) -> (Deployment, Vec<NodeId>) {
         // Two clients: the mutator and the prober.
-        let d = Deployment::build(&mut sim, self.cfg.clone(), 2, seed, |i| {
+        let d = Deployment::build(sim, cfg, 2, seed, |i| {
             // Per-replica store RNGs differ on purpose: the concrete heaps
             // (addresses, GC moments) must diverge while the abstract state
             // stays identical.
             let mut rng = StdRng::seed_from_u64(seed ^ (0xb0de ^ i as u64).rotate_left(17));
             BaseService::new(OodbWrapper::new(ObjStore::new(&mut rng)))
         });
-        self.group = Group::new(&mut sim, d.replicas);
-        self.client_nodes = d.clients;
 
         // Client 0, the mutator: allocate a chain of objects, write each
         // one's first field, link them, then read its own work back. It is
         // the only writer, so every reply is exact.
         let mut mutator = Vec::new();
         {
-            let client = sim.actor_as_mut::<BaseClient>(self.client_nodes[0]).expect("client");
-            client.set_pace(self.pace);
+            let client = sim.actor_as_mut::<BaseClient>(d.clients[0]).expect("client");
+            client.set_pace(CAMPAIGN_PACE);
             let mut ts = 0u64;
             let mut push = |client: &mut BaseClient, op: OodbOp, want: OodbReply| {
                 ts += 1;
@@ -215,8 +186,8 @@ impl ChaosHarness for OodbChaosHarness {
         // mutator; every reply must be a state some interleaving visits.
         let mut prober = Vec::new();
         {
-            let client = sim.actor_as_mut::<BaseClient>(self.client_nodes[1]).expect("client");
-            client.set_pace(self.pace);
+            let client = sim.actor_as_mut::<BaseClient>(d.clients[1]).expect("client");
+            client.set_pace(CAMPAIGN_PACE);
             for p in 0..PROBES {
                 let ts = (p + 1) as u64;
                 if p % 2 == 0 {
@@ -231,37 +202,12 @@ impl ChaosHarness for OodbChaosHarness {
             }
         }
         self.expected = vec![mutator, prober];
-        sim
+        (d, Vec::new())
     }
 
-    fn apply_app(
-        &mut self,
-        sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        if !self.group.apply_fault(sim, node, tag, arg, trace) {
-            trace.push(format!("app fault tag {tag} at node {} ignored", node.0));
-        }
-    }
-
-    fn settle(&self) -> SimDuration {
-        self.settle
-    }
-
-    fn liveness_bounds(&self) -> LivenessBounds {
-        CAMPAIGN_BOUNDS
-    }
-
-    fn describe(&self, sim: &Simulation) -> Vec<String> {
-        self.group.members(sim).iter().map(|(_, r)| r.status()).collect()
-    }
-
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        // Liveness and reply correctness.
-        for (i, &c) in self.client_nodes.iter().enumerate() {
+    /// Liveness and reply correctness.
+    fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String> {
+        for (i, &c) in clients.iter().enumerate() {
             let want = &self.expected[i];
             let done = completed_ops(sim, i, c, want.len())?;
             for ((ts, result), (want_ts, expect)) in done.iter().zip(want) {
@@ -273,17 +219,15 @@ impl ChaosHarness for OodbChaosHarness {
                 self.check_reply(i, *ts, expect, result)?;
             }
         }
+        Ok(())
+    }
 
-        let all = self.group.members(sim);
-        self.group.audit_view_agreement(&all)?;
-        self.group.audit_stable_digests(&all)?;
-        self.group.audit_retained_checkpoints(&all)?;
-
-        // Abstract-state agreement among clean replicas that reached the
-        // final stable checkpoint: identical abstract objects, whatever
-        // their concrete heaps look like.
+    /// Abstract-state agreement among clean replicas that reached the final
+    /// stable checkpoint: identical abstract objects, whatever their
+    /// concrete heaps look like.
+    fn check_state(&self, sim: &mut Simulation, group: &Group, _: &[NodeId]) -> Result<(), String> {
         let converged: Vec<NodeId> =
-            self.group.converged_clean(&all)?.iter().map(|(node, _)| *node).collect();
+            group.converged_clean(&group.members(sim))?.iter().map(|(node, _)| *node).collect();
         let mut snapshots: Vec<(NodeId, u64, Vec<Option<Vec<u8>>>)> = Vec::new();
         for &r in &converged {
             let wrapper =
@@ -308,10 +252,6 @@ impl ChaosHarness for OodbChaosHarness {
                 ));
             }
         }
-        trace.push(format!(
-            "audit ok: {} converged clean replicas, {allocated} abstract objects agree",
-            snapshots.len()
-        ));
         Ok(())
     }
 }

@@ -3,19 +3,23 @@
 //! auditor holding the abstract state to byte-identical agreement while
 //! crashes, partitions, Byzantine flips and latent corruption compose.
 
-use base_oodb::chaos::OodbChaosHarness;
-use base_pbft::chaos::{APP_CORRUPT_STATE, APP_RECOVER};
+use base_oodb::chaos::OodbWorkload;
+use base_pbft::chaos::{ServiceCampaign, APP_CORRUPT_STATE, APP_RECOVER};
 use base_simnet::chaos::{run_campaign, run_one, CampaignMode, FaultSchedule};
 use base_simnet::NetFault;
 use base_simnet::tracediff::{divergence_report, first_divergence};
 use base_simnet::{NodeId, SimDuration, SimTime};
+
+fn oodb() -> ServiceCampaign<OodbWorkload> {
+    ServiceCampaign::new(4, OodbWorkload::default())
+}
 
 /// The trace-diff lab on the OODB testbed: a clean run and a same-seed run
 /// with an injected corruption+recovery produce protocol traces whose
 /// first divergence names the recovery's impact — deterministically.
 #[test]
 fn tracediff_localizes_fault_impact() {
-    let mut h = OodbChaosHarness::new(4);
+    let mut h = oodb();
     let clean = run_one(&mut h, 23, &FaultSchedule::new()).0;
     let mut schedule = FaultSchedule::new();
     schedule
@@ -41,14 +45,14 @@ fn tracediff_localizes_fault_impact() {
 
 #[test]
 fn fault_free_oodb_run_passes_audit() {
-    let mut h = OodbChaosHarness::new(4);
+    let mut h = oodb();
     let (outcome, verdict) = run_one(&mut h, 17, &FaultSchedule::new());
     assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
 }
 
 #[test]
 fn corrupted_heap_is_repaired_through_abstraction() {
-    let mut h = OodbChaosHarness::new(4);
+    let mut h = oodb();
     let mut schedule = FaultSchedule::new();
     schedule
         .app(SimTime::from_millis(1500), NodeId(2), APP_CORRUPT_STATE, 5)
@@ -64,9 +68,8 @@ fn corrupted_heap_is_repaired_through_abstraction() {
 
 #[test]
 fn oodb_campaign_passes_audit_with_coverage() {
-    let cfg = OodbChaosHarness::new(4).gen_config(6, SimDuration::from_secs(8));
-    let report =
-        run_campaign(|| OodbChaosHarness::new(4), CampaignMode::Mixed, &cfg, 200..214, 1);
+    let cfg = oodb().gen_config(6, SimDuration::from_secs(8));
+    let report = run_campaign(oodb, CampaignMode::Mixed, &cfg, 200..214, 1);
     if let Some(f) = report.failures.first() {
         panic!("oodb campaign failed:\n{f}");
     }
@@ -104,7 +107,7 @@ fn lone_view_changer_rejoins() {
             SimDuration::from_nanos(1_065_315_247),
         )
         .crash(SimTime::from_nanos(2_694_575_492), NodeId(2), SimDuration::from_nanos(155_818_132));
-    let mut h = OodbChaosHarness::new(4);
+    let mut h = oodb();
     let (outcome, verdict) = run_one(&mut h, 201, &schedule);
     assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
 }

@@ -1,5 +1,5 @@
-//! The service-independent half of every chaos campaign, and the counter
-//! harness built on it.
+//! The service-independent half of every chaos campaign: one campaign
+//! harness for a single replica group, and the counter workload it runs.
 //!
 //! [`base_simnet::chaos`] is the protocol-agnostic campaign engine. What a
 //! campaign over a *BFT replica group* needs on top of it does not depend
@@ -9,24 +9,31 @@
 //! - the application-fault vocabulary ([`campaign_gen_config`]:
 //!   Byzantine-mode flips healed back to honest, latent state corruption
 //!   healed by proactive recovery), the campaign group configuration
-//!   ([`campaign_config`]) and liveness deadlines ([`CAMPAIGN_BOUNDS`]);
+//!   ([`campaign_config`]), pacing ([`CAMPAIGN_PACE`]), the settle window
+//!   ([`CAMPAIGN_SETTLE`]) and liveness deadlines ([`CAMPAIGN_BOUNDS`]);
 //! - [`Group`]: the replicas of one group as [`ReplicaRef`] handles, fault
 //!   application with taint tracking, honest/clean selection, and the group
-//!   auditors — **view agreement** (honest replicas settle in one view once
-//!   the schedule drains), **no checkpoint fork** (certificate-backed stable
-//!   digests agree among honest replicas, retained digests among clean
-//!   ones) and **reply-certificate consistency** (a result a client
-//!   accepted is one the clean replicas produced);
+//!   auditors behind one entry point, [`Group::audit`] — **view agreement**
+//!   (honest replicas settle in one view once the schedule drains) and **no
+//!   checkpoint fork** (certificate-backed stable digests agree among
+//!   honest replicas, retained digests among clean ones) — plus
+//!   **reply-certificate consistency** (a result a client accepted is one
+//!   the clean replicas produced);
 //! - [`audit_subset_chain`]: exact **linearizability** for workloads whose
 //!   writes each add a distinct power-of-two delta to a register, so every
 //!   correct result is a union of delta bits, completed writes must form a
-//!   subset chain and reads must return a state on that chain.
+//!   subset chain and reads must return a state on that chain;
+//! - [`ServiceCampaign`]: the one [`ChaosHarness`] of a single-group
+//!   service. It owns the group, the fault routing, the bounds, the group
+//!   auditors and the end-state dump of a failed run; a [`Workload`]
+//!   supplies the deployment, the client scripts and the checks only the
+//!   service can make. [`CounterWorkload`] is the one here; the KV, OODB
+//!   and NFS workloads live beside their services.
 //!
-//! A harness composes these with its workload and its service-specific
-//! audit. `Group` has no switch that turns an auditor off: a harness that
-//! cannot use one does not call it, and says why. [`CounterChaosHarness`]
-//! calls all of them; the KV, OODB, NFS and sharded harnesses live beside
-//! their services.
+//! `Group` has no switch that turns an auditor off, so every
+//! `ServiceCampaign` runs all of them. The sharded harness
+//! (`base::shard_chaos`) has several groups and calls the auditors per
+//! shard itself.
 
 use crate::byzantine::ByzMode;
 use crate::config::Config;
@@ -103,9 +110,16 @@ pub fn campaign_config(n: usize) -> Config {
     cfg
 }
 
-/// Liveness deadlines for campaigns with a 30 s settle window: well inside
-/// it, but generous enough for the worst capped view-change chase plus a
-/// full state transfer.
+/// Gap between a client's submissions, so the workload stretches across
+/// the fault schedule instead of finishing before the first event fires.
+pub const CAMPAIGN_PACE: SimDuration = SimDuration::from_millis(250);
+
+/// Extra time a campaign run simulates after its last scheduled event.
+pub const CAMPAIGN_SETTLE: SimDuration = SimDuration::from_secs(30);
+
+/// Liveness deadlines for campaigns with a [`CAMPAIGN_SETTLE`] window: well
+/// inside it, but generous enough for the worst capped view-change chase
+/// plus a full state transfer.
 pub const CAMPAIGN_BOUNDS: LivenessBounds = LivenessBounds {
     heal_to_progress: Some(SimDuration::from_secs(25)),
     view_convergence: Some(SimDuration::from_secs(25)),
@@ -224,6 +238,14 @@ impl Group {
         Ok(clean)
     }
 
+    /// Every group auditor, in order: view agreement, stable digests,
+    /// retained checkpoints. An auditor added here reaches every campaign.
+    pub fn audit(&self, all: &[Member<'_>]) -> Result<(), String> {
+        self.audit_view_agreement(all)?;
+        self.audit_stable_digests(all)?;
+        self.audit_retained_checkpoints(all)
+    }
+
     /// After the settle window every honest replica must have converged on
     /// one view: a replica stuck in a higher view than its peers either
     /// lost a new-view message it can no longer recover or is spinning
@@ -276,7 +298,7 @@ impl Group {
 
     /// Pairwise digest agreement at every retained sequence number, among
     /// replicas whose local metadata was never poisoned.
-    pub fn audit_retained_checkpoints(&self, all: &[Member<'_>]) -> Result<(), String> {
+    fn audit_retained_checkpoints(&self, all: &[Member<'_>]) -> Result<(), String> {
         let clean = self.clean(all);
         for (i, (a, ra)) in clean.iter().enumerate() {
             let da: HashMap<u64, _> = ra.checkpoint_digests().into_iter().collect();
@@ -426,62 +448,67 @@ pub fn completed_ops(
     Ok(done)
 }
 
-/// A campaign harness replicating [`CounterService`] with a workload of
-/// distinct-bit adds and reads on one register, audited with everything
-/// this module has.
-pub struct CounterChaosHarness {
+/// What a single-group service brings to a [`ServiceCampaign`]: its
+/// deployment, its clients' scripts, and the checks only it can make.
+pub trait Workload {
+    /// Deploys the service's replicas and clients on `sim` with `cfg` and
+    /// queues every client's script. Also returns the replicas that are
+    /// faulty from the start (built with an armed bug), which the group
+    /// taints.
+    fn deploy(
+        &mut self,
+        sim: &mut Simulation,
+        cfg: Config,
+        seed: u64,
+    ) -> (Deployment, Vec<NodeId>);
+
+    /// Checks what the clients observed: each finished its script, and each
+    /// result is one the service may return. Runs before the group
+    /// auditors.
+    fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String>;
+
+    /// Checks the state the replicas ended in. Runs after the group
+    /// auditors; the default checks nothing.
+    fn check_state(
+        &self,
+        sim: &mut Simulation,
+        group: &Group,
+        clients: &[NodeId],
+    ) -> Result<(), String> {
+        let _ = (sim, group, clients);
+        Ok(())
+    }
+}
+
+/// The chaos harness of a single-group service running workload `W`: the
+/// shared fault vocabulary routed to the [`Group`], [`CAMPAIGN_SETTLE`] and
+/// [`CAMPAIGN_BOUNDS`], the workload's result check, every group auditor,
+/// the workload's state check, and every replica's status line appended to
+/// the trace of a failed run.
+pub struct ServiceCampaign<W> {
     /// The group configuration a run is built with, seeded by
     /// [`campaign_config`]; campaigns set a small `pipeline_depth` so
     /// view-change storms catch slots `n..n+depth` in flight.
     pub cfg: Config,
-    /// Number of clients.
-    pub clients: usize,
-    /// Operations submitted per client. The total number of writes across
-    /// all clients must stay below 64 (one delta bit each).
-    pub ops_per_client: usize,
-    /// Enables the deliberate client bug (accept the first full reply
-    /// without a quorum) on every client, so tests can demonstrate the
-    /// auditor catching a reply-certificate violation.
-    pub inject_client_bug: bool,
-    /// Enables the deliberate client liveness bug (never retransmit after
-    /// a reply timeout) on every client, so tests can demonstrate the
-    /// heal-to-progress auditor catching a stalled operation.
-    pub inject_stall_bug: bool,
-    /// Gap between a client's submissions, so the workload stretches
-    /// across the fault schedule instead of finishing before the first
-    /// event fires.
-    pub pace: SimDuration,
-    /// Extra settle time after the last event.
-    pub settle: SimDuration,
     /// Optional per-op critical-path budget for post-heal operations (see
     /// [`base_simnet::chaos::audit_latency_budget`]); `None` disables the
     /// auditor.
     pub latency_budget: Option<SimDuration>,
+    workload: W,
     // Per-run state, reset by `build`.
     group: Group,
-    client_nodes: Vec<NodeId>,
-    /// `(client id, timestamp)` → the delta a write added, `None` for a read.
-    expected: HashMap<(u32, u64), Option<u64>>,
-    all_deltas: u64,
+    clients: Vec<NodeId>,
 }
 
-impl CounterChaosHarness {
-    /// Creates a harness with `n` replicas and a default workload of three
-    /// clients running thirteen operations each.
-    pub fn new(n: usize) -> Self {
+impl<W: Workload> ServiceCampaign<W> {
+    /// A campaign over `n` replicas running `workload`.
+    pub fn new(n: usize, workload: W) -> Self {
         Self {
             cfg: campaign_config(n),
-            clients: 3,
-            ops_per_client: 13,
-            inject_client_bug: false,
-            inject_stall_bug: false,
-            pace: SimDuration::from_millis(250),
-            settle: SimDuration::from_secs(30),
             latency_budget: None,
+            workload,
             group: Group::default(),
-            client_nodes: Vec::new(),
-            expected: HashMap::new(),
-            all_deltas: 0,
+            clients: Vec::new(),
         }
     }
 
@@ -491,43 +518,21 @@ impl CounterChaosHarness {
         campaign_gen_config(self.cfg.n, self.cfg.f(), events, horizon)
     }
 
-    /// The replica group of the run last built.
-    pub fn group(&self) -> &Group {
-        &self.group
+    /// The workload, holding what the run last built expects.
+    pub fn workload(&self) -> &W {
+        &self.workload
     }
 }
 
-impl ChaosHarness for CounterChaosHarness {
+impl<W: Workload> ChaosHarness for ServiceCampaign<W> {
     fn build(&mut self, seed: u64) -> Simulation {
-        self.expected.clear();
-        self.all_deltas = 0;
-
         let mut sim = Simulation::new(seed);
-        let d = Deployment::build(&mut sim, self.cfg.clone(), self.clients, seed, |_| {
-            CounterService::default()
-        });
+        let (d, faulty) = self.workload.deploy(&mut sim, self.cfg.clone(), seed);
         self.group = Group::new(&mut sim, d.replicas);
-
-        for (i, &c) in d.clients.iter().enumerate() {
-            let client_id = (self.cfg.n + i) as u32;
-            let actor = sim.actor_as_mut::<ClientActor>(c).expect("client actor");
-            actor.core_mut().bug_accept_first_reply = self.inject_client_bug;
-            actor.core_mut().bug_never_retransmit = self.inject_stall_bug;
-            actor.set_pace(self.pace);
-            for j in 0..self.ops_per_client {
-                // Timestamps are assigned in submission order, starting at 1.
-                let ts = (j + 1) as u64;
-                if j % 3 == 2 {
-                    actor.invoke(op_get(0), true);
-                    self.expected.insert((client_id, ts), None);
-                } else {
-                    let delta = fresh_delta(&mut self.all_deltas);
-                    actor.invoke(op_add(0, delta), false);
-                    self.expected.insert((client_id, ts), Some(delta));
-                }
-            }
+        for node in faulty {
+            self.group.taint(node);
         }
-        self.client_nodes = d.clients;
+        self.clients = d.clients;
         sim
     }
 
@@ -545,7 +550,7 @@ impl ChaosHarness for CounterChaosHarness {
     }
 
     fn settle(&self) -> SimDuration {
-        self.settle
+        CAMPAIGN_SETTLE
     }
 
     fn liveness_bounds(&self) -> LivenessBounds {
@@ -557,37 +562,110 @@ impl ChaosHarness for CounterChaosHarness {
     }
 
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+        self.workload.check_results(sim, &self.clients)?;
+        self.group.audit(&self.group.members(sim))?;
+        self.workload.check_state(sim, &self.group, &self.clients)?;
         let all = self.group.members(sim);
-        let mut ops = Vec::new();
-        let mut last_writes = Vec::new();
-        for (i, &c) in self.client_nodes.iter().enumerate() {
-            let client_id = (self.cfg.n + i) as u32;
-            let done = completed_ops(sim, i, c, self.ops_per_client)?;
-            for (ts, result) in done {
-                let delta = *self
-                    .expected
-                    .get(&(client_id, *ts))
-                    .ok_or_else(|| format!("client {i} completed unknown op ts={ts}"))?;
-                ops.push(ChainOp { who: format!("client {i} ts={ts}"), delta, result });
-            }
-            if let Some((ts, result)) = done.last() {
-                if self.expected[&(client_id, *ts)].is_some() {
-                    last_writes.push((format!("client {i}"), client_id, *ts, result));
-                }
-            }
-        }
-        audit_subset_chain(self.all_deltas, &ops)?;
-        self.group.audit_view_agreement(&all)?;
-        self.group.audit_retained_checkpoints(&all)?;
-        self.group.audit_stable_digests(&all)?;
-        for (who, client_id, ts, result) in last_writes {
-            self.group.audit_reply_certificate(&all, &who, client_id, ts, result)?;
-        }
         trace.push(format!(
             "audit ok: {} clean / {} honest replicas",
             self.group.clean(&all).len(),
             self.group.honest(&all).len()
         ));
+        Ok(())
+    }
+
+    fn describe(&self, sim: &Simulation) -> Vec<String> {
+        self.group.members(sim).iter().map(|(_, r)| r.status()).collect()
+    }
+}
+
+/// Clients of the counter workload.
+const COUNTER_CLIENTS: usize = 3;
+/// Operations each counter client submits. Two in three are writes, and the
+/// writes of all clients together must stay below 64 (one delta bit each).
+const COUNTER_OPS: usize = 13;
+
+/// [`CounterService`] under three clients of thirteen operations each:
+/// distinct-bit adds and reads on one register. The results are held to
+/// [`audit_subset_chain`], and each client's last write to its reply
+/// certificate.
+#[derive(Default)]
+pub struct CounterWorkload {
+    /// Enables the deliberate client bug (accept the first full reply
+    /// without a quorum) on every client, so tests can demonstrate the
+    /// auditor catching a reply-certificate violation.
+    pub inject_client_bug: bool,
+    /// Enables the deliberate client liveness bug (never retransmit after
+    /// a reply timeout) on every client, so tests can demonstrate the
+    /// heal-to-progress auditor catching a stalled operation.
+    pub inject_stall_bug: bool,
+    // Per-run state, reset by `deploy`.
+    /// `(client index, timestamp)` → the delta a write added, `None` for a
+    /// read.
+    expected: HashMap<(usize, u64), Option<u64>>,
+    all_deltas: u64,
+}
+
+impl Workload for CounterWorkload {
+    fn deploy(
+        &mut self,
+        sim: &mut Simulation,
+        cfg: Config,
+        seed: u64,
+    ) -> (Deployment, Vec<NodeId>) {
+        self.expected.clear();
+        self.all_deltas = 0;
+        let d = Deployment::build(sim, cfg, COUNTER_CLIENTS, seed, |_| CounterService::default());
+        for (i, &c) in d.clients.iter().enumerate() {
+            let actor = sim.actor_as_mut::<ClientActor>(c).expect("client actor");
+            actor.core_mut().bug_accept_first_reply = self.inject_client_bug;
+            actor.core_mut().bug_never_retransmit = self.inject_stall_bug;
+            actor.set_pace(CAMPAIGN_PACE);
+            for j in 0..COUNTER_OPS {
+                // Timestamps are assigned in submission order, starting at 1.
+                let ts = (j + 1) as u64;
+                if j % 3 == 2 {
+                    actor.invoke(op_get(0), true);
+                    self.expected.insert((i, ts), None);
+                } else {
+                    let delta = fresh_delta(&mut self.all_deltas);
+                    actor.invoke(op_add(0, delta), false);
+                    self.expected.insert((i, ts), Some(delta));
+                }
+            }
+        }
+        (d, Vec::new())
+    }
+
+    fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String> {
+        let mut ops = Vec::new();
+        for (i, &c) in clients.iter().enumerate() {
+            for (ts, result) in completed_ops(sim, i, c, COUNTER_OPS)? {
+                let delta = *self
+                    .expected
+                    .get(&(i, *ts))
+                    .ok_or_else(|| format!("client {i} completed unknown op ts={ts}"))?;
+                ops.push(ChainOp { who: format!("client {i} ts={ts}"), delta, result });
+            }
+        }
+        audit_subset_chain(self.all_deltas, &ops)
+    }
+
+    fn check_state(
+        &self,
+        sim: &mut Simulation,
+        group: &Group,
+        clients: &[NodeId],
+    ) -> Result<(), String> {
+        let all = group.members(sim);
+        for (i, &c) in clients.iter().enumerate() {
+            if let Some((ts, result)) = completed_ops(sim, i, c, COUNTER_OPS)?.last() {
+                if self.expected[&(i, *ts)].is_some() {
+                    let (who, client) = (format!("client {i}"), (group.replicas.len() + i) as u32);
+                    group.audit_reply_certificate(&all, &who, client, *ts, result)?;
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -601,16 +679,20 @@ mod tests {
     use base_simnet::ddmin::CountingHarness;
     use base_simnet::{MetricsRegistry, SimTime};
 
+    fn counter() -> ServiceCampaign<CounterWorkload> {
+        ServiceCampaign::new(4, CounterWorkload::default())
+    }
+
     #[test]
     fn fault_free_run_passes_audit() {
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = counter();
         let (outcome, verdict) = run_one(&mut h, 7, &FaultSchedule::new());
         assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
     }
 
     #[test]
     fn corrupt_state_then_recovery_passes_audit() {
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = counter();
         let mut schedule = FaultSchedule::new();
         schedule
             .app(SimTime::from_millis(400), NodeId(2), APP_CORRUPT_STATE, 0)
@@ -625,7 +707,7 @@ mod tests {
         // A budget far below any real three-phase latency: every post-heal
         // op violates, and the failure message attributes the dominant
         // critical-path phase.
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = counter();
         h.latency_budget = Some(SimDuration::from_micros(10));
         let (outcome, verdict) = run_one(&mut h, 7, &FaultSchedule::new());
         let err = verdict.expect_err("every op must blow a 10us budget");
@@ -636,7 +718,7 @@ mod tests {
 
         // Same seed without a budget: clean — the violations above are
         // purely the auditor's doing, not a protocol fault.
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = counter();
         let (outcome, verdict) = run_one(&mut h, 7, &FaultSchedule::new());
         assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
         assert_eq!(outcome.coverage.latency_budget_violations, 0);
@@ -646,7 +728,7 @@ mod tests {
     /// auditor, or every probe of a budget failure would pass.
     #[test]
     fn counting_harness_keeps_the_latency_budget() {
-        let mut inner = CounterChaosHarness::new(4);
+        let mut inner = counter();
         inner.latency_budget = Some(SimDuration::from_micros(10));
         let mut h = CountingHarness::new(inner);
         let (_, verdict) = run_one(&mut h, 7, &FaultSchedule::new());
@@ -657,8 +739,8 @@ mod tests {
 
     #[test]
     fn buggy_client_is_caught_by_auditor() {
-        let mut h = CounterChaosHarness::new(4);
-        h.inject_client_bug = true;
+        let workload = CounterWorkload { inject_client_bug: true, ..Default::default() };
+        let mut h = ServiceCampaign::new(4, workload);
         let mut schedule = FaultSchedule::new();
         // A single Byzantine replier feeds the quorum-skipping client a
         // fabricated result.

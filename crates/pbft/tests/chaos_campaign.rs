@@ -5,21 +5,32 @@
 //! the demonstration that a deliberately injected client safety bug is
 //! caught by the auditor and shrunk to a minimal replayable schedule.
 
-use base_pbft::chaos::{CounterChaosHarness, APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
+use base_pbft::chaos::{CounterWorkload, ServiceCampaign, APP_BYZ, APP_CORRUPT_STATE, APP_RECOVER};
 use base_pbft::ByzMode;
 use base_simnet::chaos::{
-    generate_schedule, minimize, run_campaign, run_one, CampaignMode, ChaosEvent, ChaosHarness,
-    FaultSchedule, LivenessBounds,
+    generate_schedule, minimize, run_campaign, run_one, CampaignMode, ChaosEvent, FaultSchedule,
 };
 use base_simnet::ddmin::{ddmin_from_failure, CountingHarness};
 use base_simnet::tracediff::divergence_report;
-use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime};
 
 const SEEDS: std::ops::Range<u64> = 0..20;
 
+fn counter() -> ServiceCampaign<CounterWorkload> {
+    ServiceCampaign::new(4, CounterWorkload::default())
+}
+
+/// The counter campaign whose clients accept the first full reply without
+/// a quorum.
+fn buggy_counter() -> ServiceCampaign<CounterWorkload> {
+    let mut workload = CounterWorkload::default();
+    workload.inject_client_bug = true;
+    ServiceCampaign::new(4, workload)
+}
+
 #[test]
 fn campaign_composes_faults_and_passes_auditor() {
-    let cfg = CounterChaosHarness::new(4).gen_config(6, SimDuration::from_secs(8));
+    let cfg = counter().gen_config(6, SimDuration::from_secs(8));
 
     // The generated schedules must collectively exercise every fault
     // category the campaign claims to compose.
@@ -41,7 +52,7 @@ fn campaign_composes_faults_and_passes_auditor() {
          (crashes={crashes} partitions={partitions} byz={byz} corrupt={corrupt})"
     );
 
-    let report = run_campaign(|| CounterChaosHarness::new(4), CampaignMode::Mixed, &cfg, SEEDS, 1);
+    let report = run_campaign(counter, CampaignMode::Mixed, &cfg, SEEDS, 1);
     assert_eq!(report.runs, SEEDS.end as usize);
     assert!(report.events_executed > 0, "campaign generated no events");
     if let Some(f) = report.failures.first() {
@@ -63,11 +74,8 @@ fn campaign_composes_faults_and_passes_auditor() {
 
 #[test]
 fn storm_campaign_forces_view_changes_and_converges() {
-    let h = CounterChaosHarness::new(4);
-    let cfg = h.gen_config(5, SimDuration::from_secs(8));
-    let storm = |workers| {
-        run_campaign(|| CounterChaosHarness::new(4), CampaignMode::Storm, &cfg, 0..8u64, workers)
-    };
+    let cfg = counter().gen_config(5, SimDuration::from_secs(8));
+    let storm = |workers| run_campaign(counter, CampaignMode::Storm, &cfg, 0..8u64, workers);
     let report = storm(4);
     if let Some(f) = report.failures.first() {
         panic!("storm campaign failed:\n{f}");
@@ -95,8 +103,7 @@ fn storm_campaign_forces_view_changes_and_converges() {
 
 #[test]
 fn injected_client_bug_is_caught_and_minimized() {
-    let mut h = CounterChaosHarness::new(4);
-    h.inject_client_bug = true;
+    let mut h = buggy_counter();
 
     // The trigger (a reply-corrupting replica) is buried among harmless
     // decoy events; the minimizer must dig it out.
@@ -175,11 +182,7 @@ fn ddmin_strips_decoys_and_localizes_divergence() {
         s
     };
 
-    let mut h = CountingHarness::new({
-        let mut h = CounterChaosHarness::new(4);
-        h.inject_client_bug = true;
-        h
-    });
+    let mut h = CountingHarness::new(buggy_counter());
     let (full, verdict) = run_one(&mut h, seed, &schedule);
     assert!(verdict.is_err());
     let builds_before = h.builds;
@@ -211,8 +214,7 @@ fn ddmin_strips_decoys_and_localizes_divergence() {
     assert!(report.contains("context (±3 events per replica):"), "{report}");
 
     // Deterministic: a fresh harness reproduces both byte-for-byte.
-    let mut h2 = CounterChaosHarness::new(4);
-    h2.inject_client_bug = true;
+    let mut h2 = buggy_counter();
     let (full2, _) = run_one(&mut h2, seed, &schedule);
     let dd2 = ddmin_from_failure(&mut h2, seed, &schedule, Some(&full2));
     assert_eq!(dd.schedule.describe(), dd2.schedule.describe());
@@ -229,7 +231,7 @@ fn ddmin_strips_decoys_and_localizes_divergence() {
 /// drops are absorbed by the fetch window's retransmission.
 #[test]
 fn chunked_campaign_survives_chunk_reply_faults() {
-    let mut h = CounterChaosHarness::new(4);
+    let mut h = counter();
     h.cfg.chunk_size = 4;
     let mut schedule = FaultSchedule::new();
     schedule
@@ -269,9 +271,8 @@ fn chunked_campaign_survives_chunk_reply_faults() {
 /// them, strip them as decoys and keep only the Byzantine replier.
 #[test]
 fn ddmin_strips_chunk_reply_fault_decoys() {
-    let mut h = CounterChaosHarness::new(4);
+    let mut h = buggy_counter();
     h.cfg.chunk_size = 4;
-    h.inject_client_bug = true;
     let mut schedule = FaultSchedule::new();
     schedule
         .net(
@@ -301,7 +302,7 @@ fn ddmin_strips_chunk_reply_fault_decoys() {
 
 #[test]
 fn pbft_chaos_runs_are_deterministic() {
-    let mut h = CounterChaosHarness::new(4);
+    let mut h = counter();
     let cfg = h.gen_config(6, SimDuration::from_secs(8));
     let schedule = generate_schedule(&cfg, 42);
     let (a, va) = run_one(&mut h, 42, &schedule);
@@ -324,7 +325,7 @@ fn partition_heal_liveness_is_bounded_and_deterministic() {
     );
 
     let run = |seed: u64| {
-        let mut h = CounterChaosHarness::new(4);
+        let mut h = counter();
         run_one(&mut h, seed, &schedule)
     };
     for seed in 0..4u64 {
@@ -359,8 +360,9 @@ fn partition_heal_liveness_is_bounded_and_deterministic() {
 /// loses the request, with the decoys stripped.
 #[test]
 fn stall_bug_is_caught_by_heal_to_progress_and_minimized() {
-    let mut h = CounterChaosHarness::new(4);
-    h.inject_stall_bug = true;
+    let mut workload = CounterWorkload::default();
+    workload.inject_stall_bug = true;
+    let mut h = ServiceCampaign::new(4, workload);
 
     // The trigger (a healing partition swallowing an in-flight request) is
     // buried among harmless decoys.
@@ -415,43 +417,6 @@ fn stall_bug_is_caught_by_heal_to_progress_and_minimized() {
     assert_eq!(Err(ra), vb);
 }
 
-/// [`CounterChaosHarness`] whose failed runs end their trace with every
-/// replica's status line.
-struct WithStatus(CounterChaosHarness);
-
-impl ChaosHarness for WithStatus {
-    fn build(&mut self, seed: u64) -> Simulation {
-        self.0.build(seed)
-    }
-
-    fn apply_app(
-        &mut self,
-        sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        self.0.apply_app(sim, node, tag, arg, trace);
-    }
-
-    fn settle(&self) -> SimDuration {
-        self.0.settle()
-    }
-
-    fn liveness_bounds(&self) -> LivenessBounds {
-        self.0.liveness_bounds()
-    }
-
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        self.0.audit(sim, trace)
-    }
-
-    fn describe(&self, sim: &Simulation) -> Vec<String> {
-        self.0.group().members(sim).iter().map(|(_, r)| r.status()).collect()
-    }
-}
-
 /// A proactive recovery that begins while its replica is still partitioned
 /// must finish once the partition heals. Today it never does: node 3 starts
 /// recovering 1.6 ms before its partition ends, and 30 s later the recovery
@@ -470,7 +435,7 @@ fn recovery_started_while_partitioned_completes() {
             SimDuration::from_nanos(1_082_937_678),
         )
         .app(SimTime::from_nanos(3_498_380_757), NodeId(3), APP_RECOVER, 0);
-    let (outcome, verdict) = run_one(&mut WithStatus(CounterChaosHarness::new(4)), 216, &schedule);
+    let (outcome, verdict) = run_one(&mut counter(), 216, &schedule);
     assert_eq!(verdict, Ok(()), "trace:\n{}", outcome.trace.join("\n"));
     assert_eq!(outcome.coverage.recoveries_completed, 1, "{}", outcome.coverage);
 }
