@@ -14,9 +14,11 @@
 //! - [`Group`]: the replicas of one group as [`ReplicaRef`] handles, fault
 //!   application with taint tracking, honest/clean selection, and the group
 //!   auditors behind one entry point, [`Group::audit`] — **view agreement**
-//!   (honest replicas settle in one view once the schedule drains) and **no
+//!   (honest replicas settle in one view once the schedule drains), **no
 //!   checkpoint fork** (certificate-backed stable digests agree among
-//!   honest replicas, retained digests among clean ones) — plus
+//!   honest replicas, retained digests among clean ones) and the
+//!   **checkpoint ceiling** (no honest replica stores more checkpoints than
+//!   its log window spans) — plus
 //!   **reply-certificate consistency** (a result a client accepted is one
 //!   the clean replicas produced);
 //! - [`audit_subset_chain`]: exact **linearizability** for workloads whose
@@ -239,11 +241,13 @@ impl Group {
     }
 
     /// Every group auditor, in order: view agreement, stable digests,
-    /// retained checkpoints. An auditor added here reaches every campaign.
+    /// retained checkpoints, checkpoint ceiling. An auditor added here
+    /// reaches every campaign.
     pub fn audit(&self, all: &[Member<'_>]) -> Result<(), String> {
         self.audit_view_agreement(all)?;
         self.audit_stable_digests(all)?;
-        self.audit_retained_checkpoints(all)
+        self.audit_retained_checkpoints(all)?;
+        self.audit_checkpoint_ceiling(all)
     }
 
     /// After the settle window every honest replica must have converged on
@@ -316,6 +320,23 @@ impl Group {
         Ok(())
     }
 
+    /// No honest replica stores more than [`checkpoint_ceiling`]
+    /// checkpoints: one that does is not collecting garbage.
+    fn audit_checkpoint_ceiling(&self, all: &[Member<'_>]) -> Result<(), String> {
+        let ceiling = checkpoint_ceiling();
+        for (node, r) in self.honest(all) {
+            let stored = r.checkpoint_digests().len();
+            if stored > ceiling {
+                return Err(format!(
+                    "checkpoint ceiling: replica {} stores {stored} checkpoints, more than the \
+                     {ceiling} its log window spans",
+                    node.0
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The `result` that `who` accepted for `client`'s request `ts` must be
     /// the reply every clean replica that still remembers the request
     /// cached, and at least one must remember it. Only a client's latest
@@ -352,6 +373,14 @@ impl Group {
         }
         Ok(())
     }
+}
+
+/// The most checkpoints an honest replica may store: one per checkpoint
+/// interval of its log window, plus the stable one. That is 9 under
+/// [`campaign_config`], whose window and interval every campaign keeps.
+fn checkpoint_ceiling() -> usize {
+    let cfg = campaign_config(4);
+    (cfg.log_window / cfg.checkpoint_interval) as usize + 1
 }
 
 /// Allocates the next distinct delta bit of a register whose writes so far
@@ -831,28 +860,41 @@ mod tests {
         fakes.iter().enumerate().map(|(i, f)| (NodeId(i), f as &dyn ReplicaControl)).collect()
     }
 
-    /// `[view agreement, stable digests, retained checkpoints]` verdicts.
-    fn agreement(group: &Group, fakes: &[Fake]) -> [bool; 3] {
+    /// `[view agreement, stable digests, retained checkpoints, checkpoint
+    /// ceiling]` verdicts.
+    fn agreement(group: &Group, fakes: &[Fake]) -> [bool; 4] {
         let all = members(fakes);
         [
             group.audit_view_agreement(&all).is_ok(),
             group.audit_stable_digests(&all).is_ok(),
             group.audit_retained_checkpoints(&all).is_ok(),
+            group.audit_checkpoint_ceiling(&all).is_ok(),
         ]
     }
 
     #[test]
     fn agreement_auditors_fire_on_the_one_field_that_disagrees() {
         type Mutation = fn(&mut Fake);
-        let cases: [(&str, Mutation, [bool; 3]); 6] = [
-            ("agreeing group", |_| {}, [true, true, true]),
-            ("later view", |f| f.view = 4, [false, true, true]),
-            ("other stable digest", |f| f.stable.1 = Some(d(b"x")), [true, false, true]),
-            ("other retained digest", |f| f.retained[1].1 = d(b"x"), [true, true, false]),
+        let cases: [(&str, Mutation, [bool; 4]); 8] = [
+            ("agreeing group", |_| {}, [true, true, true, true]),
+            ("later view", |f| f.view = 4, [false, true, true, true]),
+            ("other stable digest", |f| f.stable.1 = Some(d(b"x")), [true, false, true, true]),
+            ("other retained digest", |f| f.retained[1].1 = d(b"x"), [true, true, false, true]),
             // Not disagreements: a different stable seq is a lagging
             // replica, and a checkpoint only one side retains has no peer.
-            ("lags a checkpoint", |f| f.stable = (4, Some(d(b"s4"))), [true, true, true]),
-            ("retains an extra seq", |f| f.retained.push((16, d(b"x"))), [true, true, true]),
+            ("lags a checkpoint", |f| f.stable = (4, Some(d(b"s4"))), [true, true, true, true]),
+            ("retains an extra seq", |f| f.retained.push((16, d(b"x"))), [true, true, true, true]),
+            // Nine stored checkpoints fill the campaign window; ten overflow it.
+            (
+                "retains 9 checkpoints",
+                |f| f.retained.extend((16..=40).step_by(4).map(|seq| (seq, d(b"x")))),
+                [true, true, true, true],
+            ),
+            (
+                "retains 10 checkpoints",
+                |f| f.retained.extend((16..=44).step_by(4).map(|seq| (seq, d(b"x")))),
+                [true, true, true, false],
+            ),
         ];
         for (name, mutate, want) in cases {
             let mut fakes = agreeing();
@@ -872,7 +914,7 @@ mod tests {
         // its view and its certificate-backed stable digest still are.
         let mut group = Group::default();
         group.taint(NodeId(2));
-        assert_eq!(agreement(&group, &disagreeing), [false, false, true]);
+        assert_eq!(agreement(&group, &disagreeing), [false, false, true, true]);
         let all = members(&disagreeing);
         assert_eq!(group.honest(&all).len(), 4);
         assert_eq!(group.clean(&all).len(), 3);
@@ -880,7 +922,7 @@ mod tests {
         // Byzantine now: nothing it reports is held against the group.
         disagreeing[2].byz = ByzMode::CorruptReplies;
         for group in [Group::default(), group] {
-            assert_eq!(agreement(&group, &disagreeing), [true, true, true]);
+            assert_eq!(agreement(&group, &disagreeing), [true, true, true, true]);
             let all = members(&disagreeing);
             assert_eq!(group.honest(&all).len(), 3);
             assert_eq!(group.clean(&all).len(), 3);
