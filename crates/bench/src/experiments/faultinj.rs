@@ -71,19 +71,17 @@ pub struct NfsWorkload {
 }
 
 impl Workload for NfsWorkload {
-    fn deploy(
-        &mut self,
-        sim: &mut Simulation,
-        cfg: Config,
-        seed: u64,
-    ) -> (Deployment, Vec<NodeId>) {
+    fn deploy(&mut self, sim: &mut Simulation, cfg: Config, seed: u64) -> Deployment {
         let script = ScriptDriver::new(script(self.with_latent_bug));
         let bed = build_replicated_nfs(sim, seed, cfg.n, self.mix, script, |c| *c = cfg);
         set_relay_pace::<ScriptDriver>(sim, bed.clients[0], PACE);
-        // An armed replica corrupts the triggering write by itself: it is
-        // faulty from the start, whatever the schedule does.
-        let armed = if self.with_latent_bug { arm_inode_latent_bug(sim, &bed) } else { Vec::new() };
-        (bed, armed)
+        bed
+    }
+
+    /// An armed replica corrupts the triggering write by itself: it is
+    /// faulty from the start, whatever the schedule does.
+    fn arm_bugs(&self, sim: &mut Simulation, bed: &Deployment) -> Vec<NodeId> {
+        if self.with_latent_bug { arm_inode_latent_bug(sim, bed) } else { Vec::new() }
     }
 
     fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String> {

@@ -30,12 +30,14 @@
 //! *Uncertified per-replica state is only compared on fault-free runs.*
 //! Lock tables are conformance rep: a replica that installs a checkpoint
 //! clears its locks, after which it may execute an operation its peers
-//! refuse with `xbusy` (or vice versa). The divergence is bounded by `f`,
-//! masked by reply quorums and repaired by the next state transfer — but
-//! it means a mid-run snapshot of an individual replica's uncertified
-//! digests or registers is not evidence of a protocol fork. On runs with
-//! an empty fault schedule no such divergence can arise, and the audit
-//! tightens to exact pairwise agreement: retained checkpoint digests,
+//! refuse with `xbusy` (or vice versa). The divergence is masked by reply
+//! quorums but not bounded by `f`: a storm on one shard can leave two of
+//! its four honest replicas storing digests no peer shares (the ignored
+//! `storm_seed_one_leaves_shard_zero_one_digest_per_checkpoint` in
+//! `tests/chaos_shard.rs`). So under faults the harness holds no replica's
+//! uncertified digests or registers to agreement. On runs with an empty
+//! fault schedule no such divergence can arise, and the audit tightens to
+//! every group auditor ([`Group::audit`]) and exact pairwise agreement:
 //! final register values (the union of every delta ever added) and empty
 //! lock tables on every replica of every shard.
 

@@ -37,12 +37,7 @@ fn kv() -> ServiceCampaign<KvWorkload> {
 }
 
 impl Workload for KvWorkload {
-    fn deploy(
-        &mut self,
-        sim: &mut Simulation,
-        cfg: Config,
-        seed: u64,
-    ) -> (Deployment, Vec<NodeId>) {
+    fn deploy(&mut self, sim: &mut Simulation, cfg: Config, seed: u64) -> Deployment {
         self.expected.clear();
         self.final_kv.clear();
         let d = Deployment::build(sim, cfg, CLIENTS, seed, |_| {
@@ -70,7 +65,7 @@ impl Workload for KvWorkload {
                 }
             }
         }
-        (d, Vec::new())
+        d
     }
 
     /// Exact results: a single writer per key, and reads submitted after

@@ -124,12 +124,7 @@ impl OodbWorkload {
 }
 
 impl Workload for OodbWorkload {
-    fn deploy(
-        &mut self,
-        sim: &mut Simulation,
-        cfg: Config,
-        seed: u64,
-    ) -> (Deployment, Vec<NodeId>) {
+    fn deploy(&mut self, sim: &mut Simulation, cfg: Config, seed: u64) -> Deployment {
         // Two clients: the mutator and the prober.
         let d = Deployment::build(sim, cfg, 2, seed, |i| {
             // Per-replica store RNGs differ on purpose: the concrete heaps
@@ -202,7 +197,7 @@ impl Workload for OodbWorkload {
             }
         }
         self.expected = vec![mutator, prober];
-        (d, Vec::new())
+        d
     }
 
     /// Liveness and reply correctness.

@@ -481,15 +481,16 @@ pub fn completed_ops(
 /// deployment, its clients' scripts, and the checks only it can make.
 pub trait Workload {
     /// Deploys the service's replicas and clients on `sim` with `cfg` and
-    /// queues every client's script. Also returns the replicas that are
-    /// faulty from the start (built with an armed bug), which the group
-    /// taints.
-    fn deploy(
-        &mut self,
-        sim: &mut Simulation,
-        cfg: Config,
-        seed: u64,
-    ) -> (Deployment, Vec<NodeId>);
+    /// queues every client's script.
+    fn deploy(&mut self, sim: &mut Simulation, cfg: Config, seed: u64) -> Deployment;
+
+    /// Arms the bugs the workload builds into its replicas and returns the
+    /// replicas it armed: faulty from the start, so the group taints them.
+    /// The default arms none.
+    fn arm_bugs(&self, sim: &mut Simulation, d: &Deployment) -> Vec<NodeId> {
+        let _ = (sim, d);
+        Vec::new()
+    }
 
     /// Checks what the clients observed: each finished its script, and each
     /// result is one the service may return. Runs before the group
@@ -556,9 +557,10 @@ impl<W: Workload> ServiceCampaign<W> {
 impl<W: Workload> ChaosHarness for ServiceCampaign<W> {
     fn build(&mut self, seed: u64) -> Simulation {
         let mut sim = Simulation::new(seed);
-        let (d, faulty) = self.workload.deploy(&mut sim, self.cfg.clone(), seed);
+        let d = self.workload.deploy(&mut sim, self.cfg.clone(), seed);
+        let armed = self.workload.arm_bugs(&mut sim, &d);
         self.group = Group::new(&mut sim, d.replicas);
-        for node in faulty {
+        for node in armed {
             self.group.taint(node);
         }
         self.clients = d.clients;
@@ -590,17 +592,10 @@ impl<W: Workload> ChaosHarness for ServiceCampaign<W> {
         self.latency_budget
     }
 
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+    fn audit(&mut self, sim: &mut Simulation, _: &mut Vec<String>) -> Result<(), String> {
         self.workload.check_results(sim, &self.clients)?;
         self.group.audit(&self.group.members(sim))?;
-        self.workload.check_state(sim, &self.group, &self.clients)?;
-        let all = self.group.members(sim);
-        trace.push(format!(
-            "audit ok: {} clean / {} honest replicas",
-            self.group.clean(&all).len(),
-            self.group.honest(&all).len()
-        ));
-        Ok(())
+        self.workload.check_state(sim, &self.group, &self.clients)
     }
 
     fn describe(&self, sim: &Simulation) -> Vec<String> {
@@ -636,12 +631,7 @@ pub struct CounterWorkload {
 }
 
 impl Workload for CounterWorkload {
-    fn deploy(
-        &mut self,
-        sim: &mut Simulation,
-        cfg: Config,
-        seed: u64,
-    ) -> (Deployment, Vec<NodeId>) {
+    fn deploy(&mut self, sim: &mut Simulation, cfg: Config, seed: u64) -> Deployment {
         self.expected.clear();
         self.all_deltas = 0;
         let d = Deployment::build(sim, cfg, COUNTER_CLIENTS, seed, |_| CounterService::default());
@@ -663,7 +653,7 @@ impl Workload for CounterWorkload {
                 }
             }
         }
-        (d, Vec::new())
+        d
     }
 
     fn check_results(&self, sim: &Simulation, clients: &[NodeId]) -> Result<(), String> {
