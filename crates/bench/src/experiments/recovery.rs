@@ -7,11 +7,11 @@
 //! warm-reboot recovery. Reports throughput, recovery counts/durations,
 //! and leaked entries at the end.
 
-use crate::report::Table;
+use crate::report::{phase_row, phase_table, Table};
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_pbft::Deployment;
-use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, VecSink};
+use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, Trace};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
@@ -40,7 +40,7 @@ fn run_once(mode: Option<bool>) -> Out {
         cfg.reboot_time = SimDuration::from_millis(300);
     }
     let mut sim = Simulation::new(5100);
-    sim.set_trace_sink(Box::new(VecSink::new()));
+    sim.record_trace(Trace::unbounded());
     let d = Deployment::build(&mut sim, cfg, 1, 5100, |_| {
         let mut kv = TinyKv::default();
         kv.leaky = true; // The aging bug rejuvenation repairs.
@@ -105,7 +105,7 @@ fn run_once(mode: Option<bool>) -> Out {
         leaked,
         heal_to_progress_ms,
         retransmissions,
-        phases: PhaseBreakdown::from_spans(&build_spans(&sim.trace_snapshot())),
+        phases: PhaseBreakdown::from_spans(&build_spans(&sim.trace().expect("installed").events())),
     }
 }
 
@@ -126,19 +126,10 @@ pub fn run_recovery() {
     );
     // Where the latency went: reboot windows show up as request/delivery
     // queueing on the critical path, not as agreement-phase cost.
-    let mut phases = Table::new(
+    let mut phases = phase_table(
         "E3 phase breakdown: critical-path per phase (ms), p50 and p99 total",
-        &[
-            "mode",
-            "request p50",
-            "prepare p50",
-            "commit p50",
-            "execute p50",
-            "reply p50",
-            "delivery p50",
-            "total p50",
-            "total p99",
-        ],
+        "mode",
+        " p50",
     );
     for (name, mode) in [
         ("no recovery", None),
@@ -156,19 +147,7 @@ pub fn run_recovery() {
             if o.retransmissions > 0 { o.heal_to_progress_ms.to_string() } else { "-".into() },
             o.retransmissions.to_string(),
         ]);
-        let ms = |v: u64| format!("{:.2}", v as f64 / 1e6);
-        let b = &o.phases;
-        phases.row(&[
-            name.into(),
-            ms(b.request.quantile(0.5)),
-            ms(b.prepare.quantile(0.5)),
-            ms(b.commit.quantile(0.5)),
-            ms(b.execute.quantile(0.5)),
-            ms(b.reply.quantile(0.5)),
-            ms(b.delivery.quantile(0.5)),
-            ms(b.total.quantile(0.5)),
-            ms(b.total.quantile(0.99)),
-        ]);
+        phases.row(&phase_row(name.into(), &o.phases));
     }
     t.print();
     println!();

@@ -4,11 +4,11 @@
 //! their requests into shared pre-prepares and the per-request overhead
 //! amortizes (paper §2.2's batching, inherited from the BFT library).
 
-use crate::report::Table;
+use crate::report::{phase_row, phase_table, Table};
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseService, Config};
 use base_pbft::Deployment;
-use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, VecSink};
+use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, Trace};
 
 /// One measured E9 cell, exposed so the `bench` perf lab can sample the
 /// same workload the table prints.
@@ -48,7 +48,7 @@ pub fn measure_throughput(
 }
 
 /// [`measure_throughput`] with a config hook, so the perf lab and the E9
-/// pipeline rows can vary `pipeline_depth` / `max_inflight` while measuring the identical workload.
+/// pipeline rows can vary `max_inflight` while measuring the identical workload.
 pub fn measure_throughput_with(
     clients: usize,
     ops_per_client: usize,
@@ -62,7 +62,7 @@ pub fn measure_throughput_with(
     cfg.max_inflight = 2;
     tweak(&mut cfg);
     let mut sim = Simulation::new(8800 + clients as u64);
-    sim.set_trace_sink(Box::new(VecSink::new()));
+    sim.record_trace(Trace::unbounded());
     let d = Deployment::build(&mut sim, cfg, clients, 8800 + clients as u64, |_| {
         let mut w = KvWrapper::new(TinyKv::default());
         w.op_cost = SimDuration::from_micros(100);
@@ -109,7 +109,7 @@ pub fn measure_throughput_with(
         }
     }
     assert!(occupancy.count() > 0, "replica recorded no executed batches");
-    let trace = sim.trace_snapshot();
+    let trace = sim.trace().expect("installed above").events();
     let phases = PhaseBreakdown::from_spans(&build_spans(&trace));
     assert_eq!(phases.ops, total_ops, "every completed op must reconstruct a span");
     ThroughputSample {
@@ -159,19 +159,10 @@ pub fn run_throughput() {
     );
     // Critical-path attribution per cell: where each configuration's median
     // op actually spends its time (segments sum to the end-to-end latency).
-    let mut phases = Table::new(
+    let mut phases = phase_table(
         "E9 phase breakdown: critical-path p50 per phase (ms) and p99 total",
-        &[
-            "clients",
-            "request",
-            "prepare",
-            "commit",
-            "execute",
-            "reply",
-            "delivery",
-            "total p50",
-            "total p99",
-        ],
+        "clients",
+        "",
     );
     for clients in [1usize, 2, 4, 8] {
         let o = measure_throughput(clients, ops_per_client, 0);
@@ -185,19 +176,7 @@ pub fn run_throughput() {
             format!("{:.2}", o.p99_latency_ns as f64 / 1e6),
             format!("{:.2}", o.p999_latency_ns as f64 / 1e6),
         ]);
-        let ms = |v: u64| format!("{:.2}", v as f64 / 1e6);
-        let b = &o.phases;
-        phases.row(&[
-            clients.to_string(),
-            ms(b.request.quantile(0.5)),
-            ms(b.prepare.quantile(0.5)),
-            ms(b.commit.quantile(0.5)),
-            ms(b.execute.quantile(0.5)),
-            ms(b.reply.quantile(0.5)),
-            ms(b.delivery.quantile(0.5)),
-            ms(b.total.quantile(0.5)),
-            ms(b.total.quantile(0.99)),
-        ]);
+        phases.row(&phase_row(clients.to_string(), &o.phases));
     }
     t.print();
     println!();
@@ -205,19 +184,17 @@ pub fn run_throughput() {
     println!();
 
     // Pipeline rows: the same 8-client cell with agreement decoupled from
-    // execution: depth is what moves agreed throughput.
+    // execution: the in-flight window is what moves agreed throughput.
     let mut p = Table::new(
         "E9 pipeline: agreement/execution decoupling at 8 clients",
         &["depth", "makespan (s)", "throughput (ops/s)"],
     );
-    for depth in [1u64, 4] {
-        let o = measure_throughput_with(8, ops_per_client, 0, |cfg| {
-            cfg.max_inflight = 4;
-            cfg.pipeline_depth = depth;
-        });
+    for max_inflight in [1u64, 4] {
+        let o =
+            measure_throughput_with(8, ops_per_client, 0, |cfg| cfg.max_inflight = max_inflight);
         let secs = o.elapsed_ns as f64 / 1e9;
         p.row(&[
-            depth.to_string(),
+            max_inflight.to_string(),
             format!("{secs:.3}"),
             format!("{:.0}", o.ops as f64 / secs),
         ]);

@@ -3,12 +3,12 @@
 //! checkpoint, transfer, pipeline, recovery and shard labs — reported as
 //! simulated quantities in a fixed-schema JSON that
 //! `tests/snapshots/bench_baseline.json` pins byte for byte. `all_tables lab`
-//! prints the same report as a table. Wall-clock cost is measured by
-//! `benchmark/`, not here.
+//! prints the same report as one `section: key=value …` line per section.
+//! Wall-clock cost is measured by `benchmark/`, not here.
 
 use crate::experiments::shards::measure_shards;
-use crate::experiments::throughput::{measure_throughput, measure_throughput_with};
-use crate::experiments::transfer::{measure_catch_up, CatchUp};
+use crate::experiments::throughput::{measure_throughput, measure_throughput_with, ThroughputSample};
+use crate::experiments::transfer::measure_catch_up;
 use base::{BaseService, ModifyLog, Wrapper};
 use base_crypto::Digest;
 use base_pbft::chaos::{CounterWorkload, ServiceCampaign, APP_BYZ};
@@ -22,7 +22,6 @@ use base_simnet::chaos::{run_campaign, CampaignMode, ChaosHarness, FaultSchedule
 use base_simnet::ddmin::ddmin_from_failure;
 use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
 use rand::SeedableRng;
-use std::fmt::Write as _;
 
 /// E9 cell measured by the lab.
 const E9_CLIENTS: usize = 8;
@@ -31,10 +30,8 @@ const E9_OPS_PER_CLIENT: usize = 150;
 /// blocks; KiB-sized values are what exercise the wire-copy and digest
 /// paths the fabric optimizes.
 const E9_VALUE_BYTES: usize = 1024;
-/// Pipeline cell pair: the E9 workload with agreement/execution decoupled.
-/// The serial side pins `pipeline_depth = 1`; both sides share the raised
-/// inflight window so the gate under test is the pipeline depth alone.
-const PIPE_MAX_INFLIGHT: u64 = 4;
+/// Pipeline cell pair: the E9 workload with agreement/execution decoupled,
+/// at `max_inflight = 1` (the serial oracle) versus `PIPE_DEPTH`.
 const PIPE_DEPTH: u64 = 4;
 /// Cells of the shard-scaling sweep (E14).
 const SHARD_CELLS: [u32; 3] = [1, 2, 4];
@@ -62,6 +59,48 @@ const CKPT_DIRTY_PER_EPOCH: u64 = 64;
 const TRANSFER_LIVE: u64 = 256;
 const TRANSFER_STALE: u64 = 192;
 const TRANSFER_VALUE_BYTES: usize = 1024;
+
+/// One section of the report: named values, in their JSON order.
+type Rows = Vec<(String, Value)>;
+
+/// One value of the report.
+enum Value {
+    /// A deterministic count.
+    Count(u64),
+    /// A digest, rendered as a JSON string.
+    Text(String),
+    /// A nested group, rendered as a JSON object.
+    Group(Rows),
+}
+
+/// Count rows under the given keys, in order.
+fn counts<K: Into<String>>(rows: impl IntoIterator<Item = (K, u64)>) -> Rows {
+    rows.into_iter().map(|(key, n)| (key.into(), Value::Count(n))).collect()
+}
+
+/// `rows` as one JSON object.
+fn json_object(rows: &Rows) -> String {
+    let fields: Vec<String> = rows
+        .iter()
+        .map(|(key, value)| match value {
+            Value::Count(n) => format!("\"{key}\":{n}"),
+            Value::Text(s) => format!("\"{key}\":\"{s}\""),
+            Value::Group(rows) => format!("\"{key}\":{}", json_object(rows)),
+        })
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// `rows` as `key=value` pairs, a nested group's keys dotted under its own.
+fn pairs(prefix: &str, rows: &Rows, out: &mut Vec<String>) {
+    for (key, value) in rows {
+        match value {
+            Value::Count(n) => out.push(format!("{prefix}{key}={n}")),
+            Value::Text(s) => out.push(format!("{prefix}{key}={s}")),
+            Value::Group(rows) => pairs(&format!("{prefix}{key}."), rows, out),
+        }
+    }
+}
 
 /// Wraps the counter harness with a schedule-dependent audit: fail iff at
 /// least `threshold` crash events were applied. Every probe still builds
@@ -185,19 +224,10 @@ impl Wrapper for ArrayWrapper {
     }
 }
 
-struct CheckpointOut {
-    checkpoints: u64,
-    objects_digested: u64,
-    node_hashes: u64,
-    /// What the pre-batching per-leaf root-path rehash would have cost:
-    /// every digested object re-hashed its full path of internal nodes.
-    naive_node_hashes: u64,
-}
-
 /// Checkpoint lab: populate a 4096-object service, then run sparse
 /// clustered dirty epochs with a checkpoint each. Every counter is
 /// deterministic.
-fn measure_checkpoint() -> CheckpointOut {
+fn measure_checkpoint() -> Rows {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut svc = BaseService::new(ArrayWrapper {
         vals: vec![None; CKPT_OBJECTS as usize],
@@ -237,20 +267,14 @@ fn measure_checkpoint() -> CheckpointOut {
         }
     }
 
-    CheckpointOut {
-        checkpoints: svc.stats.checkpoints,
-        objects_digested: svc.stats.objects_digested,
-        node_hashes: svc.stats.node_hashes,
-        naive_node_hashes: svc.stats.objects_digested * depth,
-    }
-}
-
-struct TransferOut {
-    rounds_serial: u64,
-    rounds_windowed: u64,
-    meta_queries: u64,
-    objects_fetched: u64,
-    fetched_bytes: u64,
+    counts([
+        ("checkpoints", svc.stats.checkpoints),
+        ("objects_digested", svc.stats.objects_digested),
+        ("node_hashes", svc.stats.node_hashes),
+        // What the pre-batching per-leaf root-path rehash would have cost:
+        // every digested object re-hashed its full path of internal nodes.
+        ("naive_node_hashes", svc.stats.objects_digested * depth),
+    ])
 }
 
 /// Serves one fetch query the way a correct replica would.
@@ -299,7 +323,7 @@ fn serve_fetch(
 /// round answers every query currently on the wire and collects the
 /// follow-ups; the round count is the number of request/reply round trips
 /// a transfer needs, which is exactly what pipelining cuts.
-fn measure_transfer() -> TransferOut {
+fn measure_transfer() -> Rows {
     let mut remote = PartitionTree::new(CKPT_OBJECTS, 16);
     let mut objects: Vec<Option<Vec<u8>>> = vec![None; CKPT_OBJECTS as usize];
     for i in 0..TRANSFER_LIVE {
@@ -354,150 +378,100 @@ fn measure_transfer() -> TransferOut {
     assert_eq!(serial.fetched_bytes, windowed.fetched_bytes);
     assert_eq!(serial.meta_queries, windowed.meta_queries);
 
-    TransferOut {
-        rounds_serial,
-        rounds_windowed,
-        meta_queries: windowed.meta_queries,
-        objects_fetched: windowed.objects.len() as u64,
-        fetched_bytes: windowed.fetched_bytes,
-    }
+    counts([
+        ("window", DEFAULT_FETCH_WINDOW as u64),
+        ("rounds_serial", rounds_serial),
+        ("rounds_windowed", rounds_windowed),
+        ("meta_queries", windowed.meta_queries),
+        ("objects_fetched", windowed.objects.len() as u64),
+        ("fetched_bytes", windowed.fetched_bytes),
+    ])
 }
 
-struct PipelineOut {
-    serial_sim_ops_per_sec: u64,
-    piped_sim_ops_per_sec: u64,
+/// Simulated throughput of one E9 cell, ops per virtual second.
+fn sim_ops_per_sec(s: &ThroughputSample) -> u64 {
+    (s.ops as f64 / (s.elapsed_ns as f64 / 1e9)).round() as u64
 }
 
-/// Pipeline pair: the E9 cell with `pipeline_depth = 1` versus
-/// [`PIPE_DEPTH`], both at the same raised inflight window. All sim
-/// quantities are deterministic.
-fn measure_pipeline() -> PipelineOut {
-    let serial = measure_throughput_with(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES, |cfg| {
-        cfg.max_inflight = PIPE_MAX_INFLIGHT;
-        cfg.pipeline_depth = 1;
-    });
-    let piped = measure_throughput_with(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES, |cfg| {
-        cfg.max_inflight = PIPE_MAX_INFLIGHT;
-        cfg.pipeline_depth = PIPE_DEPTH;
-    });
-    let rate = |s: &crate::experiments::throughput::ThroughputSample| {
-        (s.ops as f64 / (s.elapsed_ns as f64 / 1e9)).round() as u64
+/// Pipeline pair: the E9 cell at `max_inflight = 1` versus [`PIPE_DEPTH`].
+/// All sim quantities are deterministic.
+fn measure_pipeline() -> Rows {
+    let rate = |max_inflight| {
+        sim_ops_per_sec(&measure_throughput_with(
+            E9_CLIENTS,
+            E9_OPS_PER_CLIENT,
+            E9_VALUE_BYTES,
+            |cfg| cfg.max_inflight = max_inflight,
+        ))
     };
-    PipelineOut {
-        serial_sim_ops_per_sec: rate(&serial),
-        piped_sim_ops_per_sec: rate(&piped),
-    }
-}
-
-struct RecoveryOut {
-    whole: CatchUp,
-    chunked: CatchUp,
+    counts([
+        ("depth", PIPE_DEPTH),
+        ("serial_sim_ops_per_sec", rate(1)),
+        ("piped_sim_ops_per_sec", rate(PIPE_DEPTH)),
+    ])
 }
 
 /// Recovery pair: the same sleeper-catches-up run with whole-object leaves
 /// and with chunked leaves, where a small edit to a big file moves only the
 /// chunks it touched.
-fn measure_recovery() -> RecoveryOut {
+fn measure_recovery() -> Rows {
     let cell = |chunk_size| {
         let edit = |i: u32| vec![0xE0 | (i as u8 & 0x0F); RECOVERY_EDIT_BYTES];
-        measure_catch_up(RECOVERY_SEED, RECOVERY_LIVE, RECOVERY_STALE, edit, chunk_size)
+        let c = measure_catch_up(RECOVERY_SEED, RECOVERY_LIVE, RECOVERY_STALE, edit, chunk_size);
+        let mut rows = counts([
+            ("fetched_objects", c.fetched_objects),
+            ("fetched_bytes", c.fetched_bytes),
+            ("meta_queries", c.meta_queries),
+            ("chunk_queries", c.chunk_queries),
+            ("chunks_reused", c.chunks_reused),
+            ("retransmissions", c.retransmissions),
+            ("corrupt_replies", c.corrupt_replies),
+            ("fetch_ms", c.fetch_ms),
+        ]);
+        rows.push(("root".into(), Value::Text(c.root)));
+        Value::Group(rows)
     };
-    RecoveryOut { whole: cell(0), chunked: cell(RECOVERY_CHUNK) }
+    let mut rows = counts([
+        ("live_files", u64::from(RECOVERY_LIVE)),
+        ("stale_files", u64::from(RECOVERY_STALE)),
+        ("edit_bytes", RECOVERY_EDIT_BYTES as u64),
+        ("chunk_size", RECOVERY_CHUNK as u64),
+    ]);
+    rows.push(("whole".into(), cell(0)));
+    rows.push(("chunked".into(), cell(RECOVERY_CHUNK)));
+    rows
 }
 
-impl RecoveryOut {
-    fn to_json(&self) -> String {
-        let cell = |c: &CatchUp| {
-            format!(
-                "{{\"fetched_objects\":{},\"fetched_bytes\":{},\"meta_queries\":{},\
-                 \"chunk_queries\":{},\"chunks_reused\":{},\"retransmissions\":{},\
-                 \"corrupt_replies\":{},\"fetch_ms\":{},\"root\":\"{}\"}}",
-                c.fetched_objects,
-                c.fetched_bytes,
-                c.meta_queries,
-                c.chunk_queries,
-                c.chunks_reused,
-                c.retransmissions,
-                c.corrupt_replies,
-                c.fetch_ms,
-                c.root,
-            )
-        };
-        format!(
-            "\"recovery\":{{\"live_files\":{RECOVERY_LIVE},\"stale_files\":{RECOVERY_STALE},\
-             \"edit_bytes\":{RECOVERY_EDIT_BYTES},\"chunk_size\":{RECOVERY_CHUNK},\
-             \"whole\":{},\"chunked\":{}}}",
-            cell(&self.whole),
-            cell(&self.chunked),
-        )
+/// Shard-scaling lab: the E14 cells, then each cell's disjoint-workload
+/// speedup over one shard, in thousandths.
+fn measure_shards_section() -> Rows {
+    let mut rows = Vec::new();
+    let mut disjoint_rates = Vec::new();
+    for k in SHARD_CELLS {
+        let disjoint = measure_shards(k, false);
+        let mixed = measure_shards(k, true);
+        rows.push((format!("disjoint_{k}"), disjoint.sim_ops_per_sec));
+        rows.push((format!("mixed_{k}"), mixed.sim_ops_per_sec));
+        rows.push((format!("cross_aborts_{k}"), mixed.cross_aborts));
+        disjoint_rates.push(disjoint.sim_ops_per_sec);
     }
-}
-
-struct ShardsOut {
-    /// `(shards, disjoint sim ops/s, mixed sim ops/s, mixed cross aborts)`
-    /// per cell of [`SHARD_CELLS`].
-    cells: Vec<(u32, u64, u64, u64)>,
-}
-
-/// Shard-scaling lab: the E14 cells.
-fn measure_shards_section() -> ShardsOut {
-    let cells = SHARD_CELLS
-        .iter()
-        .map(|&k| {
-            let disjoint = measure_shards(k, false);
-            let mixed = measure_shards(k, true);
-            (k, disjoint.sim_ops_per_sec, mixed.sim_ops_per_sec, mixed.cross_aborts)
-        })
-        .collect();
-    ShardsOut { cells }
-}
-
-impl ShardsOut {
-    fn to_json(&self) -> String {
-        let mut out = String::from("\"shards\":{");
-        for (k, disjoint, mixed, aborts) in &self.cells {
-            let _ = write!(
-                out,
-                "\"disjoint_{k}\":{disjoint},\"mixed_{k}\":{mixed},\"cross_aborts_{k}\":{aborts},"
-            );
-        }
-        let speedups: Vec<String> = self.cells[1..]
-            .iter()
-            .map(|c| format!("\"speedup_milli_{}\":{}", c.0, self.speedup_milli(c)))
-            .collect();
-        let _ = write!(out, "{}}}", speedups.join(","));
-        out
+    for (k, rate) in SHARD_CELLS.iter().zip(&disjoint_rates).skip(1) {
+        let speedup = (*rate as f64 / disjoint_rates[0] as f64 * 1000.0).round() as u64;
+        rows.push((format!("speedup_milli_{k}"), speedup));
     }
-
-    /// Disjoint-workload speedup of `cell` over one shard, in thousandths.
-    fn speedup_milli(&self, cell: &(u32, u64, u64, u64)) -> u64 {
-        (cell.1 as f64 / self.cells[0].1 as f64 * 1000.0).round() as u64
-    }
+    counts(rows)
 }
 
-/// Everything the lab measured; every field is a deterministic count.
+/// Everything the lab measured: named sections of deterministic counts, in
+/// a fixed order.
 pub struct BenchReport {
-    e9_ops: u64,
-    e9_sim_ops_per_sec: u64,
-    e9_p50_latency_ns: u64,
-    e9_p99_latency_ns: u64,
-    campaign_runs: usize,
-    campaign_failures: usize,
-    ddmin_executions: u64,
-    ddmin_subset_tests: u64,
-    ddmin_minimal_len: usize,
-    ckpt: CheckpointOut,
-    transfer: TransferOut,
-    pipeline: PipelineOut,
-    recovery: RecoveryOut,
-    shards: ShardsOut,
+    sections: Vec<(&'static str, Rows)>,
 }
 
 /// Runs every section of the lab.
 pub fn measure() -> BenchReport {
     // E9 batching throughput.
     let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
-    let e9_sim_ops_per_sec = (e9.ops as f64 / (e9.elapsed_ns as f64 / 1e9)).round() as u64;
 
     // Chaos campaign at a fixed worker count.
     let counter = || ServiceCampaign::new(4, CounterWorkload::default());
@@ -518,144 +492,62 @@ pub fn measure() -> BenchReport {
     assert!(verdict.is_err(), "ddmin bench schedule must fail its audit");
     let dd = ddmin_from_failure(&mut h, 42, &schedule, Some(&outcome));
 
-    let ckpt = measure_checkpoint();
-    let transfer = measure_transfer();
-    let pipeline = measure_pipeline();
-    let recovery = measure_recovery();
-    let shards = measure_shards_section();
-
-    BenchReport {
-        e9_ops: e9.ops,
-        e9_sim_ops_per_sec,
-        e9_p50_latency_ns: e9.p50_latency_ns,
-        e9_p99_latency_ns: e9.p99_latency_ns,
-        campaign_runs: report.runs,
-        campaign_failures: report.failures.len(),
-        ddmin_executions: dd.metrics.counter("ddmin.executions"),
-        ddmin_subset_tests: dd.metrics.counter("ddmin.subset_tests"),
-        ddmin_minimal_len: dd.schedule.len(),
-        ckpt,
-        transfer,
-        pipeline,
-        recovery,
-        shards,
-    }
+    let sections = vec![
+        (
+            "e9",
+            counts([
+                ("clients", E9_CLIENTS as u64),
+                ("ops", e9.ops),
+                ("sim_ops_per_sec", sim_ops_per_sec(&e9)),
+                ("p50_latency_ns", e9.p50_latency_ns),
+                ("p99_latency_ns", e9.p99_latency_ns),
+            ]),
+        ),
+        (
+            "campaign",
+            counts([
+                ("runs", report.runs as u64),
+                ("workers", CAMPAIGN_WORKERS as u64),
+                ("failures", report.failures.len() as u64),
+            ]),
+        ),
+        (
+            "ddmin",
+            counts([
+                ("executions", dd.metrics.counter("ddmin.executions")),
+                ("subset_tests", dd.metrics.counter("ddmin.subset_tests")),
+                ("minimal_len", dd.schedule.len() as u64),
+            ]),
+        ),
+        ("checkpoint", measure_checkpoint()),
+        ("transfer", measure_transfer()),
+        ("pipeline", measure_pipeline()),
+        ("recovery", measure_recovery()),
+        ("shards", measure_shards_section()),
+    ];
+    BenchReport { sections }
 }
 
 impl BenchReport {
     /// The report as one line of JSON, sections in a fixed order, stamped
     /// `baseline` like the snapshot that pins it.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"stamp\":\"baseline\",\
-             \"e9\":{{\"clients\":{},\"ops\":{},\"sim_ops_per_sec\":{},\
-             \"p50_latency_ns\":{},\"p99_latency_ns\":{}}},\
-             \"campaign\":{{\"runs\":{},\"workers\":{},\"failures\":{}}},\
-             \"ddmin\":{{\"executions\":{},\"subset_tests\":{},\"minimal_len\":{}}},\
-             \"checkpoint\":{{\"checkpoints\":{},\
-             \"objects_digested\":{},\"node_hashes\":{},\"naive_node_hashes\":{}}},\
-             \"transfer\":{{\"window\":{},\"rounds_serial\":{},\"rounds_windowed\":{},\
-             \"meta_queries\":{},\"objects_fetched\":{},\"fetched_bytes\":{}}},\
-             \"pipeline\":{{\"depth\":{},\"serial_sim_ops_per_sec\":{},\
-             \"piped_sim_ops_per_sec\":{}}},{},{}}}",
-            E9_CLIENTS,
-            self.e9_ops,
-            self.e9_sim_ops_per_sec,
-            self.e9_p50_latency_ns,
-            self.e9_p99_latency_ns,
-            self.campaign_runs,
-            CAMPAIGN_WORKERS,
-            self.campaign_failures,
-            self.ddmin_executions,
-            self.ddmin_subset_tests,
-            self.ddmin_minimal_len,
-            self.ckpt.checkpoints,
-            self.ckpt.objects_digested,
-            self.ckpt.node_hashes,
-            self.ckpt.naive_node_hashes,
-            DEFAULT_FETCH_WINDOW,
-            self.transfer.rounds_serial,
-            self.transfer.rounds_windowed,
-            self.transfer.meta_queries,
-            self.transfer.objects_fetched,
-            self.transfer.fetched_bytes,
-            PIPE_DEPTH,
-            self.pipeline.serial_sim_ops_per_sec,
-            self.pipeline.piped_sim_ops_per_sec,
-            self.recovery.to_json(),
-            self.shards.to_json(),
-        );
-        out
+        let sections: String = self
+            .sections
+            .iter()
+            .map(|(name, rows)| format!(",\"{name}\":{}", json_object(rows)))
+            .collect();
+        format!("{{\"stamp\":\"baseline\"{sections}}}")
     }
 
-    /// Prints the report as a table, one line per section.
+    /// Prints the report as a table, one `section: key=value …` line per
+    /// section, keyed as in the JSON.
     pub fn print_table(&self) {
         println!("== bench lab ==");
-        println!(
-            "e9:       clients={} ops={} sim_ops/s={} p50={}ms p99={}ms",
-            E9_CLIENTS,
-            self.e9_ops,
-            self.e9_sim_ops_per_sec,
-            self.e9_p50_latency_ns as f64 / 1e6,
-            self.e9_p99_latency_ns as f64 / 1e6
-        );
-        println!(
-            "campaign: runs={} workers={} failures={}",
-            self.campaign_runs, CAMPAIGN_WORKERS, self.campaign_failures
-        );
-        println!(
-            "ddmin:    executions={} subset_tests={} minimal_len={}",
-            self.ddmin_executions, self.ddmin_subset_tests, self.ddmin_minimal_len
-        );
-        println!(
-            "ckpt:     checkpoints={} digested={} node_hashes={} naive={}",
-            self.ckpt.checkpoints,
-            self.ckpt.objects_digested,
-            self.ckpt.node_hashes,
-            self.ckpt.naive_node_hashes
-        );
-        println!(
-            "transfer: window={} rounds(serial)={} rounds(windowed)={} meta_queries={} \
-             objects={} bytes={}",
-            DEFAULT_FETCH_WINDOW,
-            self.transfer.rounds_serial,
-            self.transfer.rounds_windowed,
-            self.transfer.meta_queries,
-            self.transfer.objects_fetched,
-            self.transfer.fetched_bytes
-        );
-        println!(
-            "pipeline: depth={} serial_ops/s={} piped_ops/s={}",
-            PIPE_DEPTH,
-            self.pipeline.serial_sim_ops_per_sec,
-            self.pipeline.piped_sim_ops_per_sec
-        );
-        for (name, c) in [("whole", &self.recovery.whole), ("chunked", &self.recovery.chunked)] {
-            println!(
-                "recovery: {name:<7} objects={} bytes={} meta_queries={} chunk_queries={} \
-                 chunks_reused={} fetch={}ms root={:.8}",
-                c.fetched_objects,
-                c.fetched_bytes,
-                c.meta_queries,
-                c.chunk_queries,
-                c.chunks_reused,
-                c.fetch_ms,
-                c.root
-            );
+        for (name, rows) in &self.sections {
+            let mut out = Vec::new();
+            pairs("", rows, &mut out);
+            println!("{name}: {}", out.join(" "));
         }
-        let cells: Vec<String> = self
-            .shards
-            .cells
-            .iter()
-            .map(|(k, d, m, _)| format!("{k}:{d}/{m}"))
-            .collect();
-        let top = self.shards.cells.last().expect("SHARD_CELLS is not empty");
-        println!(
-            "shards:   ops/s(disjoint/mixed) [{}] speedup={:.2}x",
-            cells.join(" "),
-            self.shards.speedup_milli(top) as f64 / 1000.0
-        );
     }
 }

@@ -1,5 +1,7 @@
 //! Minimal fixed-width table formatting for experiment output.
 
+use base_simnet::{PhaseBreakdown, PHASES};
+
 /// A simple text table.
 pub struct Table {
     title: String,
@@ -9,10 +11,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub fn new(title: &str, headers: &[impl AsRef<str>]) -> Self {
         Self {
             title: title.to_owned(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
         }
     }
@@ -60,6 +62,24 @@ impl Table {
 /// Formats nanoseconds as milliseconds with two decimals.
 pub fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
+}
+
+/// A critical-path breakdown table: the `first` column, the p50 of each
+/// [`PHASES`] entry (headed `"{phase}{suffix}"`), then the total's p50 and
+/// p99.
+pub fn phase_table(title: &str, first: &str, suffix: &str) -> Table {
+    let phases = PHASES.iter().map(|(phase, _)| format!("{phase}{suffix}"));
+    let totals = ["total p50".to_owned(), "total p99".to_owned()];
+    let headers: Vec<String> =
+        std::iter::once(first.to_owned()).chain(phases).chain(totals).collect();
+    Table::new(title, &headers)
+}
+
+/// The [`phase_table`] row of `b`, in milliseconds.
+pub fn phase_row(label: String, b: &PhaseBreakdown) -> Vec<String> {
+    let p50s = b.phases.iter().map(|h| ms(h.quantile(0.5)));
+    let totals = [ms(b.total.quantile(0.5)), ms(b.total.quantile(0.99))];
+    std::iter::once(label).chain(p50s).chain(totals).collect()
 }
 
 /// Formats nanoseconds as seconds with three decimals.

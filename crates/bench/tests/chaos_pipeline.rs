@@ -1,7 +1,7 @@
 //! Chaos regression for the agreement/execution pipeline: the counter and
-//! NFS campaigns rerun with `pipeline_depth = 4`, so view-change storms,
+//! NFS campaigns rerun with `max_inflight = 4`, so view-change storms,
 //! healing partitions, Byzantine flips and latent corruption all land
-//! while slots `n..n+depth` are in flight — committed-but-unexecuted
+//! while slots `n..n+4` are in flight — committed-but-unexecuted
 //! backlogs, re-proposal of pipelined slots across view changes, and state
 //! transfer over a gapped slot table. The auditors must report zero safety
 //! or liveness violations.
@@ -14,7 +14,7 @@ use base_simnet::SimDuration;
 
 fn pipelined_counter() -> ServiceCampaign<CounterWorkload> {
     let mut h = ServiceCampaign::new(4, CounterWorkload::default());
-    h.cfg.pipeline_depth = 4;
+    h.cfg.max_inflight = 4;
     h
 }
 
@@ -41,7 +41,7 @@ fn nfs_campaign_with_pipelining_passes_auditor() {
     let pipelined_nfs = || {
         let workload = NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false };
         let mut h = ServiceCampaign::new(4, workload);
-        h.cfg.pipeline_depth = 4;
+        h.cfg.max_inflight = 4;
         h
     };
     let cfg = pipelined_nfs().gen_config(5, SimDuration::from_secs(6));

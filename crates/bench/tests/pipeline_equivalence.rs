@@ -1,7 +1,7 @@
 //! Equivalence suite for the agreement/execution pipeline: every service
-//! (counter, KV, NFS, OODB) runs the same seeded workload at
-//! `pipeline_depth ∈ {1, 4}` and the results are compared against the
-//! serial oracle (`depth = 1`).
+//! (counter, KV, NFS, OODB) runs the same seeded workload at pipeline
+//! depth `max_inflight ∈ {1, 4}` and the results are compared against the
+//! serial oracle (`max_inflight = 1`).
 //!
 //! What is asserted where:
 //!
@@ -97,7 +97,7 @@ fn grid_config(n: usize, depth: u64) -> Config {
     let mut cfg = Config::new(n);
     cfg.checkpoint_interval = 4;
     cfg.log_window = 32;
-    cfg.pipeline_depth = depth;
+    cfg.max_inflight = depth;
     cfg
 }
 
@@ -263,7 +263,7 @@ fn run_nfs(depth: u64) -> Fingerprint {
         |cfg| {
             cfg.checkpoint_interval = 4;
             cfg.log_window = 32;
-            cfg.pipeline_depth = depth;
+            cfg.max_inflight = depth;
         },
     );
     set_relay_pace::<ScriptDriver>(&mut sim, bed.clients[0], SimDuration::from_millis(20));
@@ -438,7 +438,7 @@ fn assert_chaos_cell_replays<H: base_simnet::chaos::ChaosHarness>(
 fn chaos_counter_run_at_depth_4_replays_and_audits() {
     let harness = || {
         let mut h = ServiceCampaign::new(4, CounterWorkload::default());
-        h.cfg.pipeline_depth = 4;
+        h.cfg.max_inflight = 4;
         h
     };
     let schedule = generate_schedule(&harness().gen_config(6, SimDuration::from_secs(8)), 0xC0FFEE);
@@ -450,7 +450,7 @@ fn chaos_nfs_run_at_depth_4_replays_and_audits() {
     let harness = || {
         let workload = NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false };
         let mut h = ServiceCampaign::new(4, workload);
-        h.cfg.pipeline_depth = 4;
+        h.cfg.max_inflight = 4;
         h
     };
     let schedule = generate_schedule(&harness().gen_config(5, SimDuration::from_secs(6)), 0xBEEF);

@@ -517,8 +517,7 @@ pub trait Workload {
 /// the trace of a failed run.
 pub struct ServiceCampaign<W> {
     /// The group configuration a run is built with, seeded by
-    /// [`campaign_config`]; campaigns set a small `pipeline_depth` so
-    /// view-change storms catch slots `n..n+depth` in flight.
+    /// [`campaign_config`].
     pub cfg: Config,
     /// Optional per-op critical-path budget for post-heal operations (see
     /// [`base_simnet::chaos::audit_latency_budget`]); `None` disables the

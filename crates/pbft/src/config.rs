@@ -33,6 +33,9 @@ pub struct Config {
     /// Maximum unexecuted proposals the primary keeps in flight; arrivals
     /// beyond it accumulate and get batched (the BFT library's behaviour:
     /// batch whatever arrives while earlier batches are in the pipeline).
+    /// This is also the agreement pipeline's depth: `1` is strict lockstep
+    /// — the serial oracle the differential equivalence suite compares
+    /// every other configuration against.
     pub max_inflight: u64,
     /// Base view-change timeout; doubles for each consecutive failed view
     /// (clamped to [`VIEW_CHANGE_TIMEOUT_CAP`]). The base is re-seeded from
@@ -48,15 +51,6 @@ pub struct Config {
     pub recovery_period: Option<SimDuration>,
     /// Simulated reboot time during proactive recovery.
     pub reboot_time: SimDuration,
-    /// Agreement pipelining: maximum consensus instances past the highest
-    /// contiguously *committed* sequence number the primary keeps open
-    /// (proposing seq `n+1` while `n` is still gathering prepares).
-    /// `1` is strict lockstep — the serial oracle the differential
-    /// equivalence suite compares every other configuration against.
-    /// Distinct from [`max_inflight`](Self::max_inflight), which bounds
-    /// unexecuted proposals: a slot can be committed but not yet executed
-    /// while the execution stage drains its backlog.
-    pub pipeline_depth: u64,
     /// Leaf-digest chunk size in bytes
     /// ([`Service::set_chunk_size`](crate::Service::set_chunk_size)).
     /// `0` (the default) keeps legacy whole-object leaf digests. Non-zero
@@ -104,7 +98,6 @@ impl Config {
             client_timeout: SimDuration::from_millis(300),
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
-            pipeline_depth: 16,
             chunk_size: 0,
             shard: 0,
             node_base: 0,

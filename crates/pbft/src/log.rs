@@ -241,18 +241,6 @@ impl Log {
         self.entry(seq)?.stage
     }
 
-    /// Highest sequence number `c >= base` such that every slot in
-    /// `base+1..=c` is committed (or executed): the pipeline gate measures
-    /// open consensus instances from here, so an execution backlog does not
-    /// stall proposals the way the `max_inflight` bound does.
-    pub fn committed_floor(&self, base: u64) -> u64 {
-        let mut c = base;
-        while self.stage(c + 1) >= Some(SlotStage::Committed) {
-            c += 1;
-        }
-        c
-    }
-
     /// True if any slot past `last_exec` is committed but not yet executed
     /// — the execution stage has backlog and the current service state is
     /// older than the committed prefix.
@@ -565,26 +553,25 @@ mod tests {
     #[test]
     fn slot_table_tracks_stages_and_floor() {
         let mut t = Log::new(16);
-        assert_eq!(t.committed_floor(0), 0);
+        assert_eq!(t.stage(1), None);
         assert!(!t.has_backlog(0));
 
         observe(&mut t, 1, SlotStage::Proposed);
         observe(&mut t, 2, SlotStage::Proposed);
         observe(&mut t, 3, SlotStage::Proposed);
         observe(&mut t, 1, SlotStage::Prepared);
-        assert_eq!(t.committed_floor(0), 0, "prepared is not committed");
+        assert_eq!(t.stage(1), Some(SlotStage::Prepared));
+        assert!(!t.has_backlog(0), "prepared is not committed");
 
         observe(&mut t, 2, SlotStage::Committed);
-        assert_eq!(t.committed_floor(0), 0, "slot 1 gaps the committed prefix");
         assert!(t.has_backlog(0), "slot 2 is committed but unexecuted");
 
         observe(&mut t, 1, SlotStage::Committed);
-        assert_eq!(t.committed_floor(0), 2, "prefix closes through the gap fill");
+        assert_eq!(t.stage(1), Some(SlotStage::Committed));
 
         observe(&mut t, 1, SlotStage::Executed);
         observe(&mut t, 2, SlotStage::Executed);
         assert!(!t.has_backlog(2));
-        assert_eq!(t.committed_floor(2), 2);
         assert_eq!(t.stage(3), Some(SlotStage::Proposed));
     }
 
@@ -631,7 +618,7 @@ mod tests {
         t.gc_up_to(4);
         assert_eq!(t.stage(4), None);
         assert_eq!(t.stage(5), Some(SlotStage::Committed));
-        assert_eq!(t.committed_floor(4), 8);
+        assert!(t.has_backlog(4), "slots 5..=8 are committed but unexecuted");
     }
 
     #[test]
@@ -679,14 +666,6 @@ mod tests {
                     self.stages.insert(*seq, (stage, traced));
                 }
             }
-        }
-
-        fn committed_floor(&self, base: u64) -> u64 {
-            let mut c = base;
-            while matches!(self.stages.get(&(c + 1)), Some(s) if s.0 >= SlotStage::Committed) {
-                c += 1;
-            }
-            c
         }
 
         fn has_backlog(&self, last_exec: u64) -> bool {
@@ -829,7 +808,6 @@ mod tests {
                 for seq in model.low.saturating_sub(2)..model.low + WINDOW + 3 {
                     prop_assert_eq!(ring.entry(seq).is_some(), model.entries.contains_key(&seq));
                     prop_assert_eq!(ring.stage(seq), model.stages.get(&seq).map(|s| s.0));
-                    prop_assert_eq!(ring.committed_floor(seq), model.committed_floor(seq));
                     prop_assert_eq!(ring.has_backlog(seq), model.has_backlog(seq));
                 }
             }

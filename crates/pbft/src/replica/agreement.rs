@@ -6,7 +6,7 @@
 use super::io::Io;
 use crate::byzantine::ByzMode;
 use crate::config::{Config, BATCH_MAX};
-use crate::log::{Log, SlotStage};
+use crate::log::SlotStage;
 use crate::messages::{CommitMsg, Message, PrePrepareMsg, PrepareMsg, RequestMsg};
 use base_crypto::{Authenticator, Digest};
 use base_simnet::{NodeId, ProtocolEvent};
@@ -52,13 +52,12 @@ impl Agreement {
     }
 
     /// Requests are queued, and the next sequence number fits under the
-    /// high watermark of `low`, the in-flight bound and the pipeline depth.
-    pub(super) fn can_propose(&self, cfg: &Config, log: &Log, last_exec: u64, low: u64) -> bool {
+    /// high watermark of `low` and the in-flight bound.
+    pub(super) fn can_propose(&self, cfg: &Config, last_exec: u64, low: u64) -> bool {
         let next = self.next_seq(low);
         !self.pending.is_empty()
             && next <= cfg.high_watermark(low)
             && next.saturating_sub(last_exec + 1) < cfg.max_inflight
-            && next.saturating_sub(log.committed_floor(last_exec) + 1) < cfg.pipeline_depth
     }
 
     /// Proposes the next batch in `view` above the low watermark `low`,

@@ -62,7 +62,7 @@ impl<S: Service> Replica<S> {
     fn try_propose(&mut self, ctx: &mut Context<'_>) {
         while let Some(view) = self.vc.active() {
             let (last_exec, low) = (self.exec.last_exec(), self.ckpt.stable_seq());
-            if !self.agree.can_propose(&self.cfg, &self.log, last_exec, low) {
+            if !self.agree.can_propose(&self.cfg, last_exec, low) {
                 break;
             }
             let seq = self.agree.propose(&mut io!(self, ctx), view, low);

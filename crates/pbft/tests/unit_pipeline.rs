@@ -50,7 +50,6 @@ fn rig() -> Rig {
     let mut cfg = Config::new(N);
     // Let the backup hold several unexecuted slots without hitting limits.
     cfg.max_inflight = 16;
-    cfg.pipeline_depth = 16;
     let mut sim = Simulation::new(77);
     let dir = KeyDirectory::generate(N + 1, 77);
     for _ in 0..3 {
@@ -200,14 +199,13 @@ fn read_only_immediate_when_no_backlog() {
 
 /// End-to-end sanity for the pipeline gate: a group running with a deep
 /// pipeline (agreement ahead of execution) completes every request and
-/// converges — and a depth-1 group (the serial lockstep oracle) produces
-/// the same final state.
+/// converges — and a `max_inflight = 1` group (the serial lockstep oracle)
+/// produces the same final state.
 #[test]
 fn pipelined_group_matches_serial_oracle() {
     let run = |depth: u64| -> (Vec<Vec<u8>>, u64) {
         let mut cfg = Config::new(N);
-        cfg.max_inflight = 16;
-        cfg.pipeline_depth = depth;
+        cfg.max_inflight = depth;
         let mut sim = Simulation::new(9);
         let g = Deployment::build(&mut sim, cfg, 1, 9, |_| CounterService::default());
         let client = g.clients[0];

@@ -1,7 +1,7 @@
 //! Actors and the per-event effect context.
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ProtocolEvent, TraceEvent, TraceSink};
+use crate::trace::{ProtocolEvent, Trace, TraceEvent};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::ops::Deref;
@@ -128,8 +128,7 @@ pub struct Context<'a> {
     pub(crate) charged: SimDuration,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) trace: &'a mut dyn TraceSink,
-    pub(crate) trace_enabled: bool,
+    pub(crate) trace: Option<&'a mut Trace>,
     pub(crate) sched_lag: SimDuration,
     pub(crate) inbox_depth: u32,
 }
@@ -216,10 +215,10 @@ impl<'a> Context<'a> {
         self.rng
     }
 
-    /// True when a recording [`TraceSink`] is installed. Lets callers skip
-    /// building expensive event payloads when tracing is off.
+    /// True when a [`Trace`] is installed. Lets callers skip building
+    /// expensive event payloads when tracing is off.
     pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
+        self.trace.is_some()
     }
 
     /// Event-loop lag of the event that triggered this handler: how long
@@ -238,11 +237,11 @@ impl<'a> Context<'a> {
     }
 
     /// Emits a protocol event, stamped with the current virtual time and
-    /// this node's id, into the simulation's trace sink. A no-op (one
-    /// untaken branch) when tracing is disabled.
+    /// this node's id, into the simulation's trace. A no-op (one untaken
+    /// branch) when no trace is installed.
     pub fn emit(&mut self, view: u64, seq: u64, event: ProtocolEvent) {
-        if self.trace_enabled {
-            self.trace.record(TraceEvent { at: self.now, node: self.self_id, view, seq, event });
+        if let Some(trace) = &mut self.trace {
+            trace.record(TraceEvent { at: self.now, node: self.self_id, view, seq, event });
         }
     }
 }

@@ -17,13 +17,15 @@
 //! trace and the same [`NetStats`], which the determinism tests assert.
 
 use crate::faults::NetFault;
-use crate::trace::{ProtocolEvent, RingBufferSink, TraceEvent};
+use crate::trace::{ProtocolEvent, Trace, TraceEvent};
 use crate::{NetStats, NodeId, SimDuration, SimTime, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
+// `u64::add` is the `add` merge rule of `coverage_counters!`.
+use std::ops::Add;
 use std::sync::Mutex;
 
 /// One scheduled fault event.
@@ -415,17 +417,11 @@ pub fn audit_latency_budget(
         if latency_ns <= budget.as_nanos() {
             continue;
         }
-        let (phase, phase_ns) = [
-            ("request", span.segments.request_ns),
-            ("prepare", span.segments.prepare_ns),
-            ("commit", span.segments.commit_ns),
-            ("execute", span.segments.execute_ns),
-            ("reply", span.segments.reply_ns),
-            ("delivery", span.segments.delivery_ns),
-        ]
-        .into_iter()
-        .max_by_key(|(_, ns)| *ns)
-        .unwrap();
+        let ((phase, _), phase_ns) = crate::span::PHASES
+            .iter()
+            .zip(span.segments)
+            .max_by_key(|(_, ns)| *ns)
+            .unwrap();
         violations.push(format!(
             "latency-budget: node {} op ts={} took {}ms (budget {}ms), dominated by \
              {phase} ({}ms, retx={}, vc={})",
@@ -441,52 +437,87 @@ pub fn audit_latency_budget(
     violations
 }
 
-/// What a run actually exercised, derived from the recorded protocol trace
-/// (see [`crate::trace`]). Thin schedules — ones that never force a view
-/// change or a state transfer — show up as zero rows in the campaign
-/// summary instead of silently passing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Coverage {
-    /// View changes started (replicas moving to a higher view).
-    pub view_changes_started: u64,
-    /// New-view certificates installed.
-    pub view_changes_completed: u64,
-    /// Checkpoints that gathered a stable certificate.
-    pub checkpoints_stable: u64,
-    /// State-transfer fetches started.
-    pub state_transfers_started: u64,
-    /// State transfers that brought a replica up to date.
-    pub state_transfers_completed: u64,
-    /// Proactive recoveries started.
-    pub recoveries_started: u64,
-    /// Proactive recoveries completed.
-    pub recoveries_completed: u64,
-    /// Completed recoveries whose window overlapped an active partition.
-    pub recoveries_overlapping_partition: u64,
-    /// Completed recoveries that repaired corrupt concrete state.
-    pub corrupt_state_repairs: u64,
-    /// Client retransmissions observed.
-    pub client_retransmits: u64,
-    /// Read-only requests degraded to the full protocol.
-    pub quorum_degradations: u64,
-    /// Client operations submitted (first transmissions).
-    pub client_ops_submitted: u64,
-    /// Client operations that completed with a reply certificate.
-    pub client_ops_completed: u64,
-    /// Worst post-heal completion latency: the latest client completion
-    /// after the last fault healed, measured from the heal instant (zero
-    /// when every op finished before heal). Merged with `max`, not `+`.
-    pub heal_to_progress_ns: u64,
-    /// Liveness-bound violations charged to this run by the engine's
-    /// [`audit_liveness_bounds`] pass (zero when bounds are disabled).
-    pub liveness_violations: u64,
-    /// Latency-budget violations charged by [`audit_latency_budget`]
-    /// (zero when the harness sets no budget).
-    pub latency_budget_violations: u64,
-    /// Events evicted from the run's trace ring buffer. Non-zero means
-    /// coverage counters (and span reconstruction) undercount — campaigns
-    /// gate on this staying zero.
-    pub trace_events_dropped: u64,
+/// Declares [`Coverage`] once: each counter with its doc and the rule
+/// campaign aggregation merges it by (`add`, or `max` for a worst case).
+/// The struct, [`Coverage::merge`] and [`Coverage::to_json`] derive from
+/// the one list.
+macro_rules! coverage_counters {
+    (
+        $(#[$meta:meta])*
+        pub struct Coverage {
+            $( $(#[doc = $doc:literal])* $field:ident: $rule:ident ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Coverage {
+            $( $(#[doc = $doc])* pub $field: u64, )*
+        }
+
+        impl Coverage {
+            /// Folds `other` into `self` (campaign aggregation), each
+            /// counter by its rule.
+            pub fn merge(&mut self, other: &Coverage) {
+                $( self.$field = u64::$rule(self.$field, other.$field); )*
+            }
+
+            /// Deterministic single-line JSON rendering.
+            pub fn to_json(&self) -> String {
+                let fields = [$( format!("\"{}\":{}", stringify!($field), self.$field) ),*];
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    };
+}
+
+coverage_counters! {
+    /// What a run actually exercised, derived from the recorded protocol
+    /// trace (see [`crate::trace`]). Thin schedules — ones that never force
+    /// a view change or a state transfer — show up as zero rows in the
+    /// campaign summary instead of silently passing.
+    pub struct Coverage {
+        /// View changes started (replicas moving to a higher view).
+        view_changes_started: add,
+        /// New-view certificates installed.
+        view_changes_completed: add,
+        /// Checkpoints that gathered a stable certificate.
+        checkpoints_stable: add,
+        /// State-transfer fetches started.
+        state_transfers_started: add,
+        /// State transfers that brought a replica up to date.
+        state_transfers_completed: add,
+        /// Proactive recoveries started.
+        recoveries_started: add,
+        /// Proactive recoveries completed.
+        recoveries_completed: add,
+        /// Completed recoveries whose window overlapped an active partition.
+        recoveries_overlapping_partition: add,
+        /// Completed recoveries that repaired corrupt concrete state.
+        corrupt_state_repairs: add,
+        /// Client retransmissions observed.
+        client_retransmits: add,
+        /// Read-only requests degraded to the full protocol.
+        quorum_degradations: add,
+        /// Client operations submitted (first transmissions).
+        client_ops_submitted: add,
+        /// Client operations that completed with a reply certificate.
+        client_ops_completed: add,
+        /// Worst post-heal completion latency: the latest client completion
+        /// after the last fault healed, measured from the heal instant (zero
+        /// when every op finished before heal). Campaign-level, it is the
+        /// slowest post-heal completion seen across runs.
+        heal_to_progress_ns: max,
+        /// Liveness-bound violations charged to this run by the engine's
+        /// [`audit_liveness_bounds`] pass (zero when bounds are disabled).
+        liveness_violations: add,
+        /// Latency-budget violations charged by [`audit_latency_budget`]
+        /// (zero when the harness sets no budget).
+        latency_budget_violations: add,
+        /// Events evicted from the run's trace ring buffer. Non-zero means
+        /// coverage counters (and span reconstruction) undercount —
+        /// campaigns gate on this staying zero.
+        trace_events_dropped: add,
+    }
 }
 
 impl Coverage {
@@ -560,61 +591,6 @@ impl Coverage {
         }
         cov
     }
-
-    /// Adds `other` into `self` (campaign aggregation).
-    pub fn merge(&mut self, other: &Coverage) {
-        self.view_changes_started += other.view_changes_started;
-        self.view_changes_completed += other.view_changes_completed;
-        self.checkpoints_stable += other.checkpoints_stable;
-        self.state_transfers_started += other.state_transfers_started;
-        self.state_transfers_completed += other.state_transfers_completed;
-        self.recoveries_started += other.recoveries_started;
-        self.recoveries_completed += other.recoveries_completed;
-        self.recoveries_overlapping_partition += other.recoveries_overlapping_partition;
-        self.corrupt_state_repairs += other.corrupt_state_repairs;
-        self.client_retransmits += other.client_retransmits;
-        self.quorum_degradations += other.quorum_degradations;
-        self.client_ops_submitted += other.client_ops_submitted;
-        self.client_ops_completed += other.client_ops_completed;
-        // Worst-case latency, not a sum: campaign-level heal-to-progress is
-        // the slowest post-heal completion seen across runs.
-        self.heal_to_progress_ns = self.heal_to_progress_ns.max(other.heal_to_progress_ns);
-        self.liveness_violations += other.liveness_violations;
-        self.latency_budget_violations += other.latency_budget_violations;
-        self.trace_events_dropped += other.trace_events_dropped;
-    }
-
-    /// Deterministic single-line JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"view_changes_started\":{},\"view_changes_completed\":{},\
-             \"checkpoints_stable\":{},\"state_transfers_started\":{},\
-             \"state_transfers_completed\":{},\"recoveries_started\":{},\
-             \"recoveries_completed\":{},\"recoveries_overlapping_partition\":{},\
-             \"corrupt_state_repairs\":{},\"client_retransmits\":{},\
-             \"quorum_degradations\":{},\"client_ops_submitted\":{},\
-             \"client_ops_completed\":{},\"heal_to_progress_ns\":{},\
-             \"liveness_violations\":{},\"latency_budget_violations\":{},\
-             \"trace_events_dropped\":{}}}",
-            self.view_changes_started,
-            self.view_changes_completed,
-            self.checkpoints_stable,
-            self.state_transfers_started,
-            self.state_transfers_completed,
-            self.recoveries_started,
-            self.recoveries_completed,
-            self.recoveries_overlapping_partition,
-            self.corrupt_state_repairs,
-            self.client_retransmits,
-            self.quorum_degradations,
-            self.client_ops_submitted,
-            self.client_ops_completed,
-            self.heal_to_progress_ns,
-            self.liveness_violations,
-            self.latency_budget_violations,
-            self.trace_events_dropped
-        )
-    }
 }
 
 impl fmt::Display for Coverage {
@@ -664,7 +640,7 @@ pub struct RunOutcome {
 const RUN_TRACE_CAP: usize = 1 << 16;
 
 /// Executes one schedule against a fresh simulation built by the harness,
-/// recording protocol events into a [`RingBufferSink`] and deriving the
+/// recording protocol events into a [`Trace::ring`] and deriving the
 /// run's [`Coverage`] from them.
 ///
 /// Network faults are added up front as [`Simulation::add_fault`] windows
@@ -677,7 +653,7 @@ pub fn run_one<H: ChaosHarness>(
     schedule: &FaultSchedule,
 ) -> (RunOutcome, Result<(), String>) {
     let mut sim = harness.build(seed);
-    sim.set_trace_sink(Box::new(RingBufferSink::new(RUN_TRACE_CAP)));
+    sim.record_trace(Trace::ring(RUN_TRACE_CAP));
     let mut trace = Vec::new();
 
     for ev in &schedule.events {
@@ -703,8 +679,8 @@ pub fn run_one<H: ChaosHarness>(
     // Engine-level liveness bounds are audited first: a system that stalls
     // after its faults heal is reported as a liveness failure even when the
     // harness's own (safety-oriented) audit would also object.
-    let events = sim.trace_snapshot();
-    let trace_events_dropped = sim.trace_sink().dropped();
+    let recorded = sim.trace().expect("installed above");
+    let (events, trace_events_dropped) = (recorded.events(), recorded.dropped());
     let violations =
         audit_liveness_bounds(&events, schedule, &harness.liveness_bounds(), run_end);
     let budget_violations = match harness.latency_budget() {

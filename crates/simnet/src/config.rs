@@ -21,11 +21,6 @@ impl LatencyModel {
         Self { base: SimDuration::from_micros(100), jitter: SimDuration::from_micros(20) }
     }
 
-    /// A WAN-like profile (~20 ms ± 5 ms one way).
-    pub fn wan() -> Self {
-        Self { base: SimDuration::from_millis(20), jitter: SimDuration::from_millis(5) }
-    }
-
     /// A zero-latency profile, useful for unit tests.
     pub fn instant() -> Self {
         Self { base: SimDuration::ZERO, jitter: SimDuration::ZERO }
@@ -93,7 +88,7 @@ mod tests {
         sim.config_mut().latency = LatencyModel::instant();
         let a = sim.add_node(Box::<Arrivals>::default());
         let b = sim.add_node(Box::<Arrivals>::default());
-        let extra = LatencyModel::wan().base;
+        let extra = SimDuration::from_millis(20);
         sim.add_fault(NetFault::Slow { from: a, to: b, extra }, SimTime::ZERO, SimTime(u64::MAX));
         sim.inject(a, b, b"x".to_vec());
         sim.inject(b, a, b"x".to_vec());

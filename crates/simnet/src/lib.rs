@@ -80,7 +80,9 @@ pub use faults::NetFault;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rtt::RttEstimator;
 pub use sim::Simulation;
-pub use span::{build_spans, export_perfetto, render_spans, OpSpan, PhaseBreakdown, Segments};
+pub use span::{
+    build_spans, export_perfetto, render_spans, OpSpan, PhaseBreakdown, Segments, PHASES,
+};
 pub use stats::{NetStats, PerNode};
 pub use time::{SimDuration, SimTime};
-pub use trace::{NullSink, ProtocolEvent, RingBufferSink, TraceEvent, TraceSink, VecSink};
+pub use trace::{ProtocolEvent, Trace, TraceEvent};

@@ -6,7 +6,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::faults::{self, FilterAction, NetFault};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -40,7 +40,7 @@ pub struct Simulation {
     /// Network faults with the window `[from, until)` each is in force
     /// for, in the order they were added.
     faults: Vec<faults::Window>,
-    trace: Box<dyn TraceSink>,
+    trace: Option<Trace>,
     started: bool,
     next_timer_id: u64,
     seed: u64,
@@ -61,7 +61,7 @@ impl Simulation {
             net_rng: StdRng::seed_from_u64(seed ^ 0x006e_6574_5f72_6e67),
             stats: NetStats::default(),
             faults: Vec::new(),
-            trace: Box::new(NullSink),
+            trace: None,
             started: false,
             next_timer_id: 0,
             seed,
@@ -104,11 +104,6 @@ impl Simulation {
         &self.stats
     }
 
-    /// Resets the wire/CPU statistics (e.g. after warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
-
     /// Mutable access to the network configuration. Changes apply to
     /// messages sent after the change.
     pub fn config_mut(&mut self) -> &mut NetConfig {
@@ -127,21 +122,15 @@ impl Simulation {
         faults::in_force(&self.faults, t)
     }
 
-    /// Installs a trace sink for protocol events emitted through
-    /// [`Context::emit`]. The default is the disabled [`NullSink`], which
-    /// makes every emission a no-op branch.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = sink;
+    /// Records protocol events emitted through [`Context::emit`] into
+    /// `trace` from now on. Without one, every emission is a no-op branch.
+    pub fn record_trace(&mut self, trace: Trace) {
+        self.trace = Some(trace);
     }
 
-    /// The installed trace sink.
-    pub fn trace_sink(&self) -> &dyn TraceSink {
+    /// The trace being recorded, if one is installed.
+    pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
-    }
-
-    /// The events recorded by the installed sink, oldest first.
-    pub fn trace_snapshot(&self) -> Vec<TraceEvent> {
-        self.trace.snapshot()
     }
 
     /// Downcasts the actor at `id` to a concrete type.
@@ -193,7 +182,9 @@ impl Simulation {
         }
     }
 
-    /// True if `node` is currently down.
+    /// True if `node` is currently down. No caller in the tree yet: kept
+    /// for explaining a stalled run, where "node crashed until t" is one of
+    /// the answers.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         match self.nodes[node.0].crashed_until {
             Some(t) => self.now < t,
@@ -342,7 +333,6 @@ impl Simulation {
     {
         let skew = self.config.skew(node);
         let slot = &mut self.nodes[node.0];
-        let trace_enabled = self.trace.enabled();
         // Taken, not borrowed: applying the effects below needs `self`.
         // Handlers never nest (effects are applied after the handler
         // returns, and applying one only queues events), so the buffer is
@@ -358,7 +348,6 @@ impl Simulation {
             next_timer_id: &mut self.next_timer_id,
             rng: &mut slot.rng,
             trace: self.trace.as_mut(),
-            trace_enabled,
             sched_lag,
             inbox_depth: slot.inbox_depth,
         };
@@ -577,6 +566,39 @@ mod tests {
             (sim.stats().messages_delivered, sim.stats().bytes_delivered)
         };
         assert_eq!(run(7), run(7));
+    }
+
+    #[test]
+    fn emit_without_a_trace_records_nothing() {
+        /// Emits one event per millisecond tick, noting whether tracing
+        /// was on.
+        #[derive(Default)]
+        struct Emitter {
+            enabled: Vec<bool>,
+        }
+        impl Actor for Emitter {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            fn on_message(&mut self, _f: NodeId, _p: &[u8], _ctx: &mut Context<'_>) {}
+            fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
+                self.enabled.push(ctx.trace_enabled());
+                ctx.emit(0, 1, crate::trace::ProtocolEvent::CheckpointStable);
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let node = sim.add_node(Box::<Emitter>::default());
+        sim.run_until(SimTime::from_millis(3));
+        assert!(sim.trace().is_none());
+        // The same emissions are recorded once a trace is installed.
+        sim.record_trace(Trace::unbounded());
+        sim.run_until(SimTime::from_millis(5));
+        let events = sim.trace().expect("installed").events();
+        assert_eq!(events.iter().map(|e| e.at.as_millis()).collect::<Vec<_>>(), [4, 5]);
+        assert!(events.iter().all(|e| e.node == node));
+        let enabled = &sim.actor_as::<Emitter>(node).unwrap().enabled;
+        assert_eq!(enabled, &[false, false, false, true, true]);
     }
 
     #[test]

@@ -45,36 +45,35 @@ use crate::trace::{ProtocolEvent, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Critical-path segments of one completed operation, in nanoseconds.
-/// Invariant: the six fields sum to exactly the op's end-to-end latency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Segments {
-    /// Submit to proposal: client→primary wire time plus the primary's
-    /// batching/queueing delay (includes `queue_ns` event-loop lag).
-    pub request_ns: u64,
-    /// Proposal to prepare certificate: the pre-prepare/prepare exchange.
-    pub prepare_ns: u64,
-    /// Prepare certificate to commit certificate.
-    pub commit_ns: u64,
-    /// Commit certificate to execution (execution queue + upcall).
-    pub execute_ns: u64,
-    /// Execution to the reply leaving a replica.
-    pub reply_ns: u64,
-    /// Reply send to the client's certificate acceptance (last wire hop
-    /// plus quorum wait).
-    pub delivery_ns: u64,
-}
+/// The critical-path phases in chain order, as `(name, span-line label)`.
+/// The name heads breakdown rows, Perfetto phase spans and latency-budget
+/// verdicts; the label keys the phase in [`render_spans`] lines.
+pub const PHASES: [(&str, &str); 6] = [
+    // Submit to proposal: client→primary wire time plus the primary's
+    // batching/queueing delay (includes `queue_ns` event-loop lag).
+    ("request", "req"),
+    // Proposal to prepare certificate: the pre-prepare/prepare exchange.
+    ("prepare", "prep"),
+    // Prepare certificate to commit certificate.
+    ("commit", "com"),
+    // Commit certificate to execution (execution queue + upcall).
+    ("execute", "exec"),
+    // Execution to the reply leaving a replica.
+    ("reply", "rep"),
+    // Reply send to the client's certificate acceptance (last wire hop
+    // plus quorum wait).
+    ("delivery", "deliv"),
+];
 
-impl Segments {
-    /// Total attributed latency — equals the op's end-to-end latency.
-    pub fn total_ns(&self) -> u64 {
-        self.request_ns
-            + self.prepare_ns
-            + self.commit_ns
-            + self.execute_ns
-            + self.reply_ns
-            + self.delivery_ns
-    }
+/// Critical-path segments of one completed operation in nanoseconds, one
+/// per [`PHASES`] entry. Invariant: they sum to exactly the op's
+/// end-to-end latency.
+pub type Segments = [u64; PHASES.len()];
+
+/// The segments between consecutive instants of a monotone chain from
+/// submission to completion.
+fn telescope(marks: [SimTime; PHASES.len() + 1]) -> Segments {
+    std::array::from_fn(|i| (marks[i + 1] - marks[i]).as_nanos())
 }
 
 /// One client operation's reconstructed span.
@@ -96,7 +95,7 @@ pub struct OpSpan {
     /// Critical-path attribution (all zero while incomplete).
     pub segments: Segments,
     /// Event-loop lag the proposal experienced at the primary, ns
-    /// (sub-attribution inside `segments.request_ns`).
+    /// (sub-attribution inside the request segment).
     pub primary_queue_ns: u64,
     /// Client retransmissions for this op (detour annotation).
     pub retransmits: u32,
@@ -193,7 +192,7 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<OpSpan> {
             completed: raw.completed,
             view: 0,
             seq: 0,
-            segments: Segments::default(),
+            segments: [0; PHASES.len()],
             primary_queue_ns: 0,
             retransmits: raw.retransmits,
             degraded: raw.degraded,
@@ -232,14 +231,7 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<OpSpan> {
                     raw.replies.iter().find(|at| **at >= t4).copied(),
                     t4,
                 );
-                span.segments = Segments {
-                    request_ns: (t1 - submitted).as_nanos(),
-                    prepare_ns: (t2 - t1).as_nanos(),
-                    commit_ns: (t3 - t2).as_nanos(),
-                    execute_ns: (t4 - t3).as_nanos(),
-                    reply_ns: (t5 - t4).as_nanos(),
-                    delivery_ns: (completed - t5).as_nanos(),
-                };
+                span.segments = telescope([submitted, t1, t2, t3, t4, t5, completed]);
             }
         } else if let Some(completed) = raw.completed {
             // Never proposed (read-only fast path, or causal events lost):
@@ -252,8 +244,7 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<OpSpan> {
                 .unwrap_or(submitted)
                 .max(submitted)
                 .min(completed);
-            span.segments.request_ns = (t5 - submitted).as_nanos();
-            span.segments.delivery_ns = (completed - t5).as_nanos();
+            span.segments = telescope([submitted, t5, t5, t5, t5, t5, completed]);
         }
 
         let end = raw.completed.unwrap_or(SimTime(u64::MAX));
@@ -268,19 +259,8 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<OpSpan> {
 /// the exact-merge log₂ histograms from [`crate::metrics`].
 #[derive(Debug, Clone, Default)]
 pub struct PhaseBreakdown {
-    /// One histogram per critical-path segment, plus the end-to-end total
-    /// and the primary queueing sub-attribution.
-    pub request: Histogram,
-    /// Pre-prepare/prepare exchange.
-    pub prepare: Histogram,
-    /// Commit certificate collection.
-    pub commit: Histogram,
-    /// Execution queue + upcall.
-    pub execute: Histogram,
-    /// Reply construction/send.
-    pub reply: Histogram,
-    /// Last hop + quorum wait at the client.
-    pub delivery: Histogram,
+    /// One histogram per [`PHASES`] entry.
+    pub phases: [Histogram; PHASES.len()],
     /// End-to-end.
     pub total: Histogram,
     /// Event-loop lag at the primary (subset of `request`).
@@ -301,28 +281,13 @@ impl PhaseBreakdown {
                 continue;
             }
             b.ops += 1;
-            b.request.observe(s.segments.request_ns);
-            b.prepare.observe(s.segments.prepare_ns);
-            b.commit.observe(s.segments.commit_ns);
-            b.execute.observe(s.segments.execute_ns);
-            b.reply.observe(s.segments.reply_ns);
-            b.delivery.observe(s.segments.delivery_ns);
-            b.total.observe(s.segments.total_ns());
+            for (h, ns) in b.phases.iter_mut().zip(s.segments) {
+                h.observe(ns);
+            }
+            b.total.observe(s.segments.iter().sum());
             b.primary_queue.observe(s.primary_queue_ns);
         }
         b
-    }
-
-    /// The phase rows in display order: `(name, histogram)`.
-    pub fn phases(&self) -> [(&'static str, &Histogram); 6] {
-        [
-            ("request", &self.request),
-            ("prepare", &self.prepare),
-            ("commit", &self.commit),
-            ("execute", &self.execute),
-            ("reply", &self.reply),
-            ("delivery", &self.delivery),
-        ]
     }
 
     /// Deterministic fixed-width table: per-phase mean/p50/p99/p999 (µs)
@@ -335,7 +300,7 @@ impl PhaseBreakdown {
             self.ops, self.incomplete
         );
         let grand_total = self.total.sum().max(1);
-        for (name, h) in self.phases() {
+        for ((name, _), h) in PHASES.iter().zip(&self.phases) {
             let _ = writeln!(
                 out,
                 "{name:<9} {:>8.1} {:>9} {:>9} {:>9} {:>6.1}%",
@@ -364,25 +329,24 @@ impl PhaseBreakdown {
 pub fn render_spans(spans: &[OpSpan]) -> String {
     let mut out = String::new();
     for s in spans {
-        match s.completed {
-            Some(_) => {
-                let _ = writeln!(
+        match s.latency_ns() {
+            Some(latency_ns) => {
+                let _ = write!(
                     out,
-                    "op client={} ts={} v={} seq={} sub_us={} total_us={} \
-                     req={} prep={} com={} exec={} rep={} deliv={} queue={} \
-                     retx={} degraded={} vc={}",
+                    "op client={} ts={} v={} seq={} sub_us={} total_us={}",
                     s.client.0,
                     s.ts,
                     s.view,
                     s.seq,
                     s.submitted.as_micros(),
-                    s.latency_ns().unwrap_or(0) / 1_000,
-                    s.segments.request_ns / 1_000,
-                    s.segments.prepare_ns / 1_000,
-                    s.segments.commit_ns / 1_000,
-                    s.segments.execute_ns / 1_000,
-                    s.segments.reply_ns / 1_000,
-                    s.segments.delivery_ns / 1_000,
+                    latency_ns / 1_000,
+                );
+                for ((_, label), ns) in PHASES.iter().zip(s.segments) {
+                    let _ = write!(out, " {label}={}", ns / 1_000);
+                }
+                let _ = writeln!(
+                    out,
+                    " queue={} retx={} degraded={} vc={}",
                     s.primary_queue_ns / 1_000,
                     s.retransmits,
                     s.degraded,
@@ -445,29 +409,8 @@ pub fn export_perfetto(events: &[TraceEvent], spans: &[OpSpan]) -> String {
     // Raw protocol events as instants on the emitting node's track.
     for ev in events {
         let mut args = format!("\"view\":{},\"seq\":{}", ev.view, ev.seq);
-        match ev.event {
-            ProtocolEvent::StateTransferFetchChunk { bytes } => {
-                let _ = write!(args, ",\"bytes\":{bytes}");
-            }
-            ProtocolEvent::StateTransferFetchCompleted { objects } => {
-                let _ = write!(args, ",\"objects\":{objects}");
-            }
-            ProtocolEvent::RecoveryCompleted { repaired_corruption } => {
-                let _ = write!(args, ",\"repaired_corruption\":{repaired_corruption}");
-            }
-            ProtocolEvent::RequestExecuted { batch } => {
-                let _ = write!(args, ",\"batch\":{batch}");
-            }
-            ProtocolEvent::RequestProposed { client, ts, queue_ns } => {
-                let _ = write!(args, ",\"client\":{client},\"ts\":{ts},\"queue_ns\":{queue_ns}");
-            }
-            ProtocolEvent::PrePrepareLogged { queue_ns } => {
-                let _ = write!(args, ",\"queue_ns\":{queue_ns}");
-            }
-            ProtocolEvent::ReplySent { client, ts } => {
-                let _ = write!(args, ",\"client\":{client},\"ts\":{ts}");
-            }
-            _ => {}
+        for (field, value) in ev.event.fields() {
+            let _ = write!(args, ",\"{field}\":{value}");
         }
         parts.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"proto\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\
@@ -499,16 +442,8 @@ pub fn export_perfetto(events: &[TraceEvent], spans: &[OpSpan]) -> String {
             s.view_changes,
             s.primary_queue_ns,
         ));
-        let segs = [
-            ("request", s.segments.request_ns),
-            ("prepare", s.segments.prepare_ns),
-            ("commit", s.segments.commit_ns),
-            ("execute", s.segments.execute_ns),
-            ("reply", s.segments.reply_ns),
-            ("delivery", s.segments.delivery_ns),
-        ];
         let mut cursor = t0;
-        for (name, dur) in segs {
+        for ((name, _), dur) in PHASES.iter().zip(s.segments) {
             if dur > 0 {
                 parts.push(format!(
                     "{{\"name\":\"{name}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":0,\
@@ -566,13 +501,8 @@ mod tests {
         assert_eq!(s.ts, 7);
         assert_eq!((s.view, s.seq), (0, 3));
         assert_eq!(s.latency_ns(), Some(200_000));
-        assert_eq!(s.segments.total_ns(), 200_000);
-        assert_eq!(s.segments.request_ns, 30_000);
-        assert_eq!(s.segments.prepare_ns, 50_000);
-        assert_eq!(s.segments.commit_ns, 40_000);
-        assert_eq!(s.segments.execute_ns, 20_000);
-        assert_eq!(s.segments.reply_ns, 10_000);
-        assert_eq!(s.segments.delivery_ns, 50_000);
+        assert_eq!(s.segments, [30_000, 50_000, 40_000, 20_000, 10_000, 50_000]);
+        assert_eq!(s.segments.iter().sum::<u64>(), 200_000);
         assert_eq!(s.primary_queue_ns, 5_000);
     }
 
@@ -593,10 +523,7 @@ mod tests {
         ];
         let spans = build_spans(&t);
         let s = &spans[0];
-        assert_eq!(s.segments.total_ns(), 200_000);
-        assert_eq!(s.segments.request_ns, 40_000);
-        assert_eq!(s.segments.prepare_ns, 0);
-        assert_eq!(s.segments.delivery_ns, 160_000);
+        assert_eq!(s.segments, [40_000, 0, 0, 0, 0, 160_000]);
 
         // No replica-side events at all.
         let t = vec![
@@ -604,8 +531,7 @@ mod tests {
             ev(260, 4, 0, 7, ProtocolEvent::ClientOpCompleted),
         ];
         let s = &build_spans(&t)[0];
-        assert_eq!(s.segments.total_ns(), 160_000);
-        assert_eq!(s.segments.delivery_ns, 160_000);
+        assert_eq!(s.segments, [0, 0, 0, 0, 0, 160_000]);
     }
 
     #[test]
@@ -639,8 +565,8 @@ mod tests {
         let s = &build_spans(&t)[0];
         assert_eq!((s.view, s.seq), (1, 3));
         assert_eq!(s.view_changes, 1);
-        assert_eq!(s.segments.total_ns(), 500_000);
-        assert_eq!(s.segments.request_ns, 350_000);
+        assert_eq!(s.segments.iter().sum::<u64>(), 500_000);
+        assert_eq!(s.segments[0], 350_000, "request phase");
     }
 
     #[test]
@@ -649,7 +575,7 @@ mod tests {
         let spans = build_spans(&t);
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].completed, None);
-        assert_eq!(spans[0].segments.total_ns(), 0);
+        assert_eq!(spans[0].segments, [0; 6]);
         let b = PhaseBreakdown::from_spans(&spans);
         assert_eq!(b.ops, 0);
         assert_eq!(b.incomplete, 1);
@@ -676,7 +602,7 @@ mod tests {
     fn breakdown_totals_match_span_sums() {
         let spans = build_spans(&pipeline_trace());
         let b = PhaseBreakdown::from_spans(&spans);
-        let phase_sum: u64 = b.phases().iter().map(|(_, h)| h.sum()).sum();
+        let phase_sum: u64 = b.phases.iter().map(Histogram::sum).sum();
         assert_eq!(phase_sum, b.total.sum());
         assert_eq!(b.total.sum(), 200_000);
     }

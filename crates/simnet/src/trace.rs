@@ -3,132 +3,180 @@
 //! Protocol layers (the PBFT replica, the state-transfer fetcher, clients)
 //! emit [`ProtocolEvent`]s through [`Context::emit`](crate::Context::emit);
 //! the simulation stamps each one with the virtual time and the emitting
-//! node and hands it to the installed [`TraceSink`].
+//! node and records it in the installed [`Trace`].
 //!
-//! The default sink is [`NullSink`], whose `enabled()` gate makes every
-//! `emit` a branch on a cached bool — protocol code pays nothing when
-//! tracing is off. Chaos campaigns install a [`RingBufferSink`] and derive
-//! coverage counters from the recorded stream; determinism tests export the
-//! stream as JSON Lines with [`export_jsonl`] and compare runs byte for
-//! byte (same seed, same schedule ⇒ identical trace).
+//! By default no trace is installed and every `emit` is one untaken branch
+//! — protocol code pays nothing when tracing is off. Chaos campaigns
+//! install a [`Trace::ring`] and derive coverage counters from the recorded
+//! stream; determinism tests export the stream as JSON Lines with
+//! [`export_jsonl`] and compare runs byte for byte (same seed, same
+//! schedule ⇒ identical trace).
+//!
+//! The event vocabulary is declared once, in the `protocol_events!` list
+//! below: each entry's variant, payload fields and stable name. The JSONL
+//! line, the `tracediff` rendering and parser and the Perfetto instant all
+//! loop over [`ProtocolEvent::fields`] / [`ProtocolEvent::from_fields`].
 
 use crate::actor::NodeId;
 use crate::time::SimTime;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::str::FromStr;
 
-/// A protocol-level occurrence worth tracing.
-///
-/// The vocabulary covers the mechanisms the BASE paper's evaluation cares
-/// about: view changes (liveness under primary failure), checkpoint
-/// stability and hierarchical state transfer (§4), proactive recovery (§5),
-/// plus the client-visible symptoms (retransmissions, read-only quorum
-/// degradation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// A replica moved to a new view and sent its view-change message.
-    ViewChangeStarted,
-    /// A replica installed a new-view certificate (primary or backup).
-    ViewChangeCompleted,
-    /// A checkpoint gathered a stable certificate (2f+1 matching).
-    CheckpointStable,
-    /// A state-transfer fetch began (replica out of date or recovering).
-    StateTransferFetchStarted,
-    /// A state-transfer reply was consumed.
-    StateTransferFetchChunk {
-        /// Payload bytes of the fetched partition/object reply.
-        bytes: u64,
-    },
-    /// A state transfer brought the replica up to date.
-    StateTransferFetchCompleted {
-        /// Abstract objects installed by the transfer.
-        objects: u64,
-    },
-    /// A proactive recovery began (watchdog reboot).
-    RecoveryStarted,
-    /// A proactive recovery finished and the replica rejoined.
-    RecoveryCompleted {
-        /// True when the recovery discarded corrupt concrete state (the
-        /// paper's §5 repair-by-abstraction property).
-        repaired_corruption: bool,
-    },
-    /// A replica executed a batch of requests.
-    RequestExecuted {
-        /// Requests in the executed batch.
-        batch: u64,
-    },
-    /// A client retransmitted a request after a reply timeout.
-    ClientRetransmit,
-    /// A client's read-only optimization failed its 2f+1 quorum and the
-    /// request degraded to the full protocol.
-    ReplyQuorumDegraded,
-    /// A client sent a fresh request (first transmission, not a retry).
-    /// Paired with [`ClientOpCompleted`](Self::ClientOpCompleted), this lets
-    /// the chaos engine's liveness auditor see which operations were still
-    /// pending when the last fault healed.
-    ClientOpSubmitted,
-    /// A client accepted a reply certificate and completed an operation.
-    ClientOpCompleted,
-    /// The primary assigned a client request to an agreement slot and
-    /// multicast the pre-prepare. Emitted once per request in the batch at
-    /// the slot's (view, seq); `client`/`ts` name the operation, which is
-    /// the causal edge the span layer uses to connect
-    /// [`ClientOpSubmitted`](Self::ClientOpSubmitted) to the agreement
-    /// instance. `queue_ns` is the event-loop lag the triggering message
-    /// experienced at the primary (time spent queued behind a busy actor).
-    RequestProposed {
-        /// Client node id of the proposed request.
-        client: u64,
-        /// Client-assigned request timestamp (the op key).
-        ts: u64,
-        /// Scheduling delay at the primary before the proposal ran, ns.
-        queue_ns: u64,
-    },
-    /// A backup accepted and logged a pre-prepare for this (view, seq) and
-    /// sent its prepare. `queue_ns` is the backup's event-loop lag when the
-    /// pre-prepare was handled.
-    PrePrepareLogged {
-        /// Scheduling delay at the backup before the pre-prepare ran, ns.
-        queue_ns: u64,
-    },
-    /// A replica collected a prepare certificate (pre-prepare + 2f matching
-    /// prepares) for this (view, seq) and sent its commit.
-    PrepareQuorum,
-    /// A replica collected a commit certificate (2f+1 matching commits) for
-    /// this (view, seq); the batch is now committed locally.
-    CommitQuorum,
-    /// A replica sent (or re-sent) a reply to `client` for the operation
-    /// stamped `ts` — the last replica-side hop of the span graph.
-    ReplySent {
-        /// Destination client node id.
-        client: u64,
-        /// Client-assigned request timestamp (the op key).
-        ts: u64,
-    },
+/// Declares [`ProtocolEvent`] and derives its name table, its payload
+/// rendering ([`ProtocolEvent::fields`]) and its parser
+/// ([`ProtocolEvent::from_fields`]) from the same list.
+macro_rules! protocol_events {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum ProtocolEvent {
+            $(
+                $(#[doc = $doc:literal])*
+                $variant:ident $({ $( $(#[doc = $fdoc:literal])* $field:ident: $ty:ty ),* $(,)? })?
+                    => $name:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$enum_meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum ProtocolEvent {
+            $( $(#[doc = $doc])* $variant $({ $( $(#[doc = $fdoc])* $field: $ty ),* })?, )*
+        }
+
+        impl ProtocolEvent {
+            /// Every event's [`name`](Self::name), in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// Stable lowercase name used in JSONL exports and coverage tables.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( Self::$variant { .. } => $name, )*
+                }
+            }
+
+            /// The payload as `(field, value)` pairs in declaration order,
+            /// each value rendered as its JSON literal.
+            pub fn fields(&self) -> Vec<(&'static str, String)> {
+                match *self {
+                    $( Self::$variant $({ $($field),* })? => vec![
+                        $($( (stringify!($field), $field.to_string()) ),*)?
+                    ], )*
+                }
+            }
+
+            /// The inverse of [`name`](Self::name) and
+            /// [`fields`](Self::fields): the event called `name` whose
+            /// payload field `f` reads `get(f)`.
+            pub fn from_fields<'a>(
+                name: &str,
+                mut get: impl FnMut(&'static str) -> Option<&'a str>,
+            ) -> Result<Self, String> {
+                match name {
+                    $( $name => Ok(Self::$variant $({ $(
+                        $field: payload(stringify!($field), get(stringify!($field)))?
+                    ),* })?), )*
+                    other => Err(format!("unknown event \"{other}\"")),
+                }
+            }
+        }
+    };
 }
 
-impl ProtocolEvent {
-    /// Stable lowercase name used in JSONL exports and coverage tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolEvent::ViewChangeStarted => "view_change_started",
-            ProtocolEvent::ViewChangeCompleted => "view_change_completed",
-            ProtocolEvent::CheckpointStable => "checkpoint_stable",
-            ProtocolEvent::StateTransferFetchStarted => "state_transfer_fetch_started",
-            ProtocolEvent::StateTransferFetchChunk { .. } => "state_transfer_fetch_chunk",
-            ProtocolEvent::StateTransferFetchCompleted { .. } => "state_transfer_fetch_completed",
-            ProtocolEvent::RecoveryStarted => "recovery_started",
-            ProtocolEvent::RecoveryCompleted { .. } => "recovery_completed",
-            ProtocolEvent::RequestExecuted { .. } => "request_executed",
-            ProtocolEvent::ClientRetransmit => "client_retransmit",
-            ProtocolEvent::ReplyQuorumDegraded => "reply_quorum_degraded",
-            ProtocolEvent::ClientOpSubmitted => "client_op_submitted",
-            ProtocolEvent::ClientOpCompleted => "client_op_completed",
-            ProtocolEvent::RequestProposed { .. } => "request_proposed",
-            ProtocolEvent::PrePrepareLogged { .. } => "pre_prepare_logged",
-            ProtocolEvent::PrepareQuorum => "prepare_quorum",
-            ProtocolEvent::CommitQuorum => "commit_quorum",
-            ProtocolEvent::ReplySent { .. } => "reply_sent",
-        }
+/// Parses one payload field's raw text.
+fn payload<T: FromStr>(field: &str, raw: Option<&str>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("missing field \"{field}\""))?;
+    raw.parse().map_err(|_| format!("bad field \"{field}\""))
+}
+
+protocol_events! {
+    /// A protocol-level occurrence worth tracing.
+    ///
+    /// The vocabulary covers the mechanisms the BASE paper's evaluation
+    /// cares about: view changes (liveness under primary failure),
+    /// checkpoint stability and hierarchical state transfer (§4), proactive
+    /// recovery (§5), plus the client-visible symptoms (retransmissions,
+    /// read-only quorum degradation).
+    pub enum ProtocolEvent {
+        /// A replica moved to a new view and sent its view-change message.
+        ViewChangeStarted => "view_change_started",
+        /// A replica installed a new-view certificate (primary or backup).
+        ViewChangeCompleted => "view_change_completed",
+        /// A checkpoint gathered a stable certificate (2f+1 matching).
+        CheckpointStable => "checkpoint_stable",
+        /// A state-transfer fetch began (replica out of date or recovering).
+        StateTransferFetchStarted => "state_transfer_fetch_started",
+        /// A state-transfer reply was consumed.
+        StateTransferFetchChunk {
+            /// Payload bytes of the fetched partition/object reply.
+            bytes: u64,
+        } => "state_transfer_fetch_chunk",
+        /// A state transfer brought the replica up to date.
+        StateTransferFetchCompleted {
+            /// Abstract objects installed by the transfer.
+            objects: u64,
+        } => "state_transfer_fetch_completed",
+        /// A proactive recovery began (watchdog reboot).
+        RecoveryStarted => "recovery_started",
+        /// A proactive recovery finished and the replica rejoined.
+        RecoveryCompleted {
+            /// True when the recovery discarded corrupt concrete state (the
+            /// paper's §5 repair-by-abstraction property).
+            repaired_corruption: bool,
+        } => "recovery_completed",
+        /// A replica executed a batch of requests.
+        RequestExecuted {
+            /// Requests in the executed batch.
+            batch: u64,
+        } => "request_executed",
+        /// A client retransmitted a request after a reply timeout.
+        ClientRetransmit => "client_retransmit",
+        /// A client's read-only optimization failed its 2f+1 quorum and the
+        /// request degraded to the full protocol.
+        ReplyQuorumDegraded => "reply_quorum_degraded",
+        /// A client sent a fresh request (first transmission, not a retry).
+        /// Paired with [`ClientOpCompleted`](Self::ClientOpCompleted), this
+        /// lets the chaos engine's liveness auditor see which operations
+        /// were still pending when the last fault healed.
+        ClientOpSubmitted => "client_op_submitted",
+        /// A client accepted a reply certificate and completed an operation.
+        ClientOpCompleted => "client_op_completed",
+        /// The primary assigned a client request to an agreement slot and
+        /// multicast the pre-prepare. Emitted once per request in the batch
+        /// at the slot's (view, seq); `client`/`ts` name the operation,
+        /// which is the causal edge the span layer uses to connect
+        /// [`ClientOpSubmitted`](Self::ClientOpSubmitted) to the agreement
+        /// instance. `queue_ns` is the event-loop lag the triggering message
+        /// experienced at the primary (time spent queued behind a busy
+        /// actor).
+        RequestProposed {
+            /// Client node id of the proposed request.
+            client: u64,
+            /// Client-assigned request timestamp (the op key).
+            ts: u64,
+            /// Scheduling delay at the primary before the proposal ran, ns.
+            queue_ns: u64,
+        } => "request_proposed",
+        /// A backup accepted and logged a pre-prepare for this (view, seq)
+        /// and sent its prepare. `queue_ns` is the backup's event-loop lag
+        /// when the pre-prepare was handled.
+        PrePrepareLogged {
+            /// Scheduling delay at the backup before the pre-prepare ran, ns.
+            queue_ns: u64,
+        } => "pre_prepare_logged",
+        /// A replica collected a prepare certificate (pre-prepare + 2f
+        /// matching prepares) for this (view, seq) and sent its commit.
+        PrepareQuorum => "prepare_quorum",
+        /// A replica collected a commit certificate (2f+1 matching commits)
+        /// for this (view, seq); the batch is now committed locally.
+        CommitQuorum => "commit_quorum",
+        /// A replica sent (or re-sent) a reply to `client` for the operation
+        /// stamped `ts` — the last replica-side hop of the span graph.
+        ReplySent {
+            /// Destination client node id.
+            client: u64,
+            /// Client-assigned request timestamp (the op key).
+            ts: u64,
+        } => "reply_sent",
     }
 }
 
@@ -152,150 +200,68 @@ impl TraceEvent {
     /// One deterministic JSON line (no trailing newline). Field order is
     /// fixed, so identical traces serialize to identical bytes.
     pub fn to_json(&self) -> String {
-        let mut extra = String::new();
-        match self.event {
-            ProtocolEvent::StateTransferFetchChunk { bytes } => {
-                extra = format!(",\"bytes\":{bytes}");
-            }
-            ProtocolEvent::StateTransferFetchCompleted { objects } => {
-                extra = format!(",\"objects\":{objects}");
-            }
-            ProtocolEvent::RecoveryCompleted { repaired_corruption } => {
-                extra = format!(",\"repaired_corruption\":{repaired_corruption}");
-            }
-            ProtocolEvent::RequestExecuted { batch } => {
-                extra = format!(",\"batch\":{batch}");
-            }
-            ProtocolEvent::RequestProposed { client, ts, queue_ns } => {
-                extra = format!(",\"client\":{client},\"ts\":{ts},\"queue_ns\":{queue_ns}");
-            }
-            ProtocolEvent::PrePrepareLogged { queue_ns } => {
-                extra = format!(",\"queue_ns\":{queue_ns}");
-            }
-            ProtocolEvent::ReplySent { client, ts } => {
-                extra = format!(",\"client\":{client},\"ts\":{ts}");
-            }
-            _ => {}
-        }
-        format!(
-            "{{\"at_ns\":{},\"node\":{},\"view\":{},\"seq\":{},\"event\":\"{}\"{}}}",
+        let mut s = format!(
+            "{{\"at_ns\":{},\"node\":{},\"view\":{},\"seq\":{},\"event\":\"{}\"",
             self.at.as_nanos(),
             self.node.0,
             self.view,
             self.seq,
             self.event.name(),
-            extra
-        )
+        );
+        for (field, value) in self.event.fields() {
+            let _ = write!(s, ",\"{field}\":{value}");
+        }
+        s.push('}');
+        s
     }
 }
 
-/// Where emitted trace events go.
+/// A recorded protocol trace: the events emitted while it was installed
+/// (see [`Simulation::record_trace`](crate::Simulation::record_trace)),
+/// oldest first — all of them, or the most recent `cap` of a ring.
 ///
-/// Implementations must be deterministic (no wall clocks, no global state):
-/// the recorded stream is part of the reproducible run output.
-pub trait TraceSink {
-    /// Whether emissions should be recorded at all. The simulation caches
-    /// this per handler invocation; when false, `emit` is a no-op and
-    /// protocol code pays only an untaken branch.
-    fn enabled(&self) -> bool;
-
-    /// Records one stamped event.
-    fn record(&mut self, event: TraceEvent);
-
-    /// The recorded events, oldest first (empty for non-recording sinks).
-    fn snapshot(&self) -> Vec<TraceEvent>;
-
-    /// Events the sink discarded (capacity eviction). Non-zero means
-    /// `snapshot()` is a suffix of the real stream and span reconstruction
-    /// over it may be incomplete; campaigns surface this in coverage.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// The default sink: disabled, records nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: TraceEvent) {}
-
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// A bounded in-memory sink keeping the most recent events.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    buf: VecDeque<TraceEvent>,
+/// Deterministic (no wall clocks, no global state): the recorded stream is
+/// part of the reproducible run output.
+#[derive(Debug, Clone)]
+pub struct Trace {
+    events: VecDeque<TraceEvent>,
     cap: usize,
     dropped: u64,
 }
 
-impl RingBufferSink {
-    /// A sink keeping at most `cap` events (older events are evicted).
-    pub fn new(cap: usize) -> Self {
+impl Trace {
+    /// A trace keeping at most `cap` events; older events are evicted and
+    /// counted in [`dropped`](Self::dropped).
+    pub fn ring(cap: usize) -> Self {
         assert!(cap > 0, "ring buffer capacity must be positive");
-        Self { buf: VecDeque::with_capacity(cap.min(4096)), cap, dropped: 0 }
+        Self { events: VecDeque::with_capacity(cap.min(4096)), cap, dropped: 0 }
     }
 
-    /// Events evicted because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn enabled(&self) -> bool {
-        true
+    /// A trace keeping every event (JSONL export, span tables, proptests).
+    pub fn unbounded() -> Self {
+        Self { events: VecDeque::new(), cap: usize::MAX, dropped: 0 }
     }
 
-    fn record(&mut self, event: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
+    /// Records one stamped event.
+    pub fn record(&mut self, event: TraceEvent) {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(event);
+        self.events.push_back(event);
     }
 
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        self.buf.iter().copied().collect()
+    /// The recorded events, oldest first.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.events.iter().copied().collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// Events evicted because the ring was full. Non-zero means
+    /// [`events`](Self::events) is a suffix of the real stream and span
+    /// reconstruction over it may be incomplete; campaigns surface this in
+    /// coverage.
+    pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-}
-
-/// An unbounded sink that keeps everything (JSONL export, proptests).
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Vec<TraceEvent>,
-}
-
-impl VecSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for VecSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.clone()
     }
 }
 
@@ -319,20 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_records_nothing() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(ev(1, 0, ProtocolEvent::ViewChangeStarted));
-        assert!(s.snapshot().is_empty());
-    }
-
-    #[test]
     fn ring_buffer_keeps_most_recent() {
-        let mut s = RingBufferSink::new(2);
+        let mut s = Trace::ring(2);
         s.record(ev(1, 0, ProtocolEvent::ViewChangeStarted));
         s.record(ev(2, 0, ProtocolEvent::ViewChangeCompleted));
         s.record(ev(3, 0, ProtocolEvent::CheckpointStable));
-        let snap = s.snapshot();
+        let snap = s.events();
         assert_eq!(snap.len(), 2);
         assert_eq!(s.dropped(), 1);
         assert_eq!(snap[0].event, ProtocolEvent::ViewChangeCompleted);

@@ -60,29 +60,8 @@ pub fn format_event(ev: &TraceEvent) -> String {
         ev.seq,
         ev.event.name()
     );
-    match ev.event {
-        ProtocolEvent::StateTransferFetchChunk { bytes } => {
-            let _ = write!(s, " bytes={bytes}");
-        }
-        ProtocolEvent::StateTransferFetchCompleted { objects } => {
-            let _ = write!(s, " objects={objects}");
-        }
-        ProtocolEvent::RecoveryCompleted { repaired_corruption } => {
-            let _ = write!(s, " repaired_corruption={repaired_corruption}");
-        }
-        ProtocolEvent::RequestExecuted { batch } => {
-            let _ = write!(s, " batch={batch}");
-        }
-        ProtocolEvent::RequestProposed { client, ts, queue_ns } => {
-            let _ = write!(s, " client={client} ts={ts} queue_ns={queue_ns}");
-        }
-        ProtocolEvent::PrePrepareLogged { queue_ns } => {
-            let _ = write!(s, " queue_ns={queue_ns}");
-        }
-        ProtocolEvent::ReplySent { client, ts } => {
-            let _ = write!(s, " client={client} ts={ts}");
-        }
-        _ => {}
+    for (field, value) in ev.event.fields() {
+        let _ = write!(s, " {field}={value}");
     }
     s
 }
@@ -172,41 +151,15 @@ pub fn divergence_report(
     out
 }
 
-fn field_u64(line: &str, key: &str, lineno: usize) -> Result<u64, String> {
+/// The raw text of `key`'s value in one JSONL line: a number or boolean
+/// literal, or a string without its quotes.
+fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("line {lineno}: missing field \"{key}\""))?
-        + pat.len();
-    let digits: String = line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().map_err(|_| format!("line {lineno}: bad numeric field \"{key}\""))
-}
-
-fn field_bool(line: &str, key: &str, lineno: usize) -> Result<bool, String> {
-    let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("line {lineno}: missing field \"{key}\""))?
-        + pat.len();
-    if line[start..].starts_with("true") {
-        Ok(true)
-    } else if line[start..].starts_with("false") {
-        Ok(false)
-    } else {
-        Err(format!("line {lineno}: bad boolean field \"{key}\""))
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    match rest.strip_prefix('"') {
+        Some(s) => s.split('"').next(),
+        None => rest.split([',', '}']).next(),
     }
-}
-
-fn field_str<'a>(line: &'a str, key: &str, lineno: usize) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("line {lineno}: missing field \"{key}\""))?
-        + pat.len();
-    line[start..]
-        .split('"')
-        .next()
-        .ok_or_else(|| format!("line {lineno}: unterminated string field \"{key}\""))
 }
 
 /// Parses a trace back from the [`crate::trace::export_jsonl`] format.
@@ -218,53 +171,21 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, String> {
         if line.is_empty() {
             continue;
         }
-        let lineno = i + 1;
-        let name = field_str(line, "event", lineno)?;
-        let event = match name {
-            "view_change_started" => ProtocolEvent::ViewChangeStarted,
-            "view_change_completed" => ProtocolEvent::ViewChangeCompleted,
-            "checkpoint_stable" => ProtocolEvent::CheckpointStable,
-            "state_transfer_fetch_started" => ProtocolEvent::StateTransferFetchStarted,
-            "state_transfer_fetch_chunk" => ProtocolEvent::StateTransferFetchChunk {
-                bytes: field_u64(line, "bytes", lineno)?,
-            },
-            "state_transfer_fetch_completed" => ProtocolEvent::StateTransferFetchCompleted {
-                objects: field_u64(line, "objects", lineno)?,
-            },
-            "recovery_started" => ProtocolEvent::RecoveryStarted,
-            "recovery_completed" => ProtocolEvent::RecoveryCompleted {
-                repaired_corruption: field_bool(line, "repaired_corruption", lineno)?,
-            },
-            "request_executed" => ProtocolEvent::RequestExecuted {
-                batch: field_u64(line, "batch", lineno)?,
-            },
-            "client_retransmit" => ProtocolEvent::ClientRetransmit,
-            "reply_quorum_degraded" => ProtocolEvent::ReplyQuorumDegraded,
-            "client_op_submitted" => ProtocolEvent::ClientOpSubmitted,
-            "client_op_completed" => ProtocolEvent::ClientOpCompleted,
-            "request_proposed" => ProtocolEvent::RequestProposed {
-                client: field_u64(line, "client", lineno)?,
-                ts: field_u64(line, "ts", lineno)?,
-                queue_ns: field_u64(line, "queue_ns", lineno)?,
-            },
-            "pre_prepare_logged" => ProtocolEvent::PrePrepareLogged {
-                queue_ns: field_u64(line, "queue_ns", lineno)?,
-            },
-            "prepare_quorum" => ProtocolEvent::PrepareQuorum,
-            "commit_quorum" => ProtocolEvent::CommitQuorum,
-            "reply_sent" => ProtocolEvent::ReplySent {
-                client: field_u64(line, "client", lineno)?,
-                ts: field_u64(line, "ts", lineno)?,
-            },
-            other => return Err(format!("line {lineno}: unknown event \"{other}\"")),
+        let parse = || -> Result<TraceEvent, String> {
+            let num = |key| -> Result<u64, String> {
+                let raw = raw_field(line, key).ok_or_else(|| format!("missing field \"{key}\""))?;
+                raw.parse().map_err(|_| format!("bad field \"{key}\""))
+            };
+            let name = raw_field(line, "event").ok_or("missing field \"event\"")?;
+            Ok(TraceEvent {
+                at: SimTime::from_nanos(num("at_ns")?),
+                node: NodeId(num("node")? as usize),
+                view: num("view")?,
+                seq: num("seq")?,
+                event: ProtocolEvent::from_fields(name, |field| raw_field(line, field))?,
+            })
         };
-        events.push(TraceEvent {
-            at: SimTime::from_nanos(field_u64(line, "at_ns", lineno)?),
-            node: NodeId(field_u64(line, "node", lineno)? as usize),
-            view: field_u64(line, "view", lineno)?,
-            seq: field_u64(line, "seq", lineno)?,
-            event,
-        });
+        events.push(parse().map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(events)
 }
@@ -348,36 +269,11 @@ mod tests {
         assert_eq!(parsed, t);
     }
 
-    /// Maps each variant to a dense index. The wildcard-free match makes
-    /// adding a `ProtocolEvent` variant a compile error here until this
-    /// function (and `VARIANT_COUNT`) grow with it, and the exhaustive
-    /// round-trip test below then fails until the new variant is added to
-    /// its exemplar list — so no variant can silently fall out of tracediff.
-    fn variant_index(e: &ProtocolEvent) -> usize {
-        match e {
-            ProtocolEvent::ViewChangeStarted => 0,
-            ProtocolEvent::ViewChangeCompleted => 1,
-            ProtocolEvent::CheckpointStable => 2,
-            ProtocolEvent::StateTransferFetchStarted => 3,
-            ProtocolEvent::StateTransferFetchChunk { .. } => 4,
-            ProtocolEvent::StateTransferFetchCompleted { .. } => 5,
-            ProtocolEvent::RecoveryStarted => 6,
-            ProtocolEvent::RecoveryCompleted { .. } => 7,
-            ProtocolEvent::RequestExecuted { .. } => 8,
-            ProtocolEvent::ClientRetransmit => 9,
-            ProtocolEvent::ReplyQuorumDegraded => 10,
-            ProtocolEvent::ClientOpSubmitted => 11,
-            ProtocolEvent::ClientOpCompleted => 12,
-            ProtocolEvent::RequestProposed { .. } => 13,
-            ProtocolEvent::PrePrepareLogged { .. } => 14,
-            ProtocolEvent::PrepareQuorum => 15,
-            ProtocolEvent::CommitQuorum => 16,
-            ProtocolEvent::ReplySent { .. } => 17,
-        }
-    }
-
-    const VARIANT_COUNT: usize = 18;
-
+    /// One exemplar per `ProtocolEvent` variant, in declaration order
+    /// (checked against [`ProtocolEvent::NAMES`], so a new variant fails the
+    /// test until it has an exemplar): each renders its `fields()` in order
+    /// into its JSON line, its `format_event` text and its Perfetto instant,
+    /// and parses back unchanged.
     #[test]
     fn every_variant_round_trips_with_name_intact() {
         let exemplars = vec![
@@ -400,14 +296,8 @@ mod tests {
             ProtocolEvent::CommitQuorum,
             ProtocolEvent::ReplySent { client: 4, ts: 7 },
         ];
-        let mut seen = vec![false; VARIANT_COUNT];
-        for e in &exemplars {
-            seen[variant_index(e)] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "exemplar list misses a ProtocolEvent variant: {seen:?}"
-        );
+        let names: Vec<&str> = exemplars.iter().map(ProtocolEvent::name).collect();
+        assert_eq!(names, ProtocolEvent::NAMES, "one exemplar per variant, in order");
 
         let trace: Vec<TraceEvent> = exemplars
             .iter()
@@ -418,6 +308,19 @@ mod tests {
         assert_eq!(parsed, trace);
         for (orig, round) in trace.iter().zip(&parsed) {
             assert_eq!(orig.event.name(), round.event.name());
+        }
+
+        for e in &trace {
+            let (name, fields) = (e.event.name(), e.event.fields());
+            let json: String = fields.iter().map(|(k, v)| format!(",\"{k}\":{v}")).collect();
+            let text: String = fields.iter().map(|(k, v)| format!(" {k}={v}")).collect();
+            assert!(e.to_json().ends_with(&format!("\"event\":\"{name}\"{json}}}")), "{name}");
+            assert!(format_event(e).ends_with(&format!(" {name}{text}")), "{name}");
+            let perfetto = crate::span::export_perfetto(std::slice::from_ref(e), &[]);
+            let instant = perfetto.lines().find(|l| l.contains("\"ph\":\"i\"")).expect("instant");
+            assert!(instant.contains(&format!("\"seq\":{}{json}}}", e.seq)), "{instant}");
+            let value = |f| fields.iter().find(|(k, _)| *k == f).map(|(_, v)| v.as_str());
+            assert_eq!(ProtocolEvent::from_fields(name, value), Ok(e.event));
         }
     }
 
