@@ -67,8 +67,6 @@ pub struct AndrewDriver {
     ops: std::collections::VecDeque<NfsOp>,
     /// Operation index at which each phase ends (exclusive).
     pub phase_ends: [usize; 5],
-    /// Total operations.
-    pub total_ops: usize,
 }
 
 impl AndrewDriver {
@@ -156,8 +154,7 @@ impl AndrewDriver {
         }
         phase_ends[4] = ops.len();
 
-        let total_ops = ops.len();
-        Self { ops: ops.into(), phase_ends, total_ops }
+        Self { ops: ops.into(), phase_ends }
     }
 
     /// Maps per-op completion timestamps to per-phase durations (ns).
@@ -194,7 +191,7 @@ mod tests {
     fn phases_are_ordered_and_nonempty() {
         let d = AndrewDriver::new(AndrewScale::tiny());
         assert!(d.phase_ends.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(d.phase_ends[4], d.total_ops);
+        assert_eq!(d.phase_ends[4], d.ops.len());
     }
 
     #[test]
@@ -217,9 +214,10 @@ mod tests {
     fn phase_times_split_correctly() {
         let d = AndrewDriver::new(AndrewScale::tiny());
         // Fake: op i completes at (i+1) µs.
-        let times: Vec<u64> = (0..d.total_ops as u64).map(|i| (i + 1) * 1000).collect();
+        let total_ops = d.ops.len() as u64;
+        let times: Vec<u64> = (0..total_ops).map(|i| (i + 1) * 1000).collect();
         let phases = d.phase_times(&times);
-        assert_eq!(phases.iter().sum::<u64>(), d.total_ops as u64 * 1000);
+        assert_eq!(phases.iter().sum::<u64>(), total_ops * 1000);
         assert_eq!(phases[0], d.phase_ends[0] as u64 * 1000);
     }
 }

@@ -37,8 +37,8 @@ use std::str::FromStr;
 type Run = fn(AndrewScale, FsMix);
 
 const EXPERIMENTS: &[(&str, &str, Run)] = &[
-    ("andrew", "E1: Andrew benchmark", |scale, mix| { run_andrew(scale, mix); }),
-    ("codesize", "E2: code size", |_, _| { run_codesize(); }),
+    ("andrew", "E1: Andrew benchmark", run_andrew),
+    ("codesize", "E2: code size", |_, _| run_codesize()),
     ("recovery", "E3: proactive recovery", |_, _| run_recovery()),
     ("transfer", "E4: state transfer", |_, _| run_transfer()),
     ("checkpoint", "E5: checkpointing", |_, _| run_checkpoint()),
@@ -49,7 +49,7 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
     ("roopt", "E11: read-only optimization", |_, _| run_roopt()),
     ("sigmac", "E12: MACs vs signatures", |_, _| run_sigmac()),
     ("bandwidth", "E13: network bandwidth", |_, _| run_bandwidth()),
-    ("shards", "E14: shard scaling", |_, _| { run_shards(); }),
+    ("shards", "E14: shard scaling", |_, _| run_shards()),
     ("lab", "bench lab: deterministic counts", |_, _| lab::measure().print_table()),
 ];
 

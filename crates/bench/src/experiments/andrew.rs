@@ -10,19 +10,8 @@ use crate::setup::{
 use base_nfs::relay::{DirectActor, RelayActor, RunStats};
 use base_simnet::{SimDuration, Simulation};
 
-/// Summary returned for the experiment record.
-#[derive(Debug, Clone, Copy)]
-pub struct AndrewResult {
-    /// Total virtual time, unreplicated (ns).
-    pub direct_ns: u64,
-    /// Total virtual time, replicated (ns).
-    pub replicated_ns: u64,
-    /// Total overhead ratio.
-    pub overhead: f64,
-}
-
 /// Runs E1 and prints the table.
-pub fn run_andrew(scale: AndrewScale, mix: FsMix) -> AndrewResult {
+pub fn run_andrew(scale: AndrewScale, mix: FsMix) {
     println!(
         "Andrew benchmark: {} dirs x {} files x {} KiB = {:.1} MiB, mix {:?}",
         scale.dirs,
@@ -89,5 +78,4 @@ pub fn run_andrew(scale: AndrewScale, mix: FsMix) -> AndrewResult {
         rep_stats.ops,
     );
     println!("paper claim: ~30% total overhead for the scaled Andrew benchmark.");
-    AndrewResult { direct_ns: d_total, replicated_ns: r_total, overhead }
 }

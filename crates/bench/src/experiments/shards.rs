@@ -169,15 +169,13 @@ pub fn measure_shards(shards: u32, mixed: bool) -> ShardSample {
     ShardSample { shards, ops, cross_txns, cross_aborts, elapsed_ns, sim_ops_per_sec }
 }
 
-/// Prints the E14 shard-scaling tables and returns the disjoint-workload
-/// speedups at 2 and 4 shards (relative to 1).
-pub fn run_shards() -> (f64, f64) {
+/// Prints the E14 shard-scaling tables.
+pub fn run_shards() {
     let mut t = Table::new(
         "E14: shard scaling (4 routers, 300us/op exec cost)",
         &["workload", "shards", "ops", "cross", "aborts", "makespan_ms", "sim_ops/s", "speedup"],
     );
     let mut base = [0u64; 2];
-    let mut speedups = (0.0, 0.0);
     for (w, mixed) in [("disjoint", false), ("mixed", true)] {
         for shards in [1u32, 2, 4] {
             let s = measure_shards(shards, mixed);
@@ -185,12 +183,6 @@ pub fn run_shards() -> (f64, f64) {
                 base[usize::from(mixed)] = s.sim_ops_per_sec;
             }
             let speedup = s.sim_ops_per_sec as f64 / base[usize::from(mixed)] as f64;
-            if !mixed && shards == 2 {
-                speedups.0 = speedup;
-            }
-            if !mixed && shards == 4 {
-                speedups.1 = speedup;
-            }
             t.row(&[
                 w.to_string(),
                 s.shards.to_string(),
@@ -204,7 +196,6 @@ pub fn run_shards() -> (f64, f64) {
         }
     }
     t.print();
-    speedups
 }
 
 #[cfg(test)]

@@ -23,16 +23,6 @@ pub struct BaseStats {
     pub node_hashes: u64,
     /// Pre-image copies captured by the `modify` upcall.
     pub preimage_copies: u64,
-    /// Objects written through `put_objs` during installs.
-    pub objects_installed: u64,
-    /// Full abstraction-function scans (warm reboots).
-    pub rebuild_scans: u64,
-    /// Chunk digests recomputed by chunked digest passes (chunked mode
-    /// only; the chunk's bytes changed since the previous pass).
-    pub chunks_rehashed: u64,
-    /// Chunk digests reused from the snapshot cache (chunked mode only;
-    /// the chunk's bytes were unchanged, so only a memcmp was paid).
-    pub chunks_reused: u64,
 }
 
 /// Per-object snapshot kept by chunked digesting: the value bytes and
@@ -195,11 +185,6 @@ impl<W: Wrapper> BaseService<W> {
         &mut self.wrapper
     }
 
-    /// Number of abstract objects modified since the last checkpoint.
-    pub fn dirty_objects(&self) -> usize {
-        self.mods.dirty_count()
-    }
-
     /// Runs one digest pass over `values` on the calling thread, applying
     /// the chunk-cache updates and chunk-reuse stats in the order given.
     fn digest_pass(&mut self, values: &[(u64, Option<Vec<u8>>)]) -> Vec<DigestOutcome> {
@@ -222,8 +207,6 @@ impl<W: Wrapper> BaseService<W> {
                     None => {}
                 }
             }
-            self.stats.chunks_reused += reused;
-            self.stats.chunks_rehashed += rehashed;
             self.metrics.add("base.chunks_reused", reused);
             self.metrics.add("base.chunks_rehashed", rehashed);
         }
@@ -401,7 +384,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         objs: Vec<(u64, Option<Vec<u8>>)>,
         env: &mut ExecEnv<'_>,
     ) {
-        self.stats.objects_installed += objs.len() as u64;
         self.metrics.add("base.objects_installed", objs.len() as u64);
         self.wrapper.put_objs(&objs, env);
         let outcomes = self.digest_pass(&objs);
@@ -445,7 +427,6 @@ impl<W: Wrapper> Service for BaseService<W> {
             // mismatches and get repaired by the fetch. The full rescan
             // lands as a single batched tree update.
             self.wrapper.rebuild_rep(env);
-            self.stats.rebuild_scans += 1;
             self.metrics.inc("base.rebuild_scans");
             self.digest_into_tree(0..self.wrapper.n_objects(), false, env);
         }

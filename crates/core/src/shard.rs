@@ -42,10 +42,8 @@ use crate::wrapper::Footprint;
 use base_crypto::{KeyDirectory, NodeKeys};
 use base_pbft::client::TOKEN_CLIENT_RETRANS;
 use base_pbft::testing::COUNTER_REGS;
-use base_pbft::{
-    ClientCore, ClientEvent, Config, Deployment, ExecEnv, PartitionTree, Replica, Service,
-};
-use base_simnet::{Actor, Context, MetricsRegistry, NodeId, SimDuration, Simulation};
+use base_pbft::{ClientCore, ClientEvent, Config, Deployment, ExecEnv, PartitionTree, Service};
+use base_simnet::{Actor, Context, NodeId, SimDuration, Simulation};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timer token for the [`ShardedClient`] pump (same value as the
@@ -120,21 +118,21 @@ impl ShardMap {
 }
 
 /// Builds an `xprep` operation: lock `inner`'s footprint under `txid`.
-pub fn op_xprep(txid: &str, inner: &[u8]) -> Vec<u8> {
+fn op_xprep(txid: &str, inner: &[u8]) -> Vec<u8> {
     let mut op = format!("xprep {txid} ").into_bytes();
     op.extend_from_slice(inner);
     op
 }
 
 /// Builds an `xcommit` operation: execute `inner` and release `txid`.
-pub fn op_xcommit(txid: &str, inner: &[u8]) -> Vec<u8> {
+fn op_xcommit(txid: &str, inner: &[u8]) -> Vec<u8> {
     let mut op = format!("xcommit {txid} ").into_bytes();
     op.extend_from_slice(inner);
     op
 }
 
 /// Builds an `xabort` operation: release `txid` without executing.
-pub fn op_xabort(txid: &str) -> Vec<u8> {
+fn op_xabort(txid: &str) -> Vec<u8> {
     format!("xabort {txid}").into_bytes()
 }
 
@@ -186,16 +184,10 @@ pub struct ShardLockService<S: Service> {
     /// abort/retry path on demand. Inject on a reply quorum of a shard's
     /// replicas, or `f+1` matching `xok` replies mask the refusals.
     pub inject_busy: u32,
-    /// Locks granted (tests/metrics).
-    pub prepares_granted: u64,
     /// Lock acquisitions refused with `xbusy`.
     pub prepares_refused: u64,
     /// Transactions committed here.
     pub commits: u64,
-    /// Transactions aborted here.
-    pub aborts: u64,
-    /// Ordinary operations refused because they conflicted with a lock.
-    pub blocked_ops: u64,
 }
 
 impl<S: Service> ShardLockService<S> {
@@ -207,22 +199,14 @@ impl<S: Service> ShardLockService<S> {
             footprint_of,
             locks: BTreeMap::new(),
             inject_busy: 0,
-            prepares_granted: 0,
             prepares_refused: 0,
             commits: 0,
-            aborts: 0,
-            blocked_ops: 0,
         }
     }
 
     /// The wrapped service.
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped service.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
     }
 
     /// Number of transactions currently holding locks.
@@ -267,7 +251,6 @@ impl<S: Service> Service for ShardLockService<S> {
                 return b"xbusy".to_vec();
             }
             self.locks.insert(txid, fp);
-            self.prepares_granted += 1;
             return b"xok".to_vec();
         }
         if let Some((txid, inner_op)) = split_tx(op, b"xcommit ") {
@@ -283,7 +266,6 @@ impl<S: Service> Service for ShardLockService<S> {
                 return b"err".to_vec();
             }
             self.locks.remove(&txid);
-            self.aborts += 1;
             return b"xok".to_vec();
         }
         if let Some(rest) = op.strip_prefix(b"xchaos " as &[u8]) {
@@ -309,7 +291,6 @@ impl<S: Service> Service for ShardLockService<S> {
         if !self.locks.is_empty() {
             let fp = (self.footprint_of)(op);
             if self.conflicts_with_held(fp.as_ref()) {
-                self.blocked_ops += 1;
                 return b"xbusy".to_vec();
             }
         }
@@ -799,22 +780,6 @@ pub struct ShardedGroup {
     pub map: ShardMap,
 }
 
-impl ShardedGroup {
-    /// All replica metrics merged into one registry under
-    /// `s<shard>.replica<idx>.` prefixes (order-insensitive).
-    pub fn merged_metrics<S: Service>(&self, sim: &Simulation) -> MetricsRegistry {
-        let mut out = MetricsRegistry::new();
-        for (s, nodes) in self.replicas.iter().enumerate() {
-            for (r, id) in nodes.iter().enumerate() {
-                if let Some(rep) = sim.actor_as::<Replica<S>>(*id) {
-                    out.merge_prefixed(&format!("s{s}.replica{r}."), rep.metrics());
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Builds `map.shards()` independent replica groups of `cfg.n` replicas
 /// each, plus `c` router clients, on one deterministic simulation.
 ///
@@ -866,6 +831,7 @@ pub fn build_sharded_group<S: Service>(
 mod tests {
     use super::*;
     use base_pbft::testing::{op_add, op_get, CounterService};
+    use base_pbft::Replica;
     use rand::SeedableRng;
 
     type LockedCounter = ShardLockService<CounterService>;
@@ -1101,36 +1067,5 @@ mod tests {
             .actor_as::<Replica<LockedCounter>>(group.replicas[1][1])
             .unwrap();
         assert_eq!(rep.service().inner().value(15), 6);
-    }
-
-    #[test]
-    fn merged_metrics_namespace_per_shard() {
-        let mut sim = Simulation::new(5);
-        let map = ShardMap::new(COUNTER_REGS, 2);
-        let group = build_sharded_group(
-            &mut sim,
-            Config::new(4),
-            map,
-            1,
-            3,
-            counter_footprint,
-            |_, _| LockedCounter::new(CounterService::default(), counter_footprint),
-        );
-        sim.actor_as_mut::<ShardedClient>(group.clients[0])
-            .unwrap()
-            .invoke(op_add(1, 1), false);
-        sim.actor_as_mut::<ShardedClient>(group.clients[0])
-            .unwrap()
-            .invoke(op_add(12, 1), false);
-        sim.run_for(SimDuration::from_secs(2));
-        let merged = group.merged_metrics::<LockedCounter>(&sim);
-        assert!(
-            merged.histograms().any(|(k, _)| k.starts_with("s0.replica")),
-            "shard-0 metrics present"
-        );
-        assert!(
-            merged.histograms().any(|(k, _)| k.starts_with("s1.replica")),
-            "shard-1 metrics present"
-        );
     }
 }

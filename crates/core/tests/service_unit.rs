@@ -216,7 +216,7 @@ fn install_checkpoint_overwrites_and_resets_history() {
     assert_eq!(r.svc.current_tree().root_digest(), root, "tree must match the donor's root");
     // The installed checkpoint serves reads.
     assert_eq!(r.svc.checkpoint_object(32, 0), Some(b"agreed".to_vec()));
-    assert_eq!(r.svc.stats.objects_installed, 3);
+    assert_eq!(r.svc.metrics.counter("base.objects_installed"), 3);
 }
 
 #[test]
@@ -231,7 +231,7 @@ fn clean_reboot_wipes_warm_reboot_rescans() {
     r.svc.reboot(false, &mut env);
     assert_eq!(r.svc.wrapper_mut().get_obj(4), some("persistent"));
     assert_eq!(r.svc.current_tree().root_digest(), root);
-    assert_eq!(r.svc.stats.rebuild_scans, 1);
+    assert_eq!(r.svc.metrics.counter("base.rebuild_scans"), 1);
 
     // Clean reboot: restart from the initial concrete state.
     let mut env = ExecEnv::new(1, &mut r.rng);
@@ -289,11 +289,15 @@ fn chunked_incremental_digests_match_from_scratch() {
         a.set(i, &format!("{big}{i}"));
     }
     let _c8 = a.ckpt(8);
-    let (reused_before, rehashed_before) = (a.svc.stats.chunks_reused, a.svc.stats.chunks_rehashed);
+    let chunks = |a: &Rig| {
+        let m = &a.svc.metrics;
+        (m.counter("base.chunks_reused"), m.counter("base.chunks_rehashed"))
+    };
+    let (reused_before, rehashed_before) = chunks(&a);
     a.set(3, &format!("{big}X")); // same length, only the tail chunk changes
     let c16 = a.ckpt(16);
-    let reused = a.svc.stats.chunks_reused - reused_before;
-    let rehashed = a.svc.stats.chunks_rehashed - rehashed_before;
+    let (reused, rehashed) = chunks(&a);
+    let (reused, rehashed) = (reused - reused_before, rehashed - rehashed_before);
     assert!(reused >= 8, "untouched chunks must be reused, got {reused}");
     assert!(rehashed < reused, "a tail edit must re-hash fewer chunks ({rehashed}) than it reuses");
 

@@ -18,26 +18,6 @@ use crate::sig::KeyDirectory;
 /// Length of a node's root secret in bytes.
 pub const SECRET_LEN: usize = 32;
 
-/// A node's root secret. Wrapped in a struct so it never appears in
-/// `Debug` output of containing types.
-#[derive(Clone, PartialEq, Eq)]
-pub struct KeyPair {
-    pub(crate) secret: [u8; SECRET_LEN],
-}
-
-impl std::fmt::Debug for KeyPair {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "KeyPair(…)")
-    }
-}
-
-impl KeyPair {
-    /// Creates a key pair from raw secret bytes.
-    pub fn from_secret(secret: [u8; SECRET_LEN]) -> Self {
-        Self { secret }
-    }
-}
-
 /// A pairwise symmetric session key: the 128-bit key of the SipHash-2-4
 /// tags in an authenticator. Sixteen bytes and `Copy`, so a lookup in the
 /// directory hands one out by value.

@@ -52,6 +52,6 @@ pub use auth::{Authenticator, Mac, MAC_LEN};
 pub use census::{census, Census};
 pub use digest::{digest_of, Digest, DIGEST_LEN};
 pub use hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
-pub use keys::{KeyPair, NodeKeys, SessionKey, SECRET_LEN};
+pub use keys::{NodeKeys, SessionKey, SECRET_LEN};
 pub use sha256::{Sha256, Sha256Midstate};
 pub use sig::{KeyDirectory, Signature, SIG_LEN};

@@ -219,10 +219,6 @@ impl BtreeFs {
 }
 
 impl NfsServer for BtreeFs {
-    fn name(&self) -> &'static str {
-        "btree-fs"
-    }
-
     fn root(&self) -> ServerFh {
         self.fh_of(self.root_ino)
     }

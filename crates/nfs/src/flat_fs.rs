@@ -259,10 +259,6 @@ impl FlatFs {
 }
 
 impl NfsServer for FlatFs {
-    fn name(&self) -> &'static str {
-        "flat-fs"
-    }
-
     fn root(&self) -> ServerFh {
         self.fh_of(self.root_tag)
     }

@@ -308,10 +308,6 @@ impl InodeFs {
 }
 
 impl NfsServer for InodeFs {
-    fn name(&self) -> &'static str {
-        "inode-fs"
-    }
-
     fn root(&self) -> ServerFh {
         self.fh_of(0)
     }
@@ -736,7 +732,7 @@ mod tests {
 
     #[test]
     fn stale_handle_rejected() {
-        let (mut fs, _) = fs();
+        let (fs, _) = fs();
         assert_eq!(fs.getattr(&vec![0; 12]), Err(SrvError::Stale));
         assert_eq!(fs.getattr(&vec![1, 2, 3]), Err(SrvError::Stale));
     }

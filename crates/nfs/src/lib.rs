@@ -2,7 +2,7 @@
 //! (Section 3).
 //!
 //! The paper wraps *off-the-shelf NFS daemons running different operating
-//! systems*; this reproduction builds three from-scratch file-system
+//! systems*; this reproduction builds four from-scratch file-system
 //! implementations with deliberately different internals and
 //! non-determinism, exactly the divergences the paper enumerates
 //! (file-handle choice, timestamp sources and resolution, directory order,
@@ -27,10 +27,9 @@
 //!   inverse (§3.2–3.3), including the `<fsid,fileid>`→oid map used by
 //!   proactive recovery (§3.4);
 //! - [`relay`]: the user-level relay of Figure 2, plus the unreplicated
-//!   direct-mount baseline used by the Andrew-benchmark comparison;
-//! - [`posix`]: a path-based client shim (the kernel-NFS-client stand-in)
-//!   with a dentry cache, usable against both the replicated service and
-//!   the baseline.
+//!   direct-mount baseline used by the Andrew-benchmark comparison. Its
+//!   [`relay::NfsDriver`] workload generators stand in for the kernel NFS
+//!   client and the applications above it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +39,6 @@ pub mod flat_fs;
 pub mod inode_fs;
 pub mod log_fs;
 pub mod ops;
-pub mod posix;
 pub mod relay;
 pub mod server;
 pub mod spec;
@@ -51,7 +49,6 @@ pub use flat_fs::FlatFs;
 pub use inode_fs::{InodeFs, LATENT_BUG_TRIGGER};
 pub use log_fs::LogFs;
 pub use ops::{NfsOp, NfsReply};
-pub use posix::{FsCall, FsOut, PosixDriver};
 pub use server::{NfsServer, ServerFh, SrvAttr, SrvError};
 pub use spec::{AbstractObject, Fattr, NfsStatus, ObjKind, Oid};
 pub use wrapper::NfsWrapper;

@@ -233,10 +233,6 @@ impl LogFs {
 }
 
 impl NfsServer for LogFs {
-    fn name(&self) -> &'static str {
-        "log-fs"
-    }
-
     fn root(&self) -> ServerFh {
         self.fh_of(self.root_id)
     }

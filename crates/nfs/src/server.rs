@@ -90,10 +90,6 @@ pub type SrvResult<T> = Result<T, SrvError>;
 /// semantics for everything a client can observe *through this interface*,
 /// but are free to choose handles, ids, internal layout and listing order.
 pub trait NfsServer: 'static {
-    /// Identifies the implementation (used in reports and code-size
-    /// accounting).
-    fn name(&self) -> &'static str;
-
     /// The root directory's handle.
     fn root(&self) -> ServerFh;
 

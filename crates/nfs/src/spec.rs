@@ -33,16 +33,6 @@ xdr_struct! {
 impl Oid {
     /// The root directory's oid (entry 0, first generation).
     pub const ROOT: Oid = Oid { index: 0, gen: 1 };
-
-    /// Packs the oid into a u64 (`index` in the high half).
-    pub fn as_u64(&self) -> u64 {
-        (u64::from(self.index) << 32) | u64::from(self.gen)
-    }
-
-    /// Unpacks an oid from a u64.
-    pub fn from_u64(v: u64) -> Oid {
-        Oid { index: (v >> 32) as u32, gen: v as u32 }
-    }
 }
 
 impl std::fmt::Display for Oid {
@@ -145,15 +135,6 @@ impl AbstractObject {
         }
     }
 
-    /// Mutable attributes.
-    pub fn attr_mut(&mut self) -> &mut Fattr {
-        match self {
-            AbstractObject::File { attr, .. }
-            | AbstractObject::Dir { attr, .. }
-            | AbstractObject::Symlink { attr, .. } => attr,
-        }
-    }
-
     /// The object's kind.
     pub fn kind(&self) -> ObjKind {
         self.attr().kind
@@ -222,7 +203,6 @@ mod tests {
     #[test]
     fn oid_packs_and_unpacks() {
         let oid = Oid { index: 7, gen: 3 };
-        assert_eq!(Oid::from_u64(oid.as_u64()), oid);
         assert_eq!(from_bytes::<Oid>(&to_bytes(&oid)).unwrap(), oid);
     }
 

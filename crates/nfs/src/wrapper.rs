@@ -39,30 +39,6 @@ struct RepEntry {
     parent: Option<ParentHint>,
 }
 
-/// Counters for the experiments.
-#[derive(Debug, Default)]
-pub struct WrapperStats {
-    /// Operations executed.
-    pub ops: u64,
-    /// Objects materialized by the abstraction function. Atomic because
-    /// the abstraction function runs off `&self`.
-    pub get_objs: std::sync::atomic::AtomicU64,
-    /// Objects written back by the inverse abstraction function.
-    pub put_objs: u64,
-}
-
-impl Clone for WrapperStats {
-    fn clone(&self) -> Self {
-        Self {
-            ops: self.ops,
-            get_objs: std::sync::atomic::AtomicU64::new(
-                self.get_objs.load(std::sync::atomic::Ordering::Relaxed),
-            ),
-            put_objs: self.put_objs,
-        }
-    }
-}
-
 /// The conformance wrapper.
 pub struct NfsWrapper<S: NfsServer> {
     server: S,
@@ -87,8 +63,6 @@ pub struct NfsWrapper<S: NfsServer> {
     pub op_cost_base: base_simnet::SimDuration,
     /// Simulated per-byte cost for read/write payloads.
     pub op_cost_per_byte_ns: u64,
-    /// Experiment counters.
-    pub stats: WrapperStats,
 }
 
 fn map_err(e: SrvError) -> NfsStatus {
@@ -127,7 +101,6 @@ impl<S: NfsServer> NfsWrapper<S> {
             last_proposed: 0,
             op_cost_base: base_simnet::SimDuration::from_micros(8),
             op_cost_per_byte_ns: 2,
-            stats: WrapperStats::default(),
         };
         w.entries[0] = RepEntry {
             gen: 1,
@@ -142,11 +115,6 @@ impl<S: NfsServer> NfsWrapper<S> {
         w
     }
 
-    /// The wrapped implementation's name.
-    pub fn impl_name(&self) -> &'static str {
-        self.server.name()
-    }
-
     /// Read access to the wrapped server (tests / fault injection).
     pub fn server(&self) -> &S {
         &self.server
@@ -157,19 +125,13 @@ impl<S: NfsServer> NfsWrapper<S> {
         &mut self.server
     }
 
-    /// The root oid.
-    pub fn root_oid(&self) -> Oid {
-        Oid { index: 0, gen: self.entries[0].gen }
-    }
-
     /// Number of allocated abstract objects.
     pub fn allocated(&self) -> u64 {
         self.entries.iter().filter(|e| e.fh.is_some()).count() as u64
     }
 
-    /// The server handle of `oid.index`, for tests that inject
-    /// concrete-state corruption.
-    pub fn server_fh_of(&self, index: u32) -> Option<ServerFh> {
+    /// The server handle of abstract entry `index`, if it is allocated.
+    fn server_fh_of(&self, index: u32) -> Option<ServerFh> {
         self.entries.get(index as usize)?.fh.clone()
     }
 
@@ -308,7 +270,6 @@ impl<S: NfsServer> NfsWrapper<S> {
                 AbstractObject::Symlink { attr, target }
             }
         };
-        self.stats.get_objs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Some(obj.encode_entry(gen))
     }
 
@@ -630,7 +591,6 @@ impl<S: NfsServer> Wrapper for NfsWrapper<S> {
         mods: &mut ModifyLog,
         env: &mut ExecEnv<'_>,
     ) -> Vec<u8> {
-        self.stats.ops += 1;
         let Some(op) = NfsOp::from_bytes(op) else {
             return NfsReply::Error(NfsStatus::Inval).to_bytes();
         };
@@ -660,7 +620,6 @@ impl<S: NfsServer> Wrapper for NfsWrapper<S> {
     }
 
     fn put_objs(&mut self, objs: &[(u64, Option<Vec<u8>>)], env: &mut ExecEnv<'_>) {
-        self.stats.put_objs += objs.len() as u64;
         crate::wrapper::putobjs::run(self, objs, env);
     }
 
@@ -1184,7 +1143,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         let r1 = exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: "a".into(), mode: 0o644 }, 10);
         let r2 = exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: "b".into(), mode: 0o644 }, 11);
         match (&r1, &r2) {
@@ -1201,7 +1160,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         for n in ["a", "b", "c"] {
             exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: n.into(), mode: 0o644 }, 1);
         }
@@ -1222,7 +1181,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         for n in ["zebra", "apple", "mango"] {
             exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: n.into(), mode: 0o644 }, 1);
         }
@@ -1241,7 +1200,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         let r = exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: "f".into(), mode: 0o644 }, 4242);
         match r {
             NfsReply::Handle { attr, .. } => {
@@ -1256,7 +1215,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         let fh = match exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: "f".into(), mode: 0o644 }, 1) {
             NfsReply::Handle { fh, .. } => fh,
             other => panic!("unexpected {other:?}"),
@@ -1271,7 +1230,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         let fh = match exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: "f".into(), mode: 0o644 }, 5) {
             NfsReply::Handle { fh, .. } => fh,
             other => panic!("unexpected {other:?}"),
@@ -1304,7 +1263,7 @@ mod tests {
         let mut w = wrapper();
         let mut mods = ModifyLog::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let root = w.root_oid();
+        let root = Oid::ROOT;
         exec(&mut w, &mut mods, &mut rng, NfsOp::Create { dir: root, name: "f".into(), mode: 0o644 }, 1);
         assert!(mods.is_dirty(0), "parent dir modified");
         assert!(mods.is_dirty(1), "new object modified");

@@ -4,9 +4,11 @@
 
 use base::{BaseReplica, BaseService};
 use base_nfs::ops::{NfsOp, NfsReply};
-use base_nfs::relay::{run_to_completion, RelayActor, ScriptDriver};
-use base_nfs::spec::Oid;
-use base_nfs::{BtreeFs, InodeFs, LogFs, NfsServer, NfsWrapper};
+use base_nfs::relay::{
+    run_to_completion, DirectActor, DirectServerActor, RelayActor, ScriptDriver,
+};
+use base_nfs::spec::{Fattr, NfsStatus, Oid};
+use base_nfs::{BtreeFs, FlatFs, InodeFs, LogFs, NfsServer, NfsWrapper};
 use base_pbft::{Config, Deployment, ReplicaRef};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use rand::rngs::StdRng;
@@ -167,4 +169,94 @@ fn lagging_heterogeneous_replica_repairs_itself() {
     // back correctly.
     let w = sim.actor_as::<LogReplica>(replicas[2].node).unwrap().service().wrapper();
     assert!(w.allocated() >= 25, "objects installed: {}", w.allocated());
+}
+
+/// A reply with its attribute timestamps blanked: the replicated service
+/// stamps objects with agreed time, the direct server with its own clock.
+fn untimed(reply: &NfsReply) -> NfsReply {
+    let blank = |a: &Fattr| Fattr { atime_ns: 0, mtime_ns: 0, ctime_ns: 0, ..*a };
+    match reply {
+        NfsReply::Attr(a) => NfsReply::Attr(blank(a)),
+        NfsReply::Handle { fh, attr } => NfsReply::Handle { fh: *fh, attr: blank(attr) },
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn heterogeneous_replicas_answer_like_the_direct_server() {
+    let root = Oid::ROOT;
+    // Deterministic oid allocation: a → 1, b → 2, big → 3, link → 4.
+    let (a, b) = (Oid { index: 1, gen: 1 }, Oid { index: 2, gen: 1 });
+    let (big, link) = (Oid { index: 3, gen: 1 }, Oid { index: 4, gen: 1 });
+    let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+    let mut script = vec![
+        NfsOp::Mkdir { dir: root, name: "a".into(), mode: 0o755 },
+        NfsOp::Mkdir { dir: root, name: "b".into(), mode: 0o755 },
+        NfsOp::Create { dir: a, name: "big".into(), mode: 0o644 },
+    ];
+    for (i, chunk) in data.chunks(8192).enumerate() {
+        script.push(NfsOp::Write { fh: big, offset: i as u64 * 8192, data: chunk.to_vec() });
+    }
+    script.extend([
+        NfsOp::Symlink { dir: a, name: "link".into(), target: "big".into() },
+        NfsOp::Readlink { fh: link },
+        NfsOp::Readdir { dir: a },
+        NfsOp::Rename { from_dir: a, from_name: "big".into(), to_dir: b, to_name: "moved".into() },
+        NfsOp::Remove { dir: a, name: "link".into() },
+        NfsOp::Lookup { dir: a, name: "link".into() },
+        NfsOp::Readdir { dir: b },
+        NfsOp::Read { fh: big, offset: 0, count: 20_000 },
+        NfsOp::Getattr { fh: big },
+    ]);
+    let n_ops = script.len();
+
+    // Replicated: one replica per file-system implementation, divergent
+    // local clocks, one relay.
+    let mut sim = Simulation::new(91);
+    let mut rng = StdRng::seed_from_u64(91);
+    let mut cfg = Config::new(4);
+    cfg.checkpoint_interval = 32;
+    let mut d = Deployment::new(cfg, 1, 91);
+    d.replica(&mut sim, service(InodeFs::new(1, &mut rng)));
+    d.replica(&mut sim, service(FlatFs::new(2, &mut rng)));
+    d.replica(&mut sim, service(LogFs::new(3, &mut rng)));
+    d.replica(&mut sim, service(BtreeFs::new(4, &mut rng)));
+    for (i, r) in d.replicas.iter().enumerate() {
+        sim.config_mut().set_clock_skew(r.node, SimDuration::from_millis(9 * i as u64));
+    }
+    let driver = ScriptDriver::new(script.clone());
+    let relay = d.client(&mut sim, |cfg, keys| RelayActor::new(cfg, keys, driver));
+    let finished = run_to_completion(
+        &mut sim,
+        |s| s.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap().done(),
+        SimDuration::from_secs(60),
+    );
+    assert!(finished, "replicated script did not finish");
+    roots_agree(&sim, &d.replicas);
+    let relay = sim.actor_as::<RelayActor<ScriptDriver>>(relay).unwrap();
+    let replicated = relay.driver().replies.clone();
+
+    // Direct: the same script against one unreplicated server.
+    let mut sim = Simulation::new(92);
+    let mut rng = StdRng::seed_from_u64(92);
+    let server = sim.add_node(Box::new(DirectServerActor::new(InodeFs::new(9, &mut rng))));
+    let client = sim.add_node(Box::new(DirectActor::new(server, ScriptDriver::new(script))));
+    let finished = run_to_completion(
+        &mut sim,
+        |s| s.actor_as::<DirectActor<ScriptDriver>>(client).unwrap().done(),
+        SimDuration::from_secs(60),
+    );
+    assert!(finished, "direct script did not finish");
+    let direct = &sim.actor_as::<DirectActor<ScriptDriver>>(client).unwrap().driver().replies;
+
+    assert_eq!((replicated.len(), direct.len()), (n_ops, n_ops));
+    for (i, (rep, dir)) in replicated.iter().zip(direct).enumerate() {
+        assert_eq!(untimed(rep), untimed(dir), "reply {i} diverged");
+    }
+    // Spot-check meaning.
+    let at = |back: usize| &replicated[n_ops - back];
+    assert_eq!(*at(4), NfsReply::Error(NfsStatus::NoEnt), "the removed link is gone");
+    assert_eq!(*at(3), NfsReply::Entries(vec![("moved".into(), big)]));
+    assert_eq!(*at(2), NfsReply::Data(data));
+    assert!(matches!(at(1), NfsReply::Attr(a) if a.size == 20_000));
 }

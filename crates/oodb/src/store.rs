@@ -31,8 +31,6 @@ pub struct ObjStore {
     allocs_since_gc: u32,
     /// Collection threshold, re-randomized after each collection.
     gc_threshold: u32,
-    /// Dead bytes awaiting collection (footprint effect).
-    garbage_bytes: u64,
     /// Total collections run (visible for tests).
     pub collections: u64,
 }
@@ -46,7 +44,6 @@ impl ObjStore {
             next_pin: 1,
             allocs_since_gc: 0,
             gc_threshold: 16 + (rng.gen::<u32>() % 48),
-            garbage_bytes: 0,
             collections: 0,
         }
     }
@@ -89,12 +86,7 @@ impl ObjStore {
 
     /// Releases a pin; the object becomes garbage unless referenced.
     pub fn unpin(&mut self, token: u64) {
-        if let Some(addr) = self.pins.remove(&token) {
-            if let Some(o) = self.heap.get(&addr) {
-                self.garbage_bytes +=
-                    o.fields.iter().map(|f| f.len() as u64).sum::<u64>() + 64;
-            }
-        }
+        self.pins.remove(&token);
     }
 
     /// Reads an object.
@@ -132,7 +124,6 @@ impl ObjStore {
         self.collections += 1;
         self.allocs_since_gc = 0;
         self.gc_threshold = 16 + (rng.gen::<u32>() % 48);
-        self.garbage_bytes = 0;
 
         // Mark from pins.
         let mut live: Vec<u64> = Vec::new();
@@ -189,15 +180,6 @@ impl ObjStore {
     /// True if no objects are live.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Approximate bytes held, including garbage not yet collected.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.heap
-            .values()
-            .map(|o| o.fields.iter().map(|f| f.len() as u64).sum::<u64>() + 64)
-            .sum::<u64>()
-            + self.garbage_bytes
     }
 
     /// Restarts from the clean initial state.

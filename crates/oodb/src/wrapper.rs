@@ -189,11 +189,6 @@ impl OodbWrapper {
         &self.store
     }
 
-    /// Mutable access to the wrapped store (fault injection).
-    pub fn store_mut(&mut self) -> &mut ObjStore {
-        &mut self.store
-    }
-
     /// Number of allocated abstract objects.
     pub fn allocated(&self) -> u64 {
         self.entries.iter().filter(|e| e.addr.is_some()).count() as u64

@@ -115,8 +115,6 @@ pub struct ClientCore {
     pub latencies_ns: Vec<u64>,
     /// Number of retransmissions performed.
     pub retransmissions: u64,
-    /// Read-only operations that fell back to the full quorum path.
-    pub ro_degradations: u64,
     /// **Fault injection (tests only):** accept the first full reply
     /// without waiting for a quorum. This deliberately breaks the client's
     /// safety — a single Byzantine replica can then feed it a fabricated
@@ -177,7 +175,6 @@ impl ClientCore {
             queue: VecDeque::new(),
             latencies_ns: Vec::new(),
             retransmissions: 0,
-            ro_degradations: 0,
             bug_accept_first_reply: false,
             bug_never_retransmit: false,
             rto_shift: 0,
@@ -199,12 +196,6 @@ impl ClientCore {
     /// Overrides the CPU cost model (ablations).
     pub fn set_cost_model(&mut self, cost: CostModel) {
         self.cost = cost;
-    }
-
-    /// The current adaptive retransmission timeout (`client_timeout` until
-    /// the first completion seeds the estimator).
-    pub fn current_rto(&self) -> SimDuration {
-        SimDuration::from_nanos(self.rtt.rto())
     }
 
     /// Queues an operation. Call [`ClientCore::pump`] afterwards (with a
@@ -403,7 +394,6 @@ impl ClientCore {
         if read_only && !effective_ro {
             pending.read_only = false;
             pending.replies.entries.clear();
-            self.ro_degradations += 1;
             self.metrics.inc("client.ro_degradations");
             ctx.emit(self.view_guess, ts, ProtocolEvent::ReplyQuorumDegraded);
         }

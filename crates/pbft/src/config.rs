@@ -141,16 +141,6 @@ impl Config {
         NodeId(self.node_base + i)
     }
 
-    /// Iterator over all replica nodes.
-    pub fn replica_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.n).map(|i| self.replica_node(i))
-    }
-
-    /// True if `node` hosts a replica of this group.
-    pub fn is_replica(&self, node: NodeId) -> bool {
-        node.0 >= self.node_base && node.0 < self.node_base + self.n
-    }
-
     /// Simulator node of the client with protocol id `client` (client ids
     /// within a group's key directory start at `n`); `None` for a replica
     /// id, which names no client.
@@ -241,8 +231,6 @@ mod tests {
         assert_eq!(c.client_node(4), Some(NodeId(4)));
         assert_eq!(c.client_node(6), Some(NodeId(6)));
         assert_eq!(c.client_node(2), None, "a replica id names no client");
-        assert!(c.is_replica(NodeId(3)));
-        assert!(!c.is_replica(NodeId(4)));
     }
 
     #[test]
@@ -252,10 +240,6 @@ mod tests {
         let c = Config::new(4).with_shard(1, 4, 8);
         assert_eq!(c.replica_node(0), NodeId(4));
         assert_eq!(c.replica_node(3), NodeId(7));
-        assert_eq!(c.replica_nodes().collect::<Vec<_>>(), (4..8).map(NodeId).collect::<Vec<_>>());
-        assert!(!c.is_replica(NodeId(3)));
-        assert!(c.is_replica(NodeId(4)));
-        assert!(!c.is_replica(NodeId(8)));
         // Client protocol id 4 (first client of the group's directory)
         // lives at the first router node; id 6 at the third.
         assert_eq!(c.client_node(4), Some(NodeId(8)));

@@ -95,7 +95,7 @@ impl SeqEntry {
     /// Number of logged prepares matching the accepted pre-prepare
     /// (view + digest), excluding the primary (whose pre-prepare already
     /// counts).
-    pub fn matching_prepares(&self, view: u64) -> usize {
+    fn matching_prepares(&self, view: u64) -> usize {
         let Some(digest) = self.accepted_digest() else { return 0 };
         self.prepares.iter().filter(|p| p.view == view && p.digest == digest).count()
     }
@@ -110,7 +110,7 @@ impl SeqEntry {
     }
 
     /// Number of logged commits matching (view, digest).
-    pub fn matching_commits(&self, view: u64) -> usize {
+    fn matching_commits(&self, view: u64) -> usize {
         let Some(digest) = self.accepted_digest() else { return 0 };
         self.commits.iter().filter(|c| c.view == view && c.digest == digest).count()
     }
@@ -307,19 +307,6 @@ impl CheckpointCollector {
     pub fn gc_up_to(&mut self, seq: u64) {
         self.by_seq = self.by_seq.split_off(&(seq + 1));
     }
-
-    /// Highest sequence number with at least `count` matching messages.
-    pub fn highest_with(&self, count: usize) -> Option<(u64, Digest)> {
-        self.by_seq
-            .iter()
-            .rev()
-            .find_map(|(seq, by_digest)| {
-                by_digest
-                    .iter()
-                    .find(|(_, senders)| senders.len() >= count)
-                    .map(|(digest, _)| (*seq, *digest))
-            })
-    }
 }
 
 /// Per-client cache of the last executed request and its result.
@@ -339,7 +326,7 @@ pub struct ReplyCache {
 
 impl ReplyCache {
     /// Last executed timestamp for `client`.
-    pub fn last_timestamp(&self, client: u32) -> Option<u64> {
+    fn last_timestamp(&self, client: u32) -> Option<u64> {
         self.by_client.get(&client).map(|(t, _)| *t)
     }
 
@@ -512,7 +499,7 @@ mod tests {
             .is_none());
         let cert = c.add(msg(2), 3).expect("quorum reached");
         assert_eq!(cert.len(), 3);
-        assert_eq!(c.highest_with(3), Some((128, d)));
+        assert!(cert.iter().all(|m| (m.seq, m.digest) == (128, d)));
     }
 
     #[test]

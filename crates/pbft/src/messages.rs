@@ -144,12 +144,6 @@ impl PartialEq for DigestCache {
 
 impl Eq for DigestCache {}
 
-/// The digest of a *null request batch* (no requests, no non-deterministic
-/// values), used by view changes to fill sequence-number gaps.
-pub fn null_batch_digest() -> Digest {
-    PrePrepareMsg::batch_digest_of(&[], &[])
-}
-
 xdr_struct! {
     /// A client request.
     ///

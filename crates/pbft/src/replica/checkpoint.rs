@@ -82,7 +82,6 @@ impl Checkpoints {
         }
         let msg = Self::signed(io, seq, stored.composite);
         self.stored.insert(seq, stored);
-        io.stats.checkpoints_taken += 1;
         io.metrics.inc("replica.checkpoints_taken");
         // Duration: the CPU charged for digesting the service state.
         io.metrics.observe_duration("replica.checkpoint_ns", charged);
@@ -133,7 +132,6 @@ impl Checkpoints {
         if !self.adopt(io.log, io.service, seq, cert, true) {
             return false;
         }
-        io.stats.stable_checkpoints += 1;
         io.metrics.inc("replica.stable_checkpoints");
         io.ctx.emit(view, seq, ProtocolEvent::CheckpointStable);
         true
@@ -355,8 +353,9 @@ mod tests {
     /// and NEW-VIEW ones (`on_cert_reply`, `adopt_from_new_view`). All
     /// three move the stable checkpoint and the log's low watermark. Only
     /// the own-quorum path garbage-collects the collector and the stored
-    /// checkpoints below it — and only it counts `stable_checkpoints` and
-    /// emits `CheckpointStable`. DESIGN.md §8 records the asymmetry.
+    /// checkpoints below it — and only it counts
+    /// `replica.stable_checkpoints` and emits `CheckpointStable`.
+    /// DESIGN.md §8 records the asymmetry.
     #[test]
     fn only_the_own_quorum_adoption_collects_garbage() {
         for own_quorum in [true, false] {

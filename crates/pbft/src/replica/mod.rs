@@ -49,14 +49,8 @@ pub struct ReplicaStats {
     pub executed_requests: u64,
     /// Batches (sequence numbers) executed.
     pub executed_batches: u64,
-    /// Checkpoints taken.
-    pub checkpoints_taken: u64,
-    /// Stable checkpoints observed.
-    pub stable_checkpoints: u64,
     /// View changes this replica voted for.
     pub view_changes_started: u64,
-    /// New views installed.
-    pub new_views_installed: u64,
     /// State transfers completed.
     pub state_transfers: u64,
     /// Object bytes fetched by state transfer.

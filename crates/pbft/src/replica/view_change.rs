@@ -372,7 +372,6 @@ impl ViewChange {
     pub(super) fn install(&mut self, io: &mut Io<'_, '_>, nv: &NewViewMsg, h: u64) {
         self.carried.fold(io.log, h, io.cfg.f());
         self.enter(io.cfg, nv);
-        io.stats.new_views_installed += 1;
         io.metrics.inc("replica.new_views_installed");
         io.ctx.emit(nv.view, h, ProtocolEvent::ViewChangeCompleted);
         self.stop(io);

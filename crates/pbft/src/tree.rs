@@ -415,7 +415,7 @@ impl PartitionTree {
     }
 
     /// Number of nodes at `level` (root level has 1).
-    pub fn nodes_at_level(&self, level: u32) -> Option<u64> {
+    fn nodes_at_level(&self, level: u32) -> Option<u64> {
         if level > self.depth {
             return None;
         }

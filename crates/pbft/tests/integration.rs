@@ -66,7 +66,7 @@ fn checkpoints_become_stable_and_log_is_gced() {
     for i in 0..4 {
         let r = replica(&sim, &g, i);
         assert!(r.stable_seq() >= 16, "replica {i} stable at {}", r.stable_seq());
-        assert!(r.stats.checkpoints_taken >= 2);
+        assert!(r.metrics().counter("replica.checkpoints_taken") >= 2);
     }
 }
 

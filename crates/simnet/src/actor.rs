@@ -130,7 +130,6 @@ pub struct Context<'a> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) trace: Option<&'a mut Trace>,
     pub(crate) sched_lag: SimDuration,
-    pub(crate) inbox_depth: u32,
 }
 
 impl<'a> Context<'a> {
@@ -201,11 +200,6 @@ impl<'a> Context<'a> {
         self.charged += d;
     }
 
-    /// Total CPU time charged so far in this handler invocation.
-    pub fn charged(&self) -> SimDuration {
-        self.charged
-    }
-
     /// Deterministic per-node random number generator.
     ///
     /// Service implementations use this for their internal non-determinism
@@ -228,12 +222,6 @@ impl<'a> Context<'a> {
     /// span layer can attribute queueing delay exactly.
     pub fn sched_lag(&self) -> SimDuration {
         self.sched_lag
-    }
-
-    /// Message deliveries still queued for this node at the moment this
-    /// handler was dispatched (the inbox depth at dequeue).
-    pub fn inbox_depth(&self) -> u32 {
-        self.inbox_depth
     }
 
     /// Emits a protocol event, stamped with the current virtual time and

@@ -21,10 +21,6 @@ struct NodeSlot {
     crashed_until: Option<SimTime>,
     /// Per-node deterministic RNG handed to the actor.
     rng: StdRng,
-    /// Message deliveries currently queued for this node (incremented when
-    /// a delivery is scheduled, decremented when it is handled or lost to a
-    /// crash). Surfaced to handlers as the inbox depth at dequeue.
-    inbox_depth: u32,
 }
 
 /// A deterministic discrete-event simulation of a message-passing system.
@@ -84,7 +80,6 @@ impl Simulation {
             busy_until: SimTime::ZERO,
             crashed_until: None,
             rng,
-            inbox_depth: 0,
         });
         id
     }
@@ -271,7 +266,6 @@ impl Simulation {
                 let slot = &mut self.nodes[to.0];
                 if let Some(t) = slot.crashed_until {
                     if self.now < t {
-                        slot.inbox_depth = slot.inbox_depth.saturating_sub(1);
                         self.stats.record_drop();
                         return;
                     }
@@ -285,7 +279,6 @@ impl Simulation {
                     self.queue.push(t, EventKind::Deliver { from, to, payload, arrived });
                     return;
                 }
-                slot.inbox_depth = slot.inbox_depth.saturating_sub(1);
                 let lag = self.now.since(arrived);
                 self.stats.record_delivery(to, payload.len());
                 self.invoke_with_lag(to, lag, |actor, ctx| actor.on_message(from, &payload, ctx));
@@ -349,7 +342,6 @@ impl Simulation {
             rng: &mut slot.rng,
             trace: self.trace.as_mut(),
             sched_lag,
-            inbox_depth: slot.inbox_depth,
         };
         f(slot.actor.as_mut(), &mut ctx);
 
@@ -417,7 +409,6 @@ impl Simulation {
             FilterAction::Delay(d) => arrival += d,
             FilterAction::Rewrite(p) => deliver_payload = p.into(),
             FilterAction::Duplicate(d) => {
-                self.nodes[to.0].inbox_depth += 1;
                 self.queue.push(
                     arrival + d,
                     EventKind::Deliver {
@@ -430,7 +421,6 @@ impl Simulation {
             }
         }
 
-        self.nodes[to.0].inbox_depth += 1;
         self.queue
             .push(arrival, EventKind::Deliver { from, to, payload: deliver_payload, arrived: arrival });
     }

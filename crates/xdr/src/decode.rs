@@ -2,12 +2,12 @@
 
 use crate::{padded_len, XdrError};
 
-/// Default cap on any single variable-length item (16 MiB).
+/// Cap on any single variable-length item (16 MiB).
 ///
 /// Replication-protocol messages are far smaller; the cap prevents a
 /// Byzantine sender from forcing a huge allocation with a forged length
 /// prefix before the real bounds check against the input runs.
-pub const DEFAULT_MAX_ITEM_LEN: usize = 16 * 1024 * 1024;
+const MAX_ITEM_LEN: usize = 16 * 1024 * 1024;
 
 /// Deserializes values from an XDR byte stream.
 ///
@@ -18,18 +18,12 @@ pub const DEFAULT_MAX_ITEM_LEN: usize = 16 * 1024 * 1024;
 pub struct XdrDecoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    max_item_len: usize,
 }
 
 impl<'a> XdrDecoder<'a> {
-    /// Creates a decoder over `buf` with the default allocation cap.
+    /// Creates a decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0, max_item_len: DEFAULT_MAX_ITEM_LEN }
-    }
-
-    /// Creates a decoder with a custom per-item allocation cap.
-    pub fn with_max_item_len(buf: &'a [u8], max_item_len: usize) -> Self {
-        Self { buf, pos: 0, max_item_len }
+        Self { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -104,8 +98,8 @@ impl<'a> XdrDecoder<'a> {
     /// Reads variable-length opaque data as a borrowed slice.
     pub fn get_opaque_ref(&mut self) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()? as usize;
-        if len > self.max_item_len {
-            return Err(XdrError::LengthTooLarge { declared: len, max: self.max_item_len });
+        if len > MAX_ITEM_LEN {
+            return Err(XdrError::LengthTooLarge { declared: len, max: MAX_ITEM_LEN });
         }
         self.get_opaque_fixed(len)
     }

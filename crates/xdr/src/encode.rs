@@ -109,15 +109,6 @@ impl XdrEncoder {
         self.put_opaque(s.as_bytes());
     }
 
-    /// Appends an already-encoded XDR fragment verbatim.
-    ///
-    /// The caller must ensure `raw` is itself a well-formed, four-byte
-    /// aligned XDR stream; this is checked only by a debug assertion.
-    pub fn put_raw(&mut self, raw: &[u8]) {
-        debug_assert_eq!(raw.len() % 4, 0, "raw XDR fragment must be 4-byte aligned");
-        self.buf.extend_from_slice(raw);
-    }
-
     fn pad(&mut self, written: usize) {
         for _ in written..padded_len(written) {
             self.buf.push(0);
