@@ -241,13 +241,14 @@ impl Group {
     }
 
     /// Every group auditor, in order: view agreement, stable digests,
-    /// retained checkpoints, checkpoint ceiling. An auditor added here
-    /// reaches every campaign.
+    /// retained checkpoints, checkpoint ceiling, checkpoint floor. An
+    /// auditor added here reaches every campaign.
     pub fn audit(&self, all: &[Member<'_>]) -> Result<(), String> {
         self.audit_view_agreement(all)?;
         self.audit_stable_digests(all)?;
         self.audit_retained_checkpoints(all)?;
-        self.audit_checkpoint_ceiling(all)
+        self.audit_checkpoint_ceiling(all)?;
+        self.audit_checkpoint_floor(all)
     }
 
     /// After the settle window every honest replica must have converged on
@@ -331,6 +332,22 @@ impl Group {
                     "checkpoint ceiling: replica {} stores {stored} checkpoints, more than the \
                      {ceiling} its log window spans",
                     node.0
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// No honest replica stores a checkpoint below its stable one: adopting
+    /// a stable checkpoint, whatever proved it, discards the older ones.
+    fn audit_checkpoint_floor(&self, all: &[Member<'_>]) -> Result<(), String> {
+        for (node, r) in self.honest(all) {
+            let stable = r.stable_seq();
+            if let Some((seq, _)) = r.checkpoint_digests().into_iter().find(|(s, _)| *s < stable) {
+                let node = node.0;
+                return Err(format!(
+                    "checkpoint floor: replica {node} stores checkpoint {seq} below its stable \
+                     checkpoint {stable}"
                 ));
             }
         }
@@ -849,46 +866,49 @@ mod tests {
         fakes.iter().enumerate().map(|(i, f)| (NodeId(i), f as &dyn ReplicaControl)).collect()
     }
 
-    /// `[view agreement, stable digests, retained checkpoints, checkpoint
-    /// ceiling]` verdicts.
-    fn agreement(group: &Group, fakes: &[Fake]) -> [bool; 4] {
+    /// The auditors that fail on `fakes`, in [`Group::audit`]'s order.
+    fn failing(group: &Group, fakes: &[Fake]) -> Vec<&'static str> {
         let all = members(fakes);
-        [
-            group.audit_view_agreement(&all).is_ok(),
-            group.audit_stable_digests(&all).is_ok(),
-            group.audit_retained_checkpoints(&all).is_ok(),
-            group.audit_checkpoint_ceiling(&all).is_ok(),
-        ]
+        let verdicts = [
+            ("view agreement", group.audit_view_agreement(&all)),
+            ("stable digests", group.audit_stable_digests(&all)),
+            ("retained checkpoints", group.audit_retained_checkpoints(&all)),
+            ("checkpoint ceiling", group.audit_checkpoint_ceiling(&all)),
+            ("checkpoint floor", group.audit_checkpoint_floor(&all)),
+        ];
+        verdicts.into_iter().filter(|(_, v)| v.is_err()).map(|(name, _)| name).collect()
     }
 
     #[test]
     fn agreement_auditors_fire_on_the_one_field_that_disagrees() {
         type Mutation = fn(&mut Fake);
-        let cases: [(&str, Mutation, [bool; 4]); 8] = [
-            ("agreeing group", |_| {}, [true, true, true, true]),
-            ("later view", |f| f.view = 4, [false, true, true, true]),
-            ("other stable digest", |f| f.stable.1 = Some(d(b"x")), [true, false, true, true]),
-            ("other retained digest", |f| f.retained[1].1 = d(b"x"), [true, true, false, true]),
+        let cases: [(&str, Mutation, &[&str]); 9] = [
+            ("agreeing group", |_| {}, &[]),
+            ("later view", |f| f.view = 4, &["view agreement"]),
+            ("other stable digest", |f| f.stable.1 = Some(d(b"x")), &["stable digests"]),
+            ("other retained digest", |f| f.retained[1].1 = d(b"x"), &["retained checkpoints"]),
             // Not disagreements: a different stable seq is a lagging
             // replica, and a checkpoint only one side retains has no peer.
-            ("lags a checkpoint", |f| f.stable = (4, Some(d(b"s4"))), [true, true, true, true]),
-            ("retains an extra seq", |f| f.retained.push((16, d(b"x"))), [true, true, true, true]),
+            ("lags a checkpoint", |f| f.stable = (4, Some(d(b"s4"))), &[]),
+            ("retains an extra seq", |f| f.retained.push((16, d(b"x"))), &[]),
             // Nine stored checkpoints fill the campaign window; ten overflow it.
             (
                 "retains 9 checkpoints",
                 |f| f.retained.extend((16..=40).step_by(4).map(|seq| (seq, d(b"x")))),
-                [true, true, true, true],
+                &[],
             ),
             (
                 "retains 10 checkpoints",
                 |f| f.retained.extend((16..=44).step_by(4).map(|seq| (seq, d(b"x")))),
-                [true, true, true, false],
+                &["checkpoint ceiling"],
             ),
+            // Adopting stable checkpoint 8 discarded checkpoint 4.
+            ("retains 4 below 8", |f| f.retained.insert(0, (4, d(b"s4"))), &["checkpoint floor"]),
         ];
         for (name, mutate, want) in cases {
             let mut fakes = agreeing();
             mutate(&mut fakes[2]);
-            assert_eq!(agreement(&Group::default(), &fakes), want, "replica 2: {name}");
+            assert_eq!(failing(&Group::default(), &fakes), want, "replica 2: {name}");
         }
     }
 
@@ -903,7 +923,7 @@ mod tests {
         // its view and its certificate-backed stable digest still are.
         let mut group = Group::default();
         group.taint(NodeId(2));
-        assert_eq!(agreement(&group, &disagreeing), [false, false, true, true]);
+        assert_eq!(failing(&group, &disagreeing), ["view agreement", "stable digests"]);
         let all = members(&disagreeing);
         assert_eq!(group.honest(&all).len(), 4);
         assert_eq!(group.clean(&all).len(), 3);
@@ -911,7 +931,7 @@ mod tests {
         // Byzantine now: nothing it reports is held against the group.
         disagreeing[2].byz = ByzMode::CorruptReplies;
         for group in [Group::default(), group] {
-            assert_eq!(agreement(&group, &disagreeing), [true, true, true, true]);
+            assert!(failing(&group, &disagreeing).is_empty());
             let all = members(&disagreeing);
             assert_eq!(group.honest(&all).len(), 3);
             assert_eq!(group.clean(&all).len(), 3);

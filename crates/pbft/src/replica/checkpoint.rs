@@ -87,7 +87,7 @@ impl Checkpoints {
         io.metrics.observe_duration("replica.checkpoint_ns", charged);
         if let Some(cert) = self.collector.add(msg.clone(), io.cfg.quorum()) {
             // `seq` is executed, so there is nothing to fetch.
-            self.stable(io, view, seq, cert);
+            self.adopt(io, view, seq, cert);
         }
         io.multicast(&Message::Checkpoint(msg));
     }
@@ -118,18 +118,20 @@ impl Checkpoints {
         }
         let (seq, digest) = (c.seq, c.digest);
         let cert = self.collector.add(c, io.cfg.quorum())?;
-        self.stable(io, view, seq, cert).then_some((seq, digest))
+        self.adopt(io, view, seq, cert).then_some((seq, digest))
     }
 
-    /// Adopts, counts and traces a certificate the collector completed.
-    fn stable(
+    /// Makes `seq`, which `cert` proves, the stable checkpoint if it is
+    /// newer, counts and traces it. Every proof goes through here: the
+    /// replica's own CHECKPOINT quorum, a CERT-REPLY and a NEW-VIEW.
+    fn adopt(
         &mut self,
         io: &mut Io<'_, '_>,
         view: u64,
         seq: u64,
         cert: Vec<CheckpointMsg>,
     ) -> bool {
-        if !self.adopt(io.log, io.service, seq, cert, true) {
+        if !self.advance(io.log, io.service, seq, cert) {
             return false;
         }
         io.metrics.inc("replica.stable_checkpoints");
@@ -137,18 +139,15 @@ impl Checkpoints {
         true
     }
 
-    /// Makes `seq` the stable checkpoint if it is newer, and discards the
-    /// log and the service's checkpoints below it. Only a certificate of
-    /// the replica's own collector (`own_quorum`) also garbage-collects the
-    /// collector and the stored checkpoints; one from a CERT-REPLY or a
-    /// NEW-VIEW leaves both (DESIGN.md §8).
-    fn adopt(
+    /// Moves the stable checkpoint to `seq` if it is newer, and discards
+    /// the log, the collected CHECKPOINTs, the stored checkpoints and the
+    /// service's checkpoints below it.
+    fn advance(
         &mut self,
         log: &mut Log,
         service: &mut dyn Service,
         seq: u64,
         cert: Vec<CheckpointMsg>,
-        own_quorum: bool,
     ) -> bool {
         if seq <= self.stable_seq {
             return false;
@@ -156,11 +155,9 @@ impl Checkpoints {
         self.stable_seq = seq;
         self.stable_cert = cert;
         log.gc_up_to(seq);
-        if own_quorum {
-            self.collector.gc_up_to(seq);
-            // Keep the stable checkpoint itself; discard older ones.
-            self.stored = self.stored.split_off(&seq);
-        }
+        self.collector.gc_up_to(seq);
+        // Keep the stable checkpoint itself; discard older ones.
+        self.stored = self.stored.split_off(&seq);
         service.discard_checkpoints_below(seq);
         true
     }
@@ -169,6 +166,7 @@ impl Checkpoints {
     pub(super) fn on_cert_reply(
         &mut self,
         io: &mut Io<'_, '_>,
+        view: u64,
         m: CertReplyMsg,
     ) -> Option<(u64, Digest)> {
         let Some((seq, digest)) = validate_cert(io.cfg, io.keys, &m.msgs) else {
@@ -179,7 +177,7 @@ impl Checkpoints {
         if seq < self.stable_seq {
             return None; // Stale certificate from a lagging replier.
         }
-        self.adopt(io.log, io.service, seq, m.msgs, false);
+        self.adopt(io, view, seq, m.msgs);
         Some((seq, digest))
     }
 
@@ -190,12 +188,9 @@ impl Checkpoints {
         nv: &NewViewMsg,
         min_s: u64,
     ) -> Option<(u64, Digest)> {
-        if min_s <= self.stable_seq {
-            return None;
-        }
         let vc = nv.view_changes.iter().find(|vc| vc.stable_seq == min_s)?;
         let (seq, digest) = validate_cert(io.cfg, io.keys, &vc.stable_proof)?;
-        self.adopt(io.log, io.service, seq, vc.stable_proof.clone(), false).then_some((seq, digest))
+        self.adopt(io, nv.view, seq, vc.stable_proof.clone()).then_some((seq, digest))
     }
 
     fn cert_reply(&self, io: &Io<'_, '_>) -> Message {
@@ -322,7 +317,7 @@ mod tests {
 
     /// Checkpoints 4 and 8 stored and one CHECKPOINT for each collected,
     /// then 8 adopted as stable.
-    fn adopt_8(own_quorum: bool) -> (Checkpoints, Log) {
+    fn adopt_8() -> (Checkpoints, Log) {
         let (mut ckpts, mut log) = (Checkpoints::default(), Log::new(32));
         for seq in [4, 8] {
             ckpts.record(seq, Digest::of(b"root"), Vec::new());
@@ -330,8 +325,8 @@ mod tests {
         }
         let cert: Vec<_> = (1..=3).map(|r| checkpoint(8, r)).collect();
         let mut service = CounterService::default();
-        assert!(ckpts.adopt(&mut log, &mut service, 8, cert.clone(), own_quorum));
-        assert!(!ckpts.adopt(&mut log, &mut service, 8, cert, own_quorum), "not newer");
+        assert!(ckpts.advance(&mut log, &mut service, 8, cert.clone()));
+        assert!(!ckpts.advance(&mut log, &mut service, 8, cert), "not newer");
         (ckpts, log)
     }
 
@@ -342,33 +337,24 @@ mod tests {
     /// every backup's.
     #[test]
     fn a_view_change_states_the_certified_digest() {
-        let (mut ckpts, _) = adopt_8(true);
+        let (mut ckpts, _) = adopt_8();
         ckpts.record(8, Digest::of(b"diverged"), Vec::new());
         assert_ne!(ckpts.digest(8), Some(checkpoint(8, 1).digest));
         assert_eq!(ckpts.proof().1, checkpoint(8, 1).digest);
     }
 
-    /// The three adoption paths as they stand: the own-quorum one
-    /// (`on_checkpoint` and `take`, through `stable`), and the CERT-REPLY
-    /// and NEW-VIEW ones (`on_cert_reply`, `adopt_from_new_view`). All
-    /// three move the stable checkpoint and the log's low watermark. Only
-    /// the own-quorum path garbage-collects the collector and the stored
-    /// checkpoints below it — and only it counts
-    /// `replica.stable_checkpoints` and emits `CheckpointStable`.
-    /// DESIGN.md §8 records the asymmetry.
+    /// Adopting a stable checkpoint, whichever proof it came with, moves
+    /// the log's low watermark and garbage-collects the stored
+    /// checkpoints and the collected CHECKPOINTs below it.
     #[test]
-    fn only_the_own_quorum_adoption_collects_garbage() {
-        for own_quorum in [true, false] {
-            let (mut ckpts, log) = adopt_8(own_quorum);
-            assert_eq!((ckpts.stable_seq(), log.low), (8, 8));
-            assert_eq!(ckpts.stable_digest(), Some(checkpoint(8, 1).digest));
-            assert_eq!(ckpts.proof().0, 8);
-            let stored: Vec<u64> = ckpts.digests().iter().map(|(seq, _)| *seq).collect();
-            // A second CHECKPOINT for 4 makes a pair only if the first one
-            // is still collected.
-            let collected = ckpts.collector.add(checkpoint(4, 2), 2).is_some();
-            let want = if own_quorum { (vec![8], false) } else { (vec![4, 8], true) };
-            assert_eq!((stored, collected), want, "own quorum: {own_quorum}");
-        }
+    fn adoption_collects_garbage() {
+        let (mut ckpts, log) = adopt_8();
+        assert_eq!((ckpts.stable_seq(), log.low), (8, 8));
+        assert_eq!(ckpts.stable_digest(), Some(checkpoint(8, 1).digest));
+        assert_eq!(ckpts.proof().0, 8);
+        let stored: Vec<u64> = ckpts.digests().iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(stored, [8]);
+        // The first CHECKPOINT for 4 is gone, so a second makes no pair.
+        assert!(ckpts.collector.add(checkpoint(4, 2), 2).is_none());
     }
 }

@@ -101,16 +101,16 @@ impl Recovery {
         progressed
     }
 
-    /// The probes of a tick without progress or fetch. Gap detection: the
-    /// group has moved ahead of us (we see traffic for later sequence
-    /// numbers) but we are missing the next batch — it was garbage-collected
-    /// at the others. Ask for their stable checkpoint certificate so we can
-    /// state-transfer. The same probe doubles as a periodic idle status
-    /// exchange (PBFT's status messages): a replica that slept through the
-    /// entire workload still discovers the group's stable checkpoint. These
-    /// probes run even mid-view-change: a replica that escalated into a
-    /// lonely high view (e.g. while partitioned away) must still be able to
-    /// learn state from the quorum it cannot vote with.
+    /// The probes of a tick without progress. Gap detection: the group has
+    /// moved ahead of us (we see traffic for later sequence numbers) but we
+    /// are missing the next batch — it was garbage-collected at the others.
+    /// Ask for their stable checkpoint certificate so we can state-transfer.
+    /// The same probe doubles as a periodic idle status exchange (PBFT's
+    /// status messages): a replica that slept through the entire workload
+    /// still discovers the group's stable checkpoint. These probes run even
+    /// mid-view-change and mid-fetch: a replica in a lonely high view, or
+    /// fetching a checkpoint its peers have since collected, learns state
+    /// from the quorum only through them.
     pub(super) fn probe(&mut self, io: &mut Io<'_, '_>, view: u64, last_exec: u64, h: u64) {
         let next = last_exec + 1;
         let missing_next = io.log.entry(next).is_none_or(|e| e.pre_prepare.is_none());

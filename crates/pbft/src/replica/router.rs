@@ -8,7 +8,7 @@ use super::view_change::{Move, TOKEN_VIEW_CHANGE};
 use super::Replica;
 use crate::config::TICK_INTERVAL;
 use crate::log::SlotStage;
-use crate::messages::{CertReplyMsg, FetchCertMsg, Message, NewViewMsg, RequestMsg, StatusMsg};
+use crate::messages::{FetchCertMsg, Message, NewViewMsg, RequestMsg, StatusMsg};
 use crate::service::Service;
 use crate::transfer::FetchResult;
 use base_crypto::Digest;
@@ -146,24 +146,17 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    /// Fetches the stable checkpoint just proven, if execution is behind it.
+    /// Fetches a proven stable checkpoint if execution is behind it or this
+    /// replica is recovering (the fetch repairs exactly the objects whose
+    /// concrete state is stale or corrupt, paper §3.4); a recovery with
+    /// nothing to fetch completes.
     fn catch_up(&mut self, proven: Option<(u64, Digest)>, ctx: &mut Context<'_>) {
-        if let Some((seq, digest)) = proven.filter(|(seq, _)| self.exec.last_exec() < *seq) {
-            self.start_fetch(seq, digest, ctx);
-        }
-    }
-
-    fn handle_cert_reply(&mut self, m: CertReplyMsg, ctx: &mut Context<'_>) {
-        let mut io = io!(self, ctx);
-        let Some((seq, digest)) = self.ckpt.on_cert_reply(&mut io, m) else { return };
+        let Some((seq, digest)) = proven else { return };
         if seq > self.exec.last_exec() || (self.rec.recovering() && seq > 0) {
-            // Recovering replicas fetch even when nominally up to date:
-            // the fetch walks the partition tree comparing digests and
-            // repairs exactly the objects whose concrete state is stale or
-            // corrupt (paper §3.4).
             self.start_fetch(seq, digest, ctx);
-        } else if let Some(took) = self.rec.complete(&mut io, self.vc.view(), seq, false) {
-            // No checkpoint exists yet; recovery completes immediately.
+        } else if let Some(took) =
+            self.rec.complete(&mut io!(self, ctx), self.vc.view(), seq, false)
+        {
             self.last_recovery_ns = took;
         }
     }
@@ -273,7 +266,7 @@ impl<S: Service> Replica<S> {
         if !progressed && !active {
             self.vc.resend_own(&mut io);
         }
-        if !progressed && !self.fetch.active() {
+        if !progressed {
             self.rec.probe(&mut io, view, last_exec, self.ckpt.stable_seq());
         }
         io.ctx.set_timer(TICK_INTERVAL, TOKEN_TICK);
@@ -312,11 +305,9 @@ impl<S: Service> Replica<S> {
             self.ckpt.forget_stored();
             io.log.rewind(0, view, io.cfg.f());
         }
-        // Learn the group's latest stable checkpoint and repair against it
-        // (even if nominally up to date — see handle_cert_reply).
-        if let Some(digest) = self.ckpt.stable_digest().filter(|_| h > 0) {
-            self.start_fetch(h, digest, ctx);
-        }
+        // Repair against the stable checkpoint this replica holds, and learn
+        // the group's latest one.
+        self.catch_up(self.ckpt.stable_digest().map(|digest| (h, digest)), ctx);
         let mut io = io!(self, ctx);
         io.multicast(&Message::FetchCert(FetchCertMsg { replica: io.id }));
         if h == 0 && self.exec.last_exec() == 0 {
@@ -368,9 +359,8 @@ impl<S: Service> Actor for Replica<S> {
                 self.advance(next, ctx);
             }
             Message::Checkpoint(c) => {
-                let mut io = io!(self, ctx);
-                let stable = self.ckpt.on_checkpoint(&mut io, view, c);
-                self.catch_up(stable, ctx);
+                let proven = self.ckpt.on_checkpoint(&mut io!(self, ctx), view, c);
+                self.catch_up(proven, ctx);
             }
             Message::ViewChange(vc) => {
                 if self.vc.on_view_change(&mut io!(self, ctx), vc) {
@@ -398,7 +388,10 @@ impl<S: Service> Actor for Replica<S> {
                 }
             }
             Message::FetchCert(m) => self.ckpt.on_fetch_cert(&mut io!(self, ctx), m),
-            Message::CertReply(m) => self.handle_cert_reply(m, ctx),
+            Message::CertReply(m) => {
+                let proven = self.ckpt.on_cert_reply(&mut io!(self, ctx), view, m);
+                self.catch_up(proven, ctx);
+            }
             Message::Status(m) => self.handle_status(m, ctx),
             // Replicas do not process replies.
             Message::Reply(_)

@@ -418,14 +418,16 @@ fn stall_bug_is_caught_by_heal_to_progress_and_minimized() {
 }
 
 /// A proactive recovery that begins while its replica is still partitioned
-/// must finish once the partition heals. Today it never does: node 3 starts
-/// recovering 1.6 ms before its partition ends, and 30 s later the recovery
-/// is still open (`recovery-duration: node 3's recovery still incomplete
-/// 30000ms after it began`). This is seed 216 of `gen_config(4, 6 s)` — the
-/// one failure in 160 unseen-seed counter runs — minimized by ddmin; the
-/// parameters are `FailureReport::minimal`'s, to the nanosecond.
+/// must finish once the partition heals. Node 3 starts recovering 1.6 ms
+/// before its partition ends and fetches checkpoint 20, which every peer
+/// has already collected on adopting 24, so the fetch's queries go
+/// unanswered. Only the idle STATUS and FETCH-CERT probes tell a fetching
+/// replica that the group moved past its target; silenced during a fetch,
+/// they left the recovery open 30 s later. With them, the CERT-REPLY for 24
+/// replaces the stale fetch. This is seed 216 of `gen_config(4, 6 s)`,
+/// minimized by ddmin; the parameters are `FailureReport::minimal`'s, to
+/// the nanosecond.
 #[test]
-#[ignore = "ROADMAP item 1: a recovery started inside a partition never completes"]
 fn recovery_started_while_partitioned_completes() {
     let mut schedule = FaultSchedule::new();
     schedule
