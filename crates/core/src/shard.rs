@@ -22,8 +22,9 @@
 //!   tooling works unmodified.
 //!
 //! With `shards = 1` every path below degenerates to the unsharded
-//! deployment *byte for byte*: shard 0 uses the untagged wire encoding,
-//! the default node layout, the default retransmission-timer token and the
+//! deployment *byte for byte*: every shard uses the one wire encoding
+//! (groups are told apart by sender), and shard 0 keeps the default node
+//! layout, the default retransmission-timer token and the
 //! same key-directory seed, so event-for-event the simulation is the one
 //! an unsharded [`crate::BaseClient`]/[`base_pbft::ClientActor`] run
 //! produces (`tests/shard_equivalence.rs` enforces this).
@@ -476,7 +477,7 @@ impl ShardedClient {
         let id = keys[0].id() as u32;
         let mut cores = Vec::with_capacity(cfgs.len());
         for (s, (cfg, k)) in cfgs.into_iter().zip(keys).enumerate() {
-            assert_eq!(cfg.shard as usize, s, "configs must be in shard order");
+            assert_eq!(cfg.node_base, s * cfg.n, "configs must be in shard order");
             assert_eq!(k.id() as u32, id, "same local client id in every shard");
             let mut core = ClientCore::new(cfg, k);
             // Shard 0 keeps the default token, so a one-shard router's
@@ -734,8 +735,8 @@ impl Actor for ShardedClient {
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
-        // Each core ignores other shards' traffic (the shard tag check),
-        // so exactly one core can claim any given reply.
+        // Each core ignores a frame from outside its group before decoding
+        // it, so only the sender's shard decodes a reply.
         for s in 0..self.cores.len() {
             if let Some(ClientEvent::Completed { result, .. }) =
                 self.cores[s].on_message(from, payload, ctx)
@@ -802,7 +803,7 @@ pub fn build_sharded_group<S: Service>(
     let (n, shards) = (cfg.n, map.shards());
     let mut groups: Vec<Deployment> = (0..shards)
         .map(|s| {
-            let scfg = cfg.clone().with_shard(s, s as usize * n, shards as usize * n);
+            let scfg = cfg.clone().with_placement(s as usize * n, shards as usize * n);
             let sseed = seed.wrapping_add(u64::from(s).wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let mut d = Deployment::new(scfg, c, sseed);
             for i in 0..n {

@@ -186,7 +186,7 @@ fn census() -> Vec<Row> {
     vec![
         (
             "`to_payload`, per send: request / reply / prepare / commit / pre-prepare(1 request)",
-            msgs.iter().map(|m| allocs_in(|| m.to_payload(0))).collect(),
+            msgs.iter().map(|m| allocs_in(|| m.to_payload())).collect(),
             Some(1),
         ),
         ("`ReplyMsg::digest()`", vec![allocs_in(|| reply.digest())], Some(0)),

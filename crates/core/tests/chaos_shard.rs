@@ -19,18 +19,20 @@ use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: std::ops::Range<u64> = 0..10;
 
+/// The mixed campaign's harness.
+fn mixed_harness() -> ShardedChaosHarness {
+    let mut h = ShardedChaosHarness::new(4, 2);
+    // Stretch the workload across the fault horizon: faults that land on
+    // an idle deployment (no outstanding requests) can never force a view
+    // change, and `write_coverage` requires the campaign to exercise one.
+    h.singles_per_router = 18;
+    h.cross_per_router = 6;
+    h
+}
+
 #[test]
 fn sharded_campaign_composes_faults_and_passes_auditor() {
-    let harness = || {
-        let mut h = ShardedChaosHarness::new(4, 2);
-        // Stretch the workload across the fault horizon: faults that land
-        // on an idle deployment (no outstanding requests) can never force a
-        // view change, and `write_coverage` requires the campaign to
-        // exercise one.
-        h.singles_per_router = 18;
-        h.cross_per_router = 6;
-        h
-    };
+    let harness = mixed_harness;
     let cfg = harness().gen_config(6, SimDuration::from_secs(8));
 
     // The generated schedules must collectively exercise the sharding
@@ -88,6 +90,28 @@ fn sharded_campaign_composes_faults_and_passes_auditor() {
         report.coverage.state_transfers_completed > 0,
         "mixed sharded campaign completed no state transfers:\n{}",
         report.coverage
+    );
+}
+
+/// Seed 2 of the mixed campaign corrupts frames from node 4, shard 1's
+/// replica 0, and the byte it flips is drawn over the whole frame. So its
+/// coverage follows the frame's length, which shrank by eight bytes when
+/// shard 1 stopped prefixing a shard envelope. Without that one event the
+/// run reads the same as it did with the envelope.
+#[test]
+fn mixed_seed_two_without_its_corruption_of_shard_one_reads_as_before() {
+    let mut h = mixed_harness();
+    let schedule = generate_schedule(&h.gen_config(6, SimDuration::from_secs(8)), 2);
+    let corrupt = schedule.events[3].to_string();
+    assert!(corrupt.ends_with("corrupt from node 4 p=0.25 for 1711ms"), "{corrupt}");
+    let (run, verdict) = run_one(&mut h, 2, &schedule.without(3));
+    verdict.expect("seed 2 without event 3 passes");
+    let c = run.coverage;
+    let heal_ms = c.heal_to_progress_ns / 1_000_000;
+    assert_eq!(
+        (c.checkpoints_stable, c.client_ops_submitted, c.client_ops_completed, heal_ms),
+        (154, 194, 194, 11_130),
+        "{c}"
     );
 }
 

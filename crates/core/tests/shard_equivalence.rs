@@ -3,9 +3,9 @@
 //! A `shards = 1` sharded deployment must be **byte-identical** to the
 //! unsharded deployment it generalizes: same replies in the same order,
 //! same client-observed latencies (virtual-time identity), same replica
-//! state roots and protocol progress. Shard 0 keeps the untagged wire
-//! encoding, the default node layout, the default key-directory seed and
-//! the default retransmission-timer token, so the two simulations must
+//! state roots and protocol progress. Every shard uses the one wire
+//! encoding, and shard 0 keeps the default node layout, the default
+//! key-directory seed and the default retransmission-timer token, so the two simulations must
 //! produce the same event schedule tick for tick — any divergence means
 //! the sharding layer leaked into the unsharded fast path.
 //!

@@ -228,7 +228,7 @@ impl ClientCore {
             self.broadcast(&req, ctx);
         } else {
             let primary = self.cfg.primary_of(self.view_guess);
-            ctx.send(self.cfg.replica_node(primary), req.to_payload(self.cfg.shard));
+            ctx.send(self.cfg.replica_node(primary), req.to_payload());
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
         // Jacobson/Karels RTO (equal to `client_timeout` until the first
@@ -269,26 +269,25 @@ impl ClientCore {
 
     fn broadcast(&self, req: &Message, ctx: &mut Context<'_>) {
         // Encode once; every replica shares the same allocation.
-        let wire = req.to_payload(self.cfg.shard);
+        let wire = req.to_payload();
         for i in 0..self.cfg.n {
             ctx.send(self.cfg.replica_node(i), wire.clone());
         }
     }
 
-    /// Processes an incoming message. Returns a completion event when the
-    /// pending operation gathers its reply quorum.
+    /// Processes an incoming message; a frame from a node that is not one
+    /// of this group's replicas is ignored before it is decoded. Returns a
+    /// completion event when the pending operation gathers its reply quorum.
     pub fn on_message(
         &mut self,
-        _from: NodeId,
+        from: NodeId,
         payload: &[u8],
         ctx: &mut Context<'_>,
     ) -> Option<ClientEvent> {
-        let Some((shard, Message::Reply(reply))) = Message::from_wire_tagged(payload) else {
+        self.cfg.replica_of(from)?;
+        let Some(Message::Reply(reply)) = Message::from_wire(payload) else {
             return None;
         };
-        if shard != self.cfg.shard {
-            return None;
-        }
         self.on_reply(reply, ctx)
     }
 

@@ -60,13 +60,6 @@ pub struct Config {
     /// already holds. Consensus-critical: all replicas must configure the
     /// same value.
     pub chunk_size: usize,
-    /// Shard (replica-group) identity. `0` — the default — is the classic
-    /// single-group deployment and keeps every message byte-identical to
-    /// the unsharded wire format; non-zero shards prefix their messages
-    /// with a shard envelope so groups sharing one simulated network never
-    /// accept each other's traffic (on top of per-shard key directories,
-    /// whose MACs would not cross-verify anyway).
-    pub shard: u32,
     /// First simulator node of this group's replica range: replica `i`
     /// lives at node `node_base + i`. Defaults to `0` (the unsharded
     /// layout). Sharded deployments place shard `s` at `s * n`.
@@ -74,7 +67,11 @@ pub struct Config {
     /// First simulator node of this group's client range: the client with
     /// protocol id `c` (`c >= n` within the group's key directory) lives at
     /// node `client_base + (c - n)`. Defaults to `n`, which reproduces the
-    /// unsharded layout where clients directly follow the replicas.
+    /// unsharded layout where clients directly follow the replicas. Groups
+    /// sharing a network put every client past every group's replicas,
+    /// and a replica drops a frame from a node below `client_base` that is
+    /// not one of its own ([`replica_of`](Self::replica_of)): the sender's
+    /// placement is what keeps the groups apart.
     pub client_base: usize,
 }
 
@@ -99,17 +96,14 @@ impl Config {
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
             chunk_size: 0,
-            shard: 0,
             node_base: 0,
             client_base: n,
         }
     }
 
-    /// Re-bases the group at `shard` with its replicas starting at
-    /// `node_base` and its clients at `client_base` (sharded deployments;
-    /// see [`shard`](Self::shard)).
-    pub fn with_shard(mut self, shard: u32, node_base: usize, client_base: usize) -> Self {
-        self.shard = shard;
+    /// Places the group's replicas at `node_base` and its clients at
+    /// `client_base` (groups sharing one network).
+    pub fn with_placement(mut self, node_base: usize, client_base: usize) -> Self {
         self.node_base = node_base;
         self.client_base = client_base;
         self
@@ -139,6 +133,13 @@ impl Config {
     /// `node_base..node_base + n`).
     pub fn replica_node(&self, i: usize) -> NodeId {
         NodeId(self.node_base + i)
+    }
+
+    /// The replica living at `node`; `None` for a node outside this
+    /// group's replica range (a client, or another group's replica).
+    pub fn replica_of(&self, node: NodeId) -> Option<usize> {
+        let i = node.0.checked_sub(self.node_base)?;
+        (i < self.n).then_some(i)
     }
 
     /// Simulator node of the client with protocol id `client` (client ids
@@ -226,8 +227,9 @@ mod tests {
     #[test]
     fn default_layout_is_the_unsharded_one() {
         let c = Config::new(4);
-        assert_eq!(c.shard, 0);
         assert_eq!(c.replica_node(2), NodeId(2));
+        assert_eq!(c.replica_of(NodeId(2)), Some(2));
+        assert_eq!(c.replica_of(NodeId(4)), None);
         assert_eq!(c.client_node(4), Some(NodeId(4)));
         assert_eq!(c.client_node(6), Some(NodeId(6)));
         assert_eq!(c.client_node(2), None, "a replica id names no client");
@@ -237,9 +239,12 @@ mod tests {
     fn sharded_layout_rebases_replicas_and_clients() {
         // Shard 1 of a 2-shard, n=4 deployment with 3 shared router
         // clients: replicas at 4..8, clients at 8..11.
-        let c = Config::new(4).with_shard(1, 4, 8);
+        let c = Config::new(4).with_placement(4, 8);
         assert_eq!(c.replica_node(0), NodeId(4));
         assert_eq!(c.replica_node(3), NodeId(7));
+        assert_eq!(c.replica_of(NodeId(7)), Some(3));
+        assert_eq!(c.replica_of(NodeId(3)), None, "shard 0's replica");
+        assert_eq!(c.replica_of(NodeId(8)), None, "a client");
         // Client protocol id 4 (first client of the group's directory)
         // lives at the first router node; id 6 at the third.
         assert_eq!(c.client_node(4), Some(NodeId(8)));

@@ -813,23 +813,16 @@ xdr_union! {
     }
 }
 
-/// Envelope discriminant for shard-tagged messages. Chosen just past the
-/// last [`Message`] variant tag, so a plain (shard-0) message can never be
-/// mistaken for an envelope and vice versa.
+/// No message carries this tag: every group sends the one encoding, and
+/// groups are told apart by sender. Tag 19 stays unassigned until a
+/// benchmark release drops the arm of `benchmark/src/trace.rs` naming it.
 pub const SHARD_ENVELOPE_TAG: u32 = 19;
 
 impl Message {
-    /// Lends `f` the wire encoding of this message as sent from `shard`,
-    /// built in the per-thread scratch buffer. The one place the shard
-    /// envelope is written: shard 0 emits the plain unsharded encoding, so
-    /// single-group deployments never pay for (or reveal) the envelope;
-    /// other shards prefix `[SHARD_ENVELOPE_TAG, shard]`.
-    fn with_wire<R>(&self, shard: u32, f: impl FnOnce(&[u8]) -> R) -> R {
+    /// Lends `f` the wire encoding of this message, built in the
+    /// per-thread scratch buffer.
+    fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         with_scratch(|enc| {
-            if shard != 0 {
-                enc.put_u32(SHARD_ENVELOPE_TAG);
-                enc.put_u32(shard);
-            }
             self.encode(enc);
             f(enc.as_bytes())
         })
@@ -837,46 +830,21 @@ impl Message {
 
     /// Encodes to the [`Payload`] the message travels in: one allocation,
     /// the `Arc<[u8]>` itself, shared by every recipient it is sent to.
-    /// This is what the senders use; [`Message::to_wire_tagged`] is the
-    /// same bytes by value.
-    pub fn to_payload(&self, shard: u32) -> Payload {
-        self.with_wire(shard, |wire| Payload::from(wire))
+    /// This is what the senders use; [`Message::to_wire`] is the same
+    /// bytes by value.
+    pub fn to_payload(&self) -> Payload {
+        self.with_wire(|wire| Payload::from(wire))
     }
 
     /// Encodes to wire bytes.
     pub fn to_wire(&self) -> Vec<u8> {
-        self.to_wire_tagged(0)
+        self.with_wire(<[u8]>::to_vec)
     }
 
     /// Decodes from wire bytes; `None` on any malformed input (Byzantine
     /// senders can produce arbitrary bytes).
     pub fn from_wire(bytes: &[u8]) -> Option<Message> {
         from_bytes(bytes).ok()
-    }
-
-    /// Encodes to wire bytes carrying the sender's shard identity; at
-    /// shard 0 byte-identical to [`Message::to_wire`].
-    pub fn to_wire_tagged(&self, shard: u32) -> Vec<u8> {
-        self.with_wire(shard, <[u8]>::to_vec)
-    }
-
-    /// Decodes wire bytes that may carry a shard envelope, returning the
-    /// sender's shard alongside the message. Plain (unprefixed) messages
-    /// decode as shard 0; the envelope's `shard` field is forbidden from
-    /// claiming 0 (shard 0 always sends plain bytes), so every encoding
-    /// has exactly one parse.
-    pub fn from_wire_tagged(bytes: &[u8]) -> Option<(u32, Message)> {
-        let mut dec = XdrDecoder::new(bytes);
-        if dec.get_u32().ok()? == SHARD_ENVELOPE_TAG {
-            let shard = dec.get_u32().ok()?;
-            if shard == 0 {
-                return None;
-            }
-            let msg = Message::decode(&mut dec).ok()?;
-            dec.finish().ok()?;
-            return Some((shard, msg));
-        }
-        Some((0, Message::from_wire(bytes)?))
     }
 
     /// Short name for tracing.
@@ -936,35 +904,6 @@ mod tests {
         let m = Message::Request(r.clone());
         let decoded = Message::from_wire(&m.to_wire()).unwrap();
         assert_eq!(decoded, m);
-    }
-
-    #[test]
-    fn shard_zero_tagged_encoding_is_plain() {
-        let m = Message::Request(sample_request(&keys()));
-        assert_eq!(m.to_wire_tagged(0), m.to_wire());
-        assert_eq!(Message::from_wire_tagged(&m.to_wire()), Some((0, m.clone())));
-    }
-
-    #[test]
-    fn shard_envelope_round_trips_and_is_unambiguous() {
-        let m = Message::Request(sample_request(&keys()));
-        let tagged = m.to_wire_tagged(3);
-        assert_ne!(tagged, m.to_wire());
-        assert_eq!(Message::from_wire_tagged(&tagged), Some((3, m.clone())));
-        // A tagged frame is not a valid plain message, and an envelope
-        // claiming shard 0 (which always sends plain bytes) is rejected,
-        // so every byte string has at most one parse.
-        assert_eq!(Message::from_wire(&tagged), None);
-        let mut forged = XdrEncoder::new();
-        forged.put_u32(SHARD_ENVELOPE_TAG);
-        forged.put_u32(0);
-        m.encode(&mut forged);
-        assert_eq!(Message::from_wire_tagged(&forged.finish()), None);
-        // Trailing bytes after the enveloped message are rejected just
-        // like the plain decoder rejects them.
-        let mut trailing = m.to_wire_tagged(3);
-        trailing.push(0);
-        assert_eq!(Message::from_wire_tagged(&trailing), None);
     }
 
     #[test]

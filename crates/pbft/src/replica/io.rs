@@ -13,9 +13,9 @@ use base_simnet::{Context, MetricsRegistry, NodeId};
 /// The replica's shared context, borrowed for one step: the simulator
 /// context, configuration, keys, cost model, id, Byzantine mode, counters,
 /// message log and service. Parts send and call the service only through
-/// it, so two rules live here once: a `Mute` replica sends nothing and
-/// every message carries the shard tag, and every service upcall sees the
-/// local clock and the node's RNG and is charged the CPU time it reports.
+/// it, so two rules live here once: a `Mute` replica sends nothing, and
+/// every service upcall sees the local clock and the node's RNG and is
+/// charged the CPU time it reports.
 pub(super) struct Io<'a, 'c> {
     pub(super) ctx: &'a mut Context<'c>,
     pub(super) cfg: &'a Config,
@@ -67,7 +67,7 @@ impl Io<'_, '_> {
 
     pub(super) fn send(&mut self, to: NodeId, msg: &Message) {
         if !self.is(ByzMode::Mute) {
-            self.ctx.send(to, msg.to_payload(self.cfg.shard));
+            self.ctx.send(to, msg.to_payload());
         }
     }
 
@@ -81,7 +81,7 @@ impl Io<'_, '_> {
         if self.is(ByzMode::Mute) {
             return;
         }
-        let wire = msg.to_payload(self.cfg.shard);
+        let wire = msg.to_payload();
         for i in (0..self.cfg.n).filter(|i| *i != self.id as usize) {
             self.ctx.send(self.cfg.replica_node(i), wire.clone());
         }

@@ -292,7 +292,7 @@ mod tests {
     }
 
     fn deliver(sim: &mut Simulation, to: NodeId, msg: Message) {
-        sim.inject(NodeId(4), to, msg.to_payload(0));
+        sim.inject(NodeId(4), to, msg.to_payload());
         sim.run_for(SimDuration::from_millis(1));
     }
 

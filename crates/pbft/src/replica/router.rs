@@ -328,18 +328,16 @@ impl<S: Service> Actor for Replica<S> {
         Recovery::arm(&mut io!(self, ctx), true);
     }
 
-    fn on_message(&mut self, _from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+    fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
         ctx.charge(self.cost.handle);
-        let Some((shard, msg)) = Message::from_wire_tagged(payload) else {
+        // Every group's clients follow every group's replicas, so a sender
+        // below `client_base` that is not one of ours is another group's
+        // replica: drop its frame before decoding it.
+        let ours = self.cfg.replica_of(from).is_some() || from.0 >= self.cfg.client_base;
+        let Some(msg) = ours.then(|| Message::from_wire(payload)).flatten() else {
             self.stats.rejected_messages += 1;
             return;
         };
-        if shard != self.cfg.shard {
-            // Another group's traffic on the shared network; its MACs would
-            // not verify here anyway, but reject it before any crypto work.
-            self.stats.rejected_messages += 1;
-            return;
-        }
         // Agreement sees only messages for the view it runs in, inside the
         // watermarks.
         let (view, active) = (self.vc.view(), self.vc.active());

@@ -526,7 +526,7 @@ fn primary_elect_holds_requests_instead_of_self_forwarding() {
             sig: Signature::default(),
         };
         vc.sig = NodeKeys::new(g.dir.clone(), from as usize).sign(&vc.signed_bytes());
-        sim.inject(g.replicas[from as usize].node, elect, Message::ViewChange(vc).to_payload(0));
+        sim.inject(g.replicas[from as usize].node, elect, Message::ViewChange(vc).to_payload());
     }
     sim.run_for(SimDuration::from_millis(5));
     let status = replica(&sim, &g, 1).status();
@@ -536,7 +536,7 @@ fn primary_elect_holds_requests_instead_of_self_forwarding() {
     for ts in 1..=3 {
         let mut req = RequestMsg::new(4, ts, false, 1, op_add(0, ts));
         req.auth = Authenticator::generate(&client, 4, &req.digest());
-        sim.inject(g.clients[0], elect, Message::Request(req).to_payload(0));
+        sim.inject(g.clients[0], elect, Message::Request(req).to_payload());
     }
     let sent = sim.stats().messages_sent;
     sim.run_for(SimDuration::from_millis(50));

@@ -313,16 +313,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The payload a sender puts on the wire is byte for byte the by-value
-    /// encoding, with and without the shard envelope, and decodes back to
-    /// the message and the shard it was sent from.
+    /// encoding, and decodes back to the message.
     #[test]
-    fn payload_is_the_tagged_wire(msg in arb_message(), shard in 1u32..64) {
-        for shard in [0, shard] {
-            let payload = msg.to_payload(shard);
-            prop_assert_eq!(&payload[..], &msg.to_wire_tagged(shard)[..]);
-            prop_assert_eq!(Message::from_wire_tagged(&payload), Some((shard, msg.clone())));
-        }
-        prop_assert_eq!(&msg.to_payload(0)[..], &msg.to_wire()[..]);
+    fn payload_is_the_wire(msg in arb_message()) {
+        let payload = msg.to_payload();
+        prop_assert_eq!(&payload[..], &msg.to_wire()[..]);
+        prop_assert_eq!(Message::from_wire(&payload), Some(msg));
     }
 
     /// The signed portion lent from the scratch buffer is the signed

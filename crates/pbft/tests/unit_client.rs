@@ -109,6 +109,24 @@ fn rig(policies: [Policy; 4]) -> Rig {
     Rig { sim, replicas, client }
 }
 
+/// The wire bytes of replica `replica`'s full reply to client 4's request
+/// `timestamp`, MAC'd under the rig's keys.
+fn full_reply(replica: u32, timestamp: u64, result: &[u8]) -> Vec<u8> {
+    let keys = NodeKeys::new(KeyDirectory::generate(5, 404), replica as usize);
+    let mut reply = ReplyMsg {
+        view: 0,
+        timestamp,
+        client: 4,
+        replica,
+        digest_only: false,
+        tentative: false,
+        result: result.to_vec(),
+        mac: base_crypto::Mac([0; 8]),
+    };
+    reply.mac = Authenticator::point(&keys, 4, &reply.digest());
+    Message::Reply(reply).to_wire()
+}
+
 fn completed(r: &Rig) -> Vec<(u64, Vec<u8>)> {
     r.sim.actor_as::<ClientActor>(r.client).unwrap().completed.clone()
 }
@@ -280,22 +298,36 @@ fn stale_timestamp_replies_are_ignored() {
         .unwrap()
         .invoke(b"second".to_vec(), false);
     r.sim.run_for(SimDuration::from_millis(5));
-    let dir = KeyDirectory::generate(5, 404);
-    for i in 0..4u32 {
-        let keys = NodeKeys::new(dir.clone(), i as usize);
-        let mut reply = ReplyMsg {
-            view: 0,
-            timestamp: 1,
-            client: 4,
-            replica: i,
-            digest_only: false,
-            tentative: false,
-            result: b"ok:first".to_vec(),
-            mac: base_crypto::Mac([0; 8]),
-        };
-        reply.mac = Authenticator::point(&keys, 4, &reply.digest());
-        r.sim.inject(r.replicas[i as usize], r.client, Message::Reply(reply).to_wire());
+    for i in 0..4 {
+        r.sim.inject(r.replicas[i], r.client, full_reply(i as u32, 1, b"ok:first"));
     }
     r.sim.run_for(SimDuration::from_millis(50));
     assert_eq!(completed(&r).len(), 1, "stale replies must not complete op 2");
+}
+
+/// Replies count only from the nodes the group's replicas live at: the
+/// same correctly MAC'd replies sent from nodes outside the group (another
+/// group's replicas on a shared network) are dropped before decoding and
+/// cost the client nothing; from the replicas' nodes they complete the op.
+#[test]
+fn replies_from_outside_the_group_are_ignored_unread() {
+    let mut r = rig([Policy::Mute; 4]);
+    r.sim
+        .actor_as_mut::<ClientActor>(r.client)
+        .unwrap()
+        .invoke(b"ping".to_vec(), false);
+    r.sim.run_for(SimDuration::from_millis(5));
+    let cpu = |r: &Rig| r.sim.stats().cpu_by[&r.client];
+    let before = cpu(&r);
+    for i in 0..4 {
+        r.sim.inject(NodeId(5 + i), r.client, full_reply(i as u32, 1, b"ok:ping"));
+    }
+    r.sim.run_for(SimDuration::from_millis(1));
+    assert!(completed(&r).is_empty(), "a reply from outside the group completed the op");
+    assert_eq!(cpu(&r), before, "a reply from outside the group was charged for");
+    for i in 0..4 {
+        r.sim.inject(r.replicas[i], r.client, full_reply(i as u32, 1, b"ok:ping"));
+    }
+    r.sim.run_for(SimDuration::from_millis(1));
+    assert_eq!(completed(&r), [(1, b"ok:ping".to_vec())]);
 }
