@@ -40,9 +40,9 @@ struct ChunkSnapshot {
 /// Result of digesting one `(index, value)` pair in a digest pass.
 struct DigestOutcome {
     digest: Digest,
-    /// Replacement snapshot for the chunk cache: `Some(Some(_))` = store,
-    /// `Some(None)` = evict (value gone or no longer multi-chunk), `None` =
-    /// leave the cache untouched (legacy mode).
+    /// Replacement snapshot for the chunk cache, holding the value itself:
+    /// `Some(Some(_))` = store, `Some(None)` = evict (value gone or no
+    /// longer multi-chunk), `None` = leave the cache untouched (legacy mode).
     snapshot: Option<Option<ChunkSnapshot>>,
     /// Bytes actually pushed through SHA-256 (chunk data plus the leaf
     /// fold input), for CPU charges in chunked mode.
@@ -52,9 +52,11 @@ struct DigestOutcome {
 }
 
 /// Digests one value, reusing cached chunk digests where the bytes match.
+/// The value moves into the outcome's snapshot when it is cached, and is
+/// dropped here when it is not.
 fn digest_one_chunked(
     idx: u64,
-    value: &Option<Vec<u8>>,
+    value: Option<Vec<u8>>,
     chunk_size: usize,
     cache: &HashMap<u64, ChunkSnapshot>,
 ) -> DigestOutcome {
@@ -62,7 +64,7 @@ fn digest_one_chunked(
         // Legacy whole-object digests: byte-identical to the pre-chunking
         // behaviour, cache untouched.
         let (digest, hashed) = match value {
-            Some(v) => (leaf_digest(idx, v), v.len() as u64),
+            Some(v) => (leaf_digest(idx, &v), v.len() as u64),
             None => (Digest::ZERO, 0),
         };
         return DigestOutcome {
@@ -107,7 +109,7 @@ fn digest_one_chunked(
     let digest = chunked_leaf_from_digests(idx, v.len() as u64, &digests);
     hashed_bytes += digests.len() as u64 * 32 + 28; // the leaf fold input
     let snapshot = if digests.len() >= 2 {
-        Some(Some(ChunkSnapshot { value: v.clone(), digests }))
+        Some(Some(ChunkSnapshot { value: v, digests }))
     } else {
         Some(None)
     };
@@ -185,67 +187,73 @@ impl<W: Wrapper> BaseService<W> {
         &mut self.wrapper
     }
 
-    /// Runs one digest pass over `values` on the calling thread, applying
-    /// the chunk-cache updates and chunk-reuse stats in the order given.
-    fn digest_pass(&mut self, values: &[(u64, Option<Vec<u8>>)]) -> Vec<DigestOutcome> {
-        let outcomes: Vec<DigestOutcome> = values
-            .iter()
-            .map(|(idx, value)| digest_one_chunked(*idx, value, self.chunk_size, &self.chunk_cache))
-            .collect();
-        if self.chunk_size > 0 {
-            let (mut reused, mut rehashed) = (0u64, 0u64);
-            for ((idx, _), outcome) in values.iter().zip(&outcomes) {
-                reused += outcome.chunks_reused;
-                rehashed += outcome.chunks_rehashed;
-                match &outcome.snapshot {
-                    Some(Some(snap)) => {
-                        self.chunk_cache.insert(*idx, snap.clone());
-                    }
-                    Some(None) => {
-                        self.chunk_cache.remove(idx);
-                    }
-                    None => {}
-                }
+    /// Digests one object's value within a pass and lets go of it: a
+    /// multi-chunk value moves into the chunk cache, any other is dropped.
+    /// Adds the object's chunk reuse to `reuse`, which the pass reports once
+    /// through [`BaseService::report_reuse`]. Returns the leaf digest and
+    /// the bytes pushed through SHA-256.
+    fn digest_object(
+        &mut self,
+        idx: u64,
+        value: Option<Vec<u8>>,
+        reuse: &mut (u64, u64),
+    ) -> (Digest, u64) {
+        let outcome = digest_one_chunked(idx, value, self.chunk_size, &self.chunk_cache);
+        reuse.0 += outcome.chunks_reused;
+        reuse.1 += outcome.chunks_rehashed;
+        match outcome.snapshot {
+            Some(Some(snap)) => {
+                self.chunk_cache.insert(idx, snap);
             }
+            Some(None) => {
+                self.chunk_cache.remove(&idx);
+            }
+            None => {}
+        }
+        (outcome.digest, outcome.hashed_bytes)
+    }
+
+    /// Adds one pass's `(reused, rehashed)` chunk counts to the metrics
+    /// (chunked digesting only).
+    fn report_reuse(&mut self, (reused, rehashed): (u64, u64)) {
+        if self.chunk_size > 0 {
             self.metrics.add("base.chunks_reused", reused);
             self.metrics.add("base.chunks_rehashed", rehashed);
         }
-        outcomes
     }
 
     /// Reads the abstract value of every object in `indices` (one `get_obj`
-    /// each, on the calling thread), digests them and applies them to the
-    /// tree as one batch. `count_digested` selects whether the pass counts
-    /// toward `stats.objects_digested` (checkpoint flushes do; warm-reboot
-    /// rescans historically have not).
+    /// each, on the calling thread), digesting and dropping each before
+    /// the next is read, and applies the digests to the tree as one batch.
+    /// `count_digested` selects whether the pass counts toward
+    /// `stats.objects_digested` (checkpoint flushes do; warm-reboot rescans
+    /// historically have not).
     fn digest_into_tree(
         &mut self,
         indices: impl Iterator<Item = u64>,
         count_digested: bool,
         env: &mut ExecEnv<'_>,
     ) {
-        let values: Vec<(u64, Option<Vec<u8>>)> =
-            indices.map(|idx| (idx, self.wrapper.get_obj(idx))).collect();
-        let outcomes = self.digest_pass(&values);
-        let mut updates = Vec::with_capacity(values.len());
-        for ((idx, value), outcome) in values.iter().zip(&outcomes) {
+        let mut updates = Vec::with_capacity(indices.size_hint().0);
+        let mut reuse = (0, 0);
+        for idx in indices {
+            let value = self.wrapper.get_obj(idx);
+            let present = value.is_some();
+            let (digest, hashed) = self.digest_object(idx, value, &mut reuse);
             if count_digested {
                 self.stats.objects_digested += 1;
             }
-            if self.chunk_size == 0 {
-                // Legacy charge: the whole object's bytes (byte-identical
-                // to the pre-chunking behaviour).
-                if let Some(v) = value {
-                    env.charge(self.cost.digest(v.len()));
-                }
-            } else if value.is_some() {
-                // Chunked charge: only the bytes actually hashed — reused
-                // chunks cost a memcmp, which the digest cost model treats
+            if present {
+                // The bytes hashed: the whole object in legacy mode
+                // (byte-identical to the pre-chunking behaviour); in
+                // chunked mode only the chunks that changed, since a reused
+                // chunk costs a memcmp, which the digest cost model treats
                 // as free next to SHA-256.
-                env.charge(self.cost.digest(outcome.hashed_bytes as usize));
+                env.charge(self.cost.digest(hashed as usize));
             }
-            updates.push((*idx, outcome.digest));
+            updates.push((idx, digest));
         }
+        self.report_reuse(reuse);
         let batch = self.tree.set_leaves(updates);
         self.stats.node_hashes += batch.internal_hashes;
         self.metrics.add("base.tree_node_hashes", batch.internal_hashes);
@@ -386,10 +394,13 @@ impl<W: Wrapper> Service for BaseService<W> {
     ) {
         self.metrics.add("base.objects_installed", objs.len() as u64);
         self.wrapper.put_objs(&objs, env);
-        let outcomes = self.digest_pass(&objs);
-        let batch = self
-            .tree
-            .set_leaves(objs.iter().map(|(idx, _)| *idx).zip(outcomes.iter().map(|o| o.digest)));
+        let mut reuse = (0, 0);
+        let leaves: Vec<(u64, Digest)> = objs
+            .into_iter()
+            .map(|(idx, value)| (idx, self.digest_object(idx, value, &mut reuse).0))
+            .collect();
+        self.report_reuse(reuse);
+        let batch = self.tree.set_leaves(leaves);
         self.stats.node_hashes += batch.internal_hashes;
         self.metrics.add("base.tree_node_hashes", batch.internal_hashes);
         debug_assert_eq!(

@@ -44,7 +44,7 @@ use base_crypto::{KeyDirectory, NodeKeys};
 use base_pbft::client::TOKEN_CLIENT_RETRANS;
 use base_pbft::testing::COUNTER_REGS;
 use base_pbft::{ClientCore, ClientEvent, Config, Deployment, ExecEnv, PartitionTree, Service};
-use base_simnet::{Actor, Context, NodeId, SimDuration, Simulation};
+use base_simnet::{Actor, Context, NodeId, Payload, SimDuration, Simulation};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timer token for the [`ShardedClient`] pump (same value as the
@@ -735,11 +735,15 @@ impl Actor for ShardedClient {
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+        self.on_payload(from, &Payload::from(payload), ctx);
+    }
+
+    fn on_payload(&mut self, from: NodeId, payload: &Payload, ctx: &mut Context<'_>) {
         // Each core ignores a frame from outside its group before decoding
         // it, so only the sender's shard decodes a reply.
         for s in 0..self.cores.len() {
             if let Some(ClientEvent::Completed { result, .. }) =
-                self.cores[s].on_message(from, payload, ctx)
+                self.cores[s].on_payload(from, payload, ctx)
             {
                 self.on_completion(s, result, ctx);
                 return;

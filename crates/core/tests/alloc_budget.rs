@@ -4,7 +4,9 @@
 //! normal-case path allocates once per message sent and nothing per
 //! digest, and an authenticator of a four-replica group lives
 //! in place, so building one and decoding a prepare or commit allocate
-//! nothing (§11.6). This test holds that in place with a counting
+//! nothing (§11.6); a receiver decodes the frame it was handed, so a
+//! request or a reply decodes without allocating either (§11.7). This test
+//! holds that in place with a counting
 //! allocator: it drives a four-replica `KvWrapper` group and one client
 //! through 256 writes and 256 read-only gets and asserts a ceiling on the
 //! allocations each costs, end to end (the four replicas, the client and
@@ -26,7 +28,7 @@ use base::{BaseClient, BaseService, Config};
 use base_crypto::{Authenticator, Digest, KeyDirectory, Mac, NodeKeys};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
 use base_pbft::{Deployment, Message};
-use base_simnet::{NodeId, Simulation};
+use base_simnet::{NodeId, Payload, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -78,12 +80,13 @@ fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
     LARGEST.load(Relaxed)
 }
 
-/// Ceilings per operation, end to end: measured 68.73 and 24.00 (141.73
-/// and 33.00 before authenticators went inline and the conflict partition
-/// left the execute path, DESIGN.md §11.6; 157.11 and 44.67 before the
-/// per-message containers went dense, §11.4).
-const WRITE_CEILING: f64 = 76.0;
-const READ_CEILING: f64 = 27.0;
+/// Ceilings per operation, end to end: measured 57.25 and 16.29 (68.73
+/// and 24.00 before a receiver borrowed the frame it was handed, DESIGN.md
+/// §11.7; 141.73 and 33.00 before authenticators went inline and the
+/// conflict partition left the execute path, §11.6; 157.11 and 44.67
+/// before the per-message containers went dense, §11.4).
+const WRITE_CEILING: f64 = 63.0;
+const READ_CEILING: f64 = 18.0;
 const OPS: usize = 256;
 const SEED: u64 = 18;
 /// Length of the hostile frame.
@@ -142,8 +145,9 @@ type Row = (&'static str, Vec<u64>, Option<u64>);
 /// Per-message operations, counted one call at a time on messages shaped
 /// like the ones a 16-byte `put` produces. Pinned is what this budget
 /// exists to keep: one allocation per message sent (the `Arc<[u8]>` it
-/// travels in), none per digest, and none to build an authenticator or to
-/// decode the two messages that carry nothing else of variable size.
+/// travels in), none per digest, none to build an authenticator, and none
+/// to decode a received frame but a pre-prepare's `Vec` of requests: every
+/// variable-length field of the normal case is a range of its frame.
 fn census() -> Vec<Row> {
     let dir = KeyDirectory::generate(5, SEED);
     let client = NodeKeys::new(dir.clone(), 4);
@@ -157,7 +161,7 @@ fn census() -> Vec<Row> {
         replica: 1,
         digest_only: true,
         tentative: false,
-        result: Digest::of(b"ok").0.to_vec(),
+        result: Digest::of(b"ok").0.to_vec().into(),
         mac: Mac([0; 8]),
     };
     let mut pp = PrePrepareMsg::new(0, 1, vec![request.clone()], 7u64.to_be_bytes().to_vec());
@@ -173,9 +177,9 @@ fn census() -> Vec<Row> {
         Message::Commit(commit.clone()),
         Message::PrePrepare(pp.clone()),
     ];
-    let wires: Vec<Vec<u8>> = msgs.iter().map(Message::to_wire).collect();
-    // A fresh decode: nothing memoized, as at a receiver.
-    let fresh = |i: usize| Message::from_wire(&wires[i]).expect("round trip");
+    let frames: Vec<Payload> = msgs.iter().map(Message::to_payload).collect();
+    // A fresh decode of the frame a receiver is handed: nothing memoized.
+    let fresh = |i: usize| Message::from_payload(&frames[i]).expect("round trip");
     let Message::Request(fresh_request) = fresh(0) else { unreachable!() };
     let Message::PrePrepare(fresh_pp) = fresh(4) else { unreachable!() };
     let Message::PrePrepare(warm_pp) = fresh(4) else { unreachable!() };
@@ -206,9 +210,19 @@ fn census() -> Vec<Row> {
             Some(0),
         ),
         (
-            "decode: request / reply / pre-prepare(1 request)",
-            [0, 1, 4].into_iter().map(|i| allocs_in(|| fresh(i))).collect(),
-            None,
+            "decode: request / reply (the operation and the result are ranges of the frame)",
+            [0, 1].into_iter().map(|i| allocs_in(|| fresh(i))).collect(),
+            Some(0),
+        ),
+        (
+            "decode: pre-prepare(1 request), its `Vec<RequestMsg>`",
+            vec![allocs_in(|| fresh(4))],
+            Some(1),
+        ),
+        (
+            "decode: three backups, one pre-prepare frame, nothing but each one's `Vec<RequestMsg>`",
+            three_backups_decode_one_frame(&msgs[4].to_payload()),
+            Some(1),
         ),
         (
             "decode: prepare / commit",
@@ -221,6 +235,29 @@ fn census() -> Vec<Row> {
             Some(0),
         ),
     ]
+}
+
+/// Three backups handed one pre-prepare frame decode it, and every
+/// variable-length field they keep is a range of that one allocation:
+/// each handle is the frame itself (`Payload::ptr_eq`), and the frame's
+/// count rises by the fields the decoded messages hold, then falls back to
+/// the caller's own handle once they are gone. Returns each decode's
+/// allocations.
+fn three_backups_decode_one_frame(frame: &Payload) -> Vec<u64> {
+    let handed: Vec<Payload> = (0..3).map(|_| frame.clone()).collect();
+    assert!(handed.iter().all(|h| Payload::ptr_eq(h, frame)));
+    let mut decoded = Vec::with_capacity(handed.len());
+    let counts = handed
+        .iter()
+        .map(|h| allocs_in(|| decoded.push(Message::from_payload(h).expect("round trip"))))
+        .collect();
+    drop(handed);
+    // The one request's operation and the eight bytes of `nondet`.
+    let held_each = 2;
+    assert_eq!(Payload::ref_count(frame), 1 + 3 * held_each, "the decoded fields hold the frame");
+    drop(decoded);
+    assert_eq!(Payload::ref_count(frame), 1, "nothing else held it");
+    counts
 }
 
 /// A 64 KiB frame of zeros that claims to be a `NewView` carrying 16 380
@@ -263,8 +300,8 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
     // a constant factor of the frame (160 bytes an element in memory for
     // 100 on the wire, times `Vec`'s doubling), printed and not pinned.
     let largest_rejecting = |stable_proof| {
-        let frame = hostile_new_view(stable_proof);
-        largest_alloc_in(|| assert!(Message::from_wire(&frame).is_none()))
+        let frame = Payload::from(hostile_new_view(stable_proof));
+        largest_alloc_in(|| assert!(Message::from_payload(&frame).is_none()))
     };
     let (reserved, arrived) = (largest_rejecting(u32::MAX), largest_rejecting(0));
     // An authenticator frame claiming `u32::MAX` tags, and one claiming a

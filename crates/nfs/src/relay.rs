@@ -18,7 +18,7 @@ use crate::server::NfsServer;
 use crate::wrapper::NfsWrapper;
 use base::{ModifyLog, Wrapper};
 use base_pbft::{ClientCore, ClientEvent, Config, ExecEnv};
-use base_simnet::{Actor, Context, NodeId, SimDuration, SimTime};
+use base_simnet::{Actor, Context, NodeId, Payload, SimDuration, SimTime};
 
 /// A workload generator: a stream of NFS operations where each next
 /// operation may depend on the previous reply (e.g. a `create` feeding the
@@ -117,7 +117,11 @@ impl<D: NfsDriver> Actor for RelayActor<D> {
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
-        if let Some(ClientEvent::Completed { result, .. }) = self.core.on_message(from, payload, ctx)
+        self.on_payload(from, &Payload::from(payload), ctx);
+    }
+
+    fn on_payload(&mut self, from: NodeId, payload: &Payload, ctx: &mut Context<'_>) {
+        if let Some(ClientEvent::Completed { result, .. }) = self.core.on_payload(from, payload, ctx)
         {
             let op = self.inflight.take().expect("completion implies an inflight op");
             let reply = NfsReply::from_bytes(&result)

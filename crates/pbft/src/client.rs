@@ -6,8 +6,10 @@ use crate::cost::CostModel;
 use crate::messages::{Message, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, NodeKeys};
 use base_simnet::{
-    Actor, Context, MetricsRegistry, NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId,
+    Actor, Context, MetricsRegistry, NodeId, Payload, ProtocolEvent, RttEstimator, SimDuration,
+    TimerId,
 };
+use base_xdr::SharedBytes;
 use std::collections::VecDeque;
 
 /// Timer token used by the embedded client core (high bit set so embedding
@@ -23,22 +25,26 @@ pub enum ClientEvent {
     Completed {
         /// Request timestamp (invocation id).
         timestamp: u64,
-        /// Agreed result (matched by a quorum of replies).
+        /// Agreed result (matched by a quorum of replies), copied out of
+        /// the reply frame that carried it: a completed result is kept for
+        /// the rest of a run, a frame only until its operation completes.
         result: Vec<u8>,
     },
 }
 
-/// One result the replies for the pending operation vouch for.
+/// One result the replies for the pending operation vouch for. Both byte
+/// strings may be ranges of the reply frames they came in, which the
+/// entry holds until it is forgotten or its operation completes.
 #[derive(Debug)]
 struct Vouched {
     /// The result's digest as replies carry it. A digest reply's is whatever
     /// bytes it holds: not 32 of them, it matches no body and only ever
     /// counts as a conflict.
-    digest: Vec<u8>,
+    digest: SharedBytes,
     /// Bit `r`: replica `r`'s latest reply carries `digest`.
     voters: u64,
     /// The result itself, once a full reply has supplied it.
-    body: Option<Vec<u8>>,
+    body: Option<SharedBytes>,
 }
 
 /// Replies gathered for the pending operation (digest and full replies both
@@ -57,7 +63,7 @@ struct ReplyTally {
 
 impl ReplyTally {
     /// Counts `replica`'s reply; returns the entry it now vouches for.
-    fn record(&mut self, replica: u32, digest_only: bool, result: Vec<u8>) -> usize {
+    fn record(&mut self, replica: u32, digest_only: bool, result: SharedBytes) -> usize {
         let sha;
         let digest: &[u8] = if digest_only {
             &result
@@ -67,13 +73,14 @@ impl ReplyTally {
         };
         let bit = 1u64 << replica;
         self.entries.retain_mut(|e| {
-            e.digest == digest || {
+            *e.digest == *digest || {
                 e.voters &= !bit;
                 e.voters != 0
             }
         });
-        let at = self.entries.iter().position(|e| e.digest == digest).unwrap_or_else(|| {
-            self.entries.push(Vouched { digest: digest.to_vec(), voters: 0, body: None });
+        let at = self.entries.iter().position(|e| *e.digest == *digest).unwrap_or_else(|| {
+            let digest = if digest_only { result.clone() } else { digest.to_vec().into() };
+            self.entries.push(Vouched { digest, voters: 0, body: None });
             self.entries.len() - 1
         });
         let entry = &mut self.entries[at];
@@ -275,17 +282,17 @@ impl ClientCore {
         }
     }
 
-    /// Processes an incoming message; a frame from a node that is not one
+    /// Processes an incoming frame; a frame from a node that is not one
     /// of this group's replicas is ignored before it is decoded. Returns a
     /// completion event when the pending operation gathers its reply quorum.
-    pub fn on_message(
+    pub fn on_payload(
         &mut self,
         from: NodeId,
-        payload: &[u8],
+        payload: &Payload,
         ctx: &mut Context<'_>,
     ) -> Option<ClientEvent> {
         self.cfg.replica_of(from)?;
-        let Some(Message::Reply(reply)) = Message::from_wire(payload) else {
+        let Some(Message::Reply(reply)) = Message::from_payload(payload) else {
             return None;
         };
         self.on_reply(reply, ctx)
@@ -330,7 +337,7 @@ impl ClientCore {
 
         // Quorum reached with a matching full result: complete.
         let mut done = self.pending.take().expect("checked above");
-        let result = done.replies.entries.swap_remove(at).body.expect("checked above");
+        let result = done.replies.entries.swap_remove(at).body.expect("checked above").into_vec();
         if let Some(t) = done.timer {
             ctx.cancel_timer(t);
         }
@@ -478,8 +485,12 @@ impl Actor for ClientActor {
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+        self.on_payload(from, &Payload::from(payload), ctx);
+    }
+
+    fn on_payload(&mut self, from: NodeId, payload: &Payload, ctx: &mut Context<'_>) {
         if let Some(ClientEvent::Completed { timestamp, result }) =
-            self.core.on_message(from, payload, ctx)
+            self.core.on_payload(from, payload, ctx)
         {
             self.completed.push((timestamp, result));
         }
@@ -534,9 +545,10 @@ mod tests {
     }
 
     fn read(tally: &mut ReplyTally, replica: u32, digest_only: bool, result: Vec<u8>) -> Reading {
-        let at = tally.record(replica, digest_only, result);
+        let at = tally.record(replica, digest_only, result.into());
         let e = &tally.entries[at];
-        (e.voters.count_ones() as usize, e.body.clone(), tally.entries.len())
+        let body = e.body.clone().map(SharedBytes::into_vec);
+        (e.voters.count_ones() as usize, body, tally.entries.len())
     }
 
     /// One of a few results a replica may answer with: a body, or digest
@@ -618,13 +630,14 @@ mod tests {
                 prop_assert!(body.is_none() || body == was_body);
                 prop_assert!(tally.entries.len() <= N as usize);
                 for r in 0..N {
-                    let standing: Vec<&Vec<u8>> = tally
+                    let standing: Vec<&[u8]> = tally
                         .entries
                         .iter()
                         .filter(|e| e.voters >> r & 1 == 1)
-                        .map(|e| &e.digest)
+                        .map(|e| &*e.digest)
                         .collect();
-                    prop_assert_eq!(standing, latest.get(&r).into_iter().collect::<Vec<_>>());
+                    let want: Vec<&[u8]> = latest.get(&r).map(Vec::as_slice).into_iter().collect();
+                    prop_assert_eq!(standing, want);
                 }
                 prop_assert!(tally.entries.iter().all(|e| e.voters != 0));
             }

@@ -14,11 +14,18 @@
 //! [`xdr_union!`] (explicit tag, then the variant). What stays written out
 //! is each `encode_signed`: a signed portion is a cryptographic commitment
 //! with its own tag, field subset and order, not the wire layout.
+//!
+//! A receiver decodes the frame it was handed ([`Message::from_payload`]):
+//! the variable-length fields of the normal case — a request's operation,
+//! a pre-prepare's non-deterministic choices and a reply's result — are
+//! [`SharedBytes`], ranges of that frame rather than copies of it
+//! (DESIGN.md §11.7).
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_simnet::Payload;
 use base_xdr::{
-    from_bytes, xdr_struct, xdr_union, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError,
+    from_frame, xdr_struct, xdr_union, SharedBytes, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder,
+    XdrError,
 };
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -163,7 +170,7 @@ xdr_struct! {
         /// with a digest (the BFT library's reply optimization).
         pub full_replier: u32,
         /// Opaque operation bytes, interpreted by the service.
-        op: Vec<u8>,
+        op: SharedBytes,
         /// MAC vector over the request digest, one entry per replica.
         pub auth: Authenticator,
         /// Memoized digest of the signed portion.
@@ -179,7 +186,7 @@ impl RequestMsg {
             timestamp,
             read_only,
             full_replier,
-            op,
+            op: op.into(),
             auth: Authenticator::default(),
             digest_cache: DigestCache::default(),
         }
@@ -245,7 +252,7 @@ xdr_struct! {
         /// state it reflects.
         pub tentative: bool,
         /// Execution result, or its digest when `digest_only`.
-        pub result: Vec<u8>,
+        pub result: SharedBytes,
         /// Point MAC to the client.
         pub mac: Mac,
     }
@@ -287,7 +294,7 @@ xdr_struct! {
         requests: Vec<RequestMsg>,
         /// Non-deterministic values chosen by the primary for this batch
         /// (e.g. the agreed timestamp for NFS mtimes).
-        nondet: Vec<u8>,
+        nondet: SharedBytes,
         /// MAC vector from the primary over [`PrePrepareMsg::digest`].
         pub auth: Authenticator,
         /// Memoized batch digest.
@@ -302,7 +309,7 @@ impl PrePrepareMsg {
             view,
             seq,
             requests,
-            nondet,
+            nondet: nondet.into(),
             auth: Authenticator::default(),
             batch_cache: DigestCache::default(),
         }
@@ -841,10 +848,19 @@ impl Message {
         self.with_wire(<[u8]>::to_vec)
     }
 
-    /// Decodes from wire bytes; `None` on any malformed input (Byzantine
-    /// senders can produce arbitrary bytes).
+    /// Decodes the frame a receiver was handed; `None` on any malformed
+    /// input (Byzantine senders can produce arbitrary bytes). The
+    /// [`SharedBytes`] fields are ranges of `payload`, so the message
+    /// keeps the frame alive for as long as it or one of those fields
+    /// lives (DESIGN.md §11.7).
+    pub fn from_payload(payload: &Payload) -> Option<Message> {
+        from_frame(payload.frame()).ok()
+    }
+
+    /// Decodes from wire bytes: copies them into one frame and decodes
+    /// that, so there is one decode path and never a copy per field.
     pub fn from_wire(bytes: &[u8]) -> Option<Message> {
-        from_bytes(bytes).ok()
+        Self::from_payload(&Payload::from(bytes))
     }
 
     /// Short name for tracing.
@@ -891,6 +907,11 @@ mod tests {
         r
     }
 
+    /// Decodes `bytes` as a receiver does, out of the frame they came in.
+    fn decode(bytes: &[u8]) -> Option<Message> {
+        Message::from_payload(&Payload::from(bytes))
+    }
+
     /// A golden wire vector: fails naming the kind whose bytes moved, with
     /// the row to paste if the move was intended.
     fn assert_golden(kind: &str, wire: &[u8], len: usize, sha: &str) {
@@ -902,7 +923,7 @@ mod tests {
     fn request_round_trip() {
         let r = sample_request(&keys());
         let m = Message::Request(r.clone());
-        let decoded = Message::from_wire(&m.to_wire()).unwrap();
+        let decoded = decode(&m.to_wire()).unwrap();
         assert_eq!(decoded, m);
     }
 
@@ -997,7 +1018,7 @@ mod tests {
                     replica: 0,
                     digest_only: false,
                     tentative: true,
-                    result: b"res".to_vec(),
+                    result: b"res".to_vec().into(),
                     mac: Authenticator::point(&k, 4, &Digest::of(b"r")),
                 }),
                 52,
@@ -1109,7 +1130,7 @@ mod tests {
         ];
         for (m, len, sha) in msgs {
             let wire = m.to_wire();
-            let decoded = Message::from_wire(&wire).unwrap_or_else(|| panic!("{}", m.kind()));
+            let decoded = decode(&wire).unwrap_or_else(|| panic!("{}", m.kind()));
             assert_eq!(decoded, m, "{}", m.kind());
             assert_golden(m.kind(), &wire, len, sha);
         }
@@ -1117,11 +1138,11 @@ mod tests {
 
     #[test]
     fn malformed_wire_bytes_are_rejected() {
-        assert!(Message::from_wire(&[]).is_none());
-        assert!(Message::from_wire(&[0, 0, 0, 99]).is_none());
+        assert!(decode(&[]).is_none());
+        assert!(decode(&[0, 0, 0, 99]).is_none());
         let mut good = Message::FetchCert(FetchCertMsg { replica: 1 }).to_wire();
         good.push(0);
-        assert!(Message::from_wire(&good).is_none(), "trailing bytes must be rejected");
+        assert!(decode(&good).is_none(), "trailing bytes must be rejected");
     }
 
     #[test]

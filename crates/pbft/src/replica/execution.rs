@@ -189,8 +189,9 @@ fn send_reply(io: &mut Io<'_, '_>, view: u64, req: &RequestMsg, result: &[u8], t
         (true, Digest::of(&result).0.to_vec())
     };
     let (replica, mac) = (io.id, base_crypto::Mac([0; 8]));
+    let result = payload.into();
     let mut reply =
-        ReplyMsg { view, timestamp, client, replica, digest_only, tentative, result: payload, mac };
+        ReplyMsg { view, timestamp, client, replica, digest_only, tentative, result, mac };
     io.ctx.charge(io.cost.mac + io.cost.digest(reply.result.len()));
     reply.mac = Authenticator::point(io.keys, client as usize, &reply.digest());
     io.ctx.emit(view, 0, ProtocolEvent::ReplySent { client: u64::from(client), ts: timestamp });

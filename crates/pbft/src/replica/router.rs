@@ -12,7 +12,7 @@ use crate::messages::{FetchCertMsg, Message, NewViewMsg, RequestMsg, StatusMsg};
 use crate::service::Service;
 use crate::transfer::FetchResult;
 use base_crypto::Digest;
-use base_simnet::{Actor, Context, NodeId};
+use base_simnet::{Actor, Context, NodeId, Payload};
 
 /// Timer token of the retransmission tick.
 const TOKEN_TICK: u64 = 1;
@@ -329,12 +329,16 @@ impl<S: Service> Actor for Replica<S> {
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+        self.on_payload(from, &Payload::from(payload), ctx);
+    }
+
+    fn on_payload(&mut self, from: NodeId, payload: &Payload, ctx: &mut Context<'_>) {
         ctx.charge(self.cost.handle);
         // Every group's clients follow every group's replicas, so a sender
         // below `client_base` that is not one of ours is another group's
         // replica: drop its frame before decoding it.
         let ours = self.cfg.replica_of(from).is_some() || from.0 >= self.cfg.client_base;
-        let Some(msg) = ours.then(|| Message::from_wire(payload)).flatten() else {
+        let Some(msg) = ours.then(|| Message::from_payload(payload)).flatten() else {
             self.stats.rejected_messages += 1;
             return;
         };

@@ -20,20 +20,71 @@
 //!   `H("node" || level || c_0 || ... || c_b)`, with a precomputed default
 //!   for all-absent subtrees.
 
-use base_crypto::Digest;
-use base_xdr::XdrEncoder;
+use base_crypto::{Digest, Sha256};
+use base_xdr::padded_len;
 use std::sync::Arc;
+
+/// One SHA-256 state fed an XDR encoding piece by piece: the digest of the
+/// bytes an `XdrEncoder` would build from the same calls, without building
+/// them, so a value is hashed where it lies instead of being copied into an
+/// encoder first.
+struct XdrHasher(Sha256);
+
+impl XdrHasher {
+    /// Starts with a tag, an XDR string.
+    fn tagged(tag: &str) -> Self {
+        XdrHasher(Sha256::new()).opaque(tag.as_bytes())
+    }
+
+    fn u32(mut self, v: u32) -> Self {
+        self.0.update(&v.to_be_bytes());
+        self
+    }
+
+    fn u64(mut self, v: u64) -> Self {
+        self.0.update(&v.to_be_bytes());
+        self
+    }
+
+    /// Fixed-length opaque data: the bytes, zero-padded to four.
+    fn fixed(mut self, data: &[u8]) -> Self {
+        self.0.update(data);
+        self.0.update(&[0; 3][..padded_len(data.len()) - data.len()]);
+        self
+    }
+
+    /// Variable-length opaque data: its length word, then as `fixed`.
+    fn opaque(self, data: &[u8]) -> Self {
+        let len = u32::try_from(data.len()).expect("opaque data longer than u32::MAX");
+        self.u32(len).fixed(data)
+    }
+
+    /// The fixed-length digests, one after the other. They are staged on
+    /// the stack eight at a time, so that SHA-256 compresses runs of whole
+    /// blocks instead of being fed 32 bytes a call.
+    fn digests(mut self, digests: &[Digest]) -> Self {
+        const RUN: usize = 8;
+        let mut staged = [0u8; RUN * 32];
+        for run in digests.chunks(RUN) {
+            for (slot, d) in staged.chunks_exact_mut(32).zip(run) {
+                slot.copy_from_slice(&d.0);
+            }
+            self.0.update(&staged[..run.len() * 32]);
+        }
+        self
+    }
+
+    fn finish(self) -> Digest {
+        Digest(self.0.finalize())
+    }
+}
 
 /// Digest of abstract object `index` with encoding `value`.
 ///
 /// Binding the index prevents a Byzantine replica from serving object `j`'s
 /// valid value in response to a fetch of object `i`.
 pub fn leaf_digest(index: u64, value: &[u8]) -> Digest {
-    let mut enc = XdrEncoder::with_capacity(value.len() + 24);
-    enc.put_string("leaf");
-    enc.put_u64(index);
-    enc.put_opaque(value);
-    Digest::of(enc.as_bytes())
+    XdrHasher::tagged("leaf").u64(index).opaque(value).finish()
 }
 
 /// Number of fixed-size chunks a value of `len` bytes splits into under
@@ -52,12 +103,7 @@ pub fn chunk_count(len: usize, chunk_size: usize) -> usize {
 /// Binding both indices prevents a Byzantine replica from answering a
 /// fetch of one chunk with another chunk's (individually valid) bytes.
 pub fn chunk_digest(index: u64, chunk: u32, data: &[u8]) -> Digest {
-    let mut enc = XdrEncoder::with_capacity(data.len() + 28);
-    enc.put_string("chnk");
-    enc.put_u64(index);
-    enc.put_u32(chunk);
-    enc.put_opaque(data);
-    Digest::of(enc.as_bytes())
+    XdrHasher::tagged("chnk").u64(index).u32(chunk).opaque(data).finish()
 }
 
 /// Folds a value's per-chunk digests (plus its exact length) into the leaf
@@ -67,14 +113,7 @@ pub fn chunk_digest(index: u64, chunk: u32, data: &[u8]) -> Digest {
 /// prefix of another's cannot collide, and so state transfer can trust the
 /// length carried by a verified chunk list.
 pub fn chunked_leaf_from_digests(index: u64, len: u64, digests: &[Digest]) -> Digest {
-    let mut enc = XdrEncoder::with_capacity(digests.len() * 32 + 28);
-    enc.put_string("cleaf");
-    enc.put_u64(index);
-    enc.put_u64(len);
-    for d in digests {
-        enc.put_opaque_fixed(&d.0);
-    }
-    Digest::of(enc.as_bytes())
+    XdrHasher::tagged("cleaf").u64(index).u64(len).digests(digests).finish()
 }
 
 /// The per-chunk digests of `value` under `chunk_size` (empty for an empty
@@ -102,13 +141,7 @@ pub fn chunked_leaf_digest(index: u64, value: &[u8], chunk_size: usize) -> Diges
 }
 
 fn node_digest(level: u32, children: &[Digest]) -> Digest {
-    let mut enc = XdrEncoder::with_capacity(children.len() * 32 + 16);
-    enc.put_string("node");
-    enc.put_u32(level);
-    for c in children {
-        enc.put_opaque_fixed(&c.0);
-    }
-    Digest::of(enc.as_bytes())
+    XdrHasher::tagged("node").u32(level).digests(children).finish()
 }
 
 #[derive(Debug)]
@@ -548,6 +581,50 @@ mod tests {
         assert_eq!(t.root_digest(), Digest::ZERO);
         t.set_leaf(0, leaf_digest(0, b"only"));
         assert_eq!(t.root_digest(), leaf_digest(0, b"only"));
+    }
+
+    proptest::proptest! {
+        /// Hashing in place is hashing the encoder-built input: each digest
+        /// is SHA-256 of the bytes an `XdrEncoder` builds for it.
+        #[test]
+        fn in_place_digests_hash_the_encoded_input(
+            index: u64,
+            chunk: u32,
+            level: u32,
+            value in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            seeds in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20),
+        ) {
+            use base_xdr::XdrEncoder;
+            let digests: Vec<Digest> = seeds.iter().map(|s| Digest::of(&[*s])).collect();
+            let encoded = |build: &dyn Fn(&mut XdrEncoder)| {
+                let mut enc = XdrEncoder::new();
+                build(&mut enc);
+                Digest::of(enc.as_bytes())
+            };
+            proptest::prop_assert_eq!(leaf_digest(index, &value), encoded(&|enc| {
+                enc.put_string("leaf");
+                enc.put_u64(index);
+                enc.put_opaque(&value);
+            }));
+            proptest::prop_assert_eq!(chunk_digest(index, chunk, &value), encoded(&|enc| {
+                enc.put_string("chnk");
+                enc.put_u64(index);
+                enc.put_u32(chunk);
+                enc.put_opaque(&value);
+            }));
+            let len = value.len() as u64;
+            proptest::prop_assert_eq!(chunked_leaf_from_digests(index, len, &digests), encoded(&|enc| {
+                enc.put_string("cleaf");
+                enc.put_u64(index);
+                enc.put_u64(len);
+                digests.iter().for_each(|d| enc.put_opaque_fixed(&d.0));
+            }));
+            proptest::prop_assert_eq!(node_digest(level, &digests), encoded(&|enc| {
+                enc.put_string("node");
+                enc.put_u32(level);
+                digests.iter().for_each(|d| enc.put_opaque_fixed(&d.0));
+            }));
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use base_pbft::messages::{
     ViewChangeMsg,
 };
 use base_pbft::Message;
+use base_simnet::Payload;
 use proptest::prelude::*;
 
 const N: usize = 4;
@@ -71,7 +72,7 @@ fn arb_reply() -> impl Strategy<Value = ReplyMsg> {
                 replica,
                 digest_only,
                 tentative,
-                result,
+                result: result.into(),
                 mac,
             },
         )
@@ -309,6 +310,14 @@ fn memoize_digests(msg: &Message) {
     }
 }
 
+/// Decodes `bytes` as a receiver does, out of the frame they arrived in,
+/// and holds that to the verdict and the value of the slice decoder.
+fn decode(bytes: &[u8]) -> Option<Message> {
+    let received = Message::from_payload(&Payload::from(bytes));
+    assert_eq!(received, base_xdr::from_bytes::<Message>(bytes).ok(), "the decoders disagree");
+    received
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -318,7 +327,7 @@ proptest! {
     fn payload_is_the_wire(msg in arb_message()) {
         let payload = msg.to_payload();
         prop_assert_eq!(&payload[..], &msg.to_wire()[..]);
-        prop_assert_eq!(Message::from_wire(&payload), Some(msg));
+        prop_assert_eq!(Message::from_payload(&payload), Some(msg));
     }
 
     /// The signed portion lent from the scratch buffer is the signed
@@ -332,7 +341,7 @@ proptest! {
     fn lent_signed_bytes_survive_nested_digests(msg in arb_message()) {
         memoize_digests(&msg);
         let at_sender = on_signed!(&msg, |m| m.signed_bytes());
-        let fresh = Message::from_wire(&msg.to_wire()).expect("round trip");
+        let fresh = decode(&msg.to_wire()).expect("round trip");
         let lent = on_signed!(&fresh, |m| m.with_signed_bytes(<[u8]>::to_vec));
         prop_assert_eq!(&lent, &at_sender);
         // A second, now memoized, pass over the decoded copy agrees, and
@@ -353,7 +362,7 @@ proptest! {
     #[test]
     fn wire_roundtrip(msg in arb_message()) {
         let wire = msg.to_wire();
-        let back = Message::from_wire(&wire);
+        let back = decode(&wire);
         prop_assert_eq!(back.as_ref(), Some(&msg));
         // Re-encoding the decoded message yields the identical wire.
         prop_assert_eq!(back.unwrap().to_wire(), wire);
@@ -362,7 +371,7 @@ proptest! {
     /// Arbitrary bytes never panic the decoder.
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Message::from_wire(&bytes);
+        let _ = decode(&bytes);
     }
 
     /// Single-byte corruption of a valid wire never panics, and whatever
@@ -373,7 +382,7 @@ proptest! {
         prop_assume!(!wire.is_empty());
         let i = pos.index(wire.len());
         wire[i] ^= 1 << bit;
-        if let Some(decoded) = Message::from_wire(&wire) {
+        if let Some(decoded) = decode(&wire) {
             let _ = decoded.to_wire();
         }
     }
@@ -387,8 +396,37 @@ proptest! {
         let keep = 1 + cut.index(wire.len() - 1);
         let short = &wire[..keep];
         if keep < wire.len() {
-            let decoded = Message::from_wire(short);
+            let decoded = decode(short);
             prop_assert_ne!(decoded.as_ref(), Some(&msg));
+        }
+    }
+
+    /// A frame cut inside a request's operation, or with a nonzero byte in
+    /// the operation's padding, is refused by the frame decoder as by the
+    /// slice decoder: the operation becomes a range of the frame only once
+    /// the whole of it and its padding have been checked.
+    #[test]
+    fn a_cut_or_dirty_operation_is_refused(
+        req in arb_request(),
+        at in any::<prop::sample::Index>(),
+        dirt in 1u8..=255,
+    ) {
+        // Tag, client, timestamp, read_only, full_replier, the length word.
+        const OP_AT: usize = 4 + 4 + 8 + 4 + 4 + 4;
+        let wire = Message::Request(req.clone()).to_wire();
+        let len = req.op().len();
+        if len > 0 {
+            prop_assert_eq!(decode(&wire[..OP_AT + at.index(len)]), None);
+        }
+        let pad = base_xdr::padded_len(len) - len;
+        if pad > 0 {
+            let mut dirty = wire;
+            dirty[OP_AT + len + at.index(pad)] = dirt;
+            prop_assert_eq!(decode(&dirty), None);
+            prop_assert_eq!(
+                base_xdr::from_bytes::<Message>(&dirty),
+                Err(base_xdr::XdrError::NonZeroPadding)
+            );
         }
     }
 
@@ -398,7 +436,7 @@ proptest! {
     fn trailing_garbage_rejected(msg in arb_message(), extra in proptest::collection::vec(any::<u8>(), 1..16)) {
         let mut wire = msg.to_wire();
         wire.extend_from_slice(&extra);
-        prop_assert_eq!(Message::from_wire(&wire), None);
+        prop_assert_eq!(decode(&wire), None);
     }
 }
 
@@ -432,7 +470,7 @@ proptest! {
     fn decoded_request_digest_agrees_with_sender(req in arb_request()) {
         let digest_at_sender = req.digest();
         let wire = Message::Request(req).to_wire();
-        match Message::from_wire(&wire) {
+        match decode(&wire) {
             Some(Message::Request(decoded)) => {
                 prop_assert_eq!(decoded.digest(), digest_at_sender);
             }

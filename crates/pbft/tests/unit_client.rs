@@ -60,7 +60,7 @@ impl MockReplica {
             replica: self.id,
             digest_only,
             tentative: req.read_only(),
-            result,
+            result: result.into(),
             mac: base_crypto::Mac([0; 8]),
         };
         reply.mac = Authenticator::point(&self.keys, req.client() as usize, &reply.digest());
@@ -120,7 +120,7 @@ fn full_reply(replica: u32, timestamp: u64, result: &[u8]) -> Vec<u8> {
         replica,
         digest_only: false,
         tentative: false,
-        result: result.to_vec(),
+        result: result.to_vec().into(),
         mac: base_crypto::Mac([0; 8]),
     };
     reply.mac = Authenticator::point(&keys, 4, &reply.digest());

@@ -169,7 +169,7 @@ fn read_only_deferred_across_commit_gap() {
         .find(|m| m.timestamp == 3)
         .expect("deferred read-only must be answered after execution catches up");
     assert!(ro_reply.tentative, "read-only replies bypass agreement and are tentative");
-    assert_eq!(ro_reply.result, b"42", "read reflects every committed write, not stale state");
+    assert_eq!(&ro_reply.result[..], b"42", "read reflects every committed write, not stale state");
 
     // The agreed writes replied too, and those are NOT tentative.
     for ts in [1u64, 2] {
@@ -194,7 +194,7 @@ fn read_only_immediate_when_no_backlog() {
     let replies = r.replies();
     let reply = replies.iter().find(|m| m.timestamp == 2).expect("answered without deferral");
     assert!(reply.tentative);
-    assert_eq!(reply.result, b"7");
+    assert_eq!(&reply.result[..], b"7");
 }
 
 /// End-to-end sanity for the pipeline gate: a group running with a deep

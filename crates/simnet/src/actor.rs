@@ -47,6 +47,13 @@ impl Payload {
     pub fn ref_count(p: &Payload) -> usize {
         Arc::strong_count(&p.0)
     }
+
+    /// Lends out the shared frame itself, for a receiver that decodes
+    /// fields as ranges of it instead of copies: each one it keeps holds
+    /// the frame, and counts in [`Payload::ref_count`].
+    pub fn frame(&self) -> &Arc<[u8]> {
+        &self.0
+    }
 }
 
 impl From<Vec<u8>> for Payload {
@@ -103,6 +110,17 @@ pub trait Actor: Any {
 
     /// Called when a message from `from` is delivered.
     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>);
+
+    /// Called with the delivered frame itself, which the simulator hands
+    /// every recipient as a shared [`Payload`]. An actor that keeps parts of
+    /// a message overrides this to hold them as ranges of the frame (its
+    /// `on_message` then wraps the bytes into a `Payload` once and calls
+    /// it); the default lends the bytes to [`Actor::on_message`]. Never
+    /// make `on_message` the default's caller too: an actor overriding
+    /// neither would recurse forever.
+    fn on_payload(&mut self, from: NodeId, payload: &Payload, ctx: &mut Context<'_>) {
+        self.on_message(from, payload, ctx);
+    }
 
     /// Called when a timer set with [`Context::set_timer`] fires.
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {

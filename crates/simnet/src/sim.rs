@@ -281,7 +281,7 @@ impl Simulation {
                 }
                 let lag = self.now.since(arrived);
                 self.stats.record_delivery(to, payload.len());
-                self.invoke_with_lag(to, lag, |actor, ctx| actor.on_message(from, &payload, ctx));
+                self.invoke_with_lag(to, lag, |actor, ctx| actor.on_payload(from, &payload, ctx));
             }
             EventKind::Timer { node, token, id, due } => {
                 let slot = &mut self.nodes[node.0];
@@ -726,8 +726,12 @@ mod tests {
     }
 
     impl Actor for Keeper {
-        fn on_message(&mut self, _from: NodeId, payload: &[u8], _ctx: &mut Context<'_>) {
-            self.received.push(Payload::from(payload));
+        fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+            self.on_payload(from, &Payload::from(payload), ctx);
+        }
+
+        fn on_payload(&mut self, _from: NodeId, payload: &Payload, _ctx: &mut Context<'_>) {
+            self.received.push(payload.clone());
         }
     }
 
@@ -787,6 +791,10 @@ mod tests {
         for n in [a, b] {
             assert_eq!(sim.actor_as::<Keeper>(n).unwrap().received.len(), 1);
         }
+        // Each recipient was handed the frame itself, not a copy of it.
+        let kept = |n| &sim.actor_as::<Keeper>(n).unwrap().received[0];
+        assert!(Payload::ptr_eq(kept(a), kept(b)));
+        assert_eq!(Payload::ref_count(kept(a)), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The XDR decoder, hardened against hostile input.
 
 use crate::{padded_len, XdrError};
+use std::sync::Arc;
 
 /// Cap on any single variable-length item (16 MiB).
 ///
@@ -18,12 +19,23 @@ const MAX_ITEM_LEN: usize = 16 * 1024 * 1024;
 pub struct XdrDecoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The shared frame `buf` is, when the decoder was built over one:
+    /// [`SharedBytes`](crate::SharedBytes) fields then borrow ranges of it.
+    frame: Option<&'a Arc<[u8]>>,
 }
 
 impl<'a> XdrDecoder<'a> {
     /// Creates a decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { buf, pos: 0, frame: None }
+    }
+
+    /// Creates a decoder over a shared frame. It reads exactly what
+    /// [`XdrDecoder::new`] over the same bytes reads, with the same errors;
+    /// only a [`SharedBytes`](crate::SharedBytes) field differs, holding a
+    /// range of `frame` where it would otherwise hold a copy.
+    pub fn over_frame(frame: &'a Arc<[u8]>) -> Self {
+        Self { buf: frame, pos: 0, frame: Some(frame) }
     }
 
     /// Bytes not yet consumed.
@@ -34,6 +46,11 @@ impl<'a> XdrDecoder<'a> {
     /// Current read offset from the start of the input.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// The shared frame the input is, when the decoder was built over one.
+    pub(crate) fn frame(&self) -> Option<&'a Arc<[u8]>> {
+        self.frame
     }
 
     /// Succeeds only if the entire input has been consumed.

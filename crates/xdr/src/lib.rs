@@ -95,6 +95,23 @@
 //!     Err(XdrError::InvalidDiscriminant { type_name: "Reply", value: 3 })
 //! );
 //! ```
+//!
+//! # Decoding without copying
+//!
+//! [`SharedBytes`] is the other opaque field kind: the same bytes on the
+//! wire as `Vec<u8>`, but [`from_frame`] decodes it as a range of the
+//! shared frame it reads, where [`from_bytes`] copies it out of the slice.
+//!
+//! ```
+//! use base_xdr::{from_bytes, from_frame, to_bytes, SharedBytes};
+//! use std::sync::Arc;
+//!
+//! let frame: Arc<[u8]> = to_bytes(&b"payload".to_vec()).into();
+//! let borrowed: SharedBytes = from_frame(&frame).unwrap();
+//! assert_eq!(&*borrowed, b"payload");
+//! assert_eq!(Arc::strong_count(&frame), 2);
+//! assert_eq!(from_bytes::<SharedBytes>(&frame).unwrap(), borrowed);
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -102,13 +119,15 @@
 mod decode;
 mod encode;
 mod error;
+mod shared;
 mod spec;
 mod traits;
 
 pub use decode::XdrDecoder;
 pub use encode::XdrEncoder;
 pub use error::XdrError;
-pub use traits::{decode_vec, encode_vec, from_bytes, to_bytes, XdrDecode, XdrEncode};
+pub use shared::SharedBytes;
+pub use traits::{decode_vec, encode_vec, from_bytes, from_frame, to_bytes, XdrDecode, XdrEncode};
 
 /// Pads `len` up to the next multiple of four, per RFC 1014.
 #[inline]

@@ -1,6 +1,7 @@
 //! Encode/decode traits and implementations for common types.
 
 use crate::{XdrDecoder, XdrEncoder, XdrError};
+use std::sync::Arc;
 
 /// A type that can be serialized to XDR.
 pub trait XdrEncode {
@@ -25,6 +26,17 @@ pub fn to_bytes<T: XdrEncode>(value: &T) -> Vec<u8> {
 /// consumed.
 pub fn from_bytes<T: XdrDecode>(bytes: &[u8]) -> Result<T, XdrError> {
     let mut dec = XdrDecoder::new(bytes);
+    let value = T::decode(&mut dec)?;
+    dec.finish()?;
+    Ok(value)
+}
+
+/// Decodes a single value of type `T` from a shared frame, requiring the
+/// frame to be fully consumed. The verdict and the value are
+/// [`from_bytes`]'s; its [`SharedBytes`](crate::SharedBytes) fields borrow
+/// ranges of `frame` instead of copying them.
+pub fn from_frame<T: XdrDecode>(frame: &Arc<[u8]>) -> Result<T, XdrError> {
+    let mut dec = XdrDecoder::over_frame(frame);
     let value = T::decode(&mut dec)?;
     dec.finish()?;
     Ok(value)

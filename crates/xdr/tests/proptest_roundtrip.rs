@@ -4,7 +4,7 @@
 #[path = "support/hostile.rs"]
 mod support;
 
-use base_xdr::{from_bytes, to_bytes, xdr_union, XdrDecoder, XdrEncoder};
+use base_xdr::{from_bytes, to_bytes, xdr_union, SharedBytes, XdrDecoder, XdrEncoder};
 use proptest::prelude::*;
 
 xdr_union! {
@@ -12,7 +12,12 @@ xdr_union! {
     #[derive(Clone, Debug, PartialEq)]
     enum Declared {
         1 => Record { flag: bool, word: Option<u64>, name: String },
-        2 => Arrays(opaque: Vec<u8>, counted: Vec<(u32, String)>, fixed: [u8; 5]),
+        2 => Arrays(
+            opaque: Vec<u8>,
+            shared: SharedBytes,
+            counted: Vec<(u32, String)>,
+            fixed: [u8; 5],
+        ),
         9 => Nothing,
     }
 }
@@ -88,12 +93,12 @@ proptest! {
     fn declared_union_is_strict(
         kind in 0u8..3,
         (flag, word, name) in any::<(bool, Option<u64>, String)>(),
-        (opaque, counted, fixed) in any::<(Vec<u8>, Vec<(u32, String)>, [u8; 5])>(),
+        (opaque, shared, counted, fixed) in any::<(Vec<u8>, Vec<u8>, Vec<(u32, String)>, [u8; 5])>(),
         noise: Vec<u8>,
     ) {
         let sample = match kind {
             0 => Declared::Record { flag, word, name },
-            1 => Declared::Arrays(opaque, counted, fixed),
+            1 => Declared::Arrays(opaque, shared.into(), counted, fixed),
             _ => Declared::Nothing,
         };
         support::hostile(&sample, &noise, "Declared", 0);

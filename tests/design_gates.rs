@@ -427,6 +427,15 @@ fn one_placement(t: &Tree) -> Vec<Hit> {
     hits
 }
 
+/// One decode path (DESIGN.md §11.7): a receiver decodes the frame it
+/// was handed, through `Message::from_payload`. `Message::from_wire`, which
+/// copies bytes into a frame first, is for callers outside the library
+/// that hold bytes and no frame, so in `crates/*/src` it appears only at
+/// its definition.
+fn one_decode_path(t: &Tree) -> Vec<Hit> {
+    t.grep(library, Mode::Substring, "Message::from_wire(")
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -462,6 +471,7 @@ gate_tests!(
     one_caller,
     one_adoption,
     one_placement,
+    one_decode_path,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -472,7 +482,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 25] = [
+    let plants: [(Gate, &str, &str); 26] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -498,6 +508,7 @@ fn every_gate_fires_on_its_plant() {
         (one_adoption, "crates/pbft/src/replica/router.rs", "if self.fetch.is_none() {\n    self.rec.probe(&mut io);\n}"),
         (one_placement, "tests/full_stack.rs", "cfg.shard = 1;"),
         (one_placement, "crates/core/src/shard.rs", "let tag = SHARD_ENVELOPE_TAG;"),
+        (one_decode_path, "crates/pbft/src/client.rs", "let msg = Message::from_wire(payload);"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -581,7 +592,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 48] = [
+const NAMED: [(&str, &str, bool); 51] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -642,6 +653,10 @@ const NAMED: [(&str, &str, bool); 48] = [
     ("crates/core/tests/shard_placement.rs", "another_groups_replica_is_refused_before_decoding", false),
     ("crates/core/tests/shard_placement.rs", "a_tag_keyed_fault_reaches_every_group", false),
     ("crates/pbft/tests/unit_client.rs", "replies_from_outside_the_group_are_ignored_unread", false),
+    // One decode path: what holds a frame, hostile frames, digests hashed in place.
+    ("crates/pbft/tests/frame_retention.rs", "a_frame_is_let_go_when_its_slot_is_collected_and_a_reply_frame_at_completion", false),
+    ("crates/pbft/tests/proptest_messages.rs", "a_cut_or_dirty_operation_is_refused", false),
+    ("crates/pbft/src/tree.rs", "in_place_digests_hash_the_encoded_input", false),
 ];
 
 #[test]
