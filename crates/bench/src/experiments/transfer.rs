@@ -25,14 +25,10 @@ const FILE_BYTES: usize = 8192;
 pub struct CatchUp {
     /// Objects installed by the catch-up transfers.
     pub fetched_objects: u64,
-    /// Bytes the fetcher accepted (values, chunks, chunk-digest lists).
+    /// Object bytes the fetcher accepted.
     pub fetched_bytes: u64,
     /// Partition-tree queries issued.
     pub meta_queries: u64,
-    /// Chunk-digest-list queries issued (`chunk_size > 0` only).
-    pub chunk_queries: u64,
-    /// Chunks taken from the sleeper's stale local copy instead of the wire.
-    pub chunks_reused: u64,
     /// Queries the fetcher had to reissue (`transfer.retransmissions`).
     pub retransmissions: u64,
     /// Replies the fetcher rejected (`transfer.corrupt_replies`).
@@ -49,13 +45,12 @@ pub struct CatchUp {
 /// heterogeneous NFS group, then has replica 3 sleep through a burst that
 /// writes `edit(i)` at offset 0 of files `0..stale_files` (plus pad writes
 /// that push the group past a checkpoint), wake, and catch up by state
-/// transfer at leaf-digest chunk size `chunk_size`.
+/// transfer.
 pub fn measure_catch_up(
     seed: u64,
     live_files: u32,
     stale_files: u32,
     edit: impl Fn(u32) -> Vec<u8>,
-    chunk_size: usize,
 ) -> CatchUp {
     let root = Oid::ROOT;
     let dir = Oid { index: 1, gen: 1 };
@@ -85,7 +80,7 @@ pub fn measure_catch_up(
         4,
         FsMix::Heterogeneous,
         ScriptDriver::new(script),
-        |cfg| cfg.chunk_size = chunk_size,
+        |_| {},
     );
     let relay = bed.clients[0];
 
@@ -115,7 +110,7 @@ pub fn measure_catch_up(
     let stats = sleeper.get(&sim).stats();
     assert!(
         stats.state_transfers > stats_before.state_transfers,
-        "no catch-up transfer for {stale_files} stale files at chunk size {chunk_size}"
+        "no catch-up transfer for {stale_files} stale files"
     );
     let root = sleeper.get(&sim).state_root();
     assert_eq!(root, bed.replicas[0].get(&sim).state_root(), "replica 3 did not converge");
@@ -125,8 +120,6 @@ pub fn measure_catch_up(
         fetched_objects: stats.state_transfer_objects - stats_before.state_transfer_objects,
         fetched_bytes: stats.state_transfer_bytes - stats_before.state_transfer_bytes,
         meta_queries: stats.state_transfer_meta_queries - stats_before.state_transfer_meta_queries,
-        chunk_queries: counter("transfer.chunk_queries"),
-        chunks_reused: counter("transfer.chunks_reused"),
         retransmissions: counter("transfer.retransmissions"),
         corrupt_replies: counter("transfer.corrupt_replies"),
         fetch_ms: metrics.histogram("transfer.fetch_ns").map(|h| h.max()).unwrap_or(0)
@@ -153,7 +146,7 @@ pub fn run_transfer() {
     // A flat transfer would move every live object.
     let full_bytes = u64::from(LIVE_FILES) * (FILE_BYTES as u64 + 96) + 2 * 96;
     for k in [2u32, 8, 32, 128] {
-        let o = measure_catch_up(4100 + u64::from(k), LIVE_FILES, k, |_| vec![0xEE; FILE_BYTES], 0);
+        let o = measure_catch_up(4100 + u64::from(k), LIVE_FILES, k, |_| vec![0xEE; FILE_BYTES]);
         t.row(&[
             k.to_string(),
             o.fetched_objects.to_string(),

@@ -35,15 +35,13 @@ const E9_VALUE_BYTES: usize = 1024;
 const PIPE_DEPTH: u64 = 4;
 /// Cells of the shard-scaling sweep (E14).
 const SHARD_CELLS: [u32; 3] = [1, 2, 4];
-/// Recovery cell pair (E4b): replica 3 sleeps through a burst that edits
+/// Recovery cell (E4b): replica 3 sleeps through a burst that edits
 /// `RECOVERY_EDIT_BYTES` at the front of `RECOVERY_STALE` of
-/// `RECOVERY_LIVE` 8 KiB files, then catches up with whole-object leaves
-/// or with `RECOVERY_CHUNK`-byte chunked leaves.
+/// `RECOVERY_LIVE` 8 KiB files, then catches up by fetching whole objects.
 const RECOVERY_SEED: u64 = 8200;
 const RECOVERY_LIVE: u32 = 128;
 const RECOVERY_STALE: u32 = 24;
 const RECOVERY_EDIT_BYTES: usize = 256;
-const RECOVERY_CHUNK: usize = 1024;
 /// Campaign shape: seeds and worker count.
 const CAMPAIGN_SEEDS: std::ops::Range<u64> = 6200..6212;
 const CAMPAIGN_WORKERS: usize = 4;
@@ -411,34 +409,26 @@ fn measure_pipeline() -> Rows {
     ])
 }
 
-/// Recovery pair: the same sleeper-catches-up run with whole-object leaves
-/// and with chunked leaves, where a small edit to a big file moves only the
-/// chunks it touched.
+/// Recovery cell: a sleeper catches up after a small edit to each of a
+/// few big files, fetching each stale object whole.
 fn measure_recovery() -> Rows {
-    let cell = |chunk_size| {
-        let edit = |i: u32| vec![0xE0 | (i as u8 & 0x0F); RECOVERY_EDIT_BYTES];
-        let c = measure_catch_up(RECOVERY_SEED, RECOVERY_LIVE, RECOVERY_STALE, edit, chunk_size);
-        let mut rows = counts([
-            ("fetched_objects", c.fetched_objects),
-            ("fetched_bytes", c.fetched_bytes),
-            ("meta_queries", c.meta_queries),
-            ("chunk_queries", c.chunk_queries),
-            ("chunks_reused", c.chunks_reused),
-            ("retransmissions", c.retransmissions),
-            ("corrupt_replies", c.corrupt_replies),
-            ("fetch_ms", c.fetch_ms),
-        ]);
-        rows.push(("root".into(), Value::Text(c.root)));
-        Value::Group(rows)
-    };
+    let edit = |i: u32| vec![0xE0 | (i as u8 & 0x0F); RECOVERY_EDIT_BYTES];
+    let c = measure_catch_up(RECOVERY_SEED, RECOVERY_LIVE, RECOVERY_STALE, edit);
+    let mut whole = counts([
+        ("fetched_objects", c.fetched_objects),
+        ("fetched_bytes", c.fetched_bytes),
+        ("meta_queries", c.meta_queries),
+        ("retransmissions", c.retransmissions),
+        ("corrupt_replies", c.corrupt_replies),
+        ("fetch_ms", c.fetch_ms),
+    ]);
+    whole.push(("root".into(), Value::Text(c.root)));
     let mut rows = counts([
         ("live_files", u64::from(RECOVERY_LIVE)),
         ("stale_files", u64::from(RECOVERY_STALE)),
         ("edit_bytes", RECOVERY_EDIT_BYTES as u64),
-        ("chunk_size", RECOVERY_CHUNK as u64),
     ]);
-    rows.push(("whole".into(), cell(0)));
-    rows.push(("chunked".into(), cell(RECOVERY_CHUNK)));
+    rows.push(("whole".into(), Value::Group(whole)));
     rows
 }
 

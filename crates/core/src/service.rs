@@ -3,7 +3,7 @@
 
 use crate::wrapper::{ModifyLog, Wrapper};
 use base_crypto::Digest;
-use base_pbft::tree::{chunk_digest, chunked_leaf_from_digests, leaf_digest};
+use base_pbft::tree::leaf_digest;
 use base_pbft::{CostModel, ExecEnv, PartitionTree, Service};
 use base_simnet::MetricsRegistry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -25,95 +25,10 @@ pub struct BaseStats {
     pub preimage_copies: u64,
 }
 
-/// Per-object snapshot kept by chunked digesting: the value bytes and
-/// per-chunk digests as of the last digest pass over that object. A chunk
-/// whose bytes are unchanged (a memcmp) reuses its cached digest instead of
-/// re-hashing — the "re-hash only what changed" half of the chunked-Merkle
-/// optimization. Bounded to multi-chunk objects, so the cache holds at most
-/// one extra copy of each *large* object.
-#[derive(Debug, Clone)]
-struct ChunkSnapshot {
-    value: Vec<u8>,
-    digests: Vec<Digest>,
-}
-
-/// Result of digesting one `(index, value)` pair in a digest pass.
-struct DigestOutcome {
-    digest: Digest,
-    /// Replacement snapshot for the chunk cache, holding the value itself:
-    /// `Some(Some(_))` = store, `Some(None)` = evict (value gone or no
-    /// longer multi-chunk), `None` = leave the cache untouched (legacy mode).
-    snapshot: Option<Option<ChunkSnapshot>>,
-    /// Bytes actually pushed through SHA-256 (chunk data plus the leaf
-    /// fold input), for CPU charges in chunked mode.
-    hashed_bytes: u64,
-    chunks_reused: u64,
-    chunks_rehashed: u64,
-}
-
-/// Digests one value, reusing cached chunk digests where the bytes match.
-/// The value moves into the outcome's snapshot when it is cached, and is
-/// dropped here when it is not.
-fn digest_one_chunked(
-    idx: u64,
-    value: Option<Vec<u8>>,
-    chunk_size: usize,
-    cache: &HashMap<u64, ChunkSnapshot>,
-) -> DigestOutcome {
-    if chunk_size == 0 {
-        // Legacy whole-object digests: byte-identical to the pre-chunking
-        // behaviour, cache untouched.
-        let (digest, hashed) = match value {
-            Some(v) => (leaf_digest(idx, &v), v.len() as u64),
-            None => (Digest::ZERO, 0),
-        };
-        return DigestOutcome {
-            digest,
-            snapshot: None,
-            hashed_bytes: hashed,
-            chunks_reused: 0,
-            chunks_rehashed: 0,
-        };
-    }
-    let Some(v) = value else {
-        return DigestOutcome {
-            digest: Digest::ZERO,
-            snapshot: Some(None),
-            hashed_bytes: 0,
-            chunks_reused: 0,
-            chunks_rehashed: 0,
-        };
-    };
-    let prev = cache.get(&idx);
-    let mut reused = 0u64;
-    let mut rehashed = 0u64;
-    let mut hashed_bytes = 0u64;
-    let digests: Vec<Digest> = v
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(c, data)| {
-            if let Some(p) = prev {
-                if let (Some(d), Some(old)) = (p.digests.get(c), p.value.chunks(chunk_size).nth(c))
-                {
-                    if old == data {
-                        reused += 1;
-                        return *d;
-                    }
-                }
-            }
-            rehashed += 1;
-            hashed_bytes += data.len() as u64;
-            chunk_digest(idx, c as u32, data)
-        })
-        .collect();
-    let digest = chunked_leaf_from_digests(idx, v.len() as u64, &digests);
-    hashed_bytes += digests.len() as u64 * 32 + 28; // the leaf fold input
-    let snapshot = if digests.len() >= 2 {
-        Some(Some(ChunkSnapshot { value: v, digests }))
-    } else {
-        Some(None)
-    };
-    DigestOutcome { digest, snapshot, hashed_bytes, chunks_reused: reused, chunks_rehashed: rehashed }
+/// The leaf digest of object `idx`: [`leaf_digest`] of its value, or
+/// [`Digest::ZERO`] when it is absent.
+fn object_digest(idx: u64, value: Option<&[u8]>) -> Digest {
+    value.map_or(Digest::ZERO, |v| leaf_digest(idx, v))
 }
 
 /// Implements the replication library's [`Service`] interface on top of a
@@ -141,14 +56,6 @@ pub struct BaseService<W: Wrapper> {
     /// Digest-tree snapshots per retained checkpoint (O(1) clones).
     ckpt_trees: BTreeMap<u64, PartitionTree>,
     last_ckpt: Option<u64>,
-    /// Chunked-digest granularity: 0 = legacy whole-object leaf digests;
-    /// otherwise leaves fold fixed-size chunk digests
-    /// ([`base_pbft::tree::chunked_leaf_digest`]), so a small write to a
-    /// big object re-hashes only the touched chunks.
-    chunk_size: usize,
-    /// Previous value + chunk digests per multi-chunk object, as of the
-    /// last digest pass (the reuse cache chunked digesting diffs against).
-    chunk_cache: HashMap<u64, ChunkSnapshot>,
     cost: CostModel,
     /// Experiment counters.
     pub stats: BaseStats,
@@ -169,8 +76,6 @@ impl<W: Wrapper> BaseService<W> {
             record_seqs: HashMap::new(),
             ckpt_trees: BTreeMap::new(),
             last_ckpt: None,
-            chunk_size: 0,
-            chunk_cache: HashMap::new(),
             cost: CostModel::default(),
             stats: BaseStats::default(),
             metrics: MetricsRegistry::new(),
@@ -187,41 +92,6 @@ impl<W: Wrapper> BaseService<W> {
         &mut self.wrapper
     }
 
-    /// Digests one object's value within a pass and lets go of it: a
-    /// multi-chunk value moves into the chunk cache, any other is dropped.
-    /// Adds the object's chunk reuse to `reuse`, which the pass reports once
-    /// through [`BaseService::report_reuse`]. Returns the leaf digest and
-    /// the bytes pushed through SHA-256.
-    fn digest_object(
-        &mut self,
-        idx: u64,
-        value: Option<Vec<u8>>,
-        reuse: &mut (u64, u64),
-    ) -> (Digest, u64) {
-        let outcome = digest_one_chunked(idx, value, self.chunk_size, &self.chunk_cache);
-        reuse.0 += outcome.chunks_reused;
-        reuse.1 += outcome.chunks_rehashed;
-        match outcome.snapshot {
-            Some(Some(snap)) => {
-                self.chunk_cache.insert(idx, snap);
-            }
-            Some(None) => {
-                self.chunk_cache.remove(&idx);
-            }
-            None => {}
-        }
-        (outcome.digest, outcome.hashed_bytes)
-    }
-
-    /// Adds one pass's `(reused, rehashed)` chunk counts to the metrics
-    /// (chunked digesting only).
-    fn report_reuse(&mut self, (reused, rehashed): (u64, u64)) {
-        if self.chunk_size > 0 {
-            self.metrics.add("base.chunks_reused", reused);
-            self.metrics.add("base.chunks_rehashed", rehashed);
-        }
-    }
-
     /// Reads the abstract value of every object in `indices` (one `get_obj`
     /// each, on the calling thread), digesting and dropping each before
     /// the next is read, and applies the digests to the tree as one batch.
@@ -235,25 +105,16 @@ impl<W: Wrapper> BaseService<W> {
         env: &mut ExecEnv<'_>,
     ) {
         let mut updates = Vec::with_capacity(indices.size_hint().0);
-        let mut reuse = (0, 0);
         for idx in indices {
             let value = self.wrapper.get_obj(idx);
-            let present = value.is_some();
-            let (digest, hashed) = self.digest_object(idx, value, &mut reuse);
             if count_digested {
                 self.stats.objects_digested += 1;
             }
-            if present {
-                // The bytes hashed: the whole object in legacy mode
-                // (byte-identical to the pre-chunking behaviour); in
-                // chunked mode only the chunks that changed, since a reused
-                // chunk costs a memcmp, which the digest cost model treats
-                // as free next to SHA-256.
-                env.charge(self.cost.digest(hashed as usize));
+            if let Some(v) = &value {
+                env.charge(self.cost.digest(v.len()));
             }
-            updates.push((idx, digest));
+            updates.push((idx, object_digest(idx, value.as_deref())));
         }
-        self.report_reuse(reuse);
         let batch = self.tree.set_leaves(updates);
         self.stats.node_hashes += batch.internal_hashes;
         self.metrics.add("base.tree_node_hashes", batch.internal_hashes);
@@ -284,17 +145,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         self.stats.preimage_copies += copies;
         self.metrics.add("base.preimage_copies", copies);
         result
-    }
-
-    fn set_chunk_size(&mut self, chunk_size: usize) {
-        if self.chunk_size != chunk_size {
-            self.chunk_size = chunk_size;
-            self.chunk_cache.clear();
-        }
-    }
-
-    fn transfer_object(&mut self, index: u64) -> Option<Vec<u8>> {
-        self.wrapper.get_obj(index)
     }
 
     fn propose_nondet(&mut self, env: &mut ExecEnv<'_>) -> Vec<u8> {
@@ -394,12 +244,10 @@ impl<W: Wrapper> Service for BaseService<W> {
     ) {
         self.metrics.add("base.objects_installed", objs.len() as u64);
         self.wrapper.put_objs(&objs, env);
-        let mut reuse = (0, 0);
         let leaves: Vec<(u64, Digest)> = objs
             .into_iter()
-            .map(|(idx, value)| (idx, self.digest_object(idx, value, &mut reuse).0))
+            .map(|(idx, value)| (idx, object_digest(idx, value.as_deref())))
             .collect();
-        self.report_reuse(reuse);
         let batch = self.tree.set_leaves(leaves);
         self.stats.node_hashes += batch.internal_hashes;
         self.metrics.add("base.tree_node_hashes", batch.internal_hashes);
@@ -428,9 +276,6 @@ impl<W: Wrapper> Service for BaseService<W> {
             self.record_seqs.clear();
             self.ckpt_trees.clear();
             self.last_ckpt = None;
-            // The concrete state is gone, so cached chunk snapshots no
-            // longer describe anything.
-            self.chunk_cache.clear();
         } else {
             // Warm reboot (§3.4): the concrete state survived; rebuild the
             // conformance rep and recompute the abstraction function over

@@ -301,14 +301,6 @@ impl<S: Service> Service for ShardLockService<S> {
     // `execute_batch` is the trait default, sequential through `execute`:
     // every operation must pass the lock check.
 
-    fn set_chunk_size(&mut self, chunk_size: usize) {
-        self.inner.set_chunk_size(chunk_size);
-    }
-
-    fn transfer_object(&mut self, index: u64) -> Option<Vec<u8>> {
-        self.inner.transfer_object(index)
-    }
-
     fn propose_nondet(&mut self, env: &mut ExecEnv<'_>) -> Vec<u8> {
         self.inner.propose_nondet(env)
     }

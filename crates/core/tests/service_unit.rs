@@ -278,84 +278,6 @@ fn abstraction_function_runs_on_the_calling_thread() {
 }
 
 #[test]
-fn chunked_incremental_digests_match_from_scratch() {
-    // A small edit to the tail of a big object must re-hash only the
-    // touched chunk, and the cache-reusing incremental pass must produce
-    // exactly the digests a from-scratch pass over the same content does.
-    let big = "x".repeat(64); // 9 chunks at chunk_size 8 (64 + suffix)
-    let mut a = Rig::new();
-    a.svc.set_chunk_size(8);
-    for i in 0..N {
-        a.set(i, &format!("{big}{i}"));
-    }
-    let _c8 = a.ckpt(8);
-    let chunks = |a: &Rig| {
-        let m = &a.svc.metrics;
-        (m.counter("base.chunks_reused"), m.counter("base.chunks_rehashed"))
-    };
-    let (reused_before, rehashed_before) = chunks(&a);
-    a.set(3, &format!("{big}X")); // same length, only the tail chunk changes
-    let c16 = a.ckpt(16);
-    let (reused, rehashed) = chunks(&a);
-    let (reused, rehashed) = (reused - reused_before, rehashed - rehashed_before);
-    assert!(reused >= 8, "untouched chunks must be reused, got {reused}");
-    assert!(rehashed < reused, "a tail edit must re-hash fewer chunks ({rehashed}) than it reuses");
-
-    let mut b = Rig::new();
-    b.svc.set_chunk_size(8);
-    for i in 0..N {
-        if i == 3 {
-            b.set(i, &format!("{big}X"));
-        } else {
-            b.set(i, &format!("{big}{i}"));
-        }
-    }
-    assert_eq!(c16, b.ckpt(16), "incremental pass must equal from-scratch");
-}
-
-#[test]
-fn chunk_scheme_is_consensus_visible() {
-    // Changing the chunk size changes every present leaf digest: replicas
-    // disagreeing on chunk_size would never certify a common root, which
-    // is exactly why it lives in the shared Config.
-    let mut legacy = Rig::new();
-    legacy.set(0, "hello-world-0123");
-    let mut chunked = Rig::new();
-    chunked.svc.set_chunk_size(4);
-    chunked.set(0, "hello-world-0123");
-    assert_ne!(legacy.ckpt(8), chunked.ckpt(8));
-
-    // chunk_size = 0 is exactly the legacy scheme.
-    let mut zero = Rig::new();
-    zero.svc.set_chunk_size(0);
-    zero.set(0, "hello-world-0123");
-    assert_eq!(legacy.ckpt(16), zero.ckpt(16));
-}
-
-#[test]
-fn chunked_install_checkpoint_matches_donor_root() {
-    let mut donor = Rig::new();
-    donor.svc.set_chunk_size(4);
-    donor.set(0, "agreed-value-with-chunks");
-    donor.set(2, "extra");
-    let root = donor.ckpt(32);
-
-    let mut r = Rig::new();
-    r.svc.set_chunk_size(4);
-    r.set(0, "stale");
-    r.set(1, "junk");
-    let _ = r.ckpt(8);
-    let mut env = ExecEnv::new(1, &mut r.rng);
-    r.svc.install_checkpoint(
-        32,
-        root,
-        vec![(0, some("agreed-value-with-chunks")), (1, None), (2, some("extra"))],
-        &mut env,
-    );
-    assert_eq!(r.svc.current_tree().root_digest(), root, "chunked install must match the donor");
-}
-
-#[test]
 fn node_hash_counter_grows_sublinearly_on_sparse_dirty_sets() {
     // 16 objects, branching 16: depth 1, so this rig can't show the
     // effect; measure directly on a deeper tree instead. 4096 leaves at
@@ -413,92 +335,4 @@ fn checkpoint_object_pins_values_across_epochs_and_discards() {
     let _c40 = r.ckpt(40);
     assert_eq!(r.svc.checkpoint_object(32, 5), Some(b"e4".to_vec()));
     assert_eq!(r.svc.checkpoint_object(40, 5), Some(b"open".to_vec()));
-}
-
-/// Absorbs everything (stands in for the other replicas).
-struct Sink;
-impl base_simnet::Actor for Sink {
-    fn on_message(
-        &mut self,
-        _from: base_simnet::NodeId,
-        _payload: &[u8],
-        _ctx: &mut base_simnet::Context<'_>,
-    ) {
-    }
-}
-
-#[test]
-fn unsolicited_chunks_reply_never_reaches_the_abstraction_function() {
-    // Replica 3 (the only real one) is walked by hand into a chunked fetch
-    // of a donor's checkpoint; the abstraction function may then run only
-    // for the one chunk list the fetcher is actually waiting for.
-    use base_crypto::{KeyDirectory, NodeKeys, Signature};
-    use base_pbft::messages::{CheckpointMsg, ChunksReplyMsg, Message, MetaReplyMsg};
-    use base_pbft::transfer::{checkpoint_digest, META_ROOT_LEVEL};
-    use base_simnet::{NodeId, SimDuration, Simulation};
-
-    const CS: usize = 4;
-    let mut donor = Rig::new();
-    donor.svc.set_chunk_size(CS);
-    donor.set(1, "agreed-value");
-    let service_root = donor.ckpt(8);
-    let replies_digest = Digest::of(&[]);
-
-    let mut cfg = base::Config::new(4);
-    cfg.checkpoint_interval = 8;
-    cfg.chunk_size = CS;
-    let dir = KeyDirectory::generate(4, 5);
-    let mut sim = Simulation::new(5);
-    for _ in 0..3 {
-        sim.add_node(Box::new(Sink));
-    }
-    let replica = sim.add_node(Box::new(base::BaseReplica::new(
-        cfg,
-        NodeKeys::new(dir.clone(), 3),
-        BaseService::new(VecWrapper::new()),
-    )));
-    let deliver = |sim: &mut Simulation, msg: Message| -> usize {
-        let calls = |sim: &Simulation| {
-            let r = sim.actor_as::<base::BaseReplica<VecWrapper>>(replica).expect("replica 3");
-            let n = r.service().wrapper().get_obj_threads.lock().unwrap().len();
-            n
-        };
-        let before = calls(sim);
-        sim.inject(NodeId(0), replica, msg.to_wire());
-        sim.run_for(SimDuration::from_millis(5));
-        calls(sim) - before
-    };
-
-    // A checkpoint certificate ahead of replica 3 starts the fetch, the
-    // root metadata and the one tree level below it lead to object 1.
-    for i in 0..3u32 {
-        let mut m = CheckpointMsg {
-            seq: 8,
-            digest: checkpoint_digest(&service_root, &replies_digest),
-            replica: i,
-            sig: Signature([0; 32]),
-        };
-        m.sig = NodeKeys::new(dir.clone(), i as usize).sign(&m.signed_bytes());
-        deliver(&mut sim, Message::Checkpoint(m));
-    }
-    let meta = |level, digests| {
-        Message::MetaReply(MetaReplyMsg { seq: 8, level, index: 0, digests, replica: 0 })
-    };
-    deliver(&mut sim, meta(META_ROOT_LEVEL, vec![service_root, replies_digest]));
-    let leaves = donor.svc.checkpoint_meta(8, 1, 0).expect("the donor kept checkpoint 8");
-    deliver(&mut sim, meta(1, leaves));
-
-    let value = donor.svc.checkpoint_object(8, 1).expect("object 1 is live");
-    let chunks = |index: u64| {
-        Message::ChunksReply(ChunksReplyMsg {
-            seq: 8,
-            index,
-            len: value.len() as u64,
-            digests: base_pbft::tree::chunk_digests(index, &value, CS),
-            replica: 0,
-        })
-    };
-    assert_eq!(deliver(&mut sim, chunks(7)), 0, "index 7 was never asked for");
-    assert_eq!(deliver(&mut sim, chunks(1)), 1, "the genuine reply reads the local value once");
-    assert_eq!(deliver(&mut sim, chunks(1)), 0, "a duplicate of a consumed reply is stale");
 }

@@ -1,8 +1,9 @@
 //! Systematic Reed–Solomon erasure coding over GF(2⁸), from scratch.
 //!
 //! **Nothing in `crates/` calls this module.** State transfer fetches
-//! plain chunks from one source and checks each against a certified digest
-//! (DESIGN.md §16 records why the `k`-of-`n` fragment path lost to that).
+//! whole objects from one source and checks each against a certified
+//! digest (DESIGN.md §16 records why the `k`-of-`n` fragment path lost to
+//! plain fetches).
 //! [`encode`] and [`reconstruct`] stay only because `benchmark/src/kernels.rs`
 //! times them; the module goes when those two kernel rows do (ROADMAP
 //! item 2).

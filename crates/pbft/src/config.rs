@@ -51,15 +51,6 @@ pub struct Config {
     pub recovery_period: Option<SimDuration>,
     /// Simulated reboot time during proactive recovery.
     pub reboot_time: SimDuration,
-    /// Leaf-digest chunk size in bytes
-    /// ([`Service::set_chunk_size`](crate::Service::set_chunk_size)).
-    /// `0` (the default) keeps legacy whole-object leaf digests. Non-zero
-    /// switches every leaf digest to the chunked fold, so small writes to
-    /// big objects re-hash only touched chunks and state transfer fetches
-    /// an out-of-date object chunk by chunk, skipping chunks the fetcher
-    /// already holds. Consensus-critical: all replicas must configure the
-    /// same value.
-    pub chunk_size: usize,
     /// First simulator node of this group's replica range: replica `i`
     /// lives at node `node_base + i`. Defaults to `0` (the unsharded
     /// layout). Sharded deployments place shard `s` at `s * n`.
@@ -95,7 +86,6 @@ impl Config {
             client_timeout: SimDuration::from_millis(300),
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
-            chunk_size: 0,
             node_base: 0,
             client_base: n,
         }

@@ -665,77 +665,6 @@ xdr_struct! {
 }
 
 xdr_struct! {
-    /// Chunked state transfer: request for the chunk-digest list of one object
-    /// in a checkpoint. The reply verifies against the object's (chunked) leaf
-    /// digest, after which the chunks that differ locally are fetched and
-    /// verified one by one.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct FetchChunksMsg {
-        /// Checkpoint sequence number.
-        pub seq: u64,
-        /// Object (leaf) index.
-        pub index: u64,
-        /// Requesting replica.
-        pub replica: u32,
-    }
-}
-
-xdr_struct! {
-    /// Reply to [`FetchChunksMsg`]: the object's length and per-chunk digests.
-    /// Verified by folding into the chunked leaf digest, so it needs no
-    /// authentication; `len` is thereby as trustworthy as the digests.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct ChunksReplyMsg {
-        /// Checkpoint sequence number.
-        pub seq: u64,
-        /// Object (leaf) index.
-        pub index: u64,
-        /// Object length in bytes.
-        pub len: u64,
-        /// Per-chunk digests, in chunk order.
-        pub digests: Vec<Digest>,
-        /// Replying replica.
-        pub replica: u32,
-    }
-}
-
-xdr_struct! {
-    /// Chunked state transfer: request for the bytes of one chunk of an
-    /// object in a checkpoint, sent after the object's chunk-digest list
-    /// has been verified.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct FetchChunkDataMsg {
-        /// Checkpoint sequence number.
-        pub seq: u64,
-        /// Object (leaf) index.
-        pub index: u64,
-        /// Chunk number within the object.
-        pub chunk: u32,
-        /// Requesting replica.
-        pub replica: u32,
-    }
-}
-
-xdr_struct! {
-    /// Reply to [`FetchChunkDataMsg`]: the chunk's bytes. Verified by
-    /// hashing against the chunk's digest from the verified chunk list, so
-    /// it needs no authentication.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct ChunkDataMsg {
-        /// Checkpoint sequence number.
-        pub seq: u64,
-        /// Object (leaf) index.
-        pub index: u64,
-        /// Chunk number within the object.
-        pub chunk: u32,
-        /// Chunk bytes.
-        pub data: Vec<u8>,
-        /// Replying replica.
-        pub replica: u32,
-    }
-}
-
-xdr_struct! {
     /// Periodic status report (PBFT's status messages, simplified): lets peers
     /// detect that this replica is missing messages and retransmit them.
     /// Unauthenticated by design — a forged status can only trigger bounded
@@ -777,6 +706,11 @@ xdr_struct! {
 
 xdr_union! {
     /// Top-level message envelope.
+    ///
+    /// Tags 15–18 are retired (they carried chunked state transfer, DESIGN.md
+    /// §16) and stay unassigned, as 19 does, until a benchmark release drops
+    /// the `15..=18` transfer arm of `benchmark/src/trace.rs`: a frame that
+    /// leads with one is refused.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum Message {
         /// Client request.
@@ -809,14 +743,6 @@ xdr_union! {
         13 => CertReply(m: CertReplyMsg),
         /// Periodic status report.
         14 => Status(m: StatusMsg),
-        /// Chunked state transfer: fetch an object's chunk-digest list.
-        15 => FetchChunks(m: FetchChunksMsg),
-        /// Chunked state transfer: chunk-digest list reply.
-        16 => ChunksReply(m: ChunksReplyMsg),
-        /// Chunked state transfer: fetch the bytes of one chunk.
-        17 => FetchChunkData(m: FetchChunkDataMsg),
-        /// Chunked state transfer: chunk bytes reply.
-        18 => ChunkData(m: ChunkDataMsg),
     }
 }
 
@@ -881,10 +807,6 @@ impl Message {
             Message::FetchCert(_) => "fetch-cert",
             Message::CertReply(_) => "cert-reply",
             Message::Status(_) => "status",
-            Message::FetchChunks(_) => "fetch-chunks",
-            Message::ChunksReply(_) => "chunks-reply",
-            Message::FetchChunkData(_) => "fetch-chunk-data",
-            Message::ChunkData(_) => "chunk-data",
         }
     }
 }
@@ -1095,38 +1017,6 @@ mod tests {
                 32,
                 "45ffa5ade14cb9b191960448f3a2bfd7d5682f3ee6f47c78bc8100b102e0b0d7",
             ),
-            (
-                Message::FetchChunks(FetchChunksMsg { seq: 128, index: 7, replica: 1 }),
-                24,
-                "8a0f00f3e6004a97116bac081e30ed452cdc29ae5a36b72dff6224a943dbe21a",
-            ),
-            (
-                Message::ChunksReply(ChunksReplyMsg {
-                    seq: 128,
-                    index: 7,
-                    len: 5000,
-                    digests: vec![Digest::of(b"c0"), Digest::of(b"c1")],
-                    replica: 1,
-                }),
-                100,
-                "ff30079ef0057e7cbf7c505293d6369d8835eb82351809b7a349815962ffa756",
-            ),
-            (
-                Message::FetchChunkData(FetchChunkDataMsg { seq: 128, index: 7, chunk: 1, replica: 1 }),
-                28,
-                "75cacec788741f3f7ec73fb79241f4210ee346ccd6560101d2b94b7cdeee27ae",
-            ),
-            (
-                Message::ChunkData(ChunkDataMsg {
-                    seq: 128,
-                    index: 7,
-                    chunk: 1,
-                    data: vec![5; 100],
-                    replica: 1,
-                }),
-                132,
-                "9e9e27c17e0c9d3675159fb030530acbfa32ec1767527f7b3d49dd052908a51f",
-            ),
         ];
         for (m, len, sha) in msgs {
             let wire = m.to_wire();
@@ -1139,7 +1029,14 @@ mod tests {
     #[test]
     fn malformed_wire_bytes_are_rejected() {
         assert!(decode(&[]).is_none());
-        assert!(decode(&[0, 0, 0, 99]).is_none());
+        // Tags 15–18 are retired and 19 is unassigned: a frame that leads
+        // with one is refused, also with a body another kind would accept.
+        let body = Message::FetchObject(FetchObjectMsg { seq: 1, index: 7, replica: 1 }).to_wire();
+        for tag in [15u32, 16, 17, 18, 19, 99] {
+            assert!(decode(&tag.to_be_bytes()).is_none(), "tag {tag}");
+            let frame = [&tag.to_be_bytes()[..], &body[4..]].concat();
+            assert!(decode(&frame).is_none(), "tag {tag} with a body");
+        }
         let mut good = Message::FetchCert(FetchCertMsg { replica: 1 }).to_wire();
         good.push(0);
         assert!(decode(&good).is_none(), "trailing bytes must be rejected");

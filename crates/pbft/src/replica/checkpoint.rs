@@ -6,7 +6,7 @@ use crate::byzantine::ByzMode;
 use crate::config::Config;
 use crate::log::{CheckpointCollector, Log};
 use crate::messages::{
-    CertReplyMsg, CheckpointMsg, ChunkDataMsg, ChunksReplyMsg, FetchCertMsg, Message, MetaReplyMsg,
+    CertReplyMsg, CheckpointMsg, FetchCertMsg, Message, MetaReplyMsg,
     NewViewMsg, ObjectReplyMsg,
 };
 use crate::service::Service;
@@ -226,7 +226,7 @@ impl Checkpoints {
     }
 
     fn answer(&self, io: &mut Io<'_, '_>, msg: &Message) -> Option<(u32, Message)> {
-        let (n, chunk_size, replica) = (io.cfg.n, io.cfg.chunk_size, io.id);
+        let (n, replica) = (io.cfg.n, io.id);
         match msg {
             Message::FetchMeta(m) if (m.replica as usize) < n => {
                 let digests = if m.level == META_ROOT_LEVEL {
@@ -253,27 +253,6 @@ impl Checkpoints {
                 Some((
                     m.replica,
                     Message::ObjectReply(ObjectReplyMsg { seq, index, data, replica }),
-                ))
-            }
-            Message::FetchChunks(m) if (m.replica as usize) < n && chunk_size > 0 => {
-                let data = io.service.checkpoint_object(m.seq, m.index)?;
-                // Recomputing the chunk digests re-hashes the object once.
-                io.ctx.charge(io.cost.digest(data.len()));
-                let digests = crate::tree::chunk_digests(m.index, &data, chunk_size);
-                let (seq, index, len) = (m.seq, m.index, data.len() as u64);
-                Some((
-                    m.replica,
-                    Message::ChunksReply(ChunksReplyMsg { seq, index, len, digests, replica }),
-                ))
-            }
-            Message::FetchChunkData(m) if (m.replica as usize) < n && chunk_size > 0 => {
-                let data = io.service.checkpoint_object(m.seq, m.index)?;
-                let chunk = data.chunks(chunk_size).nth(m.chunk as usize)?;
-                io.ctx.charge(io.cost.digest(chunk.len()));
-                let (seq, index, data) = (m.seq, m.index, chunk.to_vec());
-                Some((
-                    m.replica,
-                    Message::ChunkData(ChunkDataMsg { seq, index, chunk: m.chunk, data, replica }),
                 ))
             }
             _ => None,

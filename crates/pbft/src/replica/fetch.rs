@@ -28,8 +28,7 @@ impl Fetch {
         }
         io.exec(|svc, env| svc.prepare_for_transfer(env));
         let mut fetcher =
-            Fetcher::new(io.id, io.cfg.n, seq, digest, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX)
-                .with_chunk_size(io.cfg.chunk_size);
+            Fetcher::new(io.id, io.cfg.n, seq, digest, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX);
         for (to, msg) in fetcher.begin() {
             io.send_to_replica(to as usize, &msg);
         }
@@ -56,8 +55,6 @@ impl Fetch {
         let (seq, bytes) = match msg {
             Message::MetaReply(m) => (m.seq, m.digests.len() * 32),
             Message::ObjectReply(m) => (m.seq, m.data.len()),
-            Message::ChunksReply(m) => (m.seq, m.digests.len() * 32),
-            Message::ChunkData(m) => (m.seq, m.data.len()),
             _ => return None,
         };
         io.ctx.charge(io.cost.digest(bytes));
@@ -65,16 +62,6 @@ impl Fetch {
         let (out, done) = match msg {
             Message::MetaReply(m) => fetcher.on_meta_reply(m, io.service.current_tree()),
             Message::ObjectReply(m) => fetcher.on_object_reply(m, io.service.current_tree()),
-            // Only a reply to an outstanding query is worth the abstraction
-            // function: `transfer_object` is a full `get_obj`, and `m.index`
-            // is chosen by whoever sent this. Local chunk reuse diffs
-            // against the *current* value of the object, whatever it has
-            // drifted to — the fetcher validates every reused chunk against
-            // the verified remote chunk digest.
-            Message::ChunksReply(m) if fetcher.awaits_chunks(m.index) => {
-                fetcher.on_chunks_reply(m, io.service.transfer_object(m.index).as_deref())
-            }
-            Message::ChunkData(m) => fetcher.on_chunk_data(m),
             _ => return None,
         };
         let bytes = bytes as u64;
@@ -101,10 +88,6 @@ impl Fetch {
         m.add("transfer.corrupt_replies", result.corrupt_replies);
         m.add("transfer.retransmissions", result.retransmissions);
         m.observe("transfer.peak_window", result.peak_window as u64);
-        if io.cfg.chunk_size > 0 {
-            m.add("transfer.chunk_queries", result.chunk_queries);
-            m.add("transfer.chunks_reused", result.chunks_reused);
-        }
         // Wall-clock from fetch start to installation: the transfer's
         // contribution to heal-to-progress latency.
         m.observe("transfer.fetch_ns", io.ctx.now().as_nanos().saturating_sub(self.started_at_ns));

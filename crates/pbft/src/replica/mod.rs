@@ -101,8 +101,7 @@ fn json_opt(v: Option<u64>) -> String {
 impl<S: Service> Replica<S> {
     /// Creates a replica. Its id is taken from `keys` and must match the
     /// simulator node it is installed on.
-    pub fn new(cfg: Config, keys: NodeKeys, mut service: S) -> Self {
-        service.set_chunk_size(cfg.chunk_size);
+    pub fn new(cfg: Config, keys: NodeKeys, service: S) -> Self {
         let id = keys.id() as u32;
         assert!((id as usize) < cfg.n, "replica id must be < n");
         Self {

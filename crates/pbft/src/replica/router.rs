@@ -374,16 +374,10 @@ impl<S: Service> Actor for Replica<S> {
                     self.install_new_view(nv, min_s, ctx);
                 }
             }
-            m @ (Message::FetchMeta(_)
-            | Message::FetchObject(_)
-            | Message::FetchChunks(_)
-            | Message::FetchChunkData(_)) => {
+            m @ (Message::FetchMeta(_) | Message::FetchObject(_)) => {
                 self.ckpt.serve(&mut io!(self, ctx), &m);
             }
-            m @ (Message::MetaReply(_)
-            | Message::ObjectReply(_)
-            | Message::ChunksReply(_)
-            | Message::ChunkData(_)) => {
+            m @ (Message::MetaReply(_) | Message::ObjectReply(_)) => {
                 let mut io = io!(self, ctx);
                 if let Some(result) = self.fetch.on_reply(&mut io, view, &m) {
                     self.finish_fetch(result, ctx);

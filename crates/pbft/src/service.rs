@@ -84,22 +84,20 @@ pub trait Service: 'static {
         let _ = workers;
     }
 
-    /// Sets the leaf-digest chunk size (bytes) used by the checkpoint
-    /// digest scheme. `0` = legacy whole-object leaf digests. When
-    /// non-zero, every present object's leaf digest must be the chunked
-    /// fold (`tree::chunked_leaf_digest`), so per-chunk digest lists served
-    /// during state transfer verify against the partition tree. All
-    /// replicas must agree on the value — it changes every leaf digest and
-    /// hence the checkpoint roots. The default ignores the hint (services
-    /// that keep whole-object digests only).
-    fn set_chunk_size(&mut self, chunk_size: usize) {
-        let _ = chunk_size;
+    /// Does nothing and is called by nothing in `crates/`: every leaf
+    /// digest is the whole-object `tree::leaf_digest` (DESIGN.md §16). It
+    /// exists only because `benchmark/src/trace.rs:460` overrides it to
+    /// forward to the wrapped service, and goes when that override does
+    /// (ROADMAP item 2).
+    fn set_chunk_size(&mut self, bytes: usize) {
+        let _ = bytes;
     }
 
-    /// The *current* value of object `index` (not a stored checkpoint's),
-    /// used by a fetching replica to reuse local chunks that already match
-    /// the remote checkpoint's verified chunk digests. `None` = absent or
-    /// unsupported (the default) — the fetcher then transfers every chunk.
+    /// Returns `None` and is called by nothing in `crates/`: an object is
+    /// fetched whole from a stored checkpoint, never pieced together from
+    /// the current value. It exists only because
+    /// `benchmark/src/trace.rs:464` overrides it to forward to the wrapped
+    /// service, and goes when that override does (ROADMAP item 2).
     fn transfer_object(&mut self, index: u64) -> Option<Vec<u8>> {
         let _ = index;
         None

@@ -3,7 +3,7 @@
 //! [`crate::deploy::Deployment::build`].
 
 use crate::service::{ExecEnv, Service};
-use crate::tree::{chunked_leaf_digest, PartitionTree};
+use crate::tree::{leaf_digest, PartitionTree};
 use base_crypto::Digest;
 use std::collections::BTreeMap;
 
@@ -23,7 +23,6 @@ pub struct CounterService {
     values: Vec<u64>,
     tree: PartitionTree,
     checkpoints: BTreeMap<u64, (Vec<u64>, PartitionTree)>,
-    chunk_size: usize,
     /// Execution counter (visible to tests).
     pub executed: u64,
 }
@@ -34,7 +33,6 @@ impl Default for CounterService {
             values: vec![0; COUNTER_REGS as usize],
             tree: PartitionTree::new(COUNTER_REGS, 4),
             checkpoints: BTreeMap::new(),
-            chunk_size: 0,
             executed: 0,
         }
     }
@@ -57,7 +55,7 @@ impl CounterService {
         let digest = if value == 0 {
             Digest::ZERO
         } else {
-            chunked_leaf_digest(reg as u64, &value.to_be_bytes(), self.chunk_size)
+            leaf_digest(reg as u64, &value.to_be_bytes())
         };
         self.tree.set_leaf(reg as u64, digest);
     }
@@ -68,13 +66,7 @@ impl CounterService {
     /// that state transfer can then repair.
     fn refresh_digests(&mut self) {
         for reg in 0..self.values.len() {
-            let v = self.values[reg];
-            let digest = if v == 0 {
-                Digest::ZERO
-            } else {
-                chunked_leaf_digest(reg as u64, &v.to_be_bytes(), self.chunk_size)
-            };
-            self.tree.set_leaf(reg as u64, digest);
+            self.set_reg(reg, self.values[reg]);
         }
     }
 }
@@ -176,22 +168,6 @@ impl Service for CounterService {
 
     fn prepare_for_transfer(&mut self, _env: &mut ExecEnv<'_>) {
         self.refresh_digests();
-    }
-
-    fn set_chunk_size(&mut self, chunk_size: usize) {
-        if self.chunk_size != chunk_size {
-            self.chunk_size = chunk_size;
-            self.refresh_digests();
-        }
-    }
-
-    fn transfer_object(&mut self, index: u64) -> Option<Vec<u8>> {
-        let v = *self.values.get(index as usize)?;
-        if v == 0 {
-            None
-        } else {
-            Some(v.to_be_bytes().to_vec())
-        }
     }
 
     fn reboot(&mut self, clean: bool, _env: &mut ExecEnv<'_>) {

@@ -24,22 +24,14 @@
 //! jitter, so a slow or silent source delays only its own partitions and
 //! retries do not synchronize into bursts.
 //!
-//! When leaves are chunked (`chunk_size > 0`, so every leaf digest is the
-//! fold of [`crate::tree::chunked_leaf_digest`]) an out-of-date object is
-//! fetched in two steps: its chunk-digest list, verified against the leaf
-//! digest, and then the plain bytes of each chunk whose local bytes do not
-//! already hash to the listed digest — one query per chunk to one source,
-//! verified against that chunk's digest exactly like an object reply.
-//! Otherwise the object is fetched whole.
+//! An out-of-date object is fetched whole, and its bytes must hash to the
+//! leaf digest ([`crate::tree::leaf_digest`]) the verified walk gave for it.
 //!
 //! The checkpoint identity covers both the service state and the client
 //! reply cache (which PBFT replicates as part of the state):
 //! `D = H("ckpt" || service_root || H(replies_blob))`.
 
-use crate::messages::{
-    ChunkDataMsg, ChunksReplyMsg, FetchChunkDataMsg, FetchChunksMsg, FetchMetaMsg,
-    FetchObjectMsg, Message, MetaReplyMsg, ObjectReplyMsg,
-};
+use crate::messages::{FetchMetaMsg, FetchObjectMsg, Message, MetaReplyMsg, ObjectReplyMsg};
 use crate::tree::PartitionTree;
 use base_crypto::Digest;
 use base_simnet::RttEstimator;
@@ -93,11 +85,6 @@ pub struct FetchResult {
     pub retransmissions: u64,
     /// Largest pipelining window the fetch reached.
     pub peak_window: usize,
-    /// Chunked leaves: chunk-digest-list queries issued.
-    pub chunk_queries: u64,
-    /// Chunked leaves: chunks satisfied from the local value (matched the
-    /// remote checkpoint's verified chunk digest, so no bytes moved).
-    pub chunks_reused: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,10 +93,6 @@ enum FetchKey {
     Replies,
     Meta { level: u32, index: u64 },
     Object { index: u64 },
-    /// An object's chunk-digest list.
-    Chunks { index: u64 },
-    /// The bytes of one chunk of an object.
-    Chunk { index: u64, chunk: u32 },
 }
 
 #[derive(Debug)]
@@ -128,18 +111,6 @@ struct Outstanding {
 
 /// Retransmission backoff cap, in ticks.
 const MAX_BACKOFF_TICKS: u64 = 32;
-
-/// Per-object assembly state for chunked fetches: the verified chunk list's
-/// geometry plus the reused or fetched bytes of each chunk.
-#[derive(Debug)]
-struct ChunkedObject {
-    /// Object length from the verified chunk list.
-    len: usize,
-    /// Chunks still missing.
-    remaining: usize,
-    /// Chunk bytes, filled in as they are reused or fetched.
-    chunks: Vec<Option<Vec<u8>>>,
-}
 
 /// State machine driving one state transfer.
 #[derive(Debug)]
@@ -177,12 +148,6 @@ pub struct Fetcher {
     retransmissions: u64,
     fetched_bytes: u64,
     meta_queries: u64,
-    /// Leaf-digest chunk size; `0` = whole-object leaves, fetched whole.
-    chunk_size: usize,
-    /// In-flight chunked objects, keyed by object index.
-    chunked: HashMap<u64, ChunkedObject>,
-    chunk_queries: u64,
-    chunks_reused: u64,
     done: bool,
 }
 
@@ -227,21 +192,8 @@ impl Fetcher {
             retransmissions: 0,
             fetched_bytes: 0,
             meta_queries: 0,
-            chunk_size: 0,
-            chunked: HashMap::new(),
-            chunk_queries: 0,
-            chunks_reused: 0,
             done: false,
         }
-    }
-
-    /// Tells the fetcher the group's leaf-digest chunk size
-    /// ([`Config::chunk_size`](crate::Config::chunk_size)). When non-zero
-    /// the leaf digests are chunked folds, so an out-of-date object is
-    /// fetched as its chunk-digest list plus the chunks that differ locally.
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
     }
 
     /// The current pipelining window.
@@ -303,17 +255,6 @@ impl Fetcher {
                 index,
                 replica: self.me,
             }),
-            FetchKey::Chunks { index } => Message::FetchChunks(FetchChunksMsg {
-                seq: self.seq,
-                index,
-                replica: self.me,
-            }),
-            FetchKey::Chunk { index, chunk } => Message::FetchChunkData(FetchChunkDataMsg {
-                seq: self.seq,
-                index,
-                chunk,
-                replica: self.me,
-            }),
         }
     }
 
@@ -326,8 +267,6 @@ impl Fetcher {
             FetchKey::Replies => 2,
             FetchKey::Meta { level, index } => 3 ^ ((level as u64) << 32) ^ index,
             FetchKey::Object { index } => 5 ^ index,
-            FetchKey::Chunks { index } => 7 ^ index,
-            FetchKey::Chunk { index, chunk } => 11 ^ index ^ ((chunk as u64) << 20),
         };
         let mut x = self.seq ^ code ^ (u64::from(attempts) << 48) ^ 0x9e37_79b9_7f4a_7c15;
         x ^= x >> 30;
@@ -370,10 +309,8 @@ impl Fetcher {
     fn pump(&mut self, out: &mut Vec<(u32, Message)>) {
         while self.outstanding.len() < self.window {
             let Some((key, expected)) = self.pending.pop_front() else { break };
-            match key {
-                FetchKey::Meta { .. } | FetchKey::Root => self.meta_queries += 1,
-                FetchKey::Chunks { .. } => self.chunk_queries += 1,
-                _ => {}
+            if matches!(key, FetchKey::Meta { .. } | FetchKey::Root) {
+                self.meta_queries += 1;
             }
             let msg = self.request_for(key);
             let next_retry = self.ticks + self.backoff_ticks(key, 0);
@@ -384,17 +321,6 @@ impl Fetcher {
             );
             out.push((source, msg));
         }
-    }
-
-    /// Issues the fetch for one out-of-date object: its chunk-digest list
-    /// when leaves are chunked, the whole value otherwise.
-    fn issue_object(&mut self, index: u64, expected: Digest, out: &mut Vec<(u32, Message)>) {
-        let key = if self.chunk_size > 0 {
-            FetchKey::Chunks { index }
-        } else {
-            FetchKey::Object { index }
-        };
-        self.issue(key, expected, out);
     }
 
     /// Re-issues an already outstanding query to the next source in
@@ -458,8 +384,6 @@ impl Fetcher {
             FetchKey::Replies => (1, 0, 0),
             FetchKey::Meta { level, index } => (2, level as u64, index),
             FetchKey::Object { index } => (3, 0, index),
-            FetchKey::Chunks { index } => (4, 0, index),
-            FetchKey::Chunk { index, chunk } => (5, index, u64::from(chunk)),
         });
         due.into_iter().filter_map(|key| self.reissue(key, false)).collect()
     }
@@ -500,7 +424,7 @@ impl Fetcher {
                     if service_root.is_zero() {
                         self.objects.push((0, None));
                     } else {
-                        self.issue_object(0, service_root, &mut out);
+                        self.issue(FetchKey::Object { index: 0 }, service_root, &mut out);
                     }
                 } else {
                     self.issue(
@@ -541,7 +465,11 @@ impl Fetcher {
                     if remote_digest.is_zero() {
                         self.objects.push((child_index, None));
                     } else {
-                        self.issue_object(child_index, *remote_digest, &mut out);
+                        self.issue(
+                            FetchKey::Object { index: child_index },
+                            *remote_digest,
+                            &mut out,
+                        );
                     }
                 }
             } else {
@@ -600,116 +528,10 @@ impl Fetcher {
         (out, self.maybe_complete())
     }
 
-    /// True while a chunk-digest-list query for object `index` is
-    /// outstanding — lets the caller skip computing the local value
-    /// ([`Self::on_chunks_reply`]'s second argument) for a reply nobody
-    /// asked for.
-    pub fn awaits_chunks(&self, index: u64) -> bool {
-        !self.done && self.outstanding.contains_key(&FetchKey::Chunks { index })
-    }
-
-    /// Handles a chunk-digest-list reply. `local_value` is this replica's
-    /// *current* value of the object (from
-    /// [`Service::transfer_object`](crate::Service::transfer_object)):
-    /// chunks whose local bytes already hash to the verified remote chunk
-    /// digest are reused without moving bytes; the rest are fetched.
-    pub fn on_chunks_reply(
-        &mut self,
-        m: &ChunksReplyMsg,
-        local_value: Option<&[u8]>,
-    ) -> (Vec<(u32, Message)>, Option<FetchResult>) {
-        if self.done || m.seq != self.seq {
-            return (Vec::new(), None);
-        }
-        let key = FetchKey::Chunks { index: m.index };
-        let expected = match self.outstanding.get(&key) {
-            Some(o) => o.expected,
-            None => return (Vec::new(), None),
-        };
-        // The fold binds both the length and every chunk digest to the
-        // (certified) leaf digest, so `len` is as trustworthy as the data.
-        // The count check comes first: it bounds `len` by the size of the
-        // message before anything is allocated from it.
-        let cs = self.chunk_size;
-        let verified = |len: &usize| {
-            m.digests.len() == len.div_ceil(cs)
-                && crate::tree::chunked_leaf_from_digests(m.index, m.len, &m.digests) == expected
-        };
-        let Some(len) = usize::try_from(m.len).ok().filter(verified) else {
-            return self.reject(key);
-        };
-        self.consume(key);
-        self.fetched_bytes += (m.digests.len() * 32) as u64;
-
-        let mut out = Vec::new();
-        let mut obj = ChunkedObject { len, remaining: 0, chunks: vec![None; m.digests.len()] };
-        for (ci, d) in m.digests.iter().enumerate() {
-            // Reuse the local bytes at this chunk's position when they hash
-            // to the verified remote digest — correct whatever the local
-            // object has drifted to, because equality is checked against
-            // the remote checkpoint's digest, not local metadata.
-            let reused = local_value
-                .and_then(|v| v.get(ci * cs..((ci + 1) * cs).min(len)))
-                .filter(|cand| crate::tree::chunk_digest(m.index, ci as u32, cand) == *d);
-            if let Some(cand) = reused {
-                obj.chunks[ci] = Some(cand.to_vec());
-                self.chunks_reused += 1;
-            } else {
-                obj.remaining += 1;
-                self.issue(FetchKey::Chunk { index: m.index, chunk: ci as u32 }, *d, &mut out);
-            }
-        }
-        self.chunked.insert(m.index, obj);
-        self.assemble_if_whole(m.index);
-        self.pump(&mut out);
-        (out, self.maybe_complete())
-    }
-
-    /// Handles a chunk-bytes reply: the bytes must hash to the digest the
-    /// verified chunk list gave for that chunk, exactly as an object reply
-    /// must hash to its leaf digest.
-    pub fn on_chunk_data(&mut self, m: &ChunkDataMsg) -> (Vec<(u32, Message)>, Option<FetchResult>) {
-        if self.done || m.seq != self.seq {
-            return (Vec::new(), None);
-        }
-        let key = FetchKey::Chunk { index: m.index, chunk: m.chunk };
-        let expected = match self.outstanding.get(&key) {
-            Some(o) => o.expected,
-            None => return (Vec::new(), None),
-        };
-        if crate::tree::chunk_digest(m.index, m.chunk, &m.data) != expected {
-            return self.reject(key);
-        }
-        self.consume(key);
-        self.fetched_bytes += m.data.len() as u64;
-        let obj = self.chunked.get_mut(&m.index).expect("a chunk query belongs to a chunked object");
-        obj.chunks[m.chunk as usize] = Some(m.data.clone());
-        obj.remaining -= 1;
-        self.assemble_if_whole(m.index);
-        let mut out = Vec::new();
-        self.pump(&mut out);
-        (out, self.maybe_complete())
-    }
-
-    /// Moves a chunked object whose last chunk has landed (or that needed
-    /// none: everything reused, or zero length) to the install list.
-    fn assemble_if_whole(&mut self, index: u64) {
-        if self.chunked.get(&index).is_some_and(|obj| obj.remaining == 0) {
-            let obj = self.chunked.remove(&index).expect("just seen");
-            let mut value = Vec::with_capacity(obj.len);
-            for ch in obj.chunks {
-                value.extend_from_slice(&ch.expect("remaining == 0"));
-            }
-            debug_assert_eq!(value.len(), obj.len);
-            self.objects.push((index, Some(value)));
-        }
-    }
-
     fn maybe_complete(&mut self) -> Option<FetchResult> {
         if self.done
             || !self.outstanding.is_empty()
             || !self.pending.is_empty()
-            || !self.chunked.is_empty()
             || self.service_root.is_none()
             || self.replies_blob.is_none()
         {
@@ -726,8 +548,6 @@ impl Fetcher {
             corrupt_replies: self.corrupt_replies,
             retransmissions: self.retransmissions,
             peak_window: self.peak_window,
-            chunk_queries: self.chunk_queries,
-            chunks_reused: self.chunks_reused,
         })
     }
 }

@@ -87,59 +87,6 @@ pub fn leaf_digest(index: u64, value: &[u8]) -> Digest {
     XdrHasher::tagged("leaf").u64(index).opaque(value).finish()
 }
 
-/// Number of fixed-size chunks a value of `len` bytes splits into under
-/// `chunk_size` (0 chunks for an empty value).
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero (callers gate on `chunk_size > 0`).
-pub fn chunk_count(len: usize, chunk_size: usize) -> usize {
-    assert!(chunk_size > 0, "chunk_count needs a positive chunk size");
-    len.div_ceil(chunk_size)
-}
-
-/// Digest of chunk `chunk` of abstract object `index`.
-///
-/// Binding both indices prevents a Byzantine replica from answering a
-/// fetch of one chunk with another chunk's (individually valid) bytes.
-pub fn chunk_digest(index: u64, chunk: u32, data: &[u8]) -> Digest {
-    XdrHasher::tagged("chnk").u64(index).u32(chunk).opaque(data).finish()
-}
-
-/// Folds a value's per-chunk digests (plus its exact length) into the leaf
-/// digest used when chunked digesting is enabled.
-///
-/// The length is bound so that a value whose trailing chunk is a strict
-/// prefix of another's cannot collide, and so state transfer can trust the
-/// length carried by a verified chunk list.
-pub fn chunked_leaf_from_digests(index: u64, len: u64, digests: &[Digest]) -> Digest {
-    XdrHasher::tagged("cleaf").u64(index).u64(len).digests(digests).finish()
-}
-
-/// The per-chunk digests of `value` under `chunk_size` (empty for an empty
-/// value).
-pub fn chunk_digests(index: u64, value: &[u8], chunk_size: usize) -> Vec<Digest> {
-    assert!(chunk_size > 0, "chunk_digests needs a positive chunk size");
-    value
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(c, data)| chunk_digest(index, c as u32, data))
-        .collect()
-}
-
-/// Digest of leaf `index` with chunked digesting: `chunk_size = 0` is the
-/// legacy whole-object [`leaf_digest`]; otherwise the leaf digest folds the
-/// value's fixed-size chunk digests, so a small write to a big object only
-/// re-hashes the touched chunks (given a cache of the previous chunk
-/// digests — see the `base` crate's checkpoint module).
-pub fn chunked_leaf_digest(index: u64, value: &[u8], chunk_size: usize) -> Digest {
-    if chunk_size == 0 {
-        return leaf_digest(index, value);
-    }
-    let digests = chunk_digests(index, value, chunk_size);
-    chunked_leaf_from_digests(index, value.len() as u64, &digests)
-}
-
 fn node_digest(level: u32, children: &[Digest]) -> Digest {
     XdrHasher::tagged("node").u32(level).digests(children).finish()
 }
@@ -589,7 +536,6 @@ mod tests {
         #[test]
         fn in_place_digests_hash_the_encoded_input(
             index: u64,
-            chunk: u32,
             level: u32,
             value in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
             seeds in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20),
@@ -606,19 +552,6 @@ mod tests {
                 enc.put_u64(index);
                 enc.put_opaque(&value);
             }));
-            proptest::prop_assert_eq!(chunk_digest(index, chunk, &value), encoded(&|enc| {
-                enc.put_string("chnk");
-                enc.put_u64(index);
-                enc.put_u32(chunk);
-                enc.put_opaque(&value);
-            }));
-            let len = value.len() as u64;
-            proptest::prop_assert_eq!(chunked_leaf_from_digests(index, len, &digests), encoded(&|enc| {
-                enc.put_string("cleaf");
-                enc.put_u64(index);
-                enc.put_u64(len);
-                digests.iter().for_each(|d| enc.put_opaque_fixed(&d.0));
-            }));
             proptest::prop_assert_eq!(node_digest(level, &digests), encoded(&|enc| {
                 enc.put_string("node");
                 enc.put_u32(level);
@@ -630,60 +563,6 @@ mod tests {
     #[test]
     fn leaf_digest_binds_index() {
         assert_ne!(leaf_digest(1, b"v"), leaf_digest(2, b"v"));
-    }
-
-    #[test]
-    fn chunk_count_math() {
-        assert_eq!(chunk_count(0, 8), 0);
-        assert_eq!(chunk_count(1, 8), 1);
-        assert_eq!(chunk_count(8, 8), 1);
-        assert_eq!(chunk_count(9, 8), 2);
-        assert_eq!(chunk_count(64, 8), 8);
-    }
-
-    #[test]
-    fn chunked_leaf_zero_chunk_size_is_legacy() {
-        assert_eq!(chunked_leaf_digest(7, b"value", 0), leaf_digest(7, b"value"));
-    }
-
-    #[test]
-    fn chunked_leaf_matches_fold_of_chunk_digests() {
-        let value = vec![3u8; 100];
-        let ds = chunk_digests(9, &value, 32);
-        assert_eq!(ds.len(), 4);
-        assert_eq!(
-            chunked_leaf_digest(9, &value, 32),
-            chunked_leaf_from_digests(9, 100, &ds)
-        );
-    }
-
-    #[test]
-    fn chunk_digest_binds_object_and_chunk() {
-        assert_ne!(chunk_digest(1, 0, b"x"), chunk_digest(2, 0, b"x"));
-        assert_ne!(chunk_digest(1, 0, b"x"), chunk_digest(1, 1, b"x"));
-    }
-
-    #[test]
-    fn chunked_leaf_binds_length() {
-        // Same chunk list length, different trailing-chunk content =>
-        // different digests; and an explicit length mismatch changes the
-        // fold even with identical digests.
-        let ds = chunk_digests(4, b"abcdefgh", 4);
-        assert_ne!(
-            chunked_leaf_from_digests(4, 8, &ds),
-            chunked_leaf_from_digests(4, 7, &ds)
-        );
-    }
-
-    #[test]
-    fn chunked_leaf_changes_only_touched_chunk_digests() {
-        let mut value = vec![0u8; 96];
-        let before = chunk_digests(5, &value, 32);
-        value[40] = 1; // inside chunk 1
-        let after = chunk_digests(5, &value, 32);
-        assert_eq!(before[0], after[0]);
-        assert_ne!(before[1], after[1]);
-        assert_eq!(before[2], after[2]);
     }
 
     #[test]

@@ -224,31 +224,31 @@ fn ddmin_strips_decoys_and_localizes_divergence() {
     );
 }
 
-/// Drops and corruption of the chunk replies (ChunkData is tag 18,
-/// ChunksReply tag 16) layered over a crash that forces state transfer:
-/// every campaign invariant must still hold — a corrupt chunk or chunk list
-/// is shed by its digest check and re-fetched from the next source, and
-/// drops are absorbed by the fetch window's retransmission.
+/// Drops and corruption of the transfer replies (ObjectReply is tag 11,
+/// MetaReply tag 9) layered over a crash that forces state transfer:
+/// every campaign invariant must still hold — a corrupt object or
+/// partition reply is shed by its digest check and re-fetched from the
+/// next source, and drops are absorbed by the fetch window's
+/// retransmission.
 #[test]
-fn chunked_campaign_survives_chunk_reply_faults() {
+fn transfer_campaign_survives_transfer_reply_faults() {
     let mut h = counter();
-    h.cfg.chunk_size = 4;
     let mut schedule = FaultSchedule::new();
     schedule
         .crash(SimTime::from_millis(400), NodeId(3), SimDuration::from_secs(3))
         .net(
             SimTime::from_millis(300),
-            NetFault::DropTagged { tag: 18, prob: 0.3 },
+            NetFault::DropTagged { tag: 11, prob: 0.3 },
             SimDuration::from_secs(6),
         )
         .net(
             SimTime::from_secs(4),
-            NetFault::CorruptTagged { tag: 18, prob: 0.4 },
+            NetFault::CorruptTagged { tag: 11, prob: 0.4 },
             SimDuration::from_secs(4),
         )
         .net(
             SimTime::from_secs(5),
-            NetFault::CorruptTagged { tag: 16, prob: 0.3 },
+            NetFault::CorruptTagged { tag: 9, prob: 0.3 },
             SimDuration::from_secs(3),
         );
 
@@ -258,32 +258,31 @@ fn chunked_campaign_survives_chunk_reply_faults() {
         assert_eq!(
             verdict,
             Ok(()),
-            "chunked run under chunk-reply faults failed (seed {seed}):\n{}",
+            "run under transfer-reply faults failed (seed {seed}):\n{}",
             outcome.trace.join("\n")
         );
         transfers += outcome.coverage.state_transfers_completed;
     }
-    assert!(transfers > 0, "the crash window must force at least one chunked state transfer");
+    assert!(transfers > 0, "the crash window must force at least one state transfer");
 }
 
-/// The injected client bug's trigger buried among tagged chunk-reply
+/// The injected client bug's trigger buried among tagged transfer-reply
 /// faults: ddmin must treat them as first-class schedule events — digest
 /// them, strip them as decoys and keep only the Byzantine replier.
 #[test]
-fn ddmin_strips_chunk_reply_fault_decoys() {
+fn ddmin_strips_transfer_reply_fault_decoys() {
     let mut h = buggy_counter();
-    h.cfg.chunk_size = 4;
     let mut schedule = FaultSchedule::new();
     schedule
         .net(
             SimTime::from_millis(100),
-            NetFault::DropTagged { tag: 18, prob: 0.4 },
+            NetFault::DropTagged { tag: 11, prob: 0.4 },
             SimDuration::from_secs(2),
         )
         .app(SimTime::from_millis(200), NodeId(1), APP_BYZ, ByzMode::CorruptReplies.code())
         .net(
             SimTime::from_millis(600),
-            NetFault::CorruptTagged { tag: 16, prob: 0.4 },
+            NetFault::CorruptTagged { tag: 9, prob: 0.4 },
             SimDuration::from_secs(2),
         );
 

@@ -1,22 +1,18 @@
-//! Property test for the state-transfer [`Fetcher`] on chunked leaves,
-//! against a source that lies: for random object/chunk geometry and a
-//! random mix of correct, truncated, over-long, misaddressed, wrong-`seq`,
+//! Property test for the state-transfer [`Fetcher`] against a source that
+//! lies: for random object values, a random stale local copy and a random
+//! mix of correct, truncated, over-long, misaddressed, wrong-`seq`,
 //! duplicated and bit-flipped replies,
 //!
 //! - nothing unverified is ever installed (the result holds exactly the
-//!   remote values of the objects that differ, and every chunk the stale
-//!   local copy already had right is reused rather than fetched);
+//!   remote values of the objects that differ);
 //! - every rejected reply re-targets its query to a different source;
-//! - a chunk list whose digest count disagrees with
-//!   `len.div_ceil(chunk_size)` is rejected whatever `len` claims (a
-//!   `len` of `u64::MAX` must not size an allocation);
 //! - the fetch completes on the very reply that gives the last open query
 //!   its one honest answer.
 
 use base_crypto::Digest;
-use base_pbft::messages::{ChunkDataMsg, ChunksReplyMsg, Message, MetaReplyMsg, ObjectReplyMsg};
+use base_pbft::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
 use base_pbft::transfer::{checkpoint_digest, FetchResult, Fetcher, META_ROOT_LEVEL, REPLIES_INDEX};
-use base_pbft::tree::{chunk_digests, chunked_leaf_digest, PartitionTree};
+use base_pbft::tree::{leaf_digest, PartitionTree};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -32,24 +28,21 @@ fn key_of(req: &Message) -> Key {
     match req {
         Message::FetchMeta(m) => (0, u64::from(m.level), m.index),
         Message::FetchObject(m) => (1, m.index, 0),
-        Message::FetchChunks(m) => (2, m.index, 0),
-        Message::FetchChunkData(m) => (3, m.index, u64::from(m.chunk)),
         other => panic!("the fetcher sent a {}", other.kind()),
     }
 }
 
-/// The checkpoint being fetched: chunked leaves over `values`.
+/// The checkpoint being fetched: leaves over `values`.
 struct Remote {
     tree: PartitionTree,
     values: Vec<Option<Vec<u8>>>,
-    chunk_size: usize,
 }
 
-fn tree_of(values: &[Option<Vec<u8>>], chunk_size: usize) -> PartitionTree {
+fn tree_of(values: &[Option<Vec<u8>>]) -> PartitionTree {
     let mut tree = PartitionTree::new(CAPACITY as u64, 4);
     for (i, v) in values.iter().enumerate() {
         if let Some(v) = v {
-            tree.set_leaf(i as u64, chunked_leaf_digest(i as u64, v, chunk_size));
+            tree.set_leaf(i as u64, leaf_digest(i as u64, v));
         }
     }
     tree
@@ -70,36 +63,16 @@ impl Remote {
                 },
                 replica: 0,
             }),
-            Message::FetchObject(m) => {
-                assert_eq!(m.index, REPLIES_INDEX, "chunked leaves are never fetched whole");
-                Message::ObjectReply(ObjectReplyMsg {
-                    seq: m.seq,
-                    index: m.index,
-                    data: REPLIES_BLOB.to_vec(),
-                    replica: 0,
-                })
-            }
-            Message::FetchChunks(m) => {
-                let value = self.values[m.index as usize].as_ref().expect("a live object");
-                Message::ChunksReply(ChunksReplyMsg {
-                    seq: m.seq,
-                    index: m.index,
-                    len: value.len() as u64,
-                    digests: chunk_digests(m.index, value, self.chunk_size),
-                    replica: 0,
-                })
-            }
-            Message::FetchChunkData(m) => {
-                let value = self.values[m.index as usize].as_ref().expect("a live object");
-                let chunk = value.chunks(self.chunk_size).nth(m.chunk as usize).expect("in range");
-                Message::ChunkData(ChunkDataMsg {
-                    seq: m.seq,
-                    index: m.index,
-                    chunk: m.chunk,
-                    data: chunk.to_vec(),
-                    replica: 0,
-                })
-            }
+            Message::FetchObject(m) => Message::ObjectReply(ObjectReplyMsg {
+                seq: m.seq,
+                index: m.index,
+                data: if m.index == REPLIES_INDEX {
+                    REPLIES_BLOB.to_vec()
+                } else {
+                    self.values[m.index as usize].clone().expect("a live object")
+                },
+                replica: 0,
+            }),
             other => panic!("the fetcher sent a {}", other.kind()),
         }
     }
@@ -115,10 +88,9 @@ enum Fate {
     Truncated,
     OverLong,
     BitFlipped,
-    HugeLen,
 }
 
-const FATES: [Fate; 8] = [
+const FATES: [Fate; 7] = [
     Fate::Honest,
     Fate::Duplicated,
     Fate::WrongSeq,
@@ -126,7 +98,6 @@ const FATES: [Fate; 8] = [
     Fate::Truncated,
     Fate::OverLong,
     Fate::BitFlipped,
-    Fate::HugeLen,
 ];
 
 /// A copy of `reply` for a different checkpoint.
@@ -134,23 +105,19 @@ fn with_wrong_seq(mut reply: Message) -> Message {
     match &mut reply {
         Message::MetaReply(m) => m.seq += 1,
         Message::ObjectReply(m) => m.seq += 1,
-        Message::ChunksReply(m) => m.seq += 1,
-        Message::ChunkData(m) => m.seq += 1,
         _ => unreachable!(),
     }
     reply
 }
 
 /// The honest bytes of `reply` under the coordinates of its neighbour: the
-/// next chunk, the next object, the next tree node.
+/// next object (the reply cache's is object 0), the next tree node.
 fn misaddressed(mut reply: Message) -> Message {
     match &mut reply {
         // (The root reply's index is not looked at; move its level.)
         Message::MetaReply(m) if m.level == META_ROOT_LEVEL => m.level = 1,
         Message::MetaReply(m) => m.index += 1,
-        Message::ObjectReply(m) => m.index = 0,
-        Message::ChunksReply(m) => m.index += 1,
-        Message::ChunkData(m) => m.chunk += 1,
+        Message::ObjectReply(m) => m.index = m.index.wrapping_add(1),
         _ => unreachable!(),
     }
     reply
@@ -164,7 +131,7 @@ fn damaged(mut reply: Message, fate: Fate) -> Message {
             Fate::Truncated if !data.is_empty() => {
                 data.pop();
             }
-            Fate::BitFlipped | Fate::HugeLen if !data.is_empty() => data[0] ^= 1,
+            Fate::BitFlipped if !data.is_empty() => data[0] ^= 1,
             _ => data.push(0x5a),
         }
     }
@@ -173,16 +140,13 @@ fn damaged(mut reply: Message, fate: Fate) -> Message {
             Fate::Truncated if !digests.is_empty() => {
                 digests.pop();
             }
-            Fate::BitFlipped | Fate::HugeLen if !digests.is_empty() => digests[0].0[0] ^= 1,
+            Fate::BitFlipped if !digests.is_empty() => digests[0].0[0] ^= 1,
             _ => digests.push(Digest::of(b"one too many")),
         }
     }
     match &mut reply {
         Message::MetaReply(m) => digests(&mut m.digests, fate),
         Message::ObjectReply(m) => bytes(&mut m.data, fate),
-        Message::ChunksReply(m) if fate == Fate::HugeLen => m.len = u64::MAX,
-        Message::ChunksReply(m) => digests(&mut m.digests, fate),
-        Message::ChunkData(m) => bytes(&mut m.data, fate),
         _ => unreachable!(),
     }
     reply
@@ -192,7 +156,6 @@ fn damaged(mut reply: Message, fate: Fate) -> Message {
 struct Run<'a> {
     remote: &'a Remote,
     local: &'a PartitionTree,
-    local_values: &'a [Option<Vec<u8>>],
     fetcher: Fetcher,
     /// Queries on the wire, in the order the fetcher sent them.
     wire: VecDeque<Message>,
@@ -221,11 +184,6 @@ impl Run<'_> {
         let (out, done) = match reply {
             Message::MetaReply(m) => self.fetcher.on_meta_reply(m, self.local),
             Message::ObjectReply(m) => self.fetcher.on_object_reply(m, self.local),
-            Message::ChunksReply(m) => {
-                let local = self.local_values.get(m.index as usize).and_then(|v| v.as_deref());
-                self.fetcher.on_chunks_reply(m, local)
-            }
-            Message::ChunkData(m) => self.fetcher.on_chunk_data(m),
             _ => unreachable!(),
         };
         if let Some(result) = done {
@@ -286,7 +244,7 @@ impl Run<'_> {
                     None => self.deliver_ignored(&bad),
                 }
             }
-            Fate::Truncated | Fate::OverLong | Fate::BitFlipped | Fate::HugeLen => {
+            Fate::Truncated | Fate::OverLong | Fate::BitFlipped => {
                 // The re-sent query goes to the back of the wire and is
                 // served (under a fate of its own) in its turn.
                 return self.deliver_rejected(&damaged(honest, fate), &req);
@@ -319,8 +277,6 @@ fn answers(reply: &Message, key: &Key) -> bool {
     *key == match reply {
         Message::MetaReply(m) => (0, u64::from(m.level), m.index),
         Message::ObjectReply(m) => (1, m.index, 0),
-        Message::ChunksReply(m) => (2, m.index, 0),
-        Message::ChunkData(m) => (3, m.index, u64::from(m.chunk)),
         _ => unreachable!(),
     }
 }
@@ -351,20 +307,18 @@ proptest! {
             CAPACITY,
         ),
         drifts in proptest::collection::vec((any::<u8>(), 0usize..40), CAPACITY),
-        chunk_size in 1usize..9,
         fates in proptest::collection::vec(0usize..FATES.len(), 1..64),
     ) {
         let local_values: Vec<Option<Vec<u8>>> =
             values.iter().zip(&drifts).map(|(v, (drift, at))| drifted(v, *drift, *at)).collect();
-        let remote = Remote { tree: tree_of(&values, chunk_size), values, chunk_size };
-        let local = tree_of(&local_values, chunk_size);
+        let remote = Remote { tree: tree_of(&values), values };
+        let local = tree_of(&local_values);
         let target = checkpoint_digest(&remote.tree.root_digest(), &Digest::of(REPLIES_BLOB));
 
         let mut run = Run {
             remote: &remote,
             local: &local,
-            local_values: &local_values,
-            fetcher: Fetcher::new(ME, 4, SEQ, target, 4, 16).with_chunk_size(chunk_size),
+            fetcher: Fetcher::new(ME, 4, SEQ, target, 4, 16),
             wire: VecDeque::new(),
             last_source: HashMap::new(),
             answered: HashSet::new(),
@@ -402,15 +356,5 @@ proptest! {
             .map(|i| (i, remote.values[i as usize].clone()))
             .collect();
         prop_assert_eq!(&installed, &differing);
-        // Reused: every chunk of those objects the stale copy had right.
-        let reusable: usize = differing
-            .iter()
-            .filter_map(|(i, v)| Some((v.as_ref()?, local_values[*i as usize].as_ref()?)))
-            .map(|(remote, local)| {
-                let at = |c: usize| local.get(c * chunk_size..((c + 1) * chunk_size).min(remote.len()));
-                remote.chunks(chunk_size).enumerate().filter(|(c, want)| at(*c) == Some(*want)).count()
-            })
-            .sum();
-        prop_assert_eq!(result.chunks_reused, reusable as u64);
     }
 }

@@ -5,10 +5,9 @@
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_pbft::messages::{
-    CertReplyMsg, CheckpointMsg, ChunkDataMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg,
-    FetchChunkDataMsg, FetchChunksMsg, FetchMetaMsg, FetchObjectMsg, MetaReplyMsg, NewViewMsg,
-    ObjectReplyMsg, PEntry, PrePrepareMsg, PrepareMsg, QEntry, ReplyMsg, RequestMsg, StatusMsg,
-    ViewChangeMsg,
+    CertReplyMsg, CheckpointMsg, CommitMsg, FetchCertMsg, FetchMetaMsg, FetchObjectMsg,
+    MetaReplyMsg, NewViewMsg, ObjectReplyMsg, PEntry, PrePrepareMsg, PrepareMsg, QEntry, ReplyMsg,
+    RequestMsg, StatusMsg, ViewChangeMsg,
 };
 use base_pbft::Message;
 use base_simnet::Payload;
@@ -227,37 +226,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (any::<u64>(), any::<u64>(), 0u32..N as u32).prop_map(|(seq, index, replica)| {
             Message::FetchObject(FetchObjectMsg { seq, index, replica })
         }),
-        (any::<u64>(), any::<u64>(), 0u32..N as u32).prop_map(|(seq, index, replica)| {
-            Message::FetchChunks(FetchChunksMsg { seq, index, replica })
-        }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            proptest::collection::vec(arb_digest(), 0..8),
-            0u32..N as u32,
-        )
-            .prop_map(|(seq, index, len, digests, replica)| {
-                Message::ChunksReply(ChunksReplyMsg { seq, index, len, digests, replica })
-            }),
-        (any::<u64>(), any::<u64>(), any::<u32>(), 0u32..N as u32).prop_map(
-            |(seq, index, chunk, replica)| Message::FetchChunkData(FetchChunkDataMsg {
-                seq,
-                index,
-                chunk,
-                replica,
-            })
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..128),
-            0u32..N as u32,
-        )
-            .prop_map(|(seq, index, chunk, data, replica)| {
-                Message::ChunkData(ChunkDataMsg { seq, index, chunk, data, replica })
-            }),
     ]
 }
 

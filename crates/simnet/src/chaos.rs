@@ -1,5 +1,6 @@
 //! Chaos campaigns: declarative, seeded fault schedules executed over many
-//! simulation runs, with greedy schedule minimization for failing runs.
+//! simulation runs, with delta-debugging schedule minimization for failing
+//! runs.
 //!
 //! A [`FaultSchedule`] is a list of timed events — crash/restore windows,
 //! healing network faults ([`NetFault`]s, each added to the simulation as a
@@ -10,8 +11,10 @@
 //! against a freshly built simulation and returns the deterministic event
 //! trace; [`run_campaign`] drives N seeded runs, generating a
 //! budget-respecting random schedule per seed, auditing each run, and
-//! shrinking any failing schedule with [`minimize`] so the report carries a
-//! minimal replayable reproduction (seed + schedule).
+//! shrinking any failing schedule with
+//! [`ddmin_from_failure`](crate::ddmin::ddmin_from_failure) so the report
+//! carries a minimal replayable reproduction (seed + schedule). The greedy
+//! [`minimize`] stays as the reference that ddmin is tested against.
 //!
 //! Everything is deterministic: the same seed and schedule produce the same
 //! trace and the same [`NetStats`], which the determinism tests assert.

@@ -51,7 +51,7 @@ pub enum NetFault {
     /// Drop a fraction of one protocol message kind, selected by its
     /// leading 4-byte big-endian wire discriminant (the protocol's XDR
     /// envelope puts the variant tag first, so no protocol dependency is
-    /// needed): targeted starvation, e.g. of chunk replies.
+    /// needed): targeted starvation, e.g. of state-transfer object replies.
     DropTagged {
         /// Wire discriminant of the targeted message kind.
         tag: u32,

@@ -196,19 +196,25 @@ fn dense_message_path(t: &Tree) -> Vec<Hit> {
 }
 
 /// One path (DESIGN.md §15, §16): state transfer has one fetch path
-/// and execution one executor, in batch order. No name of the fragment
-/// ladder, the worker pool or the conflict partition is back, but for the
-/// `Service::set_exec_workers` default no-op that `benchmark/` still
-/// overrides; and `simnet::chaos`'s campaign runner is the only code in
-/// `crates/*/src` that starts a thread.
+/// and one leaf digest, and execution one executor, in batch order. No
+/// name of the fragment ladder, the chunked leaves and their chunk fetch,
+/// the worker pool or the conflict partition is back, but for the
+/// `Service::set_exec_workers` and `Service::set_chunk_size` default
+/// no-ops that `benchmark/` still overrides; and `simnet::chaos`'s
+/// campaign runner is the only code in `crates/*/src` that starts a
+/// thread.
 fn one_path(t: &Tree) -> Vec<Hit> {
     let mut hits = t.grep(
         anywhere,
         Mode::Substring,
-        "coded_transfer|exec_workers|lane_makespan|enable_coded|CHUNK_WHOLE|reconstruct_verified|conflict_groups|exec_groups|exec_serial_ns",
+        "coded_transfer|exec_workers|lane_makespan|enable_coded|CHUNK_WHOLE|reconstruct_verified|conflict_groups|exec_groups|exec_serial_ns|\
+         chunk_size|chunk_count|chunk_digest|chunked_leaf_digest|chunked_leaf_from_digests|FetchChunks|ChunksReply|FetchChunkData|ChunkData|\
+         ChunkSnapshot|ChunkedObject|with_chunk_size|awaits_chunks|on_chunks_reply|on_chunk_data|chunk_queries|chunks_reused|chunks_rehashed|RECOVERY_CHUNK",
     );
     hits.retain(|h| {
-        !(h.path == "crates/pbft/src/service.rs" && h.text.starts_with("    fn set_exec_workers("))
+        let default = |f: &str| h.text.starts_with(&format!("    fn {f}("));
+        !(h.path == "crates/pbft/src/service.rs"
+            && (default("set_exec_workers") || default("set_chunk_size")))
     });
     let threads = |p: &str| library(p) && p != "crates/simnet/src/chaos.rs";
     hits.extend(t.grep(threads, Mode::Substring, "thread::"));
@@ -482,13 +488,15 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 26] = [
+    let plants: [(Gate, &str, &str); 28] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
         (dense_message_path, "crates/simnet/src/event.rs", "dead: HashSet<u64>,"),
         (one_path, "crates/pbft/src/transfer.rs", "// coded_transfer"),
         (one_path, "crates/pbft/src/service.rs", "fn set_exec_workers(&mut self) {}"),
+        (one_path, "crates/pbft/src/config.rs", "    pub chunk_size: usize,"),
+        (one_path, "crates/pbft/src/service.rs", "        let _ = chunk_size;"),
         (one_path, "crates/core/src/lib.rs", "std::thread::spawn(|| ());"),
         (one_fault_model, "src/lib.rs", "// drop_prob"),
         (one_deployment, "scripts/tier1.sh", "# build_group"),
