@@ -1,5 +1,5 @@
 //! The experiment CLI. Without a subcommand it regenerates the experiment
-//! tables (E1–E7, E9–E14) and the bench lab's deterministic counts (`lab`):
+//! tables (E1–E7, E9–E11, E14) and the bench lab's deterministic counts (`lab`):
 //! name the experiments to run — `all_tables throughput roopt` — or none to
 //! run them all in order. `--scale tiny|small|medium` and `--homogeneous`
 //! configure `andrew`. Two subcommands are the repro lab:
@@ -20,8 +20,8 @@
 
 use base_bench::experiments::faultinj::NfsWorkload;
 use base_bench::experiments::{
-    run_andrew, run_bandwidth, run_checkpoint, run_codesize, run_degree, run_faultinj, run_oodb,
-    run_recovery, run_roopt, run_shards, run_sigmac, run_throughput, run_transfer,
+    run_andrew, run_checkpoint, run_codesize, run_degree, run_faultinj, run_oodb, run_recovery,
+    run_roopt, run_shards, run_throughput, run_transfer,
 };
 use base_bench::repro::{write_campaign_artifacts, DEFAULT_ARTIFACT_DIR};
 use base_bench::{lab, AndrewScale, FsMix};
@@ -47,8 +47,6 @@ const EXPERIMENTS: &[(&str, &str, Run)] = &[
     ("throughput", "E9: throughput vs clients", |_, _| run_throughput()),
     ("degree", "E10: replication degree", |_, _| run_degree()),
     ("roopt", "E11: read-only optimization", |_, _| run_roopt()),
-    ("sigmac", "E12: MACs vs signatures", |_, _| run_sigmac()),
-    ("bandwidth", "E13: network bandwidth", |_, _| run_bandwidth()),
     ("shards", "E14: shard scaling", |_, _| run_shards()),
     ("lab", "bench lab: deterministic counts", |_, _| lab::measure().print_table()),
 ];

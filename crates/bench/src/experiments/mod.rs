@@ -3,7 +3,6 @@
 //! by name.
 
 pub mod andrew;
-pub mod bandwidth;
 pub mod checkpoint;
 pub mod codesize;
 pub mod degree;
@@ -12,12 +11,10 @@ pub mod oodb;
 pub mod recovery;
 pub mod roopt;
 pub mod shards;
-pub mod sigmac;
 pub mod throughput;
 pub mod transfer;
 
 pub use andrew::run_andrew;
-pub use bandwidth::run_bandwidth;
 pub use checkpoint::run_checkpoint;
 pub use codesize::run_codesize;
 pub use degree::run_degree;
@@ -26,6 +23,5 @@ pub use oodb::run_oodb;
 pub use recovery::run_recovery;
 pub use roopt::run_roopt;
 pub use shards::run_shards;
-pub use sigmac::run_sigmac;
 pub use throughput::run_throughput;
 pub use transfer::run_transfer;

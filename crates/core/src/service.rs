@@ -3,8 +3,9 @@
 
 use crate::wrapper::{ModifyLog, Wrapper};
 use base_crypto::Digest;
+use base_pbft::cost::COST;
 use base_pbft::tree::leaf_digest;
-use base_pbft::{CostModel, ExecEnv, PartitionTree, Service};
+use base_pbft::{ExecEnv, PartitionTree, Service};
 use base_simnet::MetricsRegistry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -56,7 +57,6 @@ pub struct BaseService<W: Wrapper> {
     /// Digest-tree snapshots per retained checkpoint (O(1) clones).
     ckpt_trees: BTreeMap<u64, PartitionTree>,
     last_ckpt: Option<u64>,
-    cost: CostModel,
     /// Experiment counters.
     pub stats: BaseStats,
     /// Abstraction-layer metrics (`base.*` names): checkpoint dirty-set
@@ -76,7 +76,6 @@ impl<W: Wrapper> BaseService<W> {
             record_seqs: HashMap::new(),
             ckpt_trees: BTreeMap::new(),
             last_ckpt: None,
-            cost: CostModel::default(),
             stats: BaseStats::default(),
             metrics: MetricsRegistry::new(),
         }
@@ -111,7 +110,7 @@ impl<W: Wrapper> BaseService<W> {
                 self.stats.objects_digested += 1;
             }
             if let Some(v) = &value {
-                env.charge(self.cost.digest(v.len()));
+                env.charge(COST.digest(v.len()));
             }
             updates.push((idx, object_digest(idx, value.as_deref())));
         }

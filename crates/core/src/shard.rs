@@ -29,15 +29,19 @@
 //! an unsharded [`crate::BaseClient`]/[`base_pbft::ClientActor`] run
 //! produces (`tests/shard_equivalence.rs` enforces this).
 //!
-//! Consistency notes (also in `docs/DESIGN.md` §17): lock tables are
-//! *conformance rep*, not abstract state — they are deliberately excluded
-//! from checkpoints and cleared on checkpoint install and clean reboot. A
-//! replica that state-transfers while locks are held may therefore briefly
-//! disagree with its group about `xbusy` answers; at most `f` replicas can
-//! be in that state at once (more would mean the group lost its quorum
-//! entirely), so reply quorums of `f+1` mask the divergence and the next
-//! state transfer repairs the replica. No conflicting `2f+1` checkpoint
-//! certificate can form because lock state is never digested.
+//! Consistency notes (DESIGN.md §17): lock tables are *conformance rep*,
+//! not abstract state — they are deliberately excluded from checkpoints
+//! and cleared on checkpoint install and clean reboot. A replica that
+//! state-transfers while locks are held may therefore execute an operation
+//! its peers refuse with `xbusy` (or vice versa), and the divergence is not
+//! bounded by `f`: in seed 1 of the shard-0 storm campaign all four honest
+//! replicas of shard 0 store checkpoints up to seq 56 and hold three
+//! distinct digests there, so the shard's stable checkpoint stays at 24 and
+//! it can order nothing past its high watermark at 56. The ignored
+//! `storm_seed_one_leaves_shard_zero_one_digest_per_checkpoint`
+//! (`tests/chaos_shard.rs`) replays that run. Client results stay masked by
+//! `f+1` reply quorums and certified digests at equal sequence numbers
+//! still match; moving lock state into the digested state is the open fix.
 
 use crate::wrapper::Footprint;
 use base_crypto::{KeyDirectory, NodeKeys};

@@ -16,7 +16,7 @@
 //! the ordered commit protocol. The injection is carried by the agreed
 //! `xchaos` operation, so it is deterministic, consistent across the
 //! shard's replicas, and — like every other fault here — flows through
-//! [`generate_schedule`] and shrinks through `minimize`/ddmin.
+//! [`generate_schedule`] and shrinks through ddmin.
 //!
 //! ## What the audits can and cannot compare
 //!

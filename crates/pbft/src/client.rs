@@ -1,8 +1,8 @@
 //! The PBFT client: `invoke` semantics, reply quorum matching,
 //! retransmission, and the read-only optimization.
 
-use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
-use crate::cost::CostModel;
+use crate::config::{Config, CLIENT_RTO_INITIAL, RTO_CEILING, RTO_FLOOR};
+use crate::cost::COST;
 use crate::messages::{Message, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, NodeKeys};
 use base_simnet::{
@@ -112,7 +112,6 @@ struct Pending {
 pub struct ClientCore {
     cfg: Config,
     keys: NodeKeys,
-    cost: CostModel,
     id: u32,
     next_ts: u64,
     view_guess: u64,
@@ -169,12 +168,11 @@ impl ClientCore {
             0x9e37_79b9_7f4a_7c15 ^ u64::from(id),
             RTO_FLOOR.as_nanos(),
             RTO_CEILING.as_nanos(),
-            cfg.client_timeout.as_nanos(),
+            CLIENT_RTO_INITIAL.as_nanos(),
         );
         Self {
             cfg,
             keys,
-            cost: CostModel::default(),
             id,
             next_ts: 0,
             view_guess: 0,
@@ -198,11 +196,6 @@ impl ClientCore {
     pub fn set_retrans_token(&mut self, token: u64) {
         assert!(token & (1 << 63) != 0, "client timer tokens keep the high bit");
         self.retrans_token = token;
-    }
-
-    /// Overrides the CPU cost model (ablations).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Queues an operation. Call [`ClientCore::pump`] afterwards (with a
@@ -238,7 +231,7 @@ impl ClientCore {
             ctx.send(self.cfg.replica_node(primary), req.to_payload());
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
-        // Jacobson/Karels RTO (equal to `client_timeout` until the first
+        // Jacobson/Karels RTO (equal to `CLIENT_RTO_INITIAL` until the first
         // clean completion seeds the estimator), doubled once per
         // unresolved timeout so a chronically underestimated RTO still
         // adapts upward despite Karn discarding its samples.
@@ -269,7 +262,7 @@ impl ClientCore {
         // a faulty designee cannot starve us of the full result.
         let full_replier = ((ts + u64::from(attempts)) % self.cfg.n as u64) as u32;
         let mut req = RequestMsg::new(self.id, ts, read_only, full_replier, op);
-        ctx.charge(self.cost.digest(req.op().len()) + self.cost.authenticator(self.cfg.n));
+        ctx.charge(COST.digest(req.op().len()) + COST.authenticator(self.cfg.n));
         req.auth = Authenticator::generate(&self.keys, self.cfg.n, &req.digest());
         Message::Request(req)
     }
@@ -302,7 +295,7 @@ impl ClientCore {
         if reply.client != self.id || reply.replica as usize >= self.cfg.n {
             return None;
         }
-        ctx.charge(self.cost.mac + self.cost.digest(reply.result.len()));
+        ctx.charge(COST.mac + COST.digest(reply.result.len()));
         if !Authenticator::check_point(
             &self.keys,
             reply.replica as usize,
@@ -467,7 +460,7 @@ impl ClientActor {
         &self.core
     }
 
-    /// Mutable access to the embedded core (cost-model overrides).
+    /// Mutable access to the embedded core (its fault-injection hooks).
     pub fn core_mut(&mut self) -> &mut ClientCore {
         &mut self.core
     }

@@ -9,6 +9,17 @@ pub const RTO_FLOOR: SimDuration = SimDuration::from_millis(150);
 /// Upper clamp for retransmission timeouts and their exponential backoff.
 pub const RTO_CEILING: SimDuration = SimDuration::from_secs(4);
 
+/// Client retransmission timeout before the first sample: once an
+/// operation completes, the Jacobson/Karels estimator
+/// (`base_simnet::RttEstimator`) drives the timer, clamped between
+/// [`RTO_FLOOR`] and [`RTO_CEILING`].
+pub const CLIENT_RTO_INITIAL: SimDuration = SimDuration::from_millis(300);
+
+/// View-change timeout before the first batch executes; it doubles for each
+/// consecutive failed view (clamped to [`VIEW_CHANGE_TIMEOUT_CAP`]). Once
+/// samples exist, the base is the RTO of the observed agreement latency.
+pub const VIEW_CHANGE_TIMEOUT_BASE: SimDuration = SimDuration::from_millis(500);
+
 /// Ceiling for the doubling view-change timeout: however many consecutive
 /// views fail, the timer never exceeds this.
 pub const VIEW_CHANGE_TIMEOUT_CAP: SimDuration = SimDuration::from_secs(8);
@@ -37,15 +48,6 @@ pub struct Config {
     /// — the serial oracle the differential equivalence suite compares
     /// every other configuration against.
     pub max_inflight: u64,
-    /// Base view-change timeout; doubles for each consecutive failed view
-    /// (clamped to [`VIEW_CHANGE_TIMEOUT_CAP`]). The base is re-seeded from
-    /// observed agreement latency once samples exist.
-    pub view_change_timeout: SimDuration,
-    /// Client retransmission timeout: the pre-sample initial RTO. Once an
-    /// operation completes, the Jacobson/Karels estimator
-    /// (`base_simnet::RttEstimator`) drives the timer, clamped between
-    /// [`RTO_FLOOR`] and [`RTO_CEILING`].
-    pub client_timeout: SimDuration,
     /// Proactive recovery: full rotation period (every replica recovers
     /// once per period, staggered). `None` disables proactive recovery.
     pub recovery_period: Option<SimDuration>,
@@ -68,7 +70,7 @@ pub struct Config {
 
 impl Config {
     /// Creates a configuration for `n` replicas with defaults matching the
-    /// paper's setup (k = 128, LAN-scale timeouts).
+    /// paper's setup (k = 128).
     ///
     /// # Panics
     ///
@@ -82,8 +84,6 @@ impl Config {
             checkpoint_interval: 128,
             log_window: 256,
             max_inflight: 16,
-            view_change_timeout: SimDuration::from_millis(500),
-            client_timeout: SimDuration::from_millis(300),
             recovery_period: None,
             reboot_time: SimDuration::from_secs(30),
             node_base: 0,
@@ -145,19 +145,18 @@ impl Config {
     pub fn high_watermark(&self, h: u64) -> u64 {
         h + self.log_window
     }
+}
 
-    /// Next view-change timeout during an escalating chase: double the
-    /// current value with saturating arithmetic, clamp to
-    /// [`VIEW_CHANGE_TIMEOUT_CAP`], and never fall below
-    /// [`view_change_timeout`](Self::view_change_timeout).
-    /// A long primary-chasing storm must neither overflow the timer nor
-    /// push it so far out the group effectively stops trying new views.
-    pub fn escalated_vc_timeout(&self, current: SimDuration) -> SimDuration {
-        current
-            .saturating_mul(2)
-            .min(VIEW_CHANGE_TIMEOUT_CAP)
-            .max(self.view_change_timeout)
-    }
+/// Next view-change timeout during an escalating chase: double the current
+/// value with saturating arithmetic, clamp to [`VIEW_CHANGE_TIMEOUT_CAP`],
+/// and never fall below [`VIEW_CHANGE_TIMEOUT_BASE`]. A long
+/// primary-chasing storm must neither overflow the timer nor push it so far
+/// out the group effectively stops trying new views.
+pub fn escalated_vc_timeout(current: SimDuration) -> SimDuration {
+    current
+        .saturating_mul(2)
+        .min(VIEW_CHANGE_TIMEOUT_CAP)
+        .max(VIEW_CHANGE_TIMEOUT_BASE)
 }
 
 #[cfg(test)]
@@ -207,6 +206,8 @@ mod tests {
     fn timer_and_window_constants_keep_their_values() {
         assert_eq!(RTO_FLOOR, SimDuration::from_millis(150));
         assert_eq!(RTO_CEILING, SimDuration::from_secs(4));
+        assert_eq!(CLIENT_RTO_INITIAL, SimDuration::from_millis(300));
+        assert_eq!(VIEW_CHANGE_TIMEOUT_BASE, SimDuration::from_millis(500));
         assert_eq!(VIEW_CHANGE_TIMEOUT_CAP, SimDuration::from_secs(8));
         assert_eq!(BATCH_MAX, 16);
         assert_eq!(TICK_INTERVAL, SimDuration::from_millis(100));
@@ -244,30 +245,27 @@ mod tests {
 
     #[test]
     fn vc_escalation_doubles_saturates_and_caps() {
-        let mut cfg = Config::new(4);
-        cfg.view_change_timeout = SimDuration::from_millis(500);
-
         // Normal doubling from the base.
-        let mut t = cfg.view_change_timeout;
+        let mut t = VIEW_CHANGE_TIMEOUT_BASE;
         for expect_ms in [1000, 2000, 4000, 8000] {
-            t = cfg.escalated_vc_timeout(t);
+            t = escalated_vc_timeout(t);
             assert_eq!(t, SimDuration::from_millis(expect_ms));
         }
         // Pinned at the cap, however long the storm runs.
         for _ in 0..100 {
-            t = cfg.escalated_vc_timeout(t);
+            t = escalated_vc_timeout(t);
             assert_eq!(t, VIEW_CHANGE_TIMEOUT_CAP);
         }
 
-        // An adaptive base below the configured floor is pulled back up.
-        let fast = cfg.escalated_vc_timeout(SimDuration::from_millis(100));
-        assert_eq!(fast, cfg.view_change_timeout);
+        // An adaptive base below the floor is pulled back up.
+        let fast = escalated_vc_timeout(SimDuration::from_millis(100));
+        assert_eq!(fast, VIEW_CHANGE_TIMEOUT_BASE);
 
         // Saturating arithmetic: a current value whose doubling overflows
         // clamps to the cap. Wrapping would give 0, which the floor would
         // pull up to the base.
-        let huge = cfg.escalated_vc_timeout(SimDuration::from_nanos(u64::MAX / 2 + 1));
+        let huge = escalated_vc_timeout(SimDuration::from_nanos(u64::MAX / 2 + 1));
         assert_eq!(huge, VIEW_CHANGE_TIMEOUT_CAP);
-        assert_ne!(huge, cfg.view_change_timeout);
+        assert_ne!(huge, VIEW_CHANGE_TIMEOUT_BASE);
     }
 }

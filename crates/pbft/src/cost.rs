@@ -2,9 +2,9 @@
 //!
 //! Real crypto is computed on every message, but the simulator's virtual
 //! clock needs explicit charges to reflect that work in measured latencies.
-//! The constants below approximate a ~1 GHz-era server of the paper's
-//! vintage running SHA-256-based MACs; they are deliberately configurable
-//! so experiments can ablate the cost model.
+//! [`COST`] is the one price list every replica, client and service charges
+//! by: it approximates a ~1 GHz-era server of the paper's vintage running
+//! SHA-256-based MACs.
 
 use base_simnet::SimDuration;
 
@@ -23,28 +23,23 @@ pub struct CostModel {
     pub handle: SimDuration,
 }
 
+/// The prices every charge reads. Every virtual-time snapshot and baseline
+/// was taken at these values; changing one drifts them all.
+pub const COST: CostModel = CostModel {
+    mac: SimDuration::from_nanos(700),
+    signature: SimDuration::from_micros(3),
+    digest_base: SimDuration::from_nanos(400),
+    digest_per_byte_ns: 3,
+    handle: SimDuration::from_micros(2),
+};
+
 impl Default for CostModel {
     fn default() -> Self {
-        Self {
-            mac: SimDuration::from_nanos(700),
-            signature: SimDuration::from_micros(3),
-            digest_base: SimDuration::from_nanos(400),
-            digest_per_byte_ns: 3,
-            handle: SimDuration::from_micros(2),
-        }
+        COST
     }
 }
 
 impl CostModel {
-    /// An ablation cost model where every message authentication is a
-    /// public-key signature instead of a MAC (the baseline the BFT
-    /// library's authenticators are measured against). 200 µs per
-    /// signature operation approximates paper-era RSA/Rabin hardware;
-    /// MACs are three orders of magnitude cheaper.
-    pub fn signatures_only() -> Self {
-        Self { mac: SimDuration::from_micros(200), ..Self::default() }
-    }
-
     /// Cost of hashing `len` bytes.
     pub fn digest(&self, len: usize) -> SimDuration {
         self.digest_base + SimDuration::from_nanos(self.digest_per_byte_ns * len as u64)
@@ -62,17 +57,12 @@ mod tests {
 
     #[test]
     fn digest_cost_scales_with_length() {
-        let c = CostModel::default();
-        assert!(c.digest(10_000) > c.digest(10));
-        assert_eq!(
-            c.digest(1000),
-            c.digest_base + SimDuration::from_nanos(3000)
-        );
+        assert!(COST.digest(10_000) > COST.digest(10));
+        assert_eq!(COST.digest(1000), COST.digest_base + SimDuration::from_nanos(3000));
     }
 
     #[test]
     fn authenticator_scales_with_replicas() {
-        let c = CostModel::default();
-        assert_eq!(c.authenticator(4), c.mac.saturating_mul(4));
+        assert_eq!(COST.authenticator(4), COST.mac.saturating_mul(4));
     }
 }

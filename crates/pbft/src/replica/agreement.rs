@@ -6,6 +6,7 @@
 use super::io::Io;
 use crate::byzantine::ByzMode;
 use crate::config::{Config, BATCH_MAX};
+use crate::cost::COST;
 use crate::log::SlotStage;
 use crate::messages::{CommitMsg, Message, PrePrepareMsg, PrepareMsg, RequestMsg};
 use base_crypto::{Authenticator, Digest};
@@ -141,7 +142,7 @@ pub(super) fn request_ok(io: &mut Io<'_, '_>, r: &RequestMsg) -> bool {
         io.reject();
         return false;
     }
-    io.ctx.charge(io.cost.mac + io.cost.digest(r.op().len()));
+    io.ctx.charge(COST.mac + COST.digest(r.op().len()));
     let ok = r.auth.check(io.keys, r.client() as usize, &r.digest());
     if !ok {
         io.reject();
@@ -155,7 +156,7 @@ pub(super) fn on_pre_prepare(io: &mut Io<'_, '_>, pp: PrePrepareMsg) -> Option<N
     if primary == io.id as usize {
         return None;
     }
-    io.ctx.charge(io.cost.mac + io.cost.digest(64));
+    io.ctx.charge(COST.mac + COST.digest(64));
     if !pp.auth.check(io.keys, primary, &pp.digest()) {
         io.reject();
         return None;
@@ -219,7 +220,7 @@ pub(super) fn on_prepare(io: &mut Io<'_, '_>, p: PrepareMsg) -> Option<Next> {
     if from >= io.cfg.n || from == io.cfg.primary_of(p.view) || p.replica == io.id {
         return None;
     }
-    io.ctx.charge(io.cost.mac);
+    io.ctx.charge(COST.mac);
     if !p.auth.check(io.keys, from, &p.with_signed_bytes(Digest::of)) {
         io.reject();
         return None;
@@ -233,7 +234,7 @@ pub(super) fn on_commit(io: &mut Io<'_, '_>, c: CommitMsg) -> Option<Next> {
     if c.replica as usize >= io.cfg.n || c.replica == io.id {
         return None;
     }
-    io.ctx.charge(io.cost.mac);
+    io.ctx.charge(COST.mac);
     if !c.auth.check(io.keys, c.replica as usize, &c.with_signed_bytes(Digest::of)) {
         io.reject();
         return None;

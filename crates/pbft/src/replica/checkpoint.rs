@@ -4,6 +4,7 @@
 use super::io::Io;
 use crate::byzantine::ByzMode;
 use crate::config::Config;
+use crate::cost::COST;
 use crate::log::{CheckpointCollector, Log};
 use crate::messages::{
     CertReplyMsg, CheckpointMsg, FetchCertMsg, Message, MetaReplyMsg,
@@ -75,7 +76,7 @@ impl Checkpoints {
     pub(super) fn take(&mut self, io: &mut Io<'_, '_>, view: u64, seq: u64, replies_blob: Vec<u8>) {
         let (service_root, charged) =
             io.exec(|svc, env| (svc.take_checkpoint(seq, env), env.charged()));
-        io.ctx.charge(io.cost.digest(replies_blob.len()) + io.cost.signature);
+        io.ctx.charge(COST.digest(replies_blob.len()) + COST.signature);
         let mut stored = Stored::new(service_root, replies_blob);
         if io.is(ByzMode::CorruptCheckpoints) {
             stored.composite = Digest::of_parts(&[b"corrupt", &stored.composite.0]);
@@ -111,7 +112,7 @@ impl Checkpoints {
         if c.replica as usize >= io.cfg.n || c.replica == io.id || c.seq <= self.stable_seq {
             return None;
         }
-        io.ctx.charge(io.cost.signature);
+        io.ctx.charge(COST.signature);
         if !c.with_signed_bytes(|signed| io.keys.verify(c.replica as usize, signed, &c.sig)) {
             io.reject();
             return None;
@@ -173,7 +174,7 @@ impl Checkpoints {
             io.reject();
             return None;
         };
-        io.ctx.charge(io.cost.signature.saturating_mul(m.msgs.len() as u64));
+        io.ctx.charge(COST.signature.saturating_mul(m.msgs.len() as u64));
         if seq < self.stable_seq {
             return None; // Stale certificate from a lagging replier.
         }
@@ -235,7 +236,7 @@ impl Checkpoints {
                 } else {
                     io.service.checkpoint_meta(m.seq, m.level, m.index)?
                 };
-                io.ctx.charge(io.cost.handle);
+                io.ctx.charge(COST.handle);
                 let (seq, level, index) = (m.seq, m.level, m.index);
                 Some((
                     m.replica,
@@ -248,7 +249,7 @@ impl Checkpoints {
                 } else {
                     io.service.checkpoint_object(m.seq, m.index)?
                 };
-                io.ctx.charge(io.cost.digest(data.len()));
+                io.ctx.charge(COST.digest(data.len()));
                 let (seq, index) = (m.seq, m.index);
                 Some((
                     m.replica,

@@ -3,6 +3,7 @@
 
 use super::io::Io;
 use crate::byzantine::ByzMode;
+use crate::cost::COST;
 use crate::log::ReplyCache;
 use crate::messages::{Message, PrePrepareMsg, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, Digest};
@@ -185,14 +186,14 @@ fn send_reply(io: &mut Io<'_, '_>, view: u64, req: &RequestMsg, result: &[u8], t
     let (digest_only, payload) = if req.full_replier as usize % io.cfg.n == io.id as usize {
         (false, result.into_owned())
     } else {
-        io.ctx.charge(io.cost.digest(result.len()));
+        io.ctx.charge(COST.digest(result.len()));
         (true, Digest::of(&result).0.to_vec())
     };
     let (replica, mac) = (io.id, base_crypto::Mac([0; 8]));
     let result = payload.into();
     let mut reply =
         ReplyMsg { view, timestamp, client, replica, digest_only, tentative, result, mac };
-    io.ctx.charge(io.cost.mac + io.cost.digest(reply.result.len()));
+    io.ctx.charge(COST.mac + COST.digest(reply.result.len()));
     reply.mac = Authenticator::point(io.keys, client as usize, &reply.digest());
     io.ctx.emit(view, 0, ProtocolEvent::ReplySent { client: u64::from(client), ts: timestamp });
     io.send(to, &Message::Reply(reply));

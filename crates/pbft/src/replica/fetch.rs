@@ -2,6 +2,7 @@
 
 use super::io::Io;
 use super::json_opt;
+use crate::cost::COST;
 use crate::messages::Message;
 use crate::transfer::{FetchResult, Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX};
 use base_crypto::Digest;
@@ -57,7 +58,7 @@ impl Fetch {
             Message::ObjectReply(m) => (m.seq, m.data.len()),
             _ => return None,
         };
-        io.ctx.charge(io.cost.digest(bytes));
+        io.ctx.charge(COST.digest(bytes));
         let fetcher = self.fetcher.as_mut()?;
         let (out, done) = match msg {
             Message::MetaReply(m) => fetcher.on_meta_reply(m, io.service.current_tree()),

@@ -3,7 +3,7 @@
 use super::ReplicaStats;
 use crate::byzantine::ByzMode;
 use crate::config::Config;
-use crate::cost::CostModel;
+use crate::cost::COST;
 use crate::log::Log;
 use crate::messages::Message;
 use crate::service::{ExecEnv, Service};
@@ -11,7 +11,7 @@ use base_crypto::{Authenticator, Digest, NodeKeys};
 use base_simnet::{Context, MetricsRegistry, NodeId};
 
 /// The replica's shared context, borrowed for one step: the simulator
-/// context, configuration, keys, cost model, id, Byzantine mode, counters,
+/// context, configuration, keys, id, Byzantine mode, counters,
 /// message log and service. Parts send and call the service only through
 /// it, so two rules live here once: a `Mute` replica sends nothing, and
 /// every service upcall sees the local clock and the node's RNG and is
@@ -20,7 +20,6 @@ pub(super) struct Io<'a, 'c> {
     pub(super) ctx: &'a mut Context<'c>,
     pub(super) cfg: &'a Config,
     pub(super) keys: &'a NodeKeys,
-    pub(super) cost: &'a CostModel,
     pub(super) id: u32,
     /// Mutable so that a recovery which repaired the state can clear
     /// `CorruptState`.
@@ -40,7 +39,6 @@ macro_rules! io {
             ctx: &mut *$ctx,
             cfg: &$replica.cfg,
             keys: &$replica.keys,
-            cost: &$replica.cost,
             byz: &mut $replica.byz,
             stats: &mut $replica.stats,
             metrics: &mut $replica.metrics,
@@ -89,7 +87,7 @@ impl Io<'_, '_> {
 
     /// Authenticates `digest` to the other replicas, charging a MAC each.
     pub(super) fn authenticator(&mut self, digest: &Digest) -> Authenticator {
-        self.ctx.charge(self.cost.authenticator(self.cfg.n - 1));
+        self.ctx.charge(COST.authenticator(self.cfg.n - 1));
         Authenticator::generate(self.keys, self.cfg.n, digest)
     }
 

@@ -33,7 +33,6 @@ use self::recovery::Recovery;
 use self::view_change::ViewChange;
 use crate::byzantine::ByzMode;
 use crate::config::Config;
-use crate::cost::CostModel;
 use crate::log::Log;
 use crate::service::Service;
 use base_crypto::{Digest, NodeKeys};
@@ -68,7 +67,6 @@ pub struct ReplicaStats {
 /// A PBFT replica actor.
 pub struct Replica<S: Service> {
     cfg: Config,
-    cost: CostModel,
     keys: NodeKeys,
     byz: ByzMode,
     service: S,
@@ -113,7 +111,6 @@ impl<S: Service> Replica<S> {
             vc: ViewChange::new(&cfg, id),
             rec: Recovery::default(),
             cfg,
-            cost: CostModel::default(),
             keys,
             byz: ByzMode::Honest,
             service,
@@ -175,11 +172,6 @@ impl<S: Service> Replica<S> {
     /// Selects clean (paper §3.4) or warm proactive-recovery reboots.
     pub fn set_recovery_clean(&mut self, clean: bool) {
         self.rec.set_clean(clean);
-    }
-
-    /// Overrides the CPU cost model.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Current view.

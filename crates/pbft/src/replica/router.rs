@@ -7,6 +7,7 @@ use super::recovery::{Recovery, TOKEN_WATCHDOG};
 use super::view_change::{Move, TOKEN_VIEW_CHANGE};
 use super::Replica;
 use crate::config::TICK_INTERVAL;
+use crate::cost::COST;
 use crate::log::SlotStage;
 use crate::messages::{FetchCertMsg, Message, NewViewMsg, RequestMsg, StatusMsg};
 use crate::service::Service;
@@ -174,7 +175,7 @@ impl<S: Service> Replica<S> {
         // Install the reply cache and the service objects, and record the
         // checkpoint locally so we can serve it to others.
         self.exec.restore(seq, &replies_blob);
-        io.ctx.charge(io.cost.digest(fetched_bytes as usize));
+        io.ctx.charge(COST.digest(fetched_bytes as usize));
         io.exec(|svc, env| svc.install_checkpoint(seq, service_root, objects, env));
         self.ckpt.record(seq, service_root, replies_blob);
         // Execution state now corresponds exactly to the fetched
@@ -190,7 +191,7 @@ impl<S: Service> Replica<S> {
 
     /// Leaves the current view for `target` with a firm vote.
     fn move_to_view(&mut self, target: u64, ctx: &mut Context<'_>) {
-        if self.vc.begin(&self.cfg, target) {
+        if self.vc.begin(target) {
             let (h, digest, proof) = self.ckpt.proof();
             self.vc.vote(&mut io!(self, ctx), h, digest, proof);
         }
@@ -333,7 +334,7 @@ impl<S: Service> Actor for Replica<S> {
     }
 
     fn on_payload(&mut self, from: NodeId, payload: &Payload, ctx: &mut Context<'_>) {
-        ctx.charge(self.cost.handle);
+        ctx.charge(COST.handle);
         // Every group's clients follow every group's replicas, so a sender
         // below `client_base` that is not one of ours is another group's
         // replica: drop its frame before decoding it.

@@ -14,7 +14,8 @@ use super::checkpoint::validate_cert;
 use super::io::Io;
 use super::json_opt;
 use super::pq::{compute_o, well_formed, PqSets};
-use crate::config::{Config, RTO_CEILING, RTO_FLOOR};
+use crate::config::{escalated_vc_timeout, Config, RTO_CEILING, RTO_FLOOR, VIEW_CHANGE_TIMEOUT_BASE};
+use crate::cost::COST;
 use crate::messages::{CheckpointMsg, Message, NewViewMsg, ViewChangeMsg};
 use base_crypto::{Digest, NodeKeys};
 use base_simnet::{NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId};
@@ -74,8 +75,8 @@ impl ViewChange {
             votes: BTreeMap::new(),
             quorum: cfg.quorum(),
             timer: None,
-            timeout: cfg.view_change_timeout,
-            agree_rtt: RttEstimator::new(seed, floor, ceiling, cfg.view_change_timeout.as_nanos()),
+            timeout: VIEW_CHANGE_TIMEOUT_BASE,
+            agree_rtt: RttEstimator::new(seed, floor, ceiling, VIEW_CHANGE_TIMEOUT_BASE.as_nanos()),
             last_new_view: 0,
             own_vc: None,
             last_nv: None,
@@ -96,13 +97,13 @@ impl ViewChange {
         self.timeout
     }
 
-    /// The timeout of a freshly installed view: the configured value until
-    /// the first batch executes, then the RTO of the agreement latency.
-    fn base(&self, cfg: &Config) -> SimDuration {
+    /// The timeout of a freshly installed view: [`VIEW_CHANGE_TIMEOUT_BASE`]
+    /// until the first batch executes, then the RTO of the agreement latency.
+    fn base(&self) -> SimDuration {
         if self.agree_rtt.samples() > 0 {
             SimDuration::from_nanos(self.agree_rtt.rto())
         } else {
-            cfg.view_change_timeout
+            VIEW_CHANGE_TIMEOUT_BASE
         }
     }
 
@@ -122,7 +123,7 @@ impl ViewChange {
     // it), stop.
 
     pub(super) fn restart(&mut self, io: &mut Io<'_, '_>) {
-        self.timeout = self.base(io.cfg);
+        self.timeout = self.base();
         self.arm(io);
     }
 
@@ -172,12 +173,12 @@ impl ViewChange {
 
     /// Moves to a higher view `target`, suspending agreement, and doubles
     /// the timeout up to the cap. Returns whether it moved.
-    pub(super) fn begin(&mut self, cfg: &Config, target: u64) -> bool {
+    pub(super) fn begin(&mut self, target: u64) -> bool {
         if target <= self.view {
             return false;
         }
         (self.view, self.changing) = (target, true);
-        self.timeout = cfg.escalated_vc_timeout(self.timeout);
+        self.timeout = escalated_vc_timeout(self.timeout);
         true
     }
 
@@ -225,11 +226,11 @@ impl ViewChange {
             replica: io.id,
             sig: base_crypto::Signature([0; 32]),
         };
-        io.ctx.charge(io.cost.signature);
+        io.ctx.charge(COST.signature);
         vc.sig = vc.with_signed_bytes(|signed| io.keys.sign(signed));
         self.record(vc.clone());
         io.multicast(&Message::ViewChange(vc));
-        self.timeout = io.cfg.escalated_vc_timeout(self.timeout);
+        self.timeout = escalated_vc_timeout(self.timeout);
         self.arm(io);
     }
 
@@ -258,7 +259,7 @@ impl ViewChange {
             replica: io.id,
             sig: base_crypto::Signature([0; 32]),
         };
-        io.ctx.charge(io.cost.signature);
+        io.ctx.charge(COST.signature);
         vc.sig = vc.with_signed_bytes(|signed| io.keys.sign(signed));
         self.own_vc = Some(vc.clone());
         self.record(vc.clone());
@@ -288,7 +289,7 @@ impl ViewChange {
         {
             return false;
         }
-        io.ctx.charge(io.cost.signature);
+        io.ctx.charge(COST.signature);
         if !verify_view_change(io.cfg, io.keys, &vc) {
             io.reject();
             return false;
@@ -337,7 +338,7 @@ impl ViewChange {
         let sig = base_crypto::Signature([0; 32]);
         let mut nv =
             NewViewMsg { view: target, view_changes: vcs, pre_prepares, replica: io.id, sig };
-        io.ctx.charge(io.cost.signature);
+        io.ctx.charge(COST.signature);
         nv.sig = nv.with_signed_bytes(|signed| io.keys.sign(signed));
         io.multicast(&Message::NewView(nv.clone()));
         Some((nv, min_s))
@@ -349,7 +350,7 @@ impl ViewChange {
         if nv.view < self.view || nv.view <= self.last_new_view || !from_primary {
             return None;
         }
-        io.ctx.charge(io.cost.signature.saturating_mul((1 + nv.view_changes.len()) as u64));
+        io.ctx.charge(COST.signature.saturating_mul((1 + nv.view_changes.len()) as u64));
         let min_s = valid_new_view(io.cfg, io.keys, nv);
         if min_s.is_none() {
             io.reject();
@@ -358,11 +359,11 @@ impl ViewChange {
     }
 
     /// Enters `nv`'s view, with the timeout back at the adaptive base.
-    fn enter(&mut self, cfg: &Config, nv: &NewViewMsg) {
+    fn enter(&mut self, nv: &NewViewMsg) {
         (self.view, self.changing, self.last_new_view) = (nv.view, false, nv.view);
         self.own_vc = None;
         self.last_nv = Some(nv.clone());
-        self.timeout = self.base(cfg);
+        self.timeout = self.base();
         self.votes = self.votes.split_off(&(nv.view + 1));
     }
 
@@ -371,7 +372,7 @@ impl ViewChange {
     /// Q sets before `nv`'s re-proposals replace it.
     pub(super) fn install(&mut self, io: &mut Io<'_, '_>, nv: &NewViewMsg, h: u64) {
         self.carried.fold(io.log, h, io.cfg.f());
-        self.enter(io.cfg, nv);
+        self.enter(nv);
         io.metrics.inc("replica.new_views_installed");
         io.ctx.emit(nv.view, h, ProtocolEvent::ViewChangeCompleted);
         self.stop(io);
@@ -467,7 +468,7 @@ mod tests {
         record_vote(&mut vc, 2, 2);
         assert_eq!(vc.view_to_join(cfg.f()), Some(2));
         // Votes for the current view or below do not count.
-        assert!(vc.begin(&cfg, 2));
+        assert!(vc.begin(2));
         assert_eq!(vc.view_to_join(cfg.f()), None);
     }
 
@@ -475,14 +476,14 @@ mod tests {
     fn escalation_doubles_the_timeout_up_to_the_cap() {
         let cfg = Config::new(4);
         let mut vc = ViewChange::new(&cfg, 0);
-        let mut want = cfg.view_change_timeout;
+        let mut want = VIEW_CHANGE_TIMEOUT_BASE;
         for target in 1..=6 {
-            assert!(vc.begin(&cfg, target));
+            assert!(vc.begin(target));
             want = want.saturating_mul(2).min(VIEW_CHANGE_TIMEOUT_CAP);
             assert_eq!(vc.timeout(), want, "view {target}");
         }
         assert_eq!(vc.timeout(), VIEW_CHANGE_TIMEOUT_CAP);
-        assert!(!vc.begin(&cfg, 6), "not a higher view");
+        assert!(!vc.begin(6), "not a higher view");
         assert_eq!((vc.view(), vc.active()), (6, None));
     }
 
@@ -490,20 +491,20 @@ mod tests {
     fn installing_a_new_view_resets_the_timeout_to_the_adaptive_base() {
         let cfg = Config::new(4);
         let mut vc = ViewChange::new(&cfg, 1);
-        // Before any batch executes, the base is the configured timeout.
-        vc.begin(&cfg, 1);
-        vc.enter(&cfg, &new_view(1));
-        assert_eq!((vc.timeout(), vc.active()), (cfg.view_change_timeout, Some(1)));
+        // Before any batch executes, the base is the constant one.
+        vc.begin(1);
+        vc.enter(&new_view(1));
+        assert_eq!((vc.timeout(), vc.active()), (VIEW_CHANGE_TIMEOUT_BASE, Some(1)));
         // Once rounds are observed, it is their RTO.
         for lat in [200_000_000, 300_000_000, 250_000_000] {
             vc.agree_rtt.observe(lat);
         }
-        vc.begin(&cfg, 2);
-        vc.begin(&cfg, 3);
-        vc.enter(&cfg, &new_view(3));
+        vc.begin(2);
+        vc.begin(3);
+        vc.enter(&new_view(3));
         let base = SimDuration::from_nanos(vc.agree_rtt.rto());
         assert_eq!((vc.timeout(), vc.active()), (base, Some(3)));
-        assert_ne!(base, cfg.view_change_timeout);
+        assert_ne!(base, VIEW_CHANGE_TIMEOUT_BASE);
     }
 
     /// DESIGN.md §8's unconfirmed cause of the lone view changer (ROADMAP
@@ -514,7 +515,7 @@ mod tests {
     fn a_lone_timeout_waits_in_v_plus_one() {
         let cfg = Config::new(4);
         let mut vc = ViewChange::new(&cfg, 2);
-        assert!(vc.begin(&cfg, 1));
+        assert!(vc.begin(1));
         record_vote(&mut vc, 1, 2);
         assert_eq!(vc.expired(), 1, "a lone replica escalated past v+1 without a quorum for it");
     }

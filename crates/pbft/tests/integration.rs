@@ -475,18 +475,17 @@ fn view_change_storm_timeout_is_capped() {
     // gather f+1 votes, let alone 2f+1, so it stays in view 0 and repeats
     // its suspicion on every expiry at double the timeout. The doubling
     // must stop exactly at the cap instead of growing without bound: from
-    // a 200 ms base the sixth suspicion reaches it, 12.6 s into the chase.
-    let mut cfg = small_config();
-    cfg.view_change_timeout = SimDuration::from_millis(200);
+    // the 500 ms base the fourth suspicion reaches it, 7.5 s into the chase,
+    // and the sixth follows at 23.5 s.
     let mut sim = Simulation::new(77);
-    let g = Deployment::build(&mut sim, cfg, 1, 77, |_| CounterService::default());
+    let g = Deployment::build(&mut sim, small_config(), 1, 77, |_| CounterService::default());
     for &i in &[0usize, 2, 3] {
         sim.actor_as_mut::<Replica<CounterService>>(g.replicas[i].node)
             .unwrap()
             .set_byzantine(ByzMode::Mute);
     }
     enqueue(&mut sim, g.clients[0], op_add(0, 1), false);
-    sim.run_for(SimDuration::from_secs(14));
+    sim.run_for(SimDuration::from_secs(40));
 
     let chaser = replica(&sim, &g, 1);
     assert_eq!(

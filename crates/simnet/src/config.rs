@@ -1,4 +1,4 @@
-//! The network model: latency, bandwidth and clock skew. Faults (loss,
+//! The network model: latency and clock skew. Faults (loss,
 //! partitions, slow links, …) are [`crate::faults::NetFault`] windows.
 
 use crate::actor::NodeId;
@@ -32,9 +32,6 @@ impl LatencyModel {
 pub struct NetConfig {
     /// Latency model of every link.
     pub latency: LatencyModel,
-    /// Network bandwidth in bytes/second (0 = infinite). Adds a
-    /// size-proportional serialization delay to each message.
-    pub bandwidth_bytes_per_sec: u64,
     /// Per-node local clock skew.
     pub clock_skew: HashMap<NodeId, SimDuration>,
 }
@@ -43,7 +40,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         Self {
             latency: LatencyModel::lan(),
-            bandwidth_bytes_per_sec: 0,
             clock_skew: HashMap::new(),
         }
     }

@@ -3,8 +3,8 @@
 //! This crate is the substrate that replaces the BASE authors' LAN testbed
 //! (see `DESIGN.md` §5). A [`Simulation`] owns a set of [`Actor`] nodes and
 //! an event queue ordered by virtual time. Actors exchange opaque byte
-//! messages; the simulator applies a configurable latency model, bandwidth
-//! and per-node clock skew, per-node crash windows, and routes every message
+//! messages; the simulator applies a configurable latency model and
+//! per-node clock skew, per-node crash windows, and routes every message
 //! through the network faults in force ([`NetFault`] windows: partitions,
 //! loss, corruption, slow links, duplication).
 //!

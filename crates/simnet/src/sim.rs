@@ -379,8 +379,8 @@ impl Simulation {
             return;
         }
 
-        // Latency: zero for loopback, otherwise base + uniform jitter plus
-        // a bandwidth-proportional serialization delay.
+        // Latency: zero for loopback, otherwise base + uniform jitter; a
+        // message's size adds no delay.
         let latency = if from == to {
             SimDuration::ZERO
         } else {
@@ -390,12 +390,7 @@ impl Simulation {
             } else {
                 self.net_rng.gen_range(0..=model.jitter.as_nanos())
             };
-            let bw = self.config.bandwidth_bytes_per_sec;
-            let serialize = match (payload.len() as u64).saturating_mul(1_000_000_000).checked_div(bw) {
-                Some(ns) => SimDuration::from_nanos(ns),
-                None => SimDuration::ZERO,
-            };
-            model.base + SimDuration::from_nanos(jitter) + serialize
+            model.base + SimDuration::from_nanos(jitter)
         };
         let mut arrival = departure + latency;
 
@@ -701,21 +696,6 @@ mod tests {
         sim.run_for(SimDuration::from_secs(1));
         let delivered = sim.actor_as::<Counter>(b).unwrap().received.len();
         assert!(delivered > 50 && delivered < 150, "delivered {delivered}");
-    }
-
-    #[test]
-    fn bandwidth_adds_serialization_delay() {
-        let mut sim = Simulation::new(1);
-        sim.config_mut().latency = LatencyModel::instant();
-        sim.config_mut().bandwidth_bytes_per_sec = 1_000_000; // 1 MB/s
-        let src = sim.add_node(Box::<Counter>::default());
-        let a = sim.add_node(Box::<Counter>::default());
-        // 1 MB message should take ~1 s to arrive.
-        sim.inject(src, a, vec![0u8; 1_000_000]);
-        sim.run_for(SimDuration::from_millis(500));
-        assert!(sim.actor_as::<Counter>(a).unwrap().received.is_empty());
-        sim.run_for(SimDuration::from_millis(600));
-        assert_eq!(sim.actor_as::<Counter>(a).unwrap().received.len(), 1);
     }
 
     /// Receives messages and keeps the delivered `Payload` handles so the

@@ -1,5 +1,6 @@
-//! Tests for the network model details: bandwidth-proportional
-//! serialization delay, per-link latency overrides, and clock skew.
+//! Tests for the network model details: a message's size adds no delay,
+//! a node's clock skew offsets only its local clock, and a reinstalled
+//! node drops its old software's timers.
 
 use base_simnet::{Actor, Context, NetConfig, NodeId, SimDuration, SimTime, Simulation};
 
@@ -36,29 +37,7 @@ fn quiet(cfg: &mut NetConfig) {
 }
 
 #[test]
-fn bandwidth_adds_serialization_delay() {
-    let mut sim = Simulation::new(1);
-    quiet(sim.config_mut());
-    // 100 Mbit/s ≈ 12.5 MB/s: a 1 MB payload serializes in 80 ms.
-    sim.config_mut().bandwidth_bytes_per_sec = 12_500_000;
-    let sink = sim.add_node(Box::new(Sink::default()));
-    sim.add_node(Box::new(TwoSizes { to: sink }));
-    sim.run_for(SimDuration::from_secs(1));
-    let arrivals = &sim.actor_as::<Sink>(sink).unwrap().arrivals;
-    assert_eq!(arrivals.len(), 2);
-    let small = arrivals.iter().find(|(len, _)| *len == 100).unwrap().1;
-    let large = arrivals.iter().find(|(len, _)| *len == 1_000_000).unwrap().1;
-    let gap = large.as_nanos().saturating_sub(small.as_nanos());
-    // 1 MB at 12.5 MB/s = 80 ms, minus the 100-byte message's 8 µs.
-    let expected = 80_000_000u64 - 8_000;
-    assert!(
-        gap.abs_diff(expected) < 1_000_000,
-        "serialization gap {gap} ns, expected ≈ {expected} ns"
-    );
-}
-
-#[test]
-fn infinite_bandwidth_means_no_size_penalty() {
+fn message_size_adds_no_delay() {
     let mut sim = Simulation::new(2);
     quiet(sim.config_mut());
     let sink = sim.add_node(Box::new(Sink::default()));

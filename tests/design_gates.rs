@@ -221,16 +221,19 @@ fn one_path(t: &Tree) -> Vec<Hit> {
     hits
 }
 
-/// One fault model (DESIGN.md §7, §10.1): a network fault is one
+/// One fault model (DESIGN.md §5, §7, §10.1, §13): a network fault is one
 /// `NetFault` value that acts on messages, digests and shrinks itself,
 /// added to the simulator as a time window. The filter chain,
-/// `NetConfig`'s loss and cut links, and the knobs that had one value are
-/// gone.
+/// `NetConfig`'s loss, cut links and bandwidth, and the knobs that had one
+/// value are gone: the batch and tick sizes, the client and view-change
+/// timeout seeds, and the per-actor price list, since every charge reads
+/// the one `COST`.
 fn one_fault_model(t: &Tree) -> Vec<Hit> {
     t.grep(
         anywhere,
         Mode::Word,
-        "NetFilter|FilterChain|ActiveWindow|set_filter|drop_prob|cut_link|link_latency|net_faults|batch_max|tick_interval",
+        "NetFilter|FilterChain|ActiveWindow|set_filter|drop_prob|cut_link|link_latency|net_faults|batch_max|tick_interval\
+         |client_timeout|view_change_timeout|bandwidth_bytes_per_sec|set_cost_model|signatures_only",
     )
 }
 
@@ -488,7 +491,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 28] = [
+    let plants: [(Gate, &str, &str); 29] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -499,6 +502,7 @@ fn every_gate_fires_on_its_plant() {
         (one_path, "crates/pbft/src/service.rs", "        let _ = chunk_size;"),
         (one_path, "crates/core/src/lib.rs", "std::thread::spawn(|| ());"),
         (one_fault_model, "src/lib.rs", "// drop_prob"),
+        (one_fault_model, "crates/pbft/src/config.rs", "    pub view_change_timeout: SimDuration,"),
         (one_deployment, "scripts/tier1.sh", "# build_group"),
         (one_deployment, "crates/pbft/src/client.rs", "KeyDirectory::generate(4, 1);"),
         (mac_only_normal_case, "crates/pbft/src/messages.rs", "    pub struct PrepareMsg {\n        pub sig: Signature,\n    }"),
