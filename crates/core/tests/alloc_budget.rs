@@ -80,8 +80,10 @@ fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
     LARGEST.load(Relaxed)
 }
 
-/// Ceilings per operation, end to end: measured 57.25 and 16.29 (68.73
-/// and 24.00 before a receiver borrowed the frame it was handed, DESIGN.md
+/// Ceilings per operation, end to end: measured 58.25 and 16.29 (57.25
+/// for a write before the primary logged the pre-prepare it decodes from
+/// its own frame; 68.73 and 24.00 before a receiver borrowed the frame it
+/// was handed, DESIGN.md
 /// §11.7; 141.73 and 33.00 before authenticators went inline and the
 /// conflict partition left the execute path, §11.6; 157.11 and 44.67
 /// before the per-message containers went dense, §11.4).

@@ -26,6 +26,11 @@ const SIGNATURES_PER_WRITE: u64 = 0;
 /// prepares and four commits, three tags each (32 while each also carried
 /// a tag for its sender).
 const REPLICA_TAGS_PER_WRITE: u64 = 24;
+/// SHA-256 blocks compressed per write, group and client together. Each
+/// request and each batch is hashed once where it is built or received:
+/// a primary that logs the pre-prepare decoded from the frame it sent
+/// carries the memoized digests over rather than hashing them again.
+const SHA256_BLOCKS_PER_WRITE: u64 = 102;
 const SEED: u64 = 18;
 
 /// The census of one write by `client`, from its submission until every
@@ -68,6 +73,7 @@ fn a_write_makes_no_signature_and_24_replica_tags() {
         ("authenticator tags made by the client", w.outside_tags),
         ("point MACs made (replies)", w.point_tags),
         ("tags checked", w.tag_checks),
+        ("SHA-256 blocks compressed", w.sha256_blocks),
     ] {
         println!("| {what} | {n} |");
     }
@@ -75,4 +81,5 @@ fn a_write_makes_no_signature_and_24_replica_tags() {
     assert!(writes.iter().all(|c| *c == w), "the writes' counts differ: {writes:?}");
     assert_eq!(w.signs + w.sig_checks, SIGNATURES_PER_WRITE, "a write made signature operations");
     assert_eq!(w.member_tags, REPLICA_TAGS_PER_WRITE, "replica authenticator tags per write");
+    assert_eq!(w.sha256_blocks, SHA256_BLOCKS_PER_WRITE, "SHA-256 blocks per write");
 }

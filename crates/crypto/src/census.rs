@@ -1,7 +1,8 @@
 //! A count of the cryptographic operations this thread has made.
 //!
 //! Every signature made or checked, every authenticator tag and point MAC
-//! made, and every tag checked adds one here. Authenticator tags are kept
+//! made and every tag checked adds one here; every SHA-256 compression
+//! adds the blocks it compressed. Authenticator tags are kept
 //! apart by who made them: a sender that is one of the receivers (a
 //! replica authenticating to its group) or one outside them (a client).
 //! The counters are thread-local cells, so a campaign worker thread counts
@@ -27,6 +28,8 @@ pub struct Census {
     pub point_tags: u64,
     /// Authenticator entries and point MACs checked.
     pub tag_checks: u64,
+    /// 64-byte blocks SHA-256 compressed, by either compress path.
+    pub sha256_blocks: u64,
 }
 
 impl Sub for Census {
@@ -40,6 +43,7 @@ impl Sub for Census {
             outside_tags: self.outside_tags - earlier.outside_tags,
             point_tags: self.point_tags - earlier.point_tags,
             tag_checks: self.tag_checks - earlier.tag_checks,
+            sha256_blocks: self.sha256_blocks - earlier.sha256_blocks,
         }
     }
 }
@@ -53,6 +57,7 @@ thread_local! {
             outside_tags: 0,
             point_tags: 0,
             tag_checks: 0,
+            sha256_blocks: 0,
         })
     };
 }

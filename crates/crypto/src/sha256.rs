@@ -7,6 +7,8 @@
 //! below hold both to the NIST test vectors and, on random inputs, to each
 //! other.
 
+use crate::census::count;
+
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
 const H0: [u32; 8] = [
@@ -157,8 +159,10 @@ fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
 /// number of 64-byte blocks) into `state`, with the CPU's SHA extensions
 /// where it has them and the portable rounds everywhere else. Both give
 /// the same state for the same input, so nothing above can tell which ran.
+/// The census counts the blocks here, whichever path runs.
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
+    count(|c| c.sha256_blocks += (blocks.len() / 64) as u64);
     if !hw::compress(state, blocks) {
         compress_scalar(state, blocks);
     }

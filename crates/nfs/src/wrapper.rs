@@ -39,10 +39,24 @@ struct RepEntry {
     parent: Option<ParentHint>,
 }
 
+/// What an index the rep has not grown to reads as: never bound.
+static UNBOUND: RepEntry =
+    RepEntry { gen: 0, fh: None, atime_ns: 0, mtime_ns: 0, ctime_ns: 0, parent: None };
+
+impl RepEntry {
+    /// The root directory's entry, bound to `fh`.
+    fn root(fh: ServerFh) -> Self {
+        RepEntry { gen: 1, fh: Some(fh), ..RepEntry::default() }
+    }
+}
+
 /// The conformance wrapper.
 pub struct NfsWrapper<S: NfsServer> {
     server: S,
+    /// Size of the abstract array; bounds the indices, not the rep.
     capacity: u64,
+    /// The rep up to the highest index ever bound; an index past its end
+    /// reads as [`UNBOUND`].
     entries: Vec<RepEntry>,
     /// Lowest never-allocated index.
     next_fresh: u32,
@@ -92,7 +106,7 @@ impl<S: NfsServer> NfsWrapper<S> {
         let mut w = Self {
             server,
             capacity,
-            entries: vec![RepEntry::default(); capacity as usize],
+            entries: vec![RepEntry::root(root_fh.clone())],
             next_fresh: 1,
             freed: BTreeSet::new(),
             fh_to_index: HashMap::new(),
@@ -101,14 +115,6 @@ impl<S: NfsServer> NfsWrapper<S> {
             last_proposed: 0,
             op_cost_base: base_simnet::SimDuration::from_micros(8),
             op_cost_per_byte_ns: 2,
-        };
-        w.entries[0] = RepEntry {
-            gen: 1,
-            fh: Some(root_fh.clone()),
-            atime_ns: 0,
-            mtime_ns: 0,
-            ctime_ns: 0,
-            parent: None,
         };
         w.fh_to_index.insert(root_fh, 0);
         w.id_to_index.insert((root_attr.fsid, root_attr.fileid), 0);
@@ -130,13 +136,27 @@ impl<S: NfsServer> NfsWrapper<S> {
         self.entries.iter().filter(|e| e.fh.is_some()).count() as u64
     }
 
+    /// The rep entry of `index`.
+    fn entry(&self, index: u32) -> &RepEntry {
+        self.entries.get(index as usize).unwrap_or(&UNBOUND)
+    }
+
+    /// The rep entry of `index`, growing the rep to reach it.
+    fn entry_mut(&mut self, index: u32) -> &mut RepEntry {
+        let i = index as usize;
+        if i >= self.entries.len() {
+            self.entries.resize_with(i + 1, RepEntry::default);
+        }
+        &mut self.entries[i]
+    }
+
     /// The server handle of abstract entry `index`, if it is allocated.
     fn server_fh_of(&self, index: u32) -> Option<ServerFh> {
-        self.entries.get(index as usize)?.fh.clone()
+        self.entry(index).fh.clone()
     }
 
     fn resolve(&self, oid: Oid) -> Result<ServerFh, NfsStatus> {
-        let entry = self.entries.get(oid.index as usize).ok_or(NfsStatus::Stale)?;
+        let entry = self.entry(oid.index);
         match &entry.fh {
             Some(fh) if entry.gen == oid.gen => Ok(fh.clone()),
             _ => Err(NfsStatus::Stale),
@@ -148,26 +168,25 @@ impl<S: NfsServer> NfsWrapper<S> {
     }
 
     fn oid_of_index(&self, index: u32) -> Oid {
-        Oid { index, gen: self.entries[index as usize].gen }
+        Oid { index, gen: self.entry(index).gen }
     }
 
     fn alloc_index(&mut self) -> Option<u32> {
-        if let Some(&i) = self.freed.iter().next() {
-            self.freed.remove(&i);
-            return Some(i);
-        }
-        if u64::from(self.next_fresh) < self.capacity {
-            let i = self.next_fresh;
-            self.next_fresh += 1;
-            Some(i)
-        } else {
-            None
-        }
+        let i = match self.freed.pop_first() {
+            Some(i) => i,
+            None if u64::from(self.next_fresh) < self.capacity => {
+                self.next_fresh += 1;
+                self.next_fresh - 1
+            }
+            None => return None,
+        };
+        self.entry_mut(i);
+        Some(i)
     }
 
     /// Binds `index` to a freshly created concrete object.
     fn assign(&mut self, index: u32, fh: ServerFh, attr: &SrvAttr, now_ns: u64) -> Oid {
-        let e = &mut self.entries[index as usize];
+        let e = self.entry_mut(index);
         e.gen = e.gen.wrapping_add(1).max(1);
         e.fh = Some(fh.clone());
         e.atime_ns = now_ns;
@@ -182,11 +201,11 @@ impl<S: NfsServer> NfsWrapper<S> {
 
     /// Releases `index` (the concrete object is already gone).
     fn release(&mut self, index: u32) {
-        let e = &mut self.entries[index as usize];
+        let e = self.entry_mut(index);
+        e.parent = None;
         if let Some(fh) = e.fh.take() {
             self.fh_to_index.remove(&fh);
         }
-        e.parent = None;
         self.id_to_index.retain(|_, i| *i != index);
         self.freed.insert(index);
     }
@@ -195,7 +214,7 @@ impl<S: NfsServer> NfsWrapper<S> {
     /// timestamps substituted (paper §3.3: "replaces the concrete
     /// timestamp values by the abstract ones").
     fn abs_attr(&self, index: u32, srv: &SrvAttr) -> Fattr {
-        let e = &self.entries[index as usize];
+        let e = self.entry(index);
         Fattr {
             kind: srv.kind,
             mode: srv.mode,
@@ -210,7 +229,7 @@ impl<S: NfsServer> NfsWrapper<S> {
     }
 
     fn touch(&mut self, index: u32, atime: Option<u64>, mtime: Option<u64>, ctime: Option<u64>) {
-        let e = &mut self.entries[index as usize];
+        let e = self.entry_mut(index);
         if let Some(t) = atime {
             e.atime_ns = t;
         }
@@ -242,7 +261,7 @@ impl<S: NfsServer> NfsWrapper<S> {
 
     /// The abstraction function for one object (paper §3.3).
     fn abstract_of(&self, index: u64) -> Option<Vec<u8>> {
-        let e = self.entries.get(index as usize)?;
+        let e = self.entry(u32::try_from(index).ok()?);
         let gen = e.gen;
         let fh = e.fh.clone()?;
         let srv = self.server.getattr(&fh).ok()?;
@@ -372,8 +391,7 @@ impl<S: NfsServer> NfsWrapper<S> {
                     w.server.mkdir(dfh, &name, mode, clock, rng).map(|ok| (ok, name.clone()))
                 }, env);
                 if let NfsReply::Handle { fh, .. } = &reply {
-                    self.entries[fh.index as usize].parent =
-                        Some(ParentHint::Indexed(dir.index, name));
+                    self.entry_mut(fh.index).parent = Some(ParentHint::Indexed(dir.index, name));
                 }
                 reply
             }
@@ -484,9 +502,9 @@ impl<S: NfsServer> NfsWrapper<S> {
                                 self.touch(di, None, None, Some(now_ns));
                             }
                         }
-                        if self.entries[child as usize].parent.is_some() {
-                            self.entries[child as usize].parent =
-                                Some(ParentHint::Indexed(to_dir.index, to_name));
+                        let e = self.entry_mut(child);
+                        if e.parent.is_some() {
+                            e.parent = Some(ParentHint::Indexed(to_dir.index, to_name));
                         }
                         NfsReply::Ok
                     }
@@ -631,19 +649,11 @@ impl<S: NfsServer> Wrapper for NfsWrapper<S> {
         self.server.reset(env.rng);
         let root_fh = self.server.root();
         let root_attr = self.server.getattr(&root_fh).expect("fresh root must resolve");
-        self.entries = vec![RepEntry::default(); self.capacity as usize];
+        self.entries = vec![RepEntry::root(root_fh.clone())];
         self.next_fresh = 1;
         self.freed.clear();
         self.fh_to_index.clear();
         self.id_to_index.clear();
-        self.entries[0] = RepEntry {
-            gen: 1,
-            fh: Some(root_fh.clone()),
-            atime_ns: 0,
-            mtime_ns: 0,
-            ctime_ns: 0,
-            parent: None,
-        };
         self.fh_to_index.insert(root_fh, 0);
         self.id_to_index.insert((root_attr.fsid, root_attr.fileid), 0);
     }
@@ -668,14 +678,14 @@ impl<S: NfsServer> Wrapper for NfsWrapper<S> {
                 let Some(&index) = self.id_to_index.get(&(attr.fsid, attr.fileid)) else {
                     continue;
                 };
-                if self.entries[index as usize].fh.is_none() {
-                    self.entries[index as usize].fh = Some(child_fh.clone());
-                    self.fh_to_index.insert(child_fh.clone(), index);
+                let e = self.entry_mut(index);
+                if e.fh.is_none() {
+                    e.fh = Some(child_fh.clone());
                     if attr.kind == ObjKind::Dir {
-                        self.entries[index as usize].parent =
-                            Some(ParentHint::Indexed(dir_index, name));
-                        stack.push((child_fh, index));
+                        e.parent = Some(ParentHint::Indexed(dir_index, name));
+                        stack.push((child_fh.clone(), index));
                     }
+                    self.fh_to_index.insert(child_fh, index);
                 }
             }
         }
@@ -696,8 +706,8 @@ impl<S: NfsServer> Wrapper for NfsWrapper<S> {
         // deterministically from the seed. The rep and the abstract digests
         // are left untouched, so the damage stays latent until a warm
         // reboot's abstraction rescan.
-        let candidates: Vec<u32> = (1..self.capacity as u32)
-            .filter(|&i| self.entries[i as usize].fh.is_some())
+        let candidates: Vec<u32> = (1..self.entries.len() as u32)
+            .filter(|&i| self.entry(i).fh.is_some())
             .collect();
         if candidates.is_empty() {
             return;
@@ -766,7 +776,7 @@ mod putobjs {
         if plan.present.is_empty() && plan.absent.is_empty() {
             return;
         }
-        let root_fh = w.entries[0].fh.clone().expect("root always bound");
+        let root_fh = w.entry(0).fh.clone().expect("root always bound");
 
         // Create the staging directory.
         let staging_fh = match w.server.mkdir(&root_fh, STAGING, 0o700, clock, env.rng) {
@@ -781,7 +791,7 @@ mod putobjs {
         // Phase 1 (cases 2 and 3 of §3.3): make every present object exist
         // concretely with the right content, creating new ones in staging.
         for (index, gen, obj) in &plan.present {
-            let entry = &w.entries[*index as usize];
+            let entry = w.entry(*index);
             let same_gen = entry.gen == *gen && entry.fh.is_some();
             let compatible = if let (true, Some(fh)) = (same_gen, entry.fh.clone()) {
                 // Case 1 requires the concrete kind to match too.
@@ -802,7 +812,7 @@ mod putobjs {
             } else {
                 // Case 2: detach any old incumbent (its links disappear
                 // during directory reconciliation; drop our binding now).
-                if let Some(old_fh) = w.entries[*index as usize].fh.take() {
+                if let Some(old_fh) = w.entry_mut(*index).fh.take() {
                     w.fh_to_index.remove(&old_fh);
                     w.id_to_index.retain(|_, i| *i != *index);
                 }
@@ -836,7 +846,7 @@ mod putobjs {
                         (fh, attr)
                     }
                 };
-                let e = &mut w.entries[*index as usize];
+                let e = w.entry_mut(*index);
                 e.gen = *gen;
                 e.fh = Some(fh.clone());
                 e.parent = match obj {
@@ -874,11 +884,13 @@ mod putobjs {
 
         // Phase 4: release entries that are absent in the checkpoint.
         for index in &plan.absent {
-            if w.entries[*index as usize].fh.is_some() {
+            if w.entry(*index).fh.is_some() {
                 w.release(*index);
             } else {
                 w.freed.insert(*index);
-                w.entries[*index as usize].parent = None;
+                if let Some(e) = w.entries.get_mut(*index as usize) {
+                    e.parent = None;
+                }
             }
         }
         // Recompute the deterministic allocator state: an installed
@@ -905,7 +917,7 @@ mod putobjs {
         obj: &AbstractObject,
         clock: u64,
     ) {
-        let fh = w.entries[index as usize].fh.clone().expect("case 1 has a handle");
+        let fh = w.entry(index).fh.clone().expect("case 1 has a handle");
         if let AbstractObject::File { data, .. } = obj {
             let _ = w.server.setattr(
                 &fh,
@@ -923,7 +935,7 @@ mod putobjs {
     /// Copies the abstract timestamps into the conformance rep.
     fn set_times_from<S: NfsServer>(w: &mut NfsWrapper<S>, index: u32, obj: &AbstractObject) {
         let a = obj.attr();
-        let e = &mut w.entries[index as usize];
+        let e = w.entry_mut(index);
         e.atime_ns = a.atime_ns;
         e.mtime_ns = a.mtime_ns;
         e.ctime_ns = a.ctime_ns;
@@ -940,7 +952,7 @@ mod putobjs {
         if a.kind == ObjKind::Symlink {
             return;
         }
-        let fh = w.entries[index as usize].fh.clone().expect("bound");
+        let fh = w.entry(index).fh.clone().expect("bound");
         let _ = w.server.setattr(
             &fh,
             SrvSetAttr { mode: Some(a.mode), uid: Some(a.uid), gid: Some(a.gid), size: None },
@@ -956,7 +968,7 @@ mod putobjs {
         staging_fh: &ServerFh,
         clock: u64,
     ) {
-        let dir_fh = w.entries[dir_index as usize].fh.clone().expect("dir bound");
+        let dir_fh = w.entry(dir_index).fh.clone().expect("dir bound");
         let current: HashMap<String, ServerFh> = w
             .server
             .readdir(&dir_fh)
@@ -964,7 +976,7 @@ mod putobjs {
             .unwrap_or_default();
 
         for (name, oid) in desired {
-            let want_fh = match &w.entries[oid.index as usize].fh {
+            let want_fh = match &w.entry(oid.index).fh {
                 Some(fh) => fh.clone(),
                 None => continue, // Inconsistent install; skip defensively.
             };
@@ -982,13 +994,13 @@ mod putobjs {
                 Ok(ObjKind::Dir)
             );
             if is_dir {
-                let hint = w.entries[oid.index as usize].parent.clone();
+                let hint = w.entry(oid.index).parent.clone();
                 let moved = match hint {
                     Some(ParentHint::Staging(tmp)) => {
                         w.server.rename(staging_fh, &tmp, &dir_fh, name, clock).is_ok()
                     }
                     Some(ParentHint::Indexed(pidx, pname)) => {
-                        match w.entries[pidx as usize].fh.clone() {
+                        match w.entry(pidx).fh.clone() {
                             Some(pfh) => {
                                 w.server.rename(&pfh, &pname, &dir_fh, name, clock).is_ok()
                             }
@@ -1000,7 +1012,7 @@ mod putobjs {
                 if moved {
                     // The rename may have changed the handle? No: handles
                     // are object-bound in all implementations.
-                    w.entries[oid.index as usize].parent =
+                    w.entry_mut(oid.index).parent =
                         Some(ParentHint::Indexed(dir_index, name.clone()));
                 }
             } else {
@@ -1029,7 +1041,7 @@ mod putobjs {
             if w.server.rename(dir_fh, name, staging_fh, &park, clock).is_ok() {
                 if let Some(i) = incumbent_index {
                     if is_dir {
-                        w.entries[i as usize].parent = Some(ParentHint::Staging(park));
+                        w.entry_mut(i).parent = Some(ParentHint::Staging(park));
                     }
                 }
             }
@@ -1055,7 +1067,7 @@ mod putobjs {
         desired: &[(String, Oid)],
         clock: u64,
     ) {
-        let dir_fh = w.entries[dir_index as usize].fh.clone().expect("dir bound");
+        let dir_fh = w.entry(dir_index).fh.clone().expect("dir bound");
         let current = match w.server.readdir(&dir_fh) {
             Ok(l) => l,
             Err(_) => return,
@@ -1108,7 +1120,7 @@ mod putobjs {
         w.next_fresh = w.next_fresh.max(max_live + 1);
         w.freed.clear();
         for i in 1..w.next_fresh {
-            if w.entries[i as usize].fh.is_none() {
+            if w.entry(i).fh.is_none() {
                 w.freed.insert(i);
             }
         }
@@ -1256,6 +1268,66 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_rep_grows_with_the_oids_in_use() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut w = NfsWrapper::with_capacity(InodeFs::new(0x11, &mut rng), 4096);
+        assert_eq!(w.entries.len(), 1, "a fresh rep holds the root alone");
+        let mut mods = ModifyLog::new();
+        let root = Oid::ROOT;
+        let names: Vec<String> = (0..40).map(|i| format!("f{i}")).collect();
+        for (ts, name) in (1..).zip(&names) {
+            let op = NfsOp::Create { dir: root, name: name.clone(), mode: 0o644 };
+            exec(&mut w, &mut mods, &mut rng, op, ts);
+        }
+        let high_water = w.entries.len();
+        assert_eq!(high_water, 1 + names.len());
+        for (ts, name) in (100..).zip(&names) {
+            exec(&mut w, &mut mods, &mut rng, NfsOp::Remove { dir: root, name: name.clone() }, ts);
+        }
+        for (ts, name) in (200..).zip(&names[..10]) {
+            let op = NfsOp::Create { dir: root, name: name.clone(), mode: 0o644 };
+            exec(&mut w, &mut mods, &mut rng, op, ts);
+        }
+        assert!(w.entries.len() <= high_water, "freed indices are reused before the rep grows");
+        // The abstract array keeps its size.
+        assert_eq!(w.n_objects(), 4096);
+        let stats = exec(&mut w, &mut mods, &mut rng, NfsOp::Statfs, 300);
+        assert_eq!(stats, NfsReply::Stats(4096, 11));
+
+        // An index past the end reads as one never bound, and reading it
+        // does not grow the rep.
+        let far = Oid { index: 4000, gen: 0 };
+        assert_eq!(w.get_obj(4000), None);
+        let r = exec(&mut w, &mut mods, &mut rng, NfsOp::Getattr { fh: far }, 301);
+        assert_eq!(r, NfsReply::Error(NfsStatus::Stale));
+        assert!(w.entries.len() <= high_water);
+
+        // Installing an object at index 4000 grows the rep to reach it.
+        let data = b"far away".to_vec();
+        let mut attr = Fattr::new(ObjKind::File, 0o640, 0, 0, 7);
+        attr.size = data.len() as u64;
+        let file = AbstractObject::File { attr, data };
+        let far = Oid { index: 4000, gen: 3 };
+        let dir = AbstractObject::Dir {
+            attr: Fattr::new(ObjKind::Dir, 0o755, 0, 0, 7),
+            entries: vec![("far".to_owned(), far)],
+        };
+        let mut env = ExecEnv::new(1, &mut rng);
+        let objs = [(0, Some(dir.encode_entry(1))), (4000, Some(file.encode_entry(3)))];
+        w.put_objs(&objs, &mut env);
+        assert_eq!(w.entries.len(), 4001);
+        assert_eq!(w.get_obj(4000), Some(file.encode_entry(3)));
+        let r = exec(&mut w, &mut mods, &mut rng, NfsOp::Lookup { dir: root, name: "far".into() }, 400);
+        assert!(matches!(r, NfsReply::Handle { fh, .. } if fh == far), "{r:?}");
+        // Below the end, an unbound index reads the same as past it.
+        assert_eq!(w.get_obj(3999), None);
+        assert_eq!(w.get_obj(4095), None);
+        let r = exec(&mut w, &mut mods, &mut rng, NfsOp::Getattr { fh: Oid { index: 4095, gen: 0 } }, 401);
+        assert_eq!(r, NfsReply::Error(NfsStatus::Stale));
+        assert_eq!(w.entries.len(), 4001);
     }
 
     #[test]

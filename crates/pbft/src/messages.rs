@@ -125,14 +125,20 @@ impl DigestCache {
     fn get_or_init(&self, compute: impl FnOnce() -> Digest) -> Digest {
         *self.0.get_or_init(compute)
     }
+
+    /// Takes over `other`'s digest, if it has computed one. The caller
+    /// vouches that both cover the same fields.
+    fn carry(&self, other: &DigestCache) {
+        if let Some(d) = other.0.get() {
+            let _ = self.0.set(*d);
+        }
+    }
 }
 
 impl Clone for DigestCache {
     fn clone(&self) -> Self {
         let c = DigestCache::default();
-        if let Some(d) = self.0.get() {
-            let _ = c.0.set(*d);
-        }
+        c.carry(self);
         c
     }
 }
@@ -339,6 +345,17 @@ impl PrePrepareMsg {
             }
             Digest::of(enc.as_bytes())
         })
+    }
+
+    /// Takes over the memoized batch and request digests of `built`, the
+    /// pre-prepare whose encoding this one was decoded from: the fields
+    /// they cover are equal, so a decoded copy need not hash them again.
+    pub(crate) fn carry_digests(&self, built: &PrePrepareMsg) {
+        debug_assert_eq!(self, built, "decoded from another pre-prepare");
+        self.batch_cache.carry(&built.batch_cache);
+        for (r, b) in self.requests.iter().zip(&built.requests) {
+            r.digest_cache.carry(&b.digest_cache);
+        }
     }
 
     /// Digest of the carried batch (computed once, then memoized).

@@ -97,11 +97,20 @@ impl Agreement {
             equivocate(io, &pp);
             pp
         } else {
-            // Sent by reference, then moved (not cloned) into the log.
+            // Logged as decoded from the frame the backups were sent, so the
+            // batch lives in that one frame group-wide and each client
+            // request frame is let go here (DESIGN.md §11.7). A mute
+            // primary sent no frame and logs what it built.
             let msg = Message::PrePrepare(pp);
-            io.multicast(&msg);
+            let sent = io.multicast(&msg);
             let Message::PrePrepare(pp) = msg else { unreachable!("built above") };
-            pp
+            match sent.as_ref().and_then(Message::from_payload) {
+                Some(Message::PrePrepare(decoded)) => {
+                    decoded.carry_digests(&pp);
+                    decoded
+                }
+                _ => pp,
+            }
         };
         // `next_seq` and `can_propose` keep `seq` inside the window.
         if let Some(entry) = io.log.entry_mut(seq) {

@@ -8,7 +8,7 @@ use crate::log::Log;
 use crate::messages::Message;
 use crate::service::{ExecEnv, Service};
 use base_crypto::{Authenticator, Digest, NodeKeys};
-use base_simnet::{Context, MetricsRegistry, NodeId};
+use base_simnet::{Context, MetricsRegistry, NodeId, Payload};
 
 /// The replica's shared context, borrowed for one step: the simulator
 /// context, configuration, keys, id, Byzantine mode, counters,
@@ -74,15 +74,17 @@ impl Io<'_, '_> {
     }
 
     /// Sends `msg` to every other replica, encoded once: every recipient
-    /// shares the same allocation.
-    pub(super) fn multicast(&mut self, msg: &Message) {
+    /// shares the same allocation. Returns that frame, or `None` from a
+    /// `Mute` replica, which sends nothing.
+    pub(super) fn multicast(&mut self, msg: &Message) -> Option<Payload> {
         if self.is(ByzMode::Mute) {
-            return;
+            return None;
         }
         let wire = msg.to_payload();
         for i in (0..self.cfg.n).filter(|i| *i != self.id as usize) {
             self.ctx.send(self.cfg.replica_node(i), wire.clone());
         }
+        Some(wire)
     }
 
     /// Authenticates `digest` to the other replicas, charging a MAC each.

@@ -5,7 +5,10 @@
 //! So a logged pre-prepare holds its frame, and that is bounded by the log:
 //! once the stable checkpoint passes a slot, nothing holds the slot's frame
 //! any more. A client copies a completed result out of the reply frame, so
-//! nothing holds a reply frame once its operation completes.
+//! nothing holds a reply frame once its operation completes. The primary
+//! logs the pre-prepare decoded from the frame it multicast, so a slot's
+//! batch lives in that one frame at every replica, and a client's request
+//! frame is let go once the request is proposed.
 
 use base_crypto::NodeKeys;
 use base_pbft::testing::{op_add, CounterService};
@@ -90,4 +93,63 @@ fn a_frame_is_let_go_when_its_slot_is_collected_and_a_reply_frame_at_completion(
         }
     }
     assert_eq!((collected, logged), (128, OPS - 128));
+}
+
+#[test]
+fn the_primary_logs_the_frame_its_backups_hold_and_lets_the_request_frame_go() {
+    let mut sim = Simulation::new(7);
+    let cfg = Config::new(4);
+    let mut d = Deployment::new(cfg.clone(), 1, 7);
+    for _ in 0..cfg.n {
+        d.replica(&mut sim, CounterService::default());
+    }
+    // The primary and backup 1 keep a handle on every frame they are handed.
+    for i in [0, 1] {
+        let keys = NodeKeys::new(d.dir.clone(), i);
+        let replica = Replica::new(cfg.clone(), keys, CounterService::default());
+        sim.replace_node(d.replicas[i].node, Box::new(Keeps::new(replica)));
+    }
+    let client = d.client(&mut sim, ClientActor::new);
+    sim.actor_as_mut::<ClientActor>(client).unwrap().invoke(op_add(0, 1), false);
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(sim.actor_as::<ClientActor>(client).unwrap().completed.len(), 1);
+    for r in &d.replicas {
+        let last_exec = match sim.actor_as::<Backup>(r.node) {
+            Some(kept) => kept.inner.last_exec(),
+            None => sim.actor_as::<Replica<CounterService>>(r.node).unwrap().last_exec(),
+        };
+        assert_eq!(last_exec, 1, "replica {} executed the write", r.node);
+    }
+
+    let primary = sim.actor_as::<Backup>(d.replicas[0].node).unwrap();
+    let requests: Vec<&Payload> = primary
+        .frames
+        .iter()
+        .filter(|f| matches!(Message::from_payload(f), Some(Message::Request(_))))
+        .collect();
+    assert_eq!(requests.len(), 1, "the primary was handed the request once");
+    assert_eq!(Payload::ref_count(requests[0]), 1, "the proposed request's frame is let go");
+
+    let backup = sim.actor_as::<Backup>(d.replicas[1].node).unwrap();
+    let pre_prepares: Vec<&Payload> = backup
+        .frames
+        .iter()
+        .filter(|f| matches!(Message::from_payload(f), Some(Message::PrePrepare(_))))
+        .collect();
+    assert_eq!(pre_prepares.len(), 1, "backup 1 was handed the pre-prepare once");
+    let frame = pre_prepares[0];
+    // How many handles one decoded pre-prepare holds on its frame.
+    let held = {
+        let before = Payload::ref_count(frame);
+        let decoded = Message::from_payload(frame);
+        let after = Payload::ref_count(frame);
+        drop(decoded);
+        after - before
+    };
+    assert!(held > 0, "a decoded pre-prepare borrows its frame");
+    assert_eq!(
+        Payload::ref_count(frame),
+        1 + cfg.n * held,
+        "the test's handle and the logged pre-prepare of all four replicas, the primary's included"
+    );
 }
