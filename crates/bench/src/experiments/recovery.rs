@@ -11,7 +11,7 @@ use crate::report::{phase_row, phase_table, Table};
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_pbft::Deployment;
-use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, Trace};
+use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline, Trace};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
@@ -105,7 +105,9 @@ fn run_once(mode: Option<bool>) -> Out {
         leaked,
         heal_to_progress_ms,
         retransmissions,
-        phases: PhaseBreakdown::from_spans(&build_spans(&sim.trace().expect("installed").events())),
+        phases: PhaseBreakdown::from_spans(
+            &Timeline::of(&sim.trace().expect("installed").events()).ops,
+        ),
     }
 }
 

@@ -8,7 +8,7 @@ use crate::report::{phase_row, phase_table, Table};
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseService, Config};
 use base_pbft::Deployment;
-use base_simnet::{build_spans, PhaseBreakdown, SimDuration, Simulation, Trace};
+use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline, Trace};
 
 /// One measured E9 cell, exposed so the `bench` perf lab can sample the
 /// same workload the table prints.
@@ -110,7 +110,7 @@ pub fn measure_throughput_with(
     }
     assert!(occupancy.count() > 0, "replica recorded no executed batches");
     let trace = sim.trace().expect("installed above").events();
-    let phases = PhaseBreakdown::from_spans(&build_spans(&trace));
+    let phases = PhaseBreakdown::from_spans(&Timeline::of(&trace).ops);
     assert_eq!(phases.ops, total_ops, "every completed op must reconstruct a span");
     ThroughputSample {
         ops: total_ops,

@@ -8,7 +8,7 @@
 //! uploads `target/repro/` on chaos-campaign failure).
 
 use base_simnet::chaos::{CampaignReport, FailureReport};
-use base_simnet::span::{build_spans, export_perfetto};
+use base_simnet::span::{export_perfetto, Timeline};
 use base_simnet::trace::export_jsonl;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,7 +55,7 @@ pub fn write_failure_artifacts(dir: &Path, f: &FailureReport) -> io::Result<Vec<
     // file in ui.perfetto.dev and the failing op's critical path is laid
     // out per node, no replaying required.
     let perfetto_path = dir.join(format!("seed{}.minimal.perfetto.json", f.seed));
-    let spans = build_spans(&f.minimal_events);
+    let spans = Timeline::of(&f.minimal_events).ops;
     std::fs::write(&perfetto_path, export_perfetto(&f.minimal_events, &spans))?;
     written.push(perfetto_path);
 

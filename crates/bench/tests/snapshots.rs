@@ -35,8 +35,8 @@ use base_simnet::chaos::{generate_schedule, run_campaign, run_one, CampaignMode,
 use base_simnet::trace::export_jsonl;
 use base_simnet::tracediff::{divergence_report, parse_jsonl};
 use base_simnet::{
-    build_spans, export_perfetto, render_spans, MetricsRegistry, PhaseBreakdown, SimDuration,
-    Simulation, TraceEvent,
+    export_perfetto, render_spans, MetricsRegistry, PhaseBreakdown, SimDuration, Simulation,
+    Timeline, TraceEvent,
 };
 use std::path::Path;
 
@@ -240,7 +240,7 @@ fn oodb_trace_matches_snapshot() {
 
 #[test]
 fn span_lines_match_snapshot() {
-    let spans = build_spans(&scenario("counter"));
+    let spans = Timeline::of(&scenario("counter")).ops;
     let table = PhaseBreakdown::from_spans(&spans).table();
     check("spans/counter.spans.txt", &format!("{table}\n{}", render_spans(&spans)));
 }
@@ -248,7 +248,7 @@ fn span_lines_match_snapshot() {
 #[test]
 fn perfetto_export_matches_snapshot() {
     let events = scenario("counter");
-    check("spans/counter.perfetto.json", &export_perfetto(&events, &build_spans(&events)));
+    check("spans/counter.perfetto.json", &export_perfetto(&events, &Timeline::of(&events).ops));
 }
 
 #[test]

@@ -8,12 +8,12 @@
 use base_bench::experiments::throughput::measure_throughput;
 use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_simnet::chaos::{run_campaign, CampaignMode};
-use base_simnet::{build_spans, export_perfetto, render_spans, SimDuration};
+use base_simnet::{export_perfetto, render_spans, SimDuration, Timeline};
 
 /// A small E9 cell: 4 clients x 40 ops, 256-byte values.
 fn e9_artifacts() -> (String, String, String) {
     let s = measure_throughput(4, 40, 256);
-    let spans = build_spans(&s.trace);
+    let spans = Timeline::of(&s.trace).ops;
     (render_spans(&spans), s.phases.table(), export_perfetto(&s.trace, &spans))
 }
 

@@ -23,6 +23,7 @@ use crate::wrapper::{Footprint, ModifyLog, Wrapper};
 use base_pbft::ExecEnv;
 use base_xdr::{XdrDecoder, XdrEncoder};
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Number of abstract objects (hash slots) in the KV specification.
@@ -38,24 +39,31 @@ fn slot_of(key: &str) -> u64 {
     h % N_SLOTS
 }
 
-/// The abstract-object footprint of a KV text operation — a pure function
-/// so shard routers and replica-side lock services classify identically.
+/// Splits a KV operation at its first two spaces into the verb, the key
+/// and the value. Only the key is decoded (lossily, as UTF-8); the value
+/// stays the bytes as sent. [`KvWrapper`]'s `execute` and [`kv_footprint`]
+/// both read an operation through this one parse.
+fn parse_op(op: &[u8]) -> (&[u8], Cow<'_, str>, &[u8]) {
+    let mut parts = op.splitn(3, |b| *b == b' ');
+    let verb = parts.next().unwrap_or_default();
+    let key = String::from_utf8_lossy(parts.next().unwrap_or_default());
+    (verb, key, parts.next().unwrap_or_default())
+}
+
+/// The abstract-object footprint of a KV operation — a pure function so
+/// shard routers and replica-side lock services classify identically.
 ///
-/// Mirrors [`KvWrapper`]'s `execute` parse exactly: a `put`/`del` touches
-/// only the key's slot, `get`/`mtime` only reads it. Anything `execute`
-/// would answer with `err` (unknown verb, missing key) gets a conservative
-/// `None` — whole-state conflict — rather than a guess.
+/// A `put`/`del` touches only the key's slot, `get`/`mtime` only reads it.
+/// Anything `execute` would answer with `err` (unknown verb, missing key)
+/// gets a conservative `None` — whole-state conflict — rather than a guess.
 pub fn kv_footprint(op: &[u8]) -> Option<Footprint> {
-    let text = String::from_utf8_lossy(op);
-    let mut parts = text.splitn(3, ' ');
-    let verb = parts.next().unwrap_or("");
-    let key = parts.next().unwrap_or("");
+    let (verb, key, _) = parse_op(op);
     if key.is_empty() {
         return None;
     }
     match verb {
-        "put" | "del" => Some(Footprint::writes(vec![slot_of(key)])),
-        "get" | "mtime" => Some(Footprint::reads(vec![slot_of(key)])),
+        b"put" | b"del" => Some(Footprint::writes(vec![slot_of(&key)])),
+        b"get" | b"mtime" => Some(Footprint::reads(vec![slot_of(&key)])),
         _ => None,
     }
 }
@@ -174,8 +182,10 @@ impl TinyKv {
 
 /// Conformance wrapper for [`TinyKv`].
 ///
-/// Operations (UTF-8 text): `put <key> <value>`, `get <key>`,
-/// `del <key>`. Replies: `ok`, the value bytes, or `missing`.
+/// Operations: `put <key> <value>`, `get <key>`, `mtime <key>` and
+/// `del <key>`, split at their first two spaces; the key is UTF-8 text and
+/// the value any bytes, stored as sent. Replies: `ok`, the value bytes, the
+/// agreed mtime, or `missing`.
 pub struct KvWrapper {
     kv: TinyKv,
     /// Conformance rep: the *abstract* (agreed) timestamp per key, ordered
@@ -292,10 +302,7 @@ impl Wrapper for KvWrapper {
         env: &mut ExecEnv<'_>,
     ) -> Vec<u8> {
         env.charge(self.op_cost);
-        let text = String::from_utf8_lossy(op);
-        let mut parts = text.splitn(3, ' ');
-        let verb = parts.next().unwrap_or("");
-        let key = parts.next().unwrap_or("");
+        let (verb, key, value) = parse_op(op);
         let agreed_ts = if nondet.len() == 8 {
             u64::from_be_bytes(nondet.try_into().expect("checked length"))
         } else {
@@ -303,27 +310,26 @@ impl Wrapper for KvWrapper {
         };
         self.last_nondet = self.last_nondet.max(agreed_ts);
         match verb {
-            "put" if !read_only && !key.is_empty() => {
-                let value = parts.next().unwrap_or("").as_bytes().to_vec();
-                let slot = slot_of(key);
+            b"put" if !read_only && !key.is_empty() => {
+                let slot = slot_of(&key);
                 mods.modify(slot, || self.encode_slot(slot));
-                self.kv.put(key, value, env.local_clock_ns, env.rng);
-                self.abs_mtimes.insert((slot, key.to_owned()), agreed_ts);
+                self.kv.put(&key, value.to_vec(), env.local_clock_ns, env.rng);
+                self.abs_mtimes.insert((slot, key.into_owned()), agreed_ts);
                 b"ok".to_vec()
             }
-            "get" => match self.kv.get(key) {
+            b"get" => match self.kv.get(&key) {
                 Some(v) => v.to_vec(),
                 None => b"missing".to_vec(),
             },
-            "mtime" => match self.abs_mtimes.get(&(slot_of(key), key.to_owned())) {
+            b"mtime" => match self.abs_mtimes.get(&(slot_of(&key), key.into_owned())) {
                 Some(mt) => mt.to_string().into_bytes(),
                 None => b"missing".to_vec(),
             },
-            "del" if !read_only && !key.is_empty() => {
-                let slot = slot_of(key);
+            b"del" if !read_only && !key.is_empty() => {
+                let slot = slot_of(&key);
                 mods.modify(slot, || self.encode_slot(slot));
-                let existed = self.kv.delete(key);
-                self.abs_mtimes.remove(&(slot, key.to_owned()));
+                let existed = self.kv.delete(&key);
+                self.abs_mtimes.remove(&(slot, key.into_owned()));
                 if existed {
                     b"ok".to_vec()
                 } else {
@@ -470,6 +476,21 @@ mod tests {
         w.put_objs(&[(slot, None)], &mut env(&mut rng, 0));
         assert_eq!(w.kv().get("dead"), None);
         assert_eq!(w.get_obj(slot), None);
+    }
+
+    /// The value is stored as sent: bytes that are not UTF-8 come back
+    /// from a get byte for byte.
+    #[test]
+    fn a_value_that_is_not_utf8_round_trips() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut w = KvWrapper::new(TinyKv::default());
+        let mut mods = ModifyLog::new();
+        let value = [0xff, b' ', 0xc3, 0x28, 0x80, b'v'];
+        let put = [b"put k ".as_slice(), &value].concat();
+        let reply = w.execute(&put, 7, &ts(1), false, &mut mods, &mut env(&mut rng, 0));
+        assert_eq!(reply, b"ok");
+        let reply = w.execute(b"get k", 7, &ts(2), true, &mut mods, &mut env(&mut rng, 0));
+        assert_eq!(reply, value);
     }
 
     #[test]

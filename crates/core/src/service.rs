@@ -116,7 +116,6 @@ impl<W: Wrapper> BaseService<W> {
         }
         let batch = self.tree.set_leaves(updates);
         self.stats.node_hashes += batch.internal_hashes;
-        self.metrics.add("base.tree_node_hashes", batch.internal_hashes);
     }
 
     /// Refreshes the digest-tree leaves of all dirty objects so `tree`
@@ -142,7 +141,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         let result = self.wrapper.execute(op, client, nondet, read_only, &mut self.mods, env);
         let copies = (self.mods.dirty_count() - before) as u64;
         self.stats.preimage_copies += copies;
-        self.metrics.add("base.preimage_copies", copies);
         result
     }
 
@@ -170,7 +168,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         self.ckpt_trees.insert(seq, self.tree.clone());
         self.last_ckpt = Some(seq);
         self.stats.checkpoints += 1;
-        self.metrics.inc("base.checkpoints");
         self.tree.root_digest()
     }
 
@@ -249,7 +246,6 @@ impl<W: Wrapper> Service for BaseService<W> {
             .collect();
         let batch = self.tree.set_leaves(leaves);
         self.stats.node_hashes += batch.internal_hashes;
-        self.metrics.add("base.tree_node_hashes", batch.internal_hashes);
         debug_assert_eq!(
             self.tree.root_digest(),
             root,

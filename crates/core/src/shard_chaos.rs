@@ -45,11 +45,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use base_pbft::chaos::{
     audit_subset_chain, campaign_config, campaign_gen_config, fresh_delta, ChainOp, Group,
-    CAMPAIGN_BOUNDS, CAMPAIGN_PACE, CAMPAIGN_SETTLE,
+    CAMPAIGN_LIVENESS_BOUND, CAMPAIGN_PACE, CAMPAIGN_SETTLE,
 };
 use base_pbft::testing::{op_add, op_get, CounterService, COUNTER_REGS};
 use base_pbft::Replica;
-use base_simnet::chaos::{AppFaultSpec, ChaosHarness, LivenessBounds, ScheduleGenConfig};
+use base_simnet::chaos::{AppFaultSpec, ChaosHarness, ScheduleGenConfig};
 use base_simnet::{NodeId, SimDuration, Simulation};
 
 use crate::shard::{
@@ -387,10 +387,10 @@ impl ChaosHarness for ShardedChaosHarness {
         CAMPAIGN_SETTLE
     }
 
-    fn liveness_bounds(&self) -> LivenessBounds {
-        // The single-group bounds hold here too: cross-shard retries add
+    fn liveness_bound(&self) -> Option<SimDuration> {
+        // The single-group bound holds here too: cross-shard retries add
         // at most a bounded backoff.
-        CAMPAIGN_BOUNDS
+        Some(CAMPAIGN_LIVENESS_BOUND)
     }
 
     /// Every replica's status line, shard by shard.

@@ -10,7 +10,8 @@
 //!   Byzantine-mode flips healed back to honest, latent state corruption
 //!   healed by proactive recovery), the campaign group configuration
 //!   ([`campaign_config`]), pacing ([`CAMPAIGN_PACE`]), the settle window
-//!   ([`CAMPAIGN_SETTLE`]) and liveness deadlines ([`CAMPAIGN_BOUNDS`]);
+//!   ([`CAMPAIGN_SETTLE`]) and the liveness bound
+//!   ([`CAMPAIGN_LIVENESS_BOUND`]);
 //! - [`Group`]: the replicas of one group as [`ReplicaRef`] handles, fault
 //!   application with taint tracking, honest/clean selection, and the group
 //!   auditors behind one entry point, [`Group::audit`] — **view agreement**
@@ -44,7 +45,7 @@ use crate::deploy::Deployment;
 use crate::service::Service;
 use crate::testing::{op_add, op_get, CounterService};
 use crate::ClientActor;
-use base_simnet::chaos::{AppFaultSpec, ChaosHarness, HealSpec, LivenessBounds, ScheduleGenConfig};
+use base_simnet::chaos::{AppFaultSpec, ChaosHarness, HealSpec, ScheduleGenConfig};
 use base_simnet::{NodeId, SimDuration, Simulation};
 use std::collections::{HashMap, HashSet};
 
@@ -119,14 +120,12 @@ pub const CAMPAIGN_PACE: SimDuration = SimDuration::from_millis(250);
 /// Extra time a campaign run simulates after its last scheduled event.
 pub const CAMPAIGN_SETTLE: SimDuration = SimDuration::from_secs(30);
 
-/// Liveness deadlines for campaigns with a [`CAMPAIGN_SETTLE`] window: well
-/// inside it, but generous enough for the worst capped view-change chase
-/// plus a full state transfer.
-pub const CAMPAIGN_BOUNDS: LivenessBounds = LivenessBounds {
-    heal_to_progress: Some(SimDuration::from_secs(25)),
-    view_convergence: Some(SimDuration::from_secs(25)),
-    recovery_duration: Some(SimDuration::from_secs(25)),
-};
+/// The liveness bound of campaigns with a [`CAMPAIGN_SETTLE`] window
+/// (heal to progress, view convergence and recovery duration; see
+/// [`base_simnet::chaos::audit_liveness`]): well inside the window, but
+/// generous enough for the worst capped view-change chase plus a full state
+/// transfer.
+pub const CAMPAIGN_LIVENESS_BOUND: SimDuration = SimDuration::from_secs(25);
 
 /// One replica as the auditors see it: its node and its service-independent
 /// interface.
@@ -529,9 +528,9 @@ pub trait Workload {
 
 /// The chaos harness of a single-group service running workload `W`: the
 /// shared fault vocabulary routed to the [`Group`], [`CAMPAIGN_SETTLE`] and
-/// [`CAMPAIGN_BOUNDS`], the workload's result check, every group auditor,
-/// the workload's state check, and every replica's status line appended to
-/// the trace of a failed run.
+/// [`CAMPAIGN_LIVENESS_BOUND`], the workload's result check, every group
+/// auditor, the workload's state check, and every replica's status line
+/// appended to the trace of a failed run.
 pub struct ServiceCampaign<W> {
     /// The group configuration a run is built with, seeded by
     /// [`campaign_config`].
@@ -600,8 +599,8 @@ impl<W: Workload> ChaosHarness for ServiceCampaign<W> {
         CAMPAIGN_SETTLE
     }
 
-    fn liveness_bounds(&self) -> LivenessBounds {
-        CAMPAIGN_BOUNDS
+    fn liveness_bound(&self) -> Option<SimDuration> {
+        Some(CAMPAIGN_LIVENESS_BOUND)
     }
 
     fn latency_budget(&self) -> Option<SimDuration> {

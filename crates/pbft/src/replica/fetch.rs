@@ -82,10 +82,8 @@ impl Fetch {
         io.stats.state_transfer_meta_queries += result.meta_queries;
         io.ctx.emit(view, result.seq, ProtocolEvent::StateTransferFetchCompleted { objects });
         let m = &mut *io.metrics;
-        m.inc("transfer.completed");
         m.observe("transfer.bytes_fetched", result.fetched_bytes);
         m.observe("transfer.objects_fetched", objects);
-        m.add("transfer.meta_queries", result.meta_queries);
         m.add("transfer.corrupt_replies", result.corrupt_replies);
         m.add("transfer.retransmissions", result.retransmissions);
         m.observe("transfer.peak_window", result.peak_window as u64);

@@ -244,7 +244,6 @@ impl ViewChange {
         proof: Vec<CheckpointMsg>,
     ) {
         io.stats.view_changes_started += 1;
-        io.metrics.inc("replica.view_changes_started");
         io.ctx.emit(self.view, h, ProtocolEvent::ViewChangeStarted);
         self.carried.fold(io.log, h, io.cfg.f());
         let (p, q) = self.carried.sets();

@@ -20,11 +20,12 @@
 //! trace and the same [`NetStats`], which the determinism tests assert.
 
 use crate::faults::NetFault;
-use crate::trace::{ProtocolEvent, Trace, TraceEvent};
+use crate::span::Timeline;
+use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::{NetStats, NodeId, SimDuration, SimTime, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 // `u64::add` is the `add` merge rule of `coverage_counters!`.
@@ -243,14 +244,13 @@ pub trait ChaosHarness {
     /// Audits the finished run; `Err` describes the violated invariant.
     fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String>;
 
-    /// Liveness deadlines the engine enforces on every run, anchored at the
-    /// instant the last scheduled fault heals ([`FaultSchedule::end`]).
-    /// The default (all `None`) disables engine-level liveness auditing;
-    /// harnesses opt in per bound. Bounds must not exceed
-    /// [`settle`](Self::settle) or pending work cannot be distinguished
-    /// from work the run simply did not wait for.
-    fn liveness_bounds(&self) -> LivenessBounds {
-        LivenessBounds::default()
+    /// The liveness deadline the engine enforces on every run, measured
+    /// from the instant the last scheduled fault heals
+    /// ([`FaultSchedule::end`]); see [`audit_liveness`]. `None` (the
+    /// default) disables it. It must not exceed [`settle`](Self::settle),
+    /// or pending work cannot be told from work the run did not wait for.
+    fn liveness_bound(&self) -> Option<SimDuration> {
+        None
     }
 
     /// Per-operation critical-path budget enforced on post-heal operations
@@ -271,126 +271,86 @@ pub trait ChaosHarness {
     }
 }
 
-/// Deadlines for the engine's liveness auditors, all measured from the
-/// instant the last scheduled fault heals. `None` disables a bound.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LivenessBounds {
-    /// Every client operation pending at heal time must complete within
-    /// this bound (and no post-heal completion may take longer).
-    pub heal_to_progress: Option<SimDuration>,
-    /// No replica may start a view change later than this bound after heal:
-    /// the group must converge on a view once the network is quiescent.
-    pub view_convergence: Option<SimDuration>,
-    /// Every recovery must finish within this bound of starting (evaluated
-    /// only once the run has waited at least that long).
-    pub recovery_duration: Option<SimDuration>,
-}
-
-/// Checks the recorded trace against `bounds`, returning one message per
-/// violation in deterministic (event-order) sequence. Empty means live.
+/// Checks a run's timeline against the liveness `bound`, returning one
+/// message per violation. Three clauses share the bound:
+/// - heal-to-progress: every client op completes within `bound` of the
+///   later of its submission and the heal; late completions are reported
+///   in completion order, then each client still holding pending ops, in
+///   node order;
+/// - view-convergence: no replica starts a view change more than `bound`
+///   after the heal;
+/// - recovery-duration: every recovery finishes within `bound` of its
+///   start; completed recoveries in completion order, then open ones.
 ///
-/// `run_end` is how far the run actually simulated; pending-work checks
-/// only fire when the run waited out the relevant deadline, so a short
-/// settle window can never manufacture a violation.
-pub fn audit_liveness_bounds(
-    events: &[TraceEvent],
+/// Empty means live. `run_end` is how far the run actually simulated:
+/// pending-work checks only fire when the run waited out the relevant
+/// deadline, so a short settle window can never manufacture a violation.
+pub fn audit_liveness(
+    timeline: &Timeline,
     schedule: &FaultSchedule,
-    bounds: &LivenessBounds,
+    bound: SimDuration,
     run_end: SimTime,
 ) -> Vec<String> {
     let heal_at = schedule.end();
+    let bound_ms = bound.as_millis();
     let mut violations = Vec::new();
 
-    if let Some(bound) = bounds.heal_to_progress {
-        // Per-node FIFO of unmatched submission times: each client core
-        // runs one operation at a time, so the k-th completion on a node
-        // answers its k-th submission.
-        let mut open: BTreeMap<NodeId, VecDeque<SimTime>> = BTreeMap::new();
-        for ev in events {
-            match ev.event {
-                ProtocolEvent::ClientOpSubmitted => {
-                    open.entry(ev.node).or_default().push_back(ev.at);
-                }
-                ProtocolEvent::ClientOpCompleted => {
-                    let submitted =
-                        open.get_mut(&ev.node).and_then(VecDeque::pop_front).unwrap_or(ev.at);
-                    let deadline = submitted.max(heal_at) + bound;
-                    if ev.at > deadline {
-                        violations.push(format!(
-                            "heal-to-progress: node {} completed an op {}ms after the last \
-                             fault healed (bound {}ms)",
-                            ev.node.0,
-                            (ev.at - heal_at).as_millis(),
-                            bound.as_millis()
-                        ));
-                    }
-                }
-                _ => {}
-            }
+    let mut late: Vec<(SimTime, NodeId)> = timeline
+        .ops
+        .iter()
+        .filter_map(|op| {
+            let completed = op.completed?;
+            (completed > op.submitted.max(heal_at) + bound).then_some((completed, op.client))
+        })
+        .collect();
+    late.sort_by_key(|(completed, _)| *completed);
+    for (completed, node) in late {
+        violations.push(format!(
+            "heal-to-progress: node {} completed an op {}ms after the last fault healed \
+             (bound {bound_ms}ms)",
+            node.0,
+            (completed - heal_at).as_millis(),
+        ));
+    }
+    if run_end >= heal_at + bound {
+        let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
+        for op in timeline.ops.iter().filter(|op| op.completed.is_none()) {
+            *pending.entry(op.client).or_default() += 1;
         }
-        for (node, pending) in &open {
-            if !pending.is_empty() && run_end >= heal_at + bound {
-                violations.push(format!(
-                    "heal-to-progress: node {} still has {} pending op(s) {}ms after the \
-                     last fault healed (bound {}ms)",
-                    node.0,
-                    pending.len(),
-                    (run_end - heal_at).as_millis(),
-                    bound.as_millis()
-                ));
-            }
+        for (node, count) in pending {
+            violations.push(format!(
+                "heal-to-progress: node {} still has {count} pending op(s) {}ms after the last \
+                 fault healed (bound {bound_ms}ms)",
+                node.0,
+                (run_end - heal_at).as_millis(),
+            ));
         }
     }
 
-    if let Some(bound) = bounds.view_convergence {
-        for ev in events {
-            if ev.event == ProtocolEvent::ViewChangeStarted && ev.at > heal_at + bound {
-                violations.push(format!(
-                    "view-convergence: node {} started a view change (v{}) {}ms after the \
-                     last fault healed (bound {}ms)",
-                    ev.node.0,
-                    ev.view,
-                    (ev.at - heal_at).as_millis(),
-                    bound.as_millis()
-                ));
-            }
-        }
+    for vc in timeline.view_changes.iter().filter(|vc| vc.at > heal_at + bound) {
+        violations.push(format!(
+            "view-convergence: node {} started a view change (v{}) {}ms after the last fault \
+             healed (bound {bound_ms}ms)",
+            vc.node.0,
+            vc.view,
+            (vc.at - heal_at).as_millis(),
+        ));
     }
 
-    if let Some(bound) = bounds.recovery_duration {
-        let mut open: BTreeMap<NodeId, VecDeque<SimTime>> = BTreeMap::new();
-        for ev in events {
-            match ev.event {
-                ProtocolEvent::RecoveryStarted => {
-                    open.entry(ev.node).or_default().push_back(ev.at);
-                }
-                ProtocolEvent::RecoveryCompleted { .. } => {
-                    let started =
-                        open.get_mut(&ev.node).and_then(VecDeque::pop_front).unwrap_or(ev.at);
-                    if ev.at > started + bound {
-                        violations.push(format!(
-                            "recovery-duration: node {}'s recovery took {}ms (bound {}ms)",
-                            ev.node.0,
-                            (ev.at - started).as_millis(),
-                            bound.as_millis()
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (node, pending) in &open {
-            for started in pending {
-                if run_end >= *started + bound {
-                    violations.push(format!(
-                        "recovery-duration: node {}'s recovery still incomplete {}ms after \
-                         it began (bound {}ms)",
-                        node.0,
-                        (run_end - *started).as_millis(),
-                        bound.as_millis()
-                    ));
-                }
-            }
+    for rec in &timeline.recoveries {
+        match rec.completed {
+            Some(completed) if completed > rec.started + bound => violations.push(format!(
+                "recovery-duration: node {}'s recovery took {}ms (bound {bound_ms}ms)",
+                rec.node.0,
+                (completed - rec.started).as_millis(),
+            )),
+            None if run_end >= rec.started + bound => violations.push(format!(
+                "recovery-duration: node {}'s recovery still incomplete {}ms after it began \
+                 (bound {bound_ms}ms)",
+                rec.node.0,
+                (run_end - rec.started).as_millis(),
+            )),
+            _ => {}
         }
     }
 
@@ -400,19 +360,19 @@ pub fn audit_liveness_bounds(
 /// Checks every post-heal operation's critical path against a per-op
 /// latency budget, returning one message per violation in submission order.
 ///
-/// Spans are rebuilt from the trace with [`crate::span::build_spans`]; only
-/// operations submitted at or after the heal instant are held to the budget
-/// (ops straddling a fault window are expected to be slow — that is the
-/// liveness auditors' turf). Each violation names the dominant critical-path
-/// phase, so a minimized repro immediately says *where* the time went.
+/// Only operations submitted at or after the heal instant are held to the
+/// budget (ops straddling a fault window are expected to be slow — that is
+/// the liveness auditor's turf). Each violation names the dominant
+/// critical-path phase, so a minimized repro immediately says *where* the
+/// time went.
 pub fn audit_latency_budget(
-    events: &[TraceEvent],
+    timeline: &Timeline,
     schedule: &FaultSchedule,
     budget: SimDuration,
 ) -> Vec<String> {
     let heal_at = schedule.end();
     let mut violations = Vec::new();
-    for span in crate::span::build_spans(events) {
+    for span in &timeline.ops {
         if span.submitted < heal_at {
             continue;
         }
@@ -474,8 +434,8 @@ macro_rules! coverage_counters {
 }
 
 coverage_counters! {
-    /// What a run actually exercised, derived from the recorded protocol
-    /// trace (see [`crate::trace`]). Thin schedules — ones that never force
+    /// What a run actually exercised, derived from its [`Timeline`].
+    /// Thin schedules — ones that never force
     /// a view change or a state transfer — show up as zero rows in the
     /// campaign summary instead of silently passing.
     pub struct Coverage {
@@ -511,7 +471,7 @@ coverage_counters! {
         /// slowest post-heal completion seen across runs.
         heal_to_progress_ns: max,
         /// Liveness-bound violations charged to this run by the engine's
-        /// [`audit_liveness_bounds`] pass (zero when bounds are disabled).
+        /// [`audit_liveness`] pass (zero when the bound is disabled).
         liveness_violations: add,
         /// Latency-budget violations charged by [`audit_latency_budget`]
         /// (zero when the harness sets no budget).
@@ -524,11 +484,12 @@ coverage_counters! {
 }
 
 impl Coverage {
-    /// Derives coverage from a recorded trace. Partition windows from the
-    /// schedule decide which recoveries count as overlapping a partition:
-    /// a recovery overlaps when its `[started, completed]` span on one
-    /// node intersects any scheduled partition window.
-    pub fn from_trace(events: &[TraceEvent], schedule: &FaultSchedule) -> Coverage {
+    /// What `timeline` exercised. The plain counts are raw event counts.
+    /// A completed recovery overlaps a partition when its
+    /// `[started, completed]` span intersects a partition window of
+    /// `schedule`. The auditor and trace-ring counters start at zero;
+    /// [`run_one`] fills them in.
+    pub fn of(timeline: &Timeline, schedule: &FaultSchedule) -> Coverage {
         let partitions: Vec<(SimTime, SimTime)> = schedule
             .events
             .iter()
@@ -539,87 +500,42 @@ impl Coverage {
                 _ => None,
             })
             .collect();
-
         let heal_at = schedule.end();
-        let mut cov = Coverage::default();
-        // Earliest unmatched RecoveryStarted per node, for overlap spans.
-        let mut open_recovery: Vec<(NodeId, SimTime)> = Vec::new();
-        for ev in events {
-            match ev.event {
-                ProtocolEvent::ViewChangeStarted => cov.view_changes_started += 1,
-                ProtocolEvent::ViewChangeCompleted => cov.view_changes_completed += 1,
-                ProtocolEvent::CheckpointStable => cov.checkpoints_stable += 1,
-                ProtocolEvent::StateTransferFetchStarted => cov.state_transfers_started += 1,
-                ProtocolEvent::StateTransferFetchChunk { .. } => {}
-                ProtocolEvent::StateTransferFetchCompleted { .. } => {
-                    cov.state_transfers_completed += 1;
-                }
-                ProtocolEvent::RecoveryStarted => {
-                    cov.recoveries_started += 1;
-                    open_recovery.push((ev.node, ev.at));
-                }
-                ProtocolEvent::RecoveryCompleted { repaired_corruption } => {
-                    cov.recoveries_completed += 1;
-                    if repaired_corruption {
-                        cov.corrupt_state_repairs += 1;
-                    }
-                    let started = open_recovery
-                        .iter()
-                        .position(|(n, _)| *n == ev.node)
-                        .map(|i| open_recovery.remove(i).1)
-                        .unwrap_or(ev.at);
-                    if partitions.iter().any(|(from, until)| started < *until && *from < ev.at) {
-                        cov.recoveries_overlapping_partition += 1;
-                    }
-                }
-                ProtocolEvent::RequestExecuted { .. } => {}
-                ProtocolEvent::ClientRetransmit => cov.client_retransmits += 1,
-                ProtocolEvent::ReplyQuorumDegraded => cov.quorum_degradations += 1,
-                ProtocolEvent::ClientOpSubmitted => cov.client_ops_submitted += 1,
-                ProtocolEvent::ClientOpCompleted => {
-                    cov.client_ops_completed += 1;
-                    if ev.at > heal_at {
-                        cov.heal_to_progress_ns =
-                            cov.heal_to_progress_ns.max((ev.at - heal_at).as_nanos());
-                    }
-                }
-                // Causal span events carry per-op identity, not coverage;
-                // the span layer consumes them.
-                ProtocolEvent::RequestProposed { .. }
-                | ProtocolEvent::PrePrepareLogged { .. }
-                | ProtocolEvent::PrepareQuorum
-                | ProtocolEvent::CommitQuorum
-                | ProtocolEvent::ReplySent { .. } => {}
-            }
+        let count = |kind| timeline.count(kind);
+        let recoveries = &timeline.recoveries;
+        Coverage {
+            view_changes_started: count(EventKind::ViewChangeStarted),
+            view_changes_completed: count(EventKind::ViewChangeCompleted),
+            checkpoints_stable: count(EventKind::CheckpointStable),
+            state_transfers_started: count(EventKind::StateTransferFetchStarted),
+            state_transfers_completed: count(EventKind::StateTransferFetchCompleted),
+            recoveries_started: count(EventKind::RecoveryStarted),
+            recoveries_completed: count(EventKind::RecoveryCompleted),
+            recoveries_overlapping_partition: recoveries
+                .iter()
+                .filter_map(|r| Some((r.started, r.completed?)))
+                .filter(|&(started, done)| {
+                    partitions.iter().any(|&(from, until)| started < until && from < done)
+                })
+                .count() as u64,
+            corrupt_state_repairs: recoveries.iter().filter(|r| r.repaired).count() as u64,
+            client_retransmits: count(EventKind::ClientRetransmit),
+            quorum_degradations: count(EventKind::ReplyQuorumDegraded),
+            client_ops_submitted: count(EventKind::ClientOpSubmitted),
+            client_ops_completed: count(EventKind::ClientOpCompleted),
+            heal_to_progress_ns: timeline
+                .last_completion
+                .filter(|at| *at > heal_at)
+                .map_or(0, |at| (at - heal_at).as_nanos()),
+            ..Coverage::default()
         }
-        cov
     }
 }
 
+/// The [`to_json`](Coverage::to_json) line.
 impl fmt::Display for Coverage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "vc={}/{} ckpt={} st={}/{} rec={}/{} rec_part={} repairs={} retx={} degr={} \
-             ops={}/{} heal_ms={} viol={} budget_viol={} dropped={}",
-            self.view_changes_started,
-            self.view_changes_completed,
-            self.checkpoints_stable,
-            self.state_transfers_started,
-            self.state_transfers_completed,
-            self.recoveries_started,
-            self.recoveries_completed,
-            self.recoveries_overlapping_partition,
-            self.corrupt_state_repairs,
-            self.client_retransmits,
-            self.quorum_degradations,
-            self.client_ops_submitted,
-            self.client_ops_completed,
-            self.heal_to_progress_ns / 1_000_000,
-            self.liveness_violations,
-            self.latency_budget_violations,
-            self.trace_events_dropped
-        )
+        f.write_str(&self.to_json())
     }
 }
 
@@ -633,7 +549,7 @@ pub struct RunOutcome {
     pub stats: NetStats,
     /// Protocol events recorded during the run (ring-buffered).
     pub events: Vec<TraceEvent>,
-    /// Coverage counters derived from `events`.
+    /// Coverage counters derived from `events` (see [`Coverage::of`]).
     pub coverage: Coverage,
 }
 
@@ -643,8 +559,8 @@ pub struct RunOutcome {
 const RUN_TRACE_CAP: usize = 1 << 16;
 
 /// Executes one schedule against a fresh simulation built by the harness,
-/// recording protocol events into a [`Trace::ring`] and deriving the
-/// run's [`Coverage`] from them.
+/// recording protocol events into a [`Trace::ring`], reading them once as a
+/// [`Timeline`] and deriving the run's verdicts and [`Coverage`] from it.
 ///
 /// Network faults are added up front as [`Simulation::add_fault`] windows
 /// (so they activate and heal purely by sim time); crash and app events are
@@ -684,10 +600,13 @@ pub fn run_one<H: ChaosHarness>(
     // harness's own (safety-oriented) audit would also object.
     let recorded = sim.trace().expect("installed above");
     let (events, trace_events_dropped) = (recorded.events(), recorded.dropped());
-    let violations =
-        audit_liveness_bounds(&events, schedule, &harness.liveness_bounds(), run_end);
+    let timeline = Timeline::of(&events);
+    let violations = match harness.liveness_bound() {
+        Some(bound) => audit_liveness(&timeline, schedule, bound, run_end),
+        None => Vec::new(),
+    };
     let budget_violations = match harness.latency_budget() {
-        Some(budget) => audit_latency_budget(&events, schedule, budget),
+        Some(budget) => audit_latency_budget(&timeline, schedule, budget),
         None => Vec::new(),
     };
     let verdict = match violations.first().or_else(|| budget_violations.first()) {
@@ -700,7 +619,7 @@ pub fn run_one<H: ChaosHarness>(
     if verdict.is_err() {
         trace.extend(harness.describe(&sim));
     }
-    let mut coverage = Coverage::from_trace(&events, schedule);
+    let mut coverage = Coverage::of(&timeline, schedule);
     coverage.liveness_violations = violations.len() as u64;
     coverage.latency_budget_violations = budget_violations.len() as u64;
     coverage.trace_events_dropped = trace_events_dropped;
@@ -996,15 +915,6 @@ pub struct CampaignReport {
     pub coverage: Coverage,
     /// Per-seed coverage, in seed order (the summary's seed table).
     pub seed_coverage: Vec<(u64, Coverage)>,
-    /// Runs that forced at least one view change.
-    pub runs_with_view_change: usize,
-    /// Runs that completed at least one state transfer.
-    pub runs_with_state_transfer: usize,
-    /// Runs that completed at least one proactive recovery.
-    pub runs_with_recovery: usize,
-    /// Runs that completed at least one client op after the last fault
-    /// healed (i.e. runs where the heal-to-progress bound was exercised).
-    pub runs_with_post_heal_progress: usize,
 }
 
 impl CampaignReport {
@@ -1018,18 +928,24 @@ impl CampaignReport {
         self.events_executed += schedule_len;
         self.coverage.merge(&coverage);
         self.seed_coverage.push((seed, coverage));
-        if coverage.view_changes_started > 0 {
-            self.runs_with_view_change += 1;
-        }
-        if coverage.state_transfers_completed > 0 {
-            self.runs_with_state_transfer += 1;
-        }
-        if coverage.recoveries_completed > 0 {
-            self.runs_with_recovery += 1;
-        }
-        if coverage.heal_to_progress_ns > 0 {
-            self.runs_with_post_heal_progress += 1;
-        }
+    }
+
+    /// Runs whose coverage satisfies `exercised`, e.g. the runs that
+    /// forced a view change.
+    pub fn runs_with(&self, exercised: impl Fn(&Coverage) -> bool) -> usize {
+        self.seed_coverage.iter().filter(|(_, c)| exercised(c)).count()
+    }
+
+    /// The runs that forced a view change, completed a state transfer,
+    /// completed a recovery, and completed a client op after the last fault
+    /// healed (so exercised the heal-to-progress bound).
+    fn runs_exercising(&self) -> [usize; 4] {
+        [
+            self.runs_with(|c| c.view_changes_started > 0),
+            self.runs_with(|c| c.state_transfers_completed > 0),
+            self.runs_with(|c| c.recoveries_completed > 0),
+            self.runs_with(|c| c.heal_to_progress_ns > 0),
+        ]
     }
 
     /// The seed table plus the campaign-level coverage totals, as printed
@@ -1055,17 +971,14 @@ impl CampaignReport {
                 c.liveness_violations
             );
         }
+        let [vc, st, rec, heal] = self.runs_exercising();
         let _ = writeln!(
             out,
-            "  campaign: runs={} events={} failures={} with_vc={} with_st={} with_rec={} \
-             with_heal={}",
+            "  campaign: runs={} events={} failures={} with_vc={vc} with_st={st} with_rec={rec} \
+             with_heal={heal}",
             self.runs,
             self.events_executed,
             self.failures.len(),
-            self.runs_with_view_change,
-            self.runs_with_state_transfer,
-            self.runs_with_recovery,
-            self.runs_with_post_heal_progress
         );
         let _ = write!(out, "  coverage: {}", self.coverage);
         out
@@ -1074,18 +987,15 @@ impl CampaignReport {
     /// Deterministic JSON rendering of the coverage summary (written as a
     /// CI artifact by the acceptance campaigns).
     pub fn coverage_json(&self) -> String {
+        let [vc, st, rec, heal] = self.runs_exercising();
         let mut out = format!(
             "{{\"runs\":{},\"events_executed\":{},\"failures\":{},\
-             \"runs_with_view_change\":{},\"runs_with_state_transfer\":{},\
-             \"runs_with_recovery\":{},\"runs_with_post_heal_progress\":{},\
+             \"runs_with_view_change\":{vc},\"runs_with_state_transfer\":{st},\
+             \"runs_with_recovery\":{rec},\"runs_with_post_heal_progress\":{heal},\
              \"coverage\":{},\"seeds\":[",
             self.runs,
             self.events_executed,
             self.failures.len(),
-            self.runs_with_view_change,
-            self.runs_with_state_transfer,
-            self.runs_with_recovery,
-            self.runs_with_post_heal_progress,
             self.coverage.to_json()
         );
         for (i, (seed, c)) in self.seed_coverage.iter().enumerate() {

@@ -377,8 +377,8 @@ impl<H: ChaosHarness> ChaosHarness for CountingHarness<H> {
         self.inner.audit(sim, trace)
     }
 
-    fn liveness_bounds(&self) -> crate::chaos::LivenessBounds {
-        self.inner.liveness_bounds()
+    fn liveness_bound(&self) -> Option<SimDuration> {
+        self.inner.liveness_bound()
     }
 
     fn latency_budget(&self) -> Option<SimDuration> {

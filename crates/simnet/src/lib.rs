@@ -80,9 +80,7 @@ pub use faults::NetFault;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use rtt::RttEstimator;
 pub use sim::Simulation;
-pub use span::{
-    build_spans, export_perfetto, render_spans, OpSpan, PhaseBreakdown, Segments, PHASES,
-};
+pub use span::{export_perfetto, render_spans, OpSpan, PhaseBreakdown, Segments, Timeline, PHASES};
 pub use stats::{NetStats, PerNode};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ProtocolEvent, Trace, TraceEvent};

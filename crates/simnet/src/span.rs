@@ -7,6 +7,11 @@
 //! complete — and attributes each operation's end-to-end latency to exact
 //! phase segments that **sum to the total by construction**.
 //!
+//! [`Timeline::of`] is the one reading of a run: one pass over its events
+//! yields the op spans, the recoveries, the view-change starts and a count
+//! per event kind. The chaos engine's auditors and coverage read only that
+//! value, and so do the renderings here.
+//!
 //! The reconstruction is a pure function of the event stream: same trace
 //! in, same spans out, byte for byte. Since traces themselves are
 //! deterministic at a fixed seed (regardless of campaign worker count),
@@ -41,8 +46,8 @@
 use crate::actor::NodeId;
 use crate::metrics::Histogram;
 use crate::time::SimTime;
-use crate::trace::{ProtocolEvent, TraceEvent};
-use std::collections::BTreeMap;
+use crate::trace::{EventKind, ProtocolEvent, TraceEvent};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 /// The critical-path phases in chain order, as `(name, span-line label)`.
@@ -112,147 +117,198 @@ impl OpSpan {
     }
 }
 
-/// Reconstructs per-operation spans from a recorded trace, in submission
-/// order. Pure and deterministic: identical traces yield identical spans.
-pub fn build_spans(events: &[TraceEvent]) -> Vec<OpSpan> {
-    type Key = (usize, u64); // (client node index, request timestamp)
+/// A proactive recovery of one replica. Recoveries pair first-in
+/// first-out per node: a node's `k`-th completion closes its `k`-th start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoverySpan {
+    /// The recovering replica.
+    pub node: NodeId,
+    /// Start instant (the completion instant when no start was traced).
+    pub started: SimTime,
+    /// Completion instant; `None` while still open at the end of the trace.
+    pub completed: Option<SimTime>,
+    /// Whether the recovery repaired corrupt concrete state.
+    pub repaired: bool,
+}
 
-    // Per-op raw material, gathered in one pass.
-    #[derive(Default)]
-    struct Raw {
-        submitted: Option<SimTime>,
-        completed: Option<SimTime>,
-        proposals: Vec<(SimTime, u64, u64, u64)>, // (at, view, seq, queue_ns)
-        replies: Vec<SimTime>,
-        retransmits: u32,
-        degraded: bool,
-    }
+/// A recorded trace read once: everything the chaos engine's auditors and
+/// coverage and the span renderings derive from a run. Pure and
+/// deterministic: identical traces yield identical timelines.
+#[derive(Debug, Clone, Default)]
+pub struct Timeline {
+    /// One span per client operation, keyed by `(client, ts)`, in
+    /// submission order.
+    pub ops: Vec<OpSpan>,
+    /// Completed recoveries in completion order, then the open ones in
+    /// node order (each node's in start order).
+    pub recoveries: Vec<RecoverySpan>,
+    /// View-change starts (replica, new view, instant) in trace order.
+    pub view_changes: Vec<TraceEvent>,
+    /// The latest client completion, whether or not its op has a span.
+    pub last_completion: Option<SimTime>,
+    counts: [u64; ProtocolEvent::NAMES.len()],
+}
 
-    let mut ops: BTreeMap<Key, Raw> = BTreeMap::new();
-    let mut order: Vec<Key> = Vec::new();
-    // First PrepareQuorum / CommitQuorum / RequestExecuted per (view, seq).
-    let mut prepare_q: BTreeMap<(u64, u64), SimTime> = BTreeMap::new();
-    let mut commit_q: BTreeMap<(u64, u64), SimTime> = BTreeMap::new();
-    let mut executed: BTreeMap<(u64, u64), SimTime> = BTreeMap::new();
-    let mut vc_starts: Vec<SimTime> = Vec::new();
+impl Timeline {
+    /// Reads `events` (oldest first) in one pass.
+    pub fn of(events: &[TraceEvent]) -> Timeline {
+        type Key = (usize, u64); // (client node index, request timestamp)
 
-    for ev in events {
-        match ev.event {
-            ProtocolEvent::ClientOpSubmitted => {
-                let key = (ev.node.0, ev.seq);
-                let raw = ops.entry(key).or_default();
-                if raw.submitted.is_none() {
-                    raw.submitted = Some(ev.at);
-                    order.push(key);
-                }
-            }
-            ProtocolEvent::ClientOpCompleted => {
-                let raw = ops.entry((ev.node.0, ev.seq)).or_default();
-                if raw.completed.is_none() {
-                    raw.completed = Some(ev.at);
-                }
-            }
-            ProtocolEvent::ClientRetransmit => {
-                ops.entry((ev.node.0, ev.seq)).or_default().retransmits += 1;
-            }
-            ProtocolEvent::ReplyQuorumDegraded => {
-                ops.entry((ev.node.0, ev.seq)).or_default().degraded = true;
-            }
-            ProtocolEvent::RequestProposed { client, ts, queue_ns } => {
-                ops.entry((client as usize, ts))
-                    .or_default()
-                    .proposals
-                    .push((ev.at, ev.view, ev.seq, queue_ns));
-            }
-            ProtocolEvent::ReplySent { client, ts } => {
-                ops.entry((client as usize, ts)).or_default().replies.push(ev.at);
-            }
-            ProtocolEvent::PrepareQuorum => {
-                prepare_q.entry((ev.view, ev.seq)).or_insert(ev.at);
-            }
-            ProtocolEvent::CommitQuorum => {
-                commit_q.entry((ev.view, ev.seq)).or_insert(ev.at);
-            }
-            ProtocolEvent::RequestExecuted { .. } => {
-                executed.entry((ev.view, ev.seq)).or_insert(ev.at);
-            }
-            ProtocolEvent::ViewChangeStarted => vc_starts.push(ev.at),
-            _ => {}
-        }
-    }
-
-    let mut spans = Vec::with_capacity(order.len());
-    for key in order {
-        let raw = &ops[&key];
-        let submitted = raw.submitted.expect("ordered keys have a submission");
-        let mut span = OpSpan {
-            client: NodeId(key.0),
-            ts: key.1,
-            submitted,
-            completed: raw.completed,
-            view: 0,
-            seq: 0,
-            segments: [0; PHASES.len()],
-            primary_queue_ns: 0,
-            retransmits: raw.retransmits,
-            degraded: raw.degraded,
-            view_changes: 0,
-        };
-
-        // The proposal that served the op: the last one before completion
-        // (a view change may re-propose the op in a later slot; the final
-        // proposal is the one the reply certificate stems from).
-        let horizon = raw.completed.unwrap_or(SimTime(u64::MAX));
-        let proposal = raw
-            .proposals
-            .iter()
-            .filter(|(at, ..)| *at <= horizon)
-            .next_back()
-            .or_else(|| raw.proposals.first());
-        if let Some(&(p_at, view, seq, queue_ns)) = proposal {
-            span.view = view;
-            span.seq = seq;
-            span.primary_queue_ns = queue_ns;
-
-            if let Some(completed) = raw.completed {
-                // Monotone clamped chain: each instant is pulled into
-                // [previous, completed]; missing events inherit the
-                // previous instant (zero-length segment). Telescoping
-                // makes the segments sum exactly to completed - submitted.
-                let clamp = |t: Option<SimTime>, lo: SimTime| -> SimTime {
-                    t.unwrap_or(lo).max(lo).min(completed)
-                };
-                let slot = (view, seq);
-                let t1 = clamp(Some(p_at), submitted);
-                let t2 = clamp(prepare_q.get(&slot).copied(), t1);
-                let t3 = clamp(commit_q.get(&slot).copied(), t2);
-                let t4 = clamp(executed.get(&slot).copied(), t3);
-                let t5 = clamp(
-                    raw.replies.iter().find(|at| **at >= t4).copied(),
-                    t4,
-                );
-                span.segments = telescope([submitted, t1, t2, t3, t4, t5, completed]);
-            }
-        } else if let Some(completed) = raw.completed {
-            // Never proposed (read-only fast path, or causal events lost):
-            // the whole latency is request + delivery around the first
-            // reply, or all delivery if no reply was traced either.
-            let t5 = raw
-                .replies
-                .first()
-                .copied()
-                .unwrap_or(submitted)
-                .max(submitted)
-                .min(completed);
-            span.segments = telescope([submitted, t5, t5, t5, t5, t5, completed]);
+        // Per-op raw material, gathered in one pass.
+        #[derive(Default)]
+        struct Raw {
+            submitted: Option<SimTime>,
+            completed: Option<SimTime>,
+            proposals: Vec<(SimTime, u64, u64, u64)>, // (at, view, seq, queue_ns)
+            replies: Vec<SimTime>,
+            retransmits: u32,
+            degraded: bool,
         }
 
-        let end = raw.completed.unwrap_or(SimTime(u64::MAX));
-        span.view_changes =
-            vc_starts.iter().filter(|at| **at >= submitted && **at <= end).count() as u32;
-        spans.push(span);
+        let mut tl = Timeline::default();
+        let mut ops: BTreeMap<Key, Raw> = BTreeMap::new();
+        let mut order: Vec<Key> = Vec::new();
+        // First PrepareQuorum / CommitQuorum / RequestExecuted per (view, seq).
+        let mut prepare_q: BTreeMap<(u64, u64), SimTime> = BTreeMap::new();
+        let mut commit_q: BTreeMap<(u64, u64), SimTime> = BTreeMap::new();
+        let mut executed: BTreeMap<(u64, u64), SimTime> = BTreeMap::new();
+        // Unmatched recovery starts per node, oldest first.
+        let mut open: BTreeMap<NodeId, VecDeque<SimTime>> = BTreeMap::new();
+
+        for ev in events {
+            tl.counts[ev.event.kind() as usize] += 1;
+            match ev.event {
+                ProtocolEvent::ClientOpSubmitted => {
+                    let key = (ev.node.0, ev.seq);
+                    let raw = ops.entry(key).or_default();
+                    if raw.submitted.is_none() {
+                        raw.submitted = Some(ev.at);
+                        order.push(key);
+                    }
+                }
+                ProtocolEvent::ClientOpCompleted => {
+                    let raw = ops.entry((ev.node.0, ev.seq)).or_default();
+                    if raw.completed.is_none() {
+                        raw.completed = Some(ev.at);
+                    }
+                    tl.last_completion = tl.last_completion.max(Some(ev.at));
+                }
+                ProtocolEvent::ClientRetransmit => {
+                    ops.entry((ev.node.0, ev.seq)).or_default().retransmits += 1;
+                }
+                ProtocolEvent::ReplyQuorumDegraded => {
+                    ops.entry((ev.node.0, ev.seq)).or_default().degraded = true;
+                }
+                ProtocolEvent::RequestProposed { client, ts, queue_ns } => {
+                    ops.entry((client as usize, ts))
+                        .or_default()
+                        .proposals
+                        .push((ev.at, ev.view, ev.seq, queue_ns));
+                }
+                ProtocolEvent::ReplySent { client, ts } => {
+                    ops.entry((client as usize, ts)).or_default().replies.push(ev.at);
+                }
+                ProtocolEvent::PrepareQuorum => {
+                    prepare_q.entry((ev.view, ev.seq)).or_insert(ev.at);
+                }
+                ProtocolEvent::CommitQuorum => {
+                    commit_q.entry((ev.view, ev.seq)).or_insert(ev.at);
+                }
+                ProtocolEvent::RequestExecuted { .. } => {
+                    executed.entry((ev.view, ev.seq)).or_insert(ev.at);
+                }
+                ProtocolEvent::ViewChangeStarted => tl.view_changes.push(*ev),
+                ProtocolEvent::RecoveryStarted => {
+                    open.entry(ev.node).or_default().push_back(ev.at);
+                }
+                ProtocolEvent::RecoveryCompleted { repaired_corruption } => {
+                    let started =
+                        open.get_mut(&ev.node).and_then(VecDeque::pop_front).unwrap_or(ev.at);
+                    tl.recoveries.push(RecoverySpan {
+                        node: ev.node,
+                        started,
+                        completed: Some(ev.at),
+                        repaired: repaired_corruption,
+                    });
+                }
+                _ => {}
+            }
+        }
+        for (node, starts) in open {
+            for started in starts {
+                tl.recoveries.push(RecoverySpan { node, started, completed: None, repaired: false });
+            }
+        }
+
+        tl.ops = order.into_iter().map(|key| {
+            let raw = &ops[&key];
+            let submitted = raw.submitted.expect("ordered keys have a submission");
+            let mut span = OpSpan {
+                client: NodeId(key.0),
+                ts: key.1,
+                submitted,
+                completed: raw.completed,
+                view: 0,
+                seq: 0,
+                segments: [0; PHASES.len()],
+                primary_queue_ns: 0,
+                retransmits: raw.retransmits,
+                degraded: raw.degraded,
+                view_changes: 0,
+            };
+
+            // The proposal that served the op: the last one before completion
+            // (a view change may re-propose the op in a later slot; the final
+            // proposal is the one the reply certificate stems from).
+            let horizon = raw.completed.unwrap_or(SimTime(u64::MAX));
+            let proposal = raw
+                .proposals
+                .iter()
+                .filter(|(at, ..)| *at <= horizon)
+                .next_back()
+                .or_else(|| raw.proposals.first());
+            if let Some(&(p_at, view, seq, queue_ns)) = proposal {
+                span.view = view;
+                span.seq = seq;
+                span.primary_queue_ns = queue_ns;
+
+                if let Some(completed) = raw.completed {
+                    // Monotone clamped chain: each instant is pulled into
+                    // [previous, completed]; missing events inherit the
+                    // previous instant (zero-length segment). Telescoping
+                    // makes the segments sum exactly to completed - submitted.
+                    let clamp = |t: Option<SimTime>, lo: SimTime| -> SimTime {
+                        t.unwrap_or(lo).max(lo).min(completed)
+                    };
+                    let slot = (view, seq);
+                    let t1 = clamp(Some(p_at), submitted);
+                    let t2 = clamp(prepare_q.get(&slot).copied(), t1);
+                    let t3 = clamp(commit_q.get(&slot).copied(), t2);
+                    let t4 = clamp(executed.get(&slot).copied(), t3);
+                    let t5 = clamp(raw.replies.iter().find(|at| **at >= t4).copied(), t4);
+                    span.segments = telescope([submitted, t1, t2, t3, t4, t5, completed]);
+                }
+            } else if let Some(completed) = raw.completed {
+                // Never proposed (read-only fast path, or causal events lost):
+                // the whole latency is request + delivery around the first
+                // reply, or all delivery if no reply was traced either.
+                let t5 =
+                    raw.replies.first().copied().unwrap_or(submitted).max(submitted).min(completed);
+                span.segments = telescope([submitted, t5, t5, t5, t5, t5, completed]);
+            }
+
+            let end = raw.completed.unwrap_or(SimTime(u64::MAX));
+            span.view_changes =
+                tl.view_changes.iter().filter(|v| v.at >= submitted && v.at <= end).count() as u32;
+            span
+        }).collect();
+        tl
     }
-    spans
+
+    /// How many events of `kind` the trace holds.
+    pub fn count(&self, kind: EventKind) -> u64 {
+        self.counts[kind as usize]
+    }
 }
 
 /// Aggregated per-phase latency histograms over completed spans, built on
@@ -494,7 +550,7 @@ mod tests {
 
     #[test]
     fn segments_sum_exactly_to_end_to_end_latency() {
-        let spans = build_spans(&pipeline_trace());
+        let spans = Timeline::of(&pipeline_trace()).ops;
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!(s.client, NodeId(4));
@@ -521,7 +577,7 @@ mod tests {
             ),
             ev(300, 4, 0, 7, ProtocolEvent::ClientOpCompleted),
         ];
-        let spans = build_spans(&t);
+        let spans = Timeline::of(&t).ops;
         let s = &spans[0];
         assert_eq!(s.segments, [40_000, 0, 0, 0, 0, 160_000]);
 
@@ -530,7 +586,7 @@ mod tests {
             ev(100, 4, 0, 7, ProtocolEvent::ClientOpSubmitted),
             ev(260, 4, 0, 7, ProtocolEvent::ClientOpCompleted),
         ];
-        let s = &build_spans(&t)[0];
+        let s = &Timeline::of(&t).ops[0];
         assert_eq!(s.segments, [0, 0, 0, 0, 0, 160_000]);
     }
 
@@ -562,7 +618,7 @@ mod tests {
             ev(550, 1, 1, 0, ProtocolEvent::ReplySent { client: 4, ts: 7 }),
             ev(600, 4, 0, 7, ProtocolEvent::ClientOpCompleted),
         ];
-        let s = &build_spans(&t)[0];
+        let s = &Timeline::of(&t).ops[0];
         assert_eq!((s.view, s.seq), (1, 3));
         assert_eq!(s.view_changes, 1);
         assert_eq!(s.segments.iter().sum::<u64>(), 500_000);
@@ -572,7 +628,7 @@ mod tests {
     #[test]
     fn incomplete_ops_are_reported_not_attributed() {
         let t = vec![ev(100, 4, 0, 7, ProtocolEvent::ClientOpSubmitted)];
-        let spans = build_spans(&t);
+        let spans = Timeline::of(&t).ops;
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].completed, None);
         assert_eq!(spans[0].segments, [0; 6]);
@@ -584,8 +640,8 @@ mod tests {
     #[test]
     fn renderings_are_deterministic() {
         let t = pipeline_trace();
-        let spans = build_spans(&t);
-        assert_eq!(render_spans(&spans), render_spans(&build_spans(&t)));
+        let spans = Timeline::of(&t).ops;
+        assert_eq!(render_spans(&spans), render_spans(&Timeline::of(&t).ops));
         let b = PhaseBreakdown::from_spans(&spans);
         assert_eq!(b.table(), PhaseBreakdown::from_spans(&spans).table());
         let p = export_perfetto(&t, &spans);
@@ -600,7 +656,7 @@ mod tests {
 
     #[test]
     fn breakdown_totals_match_span_sums() {
-        let spans = build_spans(&pipeline_trace());
+        let spans = Timeline::of(&pipeline_trace()).ops;
         let b = PhaseBreakdown::from_spans(&spans);
         let phase_sum: u64 = b.phases.iter().map(Histogram::sum).sum();
         assert_eq!(phase_sum, b.total.sum());

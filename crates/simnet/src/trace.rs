@@ -8,9 +8,9 @@
 //! By default no trace is installed and every `emit` is one untaken branch
 //! — protocol code pays nothing when tracing is off. Chaos campaigns
 //! install a [`Trace::ring`] and derive coverage counters from the recorded
-//! stream; determinism tests export the stream as JSON Lines with
-//! [`export_jsonl`] and compare runs byte for byte (same seed, same
-//! schedule ⇒ identical trace).
+//! stream, read once as a [`Timeline`](crate::span::Timeline); determinism
+//! tests export the stream as JSON Lines with [`export_jsonl`] and compare
+//! runs byte for byte (same seed, same schedule ⇒ identical trace).
 //!
 //! The event vocabulary is declared once, in the `protocol_events!` list
 //! below: each entry's variant, payload fields and stable name. The JSONL
@@ -23,9 +23,9 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
-/// Declares [`ProtocolEvent`] and derives its name table, its payload
-/// rendering ([`ProtocolEvent::fields`]) and its parser
-/// ([`ProtocolEvent::from_fields`]) from the same list.
+/// Declares [`ProtocolEvent`] and derives its payload-free [`EventKind`],
+/// its name table, its payload rendering ([`ProtocolEvent::fields`]) and
+/// its parser ([`ProtocolEvent::from_fields`]) from the same list.
 macro_rules! protocol_events {
     (
         $(#[$enum_meta:meta])*
@@ -43,9 +43,23 @@ macro_rules! protocol_events {
             $( $(#[doc = $doc])* $variant $({ $( $(#[doc = $fdoc])* $field: $ty ),* })?, )*
         }
 
+        /// A [`ProtocolEvent`]'s variant without its payload: how a
+        /// [`Timeline`](crate::span::Timeline) count names the event.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[doc = $doc])* $variant, )*
+        }
+
         impl ProtocolEvent {
             /// Every event's [`name`](Self::name), in declaration order.
             pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// The variant, without its payload.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $( Self::$variant { .. } => EventKind::$variant, )*
+                }
+            }
 
             /// Stable lowercase name used in JSONL exports and coverage tables.
             pub fn name(&self) -> &'static str {

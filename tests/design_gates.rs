@@ -445,6 +445,26 @@ fn one_decode_path(t: &Tree) -> Vec<Hit> {
     t.grep(library, Mode::Substring, "Message::from_wire(")
 }
 
+/// One event reading (DESIGN.md §10, §13, §14): `span::Timeline::of` is
+/// the one pass over a run's events, and the chaos engine's auditors and
+/// coverage read only the timeline, so `simnet/src/chaos.rs` names no
+/// protocol event variant. The three liveness knobs, their campaign
+/// constant, the auditor over raw events and the second coverage reading
+/// are gone.
+fn one_event_reading(t: &Tree) -> Vec<Hit> {
+    let mut hits = t.grep(
+        under(&["crates/simnet/src/chaos.rs"]),
+        Mode::Substring,
+        "ProtocolEvent::",
+    );
+    hits.extend(t.grep(
+        anywhere,
+        Mode::Word,
+        "LivenessBounds|CAMPAIGN_BOUNDS|audit_liveness_bounds|from_trace",
+    ));
+    hits
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -481,6 +501,7 @@ gate_tests!(
     one_adoption,
     one_placement,
     one_decode_path,
+    one_event_reading,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -491,7 +512,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 29] = [
+    let plants: [(Gate, &str, &str); 31] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -521,6 +542,8 @@ fn every_gate_fires_on_its_plant() {
         (one_placement, "tests/full_stack.rs", "cfg.shard = 1;"),
         (one_placement, "crates/core/src/shard.rs", "let tag = SHARD_ENVELOPE_TAG;"),
         (one_decode_path, "crates/pbft/src/client.rs", "let msg = Message::from_wire(payload);"),
+        (one_event_reading, "crates/simnet/src/chaos.rs", "ProtocolEvent::RecoveryStarted => {}"),
+        (one_event_reading, "crates/pbft/src/chaos.rs", "pub const CAMPAIGN_BOUNDS: u8 = 0;"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -604,7 +627,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 51] = [
+const NAMED: [(&str, &str, bool); 53] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -669,6 +692,9 @@ const NAMED: [(&str, &str, bool); 51] = [
     ("crates/pbft/tests/frame_retention.rs", "a_frame_is_let_go_when_its_slot_is_collected_and_a_reply_frame_at_completion", false),
     ("crates/pbft/tests/proptest_messages.rs", "a_cut_or_dirty_operation_is_refused", false),
     ("crates/pbft/src/tree.rs", "in_place_digests_hash_the_encoded_input", false),
+    // One event reading: each auditor clause on its own violation.
+    ("crates/simnet/tests/auditors.rs", "each_auditor_clause_fires_once_on_its_own_violation", false),
+    ("crates/simnet/tests/auditors.rs", "a_clean_run_fires_no_auditor", false),
 ];
 
 #[test]
