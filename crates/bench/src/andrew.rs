@@ -54,7 +54,7 @@ impl AndrewScale {
     }
 
     /// Total file count.
-    pub fn total_files(&self) -> u32 {
+    fn total_files(&self) -> u32 {
         self.dirs * self.files_per_dir
     }
 }

@@ -6,7 +6,8 @@
 //!
 //! ```text
 //! # run a seeded chaos campaign, ddmin-minimize every failure and write its
-//! # schedule, divergence and trace artifacts (exit 1 if a run failed)
+//! # coverage and, under --out's repro/<campaign>/, each failure's schedule,
+//! # divergence and trace artifacts (exit 1 if a run failed)
 //! cargo run -p base-bench --bin all_tables -- campaign nfs-buggy --seed 6200 --runs 20
 //!
 //! # localize where two exported runs diverge (exit 1 if they do)
@@ -23,11 +24,10 @@ use base_bench::experiments::{
     run_andrew, run_checkpoint, run_codesize, run_degree, run_faultinj, run_oodb, run_recovery,
     run_roopt, run_shards, run_throughput, run_transfer,
 };
-use base_bench::repro::{write_campaign_artifacts, DEFAULT_ARTIFACT_DIR};
 use base_bench::{lab, AndrewScale, FsMix};
 use base_oodb::chaos::OodbWorkload;
 use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
-use base_simnet::chaos::{run_campaign, CampaignMode};
+use base_simnet::chaos::{run_campaign, CampaignMode, DEFAULT_ARTIFACT_DIR};
 use base_simnet::tracediff::{divergence_report, first_divergence, parse_jsonl};
 use base_simnet::SimDuration;
 use std::path::PathBuf;
@@ -113,7 +113,7 @@ fn tables(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs a seeded chaos campaign and writes artifacts for every failure.
+/// Runs a seeded chaos campaign and, if a run fails, writes its artifacts.
 fn campaign(args: &[String]) -> ExitCode {
     let name = args.first().cloned().unwrap_or_else(|| usage());
     let (mut seed, mut runs, mut events, mut horizon_ms) = (6200u64, 6u64, 5usize, 6000u64);
@@ -165,17 +165,12 @@ fn campaign(args: &[String]) -> ExitCode {
         println!("verdict: PASSED (all audits clean)");
         return ExitCode::SUCCESS;
     }
-    for f in &report.failures {
+    // The error names the first failing seed, carries its report and says
+    // where its repro went.
+    let first = report.write_artifacts(&out, &name).expect_err("a run failed");
+    println!("\n{first}");
+    for f in &report.failures[1..] {
         println!("\n{f}");
-    }
-    match write_campaign_artifacts(&out, &report) {
-        Ok(paths) => {
-            println!("\nartifacts ({}):", out.display());
-            for p in paths {
-                println!("  {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("error writing artifacts to {}: {e}", out.display()),
     }
     ExitCode::from(1)
 }

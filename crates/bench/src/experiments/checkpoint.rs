@@ -36,18 +36,9 @@ fn run_once(k: u64, ops: usize) -> RunOut {
             .unwrap()
             .invoke(format!("put key{} value-{i}", i % 40).into_bytes(), false);
     }
-    let start = sim.now();
     sim.run_for(SimDuration::from_secs(120));
     let done = sim.actor_as::<BaseClient>(client).unwrap().completed.len();
     assert_eq!(done, ops, "workload incomplete for k={k}");
-    let finish = sim
-        .actor_as::<BaseClient>(client)
-        .unwrap()
-        .core()
-        .latencies_ns
-        .iter()
-        .sum::<u64>();
-    let _ = (start, finish);
     let svc = sim.actor_as::<KvReplica>(d.replicas[0].node).unwrap().service();
     RunOut {
         total_ns: sim

@@ -1,6 +1,6 @@
-//! One module per experiment; each `run_*` prints its table and returns a
-//! summary for `EXPERIMENTS.md`. The `all_tables` binary dispatches to them
-//! by name.
+//! One module per experiment; each `run_*` prints its table, whose numbers
+//! `EXPERIMENTS.md` records. The `all_tables` binary dispatches to them by
+//! name.
 
 pub mod andrew;
 pub mod checkpoint;

@@ -55,24 +55,19 @@ impl base_simnet::Actor for DirectDb {
 struct DirectClient {
     server: NodeId,
     ops: std::collections::VecDeque<Vec<u8>>,
-    pub done_at: Option<base_simnet::SimTime>,
-    started_ops: u64,
+    done_at: Option<base_simnet::SimTime>,
 }
 
 impl base_simnet::Actor for DirectClient {
     fn on_start(&mut self, ctx: &mut base_simnet::Context<'_>) {
         if let Some(op) = self.ops.pop_front() {
-            self.started_ops += 1;
             ctx.send(self.server, op);
         }
     }
 
     fn on_message(&mut self, _f: NodeId, _p: &[u8], ctx: &mut base_simnet::Context<'_>) {
         match self.ops.pop_front() {
-            Some(op) => {
-                self.started_ops += 1;
-                ctx.send(self.server, op);
-            }
+            Some(op) => ctx.send(self.server, op),
             None => {
                 if self.done_at.is_none() {
                     self.done_at = Some(ctx.now());
@@ -112,15 +107,9 @@ pub fn run_oodb() {
             c.invoke(op.clone(), *ro);
         }
     }
-    let rep_start = sim.now();
     sim.run_for(SimDuration::from_secs(120));
     let c = sim.actor_as::<BaseClient>(client).unwrap();
     assert_eq!(c.completed.len(), n_ops, "replicated OO7 incomplete");
-    let rep_total = c
-        .completed
-        .len()
-        .max(1);
-    let _ = (rep_start, rep_total);
     let rep_ns: u64 = c.core().latencies_ns.iter().sum();
 
     // Cross-replica checks.
@@ -148,7 +137,6 @@ pub fn run_oodb() {
         server,
         ops: ops.iter().map(|(o, _)| o.clone()).collect(),
         done_at: None,
-        started_ops: 0,
     }));
     sim2.run_for(SimDuration::from_secs(120));
     let done_at = sim2

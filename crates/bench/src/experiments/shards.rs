@@ -27,13 +27,13 @@ use base::{BaseService, Config};
 use base_simnet::{SimDuration, Simulation};
 
 /// Closed-loop routers per cell; also the per-group batching headroom.
-pub const SHARD_ROUTERS: usize = 4;
+const SHARD_ROUTERS: usize = 4;
 /// Workload slots per router. Divisible by every measured shard count so
 /// the round-robin loads each group identically.
-pub const SHARD_SLOTS_PER_ROUTER: usize = 48;
+const SHARD_SLOTS_PER_ROUTER: usize = 48;
 /// Simulated execution cost per KV operation, the knob that makes each
 /// group execution-bound rather than network-bound.
-pub const SHARD_OP_COST_US: u64 = 300;
+const SHARD_OP_COST_US: u64 = 300;
 
 /// One measured shard-scaling cell.
 pub struct ShardSample {

@@ -10,8 +10,8 @@ use base::{BaseClient, BaseService, Config};
 use base_pbft::Deployment;
 use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline, Trace};
 
-/// One measured E9 cell, exposed so the `bench` perf lab can sample the
-/// same workload the table prints.
+/// One measured E9 cell, exposed so the bench lab ([`crate::lab`]) can
+/// sample the same workload the table prints.
 pub struct ThroughputSample {
     /// Completed operations across all clients.
     pub ops: u64,
@@ -47,7 +47,7 @@ pub fn measure_throughput(
     measure_throughput_with(clients, ops_per_client, value_bytes, |_| {})
 }
 
-/// [`measure_throughput`] with a config hook, so the perf lab and the E9
+/// [`measure_throughput`] with a config hook, so the bench lab and the E9
 /// pipeline rows can vary `max_inflight` while measuring the identical workload.
 pub fn measure_throughput_with(
     clients: usize,

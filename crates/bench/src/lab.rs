@@ -10,17 +10,15 @@ use crate::experiments::shards::measure_shards;
 use crate::experiments::throughput::{measure_throughput, measure_throughput_with, ThroughputSample};
 use crate::experiments::transfer::measure_catch_up;
 use base::{BaseService, ModifyLog, Wrapper};
-use base_crypto::Digest;
 use base_pbft::chaos::{CounterWorkload, ServiceCampaign, APP_BYZ};
-use base_pbft::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
-use base_pbft::transfer::{
-    checkpoint_digest, Fetcher, DEFAULT_FETCH_WINDOW, META_ROOT_LEVEL, REPLIES_INDEX,
-};
+use base_pbft::messages::Message;
+use base_pbft::testing::RemoteCheckpoint;
+use base_pbft::transfer::{Fetcher, DEFAULT_FETCH_WINDOW};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::{ExecEnv, Service};
-use base_simnet::chaos::{run_campaign, CampaignMode, ChaosHarness, FaultSchedule};
-use base_simnet::ddmin::ddmin_from_failure;
-use base_simnet::{NetFault, NodeId, SimDuration, SimTime, Simulation};
+use base_simnet::chaos::{run_campaign, CampaignMode, FaultSchedule};
+use base_simnet::ddmin::{ddmin_from_failure, CrashThreshold};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime};
 use rand::SeedableRng;
 
 /// E9 cell measured by the lab.
@@ -98,50 +96,6 @@ fn pairs(prefix: &str, rows: &Rows, out: &mut Vec<String>) {
             Value::Group(rows) => pairs(&format!("{prefix}{key}."), rows, out),
         }
     }
-}
-
-/// Wraps the counter harness with a schedule-dependent audit: fail iff at
-/// least `threshold` crash events were applied. Every probe still builds
-/// and runs the full PBFT counter group, so ddmin's search cost is the
-/// realistic one — but which subsets fail is exactly predictable, keeping
-/// the measured search shape (and `ddmin.executions`) deterministic.
-struct CrashCounting {
-    inner: ServiceCampaign<CounterWorkload>,
-    threshold: usize,
-}
-
-impl ChaosHarness for CrashCounting {
-    fn build(&mut self, seed: u64) -> Simulation {
-        self.inner.build(seed)
-    }
-
-    fn apply_app(
-        &mut self,
-        sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        self.inner.apply_app(sim, node, tag, arg, trace);
-    }
-
-    fn settle(&self) -> SimDuration {
-        SimDuration::from_secs(2)
-    }
-
-    fn audit(&mut self, _sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        let crashes = trace.iter().filter(|l| l.contains("crash node")).count();
-        if crashes >= self.threshold {
-            Err(format!("saw {crashes} crashes (threshold {})", self.threshold))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-fn ddmin_harness() -> CrashCounting {
-    CrashCounting { inner: ServiceCampaign::new(4, CounterWorkload::default()), threshold: 2 }
 }
 
 /// A fixed 10-event schedule with decoys around the two crashes ddmin must
@@ -275,62 +229,13 @@ fn measure_checkpoint() -> Rows {
     ])
 }
 
-/// Serves one fetch query the way a correct replica would.
-fn serve_fetch(
-    tree: &PartitionTree,
-    objects: &[Option<Vec<u8>>],
-    replies_blob: &[u8],
-    msg: &Message,
-) -> Option<Message> {
-    match msg {
-        Message::FetchMeta(m) if m.level == META_ROOT_LEVEL => {
-            Some(Message::MetaReply(MetaReplyMsg {
-                seq: m.seq,
-                level: m.level,
-                index: m.index,
-                digests: vec![tree.root_digest(), Digest::of(replies_blob)],
-                replica: 0,
-            }))
-        }
-        Message::FetchMeta(m) => Some(Message::MetaReply(MetaReplyMsg {
-            seq: m.seq,
-            level: m.level,
-            index: m.index,
-            digests: tree.children_digests(m.level, m.index)?,
-            replica: 0,
-        })),
-        Message::FetchObject(m) if m.index == REPLIES_INDEX => {
-            Some(Message::ObjectReply(ObjectReplyMsg {
-                seq: m.seq,
-                index: m.index,
-                data: replies_blob.to_vec(),
-                replica: 0,
-            }))
-        }
-        Message::FetchObject(m) => Some(Message::ObjectReply(ObjectReplyMsg {
-            seq: m.seq,
-            index: m.index,
-            data: objects[m.index as usize].clone()?,
-            replica: 0,
-        })),
-        _ => None,
-    }
-}
-
 /// Transfer lab: a lockstep round model of the hierarchical fetch. Each
 /// round answers every query currently on the wire and collects the
 /// follow-ups; the round count is the number of request/reply round trips
 /// a transfer needs, which is exactly what pipelining cuts.
 fn measure_transfer() -> Rows {
-    let mut remote = PartitionTree::new(CKPT_OBJECTS, 16);
-    let mut objects: Vec<Option<Vec<u8>>> = vec![None; CKPT_OBJECTS as usize];
-    for i in 0..TRANSFER_LIVE {
-        let v = vec![i as u8; TRANSFER_VALUE_BYTES];
-        remote.set_leaf(i, leaf_digest(i, &v));
-        objects[i as usize] = Some(v);
-    }
-    let replies_blob = b"bench-reply-cache".to_vec();
-    let target = checkpoint_digest(&remote.root_digest(), &Digest::of(&replies_blob));
+    let values = (0..TRANSFER_LIVE).map(|i| (i, vec![i as u8; TRANSFER_VALUE_BYTES]));
+    let remote = RemoteCheckpoint::new(CKPT_OBJECTS, 16, values, b"bench-reply-cache");
 
     // The fetching replica already has the newest TRANSFER_LIVE -
     // TRANSFER_STALE objects right.
@@ -342,7 +247,7 @@ fn measure_transfer() -> Rows {
 
     let run = |window: usize| -> (u64, base_pbft::transfer::FetchResult) {
         // Pinned (`window == window_max`), so each run measures one window.
-        let mut f = Fetcher::new(3, 4, 128, target, window, window);
+        let mut f = Fetcher::new(3, 4, 128, remote.composite(), window, window);
         let mut wire = f.begin();
         let mut rounds = 0u64;
         let mut result = None;
@@ -351,8 +256,7 @@ fn measure_transfer() -> Rows {
             assert!(rounds < 100_000, "transfer lab did not converge");
             let mut next = Vec::new();
             for (_, msg) in wire.drain(..) {
-                let reply = serve_fetch(&remote, &objects, &replies_blob, &msg)
-                    .expect("lab serves every query");
+                let reply = remote.serve(&msg).expect("lab serves every query");
                 let (more, done) = match reply {
                     Message::MetaReply(m) => f.on_meta_reply(&m, &local),
                     Message::ObjectReply(m) => f.on_object_reply(&m, &local),
@@ -475,9 +379,12 @@ pub fn measure() -> BenchReport {
     );
 
     // ddmin over the fixed decoy schedule (known failing: three crashes
-    // exceed the threshold of two).
+    // exceed the threshold of two). Every probe builds and runs the full
+    // PBFT counter group, so the search cost is the realistic one, while
+    // the crash count keeps the search shape deterministic.
     let schedule = ddmin_schedule();
-    let mut h = ddmin_harness();
+    let mut h =
+        CrashThreshold { inner: ServiceCampaign::new(4, CounterWorkload::default()), threshold: 2 };
     let (outcome, verdict) = base_simnet::chaos::run_one(&mut h, 42, &schedule);
     assert!(verdict.is_err(), "ddmin bench schedule must fail its audit");
     let dd = ddmin_from_failure(&mut h, 42, &schedule, Some(&outcome));

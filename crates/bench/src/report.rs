@@ -60,7 +60,7 @@ impl Table {
 }
 
 /// Formats nanoseconds as milliseconds with two decimals.
-pub fn ms(ns: u64) -> String {
+fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
 }
 

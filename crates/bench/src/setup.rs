@@ -24,12 +24,12 @@ pub enum FsMix {
 /// Calibrated per-op server costs approximating the paper's era
 /// (Linux 2.2 NFS daemons on ~600 MHz machines, warm cache, async disk):
 /// returns `(base, per_byte_ns)`.
-pub fn era_costs() -> (SimDuration, u64) {
+fn era_costs() -> (SimDuration, u64) {
     (SimDuration::from_micros(350), 120)
 }
 
 /// Applies the switched-LAN profile the paper's testbed used.
-pub fn lan_config(sim: &mut Simulation) {
+fn lan_config(sim: &mut Simulation) {
     sim.config_mut().latency = LatencyModel::lan();
 }
 

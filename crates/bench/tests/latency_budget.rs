@@ -3,7 +3,6 @@
 //! like a safety violation and ships the same repro artifacts, now
 //! including the span graph as Perfetto-loadable Chrome trace JSON.
 
-use base_bench::repro::write_campaign_artifacts;
 use base_pbft::chaos::{CounterWorkload, ServiceCampaign};
 use base_simnet::chaos::{run_campaign, CampaignMode};
 use base_simnet::SimDuration;
@@ -37,11 +36,9 @@ fn budget_violation_minimizes_to_a_perfetto_repro_artifact() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/test-artifacts/latency-budget");
     let _ = std::fs::remove_dir_all(&dir);
-    let paths = write_campaign_artifacts(&dir, &report).expect("artifacts written");
-    let perfetto = paths
-        .iter()
-        .find(|p| p.to_string_lossy().ends_with(".minimal.perfetto.json"))
-        .expect("perfetto artifact among repro outputs");
+    let err = report.write_artifacts(&dir, "budget").expect_err("the campaign failed");
+    assert!(err.starts_with("campaign budget: seed 9300 failed"), "{err}");
+    let perfetto = dir.join("repro/budget/seed9300.minimal.perfetto.json");
     let body = std::fs::read_to_string(perfetto).expect("readable artifact");
     assert!(body.starts_with("{\"traceEvents\":["), "not Chrome trace format");
     assert!(body.contains("\"client_op_submitted\""), "span events missing");

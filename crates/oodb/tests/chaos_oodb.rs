@@ -5,7 +5,9 @@
 
 use base_oodb::chaos::OodbWorkload;
 use base_pbft::chaos::{ServiceCampaign, APP_CORRUPT_STATE, APP_RECOVER};
-use base_simnet::chaos::{run_campaign, run_one, CampaignMode, FaultSchedule};
+use base_simnet::chaos::{
+    run_campaign, run_one, CampaignMode, FaultSchedule, DEFAULT_ARTIFACT_DIR,
+};
 use base_simnet::NetFault;
 use base_simnet::tracediff::{divergence_report, first_divergence};
 use base_simnet::{NodeId, SimDuration, SimTime};
@@ -70,10 +72,10 @@ fn corrupted_heap_is_repaired_through_abstraction() {
 fn oodb_campaign_passes_audit_with_coverage() {
     let cfg = oodb().gen_config(6, SimDuration::from_secs(8));
     let report = run_campaign(oodb, CampaignMode::Mixed, &cfg, 200..214, 1);
-    if let Some(f) = report.failures.first() {
-        panic!("oodb campaign failed:\n{f}");
-    }
     println!("{}", report.summary());
+    if let Err(e) = report.write_artifacts(DEFAULT_ARTIFACT_DIR, "oodb_mixed") {
+        panic!("{e}");
+    }
 
     // The campaign must actually exercise the paper's mechanisms on the
     // OODB — at least one forced view change and one completed state
@@ -84,8 +86,6 @@ fn oodb_campaign_passes_audit_with_coverage() {
         cov.state_transfers_completed > 0,
         "campaign completed no state transfers:\n{cov}"
     );
-
-    report.write_coverage("oodb_mixed").unwrap();
 }
 
 /// A replica that suspects the primary alone must end up in the view its

@@ -1,8 +1,11 @@
-//! The counter service and its operations, shared by unit tests,
-//! integration tests and benchmarks. A group of them is built with
-//! [`crate::deploy::Deployment::build`].
+//! Test doubles shared by unit tests, integration tests and the bench lab:
+//! the counter service and its operations (a group of them is built with
+//! [`crate::deploy::Deployment::build`]), and a [`RemoteCheckpoint`] that
+//! answers state-transfer fetches as a correct replica would.
 
+use crate::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
 use crate::service::{ExecEnv, Service};
+use crate::transfer::{checkpoint_digest, META_ROOT_LEVEL, REPLIES_INDEX};
 use crate::tree::{leaf_digest, PartitionTree};
 use base_crypto::Digest;
 use std::collections::BTreeMap;
@@ -188,6 +191,71 @@ impl Service for CounterService {
         // deliberately left stale (latent fault).
         let reg = (seed % COUNTER_REGS) as usize;
         self.corrupt_register(reg, seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    }
+}
+
+/// A stable checkpoint held by a correct replica, for driving a
+/// [`crate::transfer::Fetcher`] without a network: the partition tree over
+/// the object values, the values, and the reply-cache blob.
+pub struct RemoteCheckpoint {
+    /// The partition tree over `objects`.
+    pub tree: PartitionTree,
+    /// Object values by index; `None` is an absent object.
+    pub objects: Vec<Option<Vec<u8>>>,
+    /// The reply cache, fetched as object [`REPLIES_INDEX`].
+    pub replies_blob: Vec<u8>,
+}
+
+impl RemoteCheckpoint {
+    /// `capacity` objects under a `branching`-ary tree, of which `values`
+    /// (index, bytes) are live.
+    pub fn new<V: AsRef<[u8]>>(
+        capacity: u64,
+        branching: u32,
+        values: impl IntoIterator<Item = (u64, V)>,
+        replies_blob: &[u8],
+    ) -> Self {
+        let mut tree = PartitionTree::new(capacity, branching);
+        let mut objects = vec![None; capacity as usize];
+        for (i, v) in values {
+            tree.set_leaf(i, leaf_digest(i, v.as_ref()));
+            objects[i as usize] = Some(v.as_ref().to_vec());
+        }
+        Self { tree, objects, replies_blob: replies_blob.to_vec() }
+    }
+
+    /// The checkpoint digest a fetch of this checkpoint verifies against.
+    pub fn composite(&self) -> Digest {
+        checkpoint_digest(&self.tree.root_digest(), &Digest::of(&self.replies_blob))
+    }
+
+    /// Answers one fetch query the way a correct replica would; `None` for
+    /// a node or object it does not hold, or a message that is no query.
+    pub fn serve(&self, msg: &Message) -> Option<Message> {
+        match msg {
+            Message::FetchMeta(m) => Some(Message::MetaReply(MetaReplyMsg {
+                seq: m.seq,
+                level: m.level,
+                index: m.index,
+                digests: if m.level == META_ROOT_LEVEL {
+                    vec![self.tree.root_digest(), Digest::of(&self.replies_blob)]
+                } else {
+                    self.tree.children_digests(m.level, m.index)?
+                },
+                replica: 0,
+            })),
+            Message::FetchObject(m) => Some(Message::ObjectReply(ObjectReplyMsg {
+                seq: m.seq,
+                index: m.index,
+                data: if m.index == REPLIES_INDEX {
+                    self.replies_blob.clone()
+                } else {
+                    self.objects.get(m.index as usize)?.clone()?
+                },
+                replica: 0,
+            })),
+            _ => None,
+        }
     }
 }
 

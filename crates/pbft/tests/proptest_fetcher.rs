@@ -10,8 +10,9 @@
 //!   its one honest answer.
 
 use base_crypto::Digest;
-use base_pbft::messages::{Message, MetaReplyMsg, ObjectReplyMsg};
-use base_pbft::transfer::{checkpoint_digest, FetchResult, Fetcher, META_ROOT_LEVEL, REPLIES_INDEX};
+use base_pbft::messages::Message;
+use base_pbft::testing::RemoteCheckpoint;
+use base_pbft::transfer::{FetchResult, Fetcher, META_ROOT_LEVEL};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -32,12 +33,6 @@ fn key_of(req: &Message) -> Key {
     }
 }
 
-/// The checkpoint being fetched: leaves over `values`.
-struct Remote {
-    tree: PartitionTree,
-    values: Vec<Option<Vec<u8>>>,
-}
-
 fn tree_of(values: &[Option<Vec<u8>>]) -> PartitionTree {
     let mut tree = PartitionTree::new(CAPACITY as u64, 4);
     for (i, v) in values.iter().enumerate() {
@@ -46,36 +41,6 @@ fn tree_of(values: &[Option<Vec<u8>>]) -> PartitionTree {
         }
     }
     tree
-}
-
-impl Remote {
-    /// Answers one query the way a correct replica would.
-    fn serve(&self, req: &Message) -> Message {
-        match req {
-            Message::FetchMeta(m) => Message::MetaReply(MetaReplyMsg {
-                seq: m.seq,
-                level: m.level,
-                index: m.index,
-                digests: if m.level == META_ROOT_LEVEL {
-                    vec![self.tree.root_digest(), Digest::of(REPLIES_BLOB)]
-                } else {
-                    self.tree.children_digests(m.level, m.index).expect("a node of the tree")
-                },
-                replica: 0,
-            }),
-            Message::FetchObject(m) => Message::ObjectReply(ObjectReplyMsg {
-                seq: m.seq,
-                index: m.index,
-                data: if m.index == REPLIES_INDEX {
-                    REPLIES_BLOB.to_vec()
-                } else {
-                    self.values[m.index as usize].clone().expect("a live object")
-                },
-                replica: 0,
-            }),
-            other => panic!("the fetcher sent a {}", other.kind()),
-        }
-    }
 }
 
 /// What the source does with one query before (if ever) answering it.
@@ -154,7 +119,7 @@ fn damaged(mut reply: Message, fate: Fate) -> Message {
 
 /// Drives one fetch to completion against the lying source.
 struct Run<'a> {
-    remote: &'a Remote,
+    remote: &'a RemoteCheckpoint,
     local: &'a PartitionTree,
     fetcher: Fetcher,
     /// Queries on the wire, in the order the fetcher sent them.
@@ -219,7 +184,7 @@ impl Run<'_> {
     fn serve_next(&mut self, fate: Fate) {
         let req = self.wire.pop_front().expect("a query on the wire");
         let key = key_of(&req);
-        let honest = self.remote.serve(&req);
+        let honest = self.remote.serve(&req).expect("the fetcher asks only for what is held");
         if !self.open(&key) {
             // A re-sent query whose first copy was answered in the meantime.
             return self.deliver_ignored(&honest);
@@ -311,14 +276,14 @@ proptest! {
     ) {
         let local_values: Vec<Option<Vec<u8>>> =
             values.iter().zip(&drifts).map(|(v, (drift, at))| drifted(v, *drift, *at)).collect();
-        let remote = Remote { tree: tree_of(&values), values };
+        let live = values.iter().enumerate().filter_map(|(i, v)| Some((i as u64, v.as_ref()?)));
+        let remote = RemoteCheckpoint::new(CAPACITY as u64, 4, live, REPLIES_BLOB);
         let local = tree_of(&local_values);
-        let target = checkpoint_digest(&remote.tree.root_digest(), &Digest::of(REPLIES_BLOB));
 
         let mut run = Run {
             remote: &remote,
             local: &local,
-            fetcher: Fetcher::new(ME, 4, SEQ, target, 4, 16),
+            fetcher: Fetcher::new(ME, 4, SEQ, remote.composite(), 4, 16),
             wire: VecDeque::new(),
             last_source: HashMap::new(),
             answered: HashSet::new(),
@@ -353,7 +318,7 @@ proptest! {
         installed.sort();
         let differing: Vec<(u64, Option<Vec<u8>>)> = (0..CAPACITY as u64)
             .filter(|&i| remote.tree.leaf_digest_at(i) != local.leaf_digest_at(i))
-            .map(|i| (i, remote.values[i as usize].clone()))
+            .map(|i| (i, remote.objects[i as usize].clone()))
             .collect();
         prop_assert_eq!(&installed, &differing);
     }

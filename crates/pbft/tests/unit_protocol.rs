@@ -9,10 +9,8 @@ use base_pbft::messages::{
     ViewChangeMsg,
 };
 use base_pbft::replica::{compute_o, validate_cert};
-use base_pbft::transfer::{
-    checkpoint_digest, Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX, META_ROOT_LEVEL,
-    REPLIES_INDEX,
-};
+use base_pbft::testing::RemoteCheckpoint;
+use base_pbft::transfer::{Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX, META_ROOT_LEVEL};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::Config;
 
@@ -20,82 +18,28 @@ use base_pbft::Config;
 // Fetcher
 // ---------------------------------------------------------------------
 
-/// A "remote checkpoint" the fetcher pulls from: a tree plus object values.
-struct RemoteState {
-    tree: PartitionTree,
-    objects: Vec<Option<Vec<u8>>>,
-    replies_blob: Vec<u8>,
+/// A remote checkpoint of `n` objects (4-ary tree) holding `values`.
+fn remote(n: u64, values: &[(u64, &[u8])]) -> RemoteCheckpoint {
+    RemoteCheckpoint::new(n, 4, values.iter().copied(), b"reply-cache-blob")
 }
 
-impl RemoteState {
-    fn new(n: u64, values: &[(u64, &[u8])]) -> Self {
-        let mut tree = PartitionTree::new(n, 4);
-        let mut objects = vec![None; n as usize];
-        for (i, v) in values {
-            tree.set_leaf(*i, leaf_digest(*i, v));
-            objects[*i as usize] = Some(v.to_vec());
-        }
-        Self { tree, objects, replies_blob: b"reply-cache-blob".to_vec() }
-    }
+/// 48 live objects in a 64-leaf tree: enough work to fill any window.
+fn remote_with_48_values() -> RemoteCheckpoint {
+    let values = (0..48u64).map(|i| (i, format!("value-{i}")));
+    RemoteCheckpoint::new(64, 4, values, b"reply-cache-blob")
+}
 
-    /// 48 live objects in a 64-leaf tree: enough work to fill any window.
-    fn with_48_values() -> Self {
-        let values: Vec<(u64, Vec<u8>)> =
-            (0..48u64).map(|i| (i, format!("value-{i}").into_bytes())).collect();
-        let value_refs: Vec<(u64, &[u8])> =
-            values.iter().map(|(i, v)| (*i, v.as_slice())).collect();
-        Self::new(64, &value_refs)
-    }
-
-    fn composite(&self) -> Digest {
-        checkpoint_digest(&self.tree.root_digest(), &Digest::of(&self.replies_blob))
-    }
-
-    /// A fetcher for this checkpoint, windowed the way a replica's is.
-    fn fetcher(&self) -> Fetcher {
-        Fetcher::new(3, 4, 128, self.composite(), DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX)
-    }
-
-    /// Answers one fetch message the way a correct replica would.
-    fn serve(&self, msg: &Message) -> Option<Message> {
-        match msg {
-            Message::FetchMeta(m) if m.level == META_ROOT_LEVEL => {
-                Some(Message::MetaReply(MetaReplyMsg {
-                    seq: m.seq,
-                    level: m.level,
-                    index: m.index,
-                    digests: vec![self.tree.root_digest(), Digest::of(&self.replies_blob)],
-                    replica: 0,
-                }))
-            }
-            Message::FetchMeta(m) => Some(Message::MetaReply(MetaReplyMsg {
-                seq: m.seq,
-                level: m.level,
-                index: m.index,
-                digests: self.tree.children_digests(m.level, m.index)?,
-                replica: 0,
-            })),
-            Message::FetchObject(m) if m.index == REPLIES_INDEX => {
-                Some(Message::ObjectReply(ObjectReplyMsg {
-                    seq: m.seq,
-                    index: m.index,
-                    data: self.replies_blob.clone(),
-                    replica: 0,
-                }))
-            }
-            Message::FetchObject(m) => Some(Message::ObjectReply(ObjectReplyMsg {
-                seq: m.seq,
-                index: m.index,
-                data: self.objects[m.index as usize].clone()?,
-                replica: 0,
-            })),
-            _ => None,
-        }
-    }
+/// A fetcher for `remote`'s checkpoint, windowed the way a replica's is.
+fn fetcher(remote: &RemoteCheckpoint) -> Fetcher {
+    Fetcher::new(3, 4, 128, remote.composite(), DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX)
 }
 
 /// Pumps a fetcher against a remote until quiescent; returns the result.
-fn drive(fetcher: &mut Fetcher, remote: &RemoteState, local: &PartitionTree) -> Option<base_pbft::transfer::FetchResult> {
+fn drive(
+    fetcher: &mut Fetcher,
+    remote: &RemoteCheckpoint,
+    local: &PartitionTree,
+) -> Option<base_pbft::transfer::FetchResult> {
     let mut queue: Vec<(u32, Message)> = fetcher.begin();
     let mut guard = 0;
     while let Some((_, msg)) = queue.pop() {
@@ -117,13 +61,13 @@ fn drive(fetcher: &mut Fetcher, remote: &RemoteState, local: &PartitionTree) -> 
 
 #[test]
 fn fetcher_pulls_exactly_the_differing_objects() {
-    let remote = RemoteState::new(64, &[(1, b"one"), (5, b"five"), (40, b"forty")]);
+    let remote = remote(64, &[(1, b"one"), (5, b"five"), (40, b"forty")]);
     // Local state already has object 1 right and object 5 wrong.
     let mut local = PartitionTree::new(64, 4);
     local.set_leaf(1, leaf_digest(1, b"one"));
     local.set_leaf(5, leaf_digest(5, b"stale"));
 
-    let mut f = remote.fetcher();
+    let mut f = fetcher(&remote);
     let result = drive(&mut f, &remote, &local).expect("fetch completes");
     assert_eq!(result.seq, 128);
     assert_eq!(result.replies_blob, remote.replies_blob);
@@ -140,21 +84,21 @@ fn fetcher_pulls_exactly_the_differing_objects() {
 
 #[test]
 fn fetcher_records_deletions_without_fetching() {
-    let remote = RemoteState::new(64, &[(2, b"keep")]);
+    let remote = remote(64, &[(2, b"keep")]);
     let mut local = PartitionTree::new(64, 4);
     local.set_leaf(2, leaf_digest(2, b"keep"));
     local.set_leaf(9, leaf_digest(9, b"doomed")); // Absent in the target.
 
-    let mut f = remote.fetcher();
+    let mut f = fetcher(&remote);
     let result = drive(&mut f, &remote, &local).expect("fetch completes");
     assert_eq!(result.objects, vec![(9, None)]);
 }
 
 #[test]
 fn fetcher_rejects_corrupt_meta_and_objects() {
-    let remote = RemoteState::new(16, &[(3, b"real")]);
+    let remote = remote(16, &[(3, b"real")]);
     let local = PartitionTree::new(16, 4);
-    let mut f = remote.fetcher();
+    let mut f = fetcher(&remote);
     let msgs = f.begin();
 
     // A Byzantine top-level reply with a forged root must not be accepted;
@@ -189,9 +133,9 @@ fn fetcher_rejects_corrupt_meta_and_objects() {
 
 #[test]
 fn fetcher_ignores_replies_for_other_checkpoints() {
-    let remote = RemoteState::new(16, &[(3, b"x")]);
+    let remote = remote(16, &[(3, b"x")]);
     let local = PartitionTree::new(16, 4);
-    let mut f = remote.fetcher();
+    let mut f = fetcher(&remote);
     f.begin();
     let stale = MetaReplyMsg {
         seq: 64, // Wrong checkpoint.
@@ -209,7 +153,7 @@ fn fetcher_ignores_replies_for_other_checkpoints() {
 /// simultaneously unanswered, serving strictly FIFO.
 fn drive_counting(
     fetcher: &mut Fetcher,
-    remote: &RemoteState,
+    remote: &RemoteCheckpoint,
     local: &PartitionTree,
 ) -> (Option<base_pbft::transfer::FetchResult>, usize) {
     let mut queue: std::collections::VecDeque<(u32, Message)> = fetcher.begin().into();
@@ -235,7 +179,7 @@ fn drive_counting(
 
 #[test]
 fn fetch_window_bounds_outstanding_queries() {
-    let remote = RemoteState::with_48_values();
+    let remote = remote_with_48_values();
     let local = PartitionTree::new(64, 4);
 
     // Window 1: strictly serial — never more than one unanswered query.
@@ -265,7 +209,7 @@ fn fetch_window_bounds_outstanding_queries() {
 
 #[test]
 fn pinned_fetch_window_never_grows_but_still_halves() {
-    let remote = RemoteState::with_48_values();
+    let remote = remote_with_48_values();
     let local = PartitionTree::new(64, 4);
 
     let mut f = Fetcher::new(3, 4, 128, remote.composite(), 4, 4);
@@ -310,8 +254,8 @@ fn pinned_fetch_window_never_grows_but_still_halves() {
 
 #[test]
 fn fetcher_tick_retransmits_outstanding_queries() {
-    let remote = RemoteState::new(16, &[(3, b"x")]);
-    let mut f = remote.fetcher();
+    let remote = remote(16, &[(3, b"x")]);
+    let mut f = fetcher(&remote);
     let first = f.begin();
     assert_eq!(first.len(), 1);
     let resent = f.tick();

@@ -20,8 +20,8 @@
 //! trace and the same [`NetStats`], which the determinism tests assert.
 
 use crate::faults::NetFault;
-use crate::span::Timeline;
-use crate::trace::{EventKind, Trace, TraceEvent};
+use crate::span::{export_perfetto, Timeline};
+use crate::trace::{export_jsonl, EventKind, Trace, TraceEvent};
 use crate::{NetStats, NodeId, SimDuration, SimTime, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +30,7 @@ use std::fmt;
 use std::fmt::Write as _;
 // `u64::add` is the `add` merge rule of `coverage_counters!`.
 use std::ops::Add;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// One scheduled fault event.
@@ -878,6 +879,34 @@ pub struct FailureReport {
     pub ddmin_metrics: crate::metrics::MetricsRegistry,
 }
 
+impl FailureReport {
+    /// The repro files of this failure, by file suffix: the full and
+    /// minimal schedules with the ddmin counters, the full-vs-minimal
+    /// divergence, and the minimal run as JSONL (for offline `tracediff`)
+    /// and as a span graph (open it in ui.perfetto.dev to see the failing
+    /// op's critical path per node, no replay needed).
+    fn artifacts(&self) -> [(&'static str, String); 4] {
+        let schedule = format!(
+            "seed: {}\nreason: {}\nfull schedule ({} events):\n{}\n\
+             minimal schedule ({} events):\n{}\nddmin metrics:\n{}\n",
+            self.seed,
+            self.reason,
+            self.schedule.len(),
+            self.schedule.describe(),
+            self.minimal.len(),
+            self.minimal.describe(),
+            self.ddmin_metrics.to_json()
+        );
+        let spans = Timeline::of(&self.minimal_events).ops;
+        [
+            ("schedule.txt", schedule),
+            ("divergence.txt", format!("{}\n", self.divergence)),
+            ("minimal.jsonl", export_jsonl(&self.minimal_events)),
+            ("minimal.perfetto.json", export_perfetto(&self.minimal_events, &spans)),
+        ]
+    }
+}
+
 impl fmt::Display for FailureReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "campaign failure: {}", self.reason)?;
@@ -1008,12 +1037,16 @@ impl CampaignReport {
         out
     }
 
-    /// Writes [`coverage_json`](Self::coverage_json) to
-    /// `target/chaos-coverage/<name>.json` under the workspace root, where
-    /// CI picks it up, then holds the acceptance campaign `name` to what its
-    /// coverage must show. Each of these is an error naming the campaign and
-    /// the field:
+    /// Writes campaign `name`'s artifacts under `dir` (usually
+    /// [`DEFAULT_ARTIFACT_DIR`], where CI picks them up), then holds the
+    /// campaign to what an acceptance campaign must show. It writes
+    /// `chaos-coverage/<name>.json` ([`coverage_json`](Self::coverage_json))
+    /// and, for each failure, its four repro files
+    /// `repro/<name>/seed<seed>.{schedule.txt,divergence.txt,minimal.jsonl,minimal.perfetto.json}`.
+    /// Each of these is an error naming the campaign:
     /// - a write that fails;
+    /// - a failing run: the error names the first failing seed and carries
+    ///   its report, and a failed write only replaces where its repro went;
     /// - no forced view change: a campaign that never unseats a primary is
     ///   not exercising the paper's recovery machinery, whatever its pass
     ///   rate says;
@@ -1022,13 +1055,37 @@ impl CampaignReport {
     /// - a dropped trace event: evictions undercount coverage and truncate
     ///   span graphs;
     /// - a submitted client op that never completed, or none completed.
-    pub fn write_coverage(&self, name: &str) -> Result<(), String> {
-        let dir =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-coverage");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(&path, self.coverage_json()))
-            .map_err(|e| format!("cannot write coverage artifact {}: {e}", path.display()))?;
+    pub fn write_artifacts(&self, dir: impl AsRef<Path>, name: &str) -> Result<(), String> {
+        let dir = dir.as_ref();
+        let write = |path: PathBuf, body: String| {
+            let parent = path.parent().expect("an artifact lies in a directory");
+            std::fs::create_dir_all(parent)
+                .and_then(|()| std::fs::write(&path, body))
+                .map_err(|e| format!("cannot write campaign artifact {}: {e}", path.display()))
+        };
+        let repro = dir.join("repro").join(name);
+        let written = write(dir.join(format!("chaos-coverage/{name}.json")), self.coverage_json())
+            .and_then(|()| {
+                let mut files =
+                    self.failures.iter().flat_map(|f| f.artifacts().map(|a| (f.seed, a)));
+                files.try_for_each(|(seed, (suffix, body))| {
+                    write(repro.join(format!("seed{seed}.{suffix}")), body)
+                })
+            });
+        // A failing seed's report is never hidden behind a write error.
+        if let Some(f) = self.failures.first() {
+            let repro = match written {
+                Ok(()) => format!("repro in {}", repro.display()),
+                Err(e) => e,
+            };
+            return Err(format!(
+                "campaign {name}: seed {} failed ({} of {} runs fail), {repro}\n{f}",
+                f.seed,
+                self.failures.len(),
+                self.runs,
+            ));
+        }
+        written?;
         let c = &self.coverage;
         let fail = |field: &str, what: String| Err(format!("campaign {name}: {field} {what}"));
         if c.view_changes_started == 0 {
@@ -1050,6 +1107,10 @@ impl CampaignReport {
     }
 }
 
+/// Where campaigns write their artifacts by default: the workspace's
+/// `target/`.
+pub const DEFAULT_ARTIFACT_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
+
 /// How a campaign derives each seed's schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CampaignMode {
@@ -1070,7 +1131,7 @@ fn schedule_for(mode: CampaignMode, cfg: &ScheduleGenConfig, seed: u64) -> Fault
 
 /// Events of context shown on each side of a campaign failure's trace
 /// divergence, per replica.
-pub const DIVERGENCE_WINDOW: usize = 3;
+const DIVERGENCE_WINDOW: usize = 3;
 
 /// Runs one seed end to end: schedule generation, the audited run, and on
 /// failure ddmin minimization plus full-vs-minimal trace divergence. The
@@ -1161,6 +1222,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ddmin::CrashThreshold;
     use crate::{Actor, Context};
 
     /// Toy system: every node pings every other node each 10ms; pongs are
@@ -1377,9 +1439,16 @@ mod tests {
         }
     }
 
+    /// A scratch artifact directory for one test, emptied first.
+    fn artifact_dir(test: &str) -> PathBuf {
+        let dir = Path::new(DEFAULT_ARTIFACT_DIR).join("test-artifacts").join(test);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn write_coverage_holds_the_acceptance_conditions() {
-        let name = "write_coverage_unit_test";
+        let (dir, name) = (artifact_dir("write_coverage"), "unit");
         let good = Coverage {
             view_changes_started: 2,
             client_ops_submitted: 5,
@@ -1387,19 +1456,56 @@ mod tests {
             ..Coverage::default()
         };
         let report = |coverage| CampaignReport { runs: 1, coverage, ..CampaignReport::default() };
-        assert_eq!(report(good).write_coverage(name), Ok(()));
+        assert_eq!(report(good).write_artifacts(&dir, name), Ok(()));
+        assert!(dir.join("chaos-coverage/unit.json").is_file());
         for (field, bad) in [
             ("view_changes_started", Coverage { view_changes_started: 0, ..good }),
             ("liveness_violations", Coverage { liveness_violations: 1, ..good }),
             ("trace_events_dropped", Coverage { trace_events_dropped: 1, ..good }),
             ("client_ops_completed", Coverage { client_ops_completed: 4, ..good }),
         ] {
-            let err = report(bad).write_coverage(name).expect_err(field);
+            let err = report(bad).write_artifacts(&dir, name).expect_err(field);
             assert!(err.contains(name) && err.contains(field), "{field}: {err}");
         }
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("../../target/chaos-coverage/{name}.json"));
-        std::fs::remove_file(path).expect("write_coverage wrote its artifact");
+        std::fs::remove_dir_all(dir).expect("the writer made its directory");
+    }
+
+    /// Every campaign ships its repro through one call: a failing seed
+    /// leaves its four files beside the coverage, and the error names it.
+    #[test]
+    fn write_artifacts_ships_each_failures_repro() {
+        let dir = artifact_dir("write_artifacts");
+        // Seed 0's schedule crashes a node; seeds 1 and 2 crash none.
+        let crash_intolerant = || CrashThreshold { inner: PingHarness { n: 4 }, threshold: 1 };
+        let report = run_campaign(crash_intolerant, CampaignMode::Mixed, &gen_cfg(), 0..3, 1);
+        let seeds: Vec<u64> = report.failures.iter().map(|f| f.seed).collect();
+        assert_eq!(seeds, [0], "the planted failure");
+
+        let err = report.write_artifacts(&dir, "pinger").expect_err("a failing campaign");
+        assert!(err.starts_with("campaign pinger: seed 0 failed"), "{err}");
+        assert!(dir.join("chaos-coverage/pinger.json").is_file());
+        let mut files: Vec<String> = std::fs::read_dir(dir.join("repro/pinger"))
+            .expect("the repro directory")
+            .map(|e| e.expect("an entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let want = ["divergence.txt", "minimal.jsonl", "minimal.perfetto.json", "schedule.txt"];
+        assert_eq!(files, want.map(|suffix| format!("seed0.{suffix}")));
+
+        let passing = ping_campaign(0..1, 1);
+        // The pingers force no view change, so the conditions still fail.
+        let err = passing.write_artifacts(&dir, "quiet").expect_err("no view change");
+        assert!(err.contains("view_changes_started"), "{err}");
+        assert!(!dir.join("repro/quiet").exists(), "a passing campaign writes no repro");
+
+        // A directory that cannot be made still leaves the seed's report.
+        let blocked = dir.join("blocked");
+        std::fs::write(&blocked, "").expect("a plain file");
+        let err = report.write_artifacts(&blocked, "pinger").expect_err("an unwritable dir");
+        assert!(err.starts_with("campaign pinger: seed 0 failed"), "{err}");
+        assert!(err.contains("cannot write campaign artifact"), "{err}");
+        assert!(err.contains("campaign failure:"), "the seed's report: {err}");
+        std::fs::remove_dir_all(dir).expect("the writer made its directory");
     }
 
     #[test]
@@ -1435,49 +1541,10 @@ mod tests {
         }
     }
 
-    /// A deliberately broken harness (audit always fails when any crash
-    /// event is present) shrinks to a single-event schedule.
-    struct CrashSensitive {
-        inner: PingHarness,
-        saw_crash: bool,
-    }
-
-    impl ChaosHarness for CrashSensitive {
-        fn build(&mut self, seed: u64) -> Simulation {
-            self.saw_crash = false;
-            self.inner.build(seed)
-        }
-
-        fn apply_app(
-            &mut self,
-            sim: &mut Simulation,
-            node: NodeId,
-            tag: u32,
-            arg: u64,
-            trace: &mut Vec<String>,
-        ) {
-            self.inner.apply_app(sim, node, tag, arg, trace);
-        }
-
-        fn settle(&self) -> SimDuration {
-            SimDuration::from_millis(100)
-        }
-
-        fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-            // "Bug": any crash at all is reported as a violation.
-            let crashed = trace.iter().any(|l| l.contains("crash node"));
-            let _ = sim;
-            if crashed {
-                Err("crash intolerance bug".into())
-            } else {
-                Ok(())
-            }
-        }
-    }
-
     #[test]
     fn minimizer_reduces_to_single_trigger() {
-        let mut h = CrashSensitive { inner: PingHarness { n: 4 }, saw_crash: false };
+        // A deliberately broken audit: any crash at all is a violation.
+        let mut h = CrashThreshold { inner: PingHarness { n: 4 }, threshold: 1 };
         let mut schedule = FaultSchedule::new();
         schedule
             .crash(SimTime::from_millis(50), NodeId(1), SimDuration::from_millis(100))

@@ -390,57 +390,100 @@ impl<H: ChaosHarness> ChaosHarness for CountingHarness<H> {
     }
 }
 
+/// A [`ChaosHarness`] double whose audit fails iff at least `threshold`
+/// crash events were applied (its "crash node" trace lines). The verdict is
+/// pure in the schedule, so which subsets fail, and so the minimizers'
+/// search, is exactly predictable. It forwards `build` and `apply_app` to
+/// `inner` and settles 1 ms past the last event (the crash lines are all in
+/// by then); it forwards neither the liveness bound nor the latency budget,
+/// so no engine auditor can fail a run the crash count passes.
+#[derive(Debug)]
+pub struct CrashThreshold<H: ChaosHarness = IdleGroup> {
+    /// The harness whose runs are counted: an idle group, or a real
+    /// workload when the search cost should be a real one.
+    pub inner: H,
+    /// Crash events at which the audit starts failing.
+    pub threshold: usize,
+}
+
+impl CrashThreshold {
+    /// Over an [`IdleGroup`].
+    pub fn new(threshold: usize) -> Self {
+        Self { inner: IdleGroup, threshold }
+    }
+}
+
+impl<H: ChaosHarness> ChaosHarness for CrashThreshold<H> {
+    fn build(&mut self, seed: u64) -> Simulation {
+        self.inner.build(seed)
+    }
+
+    fn apply_app(
+        &mut self,
+        sim: &mut Simulation,
+        node: crate::NodeId,
+        tag: u32,
+        arg: u64,
+        trace: &mut Vec<String>,
+    ) {
+        self.inner.apply_app(sim, node, tag, arg, trace);
+    }
+
+    fn settle(&self) -> SimDuration {
+        SimDuration::from_millis(1)
+    }
+
+    fn audit(&mut self, _sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+        let crashes = trace.iter().filter(|l| l.contains("crash node")).count();
+        if crashes >= self.threshold {
+            Err(format!("saw {crashes} crashes (threshold {})", self.threshold))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Four inert nodes, so crash and network events have real nodes to act
+/// on: the default inner harness of [`CrashThreshold`].
+#[derive(Debug)]
+pub struct IdleGroup;
+
+/// A node that ignores everything it receives.
+struct Idle;
+
+impl crate::Actor for Idle {
+    fn on_message(&mut self, _: crate::NodeId, _: &[u8], _: &mut crate::Context<'_>) {}
+}
+
+impl ChaosHarness for IdleGroup {
+    fn build(&mut self, seed: u64) -> Simulation {
+        let mut sim = Simulation::new(seed);
+        for _ in 0..4 {
+            sim.add_node(Box::new(Idle));
+        }
+        sim
+    }
+
+    fn apply_app(
+        &mut self,
+        _: &mut Simulation,
+        _: crate::NodeId,
+        _: u32,
+        _: u64,
+        _: &mut Vec<String>,
+    ) {
+    }
+
+    fn audit(&mut self, _: &mut Simulation, _: &mut Vec<String>) -> Result<(), String> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{minimize, ChaosEvent};
     use crate::{NetFault, NodeId, SimTime};
-
-    /// Harness whose audit fails iff at least `threshold` crash events were
-    /// applied (visible as "crash node" lines in the run trace). Pure in
-    /// the schedule, so minimization behaviour is exactly predictable.
-    struct CrashThreshold {
-        threshold: usize,
-    }
-
-    /// Inert actor so crash/net events have real nodes to act on.
-    struct Idle;
-    impl crate::Actor for Idle {
-        fn on_message(&mut self, _: NodeId, _: &[u8], _: &mut crate::Context<'_>) {}
-    }
-
-    impl ChaosHarness for CrashThreshold {
-        fn build(&mut self, seed: u64) -> Simulation {
-            let mut sim = Simulation::new(seed);
-            for _ in 0..4 {
-                sim.add_node(Box::new(Idle));
-            }
-            sim
-        }
-
-        fn apply_app(
-            &mut self,
-            _sim: &mut Simulation,
-            _node: NodeId,
-            _tag: u32,
-            _arg: u64,
-            _trace: &mut Vec<String>,
-        ) {
-        }
-
-        fn settle(&self) -> SimDuration {
-            SimDuration::from_millis(1)
-        }
-
-        fn audit(&mut self, _sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-            let crashes = trace.iter().filter(|l| l.contains("crash node")).count();
-            if crashes >= self.threshold {
-                Err(format!("saw {crashes} crashes (threshold {})", self.threshold))
-            } else {
-                Ok(())
-            }
-        }
-    }
 
     fn decoy_schedule() -> FaultSchedule {
         let mut s = FaultSchedule::new();
@@ -475,7 +518,7 @@ mod tests {
 
     #[test]
     fn ddmin_finds_exact_crash_pair() {
-        let mut h = CrashThreshold { threshold: 2 };
+        let mut h = CrashThreshold::new(2);
         let schedule = decoy_schedule();
         let dd = ddmin(&mut h, 1, &schedule).expect("schedule must fail");
         // Any 1-minimal failing subset is exactly `threshold` crashes.
@@ -493,7 +536,7 @@ mod tests {
 
     #[test]
     fn ddmin_matches_known_failure_outcome_without_rerun() {
-        let mut h = CountingHarness::new(CrashThreshold { threshold: 1 });
+        let mut h = CountingHarness::new(CrashThreshold::new(1));
         let schedule = decoy_schedule();
         let (outcome, verdict) = run_one(&mut h, 3, &schedule);
         assert!(verdict.is_err());
@@ -510,7 +553,7 @@ mod tests {
     #[test]
     fn empty_failing_schedule_costs_one_execution() {
         // Common-mode bug: fails with no injected fault at all.
-        let mut h = CountingHarness::new(CrashThreshold { threshold: 0 });
+        let mut h = CountingHarness::new(CrashThreshold::new(0));
         let schedule = decoy_schedule();
         let (outcome, verdict) = run_one(&mut h, 5, &schedule);
         assert!(verdict.is_err());
@@ -530,7 +573,7 @@ mod tests {
             .crash(SimTime::from_millis(10), NodeId(0), SimDuration::from_millis(500))
             .crash(SimTime::from_millis(40), NodeId(1), SimDuration::from_millis(700))
             .crash(SimTime::from_millis(40), NodeId(1), SimDuration::from_millis(700));
-        let mut h = CountingHarness::new(CrashThreshold { threshold: 2 });
+        let mut h = CountingHarness::new(CrashThreshold::new(2));
         let minimal = minimize(&mut h, 2, &schedule);
         assert_eq!(minimal.len(), 2);
         // Executed candidates: [c1,c1'] (fails, two crashes) and [c1]
@@ -543,9 +586,9 @@ mod tests {
     fn ddmin_never_exceeds_greedy_size() {
         for threshold in [1usize, 2, 3] {
             let schedule = decoy_schedule();
-            let mut hg = CountingHarness::new(CrashThreshold { threshold });
+            let mut hg = CountingHarness::new(CrashThreshold::new(threshold));
             let greedy = minimize(&mut hg, 7, &schedule);
-            let mut hd = CountingHarness::new(CrashThreshold { threshold });
+            let mut hd = CountingHarness::new(CrashThreshold::new(threshold));
             let dd = ddmin_from_failure(&mut hd, 7, &schedule, None);
             assert!(
                 dd.schedule.len() <= greedy.len(),
@@ -561,7 +604,7 @@ mod tests {
     #[test]
     fn ddmin_is_deterministic() {
         let schedule = decoy_schedule();
-        let mut h = CrashThreshold { threshold: 2 };
+        let mut h = CrashThreshold::new(2);
         let a = ddmin_from_failure(&mut h, 11, &schedule, None);
         let b = ddmin_from_failure(&mut h, 11, &schedule, None);
         assert_eq!(a.schedule, b.schedule);

@@ -176,16 +176,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// All counters, name-ordered.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histograms, name-ordered.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Adds every counter and histogram of `other` into `self`.
     /// Commutative and associative, so parallel campaign workers can merge
     /// in any grouping and the result is identical.

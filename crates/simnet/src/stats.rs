@@ -27,11 +27,6 @@ impl<T: Default> PerNode<T> {
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
         self.0.iter().enumerate().map(|(i, v)| (NodeId(i), v))
     }
-
-    /// The values in node order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.0.iter()
-    }
 }
 
 impl<T> Index<&NodeId> for PerNode<T> {
@@ -86,10 +81,5 @@ impl NetStats {
 
     pub(crate) fn record_cpu(&mut self, node: NodeId, d: SimDuration) {
         *self.cpu_by.slot(node) += d;
-    }
-
-    /// Total CPU charged across all nodes.
-    pub fn total_cpu(&self) -> SimDuration {
-        self.cpu_by.values().fold(SimDuration::ZERO, |acc, d| acc + *d)
     }
 }

@@ -51,7 +51,7 @@ pub fn first_divergence(left: &[TraceEvent], right: &[TraceEvent]) -> Option<Div
 
 /// One-line human rendering of a trace event: time, node, protocol context
 /// (view/seq) and the event with its payload.
-pub fn format_event(ev: &TraceEvent) -> String {
+fn format_event(ev: &TraceEvent) -> String {
     let mut s = format!(
         "t={}us node={} view={} seq={} {}",
         ev.at.as_micros(),

@@ -7,7 +7,7 @@ use base_simnet::chaos::{
     generate_schedule, generate_storm_schedule, minimize, run_one, AppFaultSpec, ChaosEvent,
     ChaosHarness, FaultSchedule, HealSpec, ScheduleGenConfig,
 };
-use base_simnet::ddmin::{ddmin, schedule_digest};
+use base_simnet::ddmin::{ddmin, schedule_digest, CrashThreshold};
 use base_simnet::trace::export_jsonl;
 use base_simnet::{
     Actor, Context, NetFault, NodeId, ProtocolEvent, SimDuration, SimTime, Simulation,
@@ -283,52 +283,6 @@ proptest! {
     }
 }
 
-/// Harness whose failure condition is transparent: the run fails iff the
-/// schedule crashed at least `threshold` times. Every 1-minimal failing
-/// subset therefore contains exactly `threshold` crash events and no
-/// decoys — which makes ddmin's invariants directly checkable.
-struct CrashThreshold {
-    threshold: usize,
-}
-
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _: NodeId, _: &[u8], _: &mut Context<'_>) {}
-}
-
-impl ChaosHarness for CrashThreshold {
-    fn build(&mut self, seed: u64) -> Simulation {
-        let mut sim = Simulation::new(seed);
-        for _ in 0..4 {
-            sim.add_node(Box::new(Idle));
-        }
-        sim
-    }
-
-    fn apply_app(
-        &mut self,
-        _sim: &mut Simulation,
-        _node: NodeId,
-        _tag: u32,
-        _arg: u64,
-        _trace: &mut Vec<String>,
-    ) {
-    }
-
-    fn settle(&self) -> SimDuration {
-        SimDuration::from_millis(1)
-    }
-
-    fn audit(&mut self, _sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        let crashes = trace.iter().filter(|l| l.contains("crash node")).count();
-        if crashes >= self.threshold {
-            Err(format!("saw {crashes} crashes (threshold {})", self.threshold))
-        } else {
-            Ok(())
-        }
-    }
-}
-
 /// Interleaves `crashes` crash events with `decoys` irrelevant events at
 /// deterministic times derived from the index.
 fn crash_schedule(crashes: usize, decoys: usize) -> FaultSchedule {
@@ -382,7 +336,7 @@ proptest! {
         decoys in 0usize..5,
     ) {
         let schedule = crash_schedule(threshold + extra_crashes, decoys);
-        let mut h = CrashThreshold { threshold };
+        let mut h = CrashThreshold::new(threshold);
         let dd = ddmin(&mut h, seed, &schedule).expect("schedule must fail");
 
         // (a) still failing.
@@ -419,9 +373,9 @@ proptest! {
         decoys in 0usize..4,
     ) {
         let schedule = crash_schedule(threshold + extra_crashes, decoys);
-        let a = ddmin(&mut CrashThreshold { threshold }, seed, &schedule)
+        let a = ddmin(&mut CrashThreshold::new(threshold), seed, &schedule)
             .expect("schedule must fail");
-        let b = ddmin(&mut CrashThreshold { threshold }, seed, &schedule)
+        let b = ddmin(&mut CrashThreshold::new(threshold), seed, &schedule)
             .expect("schedule must fail");
         prop_assert_eq!(a.schedule.describe(), b.schedule.describe());
         prop_assert_eq!(schedule_digest(&a.schedule), schedule_digest(&b.schedule));

@@ -326,14 +326,13 @@ fn replica_shape(t: &Tree) -> Vec<Hit> {
     hits
 }
 
-/// The files that implement `ChaosHarness`: the two harnesses, the
-/// engine's test doubles and the bench lab.
-const HARNESSES: [&str; 6] = [
+/// The files that implement `ChaosHarness`: the two harnesses and the
+/// engine's test doubles.
+const HARNESSES: [&str; 5] = [
     "crates/pbft/src/chaos.rs",
     "crates/core/src/shard_chaos.rs",
     "crates/simnet/src/chaos.rs",
     "crates/simnet/src/ddmin.rs",
-    "crates/bench/src/lab.rs",
     "crates/simnet/tests/proptest_chaos.rs",
 ];
 
@@ -465,6 +464,28 @@ fn one_event_reading(t: &Tree) -> Vec<Hit> {
     hits
 }
 
+/// One test double (DESIGN.md §7.1, §10.1): the crash-threshold harness
+/// is `simnet::ddmin::CrashThreshold`, the correct replica answering a
+/// fetch is `pbft::testing::RemoteCheckpoint`, and every campaign writes its
+/// coverage and repro through `CampaignReport::write_artifacts`. None of
+/// their deleted copies is back, and no file under `crates/` declares
+/// either double a second time (the tests that use them keep it declared
+/// once).
+fn one_test_double(t: &Tree) -> Vec<Hit> {
+    let mut hits = t.grep(
+        anywhere,
+        Mode::Word,
+        "CrashCounting|CrashSensitive|serve_fetch|RemoteState|write_campaign_artifacts",
+    );
+    for double in ["struct CrashThreshold", "struct RemoteCheckpoint"] {
+        let declared = t.grep(under(&["crates/"]), Mode::Word, double);
+        if declared.len() > 1 {
+            hits.extend(declared);
+        }
+    }
+    hits
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -502,6 +523,7 @@ gate_tests!(
     one_placement,
     one_decode_path,
     one_event_reading,
+    one_test_double,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -512,7 +534,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 31] = [
+    let plants: [(Gate, &str, &str); 34] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -544,6 +566,9 @@ fn every_gate_fires_on_its_plant() {
         (one_decode_path, "crates/pbft/src/client.rs", "let msg = Message::from_wire(payload);"),
         (one_event_reading, "crates/simnet/src/chaos.rs", "ProtocolEvent::RecoveryStarted => {}"),
         (one_event_reading, "crates/pbft/src/chaos.rs", "pub const CAMPAIGN_BOUNDS: u8 = 0;"),
+        (one_test_double, "crates/bench/src/lab.rs", "struct CrashCounting;"),
+        (one_test_double, "crates/simnet/src/ddmin.rs", "struct CrashThreshold;"),
+        (one_test_double, "crates/pbft/src/testing.rs", "pub struct RemoteCheckpoint;"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
