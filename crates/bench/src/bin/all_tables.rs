@@ -135,22 +135,23 @@ fn campaign(args: &[String]) -> ExitCode {
     let mode = CampaignMode::Mixed;
     let report = match name.as_str() {
         "counter" | "counter-buggy" => {
-            let harness = || {
-                let mut workload = CounterWorkload::default();
-                workload.inject_client_bug = name == "counter-buggy";
-                ServiceCampaign::new(4, workload)
-            };
-            run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
+            let mut workload = CounterWorkload::default();
+            workload.inject_client_bug = name == "counter-buggy";
+            let mut h = ServiceCampaign::new(4, workload);
+            let cfg = h.gen_config(events, horizon);
+            run_campaign(&mut h, mode, &cfg, seeds)
         }
         "nfs" | "nfs-buggy" => {
             let buggy = name == "nfs-buggy";
             let mix = if buggy { FsMix::HomogeneousInode } else { FsMix::Heterogeneous };
-            let harness = || ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug: buggy });
-            run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
+            let mut h = ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug: buggy });
+            let cfg = h.gen_config(events, horizon);
+            run_campaign(&mut h, mode, &cfg, seeds)
         }
         "oodb" => {
-            let harness = || ServiceCampaign::new(4, OodbWorkload::default());
-            run_campaign(harness, mode, &harness().gen_config(events, horizon), seeds, 1)
+            let mut h = ServiceCampaign::new(4, OodbWorkload::default());
+            let cfg = h.gen_config(events, horizon);
+            run_campaign(&mut h, mode, &cfg, seeds)
         }
         _ => usage(),
     };

@@ -133,9 +133,9 @@ pub fn run_faultinj() {
     let mut bug_failure = None;
     let mut total_coverage = base_simnet::chaos::Coverage::default();
     for (mix, bug, mixname) in cells {
-        let harness = || ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug: bug });
-        let cfg = harness().gen_config(5, SimDuration::from_secs(6));
-        let report = run_campaign(harness, CampaignMode::Mixed, &cfg, 6200..6206, 1);
+        let mut h = ServiceCampaign::new(4, NfsWorkload { mix, with_latent_bug: bug });
+        let cfg = h.gen_config(5, SimDuration::from_secs(6));
+        let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 6200..6206);
         total_coverage.merge(&report.coverage);
         let verdict = if report.passed() {
             "masked".to_string()

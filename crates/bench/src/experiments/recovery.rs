@@ -11,7 +11,7 @@ use crate::report::{phase_row, phase_table, Table};
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseReplica, BaseService, Config};
 use base_pbft::Deployment;
-use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline, Trace};
+use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
@@ -40,7 +40,7 @@ fn run_once(mode: Option<bool>) -> Out {
         cfg.reboot_time = SimDuration::from_millis(300);
     }
     let mut sim = Simulation::new(5100);
-    sim.record_trace(Trace::unbounded());
+    sim.record_trace();
     let d = Deployment::build(&mut sim, cfg, 1, 5100, |_| {
         let mut kv = TinyKv::default();
         kv.leaky = true; // The aging bug rejuvenation repairs.
@@ -106,7 +106,7 @@ fn run_once(mode: Option<bool>) -> Out {
         heal_to_progress_ms,
         retransmissions,
         phases: PhaseBreakdown::from_spans(
-            &Timeline::of(&sim.trace().expect("installed").events()).ops,
+            &Timeline::of(sim.trace().expect("recording since the build")).ops,
         ),
     }
 }

@@ -8,7 +8,7 @@ use crate::report::{phase_row, phase_table, Table};
 use base::demo::{KvWrapper, TinyKv};
 use base::{BaseClient, BaseService, Config};
 use base_pbft::Deployment;
-use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline, Trace};
+use base_simnet::{PhaseBreakdown, SimDuration, Simulation, Timeline};
 
 /// One measured E9 cell, exposed so the bench lab ([`crate::lab`]) can
 /// sample the same workload the table prints.
@@ -62,7 +62,7 @@ pub fn measure_throughput_with(
     cfg.max_inflight = 2;
     tweak(&mut cfg);
     let mut sim = Simulation::new(8800 + clients as u64);
-    sim.record_trace(Trace::unbounded());
+    sim.record_trace();
     let d = Deployment::build(&mut sim, cfg, clients, 8800 + clients as u64, |_| {
         let mut w = KvWrapper::new(TinyKv::default());
         w.op_cost = SimDuration::from_micros(100);
@@ -74,7 +74,7 @@ pub fn measure_throughput_with(
         for i in 0..ops_per_client {
             let mut op = format!("put c{c}k{} v{i}", i % 16).into_bytes();
             let pad = value_bytes.saturating_sub(op.len());
-            op.extend(std::iter::repeat(b'x').take(pad));
+            op.extend(std::iter::repeat_n(b'x', pad));
             cl.invoke(op, false);
         }
     }
@@ -109,7 +109,7 @@ pub fn measure_throughput_with(
         }
     }
     assert!(occupancy.count() > 0, "replica recorded no executed batches");
-    let trace = sim.trace().expect("installed above").events();
+    let trace = sim.trace().expect("recording since the build").to_vec();
     let phases = PhaseBreakdown::from_spans(&Timeline::of(&trace).ops);
     assert_eq!(phases.ops, total_ops, "every completed op must reconstruct a span");
     ThroughputSample {

@@ -40,9 +40,8 @@ const RECOVERY_SEED: u64 = 8200;
 const RECOVERY_LIVE: u32 = 128;
 const RECOVERY_STALE: u32 = 24;
 const RECOVERY_EDIT_BYTES: usize = 256;
-/// Campaign shape: seeds and worker count.
+/// Campaign shape: its seeds.
 const CAMPAIGN_SEEDS: std::ops::Range<u64> = 6200..6212;
-const CAMPAIGN_WORKERS: usize = 4;
 
 /// Checkpoint-lab shape: a deep sparse tree so batching has headroom.
 const CKPT_OBJECTS: u64 = 4096;
@@ -367,16 +366,10 @@ pub fn measure() -> BenchReport {
     // E9 batching throughput.
     let e9 = measure_throughput(E9_CLIENTS, E9_OPS_PER_CLIENT, E9_VALUE_BYTES);
 
-    // Chaos campaign at a fixed worker count.
-    let counter = || ServiceCampaign::new(4, CounterWorkload::default());
-    let cfg = counter().gen_config(5, SimDuration::from_secs(6));
-    let report = run_campaign(
-        counter,
-        CampaignMode::Mixed,
-        &cfg,
-        CAMPAIGN_SEEDS,
-        CAMPAIGN_WORKERS,
-    );
+    // Chaos campaign.
+    let mut counter = ServiceCampaign::new(4, CounterWorkload::default());
+    let cfg = counter.gen_config(5, SimDuration::from_secs(6));
+    let report = run_campaign(&mut counter, CampaignMode::Mixed, &cfg, CAMPAIGN_SEEDS);
 
     // ddmin over the fixed decoy schedule (known failing: three crashes
     // exceed the threshold of two). Every probe builds and runs the full
@@ -404,7 +397,6 @@ pub fn measure() -> BenchReport {
             "campaign",
             counts([
                 ("runs", report.runs as u64),
-                ("workers", CAMPAIGN_WORKERS as u64),
                 ("failures", report.failures.len() as u64),
             ]),
         ),

@@ -22,9 +22,9 @@ fn nfs(mix: FsMix, with_latent_bug: bool) -> ServiceCampaign<NfsWorkload> {
 
 #[test]
 fn nfs_campaign_passes_auditor() {
-    let harness = || nfs(FsMix::Heterogeneous, false);
-    let cfg = harness().gen_config(5, SimDuration::from_secs(6));
-    let report = run_campaign(harness, CampaignMode::Mixed, &cfg, 6200..6220, 1);
+    let mut h = nfs(FsMix::Heterogeneous, false);
+    let cfg = h.gen_config(5, SimDuration::from_secs(6));
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 6200..6220);
     // A failure leaves its minimized schedule, divergence report and traces
     // under target/repro/nfs_mixed/, where CI uploads them. Acceptance
     // campaigns must exercise the paper's mechanisms, not just schedule
@@ -71,7 +71,7 @@ fn common_mode_bug_fails_homogeneous_and_minimizes_to_empty() {
 fn repro_lab_acceptance_buggy_campaign() {
     let buggy = || nfs(FsMix::HomogeneousInode, true);
     let cfg = buggy().gen_config(3, SimDuration::from_secs(4));
-    let run = || run_campaign(buggy, CampaignMode::Mixed, &cfg, 7000..7020, 1);
+    let run = || run_campaign(&mut buggy(), CampaignMode::Mixed, &cfg, 7000..7020);
     let report = run();
     assert_eq!(report.runs, 20);
     assert!(!report.passed(), "latent bug must violate the auditor");

@@ -20,8 +20,9 @@ fn pipelined_counter() -> ServiceCampaign<CounterWorkload> {
 
 #[test]
 fn counter_campaign_with_pipelining_passes_auditor() {
-    let cfg = pipelined_counter().gen_config(6, SimDuration::from_secs(8));
-    let report = run_campaign(pipelined_counter, CampaignMode::Mixed, &cfg, 7400..7412, 1);
+    let mut h = pipelined_counter();
+    let cfg = h.gen_config(6, SimDuration::from_secs(8));
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 7400..7412);
     assert_eq!(report.runs, 12);
     assert!(report.events_executed > 0, "campaign generated no events");
     if let Some(f) = report.failures.first() {
@@ -38,14 +39,11 @@ fn counter_campaign_with_pipelining_passes_auditor() {
 
 #[test]
 fn nfs_campaign_with_pipelining_passes_auditor() {
-    let pipelined_nfs = || {
-        let workload = NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false };
-        let mut h = ServiceCampaign::new(4, workload);
-        h.cfg.max_inflight = 4;
-        h
-    };
-    let cfg = pipelined_nfs().gen_config(5, SimDuration::from_secs(6));
-    let report = run_campaign(pipelined_nfs, CampaignMode::Mixed, &cfg, 8300..8310, 1);
+    let workload = NfsWorkload { mix: FsMix::Heterogeneous, with_latent_bug: false };
+    let mut h = ServiceCampaign::new(4, workload);
+    h.cfg.max_inflight = 4;
+    let cfg = h.gen_config(5, SimDuration::from_secs(6));
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 8300..8310);
     assert_eq!(report.runs, 10);
     assert!(report.events_executed > 0);
     if let Some(f) = report.failures.first() {

@@ -12,20 +12,16 @@ fn budget_violation_minimizes_to_a_perfetto_repro_artifact() {
     // A budget no real three-phase commit can meet: every post-heal op
     // violates, so the campaign fails deterministically and the minimizer
     // strips the (irrelevant) injected faults.
-    let budgeted = || {
-        let mut h = ServiceCampaign::new(4, CounterWorkload::default());
-        h.latency_budget = Some(SimDuration::from_micros(10));
-        h
-    };
-    let cfg = budgeted().gen_config(2, SimDuration::from_secs(2));
-    let report = run_campaign(budgeted, CampaignMode::Mixed, &cfg, 9300..9301, 1);
+    let mut h = ServiceCampaign::new(4, CounterWorkload::default());
+    h.latency_budget = Some(SimDuration::from_micros(10));
+    let cfg = h.gen_config(2, SimDuration::from_secs(2));
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 9300..9301);
 
     assert_eq!(report.failures.len(), 1, "the budgeted run must fail");
     let f = &report.failures[0];
     assert!(f.reason.contains("latency-budget"), "unexpected reason: {}", f.reason);
     assert!(f.reason.contains("dominated by"), "no phase attribution: {}", f.reason);
     assert!(report.coverage.latency_budget_violations > 0);
-    assert_eq!(report.coverage.trace_events_dropped, 0, "ring buffer must not evict");
     assert!(
         f.minimal.is_empty(),
         "a too-tight budget needs no injected fault; got:\n{}",

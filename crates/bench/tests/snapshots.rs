@@ -147,12 +147,12 @@ fn e9_metrics_are_deterministic() {
 }
 
 /// A fixed six-seed campaign that must pass; returns its coverage JSON.
-fn campaign_coverage<H: ChaosHarness>(
-    harness: impl Fn() -> H + Sync,
+fn campaign_coverage(
+    harness: &mut impl ChaosHarness,
     cfg: &base_simnet::chaos::ScheduleGenConfig,
     seeds: std::ops::Range<u64>,
 ) -> String {
-    let report = run_campaign(harness, CampaignMode::Mixed, cfg, seeds, 1);
+    let report = run_campaign(harness, CampaignMode::Mixed, cfg, seeds);
     assert_eq!(report.runs, 6);
     assert!(report.passed(), "fixed campaign must pass: {:?}", report.failures.first());
     report.coverage_json()
@@ -168,15 +168,17 @@ fn oodb() -> ServiceCampaign<OodbWorkload> {
 
 /// The heterogeneous NFS testbed, 4 generated fault events over 4 s.
 fn nfs_coverage() -> String {
-    let cfg = nfs().gen_config(4, SimDuration::from_secs(4));
-    campaign_coverage(nfs, &cfg, 6200..6206)
+    let mut h = nfs();
+    let cfg = h.gen_config(4, SimDuration::from_secs(4));
+    campaign_coverage(&mut h, &cfg, 6200..6206)
 }
 
 /// Four OODB replicas, 4 generated fault events over 6 s (the OODB
 /// workload paces slower than NFS).
 fn oodb_coverage() -> String {
-    let cfg = oodb().gen_config(4, SimDuration::from_secs(6));
-    campaign_coverage(oodb, &cfg, 200..206)
+    let mut h = oodb();
+    let cfg = h.gen_config(4, SimDuration::from_secs(6));
+    campaign_coverage(&mut h, &cfg, 200..206)
 }
 
 #[test]

@@ -334,7 +334,7 @@ impl ChaosHarness for ShardedChaosHarness {
                 } else {
                     singles += 1;
                     let reg = regs[singles % regs.len()];
-                    if singles % 3 == 0 {
+                    if singles.is_multiple_of(3) {
                         router.invoke(op_get(reg), true);
                         self.expected.insert((i, job), XKind::Get { reg });
                     } else {

@@ -114,8 +114,9 @@ impl Workload for KvWorkload {
 
 #[test]
 fn kv_campaign_passes_auditor() {
-    let cfg = kv().gen_config(5, SimDuration::from_secs(8));
-    let report = run_campaign(kv, CampaignMode::Mixed, &cfg, 100..120, 1);
+    let mut h = kv();
+    let cfg = h.gen_config(5, SimDuration::from_secs(8));
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 100..120);
     println!("{}", report.summary());
     if let Err(e) = report.write_artifacts(DEFAULT_ARTIFACT_DIR, "kv_mixed") {
         panic!("{e}");

@@ -32,8 +32,8 @@ fn mixed_harness() -> ShardedChaosHarness {
 
 #[test]
 fn sharded_campaign_composes_faults_and_passes_auditor() {
-    let harness = mixed_harness;
-    let cfg = harness().gen_config(6, SimDuration::from_secs(8));
+    let mut h = mixed_harness();
+    let cfg = h.gen_config(6, SimDuration::from_secs(8));
 
     // The generated schedules must collectively exercise the sharding
     // vocabulary: injected lock refusals alongside the generic faults,
@@ -72,7 +72,7 @@ fn sharded_campaign_composes_faults_and_passes_auditor() {
          (xbusy={xbusy} byz={byz} shard0={shard0} shard1={shard1})"
     );
 
-    let report = run_campaign(harness, CampaignMode::Mixed, &cfg, SEEDS, 1);
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, SEEDS);
     println!("{}", report.summary());
     if let Err(e) = report.write_artifacts(DEFAULT_ARTIFACT_DIR, "shard_mixed") {
         panic!("{e}");
@@ -121,10 +121,10 @@ fn mixed_seed_two_without_its_corruption_of_shard_one_reads_as_before() {
 /// converges.
 #[test]
 fn storm_on_shard_zero_leaves_shard_one_serving() {
-    let harness = || ShardedChaosHarness::new(4, 2);
-    let mut cfg = harness().gen_config(5, SimDuration::from_secs(8));
+    let mut h = ShardedChaosHarness::new(4, 2);
+    let mut cfg = h.gen_config(5, SimDuration::from_secs(8));
     cfg.nodes = (0..4).map(NodeId).collect();
-    let report = run_campaign(harness, CampaignMode::Storm, &cfg, 0..6u64, 1);
+    let report = run_campaign(&mut h, CampaignMode::Storm, &cfg, 0..6u64);
     println!("{}", report.summary());
     if let Err(e) = report.write_artifacts(DEFAULT_ARTIFACT_DIR, "shard_storm") {
         panic!("{e}");

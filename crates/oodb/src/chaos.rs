@@ -223,12 +223,12 @@ impl Workload for OodbWorkload {
     fn check_state(&self, sim: &mut Simulation, group: &Group, _: &[NodeId]) -> Result<(), String> {
         let converged: Vec<NodeId> =
             group.converged_clean(&group.members(sim))?.iter().map(|(node, _)| *node).collect();
-        let mut snapshots: Vec<(NodeId, u64, Vec<Option<Vec<u8>>>)> = Vec::new();
+        let mut snapshots = Vec::new();
         for &r in &converged {
             let wrapper =
                 sim.actor_as_mut::<Replica>(r).expect("replica").service_mut().wrapper_mut();
             let allocated = wrapper.allocated();
-            let objs = (0..u64::from(OBJS)).map(|i| wrapper.get_obj(i)).collect();
+            let objs: Vec<_> = (0..u64::from(OBJS)).map(|i| wrapper.get_obj(i)).collect();
             snapshots.push((r, allocated, objs));
         }
         let (first, allocated, reference) = &snapshots[0];

@@ -70,8 +70,9 @@ fn corrupted_heap_is_repaired_through_abstraction() {
 
 #[test]
 fn oodb_campaign_passes_audit_with_coverage() {
-    let cfg = oodb().gen_config(6, SimDuration::from_secs(8));
-    let report = run_campaign(oodb, CampaignMode::Mixed, &cfg, 200..214, 1);
+    let mut h = oodb();
+    let cfg = h.gen_config(6, SimDuration::from_secs(8));
+    let report = run_campaign(&mut h, CampaignMode::Mixed, &cfg, 200..214);
     println!("{}", report.summary());
     if let Err(e) = report.write_artifacts(DEFAULT_ARTIFACT_DIR, "oodb_mixed") {
         panic!("{e}");

@@ -45,7 +45,7 @@ thread_local! {
 /// that computes a not-yet-memoized digest while it is being encoded (a
 /// view change hashing its prepared batches, a batch hashing its requests)
 /// gets the next idle buffer, or a fresh one, never the bytes of its
-/// caller. The list is per thread; a campaign worker thread grows its own.
+/// caller. The list is per thread, so each test thread grows its own.
 /// The thread-local is visited once to pop and once to push.
 fn with_scratch<R>(f: impl FnOnce(&mut XdrEncoder) -> R) -> R {
     /// Runs `g` on the idle list, which no one else holds meanwhile.

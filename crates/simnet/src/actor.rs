@@ -1,7 +1,7 @@
 //! Actors and the per-event effect context.
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ProtocolEvent, Trace, TraceEvent};
+use crate::trace::{ProtocolEvent, TraceEvent};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::ops::Deref;
@@ -146,7 +146,7 @@ pub struct Context<'a> {
     pub(crate) charged: SimDuration,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) trace: Option<&'a mut Trace>,
+    pub(crate) trace: Option<&'a mut Vec<TraceEvent>>,
     pub(crate) sched_lag: SimDuration,
 }
 
@@ -227,8 +227,9 @@ impl<'a> Context<'a> {
         self.rng
     }
 
-    /// True when a [`Trace`] is installed. Lets callers skip building
-    /// expensive event payloads when tracing is off.
+    /// True when the simulation records a trace (see
+    /// [`Simulation::record_trace`](crate::Simulation::record_trace)). Lets
+    /// callers skip building expensive event payloads when tracing is off.
     pub fn trace_enabled(&self) -> bool {
         self.trace.is_some()
     }
@@ -244,10 +245,10 @@ impl<'a> Context<'a> {
 
     /// Emits a protocol event, stamped with the current virtual time and
     /// this node's id, into the simulation's trace. A no-op (one untaken
-    /// branch) when no trace is installed.
+    /// branch) when no trace is being recorded.
     pub fn emit(&mut self, view: u64, seq: u64, event: ProtocolEvent) {
         if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent { at: self.now, node: self.self_id, view, seq, event });
+            trace.push(TraceEvent { at: self.now, node: self.self_id, view, seq, event });
         }
     }
 }

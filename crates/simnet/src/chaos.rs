@@ -21,7 +21,7 @@
 
 use crate::faults::NetFault;
 use crate::span::{export_perfetto, Timeline};
-use crate::trace::{export_jsonl, EventKind, Trace, TraceEvent};
+use crate::trace::{export_jsonl, EventKind, TraceEvent};
 use crate::{NetStats, NodeId, SimDuration, SimTime, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +31,6 @@ use std::fmt::Write as _;
 // `u64::add` is the `add` merge rule of `coverage_counters!`.
 use std::ops::Add;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// One scheduled fault event.
 #[derive(Debug, Clone, PartialEq)]
@@ -477,10 +476,6 @@ coverage_counters! {
         /// Latency-budget violations charged by [`audit_latency_budget`]
         /// (zero when the harness sets no budget).
         latency_budget_violations: add,
-        /// Events evicted from the run's trace ring buffer. Non-zero means
-        /// coverage counters (and span reconstruction) undercount —
-        /// campaigns gate on this staying zero.
-        trace_events_dropped: add,
     }
 }
 
@@ -488,8 +483,8 @@ impl Coverage {
     /// What `timeline` exercised. The plain counts are raw event counts.
     /// A completed recovery overlaps a partition when its
     /// `[started, completed]` span intersects a partition window of
-    /// `schedule`. The auditor and trace-ring counters start at zero;
-    /// [`run_one`] fills them in.
+    /// `schedule`. The auditor counters start at zero; [`run_one`] fills
+    /// them in.
     pub fn of(timeline: &Timeline, schedule: &FaultSchedule) -> Coverage {
         let partitions: Vec<(SimTime, SimTime)> = schedule
             .events
@@ -548,20 +543,15 @@ pub struct RunOutcome {
     pub trace: Vec<String>,
     /// Final network statistics of the run.
     pub stats: NetStats,
-    /// Protocol events recorded during the run (ring-buffered).
+    /// Every protocol event recorded during the run, oldest first.
     pub events: Vec<TraceEvent>,
     /// Coverage counters derived from `events` (see [`Coverage::of`]).
     pub coverage: Coverage,
 }
 
-/// Capacity of the per-run trace ring buffer. Generous for campaign-sized
-/// runs; long runs keep the most recent window, which is what failure
-/// reports and coverage care about.
-const RUN_TRACE_CAP: usize = 1 << 16;
-
 /// Executes one schedule against a fresh simulation built by the harness,
-/// recording protocol events into a [`Trace::ring`], reading them once as a
-/// [`Timeline`] and deriving the run's verdicts and [`Coverage`] from it.
+/// recording every protocol event, reading them once as a [`Timeline`] and
+/// deriving the run's verdicts and [`Coverage`] from it.
 ///
 /// Network faults are added up front as [`Simulation::add_fault`] windows
 /// (so they activate and heal purely by sim time); crash and app events are
@@ -573,7 +563,7 @@ pub fn run_one<H: ChaosHarness>(
     schedule: &FaultSchedule,
 ) -> (RunOutcome, Result<(), String>) {
     let mut sim = harness.build(seed);
-    sim.record_trace(Trace::ring(RUN_TRACE_CAP));
+    sim.record_trace();
     let mut trace = Vec::new();
 
     for ev in &schedule.events {
@@ -599,8 +589,7 @@ pub fn run_one<H: ChaosHarness>(
     // Engine-level liveness bounds are audited first: a system that stalls
     // after its faults heal is reported as a liveness failure even when the
     // harness's own (safety-oriented) audit would also object.
-    let recorded = sim.trace().expect("installed above");
-    let (events, trace_events_dropped) = (recorded.events(), recorded.dropped());
+    let events = sim.trace().expect("recording since the build").to_vec();
     let timeline = Timeline::of(&events);
     let violations = match harness.liveness_bound() {
         Some(bound) => audit_liveness(&timeline, schedule, bound, run_end),
@@ -623,7 +612,6 @@ pub fn run_one<H: ChaosHarness>(
     let mut coverage = Coverage::of(&timeline, schedule);
     coverage.liveness_violations = violations.len() as u64;
     coverage.latency_budget_violations = budget_violations.len() as u64;
-    coverage.trace_events_dropped = trace_events_dropped;
     trace.push(format!("coverage: {coverage}"));
     (RunOutcome { trace, stats: sim.stats().clone(), events, coverage }, verdict)
 }
@@ -952,13 +940,6 @@ impl CampaignReport {
         self.failures.is_empty()
     }
 
-    fn absorb(&mut self, seed: u64, schedule_len: usize, coverage: Coverage) {
-        self.runs += 1;
-        self.events_executed += schedule_len;
-        self.coverage.merge(&coverage);
-        self.seed_coverage.push((seed, coverage));
-    }
-
     /// Runs whose coverage satisfies `exercised`, e.g. the runs that
     /// forced a view change.
     pub fn runs_with(&self, exercised: impl Fn(&Coverage) -> bool) -> usize {
@@ -1052,8 +1033,6 @@ impl CampaignReport {
     ///   rate says;
     /// - a liveness violation: a passing campaign with one means auditor
     ///   verdicts are dropped;
-    /// - a dropped trace event: evictions undercount coverage and truncate
-    ///   span graphs;
     /// - a submitted client op that never completed, or none completed.
     pub fn write_artifacts(&self, dir: impl AsRef<Path>, name: &str) -> Result<(), String> {
         let dir = dir.as_ref();
@@ -1094,9 +1073,6 @@ impl CampaignReport {
         if c.liveness_violations > 0 {
             return fail("liveness_violations", format!("is {}", c.liveness_violations));
         }
-        if c.trace_events_dropped > 0 {
-            return fail("trace_events_dropped", format!("is {}", c.trace_events_dropped));
-        }
         if c.client_ops_completed == 0 || c.client_ops_completed != c.client_ops_submitted {
             return fail(
                 "client_ops_completed",
@@ -1122,99 +1098,54 @@ pub enum CampaignMode {
     Storm,
 }
 
-fn schedule_for(mode: CampaignMode, cfg: &ScheduleGenConfig, seed: u64) -> FaultSchedule {
-    match mode {
-        CampaignMode::Mixed => generate_schedule(cfg, seed),
-        CampaignMode::Storm => generate_storm_schedule(cfg, seed),
-    }
-}
-
 /// Events of context shown on each side of a campaign failure's trace
 /// divergence, per replica.
 const DIVERGENCE_WINDOW: usize = 3;
 
-/// Runs one seed end to end: schedule generation, the audited run, and on
-/// failure ddmin minimization plus full-vs-minimal trace divergence. The
-/// known-failing run seeds the minimizer's cache, so neither the full nor
-/// the final minimal schedule is ever executed redundantly.
-fn run_seed<H: ChaosHarness>(
+/// Drives one audited, seeded run per seed in `seeds`, in order, on
+/// `harness`, deriving each run's schedule from the seed by `mode`. A
+/// failing run is minimized with
+/// [`ddmin_from_failure`](crate::ddmin::ddmin_from_failure), seeded with
+/// the known failure so neither the full nor the final minimal schedule is
+/// ever executed twice, and reported with its full-vs-minimal trace
+/// divergence.
+pub fn run_campaign<H: ChaosHarness>(
     harness: &mut H,
     mode: CampaignMode,
     cfg: &ScheduleGenConfig,
-    seed: u64,
-) -> (usize, Coverage, Option<FailureReport>) {
-    let schedule = schedule_for(mode, cfg, seed);
-    let (outcome, verdict) = run_one(harness, seed, &schedule);
-    let failure = verdict.err().map(|reason| {
-        let dd = crate::ddmin::ddmin_from_failure(harness, seed, &schedule, Some(&outcome));
-        let divergence = crate::tracediff::divergence_report(
-            &outcome.events,
-            &dd.outcome.events,
-            DIVERGENCE_WINDOW,
-            "full",
-            "minimal",
-        );
-        FailureReport {
-            seed,
-            reason,
-            schedule: schedule.clone(),
-            minimal: dd.schedule,
-            minimal_trace: dd.outcome.trace,
-            minimal_events: dd.outcome.events,
-            divergence,
-            ddmin_metrics: dd.metrics,
-        }
-    });
-    (schedule.len(), outcome.coverage, failure)
-}
-
-/// Drives one audited, seeded run per seed in `seeds`, deriving each run's
-/// schedule from the seed by `mode`, and minimizes every failing schedule.
-///
-/// Runs on a pool of `workers` std threads, each with its own harness (from
-/// `factory`) and therefore its own `Simulation` per run. Seeds are claimed
-/// from a shared queue; results land in per-seed slots and are folded **in
-/// seed order**, so the report — coverage, seed table, failures — is
-/// byte-identical no matter how many workers execute it.
-pub fn run_campaign<H, F>(
-    factory: F,
-    mode: CampaignMode,
-    cfg: &ScheduleGenConfig,
     seeds: impl IntoIterator<Item = u64>,
-    workers: usize,
-) -> CampaignReport
-where
-    H: ChaosHarness,
-    F: Fn() -> H + Sync,
-{
-    let seeds: Vec<u64> = seeds.into_iter().collect();
-    let workers = workers.max(1).min(seeds.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<(usize, Coverage, Option<FailureReport>)>>> =
-        Mutex::new(vec![None; seeds.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut harness = factory();
-                loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= seeds.len() {
-                        break;
-                    }
-                    let result = run_seed(&mut harness, mode, cfg, seeds[idx]);
-                    slots.lock().expect("campaign worker panicked")[idx] = Some(result);
-                }
+) -> CampaignReport {
+    let mut report = CampaignReport::default();
+    for seed in seeds {
+        let schedule = match mode {
+            CampaignMode::Mixed => generate_schedule(cfg, seed),
+            CampaignMode::Storm => generate_storm_schedule(cfg, seed),
+        };
+        let (outcome, verdict) = run_one(harness, seed, &schedule);
+        report.runs += 1;
+        report.events_executed += schedule.len();
+        report.coverage.merge(&outcome.coverage);
+        report.seed_coverage.push((seed, outcome.coverage));
+        if let Err(reason) = verdict {
+            let dd = crate::ddmin::ddmin_from_failure(harness, seed, &schedule, Some(&outcome));
+            let divergence = crate::tracediff::divergence_report(
+                &outcome.events,
+                &dd.outcome.events,
+                DIVERGENCE_WINDOW,
+                "full",
+                "minimal",
+            );
+            report.failures.push(FailureReport {
+                seed,
+                reason,
+                schedule,
+                minimal: dd.schedule,
+                minimal_trace: dd.outcome.trace,
+                minimal_events: dd.outcome.events,
+                divergence,
+                ddmin_metrics: dd.metrics,
             });
         }
-    });
-
-    let mut report = CampaignReport::default();
-    let results = slots.into_inner().expect("campaign worker panicked");
-    for (idx, slot) in results.into_iter().enumerate() {
-        let (len, coverage, failure) = slot.expect("every seed ran");
-        report.absorb(seeds[idx], len, coverage);
-        report.failures.extend(failure);
     }
     report
 }
@@ -1222,87 +1153,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ddmin::CrashThreshold;
-    use crate::{Actor, Context};
-
-    /// Toy system: every node pings every other node each 10ms; pongs are
-    /// counted. The audit requires each node to have seen pongs from every
-    /// peer after the run settles (liveness through healed faults).
-    struct Pinger {
-        id: NodeId,
-        peers: Vec<NodeId>,
-        pongs: Vec<u64>,
-    }
-
-    impl Actor for Pinger {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(SimDuration::from_millis(10), 1);
-        }
-
-        fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
-            match payload {
-                b"ping" => ctx.send(from, b"pong".to_vec()),
-                b"pong" => self.pongs[from.0 as usize] += 1,
-                _ => {}
-            }
-        }
-
-        fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
-            for &p in &self.peers {
-                if p != self.id {
-                    ctx.send(p, b"ping".to_vec());
-                }
-            }
-            ctx.set_timer(SimDuration::from_millis(10), 1);
-        }
-    }
-
-    struct PingHarness {
-        n: usize,
-    }
-
-    impl ChaosHarness for PingHarness {
-        fn build(&mut self, seed: u64) -> Simulation {
-            let mut sim = Simulation::new(seed);
-            let peers: Vec<NodeId> = (0..self.n).map(NodeId).collect();
-            for id in &peers {
-                sim.add_node(Box::new(Pinger {
-                    id: *id,
-                    peers: peers.clone(),
-                    pongs: vec![0; self.n as usize],
-                }));
-            }
-            sim
-        }
-
-        fn apply_app(
-            &mut self,
-            _sim: &mut Simulation,
-            node: NodeId,
-            tag: u32,
-            arg: u64,
-            trace: &mut Vec<String>,
-        ) {
-            trace.push(format!("applied tag={} arg={} at {}", tag, arg, node.0));
-        }
-
-        fn settle(&self) -> SimDuration {
-            SimDuration::from_secs(2)
-        }
-
-        fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-            for id in 0..self.n {
-                let p = sim.actor_as::<Pinger>(NodeId(id)).expect("pinger");
-                for (peer, &count) in p.pongs.iter().enumerate() {
-                    if peer != id && count == 0 {
-                        return Err(format!("node {id} never heard from {peer}"));
-                    }
-                }
-            }
-            trace.push("audit ok".into());
-            Ok(())
-        }
-    }
+    use crate::ddmin::{CrashThreshold, PingHarness, Pinger};
 
     fn gen_cfg() -> ScheduleGenConfig {
         ScheduleGenConfig {
@@ -1314,28 +1165,34 @@ mod tests {
         }
     }
 
-    fn ping_campaign(seeds: std::ops::Range<u64>, workers: usize) -> CampaignReport {
-        run_campaign(|| PingHarness { n: 4 }, CampaignMode::Mixed, &gen_cfg(), seeds, workers)
+    fn ping_campaign(seeds: std::ops::Range<u64>) -> CampaignReport {
+        run_campaign(&mut PingHarness { n: 4 }, CampaignMode::Mixed, &gen_cfg(), seeds)
     }
 
     #[test]
     fn healed_faults_preserve_liveness() {
-        let report = ping_campaign(0..10, 1);
+        let report = ping_campaign(0..10);
         assert_eq!(report.runs, 10);
         assert!(report.events_executed > 0, "campaign generated no events");
-        for f in &report.failures {
-            panic!("unexpected failure:\n{f}");
-        }
+        assert!(report.passed(), "unexpected failure:\n{}", report.failures[0]);
     }
 
+    /// A run's trace keeps every event, however long the run: one event
+    /// per pong, 1 200 a second over a minute.
     #[test]
-    fn same_seed_same_trace_and_stats() {
-        let mut h = PingHarness { n: 4 };
-        let schedule = generate_schedule(&gen_cfg(), 42);
-        let (a, va) = run_one(&mut h, 42, &schedule);
-        let (b, vb) = run_one(&mut h, 42, &schedule);
-        assert_eq!(a, b);
-        assert_eq!(va, vb);
+    fn a_long_run_returns_every_event() {
+        let mut schedule = FaultSchedule::new();
+        schedule.app(SimTime::from_secs(60), NodeId(0), 7, 0);
+        let (outcome, verdict) = run_one(&mut PingHarness { n: 4 }, 3, &schedule);
+        assert_eq!(verdict, Ok(()));
+        let pongs: u64 = outcome
+            .trace
+            .iter()
+            .filter_map(|line| line.split_once(" pongs="))
+            .map(|(_, n)| n.parse::<u64>().expect("a pong count"))
+            .sum();
+        assert!(pongs > 1 << 16, "only {pongs} pongs");
+        assert_eq!(outcome.events.len() as u64, pongs);
     }
 
     /// A partition of two nodes cuts them off from the rest, not from each
@@ -1384,13 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_deterministic() {
-        let cfg = gen_cfg();
-        assert_eq!(generate_schedule(&cfg, 5), generate_schedule(&cfg, 5));
-        assert_ne!(generate_schedule(&cfg, 5), generate_schedule(&cfg, 6));
-    }
-
-    #[test]
     fn storm_schedules_chase_the_primary_rotation() {
         let cfg = gen_cfg();
         let storm = generate_storm_schedule(&cfg, 3);
@@ -1421,24 +1271,6 @@ mod tests {
         }
     }
 
-    /// One worker runs the seeds in order on one harness, as a sequential
-    /// loop would; any other worker count must report the same bytes.
-    #[test]
-    fn parallel_campaign_matches_sequential() {
-        let seq = ping_campaign(0..8, 1);
-        assert!(seq.passed());
-        for workers in [3, 8] {
-            let par = ping_campaign(0..8, workers);
-            assert_eq!(par.runs, seq.runs);
-            assert_eq!(par.events_executed, seq.events_executed);
-            assert_eq!(par.seed_coverage, seq.seed_coverage);
-            assert_eq!(par.coverage, seq.coverage);
-            assert_eq!(par.coverage_json(), seq.coverage_json());
-            assert_eq!(par.summary(), seq.summary());
-            assert!(par.passed());
-        }
-    }
-
     /// A scratch artifact directory for one test, emptied first.
     fn artifact_dir(test: &str) -> PathBuf {
         let dir = Path::new(DEFAULT_ARTIFACT_DIR).join("test-artifacts").join(test);
@@ -1461,7 +1293,6 @@ mod tests {
         for (field, bad) in [
             ("view_changes_started", Coverage { view_changes_started: 0, ..good }),
             ("liveness_violations", Coverage { liveness_violations: 1, ..good }),
-            ("trace_events_dropped", Coverage { trace_events_dropped: 1, ..good }),
             ("client_ops_completed", Coverage { client_ops_completed: 4, ..good }),
         ] {
             let err = report(bad).write_artifacts(&dir, name).expect_err(field);
@@ -1476,8 +1307,8 @@ mod tests {
     fn write_artifacts_ships_each_failures_repro() {
         let dir = artifact_dir("write_artifacts");
         // Seed 0's schedule crashes a node; seeds 1 and 2 crash none.
-        let crash_intolerant = || CrashThreshold { inner: PingHarness { n: 4 }, threshold: 1 };
-        let report = run_campaign(crash_intolerant, CampaignMode::Mixed, &gen_cfg(), 0..3, 1);
+        let mut crash_intolerant = CrashThreshold { inner: PingHarness { n: 4 }, threshold: 1 };
+        let report = run_campaign(&mut crash_intolerant, CampaignMode::Mixed, &gen_cfg(), 0..3);
         let seeds: Vec<u64> = report.failures.iter().map(|f| f.seed).collect();
         assert_eq!(seeds, [0], "the planted failure");
 
@@ -1492,7 +1323,7 @@ mod tests {
         let want = ["divergence.txt", "minimal.jsonl", "minimal.perfetto.json", "schedule.txt"];
         assert_eq!(files, want.map(|suffix| format!("seed0.{suffix}")));
 
-        let passing = ping_campaign(0..1, 1);
+        let passing = ping_campaign(0..1);
         // The pingers force no view change, so the conditions still fail.
         let err = passing.write_artifacts(&dir, "quiet").expect_err("no view change");
         assert!(err.contains("view_changes_started"), "{err}");
@@ -1506,39 +1337,6 @@ mod tests {
         assert!(err.contains("cannot write campaign artifact"), "{err}");
         assert!(err.contains("campaign failure:"), "the seed's report: {err}");
         std::fs::remove_dir_all(dir).expect("the writer made its directory");
-    }
-
-    #[test]
-    fn budget_never_exceeded() {
-        let cfg = ScheduleGenConfig { events: 40, ..gen_cfg() };
-        for seed in 0..50 {
-            let schedule = generate_schedule(&cfg, seed);
-            // Rebuild the impairment set and re-check pairwise overlap.
-            let mut intervals: Vec<(NodeId, SimTime, SimTime)> = Vec::new();
-            for ev in &schedule.events {
-                match &ev.event {
-                    ChaosEvent::Crash { node, down } => {
-                        intervals.push((*node, ev.at, ev.at + *down));
-                    }
-                    ChaosEvent::Net { fault: NetFault::Partition { nodes }, dur } => {
-                        for n in nodes {
-                            intervals.push((*n, ev.at, ev.at + *dur));
-                        }
-                    }
-                    ChaosEvent::Net { fault: NetFault::Corrupt { from, .. }, dur } => {
-                        intervals.push((*from, ev.at, ev.at + *dur));
-                    }
-                    _ => {}
-                }
-            }
-            for (i, a) in intervals.iter().enumerate() {
-                for b in intervals.iter().skip(i + 1) {
-                    if a.0 != b.0 && a.1 < b.2 && b.1 < a.2 {
-                        panic!("seed {seed}: two distinct nodes impaired at once");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -479,6 +479,105 @@ impl ChaosHarness for IdleGroup {
     }
 }
 
+/// Every node of a [`PingHarness`] pings every other node each 10 ms and
+/// counts the pongs it hears, per peer, with one
+/// [`RequestExecuted`](crate::ProtocolEvent::RequestExecuted) event per
+/// pong. A muted node ignores everything it receives.
+#[derive(Debug)]
+pub struct Pinger {
+    id: crate::NodeId,
+    muted: bool,
+    /// Pongs heard, indexed by the peer that sent them.
+    pub pongs: Vec<u64>,
+}
+
+impl crate::Actor for Pinger {
+    fn on_start(&mut self, ctx: &mut crate::Context<'_>) {
+        ctx.set_timer(SimDuration::from_millis(10), 1);
+    }
+
+    fn on_message(&mut self, from: crate::NodeId, payload: &[u8], ctx: &mut crate::Context<'_>) {
+        if self.muted {
+            return;
+        }
+        match payload {
+            b"ping" => ctx.send(from, b"pong".to_vec()),
+            b"pong" => {
+                self.pongs[from.0] += 1;
+                let heard = self.pongs.iter().sum();
+                ctx.emit(0, heard, crate::ProtocolEvent::RequestExecuted { batch: 1 });
+            }
+            _ => {}
+        }
+    }
+
+    fn on_timer(&mut self, _token: u64, ctx: &mut crate::Context<'_>) {
+        for peer in (0..self.pongs.len()).map(crate::NodeId) {
+            if peer != self.id {
+                ctx.send(peer, b"ping".to_vec());
+            }
+        }
+        ctx.set_timer(SimDuration::from_millis(10), 1);
+    }
+}
+
+/// `n` [`Pinger`]s: the live toy system of the engine's own tests. App
+/// tag 1 mutes a node and tag 2 unmutes it; the audit writes one
+/// `node <i> pongs=<total>` line per node and fails unless every node
+/// heard from every peer, one second after the last fault.
+#[derive(Debug)]
+pub struct PingHarness {
+    /// Number of pingers.
+    pub n: usize,
+}
+
+impl ChaosHarness for PingHarness {
+    fn build(&mut self, seed: u64) -> Simulation {
+        let mut sim = Simulation::new(seed);
+        for i in 0..self.n {
+            let pinger = Pinger { id: crate::NodeId(i), muted: false, pongs: vec![0; self.n] };
+            sim.add_node(Box::new(pinger));
+        }
+        sim
+    }
+
+    fn apply_app(
+        &mut self,
+        sim: &mut Simulation,
+        node: crate::NodeId,
+        tag: u32,
+        arg: u64,
+        trace: &mut Vec<String>,
+    ) {
+        if let Some(p) = sim.actor_as_mut::<Pinger>(node) {
+            p.muted = match tag {
+                1 => true,
+                2 => false,
+                _ => p.muted,
+            };
+            trace.push(format!("node {} tag={tag} arg={arg} muted={}", node.0, p.muted));
+        }
+    }
+
+    fn settle(&self) -> SimDuration {
+        SimDuration::from_secs(1)
+    }
+
+    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
+        let mut deaf = None;
+        for id in 0..self.n {
+            let p = sim.actor_as::<Pinger>(crate::NodeId(id)).expect("a pinger");
+            trace.push(format!("node {id} pongs={}", p.pongs.iter().sum::<u64>()));
+            let unheard = (0..self.n).find(|&peer| peer != id && p.pongs[peer] == 0);
+            deaf = deaf.or(unheard.map(|peer| (id, peer)));
+        }
+        match deaf {
+            Some((id, peer)) => Err(format!("node {id} never heard from {peer}")),
+            None => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -83,4 +83,4 @@ pub use sim::Simulation;
 pub use span::{export_perfetto, render_spans, PhaseBreakdown, Timeline, PHASES};
 pub use stats::{NetStats, PerNode};
 pub use time::{SimDuration, SimTime};
-pub use trace::{ProtocolEvent, Trace, TraceEvent};
+pub use trace::{ProtocolEvent, TraceEvent};

@@ -6,7 +6,7 @@
 //! array/BTree operations on simulated quantities, cheap enough to stay on
 //! all the time — while campaign and bench code aggregates registries with
 //! [`MetricsRegistry::merge`], which is order-insensitive and therefore
-//! deterministic regardless of how many workers produced the parts.
+//! deterministic whatever order the parts are merged in.
 
 use crate::time::SimDuration;
 use std::collections::BTreeMap;

@@ -6,7 +6,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::faults::{self, FilterAction, NetFault};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
+use crate::trace::TraceEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -36,7 +36,7 @@ pub struct Simulation {
     /// Network faults with the window `[from, until)` each is in force
     /// for, in the order they were added.
     faults: Vec<faults::Window>,
-    trace: Option<Trace>,
+    trace: Option<Vec<TraceEvent>>,
     started: bool,
     next_timer_id: u64,
     seed: u64,
@@ -117,15 +117,17 @@ impl Simulation {
         faults::in_force(&self.faults, t)
     }
 
-    /// Records protocol events emitted through [`Context::emit`] into
-    /// `trace` from now on. Without one, every emission is a no-op branch.
-    pub fn record_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
+    /// Records every protocol event emitted through [`Context::emit`]
+    /// from now on, into a new, empty trace. Until then every emission is
+    /// a no-op branch.
+    pub fn record_trace(&mut self) {
+        self.trace = Some(Vec::new());
     }
 
-    /// The trace being recorded, if one is installed.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+    /// The events recorded since [`record_trace`](Self::record_trace),
+    /// oldest first, or `None` when nothing is being recorded.
+    pub fn trace(&self) -> Option<&[TraceEvent]> {
+        self.trace.as_deref()
     }
 
     /// Downcasts the actor at `id` to a concrete type.
@@ -576,10 +578,10 @@ mod tests {
         let node = sim.add_node(Box::<Emitter>::default());
         sim.run_until(SimTime::from_millis(3));
         assert!(sim.trace().is_none());
-        // The same emissions are recorded once a trace is installed.
-        sim.record_trace(Trace::unbounded());
+        // The same emissions are recorded once recording starts.
+        sim.record_trace();
         sim.run_until(SimTime::from_millis(5));
-        let events = sim.trace().expect("installed").events();
+        let events = sim.trace().expect("recording");
         assert_eq!(events.iter().map(|e| e.at.as_millis()).collect::<Vec<_>>(), [4, 5]);
         assert!(events.iter().all(|e| e.node == node));
         let enabled = &sim.actor_as::<Emitter>(node).unwrap().enabled;

@@ -39,7 +39,7 @@
 //!
 //! Instants are then clamped into a monotone chain inside
 //! `[submitted, completed]`. A phase whose event is missing (read-only
-//! ops, ring-buffer eviction, faults) collapses to a zero-length segment
+//! ops, a trace started mid-run, faults) collapses to a zero-length segment
 //! and its time is absorbed by the neighboring segment — the six segments
 //! always telescope to exactly `completed - submitted`.
 
@@ -264,8 +264,7 @@ impl Timeline {
             let proposal = raw
                 .proposals
                 .iter()
-                .filter(|(at, ..)| *at <= horizon)
-                .next_back()
+                .rfind(|(at, ..)| *at <= horizon)
                 .or_else(|| raw.proposals.first());
             if let Some(&(p_at, view, seq, queue_ns)) = proposal {
                 span.view = view;
@@ -564,8 +563,8 @@ mod tests {
 
     #[test]
     fn missing_phase_events_collapse_to_zero_segments() {
-        // Only submit → proposed → complete survives (ring eviction, or a
-        // read-only op): the sum invariant must still hold.
+        // Only submit → proposed → complete survives (a trace started
+        // mid-run, or a read-only op): the sum invariant must still hold.
         let t = vec![
             ev(100, 4, 0, 7, ProtocolEvent::ClientOpSubmitted),
             ev(

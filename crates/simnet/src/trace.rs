@@ -3,11 +3,13 @@
 //! Protocol layers (the PBFT replica, the state-transfer fetcher, clients)
 //! emit [`ProtocolEvent`]s through [`Context::emit`](crate::Context::emit);
 //! the simulation stamps each one with the virtual time and the emitting
-//! node and records it in the installed [`Trace`].
+//! node and, once [`Simulation::record_trace`](crate::Simulation::record_trace)
+//! has been called, appends it to the run's trace: every event, oldest
+//! first.
 //!
-//! By default no trace is installed and every `emit` is one untaken branch
+//! By default nothing is recorded and every `emit` is one untaken branch
 //! — protocol code pays nothing when tracing is off. Chaos campaigns
-//! install a [`Trace::ring`] and derive coverage counters from the recorded
+//! record every run and derive coverage counters from the recorded
 //! stream, read once as a [`Timeline`](crate::span::Timeline); determinism
 //! tests export the stream as JSON Lines with [`export_jsonl`] and compare
 //! runs byte for byte (same seed, same schedule ⇒ identical trace).
@@ -19,7 +21,6 @@
 
 use crate::actor::NodeId;
 use crate::time::SimTime;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
@@ -230,55 +231,6 @@ impl TraceEvent {
     }
 }
 
-/// A recorded protocol trace: the events emitted while it was installed
-/// (see [`Simulation::record_trace`](crate::Simulation::record_trace)),
-/// oldest first — all of them, or the most recent `cap` of a ring.
-///
-/// Deterministic (no wall clocks, no global state): the recorded stream is
-/// part of the reproducible run output.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    events: VecDeque<TraceEvent>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl Trace {
-    /// A trace keeping at most `cap` events; older events are evicted and
-    /// counted in [`dropped`](Self::dropped).
-    pub fn ring(cap: usize) -> Self {
-        assert!(cap > 0, "ring buffer capacity must be positive");
-        Self { events: VecDeque::with_capacity(cap.min(4096)), cap, dropped: 0 }
-    }
-
-    /// A trace keeping every event (JSONL export, span tables, proptests).
-    pub fn unbounded() -> Self {
-        Self { events: VecDeque::new(), cap: usize::MAX, dropped: 0 }
-    }
-
-    /// Records one stamped event.
-    pub fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.iter().copied().collect()
-    }
-
-    /// Events evicted because the ring was full. Non-zero means
-    /// [`events`](Self::events) is a suffix of the real stream and span
-    /// reconstruction over it may be incomplete; campaigns surface this in
-    /// coverage.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 /// Serializes a trace as JSON Lines: one event per line, trailing newline
 /// after every line. Byte-identical for identical traces.
 pub fn export_jsonl(events: &[TraceEvent]) -> String {
@@ -296,19 +248,6 @@ mod tests {
 
     fn ev(at_ms: u64, node: usize, event: ProtocolEvent) -> TraceEvent {
         TraceEvent { at: SimTime::from_millis(at_ms), node: NodeId(node), view: 1, seq: 2, event }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_most_recent() {
-        let mut s = Trace::ring(2);
-        s.record(ev(1, 0, ProtocolEvent::ViewChangeStarted));
-        s.record(ev(2, 0, ProtocolEvent::ViewChangeCompleted));
-        s.record(ev(3, 0, ProtocolEvent::CheckpointStable));
-        let snap = s.events();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(s.dropped(), 1);
-        assert_eq!(snap[0].event, ProtocolEvent::ViewChangeCompleted);
-        assert_eq!(snap[1].event, ProtocolEvent::CheckpointStable);
     }
 
     #[test]

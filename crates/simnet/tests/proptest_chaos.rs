@@ -7,94 +7,10 @@ use base_simnet::chaos::{
     generate_schedule, generate_storm_schedule, minimize, run_one, AppFaultSpec, ChaosEvent,
     ChaosHarness, FaultSchedule, HealSpec, ScheduleGenConfig,
 };
-use base_simnet::ddmin::{ddmin, schedule_digest, CrashThreshold};
+use base_simnet::ddmin::{ddmin, schedule_digest, CrashThreshold, PingHarness};
 use base_simnet::trace::export_jsonl;
-use base_simnet::{
-    Actor, Context, NetFault, NodeId, ProtocolEvent, SimDuration, SimTime, Simulation,
-};
+use base_simnet::{NetFault, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
-
-/// Toy system-under-test: every node pings all peers each 10ms and counts
-/// pongs; app faults mute a node (tag 1) and unmute it (tag 2).
-struct Pinger {
-    id: NodeId,
-    n: usize,
-    muted: bool,
-    pongs: u64,
-}
-
-impl Actor for Pinger {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(SimDuration::from_millis(10), 1);
-    }
-
-    fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
-        if self.muted {
-            return;
-        }
-        match payload {
-            b"ping" => ctx.send(from, b"pong".to_vec()),
-            b"pong" => {
-                self.pongs += 1;
-                // Stress the trace layer: one structured event per pong.
-                ctx.emit(0, self.pongs, ProtocolEvent::RequestExecuted { batch: 1 });
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
-        for i in 0..self.n {
-            if NodeId(i) != self.id {
-                ctx.send(NodeId(i), b"ping".to_vec());
-            }
-        }
-        ctx.set_timer(SimDuration::from_millis(10), 1);
-    }
-}
-
-struct PingHarness {
-    n: usize,
-}
-
-impl ChaosHarness for PingHarness {
-    fn build(&mut self, seed: u64) -> Simulation {
-        let mut sim = Simulation::new(seed);
-        for i in 0..self.n {
-            sim.add_node(Box::new(Pinger { id: NodeId(i), n: self.n, muted: false, pongs: 0 }));
-        }
-        sim
-    }
-
-    fn apply_app(
-        &mut self,
-        sim: &mut Simulation,
-        node: NodeId,
-        tag: u32,
-        _arg: u64,
-        trace: &mut Vec<String>,
-    ) {
-        if let Some(p) = sim.actor_as_mut::<Pinger>(node) {
-            p.muted = tag == 1;
-            trace.push(format!("node {} muted={}", node.0, p.muted));
-        }
-    }
-
-    fn settle(&self) -> SimDuration {
-        SimDuration::from_secs(1)
-    }
-
-    fn audit(&mut self, sim: &mut Simulation, trace: &mut Vec<String>) -> Result<(), String> {
-        for i in 0..self.n {
-            let p = sim.actor_as::<Pinger>(NodeId(i)).expect("pinger");
-            trace.push(format!("node {i} pongs={}", p.pongs));
-            if p.pongs == 0 {
-                return Err(format!("node {i} heard nothing"));
-            }
-        }
-        Ok(())
-    }
-}
 
 fn gen_cfg(n: usize, events: usize, horizon_ms: u64, max_impaired: usize) -> ScheduleGenConfig {
     ScheduleGenConfig {
@@ -194,7 +110,8 @@ fn assert_budget(schedule: &FaultSchedule, max_impaired: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Schedule generation is a pure function of (config, seed).
+    /// Schedule generation is a pure function of (config, seed), and
+    /// another seed draws another schedule.
     #[test]
     fn generation_is_pure(
         seed: u64,
@@ -204,6 +121,11 @@ proptest! {
         let cfg = gen_cfg(4, events, horizon_ms, 1);
         let schedule = generate_schedule(&cfg, seed);
         prop_assert_eq!(&schedule, &generate_schedule(&cfg, seed));
+        // An empty schedule (every drawn event skipped) may recur under
+        // another seed.
+        if !schedule.is_empty() {
+            prop_assert_ne!(&schedule, &generate_schedule(&cfg, seed.wrapping_add(1)));
+        }
         prop_assert!(!schedule.events.iter().any(|e| is_hand_written_only(&e.event)));
     }
 

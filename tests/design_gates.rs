@@ -200,9 +200,9 @@ fn dense_message_path(t: &Tree) -> Vec<Hit> {
 /// name of the fragment ladder, the chunked leaves and their chunk fetch,
 /// the worker pool or the conflict partition is back, but for the
 /// `Service::set_exec_workers` and `Service::set_chunk_size` default
-/// no-ops that `benchmark/` still overrides; and `simnet::chaos`'s
-/// campaign runner is the only code in `crates/*/src` that starts a
-/// thread.
+/// no-ops that `benchmark/` still overrides; and no code in `crates/*/src`
+/// starts a thread: a campaign runs its seeds in order on the one harness
+/// it is lent (DESIGN.md §7.1).
 fn one_path(t: &Tree) -> Vec<Hit> {
     let mut hits = t.grep(
         anywhere,
@@ -216,8 +216,7 @@ fn one_path(t: &Tree) -> Vec<Hit> {
         !(h.path == "crates/pbft/src/service.rs"
             && (default("set_exec_workers") || default("set_chunk_size")))
     });
-    let threads = |p: &str| library(p) && p != "crates/simnet/src/chaos.rs";
-    hits.extend(t.grep(threads, Mode::Substring, "thread::"));
+    hits.extend(t.grep(library, Mode::Substring, "thread::"));
     hits
 }
 
@@ -449,7 +448,9 @@ fn one_decode_path(t: &Tree) -> Vec<Hit> {
 /// coverage read only the timeline, so `simnet/src/chaos.rs` names no
 /// protocol event variant. The three liveness knobs, their campaign
 /// constant, the auditor over raw events and the second coverage reading
-/// are gone.
+/// are gone. A run's trace keeps every event, so the ring that evicted
+/// them, its capacity and its eviction counter are gone too, and so is the
+/// lab's campaign worker count.
 fn one_event_reading(t: &Tree) -> Vec<Hit> {
     let mut hits = t.grep(
         under(&["crates/simnet/src/chaos.rs"]),
@@ -459,25 +460,31 @@ fn one_event_reading(t: &Tree) -> Vec<Hit> {
     hits.extend(t.grep(
         anywhere,
         Mode::Word,
-        "LivenessBounds|CAMPAIGN_BOUNDS|audit_liveness_bounds|from_trace",
+        "LivenessBounds|CAMPAIGN_BOUNDS|audit_liveness_bounds|from_trace|\
+         Trace::ring|RUN_TRACE_CAP|trace_events_dropped|CAMPAIGN_WORKERS",
     ));
     hits
 }
 
 /// One test double (DESIGN.md §7.1, §10.1): the crash-threshold harness
 /// is `simnet::ddmin::CrashThreshold`, the correct replica answering a
-/// fetch is `pbft::testing::RemoteCheckpoint`, and every campaign writes its
+/// fetch is `pbft::testing::RemoteCheckpoint`, the live toy system is
+/// `simnet::ddmin::{Pinger, PingHarness}`, and every campaign writes its
 /// coverage and repro through `CampaignReport::write_artifacts`. None of
-/// their deleted copies is back, and no file under `crates/` declares
-/// either double a second time (the tests that use them keep it declared
-/// once).
+/// their deleted copies is back, and no file under `crates/` declares a
+/// double a second time (the tests that use them keep it declared once).
 fn one_test_double(t: &Tree) -> Vec<Hit> {
     let mut hits = t.grep(
         anywhere,
         Mode::Word,
         "CrashCounting|CrashSensitive|serve_fetch|RemoteState|write_campaign_artifacts",
     );
-    for double in ["struct CrashThreshold", "struct RemoteCheckpoint"] {
+    for double in [
+        "struct CrashThreshold",
+        "struct RemoteCheckpoint",
+        "struct Pinger",
+        "struct PingHarness",
+    ] {
         let declared = t.grep(under(&["crates/"]), Mode::Word, double);
         if declared.len() > 1 {
             hits.extend(declared);
@@ -534,7 +541,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 34] = [
+    let plants: [(Gate, &str, &str); 38] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -544,6 +551,7 @@ fn every_gate_fires_on_its_plant() {
         (one_path, "crates/pbft/src/config.rs", "    pub chunk_size: usize,"),
         (one_path, "crates/pbft/src/service.rs", "        let _ = chunk_size;"),
         (one_path, "crates/core/src/lib.rs", "std::thread::spawn(|| ());"),
+        (one_path, "crates/simnet/src/chaos.rs", "std::thread::scope(|_| ());"),
         (one_fault_model, "src/lib.rs", "// drop_prob"),
         (one_fault_model, "crates/pbft/src/config.rs", "    pub view_change_timeout: SimDuration,"),
         (one_deployment, "scripts/tier1.sh", "# build_group"),
@@ -566,9 +574,12 @@ fn every_gate_fires_on_its_plant() {
         (one_decode_path, "crates/pbft/src/client.rs", "let msg = Message::from_wire(payload);"),
         (one_event_reading, "crates/simnet/src/chaos.rs", "ProtocolEvent::RecoveryStarted => {}"),
         (one_event_reading, "crates/pbft/src/chaos.rs", "pub const CAMPAIGN_BOUNDS: u8 = 0;"),
+        (one_event_reading, "crates/simnet/src/trace.rs", "Trace::ring(RUN_TRACE_CAP);"),
         (one_test_double, "crates/bench/src/lab.rs", "struct CrashCounting;"),
         (one_test_double, "crates/simnet/src/ddmin.rs", "struct CrashThreshold;"),
         (one_test_double, "crates/pbft/src/testing.rs", "pub struct RemoteCheckpoint;"),
+        (one_test_double, "crates/simnet/src/ddmin.rs", "struct Pinger;"),
+        (one_test_double, "crates/simnet/src/ddmin.rs", "struct PingHarness;"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
