@@ -19,12 +19,13 @@
 //! local clock. Replicas running differently-seeded `TinyKv` instances
 //! therefore produce identical abstract states.
 
-use crate::wrapper::{Footprint, ModifyLog, Wrapper};
+use crate::wrapper::{Footprint, ModifyLog, PreImage, PreImageEncoder, Wrapper};
 use base_pbft::ExecEnv;
-use base_xdr::{XdrDecoder, XdrEncoder};
+use base_xdr::XdrDecoder;
 use rand::Rng;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Number of abstract objects (hash slots) in the KV specification.
 pub const N_SLOTS: u64 = 64;
@@ -70,7 +71,9 @@ pub fn kv_footprint(op: &[u8]) -> Option<Footprint> {
 
 #[derive(Debug, Clone)]
 struct KvEntry {
-    value: Vec<u8>,
+    /// Immutable once stored: a pre-image may share it, so an update or a
+    /// corruption replaces the buffer rather than writing into it.
+    value: Arc<[u8]>,
     /// Concrete timestamp from the local clock — non-deterministic, never
     /// exposed through the abstract state.
     mtime_local_ns: u64,
@@ -91,7 +94,14 @@ pub struct TinyKv {
 impl TinyKv {
     /// Inserts or updates `key`. Internal id and timestamp are
     /// non-deterministic.
-    pub fn put(&mut self, key: &str, value: Vec<u8>, clock_ns: u64, rng: &mut rand::rngs::StdRng) {
+    pub fn put(
+        &mut self,
+        key: &str,
+        value: impl Into<Arc<[u8]>>,
+        clock_ns: u64,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let value = value.into();
         if let Some(id) = self.index.get(key) {
             let e = self.entries.get_mut(id).expect("index consistent");
             e.value = value;
@@ -111,6 +121,11 @@ impl TinyKv {
 
     /// Looks up `key`.
     pub fn get(&self, key: &str) -> Option<&[u8]> {
+        self.get_shared(key).map(|v| &**v)
+    }
+
+    /// Looks up `key`, as a handle on the buffer that holds its value.
+    pub fn get_shared(&self, key: &str) -> Option<&Arc<[u8]>> {
         let id = self.index.get(key)?;
         Some(&self.entries[id].value)
     }
@@ -164,15 +179,13 @@ impl TinyKv {
     }
 
     /// Test hook: silently corrupts the stored value of `key` (simulates a
-    /// software error damaging the concrete state).
+    /// software error damaging the concrete state). The damaged value is a
+    /// new buffer: the old one may be shared by a pre-image.
     pub fn corrupt(&mut self, key: &str) -> bool {
         match self.index.get(key) {
             Some(id) => {
                 let e = self.entries.get_mut(id).expect("index consistent");
-                for b in &mut e.value {
-                    *b = !*b;
-                }
-                e.value.push(0xbd);
+                e.value = e.value.iter().map(|b| !b).chain([0xbd]).collect();
                 true
             }
             None => false,
@@ -231,29 +244,45 @@ impl KvWrapper {
             .map(|((_, k), mt)| (k.as_str(), *mt))
     }
 
-    fn encode_slot(&self, slot: u64) -> Option<Vec<u8>> {
+    /// Slot `slot`'s abstract value, from the rep's keys and agreed mtimes
+    /// and the store's values. With `share`, it is a pre-image that keeps
+    /// each large value by a handle on the store's buffer.
+    fn encode_slot(&self, slot: u64, share: bool) -> Option<PreImage> {
         // A key the rep lists but the store no longer has is a fault in the
         // concrete state (injected through `kv_mut`): it is absent from the
         // abstract value, which is how the damage becomes a digest mismatch.
-        let items =
-            self.slot_entries(slot).filter_map(|(k, mt)| Some((k, self.kv.get(k)?, mt))).collect();
-        Self::encode_items(items)
+        let items: Vec<_> = self
+            .slot_entries(slot)
+            .filter_map(|(k, mt)| Some((k, self.kv.get_shared(k)?, mt)))
+            .collect();
+        Self::encode_items(&items, share)
     }
 
     /// XDR-encodes one slot's key-sorted `(key, value, mtime)` triples;
-    /// an empty slot is an absent object.
-    fn encode_items(items: Vec<(&str, &[u8], u64)>) -> Option<Vec<u8>> {
+    /// an empty slot is an absent object. With `share`, a value longer
+    /// than the handle that would keep it is left out and shared; a slot
+    /// of small values is a plain encoding either way.
+    fn encode_items(items: &[(&str, &Arc<[u8]>, u64)], share: bool) -> Option<PreImage> {
         if items.is_empty() {
             return None;
         }
+        let shared = |v: &[u8]| share && PreImageEncoder::shares(v.len());
         // Count word, then per item two length words, the mtime and up to
         // three bytes of padding on each of key and value.
-        let size = 4 + items.iter().map(|(k, v, _)| k.len() + v.len() + 22).sum::<usize>();
-        let mut enc = XdrEncoder::with_capacity(size);
+        let size = 4 + items
+            .iter()
+            .map(|(k, v, _)| k.len() + if shared(v) { 0 } else { v.len() } + 22)
+            .sum::<usize>();
+        let runs = items.iter().filter(|(_, v, _)| shared(v)).count();
+        let mut enc = PreImageEncoder::with_capacity(size, runs);
         enc.put_u32(items.len() as u32);
-        for (k, v, mt) in items {
+        for &(k, v, mt) in items {
             enc.put_string(k);
-            enc.put_opaque(v);
+            if share {
+                enc.put_opaque_shared(v);
+            } else {
+                enc.put_opaque(v);
+            }
             enc.put_u64(mt);
         }
         Some(enc.finish())
@@ -263,26 +292,26 @@ impl KvWrapper {
     /// reference the slot-indexed [`Self::encode_slot`] is held to.
     #[cfg(test)]
     fn encode_slot_by_scan(&self, slot: u64) -> Option<Vec<u8>> {
-        let mut items: Vec<(&str, &[u8], u64)> = self
+        let mut items: Vec<(&str, &Arc<[u8]>, u64)> = self
             .kv
             .keys()
             .filter(|k| slot_of(k) == slot)
             .map(|k| {
                 let mt = self.abs_mtimes.get(&(slot, k.to_owned())).copied().unwrap_or(0);
-                (k, self.kv.get(k).expect("indexed key present"), mt)
+                (k, self.kv.get_shared(k).expect("indexed key present"), mt)
             })
             .collect();
         items.sort_by(|a, b| a.0.cmp(b.0));
-        Self::encode_items(items)
+        Self::encode_items(&items, false).map(PreImage::into_bytes)
     }
 
-    fn decode_slot(data: &[u8]) -> Option<Vec<(String, Vec<u8>, u64)>> {
+    fn decode_slot(data: &[u8]) -> Option<Vec<(String, &[u8], u64)>> {
         let mut dec = XdrDecoder::new(data);
         let n = dec.get_count(16).ok()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let k = dec.get_string().ok()?;
-            let v = dec.get_opaque().ok()?;
+            let v = dec.get_opaque_ref().ok()?;
             let mt = dec.get_u64().ok()?;
             out.push((k, v, mt));
         }
@@ -312,8 +341,8 @@ impl Wrapper for KvWrapper {
         match verb {
             b"put" if !read_only && !key.is_empty() => {
                 let slot = slot_of(&key);
-                mods.modify(slot, || self.encode_slot(slot));
-                self.kv.put(&key, value.to_vec(), env.local_clock_ns, env.rng);
+                mods.modify_with(slot, || self.encode_slot(slot, true));
+                self.kv.put(&key, value, env.local_clock_ns, env.rng);
                 self.abs_mtimes.insert((slot, key.into_owned()), agreed_ts);
                 b"ok".to_vec()
             }
@@ -327,7 +356,7 @@ impl Wrapper for KvWrapper {
             },
             b"del" if !read_only && !key.is_empty() => {
                 let slot = slot_of(&key);
-                mods.modify(slot, || self.encode_slot(slot));
+                mods.modify_with(slot, || self.encode_slot(slot, true));
                 let existed = self.kv.delete(&key);
                 self.abs_mtimes.remove(&(slot, key.into_owned()));
                 if existed {
@@ -341,7 +370,7 @@ impl Wrapper for KvWrapper {
     }
 
     fn get_obj(&self, index: u64) -> Option<Vec<u8>> {
-        self.encode_slot(index)
+        self.encode_slot(index, false).map(PreImage::into_bytes)
     }
 
     fn put_objs(&mut self, objs: &[(u64, Option<Vec<u8>>)], env: &mut ExecEnv<'_>) {
@@ -575,9 +604,9 @@ mod tests {
         kv.put("old", b"data".to_vec(), 55, &mut rng);
         let mut w = KvWrapper::new(kv);
         let slot = slot_of("old");
-        let items = KvWrapper::decode_slot(&w.get_obj(slot).expect("pre-existing key is abstract state"))
-            .unwrap();
-        assert_eq!(items, vec![("old".to_owned(), b"data".to_vec(), 0)]);
+        let value = w.get_obj(slot).expect("pre-existing key is abstract state");
+        let items = KvWrapper::decode_slot(&value).unwrap();
+        assert_eq!(items, vec![("old".to_owned(), &b"data"[..], 0)]);
         assert_eq!(w.get_obj(slot), w.encode_slot_by_scan(slot));
         let mut mods = ModifyLog::new();
         let r = w.execute(b"mtime old", 1, &[], true, &mut mods, &mut env(&mut rng, 0));
@@ -585,12 +614,91 @@ mod tests {
     }
 
     fn two_keys_in_one_slot() -> (String, String) {
-        let first = "key0".to_owned();
-        let second = (1..)
-            .map(|i| format!("key{i}"))
-            .find(|k| slot_of(k) == slot_of(&first))
-            .expect("64 slots collide quickly");
+        let [first, second] = keys_in_one_slot(2).try_into().expect("two keys");
         (first, second)
+    }
+
+    /// The first `n` keys `key<i>` that share `key0`'s slot.
+    fn keys_in_one_slot(n: usize) -> Vec<String> {
+        (0..).map(|i| format!("key{i}")).filter(|k| slot_of(k) == slot_of("key0")).take(n).collect()
+    }
+
+    /// A wrapper whose one slot holds `keys`, each with a `len`-byte
+    /// value, and the log of the epoch after a checkpoint.
+    fn slot_of_values(keys: &[String], len: usize) -> (KvWrapper, ModifyLog, rand::rngs::StdRng) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let mut w = KvWrapper::new(TinyKv::default());
+        let mut mods = ModifyLog::new();
+        for (i, k) in keys.iter().enumerate() {
+            let op = format!("put {k} {}", "v".repeat(len));
+            w.execute(op.as_bytes(), 1, &ts(1 + i as u64), false, &mut mods, &mut env(&mut rng, 0));
+        }
+        // The checkpoint ends the epoch; the next put captures a pre-image.
+        drop(mods.drain());
+        (w, mods, rng)
+    }
+
+    /// The pre-image captured for `slot` this epoch, which must exist.
+    fn pre_image(mods: &ModifyLog, slot: u64) -> &PreImage {
+        mods.copy_of(slot).and_then(Option::as_ref).expect("a pre-image of a present slot")
+    }
+
+    #[test]
+    fn a_put_into_a_slot_of_large_values_shares_the_untouched_ones() {
+        let keys = keys_in_one_slot(16);
+        let slot = slot_of(&keys[0]);
+        let (mut w, mut mods, mut rng) = slot_of_values(&keys, 1024);
+        let before = w.encode_slot_by_scan(slot).expect("a full slot");
+        let replaced = Arc::clone(w.kv().get_shared(&keys[0]).unwrap());
+        let op = format!("put {} {}", keys[0], "n".repeat(1024));
+        w.execute(op.as_bytes(), 1, &ts(99), false, &mut mods, &mut env(&mut rng, 0));
+
+        let pre = pre_image(&mods, slot);
+        assert_eq!(pre.to_bytes(), before, "the pre-image is the slot before the put");
+        for k in &keys[1..] {
+            let live = w.kv().get_shared(k).unwrap();
+            assert!(pre.shared_runs().any(|r| Arc::ptr_eq(r, live)), "{k} is shared, not copied");
+        }
+        assert!(pre.shared_runs().any(|r| Arc::ptr_eq(r, &replaced)), "the old value is kept");
+        assert_eq!(pre.shared_runs().count(), keys.len());
+    }
+
+    #[test]
+    fn a_slot_of_small_values_gets_a_plain_pre_image() {
+        let keys = keys_in_one_slot(16);
+        let slot = slot_of(&keys[0]);
+        let (mut w, mut mods, mut rng) = slot_of_values(&keys, 16);
+        let before = w.encode_slot_by_scan(slot);
+        let op = format!("put {} {}", keys[0], "n".repeat(16));
+        w.execute(op.as_bytes(), 1, &ts(99), false, &mut mods, &mut env(&mut rng, 0));
+
+        let pre = pre_image(&mods, slot);
+        assert_eq!(pre.shared_runs().count(), 0);
+        assert_eq!(Some(pre.to_bytes().into_owned()), before);
+    }
+
+    #[test]
+    fn corrupting_a_shared_value_replaces_its_buffer() {
+        let keys = keys_in_one_slot(2);
+        let slot = slot_of(&keys[0]);
+        let (mut w, mut mods, mut rng) = slot_of_values(&keys, 1024);
+        let before = w.encode_slot_by_scan(slot).expect("a full slot");
+        let op = format!("del {}", keys[1]);
+        w.execute(op.as_bytes(), 1, &ts(99), false, &mut mods, &mut env(&mut rng, 0));
+        let shared = Arc::clone(w.kv().get_shared(&keys[0]).unwrap());
+        assert!(pre_image(&mods, slot).shared_runs().any(|r| Arc::ptr_eq(r, &shared)));
+
+        assert!(w.kv_mut().corrupt(&keys[0]));
+        let damaged = w.kv().get_shared(&keys[0]).unwrap();
+        assert!(!Arc::ptr_eq(damaged, &shared), "corruption replaced the buffer");
+        assert_eq!(&shared[..], "v".repeat(1024).as_bytes(), "and never wrote into it");
+        assert_eq!(pre_image(&mods, slot).to_bytes(), before);
+    }
+
+    #[test]
+    fn a_pre_image_is_the_size_of_a_plain_one() {
+        assert_eq!(std::mem::size_of::<PreImage>(), std::mem::size_of::<Option<Vec<u8>>>());
+        assert_eq!(std::mem::size_of::<Option<PreImage>>(), std::mem::size_of::<Option<Vec<u8>>>());
     }
 
     /// One step of the oracle proptest, applied to one of two wrappers.

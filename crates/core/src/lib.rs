@@ -80,7 +80,7 @@ pub use base_pbft::{ByzMode, Config, CostModel, PartitionTree};
 pub use service::BaseService;
 pub use shard::{build_sharded_group, ShardLockService, ShardMap, ShardedClient, ShardedGroup};
 pub use shard_chaos::{ShardedChaosHarness, APP_XBUSY};
-pub use wrapper::{Footprint, ModifyLog, Wrapper};
+pub use wrapper::{Footprint, ModifyLog, PreImage, PreImageEncoder, Wrapper};
 
 /// A BASE replica: the PBFT replica driving a [`BaseService`].
 pub type BaseReplica<W> = base_pbft::Replica<BaseService<W>>;

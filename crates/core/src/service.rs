@@ -1,7 +1,7 @@
 //! [`BaseService`]: the abstraction layer between the replication protocol
 //! and a conformance wrapper.
 
-use crate::wrapper::{ModifyLog, Wrapper};
+use crate::wrapper::{ModifyLog, PreImage, Wrapper};
 use base_crypto::Digest;
 use base_pbft::cost::COST;
 use base_pbft::tree::leaf_digest;
@@ -47,8 +47,10 @@ pub struct BaseService<W: Wrapper> {
     tree: PartitionTree,
     mods: ModifyLog,
     /// Finalized reverse-delta records: checkpoint seq → (object → value
-    /// *at that checkpoint*, captured at its first later modification).
-    records: BTreeMap<u64, HashMap<u64, Option<Vec<u8>>>>,
+    /// *at that checkpoint*, captured at its first later modification, as
+    /// the wrapper built it: runs it shares are spliced back only when a
+    /// fetch reads it).
+    records: BTreeMap<u64, HashMap<u64, Option<PreImage>>>,
     /// Per-object index over `records`: object → sorted checkpoint seqs of
     /// the records containing a pre-image of it. Lets `checkpoint_object`
     /// resolve a fetch in O(log retained-ckpts) instead of scanning every
@@ -210,13 +212,13 @@ impl<W: Wrapper> Service for BaseService<W> {
                     .get(s)
                     .and_then(|record| record.get(&index))
                     .expect("record_seqs entries mirror records");
-                return value.clone();
+                return value.as_ref().map(|v| v.to_bytes().into_owned());
             }
         }
         // ... or the pre-image of the open epoch if it was modified since
         // the newest checkpoint ...
         if let Some(copy) = self.mods.copy_of(index) {
-            return copy.clone();
+            return copy.as_ref().map(|v| v.to_bytes().into_owned());
         }
         // ... or the current value (unmodified since `seq`).
         self.wrapper.get_obj(index)

@@ -1,12 +1,171 @@
 //! The conformance-wrapper interface and the `modify` upcall.
 
 use base_pbft::ExecEnv;
+use base_xdr::XdrEncoder;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// How far (in ns) a proposed timestamp may differ from a backup's local
 /// clock before the backup rejects the pre-prepare (paper §2.2: backups
 /// validate the primary's non-deterministic choices).
 pub const NONDET_SKEW_TOLERANCE_NS: u64 = 10_000_000_000;
+
+/// The handle a [`PreImage`] keeps a shared run by: the run's offset and
+/// the `Arc<[u8]>` that holds it. Only a run longer than this is worth
+/// sharing; a shorter one costs less copied than referred to.
+pub const SHARED_RUN_HANDLE: usize = std::mem::size_of::<(usize, Arc<[u8]>)>();
+
+/// An object's abstract value as a copy-on-write pre-image keeps it: the
+/// object's XDR encoding, except that a byte run longer than
+/// [`SHARED_RUN_HANDLE`] may be left out and kept by reference to the
+/// immutable buffer the live concrete state holds it in.
+///
+/// A put into a 16 KiB slot of 1 KiB values then costs the one value it
+/// replaces, not a copy of the slot (DESIGN.md §12). The runs are spliced
+/// back only when the whole encoding is read ([`PreImage::to_bytes`]),
+/// which is when a fetch asks for the object at an old checkpoint. A
+/// shared buffer is never mutated: whoever changes the value it holds
+/// replaces the buffer, so the pre-image keeps the old bytes.
+#[derive(Debug)]
+pub struct PreImage(Repr);
+
+#[derive(Debug)]
+enum Repr {
+    /// The whole encoding.
+    Plain(Vec<u8>),
+    /// The encoding less its shared runs, and each run with the offset in
+    /// `bytes` it goes back in at, in offset order.
+    Spliced(Box<Spliced>),
+}
+
+#[derive(Debug)]
+struct Spliced {
+    bytes: Vec<u8>,
+    runs: Vec<(usize, Arc<[u8]>)>,
+}
+
+// What the modify log and the reverse-delta records hold per object costs
+// no more than the plain `Option<Vec<u8>>` they held before.
+const _: () =
+    assert!(std::mem::size_of::<Option<PreImage>>() == std::mem::size_of::<Option<Vec<u8>>>());
+
+impl PreImage {
+    /// The whole encoding, spliced together when runs are shared.
+    pub fn to_bytes(&self) -> Cow<'_, [u8]> {
+        match &self.0 {
+            Repr::Plain(bytes) => Cow::Borrowed(bytes),
+            Repr::Spliced(s) => {
+                let len = s.bytes.len() + s.runs.iter().map(|(_, run)| run.len()).sum::<usize>();
+                let mut out = Vec::with_capacity(len);
+                let mut at = 0;
+                for (offset, run) in &s.runs {
+                    out.extend_from_slice(&s.bytes[at..*offset]);
+                    out.extend_from_slice(run);
+                    at = *offset;
+                }
+                out.extend_from_slice(&s.bytes[at..]);
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// The whole encoding, by value: a plain pre-image hands its bytes
+    /// over without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Plain(bytes) => bytes,
+            Repr::Spliced(_) => self.to_bytes().into_owned(),
+        }
+    }
+
+    /// The buffers this pre-image shares, in encoding order (none for a
+    /// plain one).
+    #[cfg(test)]
+    pub(crate) fn shared_runs(&self) -> impl Iterator<Item = &Arc<[u8]>> {
+        let runs = match &self.0 {
+            Repr::Plain(_) => &[][..],
+            Repr::Spliced(s) => &s.runs[..],
+        };
+        runs.iter().map(|(_, run)| run)
+    }
+}
+
+impl From<Vec<u8>> for PreImage {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self(Repr::Plain(bytes))
+    }
+}
+
+/// Two pre-images are equal when their whole encodings are, however much
+/// of each is shared.
+impl PartialEq for PreImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_bytes() == other.to_bytes()
+    }
+}
+
+/// Writes a [`PreImage`]: an [`XdrEncoder`] (every `put_*` of which it
+/// lends) that can also leave an opaque value out and keep it by
+/// reference, [`PreImageEncoder::put_opaque_shared`].
+pub struct PreImageEncoder {
+    enc: XdrEncoder,
+    runs: Vec<(usize, Arc<[u8]>)>,
+}
+
+impl PreImageEncoder {
+    /// An encoder with room for `bytes` encoded bytes and `runs` shared
+    /// runs. With `runs == 0` nothing is allocated for them, and a
+    /// pre-image that shares nothing is exactly the plain encoding.
+    pub fn with_capacity(bytes: usize, runs: usize) -> Self {
+        Self { enc: XdrEncoder::with_capacity(bytes), runs: Vec::with_capacity(runs) }
+    }
+
+    /// Whether an opaque value of `len` bytes is worth sharing: it is
+    /// longer than the handle that would keep it.
+    pub fn shares(len: usize) -> bool {
+        len > SHARED_RUN_HANDLE
+    }
+
+    /// Appends `data` as variable-length opaque data, as
+    /// [`XdrEncoder::put_opaque`] does, but keeps the bytes by reference
+    /// when [`Self::shares`] says so: the length word and the padding are
+    /// written, the bytes are spliced back in by [`PreImage::to_bytes`].
+    pub fn put_opaque_shared(&mut self, data: &Arc<[u8]>) {
+        if !Self::shares(data.len()) {
+            self.enc.put_opaque(data);
+            return;
+        }
+        let len = u32::try_from(data.len()).expect("opaque data longer than u32::MAX");
+        self.enc.put_u32(len);
+        self.runs.push((self.enc.len(), Arc::clone(data)));
+        self.enc.put_padding(data.len());
+    }
+
+    /// The pre-image: plain when no run was shared.
+    pub fn finish(self) -> PreImage {
+        let bytes = self.enc.finish();
+        if self.runs.is_empty() {
+            PreImage(Repr::Plain(bytes))
+        } else {
+            PreImage(Repr::Spliced(Box::new(Spliced { bytes, runs: self.runs })))
+        }
+    }
+}
+
+impl Deref for PreImageEncoder {
+    type Target = XdrEncoder;
+    fn deref(&self) -> &XdrEncoder {
+        &self.enc
+    }
+}
+
+impl DerefMut for PreImageEncoder {
+    fn deref_mut(&mut self) -> &mut XdrEncoder {
+        &mut self.enc
+    }
+}
 
 /// Registry of abstract objects modified since the last checkpoint, with
 /// their pre-images.
@@ -23,7 +182,7 @@ pub struct ModifyLog {
     dirty: HashSet<u64>,
     /// Pre-images captured this epoch: the object's value as of the last
     /// checkpoint (`None` = the object was absent).
-    copies: HashMap<u64, Option<Vec<u8>>>,
+    copies: HashMap<u64, Option<PreImage>>,
 }
 
 impl ModifyLog {
@@ -39,6 +198,13 @@ impl ModifyLog {
     /// The wrapper **must** call this before mutating anything that affects
     /// object `index`'s abstract value.
     pub fn modify(&mut self, index: u64, old: impl FnOnce() -> Option<Vec<u8>>) {
+        self.modify_with(index, || old().map(PreImage::from))
+    }
+
+    /// [`Self::modify`] for a wrapper that builds the pre-image itself, so
+    /// that it can share the runs of the live state that the modification
+    /// leaves as they are ([`PreImageEncoder`]).
+    pub fn modify_with(&mut self, index: u64, old: impl FnOnce() -> Option<PreImage>) {
         if self.dirty.insert(index) {
             self.copies.insert(index, old());
         }
@@ -61,13 +227,13 @@ impl ModifyLog {
 
     /// Drains the log, returning the captured pre-images. Called by the
     /// checkpoint machinery at checkpoint time.
-    pub(crate) fn drain(&mut self) -> HashMap<u64, Option<Vec<u8>>> {
+    pub(crate) fn drain(&mut self) -> HashMap<u64, Option<PreImage>> {
         self.dirty.clear();
         std::mem::take(&mut self.copies)
     }
 
     /// The captured pre-image for `index`, if it was modified this epoch.
-    pub fn copy_of(&self, index: u64) -> Option<&Option<Vec<u8>>> {
+    pub fn copy_of(&self, index: u64) -> Option<&Option<PreImage>> {
         self.copies.get(&index)
     }
 }
@@ -147,13 +313,15 @@ pub trait Wrapper: 'static {
     /// mutability.
     ///
     /// Cost contract: the library calls this once per dirty object per
-    /// checkpoint, and wrappers call it once per object's first touch per
-    /// checkpoint epoch (the [`ModifyLog::modify`] pre-image), always on
-    /// the thread that called into the service. That is what makes a
-    /// checkpoint cost what changed (paper §2.2) — but only if this is
-    /// O(object), not O(state): keep the conformance rep indexed by
-    /// abstract object so one object's value never requires a walk over
-    /// the whole concrete state.
+    /// checkpoint, always on the thread that called into the service, and
+    /// a wrapper whose pre-images are plain encodings (NFS, OODB) calls it
+    /// once per object's first touch per checkpoint epoch, for the
+    /// [`ModifyLog::modify`] pre-image. (`KvWrapper` builds a pre-image
+    /// that shares its large values instead, [`ModifyLog::modify_with`].)
+    /// That is what makes a checkpoint cost what changed (paper §2.2) —
+    /// but only if this is O(object), not O(state): keep the conformance
+    /// rep indexed by abstract object so one object's value never requires
+    /// a walk over the whole concrete state.
     fn get_obj(&self, index: u64) -> Option<Vec<u8>>;
 
     /// One inverse of the abstraction function: updates the concrete state
@@ -245,7 +413,38 @@ mod tests {
         assert_eq!(calls, 1, "pre-image captured only on first modify");
         assert!(log.is_dirty(3));
         assert_eq!(log.dirty_count(), 1);
-        assert_eq!(log.copy_of(3), Some(&Some(b"old".to_vec())));
+        assert_eq!(log.copy_of(3), Some(&Some(PreImage::from(b"old".to_vec()))));
+    }
+
+    /// Opaque values on both sides of the handle rule, with every padding
+    /// length after a shared run, encode to the same bytes shared or not.
+    #[test]
+    fn a_spliced_pre_image_is_the_plain_encoding() {
+        let lens = (0..=SHARED_RUN_HANDLE + 5).chain(1025..=1028);
+        let values: Vec<Arc<[u8]>> = lens.map(|n| (0..n).map(|b| b as u8).collect()).collect();
+        let mut plain = XdrEncoder::new();
+        let mut shared = PreImageEncoder::with_capacity(0, 0);
+        for v in &values {
+            plain.put_opaque(v);
+            plain.put_u32(7);
+            shared.put_opaque_shared(v);
+            shared.put_u32(7);
+        }
+        let (plain, shared) = (plain.finish(), shared.finish());
+        let big = values.iter().filter(|v| v.len() > SHARED_RUN_HANDLE).count();
+        assert_eq!(shared.shared_runs().count(), big);
+        assert_eq!(shared.to_bytes(), plain);
+        assert_eq!(shared, PreImage::from(plain.clone()));
+        assert_eq!(shared.into_bytes(), plain);
+    }
+
+    #[test]
+    fn a_pre_image_of_small_values_is_plain() {
+        let mut enc = PreImageEncoder::with_capacity(8, 0);
+        enc.put_opaque_shared(&Arc::from(&[1u8; SHARED_RUN_HANDLE][..]));
+        let pre = enc.finish();
+        assert_eq!(pre.shared_runs().count(), 0);
+        assert!(matches!(pre.to_bytes(), Cow::Borrowed(_)), "nothing to splice");
     }
 
     #[test]
@@ -256,7 +455,7 @@ mod tests {
         let copies = log.drain();
         assert_eq!(copies.len(), 2);
         assert_eq!(copies[&1], None);
-        assert_eq!(copies[&2], Some(vec![9]));
+        assert_eq!(copies[&2], Some(PreImage::from(vec![9])));
         assert_eq!(log.dirty_count(), 0);
         // A new epoch captures fresh pre-images.
         let mut called = false;

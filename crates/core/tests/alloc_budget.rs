@@ -15,6 +15,13 @@
 //! ten per cent. `cargo test --release -p base --test alloc_budget --
 //! --nocapture` prints the per-operation census.
 //!
+//! It also holds a copy-on-write pre-image to what changed (DESIGN.md
+//! §12): the first `put` after a checkpoint into a slot of sixteen 1 KiB
+//! values adds the new value and a pre-image that shares the fifteen it
+//! left alone, not a copy of the 16 KiB slot. The allocator counts the
+//! live bytes too, and the row has a ceiling of its measured value plus
+//! ten per cent.
+//!
 //! It also holds the decoder's reservation in place: a counted array
 //! reserves no more memory than there are bytes left to decode, whatever
 //! count a hostile frame claims (decode runs before any MAC is looked at),
@@ -23,39 +30,45 @@
 //!
 //! The only test in its binary, because the counter is process-wide.
 
-use base::demo::{KvWrapper, TinyKv};
+use base::demo::{kv_footprint, KvWrapper, TinyKv};
 use base::{BaseClient, BaseService, Config};
 use base_crypto::{Authenticator, Digest, KeyDirectory, Mac, NodeKeys};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
-use base_pbft::{Deployment, Message};
+use base_pbft::{Deployment, ExecEnv, Message, Service};
 use base_simnet::{NodeId, Payload, Simulation};
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 /// Allocator calls so far, `realloc` included.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Largest single request since it was last reset to zero.
 static LARGEST: AtomicU64 = AtomicU64::new(0);
+/// Bytes live: requested and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and touches no memory
+// `GlobalAlloc` contract; the counters are statistics and touch no memory
 // the allocator hands out. (`alloc_zeroed` defaults to `alloc`.)
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         LARGEST.fetch_max(layout.size() as u64, Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Relaxed);
         // SAFETY: same contract as our caller's.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Relaxed);
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         LARGEST.fetch_max(new_size as u64, Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
         // SAFETY: same contract as our caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -71,6 +84,13 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> u64 {
     let after = ALLOCS.load(Relaxed);
     drop(out);
     after - before
+}
+
+/// Bytes that `f` leaves live once what it returns is dropped.
+fn live_bytes_added_by<R>(f: impl FnOnce() -> R) -> i64 {
+    let before = LIVE.load(Relaxed);
+    drop(f());
+    LIVE.load(Relaxed) - before
 }
 
 /// Bytes of the largest single allocation made while `f` runs.
@@ -89,6 +109,10 @@ fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
 /// before the per-message containers went dense, §11.4).
 const WRITE_CEILING: f64 = 63.0;
 const READ_CEILING: f64 = 18.0;
+/// Ceiling on the live bytes of the first `put` after a checkpoint into a
+/// slot of sixteen 1 KiB values: measured 2 067 B (16 979 B while a
+/// pre-image copied the whole slot).
+const LARGE_PUT_CEILING: i64 = 2_274;
 const OPS: usize = 256;
 const SEED: u64 = 18;
 /// Length of the hostile frame.
@@ -138,6 +162,26 @@ fn puts(round: usize) -> Vec<Vec<u8>> {
 
 fn gets() -> Vec<Vec<u8>> {
     (0..OPS).map(|i| format!("get key{:02}", i % 16).into_bytes()).collect()
+}
+
+/// Live bytes the first `put` after a checkpoint adds to a slot of 16
+/// keys with 1 KiB values, on one `BaseService`: the new value, the
+/// pre-image the modify log keeps of the slot, and the log's map.
+fn large_put_live_bytes() -> i64 {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    let mut svc = BaseService::new(KvWrapper::new(TinyKv::default()));
+    let slot = |k: &str| kv_footprint(format!("put {k} v").as_bytes()).expect("a put").writes;
+    let keys: Vec<String> =
+        (0..).map(|i| format!("key{i}")).filter(|k| slot(k) == slot("key0")).take(16).collect();
+    let op = |key: &str, letter: &str| format!("put {key} {}", letter.repeat(1024)).into_bytes();
+    for (i, key) in keys.iter().enumerate() {
+        let nondet = (i as u64 + 1).to_be_bytes();
+        svc.execute(&op(key, "v"), 1, &nondet, false, &mut ExecEnv::new(0, &mut rng));
+    }
+    svc.take_checkpoint(16, &mut ExecEnv::new(0, &mut rng));
+    let (op, nondet) = (op(&keys[0], "n"), 17u64.to_be_bytes());
+    let mut env = ExecEnv::new(0, &mut rng);
+    live_bytes_added_by(|| svc.execute(&op, 1, &nondet, false, &mut env))
 }
 
 /// One census row: what was counted, the allocations of each call, and
@@ -288,6 +332,7 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
     let per_write = group.run(puts(1), false);
     let per_read = group.run(gets(), true);
     let rows = census();
+    let large_put = large_put_live_bytes();
 
     println!("allocations per call, `realloc` included (seed {SEED}, {OPS} operations each)");
     println!("| operation | allocations |");
@@ -327,6 +372,10 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
     );
     println!("| one write, end to end (4 replicas, client, simulator) | {per_write:.2} |");
     println!("| one read-only get, end to end | {per_read:.2} |");
+    println!(
+        "| live bytes of the first `put` after a checkpoint into a slot of sixteen 1 KiB values \
+         (the new value and the slot's pre-image) | {large_put} B |"
+    );
 
     for (what, counts, pinned) in &rows {
         if let Some(want) = pinned {
@@ -343,4 +392,8 @@ fn a_write_and_a_read_stay_within_their_allocation_budget() {
     );
     assert!(per_write <= WRITE_CEILING, "a write made {per_write:.2} allocations");
     assert!(per_read <= READ_CEILING, "a read-only get made {per_read:.2} allocations");
+    assert!(
+        large_put <= LARGE_PUT_CEILING,
+        "the first put into a slot of 1 KiB values left {large_put} B live"
+    );
 }

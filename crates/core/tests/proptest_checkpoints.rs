@@ -1,8 +1,12 @@
 //! Property tests for the BASE checkpoint machinery: copy-on-write
 //! reverse-delta records must reproduce exactly the abstract state that
 //! existed at every retained checkpoint, for arbitrary operation schedules.
+//! Values are drawn on both sides of the rule that lets a pre-image share a
+//! value instead of copying it, so records hold plain and spliced
+//! pre-images alike.
 
 use base::demo::{KvWrapper, TinyKv, N_SLOTS};
+use base::wrapper::SHARED_RUN_HANDLE;
 use base::{BaseService, Wrapper as _};
 use base_pbft::tree::leaf_digest;
 use base_pbft::{ExecEnv, Service};
@@ -10,23 +14,33 @@ use base_crypto::Digest;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-/// One scripted operation.
+/// One scripted operation: a put of `len` copies of one letter, or a
+/// delete.
 #[derive(Debug, Clone)]
 enum Op {
-    Put(u8, u8),
+    Put { key: u8, len: usize, letter: u8 },
     Del(u8),
+}
+
+/// Value lengths up to the shared-run handle (copied into a pre-image),
+/// past it (shared), and 1 KiB plus one to three bytes, so that each XDR
+/// padding length follows a shared run.
+fn value_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0..=SHARED_RUN_HANDLE, SHARED_RUN_HANDLE + 1..=64, 1025usize..=1027]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..20, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
+        (0u8..20, value_len(), 0u8..26).prop_map(|(key, len, letter)| Op::Put { key, len, letter }),
         (0u8..20).prop_map(Op::Del),
     ]
 }
 
 fn apply(svc: &mut BaseService<KvWrapper>, op: &Op, rng: &mut rand::rngs::StdRng, i: u64) {
     let op_bytes = match op {
-        Op::Put(k, v) => format!("put key{k} value{v}"),
+        Op::Put { key, len, letter } => {
+            format!("put key{key} {}", char::from(b'a' + letter).to_string().repeat(*len))
+        }
         Op::Del(k) => format!("del key{k}"),
     };
     let nondet = (1000 + i).to_be_bytes().to_vec();

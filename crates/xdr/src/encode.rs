@@ -88,7 +88,7 @@ impl XdrEncoder {
     /// four-byte boundary.
     pub fn put_opaque_fixed(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-        self.pad(data.len());
+        self.put_padding(data.len());
     }
 
     /// Appends variable-length opaque data: a `u32` length prefix, the
@@ -109,7 +109,11 @@ impl XdrEncoder {
         self.put_opaque(s.as_bytes());
     }
 
-    fn pad(&mut self, written: usize) {
+    /// Appends the zero padding that follows `written` bytes of opaque
+    /// data, up to the next four-byte boundary. The bytes themselves are
+    /// not written: a caller that keeps them elsewhere (a pre-image that
+    /// shares a run of the live state) splices them back in later.
+    pub fn put_padding(&mut self, written: usize) {
         for _ in written..padded_len(written) {
             self.buf.push(0);
         }
