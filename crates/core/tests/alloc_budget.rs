@@ -100,15 +100,16 @@ fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
     LARGEST.load(Relaxed)
 }
 
-/// Ceilings per operation, end to end: measured 58.25 and 16.29 (57.25
-/// for a write before the primary logged the pre-prepare it decodes from
-/// its own frame; 68.73 and 24.00 before a receiver borrowed the frame it
-/// was handed, DESIGN.md
-/// §11.7; 141.73 and 33.00 before authenticators went inline and the
-/// conflict partition left the execute path, §11.6; 157.11 and 44.67
-/// before the per-message containers went dense, §11.4).
+/// Ceilings per operation, end to end: measured 57.31 and 15.35 (58.25
+/// and 16.29 before the client kept the request it sent in place of a
+/// copy of the op, DESIGN.md §11.8; 57.25 for a write before the primary
+/// logged the pre-prepare it decodes from its own frame; 68.73 and 24.00
+/// before a receiver borrowed the frame it was handed, §11.7; 141.73 and
+/// 33.00 before authenticators went inline and the conflict partition left
+/// the execute path, §11.6; 157.11 and 44.67 before the per-message
+/// containers went dense, §11.4).
 const WRITE_CEILING: f64 = 63.0;
-const READ_CEILING: f64 = 18.0;
+const READ_CEILING: f64 = 16.9;
 /// Ceiling on the live bytes of the first `put` after a checkpoint into a
 /// slot of sixteen 1 KiB values: measured 2 067 B (16 979 B while a
 /// pre-image copied the whole slot).

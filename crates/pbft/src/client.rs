@@ -17,6 +17,9 @@ use std::collections::VecDeque;
 pub const TOKEN_CLIENT_RETRANS: u64 = 1 << 63;
 /// Timer token for the [`ClientActor`] pump.
 const TOKEN_PUMP: u64 = (1 << 63) | 1;
+/// Spare op-queue slots never given back, so a queue that empties and
+/// refills one op at a time keeps its first allocation.
+const QUEUE_SLACK: usize = 8;
 
 /// A completed invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +98,9 @@ impl ReplyTally {
 #[derive(Debug)]
 struct Pending {
     ts: u64,
-    op: Vec<u8>,
+    /// The request as first sent, which holds the op: a retransmission
+    /// decodes it and copies the op out (DESIGN.md §11.8).
+    sent: Payload,
     read_only: bool,
     replies: ReplyTally,
     attempts: u32,
@@ -220,15 +225,24 @@ impl ClientCore {
             return;
         }
         let Some((op, read_only)) = self.queue.pop_front() else { return };
+        // Give back what a burst left behind once the queue is at most half
+        // full, keeping half its length again as headroom: a queue that
+        // shrinks here regrows only past 1.5 times that length and shrinks
+        // again only below 0.75 times it, so one whose length hovers never
+        // reallocates per op (DESIGN.md §11.8).
+        let len = self.queue.len();
+        if self.queue.capacity() > 2 * len + QUEUE_SLACK {
+            self.queue.shrink_to(len + len / 2);
+        }
         self.next_ts += 1;
         let ts = self.next_ts;
-        let req = self.build_request(ts, op.clone(), read_only, 0, ctx);
+        let sent = self.build_request(ts, op, read_only, 0, ctx).to_payload();
         if read_only {
             // Read-only requests go straight to all replicas.
-            self.broadcast(&req, ctx);
+            self.broadcast(&sent, ctx);
         } else {
             let primary = self.cfg.primary_of(self.view_guess);
-            ctx.send(self.cfg.replica_node(primary), req.to_payload());
+            ctx.send(self.cfg.replica_node(primary), sent.clone());
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
         // Jacobson/Karels RTO (equal to `CLIENT_RTO_INITIAL` until the first
@@ -239,13 +253,18 @@ impl ClientCore {
         let timer = ctx.set_timer(timeout, self.retrans_token);
         self.pending = Some(Pending {
             ts,
-            op,
+            sent,
             read_only,
             replies: ReplyTally::default(),
             attempts: 0,
             timer: Some(timer),
             submitted_at_ns: ctx.now().as_nanos(),
         });
+    }
+
+    /// Operations queued or in flight.
+    fn outstanding(&self) -> usize {
+        self.queue.len() + usize::from(self.pending.is_some())
     }
 
     /// Builds the authenticated request, already wrapped in the envelope
@@ -267,9 +286,9 @@ impl ClientCore {
         Message::Request(req)
     }
 
-    fn broadcast(&self, req: &Message, ctx: &mut Context<'_>) {
-        // Encode once; every replica shares the same allocation.
-        let wire = req.to_payload();
+    /// Sends one encoded request to every replica: they all share its
+    /// allocation.
+    fn broadcast(&self, wire: &Payload, ctx: &mut Context<'_>) {
         for i in 0..self.cfg.n {
             ctx.send(self.cfg.replica_node(i), wire.clone());
         }
@@ -335,7 +354,8 @@ impl ClientCore {
             ctx.cancel_timer(t);
         }
         let latency = ctx.now().as_nanos().saturating_sub(done.submitted_at_ns);
-        self.latencies_ns.push(latency);
+        let outstanding = self.outstanding();
+        push_bounded(&mut self.latencies_ns, latency, outstanding);
         self.metrics.observe("client.request_latency_ns", latency);
         if done.attempts == 0 {
             // Karn's algorithm: an operation that needed retransmission is
@@ -386,8 +406,11 @@ impl ClientCore {
         // replies already conflict — under a partition (or with Byzantine
         // repliers) the 2f+1 matching immediate replies may never arrive,
         // and waiting out another fast-path round trip cannot help.
+        let Some(Message::Request(first)) = Message::from_payload(&pending.sent) else {
+            unreachable!("a client decodes the request it encoded")
+        };
         let (ts, op, read_only, attempts) =
-            (pending.ts, pending.op.clone(), pending.read_only, pending.attempts);
+            (pending.ts, first.op().to_vec(), pending.read_only, pending.attempts);
         let conflicted = pending.replies.entries.len() > 1;
         let effective_ro = read_only && attempts < 2 && !conflicted;
         if read_only && !effective_ro {
@@ -399,7 +422,7 @@ impl ClientCore {
         let req = self.build_request(ts, op, effective_ro, attempts, ctx);
         // Retransmissions are broadcast so backups can nudge the primary
         // (or trigger a view change if it is faulty).
-        self.broadcast(&req, ctx);
+        self.broadcast(&req.to_payload(), ctx);
 
         // Exponential backoff with jitter: up to a quarter of the base
         // backoff of extra delay, so the retry storms of many clients
@@ -415,6 +438,19 @@ impl ClientCore {
         }
         true
     }
+}
+
+/// Pushes `item` onto `v`, which grows by doubling as `Vec::push` grows it,
+/// except while `outstanding` more pushes are known to follow: a growth then
+/// makes room for this push and those, and no more, though never less than
+/// an eighth of the length, so a trickle of short bursts still reallocates
+/// a logarithmic number of times (DESIGN.md §11.8).
+fn push_bounded<T>(v: &mut Vec<T>, item: T, outstanding: usize) {
+    if v.len() == v.capacity() && outstanding > 0 {
+        let doubling = v.capacity().max(4);
+        v.reserve_exact(doubling.min((outstanding + 1).max(v.len() / 8)));
+    }
+    v.push(item);
 }
 
 /// A standalone client actor: `invoke` operations, run the simulation, then
@@ -485,7 +521,7 @@ impl Actor for ClientActor {
         if let Some(ClientEvent::Completed { timestamp, result }) =
             self.core.on_payload(from, payload, ctx)
         {
-            self.completed.push((timestamp, result));
+            push_bounded(&mut self.completed, (timestamp, result), self.core.outstanding());
         }
     }
 
@@ -502,7 +538,10 @@ impl Actor for ClientActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::Deployment;
+    use crate::testing::{op_get, CounterService};
     use base_crypto::Digest;
+    use base_simnet::Simulation;
     use proptest::prelude::*;
     use std::collections::{BTreeSet, HashMap};
 
@@ -649,5 +688,116 @@ mod tests {
         // It then sends the real digest: its vote moves, the junk is gone.
         let (votes, found, distinct) = read(&mut tally, 1, true, Digest::of(&body).0.to_vec());
         assert_eq!((votes, found, distinct), (2, Some(body), 1));
+    }
+
+    /// A four-replica counter group and its one client.
+    fn group() -> (Simulation, NodeId) {
+        let mut sim = Simulation::new(7);
+        let d = Deployment::build(&mut sim, Config::new(4), 1, 7, |_| CounterService::default());
+        (sim, d.clients[0])
+    }
+
+    fn client(sim: &Simulation, node: NodeId) -> &ClientActor {
+        sim.actor_as::<ClientActor>(node).expect("client actor")
+    }
+
+    /// Queues `n` read-only gets at the client.
+    fn invoke(sim: &mut Simulation, node: NodeId, n: usize) {
+        let actor = sim.actor_as_mut::<ClientActor>(node).expect("client actor");
+        for _ in 0..n {
+            actor.invoke(op_get(0), true);
+        }
+    }
+
+    /// Steps the simulation until the client has completed `target` ops,
+    /// calling `each` after every event.
+    fn run_until(
+        sim: &mut Simulation,
+        node: NodeId,
+        target: usize,
+        mut each: impl FnMut(&Simulation),
+    ) {
+        while client(sim, node).completed.len() < target {
+            assert!(sim.step(), "the simulation went idle with ops outstanding");
+            each(sim);
+        }
+    }
+
+    /// `(completed, latencies_ns)` capacities.
+    fn result_capacities(actor: &ClientActor) -> (usize, usize) {
+        (actor.completed.capacity(), actor.core.latencies_ns.capacity())
+    }
+
+    #[test]
+    fn a_draining_queue_gives_back_what_it_sent() {
+        let (mut sim, node) = group();
+        invoke(&mut sim, node, 4096);
+        run_until(&mut sim, node, 4096, |sim| {
+            let queue = &client(sim, node).core.queue;
+            assert!(
+                queue.capacity() <= 2 * queue.len() + QUEUE_SLACK,
+                "{} slots held for {} queued ops",
+                queue.capacity(),
+                queue.len()
+            );
+        });
+        assert!(client(&sim, node).core.queue.capacity() <= QUEUE_SLACK);
+    }
+
+    #[test]
+    fn a_queue_at_a_steady_length_keeps_its_allocation() {
+        let (mut sim, node) = group();
+        invoke(&mut sim, node, 1000);
+        let mut submitted = 1000;
+        let mut changes = 0;
+        let mut capacity = client(&sim, node).core.queue.capacity();
+        while submitted < 10_000 {
+            let done = client(&sim, node).completed.len();
+            run_until(&mut sim, node, done + 1, |_| {});
+            invoke(&mut sim, node, 1);
+            submitted += 1;
+            let now = client(&sim, node).core.queue.capacity();
+            changes += usize::from(now != capacity);
+            capacity = now;
+        }
+        assert!(changes <= 4, "the queue reallocated {changes} times at a steady length");
+    }
+
+    #[test]
+    fn a_completed_burst_holds_no_more_results_than_it_queued() {
+        const N: usize = 3000;
+        let (mut sim, node) = group();
+        invoke(&mut sim, node, N);
+        run_until(&mut sim, node, N, |_| {});
+        let (completed, latencies) = result_capacities(client(&sim, node));
+        assert!(
+            completed <= N + 1 && latencies <= N + 1,
+            "{completed} / {latencies} slots for {N} results"
+        );
+    }
+
+    #[test]
+    fn results_of_ops_invoked_one_at_a_time_grow_by_doubling() {
+        const N: usize = 1000;
+        let (mut sim, node) = group();
+        let mut seen = BTreeSet::new();
+        for done in 1..=N {
+            invoke(&mut sim, node, 1);
+            run_until(&mut sim, node, done, |_| {});
+            seen.insert(result_capacities(client(&sim, node)));
+        }
+        let steps = seen.len();
+        assert!(steps <= N.ilog2() as usize + 4, "the results grew in {steps} steps for {N} ops");
+    }
+
+    #[test]
+    fn a_trickle_of_short_bursts_still_grows_geometrically() {
+        let mut v = Vec::new();
+        let mut capacities = BTreeSet::new();
+        for i in 0..100_000u64 {
+            push_bounded(&mut v, i, 2);
+            capacities.insert(v.capacity());
+        }
+        assert!(capacities.len() < 100, "{} growths for 100 000 pushes", capacities.len());
     }
 }

@@ -123,11 +123,12 @@ impl Histogram {
 /// with computed prefixes like `"s1.replica2."`
 /// ([`MetricsRegistry::merge_prefixed`]). `BTreeMap` keys keep every
 /// iteration — and therefore every JSON export — deterministically
-/// ordered.
+/// ordered. A histogram is boxed: at 552 bytes, eleven of them inline in a
+/// B-tree leaf would cost every registry that records one a 6 KB leaf.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, Box<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -173,7 +174,7 @@ impl MetricsRegistry {
 
     /// The histogram named `name`, if any sample was ever recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms.get(name).map(Box::as_ref)
     }
 
     /// Adds every counter and histogram of `other` into `self`.

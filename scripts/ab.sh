@@ -14,10 +14,20 @@
 # target/ab/<workload>.<parent|change>.<i>.json.
 #
 # Prints, per workload and end-to-end metric of BENCHMARK.json, the
-# parent's and the change's medians, the median of the per-pair ratios
-# change/parent, the pairs the change won (better by the metric's
-# direction) and the pairs whose two values are equal. Exits 1 if any run reports
-# `correct: false` or fails. Not run by tier-1 or CI. Needs python3.
+# parent's and the change's medians, the parent's quartile spread (Q3 - Q1),
+# the median of the per-pair ratios change/parent, the pairs the change won
+# (better by the metric's direction), the pairs whose two values are equal,
+# and the verdict of the claim rule:
+#
+#   gain        the change won at least nine tenths of the pairs (ties count
+#               for neither side) and the medians differ, in its favour, by
+#               more than the parent's spread;
+#   worse       the change's median is worse than the parent's by more than
+#               the metric's `bound`;
+#   unresolved  anything else, equal values on every pair included.
+#
+# Exits 1 if any run reports `correct: false` or fails. Not run by tier-1 or
+# CI. Needs python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage="usage: scripts/ab.sh <parent-rev> [workload...] [--pairs N]"
@@ -63,12 +73,34 @@ for w in "${workloads[@]}"; do
 done
 
 python3 - "$out" "$pairs" "${workloads[@]}" <<'EOF' || failed=1
-import json, statistics, sys
+import json, math, statistics, sys
 
 out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 ok = True
-print(f"{'workload':<12} {'metric':<20} {'parent':>14} {'change':>14} {'ratio':>7}  won  same")
+
+
+def verdict(parents, changes, won, lower, bound):
+    """The claim rule: `gain`, `worse` or `unresolved`."""
+    p, c = statistics.median(parents), statistics.median(changes)
+    better_by = (p - c) if lower else (c - p)
+    if won >= math.ceil(0.9 * len(parents)) and better_by > spread(parents):
+        return "gain"
+    if p and -better_by / abs(p) > bound:
+        return "worse"
+    return "unresolved"
+
+
+def spread(values):
+    """Q3 - Q1, quartiles interpolated between the sorted values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+print(f"{'workload':<12} {'metric':<20} {'parent':>14} {'change':>14} {'spread':>12} {'ratio':>7}"
+      f"  won  same  verdict")
 for w in workloads:
     runs = {side: [] for side in ("parent", "change")}
     for side, got in runs.items():
@@ -89,12 +121,14 @@ for w in workloads:
         pairs_of = [(p, c) for p, c in pairs_of if p is not None and c is not None]
         if not pairs_of:
             continue
+        parents, changes = [p for p, _ in pairs_of], [c for _, c in pairs_of]
         ratio = statistics.median(c / p if p else float("nan") for p, c in pairs_of)
         won = sum((c < p) if lower else (c > p) for p, c in pairs_of)
         same = sum(c == p for p, c in pairs_of)
-        print(f"{w:<12} {name:<20} {statistics.median(p for p, _ in pairs_of):>14.9g} "
-              f"{statistics.median(c for _, c in pairs_of):>14.9g} {ratio:>7.3f}  {won:>3}  {same:>4}"
-              f"  of {len(pairs_of)}")
+        said = verdict(parents, changes, won, lower, m["bound"])
+        print(f"{w:<12} {name:<20} {statistics.median(parents):>14.9g} "
+              f"{statistics.median(changes):>14.9g} {spread(parents):>12.6g} {ratio:>7.3f}"
+              f"  {won:>3}  {same:>4}  {said} (of {len(pairs_of)})")
 sys.exit(0 if ok else 1)
 EOF
 exit "$failed"

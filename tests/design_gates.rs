@@ -663,7 +663,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 53] = [
+const NAMED: [(&str, &str, bool); 57] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -731,6 +731,11 @@ const NAMED: [(&str, &str, bool); 53] = [
     // One event reading: each auditor clause on its own violation.
     ("crates/simnet/tests/auditors.rs", "each_auditor_clause_fires_once_on_its_own_violation", false),
     ("crates/simnet/tests/auditors.rs", "a_clean_run_fires_no_auditor", false),
+    // A client holds what is outstanding: the queue's and the results' capacity rules.
+    ("crates/pbft/src/client.rs", "a_draining_queue_gives_back_what_it_sent", false),
+    ("crates/pbft/src/client.rs", "a_queue_at_a_steady_length_keeps_its_allocation", false),
+    ("crates/pbft/src/client.rs", "a_completed_burst_holds_no_more_results_than_it_queued", false),
+    ("crates/pbft/src/client.rs", "results_of_ops_invoked_one_at_a_time_grow_by_doubling", false),
 ];
 
 #[test]
