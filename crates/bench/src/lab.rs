@@ -13,7 +13,7 @@ use base::{BaseService, ModifyLog, Wrapper};
 use base_pbft::chaos::{CounterWorkload, ServiceCampaign, APP_BYZ};
 use base_pbft::messages::Message;
 use base_pbft::testing::RemoteCheckpoint;
-use base_pbft::transfer::{Fetcher, DEFAULT_FETCH_WINDOW};
+use base_pbft::transfer::{Fetcher, FETCH_WINDOW};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::{ExecEnv, Service};
 use base_simnet::chaos::{run_campaign, CampaignMode, FaultSchedule};
@@ -245,8 +245,7 @@ fn measure_transfer() -> Rows {
     }
 
     let run = |window: usize| -> (u64, base_pbft::transfer::FetchResult) {
-        // Pinned (`window == window_max`), so each run measures one window.
-        let mut f = Fetcher::new(3, 4, 128, remote.composite(), window, window);
+        let mut f = Fetcher::new(3, 4, 128, remote.composite(), window);
         let mut wire = f.begin();
         let mut rounds = 0u64;
         let mut result = None;
@@ -258,7 +257,7 @@ fn measure_transfer() -> Rows {
                 let reply = remote.serve(&msg).expect("lab serves every query");
                 let (more, done) = match reply {
                     Message::MetaReply(m) => f.on_meta_reply(&m, &local),
-                    Message::ObjectReply(m) => f.on_object_reply(&m, &local),
+                    Message::ObjectReply(m) => f.on_object_reply(&m),
                     _ => unreachable!(),
                 };
                 next.extend(more);
@@ -272,7 +271,7 @@ fn measure_transfer() -> Rows {
     };
 
     let (rounds_serial, serial) = run(1);
-    let (rounds_windowed, windowed) = run(DEFAULT_FETCH_WINDOW);
+    let (rounds_windowed, windowed) = run(FETCH_WINDOW);
 
     // Pipelining must change scheduling only, never what gets fetched.
     assert_eq!(serial.objects.len(), windowed.objects.len());
@@ -280,7 +279,7 @@ fn measure_transfer() -> Rows {
     assert_eq!(serial.meta_queries, windowed.meta_queries);
 
     counts([
-        ("window", DEFAULT_FETCH_WINDOW as u64),
+        ("window", FETCH_WINDOW as u64),
         ("rounds_serial", rounds_serial),
         ("rounds_windowed", rounds_windowed),
         ("meta_queries", windowed.meta_queries),

@@ -7,7 +7,7 @@ use base_pbft::cost::COST;
 use base_pbft::tree::leaf_digest;
 use base_pbft::{ExecEnv, PartitionTree, Service};
 use base_simnet::MetricsRegistry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Branching factor of the abstract-state partition tree.
 const BRANCHING: u32 = 16;
@@ -51,11 +51,6 @@ pub struct BaseService<W: Wrapper> {
     /// the wrapper built it: runs it shares are spliced back only when a
     /// fetch reads it).
     records: BTreeMap<u64, HashMap<u64, Option<PreImage>>>,
-    /// Per-object index over `records`: object → sorted checkpoint seqs of
-    /// the records containing a pre-image of it. Lets `checkpoint_object`
-    /// resolve a fetch in O(log retained-ckpts) instead of scanning every
-    /// retained record.
-    record_seqs: HashMap<u64, BTreeSet<u64>>,
     /// Digest-tree snapshots per retained checkpoint (O(1) clones).
     ckpt_trees: BTreeMap<u64, PartitionTree>,
     last_ckpt: Option<u64>,
@@ -75,7 +70,6 @@ impl<W: Wrapper> BaseService<W> {
             tree: PartitionTree::new(n, BRANCHING),
             mods: ModifyLog::new(),
             records: BTreeMap::new(),
-            record_seqs: HashMap::new(),
             ckpt_trees: BTreeMap::new(),
             last_ckpt: None,
             stats: BaseStats::default(),
@@ -162,9 +156,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         let copies = self.mods.drain();
         self.metrics.observe("base.checkpoint_dirty_objects", copies.len() as u64);
         if let Some(prev) = self.last_ckpt {
-            for &idx in copies.keys() {
-                self.record_seqs.entry(idx).or_default().insert(prev);
-            }
             self.records.insert(prev, copies);
         }
         self.ckpt_trees.insert(seq, self.tree.clone());
@@ -178,18 +169,7 @@ impl<W: Wrapper> Service for BaseService<W> {
         // A record keyed `k` only answers queries for checkpoints `<= k`;
         // with every retained checkpoint now `>= seq`, records below `seq`
         // are unreachable.
-        let kept = self.records.split_off(&seq);
-        let dropped = std::mem::replace(&mut self.records, kept);
-        for (s, record) in dropped {
-            for idx in record.keys() {
-                if let Some(seqs) = self.record_seqs.get_mut(idx) {
-                    seqs.remove(&s);
-                    if seqs.is_empty() {
-                        self.record_seqs.remove(idx);
-                    }
-                }
-            }
-        }
+        self.records = self.records.split_off(&seq);
     }
 
     fn checkpoint_meta(&self, seq: u64, level: u32, index: u64) -> Option<Vec<Digest>> {
@@ -202,18 +182,11 @@ impl<W: Wrapper> Service for BaseService<W> {
         }
         // Value at checkpoint `seq` = the pre-image in the first record at
         // or after `seq` that contains the object (the object was unchanged
-        // between `seq` and that record's checkpoint). The per-object seq
-        // index resolves that record in O(log retained-ckpts) instead of a
-        // scan over every retained record.
-        if let Some(seqs) = self.record_seqs.get(&index) {
-            if let Some(s) = seqs.range(seq..).next() {
-                let value = self
-                    .records
-                    .get(s)
-                    .and_then(|record| record.get(&index))
-                    .expect("record_seqs entries mirror records");
-                return value.as_ref().map(|v| v.to_bytes().into_owned());
-            }
+        // between `seq` and that record's checkpoint). A replica retains at
+        // most `log_window / checkpoint_interval + 1` checkpoints, so the
+        // scan reads a handful of records.
+        if let Some(value) = self.records.range(seq..).find_map(|(_, record)| record.get(&index)) {
+            return value.as_ref().map(|v| v.to_bytes().into_owned());
         }
         // ... or the pre-image of the open epoch if it was modified since
         // the newest checkpoint ...
@@ -256,7 +229,6 @@ impl<W: Wrapper> Service for BaseService<W> {
         // The current state *is* the checkpoint now.
         let _ = self.mods.drain();
         self.records.clear();
-        self.record_seqs.clear();
         self.ckpt_trees.insert(seq, self.tree.clone());
         self.last_ckpt = Some(seq);
     }
@@ -270,7 +242,6 @@ impl<W: Wrapper> Service for BaseService<W> {
             self.tree = PartitionTree::new(self.wrapper.n_objects(), BRANCHING);
             let _ = self.mods.drain();
             self.records.clear();
-            self.record_seqs.clear();
             self.ckpt_trees.clear();
             self.last_ckpt = None;
         } else {

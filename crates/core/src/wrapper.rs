@@ -3,7 +3,7 @@
 use base_pbft::ExecEnv;
 use base_xdr::XdrEncoder;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -179,9 +179,9 @@ impl DerefMut for PreImageEncoder {
 /// object per checkpoint epoch).
 #[derive(Debug, Default)]
 pub struct ModifyLog {
-    dirty: HashSet<u64>,
-    /// Pre-images captured this epoch: the object's value as of the last
-    /// checkpoint (`None` = the object was absent).
+    /// Pre-images captured this epoch, keyed by the dirty objects: the
+    /// object's value as of the last checkpoint (`None` = the object was
+    /// absent).
     copies: HashMap<u64, Option<PreImage>>,
 }
 
@@ -205,30 +205,27 @@ impl ModifyLog {
     /// that it can share the runs of the live state that the modification
     /// leaves as they are ([`PreImageEncoder`]).
     pub fn modify_with(&mut self, index: u64, old: impl FnOnce() -> Option<PreImage>) {
-        if self.dirty.insert(index) {
-            self.copies.insert(index, old());
-        }
+        self.copies.entry(index).or_insert_with(old);
     }
 
     /// True if `index` was modified since the last checkpoint.
     pub fn is_dirty(&self, index: u64) -> bool {
-        self.dirty.contains(&index)
+        self.copies.contains_key(&index)
     }
 
     /// Number of distinct objects modified since the last checkpoint.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.copies.len()
     }
 
     /// Iterates over the dirty object indices.
     pub fn dirty_indices(&self) -> impl Iterator<Item = u64> + '_ {
-        self.dirty.iter().copied()
+        self.copies.keys().copied()
     }
 
     /// Drains the log, returning the captured pre-images. Called by the
     /// checkpoint machinery at checkpoint time.
     pub(crate) fn drain(&mut self) -> HashMap<u64, Option<PreImage>> {
-        self.dirty.clear();
         std::mem::take(&mut self.copies)
     }
 

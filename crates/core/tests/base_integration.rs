@@ -10,9 +10,12 @@ use base_simnet::{SimDuration, Simulation};
 
 type KvReplica = BaseReplica<KvWrapper>;
 
+const CHECKPOINT_INTERVAL: u64 = 8;
+const LOG_WINDOW: u64 = 32;
+
 fn build(sim: &mut Simulation, mut cfg: Config, seed: u64, leaky: bool) -> Deployment {
-    cfg.checkpoint_interval = 8;
-    cfg.log_window = 32;
+    cfg.checkpoint_interval = CHECKPOINT_INTERVAL;
+    cfg.log_window = LOG_WINDOW;
     let d = Deployment::build(sim, cfg, 1, seed, |_| {
         let mut kv = TinyKv::default();
         kv.leaky = leaky;
@@ -109,6 +112,51 @@ fn lagging_replica_repairs_through_abstract_state() {
     // put_objs (the inverse abstraction function).
     assert_eq!(r3.service().wrapper().kv().get("k0"), Some(&b"v0"[..]));
     assert_eq!(abstract_state_of(&sim, &g, 3), abstract_state_of(&sim, &g, 0));
+}
+
+/// A replica keeps at most `log_window / checkpoint_interval + 1`
+/// checkpoints, crashed behind the group or not: the bound that keeps
+/// `BaseService::checkpoint_object`'s scan over its reverse-delta records
+/// short. Checked after every simulation event.
+#[test]
+fn retained_checkpoints_stay_within_the_log_window() {
+    let bound = (LOG_WINDOW / CHECKPOINT_INTERVAL + 1) as usize;
+    let mut sim = Simulation::new(24);
+    let g = build(&mut sim, Config::new(4), 24, false);
+    let mut peak = vec![0; g.replicas.len()];
+    let mut run_checked = |sim: &mut Simulation, span: SimDuration| {
+        let until = sim.now() + span;
+        while sim.now() < until && sim.step() {
+            for (i, r) in g.replicas.iter().enumerate() {
+                let kept = sim.actor_as::<KvReplica>(r.node).unwrap().checkpoint_digests().len();
+                assert!(kept <= bound, "replica {i} keeps {kept} checkpoints, bound {bound}");
+                peak[i] = peak[i].max(kept);
+            }
+        }
+    };
+
+    // Five checkpoint intervals with replica 3 down, then five more once
+    // it is back and has caught up by state transfer.
+    sim.crash_forever(g.replicas[3].node);
+    for i in 0..40 {
+        invoke(&mut sim, &g, format!("put k{i} v{i}").as_bytes(), false);
+        run_checked(&mut sim, SimDuration::from_millis(100));
+    }
+    sim.restore(g.replicas[3].node);
+    for i in 40..80 {
+        invoke(&mut sim, &g, format!("put k{i} v{i}").as_bytes(), false);
+        run_checked(&mut sim, SimDuration::from_millis(100));
+    }
+    run_checked(&mut sim, SimDuration::from_secs(5));
+
+    assert_eq!(results(&sim, &g).len(), 80);
+    let r3 = sim.actor_as::<KvReplica>(g.replicas[3].node).unwrap();
+    assert!(r3.stats.state_transfers >= 1, "replica 3 never fetched");
+    assert_eq!(abstract_state_of(&sim, &g, 3), abstract_state_of(&sim, &g, 0));
+    // Every replica, replica 3 after its fetch included, held a stable
+    // checkpoint and a newer one at once, so the bound was checked on more
+    // than the genesis checkpoint.
+    assert!(peak.iter().all(|&p| p >= 2), "peak retained checkpoints {peak:?}");
 }
 
 #[test]

@@ -211,8 +211,7 @@ mod tests {
         assert_eq!(VIEW_CHANGE_TIMEOUT_CAP, SimDuration::from_secs(8));
         assert_eq!(BATCH_MAX, 16);
         assert_eq!(TICK_INTERVAL, SimDuration::from_millis(100));
-        assert_eq!(crate::transfer::DEFAULT_FETCH_WINDOW, 4);
-        assert_eq!(crate::transfer::FETCH_WINDOW_MAX, 16);
+        assert_eq!(crate::transfer::FETCH_WINDOW, 16);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use super::io::Io;
 use super::json_opt;
 use crate::cost::COST;
 use crate::messages::Message;
-use crate::transfer::{FetchResult, Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX};
+use crate::transfer::{FetchResult, Fetcher, FETCH_WINDOW};
 use base_crypto::Digest;
 use base_simnet::ProtocolEvent;
 
@@ -28,8 +28,7 @@ impl Fetch {
             return;
         }
         io.exec(|svc, env| svc.prepare_for_transfer(env));
-        let mut fetcher =
-            Fetcher::new(io.id, io.cfg.n, seq, digest, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX);
+        let mut fetcher = Fetcher::new(io.id, io.cfg.n, seq, digest, FETCH_WINDOW);
         for (to, msg) in fetcher.begin() {
             io.send_to_replica(to as usize, &msg);
         }
@@ -62,7 +61,7 @@ impl Fetch {
         let fetcher = self.fetcher.as_mut()?;
         let (out, done) = match msg {
             Message::MetaReply(m) => fetcher.on_meta_reply(m, io.service.current_tree()),
-            Message::ObjectReply(m) => fetcher.on_object_reply(m, io.service.current_tree()),
+            Message::ObjectReply(m) => fetcher.on_object_reply(m),
             _ => return None,
         };
         let bytes = bytes as u64;
@@ -86,7 +85,6 @@ impl Fetch {
         m.observe("transfer.objects_fetched", objects);
         m.add("transfer.corrupt_replies", result.corrupt_replies);
         m.add("transfer.retransmissions", result.retransmissions);
-        m.observe("transfer.peak_window", result.peak_window as u64);
         // Wall-clock from fetch start to installation: the transfer's
         // contribution to heal-to-progress latency.
         m.observe("transfer.fetch_ns", io.ctx.now().as_nanos().saturating_sub(self.started_at_ns));

@@ -14,15 +14,13 @@
 //! essential for state transfer.
 //!
 //! Queries are spread round-robin over the other replicas and pipelined:
-//! up to a window of meta/object queries is outstanding at a time — it
-//! starts at [`DEFAULT_FETCH_WINDOW`], grows to [`FETCH_WINDOW_MAX`] on
-//! timely verified replies and halves on retransmission — with further
-//! discovered queries parked in FIFO order until a slot frees up. A query
-//! whose reply fails digest verification is re-targeted to a different
-//! source immediately; unanswered queries are retransmitted with per-query
-//! exponential backoff from the observed reply latency plus deterministic
-//! jitter, so a slow or silent source delays only its own partitions and
-//! retries do not synchronize into bursts.
+//! up to [`FETCH_WINDOW`] meta/object queries are outstanding at a time,
+//! with further discovered queries parked in FIFO order until a slot frees
+//! up. A query whose reply fails digest verification is re-targeted to a
+//! different source immediately; unanswered queries are retransmitted with
+//! per-query exponential backoff in fetch ticks plus deterministic jitter,
+//! so a slow or silent source delays only its own partitions and retries
+//! do not synchronize into bursts.
 //!
 //! An out-of-date object is fetched whole, and its bytes must hash to the
 //! leaf digest ([`crate::tree::leaf_digest`]) the verified walk gave for it.
@@ -34,10 +32,9 @@
 use crate::messages::{FetchMetaMsg, FetchObjectMsg, Message, MetaReplyMsg, ObjectReplyMsg};
 use crate::tree::PartitionTree;
 use base_crypto::Digest;
-use base_simnet::RttEstimator;
 use std::collections::{HashMap, VecDeque};
 
-/// Initial window of concurrently outstanding fetch queries.
+/// Window of concurrently outstanding fetch queries a replica uses.
 ///
 /// The fetcher pipelines its tree walk: up to this many meta/object
 /// queries are in flight at once, and each reply both advances the walk
@@ -46,10 +43,7 @@ use std::collections::{HashMap, VecDeque};
 /// larger windows overlap query round-trips and cut the number of
 /// request/reply rounds a transfer needs, while still bounding how hard a
 /// recovering replica hammers its sources.
-pub const DEFAULT_FETCH_WINDOW: usize = 4;
-
-/// Upper bound a replica's fetch window grows to.
-pub const FETCH_WINDOW_MAX: usize = 16;
+pub const FETCH_WINDOW: usize = 16;
 
 /// Pseudo-level used to fetch the checkpoint's top-level metadata
 /// (`[service_root, replies_digest]`).
@@ -83,8 +77,6 @@ pub struct FetchResult {
     pub corrupt_replies: u64,
     /// Queries retransmitted (timeouts plus corrupt replies).
     pub retransmissions: u64,
-    /// Largest pipelining window the fetch reached.
-    pub peak_window: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,9 +94,6 @@ struct Outstanding {
     /// Tick count at which this query becomes eligible for retransmission
     /// (exponential backoff with deterministic jitter).
     next_retry: u64,
-    /// Tick count at which the query was last put on the wire; verified
-    /// replies feed `ticks - sent_at` to the reply-latency estimator.
-    sent_at: u64,
     /// The source the query was last sent to.
     source: u32,
 }
@@ -126,16 +115,8 @@ pub struct Fetcher {
     /// Discovered queries parked until a window slot frees up (FIFO, so
     /// the walk order matches discovery order at any window size).
     pending: VecDeque<(FetchKey, Digest)>,
-    /// Maximum number of concurrently outstanding queries. AIMD: grows on
-    /// timely verified replies, halves on retransmission.
+    /// Maximum number of concurrently outstanding queries.
     window: usize,
-    /// Upper bound for window growth.
-    window_max: usize,
-    /// Largest window reached over the fetch's lifetime.
-    peak_window: usize,
-    /// Reply latency in ticks; its RTO is the retry backoff base and the
-    /// timeliness threshold for window growth.
-    rtt: RttEstimator,
     /// Objects collected so far.
     objects: Vec<(u64, Option<Vec<u8>>)>,
     /// Round-robin cursor over source replicas.
@@ -155,22 +136,11 @@ impl Fetcher {
     /// Creates a fetcher targeting checkpoint (`seq`, `target`), where
     /// `target` is the composite digest proven by a checkpoint certificate.
     ///
-    /// The pipelining window starts at `window` (clamped to a minimum of 1;
-    /// `1` walks the tree strictly serially) and adapts up to `window_max`:
-    /// additive increase on timely verified replies, halving on
-    /// retransmission. `window == window_max` pins the ceiling, so the
-    /// window never exceeds it. Per-query retry backoff derives from the
-    /// observed reply latency. Scheduling-only: absent loss, the set of
-    /// fetched objects and issued queries is the same at any window.
-    pub fn new(
-        me: u32,
-        n: usize,
-        seq: u64,
-        target: Digest,
-        window: usize,
-        window_max: usize,
-    ) -> Self {
-        let window = window.max(1);
+    /// At most `window` queries are outstanding at once (clamped to a
+    /// minimum of 1; `1` walks the tree strictly serially, a replica uses
+    /// [`FETCH_WINDOW`]). Scheduling-only: absent loss, the set of fetched
+    /// objects and issued queries is the same at any window.
+    pub fn new(me: u32, n: usize, seq: u64, target: Digest, window: usize) -> Self {
         Self {
             me,
             n,
@@ -181,10 +151,7 @@ impl Fetcher {
             replies_blob: None,
             outstanding: HashMap::new(),
             pending: VecDeque::new(),
-            window,
-            window_max: window_max.max(window),
-            peak_window: window,
-            rtt: RttEstimator::new(seq ^ u64::from(me), 1, MAX_BACKOFF_TICKS, 1),
+            window: window.max(1),
             objects: Vec::new(),
             cursor: (me as usize + 1) % n,
             ticks: 0,
@@ -194,11 +161,6 @@ impl Fetcher {
             meta_queries: 0,
             done: false,
         }
-    }
-
-    /// The current pipelining window.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// The checkpoint this fetch targets.
@@ -214,11 +176,6 @@ impl Fetcher {
     /// Replies dropped because their digest did not verify.
     pub fn corrupt_replies(&self) -> u64 {
         self.corrupt_replies
-    }
-
-    /// Queries retransmitted so far (timeouts plus corrupt replies).
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
     }
 
     fn next_source(&mut self) -> u32 {
@@ -275,26 +232,12 @@ impl Fetcher {
         if max == 0 { 0 } else { x % (max + 1) }
     }
 
-    /// Exponential backoff (in ticks) for the next retry of `key`, scaled
-    /// from the observed reply-latency RTO, plus jitter of up to half the
+    /// Exponential backoff (in ticks) for the next retry of `key`:
+    /// `min(2^attempts, MAX_BACKOFF_TICKS)`, plus jitter of up to half the
     /// backoff.
     fn backoff_ticks(&self, key: FetchKey, attempts: u32) -> u64 {
-        let base = self.rtt.backoff(attempts);
+        let base = (1u64 << attempts.min(63)).min(MAX_BACKOFF_TICKS);
         base + self.jitter(key, attempts, base / 2)
-    }
-
-    /// Removes a verified outstanding query, feeding its reply latency to
-    /// the estimator and growing the window when the reply was timely.
-    /// Returns false when the query was not outstanding (stale reply).
-    fn consume(&mut self, key: FetchKey) -> bool {
-        let Some(o) = self.outstanding.remove(&key) else { return false };
-        let lat = self.ticks.saturating_sub(o.sent_at);
-        self.rtt.observe(lat);
-        if lat <= self.rtt.rto() && self.window < self.window_max {
-            self.window += 1;
-            self.peak_window = self.peak_window.max(self.window);
-        }
-        true
     }
 
     /// Queues a newly discovered query. It is sent immediately if the
@@ -317,7 +260,7 @@ impl Fetcher {
             let source = self.next_source();
             self.outstanding.insert(
                 key,
-                Outstanding { expected, attempts: 0, next_retry, sent_at: self.ticks, source },
+                Outstanding { expected, attempts: 0, next_retry, source },
             );
             out.push((source, msg));
         }
@@ -339,13 +282,9 @@ impl Fetcher {
         }
         if let Some(o) = self.outstanding.get_mut(&key) {
             o.next_retry = next_retry;
-            o.sent_at = self.ticks;
             o.source = source;
         }
         self.retransmissions += 1;
-        // Multiplicative decrease: a lost or corrupt reply means the
-        // sources (or the path) are struggling — back the window off.
-        self.window = (self.window / 2).max(1);
         Some((source, self.request_for(key)))
     }
 
@@ -408,7 +347,7 @@ impl Fetcher {
             {
                 return self.reject(FetchKey::Root);
             }
-            if !self.consume(FetchKey::Root) {
+            if self.outstanding.remove(&FetchKey::Root).is_none() {
                 return (Vec::new(), None);
             }
             let service_root = m.digests[0];
@@ -446,7 +385,7 @@ impl Fetcher {
         if !local.verify_children(m.level, &m.digests, &expected) {
             return self.reject(key);
         }
-        self.consume(key);
+        self.outstanding.remove(&key);
 
         let b = local.branching() as u64;
         let local_children = local
@@ -490,7 +429,6 @@ impl Fetcher {
     pub fn on_object_reply(
         &mut self,
         m: &ObjectReplyMsg,
-        _local: &PartitionTree,
     ) -> (Vec<(u32, Message)>, Option<FetchResult>) {
         if self.done || m.seq != self.seq {
             return (Vec::new(), None);
@@ -503,7 +441,7 @@ impl Fetcher {
             if Digest::of(&m.data) != expected {
                 return self.reject(FetchKey::Replies);
             }
-            if self.consume(FetchKey::Replies) {
+            if self.outstanding.remove(&FetchKey::Replies).is_some() {
                 self.fetched_bytes += m.data.len() as u64;
                 self.replies_blob = Some(m.data.clone());
             }
@@ -520,7 +458,7 @@ impl Fetcher {
         if crate::tree::leaf_digest(m.index, &m.data) != expected {
             return self.reject(key);
         }
-        self.consume(key);
+        self.outstanding.remove(&key);
         self.fetched_bytes += m.data.len() as u64;
         self.objects.push((m.index, Some(m.data.clone())));
         let mut out = Vec::new();
@@ -547,7 +485,6 @@ impl Fetcher {
             meta_queries: self.meta_queries,
             corrupt_replies: self.corrupt_replies,
             retransmissions: self.retransmissions,
-            peak_window: self.peak_window,
         })
     }
 }

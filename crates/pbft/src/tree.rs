@@ -107,14 +107,6 @@ pub struct TreeUpdateStats {
     pub internal_hashes: u64,
 }
 
-impl TreeUpdateStats {
-    /// Accumulates another batch's counts.
-    pub fn absorb(&mut self, other: TreeUpdateStats) {
-        self.leaves_updated += other.leaves_updated;
-        self.internal_hashes += other.internal_hashes;
-    }
-}
-
 /// A persistent digest tree over `capacity` leaves with a fixed branching
 /// factor.
 ///

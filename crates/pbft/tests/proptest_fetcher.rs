@@ -12,7 +12,7 @@
 use base_crypto::Digest;
 use base_pbft::messages::Message;
 use base_pbft::testing::RemoteCheckpoint;
-use base_pbft::transfer::{FetchResult, Fetcher, META_ROOT_LEVEL};
+use base_pbft::transfer::{FetchResult, Fetcher, FETCH_WINDOW, META_ROOT_LEVEL};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -148,7 +148,7 @@ impl Run<'_> {
     fn deliver(&mut self, reply: &Message) -> Vec<Message> {
         let (out, done) = match reply {
             Message::MetaReply(m) => self.fetcher.on_meta_reply(m, self.local),
-            Message::ObjectReply(m) => self.fetcher.on_object_reply(m, self.local),
+            Message::ObjectReply(m) => self.fetcher.on_object_reply(m),
             _ => unreachable!(),
         };
         if let Some(result) = done {
@@ -283,7 +283,7 @@ proptest! {
         let mut run = Run {
             remote: &remote,
             local: &local,
-            fetcher: Fetcher::new(ME, 4, SEQ, remote.composite(), 4, 16),
+            fetcher: Fetcher::new(ME, 4, SEQ, remote.composite(), FETCH_WINDOW),
             wire: VecDeque::new(),
             last_source: HashMap::new(),
             answered: HashSet::new(),

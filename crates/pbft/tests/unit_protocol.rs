@@ -10,7 +10,7 @@ use base_pbft::messages::{
 };
 use base_pbft::replica::{compute_o, validate_cert};
 use base_pbft::testing::RemoteCheckpoint;
-use base_pbft::transfer::{Fetcher, DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX, META_ROOT_LEVEL};
+use base_pbft::transfer::{Fetcher, FETCH_WINDOW, META_ROOT_LEVEL};
 use base_pbft::tree::{leaf_digest, PartitionTree};
 use base_pbft::Config;
 
@@ -31,7 +31,7 @@ fn remote_with_48_values() -> RemoteCheckpoint {
 
 /// A fetcher for `remote`'s checkpoint, windowed the way a replica's is.
 fn fetcher(remote: &RemoteCheckpoint) -> Fetcher {
-    Fetcher::new(3, 4, 128, remote.composite(), DEFAULT_FETCH_WINDOW, FETCH_WINDOW_MAX)
+    Fetcher::new(3, 4, 128, remote.composite(), FETCH_WINDOW)
 }
 
 /// Pumps a fetcher against a remote until quiescent; returns the result.
@@ -48,7 +48,7 @@ fn drive(
         let Some(reply) = remote.serve(&msg) else { continue };
         let (more, done) = match reply {
             Message::MetaReply(m) => fetcher.on_meta_reply(&m, local),
-            Message::ObjectReply(m) => fetcher.on_object_reply(&m, local),
+            Message::ObjectReply(m) => fetcher.on_object_reply(&m),
             _ => unreachable!(),
         };
         queue.extend(more);
@@ -126,7 +126,7 @@ fn fetcher_rejects_corrupt_meta_and_objects() {
     // stays outstanding.
     let forged_obj = ObjectReplyMsg { seq: 128, index: 3, data: b"fake".to_vec(), replica: 2 };
     let before = f.is_done();
-    let (_, done) = f.on_object_reply(&forged_obj, &local);
+    let (_, done) = f.on_object_reply(&forged_obj);
     assert!(done.is_none());
     assert_eq!(f.is_done(), before);
 }
@@ -165,7 +165,7 @@ fn drive_counting(
         let Some(reply) = remote.serve(&msg) else { continue };
         let (more, done) = match reply {
             Message::MetaReply(m) => fetcher.on_meta_reply(&m, local),
-            Message::ObjectReply(m) => fetcher.on_object_reply(&m, local),
+            Message::ObjectReply(m) => fetcher.on_object_reply(&m),
             _ => unreachable!(),
         };
         queue.extend(more);
@@ -183,13 +183,13 @@ fn fetch_window_bounds_outstanding_queries() {
     let local = PartitionTree::new(64, 4);
 
     // Window 1: strictly serial — never more than one unanswered query.
-    let mut serial = Fetcher::new(3, 4, 128, remote.composite(), 1, 1);
+    let mut serial = Fetcher::new(3, 4, 128, remote.composite(), 1);
     let (result, max_inflight) = drive_counting(&mut serial, &remote, &local);
     let serial_result = result.expect("serial fetch completes");
     assert_eq!(max_inflight, 1, "window 1 keeps exactly one query in flight");
 
-    // Window 4, pinned: pipelined, but never beyond the window.
-    let mut windowed = Fetcher::new(3, 4, 128, remote.composite(), 4, 4);
+    // Window 4: pipelined, but never beyond the window.
+    let mut windowed = Fetcher::new(3, 4, 128, remote.composite(), 4);
     let (result, max_inflight) = drive_counting(&mut windowed, &remote, &local);
     let windowed_result = result.expect("windowed fetch completes");
     assert!(max_inflight > 1, "window 4 actually pipelines");
@@ -207,49 +207,68 @@ fn fetch_window_bounds_outstanding_queries() {
     assert_eq!(serial_result.replies_blob, windowed_result.replies_blob);
 }
 
+/// What a query asks for: `(is_object, level, index)`. A retransmission
+/// repeats its query's key.
+fn query_key(msg: &Message) -> (bool, u32, u64) {
+    match msg {
+        Message::FetchMeta(q) => (false, q.level, q.index),
+        Message::FetchObject(q) => (true, 0, q.index),
+        _ => unreachable!("the fetcher sends only fetch queries"),
+    }
+}
+
 #[test]
-fn pinned_fetch_window_never_grows_but_still_halves() {
+fn retransmission_keeps_the_window_and_the_fetch_completes() {
+    use std::collections::{HashSet, VecDeque};
     let remote = remote_with_48_values();
     let local = PartitionTree::new(64, 4);
 
-    let mut f = Fetcher::new(3, 4, 128, remote.composite(), 4, 4);
-    let mut queue: std::collections::VecDeque<(u32, Message)> = f.begin().into();
-    // Answers the oldest unanswered query.
-    let serve_next = |f: &mut Fetcher, queue: &mut std::collections::VecDeque<(u32, Message)>| {
+    let mut f = fetcher(&remote);
+    let mut queue: VecDeque<(u32, Message)> = f.begin().into();
+    let mut answered = HashSet::new();
+    // Answers the oldest message on the wire; a repeat of an answered
+    // query gets a reply the fetcher discards as stale.
+    let mut serve_next = |f: &mut Fetcher, queue: &mut VecDeque<(u32, Message)>| {
         let (_, msg) = queue.pop_front().expect("fetch still has work");
+        answered.insert(query_key(&msg));
         let (more, done) = match remote.serve(&msg).expect("query is answerable") {
             Message::MetaReply(m) => f.on_meta_reply(&m, &local),
-            Message::ObjectReply(m) => f.on_object_reply(&m, &local),
+            Message::ObjectReply(m) => f.on_object_reply(&m),
             _ => unreachable!(),
         };
         queue.extend(more);
+        let in_flight: HashSet<_> = queue
+            .iter()
+            .map(|(_, q)| query_key(q))
+            .filter(|k| !answered.contains(k))
+            .collect();
+        assert!(in_flight.len() <= FETCH_WINDOW, "{} queries in flight", in_flight.len());
         done
     };
 
-    // `window == window_max`: every reply here is timely, and none may
-    // push the window past its pin.
-    for reply in 1..=8 {
+    // Fill the window.
+    while queue.len() < FETCH_WINDOW {
         assert!(serve_next(&mut f, &mut queue).is_none());
-        assert_eq!(f.window(), 4, "pinned window moved after reply {reply}");
-        assert!(queue.len() <= 4, "{} queries in flight", queue.len());
     }
+    assert_eq!(queue.len(), FETCH_WINDOW);
 
-    // A retransmission still halves it, once per resent query...
+    // The first tick's backoff has expired: every unanswered query is sent
+    // again, and nothing new goes out with them.
     let resent = f.tick();
-    assert!(!resent.is_empty(), "unanswered queries are retransmitted");
-    assert_eq!(f.window(), (4usize >> resent.len()).max(1));
+    assert_eq!(resent.len(), FETCH_WINDOW, "each unanswered query is retransmitted");
+    for (_, msg) in &resent {
+        assert!(queue.iter().any(|(_, q)| q == msg), "{} was not in flight", msg.kind());
+    }
     queue.extend(resent);
 
-    // ...and timely replies grow it back to the pin, never beyond.
+    // No more than the window is in flight until the fetch is done.
     let result = loop {
-        let done = serve_next(&mut f, &mut queue);
-        assert!(f.window() <= 4);
-        if let Some(result) = done {
+        if let Some(result) = serve_next(&mut f, &mut queue) {
             break result;
         }
     };
-    assert_eq!(f.window(), 4, "window recovers to the pin");
     assert_eq!(result.objects.len(), 48);
+    assert_eq!(result.retransmissions, FETCH_WINDOW as u64);
 }
 
 #[test]

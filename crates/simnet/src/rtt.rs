@@ -1,24 +1,23 @@
 //! Deterministic Jacobson/Karels round-trip-time estimation.
 //!
-//! Every retry timer in the stack (client retransmission, the view-change
-//! base timeout, the state-transfer fetcher's per-query backoff) needs the
-//! same primitive: an estimate of how long a request/response exchange
-//! *should* take, turned into a retransmission timeout (RTO) that adapts to
-//! what the network actually delivers. [`RttEstimator`] is the classic
+//! The client's retransmission timer and the view change's base timeout
+//! need the same primitive: an estimate of how long a request/response
+//! exchange *should* take, turned into a retransmission timeout (RTO) that
+//! adapts to what the network actually delivers. [`RttEstimator`] is the classic
 //! TCP estimator — exponentially weighted mean plus mean deviation,
 //! `RTO = srtt + 4·rttvar` — in pure integer arithmetic so two runs over
 //! the same sample sequence produce byte-identical state.
 //!
 //! The estimator is unit-agnostic: callers feed samples in whatever unit
-//! their clock ticks in (nanoseconds for the simulation clock, fetch ticks
-//! for the state-transfer fetcher) and read the RTO back in the same unit.
+//! their clock ticks in (nanoseconds for the simulation clock) and read the
+//! RTO back in the same unit.
 //!
 //! Jitter is deterministic too. Instead of consuming simulator RNG (which
 //! would shift every downstream random draw and break trace stability for
 //! unrelated components), [`RttEstimator::jitter`] runs a splitmix64 finalizer
-//! over the estimator's seed and a caller-provided salt — the same idiom the
-//! state-transfer fetcher uses to de-synchronize retries without touching
-//! the run's RNG stream.
+//! over the estimator's seed and a caller-provided salt — the idiom the
+//! state-transfer fetcher also uses, with no estimator, to spread its
+//! retries without touching the run's RNG stream.
 
 /// Jacobson/Karels RTT estimator with clamped RTO and deterministic jitter.
 ///

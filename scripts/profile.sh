@@ -64,12 +64,22 @@ import bisect, collections, re, sys
 mode, binary, symbols_path, workload, seed, *runs = sys.argv[1:]
 ALLOC = ("__rustc::", "__rdl_", "alloc::alloc::", "alloc::raw_vec::")  # the allocator's shims
 OURS = re.compile(r"\bbase(_[a-z]+)?::")  # a function of the workspace's own crates
+# `nm -n` lists by address. The linker folds functions with identical
+# bodies into one, so one address can carry several names: its row shows
+# them all, joined by " | ", rather than whichever `nm` listed last.
 addrs, names = [], []
 for line in open(symbols_path):
     parts = line.rstrip("\n").split(" ", 2)
     if len(parts) == 3 and parts[1] in "tTwW":
-        addrs.append(int(parts[0], 16))
-        names.append(parts[2])
+        addr = int(parts[0], 16)
+        if addrs and addrs[-1] == addr:
+            if parts[2] not in names[-1]:
+                names[-1].append(parts[2])
+        else:
+            addrs.append(addr)
+            names.append([parts[2]])
+folded = sum(len(n) > 1 for n in names)
+names = [" | ".join(n) for n in names]
 
 def outside(path):
     # The installed libc is stripped: its nearest export names the wrong
@@ -120,20 +130,25 @@ for path in runs:  # each run has its own address-space layout
         for s in {s for s in syms if s} | extra:
             inclusive[s] += weight
 
+folded_note = (f"{folded} addresses carry more than one name (bodies the linker folded); "
+               "a row for one lists every name, joined by ' | ', untruncated")
+
 def table(title, rows, unit):
     print(f"\n{title}")
     for name, n in rows:
-        print(f"{unit(n)}  {name[:140]}")
+        print(f"{unit(n)}  {name if ' | ' in name else name[:140]}")
 
 pct = lambda n: f"{100 * n / max(total, 1):7.1f}"
 if mode == "heap":
     mb = lambda n: f"{n / 1e6:8.3f}"
     print(f"{workload} seed {seed}: {peak / 1e6:.3f} MB live at the process's peak, "
           f"{total / 1e6:.3f} MB of it attributed")
+    print(folded_note)
     table("      MB  site: innermost workspace frame <- its caller (top 30)", sites.most_common(30), mb)
     table("      MB  function, anywhere on the stack (top 30)", inclusive.most_common(30), mb)
 else:
     print(f"{workload} seed {seed}: {total} samples in {len(runs)} runs")
+    print(folded_note)
     table(" flat %  incl %  function (flat top 25)",
           [(f"{100 * inclusive[k] / max(total, 1):6.1f}  {k}", n) for k, n in flat.most_common(25)], pct)
     table(" incl %  function (inclusive top 25)", inclusive.most_common(25), pct)

@@ -493,6 +493,19 @@ fn one_test_double(t: &Tree) -> Vec<Hit> {
     hits
 }
 
+/// One fetch window (DESIGN.md §12): a replica fetches with the one
+/// `FETCH_WINDOW`, so the window's start and ceiling and its peak metric
+/// are gone from `crates/*/src`; and a checkpoint object is found by a
+/// scan over the few retained reverse-delta records, so the per-object
+/// index over them is gone too.
+fn one_fetch_window(t: &Tree) -> Vec<Hit> {
+    t.grep(
+        library,
+        Mode::Word,
+        "DEFAULT_FETCH_WINDOW|FETCH_WINDOW_MAX|window_max|peak_window|record_seqs",
+    )
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -531,6 +544,7 @@ gate_tests!(
     one_decode_path,
     one_event_reading,
     one_test_double,
+    one_fetch_window,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -541,7 +555,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 38] = [
+    let plants: [(Gate, &str, &str); 40] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -580,6 +594,8 @@ fn every_gate_fires_on_its_plant() {
         (one_test_double, "crates/pbft/src/testing.rs", "pub struct RemoteCheckpoint;"),
         (one_test_double, "crates/simnet/src/ddmin.rs", "struct Pinger;"),
         (one_test_double, "crates/simnet/src/ddmin.rs", "struct PingHarness;"),
+        (one_fetch_window, "crates/pbft/src/transfer.rs", "pub const FETCH_WINDOW_MAX: usize = 16;"),
+        (one_fetch_window, "crates/core/src/service.rs", "    record_seqs: HashMap<u64, BTreeSet<u64>>,"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
