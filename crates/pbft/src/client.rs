@@ -1,13 +1,12 @@
 //! The PBFT client: `invoke` semantics, reply quorum matching,
 //! retransmission, and the read-only optimization.
 
-use crate::config::{Config, CLIENT_RTO_INITIAL, RTO_CEILING, RTO_FLOOR};
+use crate::config::{jitter, Config, RTO, RTO_CEILING};
 use crate::cost::COST;
 use crate::messages::{Message, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, NodeKeys};
 use base_simnet::{
-    Actor, Context, MetricsRegistry, NodeId, Payload, ProtocolEvent, RttEstimator, SimDuration,
-    TimerId,
+    Actor, Context, MetricsRegistry, NodeId, Payload, ProtocolEvent, SimDuration, TimerId,
 };
 use base_xdr::SharedBytes;
 use std::collections::VecDeque;
@@ -145,14 +144,9 @@ pub struct ClientCore {
     /// Client-side metrics (request latency, retransmissions, quorum
     /// degradations).
     pub metrics: MetricsRegistry,
-    /// Adaptive retransmission timeout, fed by completed-operation
-    /// latencies.
-    rtt: RttEstimator,
-    /// Persistent RTO backoff exponent (RFC 6298 §5.5-5.7): Karn's
-    /// algorithm discards retransmitted samples, so when *every* exchange
-    /// is retransmitted the estimator alone could never adapt upward.
-    /// Each timeout doubles the effective RTO for subsequent sends; the
-    /// next clean (unretransmitted) completion resets it.
+    /// Persistent backoff exponent (RFC 6298 §5.5-5.7): each timeout
+    /// doubles the first wait of later sends, and the next operation that
+    /// completes without retransmission resets it.
     rto_shift: u32,
     /// Timer token used for this core's retransmission timer
     /// ([`TOKEN_CLIENT_RETRANS`] by default). Actors embedding several
@@ -167,14 +161,6 @@ impl ClientCore {
     pub fn new(cfg: Config, keys: NodeKeys) -> Self {
         let id = keys.id() as u32;
         assert!(id as usize >= cfg.n, "client ids start after replica ids");
-        // Seed the jitter stream per client so concurrent retries
-        // de-synchronize without consuming simulator RNG.
-        let rtt = RttEstimator::new(
-            0x9e37_79b9_7f4a_7c15 ^ u64::from(id),
-            RTO_FLOOR.as_nanos(),
-            RTO_CEILING.as_nanos(),
-            CLIENT_RTO_INITIAL.as_nanos(),
-        );
         Self {
             cfg,
             keys,
@@ -190,7 +176,6 @@ impl ClientCore {
             rto_shift: 0,
             auto_pump: true,
             metrics: MetricsRegistry::new(),
-            rtt,
             retrans_token: TOKEN_CLIENT_RETRANS,
         }
     }
@@ -245,12 +230,7 @@ impl ClientCore {
             ctx.send(self.cfg.replica_node(primary), sent.clone());
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
-        // Jacobson/Karels RTO (equal to `CLIENT_RTO_INITIAL` until the first
-        // clean completion seeds the estimator), doubled once per
-        // unresolved timeout so a chronically underestimated RTO still
-        // adapts upward despite Karn discarding its samples.
-        let timeout = SimDuration::from_nanos(self.rtt.backoff(self.rto_shift));
-        let timer = ctx.set_timer(timeout, self.retrans_token);
+        let timer = ctx.set_timer(backoff(self.rto_shift), self.retrans_token);
         self.pending = Some(Pending {
             ts,
             sent,
@@ -358,14 +338,8 @@ impl ClientCore {
         push_bounded(&mut self.latencies_ns, latency, outstanding);
         self.metrics.observe("client.request_latency_ns", latency);
         if done.attempts == 0 {
-            // Karn's algorithm: an operation that needed retransmission is
-            // an ambiguous sample — its latency includes the backoff waits
-            // and whatever fault it rode out, which would inflate the RTO
-            // and suppress the very retransmissions that drive recovery.
-            self.rtt.observe(latency);
             self.rto_shift = 0;
-        }
-        if done.attempts > 0 {
+        } else {
             // An op that needed retransmission was pending across some
             // disruption; its total latency is the client-visible
             // heal-to-progress cost.
@@ -424,20 +398,24 @@ impl ClientCore {
         // (or trigger a view change if it is faulty).
         self.broadcast(&req.to_payload(), ctx);
 
-        // Exponential backoff with jitter: up to a quarter of the base
-        // backoff of extra delay, so the retry storms of many clients
-        // recovering from one partition do not synchronize.
-        let attempts = self.pending.as_ref().map(|p| p.attempts).unwrap_or(1);
+        // Exponential backoff plus seeded jitter of up to a quarter of it,
+        // so the retry storms of many clients recovering from one
+        // partition do not synchronize.
         self.rto_shift = (self.rto_shift + 1).min(6);
-        // RTO-based backoff with seeded jitter: deterministic, and no
-        // simulator RNG is consumed on the retry path.
-        let delay = SimDuration::from_nanos(self.rtt.jittered_backoff(attempts, ts));
-        let timer = ctx.set_timer(delay, self.retrans_token);
+        let base = backoff(attempts);
+        let seed = 0x9e37_79b9_7f4a_7c15 ^ u64::from(self.id);
+        let extra = jitter(seed, ts ^ u64::from(attempts), base.as_nanos() / 4);
+        let timer = ctx.set_timer(base + SimDuration::from_nanos(extra), self.retrans_token);
         if let Some(p) = self.pending.as_mut() {
             p.timer = Some(timer);
         }
         true
     }
+}
+
+/// [`RTO`] doubled `shift` times (at most six), clamped to [`RTO_CEILING`].
+fn backoff(shift: u32) -> SimDuration {
+    RTO.saturating_mul(1 << shift.min(6)).min(RTO_CEILING)
 }
 
 /// Pushes `item` onto `v`, which grows by doubling as `Vec::push` grows it,

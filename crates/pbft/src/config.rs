@@ -2,22 +2,17 @@
 
 use base_simnet::{NodeId, SimDuration};
 
-/// Lower clamp for retransmission timeouts (client retries and the
-/// replicas' agreement-latency estimator).
-pub const RTO_FLOOR: SimDuration = SimDuration::from_millis(150);
+/// Retransmission timeout: a client's first wait for a reply quorum, and a
+/// view's progress timer whenever it restarts. The agreement round it
+/// guards takes milliseconds, so a fixed value serves every workload.
+pub const RTO: SimDuration = SimDuration::from_millis(150);
 
-/// Upper clamp for retransmission timeouts and their exponential backoff.
+/// Upper clamp for a client's exponential backoff from [`RTO`].
 pub const RTO_CEILING: SimDuration = SimDuration::from_secs(4);
 
-/// Client retransmission timeout before the first sample: once an
-/// operation completes, the Jacobson/Karels estimator
-/// (`base_simnet::RttEstimator`) drives the timer, clamped between
-/// [`RTO_FLOOR`] and [`RTO_CEILING`].
-pub const CLIENT_RTO_INITIAL: SimDuration = SimDuration::from_millis(300);
-
-/// View-change timeout before the first batch executes; it doubles for each
-/// consecutive failed view (clamped to [`VIEW_CHANGE_TIMEOUT_CAP`]). Once
-/// samples exist, the base is the RTO of the observed agreement latency.
+/// Floor of an escalating view change: the first failed view waits at
+/// least this long, and the wait doubles for each consecutive failed view
+/// (clamped to [`VIEW_CHANGE_TIMEOUT_CAP`], see [`escalated_vc_timeout`]).
 pub const VIEW_CHANGE_TIMEOUT_BASE: SimDuration = SimDuration::from_millis(500);
 
 /// Ceiling for the doubling view-change timeout: however many consecutive
@@ -159,6 +154,20 @@ pub fn escalated_vc_timeout(current: SimDuration) -> SimDuration {
         .max(VIEW_CHANGE_TIMEOUT_BASE)
 }
 
+/// A deterministic draw in `0..=max`, keyed by `seed` and `salt`: a
+/// splitmix64 finalizer, so retries spread out without consuming the
+/// simulator's RNG (which would shift every later draw of the run). Pure:
+/// the same arguments always give the same value.
+pub(crate) fn jitter(seed: u64, salt: u64, max: u64) -> u64 {
+    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    x % (max + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,9 +213,8 @@ mod tests {
     /// changing one drifts them all.
     #[test]
     fn timer_and_window_constants_keep_their_values() {
-        assert_eq!(RTO_FLOOR, SimDuration::from_millis(150));
+        assert_eq!(RTO, SimDuration::from_millis(150));
         assert_eq!(RTO_CEILING, SimDuration::from_secs(4));
-        assert_eq!(CLIENT_RTO_INITIAL, SimDuration::from_millis(300));
         assert_eq!(VIEW_CHANGE_TIMEOUT_BASE, SimDuration::from_millis(500));
         assert_eq!(VIEW_CHANGE_TIMEOUT_CAP, SimDuration::from_secs(8));
         assert_eq!(BATCH_MAX, 16);
@@ -256,7 +264,8 @@ mod tests {
             assert_eq!(t, VIEW_CHANGE_TIMEOUT_CAP);
         }
 
-        // An adaptive base below the floor is pulled back up.
+        // A timeout below the floor (a view's progress timer, `RTO`) is
+        // pulled back up.
         let fast = escalated_vc_timeout(SimDuration::from_millis(100));
         assert_eq!(fast, VIEW_CHANGE_TIMEOUT_BASE);
 
@@ -266,5 +275,19 @@ mod tests {
         let huge = escalated_vc_timeout(SimDuration::from_nanos(u64::MAX / 2 + 1));
         assert_eq!(huge, VIEW_CHANGE_TIMEOUT_CAP);
         assert_ne!(huge, VIEW_CHANGE_TIMEOUT_BASE);
+    }
+
+    #[test]
+    fn jitter_is_pure_and_bounded() {
+        for salt in 0..256u64 {
+            let j = jitter(42, salt, 75);
+            assert!(j <= 75, "salt {salt} drew {j}");
+            assert_eq!(j, jitter(42, salt, 75), "same arguments, same draw");
+        }
+        assert!((0..256u64).any(|salt| jitter(42, salt, 75) == 75), "the bound is reachable");
+        assert_eq!(jitter(42, 7, 0), 0);
+        assert_eq!(jitter(u64::MAX, u64::MAX, 0), 0);
+        // Different seeds de-synchronize.
+        assert!((0..64u64).any(|salt| jitter(42, salt, 1_000) != jitter(43, salt, 1_000)));
     }
 }

@@ -328,6 +328,29 @@ mod tests {
         }
     }
 
+    /// A backup handed a client's request arms its view's progress timer at
+    /// `RTO`, both before any batch has executed and after batches have.
+    #[test]
+    fn a_backup_arms_the_progress_timer_at_the_rto_before_and_after_rounds() {
+        let mut sim = Simulation::new(9);
+        let g = group(&mut sim);
+        let client = NodeKeys::new(g.dir.clone(), 4);
+        for ts in 1..=2 {
+            let mut req = RequestMsg::new(4, ts, false, 0, op_add(0, 1));
+            req.auth = Authenticator::generate(&client, 4, &req.digest());
+            // Long enough for the backup to take the request, too short
+            // for the group to execute it.
+            sim.inject(NodeId(4), g.replicas[1].node, Message::Request(req).to_payload());
+            sim.run_for(SimDuration::from_micros(200));
+            let backup = replica(&sim, &g, 1);
+            assert!(backup.status().contains(r#""vc_timer":true"#), "request {ts} armed no timer");
+            assert_eq!(backup.vc_timeout(), crate::config::RTO, "request {ts}");
+            assert_eq!(backup.last_exec(), ts - 1, "request {ts} arrived after {} rounds", ts - 1);
+            sim.run_for(SimDuration::from_secs(1));
+        }
+        assert_eq!(replica(&sim, &g, 1).last_exec(), 2);
+    }
+
     /// Sends `make(read_only)` to the primary read-write and read-only,
     /// and piggybacked in a pre-prepare to backup 1.
     fn send_three_ways(sim: &mut Simulation, g: &Deployment, make: impl Fn(bool) -> RequestMsg) {

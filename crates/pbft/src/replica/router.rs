@@ -118,7 +118,12 @@ impl<S: Service> Replica<S> {
             let arrived = entry.arrival.take();
             let mut io = io!(self, ctx);
             self.exec.execute(&mut io, view, &pp);
-            self.vc.observe_round(&mut io, arrived);
+            // A batch carried across a view change has no arrival: its
+            // round time is ambiguous.
+            if let Some(arrived) = arrived {
+                let lat = io.ctx.now().as_nanos().saturating_sub(arrived);
+                io.metrics.observe("replica.agreement_latency_ns", lat);
+            }
             let entry = io.log.entry_mut(next).expect("execution does not move the window");
             (entry.pre_prepare, entry.executed) = (Some(pp), true);
             entry.observe(SlotStage::Executed);
@@ -137,7 +142,7 @@ impl<S: Service> Replica<S> {
             self.try_propose(ctx);
         }
         // Progress: reset the liveness timer. The escalation (if any) is
-        // over, so it restarts from the adaptive base.
+        // over, so it restarts at `RTO`.
         if self.vc.active().is_some() {
             let mut io = io!(self, ctx);
             self.vc.stop(&mut io);

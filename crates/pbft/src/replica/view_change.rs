@@ -14,11 +14,11 @@ use super::checkpoint::validate_cert;
 use super::io::Io;
 use super::json_opt;
 use super::pq::{compute_o, well_formed, PqSets};
-use crate::config::{escalated_vc_timeout, Config, RTO_CEILING, RTO_FLOOR, VIEW_CHANGE_TIMEOUT_BASE};
+use crate::config::{escalated_vc_timeout, Config, RTO, VIEW_CHANGE_TIMEOUT_BASE};
 use crate::cost::COST;
 use crate::messages::{CheckpointMsg, Message, NewViewMsg, ViewChangeMsg};
 use base_crypto::{Digest, NodeKeys};
-use base_simnet::{NodeId, ProtocolEvent, RttEstimator, SimDuration, TimerId};
+use base_simnet::{NodeId, ProtocolEvent, SimDuration, TimerId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Timer token of the view-change timer. Only this file arms or cancels it.
@@ -49,10 +49,6 @@ pub(super) struct ViewChange {
     quorum: usize,
     timer: Option<TimerId>,
     timeout: SimDuration,
-    /// Observed pre-prepare-to-execution latency (the three-phase agreement
-    /// round); re-seeds the base timeout, so a fast group chases a silent
-    /// primary sooner and a slow one stops churning views it cannot finish.
-    agree_rtt: RttEstimator,
     last_new_view: u64,
     /// Last own view-change message (retransmitted on ticks).
     own_vc: Option<ViewChangeMsg>,
@@ -66,8 +62,6 @@ pub(super) struct ViewChange {
 
 impl ViewChange {
     pub(super) fn new(cfg: &Config, id: u32) -> Self {
-        let (floor, ceiling) = (RTO_FLOOR.as_nanos(), RTO_CEILING.as_nanos());
-        let seed = 0x517c_a11e_0000_0000 ^ u64::from(id);
         Self {
             me: id,
             view: 0,
@@ -76,7 +70,6 @@ impl ViewChange {
             quorum: cfg.quorum(),
             timer: None,
             timeout: VIEW_CHANGE_TIMEOUT_BASE,
-            agree_rtt: RttEstimator::new(seed, floor, ceiling, VIEW_CHANGE_TIMEOUT_BASE.as_nanos()),
             last_new_view: 0,
             own_vc: None,
             last_nv: None,
@@ -97,33 +90,13 @@ impl ViewChange {
         self.timeout
     }
 
-    /// The timeout of a freshly installed view: [`VIEW_CHANGE_TIMEOUT_BASE`]
-    /// until the first batch executes, then the RTO of the agreement latency.
-    fn base(&self) -> SimDuration {
-        if self.agree_rtt.samples() > 0 {
-            SimDuration::from_nanos(self.agree_rtt.rto())
-        } else {
-            VIEW_CHANGE_TIMEOUT_BASE
-        }
-    }
-
-    /// A batch accepted at `arrived` executed (`None`: carried across a
-    /// view change, so its round time is ambiguous).
-    pub(super) fn observe_round(&mut self, io: &mut Io<'_, '_>, arrived: Option<u64>) {
-        if let Some(arrived) = arrived {
-            let lat = io.ctx.now().as_nanos().saturating_sub(arrived);
-            self.agree_rtt.observe(lat);
-            io.metrics.observe("replica.agreement_latency_ns", lat);
-        }
-    }
-
-    // The timer has one owner and four moves: restart from the adaptive
-    // base, re-arm at double the timeout after a suspicion, escalate
+    // The timer has one owner and four moves: restart at `RTO`, re-arm at
+    // double the timeout after a suspicion, escalate
     // (`begin` doubles the timeout, a quorum of votes for the new view arms
     // it), stop.
 
     pub(super) fn restart(&mut self, io: &mut Io<'_, '_>) {
-        self.timeout = self.base();
+        self.timeout = RTO;
         self.arm(io);
     }
 
@@ -357,12 +330,12 @@ impl ViewChange {
         min_s
     }
 
-    /// Enters `nv`'s view, with the timeout back at the adaptive base.
+    /// Enters `nv`'s view, with the timeout back at [`RTO`].
     fn enter(&mut self, nv: &NewViewMsg) {
         (self.view, self.changing, self.last_new_view) = (nv.view, false, nv.view);
         self.own_vc = None;
         self.last_nv = Some(nv.clone());
-        self.timeout = self.base();
+        self.timeout = RTO;
         self.votes = self.votes.split_off(&(nv.view + 1));
     }
 
@@ -487,23 +460,20 @@ mod tests {
     }
 
     #[test]
-    fn installing_a_new_view_resets_the_timeout_to_the_adaptive_base() {
+    fn installing_a_new_view_resets_the_timeout_to_the_rto() {
         let cfg = Config::new(4);
         let mut vc = ViewChange::new(&cfg, 1);
-        // Before any batch executes, the base is the constant one.
         vc.begin(1);
+        assert!(vc.timeout() > RTO, "a view change escalates");
         vc.enter(&new_view(1));
-        assert_eq!((vc.timeout(), vc.active()), (VIEW_CHANGE_TIMEOUT_BASE, Some(1)));
-        // Once rounds are observed, it is their RTO.
-        for lat in [200_000_000, 300_000_000, 250_000_000] {
-            vc.agree_rtt.observe(lat);
-        }
+        assert_eq!((vc.timeout(), vc.active()), (RTO, Some(1)));
+        // However far two more view changes escalate it, the next install
+        // is back at the same constant (the progress timer's `restart`,
+        // before and after rounds execute, is a replica test).
         vc.begin(2);
         vc.begin(3);
         vc.enter(&new_view(3));
-        let base = SimDuration::from_nanos(vc.agree_rtt.rto());
-        assert_eq!((vc.timeout(), vc.active()), (base, Some(3)));
-        assert_ne!(base, VIEW_CHANGE_TIMEOUT_BASE);
+        assert_eq!((vc.timeout(), vc.active()), (RTO, Some(3)));
     }
 
     /// DESIGN.md §8's unconfirmed cause of the lone view changer (ROADMAP

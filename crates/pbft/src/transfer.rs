@@ -217,7 +217,7 @@ impl Fetcher {
 
     /// Deterministic per-(key, attempt) jitter in `0..=max`, so retries for
     /// different keys (and successive retries for one key) spread out
-    /// instead of synchronizing, without consuming simulator randomness.
+    /// instead of synchronizing.
     fn jitter(&self, key: FetchKey, attempts: u32, max: u64) -> u64 {
         let code = match key {
             FetchKey::Root => 1,
@@ -225,11 +225,7 @@ impl Fetcher {
             FetchKey::Meta { level, index } => 3 ^ ((level as u64) << 32) ^ index,
             FetchKey::Object { index } => 5 ^ index,
         };
-        let mut x = self.seq ^ code ^ (u64::from(attempts) << 48) ^ 0x9e37_79b9_7f4a_7c15;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        if max == 0 { 0 } else { x % (max + 1) }
+        crate::config::jitter(self.seq, code ^ (u64::from(attempts) << 48), max)
     }
 
     /// Exponential backoff (in ticks) for the next retry of `key`:

@@ -474,9 +474,10 @@ fn view_change_storm_timeout_is_capped() {
     // Mute everyone except backup 1: its suspicions of the primary never
     // gather f+1 votes, let alone 2f+1, so it stays in view 0 and repeats
     // its suspicion on every expiry at double the timeout. The doubling
-    // must stop exactly at the cap instead of growing without bound: from
-    // the 500 ms base the fourth suspicion reaches it, 7.5 s into the chase,
-    // and the sixth follows at 23.5 s.
+    // must stop exactly at the cap instead of growing without bound: after
+    // the 150 ms progress timer the suspicions wait 0.5 s (the escalation
+    // floor), 1, 2 and 4 s, so the fifth reaches the cap 7.65 s into the
+    // chase and the seventh follows at 23.65 s.
     let mut sim = Simulation::new(77);
     let g = Deployment::build(&mut sim, small_config(), 1, 77, |_| CounterService::default());
     for &i in &[0usize, 2, 3] {

@@ -1,14 +1,17 @@
 //! Unit tests for the client-side protocol ([`ClientCore`] via
 //! [`ClientActor`]): reply-quorum counting, the digest-reply optimization,
-//! MAC rejection, the read-only fallback, and full-replier rotation.
+//! MAC rejection, the read-only fallback, full-replier rotation, and the
+//! retransmission schedule.
 //!
 //! A programmable `MockReplica` stands in for the whole replica group so
 //! each test controls exactly which replies the client sees.
 
 use base_crypto::{Authenticator, Digest, KeyDirectory, NodeKeys};
+use base_pbft::config::{RTO, RTO_CEILING};
+use base_pbft::cost::COST;
 use base_pbft::messages::{ReplyMsg, RequestMsg};
 use base_pbft::{ClientActor, Config, Message};
-use base_simnet::{Actor, Context, NodeId, SimDuration, Simulation};
+use base_simnet::{Actor, Context, NodeId, ProtocolEvent, SimDuration, Simulation, TraceEvent};
 
 /// What a mock replica does with each request it receives.
 #[derive(Clone, Copy, PartialEq)]
@@ -330,4 +333,104 @@ fn replies_from_outside_the_group_are_ignored_unread() {
     }
     r.sim.run_for(SimDuration::from_millis(1));
     assert_eq!(completed(&r), [(1, b"ok:ping".to_vec())]);
+}
+
+/// The client's submissions, retransmissions and completions, oldest first.
+fn client_events(r: &Rig) -> Vec<TraceEvent> {
+    let trace = r.sim.trace().expect("the rig records a trace");
+    trace.iter().filter(|e| e.node == r.client).copied().collect()
+}
+
+fn set_policy(r: &mut Rig, policy: Policy) {
+    for i in 0..4 {
+        r.sim.actor_as_mut::<MockReplica>(r.replicas[i]).unwrap().policy = policy;
+    }
+}
+
+/// Submits `op` and runs for `span`.
+fn invoke_and_run(r: &mut Rig, op: &[u8], span: SimDuration) {
+    r.sim.actor_as_mut::<ClientActor>(r.client).unwrap().invoke(op.to_vec(), false);
+    r.sim.run_for(span);
+}
+
+/// The times (ns) at which op `ts` was submitted and retransmitted.
+fn sends_of(events: &[TraceEvent], ts: u64) -> (u64, Vec<u64>) {
+    let at = |kind: ProtocolEvent| -> Vec<u64> {
+        events.iter().filter(|e| e.seq == ts && e.event == kind).map(|e| e.at.as_nanos()).collect()
+    };
+    let submitted = at(ProtocolEvent::ClientOpSubmitted);
+    assert_eq!(submitted.len(), 1, "op {ts} submitted once");
+    (submitted[0], at(ProtocolEvent::ClientRetransmit))
+}
+
+/// How long op `ts`'s first timer ran: from its submission to its first
+/// retransmission.
+fn first_wait(events: &[TraceEvent], ts: u64) -> SimDuration {
+    let (submitted, retries) = sends_of(events, ts);
+    let first = retries.first().unwrap_or_else(|| panic!("op {ts} never retransmitted"));
+    SimDuration::from_nanos(first - submitted)
+}
+
+/// Against a group that cannot answer, an op's first retransmission comes
+/// `RTO` after its request leaves, and each later one waits `RTO << attempts`
+/// (capped at `RTO_CEILING`) plus jitter of at most a quarter of that. The
+/// doubling carries over to the next op until one completes without
+/// retransmission, which puts the following op's first wait back at `RTO`.
+/// A timer starts when the handler that sets it finishes, so every gap
+/// below also holds the virtual CPU time of building one request.
+#[test]
+fn retransmissions_back_off_from_the_rto_and_a_clean_completion_resets_it() {
+    fn run() -> Vec<TraceEvent> {
+        let mut r = rig([Policy::Mute; 4]);
+        r.sim.record_trace();
+        // Op 1 retransmits into silence until its backoff is pinned at the cap.
+        invoke_and_run(&mut r, b"a", SimDuration::from_secs(40));
+        // The group answers op 1's next retransmission; op 2 then starts at
+        // the doubled wait op 1 left behind, and is answered there too.
+        set_policy(&mut r, Policy::Honest);
+        r.sim.run_for(SimDuration::from_secs(6));
+        set_policy(&mut r, Policy::Mute);
+        invoke_and_run(&mut r, b"b", SimDuration::from_millis(4_500));
+        set_policy(&mut r, Policy::Honest);
+        r.sim.run_for(SimDuration::from_secs(6));
+        // Op 3 completes without retransmission; op 4 waits `RTO` again.
+        invoke_and_run(&mut r, b"c", SimDuration::from_millis(50));
+        set_policy(&mut r, Policy::Mute);
+        invoke_and_run(&mut r, b"d", SimDuration::from_millis(400));
+        assert_eq!(completed(&r).len(), 3, "ops 1 to 3 complete, op 4 still waits");
+        client_events(&r)
+    }
+    let events = run();
+    assert_eq!(events, run(), "two runs agree event for event");
+
+    let build = COST.digest(1) + COST.authenticator(4);
+    let (_, retries) = sends_of(&events, 1);
+    // From the fifth retry on, `RTO << attempts` is past the cap.
+    assert!(retries.len() >= 8, "op 1 retransmitted {} times in 40 s", retries.len());
+    assert_eq!(
+        first_wait(&events, 1),
+        RTO + build,
+        "op 1's first retransmission comes one RTO after its request leaves"
+    );
+    let mut jittered = 0;
+    for (i, gap) in retries.windows(2).map(|w| w[1] - w[0]).enumerate() {
+        let attempts = i as u32 + 1;
+        let base = RTO.saturating_mul(1 << attempts.min(6)).min(RTO_CEILING).as_nanos();
+        let jitter = gap.checked_sub(build.as_nanos() + base).unwrap_or_else(|| {
+            panic!("retry {attempts} waited {gap} ns, less than its base {base} ns")
+        });
+        assert!(jitter <= base / 4, "retry {attempts}: jitter {jitter} ns over {base} / 4");
+        jittered += usize::from(jitter > 0);
+    }
+    assert!(jittered > 0, "no retry drew any jitter");
+
+    // Op 1 completed on a retransmission, so the doubling carried over.
+    assert_eq!(first_wait(&events, 2), RTO_CEILING + build);
+    let (_, retries) = sends_of(&events, 3);
+    assert!(retries.is_empty(), "op 3 completed without retransmission");
+    assert_eq!(
+        first_wait(&events, 4),
+        RTO + build,
+        "a clean completion puts the next op's first wait back at one RTO"
+    );
 }

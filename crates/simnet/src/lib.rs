@@ -66,7 +66,6 @@ pub mod chaos;
 pub mod ddmin;
 pub mod faults;
 pub mod metrics;
-pub mod rtt;
 mod sim;
 pub mod span;
 mod stats;
@@ -78,7 +77,6 @@ pub use actor::{Actor, Context, NodeId, Payload, TimerId};
 pub use config::{LatencyModel, NetConfig};
 pub use faults::NetFault;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use rtt::RttEstimator;
 pub use sim::Simulation;
 pub use span::{export_perfetto, render_spans, PhaseBreakdown, Timeline, PHASES};
 pub use stats::{NetStats, PerNode};

@@ -26,8 +26,12 @@
 #               the metric's `bound`;
 #   unresolved  anything else, equal values on every pair included.
 #
-# Exits 1 if any run reports `correct: false` or fails. Not run by tier-1 or
-# CI. Needs python3.
+# Then, per workload, each side's failed and attempted operations summed over
+# its runs and the failed share.
+#
+# Exits 1 if any run reports `correct: false` or fails, or if the change's
+# share of failed operations on a workload exceeds the parent's. Not run by
+# tier-1 or CI. Needs python3.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage="usage: scripts/ab.sh <parent-rev> [workload...] [--pairs N]"
@@ -129,6 +133,16 @@ for w in workloads:
         print(f"{w:<12} {name:<20} {statistics.median(parents):>14.9g} "
               f"{statistics.median(changes):>14.9g} {spread(parents):>12.6g} {ratio:>7.3f}"
               f"  {won:>3}  {same:>4}  {said} (of {len(pairs_of)})")
+    share = {}
+    for side, got in runs.items():
+        failed = sum(r.get("failed", 0) for r in got)
+        attempted = sum(r.get("attempted", 0) for r in got)
+        share[side] = failed / attempted if attempted else 0.0
+        print(f"{w:<12} failed ops {side:<6} {failed:>10} of {attempted:>12}"
+              f"  ({100 * share[side]:.6f} %)")
+    if share["change"] > share["parent"]:
+        print(f"ab: {w}: the change fails a larger share of operations", file=sys.stderr)
+        ok = False
 sys.exit(0 if ok else 1)
 EOF
 exit "$failed"

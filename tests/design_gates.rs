@@ -506,6 +506,18 @@ fn one_fetch_window(t: &Tree) -> Vec<Hit> {
     )
 }
 
+/// Fixed timers (DESIGN.md §13): a client's retransmission timer and a
+/// view's progress timer start at the one `RTO` and grow only by backoff
+/// or escalation, so the round-trip estimator, its smoothed state and the
+/// client's separate first timeout are gone from `crates/*/src`.
+fn fixed_timers(t: &Tree) -> Vec<Hit> {
+    t.grep(
+        library,
+        Mode::Word,
+        "RttEstimator|agree_rtt|CLIENT_RTO_INITIAL|RTO_FLOOR|srtt|rttvar",
+    )
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -545,6 +557,7 @@ gate_tests!(
     one_event_reading,
     one_test_double,
     one_fetch_window,
+    fixed_timers,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -555,7 +568,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 40] = [
+    let plants: [(Gate, &str, &str); 42] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -596,6 +609,8 @@ fn every_gate_fires_on_its_plant() {
         (one_test_double, "crates/simnet/src/ddmin.rs", "struct PingHarness;"),
         (one_fetch_window, "crates/pbft/src/transfer.rs", "pub const FETCH_WINDOW_MAX: usize = 16;"),
         (one_fetch_window, "crates/core/src/service.rs", "    record_seqs: HashMap<u64, BTreeSet<u64>>,"),
+        (fixed_timers, "crates/simnet/src/lib.rs", "pub use rtt::RttEstimator;"),
+        (fixed_timers, "crates/pbft/src/config.rs", "pub const CLIENT_RTO_INITIAL: SimDuration = RTO;"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -679,7 +694,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 57] = [
+const NAMED: [(&str, &str, bool); 60] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -752,6 +767,11 @@ const NAMED: [(&str, &str, bool); 57] = [
     ("crates/pbft/src/client.rs", "a_queue_at_a_steady_length_keeps_its_allocation", false),
     ("crates/pbft/src/client.rs", "a_completed_burst_holds_no_more_results_than_it_queued", false),
     ("crates/pbft/src/client.rs", "results_of_ops_invoked_one_at_a_time_grow_by_doubling", false),
+    // Fixed timers: the client's retry schedule, read off the trace, and
+    // the view's progress timer and installed timeout at `RTO`.
+    ("crates/pbft/tests/unit_client.rs", "retransmissions_back_off_from_the_rto_and_a_clean_completion_resets_it", false),
+    ("crates/pbft/src/replica/mod.rs", "a_backup_arms_the_progress_timer_at_the_rto_before_and_after_rounds", false),
+    ("crates/pbft/src/replica/view_change.rs", "installing_a_new_view_resets_the_timeout_to_the_rto", false),
 ];
 
 #[test]
