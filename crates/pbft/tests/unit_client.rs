@@ -371,66 +371,117 @@ fn first_wait(events: &[TraceEvent], ts: u64) -> SimDuration {
     SimDuration::from_nanos(first - submitted)
 }
 
+/// Four ops against a group that goes silent and answers again, as the
+/// client's submissions, retransmissions and completions. Op 1 retransmits
+/// into silence until its backoff is pinned at the cap and completes on a
+/// later retransmission; op 2 starts at the doubled wait op 1 left behind
+/// and is answered there too; op 3 completes without retransmission; op 4
+/// then waits into silence again.
+fn backoff_run() -> Vec<TraceEvent> {
+    let mut r = rig([Policy::Mute; 4]);
+    r.sim.record_trace();
+    invoke_and_run(&mut r, b"a", SimDuration::from_secs(40));
+    set_policy(&mut r, Policy::Honest);
+    r.sim.run_for(SimDuration::from_secs(6));
+    set_policy(&mut r, Policy::Mute);
+    invoke_and_run(&mut r, b"b", SimDuration::from_millis(4_500));
+    set_policy(&mut r, Policy::Honest);
+    r.sim.run_for(SimDuration::from_secs(6));
+    invoke_and_run(&mut r, b"c", SimDuration::from_millis(50));
+    set_policy(&mut r, Policy::Mute);
+    invoke_and_run(&mut r, b"d", SimDuration::from_millis(400));
+    assert_eq!(completed(&r).len(), 3, "ops 1 to 3 complete, op 4 still waits");
+    client_events(&r)
+}
+
+/// The virtual CPU time of building one request. A timer starts when the
+/// handler that sets it finishes, so every gap in the backoff run also
+/// holds this.
+fn build() -> SimDuration {
+    COST.digest(1) + COST.authenticator(4)
+}
+
+/// The base wait after attempt `attempts`: `RTO << attempts`, capped at
+/// `RTO_CEILING`.
+fn retry_base(attempts: u32) -> u64 {
+    RTO.saturating_mul(1 << attempts.min(6)).min(RTO_CEILING).as_nanos()
+}
+
 /// Against a group that cannot answer, an op's first retransmission comes
-/// `RTO` after its request leaves, and each later one waits `RTO << attempts`
-/// (capped at `RTO_CEILING`) plus jitter of at most a quarter of that. The
-/// doubling carries over to the next op until one completes without
-/// retransmission, which puts the following op's first wait back at `RTO`.
-/// A timer starts when the handler that sets it finishes, so every gap
-/// below also holds the virtual CPU time of building one request.
+/// `RTO` after its request leaves. The doubling carries over to the next op
+/// until one completes without retransmission, which puts the following
+/// op's first wait back at `RTO`.
 #[test]
 fn retransmissions_back_off_from_the_rto_and_a_clean_completion_resets_it() {
-    fn run() -> Vec<TraceEvent> {
-        let mut r = rig([Policy::Mute; 4]);
-        r.sim.record_trace();
-        // Op 1 retransmits into silence until its backoff is pinned at the cap.
-        invoke_and_run(&mut r, b"a", SimDuration::from_secs(40));
-        // The group answers op 1's next retransmission; op 2 then starts at
-        // the doubled wait op 1 left behind, and is answered there too.
-        set_policy(&mut r, Policy::Honest);
-        r.sim.run_for(SimDuration::from_secs(6));
-        set_policy(&mut r, Policy::Mute);
-        invoke_and_run(&mut r, b"b", SimDuration::from_millis(4_500));
-        set_policy(&mut r, Policy::Honest);
-        r.sim.run_for(SimDuration::from_secs(6));
-        // Op 3 completes without retransmission; op 4 waits `RTO` again.
-        invoke_and_run(&mut r, b"c", SimDuration::from_millis(50));
-        set_policy(&mut r, Policy::Mute);
-        invoke_and_run(&mut r, b"d", SimDuration::from_millis(400));
-        assert_eq!(completed(&r).len(), 3, "ops 1 to 3 complete, op 4 still waits");
-        client_events(&r)
-    }
-    let events = run();
-    assert_eq!(events, run(), "two runs agree event for event");
-
-    let build = COST.digest(1) + COST.authenticator(4);
-    let (_, retries) = sends_of(&events, 1);
-    // From the fifth retry on, `RTO << attempts` is past the cap.
-    assert!(retries.len() >= 8, "op 1 retransmitted {} times in 40 s", retries.len());
+    let events = backoff_run();
     assert_eq!(
         first_wait(&events, 1),
-        RTO + build,
+        RTO + build(),
         "op 1's first retransmission comes one RTO after its request leaves"
     );
-    let mut jittered = 0;
-    for (i, gap) in retries.windows(2).map(|w| w[1] - w[0]).enumerate() {
-        let attempts = i as u32 + 1;
-        let base = RTO.saturating_mul(1 << attempts.min(6)).min(RTO_CEILING).as_nanos();
-        let jitter = gap.checked_sub(build.as_nanos() + base).unwrap_or_else(|| {
-            panic!("retry {attempts} waited {gap} ns, less than its base {base} ns")
-        });
-        assert!(jitter <= base / 4, "retry {attempts}: jitter {jitter} ns over {base} / 4");
-        jittered += usize::from(jitter > 0);
-    }
-    assert!(jittered > 0, "no retry drew any jitter");
-
     // Op 1 completed on a retransmission, so the doubling carried over.
-    assert_eq!(first_wait(&events, 2), RTO_CEILING + build);
+    assert_eq!(first_wait(&events, 2), RTO_CEILING + build());
     let (_, retries) = sends_of(&events, 3);
     assert!(retries.is_empty(), "op 3 completed without retransmission");
     assert_eq!(
         first_wait(&events, 4),
-        RTO + build,
+        RTO + build(),
         "a clean completion puts the next op's first wait back at one RTO"
     );
+}
+
+/// Each later retry of op 1 waits `RTO << attempts`, capped at
+/// `RTO_CEILING`, plus jitter of at most a quarter of that: the base
+/// doubles from `RTO` until the cap and stays there.
+#[test]
+fn retry_waits_double_from_the_rto_and_stop_at_the_ceiling() {
+    let events = backoff_run();
+    let (_, retries) = sends_of(&events, 1);
+    // From the fifth retry on, `RTO << attempts` is past the cap.
+    assert!(retries.len() >= 8, "op 1 retransmitted {} times in 40 s", retries.len());
+    for (i, gap) in retries.windows(2).map(|w| w[1] - w[0]).enumerate() {
+        let attempts = i as u32 + 1;
+        let base = retry_base(attempts);
+        let jitter = gap.checked_sub(build().as_nanos() + base).unwrap_or_else(|| {
+            panic!("retry {attempts} waited {gap} ns, less than its base {base} ns")
+        });
+        assert!(jitter <= base / 4, "retry {attempts}: jitter {jitter} ns over {base} / 4");
+    }
+    assert_eq!(retry_base(1), 2 * RTO.as_nanos(), "the first retry doubles the RTO");
+    assert_eq!(retry_base(5), RTO_CEILING.as_nanos(), "the fifth retry reaches the cap");
+}
+
+/// Every wait of every op, first timers and retries alike, lies between
+/// `RTO` and `RTO_CEILING` plus a quarter of it, and the jitter is drawn:
+/// some retry waits past its base.
+#[test]
+fn every_wait_lies_between_the_rto_and_the_jittered_ceiling() {
+    let events = backoff_run();
+    let ceiling = RTO_CEILING.as_nanos();
+    let (lo, hi) = (RTO + build(), SimDuration::from_nanos(ceiling + ceiling / 4) + build());
+    let mut jittered = 0;
+    for ts in 1..=4 {
+        let (submitted, retries) = sends_of(&events, ts);
+        let sends: Vec<u64> = std::iter::once(submitted).chain(retries).collect();
+        for (i, gap) in sends.windows(2).map(|w| w[1] - w[0]).enumerate() {
+            let gap = SimDuration::from_nanos(gap);
+            assert!(lo <= gap && gap <= hi, "op {ts}, wait {i}: {gap:?} outside {lo:?}..={hi:?}");
+            if i > 0 {
+                jittered += usize::from(gap.as_nanos() > build().as_nanos() + retry_base(i as u32));
+            }
+        }
+    }
+    assert!(jittered > 0, "no retry drew any jitter");
+}
+
+/// Two runs of the same schedule retransmit at the same times: the retry
+/// jitter is seeded, not drawn from the clock.
+#[test]
+fn identical_runs_retransmit_identically() {
+    let events = backoff_run();
+    assert!(
+        events.iter().any(|e| e.event == ProtocolEvent::ClientRetransmit),
+        "the run retransmits"
+    );
+    assert_eq!(events, backoff_run(), "two runs agree event for event");
 }

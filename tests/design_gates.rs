@@ -694,7 +694,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 60] = [
+const NAMED: [(&str, &str, bool); 63] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -770,6 +770,9 @@ const NAMED: [(&str, &str, bool); 60] = [
     // Fixed timers: the client's retry schedule, read off the trace, and
     // the view's progress timer and installed timeout at `RTO`.
     ("crates/pbft/tests/unit_client.rs", "retransmissions_back_off_from_the_rto_and_a_clean_completion_resets_it", false),
+    ("crates/pbft/tests/unit_client.rs", "retry_waits_double_from_the_rto_and_stop_at_the_ceiling", false),
+    ("crates/pbft/tests/unit_client.rs", "every_wait_lies_between_the_rto_and_the_jittered_ceiling", false),
+    ("crates/pbft/tests/unit_client.rs", "identical_runs_retransmit_identically", false),
     ("crates/pbft/src/replica/mod.rs", "a_backup_arms_the_progress_timer_at_the_rto_before_and_after_rounds", false),
     ("crates/pbft/src/replica/view_change.rs", "installing_a_new_view_resets_the_timeout_to_the_rto", false),
 ];
