@@ -35,7 +35,7 @@ use base::{BaseClient, BaseService, Config};
 use base_crypto::{Authenticator, Digest, KeyDirectory, Mac, NodeKeys};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
 use base_pbft::{Deployment, ExecEnv, Message, Service};
-use base_simnet::{NodeId, Payload, Simulation};
+use base_simnet::{Actor, Context, NodeId, Payload, SimDuration, SimTime, Simulation};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -281,7 +281,40 @@ fn census() -> Vec<Row> {
             vec![allocs_in(|| Authenticator::generate(&replica, 4, &digest))],
             Some(0),
         ),
+        (
+            "one step of an actor that sends a frame it holds and sets a timer, warm effects buffer",
+            steps_into_a_warm_buffer(),
+            Some(0),
+        ),
     ]
+}
+
+/// Steps an actor that sends one frame it already holds and sets one
+/// timer, over a context built by hand from parts kept between steps, and
+/// returns the allocations of each step after the first: the first grows
+/// the effects buffer, which is then drained as the simulator drains it
+/// and keeps its capacity.
+fn steps_into_a_warm_buffer() -> Vec<u64> {
+    struct Ticker(Payload);
+    impl Actor for Ticker {
+        fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context<'_>) {
+            ctx.send(from, self.0.clone());
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+    let mut ticker = Ticker(Payload::from(b"frame"));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    let (mut next_timer_id, mut effects) = (0, Vec::new());
+    let mut step = || {
+        allocs_in(|| {
+            let (rng, ids) = (&mut rng, &mut next_timer_id);
+            let mut ctx = Context::new(SimTime::ZERO, NodeId(0), rng, ids, &mut effects, None);
+            ticker.on_message(NodeId(1), b"tick", &mut ctx);
+            effects.drain(..).count()
+        })
+    };
+    step();
+    (0..3).map(|_| step()).collect()
 }
 
 /// Three backups handed one pre-prepare frame decode it, and every

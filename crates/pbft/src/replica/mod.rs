@@ -264,13 +264,16 @@ impl<S: Service> Replica<S> {
 
 #[cfg(test)]
 mod tests {
+    use super::view_change::TOKEN_VIEW_CHANGE;
     use super::*;
     use crate::deploy::Deployment;
-    use crate::messages::{Message, NewViewMsg, PrePrepareMsg, RequestMsg};
+    use crate::messages::{CommitMsg, Message, NewViewMsg, PrePrepareMsg, PrepareMsg, RequestMsg};
     use crate::testing::{op_add, CounterService};
     use crate::ClientActor;
-    use base_crypto::Authenticator;
-    use base_simnet::{Actor, Context, NodeId, Simulation};
+    use base_crypto::{Authenticator, KeyDirectory};
+    use base_simnet::{Actor, Context, Effect, NodeId, SimTime, Simulation};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     type TestReplica = Replica<CounterService>;
 
@@ -282,15 +285,60 @@ mod tests {
         sim.actor_as::<TestReplica>(g.replicas[i].node).unwrap()
     }
 
-    fn deliver(sim: &mut Simulation, to: NodeId, msg: Message) {
-        sim.inject(NodeId(4), to, msg.to_payload());
-        sim.run_for(SimDuration::from_millis(1));
+    /// The keys of four replicas and one client (key id 4).
+    fn keys() -> KeyDirectory {
+        KeyDirectory::generate(5, 9)
+    }
+
+    /// Replica `i` of four, stepped by hand: the parts its contexts are
+    /// built over, kept from step to step.
+    struct Stepped {
+        replica: TestReplica,
+        rng: StdRng,
+        next_timer_id: u64,
+        effects: Vec<Effect>,
+    }
+
+    impl Stepped {
+        fn new(dir: &KeyDirectory, i: usize) -> Self {
+            let keys = NodeKeys::new(dir.clone(), i);
+            Stepped {
+                replica: Replica::new(Config::new(4), keys, CounterService::default()),
+                rng: StdRng::seed_from_u64(9),
+                next_timer_id: 0,
+                effects: Vec::new(),
+            }
+        }
+
+        /// Runs `f` as one step and returns the effects it asked for.
+        fn step(&mut self, f: impl FnOnce(&mut TestReplica, &mut Context<'_>)) -> Vec<Effect> {
+            let id = NodeId(self.replica.id() as usize);
+            let (rng, ids, effects) = (&mut self.rng, &mut self.next_timer_id, &mut self.effects);
+            f(&mut self.replica, &mut Context::new(SimTime::ZERO, id, rng, ids, effects, None));
+            std::mem::take(&mut self.effects)
+        }
+
+        /// Steps the replica through one delivery of `msg` from node `from`.
+        fn deliver(&mut self, from: usize, msg: Message) -> Vec<Effect> {
+            self.step(|r, ctx| r.on_payload(NodeId(from), &msg.to_payload(), ctx))
+        }
+    }
+
+    /// The messages `effects` sends, each with its recipient.
+    fn sent(effects: &[Effect]) -> Vec<(usize, Message)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send { to, payload } => Some((to.0, Message::from_payload(payload)?)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// A request authenticated under key id `signer`'s keys, naming
     /// `client` as its sender.
-    fn request_from(g: &Deployment, signer: usize, client: u32, read_only: bool) -> RequestMsg {
-        let keys = NodeKeys::new(g.dir.clone(), signer);
+    fn request_from(dir: &KeyDirectory, signer: usize, client: u32, read_only: bool) -> RequestMsg {
+        let keys = NodeKeys::new(dir.clone(), signer);
         let mut req = RequestMsg::new(client, 1, read_only, 0, b"add 0 1".to_vec());
         req.auth = Authenticator::generate(&keys, 4, &req.digest());
         req
@@ -298,11 +346,33 @@ mod tests {
 
     /// A pre-prepare for `seq` in view 0, authenticated by that view's
     /// primary.
-    fn pre_prepare(g: &Deployment, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
-        let primary = NodeKeys::new(g.dir.clone(), 0);
+    fn pre_prepare(dir: &KeyDirectory, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
+        let primary = NodeKeys::new(dir.clone(), 0);
         let mut pp = PrePrepareMsg::new(0, seq, batch, Vec::new());
         pp.auth = Authenticator::generate(&primary, 4, &pp.digest());
         pp
+    }
+
+    /// Takes `backup` (replica 1) through the agreement round of `pp`:
+    /// prepares from backups 2 and 3, then commits from both (its own
+    /// prepare and commit complete the quorums).
+    fn commit_slot(backup: &mut Stepped, dir: &KeyDirectory, pp: PrePrepareMsg) {
+        let (view, seq, digest) = (pp.view, pp.seq, pp.batch_digest());
+        backup.deliver(0, Message::PrePrepare(pp));
+        for replica in [2u32, 3] {
+            let keys = NodeKeys::new(dir.clone(), replica as usize);
+            let auth = Authenticator::default();
+            let mut p = PrepareMsg { view, seq, digest, replica, auth };
+            p.auth = Authenticator::generate(&keys, 4, &Digest::of(&p.signed_bytes()));
+            backup.deliver(replica as usize, Message::Prepare(p));
+        }
+        for replica in [2u32, 3] {
+            let keys = NodeKeys::new(dir.clone(), replica as usize);
+            let auth = Authenticator::default();
+            let mut c = CommitMsg { view, seq, digest, replica, auth };
+            c.auth = Authenticator::generate(&keys, 4, &Digest::of(&c.signed_bytes()));
+            backup.deliver(replica as usize, Message::Commit(c));
+        }
     }
 
     #[test]
@@ -332,58 +402,70 @@ mod tests {
     /// `RTO`, both before any batch has executed and after batches have.
     #[test]
     fn a_backup_arms_the_progress_timer_at_the_rto_before_and_after_rounds() {
-        let mut sim = Simulation::new(9);
-        let g = group(&mut sim);
-        let client = NodeKeys::new(g.dir.clone(), 4);
+        let dir = keys();
+        let mut backup = Stepped::new(&dir, 1);
+        let client = NodeKeys::new(dir.clone(), 4);
         for ts in 1..=2 {
             let mut req = RequestMsg::new(4, ts, false, 0, op_add(0, 1));
             req.auth = Authenticator::generate(&client, 4, &req.digest());
-            // Long enough for the backup to take the request, too short
-            // for the group to execute it.
-            sim.inject(NodeId(4), g.replicas[1].node, Message::Request(req).to_payload());
-            sim.run_for(SimDuration::from_micros(200));
-            let backup = replica(&sim, &g, 1);
-            assert!(backup.status().contains(r#""vc_timer":true"#), "request {ts} armed no timer");
-            assert_eq!(backup.vc_timeout(), crate::config::RTO, "request {ts}");
-            assert_eq!(backup.last_exec(), ts - 1, "request {ts} arrived after {} rounds", ts - 1);
-            sim.run_for(SimDuration::from_secs(1));
+            let effects = backup.deliver(4, Message::Request(req.clone()));
+            let armed: Vec<SimDuration> = effects
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::SetTimer { delay, token: TOKEN_VIEW_CHANGE, .. } => Some(*delay),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(armed, [crate::config::RTO], "request {ts}");
+            let status = backup.replica.status();
+            assert!(status.contains(r#""vc_timer":true"#), "request {ts} armed no timer");
+            assert_eq!(backup.replica.vc_timeout(), crate::config::RTO, "request {ts}");
+            let last_exec = backup.replica.last_exec();
+            assert_eq!(last_exec, ts - 1, "request {ts} arrived after {} rounds", ts - 1);
+            commit_slot(&mut backup, &dir, pre_prepare(&dir, ts, vec![req]));
         }
-        assert_eq!(replica(&sim, &g, 1).last_exec(), 2);
+        assert_eq!(backup.replica.last_exec(), 2);
     }
 
-    /// Sends `make(read_only)` to the primary read-write and read-only,
-    /// and piggybacked in a pre-prepare to backup 1.
-    fn send_three_ways(sim: &mut Simulation, g: &Deployment, make: impl Fn(bool) -> RequestMsg) {
-        let (primary, backup) = (g.replicas[0].node, g.replicas[1].node);
-        deliver(sim, primary, Message::Request(make(false)));
-        deliver(sim, primary, Message::Request(make(true)));
-        deliver(sim, backup, Message::PrePrepare(pre_prepare(g, 1, vec![make(false)])));
+    /// Steps `make(read_only)` through the primary read-write and
+    /// read-only, and piggybacked in a pre-prepare through backup 1, and
+    /// returns the effects of the three steps.
+    fn send_three_ways(
+        replicas: &mut [Stepped],
+        dir: &KeyDirectory,
+        make: impl Fn(bool) -> RequestMsg,
+    ) -> Vec<Effect> {
+        let mut effects = replicas[0].deliver(4, Message::Request(make(false)));
+        effects.extend(replicas[0].deliver(4, Message::Request(make(true))));
+        let pp = pre_prepare(dir, 1, vec![make(false)]);
+        effects.extend(replicas[1].deliver(0, Message::PrePrepare(pp)));
+        effects
     }
 
     #[test]
     fn a_client_id_off_the_frame_is_rejected_before_any_key_lookup() {
-        let mut sim = Simulation::new(9);
-        let g = group(&mut sim);
+        let dir = keys();
+        let mut replicas = [0, 1].map(|i| Stepped::new(&dir, i));
         // The id a 32-bit field saturates at, and the first id past the
         // directory (4 replicas + 1 client): read-write to the primary,
         // read-only (which would execute and reply at once), and
         // piggybacked in a pre-prepare the primary itself vouches for.
         for (k, client) in [0xFFFF_FFFF, 5].into_iter().enumerate() {
             let k = k as u64;
-            send_three_ways(&mut sim, &g, |ro| request_from(&g, 4, client, ro));
-            let (primary, backup) = (replica(&sim, &g, 0), replica(&sim, &g, 1));
+            let effects = send_three_ways(&mut replicas, &dir, |ro| request_from(&dir, 4, client, ro));
+            // Nothing was sent in response: no reply, no forward, no prepare.
+            assert_eq!(effects, [], "client {client:#x}");
+            let [primary, backup] = [&replicas[0].replica, &replicas[1].replica];
             assert_eq!(primary.stats.rejected_messages, 2 * (k + 1), "client {client:#x}");
             assert_eq!(backup.stats.rejected_messages, k + 1, "client {client:#x}");
             assert!(primary.status().ends_with(",\"pending\":0}"), "{}", primary.status());
             assert!(primary.log.is_empty() && backup.log.is_empty());
             assert_eq!(primary.stats.executed_requests, 0);
         }
-        // Nothing was sent in response: no reply, no forward, no prepare.
-        assert_eq!(sim.stats().messages_sent, 6);
         // The same frames naming the client that made them are accepted.
-        deliver(&mut sim, g.replicas[0].node, Message::Request(request_from(&g, 4, 4, false)));
-        assert_eq!(replica(&sim, &g, 0).log.len(), 1);
-        assert_eq!(replica(&sim, &g, 0).stats.rejected_messages, 4);
+        replicas[0].deliver(4, Message::Request(request_from(&dir, 4, 4, false)));
+        assert_eq!(replicas[0].replica.log.len(), 1);
+        assert_eq!(replicas[0].replica.stats.rejected_messages, 4);
     }
 
     /// A replica holds keys too: a request it authenticates with its own,
@@ -392,42 +474,46 @@ mod tests {
     /// answered.
     #[test]
     fn a_request_naming_a_replica_as_its_client_is_refused() {
-        let mut sim = Simulation::new(9);
-        let g = group(&mut sim);
-        send_three_ways(&mut sim, &g, |ro| request_from(&g, 2, 2, ro));
-        let (primary, backup) = (replica(&sim, &g, 0), replica(&sim, &g, 1));
+        let dir = keys();
+        let mut replicas = [0, 1, 2, 3].map(|i| Stepped::new(&dir, i));
+        let effects = send_three_ways(&mut replicas, &dir, |ro| request_from(&dir, 2, 2, ro));
+        let (primary, backup) = (&replicas[0].replica, &replicas[1].replica);
         assert_eq!(primary.stats.rejected_messages, 2);
         assert_eq!(backup.stats.rejected_messages, 1);
-        for i in 0..4 {
-            let r = replica(&sim, &g, i);
+        for (i, r) in replicas.iter().enumerate() {
+            let r = &r.replica;
             assert!(r.log.is_empty(), "replica {i} logged it");
             assert_eq!(r.stats.executed_requests, 0, "replica {i} executed it");
         }
-        assert_eq!(sim.stats().messages_sent, 3, "nothing was proposed, prepared or answered");
+        assert_eq!(effects, [], "nothing was proposed, prepared or answered");
     }
 
     #[test]
     fn a_valid_pre_prepare_past_the_window_logs_nothing() {
-        let mut sim = Simulation::new(9);
-        let g = group(&mut sim);
-        let window = g.cfg.log_window;
+        let dir = keys();
+        let mut backup = Stepped::new(&dir, 1);
+        let window = backup.replica.cfg.log_window;
         for seq in [window + 1, u64::MAX] {
-            let pp = pre_prepare(&g, seq, Vec::new());
-            deliver(&mut sim, g.replicas[1].node, Message::PrePrepare(pp));
-            let backup = replica(&sim, &g, 1);
+            let pp = pre_prepare(&dir, seq, Vec::new());
+            let effects = backup.deliver(0, Message::PrePrepare(pp));
+            let backup = &backup.replica;
             assert!(backup.log.is_empty() && backup.log.entry(seq).is_none(), "seq {seq}");
             assert_eq!(
                 backup.stats.rejected_messages, 0,
                 "dropped by the watermarks, not as a forgery"
             );
+            assert_eq!(effects, [], "nothing was prepared");
         }
-        assert_eq!(sim.stats().messages_sent, 2, "nothing was prepared");
         // The frames were good: the last in-window sequence number is
         // logged and prepared.
-        let pp = pre_prepare(&g, window, Vec::new());
-        deliver(&mut sim, g.replicas[1].node, Message::PrePrepare(pp));
-        assert_eq!(replica(&sim, &g, 1).log.len(), 1);
-        assert_eq!(sim.stats().messages_sent, 3 + 3, "one prepare to each peer");
+        let pp = pre_prepare(&dir, window, Vec::new());
+        let effects = backup.deliver(0, Message::PrePrepare(pp));
+        assert_eq!(backup.replica.log.len(), 1);
+        let prepares: Vec<_> = sent(&effects)
+            .into_iter()
+            .map(|(to, m)| (to, matches!(m, Message::Prepare(p) if p.seq == window)))
+            .collect();
+        assert_eq!(prepares, [(0, true), (2, true), (3, true)], "one prepare to each peer");
     }
 
     /// A primary reinstalled with a fresh state numbers its proposals from
@@ -462,30 +548,14 @@ mod tests {
         assert_eq!(sim.actor_as::<ClientActor>(client).unwrap().completed.len(), 9);
     }
 
-    /// Replica 2 behind a door: `b"install"` makes it install `nv` as
-    /// [`Replica::handle_new_view`] does once a NEW-VIEW has passed every
-    /// check — the step at which `O`'s sequence numbers, which came off the
-    /// wire, reach the log.
-    struct Installs {
-        replica: TestReplica,
-        nv: Option<NewViewMsg>,
-    }
-
-    impl Actor for Installs {
-        fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
-            if payload == b"install" {
-                self.replica.install_new_view(self.nv.take().expect("installed once"), 0, ctx);
-            } else {
-                self.replica.on_message(from, payload, ctx);
-            }
-        }
-    }
-
+    /// Replica 2 installs a NEW-VIEW as [`Replica::handle_new_view`] does
+    /// once one has passed every check: the step at which `O`'s sequence
+    /// numbers, which came off the wire, reach the log.
     #[test]
     fn a_new_view_entry_past_the_window_is_neither_logged_nor_prepared() {
-        let cfg = Config::new(4);
-        let window = cfg.log_window;
-        let dir = base_crypto::KeyDirectory::generate(4, 9);
+        let dir = keys();
+        let mut installed = Stepped::new(&dir, 2);
+        let window = installed.replica.cfg.log_window;
         let new_primary = NodeKeys::new(dir.clone(), 1);
         let pre_prepares = [3, window + 1, u64::MAX]
             .map(|seq| {
@@ -501,26 +571,19 @@ mod tests {
             replica: 1,
             sig: base_crypto::Signature([0; 32]),
         };
-        let mut sim = Simulation::new(9);
-        for i in 0..4 {
-            let replica =
-                Replica::new(cfg.clone(), NodeKeys::new(dir.clone(), i), CounterService::default());
-            if i == 2 {
-                sim.add_node(Box::new(Installs { replica, nv: Some(nv.clone()) }));
-            } else {
-                sim.add_node(Box::new(replica));
-            }
-        }
-        sim.inject(NodeId(1), NodeId(2), b"install");
-        sim.run_for(SimDuration::from_millis(1));
-        let installed = &sim.actor_as::<Installs>(NodeId(2)).unwrap().replica;
+        let effects = installed.step(|r, ctx| r.install_new_view(nv, 0, ctx));
+        let installed = &installed.replica;
         assert_eq!(installed.view(), 1);
         assert_eq!(installed.log.iter().map(|(seq, _)| seq).collect::<Vec<_>>(), vec![3]);
         assert!(
             installed.log.entry(window + 1).is_none() && installed.log.entry(u64::MAX).is_none()
         );
         assert_eq!(installed.log.entry(3).unwrap().prepares()[0].replica, 2);
-        // The door knock plus one prepare to each of three peers.
-        assert_eq!(sim.stats().messages_sent, 1 + 3);
+        // One prepare, of sequence number 3 in view 1, to each of three peers.
+        let prepares: Vec<_> = sent(&effects)
+            .into_iter()
+            .map(|(to, m)| (to, matches!(m, Message::Prepare(p) if (p.view, p.seq) == (1, 3))))
+            .collect();
+        assert_eq!(prepares, [(0, true), (1, true), (3, true)]);
     }
 }

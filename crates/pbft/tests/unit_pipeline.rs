@@ -3,16 +3,19 @@
 //! a committed-but-unexecuted backlog) and the tentative/committed reply
 //! distinction on the wire.
 //!
-//! A single real [`Replica`] (backup 3) runs against hand-crafted protocol
-//! messages, so the test controls exactly which slots commit and in which
-//! order — including a gap (seq 2 committed before seq 1 arrives) that a
-//! live group only produces under message loss.
+//! A single real [`Replica`] (backup 3) is stepped by hand through
+//! hand-crafted protocol messages, so the test controls exactly which slots
+//! commit and in which order — including a gap (seq 2 committed before
+//! seq 1 arrives) that a live group only produces under message loss. Its
+//! replies are the `Send` effects addressed to the client.
 
 use base_crypto::{Authenticator, Digest, KeyDirectory, NodeKeys};
 use base_pbft::messages::{CommitMsg, PrePrepareMsg, PrepareMsg, ReplyMsg, RequestMsg};
 use base_pbft::testing::{op_add, op_get, CounterService};
 use base_pbft::{ClientActor, Config, Deployment, Message, Replica};
-use base_simnet::{Actor, Context, NodeId, SimDuration, Simulation};
+use base_simnet::{Actor, Context, Effect, NodeId, SimDuration, SimTime, Simulation};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const N: usize = 4;
 /// The replica under test (a backup; primary of view 0 is replica 0).
@@ -20,48 +23,32 @@ const RID: u32 = 3;
 /// The client's key index / node id.
 const CLIENT: u32 = 4;
 
-/// Absorbs everything (stands in for the other replicas).
-struct Sink;
-impl Actor for Sink {
-    fn on_message(&mut self, _from: NodeId, _payload: &[u8], _ctx: &mut Context<'_>) {}
-}
-
-/// Records every reply the client node receives.
-#[derive(Default)]
-struct Recorder {
-    replies: Vec<ReplyMsg>,
-}
-impl Actor for Recorder {
-    fn on_message(&mut self, _from: NodeId, payload: &[u8], _ctx: &mut Context<'_>) {
-        if let Some(Message::Reply(r)) = Message::from_wire(payload) {
-            self.replies.push(r);
-        }
-    }
-}
-
 struct Rig {
-    sim: Simulation,
+    replica: Replica<CounterService>,
     dir: KeyDirectory,
-    replica: NodeId,
-    client: NodeId,
+    now: SimTime,
+    rng: StdRng,
+    next_timer_id: u64,
+    effects: Vec<Effect>,
+    replies: Vec<ReplyMsg>,
 }
 
 fn rig() -> Rig {
     let mut cfg = Config::new(N);
     // Let the backup hold several unexecuted slots without hitting limits.
     cfg.max_inflight = 16;
-    let mut sim = Simulation::new(77);
     let dir = KeyDirectory::generate(N + 1, 77);
-    for _ in 0..3 {
-        sim.add_node(Box::new(Sink));
+    let keys = NodeKeys::new(dir.clone(), RID as usize);
+    let replica = Replica::new(cfg, keys, CounterService::default());
+    Rig {
+        replica,
+        dir,
+        now: SimTime::ZERO,
+        rng: StdRng::seed_from_u64(77),
+        next_timer_id: 0,
+        effects: Vec::new(),
+        replies: Vec::new(),
     }
-    let replica = sim.add_node(Box::new(Replica::new(
-        cfg,
-        NodeKeys::new(dir.clone(), RID as usize),
-        CounterService::default(),
-    )));
-    let client = sim.add_node(Box::new(Recorder::default()));
-    Rig { sim, dir, replica, client }
 }
 
 impl Rig {
@@ -115,20 +102,42 @@ impl Rig {
         }
     }
 
+    /// Steps the replica through one delivery of `msg` from node `from`,
+    /// keeping the replies it sends the client.
     fn inject(&mut self, from: usize, msg: Message) {
-        self.sim.inject(NodeId(from), self.replica, msg.to_wire());
+        let mut ctx = Context::new(
+            self.now,
+            NodeId(RID as usize),
+            &mut self.rng,
+            &mut self.next_timer_id,
+            &mut self.effects,
+            None,
+        );
+        self.replica.on_payload(NodeId(from), &msg.to_payload(), &mut ctx);
+        self.now += ctx.charged();
+        let client = NodeId(CLIENT as usize);
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send { to, payload } if to == client => {
+                    if let Some(Message::Reply(r)) = Message::from_payload(&payload) {
+                        self.replies.push(r);
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 
     fn run(&mut self, ms: u64) {
-        self.sim.run_for(SimDuration::from_millis(ms));
+        self.now += SimDuration::from_millis(ms);
     }
 
     fn replies(&self) -> Vec<ReplyMsg> {
-        self.sim.actor_as::<Recorder>(self.client).unwrap().replies.clone()
+        self.replies.clone()
     }
 
     fn replica(&self) -> &Replica<CounterService> {
-        self.sim.actor_as::<Replica<CounterService>>(self.replica).unwrap()
+        &self.replica
     }
 }
 

@@ -96,8 +96,9 @@ impl AsRef<[u8]> for Payload {
 /// A simulated node.
 ///
 /// Handlers receive a [`Context`] through which all effects (sends, timers,
-/// CPU charges) are issued; effects are applied by the simulator after the
-/// handler returns, which keeps handlers pure with respect to the event
+/// CPU charges) are issued; effects are applied by whoever built the
+/// context (the simulator, or a caller stepping the actor by hand) after
+/// the handler returns, which keeps handlers pure with respect to the event
 /// queue and preserves determinism.
 ///
 /// The `Any` supertrait enables test code to downcast actors via
@@ -128,29 +129,98 @@ pub trait Actor: Any {
     }
 }
 
-pub(crate) enum Effect {
-    Send { to: NodeId, payload: Payload },
-    SetTimer { delay: SimDuration, token: u64, id: TimerId },
+/// One thing a handler asked of the world through its [`Context`], queued
+/// in the order it asked; whoever built the context applies them, or reads
+/// them back, once the handler returns.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Effect {
+    /// Deliver `payload` to node `to`.
+    Send {
+        /// The recipient.
+        to: NodeId,
+        /// The frame, shared with every other recipient of a multicast.
+        payload: Payload,
+    },
+    /// Fire [`Actor::on_timer`] with `token` once `delay` has passed after
+    /// the handler's charged CPU time.
+    SetTimer {
+        /// How long after the handler finishes the timer fires.
+        delay: SimDuration,
+        /// Handed back to [`Actor::on_timer`].
+        token: u64,
+        /// The id [`Context::set_timer`] returned, for cancelling.
+        id: TimerId,
+    },
+    /// Forget the pending timer with this id.
     CancelTimer(TimerId),
 }
 
 /// The effect context passed to actor handlers.
 ///
-/// All interaction with the outside world goes through this context; the
-/// simulator applies the queued effects after the handler returns.
+/// All interaction with the outside world goes through this context, as
+/// [`Effect`]s queued for whoever built it ([`Context::new`]) to apply
+/// after the handler returns.
 pub struct Context<'a> {
-    pub(crate) now: SimTime,
-    pub(crate) self_id: NodeId,
-    pub(crate) clock_skew: SimDuration,
-    pub(crate) effects: &'a mut Vec<Effect>,
-    pub(crate) charged: SimDuration,
-    pub(crate) next_timer_id: &'a mut u64,
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) trace: Option<&'a mut Vec<TraceEvent>>,
-    pub(crate) sched_lag: SimDuration,
+    now: SimTime,
+    self_id: NodeId,
+    clock_skew: SimDuration,
+    effects: &'a mut Vec<Effect>,
+    charged: SimDuration,
+    next_timer_id: &'a mut u64,
+    rng: &'a mut StdRng,
+    trace: Option<&'a mut Vec<TraceEvent>>,
+    sched_lag: SimDuration,
 }
 
 impl<'a> Context<'a> {
+    /// The context of one handler call on node `id` at `now`, over parts the
+    /// caller owns and keeps from step to step: the node's RNG, the counter
+    /// timer ids are drawn from, the buffer effects are appended to, and the
+    /// trace (`None`: [`Context::emit`] records nothing). Clock skew and
+    /// scheduling lag start at zero ([`Context::with_clock_skew`],
+    /// [`Context::with_sched_lag`]). Once the handler returns, the caller
+    /// reads [`Context::charged`] and applies, or reads, what it left in
+    /// `effects`, as [`Simulation`](crate::Simulation) does.
+    pub fn new(
+        now: SimTime,
+        id: NodeId,
+        rng: &'a mut StdRng,
+        next_timer_id: &'a mut u64,
+        effects: &'a mut Vec<Effect>,
+        trace: Option<&'a mut Vec<TraceEvent>>,
+    ) -> Self {
+        Context {
+            now,
+            self_id: id,
+            clock_skew: SimDuration::ZERO,
+            effects,
+            charged: SimDuration::ZERO,
+            next_timer_id,
+            rng,
+            trace,
+            sched_lag: SimDuration::ZERO,
+        }
+    }
+
+    /// This context with the node's local clock running `skew` ahead of
+    /// true time (see [`Context::local_clock`]).
+    pub fn with_clock_skew(mut self, skew: SimDuration) -> Self {
+        self.clock_skew = skew;
+        self
+    }
+
+    /// This context for an event that waited `lag` behind a busy node (see
+    /// [`Context::sched_lag`]).
+    pub fn with_sched_lag(mut self, lag: SimDuration) -> Self {
+        self.sched_lag = lag;
+        self
+    }
+
+    /// CPU time the handler has charged so far (see [`Context::charge`]).
+    pub fn charged(&self) -> SimDuration {
+        self.charged
+    }
+
     /// Current virtual time (the global, true simulation clock).
     pub fn now(&self) -> SimTime {
         self.now

@@ -55,6 +55,28 @@
 //! sim.run_for(SimDuration::from_millis(10));
 //! assert_eq!(sim.actor_as::<Client>(client).unwrap().reply.as_deref(), Some(&b"gnip"[..]));
 //! ```
+//!
+//! A handler is a step function: [`Simulation`] is one driver of it, and a
+//! caller can take one step itself, over a [`Context`] built from parts it
+//! owns, and read back the [`Effect`]s the step asked for.
+//!
+//! ```
+//! use base_simnet::{Actor, Context, Effect, NodeId, SimTime};
+//! use rand::SeedableRng;
+//! # struct Echo;
+//! # impl Actor for Echo {
+//! #     fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+//! #         let reply: Vec<u8> = payload.iter().rev().copied().collect();
+//! #         ctx.send(from, reply);
+//! #     }
+//! # }
+//!
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+//! let (mut next_timer_id, mut effects) = (0, Vec::new());
+//! let mut ctx = Context::new(SimTime::ZERO, NodeId(0), &mut rng, &mut next_timer_id, &mut effects, None);
+//! Echo.on_message(NodeId(1), b"ping", &mut ctx);
+//! assert_eq!(effects, [Effect::Send { to: NodeId(1), payload: b"gnip".into() }]);
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -73,7 +95,7 @@ mod time;
 pub mod trace;
 pub mod tracediff;
 
-pub use actor::{Actor, Context, NodeId, Payload, TimerId};
+pub use actor::{Actor, Context, Effect, NodeId, Payload, TimerId};
 pub use config::{LatencyModel, NetConfig};
 pub use faults::NetFault;
 pub use metrics::{Histogram, MetricsRegistry};

@@ -175,7 +175,7 @@ impl Simulation {
         slot.busy_until = self.now;
         slot.crashed_until = None;
         if self.started {
-            self.invoke(node, |actor, ctx| actor.on_start(ctx));
+            self.invoke(node, SimDuration::ZERO, |actor, ctx| actor.on_start(ctx));
         }
     }
 
@@ -251,7 +251,7 @@ impl Simulation {
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            self.invoke(NodeId(i), |actor, ctx| actor.on_start(ctx));
+            self.invoke(NodeId(i), SimDuration::ZERO, |actor, ctx| actor.on_start(ctx));
         }
     }
 
@@ -283,7 +283,7 @@ impl Simulation {
                 }
                 let lag = self.now.since(arrived);
                 self.stats.record_delivery(to, payload.len());
-                self.invoke_with_lag(to, lag, |actor, ctx| actor.on_payload(from, &payload, ctx));
+                self.invoke(to, lag, |actor, ctx| actor.on_payload(from, &payload, ctx));
             }
             EventKind::Timer { node, token, id, due } => {
                 let slot = &mut self.nodes[node.0];
@@ -306,23 +306,15 @@ impl Simulation {
                     return;
                 }
                 let lag = self.now.since(due);
-                self.invoke_with_lag(node, lag, |actor, ctx| actor.on_timer(token, ctx));
+                self.invoke(node, lag, |actor, ctx| actor.on_timer(token, ctx));
             }
         }
     }
 
-    /// Runs one handler on `node` and applies its effects.
-    fn invoke<F>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut dyn Actor, &mut Context<'_>),
-    {
-        self.invoke_with_lag(node, SimDuration::ZERO, f)
-    }
-
-    /// [`Simulation::invoke`] with the event-loop lag the triggering event
-    /// experienced (time it spent deferred behind a busy or rebooting
-    /// node), surfaced to the handler via [`Context::sched_lag`].
-    fn invoke_with_lag<F>(&mut self, node: NodeId, sched_lag: SimDuration, f: F)
+    /// Runs one handler on `node` and applies its effects. `sched_lag` is
+    /// the time the triggering event spent deferred behind a busy or
+    /// rebooting node, surfaced to the handler via [`Context::sched_lag`].
+    fn invoke<F>(&mut self, node: NodeId, sched_lag: SimDuration, f: F)
     where
         F: FnOnce(&mut dyn Actor, &mut Context<'_>),
     {
@@ -334,20 +326,19 @@ impl Simulation {
         // always at home, and empty, here.
         let mut effects = std::mem::take(&mut self.effects);
         debug_assert!(effects.is_empty(), "effects of an earlier invocation were not drained");
-        let mut ctx = Context {
-            now: self.now,
-            self_id: node,
-            clock_skew: skew,
-            effects: &mut effects,
-            charged: SimDuration::ZERO,
-            next_timer_id: &mut self.next_timer_id,
-            rng: &mut slot.rng,
-            trace: self.trace.as_mut(),
-            sched_lag,
-        };
+        let mut ctx = Context::new(
+            self.now,
+            node,
+            &mut slot.rng,
+            &mut self.next_timer_id,
+            &mut effects,
+            self.trace.as_mut(),
+        )
+        .with_clock_skew(skew)
+        .with_sched_lag(sched_lag);
         f(slot.actor.as_mut(), &mut ctx);
 
-        let charged = ctx.charged;
+        let charged = ctx.charged();
         let done_at = self.now + charged;
         slot.busy_until = done_at;
         if charged > SimDuration::ZERO {
@@ -426,6 +417,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::TimerId;
     use crate::config::LatencyModel;
 
     /// Counts received messages; replies to "ping" with "pong".
@@ -541,6 +533,104 @@ mod tests {
         assert!(!sim.actor_as::<Burst>(burst).unwrap().cancelled_fired);
         assert_eq!(sim.pending_events(), 0);
         assert!(sim.effects.is_empty());
+    }
+
+    /// Does one of everything a handler can do to the world, and notes what
+    /// it read of its context: the clock, its id, its local clock, the lag,
+    /// whether a trace is kept, and one draw from its RNG.
+    #[derive(Default)]
+    struct Everything {
+        seen: Vec<(SimTime, NodeId, SimTime, SimDuration, bool, u64)>,
+    }
+
+    impl Actor for Everything {
+        fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
+            let draw = ctx.rng().gen::<u64>();
+            self.seen.push((
+                ctx.now(),
+                ctx.id(),
+                ctx.local_clock(),
+                ctx.sched_lag(),
+                ctx.trace_enabled(),
+                draw,
+            ));
+            ctx.send(from, payload.to_vec());
+            ctx.multicast([NodeId(0), NodeId(1)], b"all".to_vec());
+            let gone = ctx.set_timer(SimDuration::ZERO, 1);
+            ctx.set_timer(SimDuration::ZERO, 2);
+            ctx.cancel_timer(gone);
+            ctx.charge(SimDuration::from_micros(30));
+            ctx.emit(0, draw, crate::trace::ProtocolEvent::CheckpointStable);
+        }
+    }
+
+    /// A step the simulation runs and the same step on a context built by
+    /// hand over the same parts (clock, id, skew, lag, the node's RNG, the
+    /// timer-id counter, a trace) read the same, ask for the same effects
+    /// with the same timer ids, charge the same and trace the same. The
+    /// simulation applies effects as it takes them, so its sequence is
+    /// read back off its queue, which a cancelled timer has left: every
+    /// effect is due at the end of the charge, so the queue gives them back
+    /// in the order they were asked for.
+    #[test]
+    fn a_step_by_hand_is_the_step_the_simulation_takes() {
+        let (skew, lag) = (SimDuration::from_millis(5), SimDuration::from_micros(250));
+        let mut sim = Simulation::new(5);
+        sim.config_mut().latency = LatencyModel::instant();
+        let a = sim.add_node(Box::<Counter>::default());
+        let _b = sim.add_node(Box::<Counter>::default());
+        let node = sim.add_node(Box::<Everything>::default());
+        sim.config_mut().set_clock_skew(node, skew);
+        sim.record_trace();
+        sim.run_until(SimTime::from_millis(1));
+        // One delivery that waited `lag` behind a busy node.
+        let at = SimTime::from_millis(1) + lag;
+        let payload = Payload::from(b"x");
+        let arrived = SimTime::from_millis(1);
+        sim.queue.push(at, EventKind::Deliver { from: a, to: node, payload, arrived });
+        let (mut rng, mut next_timer_id) = (sim.nodes[node.0].rng.clone(), sim.next_timer_id);
+        assert!(sim.step());
+        let mut queued = Vec::new();
+        while let Some(event) = sim.queue.pop() {
+            queued.push(match event.kind {
+                EventKind::Deliver { to, payload, .. } => Effect::Send { to, payload },
+                EventKind::Timer { token, id, due, .. } => {
+                    Effect::SetTimer { delay: due.since(event.time), token, id }
+                }
+            });
+        }
+
+        let mut twin = Everything::default();
+        let (mut effects, mut trace) = (Vec::new(), Vec::new());
+        let first_id = next_timer_id;
+        let mut ctx =
+            Context::new(at, node, &mut rng, &mut next_timer_id, &mut effects, Some(&mut trace))
+                .with_clock_skew(skew)
+                .with_sched_lag(lag);
+        twin.on_message(a, b"x", &mut ctx);
+        let charged = ctx.charged();
+
+        assert_eq!(twin.seen, sim.actor_as::<Everything>(node).unwrap().seen);
+        assert_eq!(twin.seen[0].2, at + skew);
+        assert_eq!(twin.seen[0].3, lag);
+        assert_eq!(charged, sim.stats().cpu_by[&node]);
+        assert_eq!(trace, sim.trace().unwrap());
+        let send = |to, payload: &[u8]| Effect::Send { to, payload: payload.into() };
+        let timer = |token, id| Effect::SetTimer { delay: SimDuration::ZERO, token, id: TimerId(id) };
+        assert_eq!(
+            effects,
+            [
+                send(a, b"x"),
+                send(NodeId(0), b"all"),
+                send(NodeId(1), b"all"),
+                timer(1, first_id),
+                timer(2, first_id + 1),
+                Effect::CancelTimer(TimerId(first_id)),
+            ]
+        );
+        assert_eq!(next_timer_id, sim.next_timer_id);
+        effects.retain(|e| !matches!(e, Effect::CancelTimer(_) | Effect::SetTimer { token: 1, .. }));
+        assert_eq!(queued, effects);
     }
 
     #[test]

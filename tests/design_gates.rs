@@ -518,6 +518,27 @@ fn fixed_timers(t: &Tree) -> Vec<Hit> {
     )
 }
 
+/// One context (DESIGN.md §3.1): a handler's `Context` is built by its one
+/// public constructor in `simnet/src/actor.rs`, which `Simulation` calls
+/// for every handler as any other driver of the step function does. So the
+/// struct literal appears nowhere else, the simulator's second invoke path
+/// is gone, and so are the test actors whose only job was to get a context
+/// to one real replica.
+fn one_context(t: &Tree) -> Vec<Hit> {
+    let mut hits = t.grep(
+        |p| p != "crates/simnet/src/actor.rs",
+        Mode::Word,
+        "Context {",
+    );
+    hits.extend(t.grep(anywhere, Mode::Word, "invoke_with_lag"));
+    hits.extend(t.grep(
+        under(&["crates/pbft/"]),
+        Mode::Word,
+        "struct Installs|struct Recorder",
+    ));
+    hits
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -558,6 +579,7 @@ gate_tests!(
     one_test_double,
     one_fetch_window,
     fixed_timers,
+    one_context,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -568,7 +590,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 42] = [
+    let plants: [(Gate, &str, &str); 46] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -611,6 +633,10 @@ fn every_gate_fires_on_its_plant() {
         (one_fetch_window, "crates/core/src/service.rs", "    record_seqs: HashMap<u64, BTreeSet<u64>>,"),
         (fixed_timers, "crates/simnet/src/lib.rs", "pub use rtt::RttEstimator;"),
         (fixed_timers, "crates/pbft/src/config.rs", "pub const CLIENT_RTO_INITIAL: SimDuration = RTO;"),
+        (one_context, "crates/simnet/src/sim.rs", "let mut ctx = Context {"),
+        (one_context, "scripts/tier1.sh", "# invoke_with_lag"),
+        (one_context, "crates/pbft/src/replica/mod.rs", "    struct Installs {"),
+        (one_context, "crates/pbft/tests/unit_pipeline.rs", "struct Recorder {"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -694,7 +720,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 63] = [
+const NAMED: [(&str, &str, bool); 65] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -775,6 +801,10 @@ const NAMED: [(&str, &str, bool); 63] = [
     ("crates/pbft/tests/unit_client.rs", "identical_runs_retransmit_identically", false),
     ("crates/pbft/src/replica/mod.rs", "a_backup_arms_the_progress_timer_at_the_rto_before_and_after_rounds", false),
     ("crates/pbft/src/replica/view_change.rs", "installing_a_new_view_resets_the_timeout_to_the_rto", false),
+    // One context: a step by hand is the simulator's step, and a warm
+    // effects buffer allocates nothing per step.
+    ("crates/simnet/src/sim.rs", "a_step_by_hand_is_the_step_the_simulation_takes", false),
+    ("crates/pbft/tests/unit_pipeline.rs", "read_only_deferred_across_commit_gap", false),
 ];
 
 #[test]
