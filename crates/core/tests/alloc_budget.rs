@@ -100,7 +100,7 @@ fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> u64 {
     LARGEST.load(Relaxed)
 }
 
-/// Ceilings per operation, end to end: measured 57.31 and 15.35 (58.25
+/// Ceilings per operation, end to end: measured 56.81 and 15.35 (58.25
 /// and 16.29 before the client kept the request it sent in place of a
 /// copy of the op, DESIGN.md §11.8; 57.25 for a write before the primary
 /// logged the pre-prepare it decodes from its own frame; 68.73 and 24.00

@@ -1,9 +1,12 @@
 //! Canned Byzantine replica behaviours for fault-injection experiments.
 //!
 //! A replica configured with a non-honest mode misbehaves in a specific,
-//! reproducible way. These behaviours drive experiment E6 (the fault
-//! injection study the paper lists as future work) and the integration
-//! tests that check the protocol masks up to `f` faults.
+//! reproducible way. Every mode but `CorruptState` shapes only the frames
+//! the replica sends (`replica::io::Io::outbound`); what it logs, stores
+//! and counts is what an honest replica would hold. These behaviours drive
+//! experiment E6 (the fault injection study the paper lists as future
+//! work) and the integration tests that check the protocol masks up to `f`
+//! faults.
 
 /// How a replica misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -13,16 +16,18 @@ pub enum ByzMode {
     Honest,
     /// Sends nothing at all (fail-silent without crashing the process).
     Mute,
-    /// Executes correctly but flips bits in every reply to clients.
+    /// Executes correctly but flips bits in the result (or the result
+    /// digest) of every reply to clients.
     CorruptReplies,
-    /// As primary, sends different batches to different backups
-    /// (equivocation); as backup, behaves honestly.
+    /// As primary, sends different batches to the odd- and even-numbered
+    /// backups (equivocation), retransmissions included; as backup,
+    /// behaves honestly.
     EquivocatePrimary,
-    /// Lies in checkpoint messages (claims a bogus state digest), which
-    /// also poisons any state a fetcher would get from it.
+    /// Lies in its CHECKPOINT messages (claims a bogus state digest); the
+    /// checkpoints it stores and serves to fetchers are honest.
     CorruptCheckpoints,
-    /// Executes requests but never sends commit messages (slows the group
-    /// to the quorum without it).
+    /// Executes requests but never sends its own commit messages (slows the
+    /// group to the quorum without it); it still relays its peers'.
     WithholdCommits,
     /// As primary, proposes wildly wrong non-deterministic timestamps
     /// (backups must reject them and depose the primary).
@@ -41,33 +46,22 @@ impl ByzMode {
         !matches!(self, ByzMode::Honest)
     }
 
+    /// Every mode, in declaration order: a mode's code is its index.
+    const ALL: [ByzMode; 8] = [
+        ByzMode::Honest, ByzMode::Mute, ByzMode::CorruptReplies, ByzMode::EquivocatePrimary,
+        ByzMode::CorruptCheckpoints, ByzMode::WithholdCommits, ByzMode::BadTimestamps,
+        ByzMode::CorruptState,
+    ];
+
     /// Stable numeric code, used by chaos schedules to name a mode in a
     /// serialized fault event.
     pub fn code(&self) -> u64 {
-        match self {
-            ByzMode::Honest => 0,
-            ByzMode::Mute => 1,
-            ByzMode::CorruptReplies => 2,
-            ByzMode::EquivocatePrimary => 3,
-            ByzMode::CorruptCheckpoints => 4,
-            ByzMode::WithholdCommits => 5,
-            ByzMode::BadTimestamps => 6,
-            ByzMode::CorruptState => 7,
-        }
+        *self as u64
     }
 
     /// Inverse of [`ByzMode::code`]; unknown codes map to `Honest`.
     pub fn from_code(code: u64) -> ByzMode {
-        match code {
-            1 => ByzMode::Mute,
-            2 => ByzMode::CorruptReplies,
-            3 => ByzMode::EquivocatePrimary,
-            4 => ByzMode::CorruptCheckpoints,
-            5 => ByzMode::WithholdCommits,
-            6 => ByzMode::BadTimestamps,
-            7 => ByzMode::CorruptState,
-            _ => ByzMode::Honest,
-        }
+        usize::try_from(code).ok().and_then(|i| Self::ALL.get(i)).copied().unwrap_or_default()
     }
 }
 

@@ -141,7 +141,8 @@ pub type Member<'a> = (NodeId, &'a dyn ReplicaControl);
 pub struct Group {
     /// The group's replicas, whatever service each runs.
     pub replicas: Vec<ReplicaRef>,
-    /// Replicas that were ever flipped faulty or corrupted during the run.
+    /// Replicas whose concrete state was ever corrupted during the run, or
+    /// that were built with an armed bug.
     tainted: HashSet<NodeId>,
 }
 
@@ -162,8 +163,9 @@ impl Group {
     }
 
     /// Marks `node` as no longer trusted to hold pristine local state.
-    /// [`Group::apply_fault`] does this itself; harnesses call it for faults
-    /// of their own (a replica built with an armed bug).
+    /// [`Group::apply_fault`] does this itself for [`APP_CORRUPT_STATE`];
+    /// harnesses call it for faults of their own (a replica built with an
+    /// armed bug).
     pub fn taint(&mut self, node: NodeId) {
         self.tainted.insert(node);
     }
@@ -185,9 +187,6 @@ impl Group {
             APP_BYZ => {
                 let mode = ByzMode::from_code(arg);
                 replica.set_byzantine(mode);
-                if mode.is_faulty() {
-                    self.tainted.insert(node);
-                }
                 trace.push(format!("node {} byzantine mode -> {mode:?}", node.0));
             }
             APP_CORRUPT_STATE => {
@@ -216,9 +215,11 @@ impl Group {
     }
 
     /// Replicas that are honest now *and* were never tainted. Only these
-    /// are trusted to hold pristine local checkpoint metadata (a healed
-    /// `CorruptCheckpoints` replica retains the corrupted digests it stored
-    /// about itself).
+    /// are trusted to hold pristine local checkpoint metadata: a replica
+    /// whose concrete state was corrupted, or that was built with an armed
+    /// bug, may have stored checkpoints of a state no honest replica had. A
+    /// healed message-shaping mode leaves no such trace (it changed only
+    /// what the replica sent), so it does not taint.
     pub fn clean<'a>(&self, all: &[Member<'a>]) -> Vec<Member<'a>> {
         let mut clean = self.honest(all);
         clean.retain(|(node, _)| !self.tainted.contains(node));
@@ -934,6 +935,32 @@ mod tests {
             assert_eq!(group.honest(&all).len(), 3);
             assert_eq!(group.clean(&all).len(), 3);
         }
+    }
+
+    /// A message-shaping mode changes only what a replica sends, so once it
+    /// heals the replica is audited like any honest one. Corrupted concrete
+    /// state is another matter: the replica may have stored checkpoints of
+    /// a state no honest replica held, so it stays out of the clean set.
+    #[test]
+    fn a_healed_shaping_replica_is_clean_and_a_corrupted_one_is_not() {
+        let mut sim = Simulation::new(1);
+        let d = Deployment::build(&mut sim, Config::new(4), 1, 1, |_| CounterService::default());
+        let mut group = Group::new(&mut sim, d.replicas);
+        let mut trace = Vec::new();
+        let clean = |group: &Group, sim: &Simulation| -> Vec<usize> {
+            group.clean(&group.members(sim)).iter().map(|(node, _)| node.0).collect()
+        };
+        // Codes 1..=6: `Mute` and the five modes that shape messages.
+        for code in 1..=6 {
+            let mode = ByzMode::from_code(code);
+            assert!(group.apply_fault(&mut sim, NodeId(1), APP_BYZ, code, &mut trace));
+            assert_eq!(clean(&group, &sim), [0, 2, 3], "{mode:?}");
+            assert!(group.apply_fault(&mut sim, NodeId(1), APP_BYZ, 0, &mut trace));
+            assert_eq!(clean(&group, &sim), [0, 1, 2, 3], "{mode:?} healed");
+        }
+        assert!(group.apply_fault(&mut sim, NodeId(2), APP_CORRUPT_STATE, 7, &mut trace));
+        assert!(group.apply_fault(&mut sim, NodeId(2), APP_BYZ, 0, &mut trace));
+        assert_eq!(clean(&group, &sim), [0, 1, 3], "honest again, but its state was corrupted");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! watermarks.
 
 use super::io::Io;
-use crate::byzantine::ByzMode;
 use crate::config::{Config, BATCH_MAX};
 use crate::cost::COST;
 use crate::log::SlotStage;
@@ -73,13 +72,7 @@ impl Agreement {
         let seq = self.next_seq(low);
         self.seq_next = seq + 1;
 
-        let (mut nondet, clock) = io.exec(|svc, env| (svc.propose_nondet(env), env.local_clock_ns));
-        if io.is(ByzMode::BadTimestamps) && nondet.len() == 8 {
-            // A century in the future: honest backups must reject it.
-            let forged = clock + 100 * 365 * 24 * 3600 * 1_000_000_000;
-            nondet = forged.to_be_bytes().to_vec();
-        }
-
+        let nondet = io.exec(|svc, env| svc.propose_nondet(env));
         let mut pp = PrePrepareMsg::new(view, seq, batch, nondet);
         pp.auth = io.authenticator(&pp.digest());
 
@@ -93,24 +86,19 @@ impl Agreement {
                 io.ctx.emit(view, seq, ProtocolEvent::RequestProposed { client, ts, queue_ns });
             }
         }
-        let pp = if io.is(ByzMode::EquivocatePrimary) {
-            equivocate(io, &pp);
-            pp
-        } else {
-            // Logged as decoded from the frame the backups were sent, so the
-            // batch lives in that one frame group-wide and each client
-            // request frame is let go here (DESIGN.md §11.7). A mute
-            // primary sent no frame and logs what it built.
-            let msg = Message::PrePrepare(pp);
-            let sent = io.multicast(&msg);
-            let Message::PrePrepare(pp) = msg else { unreachable!("built above") };
-            match sent.as_ref().and_then(Message::from_payload) {
-                Some(Message::PrePrepare(decoded)) => {
-                    decoded.carry_digests(&pp);
-                    decoded
-                }
-                _ => pp,
+        // Logged as decoded from the frame the backups were sent, so the
+        // batch lives in that one frame group-wide and each client request
+        // frame is let go here (DESIGN.md §11.7). A faulty primary sent no
+        // shared frame and logs what it built.
+        let msg = Message::PrePrepare(pp);
+        let sent = io.multicast(&msg);
+        let Message::PrePrepare(pp) = msg else { unreachable!("built above") };
+        let pp = match sent.as_ref().and_then(Message::from_payload) {
+            Some(Message::PrePrepare(decoded)) => {
+                decoded.carry_digests(&pp);
+                decoded
             }
+            _ => pp,
         };
         // `next_seq` and `can_propose` keep `seq` inside the window.
         if let Some(entry) = io.log.entry_mut(seq) {
@@ -123,22 +111,6 @@ impl Agreement {
 
     pub(super) fn status(&self, out: &mut String) {
         out.push_str(&format!(",\"pending\":{}", self.pending.len()));
-    }
-}
-
-/// Byzantine primary: send conflicting proposals to the two halves of the
-/// backup set.
-fn equivocate(io: &mut Io<'_, '_>, pp: &PrePrepareMsg) {
-    // The covered fields are construction-only, so the conflicting
-    // proposal is rebuilt (its batch digest is memoized afresh).
-    let mut nd = pp.nondet().to_vec();
-    nd.push(0xff);
-    let mut alt = PrePrepareMsg::new(pp.view, pp.seq, pp.requests().to_vec(), nd);
-    alt.auth = Authenticator::generate(io.keys, io.cfg.n, &alt.digest());
-    let me = io.id as usize;
-    for i in (0..io.cfg.n).filter(|i| *i != me) {
-        let msg = Message::PrePrepare(if i % 2 == 0 { pp.clone() } else { alt.clone() });
-        io.send_to_replica(i, &msg);
     }
 }
 
@@ -264,9 +236,6 @@ pub(super) fn commit_if_prepared(io: &mut Io<'_, '_>, view: u64, seq: u64) -> bo
     let digest = entry.accepted_digest().expect("prepared implies pre-prepare");
     // `commit_sent` is one-shot per slot, so this traces exactly once.
     io.ctx.emit(view, seq, ProtocolEvent::PrepareQuorum);
-    if io.is(ByzMode::WithholdCommits) {
-        return false;
-    }
     let mut commit =
         CommitMsg { view, seq, digest, replica: io.id, auth: Authenticator::default() };
     commit.auth = io.authenticator(&commit.with_signed_bytes(Digest::of));

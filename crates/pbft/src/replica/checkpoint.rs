@@ -2,7 +2,6 @@
 //! serving stored ones to replicas that fetch state.
 
 use super::io::Io;
-use crate::byzantine::ByzMode;
 use crate::config::Config;
 use crate::cost::COST;
 use crate::log::{CheckpointCollector, Log};
@@ -77,10 +76,7 @@ impl Checkpoints {
         let (service_root, charged) =
             io.exec(|svc, env| (svc.take_checkpoint(seq, env), env.charged()));
         io.ctx.charge(COST.digest(replies_blob.len()) + COST.signature);
-        let mut stored = Stored::new(service_root, replies_blob);
-        if io.is(ByzMode::CorruptCheckpoints) {
-            stored.composite = Digest::of_parts(&[b"corrupt", &stored.composite.0]);
-        }
+        let stored = Stored::new(service_root, replies_blob);
         let msg = Self::signed(io, seq, stored.composite);
         self.stored.insert(seq, stored);
         io.metrics.inc("replica.checkpoints_taken");

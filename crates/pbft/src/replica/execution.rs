@@ -2,13 +2,11 @@
 //! service, and replying to clients.
 
 use super::io::Io;
-use crate::byzantine::ByzMode;
 use crate::cost::COST;
 use crate::log::ReplyCache;
 use crate::messages::{Message, PrePrepareMsg, ReplyMsg, RequestMsg};
 use base_crypto::{Authenticator, Digest};
 use base_simnet::ProtocolEvent;
-use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 
 /// What has been executed, and the replies it produced.
@@ -169,25 +167,13 @@ impl Execution {
 fn send_reply(io: &mut Io<'_, '_>, view: u64, req: &RequestMsg, result: &[u8], tentative: bool) {
     let (client, timestamp) = (req.client(), req.timestamp());
     let Some(to) = io.cfg.client_node(client) else { return };
-    let result = if io.is(ByzMode::CorruptReplies) {
-        // Consistently wrong: flip a copy of the result (never the cached
-        // bytes), then MAC the corrupted bytes so the client sees a
-        // well-formed but incorrect reply.
-        let mut flipped: Vec<u8> = result.iter().map(|b| b ^ 0xa5).collect();
-        if flipped.is_empty() {
-            flipped.push(0xa5);
-        }
-        Cow::Owned(flipped)
-    } else {
-        Cow::Borrowed(result)
-    };
     // The reply optimization: only the designated replica sends the full
     // result; the others send its digest.
     let (digest_only, payload) = if req.full_replier as usize % io.cfg.n == io.id as usize {
-        (false, result.into_owned())
+        (false, result.to_vec())
     } else {
         io.ctx.charge(COST.digest(result.len()));
-        (true, Digest::of(&result).0.to_vec())
+        (true, Digest::of(result).0.to_vec())
     };
     let (replica, mac) = (io.id, base_crypto::Mac([0; 8]));
     let result = payload.into();

@@ -267,8 +267,12 @@ mod tests {
     use super::view_change::TOKEN_VIEW_CHANGE;
     use super::*;
     use crate::deploy::Deployment;
-    use crate::messages::{CommitMsg, Message, NewViewMsg, PrePrepareMsg, PrepareMsg, RequestMsg};
-    use crate::testing::{op_add, CounterService};
+    use crate::messages::{
+        CommitMsg, Message, NewViewMsg, PrePrepareMsg, PrepareMsg, RequestMsg, StatusMsg,
+    };
+    use crate::service::ExecEnv;
+    use crate::testing::{op_add, op_get, CounterService};
+    use crate::tree::PartitionTree;
     use crate::ClientActor;
     use base_crypto::{Authenticator, KeyDirectory};
     use base_simnet::{Actor, Context, Effect, NodeId, SimTime, Simulation};
@@ -292,8 +296,8 @@ mod tests {
 
     /// Replica `i` of four, stepped by hand: the parts its contexts are
     /// built over, kept from step to step.
-    struct Stepped {
-        replica: TestReplica,
+    struct Stepped<S: Service = CounterService> {
+        replica: Replica<S>,
         rng: StdRng,
         next_timer_id: u64,
         effects: Vec<Effect>,
@@ -301,9 +305,15 @@ mod tests {
 
     impl Stepped {
         fn new(dir: &KeyDirectory, i: usize) -> Self {
+            Stepped::with(dir, i, Config::new(4), CounterService::default())
+        }
+    }
+
+    impl<S: Service> Stepped<S> {
+        fn with(dir: &KeyDirectory, i: usize, cfg: Config, service: S) -> Self {
             let keys = NodeKeys::new(dir.clone(), i);
             Stepped {
-                replica: Replica::new(Config::new(4), keys, CounterService::default()),
+                replica: Replica::new(cfg, keys, service),
                 rng: StdRng::seed_from_u64(9),
                 next_timer_id: 0,
                 effects: Vec::new(),
@@ -311,7 +321,7 @@ mod tests {
         }
 
         /// Runs `f` as one step and returns the effects it asked for.
-        fn step(&mut self, f: impl FnOnce(&mut TestReplica, &mut Context<'_>)) -> Vec<Effect> {
+        fn step(&mut self, f: impl FnOnce(&mut Replica<S>, &mut Context<'_>)) -> Vec<Effect> {
             let id = NodeId(self.replica.id() as usize);
             let (rng, ids, effects) = (&mut self.rng, &mut self.next_timer_id, &mut self.effects);
             f(&mut self.replica, &mut Context::new(SimTime::ZERO, id, rng, ids, effects, None));
@@ -359,20 +369,33 @@ mod tests {
     fn commit_slot(backup: &mut Stepped, dir: &KeyDirectory, pp: PrePrepareMsg) {
         let (view, seq, digest) = (pp.view, pp.seq, pp.batch_digest());
         backup.deliver(0, Message::PrePrepare(pp));
-        for replica in [2u32, 3] {
-            let keys = NodeKeys::new(dir.clone(), replica as usize);
+        endorse(backup, dir, [2, 3], (view, seq, digest));
+    }
+
+    /// Delivers prepares from both of `peers`, then commits from both, for
+    /// `digest` at `(view, seq)`, and returns the effects of the four steps.
+    fn endorse<S: Service>(
+        replica: &mut Stepped<S>,
+        dir: &KeyDirectory,
+        peers: [u32; 2],
+        (view, seq, digest): (u64, u64, Digest),
+    ) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        for replica_id in peers {
+            let keys = NodeKeys::new(dir.clone(), replica_id as usize);
             let auth = Authenticator::default();
-            let mut p = PrepareMsg { view, seq, digest, replica, auth };
+            let mut p = PrepareMsg { view, seq, digest, replica: replica_id, auth };
             p.auth = Authenticator::generate(&keys, 4, &Digest::of(&p.signed_bytes()));
-            backup.deliver(replica as usize, Message::Prepare(p));
+            effects.extend(replica.deliver(replica_id as usize, Message::Prepare(p)));
         }
-        for replica in [2u32, 3] {
-            let keys = NodeKeys::new(dir.clone(), replica as usize);
+        for replica_id in peers {
+            let keys = NodeKeys::new(dir.clone(), replica_id as usize);
             let auth = Authenticator::default();
-            let mut c = CommitMsg { view, seq, digest, replica, auth };
+            let mut c = CommitMsg { view, seq, digest, replica: replica_id, auth };
             c.auth = Authenticator::generate(&keys, 4, &Digest::of(&c.signed_bytes()));
-            backup.deliver(replica as usize, Message::Commit(c));
+            effects.extend(replica.deliver(replica_id as usize, Message::Commit(c)));
         }
+        effects
     }
 
     #[test]
@@ -585,5 +608,191 @@ mod tests {
             .map(|(to, m)| (to, matches!(m, Message::Prepare(p) if (p.view, p.seq) == (1, 3))))
             .collect();
         assert_eq!(prepares, [(0, true), (1, true), (3, true)]);
+    }
+
+    /// The counter service with an 8-byte non-deterministic choice, the
+    /// primary's clock reading, as the KV and NFS wrappers choose one.
+    #[derive(Default)]
+    struct Clocked(CounterService);
+
+    impl Service for Clocked {
+        fn execute(
+            &mut self,
+            op: &[u8],
+            client: u32,
+            nondet: &[u8],
+            read_only: bool,
+            env: &mut ExecEnv<'_>,
+        ) -> Vec<u8> {
+            self.0.execute(op, client, nondet, read_only, env)
+        }
+        fn propose_nondet(&mut self, env: &mut ExecEnv<'_>) -> Vec<u8> {
+            env.local_clock_ns.to_be_bytes().to_vec()
+        }
+        fn check_nondet(&self, nondet: &[u8], _env: &mut ExecEnv<'_>) -> bool {
+            nondet.len() == 8
+        }
+        fn take_checkpoint(&mut self, seq: u64, env: &mut ExecEnv<'_>) -> Digest {
+            self.0.take_checkpoint(seq, env)
+        }
+        fn discard_checkpoints_below(&mut self, seq: u64) {
+            self.0.discard_checkpoints_below(seq)
+        }
+        fn checkpoint_meta(&self, seq: u64, level: u32, index: u64) -> Option<Vec<Digest>> {
+            self.0.checkpoint_meta(seq, level, index)
+        }
+        fn checkpoint_object(&mut self, seq: u64, index: u64) -> Option<Vec<u8>> {
+            self.0.checkpoint_object(seq, index)
+        }
+        fn current_tree(&self) -> &PartitionTree {
+            self.0.current_tree()
+        }
+        fn install_checkpoint(
+            &mut self,
+            seq: u64,
+            root: Digest,
+            objs: Vec<(u64, Option<Vec<u8>>)>,
+            env: &mut ExecEnv<'_>,
+        ) {
+            self.0.install_checkpoint(seq, root, objs, env)
+        }
+    }
+
+    /// Replica 0, the primary of view 0, in `mode`, stepped through one
+    /// write and one read: the client's write, prepares and commits from
+    /// backups 1 and 2 (after which it executes the write, replies in full
+    /// and takes checkpoint 1), a read-only get whose full result replica 1
+    /// sends (so replica 0 sends its digest), and a STATUS from backup 3,
+    /// which has executed nothing and so draws every message logged for
+    /// slot 1. Returns the replica and what it sent, in order, with each
+    /// recipient.
+    fn shaped_run(dir: &KeyDirectory, mode: ByzMode) -> (Stepped<Clocked>, Vec<(usize, Message)>) {
+        let mut cfg = Config::new(4);
+        cfg.checkpoint_interval = 1;
+        let mut primary = Stepped::with(dir, 0, cfg, Clocked::default());
+        primary.replica.set_byzantine(mode);
+        let client = NodeKeys::new(dir.clone(), 4);
+        let request = |ts, read_only, full_replier, op| {
+            let mut req = RequestMsg::new(4, ts, read_only, full_replier, op);
+            req.auth = Authenticator::generate(&client, 4, &req.digest());
+            Message::Request(req)
+        };
+        let mut effects = primary.deliver(4, request(1, false, 0, op_add(0, 1)));
+        let entry = primary.replica.log.entry(1).expect("the write is proposed");
+        let digest = entry.pre_prepare.as_ref().expect("and logged").batch_digest();
+        effects.extend(endorse(&mut primary, dir, [1, 2], (0, 1, digest)));
+        effects.extend(primary.deliver(4, request(2, true, 1, op_get(0))));
+        let status = StatusMsg { view: 0, last_exec: 0, stable_seq: 0, replica: 3 };
+        effects.extend(primary.deliver(3, Message::Status(status)));
+        (primary, sent(&effects))
+    }
+
+    /// A message-shaping mode changes only the frames that leave the
+    /// replica: stepped through the same inputs, an honest primary and its
+    /// faulty twin log, store, execute and report the same, and their
+    /// frames differ exactly as the mode says. Each forged frame verifies
+    /// under the twin's keys where its recipient checks it.
+    #[test]
+    fn a_shaping_mode_changes_only_the_wire() {
+        let dir = keys();
+        let (honest, wire) = shaped_run(&dir, ByzMode::Honest);
+        assert_eq!(honest.replica.last_exec(), 1, "{}", honest.replica.status());
+        let stored = honest.replica.checkpoint_digests();
+        assert_eq!(stored.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(), [1]);
+        let (pp, prepare, commit, reply, ckpt) =
+            ("pre-prepare", "prepare", "commit", "reply", "checkpoint");
+        let kinds: Vec<_> = wire.iter().map(|(to, m)| (*to, m.kind())).collect();
+        assert_eq!(
+            kinds,
+            [(1, pp), (2, pp), (3, pp), (1, commit), (2, commit), (3, commit), (4, reply)]
+                .into_iter()
+                .chain([(1, ckpt), (2, ckpt), (3, ckpt), (4, reply), (3, pp)])
+                .chain([(3, prepare), (3, prepare), (3, commit), (3, commit), (3, commit)])
+                .collect::<Vec<_>>()
+        );
+        let keys_of = |i: usize| NodeKeys::new(dir.clone(), i);
+        for mode in [
+            ByzMode::Mute,
+            ByzMode::WithholdCommits,
+            ByzMode::CorruptReplies,
+            ByzMode::CorruptCheckpoints,
+            ByzMode::EquivocatePrimary,
+            ByzMode::BadTimestamps,
+        ] {
+            let (twin, shaped) = shaped_run(&dir, mode);
+            let (h, t) = (&honest.replica, &twin.replica);
+            assert_eq!(format!("{:?}", t.log), format!("{:?}", h.log), "{mode:?}: log");
+            assert_eq!(t.checkpoint_digests(), stored, "{mode:?}: stored checkpoints");
+            assert_eq!(t.last_exec(), h.last_exec(), "{mode:?}: last_exec");
+            assert_eq!(t.status(), h.status(), "{mode:?}: status");
+            if mode == ByzMode::Mute {
+                assert_eq!(shaped, [], "a mute replica sends nothing");
+                continue;
+            }
+            if mode == ByzMode::WithholdCommits {
+                let own = |m: &Message| matches!(m, Message::Commit(c) if c.replica == 0);
+                let kept: Vec<_> = wire.iter().filter(|(_, m)| !own(m)).cloned().collect();
+                assert_eq!(shaped, kept, "its own commits are dropped, nothing else");
+                let relayed: Vec<_> = shaped
+                    .iter()
+                    .filter_map(|(to, m)| match m {
+                        Message::Commit(c) => Some((*to, c.replica)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(relayed, [(3, 1), (3, 2)], "the STATUS resend relays its peers'");
+                continue;
+            }
+            assert_eq!(shaped.len(), wire.len(), "{mode:?}");
+            let mut forged = 0;
+            for ((to, sent), (to_shaped, shaped)) in wire.iter().zip(&shaped) {
+                assert_eq!(to, to_shaped, "{mode:?}");
+                let at = keys_of(*to);
+                match (mode, sent, shaped) {
+                    (ByzMode::CorruptReplies, Message::Reply(r), Message::Reply(s)) => {
+                        let flipped: Vec<u8> = r.result.iter().map(|b| b ^ 0xa5).collect();
+                        assert_eq!(*s.result, *flipped, "digest only: {}", r.digest_only);
+                        assert_eq!(s.digest_only, r.digest_only);
+                        assert!(Authenticator::check_point(&at, 0, &s.digest(), &s.mac));
+                    }
+                    (
+                        ByzMode::CorruptCheckpoints,
+                        Message::Checkpoint(c),
+                        Message::Checkpoint(s),
+                    ) => {
+                        assert_eq!(s.digest, Digest::of_parts(&[b"corrupt", &c.digest.0]));
+                        assert!(s.with_signed_bytes(|signed| at.verify(0, signed, &s.sig)));
+                    }
+                    (ByzMode::EquivocatePrimary, Message::PrePrepare(p), Message::PrePrepare(s))
+                        if to % 2 == 1 =>
+                    {
+                        assert_eq!(s.nondet(), [p.nondet(), &[0xff]].concat(), "to {to}");
+                        assert_ne!(s.batch_digest(), p.batch_digest());
+                        assert!(s.auth.check(&at, 0, &s.digest()), "to {to}");
+                    }
+                    (ByzMode::BadTimestamps, Message::PrePrepare(p), Message::PrePrepare(s)) => {
+                        let century = 100 * 365 * 24 * 3600 * 1_000_000_000u64;
+                        assert_eq!(p.nondet(), 0u64.to_be_bytes(), "the honest clock at 0");
+                        assert_eq!(s.nondet(), century.to_be_bytes(), "to {to}");
+                        assert!(s.auth.check(&at, 0, &s.digest()), "to {to}");
+                    }
+                    _ => {
+                        assert_eq!(sent, shaped, "{mode:?}: to {to}");
+                        continue;
+                    }
+                }
+                forged += 1;
+            }
+            // Two replies (full and digest-only); one CHECKPOINT to each
+            // peer; the pre-prepare to backups 1 and 3, the resend to 3
+            // included; the pre-prepare to all three backups and the resend.
+            let want = match mode {
+                ByzMode::CorruptReplies => 2,
+                ByzMode::CorruptCheckpoints => 3,
+                ByzMode::EquivocatePrimary => 3,
+                _ => 4,
+            };
+            assert_eq!(forged, want, "{mode:?}");
+        }
     }
 }

@@ -82,7 +82,7 @@ impl Recovery {
         self.recovering = false;
         io.stats.recoveries += 1;
         let took = io.ctx.now().as_nanos().saturating_sub(self.started_at_ns);
-        let repaired = repair && io.is(ByzMode::CorruptState);
+        let repaired = repair && *io.byz == ByzMode::CorruptState;
         if repaired {
             *io.byz = ByzMode::Honest;
         }

@@ -152,6 +152,11 @@ fn replica_part(path: &str) -> bool {
         .is_some_and(|f| f.ends_with(".rs") && !f.contains('/'))
 }
 
+/// The lines of `text` before its inline tests.
+fn before_tests(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"))
+}
+
 type Gate = fn(&Tree) -> Vec<Hit>;
 
 /// One MAC (DESIGN.md §11.5): an authenticator entry is SipHash-2-4
@@ -296,10 +301,7 @@ fn mac_only_normal_case(t: &Tree) -> Vec<Hit> {
 fn replica_shape(t: &Tree) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (path, text) in t.0.iter().filter(|(p, _)| replica_part(p)) {
-        let lines = text
-            .lines()
-            .take_while(|l| !l.starts_with("#[cfg(test)]"))
-            .count();
+        let lines = before_tests(text).count();
         if lines > 500 {
             let text = format!("{lines} lines before its tests (limit 500)");
             hits.push(Hit {
@@ -539,6 +541,33 @@ fn one_context(t: &Tree) -> Vec<Hit> {
     hits
 }
 
+/// One outbound filter (DESIGN.md §3.1): a Byzantine mode that shapes
+/// messages changes only the frames that leave the replica, in
+/// `Io::outbound`, so what the replica logs, stores and counts is what an
+/// honest one would hold. Outside `io.rs`, no code of
+/// `crates/pbft/src/replica/` before its tests names one of the five
+/// shaping modes, and the equivocating primary's own send path is gone.
+fn one_outbound_filter(t: &Tree) -> Vec<Hit> {
+    const SHAPING: [&str; 5] = [
+        "CorruptReplies",
+        "EquivocatePrimary",
+        "CorruptCheckpoints",
+        "WithholdCommits",
+        "BadTimestamps",
+    ];
+    let io = format!("{REPLICA}io.rs");
+    let mut hits = Vec::new();
+    for (path, text) in t.0.iter().filter(|(p, _)| replica_part(p) && **p != io) {
+        for (i, line) in before_tests(text).enumerate() {
+            if SHAPING.iter().any(|mode| has_word(line, mode)) {
+                hits.push(hit((path, i + 1, line)));
+            }
+        }
+    }
+    hits.extend(t.grep(anywhere, Mode::Word, "fn equivocate"));
+    hits
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -580,6 +609,7 @@ gate_tests!(
     one_fetch_window,
     fixed_timers,
     one_context,
+    one_outbound_filter,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -590,7 +620,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 46] = [
+    let plants: [(Gate, &str, &str); 51] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -637,6 +667,11 @@ fn every_gate_fires_on_its_plant() {
         (one_context, "scripts/tier1.sh", "# invoke_with_lag"),
         (one_context, "crates/pbft/src/replica/mod.rs", "    struct Installs {"),
         (one_context, "crates/pbft/tests/unit_pipeline.rs", "struct Recorder {"),
+        (one_outbound_filter, "crates/pbft/src/replica/agreement.rs", "if *io.byz == ByzMode::WithholdCommits {"),
+        (one_outbound_filter, "crates/pbft/src/replica/execution.rs", "let flip = matches!(mode, ByzMode::CorruptReplies);"),
+        (one_outbound_filter, "crates/pbft/src/replica/checkpoint.rs", "// CorruptCheckpoints stores a bogus digest"),
+        (one_outbound_filter, "crates/pbft/src/replica/router.rs", "ByzMode::EquivocatePrimary | ByzMode::BadTimestamps => {}"),
+        (one_outbound_filter, "crates/pbft/src/replica/agreement.rs", "fn equivocate(io: &mut Io<'_, '_>, pp: &PrePrepareMsg) {}"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -720,7 +755,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 65] = [
+const NAMED: [(&str, &str, bool); 67] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -805,6 +840,10 @@ const NAMED: [(&str, &str, bool); 65] = [
     // effects buffer allocates nothing per step.
     ("crates/simnet/src/sim.rs", "a_step_by_hand_is_the_step_the_simulation_takes", false),
     ("crates/pbft/tests/unit_pipeline.rs", "read_only_deferred_across_commit_gap", false),
+    // One outbound filter: a shaping mode changes only the wire, so a
+    // healed shaping replica is audited like any honest one.
+    ("crates/pbft/src/replica/mod.rs", "a_shaping_mode_changes_only_the_wire", false),
+    ("crates/pbft/src/chaos.rs", "a_healed_shaping_replica_is_clean_and_a_corrupted_one_is_not", false),
 ];
 
 #[test]
