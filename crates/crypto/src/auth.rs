@@ -13,14 +13,15 @@
 //! earlier. A sender outside them (a client) has an entry for each of the
 //! `n`, at its receiver's id.
 //!
-//! A tag is SipHash-2-4 of the message's SHA-256 digest under the 128-bit
-//! session key: the role UMAC32 plays in the BFT library, a 64-bit tag
-//! from a function built to produce one. The digest binds the tag to the
-//! message; the forgery bound is the tag's, 2⁻⁶⁴ an attempt (`DESIGN.md`
-//! §11.5).
+//! A tag is SipHash-2-4, under the 128-bit session key, of the bytes the
+//! message's authentication covers: the role UMAC32 plays in the BFT
+//! library, a 64-bit tag from a function built to produce one. An
+//! agreement message or a reply is tagged over its encoded header, which
+//! binds any body through the body's digest; a request over its digest.
+//! SipHash is a PRF, so the forgery bound is the tag's, 2⁻⁶⁴ an attempt,
+//! whatever the length (`DESIGN.md` §11.5).
 
 use crate::census::count;
-use crate::digest::Digest;
 use crate::keys::{NodeKeys, SessionKey};
 use crate::siphash::siphash24;
 use crate::verify_tag;
@@ -29,20 +30,20 @@ use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 /// Length of a truncated MAC in bytes (PBFT used 8/10-byte UMAC tags).
 pub const MAC_LEN: usize = 8;
 
-/// A SipHash-2-4 tag over a message digest.
+/// A SipHash-2-4 tag over the bytes a message's authentication covers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mac(pub [u8; MAC_LEN]);
 
 impl Mac {
-    /// Computes the MAC of `digest` under `key`.
-    fn compute(key: &SessionKey, digest: &Digest) -> Mac {
-        Mac(siphash24(&key.0, digest.as_bytes()).to_le_bytes())
+    /// Computes the MAC of `msg` under `key`.
+    fn compute(key: &SessionKey, msg: &[u8]) -> Mac {
+        Mac(siphash24(&key.0, msg).to_le_bytes())
     }
 
-    /// Whether `received` is the MAC of `digest` under `key`, compared
+    /// Whether `received` is the MAC of `msg` under `key`, compared
     /// branch-free like every other tag ([`verify_tag`]).
-    fn verify(key: &SessionKey, digest: &Digest, received: &Mac) -> bool {
-        verify_tag(&Mac::compute(key, digest).0, &received.0)
+    fn verify(key: &SessionKey, msg: &[u8], received: &Mac) -> bool {
+        verify_tag(&Mac::compute(key, msg).0, &received.0)
     }
 }
 
@@ -105,14 +106,15 @@ impl Authenticator {
         }
     }
 
-    /// Generates an authenticator over `digest` for receivers `0..n`,
-    /// less the sender if it is one of them.
-    pub fn generate(keys: &NodeKeys, n: usize, digest: &Digest) -> Self {
+    /// Generates an authenticator over `msg` for receivers `0..n`, less
+    /// the sender if it is one of them.
+    pub fn generate(keys: &NodeKeys, n: usize, msg: &(impl AsRef<[u8]> + ?Sized)) -> Self {
+        let msg = msg.as_ref();
         let member = keys.id() < n;
         let mut auth = Self::zeroed(n - usize::from(member));
         let mut slots = auth.macs_mut().iter_mut();
         keys.for_each_key_to(n, |key| {
-            *slots.next().expect("one slot per receiver") = Mac::compute(key, digest);
+            *slots.next().expect("one slot per receiver") = Mac::compute(key, msg);
         });
         let tags = auth.len() as u64;
         count(|c| if member { c.member_tags += tags } else { c.outside_tags += tags });
@@ -122,27 +124,32 @@ impl Authenticator {
     /// Computes a single point-to-point MAC (used for replies to clients).
     /// A `to` that is not a node of the directory shares no key with
     /// anyone: it gets the all-zero tag, which verifies nowhere.
-    pub fn point(keys: &NodeKeys, to: usize, digest: &Digest) -> Mac {
+    pub fn point(keys: &NodeKeys, to: usize, msg: &(impl AsRef<[u8]> + ?Sized)) -> Mac {
         count(|c| c.point_tags += 1);
-        keys.key_to(to).map_or(Mac([0; MAC_LEN]), |key| Mac::compute(&key, digest))
+        keys.key_to(to).map_or(Mac([0; MAC_LEN]), |key| Mac::compute(&key, msg.as_ref()))
     }
 
     /// Checks a point-to-point MAC received from `from`. `from` is
     /// whatever the frame claims: an id outside the directory fails here.
-    pub fn check_point(keys: &NodeKeys, from: usize, digest: &Digest, mac: &Mac) -> bool {
+    pub fn check_point(
+        keys: &NodeKeys,
+        from: usize,
+        msg: &(impl AsRef<[u8]> + ?Sized),
+        mac: &Mac,
+    ) -> bool {
         count(|c| c.tag_checks += 1);
-        keys.key_from(from).is_some_and(|key| Mac::verify(&key, digest, mac))
+        keys.key_from(from).is_some_and(|key| Mac::verify(&key, msg.as_ref(), mac))
     }
 
     /// Checks this receiver's entry, for a message received from `from`
     /// (as claimed by the frame; an id outside the directory fails, and so
     /// does the receiver's own id, which has no entry).
-    pub fn check(&self, keys: &NodeKeys, from: usize, digest: &Digest) -> bool {
+    pub fn check(&self, keys: &NodeKeys, from: usize, msg: &(impl AsRef<[u8]> + ?Sized)) -> bool {
         count(|c| c.tag_checks += 1);
         let me = keys.id();
         let slot = if from < me { me - 1 } else { me };
         match (self.macs().get(slot), keys.key_from(from)) {
-            (Some(mac), Some(key)) if from != me => Mac::verify(&key, digest, mac),
+            (Some(mac), Some(key)) if from != me => Mac::verify(&key, msg.as_ref(), mac),
             _ => false,
         }
     }
@@ -203,6 +210,7 @@ impl XdrDecode for Authenticator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::Digest;
     use crate::sig::KeyDirectory;
 
     fn setup() -> (NodeKeys, NodeKeys, NodeKeys) {
@@ -268,7 +276,7 @@ mod tests {
             let auth = Authenticator::generate(&b, 4, &d);
             assert_eq!(auth.len(), 3);
             for (slot, j) in [0, 2, 3].into_iter().enumerate() {
-                let want = Mac::compute(&b.key_to(j).unwrap(), &d);
+                let want = Mac::compute(&b.key_to(j).unwrap(), d.as_ref());
                 assert_eq!(auth.macs()[slot], want, "entry for {j}");
             }
         }
@@ -281,7 +289,7 @@ mod tests {
         let d = Digest::of(b"request");
         let auth = Authenticator::generate(&client, 4, &d);
         assert_eq!(auth.len(), 4);
-        assert_eq!(auth.macs()[2], Mac::compute(&client.key_to(2).unwrap(), &d));
+        assert_eq!(auth.macs()[2], Mac::compute(&client.key_to(2).unwrap(), d.as_ref()));
         assert!(auth.check(&replica, 4, &d));
     }
 

@@ -42,11 +42,6 @@ impl Digest {
         self.0 == [0; DIGEST_LEN]
     }
 
-    /// Borrows the raw bytes.
-    pub fn as_bytes(&self) -> &[u8; DIGEST_LEN] {
-        &self.0
-    }
-
     /// Renders the first four bytes as hex, for logs.
     pub fn short_hex(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
@@ -56,6 +51,14 @@ impl Digest {
 /// Hashes `data` into a [`Digest`]. Convenience alias for [`Digest::of`].
 pub fn digest_of(data: &[u8]) -> Digest {
     Digest::of(data)
+}
+
+/// A digest's bytes, so that anything taking a byte string (an
+/// authenticator's message among them) takes a digest as it is.
+impl AsRef<[u8]> for Digest {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 impl fmt::Debug for Digest {

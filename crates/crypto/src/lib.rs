@@ -10,8 +10,9 @@
 //! - [`hmac`]: HMAC-SHA256 (RFC 2104), validated against RFC 4231 vectors.
 //!   Derives session keys and stands in for signatures; no authenticator
 //!   tag is an HMAC.
-//! - `siphash`: SipHash-2-4 over a 32-byte digest, the authenticator's tag,
-//!   validated against the SipHash paper's vector and `std`'s SipHasher.
+//! - `siphash`: SipHash-2-4 over input of any length, the authenticator's
+//!   tag, validated against the SipHash paper's vector and `std`'s
+//!   SipHasher.
 //! - [`digest`]: the 32-byte [`Digest`] type used throughout the system.
 //! - [`auth`]: PBFT-style *authenticators* — vectors of pairwise 8-byte
 //!   MACs, one per receiver — used for normal-case point-to-point and

@@ -1,11 +1,12 @@
-//! SipHash-2-4 (Aumasson and Bernstein, 2012) over one 32-byte input.
+//! SipHash-2-4 (Aumasson and Bernstein, 2012).
 //!
 //! SipHash is a pseudorandom function designed and analysed as a MAC for
-//! short inputs: a 128-bit key, a 64-bit tag. Authenticators tag a
-//! 32-byte message digest and nothing else, so this takes exactly that:
-//! four little-endian words and the length block, no buffering and no
-//! tail handling. [`siphash24`] equals the general function on 32-byte
-//! inputs (the tests hold it to the paper's vector and to `std`'s).
+//! short inputs: a 128-bit key, a 64-bit tag. An authenticator tags the
+//! bytes a message's authentication covers: an agreement header or a reply
+//! of some tens of bytes, or a request's 32-byte digest. So [`siphash24`]
+//! takes input of any length: its little-endian words, then a final block
+//! of the tail bytes and the length, without buffering (the tests hold it
+//! to the paper's vector and to `std`'s at every length that matters).
 
 /// One SipRound.
 #[inline(always)]
@@ -27,8 +28,8 @@ fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
 }
 
-/// SipHash-2-4 of the 32-byte `input` under the 128-bit `key`.
-pub(crate) fn siphash24(key: &[u8; 16], input: &[u8; 32]) -> u64 {
+/// SipHash-2-4 of `input` under the 128-bit `key`.
+pub(crate) fn siphash24(key: &[u8; 16], input: &[u8]) -> u64 {
     let (k0, k1) = (word(&key[..8]), word(&key[8..]));
     let mut v = [
         k0 ^ 0x736f_6d65_7073_6575,
@@ -36,10 +37,13 @@ pub(crate) fn siphash24(key: &[u8; 16], input: &[u8; 32]) -> u64 {
         k0 ^ 0x6c79_6765_6e65_7261,
         k1 ^ 0x7465_6462_7974_6573,
     ];
-    // Four message words, then the final block: no tail bytes (32 is a
-    // multiple of 8), the length in the top byte.
-    let last = (input.len() as u64) << 56;
-    for m in input.chunks_exact(8).map(word).chain([last]) {
+    // The whole words, then the final block: the tail bytes in its low
+    // end, the length's low byte in its top one.
+    let words = input.chunks_exact(8);
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    let last = word(&last) | ((input.len() as u64) << 56);
+    for m in words.map(word).chain([last]) {
         v[3] ^= m;
         round(&mut v);
         round(&mut v);
@@ -73,19 +77,35 @@ mod tests {
     #[test]
     fn reference_vectors() {
         // Key 00..0f. Input 00..0e is the worked example of the SipHash
-        // paper (appendix A): 15 bytes, so it anchors the oracle. Input
-        // 00..1f is row 32 of the reference implementation's vectors.
+        // paper (appendix A): 15 bytes, so it anchors the oracle and the
+        // tail. Input 00..1f is row 32 of the reference implementation's
+        // vectors.
         let key = counting::<16>();
         assert_eq!(std_siphash24(&key, &counting::<15>()), 0xa129_ca61_49be_45e5);
+        assert_eq!(siphash24(&key, &counting::<15>()), 0xa129_ca61_49be_45e5);
         assert_eq!(std_siphash24(&key, &counting::<32>()), 0x7127_512f_72f2_7cce);
         assert_eq!(siphash24(&key, &counting::<32>()), 0x7127_512f_72f2_7cce);
     }
 
+    /// Every tail length and word count up to 64 bytes, and the lengths
+    /// around an 8 KiB NFS block, where the length byte wraps.
+    #[test]
+    fn agrees_with_std_at_every_length() {
+        let key = counting::<16>();
+        let input: Vec<u8> = (0..8193u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in (0..=64).chain(8191..=8193) {
+            let m = &input[..len];
+            assert_eq!(siphash24(&key, m), std_siphash24(&key, m), "length {len}");
+        }
+    }
+
     proptest::proptest! {
-        /// The fixed-width kernel is `std`'s SipHash-2-4 on every key and
-        /// every 32-byte input.
+        /// The kernel is `std`'s SipHash-2-4 on every key and input.
         #[test]
-        fn agrees_with_std(key: [u8; 16], input: [u8; 32]) {
+        fn agrees_with_std(
+            key: [u8; 16],
+            input in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..300),
+        ) {
             proptest::prop_assert_eq!(siphash24(&key, &input), std_siphash24(&key, &input));
         }
     }

@@ -59,34 +59,75 @@ proptest! {
         }
     }
 
-    /// Authenticators verify for every honest receiver and reject digest or
-    /// sender substitution, for any system size.
+    /// Authenticators verify for every honest receiver and reject sender
+    /// substitution, another message, the message with one byte flipped
+    /// and the message with one byte appended, for any system size. The
+    /// message is a byte string of any length up to 300, the size of an
+    /// agreement header or a short reply, and also that string's digest,
+    /// which is what a request is tagged over.
     #[test]
     fn authenticator_sound_and_complete(
         n in 2usize..9,
         sender_raw: usize,
-        msg: Vec<u8>,
-        other_msg: Vec<u8>,
+        msg in proptest::collection::vec(any::<u8>(), 0..300),
+        other_msg in proptest::collection::vec(any::<u8>(), 0..300),
+        at: usize,
         seed: u64,
     ) {
         let sender = sender_raw % n;
         let dir = KeyDirectory::generate(n, seed);
         let keys: Vec<NodeKeys> = (0..n).map(|i| NodeKeys::new(dir.clone(), i)).collect();
-        let d = Digest::of(&msg);
-        let auth = Authenticator::generate(&keys[sender], n, &d);
-
-        for (i, k) in keys.iter().enumerate() {
-            if i != sender {
-                prop_assert!(auth.check(k, sender, &d));
-                // A different claimed sender must fail.
-                let imposter = (sender + 1) % n;
-                if imposter != i {
-                    prop_assert!(!auth.check(k, imposter, &d));
-                }
-                if other_msg != msg {
-                    prop_assert!(!auth.check(k, sender, &Digest::of(&other_msg)));
+        let digest = Digest::of(&msg);
+        for m in [&msg[..], digest.as_ref()] {
+            let auth = Authenticator::generate(&keys[sender], n, m);
+            let mut appended = m.to_vec();
+            appended.push(at as u8);
+            let mut flipped = m.to_vec();
+            if let Some(b) = flipped.get_mut(at % m.len().max(1)) {
+                *b ^= 1 << (at % 8);
+            }
+            for (i, k) in keys.iter().enumerate() {
+                if i != sender {
+                    prop_assert!(auth.check(k, sender, m));
+                    // A different claimed sender must fail.
+                    let imposter = (sender + 1) % n;
+                    if imposter != i {
+                        prop_assert!(!auth.check(k, imposter, m));
+                    }
+                    if other_msg[..] != *m {
+                        prop_assert!(!auth.check(k, sender, &other_msg));
+                    }
+                    prop_assert!(!auth.check(k, sender, &appended));
+                    if !m.is_empty() {
+                        prop_assert!(!auth.check(k, sender, &flipped));
+                    }
                 }
             }
+        }
+    }
+
+    /// A point MAC over a byte string of any length up to 300 verifies at
+    /// its receiver and rejects the string with one byte flipped, with one
+    /// byte appended and with its last byte cut.
+    #[test]
+    fn point_tag_binds_every_byte(
+        msg in proptest::collection::vec(any::<u8>(), 0..300),
+        at: usize,
+        seed: u64,
+    ) {
+        let dir = KeyDirectory::generate(4, seed);
+        let [a, b] = [0, 1].map(|i| NodeKeys::new(dir.clone(), i));
+        let mac = Authenticator::point(&a, 1, &msg[..]);
+        prop_assert!(Authenticator::check_point(&b, 0, &msg[..], &mac));
+
+        let mut appended = msg.clone();
+        appended.push(at as u8);
+        prop_assert!(!Authenticator::check_point(&b, 0, &appended, &mac));
+        if let Some((_, cut)) = msg.split_last() {
+            prop_assert!(!Authenticator::check_point(&b, 0, cut, &mac));
+            let mut flipped = msg.clone();
+            flipped[at % msg.len()] ^= 1 << (at % 8);
+            prop_assert!(!Authenticator::check_point(&b, 0, &flipped, &mac));
         }
     }
 

@@ -295,12 +295,10 @@ impl ClientCore {
             return None;
         }
         ctx.charge(COST.mac + COST.digest(reply.result.len()));
-        if !Authenticator::check_point(
-            &self.keys,
-            reply.replica as usize,
-            &reply.digest(),
-            &reply.mac,
-        ) {
+        let from = reply.replica as usize;
+        if !reply.with_signed_bytes(|signed| {
+            Authenticator::check_point(&self.keys, from, signed, &reply.mac)
+        }) {
             return None;
         }
         self.view_guess = self.view_guess.max(reply.view);

@@ -4,10 +4,15 @@
 //! [`Authenticator`] on the normal-case messages (request, pre-prepare,
 //! prepare, commit), a point [`Mac`] on a reply, a [`Signature`] on the
 //! three that must convince a third party (checkpoint, view change, new
-//! view). Digests and signatures are computed over the message's *signed
-//! portion* — all fields except the authentication itself — prefixed with
-//! a per-type domain-separation tag so a digest of one message type can
-//! never validate as another.
+//! view). Tags, digests and signatures are computed over the message's
+//! *signed portion* — all fields except the authentication itself —
+//! prefixed with a per-type domain-separation tag so the bytes of one
+//! message type can never validate as another. A tag covers those bytes
+//! themselves ([`with_signed_bytes`](PrepareMsg::with_signed_bytes)),
+//! except a request's, which covers the request's digest: the digest the
+//! batch digest is built from, so a request is hashed once. A batch
+//! enters an agreement header only through the batch digest, so no header
+//! is hashed before its MAC.
 //!
 //! The wire layout of a message is its declaration: every type here is an
 //! [`xdr_struct!`] (fields in declaration order) and [`Message`] an
@@ -259,7 +264,7 @@ xdr_struct! {
         pub tentative: bool,
         /// Execution result, or its digest when `digest_only`.
         pub result: SharedBytes,
-        /// Point MAC to the client.
+        /// Point MAC to the client over the signed portion.
         pub mac: Mac,
     }
 }
@@ -275,11 +280,6 @@ impl ReplyMsg {
         enc.put_bool(self.tentative);
         enc.put_opaque(&self.result);
     }
-
-    /// Digest of the signed portion (what the point MAC covers).
-    pub fn digest(&self) -> Digest {
-        self.with_signed_bytes(Digest::of)
-    }
 }
 
 xdr_struct! {
@@ -287,9 +287,9 @@ xdr_struct! {
     ///
     /// The batch-digest-covered fields (`requests`, `nondet`) are private and
     /// set only at construction, which makes the memoized
-    /// [`PrePrepareMsg::batch_digest`] sound. `view`/`seq` stay public: they
-    /// are covered by [`PrePrepareMsg::digest`] (recomputed on demand), which
-    /// the authenticator covers, but deliberately not by the batch digest.
+    /// [`PrePrepareMsg::batch_digest`] sound. `view`/`seq` stay public: the
+    /// authenticator covers them in the header it tags (encoded on demand),
+    /// but the batch digest deliberately does not.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct PrePrepareMsg {
         /// View this proposal belongs to.
@@ -301,7 +301,8 @@ xdr_struct! {
         /// Non-deterministic values chosen by the primary for this batch
         /// (e.g. the agreed timestamp for NFS mtimes).
         nondet: SharedBytes,
-        /// MAC vector from the primary over [`PrePrepareMsg::digest`].
+        /// MAC vector from the primary over the header: view, sequence
+        /// number and batch digest.
         pub auth: Authenticator,
         /// Memoized batch digest.
         batch_cache: DigestCache,
@@ -367,12 +368,6 @@ impl PrePrepareMsg {
     /// The primary's authentication covers view, seq and batch digest.
     fn encode_signed(&self, enc: &mut XdrEncoder) {
         put_header(enc, "pbft:pre-prepare", self.view, self.seq, &self.batch_digest());
-    }
-
-    /// Digest of the header the primary's authenticator covers: view,
-    /// sequence number and batch digest.
-    pub fn digest(&self) -> Digest {
-        self.with_signed_bytes(Digest::of)
     }
 }
 
@@ -892,6 +887,29 @@ mod tests {
         let d3 = PrePrepareMsg::batch_digest_of(&[], b"a");
         assert_ne!(d1, d2);
         assert_ne!(d1, d3);
+    }
+
+    /// A prepare's tag is over its header, so it binds every field of it:
+    /// the same authenticator on a prepare that differs in view, sequence
+    /// number, batch digest or sender id is rejected. The check keeps the
+    /// signer's key (replica 1) throughout, so only the header differs.
+    #[test]
+    fn a_prepare_tag_rejects_any_other_header() {
+        let dir = KeyDirectory::generate(5, 1);
+        let (sender, receiver) = (NodeKeys::new(dir.clone(), 1), NodeKeys::new(dir, 2));
+        let (digest, auth) = (Digest::of(b"batch"), Authenticator::default());
+        let mut p = PrepareMsg { view: 3, seq: 7, digest, replica: 1, auth };
+        p.auth = p.with_signed_bytes(|header| Authenticator::generate(&sender, 4, header));
+        let accepted = |m: &PrepareMsg| m.with_signed_bytes(|h| m.auth.check(&receiver, 1, h));
+        assert!(accepted(&p));
+        for other in [
+            PrepareMsg { view: 4, ..p.clone() },
+            PrepareMsg { seq: 8, ..p.clone() },
+            PrepareMsg { digest: Digest::of(b"other"), ..p.clone() },
+            PrepareMsg { replica: 3, ..p.clone() },
+        ] {
+            assert!(!accepted(&other), "{other:?}");
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Agreement {
 
         let nondet = io.exec(|svc, env| svc.propose_nondet(env));
         let mut pp = PrePrepareMsg::new(view, seq, batch, nondet);
-        pp.auth = io.authenticator(&pp.digest());
+        pp.auth = pp.with_signed_bytes(|header| io.authenticator(header));
 
         if io.ctx.trace_enabled() {
             // Causal edge for the span layer: which client ops landed in
@@ -138,7 +138,7 @@ pub(super) fn on_pre_prepare(io: &mut Io<'_, '_>, pp: PrePrepareMsg) -> Option<N
         return None;
     }
     io.ctx.charge(COST.mac + COST.digest(64));
-    if !pp.auth.check(io.keys, primary, &pp.digest()) {
+    if !pp.with_signed_bytes(|header| pp.auth.check(io.keys, primary, header)) {
         io.reject();
         return None;
     }
@@ -187,7 +187,7 @@ pub(super) fn on_pre_prepare(io: &mut Io<'_, '_>, pp: PrePrepareMsg) -> Option<N
 pub(super) fn send_prepare(io: &mut Io<'_, '_>, view: u64, seq: u64, digest: Digest) {
     let auth = Authenticator::default();
     let mut prepare = PrepareMsg { view, seq, digest, replica: io.id, auth };
-    prepare.auth = io.authenticator(&prepare.with_signed_bytes(Digest::of));
+    prepare.auth = prepare.with_signed_bytes(|header| io.authenticator(header));
     let msg = Message::Prepare(prepare);
     io.multicast(&msg);
     let Message::Prepare(prepare) = msg else { unreachable!("built above") };
@@ -202,7 +202,7 @@ pub(super) fn on_prepare(io: &mut Io<'_, '_>, p: PrepareMsg) -> Option<Next> {
         return None;
     }
     io.ctx.charge(COST.mac);
-    if !p.auth.check(io.keys, from, &p.with_signed_bytes(Digest::of)) {
+    if !p.with_signed_bytes(|header| p.auth.check(io.keys, from, header)) {
         io.reject();
         return None;
     }
@@ -216,7 +216,7 @@ pub(super) fn on_commit(io: &mut Io<'_, '_>, c: CommitMsg) -> Option<Next> {
         return None;
     }
     io.ctx.charge(COST.mac);
-    if !c.auth.check(io.keys, c.replica as usize, &c.with_signed_bytes(Digest::of)) {
+    if !c.with_signed_bytes(|header| c.auth.check(io.keys, c.replica as usize, header)) {
         io.reject();
         return None;
     }
@@ -238,7 +238,7 @@ pub(super) fn commit_if_prepared(io: &mut Io<'_, '_>, view: u64, seq: u64) -> bo
     io.ctx.emit(view, seq, ProtocolEvent::PrepareQuorum);
     let mut commit =
         CommitMsg { view, seq, digest, replica: io.id, auth: Authenticator::default() };
-    commit.auth = io.authenticator(&commit.with_signed_bytes(Digest::of));
+    commit.auth = commit.with_signed_bytes(|header| io.authenticator(header));
     // Sent by reference, then moved (not cloned) into the log.
     let msg = Message::Commit(commit);
     io.multicast(&msg);

@@ -180,7 +180,8 @@ fn send_reply(io: &mut Io<'_, '_>, view: u64, req: &RequestMsg, result: &[u8], t
     let mut reply =
         ReplyMsg { view, timestamp, client, replica, digest_only, tentative, result, mac };
     io.ctx.charge(COST.mac + COST.digest(reply.result.len()));
-    reply.mac = Authenticator::point(io.keys, client as usize, &reply.digest());
+    let to_client = client as usize;
+    reply.mac = reply.with_signed_bytes(|signed| Authenticator::point(io.keys, to_client, signed));
     io.ctx.emit(view, 0, ProtocolEvent::ReplySent { client: u64::from(client), ts: timestamp });
     io.send(to, &Message::Reply(reply));
 }

@@ -75,7 +75,8 @@ impl Io<'_, '_> {
                 let flipped = r.result.iter().map(|b| b ^ 0xa5);
                 let result = if r.result.is_empty() { vec![0xa5] } else { flipped.collect() };
                 let mut reply = ReplyMsg { result: result.into(), ..r.clone() };
-                reply.mac = Authenticator::point(self.keys, r.client as usize, &reply.digest());
+                let client = r.client as usize;
+                reply.mac = reply.with_signed_bytes(|r| Authenticator::point(self.keys, client, r));
                 Message::Reply(reply)
             }
             (ByzMode::CorruptCheckpoints, Message::Checkpoint(c)) if c.replica == me => {
@@ -107,7 +108,8 @@ impl Io<'_, '_> {
     /// `pp` with `nondet` in place of its own, authenticated afresh.
     fn forge(&self, pp: &PrePrepareMsg, nondet: Vec<u8>) -> Message {
         let mut forged = PrePrepareMsg::new(pp.view, pp.seq, pp.requests().to_vec(), nondet);
-        forged.auth = Authenticator::generate(self.keys, self.cfg.n, &forged.digest());
+        let n = self.cfg.n;
+        forged.auth = forged.with_signed_bytes(|h| Authenticator::generate(self.keys, n, h));
         Message::PrePrepare(forged)
     }
 
@@ -137,10 +139,11 @@ impl Io<'_, '_> {
         Some(wire)
     }
 
-    /// Authenticates `digest` to the other replicas, charging a MAC each.
-    pub(super) fn authenticator(&mut self, digest: &Digest) -> Authenticator {
+    /// Authenticates `header`, a message's signed bytes, to the other
+    /// replicas, charging a MAC each.
+    pub(super) fn authenticator(&mut self, header: &[u8]) -> Authenticator {
         self.ctx.charge(COST.authenticator(self.cfg.n - 1));
-        Authenticator::generate(self.keys, self.cfg.n, digest)
+        Authenticator::generate(self.keys, self.cfg.n, header)
     }
 
     /// Runs a service upcall and charges the CPU time it reports.

@@ -359,7 +359,7 @@ mod tests {
     fn pre_prepare(dir: &KeyDirectory, seq: u64, batch: Vec<RequestMsg>) -> PrePrepareMsg {
         let primary = NodeKeys::new(dir.clone(), 0);
         let mut pp = PrePrepareMsg::new(0, seq, batch, Vec::new());
-        pp.auth = Authenticator::generate(&primary, 4, &pp.digest());
+        pp.auth = pp.with_signed_bytes(|header| Authenticator::generate(&primary, 4, header));
         pp
     }
 
@@ -385,14 +385,14 @@ mod tests {
             let keys = NodeKeys::new(dir.clone(), replica_id as usize);
             let auth = Authenticator::default();
             let mut p = PrepareMsg { view, seq, digest, replica: replica_id, auth };
-            p.auth = Authenticator::generate(&keys, 4, &Digest::of(&p.signed_bytes()));
+            p.auth = p.with_signed_bytes(|header| Authenticator::generate(&keys, 4, header));
             effects.extend(replica.deliver(replica_id as usize, Message::Prepare(p)));
         }
         for replica_id in peers {
             let keys = NodeKeys::new(dir.clone(), replica_id as usize);
             let auth = Authenticator::default();
             let mut c = CommitMsg { view, seq, digest, replica: replica_id, auth };
-            c.auth = Authenticator::generate(&keys, 4, &Digest::of(&c.signed_bytes()));
+            c.auth = c.with_signed_bytes(|header| Authenticator::generate(&keys, 4, header));
             effects.extend(replica.deliver(replica_id as usize, Message::Commit(c)));
         }
         effects
@@ -583,7 +583,8 @@ mod tests {
         let pre_prepares = [3, window + 1, u64::MAX]
             .map(|seq| {
                 let mut pp = PrePrepareMsg::new(1, seq, Vec::new(), Vec::new());
-                pp.auth = Authenticator::generate(&new_primary, 4, &pp.digest());
+                pp.auth =
+                    pp.with_signed_bytes(|header| Authenticator::generate(&new_primary, 4, header));
                 pp
             })
             .to_vec();
@@ -753,7 +754,8 @@ mod tests {
                         let flipped: Vec<u8> = r.result.iter().map(|b| b ^ 0xa5).collect();
                         assert_eq!(*s.result, *flipped, "digest only: {}", r.digest_only);
                         assert_eq!(s.digest_only, r.digest_only);
-                        assert!(Authenticator::check_point(&at, 0, &s.digest(), &s.mac));
+                        let signed = s.signed_bytes();
+                        assert!(Authenticator::check_point(&at, 0, &signed, &s.mac));
                     }
                     (
                         ByzMode::CorruptCheckpoints,
@@ -768,13 +770,13 @@ mod tests {
                     {
                         assert_eq!(s.nondet(), [p.nondet(), &[0xff]].concat(), "to {to}");
                         assert_ne!(s.batch_digest(), p.batch_digest());
-                        assert!(s.auth.check(&at, 0, &s.digest()), "to {to}");
+                        assert!(s.auth.check(&at, 0, &s.signed_bytes()), "to {to}");
                     }
                     (ByzMode::BadTimestamps, Message::PrePrepare(p), Message::PrePrepare(s)) => {
                         let century = 100 * 365 * 24 * 3600 * 1_000_000_000u64;
                         assert_eq!(p.nondet(), 0u64.to_be_bytes(), "the honest clock at 0");
                         assert_eq!(s.nondet(), century.to_be_bytes(), "to {to}");
-                        assert!(s.auth.check(&at, 0, &s.digest()), "to {to}");
+                        assert!(s.auth.check(&at, 0, &s.signed_bytes()), "to {to}");
                     }
                     _ => {
                         assert_eq!(sent, shaped, "{mode:?}: to {to}");

@@ -303,7 +303,7 @@ impl ViewChange {
         let pre_prepares = pre_prepares
             .into_iter()
             .map(|mut pp| {
-                pp.auth = io.authenticator(&pp.digest());
+                pp.auth = pp.with_signed_bytes(|header| io.authenticator(header));
                 pp
             })
             .collect();

@@ -66,7 +66,8 @@ impl MockReplica {
             result: result.into(),
             mac: base_crypto::Mac([0; 8]),
         };
-        reply.mac = Authenticator::point(&self.keys, req.client() as usize, &reply.digest());
+        let to = req.client() as usize;
+        reply.mac = reply.with_signed_bytes(|signed| Authenticator::point(&self.keys, to, signed));
         if self.policy == Policy::BadMac {
             reply.mac.0[0] ^= 0xff;
         }
@@ -126,7 +127,7 @@ fn full_reply(replica: u32, timestamp: u64, result: &[u8]) -> Vec<u8> {
         result: result.to_vec().into(),
         mac: base_crypto::Mac([0; 8]),
     };
-    reply.mac = Authenticator::point(&keys, 4, &reply.digest());
+    reply.mac = reply.with_signed_bytes(|signed| Authenticator::point(&keys, 4, signed));
     Message::Reply(reply).to_wire()
 }
 

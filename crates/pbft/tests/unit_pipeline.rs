@@ -67,21 +67,21 @@ impl Rig {
     fn pre_prepare(&self, seq: u64, requests: Vec<RequestMsg>) -> PrePrepareMsg {
         let primary = self.keys(0);
         let mut pp = PrePrepareMsg::new(0, seq, requests, Vec::new());
-        pp.auth = Authenticator::generate(&primary, N, &pp.digest());
+        pp.auth = pp.with_signed_bytes(|header| Authenticator::generate(&primary, N, header));
         pp
     }
 
     fn prepare(&self, seq: u64, digest: Digest, from: u32) -> PrepareMsg {
         let keys = self.keys(from as usize);
         let mut p = PrepareMsg { view: 0, seq, digest, replica: from, auth: Authenticator::default() };
-        p.auth = Authenticator::generate(&keys, N, &Digest::of(&p.signed_bytes()));
+        p.auth = p.with_signed_bytes(|header| Authenticator::generate(&keys, N, header));
         p
     }
 
     fn commit(&self, seq: u64, digest: Digest, from: u32) -> CommitMsg {
         let keys = self.keys(from as usize);
         let mut c = CommitMsg { view: 0, seq, digest, replica: from, auth: Authenticator::default() };
-        c.auth = Authenticator::generate(&keys, N, &Digest::of(&c.signed_bytes()));
+        c.auth = c.with_signed_bytes(|header| Authenticator::generate(&keys, N, header));
         c
     }
 

@@ -568,6 +568,40 @@ fn one_outbound_filter(t: &Tree) -> Vec<Hit> {
     hits
 }
 
+/// Tags over headers (DESIGN.md §11.5): an agreement message or a reply
+/// is tagged over its signed bytes, so no SHA-256 of them is computed
+/// before its MAC. The signed bytes are hashed only for the two digests
+/// that name a message, in `messages.rs`: `RequestMsg::digest` and
+/// `ViewChangeMsg::digest`, and by a test that holds one of those to its
+/// definition (a `.digest()` on the same line). Anywhere else in
+/// `crates/*/src` and `crates/*/tests`, hashing them is a header hashed
+/// again, and a tag built by hand over that digest compiles (an
+/// authenticator takes any bytes) and then fails at the receiver.
+fn tags_over_headers(t: &Tree) -> Vec<Hit> {
+    let scope =
+        |p: &str| p.starts_with("crates/") && matches!(p.split('/').nth(2), Some("src" | "tests"));
+    let hashed = |line: &str| {
+        line.contains("with_signed_bytes(Digest::of)")
+            || line.split("Digest::of(&").skip(1).any(|arg| {
+                arg.split(')')
+                    .next()
+                    .is_some_and(|a| a.ends_with(".signed_bytes("))
+            })
+    };
+    let mut hits = Vec::new();
+    let mut naming = false;
+    for line @ (path, _, text) in t.lines(scope) {
+        let messages = path == "crates/pbft/src/messages.rs";
+        if messages && text.starts_with("impl ") {
+            naming = text == "impl RequestMsg {" || text == "impl ViewChangeMsg {";
+        }
+        if hashed(text) && !(messages && naming) && !text.contains(".digest()") {
+            hits.push(hit(line));
+        }
+    }
+    hits
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -610,6 +644,7 @@ gate_tests!(
     fixed_timers,
     one_context,
     one_outbound_filter,
+    tags_over_headers,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -620,7 +655,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 51] = [
+    let plants: [(Gate, &str, &str); 54] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -672,6 +707,9 @@ fn every_gate_fires_on_its_plant() {
         (one_outbound_filter, "crates/pbft/src/replica/checkpoint.rs", "// CorruptCheckpoints stores a bogus digest"),
         (one_outbound_filter, "crates/pbft/src/replica/router.rs", "ByzMode::EquivocatePrimary | ByzMode::BadTimestamps => {}"),
         (one_outbound_filter, "crates/pbft/src/replica/agreement.rs", "fn equivocate(io: &mut Io<'_, '_>, pp: &PrePrepareMsg) {}"),
+        (tags_over_headers, "crates/pbft/src/replica/agreement.rs", "let d = prepare.with_signed_bytes(Digest::of);"),
+        (tags_over_headers, "crates/pbft/tests/unit_pipeline.rs", "p.auth = Authenticator::generate(&keys, N, &Digest::of(&p.signed_bytes()));"),
+        (tags_over_headers, "crates/pbft/src/messages.rs", "impl ReplyMsg {\n    pub fn digest(&self) -> Digest {\n        self.with_signed_bytes(Digest::of)\n    }\n}"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -755,7 +793,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 67] = [
+const NAMED: [(&str, &str, bool); 71] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -844,6 +882,12 @@ const NAMED: [(&str, &str, bool); 67] = [
     // healed shaping replica is audited like any honest one.
     ("crates/pbft/src/replica/mod.rs", "a_shaping_mode_changes_only_the_wire", false),
     ("crates/pbft/src/chaos.rs", "a_healed_shaping_replica_is_clean_and_a_corrupted_one_is_not", false),
+    // Tags over headers: every header field is covered, and the kernel
+    // and the authenticator take input of any length.
+    ("crates/pbft/src/messages.rs", "a_prepare_tag_rejects_any_other_header", false),
+    ("crates/crypto/src/siphash.rs", "agrees_with_std_at_every_length", false),
+    ("crates/crypto/tests/proptest_crypto.rs", "authenticator_sound_and_complete", false),
+    ("crates/crypto/tests/proptest_crypto.rs", "point_tag_binds_every_byte", false),
 ];
 
 #[test]
