@@ -33,7 +33,7 @@
 #
 #   - each pair in run order: which side ran first, each side's
 #     `wall_ops_per_s` and CPU seconds, and the pair's ratios change/parent
-#     of both, so that a drift of the machine over the session shows beside
+#     of both, so that a drift of the machine over the whole A/B shows beside
 #     the change's effect (a run does a fixed amount of simulated work, so
 #     its CPU time is what that work cost), then the CPU medians;
 #   - the traced pair's per-op counts, which the code determines at a seed
