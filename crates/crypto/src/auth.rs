@@ -112,10 +112,9 @@ impl Authenticator {
         let msg = msg.as_ref();
         let member = keys.id() < n;
         let mut auth = Self::zeroed(n - usize::from(member));
-        let mut slots = auth.macs_mut().iter_mut();
-        keys.for_each_key_to(n, |key| {
-            *slots.next().expect("one slot per receiver") = Mac::compute(key, msg);
-        });
+        for (slot, key) in auth.macs_mut().iter_mut().zip(keys.keys_to(n)) {
+            *slot = Mac::compute(&key, msg);
+        }
         let tags = auth.len() as u64;
         count(|c| if member { c.member_tags += tags } else { c.outside_tags += tags });
         auth
@@ -267,7 +266,7 @@ mod tests {
 
     #[test]
     fn generate_matches_per_key_macs() {
-        // generate() (every key in one visit to the directory) must
+        // generate() (the sender's row of the directory) must
         // produce exactly the tags the key-by-key path produces, for the
         // other receivers in id order: node 1's own slot is left out.
         let (_, b, _) = setup();

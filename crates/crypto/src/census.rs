@@ -5,9 +5,9 @@
 //! adds the blocks it compressed. Authenticator tags are kept
 //! apart by who made them: a sender that is one of the receivers (a
 //! replica authenticating to its group) or one outside them (a client).
-//! The counters are thread-local cells, so a campaign worker thread counts
-//! its own and the single-threaded simulator's counts are exact; tier-1's
-//! crypto census reads them around one operation.
+//! The counters are thread-local cells, so the counts of the
+//! single-threaded simulator are exact, whatever else the process runs;
+//! tier-1's crypto census reads them around one operation.
 
 use std::cell::Cell;
 use std::ops::Sub;

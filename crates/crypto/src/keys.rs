@@ -7,11 +7,12 @@
 //!
 //! In this reproduction the key-exchange handshake is replaced by
 //! deterministic derivation through the [`crate::KeyDirectory`]: the session
-//! key is the first 16 bytes of `HMAC(secret_j, "sess" || i || epoch_j)`.
-//! Refreshing a node's epoch invalidates every key other nodes used to
-//! authenticate traffic to it, exactly the property proactive recovery
-//! needs. HMAC derives the key; the tags under it are SipHash-2-4
-//! ([`crate::auth`]).
+//! key is the first 16 bytes of `HMAC(secret_j, "sess" || i || epoch_j)`,
+//! derived when the directory is generated and kept in its table.
+//! Refreshing a node's epoch derives every key other nodes use to
+//! authenticate traffic to it again, so the keys they used before stop
+//! verifying, exactly the property proactive recovery needs. HMAC derives
+//! the key; the tags under it are SipHash-2-4 ([`crate::auth`]).
 
 use crate::sig::KeyDirectory;
 
@@ -60,10 +61,10 @@ impl NodeKeys {
         self.dir.session_key(self.id, to)
     }
 
-    /// Calls `f` with `key_to(j)` for each `j` in `0..n` but this node's
-    /// own id, in order, in one visit to the directory.
-    pub(crate) fn for_each_key_to(&self, n: usize, f: impl FnMut(&SessionKey)) {
-        self.dir.for_each_key_to(self.id, n, f);
+    /// `key_to(j)` for each `j` in `0..n` but this node's own id, in
+    /// order: this node's row of the directory.
+    pub(crate) fn keys_to(&self, n: usize) -> impl Iterator<Item = SessionKey> + '_ {
+        self.dir.keys_to(self.id, n)
     }
 
     /// Session key for verifying messages this node *receives from* `from`;

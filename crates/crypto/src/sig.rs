@@ -14,12 +14,18 @@
 //! in the protocol or fault-injection layers can produce a valid signature
 //! for another node. Third-party verifiability holds because any handle can
 //! verify any signer.
+//!
+//! The directory is also the table of pairwise session keys: all `n × n`
+//! of them are derived when it is generated, and a node's key refresh
+//! derives its column again under the new epoch, so a lookup is a bounds
+//! check and a read.
 
 use crate::census::count;
 use crate::hmac::{hmac_sha256, verify_tag, HmacMidstate, HmacSha256};
 use crate::keys::{SessionKey, SECRET_LEN};
 use base_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
-use std::sync::{Arc, RwLock};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Length of a signature in bytes.
 pub const SIG_LEN: usize = 32;
@@ -56,7 +62,9 @@ impl XdrDecode for Signature {
     }
 }
 
-struct Inner {
+/// The key table of one simulated system, shared by `Rc`: the simulator
+/// runs every node on one thread, so its mutable parts are `Cell`s.
+struct Table {
     /// Per-node root secrets, generated deterministically from a seed.
     secrets: Vec<[u8; SECRET_LEN]>,
     /// Per-node HMAC key schedule of the signing key `secret ‖ "sig!"`,
@@ -64,30 +72,38 @@ struct Inner {
     /// It depends on the secret alone, so a key refresh leaves it as it is.
     sig_keys: Vec<HmacMidstate>,
     /// Per-node receive-key epochs, bumped by proactive recovery.
-    epochs: Vec<u64>,
-    /// Memoized session keys: an `n × n` table, row = sender, column =
-    /// receiver, filled on first use. A refresh empties the receiver's
-    /// column, so every entry is under its receiver's current epoch. Only
-    /// ids below `n` index it: an id off a frame that names no node has no
-    /// key, and asking allocates nothing.
-    session: Vec<Option<SessionKey>>,
+    epochs: Vec<Cell<u64>>,
+    /// The `n × n` session keys, row = sender, column = receiver, each
+    /// under its receiver's current epoch. Only ids below `n` index it: an
+    /// id off a frame that names no node has no key.
+    session: Vec<Cell<SessionKey>>,
 }
 
-impl Inner {
-    /// Index of the `sender → receiver` key, if both are nodes.
-    fn slot(&self, sender: usize, receiver: usize) -> Option<usize> {
-        let n = self.secrets.len();
-        (sender < n && receiver < n).then(|| sender * n + receiver)
+impl Table {
+    fn n(&self) -> usize {
+        self.secrets.len()
     }
+}
+
+/// The key from `sender` to the receiver whose secret is `secret`, under
+/// the receiver's `epoch`: the first 16 bytes of
+/// `HMAC(secret_receiver, "sess" ‖ sender ‖ epoch)`.
+fn derive(secret: &[u8; SECRET_LEN], sender: usize, epoch: u64) -> SessionKey {
+    let mut msg = [0u8; 20];
+    msg[..4].copy_from_slice(b"sess");
+    msg[4..12].copy_from_slice(&(sender as u64).to_be_bytes());
+    msg[12..].copy_from_slice(&epoch.to_be_bytes());
+    let derived = hmac_sha256(secret, &msg);
+    SessionKey(derived[..16].try_into().expect("sixteen of thirty-two bytes"))
 }
 
 /// The shared key infrastructure for one simulated system.
 ///
-/// Cheaply clonable (an `Arc` internally); one directory is created per
+/// Cheaply clonable (an `Rc` internally); one directory is created per
 /// simulation and a [`crate::NodeKeys`] handle is derived per node.
 #[derive(Clone)]
 pub struct KeyDirectory {
-    inner: Arc<RwLock<Inner>>,
+    table: Rc<Table>,
 }
 
 impl std::fmt::Debug for KeyDirectory {
@@ -110,97 +126,51 @@ impl KeyDirectory {
             .iter()
             .map(|secret| HmacMidstate::new(&[&secret[..], b"sig!"].concat()))
             .collect();
-        Self {
-            inner: Arc::new(RwLock::new(Inner {
-                secrets,
-                sig_keys,
-                epochs: vec![0; n],
-                session: vec![None; n * n],
-            })),
-        }
+        let session =
+            (0..n * n).map(|slot| Cell::new(derive(&secrets[slot % n], slot / n, 0))).collect();
+        let epochs = vec![Cell::new(0); n];
+        Self { table: Rc::new(Table { secrets, sig_keys, epochs, session }) }
     }
 
     /// Number of nodes in the directory.
     pub fn node_count(&self) -> usize {
-        self.inner.read().expect("key directory poisoned").secrets.len()
+        self.table.n()
     }
 
-    /// Current receive-key epoch of `node`.
-    pub fn epoch(&self, node: usize) -> u64 {
-        self.inner.read().expect("key directory poisoned").epochs[node]
-    }
-
-    /// Derives the session key authenticating traffic from `sender` to
-    /// `receiver` (chosen by the receiver; depends on the receiver's epoch);
-    /// `None` if either is not a node of this directory. Memoized, so under
-    /// a stable epoch the HMAC derivation is paid once per pair.
+    /// The session key authenticating traffic from `sender` to `receiver`
+    /// (chosen by the receiver; depends on the receiver's epoch); `None`
+    /// if either is not a node of this directory.
     pub(crate) fn session_key(&self, sender: usize, receiver: usize) -> Option<SessionKey> {
-        let slot = {
-            let inner = self.inner.read().expect("key directory poisoned");
-            let slot = inner.slot(sender, receiver)?;
-            if let Some(key) = inner.session[slot] {
-                return Some(key);
-            }
-            slot
-        };
-        let mut inner = self.inner.write().expect("key directory poisoned");
-        let mut msg = [0u8; 20];
-        msg[..4].copy_from_slice(b"sess");
-        msg[4..12].copy_from_slice(&(sender as u64).to_be_bytes());
-        msg[12..].copy_from_slice(&inner.epochs[receiver].to_be_bytes());
-        let derived = hmac_sha256(&inner.secrets[receiver], &msg);
-        let key = SessionKey(derived[..16].try_into().expect("sixteen of thirty-two bytes"));
-        inner.session[slot] = Some(key);
-        Some(key)
+        let n = self.table.n();
+        (sender < n && receiver < n).then(|| self.table.session[sender * n + receiver].get())
     }
 
-    /// Calls `f` with the session key from `sender` to each receiver in
-    /// `0..n` other than `sender` itself, in order, holding the read lock
-    /// across all of them (a multicast authenticator needs every one of
-    /// its sender's keys).
+    /// The session keys from `sender` to each receiver in `0..n` other
+    /// than `sender` itself, in order: its row of the table.
     ///
     /// Panics if `sender` or a receiver is not a node of this directory
     /// (both come from the caller's configuration, not from a frame).
-    pub(crate) fn for_each_key_to(&self, sender: usize, n: usize, mut f: impl FnMut(&SessionKey)) {
-        let mut inner = self.inner.read().expect("key directory poisoned");
-        let mut receiver = 0;
-        while receiver < n {
-            if receiver == sender {
-                receiver += 1;
-                continue;
-            }
-            let slot = inner.slot(sender, receiver).expect("receivers are nodes");
-            match &inner.session[slot] {
-                Some(key) => {
-                    f(key);
-                    receiver += 1;
-                }
-                None => {
-                    // First use under this epoch: derive and memoize it
-                    // under the write lock, then carry on reading.
-                    drop(inner);
-                    self.session_key(sender, receiver);
-                    inner = self.inner.read().expect("key directory poisoned");
-                }
-            }
-        }
+    pub(crate) fn keys_to(&self, sender: usize, n: usize) -> impl Iterator<Item = SessionKey> + '_ {
+        let row = &self.table.session[sender * self.table.n()..][..n];
+        let others = row.iter().enumerate().filter(move |(receiver, _)| *receiver != sender);
+        others.map(|(_, key)| key.get())
     }
 
-    /// Bumps `node`'s receive-key epoch (proactive-recovery key refresh),
-    /// dropping every cached session key for traffic to it.
+    /// Bumps `node`'s receive-key epoch (proactive-recovery key refresh)
+    /// and derives every key for traffic to it under the new one.
     pub(crate) fn refresh(&self, node: usize) {
-        let mut inner = self.inner.write().expect("key directory poisoned");
-        inner.epochs[node] += 1;
-        let n = inner.secrets.len();
+        let epoch = self.table.epochs[node].get() + 1;
+        self.table.epochs[node].set(epoch);
+        let n = self.table.n();
         for sender in 0..n {
-            inner.session[sender * n + node] = None;
+            let key = derive(&self.table.secrets[node], sender, epoch);
+            self.table.session[sender * n + node].set(key);
         }
     }
 
     /// `node`'s signature over `message`, or `None` for an unknown node.
     fn signature(&self, node: usize, message: &[u8]) -> Option<Signature> {
-        let inner = self.inner.read().expect("key directory poisoned");
-        let mut mac = HmacSha256::from_midstate(inner.sig_keys.get(node)?);
+        let mut mac = HmacSha256::from_midstate(self.table.sig_keys.get(node)?);
         mac.update(message);
         Some(Signature(mac.finalize()))
     }
@@ -258,7 +228,7 @@ mod tests {
         fn cached_sign_key_matches_the_definition(m: Vec<u8>, node in 0usize..3, seed: u64) {
             let dir = KeyDirectory::generate(3, seed);
             let keys = NodeKeys::new(dir.clone(), node);
-            let mut key = dir.inner.read().unwrap().secrets[node].to_vec();
+            let mut key = dir.table.secrets[node].to_vec();
             key.extend_from_slice(b"sig!");
             let sig = keys.sign(&m);
             proptest::prop_assert_eq!(sig.0, hmac_sha256(&key, &m));
@@ -283,12 +253,10 @@ mod tests {
         let d = Digest::of(b"request");
         let auth = Authenticator::generate(&sender, 4, &d);
         assert!(auth.check(&receiver, 0, &d));
-        let cached = |dir: &KeyDirectory| {
-            let inner = dir.inner.read().unwrap();
-            (inner.session.len(), inner.session.iter().flatten().count())
-        };
-        let before = cached(&dir);
-        assert_eq!(before.0, 16);
+        // The table holds all n² keys from the start.
+        let keys = |dir: &KeyDirectory| dir.table.session.iter().map(Cell::get).collect::<Vec<_>>();
+        let before = keys(&dir);
+        assert_eq!(before.len(), 16);
         // A frame may claim any sender: one past the directory, the id a
         // 32-bit field saturates at, or one whose row offset would wrap.
         for claimed in [4, 0xFFFF_FFFF, usize::MAX] {
@@ -298,7 +266,7 @@ mod tests {
             assert!(receiver.key_from(claimed).is_none() && receiver.key_to(claimed).is_none());
             assert!(!receiver.verify(claimed, b"m", &Signature([0; SIG_LEN])));
         }
-        assert_eq!(cached(&dir), before, "no key was derived or cached for a stranger");
+        assert_eq!(keys(&dir), before, "no key was derived or stored for a stranger");
     }
 
     #[test]

@@ -25,6 +25,18 @@ fn hostile_tag_counts_are_rejected() {
     }
 }
 
+/// `std`'s keyed SipHash-2-4: the tag function under a key, computed
+/// without the crate. Deprecated in favour of `DefaultHasher`, which takes
+/// no key and fixes no algorithm.
+#[allow(deprecated)]
+fn std_siphash24(key: &[u8], input: &[u8]) -> u64 {
+    use std::hash::{Hasher, SipHasher};
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+    let mut h = SipHasher::new_with_keys(word(&key[..8]), word(&key[8..16]));
+    h.write(input);
+    h.finish()
+}
+
 proptest! {
     /// Incremental hashing with arbitrary chunk boundaries matches one-shot.
     #[test]
@@ -192,6 +204,45 @@ proptest! {
         b.refresh();
         prop_assert!(!Authenticator::check_point(&b, 0, &d, &mac));
         prop_assert!(Authenticator::check_point(&b, 0, &d, &Authenticator::point(&a, 1, &d)));
+    }
+
+    /// Whatever sequence of key refreshes ran, every `(sender, receiver)`
+    /// key of the directory is the definition, the first 16 bytes of
+    /// `HMAC(secret_receiver, "sess" ‖ sender ‖ epoch_receiver)` (seen
+    /// through the tag it makes), and the receiver's key from the sender is
+    /// the sender's key to it.
+    #[test]
+    fn every_key_is_the_definition_after_any_refreshes(
+        n in 1usize..7,
+        refreshes in proptest::collection::vec(any::<usize>(), 0..10),
+        msg in proptest::collection::vec(any::<u8>(), 0..64),
+        seed: u64,
+    ) {
+        let dir = KeyDirectory::generate(n, seed);
+        let keys: Vec<NodeKeys> = (0..n).map(|i| NodeKeys::new(dir.clone(), i)).collect();
+        let secrets: Vec<[u8; 32]> = (0..n)
+            .map(|i| hmac_sha256(&seed.to_be_bytes(), format!("node-secret-{i}").as_bytes()))
+            .collect();
+        let mut epochs = vec![0u64; n];
+        for step in std::iter::once(None).chain(refreshes.into_iter().map(Some)) {
+            if let Some(r) = step {
+                keys[r % n].refresh();
+                epochs[r % n] += 1;
+            }
+            for (receiver, secret) in secrets.iter().enumerate() {
+                for sender in 0..n {
+                    let mut label = b"sess".to_vec();
+                    label.extend_from_slice(&(sender as u64).to_be_bytes());
+                    label.extend_from_slice(&epochs[receiver].to_be_bytes());
+                    let key = hmac_sha256(secret, &label);
+                    let mac = Authenticator::point(&keys[sender], receiver, &msg[..]);
+                    prop_assert_eq!(mac.0, std_siphash24(&key[..16], &msg).to_le_bytes());
+                    let checked = Authenticator::check_point(&keys[receiver], sender, &msg[..], &mac);
+                    prop_assert!(checked);
+                    prop_assert_eq!(keys[sender].key_to(receiver), keys[receiver].key_from(sender));
+                }
+            }
+        }
     }
 
     /// Erasure-coded fragments rebuild the input from any k-subset: drop

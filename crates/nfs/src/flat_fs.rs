@@ -15,7 +15,7 @@
 use crate::server::{NfsServer, ObjKind, ServerFh, SrvAttr, SrvError, SrvResult, SrvSetAttr};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn hash64(salt: u64, s: &str) -> u64 {
     let mut h: u64 = salt ^ 0xcbf2_9ce4_8422_2325;
@@ -77,11 +77,11 @@ impl Node {
 pub struct FlatFs {
     fsid: u64,
     /// Directory structure: full path → object tag. The root is "".
-    paths: HashMap<String, u64>,
+    paths: BTreeMap<String, u64>,
     /// Object store: tag → node.
-    nodes: HashMap<u64, Node>,
+    nodes: BTreeMap<u64, Node>,
     /// One representative (canonical) path per tag.
-    tag_path: HashMap<u64, String>,
+    tag_path: BTreeMap<u64, String>,
     /// Per-boot handle salt.
     salt: u64,
     root_tag: u64,
@@ -93,9 +93,9 @@ impl FlatFs {
         let root_tag: u64 = rng.gen();
         let mut fs = Self {
             fsid,
-            paths: HashMap::new(),
-            nodes: HashMap::new(),
-            tag_path: HashMap::new(),
+            paths: BTreeMap::new(),
+            nodes: BTreeMap::new(),
+            tag_path: BTreeMap::new(),
             salt: rng.gen(),
             root_tag,
         };

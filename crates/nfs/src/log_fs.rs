@@ -10,7 +10,7 @@
 use crate::server::{NfsServer, ObjKind, ServerFh, SrvAttr, SrvError, SrvResult, SrvSetAttr};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 fn name_hash(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -69,7 +69,7 @@ impl Node {
 /// The log-structured file system.
 pub struct LogFs {
     fsid: u64,
-    nodes: HashMap<u64, Node>,
+    nodes: BTreeMap<u64, Node>,
     root_id: u64,
     /// Mount epoch baked into handles; bumped by remount.
     epoch: u64,
@@ -83,7 +83,7 @@ impl LogFs {
     /// Creates an empty file system.
     pub fn new(fsid: u64, rng: &mut StdRng) -> Self {
         let root_id: u64 = rng.gen();
-        let mut nodes = HashMap::new();
+        let mut nodes = BTreeMap::new();
         nodes.insert(
             root_id,
             Node::new(ObjKind::Dir, 0o755, 0, Content::Dir { entries: BTreeMap::new() }),

@@ -15,7 +15,7 @@ use crate::server::{NfsServer, ServerFh, SrvAttr, SrvError, SrvResult, SrvSetAtt
 use crate::spec::{AbstractObject, Fattr, NfsStatus, ObjKind, Oid, DEFAULT_CAPACITY};
 use base::{ModifyLog, Wrapper};
 use base_pbft::ExecEnv;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Where a directory currently lives (for `rename`-based moves during
 /// `put_objs`).
@@ -62,10 +62,10 @@ pub struct NfsWrapper<S: NfsServer> {
     next_fresh: u32,
     /// Freed indices, reallocated lowest-first (deterministic).
     freed: BTreeSet<u32>,
-    fh_to_index: HashMap<ServerFh, u32>,
+    fh_to_index: BTreeMap<ServerFh, u32>,
     /// Persistent `<fsid, fileid>` → index map (paper §3.4). Conceptually
     /// saved to disk at checkpoints; survives warm reboots.
-    id_to_index: HashMap<(u64, u64), u32>,
+    id_to_index: BTreeMap<(u64, u64), u32>,
     /// Newest agreed timestamp executed (for nondet validation).
     last_nondet: u64,
     /// Newest timestamp this wrapper proposed as primary (kept strictly
@@ -109,8 +109,8 @@ impl<S: NfsServer> NfsWrapper<S> {
             entries: vec![RepEntry::root(root_fh.clone())],
             next_fresh: 1,
             freed: BTreeSet::new(),
-            fh_to_index: HashMap::new(),
-            id_to_index: HashMap::new(),
+            fh_to_index: BTreeMap::new(),
+            id_to_index: BTreeMap::new(),
             last_nondet: 0,
             last_proposed: 0,
             op_cost_base: base_simnet::SimDuration::from_micros(8),

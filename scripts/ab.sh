@@ -11,10 +11,11 @@
 # named), runs N pairs (default 10): pair i is one run of each side, both
 # `--seed i --seconds 15 --trace 0`, the parent first in odd pairs and the
 # change first in even ones; then one traced pair, both `--seed 1 --seconds
-# 15 --trace 1`, the parent first. Each run's last output line is kept as
-# target/ab/<workload>.<parent|change>.<i|trace>.json, and the CPU seconds
-# (user and system, from getrusage) its process used as
-# target/ab/<workload>.<parent|change>.<i|trace>.cpu.
+# 15 --trace 1`, the parent first, and the parent's traced run once more
+# (`trace2`). Each run's last output line is kept as
+# target/ab/<workload>.<parent|change>.<i|trace|trace2>.json, and the CPU
+# seconds (user and system, from getrusage) its process used as
+# target/ab/<workload>.<parent|change>.<i|trace|trace2>.cpu.
 #
 # Prints, per workload and end-to-end metric of BENCHMARK.json, the
 # parent's and the change's medians, the parent's quartile spread (Q3 - Q1),
@@ -39,7 +40,8 @@
 #   - the traced pair's per-op counts, which the code determines at a seed
 #     (`alloc.count_per_op`, `alloc.bytes_per_op`, `simnet.events_per_op`,
 #     `simnet.msgs_per_op`, `simnet.bytes_per_op`): `equal`, or the ratio
-#     change/parent;
+#     change/parent, or `nondeterministic` when the parent's two traced
+#     runs read different values, so the count cannot compare the sides;
 #   - each side's failed and attempted operations summed over its untraced
 #     runs and the failed share.
 #
@@ -108,9 +110,9 @@ for w in "${workloads[@]}"; do
       fi
     done
   done
-  for side in parent change; do
-    if ! run "$side" "$w" 1 1 "$w.$side.trace"; then
-      echo "ab: $w traced pair: the $side run failed" >&2
+  for side in parent.trace change.trace parent.trace2; do
+    if ! run "${side%.*}" "$w" 1 1 "$w.$side"; then
+      echo "ab: $w traced run $side failed" >&2
       failed=1
     fi
   done
@@ -214,11 +216,14 @@ for w in workloads:
               f"  parent spread {spread([p for p, _ in cpus]):.2f}"
               f"  median ratio {statistics.median(c / p for p, c in cpus):.3f}")
 
-    traced = [load(f"{w}.{side}.trace") for side in ("parent", "change")]
+    traced = [load(f"{w}.{run}") for run in ("parent.trace", "change.trace", "parent.trace2")]
     print(f"{w:<12} exact counts per op (--trace 1, seed 1): parent, change")
     for name in EXACT:
-        p, c = (value(r, name) for r in traced)
-        said = "equal" if p == c and p is not None else ratio(p, c)
+        p, c, again = (value(r, name) for r in traced)
+        if p != again:
+            said = "nondeterministic"
+        else:
+            said = "equal" if p == c and p is not None else ratio(p, c)
         print(f"{w:<12}   {name:<22} {shown(p, 14)} {shown(c, 14)}  {said}")
 
     share = {}

@@ -602,6 +602,21 @@ fn tags_over_headers(t: &Tree) -> Vec<Hit> {
     hits
 }
 
+/// Keys without a lock (DESIGN.md §11.5): the key directory is a plain
+/// table shared by `Rc` on the one thread the simulator runs. Every
+/// session key is derived when the directory is made and again when its
+/// receiver's epoch moves, so a lookup reads a cell. No lock, no
+/// poisoned-lock `expect` and no table of keys not yet derived
+/// (`Option<SessionKey>` held in a container) is back in
+/// `crates/crypto/src`.
+fn keys_without_a_lock(t: &Tree) -> Vec<Hit> {
+    t.grep(
+        under(&["crates/crypto/src/"]),
+        Mode::Substring,
+        "RwLock|Mutex|poisoned|Option<SessionKey>>",
+    )
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -645,6 +660,7 @@ gate_tests!(
     one_context,
     one_outbound_filter,
     tags_over_headers,
+    keys_without_a_lock,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -655,7 +671,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 54] = [
+    let plants: [(Gate, &str, &str); 57] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -710,6 +726,9 @@ fn every_gate_fires_on_its_plant() {
         (tags_over_headers, "crates/pbft/src/replica/agreement.rs", "let d = prepare.with_signed_bytes(Digest::of);"),
         (tags_over_headers, "crates/pbft/tests/unit_pipeline.rs", "p.auth = Authenticator::generate(&keys, N, &Digest::of(&p.signed_bytes()));"),
         (tags_over_headers, "crates/pbft/src/messages.rs", "impl ReplyMsg {\n    pub fn digest(&self) -> Digest {\n        self.with_signed_bytes(Digest::of)\n    }\n}"),
+        (keys_without_a_lock, "crates/crypto/src/sig.rs", "use std::sync::{Arc, RwLock};"),
+        (keys_without_a_lock, "crates/crypto/src/keys.rs", "let t = self.dir.lock().expect(\"key directory poisoned\");"),
+        (keys_without_a_lock, "crates/crypto/src/sig.rs", "    session: Vec<Option<SessionKey>>,"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -793,7 +812,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 71] = [
+const NAMED: [(&str, &str, bool); 75] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -888,6 +907,13 @@ const NAMED: [(&str, &str, bool); 71] = [
     ("crates/crypto/src/siphash.rs", "agrees_with_std_at_every_length", false),
     ("crates/crypto/tests/proptest_crypto.rs", "authenticator_sound_and_complete", false),
     ("crates/crypto/tests/proptest_crypto.rs", "point_tag_binds_every_byte", false),
+    // Keys without a lock: the table is the definition after any refreshes,
+    // and holds its n² keys from the start.
+    ("crates/crypto/tests/proptest_crypto.rs", "every_key_is_the_definition_after_any_refreshes", false),
+    ("crates/crypto/src/sig.rs", "an_id_off_the_frame_has_no_key_and_grows_nothing", false),
+    ("crates/crypto/src/sig.rs", "cached_sign_key_matches_the_definition", false),
+    // Exact allocation counts: a seeded NFS run allocates the same twice.
+    ("crates/bench/tests/nfs_alloc_repeat.rs", "a_seeded_nfs_run_allocates_the_same_twice", false),
 ];
 
 #[test]
