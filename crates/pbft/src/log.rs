@@ -5,11 +5,8 @@ use crate::messages::{CheckpointMsg, CommitMsg, PrePrepareMsg, PrepareMsg};
 use base_crypto::Digest;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Agreement stage of one in-flight slot.
-///
-/// Ordered: a slot only ever moves forward within one agreement instance
-/// (a view change recomputes every stage, since re-proposed slots restart
-/// agreement in the new view).
+/// Agreement stage of one in-flight slot, as its logged messages and the
+/// execution point add it up ([`SeqEntry::stage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SlotStage {
     /// A pre-prepare is logged; prepares are being gathered.
@@ -33,19 +30,12 @@ pub struct SeqEntry {
     prepares: Vec<PrepareMsg>,
     /// Commits received, likewise.
     commits: Vec<CommitMsg>,
-    /// This replica multicast its commit.
-    pub commit_sent: bool,
-    /// The batch has been executed.
-    pub executed: bool,
-    /// Agreement stage; `None` until a pre-prepare is logged. An index over
-    /// the messages above, so that the pipeline gate and the read-only
-    /// staleness guard need not re-evaluate quorum predicates per request.
-    stage: Option<SlotStage>,
     /// A `CommitQuorum` trace event has been emitted for this slot in the
     /// current agreement instance (dedup across redundant commits).
     traced: bool,
     /// When the pre-prepare was first accepted (ns); execution takes it to
-    /// feed the agreement-latency estimator with the three-phase round time.
+    /// record the three-phase round time in the
+    /// `replica.agreement_latency_ns` histogram.
     pub arrival: Option<u64>,
 }
 
@@ -89,7 +79,6 @@ impl SeqEntry {
         self.pre_prepare = Some(pre_prepare);
         self.prepares.clear();
         self.commits.clear();
-        self.commit_sent = false;
     }
 
     /// Number of logged prepares matching the accepted pre-prepare
@@ -121,25 +110,23 @@ impl SeqEntry {
         self.prepared(view, f) && self.matching_commits(view) > 2 * f
     }
 
-    /// Raises the stage to at least `stage` (never downgrades).
-    pub fn observe(&mut self, stage: SlotStage) {
-        self.stage = self.stage.max(Some(stage));
-    }
-
-    /// True exactly once per agreement instance: marks the slot's commit
-    /// quorum as traced and reports whether it was untraced before (the
-    /// `CommitQuorum` trace event dedup; [`Log::restart_instances`] re-arms it when
-    /// a view change restarts agreement).
+    /// True exactly once per agreement instance of a slot with a
+    /// pre-prepare: marks the slot's commit quorum as traced and reports
+    /// whether it was untraced before (the `CommitQuorum` trace event
+    /// dedup; [`Log::restart_instances`] re-arms it when a view change
+    /// restarts agreement).
     pub fn first_quorum_trace(&mut self) -> bool {
-        let first = self.stage.is_some() && !self.traced;
+        let first = self.pre_prepare.is_some() && !self.traced;
         self.traced |= first;
         first
     }
 
-    /// The stage the logged messages add up to in `view`.
-    fn derived_stage(&self, view: u64, f: usize) -> Option<SlotStage> {
+    /// The stage the logged messages add up to in `view`, the view of the
+    /// last installed NEW-VIEW (0 before any); `executed` when execution
+    /// has passed the slot. `None` until a pre-prepare is logged.
+    pub fn stage(&self, view: u64, f: usize, executed: bool) -> Option<SlotStage> {
         self.pre_prepare.as_ref()?;
-        Some(if self.executed {
+        Some(if executed {
             SlotStage::Executed
         } else if self.committed(view, f) {
             SlotStage::Committed
@@ -165,14 +152,12 @@ pub struct Log {
     /// Low watermark: the last stable checkpoint.
     pub low: u64,
     window: u64,
-    /// Slots that are `Some`.
-    live: usize,
 }
 
 impl Log {
     /// An empty log over `(0, window]`.
     pub fn new(window: u64) -> Self {
-        Self { slots: VecDeque::new(), low: 0, window, live: 0 }
+        Self { slots: VecDeque::new(), low: 0, window }
     }
 
     /// Ring index of `seq`, if it lies in `(low, low + window]`.
@@ -189,11 +174,7 @@ impl Log {
         if self.slots.len() <= i {
             self.slots.resize_with(i + 1, || None);
         }
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            self.live += 1;
-        }
-        Some(slot.get_or_insert_with(SeqEntry::default))
+        Some(self.slots[i].get_or_insert_with(SeqEntry::default))
     }
 
     /// Read access to the entry for `seq`.
@@ -206,7 +187,7 @@ impl Log {
     pub fn gc_up_to(&mut self, h: u64) {
         let Some(drop) = h.checked_sub(self.low).filter(|d| *d > 0) else { return };
         let drop = usize::try_from(drop).unwrap_or(usize::MAX).min(self.slots.len());
-        self.live -= self.slots.drain(..drop).flatten().count();
+        self.slots.drain(..drop);
         self.low = h;
     }
 
@@ -217,60 +198,27 @@ impl Log {
         self.slots.iter().enumerate().filter_map(move |(i, e)| Some((first + i as u64, e.as_ref()?)))
     }
 
-    /// Mutable variant of [`Log::iter`].
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut SeqEntry)> {
-        let first = self.low + 1;
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(move |(i, e)| Some((first + i as u64, e.as_mut()?)))
-    }
-
-    /// Number of live entries.
+    /// Number of logged entries.
     pub fn len(&self) -> usize {
-        self.live
+        self.slots.iter().flatten().count()
     }
 
     /// True if no entries are logged.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// Stage of `seq`, if a pre-prepare is logged for it.
-    pub fn stage(&self, seq: u64) -> Option<SlotStage> {
-        self.entry(seq)?.stage
-    }
-
-    /// True if any slot past `last_exec` is committed but not yet executed
-    /// — the execution stage has backlog and the current service state is
-    /// older than the committed prefix.
-    pub fn has_backlog(&self, last_exec: u64) -> bool {
+    /// True if any slot past `last_exec` is committed in `view` — the
+    /// execution stage has backlog and the current service state is older
+    /// than the committed prefix.
+    pub fn has_backlog(&self, last_exec: u64, view: u64, f: usize) -> bool {
         let from = usize::try_from(last_exec.saturating_sub(self.low)).unwrap_or(usize::MAX);
-        self.slots.iter().skip(from).flatten().any(|e| e.stage == Some(SlotStage::Committed))
-    }
-
-    /// Recomputes every slot's stage from its logged messages (a view
-    /// change, state install or reboot changed the log wholesale). Staged
-    /// slots keep their trace-dedup flag, so this alone never re-emits a
-    /// `CommitQuorum` for the same agreement instance.
-    pub fn restage(&mut self, view: u64, f: usize) {
-        for e in self.slots.iter_mut().flatten() {
-            e.stage = e.derived_stage(view, f);
-            e.traced &= e.stage.is_some();
-        }
-    }
-
-    /// The state was rolled back to checkpoint `seq` (a state install, or
-    /// `0` for a clean reboot): every slot past it is unexecuted again, and
-    /// every stage is recomputed, so the committed suffix runs again.
-    pub fn rewind(&mut self, seq: u64, view: u64, f: usize) {
-        self.iter_mut().filter(|(s, _)| *s > seq).for_each(|(_, e)| e.executed = false);
-        self.restage(view, f);
+        self.slots.iter().skip(from).flatten().any(|e| e.committed(view, f))
     }
 
     /// A new view: every slot is a fresh agreement instance, which traces
     /// its own `CommitQuorum` and whose carried-over arrival time would
-    /// sample the view change, not an agreement round (Karn).
+    /// sample the view change, not an agreement round.
     pub fn restart_instances(&mut self) {
         for e in self.slots.iter_mut().flatten() {
             (e.traced, e.arrival) = (false, None);
@@ -390,7 +338,6 @@ mod tests {
         PrePrepareMsg::new(view, seq, vec![RequestMsg::new(9, 1, false, 0, b"x".to_vec())], Vec::new())
     }
 
-
     fn prep(view: u64, seq: u64, digest: Digest, replica: u32) -> PrepareMsg {
         PrepareMsg { view, seq, digest, replica, auth: Authenticator::default() }
     }
@@ -483,7 +430,7 @@ mod tests {
         log.gc_up_to(u64::MAX - 16);
         assert_eq!((log.low, log.len(), log.slots.len()), (u64::MAX - 16, 0, 0));
         assert!(log.entry_mut(u64::MAX).is_some());
-        assert!(!log.has_backlog(u64::MAX));
+        assert!(!log.has_backlog(u64::MAX, 0, 1));
     }
 
     #[test]
@@ -533,79 +480,89 @@ mod tests {
         assert!(ReplyCache::from_blob(&[1, 2, 3]).is_none());
     }
 
-    fn observe(log: &mut Log, seq: u64, stage: SlotStage) {
-        log.entry_mut(seq).unwrap().observe(stage);
+    /// Logs `pp(view, seq)` at `seq` unless one is logged, then prepares
+    /// from `prepares` and commits from `commits`, all matching it.
+    fn agree(log: &mut Log, view: u64, seq: u64, prepares: &[u32], commits: &[u32]) {
+        let e = log.entry_mut(seq).unwrap();
+        let d = e.pre_prepare.get_or_insert_with(|| pp(view, seq)).batch_digest();
+        prepares.iter().for_each(|&r| e.add_prepare(prep(view, seq, d, r)));
+        commits.iter().for_each(|&r| e.add_commit(com(view, seq, d, r)));
+    }
+
+    /// The stage of `seq` in view 0 with `f = 1`, once execution reached
+    /// `last_exec`.
+    fn stage(log: &Log, seq: u64, last_exec: u64) -> Option<SlotStage> {
+        log.entry(seq)?.stage(0, 1, seq <= last_exec)
     }
 
     #[test]
     fn slot_table_tracks_stages_and_floor() {
         let mut t = Log::new(16);
-        assert_eq!(t.stage(1), None);
-        assert!(!t.has_backlog(0));
+        assert_eq!(stage(&t, 1, 0), None);
+        assert!(!t.has_backlog(0, 0, 1));
 
-        observe(&mut t, 1, SlotStage::Proposed);
-        observe(&mut t, 2, SlotStage::Proposed);
-        observe(&mut t, 3, SlotStage::Proposed);
-        observe(&mut t, 1, SlotStage::Prepared);
-        assert_eq!(t.stage(1), Some(SlotStage::Prepared));
-        assert!(!t.has_backlog(0), "prepared is not committed");
+        for seq in 1..=3 {
+            agree(&mut t, 0, seq, &[], &[]);
+        }
+        agree(&mut t, 0, 1, &[1, 2], &[]);
+        assert_eq!(stage(&t, 1, 0), Some(SlotStage::Prepared));
+        assert!(!t.has_backlog(0, 0, 1), "prepared is not committed");
 
-        observe(&mut t, 2, SlotStage::Committed);
-        assert!(t.has_backlog(0), "slot 2 is committed but unexecuted");
+        agree(&mut t, 0, 2, &[1, 2], &[0, 1, 2]);
+        assert!(t.has_backlog(0, 0, 1), "slot 2 is committed but unexecuted");
+        assert!(!t.has_backlog(0, 1, 1), "committed in view 0, not in view 1");
 
-        observe(&mut t, 1, SlotStage::Committed);
-        assert_eq!(t.stage(1), Some(SlotStage::Committed));
+        agree(&mut t, 0, 1, &[], &[0, 1, 2]);
+        assert_eq!(stage(&t, 1, 0), Some(SlotStage::Committed));
 
-        observe(&mut t, 1, SlotStage::Executed);
-        observe(&mut t, 2, SlotStage::Executed);
-        assert!(!t.has_backlog(2));
-        assert_eq!(t.stage(3), Some(SlotStage::Proposed));
+        assert_eq!(stage(&t, 2, 2), Some(SlotStage::Executed));
+        assert!(!t.has_backlog(2, 0, 1));
+        assert_eq!(stage(&t, 3, 2), Some(SlotStage::Proposed));
     }
 
+    /// Within a view a slot's messages only accumulate, so its stage never
+    /// falls, whatever order they arrive in; a re-proposal in a new view
+    /// restarts agreement and reads `Proposed` again.
     #[test]
     fn slot_table_stage_never_downgrades() {
         let mut t = Log::new(16);
-        observe(&mut t, 5, SlotStage::Committed);
-        observe(&mut t, 5, SlotStage::Proposed);
-        observe(&mut t, 5, SlotStage::Prepared);
-        assert_eq!(t.stage(5), Some(SlotStage::Committed));
+        agree(&mut t, 0, 5, &[], &[0, 1, 2]);
+        assert_eq!(stage(&t, 5, 0), Some(SlotStage::Proposed), "commits before prepares");
+        agree(&mut t, 0, 5, &[1, 2], &[]);
+        assert_eq!(stage(&t, 5, 0), Some(SlotStage::Committed));
+        agree(&mut t, 0, 5, &[1, 3], &[2, 3]);
+        assert_eq!(stage(&t, 5, 0), Some(SlotStage::Committed), "duplicates and a fourth sender");
+
+        t.entry_mut(5).unwrap().restart_agreement(pp(1, 5));
+        assert_eq!(t.entry(5).unwrap().stage(1, 1, false), Some(SlotStage::Proposed));
+        agree(&mut t, 1, 5, &[0, 2], &[]);
+        assert_eq!(t.entry(5).unwrap().stage(1, 1, false), Some(SlotStage::Prepared));
     }
 
     #[test]
     fn slot_table_quorum_trace_dedup_and_rearm() {
         let mut t = Log::new(16);
-        let p = pp(0, 4);
-        let d = p.batch_digest();
+        agree(&mut t, 0, 4, &[0, 1, 2], &[0, 1, 2]);
         let e = t.entry_mut(4).unwrap();
-        e.pre_prepare = Some(p);
-        for r in 0..3 {
-            e.add_prepare(prep(0, 4, d, r));
-            e.add_commit(com(0, 4, d, r));
-        }
-        e.observe(SlotStage::Committed);
         assert!(e.first_quorum_trace());
         assert!(!e.first_quorum_trace(), "second quorum completion is deduped");
-        // Recomputing the stages (state install, reboot) preserves the
-        // dedup flag.
-        t.restage(0, 1);
-        assert_eq!(t.stage(4), Some(SlotStage::Committed));
-        assert!(!t.entry_mut(4).unwrap().first_quorum_trace());
         // A view change re-arms it: re-agreement traces a fresh quorum.
         t.restart_instances();
         assert!(t.entry_mut(4).unwrap().first_quorum_trace());
-        assert!(!t.entry_mut(9).unwrap().first_quorum_trace(), "unstaged slots never trace");
+        let bare = t.entry_mut(9).unwrap();
+        assert!(!bare.first_quorum_trace(), "a slot without a pre-prepare never traces");
     }
 
     #[test]
     fn slot_table_gc_drops_stable_prefix() {
         let mut t = Log::new(16);
         for seq in 1..=8 {
-            observe(&mut t, seq, SlotStage::Committed);
+            agree(&mut t, 0, seq, &[1, 2], &[0, 1, 2]);
         }
         t.gc_up_to(4);
-        assert_eq!(t.stage(4), None);
-        assert_eq!(t.stage(5), Some(SlotStage::Committed));
-        assert!(t.has_backlog(4), "slots 5..=8 are committed but unexecuted");
+        assert_eq!(stage(&t, 4, 0), None);
+        assert_eq!(stage(&t, 5, 4), Some(SlotStage::Committed));
+        assert!(t.has_backlog(4, 0, 1), "slots 5..=8 are committed but unexecuted");
     }
 
     #[test]
@@ -620,14 +577,15 @@ mod tests {
     }
 
     /// What the ring replaces: the log as a `BTreeMap` over sequence
-    /// numbers, the stage table as a second one, and the guard the replica
-    /// applied before touching either (`in_watermarks`).
+    /// numbers, and the guard the replica applied before touching it
+    /// (`in_watermarks`).
     #[derive(Default)]
     struct TreeModel {
-        /// seq → (has a pre-prepare, executed, arrival).
+        /// seq → (has a pre-prepare, holds a commit quorum, arrival).
         entries: BTreeMap<u64, (bool, bool, Option<u64>)>,
-        /// seq → (stage, traced).
-        stages: BTreeMap<u64, (SlotStage, bool)>,
+        /// seq → the slot's `CommitQuorum` is traced, for slots with a
+        /// pre-prepare.
+        traced: BTreeMap<u64, bool>,
         low: u64,
     }
 
@@ -641,22 +599,19 @@ mod tests {
         fn gc_up_to(&mut self, h: u64) {
             self.low = self.low.max(h);
             self.entries = self.entries.split_off(&(h + 1));
-            self.stages = self.stages.split_off(&(h + 1));
+            self.traced = self.traced.split_off(&(h + 1));
         }
 
-        fn rebuild(&mut self) {
-            let old = std::mem::take(&mut self.stages);
-            for (seq, (has_pp, executed, _)) in &self.entries {
-                if *has_pp {
-                    let stage = if *executed { SlotStage::Executed } else { SlotStage::Proposed };
-                    let traced = old.get(seq).is_some_and(|s| s.1);
-                    self.stages.insert(*seq, (stage, traced));
-                }
+        fn stage(&self, seq: u64) -> Option<SlotStage> {
+            match self.entries.get(&seq)? {
+                (false, _, _) => None,
+                (true, true, _) => Some(SlotStage::Committed),
+                (true, false, _) => Some(SlotStage::Proposed),
             }
         }
 
         fn has_backlog(&self, last_exec: u64) -> bool {
-            self.stages.range(last_exec + 1..).any(|(_, s)| s.0 == SlotStage::Committed)
+            self.entries.range(last_exec + 1..).any(|(_, e)| e.0 && e.1)
         }
     }
 
@@ -665,11 +620,12 @@ mod tests {
         /// `entry_mut` alone: the entry exists afterwards.
         Touch(u64),
         PrePrepare(u64, u64),
-        Observe(u64, SlotStage),
+        /// Prepares and commits from a quorum, logged whether or not a
+        /// pre-prepare is.
+        Quorum(u64),
         Execute(u64),
         QuorumTrace(u64),
         GcUpTo(u64),
-        Rebuild,
         NewView,
     }
 
@@ -677,20 +633,13 @@ mod tests {
         use proptest::prelude::*;
         // Offsets are taken from the current low watermark and reach past
         // both ends of the window.
-        let stage = prop_oneof![
-            Just(SlotStage::Proposed),
-            Just(SlotStage::Prepared),
-            Just(SlotStage::Committed),
-            Just(SlotStage::Executed),
-        ];
         prop_oneof![
             3 => (0u64..WINDOW + 4).prop_map(RingOp::Touch),
             4 => (0u64..WINDOW + 4, any::<u64>()).prop_map(|(s, at)| RingOp::PrePrepare(s, at)),
-            6 => (0u64..WINDOW + 4, stage).prop_map(|(s, st)| RingOp::Observe(s, st)),
+            4 => (0u64..WINDOW + 4).prop_map(RingOp::Quorum),
             2 => (0u64..WINDOW + 4).prop_map(RingOp::Execute),
             4 => (0u64..WINDOW + 4).prop_map(RingOp::QuorumTrace),
             2 => (0u64..WINDOW + 4).prop_map(RingOp::GcUpTo),
-            2 => Just(RingOp::Rebuild),
             1 => Just(RingOp::NewView),
         ]
     }
@@ -698,8 +647,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The ring answers every question the two trees answered, after
-        /// any history, and never holds a slot outside the window.
+        /// The ring answers every question the tree answered, after any
+        /// history, and never holds a slot outside the window.
         #[test]
         fn ring_agrees_with_the_trees_it_replaces(
             ops in proptest::collection::vec(ring_op(), 1..150),
@@ -720,40 +669,39 @@ mod tests {
                         let seq = model.low + off;
                         if let Some(e) = ring.entry_mut(seq) {
                             e.pre_prepare = Some(pp(0, seq));
-                            e.observe(SlotStage::Proposed);
                             e.arrival = Some(at);
                         }
                         if model.in_window(seq) {
                             let e = model.entries.entry(seq).or_default();
                             (e.0, e.2) = (true, Some(at));
-                            model.stages.entry(seq).or_insert((SlotStage::Proposed, false));
+                            model.traced.entry(seq).or_insert(false);
                         }
                     }
-                    RingOp::Observe(off, stage) => {
+                    RingOp::Quorum(off) => {
                         let seq = model.low + off;
-                        // The replica stages a slot only once it has logged
-                        // a pre-prepare for it.
-                        if model.entries.get(&seq).is_some_and(|e| e.0) {
-                            ring.entry_mut(seq).unwrap().observe(stage);
-                            let s = model.stages.entry(seq).or_insert((stage, false));
-                            s.0 = s.0.max(stage);
+                        if let Some(e) = ring.entry_mut(seq) {
+                            let d = pp(0, seq).batch_digest();
+                            for r in 0..3 {
+                                e.add_prepare(prep(0, seq, d, r + 1));
+                                e.add_commit(com(0, seq, d, r));
+                            }
+                        }
+                        if model.in_window(seq) {
+                            model.entries.entry(seq).or_default().1 = true;
                         }
                     }
                     RingOp::Execute(off) => {
                         let seq = model.low + off;
                         if let Some(e) = model.entries.get_mut(&seq) {
-                            e.1 = true;
                             let arrived = std::mem::take(&mut e.2);
-                            let r = ring.entry_mut(seq).unwrap();
-                            r.executed = true;
-                            prop_assert_eq!(r.arrival.take(), arrived);
+                            prop_assert_eq!(ring.entry_mut(seq).unwrap().arrival.take(), arrived);
                         }
                     }
                     RingOp::QuorumTrace(off) => {
                         let seq = model.low + off;
-                        let expected = match model.stages.get_mut(&seq) {
-                            Some(s) if !s.1 => {
-                                s.1 = true;
+                        let expected = match model.traced.get_mut(&seq) {
+                            Some(traced) if !*traced => {
+                                *traced = true;
                                 true
                             }
                             _ => false,
@@ -768,15 +716,9 @@ mod tests {
                         ring.gc_up_to(h);
                         model.gc_up_to(h);
                     }
-                    RingOp::Rebuild => {
-                        ring.restage(0, 1);
-                        model.rebuild();
-                    }
                     RingOp::NewView => {
                         ring.restart_instances();
-                        for s in model.stages.values_mut() {
-                            s.1 = false;
-                        }
+                        model.traced.values_mut().for_each(|t| *t = false);
                         for e in model.entries.values_mut() {
                             e.2 = None;
                         }
@@ -788,14 +730,15 @@ mod tests {
                 prop_assert!(ring.slots.len() as u64 <= WINDOW);
                 let seen: Vec<_> = ring
                     .iter()
-                    .map(|(s, e)| (s, (e.pre_prepare.is_some(), e.executed, e.arrival)))
+                    .map(|(s, e)| (s, (e.pre_prepare.is_some(), e.commits().len() == 3, e.arrival)))
                     .collect();
                 let expected: Vec<_> = model.entries.iter().map(|(s, e)| (*s, *e)).collect();
                 prop_assert_eq!(seen, expected);
                 for seq in model.low.saturating_sub(2)..model.low + WINDOW + 3 {
                     prop_assert_eq!(ring.entry(seq).is_some(), model.entries.contains_key(&seq));
-                    prop_assert_eq!(ring.stage(seq), model.stages.get(&seq).map(|s| s.0));
-                    prop_assert_eq!(ring.has_backlog(seq), model.has_backlog(seq));
+                    let stage = ring.entry(seq).and_then(|e| e.stage(0, 1, false));
+                    prop_assert_eq!(stage, model.stage(seq));
+                    prop_assert_eq!(ring.has_backlog(seq, 0, 1), model.has_backlog(seq));
                 }
             }
         }

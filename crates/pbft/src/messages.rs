@@ -32,8 +32,7 @@ use base_xdr::{
     from_frame, xdr_struct, xdr_union, SharedBytes, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder,
     XdrError,
 };
-use std::cell::Cell;
-use std::sync::OnceLock;
+use std::cell::{Cell, OnceCell};
 
 thread_local! {
     /// Idle encode buffers of this thread, one per nesting depth it has
@@ -113,8 +112,10 @@ signed_portion!(
 /// and cloning carries the computed value along with the (immutable)
 /// fields it was derived from. On the wire it has zero width (encodes
 /// nothing, decodes empty), so a message declares it like any other field.
-#[derive(Default)]
-struct DigestCache(OnceLock<Digest>);
+/// A plain cell: the library runs on one thread, so a message is not
+/// `Sync` and filling the cell takes no lock.
+#[derive(Default, Clone)]
+struct DigestCache(OnceCell<Digest>);
 
 impl XdrEncode for DigestCache {
     fn encode(&self, _enc: &mut XdrEncoder) {}
@@ -137,14 +138,6 @@ impl DigestCache {
         if let Some(d) = other.0.get() {
             let _ = self.0.set(*d);
         }
-    }
-}
-
-impl Clone for DigestCache {
-    fn clone(&self) -> Self {
-        let c = DigestCache::default();
-        c.carry(self);
-        c
     }
 }
 

@@ -6,7 +6,6 @@
 use super::io::Io;
 use crate::config::{Config, BATCH_MAX};
 use crate::cost::COST;
-use crate::log::SlotStage;
 use crate::messages::{CommitMsg, Message, PrePrepareMsg, PrepareMsg, RequestMsg};
 use base_crypto::{Authenticator, Digest};
 use base_simnet::{NodeId, ProtocolEvent};
@@ -103,7 +102,6 @@ impl Agreement {
         // `next_seq` and `can_propose` keep `seq` inside the window.
         if let Some(entry) = io.log.entry_mut(seq) {
             entry.pre_prepare = Some(pp);
-            entry.observe(SlotStage::Proposed);
             entry.arrival = Some(io.ctx.now().as_nanos());
         }
         seq
@@ -171,7 +169,6 @@ pub(super) fn on_pre_prepare(io: &mut Io<'_, '_>, pp: PrePrepareMsg) -> Option<N
         return None;
     }
     entry.pre_prepare = Some(pp);
-    entry.observe(SlotStage::Proposed);
     entry.arrival = Some(io.ctx.now().as_nanos());
     let queue_ns = io.ctx.sched_lag().as_nanos();
     io.ctx.emit(view, seq, ProtocolEvent::PrePrepareLogged { queue_ns });
@@ -225,16 +222,16 @@ pub(super) fn on_commit(io: &mut Io<'_, '_>, c: CommitMsg) -> Option<Next> {
     Some(Next::Committed(seq))
 }
 
-/// Once `seq` is prepared, multicasts this replica's COMMIT, once.
+/// Once `seq` is prepared, multicasts this replica's COMMIT, once: the
+/// COMMIT is logged as it leaves, and `on_commit` logs no COMMIT that names
+/// this replica, so an own COMMIT in the log is the one sent.
 pub(super) fn commit_if_prepared(io: &mut Io<'_, '_>, view: u64, seq: u64) -> bool {
-    let Some(entry) = io.log.entry_mut(seq) else { return false };
-    if !entry.prepared(view, io.cfg.f()) || entry.commit_sent {
+    let Some(entry) = io.log.entry(seq) else { return false };
+    if !entry.prepared(view, io.cfg.f()) || entry.commits().iter().any(|c| c.replica == io.id) {
         return false;
     }
-    entry.commit_sent = true;
-    entry.observe(SlotStage::Prepared);
     let digest = entry.accepted_digest().expect("prepared implies pre-prepare");
-    // `commit_sent` is one-shot per slot, so this traces exactly once.
+    // The own COMMIT is logged below, so this traces once an agreement instance.
     io.ctx.emit(view, seq, ProtocolEvent::PrepareQuorum);
     let mut commit =
         CommitMsg { view, seq, digest, replica: io.id, auth: Authenticator::default() };
@@ -255,7 +252,6 @@ pub(super) fn committed(io: &mut Io<'_, '_>, view: u64, seq: u64) -> bool {
     if !entry.committed(view, io.cfg.f()) {
         return false;
     }
-    entry.observe(SlotStage::Committed);
     if io.ctx.trace_enabled() && entry.first_quorum_trace() {
         io.ctx.emit(view, seq, ProtocolEvent::CommitQuorum);
     }
@@ -264,7 +260,7 @@ pub(super) fn committed(io: &mut Io<'_, '_>, view: u64, seq: u64) -> bool {
 
 /// Logs a NEW-VIEW's re-proposals above `low` and restarts agreement.
 /// Returns the highest sequence number the NEW-VIEW names.
-pub(super) fn reinstall(io: &mut Io<'_, '_>, pps: &[PrePrepareMsg], low: u64, view: u64) -> u64 {
+pub(super) fn reinstall(io: &mut Io<'_, '_>, pps: &[PrePrepareMsg], low: u64) -> u64 {
     // `O` comes off the wire; a slot past the window is not logged (and
     // so not prepared).
     for pp in pps.iter().filter(|pp| pp.seq > low) {
@@ -272,9 +268,7 @@ pub(super) fn reinstall(io: &mut Io<'_, '_>, pps: &[PrePrepareMsg], low: u64, vi
             entry.restart_agreement(pp.clone());
         }
     }
-    // The log just changed shape: recompute every slot's stage from it. A
-    // slot re-agreed in the new view is a fresh agreement instance.
-    io.log.restage(view, io.cfg.f());
+    // A slot re-agreed in the new view is a fresh agreement instance.
     io.log.restart_instances();
     pps.iter().map(|pp| pp.seq).fold(low, u64::max)
 }

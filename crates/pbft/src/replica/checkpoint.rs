@@ -21,7 +21,7 @@ pub(super) struct Checkpoints {
     collector: CheckpointCollector,
     /// The replica layer's part of each stored checkpoint.
     stored: BTreeMap<u64, Stored>,
-    stable_seq: u64,
+    /// The certificate of the stable checkpoint; empty before the first.
     stable_cert: Vec<CheckpointMsg>,
 }
 
@@ -39,8 +39,9 @@ impl Stored {
 }
 
 impl Checkpoints {
+    /// The stable checkpoint its certificate proves, 0 before the first.
     pub(super) fn stable_seq(&self) -> u64 {
-        self.stable_seq
+        self.stable_cert.first().map_or(0, |c| c.seq)
     }
 
     pub(super) fn stable_digest(&self) -> Option<Digest> {
@@ -61,7 +62,7 @@ impl Checkpoints {
     /// the vote one that every peer rejects.
     pub(super) fn proof(&self) -> (u64, Digest, Vec<CheckpointMsg>) {
         let digest = self.stable_digest().unwrap_or(Digest::ZERO);
-        (self.stable_seq, digest, self.stable_cert.clone())
+        (self.stable_seq(), digest, self.stable_cert.clone())
     }
 
     fn signed(io: &Io<'_, '_>, seq: u64, digest: Digest) -> CheckpointMsg {
@@ -92,7 +93,7 @@ impl Checkpoints {
     /// Re-announces the newest stored checkpoint if it is not stable yet.
     pub(super) fn reannounce(&self, io: &mut Io<'_, '_>) {
         if let Some((&seq, stored)) =
-            self.stored.last_key_value().filter(|(s, _)| **s > self.stable_seq)
+            self.stored.last_key_value().filter(|(s, _)| **s > self.stable_seq())
         {
             io.multicast(&Message::Checkpoint(Self::signed(io, seq, stored.composite)));
         }
@@ -105,7 +106,7 @@ impl Checkpoints {
         view: u64,
         c: CheckpointMsg,
     ) -> Option<(u64, Digest)> {
-        if c.replica as usize >= io.cfg.n || c.replica == io.id || c.seq <= self.stable_seq {
+        if c.replica as usize >= io.cfg.n || c.replica == io.id || c.seq <= self.stable_seq() {
             return None;
         }
         io.ctx.charge(COST.signature);
@@ -146,10 +147,9 @@ impl Checkpoints {
         seq: u64,
         cert: Vec<CheckpointMsg>,
     ) -> bool {
-        if seq <= self.stable_seq {
+        if seq <= self.stable_seq() {
             return false;
         }
-        self.stable_seq = seq;
         self.stable_cert = cert;
         log.gc_up_to(seq);
         self.collector.gc_up_to(seq);
@@ -171,7 +171,7 @@ impl Checkpoints {
             return None;
         };
         io.ctx.charge(COST.signature.saturating_mul(m.msgs.len() as u64));
-        if seq < self.stable_seq {
+        if seq < self.stable_seq() {
             return None; // Stale certificate from a lagging replier.
         }
         self.adopt(io, view, seq, m.msgs);
@@ -201,7 +201,7 @@ impl Checkpoints {
     }
 
     pub(super) fn resend_cert(&self, io: &mut Io<'_, '_>, to: NodeId, peer_stable: u64) {
-        if peer_stable < self.stable_seq && !self.stable_cert.is_empty() {
+        if peer_stable < self.stable_seq() {
             io.send(to, &self.cert_reply(io));
         }
     }
@@ -257,7 +257,7 @@ impl Checkpoints {
     }
 
     pub(super) fn status(&self, out: &mut String, cfg: &Config) {
-        let (h, hw) = (self.stable_seq, cfg.high_watermark(self.stable_seq));
+        let (h, hw) = (self.stable_seq(), cfg.high_watermark(self.stable_seq()));
         out.push_str(&format!(",\"h\":{h},\"H\":{hw}"));
     }
 }

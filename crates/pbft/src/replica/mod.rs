@@ -70,10 +70,10 @@ pub struct Replica<S: Service> {
     keys: NodeKeys,
     byz: ByzMode,
     service: S,
-    /// Messages, agreement stage and arrival time of every sequence number
-    /// in the window, shared by the parts. The stages let agreement run
-    /// ahead of execution: the pipeline gate and the read-only staleness
-    /// guard read them.
+    /// Messages and arrival time of every sequence number in the window,
+    /// shared by the parts. A slot's stage is read off its messages, so
+    /// agreement runs ahead of execution and the read-only staleness guard
+    /// asks the log whether a committed slot waits to execute.
     log: Log,
     agree: Agreement,
     exec: Execution,
@@ -243,9 +243,10 @@ impl<S: Service> Replica<S> {
         self.vc.status(&mut out);
         self.ckpt.status(&mut out, &self.cfg);
         self.exec.status(&mut out);
+        let (view, f, last_exec) = (self.vc.installed(), self.cfg.f(), self.exec.last_exec());
         let mut stages = [0usize; 4];
-        for (seq, _) in self.log.iter() {
-            if let Some(stage) = self.log.stage(seq) {
+        for (seq, entry) in self.log.iter() {
+            if let Some(stage) = entry.stage(view, f, seq <= last_exec) {
                 stages[stage as usize] += 1;
             }
         }
@@ -269,6 +270,7 @@ mod tests {
     use crate::deploy::Deployment;
     use crate::messages::{
         CommitMsg, Message, NewViewMsg, PrePrepareMsg, PrepareMsg, RequestMsg, StatusMsg,
+        ViewChangeMsg,
     };
     use crate::service::ExecEnv;
     use crate::testing::{op_add, op_get, CounterService};
@@ -372,6 +374,15 @@ mod tests {
         endorse(backup, dir, [2, 3], (view, seq, digest));
     }
 
+    /// Replica `from`'s PREPARE of `digest` at `(view, seq)`.
+    fn prepare(dir: &KeyDirectory, from: u32, (view, seq, digest): (u64, u64, Digest)) -> Message {
+        let keys = NodeKeys::new(dir.clone(), from as usize);
+        let auth = Authenticator::default();
+        let mut p = PrepareMsg { view, seq, digest, replica: from, auth };
+        p.auth = p.with_signed_bytes(|header| Authenticator::generate(&keys, 4, header));
+        Message::Prepare(p)
+    }
+
     /// Delivers prepares from both of `peers`, then commits from both, for
     /// `digest` at `(view, seq)`, and returns the effects of the four steps.
     fn endorse<S: Service>(
@@ -382,11 +393,8 @@ mod tests {
     ) -> Vec<Effect> {
         let mut effects = Vec::new();
         for replica_id in peers {
-            let keys = NodeKeys::new(dir.clone(), replica_id as usize);
-            let auth = Authenticator::default();
-            let mut p = PrepareMsg { view, seq, digest, replica: replica_id, auth };
-            p.auth = p.with_signed_bytes(|header| Authenticator::generate(&keys, 4, header));
-            effects.extend(replica.deliver(replica_id as usize, Message::Prepare(p)));
+            let p = prepare(dir, replica_id, (view, seq, digest));
+            effects.extend(replica.deliver(replica_id as usize, p));
         }
         for replica_id in peers {
             let keys = NodeKeys::new(dir.clone(), replica_id as usize);
@@ -612,9 +620,12 @@ mod tests {
     }
 
     /// The counter service with an 8-byte non-deterministic choice, the
-    /// primary's clock reading, as the KV and NFS wrappers choose one.
+    /// primary's clock reading, as the KV and NFS wrappers choose one; a
+    /// backup endorses a reading within a second of its own clock.
     #[derive(Default)]
     struct Clocked(CounterService);
+
+    const CLOCKED_SKEW_NS: u64 = 1_000_000_000;
 
     impl Service for Clocked {
         fn execute(
@@ -630,8 +641,9 @@ mod tests {
         fn propose_nondet(&mut self, env: &mut ExecEnv<'_>) -> Vec<u8> {
             env.local_clock_ns.to_be_bytes().to_vec()
         }
-        fn check_nondet(&self, nondet: &[u8], _env: &mut ExecEnv<'_>) -> bool {
-            nondet.len() == 8
+        fn check_nondet(&self, nondet: &[u8], env: &mut ExecEnv<'_>) -> bool {
+            let Ok(bytes) = <[u8; 8]>::try_from(nondet) else { return false };
+            u64::from_be_bytes(bytes).abs_diff(env.local_clock_ns) <= CLOCKED_SKEW_NS
         }
         fn take_checkpoint(&mut self, seq: u64, env: &mut ExecEnv<'_>) -> Digest {
             self.0.take_checkpoint(seq, env)
@@ -657,6 +669,71 @@ mod tests {
         ) {
             self.0.install_checkpoint(seq, root, objs, env)
         }
+    }
+
+    /// A backup that holds 2f prepares for a slot and then logs its
+    /// pre-prepare without endorsing it (the primary's clock reading lies
+    /// an hour outside the skew window) sends neither a PREPARE nor a
+    /// COMMIT, and reports the slot as the messages it holds add up to:
+    /// prepared.
+    #[test]
+    fn a_backup_that_does_not_endorse_a_prepared_slot_reports_it_prepared() {
+        let dir = keys();
+        let mut backup = Stepped::with(&dir, 3, Config::new(4), Clocked::default());
+        let hour = 3600 * 1_000_000_000u64;
+        let primary = NodeKeys::new(dir.clone(), 0);
+        let batch = vec![request_from(&dir, 4, 4, false)];
+        let mut pp = PrePrepareMsg::new(0, 1, batch, hour.to_be_bytes().to_vec());
+        pp.auth = pp.with_signed_bytes(|header| Authenticator::generate(&primary, 4, header));
+        let (mut effects, slot) = (Vec::new(), (0, 1, pp.batch_digest()));
+        for from in [1, 2] {
+            effects.extend(backup.deliver(from as usize, prepare(&dir, from, slot)));
+        }
+        effects.extend(backup.deliver(0, Message::PrePrepare(pp)));
+        assert_eq!(sent(&effects), [], "no PREPARE, no COMMIT");
+        let backup = &backup.replica;
+        assert_eq!(backup.stats.rejected_messages, 1, "the proposal was not endorsed");
+        let status = backup.status();
+        let slots = r#""slots":{"proposed":0,"prepared":1,"committed":0,"executed":0}"#;
+        assert!(status.contains(slots), "{status}");
+    }
+
+    /// A slot committed in view 0 above a gap is backlog also while a view
+    /// change to view 1 is under way: the stage is read in the view of the
+    /// last installed NEW-VIEW, not in the view being changed to, so a
+    /// read-only request waits rather than reading the state the backlog
+    /// will change.
+    #[test]
+    fn a_read_during_a_view_change_waits_for_the_installed_views_backlog() {
+        let dir = keys();
+        let mut backup = Stepped::new(&dir, 2);
+        let pp = pre_prepare(&dir, 2, vec![request_from(&dir, 4, 4, false)]);
+        let slot = (0, 2, pp.batch_digest());
+        backup.deliver(0, Message::PrePrepare(pp));
+        endorse(&mut backup, &dir, [1, 3], slot);
+        for from in [0, 1, 3] {
+            let keys = NodeKeys::new(dir.clone(), from);
+            let mut vc = ViewChangeMsg {
+                new_view: 1,
+                firm: false,
+                stable_seq: 0,
+                stable_digest: Digest::ZERO,
+                stable_proof: Vec::new(),
+                p: Vec::new(),
+                q: Vec::new(),
+                replica: from as u32,
+                sig: base_crypto::Signature([0; 32]),
+            };
+            vc.sig = vc.with_signed_bytes(|signed| keys.sign(signed));
+            backup.deliver(from, Message::ViewChange(vc));
+        }
+        let status = backup.replica.status();
+        assert!(status.contains(r#""view":1,"view_change":1"#), "{status}");
+        assert!(status.contains(r#""committed":1"#), "{status}");
+        let effects = backup.deliver(4, Message::Request(request_from(&dir, 4, 4, true)));
+        assert_eq!(sent(&effects), [], "no reply from the state before slot 2");
+        let status = backup.replica.status();
+        assert!(status.contains(r#""last_exec":0,"ro_deferred":1"#), "{status}");
     }
 
     /// Replica 0, the primary of view 0, in `mode`, stepped through one

@@ -8,7 +8,6 @@ use super::view_change::{Move, TOKEN_VIEW_CHANGE};
 use super::Replica;
 use crate::config::TICK_INTERVAL;
 use crate::cost::COST;
-use crate::log::SlotStage;
 use crate::messages::{FetchCertMsg, Message, NewViewMsg, RequestMsg, StatusMsg};
 use crate::service::Service;
 use crate::transfer::FetchResult;
@@ -97,7 +96,8 @@ impl<S: Service> Replica<S> {
     /// makes the last executed state stale relative to what the group has
     /// already agreed on.
     fn exec_backlog(&self) -> bool {
-        self.fetch.active() || self.log.has_backlog(self.exec.last_exec())
+        let (last_exec, view) = (self.exec.last_exec(), self.vc.installed());
+        self.fetch.active() || self.log.has_backlog(last_exec, view, self.cfg.f())
     }
 
     fn execute_ready(&mut self, ctx: &mut Context<'_>) {
@@ -108,7 +108,7 @@ impl<S: Service> Replica<S> {
         let (view, f) = (self.vc.view(), self.cfg.f());
         loop {
             let next = self.exec.last_exec() + 1;
-            if !self.log.entry(next).is_some_and(|e| e.committed(view, f) && !e.executed) {
+            if !self.log.entry(next).is_some_and(|e| e.committed(view, f)) {
                 break;
             }
             // The batch is lent out of its log entry while it executes
@@ -125,8 +125,7 @@ impl<S: Service> Replica<S> {
                 io.metrics.observe("replica.agreement_latency_ns", lat);
             }
             let entry = io.log.entry_mut(next).expect("execution does not move the window");
-            (entry.pre_prepare, entry.executed) = (Some(pp), true);
-            entry.observe(SlotStage::Executed);
+            entry.pre_prepare = Some(pp);
             if next.is_multiple_of(self.cfg.checkpoint_interval) {
                 let replies = self.exec.replies_blob();
                 self.ckpt.take(&mut io, view, next, replies);
@@ -185,9 +184,7 @@ impl<S: Service> Replica<S> {
         self.ckpt.record(seq, service_root, replies_blob);
         // Execution state now corresponds exactly to the fetched
         // checkpoint. If we had executed past it before a recovery reboot,
-        // roll back and re-execute the committed suffix from the log on the
-        // repaired state.
-        io.log.rewind(seq, view, io.cfg.f());
+        // the committed suffix in the log runs again on the repaired state.
         if let Some(took) = self.rec.complete(&mut io, view, seq, true) {
             self.last_recovery_ns = took;
         }
@@ -229,7 +226,7 @@ impl<S: Service> Replica<S> {
 
         // Install the re-proposed pre-prepares and prepare them.
         let (view, low) = (nv.view, self.ckpt.stable_seq());
-        let max_seq = agreement::reinstall(&mut io!(self, ctx), &nv.pre_prepares, low, view);
+        let max_seq = agreement::reinstall(&mut io!(self, ctx), &nv.pre_prepares, low);
         if self.cfg.primary_of(view) == self.id() as usize {
             self.agree.renumber(max_seq + 1);
             self.try_propose(ctx);
@@ -309,7 +306,6 @@ impl<S: Service> Replica<S> {
             // executed request's effects must be refetched or re-executed.
             self.exec.reset();
             self.ckpt.forget_stored();
-            io.log.rewind(0, view, io.cfg.f());
         }
         // Repair against the stable checkpoint this replica holds, and learn
         // the group's latest one.

@@ -49,11 +49,10 @@ pub(super) struct ViewChange {
     quorum: usize,
     timer: Option<TimerId>,
     timeout: SimDuration,
-    last_new_view: u64,
     /// Last own view-change message (retransmitted on ticks).
     own_vc: Option<ViewChangeMsg>,
     /// Last new-view message installed (resent to peers stuck in an older
-    /// view).
+    /// view); its view is the one agreement last ran in.
     last_nv: Option<NewViewMsg>,
     /// What prepared and pre-prepared here, folded out of the log whenever
     /// this replica leaves a view.
@@ -70,7 +69,6 @@ impl ViewChange {
             quorum: cfg.quorum(),
             timer: None,
             timeout: VIEW_CHANGE_TIMEOUT_BASE,
-            last_new_view: 0,
             own_vc: None,
             last_nv: None,
             carried: PqSets::default(),
@@ -79,6 +77,12 @@ impl ViewChange {
 
     pub(super) fn view(&self) -> u64 {
         self.view
+    }
+
+    /// The view of the last installed NEW-VIEW, 0 before any: the view
+    /// agreement runs in, or last ran in before a view change got under way.
+    pub(super) fn installed(&self) -> u64 {
+        self.last_nv.as_ref().map_or(0, |nv| nv.view)
     }
 
     /// The view agreement runs in; `None` while a view change suspends it.
@@ -257,7 +261,7 @@ impl ViewChange {
     pub(super) fn on_view_change(&mut self, io: &mut Io<'_, '_>, vc: ViewChangeMsg) -> bool {
         if vc.replica as usize >= io.cfg.n
             || vc.replica == io.id
-            || vc.new_view <= self.last_new_view
+            || vc.new_view <= self.installed()
         {
             return false;
         }
@@ -290,7 +294,7 @@ impl ViewChange {
     /// order: a number that 2f+1 of them leave undecided, more may decide.
     pub(super) fn new_view(&mut self, io: &mut Io<'_, '_>) -> Option<(NewViewMsg, u64)> {
         let target = self.view;
-        if !self.changing || !io.is_primary(target) || self.last_new_view >= target {
+        if !self.changing || !io.is_primary(target) || self.installed() >= target {
             return None;
         }
         let mut vcs: Vec<ViewChangeMsg> =
@@ -319,7 +323,7 @@ impl ViewChange {
     /// Returns the `min_s` of a NEW-VIEW that passes every check.
     pub(super) fn on_new_view(&self, io: &mut Io<'_, '_>, nv: &NewViewMsg) -> Option<u64> {
         let from_primary = nv.replica as usize == io.cfg.primary_of(nv.view);
-        if nv.view < self.view || nv.view <= self.last_new_view || !from_primary {
+        if nv.view < self.view || nv.view <= self.installed() || !from_primary {
             return None;
         }
         io.ctx.charge(COST.signature.saturating_mul((1 + nv.view_changes.len()) as u64));
@@ -332,7 +336,7 @@ impl ViewChange {
 
     /// Enters `nv`'s view, with the timeout back at [`RTO`].
     fn enter(&mut self, nv: &NewViewMsg) {
-        (self.view, self.changing, self.last_new_view) = (nv.view, false, nv.view);
+        (self.view, self.changing) = (nv.view, false);
         self.own_vc = None;
         self.last_nv = Some(nv.clone());
         self.timeout = RTO;

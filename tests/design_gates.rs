@@ -207,7 +207,8 @@ fn dense_message_path(t: &Tree) -> Vec<Hit> {
 /// `Service::set_exec_workers` and `Service::set_chunk_size` default
 /// no-ops that `benchmark/` still overrides; and no code in `crates/*/src`
 /// starts a thread: a campaign runs its seeds in order on the one harness
-/// it is lent (DESIGN.md §7.1).
+/// it is lent (DESIGN.md §7.1). So no code there takes a lock either: a
+/// memo is a `std::cell` cell, not a `OnceLock`, `Mutex` or `RwLock`.
 fn one_path(t: &Tree) -> Vec<Hit> {
     let mut hits = t.grep(
         anywhere,
@@ -221,7 +222,7 @@ fn one_path(t: &Tree) -> Vec<Hit> {
         !(h.path == "crates/pbft/src/service.rs"
             && (default("set_exec_workers") || default("set_chunk_size")))
     });
-    hits.extend(t.grep(library, Mode::Substring, "thread::"));
+    hits.extend(t.grep(library, Mode::Substring, "thread::|OnceLock|Mutex|RwLock"));
     hits
 }
 
@@ -617,6 +618,46 @@ fn keys_without_a_lock(t: &Tree) -> Vec<Hit> {
     )
 }
 
+/// One reading of a slot (DESIGN.md §15): each agreement fact is kept
+/// once and read off what the replica already holds. A slot's stage is
+/// what its logged messages add up to in the installed view, with the
+/// execution point; its own COMMIT is the one in the log; the stable
+/// checkpoint is its certificate's; and the installed view is the last
+/// NEW-VIEW's. So no struct field (a line four spaces in, `name: Type`)
+/// of `log.rs` is a `stage`, `commit_sent`, `executed` or `live`, none of
+/// `replica/checkpoint.rs` a `stable_seq` (the wire field of
+/// `ViewChangeMsg` is declared in `messages.rs`) and none of
+/// `replica/view_change.rs` a `last_new_view`; and the stage index's
+/// upkeep (`observe`, `restage`, `rewind`) is gone from `crates/pbft/src`.
+fn one_reading_of_a_slot(t: &Tree) -> Vec<Hit> {
+    const STORED: [(&str, &str); 3] = [
+        ("crates/pbft/src/log.rs", "stage|commit_sent|executed|live"),
+        ("crates/pbft/src/replica/checkpoint.rs", "stable_seq"),
+        ("crates/pbft/src/replica/view_change.rs", "last_new_view"),
+    ];
+    let mut hits = Vec::new();
+    for (path, fields) in STORED {
+        let Some(text) = t.0.get(path) else { continue };
+        for (i, line) in before_tests(text).enumerate() {
+            let Some(field) = line.strip_prefix("    ").filter(|f| !f.starts_with(' ')) else {
+                continue;
+            };
+            let field = ["pub ", "pub(crate) ", "pub(super) "]
+                .iter()
+                .fold(field, |f, vis| f.strip_prefix(vis).unwrap_or(f));
+            if fields.split('|').any(|name| field.starts_with(&format!("{name}:"))) {
+                hits.push(hit((path, i + 1, line)));
+            }
+        }
+    }
+    hits.extend(t.grep(
+        under(&["crates/pbft/src/"]),
+        Mode::Substring,
+        "fn observe(|fn restage(|fn rewind(",
+    ));
+    hits
+}
+
 fn holds(gate: Gate) {
     let hits = gate(tree());
     assert!(
@@ -661,6 +702,7 @@ gate_tests!(
     one_outbound_filter,
     tags_over_headers,
     keys_without_a_lock,
+    one_reading_of_a_slot,
 );
 
 /// Each gate, run on a tree of one existing file, passes on the file as
@@ -671,7 +713,7 @@ gate_tests!(
 fn every_gate_fires_on_its_plant() {
     let long_part = "\n".repeat(501);
     #[rustfmt::skip]
-    let plants: [(Gate, &str, &str); 57] = [
+    let plants: [(Gate, &str, &str); 68] = [
         (one_mac, "crates/crypto/src/auth.rs", "use crate::hmac::HmacSha256;"),
         (one_mac, "crates/crypto/src/keys.rs", "key: hmac_key,"),
         (one_wire_declaration, "crates/core/src/lib.rs", "impl XdrEncode for Thing {}"),
@@ -682,6 +724,8 @@ fn every_gate_fires_on_its_plant() {
         (one_path, "crates/pbft/src/service.rs", "        let _ = chunk_size;"),
         (one_path, "crates/core/src/lib.rs", "std::thread::spawn(|| ());"),
         (one_path, "crates/simnet/src/chaos.rs", "std::thread::scope(|_| ());"),
+        (one_path, "crates/pbft/src/messages.rs", "struct DigestCache(std::sync::OnceLock<Digest>);"),
+        (one_path, "crates/simnet/src/sim.rs", "use std::sync::{Mutex, RwLock};"),
         (one_fault_model, "src/lib.rs", "// drop_prob"),
         (one_fault_model, "crates/pbft/src/config.rs", "    pub view_change_timeout: SimDuration,"),
         (one_deployment, "scripts/tier1.sh", "# build_group"),
@@ -729,6 +773,15 @@ fn every_gate_fires_on_its_plant() {
         (keys_without_a_lock, "crates/crypto/src/sig.rs", "use std::sync::{Arc, RwLock};"),
         (keys_without_a_lock, "crates/crypto/src/keys.rs", "let t = self.dir.lock().expect(\"key directory poisoned\");"),
         (keys_without_a_lock, "crates/crypto/src/sig.rs", "    session: Vec<Option<SessionKey>>,"),
+        (one_reading_of_a_slot, "crates/pbft/src/log.rs", "pub struct SeqEntry {\n    stage: Option<SlotStage>,\n}"),
+        (one_reading_of_a_slot, "crates/pbft/src/log.rs", "pub struct SeqEntry {\n    pub commit_sent: bool,\n}"),
+        (one_reading_of_a_slot, "crates/pbft/src/log.rs", "pub struct SeqEntry {\n    pub executed: bool,\n}"),
+        (one_reading_of_a_slot, "crates/pbft/src/log.rs", "pub struct Log {\n    live: usize,\n}"),
+        (one_reading_of_a_slot, "crates/pbft/src/replica/checkpoint.rs", "pub(super) struct Checkpoints {\n    stable_seq: u64,\n}"),
+        (one_reading_of_a_slot, "crates/pbft/src/replica/view_change.rs", "pub(super) struct ViewChange {\n    last_new_view: u64,\n}"),
+        (one_reading_of_a_slot, "crates/pbft/src/log.rs", "    pub fn observe(&mut self, stage: SlotStage) {}"),
+        (one_reading_of_a_slot, "crates/pbft/src/replica/agreement.rs", "fn restage(log: &mut Log, view: u64) {}"),
+        (one_reading_of_a_slot, "crates/pbft/src/replica/router.rs", "    pub fn rewind(&mut self, seq: u64) {}"),
     ];
     for (gate, path, plant) in plants {
         let original = tree()
@@ -812,7 +865,7 @@ fn declared_reads_doc_comments_ignores_and_proptest_blocks() {
 /// Tests that DESIGN.md or CI's "Exact counts" step name, by file:
 /// `(file, test, ignored)`.
 #[rustfmt::skip]
-const NAMED: [(&str, &str, bool); 75] = [
+const NAMED: [(&str, &str, bool); 78] = [
     // Exact counts, printed by CI with `--nocapture`.
     ("crates/core/tests/alloc_budget.rs", "a_write_and_a_read_stay_within_their_allocation_budget", false),
     ("crates/pbft/tests/queue_gauge.rs", "pending_events_track_live_work_not_dead_timers", false),
@@ -912,6 +965,12 @@ const NAMED: [(&str, &str, bool); 75] = [
     ("crates/crypto/tests/proptest_crypto.rs", "every_key_is_the_definition_after_any_refreshes", false),
     ("crates/crypto/src/sig.rs", "an_id_off_the_frame_has_no_key_and_grows_nothing", false),
     ("crates/crypto/src/sig.rs", "cached_sign_key_matches_the_definition", false),
+    // One reading of a slot: the stage read off the messages in the
+    // installed view, and the one status line where it differs from the
+    // stored index it replaced.
+    ("crates/pbft/src/log.rs", "slot_table_stage_never_downgrades", false),
+    ("crates/pbft/src/replica/mod.rs", "a_backup_that_does_not_endorse_a_prepared_slot_reports_it_prepared", false),
+    ("crates/pbft/src/replica/mod.rs", "a_read_during_a_view_change_waits_for_the_installed_views_backlog", false),
     // Exact allocation counts: a seeded NFS run allocates the same twice.
     ("crates/bench/tests/nfs_alloc_repeat.rs", "a_seeded_nfs_run_allocates_the_same_twice", false),
 ];
